@@ -1,11 +1,10 @@
 //! The directory servant: names → replica sets with offered QoS ladders.
 //!
-//! Like [`cool_orb::naming::NameServer`], the directory is self-hosting:
-//! a regular servant whose operations are marshalled over CDR and served
-//! over any ORB transport. Unlike it, every request body leads with a
-//! byte-order flag octet (0 = big, 1 = little); the CDR body follows in
-//! that order and the reply echoes it, so clients on either endianness
-//! talk to the same directory.
+//! The directory is self-hosting: a regular servant whose operations are
+//! marshalled over CDR and served over any ORB transport. Every request
+//! body leads with a byte-order flag octet (0 = big, 1 = little); the CDR
+//! body follows in that order and the reply echoes it, so clients on
+//! either endianness talk to the same directory.
 
 use crate::ladder::{best_rung, decode_ladder, encode_ladder};
 use cool_giop::cdr::{ByteOrder, CdrDecoder, CdrEncoder};

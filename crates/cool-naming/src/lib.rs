@@ -1,7 +1,7 @@
 //! # cool-naming — a QoS-aware replica directory, served over the ORB
 //!
-//! The plain [`cool_orb::naming`] service maps one name to one stringified
-//! reference; this crate grows that into a *replica directory*: servers
+//! COOL deployments bootstrap object references through a name server;
+//! this crate is that service grown into a *replica directory*: servers
 //! register an object reference together with the QoS ladder they can
 //! offer, and clients resolve by **name + required QoS**, getting back the
 //! full candidate replica set ranked by how high a rung of each replica's
@@ -10,10 +10,10 @@
 //! replica, load-balances fresh bindings across equivalent ones and fails
 //! over mid-traffic when the active replica dies.
 //!
-//! Like the name service, the directory is self-hosting: it is a regular
-//! servant (`register`, `deregister`, `resolve`, `list`) marshalled over
-//! CDR and served over any transport the ORB supports — directory traffic
-//! is dogfooded GIOP traffic. Requests carry an explicit byte-order flag
+//! The directory is self-hosting: it is a regular servant (`register`,
+//! `deregister`, `resolve`, `list`) marshalled over CDR and served over
+//! any transport the ORB supports — directory traffic is dogfooded GIOP
+//! traffic. Requests carry an explicit byte-order flag
 //! octet ahead of the CDR body (0 = big-endian, 1 = little-endian) and
 //! replies echo the requester's order, so both byte orders work on the
 //! wire.

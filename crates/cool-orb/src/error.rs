@@ -95,9 +95,8 @@ impl OrbError {
         match self {
             OrbError::Transport(_) | OrbError::Closed => true,
             OrbError::Timeout { request_id, .. } => request_id.is_none(),
-            // A policy already exhausted itself; replaying the whole loop
-            // is the caller's (or a failover layer's) decision, not ours.
-            OrbError::RetriesExhausted { .. } => false,
+            // Everything else — including `RetriesExhausted`, which is
+            // terminal: the pipeline builds it as it gives up.
             _ => false,
         }
     }

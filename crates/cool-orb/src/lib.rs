@@ -59,8 +59,8 @@ pub mod binding;
 pub mod config;
 pub mod error;
 pub mod exchange;
+mod invoke;
 pub mod message_layer;
-pub mod naming;
 pub mod object;
 pub mod orb;
 pub mod replica;
@@ -76,7 +76,6 @@ pub use cool_faults::{FaultAction, FaultEngine, FaultPlan, FaultPlanBuilder, Pla
 pub use config::{BatchingPolicy, FailoverPolicy, IntrospectPolicy, OrbConfig};
 pub use error::OrbError;
 pub use exchange::LocalExchange;
-pub use naming::{NameClient, NameServer};
 pub use object::{ObjectKey, ObjectRef, OrbAddr};
 pub use orb::{Orb, Stub};
 pub use replica::{ReplicaCandidate, ResolvedStub};
@@ -96,7 +95,6 @@ pub mod prelude {
     pub use cool_faults::{FaultPlan, FaultPlanBuilder, PlanSet};
     pub use crate::error::OrbError;
     pub use crate::exchange::LocalExchange;
-    pub use crate::naming::{NameClient, NameServer};
     pub use crate::object::{ObjectKey, ObjectRef, OrbAddr};
     pub use crate::orb::{Orb, Stub};
     pub use crate::replica::{ReplicaCandidate, ResolvedStub};

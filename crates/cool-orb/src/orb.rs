@@ -1,25 +1,25 @@
 //! The ORB façade and client stubs.
 
-use crate::adapter::{DispatchOutcome, ObjectAdapter};
+use crate::adapter::ObjectAdapter;
 use crate::binding::{Binding, DeferredReply, Reconnector};
 use crate::config::OrbConfig;
 use crate::error::OrbError;
 use crate::exchange::LocalExchange;
+use crate::invoke::{Endpoint, Invoker, Target, Targets};
 use crate::message_layer::WireProtocol;
 use crate::object::{ObjectKey, ObjectRef, OrbAddr};
-use crate::retry::RetryPolicy;
 use crate::server::OrbServer;
 use crate::transport::{ComChannel, FaultChannel, FaultMetrics};
 use bytes::Bytes;
 use cool_faults::FaultEngine;
 use cool_telemetry::flight::event as flight_event;
-use cool_telemetry::{names, Counter, IntrospectServer, Registry};
-use multe_qos::{GrantedQoS, QoSSpec, ServerPolicy, TransportRequirements};
+use cool_telemetry::{IntrospectServer, Registry};
+use multe_qos::{GrantedQoS, QoSSpec, TransportRequirements};
 use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The Object Request Broker: one per process role (client, server, or
 /// both — the adapter exists on both sides, as in COOL).
@@ -231,28 +231,27 @@ impl Orb {
         reference: &ObjectRef,
         protocol: WireProtocol,
     ) -> Result<Stub, OrbError> {
-        // Colocated fast path: the adapter is on the client side too.
-        if self.served.lock().contains(&reference.addr) && self.adapter.contains(&reference.key) {
-            return Ok(self.make_stub(Target::Local(self.adapter.clone()), reference.key.clone()));
-        }
-        let binding = self.binding_for(&reference.addr, protocol)?;
-        Ok(self.make_stub(Target::Remote(binding), reference.key.clone()))
+        let endpoint = self.endpoint_for(reference, protocol)?;
+        let invoker = Invoker::new(&self.config, QoSSpec::best_effort(), Vec::new());
+        Ok(Stub { endpoint, invoker })
     }
 
-    fn make_stub(&self, target: Target, key: ObjectKey) -> Stub {
-        let registry = self.config.telemetry.as_deref();
-        Stub {
-            target,
-            key,
-            qos: OrderedMutex::new(lock_rank::STUB_QOS, "stub.qos", None),
-            granted: OrderedMutex::new(lock_rank::STUB_GRANTED, "stub.granted", None),
-            timeout: OrderedMutex::new(lock_rank::STUB_TIMEOUT, "stub.timeout", self.config.call_timeout),
-            retry: self.config.retry.clone(),
-            ladder: OrderedMutex::new(lock_rank::STUB_LADDER, "stub.ladder", LadderState::default()),
-            retries: registry.map(|r| r.counter(names::RETRIES_TOTAL)),
-            degradations: registry.map(|r| r.counter(names::QOS_DEGRADATIONS_TOTAL)),
-            registry: self.config.telemetry.clone(),
-        }
+    /// Binds `reference`: the colocated adapter when this ORB serves the
+    /// object itself (the adapter is on the client side too), otherwise
+    /// the cached binding to its address.
+    pub(crate) fn endpoint_for(
+        &self,
+        reference: &ObjectRef,
+        protocol: WireProtocol,
+    ) -> Result<Arc<Endpoint>, OrbError> {
+        let key = reference.key.clone();
+        let colocated = self.served.lock().contains(&reference.addr);
+        let target = if colocated && self.adapter.contains(&key) {
+            Target::Local(self.adapter.clone())
+        } else {
+            Target::Remote(self.binding_for(&reference.addr, protocol)?)
+        };
+        Ok(Arc::new(Endpoint { target, key }))
     }
 
     /// Dials `addr`, consulting the fault engine (connect refusal) and
@@ -380,78 +379,46 @@ impl Orb {
     }
 }
 
-enum Target {
-    Local(Arc<ObjectAdapter>),
-    Remote(Arc<Binding>),
-}
-
-/// Graceful-degradation state: the fallback ladder the application
-/// supplied and the rungs already applied.
-#[derive(Default)]
-struct LadderState {
-    fallbacks: VecDeque<QoSSpec>,
-    steps: Vec<QoSSpec>,
-}
-
-/// Outcome of one [`Stub::decide_retry`] consultation after a retryable
-/// failure. Transitions are tabulated in DESIGN.md §8.4.
-enum RetryDecision {
-    /// Wait this long, then replay the invocation.
-    Backoff(Duration),
-    /// Attempts or wall-clock budget spent; surface the wrapped history.
-    GiveUp,
-}
-
-/// Outcome of walking the degradation ladder after a QoS NACK
-/// ([`Stub::degrade_qos`]). Transitions are tabulated in DESIGN.md §8.4.
-enum DegradeOutcome {
-    /// A rung was applied — retry the invocation at the reduced QoS.
-    Stepped,
-    /// The ladder is empty; the NACK surfaces to the caller.
-    Exhausted,
-}
-
 /// A client proxy for one remote (or colocated) object.
 ///
 /// This is what Chic-generated stubs wrap: `invoke` carries marshalled
 /// parameters, and `set_qos_parameter` is the method the modified Chic
 /// compiler adds to every stub (Section 4.1).
 pub struct Stub {
-    target: Target,
-    key: ObjectKey,
-    qos: OrderedMutex<Option<QoSSpec>>,
-    granted: OrderedMutex<Option<GrantedQoS>>,
-    timeout: OrderedMutex<Duration>,
-    retry: Option<RetryPolicy>,
-    ladder: OrderedMutex<LadderState>,
-    retries: Option<Arc<Counter>>,
-    degradations: Option<Arc<Counter>>,
-    registry: Option<Arc<Registry>>,
+    pub(crate) endpoint: Arc<Endpoint>,
+    pub(crate) invoker: Invoker,
 }
 
 impl std::fmt::Debug for Stub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Stub")
-            .field("key", &self.key.to_string())
-            .field("colocated", &matches!(self.target, Target::Local(_)))
+            .field("key", &self.endpoint.key.to_string())
+            .field("colocated", &self.is_colocated())
             .finish()
+    }
+}
+
+/// A plain stub is the one-target case of the invocation pipeline.
+impl Targets for Arc<Endpoint> {
+    fn endpoint(&self, _idx: usize) -> Result<Arc<Endpoint>, OrbError> {
+        Ok(Arc::clone(self))
     }
 }
 
 impl Stub {
     /// The object key this stub addresses.
     pub fn key(&self) -> &ObjectKey {
-        &self.key
+        &self.endpoint.key
     }
 
     /// Whether this stub short-circuits to a colocated object.
     pub fn is_colocated(&self) -> bool {
-        matches!(self.target, Target::Local(_))
+        matches!(self.endpoint.target, Target::Local(_))
     }
 
     /// Sets the reply timeout for synchronous calls.
     pub fn set_timeout(&self, timeout: Duration) {
-        *self.timeout.lock() = timeout;
+        self.invoker.per_stub.lock().timeout = timeout;
     }
 
     /// The paper's `setQoSParameter`: specifies the QoS for subsequent
@@ -468,25 +435,8 @@ impl Stub {
     /// transport cannot provide the mapped requirements.
     pub fn set_qos_parameter(&self, spec: QoSSpec) -> Result<(), OrbError> {
         spec.validate().map_err(OrbError::QosNotSupported)?;
-        if let Target::Remote(binding) = &self.target {
-            if !spec.is_best_effort() {
-                // Derive the transport requirements from the requested
-                // operating point (permissive negotiation = take the
-                // request as-is) and push them down the channel.
-                let optimistic = ServerPolicy::permissive()
-                    .negotiate(&spec)
-                    .map_err(OrbError::QosNotSupported)?;
-                let requirements = TransportRequirements::from_granted(&optimistic);
-                binding.set_transport_qos(&requirements)?;
-            } else {
-                binding.set_transport_qos(&TransportRequirements::best_effort())?;
-            }
-        }
-        *self.qos.lock() = if spec.is_best_effort() {
-            None
-        } else {
-            Some(spec)
-        };
+        self.endpoint.apply_qos(&spec)?;
+        self.invoker.per_stub.lock().offered = spec;
         Ok(())
     }
 
@@ -503,93 +453,24 @@ impl Stub {
     /// The QoS granted by the server on the most recent invocation, if
     /// any.
     pub fn last_granted(&self) -> Option<GrantedQoS> {
-        self.granted.lock().clone()
+        self.invoker.per_stub.lock().granted.clone()
     }
 
     /// Installs a graceful-degradation ladder: when an invocation fails
     /// with [`OrbError::QosNotSupported`] (the server NACKed the
     /// negotiation), the stub steps down to the next fallback spec — most
-    /// preferred first — applies it via [`Stub::set_qos_parameter`] and
-    /// retries the call. The ladder is consumed rung by rung; once empty,
-    /// the NACK surfaces to the caller.
+    /// preferred first — applies it as [`Stub::set_qos_parameter`] would
+    /// and retries the call. The ladder is consumed rung by rung; once
+    /// empty, the NACK surfaces to the caller.
     pub fn set_qos_ladder(&self, fallbacks: Vec<QoSSpec>) {
-        let mut ladder = self.ladder.lock();
-        ladder.fallbacks = fallbacks.into();
-        ladder.steps.clear();
+        let mut state = self.invoker.per_stub.lock();
+        state.fallbacks = fallbacks.into();
+        state.steps.clear();
     }
 
     /// The degradation rungs applied so far, in the order they were taken.
     pub fn degradation_steps(&self) -> Vec<QoSSpec> {
-        self.ladder.lock().steps.clone()
-    }
-
-    /// Pops the next fallback rung, recording the step.
-    fn next_rung(&self) -> Option<QoSSpec> {
-        let rung = {
-            let mut ladder = self.ladder.lock();
-            let rung = ladder.fallbacks.pop_front()?;
-            ladder.steps.push(rung.clone());
-            rung
-        };
-        if let Some(c) = &self.degradations {
-            c.inc();
-        }
-        if let Some(r) = &self.registry {
-            r.flight_event(
-                flight_event::QOS_DEGRADE,
-                None,
-                format!("{}: stepped down to {rung:?}", self.key),
-            );
-        }
-        Some(rung)
-    }
-
-    /// Steps down the ladder after a QoS NACK until a rung applies cleanly
-    /// or the ladder is exhausted. Non-QoS errors pass through unchanged.
-    ///
-    /// The outcomes are this machine's only states (DESIGN.md §8.4): a
-    /// `Stepped` transition emits the degradation counter and flight event
-    /// (inside [`Stub::next_rung`]); `Exhausted` surfaces the original
-    /// NACK to the caller.
-    fn degrade_qos(&self) -> Result<DegradeOutcome, OrbError> {
-        loop {
-            let Some(rung) = self.next_rung() else {
-                return Ok(DegradeOutcome::Exhausted);
-            };
-            match self.set_qos_parameter(rung) {
-                Ok(()) => return Ok(DegradeOutcome::Stepped),
-                // This rung is itself unacceptable (invalid spec or the
-                // transport refused the mapped requirements): keep
-                // stepping down.
-                Err(OrbError::QosNotSupported(_)) => continue,
-                Err(other) => return Err(other),
-            }
-        }
-    }
-
-    /// What the retry machine decided after a retryable failure: back off
-    /// and replay, or give up. The decision is the transition (DESIGN.md
-    /// §8.4) — `Backoff` bumps the retry counter here, `GiveUp` is what
-    /// [`Stub::invoke`] wraps into [`OrbError::RetriesExhausted`].
-    fn decide_retry(&self, attempt: u32, start: Instant) -> RetryDecision {
-        let policy: Option<&RetryPolicy> = self.retry.as_ref();
-        match policy.and_then(|p| p.next_delay(attempt, start.elapsed())) {
-            Some(delay) => {
-                if let Some(c) = &self.retries {
-                    c.inc();
-                }
-                RetryDecision::Backoff(delay)
-            }
-            None => RetryDecision::GiveUp,
-        }
-    }
-
-    fn qos_params(&self) -> Vec<cool_giop::QoSParameter> {
-        self.qos
-            .lock()
-            .as_ref()
-            .map(QoSSpec::to_params)
-            .unwrap_or_default()
+        self.invoker.per_stub.lock().steps.clone()
     }
 
     /// Two-way synchronous invocation with marshalled parameters.
@@ -604,85 +485,10 @@ impl Stub {
     /// # Errors
     ///
     /// The server's exception (including the QoS NACK once any ladder is
-    /// exhausted), marshalling or transport failures, or
-    /// [`OrbError::Timeout`].
+    /// exhausted), marshalling or transport failures, [`OrbError::Timeout`],
+    /// or — a retry policy gave up — [`OrbError::RetriesExhausted`].
     pub fn invoke(&self, operation: &str, args: Bytes) -> Result<Bytes, OrbError> {
-        let policy: Option<&RetryPolicy> = self.retry.as_ref();
-        let start = Instant::now();
-        let mut attempt: u32 = 1;
-        // Bounded: QoS degradation consumes the finite ladder; retries are
-        // capped by RetryPolicy::max_attempts and its wall-clock budget.
-        loop {
-            let err = match self.invoke_once(operation, args.clone()) {
-                Ok(body) => return Ok(body),
-                Err(err) => err,
-            };
-            if matches!(err, OrbError::QosNotSupported(_)) {
-                match self.degrade_qos()? {
-                    // Degradation does not consume retry attempts.
-                    DegradeOutcome::Stepped => continue,
-                    DegradeOutcome::Exhausted => return Err(err),
-                }
-            }
-            if !err.is_retryable() {
-                return Err(err);
-            }
-            let RetryDecision::Backoff(delay) = self.decide_retry(attempt, start) else {
-                // A policy that gives up — attempts or wall-clock budget
-                // spent, possibly mid-backoff — must surface *what kept
-                // failing*, not a bare budget error: wrap the last cause
-                // with the attempt count. Without a policy there was only
-                // ever one attempt; its error surfaces unwrapped.
-                return Err(match policy {
-                    Some(_) => OrbError::RetriesExhausted {
-                        attempts: attempt,
-                        last: Box::new(err),
-                    },
-                    None => err,
-                });
-            };
-            attempt += 1;
-            crate::retry::wait_backoff(delay);
-            if let Target::Remote(binding) = &self.target {
-                if binding.is_closed() {
-                    // A failed redial surfaces on the next attempt as an
-                    // attributed Closed/Transport error, which loops back
-                    // here while attempts remain.
-                    let _ = binding.reconnect();
-                }
-            }
-        }
-    }
-
-    /// One attempt of [`Stub::invoke`], with no resilience applied.
-    fn invoke_once(&self, operation: &str, args: Bytes) -> Result<Bytes, OrbError> {
-        match &self.target {
-            Target::Local(adapter) => {
-                let spec = self.qos.lock().clone().unwrap_or_default();
-                match adapter.dispatch(&self.key, operation, &args, &spec, false) {
-                    DispatchOutcome::Success { body, granted } => {
-                        *self.granted.lock() = Some(granted);
-                        Ok(Bytes::from(body))
-                    }
-                    DispatchOutcome::QosNack(reason) => Err(OrbError::QosNotSupported(reason)),
-                    DispatchOutcome::Error(err) => Err(err),
-                }
-            }
-            Target::Remote(binding) => {
-                let timeout = *self.timeout.lock();
-                let (body, granted) = binding.call(
-                    self.key.as_bytes(),
-                    operation,
-                    args,
-                    &self.qos_params(),
-                    timeout,
-                )?;
-                if let Some(granted) = granted {
-                    *self.granted.lock() = Some(granted);
-                }
-                Ok(body)
-            }
-        }
+        self.invoker.invoke(&self.endpoint, operation, args)
     }
 
     /// One-way invocation (`send`): no reply, errors after the send are
@@ -692,14 +498,14 @@ impl Stub {
     ///
     /// Local marshalling/transport failures only.
     pub fn invoke_oneway(&self, operation: &str, args: Bytes) -> Result<(), OrbError> {
-        match &self.target {
+        match &self.endpoint.target {
             Target::Local(adapter) => {
-                let spec = self.qos.lock().clone().unwrap_or_default();
-                adapter.dispatch(&self.key, operation, &args, &spec, true);
+                let spec = self.invoker.offered();
+                adapter.dispatch(self.key(), operation, &args, &spec, true);
                 Ok(())
             }
             Target::Remote(binding) => {
-                binding.send(self.key.as_bytes(), operation, args, &self.qos_params())
+                binding.send(self.key().as_bytes(), operation, args, &self.invoker.qos_params())
             }
         }
     }
@@ -712,12 +518,12 @@ impl Stub {
     /// call would already be complete) and return
     /// [`OrbError::Protocol`].
     pub fn invoke_deferred(&self, operation: &str, args: Bytes) -> Result<DeferredReply, OrbError> {
-        match &self.target {
+        match &self.endpoint.target {
             Target::Local(_) => Err(OrbError::Protocol(
                 "deferred invocation on a colocated object is meaningless".into(),
             )),
             Target::Remote(binding) => {
-                binding.defer(self.key.as_bytes(), operation, args, &self.qos_params())
+                binding.defer(self.key().as_bytes(), operation, args, &self.invoker.qos_params())
             }
         }
     }
@@ -735,22 +541,16 @@ impl Stub {
         args: Bytes,
         callback: impl FnOnce(Result<Bytes, OrbError>) + Send + 'static,
     ) -> Result<u32, OrbError> {
-        match &self.target {
-            Target::Local(adapter) => {
-                let spec = self.qos.lock().clone().unwrap_or_default();
-                let result = match adapter.dispatch(&self.key, operation, &args, &spec, false) {
-                    DispatchOutcome::Success { body, .. } => Ok(Bytes::from(body)),
-                    DispatchOutcome::QosNack(reason) => Err(OrbError::QosNotSupported(reason)),
-                    DispatchOutcome::Error(err) => Err(err),
-                };
-                callback(result);
+        match &self.endpoint.target {
+            Target::Local(_) => {
+                callback(self.invoker.invoke_once(&self.endpoint, operation, args));
                 Ok(0)
             }
             Target::Remote(binding) => binding.notify(
-                self.key.as_bytes(),
+                self.key().as_bytes(),
                 operation,
                 args,
-                &self.qos_params(),
+                &self.invoker.qos_params(),
                 move |result| callback(result.map(|(body, _)| body)),
             ),
         }
@@ -760,7 +560,7 @@ impl Stub {
     ///
     /// Returns whether the request was still pending.
     pub fn cancel(&self, request_id: u32) -> bool {
-        match &self.target {
+        match &self.endpoint.target {
             Target::Local(_) => false,
             Target::Remote(binding) => binding.cancel(request_id),
         }

@@ -3,24 +3,16 @@
 //!
 //! [`crate::orb::Orb::bind_resolved`] takes the candidate replica set a
 //! directory resolve produced (see the `cool-naming` crate) and returns a
-//! [`ResolvedStub`] that behaves like a single [`crate::orb::Stub`] while
-//! managing the whole set underneath (DESIGN.md §8.3):
+//! [`ResolvedStub`]: the invocation pipeline of a plain
+//! [`crate::orb::Stub`] (`invoke.rs`) run over the replica table kept here
+//! instead of one target (DESIGN.md §8.3):
 //!
 //! * **Best-match binding** — calls go to a replica whose offered ladder
-//!   matched the requirement at the lowest (best) rung; fresh bindings
-//!   rotate across equally-ranked replicas so load spreads without any
-//!   coordination.
-//! * **Mid-traffic failover** — when the active replica dies, the pending
-//!   call fails over to the next healthy replica within the same `invoke`:
-//!   the per-stub `RetryPolicy` (PR 4's reconnect gate) exhausts itself
-//!   against the dead replica first, then the resolved layer replays
-//!   retryable causes elsewhere. Non-retryable errors (attributed
-//!   timeouts, user exceptions) surface unchanged — at-most-once is never
-//!   broken by the replica layer either.
-//! * **QoS re-offer** — each replica's stub re-offers the last-negotiated
-//!   operating point and carries the *remaining* degradation ladder, so a
-//!   weaker failover target NACKs and degrades from where the previous
-//!   replica left off, never re-promoting mid-failover.
+//!   matched the requirement at the lowest (best) rung, rotating across
+//!   equally-ranked replicas so load spreads without coordination.
+//! * **One bound replica** — switching to a replica binds it afresh and
+//!   applies the pipeline's current QoS operating point to its transport,
+//!   so a failover target never re-promotes.
 //! * **Health and breakers** — consecutive failures evict a replica
 //!   (healthy → suspect → evicted); a background prober re-admits it after
 //!   backoff once it answers again; a per-replica circuit breaker opens
@@ -29,14 +21,15 @@
 
 use crate::config::FailoverPolicy;
 use crate::error::OrbError;
+use crate::invoke::{emit, Endpoint, Invoker, Targets};
+use crate::message_layer::WireProtocol;
 use crate::object::ObjectRef;
-use crate::orb::{Orb, Stub};
+use crate::orb::Orb;
 use bytes::Bytes;
-use cool_telemetry::flight::event as flight_event;
+use cool_telemetry::flight::event;
 use cool_telemetry::lockorder::rank as lock_rank;
 use cool_telemetry::lockorder::OrderedMutex;
-use cool_telemetry::{names, Counter, Gauge, Registry};
-use std::collections::HashMap;
+use cool_telemetry::{names, Gauge, Registry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -79,15 +72,6 @@ enum Breaker {
     HalfOpen,
 }
 
-/// Gauge encoding of [`Breaker`] (DESIGN.md §6).
-fn breaker_gauge_value(breaker: &Breaker) -> f64 {
-    match breaker {
-        Breaker::Closed(_) => 0.0,
-        Breaker::HalfOpen => 1.0,
-        Breaker::Open(_) => 2.0,
-    }
-}
-
 struct ReplicaState {
     reference: ObjectRef,
     match_rung: u32,
@@ -103,27 +87,34 @@ impl ReplicaState {
         matches!(self.health, Health::Healthy | Health::Suspect(_))
     }
 
+    /// Whether calls may go to this replica.
+    fn eligible(&self) -> bool {
+        self.in_rotation() && !matches!(self.breaker, Breaker::Open(_))
+    }
+
+    /// Moves the breaker, and its gauge with it (encoding: DESIGN.md §6).
     fn set_breaker(&mut self, breaker: Breaker) {
         self.breaker = breaker;
         if let Some(gauge) = &self.breaker_gauge {
-            gauge.set(breaker_gauge_value(&self.breaker));
+            gauge.set(match breaker {
+                Breaker::Closed(_) => 0.0,
+                Breaker::HalfOpen => 1.0,
+                Breaker::Open(_) => 2.0,
+            });
         }
     }
 }
 
-/// The mutable core of a [`ResolvedStub`]: replica table, active index,
-/// rotation cursor and the shared ladder-consumption high-water mark.
+/// The mutable core of a [`ResolvedStub`]: replica table, the active
+/// replica with its endpoint, and the rotation cursor.
 struct SetState {
     replicas: Vec<ReplicaState>,
-    /// Replica serving traffic, set on each successful call.
+    /// The replica calls go to until one against it fails.
     active: Option<usize>,
+    /// `active`, bound: lazily, and only ever one replica at a time.
+    endpoint: Option<Arc<Endpoint>>,
     /// Rotation cursor for spreading calls across equally-ranked replicas.
     rr: usize,
-    /// Degradation rungs consumed so far across *all* replicas: rung
-    /// index `consumed - 1` is the operating point in force (0 = the
-    /// original requirement). Monotonic, so a failover target starts at
-    /// the QoS the previous replica had already degraded to.
-    consumed: usize,
 }
 
 /// Point-in-time view of one replica, for tests and diagnostics.
@@ -143,36 +134,26 @@ pub struct ReplicaSnapshot {
 /// bindings across equally-ranked candidates.
 static ROTATION: AtomicUsize = AtomicUsize::new(0);
 
-/// A stub over a whole replica set: binds to the best-matching replica,
-/// load-balances fresh bindings across equivalent ones and transparently
-/// fails over mid-traffic when the active replica dies. Created by
-/// [`Orb::bind_resolved`]; see the module docs for the semantics.
+/// A stub over a whole replica set (see the module docs): binds to the
+/// best-matching replica, load-balances fresh bindings across equivalent
+/// ones and fails over mid-traffic. Created by [`Orb::bind_resolved`].
 pub struct ResolvedStub {
     orb: Arc<Orb>,
-    required: multe_qos::QoSSpec,
-    ladder: Vec<multe_qos::QoSSpec>,
+    /// The set's one QoS operating point, timeout and retry policy.
+    invoker: Invoker,
     policy: FailoverPolicy,
     replica_set: OrderedMutex<SetState>,
-    /// Cached per-replica stubs with the `consumed` value they were
-    /// configured at; a stub whose base fell behind the high-water mark is
-    /// rebuilt so it re-offers the degraded operating point.
-    stubs: OrderedMutex<HashMap<usize, (Arc<Stub>, usize)>>,
     prober: OrderedMutex<Option<JoinHandle<()>>>,
     stop_tx: crossbeam::channel::Sender<()>,
-    failovers: Option<Arc<Counter>>,
-    evictions: Option<Arc<Counter>>,
-    readmissions: Option<Arc<Counter>>,
     healthy_gauge: Option<Arc<Gauge>>,
     registry: Option<Arc<Registry>>,
 }
 
 impl std::fmt::Debug for ResolvedStub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.replica_set.lock();
         f.debug_struct("ResolvedStub")
-            .field("replicas", &state.replicas.len())
-            .field("active", &state.active)
-            .field("consumed", &state.consumed)
+            .field("active", &self.active_replica())
+            .field("consumed", &self.consumed_rungs())
             .finish()
     }
 }
@@ -180,10 +161,8 @@ impl std::fmt::Debug for ResolvedStub {
 impl Orb {
     /// Binds a whole candidate replica set (from a directory resolve) as
     /// one logical stub. `required` is the preferred operating point and
-    /// `ladder` the degradation fallbacks, exactly as for
-    /// [`Stub::set_qos_parameter`] / [`Stub::set_qos_ladder`] — the
-    /// resolved layer threads both through every per-replica stub it
-    /// creates, including failover targets.
+    /// `ladder` the degradation fallbacks, as for
+    /// [`crate::Stub::set_qos_parameter`] / [`crate::Stub::set_qos_ladder`].
     ///
     /// Health-probe and breaker thresholds come from
     /// [`crate::OrbConfig::failover`]; a `probe_period` of zero disables
@@ -226,53 +205,42 @@ impl Orb {
                 }),
             })
             .collect();
-        // Fresh bindings rotate their initial replica across the
-        // best-ranked candidates, so independent clients spread load
-        // without coordination.
-        let best_rung = replicas.iter().map(|r| r.match_rung).min().unwrap_or(0);
-        let best: Vec<usize> = (0..replicas.len())
-            .filter(|&i| replicas[i].match_rung == best_rung)
-            .collect();
-        let active = best[ROTATION.fetch_add(1, Ordering::Relaxed) % best.len()];
         let healthy_gauge = registry.as_ref().map(|r| {
             let gauge = r.gauge(names::REPLICAS_HEALTHY);
             gauge.set(replicas.len() as f64);
             gauge
         });
-        let policy = self.config().failover.clone();
+        let period = self.config().failover.probe_period;
         let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
         let resolved = Arc::new(ResolvedStub {
             orb: Arc::clone(self),
-            required,
-            ladder,
-            policy: policy.clone(),
+            invoker: Invoker::new(self.config(), required, ladder),
+            policy: self.config().failover.clone(),
             replica_set: OrderedMutex::new(
                 lock_rank::RESOLVED_STATE,
                 "resolved.state",
                 SetState {
                     replicas,
-                    active: Some(active),
-                    rr: 0,
-                    consumed: 0,
+                    active: None,
+                    endpoint: None,
+                    rr: ROTATION.fetch_add(1, Ordering::Relaxed),
                 },
             ),
-            stubs: OrderedMutex::new(lock_rank::RESOLVED_STUBS, "resolved.stubs", HashMap::new()),
             prober: OrderedMutex::new(lock_rank::RESOLVED_PROBER, "resolved.prober", None),
             stop_tx,
-            failovers: registry.as_ref().map(|r| r.counter(names::FAILOVERS_TOTAL)),
-            evictions: registry
-                .as_ref()
-                .map(|r| r.counter(names::REPLICA_EVICTIONS_TOTAL)),
-            readmissions: registry
-                .as_ref()
-                .map(|r| r.counter(names::REPLICA_READMISSIONS_TOTAL)),
             healthy_gauge,
             registry,
         });
-        if policy.probe_period > std::time::Duration::ZERO {
+        // The first pick rotates across the best-ranked candidates from a
+        // process-wide cursor, so independent clients spread their load
+        // without coordination.
+        let first = resolved.pick(&[], "bind").ok();
+        resolved.replica_set.lock().active = first;
+        if period > std::time::Duration::ZERO {
             let weak: Weak<ResolvedStub> = Arc::downgrade(&resolved);
-            let period = policy.probe_period;
-            let handle = std::thread::Builder::new()
+            // A failed spawn (resource exhaustion) leaves the binding
+            // without a prober rather than failing the bind.
+            *resolved.prober.lock() = std::thread::Builder::new()
                 .name("resolved-prober".into())
                 .spawn(move || {
                     while let Err(crossbeam::channel::RecvTimeoutError::Timeout) =
@@ -285,12 +253,6 @@ impl Orb {
                     }
                 })
                 .ok();
-            *resolved.prober.lock() = Some(match handle {
-                Some(h) => h,
-                // Thread spawn failed (resource exhaustion): run without
-                // a prober rather than failing the bind.
-                None => return Ok(resolved),
-            });
         }
         Ok(resolved)
     }
@@ -310,7 +272,7 @@ impl ResolvedStub {
     /// Degradation rungs consumed so far across the whole replica set
     /// (0 = still at the original requirement).
     pub fn consumed_rungs(&self) -> usize {
-        self.replica_set.lock().consumed
+        self.invoker.per_stub.lock().steps.len()
     }
 
     /// Point-in-time health/breaker view of every replica.
@@ -337,72 +299,19 @@ impl ResolvedStub {
             .collect()
     }
 
-    /// Two-way invocation over the replica set. Tries the active (or
-    /// best-ranked) replica first; a retryable failure marks the replica,
-    /// fails over to the next one in rotation and replays the call. Every
-    /// replica is tried at most once per invocation, so the call returns
-    /// an attributed error — never hangs — when the whole set is down.
+    /// Two-way invocation: [`crate::Stub::invoke`] with the replica table
+    /// as its targets. Tries the active (or best-ranked) replica first;
+    /// once the retry policy is spent on a retryable failure the call
+    /// replays on the next one in rotation, each replica at most once.
     ///
     /// # Errors
     ///
     /// The first non-retryable error from any replica (at-most-once:
     /// attributed timeouts and user exceptions are never replayed), or the
-    /// last failure once every eligible replica has been tried.
+    /// last replica's failure once every eligible replica has been tried —
+    /// attributed, never a hang.
     pub fn invoke(&self, operation: &str, args: Bytes) -> Result<Bytes, OrbError> {
-        let (replica_count, members) = {
-            let state = self.replica_set.lock();
-            let members = state
-                .replicas
-                .iter()
-                .map(|r| r.reference.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            (state.replicas.len(), members)
-        };
-        let mut tried = vec![false; replica_count];
-        let mut last_err: Option<OrbError> = None;
-        // lint: allow(L006, failover laps are bounded by the replica count — each lap marks one replica tried; per-attempt retry lives in the underlying stub's RetryPolicy)
-        loop {
-            let Some(idx) = self.pick(&tried) else {
-                return Err(last_err.unwrap_or_else(|| {
-                    OrbError::Transport(format!(
-                        "no healthy replica available for `{operation}`: all {replica_count} \
-                         candidate(s) evicted or breaker-open [{members}]"
-                    ))
-                }));
-            };
-            tried[idx] = true;
-            let (stub, base) = match self.stub_for(idx) {
-                Ok(entry) => entry,
-                Err(err) => {
-                    // Could not even bind — treat exactly like a failed
-                    // call so the breaker and eviction logic see it.
-                    self.fail_over(idx, &err);
-                    last_err = Some(err);
-                    continue;
-                }
-            };
-            match stub.invoke(operation, args.clone()) {
-                Ok(body) => {
-                    self.note_success(idx, &stub, base);
-                    return Ok(body);
-                }
-                Err(err) => {
-                    let cause_retryable = match &err {
-                        // The per-stub policy already exhausted itself;
-                        // whether another replica may see the call depends
-                        // on what actually kept failing.
-                        OrbError::RetriesExhausted { last, .. } => last.is_retryable(),
-                        other => other.is_retryable(),
-                    };
-                    if !cause_retryable {
-                        return Err(err);
-                    }
-                    self.fail_over(idx, &err);
-                    last_err = Some(err);
-                }
-            }
-        }
+        self.invoker.invoke(self, operation, args)
     }
 
     /// Stops the background prober and joins it. Called automatically on
@@ -420,87 +329,24 @@ impl ResolvedStub {
         }
     }
 
-    /// Picks the replica for the next attempt: the active one when still
-    /// eligible, otherwise the best-ranked untried replica, rotating
-    /// among equals. `None` when every eligible replica was tried.
-    fn pick(&self, tried: &[bool]) -> Option<usize> {
-        let mut guard = self.replica_set.lock();
-        let state = &mut *guard;
+    /// Half-opens every breaker whose cooldown has elapsed, letting one
+    /// trial call or probe through.
+    fn half_open_cooled(&self, state: &mut SetState) {
         let now = Instant::now();
-        for replica in state.replicas.iter_mut() {
-            if let Breaker::Open(since) = replica.breaker {
-                if now.duration_since(since) >= self.policy.breaker_cooldown {
-                    replica.set_breaker(Breaker::HalfOpen);
-                }
+        for replica in &mut state.replicas {
+            if matches!(replica.breaker, Breaker::Open(since)
+                if now.duration_since(since) >= self.policy.breaker_cooldown)
+            {
+                replica.set_breaker(Breaker::HalfOpen);
             }
         }
-        let eligible = |r: &ReplicaState| r.in_rotation() && !matches!(r.breaker, Breaker::Open(_));
-        if let Some(active) = state.active {
-            if !tried[active] && eligible(&state.replicas[active]) {
-                return Some(active);
-            }
-        }
-        let candidates: Vec<usize> = (0..state.replicas.len())
-            .filter(|&i| !tried[i] && eligible(&state.replicas[i]))
-            .collect();
-        let best_rung = candidates
-            .iter()
-            .map(|&i| state.replicas[i].match_rung)
-            .min()?;
-        let best: Vec<usize> = candidates
-            .into_iter()
-            .filter(|&i| state.replicas[i].match_rung == best_rung)
-            .collect();
-        state.rr = state.rr.wrapping_add(1);
-        Some(best[state.rr % best.len()])
     }
 
-    /// The cached stub for `idx`, creating (and QoS-configuring) it on
-    /// first use. The stub is built at the set's current ladder
-    /// consumption: rung `consumed - 1` as the offered spec and only the
-    /// rungs *below* it as fallbacks, so a failover target re-negotiates
-    /// from where the previous replica left off.
-    fn stub_for(&self, idx: usize) -> Result<(Arc<Stub>, usize), OrbError> {
-        let consumed = self.replica_set.lock().consumed;
-        {
-            let stubs = self.stubs.lock();
-            if let Some((stub, base)) = stubs.get(&idx) {
-                // A stale stub (configured before other replicas degraded
-                // further) is rebuilt below at the current mark.
-                if *base + stub.degradation_steps().len() >= consumed {
-                    return Ok((Arc::clone(stub), *base));
-                }
-            }
-        }
-        let reference = {
-            let state = self.replica_set.lock();
-            state.replicas[idx].reference.clone()
-        };
-        let stub = self.orb.bind(&reference)?;
-        stub.set_timeout(self.orb.config().call_timeout);
-        if consumed == 0 {
-            stub.set_qos_parameter(self.required.clone())?;
-            stub.set_qos_ladder(self.ladder.clone());
-        } else {
-            let rung = consumed.min(self.ladder.len()) - 1;
-            stub.set_qos_parameter(self.ladder[rung].clone())?;
-            stub.set_qos_ladder(self.ladder[rung + 1..].to_vec());
-        }
-        let entry = (Arc::new(stub), consumed);
-        self.stubs
-            .lock()
-            .insert(idx, (Arc::clone(&entry.0), entry.1));
-        Ok(entry)
-    }
-
-    /// Success bookkeeping: the replica becomes the active one, its
-    /// health and breaker reset, and the set-wide ladder high-water mark
-    /// absorbs any degradation steps this stub took.
-    fn note_success(&self, idx: usize, stub: &Stub, base: usize) {
+    /// Success bookkeeping: the replica's health and breaker reset (it
+    /// became the active one as it was bound).
+    fn note_success(&self, idx: usize) {
         let mut guard = self.replica_set.lock();
         let state = &mut *guard;
-        state.consumed = state.consumed.max(base + stub.degradation_steps().len());
-        state.active = Some(idx);
         let replica = &mut state.replicas[idx];
         replica.health = Health::Healthy;
         replica.evicted_at = None;
@@ -508,72 +354,40 @@ impl ResolvedStub {
         self.update_healthy_gauge(state);
     }
 
-    /// Failure bookkeeping plus the failover accounting: advances the
-    /// breaker and suspect/evict state machines, clears the active slot
-    /// and drops the cached stub so the next attempt redials.
-    fn fail_over(&self, idx: usize, err: &OrbError) {
-        self.note_failure(idx, true);
-        self.stubs.lock().remove(&idx);
-        if let Some(counter) = &self.failovers {
-            counter.inc();
-        }
-        if let Some(registry) = &self.registry {
-            let detail = {
-                let state = self.replica_set.lock();
-                format!(
-                    "replica {} failed ({err}); failing over",
-                    state.replicas[idx].reference.addr
-                )
-            };
-            registry.flight_event(flight_event::FAILOVER, None, detail);
-        }
-    }
-
     /// Advances one replica's breaker and health state machines after a
-    /// failed call or probe.
-    fn note_failure(&self, idx: usize, from_call: bool) {
+    /// failed call or probe, and returns the replica's address. A failed
+    /// call also clears the active slot and with it the endpoint, so the
+    /// next use redials.
+    fn note_failure(&self, idx: usize, from_call: bool) -> String {
         let mut guard = self.replica_set.lock();
         let state = &mut *guard;
         let replica = &mut state.replicas[idx];
         let addr = replica.reference.addr.to_string();
         match replica.breaker {
-            Breaker::Closed(failures) => {
-                let failures = failures + 1;
-                if failures >= self.policy.breaker_threshold {
-                    replica.set_breaker(Breaker::Open(Instant::now()));
-                    if let Some(registry) = &self.registry {
-                        registry.flight_event(
-                            flight_event::BREAKER_OPEN,
-                            None,
-                            format!("breaker open for replica {addr}"),
-                        );
-                    }
-                } else {
-                    replica.set_breaker(Breaker::Closed(failures));
-                }
+            Breaker::Closed(failures) if failures + 1 < self.policy.breaker_threshold => {
+                replica.set_breaker(Breaker::Closed(failures + 1));
             }
-            // A failed trial call re-opens immediately.
-            Breaker::HalfOpen => replica.set_breaker(Breaker::Open(Instant::now())),
+            // The threshold is reached, or a trial call failed: (re-)open.
+            Breaker::Closed(_) | Breaker::HalfOpen => {
+                replica.set_breaker(Breaker::Open(Instant::now()));
+                let detail = format!("breaker open for replica {addr}");
+                emit(&self.registry, None, event::BREAKER_OPEN, detail);
+            }
             Breaker::Open(_) => {}
         }
         let evict = match replica.health {
-            Health::Healthy => {
-                replica.health = if self.policy.suspect_threshold <= 1 {
+            Health::Healthy | Health::Suspect(_) => {
+                let streak = match replica.health {
+                    Health::Suspect(n) => n + 1,
+                    _ => 1,
+                };
+                let evict = streak >= self.policy.suspect_threshold;
+                replica.health = if evict {
                     Health::Evicted
                 } else {
-                    Health::Suspect(1)
+                    Health::Suspect(streak)
                 };
-                matches!(replica.health, Health::Evicted)
-            }
-            Health::Suspect(n) => {
-                let n = n + 1;
-                if n >= self.policy.suspect_threshold {
-                    replica.health = Health::Evicted;
-                    true
-                } else {
-                    replica.health = Health::Suspect(n);
-                    false
-                }
+                evict
             }
             // A failed re-admission probe sends it back to evicted (the
             // backoff clock restarts).
@@ -586,21 +400,15 @@ impl ResolvedStub {
         };
         if evict {
             replica.evicted_at = Some(Instant::now());
-            if let Some(counter) = &self.evictions {
-                counter.inc();
-            }
-            if let Some(registry) = &self.registry {
-                registry.flight_event(
-                    flight_event::REPLICA_EVICTED,
-                    None,
-                    format!("replica {addr} evicted after consecutive failures"),
-                );
-            }
+            let detail = format!("replica {addr} evicted after consecutive failures");
+            let counter = Some(names::REPLICA_EVICTIONS_TOTAL);
+            emit(&self.registry, counter, event::REPLICA_EVICTED, detail);
         }
         if from_call && state.active == Some(idx) {
-            state.active = None;
+            (state.active, state.endpoint) = (None, None);
         }
         self.update_healthy_gauge(state);
+        addr
     }
 
     fn update_healthy_gauge(&self, state: &SetState) {
@@ -609,84 +417,66 @@ impl ResolvedStub {
         }
     }
 
-    /// One sweep of the background prober: half-opens cooled-down
-    /// breakers, starts re-admission probes for evicted replicas whose
-    /// backoff elapsed, and probes every replica in (or returning to)
-    /// rotation. Exercised by the prober thread; public within the crate
-    /// for deterministic tests.
+    /// One sweep of the prober (tests drive it directly): half-opens
+    /// cooled-down breakers, starts re-admission probes for evicted replicas
+    /// whose backoff elapsed, and probes every replica not sitting out.
     pub(crate) fn probe_all(&self) {
         let now = Instant::now();
-        let due: Vec<(usize, ObjectRef, bool)> = {
+        let due: Vec<(usize, ObjectRef)> = {
             let mut guard = self.replica_set.lock();
             let state = &mut *guard;
+            self.half_open_cooled(state);
             let mut due = Vec::new();
             for (i, replica) in state.replicas.iter_mut().enumerate() {
-                if let Breaker::Open(since) = replica.breaker {
-                    if now.duration_since(since) >= self.policy.breaker_cooldown {
-                        replica.set_breaker(Breaker::HalfOpen);
-                    }
+                let sat_out = replica
+                    .evicted_at
+                    .is_none_or(|at| now.duration_since(at) >= self.policy.readmit_backoff);
+                if replica.health == Health::Evicted && sat_out {
+                    replica.health = Health::Probing;
                 }
-                match replica.health {
-                    Health::Evicted => {
-                        let backoff_done = replica
-                            .evicted_at
-                            .map(|at| now.duration_since(at) >= self.policy.readmit_backoff)
-                            .unwrap_or(true);
-                        if backoff_done {
-                            replica.health = Health::Probing;
-                            due.push((i, replica.reference.clone(), true));
-                        }
-                    }
-                    Health::Probing => due.push((i, replica.reference.clone(), true)),
-                    Health::Healthy | Health::Suspect(_) => {
-                        due.push((i, replica.reference.clone(), false));
-                    }
+                if replica.health != Health::Evicted {
+                    due.push((i, replica.reference.clone()));
                 }
             }
             due
         };
-        for (idx, reference, readmitting) in due {
+        for (idx, reference) in due {
             if self.probe_one(&reference) {
-                self.note_probe_success(idx, readmitting);
+                self.note_probe_success(idx);
             } else {
                 self.note_failure(idx, false);
             }
         }
     }
 
-    /// Whether `reference` answers at all: any reply proving a live
-    /// server — including "no such operation" for servants without a
-    /// `_ping` — counts as alive; only transport-level failures count as
-    /// dead.
+    /// Whether `reference` answers at all: any reply proving a live server
+    /// — including "no such operation" for servants without a `_ping` —
+    /// counts as alive; only transport-level failures count as dead.
     fn probe_one(&self, reference: &ObjectRef) -> bool {
-        let stub = match self.orb.bind(reference) {
-            Ok(stub) => stub,
-            Err(_) => return false,
+        let Ok(stub) = self.orb.bind(reference) else {
+            return false;
         };
         stub.set_timeout(self.policy.probe_timeout);
-        match stub.invoke("_ping", Bytes::new()) {
+        let pong = stub
+            .invoker
+            .invoke_once(&stub.endpoint, "_ping", Bytes::new());
+        match pong {
             Ok(_) => true,
-            Err(err) => {
-                let cause = match &err {
-                    OrbError::RetriesExhausted { last, .. } => last.as_ref(),
-                    other => other,
-                };
-                // A servant-level answer proves liveness.
-                matches!(
-                    cause,
-                    OrbError::OperationUnknown { .. }
-                        | OrbError::ObjectNotFound(_)
-                        | OrbError::UserException { .. }
-                        | OrbError::QosNotSupported(_)
-                        | OrbError::Protocol(_)
-                )
-            }
+            // A servant-level answer proves liveness.
+            Err(cause) => matches!(
+                cause,
+                OrbError::OperationUnknown { .. }
+                    | OrbError::ObjectNotFound(_)
+                    | OrbError::UserException { .. }
+                    | OrbError::QosNotSupported(_)
+                    | OrbError::Protocol(_)
+            ),
         }
     }
 
     /// A probe answered: re-admit the replica (when it was out) and reset
     /// its breaker.
-    fn note_probe_success(&self, idx: usize, readmitting: bool) {
+    fn note_probe_success(&self, idx: usize) {
         let mut guard = self.replica_set.lock();
         let state = &mut *guard;
         let replica = &mut state.replicas[idx];
@@ -694,22 +484,90 @@ impl ResolvedStub {
         replica.health = Health::Healthy;
         replica.evicted_at = None;
         replica.set_breaker(Breaker::Closed(0));
-        if was_out && readmitting {
-            if let Some(counter) = &self.readmissions {
-                counter.inc();
-            }
-            if let Some(registry) = &self.registry {
-                registry.flight_event(
-                    flight_event::REPLICA_READMITTED,
-                    None,
-                    format!(
-                        "replica {} re-admitted after probe",
-                        replica.reference.addr
-                    ),
-                );
-            }
+        if was_out {
+            let detail = format!("replica {} re-admitted after probe", replica.reference.addr);
+            let counter = Some(names::REPLICA_READMISSIONS_TOTAL);
+            emit(&self.registry, counter, event::REPLICA_READMITTED, detail);
         }
         self.update_healthy_gauge(state);
+    }
+}
+
+/// The replica table as the invocation pipeline's targets.
+impl Targets for ResolvedStub {
+    /// The active replica when still eligible, otherwise the best-ranked
+    /// eligible one, rotating among equals.
+    fn pick(&self, failed: &[usize], operation: &str) -> Result<usize, OrbError> {
+        let mut guard = self.replica_set.lock();
+        let state = &mut *guard;
+        self.half_open_cooled(state);
+        let eligible = |i: &usize| !failed.contains(i) && state.replicas[*i].eligible();
+        if let Some(active) = state.active.filter(eligible) {
+            return Ok(active);
+        }
+        let rung = |i: &usize| state.replicas[*i].match_rung;
+        let Some(best_rung) = (0..state.replicas.len())
+            .filter(eligible)
+            .map(|i| rung(&i))
+            .min()
+        else {
+            let members: Vec<String> = state
+                .replicas
+                .iter()
+                .map(|r| r.reference.to_string())
+                .collect();
+            return Err(OrbError::Transport(format!(
+                "no healthy replica available for `{operation}`: all {} candidate(s) evicted \
+                 or breaker-open [{}]",
+                members.len(),
+                members.join(", ")
+            )));
+        };
+        let best: Vec<usize> = (0..state.replicas.len())
+            .filter(|i| eligible(i) && rung(i) == best_rung)
+            .collect();
+        state.rr = state.rr.wrapping_add(1);
+        Ok(best[state.rr % best.len()])
+    }
+
+    /// Replica `idx`'s endpoint. Switching to a replica binds it afresh
+    /// and applies the set's *current* operating point to its transport.
+    fn endpoint(&self, idx: usize) -> Result<Arc<Endpoint>, OrbError> {
+        let reference = {
+            let state = self.replica_set.lock();
+            match &state.endpoint {
+                Some(endpoint) if state.active == Some(idx) => return Ok(Arc::clone(endpoint)),
+                _ => state.replicas[idx].reference.clone(),
+            }
+        };
+        let bound = self.orb.endpoint_for(&reference, WireProtocol::Giop);
+        // No such listener (yet, or any more) is as retryable, and as worth
+        // failing over from, as a refused connection.
+        let endpoint = bound.map_err(|err| match err {
+            OrbError::BadAddress(why) => {
+                OrbError::Transport(format!("replica {} unreachable: {why}", reference.addr))
+            }
+            other => other,
+        })?;
+        endpoint.apply_qos(&self.invoker.offered())?;
+        let mut state = self.replica_set.lock();
+        (state.active, state.endpoint) = (Some(idx), Some(Arc::clone(&endpoint)));
+        Ok(endpoint)
+    }
+
+    fn others_left(&self, idx: usize, failed: &[usize]) -> bool {
+        let mut state = self.replica_set.lock();
+        self.half_open_cooled(&mut state);
+        (0..state.replicas.len())
+            .any(|i| i != idx && !failed.contains(&i) && state.replicas[i].eligible())
+    }
+
+    fn succeeded(&self, idx: usize) {
+        self.note_success(idx);
+    }
+
+    fn failed(&self, idx: usize) -> String {
+        self.note_failure(idx, true)
     }
 }
 
@@ -830,8 +688,7 @@ mod tests {
             &"svc".into(),
             ServerPolicy::builder().max_throughput_bps(64_000).build(),
         );
-        let client =
-            Orb::with_exchange_and_config("client", exchange, client_config(None));
+        let client = Orb::with_exchange_and_config("client", exchange, client_config(None));
         let preferred = QoSSpec::builder()
             .throughput_bps(1_000_000, 800_000, 2_000_000)
             .build();
@@ -867,6 +724,173 @@ mod tests {
         server_b.close();
     }
 
+    /// A degradation taken on one replica survives a failover away from
+    /// it: A NACKs the preferred spec, the set degrades one rung, A's link
+    /// severs, the retries are spent — and B must be offered the fallback
+    /// A had already degraded to, not the preferred spec again.
+    #[test]
+    fn degradation_taken_before_a_failover_is_kept() {
+        let exchange = LocalExchange::new();
+        let (orb_a, server_a) = echo_server(&exchange, "keep-a");
+        // B grants anything and answers with the throughput it granted,
+        // so the test sees what B was actually offered.
+        let orb_b = Orb::with_exchange("server-keep-b", exchange.clone());
+        orb_b
+            .adapter()
+            .register_fn("svc", |_op, _args, ctx| {
+                Ok(format!("{:?}", ctx.granted().throughput_bps()).into_bytes())
+            })
+            .expect("register");
+        let server_b = orb_b.listen_chorus("keep-b").expect("listen");
+        let registry = Arc::new(Registry::new());
+        let plans = cool_faults::PlanSet::default().set(
+            "chorus://keep-a",
+            cool_faults::FaultPlan::builder()
+                .sever_after(Some(2))
+                .build()
+                .expect("valid plan"),
+        );
+        let mut config = client_config(Some(Arc::clone(&registry)));
+        config.fault_plans = Some(Arc::new(plans));
+        let client = Orb::with_exchange_and_config("client", exchange.clone(), config);
+        let preferred = QoSSpec::builder()
+            .throughput_bps(1_000_000, 800_000, 2_000_000)
+            .build();
+        let fallback = QoSSpec::builder()
+            .throughput_bps(64_000, 1_000, 64_000)
+            .build();
+        let resolved = client
+            .bind_resolved(
+                &[candidate(&server_a, 0), candidate(&server_b, 1)],
+                preferred,
+                vec![fallback],
+            )
+            .expect("bind");
+        resolved
+            .invoke("echo", Bytes::from_static(b"one"))
+            .expect("A grants the preferred spec");
+        assert_eq!(resolved.consumed_rungs(), 0);
+
+        // A now NACKs the preferred spec (frame 2), grants the fallback —
+        // whose request (frame 3) severs the link — and cannot be redialled.
+        orb_a.adapter().set_policy(
+            &"svc".into(),
+            ServerPolicy::builder().max_throughput_bps(64_000).build(),
+        );
+        exchange.unlisten("chorus", "keep-a");
+        let reply = resolved
+            .invoke("echo", Bytes::from_static(b"two"))
+            .expect("failover to B");
+        assert_eq!(
+            resolved.active_replica().expect("active").addr.to_string(),
+            "chorus://keep-b"
+        );
+        assert_eq!(&reply[..], b"Some(64000)", "B was offered the fallback");
+        assert_eq!(
+            resolved.consumed_rungs(),
+            1,
+            "the rung A consumed stays consumed"
+        );
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter(names::QOS_DEGRADATIONS_TOTAL), Some(1));
+        assert_eq!(snap.counter(names::FAILOVERS_TOTAL), Some(1));
+        resolved.close();
+        server_a.close();
+        server_b.close();
+    }
+
+    /// What one call came to: the reply, or the error's variant and (for
+    /// `RetriesExhausted`) its attempt count.
+    fn shape(result: Result<Bytes, OrbError>) -> String {
+        match result {
+            Ok(body) => format!("ok {body:?}"),
+            Err(OrbError::RetriesExhausted { attempts, .. }) => {
+                format!("retries exhausted after {attempts}")
+            }
+            Err(other) => format!("{:?}", std::mem::discriminant(&other)),
+        }
+    }
+
+    /// One seeded run — a NACK that degrades, a sever healed by a retry,
+    /// then the server gone for good — through `bind`, returning each
+    /// call's shape and the retry/degradation counters.
+    fn pipeline_run(
+        bind: impl FnOnce(
+            &Arc<Orb>,
+            &OrbServer,
+            QoSSpec,
+            Vec<QoSSpec>,
+        ) -> Box<dyn Fn() -> Result<Bytes, OrbError>>,
+    ) -> (Vec<String>, Option<u64>, Option<u64>) {
+        let exchange = LocalExchange::new();
+        let (orb, server) = echo_server(&exchange, "same");
+        orb.adapter().set_policy(
+            &"svc".into(),
+            ServerPolicy::builder().max_throughput_bps(64_000).build(),
+        );
+        let registry = Arc::new(Registry::new());
+        let mut config = client_config(Some(Arc::clone(&registry)));
+        config.fault_plan = Some(Arc::new(
+            cool_faults::FaultPlan::builder()
+                .seed(0x5A3E)
+                .delay(0.3, Duration::from_millis(1))
+                .sever_after(Some(3))
+                .build()
+                .expect("valid plan"),
+        ));
+        // Health must not cut the comparison short: a plain stub has none.
+        config.failover.suspect_threshold = u32::MAX;
+        config.failover.breaker_threshold = u32::MAX;
+        let client = Orb::with_exchange_and_config("client", exchange, config);
+        let preferred = QoSSpec::builder()
+            .throughput_bps(1_000_000, 800_000, 2_000_000)
+            .build();
+        let fallback = QoSSpec::builder()
+            .throughput_bps(64_000, 1_000, 64_000)
+            .build();
+        let call = bind(&client, &server, preferred, vec![fallback]);
+        let mut shapes: Vec<String> = (0..3).map(|_| shape(call())).collect();
+        server.close();
+        shapes.extend((0..2).map(|_| shape(call())));
+        let snap = registry.snapshot();
+        (
+            shapes,
+            snap.counter(names::RETRIES_TOTAL),
+            snap.counter(names::QOS_DEGRADATIONS_TOTAL),
+        )
+    }
+
+    #[test]
+    fn plain_stub_is_the_one_replica_case() {
+        let plain = pipeline_run(|client, server, preferred, ladder| {
+            let stub = client.bind(&server.object_ref("svc")).expect("bind");
+            stub.set_qos_parameter(preferred).expect("qos");
+            stub.set_qos_ladder(ladder);
+            Box::new(move || stub.invoke("echo", Bytes::from_static(b"x")))
+        });
+        let resolved = pipeline_run(|client, server, preferred, ladder| {
+            let stub = client
+                .bind_resolved(&[candidate(server, 0)], preferred, ladder)
+                .expect("bind");
+            Box::new(move || stub.invoke("echo", Bytes::from_static(b"x")))
+        });
+        assert_eq!(plain, resolved);
+        let (shapes, retries, degradations) = plain;
+        assert_eq!(degradations, Some(1), "the NACK degraded once");
+        assert!(
+            retries >= Some(3),
+            "one healed sever, two exhausted calls: {retries:?}"
+        );
+        assert!(
+            shapes[..3].iter().all(|s| s.starts_with("ok")),
+            "{shapes:?}"
+        );
+        assert!(
+            shapes[3..].iter().all(|s| s == "retries exhausted after 2"),
+            "{shapes:?}"
+        );
+    }
+
     #[test]
     fn breaker_opens_then_probe_readmits_after_restart() {
         let exchange = LocalExchange::new();
@@ -878,7 +902,11 @@ mod tests {
             client_config(Some(Arc::clone(&registry))),
         );
         let resolved = client
-            .bind_resolved(&[candidate(&server_a, 0)], QoSSpec::best_effort(), Vec::new())
+            .bind_resolved(
+                &[candidate(&server_a, 0)],
+                QoSSpec::best_effort(),
+                Vec::new(),
+            )
             .expect("bind");
         resolved
             .invoke("echo", Bytes::from_static(b"up"))
@@ -907,8 +935,18 @@ mod tests {
             .invoke("echo", Bytes::from_static(b"back"))
             .expect("call after re-admission");
         let snapshot = registry.snapshot();
-        assert!(snapshot.counter(names::REPLICA_READMISSIONS_TOTAL).unwrap_or(0) >= 1);
-        assert!(snapshot.counter(names::REPLICA_EVICTIONS_TOTAL).unwrap_or(0) >= 1);
+        assert!(
+            snapshot
+                .counter(names::REPLICA_READMISSIONS_TOTAL)
+                .unwrap_or(0)
+                >= 1
+        );
+        assert!(
+            snapshot
+                .counter(names::REPLICA_EVICTIONS_TOTAL)
+                .unwrap_or(0)
+                >= 1
+        );
         resolved.close();
         server_a2.close();
     }
@@ -974,7 +1012,11 @@ mod tests {
             }
             resolved.close();
         }
-        assert_eq!(seen.len(), 2, "initial picks rotate across equals: {seen:?}");
+        assert_eq!(
+            seen.len(),
+            2,
+            "initial picks rotate across equals: {seen:?}"
+        );
         server_a.close();
         server_b.close();
     }

@@ -142,35 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn attempt_count_bounds_retries() {
-        let p = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        };
-        assert!(p.next_delay(1, Duration::ZERO).is_some());
-        assert!(p.next_delay(2, Duration::ZERO).is_some());
-        assert!(p.next_delay(3, Duration::ZERO).is_none());
-
-        let one_shot = RetryPolicy {
-            max_attempts: 0,
-            ..RetryPolicy::default()
-        };
-        assert!(one_shot.next_delay(1, Duration::ZERO).is_none());
-    }
-
-    #[test]
-    fn budget_bounds_retries() {
-        let p = RetryPolicy {
-            budget: Duration::from_millis(50),
-            jitter: 0.0,
-            max_attempts: 100,
-            ..RetryPolicy::default()
-        };
-        assert!(p.next_delay(1, Duration::from_millis(10)).is_some());
-        assert!(p.next_delay(1, Duration::from_millis(45)).is_none());
-    }
-
-    #[test]
     fn wait_backoff_waits_at_least_the_duration() {
         let start = Instant::now();
         wait_backoff(Duration::from_millis(20));

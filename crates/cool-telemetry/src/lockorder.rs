@@ -32,9 +32,6 @@ pub mod rank {
     /// replicated binding; outermost of all: picking a replica precedes
     /// (and never overlaps) taking any ORB or binding lock.
     pub const RESOLVED_STATE: u32 = 5;
-    /// `ResolvedStub::stubs` — cached per-replica stubs. Taken after the
-    /// state table and released before any bind/invoke.
-    pub const RESOLVED_STUBS: u32 = 6;
     /// `ResolvedStub::prober` — liveness-probe thread handle, taken (then
     /// joined outside the lock) at close.
     pub const RESOLVED_PROBER: u32 = 7;
@@ -83,14 +80,10 @@ pub mod rank {
     /// taken (then joined outside the lock) at close. Sits just above
     /// `chan.batch`: close flushes the queue before reaping the thread.
     pub const CHAN_FLUSHER: u32 = 43;
-    /// `Stub::qos` — requested QoS spec.
-    pub const STUB_QOS: u32 = 44;
-    /// `Stub::ladder` — QoS degradation ladder + steps taken.
-    pub const STUB_LADDER: u32 = 47;
-    /// `Stub::granted` — last granted QoS.
-    pub const STUB_GRANTED: u32 = 45;
-    /// `Stub::timeout` — per-stub call timeout.
-    pub const STUB_TIMEOUT: u32 = 46;
+    /// `Invoker::per_stub` — what one logical stub carries from call to
+    /// call: QoS operating point (offered spec, degradation ladder, steps
+    /// taken), last granted QoS, call timeout. Never held across a call.
+    pub const STUB_STATE: u32 = 44;
     /// `dacapo_chan::Inner::peer` — control path to the pair's other end.
     pub const CHAN_PEER: u32 = 50;
     /// `dacapo_chan::Inner::ctx` — configuration context.

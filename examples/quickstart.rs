@@ -4,6 +4,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use bytes::Bytes;
+use multe::naming::{DirectoryClient, DirectoryServer};
 use multe::orb::prelude::*;
 use multe::qos::{QoSSpec, Reliability};
 
@@ -62,15 +63,15 @@ fn main() -> Result<(), OrbError> {
     })?;
     println!("[client] async reply: {:?} bytes", rx.recv().unwrap()?);
 
-    // 4. Bootstrap via the naming service (itself an ORB object).
-    let naming_ref = NameServer::serve(&server_orb, &server)?;
-    let naming = NameClient::connect(&client_orb, &naming_ref)?;
-    naming.bind("services/echo", &reference)?;
-    let found = naming.resolve("services/echo")?;
-    let stub2 = client_orb.bind(&found)?;
-    let reply = stub2.invoke("ping", Bytes::from_static(b"via naming"))?;
+    // 4. Bootstrap via the replica directory (itself an ORB object).
+    let directory_ref = DirectoryServer::serve(&server_orb, &server)?;
+    let directory = DirectoryClient::connect(&client_orb, &directory_ref)?;
+    directory.register("services/echo", &reference, &[QoSSpec::best_effort()])?;
+    let found = directory.resolve("services/echo", &QoSSpec::best_effort())?;
+    let stub2 = client_orb.bind(&found[0].reference)?;
+    let reply = stub2.invoke("ping", Bytes::from_static(b"via directory"))?;
     println!(
-        "[client] resolved through naming service: {} bytes",
+        "[client] resolved through the directory: {} bytes",
         reply.len()
     );
 

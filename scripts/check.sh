@@ -7,6 +7,11 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
 
+# The benchmark (ledger/, BENCHMARK.json) is a workspace of its own that
+# nothing above builds: a slip in cool-orb's public API would pass every
+# gate here and break it. Its unit tests plus `ledger run --smoke`.
+cargo test --release --offline --manifest-path ledger/Cargo.toml
+
 # Project-invariant static analysis: poll loops, unwraps, unbounded data
 # paths, GIOP version agreement, error-variant test coverage. Exits
 # non-zero on any finding; the JSON report lands next to this gate's
