@@ -7,9 +7,21 @@
 //! environment"*: a per-channel pump thread blocks in the Da CaPo
 //! application endpoint's receive wait and pushes every arriving frame
 //! into the channel's [`FrameInbox`], which wakes `recv_frame` waiters or
-//! runs the registered sink immediately. There is no poll slice; the only
-//! transient retry is during a live reconfiguration, while the endpoint is
-//! being swapped underneath the pump.
+//! runs the registered sink immediately. There is no poll slice and no
+//! timer: when the endpoint ends the pump either fetches its successor (a
+//! live reconfiguration swapped the stack; it parks on the connection's
+//! epoch condvar only while the swap is in flight) or the connection is
+//! over.
+//!
+//! ## Teardown
+//!
+//! `close` closes the Da CaPo connection, which closes the transport and
+//! so wakes the peer's receive pump. The peer's channel pump then reads
+//! everything that was sent before the close, sees the connection closed
+//! by the peer, and closes its own side: stack threads joined, resource
+//! grant released, inbox closed (→ the sink's `on_close`). The server end
+//! of a binding is reclaimed that way when the client goes, without
+//! `OrbServer::close`.
 //!
 //! ## Reconfiguration protocol
 //!
@@ -20,6 +32,11 @@
 //! (Figure 5) — here a direct control-path reference between the two ends
 //! of the pair, never the data path that is being torn down:
 //!
+//! 0. both ends quiesce: the outgoing graph's own protocol traffic (an ARQ
+//!    acknowledgement for the last reply, say) is given the moment it needs
+//!    to arrive. A frame that crosses the swap is not lost — the
+//!    connection's receive pump holds it for the new stack — so a
+//!    straggler of the old protocol would be read by the new one as data;
 //! 1. the initiator asks the peer management side to swap first: the peer
 //!    re-runs configuration *and resource admission* for the new
 //!    requirements and rebuilds its stack;
@@ -46,6 +63,11 @@ use cool_telemetry::lockorder::rank as lock_rank;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
+
+/// How long `set_qos` waits for either end's stack to quiesce before it
+/// swaps them anyway. A deadline for hang-freedom, not a grace period: the
+/// wait is event-driven and ends when the stack is quiet.
+const QUIESCE_BOUND: Duration = Duration::from_secs(2);
 
 /// One side of the pair: everything the pump thread and the peer's
 /// control path need to share.
@@ -101,38 +123,37 @@ impl Inner {
     }
 }
 
-/// Blocks in the Da CaPo endpoint's receive wait, feeding the inbox.
-/// Holding the `Arc<Inner>` keeps the connection alive until the channel
-/// closes, at which point the endpoint wait is unblocked by the stack
-/// teardown (bounded by the runtime's `shutdown_grace`).
+/// Blocks in the Da CaPo endpoint's receive wait, feeding the inbox, until
+/// the connection is over — closed here, or by the peer — and then closes
+/// this side. Holding the `Arc<Inner>` keeps the connection alive until
+/// then.
 fn pump_loop(inner: &Inner) {
-    /// Upper bound on one reconfiguration wait; the epoch condvar wakes
-    /// the pump the instant a new endpoint is installed, this only guards
-    /// against a swap that never completes.
-    const SWAP_WAIT: Duration = Duration::from_millis(100);
     loop {
-        if inner.closed.load(Ordering::Acquire) || inner.connection.is_closed() {
-            break;
-        }
         // Snapshot the epoch *before* cloning the endpoint: if a
         // reconfiguration lands in between, the epoch has already moved
         // and the wait below returns immediately.
         let epoch = inner.connection.epoch();
         let endpoint = inner.connection.endpoint();
-        match endpoint.recv() {
-            Ok(frame) => inner.inbox.push(frame),
-            Err(_) => {
-                if inner.closed.load(Ordering::Acquire) || inner.connection.is_closed() {
-                    break;
-                }
-                // A reconfiguration swapped the stack out from under the
-                // endpoint we were blocked in. Park until the connection
-                // signals the new endpoint is installed, then retry.
-                inner.connection.wait_epoch_change(epoch, SWAP_WAIT);
+        while let Ok(frame) = endpoint.recv() {
+            inner.inbox.push(frame);
+        }
+        // This endpoint has ended. If the stack was swapped the next one
+        // may already hold frames — fetch it, whatever else has happened
+        // since. Otherwise the connection is over, or a swap is in flight
+        // and the connection broadcasts when the new endpoint is in.
+        if inner.closed.load(Ordering::Acquire) {
+            break;
+        }
+        if inner.connection.epoch() == epoch {
+            if inner.connection.is_closed() {
+                break;
             }
+            inner.connection.wait_epoch_change(epoch);
         }
     }
-    inner.inbox.close();
+    // If it was the peer that closed, nobody else will reclaim this side;
+    // after a local close this finds everything already gone.
+    inner.close();
 }
 
 /// A frame channel over a Da CaPo connection, QoS-reconfigurable.
@@ -211,7 +232,7 @@ impl DacapoComChannel {
             let pump_inner = Arc::clone(inner);
             std::thread::Builder::new()
                 .name("cool-dacapo-rx".into())
-                // lint: allow(A007, pump exits when its inbox disconnects at channel close; joining would add a close-vs-recv deadlock risk)
+                // lint: allow(A007, pump exits as soon as close() ends the endpoint it is parked in; close() also runs on the pump itself and on dispatcher threads the pump may be waiting for, so joining it there could deadlock)
                 .spawn(move || pump_loop(&pump_inner))
                 .map_err(|e| OrbError::Transport(format!("spawn dacapo pump: {e}")))?;
         }
@@ -269,13 +290,20 @@ impl ComChannel for DacapoComChannel {
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(OrbError::Closed);
         }
-        // Phase 1: the peer swaps first — configuration, admission, stack
-        // rebuild — over the management control path.
         let peer = self.inner.peer.lock().upgrade().ok_or(OrbError::Closed)?;
         if peer.closed.load(Ordering::Acquire) {
             return Err(OrbError::Closed);
         }
-        // Phase 2: a peer-side failure is the unilateral-negotiation NACK.
+        // Phase 0: quiesce both ends. Each wait ends the instant that
+        // side's stack holds no packet and its ARQ window is acknowledged
+        // — normally at once; the bound is for a wire that no longer
+        // delivers, over which the swap goes ahead regardless and loses
+        // what was in flight, as `Connection::reconfigure` documents.
+        self.inner.connection.drain(QUIESCE_BOUND);
+        peer.connection.drain(QUIESCE_BOUND);
+        // Phase 1: the peer swaps first — configuration, admission, stack
+        // rebuild — over the management control path. Phase 2: a failure
+        // there is the unilateral-negotiation NACK.
         peer.apply_requirements(requirements).map_err(|reason| {
             OrbError::QosNotSupported(QosError::Rejected(format!(
                 "peer rejected transport reconfiguration: {reason}"
@@ -407,6 +435,79 @@ mod tests {
         a.close();
         b.close();
         assert_eq!(mgr.used_bandwidth(), 0, "grants released on close");
+    }
+
+    #[test]
+    fn graph_changing_set_qos_with_an_idle_peer_takes_no_timer() {
+        // Both sides swap stacks per call while both receive pumps sit
+        // parked in the transport; nothing on that path waits out a timer
+        // (it took one 25 ms grace per side when the pumps died with the
+        // stacks).
+        let (a, b) = channel_pair();
+        let checked = TransportRequirements {
+            error_detection: true,
+            ..Default::default()
+        };
+        let encrypted = TransportRequirements {
+            encryption: true,
+            ..Default::default()
+        };
+        let mut times: Vec<Duration> = (0..20)
+            .map(|i| {
+                let req = if i % 2 == 0 { &checked } else { &encrypted };
+                let before = a.graph();
+                let start = std::time::Instant::now();
+                a.set_qos(req).unwrap();
+                let took = start.elapsed();
+                assert_ne!(a.graph(), before, "every call changes the graph");
+                took
+            })
+            .collect();
+        times.sort();
+        assert!(
+            times[10] < Duration::from_millis(5),
+            "set_qos median {:?}",
+            times[10]
+        );
+        a.close();
+        b.close();
+    }
+
+    #[test]
+    fn peer_close_reclaims_this_side() {
+        struct Closes(std::sync::mpsc::Sender<()>);
+        impl FrameSink for Closes {
+            fn on_frame(&self, _frame: Bytes) {}
+            fn on_close(&self) {
+                let _ = self.0.send(());
+            }
+        }
+
+        let mgr = ResourceManager::new(ResourceBudget {
+            cpu_units: 1_000,
+            memory_bytes: 1 << 30,
+            bandwidth_bps: 10_000,
+        });
+        let (a, b) = channel_pair_with(Some(mgr.clone()));
+        a.set_qos(&TransportRequirements {
+            bandwidth_bps: Some(4_000),
+            ..Default::default()
+        })
+        .unwrap();
+        assert_eq!(mgr.used_bandwidth(), 8_000, "both sides hold a grant");
+        let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+        b.set_sink(Arc::new(Closes(closed_tx)));
+
+        // Only the client side closes; the server side is never touched.
+        a.close();
+        closed_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the peer's close never reached this side's sink");
+        assert_eq!(mgr.used_bandwidth(), 0, "this side's grant went with it");
+        assert!(matches!(
+            b.send_frame(Bytes::from_static(b"late")),
+            Err(OrbError::Closed)
+        ));
     }
 
     #[test]

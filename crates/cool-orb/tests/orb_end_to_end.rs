@@ -475,3 +475,45 @@ fn batched_invocations_round_trip_over_tcp() {
     assert_eq!(&reply[..], b"solo");
     server.close();
 }
+
+#[test]
+fn qos_changes_across_an_arq_graph_leave_no_straggler_for_the_new_stack() {
+    // A reliable graph acknowledges the reply after the caller already has
+    // it. If the next `set_qos_parameter` swapped the stacks under that
+    // acknowledgement, the new graph would read it as data and the server
+    // would drop the connection over a garbage frame; the channel
+    // quiesces both ends first.
+    let exchange = LocalExchange::new();
+    let server_orb = Orb::with_exchange("server", exchange.clone());
+    server_orb
+        .adapter()
+        .register_with_policy(
+            "echo",
+            Arc::new(cool_orb::servant::FnServant::new(|_op, args, _ctx| {
+                Ok(args.to_vec())
+            })),
+            ServerPolicy::builder()
+                .max_reliability(multe_qos::Reliability::Reliable)
+                .supports_encryption(true)
+                .build(),
+        )
+        .unwrap();
+    let server = server_orb.listen_dacapo("arq-churn").unwrap();
+    let client_orb = Orb::with_exchange("client", exchange);
+    let stub = client_orb.bind(&server.object_ref("echo")).unwrap();
+    let reliable = QoSSpec::builder()
+        .reliability(multe_qos::Reliability::Reliable)
+        .build();
+    let encrypted = QoSSpec::builder().encrypted(true).build();
+    for n in 0..100u32 {
+        let spec = if n % 2 == 0 { &reliable } else { &encrypted };
+        stub.set_qos_parameter(spec.clone())
+            .unwrap_or_else(|e| panic!("change {n}: {e}"));
+        let reply = stub
+            .invoke("echo", Bytes::from(n.to_be_bytes().to_vec()))
+            .unwrap_or_else(|e| panic!("call after change {n}: {e}"));
+        assert_eq!(&reply[..], &n.to_be_bytes());
+    }
+    client_orb.shutdown();
+    server.close();
+}

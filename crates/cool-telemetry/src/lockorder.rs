@@ -93,6 +93,10 @@ pub mod rank {
     pub const CHAN_GRANT: u32 = 54;
     /// `Connection::stack` — running module stack (held across rebuild).
     pub const CONNECTION_STACK: u32 = 60;
+    /// `dacapo::runtime::RxPump` forward slot — the uplink of the stack the
+    /// connection's receive pump currently feeds (held across a stack
+    /// swap, under `connection.stack`; taken per frame by the pump alone).
+    pub const CONNECTION_UPLINK: u32 = 61;
     /// `Connection::endpoint` — application endpoint of the stack.
     pub const CONNECTION_ENDPOINT: u32 = 62;
     /// `Connection::graph` — module graph currently running.

@@ -1,7 +1,7 @@
 //! Layer A: the application-side endpoint of a running module stack.
 
 use crate::error::DacapoError;
-use crate::packet::{Packet, PacketKind};
+use crate::packet::Packet;
 use crate::runtime::QuiesceSignal;
 use crate::stats::ThroughputMeter;
 use bytes::Bytes;
@@ -9,14 +9,6 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TrySendError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Whether a packet is the teardown sentinel the transport pumps inject
-/// when the wire dies: an empty control packet. Modules never deliver
-/// control packets to the application (control traffic is consumed at its
-/// destination layer), so the combination is unambiguous.
-fn is_close_sentinel(pkt: &Packet) -> bool {
-    pkt.kind() == PacketKind::Control && pkt.is_empty()
-}
 
 /// The application handle of a connection: what COOL's
 /// `DacapoComChannel` (or the measuring application of Figure 9) sends and
@@ -27,13 +19,15 @@ pub struct AppEndpoint {
     from_stack: Receiver<Packet>,
     tx_meter: Arc<ThroughputMeter>,
     rx_meter: Arc<ThroughputMeter>,
-    /// Application-side receives drain the stack's top up-queue, which can
-    /// complete quiescence — tell any `drain` waiter to re-check.
+    /// The stack's packet count: sends enter it, receives leave it — which
+    /// can complete quiescence, so they tell any `drain` waiter to re-check.
     quiesce: Arc<QuiesceSignal>,
-    /// Set by the transport pumps when the wire dies permanently (peer
-    /// severed, I/O error). Queued inbound data is still delivered first;
-    /// once the queue drains, receives report [`DacapoError::Closed`]
-    /// instead of idling out their timeout.
+    /// Set once this application has been told the wire is gone (closed by
+    /// the peer, severed, I/O error): by the TX pump when a send fails, or
+    /// here when the close sentinel — which travels up behind the inbound
+    /// data that preceded it — is received. From then on sends fail and
+    /// receives report [`DacapoError::Closed`] instead of idling out their
+    /// timeout.
     transport_dead: Arc<AtomicBool>,
 }
 
@@ -56,8 +50,8 @@ impl AppEndpoint {
         }
     }
 
-    /// Whether the underlying transport has died permanently. Data queued
-    /// before the death is still receivable.
+    /// Whether this application has been told that the underlying transport
+    /// is gone.
     pub fn transport_closed(&self) -> bool {
         self.transport_dead.load(Ordering::Acquire)
     }
@@ -76,10 +70,16 @@ impl AppEndpoint {
         }
         self.tx_meter.record(payload.len());
         // The payload enters the stack as a shared view — no copy unless a
-        // module below needs to mutate it.
+        // module below needs to mutate it. Counted in before it is queued:
+        // a drain that follows this send must not find the stack empty
+        // while a module holds the packet between two queues.
+        self.quiesce.enter(1);
         self.to_stack
             .send(Packet::data_shared(payload))
-            .map_err(|_| DacapoError::Closed)
+            .map_err(|_| {
+                self.quiesce.leave(1);
+                DacapoError::Closed
+            })
     }
 
     /// Sends without blocking.
@@ -93,14 +93,30 @@ impl AppEndpoint {
             return Err(DacapoError::Closed);
         }
         let len = payload.len();
-        match self.to_stack.try_send(Packet::data_shared(payload)) {
-            Ok(()) => {
-                self.tx_meter.record(len);
-                Ok(())
-            }
-            Err(TrySendError::Full(_)) => Err(DacapoError::Timeout(Duration::ZERO)),
-            Err(TrySendError::Disconnected(_)) => Err(DacapoError::Closed),
+        self.quiesce.enter(1);
+        self.to_stack
+            .try_send(Packet::data_shared(payload))
+            .map(|()| self.tx_meter.record(len))
+            .map_err(|refused| {
+                self.quiesce.leave(1);
+                match refused {
+                    TrySendError::Full(_) => DacapoError::Timeout(Duration::ZERO),
+                    TrySendError::Disconnected(_) => DacapoError::Closed,
+                }
+            })
+    }
+
+    /// What came off the top up-queue: a payload, or the close sentinel.
+    /// Either way the queue shrank, which can complete quiescence.
+    fn deliver(&self, pkt: Packet) -> Result<Bytes, DacapoError> {
+        self.quiesce.leave(1);
+        self.quiesce.pulse();
+        if pkt.is_close_sentinel() {
+            self.transport_dead.store(true, Ordering::Release);
+            return Err(DacapoError::Closed);
         }
+        self.rx_meter.record(pkt.len());
+        Ok(pkt.into_bytes())
     }
 
     /// Receives the next message from the peer.
@@ -116,12 +132,7 @@ impl AppEndpoint {
             return Err(DacapoError::Closed);
         }
         match self.from_stack.recv_timeout(timeout) {
-            Ok(pkt) if is_close_sentinel(&pkt) => Err(DacapoError::Closed),
-            Ok(pkt) => {
-                self.rx_meter.record(pkt.len());
-                self.quiesce.pulse();
-                Ok(pkt.into_bytes())
-            }
+            Ok(pkt) => self.deliver(pkt),
             Err(RecvTimeoutError::Timeout) => {
                 if self.transport_closed() {
                     Err(DacapoError::Closed)
@@ -143,12 +154,7 @@ impl AppEndpoint {
             return Err(DacapoError::Closed);
         }
         match self.from_stack.recv() {
-            Ok(pkt) if is_close_sentinel(&pkt) => Err(DacapoError::Closed),
-            Ok(pkt) => {
-                self.rx_meter.record(pkt.len());
-                self.quiesce.pulse();
-                Ok(pkt.into_bytes())
-            }
+            Ok(pkt) => self.deliver(pkt),
             Err(_) => Err(DacapoError::Closed),
         }
     }

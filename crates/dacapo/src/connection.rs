@@ -8,22 +8,29 @@ use crate::error::DacapoError;
 use crate::graph::ModuleGraph;
 use crate::module::Module;
 use crate::resource::{ResourceGrant, ResourceManager};
-use crate::runtime::{build_stack, RuntimeOptions, StackHandle};
+use crate::runtime::{build_stack, RuntimeOptions, RxPump, StackHandle};
 use crate::tlayer::Transport;
 use multe_qos::TransportRequirements;
+use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
 use parking_lot::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// One side of a Da CaPo connection: a module stack over a transport.
 ///
 /// Both peers must run the *same* module graph; in COOL this is guaranteed
 /// because both derive their configuration deterministically from the
 /// QoS parameters agreed during bilateral negotiation.
+///
+/// The connection owns the transport and, with it, the one thread that
+/// receives from it (the [`RxPump`]); module stacks come and go above
+/// that pump as the connection is reconfigured. Nothing on the
+/// reconfiguration or teardown path waits out a timer: stack threads are
+/// woken through their wake channel, the pump by [`Transport::close`].
 pub struct Connection {
-    stack: OrderedMutex<Option<StackHandle>>,
+    running: OrderedMutex<Running>,
     endpoint: OrderedMutex<AppEndpoint>,
     graph: OrderedMutex<ModuleGraph>,
     params: OrderedMutex<ModuleParams>,
@@ -31,12 +38,38 @@ pub struct Connection {
     catalog: MechanismCatalog,
     opts: RuntimeOptions,
     grant: OrderedMutex<Option<ResourceGrant>>,
-    closed: std::sync::atomic::AtomicBool,
-    /// Bumped (and broadcast) whenever the stack under [`Connection::endpoint`]
-    /// changes: reconfiguration swaps and close. Receive pumps blocked in a
-    /// dead endpoint wait on this instead of sleep-polling for the new stack.
+    life: Arc<Lifecycle>,
+}
+
+/// What [`Connection::close`] stops and joins: the current module stack and
+/// the receive pump that feeds it. `None` once closed (and, for the stack,
+/// after a rebuild that could not spawn its threads).
+#[derive(Default)]
+struct Running {
+    stack: Option<StackHandle>,
+    pump: Option<RxPump>,
+}
+
+/// Lifecycle state shared with the receive pump's thread.
+#[derive(Default)]
+struct Lifecycle {
+    /// Closed by [`Connection::close`], or by the peer (the pump read the
+    /// transport's end).
+    closed: AtomicBool,
+    /// Bumped (and broadcast) whenever the stack under
+    /// [`Connection::endpoint`] changes or ends: reconfiguration swaps,
+    /// close, peer close. Receive loops blocked in a dead endpoint wait on
+    /// this instead of sleep-polling for the new stack.
     epoch: Mutex<u64>,
     epoch_cv: Condvar,
+}
+
+impl Lifecycle {
+    fn bump_epoch(&self) {
+        let mut epoch = self.epoch.lock();
+        *epoch += 1;
+        self.epoch_cv.notify_all();
+    }
 }
 
 impl std::fmt::Debug for Connection {
@@ -128,8 +161,46 @@ impl Connection {
         let modules = instantiate(&graph, &params, catalog)?;
         let stack = build_stack(modules, transport.clone(), &opts)?;
         let endpoint = stack.endpoint().clone();
+        let life = Arc::new(Lifecycle::default());
+        let pump = {
+            let life = life.clone();
+            let telemetry = opts.telemetry.clone();
+            RxPump::spawn(
+                transport.clone(),
+                stack.uplink(),
+                opts.telemetry.as_deref(),
+                move || {
+                    // The flag goes up before the close sentinel does:
+                    // whoever sees the endpoint end already reads the
+                    // connection as closed.
+                    let by_peer = !life.closed.swap(true, Ordering::AcqRel);
+                    if let (true, Some(r)) = (by_peer, &telemetry) {
+                        r.flight_event(
+                            flight_event::TRANSPORT_DEAD,
+                            None,
+                            "dacapo rx pump: transport closed by the peer or failed".to_owned(),
+                        );
+                    }
+                    life.bump_epoch();
+                },
+            )
+        };
+        let pump = match pump {
+            Ok(pump) => pump,
+            Err(e) => {
+                stack.shutdown();
+                return Err(e);
+            }
+        };
         Ok(Connection {
-            stack: OrderedMutex::new(lock_rank::CONNECTION_STACK, "connection.stack", Some(stack)),
+            running: OrderedMutex::new(
+                lock_rank::CONNECTION_STACK,
+                "connection.stack",
+                Running {
+                    stack: Some(stack),
+                    pump: Some(pump),
+                },
+            ),
             endpoint: OrderedMutex::new(
                 lock_rank::CONNECTION_ENDPOINT,
                 "connection.endpoint",
@@ -141,16 +212,8 @@ impl Connection {
             catalog: catalog.clone(),
             opts,
             grant: OrderedMutex::new(lock_rank::CONNECTION_GRANT, "connection.grant", grant),
-            closed: std::sync::atomic::AtomicBool::new(false),
-            epoch: Mutex::new(0),
-            epoch_cv: Condvar::new(),
+            life,
         })
-    }
-
-    fn bump_epoch(&self) {
-        let mut epoch = self.epoch.lock();
-        *epoch += 1;
-        self.epoch_cv.notify_all();
     }
 
     /// The current stack epoch. Take it *before* grabbing
@@ -158,19 +221,16 @@ impl Connection {
     /// [`Connection::wait_epoch_change`] with this value blocks only while
     /// the stack swap is still in flight.
     pub fn epoch(&self) -> u64 {
-        *self.epoch.lock()
+        *self.life.epoch.lock()
     }
 
-    /// Blocks until the stack epoch differs from `seen` or `timeout`
-    /// elapses (a safety bound, not a poll interval — reconfigure and close
-    /// both broadcast). Returns the epoch observed on wakeup.
-    pub fn wait_epoch_change(&self, seen: u64, timeout: Duration) -> u64 {
-        let deadline = Instant::now() + timeout;
-        let mut epoch = self.epoch.lock();
+    /// Blocks until the stack epoch differs from `seen`; returns the epoch
+    /// observed on wakeup. No timeout: reconfiguration (done or failed),
+    /// close and peer close all broadcast.
+    pub fn wait_epoch_change(&self, seen: u64) -> u64 {
+        let mut epoch = self.life.epoch.lock();
         while *epoch == seen {
-            if self.epoch_cv.wait_until(&mut epoch, deadline).timed_out() {
-                break;
-            }
+            self.life.epoch_cv.wait(&mut epoch);
         }
         *epoch
     }
@@ -195,14 +255,19 @@ impl Connection {
     /// the dynamic *re*configuration that RT-CORBA cannot do after binding
     /// time (Section 3) and Da CaPo can.
     ///
-    /// In-flight packets inside the old stack are dropped (callers quiesce
-    /// first; the ORB re-negotiates QoS before reconfiguring, so the
-    /// request/reply protocol above tolerates the gap).
+    /// Packets inside the old stack's module queues are dropped (callers
+    /// quiesce first; the ORB re-negotiates QoS before reconfiguring, so
+    /// the request/reply protocol above tolerates the gap). Frames the peer
+    /// puts on the wire during the swap are not: the receive pump holds
+    /// them for the new stack.
     ///
     /// # Errors
     ///
     /// [`DacapoError::InvalidGraph`] if the new graph fails validation; the
-    /// old stack keeps running in that case.
+    /// old stack keeps running in that case. [`DacapoError::Closed`] after
+    /// close or peer close. [`DacapoError::Runtime`] if the new stack's
+    /// threads cannot be spawned, which leaves the connection without a
+    /// stack until it is closed.
     pub fn reconfigure(&self, new_graph: ModuleGraph) -> Result<(), DacapoError> {
         new_graph.validate(&self.catalog)?;
         if new_graph == *self.graph.lock() {
@@ -210,47 +275,65 @@ impl Connection {
         }
         let params = self.params.lock().clone();
         let modules = instantiate(&new_graph, &params, &self.catalog)?;
-        let mut stack_slot = self.stack.lock();
-        if let Some(old) = stack_slot.take() {
+        let mut running = self.running.lock();
+        let Running { stack, pump } = &mut *running;
+        let Some(pump) = pump.as_ref().filter(|_| !self.is_closed()) else {
+            return Err(DacapoError::Closed);
+        };
+        // The pump parks on this guard with any frame it reads meanwhile.
+        let mut uplink = pump.swap();
+        uplink.take();
+        if let Some(old) = stack.take() {
             old.shutdown();
         }
         // lint: allow(A002, stack lock is deliberately held across the rebuild (§7.2 rank 60); the spawn-failure cleanup joins only module pump threads, which never take connection locks)
-        let stack = build_stack(modules, self.transport.clone(), &self.opts)?;
-        *self.endpoint.lock() = stack.endpoint().clone();
-        *stack_slot = Some(stack);
-        *self.graph.lock() = new_graph;
-        // Wake receive pumps parked in the old (now disconnected) endpoint;
-        // they re-fetch `endpoint()` and block in the new stack.
-        self.bump_epoch();
-        Ok(())
+        let rebuilt = build_stack(modules, self.transport.clone(), &self.opts).map(|new| {
+            *uplink = Some(new.uplink());
+            *self.endpoint.lock() = new.endpoint().clone();
+            *self.graph.lock() = new_graph;
+            *stack = Some(new);
+        });
+        drop(uplink);
+        // Wake receive loops parked in the old (now disconnected)
+        // endpoint — also after a failed rebuild, so that they wait for
+        // the close rather than for a swap that will never complete.
+        self.life.bump_epoch();
+        rebuilt
     }
 
     /// Waits up to `timeout` for the running stack to quiesce (all queues
     /// empty, no ARQ window outstanding); returns whether it did. A close
     /// after a successful drain loses no in-flight data.
     pub fn drain(&self, timeout: std::time::Duration) -> bool {
-        match self.stack.lock().as_ref() {
+        match self.running.lock().stack.as_ref() {
             Some(stack) => stack.drain(timeout),
             None => true,
         }
     }
 
-    /// Whether [`Connection::close`] has been called.
+    /// Whether the connection is closed: by [`Connection::close`], or by
+    /// the peer (what the peer sent before closing can still be received
+    /// from [`Connection::endpoint`], which then reports `Closed`).
     pub fn is_closed(&self) -> bool {
-        self.closed.load(std::sync::atomic::Ordering::Acquire)
+        self.life.closed.load(Ordering::Acquire)
     }
 
-    /// Tears the connection down: stops the stack and closes the
-    /// transport. Idempotent.
+    /// Tears the connection down: closes the transport — which wakes the
+    /// receive pumps of both sides, so the peer learns of it without being
+    /// told — then joins the pump and the stack's threads. Idempotent.
     pub fn close(&self) {
-        self.closed
-            .store(true, std::sync::atomic::Ordering::Release);
-        if let Some(stack) = self.stack.lock().take() {
+        self.life.closed.store(true, Ordering::Release);
+        // Before the lock: a drain or swap holding it ends sooner for it.
+        self.transport.close();
+        let Running { stack, pump } = std::mem::take(&mut *self.running.lock());
+        if let Some(pump) = pump {
+            pump.shutdown();
+        }
+        if let Some(stack) = stack {
             stack.shutdown();
         }
-        self.transport.close();
         self.grant.lock().take();
-        self.bump_epoch();
+        self.life.bump_epoch();
     }
 }
 

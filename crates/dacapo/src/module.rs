@@ -49,6 +49,11 @@ impl Outputs {
         std::mem::take(&mut self.up)
     }
 
+    /// How many packets are queued, both directions together.
+    pub fn len(&self) -> usize {
+        self.down.len() + self.up.len()
+    }
+
     /// Whether nothing was emitted.
     pub fn is_empty(&self) -> bool {
         self.down.is_empty() && self.up.is_empty()

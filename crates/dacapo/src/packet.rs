@@ -72,6 +72,21 @@ impl Packet {
         Packet::with_headroom(body, DEFAULT_HEADROOM, PacketKind::Control)
     }
 
+    /// The teardown sentinel a transport pump sends up a stack when the
+    /// wire is gone: an empty control packet. Modules never emit control
+    /// packets upward (control traffic is consumed at its destination
+    /// layer) and wire frames enter as data, so the combination is
+    /// unambiguous; the runtime passes it from module to module untouched,
+    /// behind the data that preceded it.
+    pub(crate) fn close_sentinel() -> Self {
+        Packet::from_shared(Bytes::new(), PacketKind::Control)
+    }
+
+    /// Whether this is [`Packet::close_sentinel`].
+    pub(crate) fn is_close_sentinel(&self) -> bool {
+        self.kind == PacketKind::Control && self.is_empty()
+    }
+
     /// Creates a packet with explicit headroom.
     pub fn with_headroom(payload: &[u8], headroom: usize, kind: PacketKind) -> Self {
         record_buffer_alloc();

@@ -23,11 +23,13 @@ use crate::packet::{Packet, PacketKind};
 use crate::stats::ThroughputMeter;
 use crate::tlayer::Transport;
 use crate::DacapoError;
+use bytes::Bytes;
 use cool_telemetry::flight::event as flight_event;
+use cool_telemetry::lockorder::{rank as lock_rank, OrderedMutex, OrderedMutexGuard};
 use cool_telemetry::{Counter, Gauge, Registry};
 use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -41,18 +43,13 @@ pub struct RuntimeOptions {
     /// timer (it drives ARQ retransmission), *not* a data-path poll: packet
     /// arrival wakes a module immediately via its queue select.
     pub tick_interval: Duration,
-    /// Upper bound on how long the transport receive pump may take to
-    /// notice shutdown. The pump blocks in `Transport::recv_timeout` — the
-    /// only wait the runtime cannot wire a wakeup into — so stack teardown
-    /// may lag by up to this long. Frame arrival is unaffected: the
-    /// underlying transports wake their receiver the moment data lands.
-    pub shutdown_grace: Duration,
     /// When set, every module thread reports per-direction frame/byte
     /// throughput (`dacapo_module_frames_total{module,dir}`,
     /// `dacapo_module_bytes_total{module,dir}`) and its input-queue depth
-    /// (`dacapo_module_queue_depth{module}`), and the transport pumps
-    /// report wire traffic (`dacapo_wire_frames_total{dir}`,
-    /// `dacapo_wire_bytes_total{dir}`) into this registry.
+    /// (`dacapo_module_queue_depth{module}`), and the transport pumps (the
+    /// stack's TX pump, the connection's [`RxPump`]) report wire traffic
+    /// (`dacapo_wire_frames_total{dir}`, `dacapo_wire_bytes_total{dir}`)
+    /// into this registry.
     pub telemetry: Option<Arc<Registry>>,
 }
 
@@ -61,7 +58,6 @@ impl Default for RuntimeOptions {
         RuntimeOptions {
             channel_capacity: 128,
             tick_interval: Duration::from_millis(20),
-            shutdown_grace: Duration::from_millis(25),
             telemetry: None,
         }
     }
@@ -94,17 +90,41 @@ impl ModuleTelemetry {
     }
 }
 
-/// Quiescence change broadcast: a generation counter bumped by every
-/// stack thread (and the application endpoint) after it drains work, so
-/// [`StackHandle::drain`] can park in a condvar instead of sleep-polling
-/// the queue probes.
+/// Quiescence bookkeeping shared by everything that touches a stack's
+/// packets: a count of the packets inside the stack, and a generation
+/// counter bumped by every stack thread (and the application endpoint)
+/// after it moves work on, so [`StackHandle::drain`] can park in a condvar
+/// instead of sleep-polling.
+///
+/// A packet is *inside* from the moment a sender is about to queue it
+/// (application send, receive pump) until it has left for good (handed to
+/// the transport, received by the application, consumed by a module) — so
+/// also while a thread holds it between two queues, which looking at the
+/// queues alone would miss: a drain that saw them all empty at that moment
+/// would let a close cut off the last frame of a stream.
 #[derive(Debug, Default)]
 pub(crate) struct QuiesceSignal {
+    in_flight: AtomicUsize,
     generation: Mutex<u64>,
     cv: Condvar,
 }
 
 impl QuiesceSignal {
+    /// `n` packets are about to enter the stack (or a module is about to
+    /// emit `n` more than it took in).
+    pub(crate) fn enter(&self, n: usize) {
+        self.in_flight.fetch_add(n, Ordering::SeqCst);
+    }
+
+    /// `n` packets have left the stack for good.
+    pub(crate) fn leave(&self, n: usize) {
+        self.in_flight.fetch_sub(n, Ordering::SeqCst);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.in_flight.load(Ordering::SeqCst) == 0
+    }
+
     /// Announces "state changed, re-check quiescence" to any drainer.
     pub(crate) fn pulse(&self) {
         let mut generation = self.generation.lock();
@@ -129,28 +149,30 @@ impl QuiesceSignal {
     }
 }
 
-/// A running module stack bound to a transport.
+/// A running module stack bound to a transport: the module threads and the
+/// transport TX pump. The receiving side of the transport is not the
+/// stack's — one [`RxPump`] per transport outlives every stack built on it
+/// and feeds whichever one is current through its [`Uplink`].
 #[derive(Debug)]
 pub struct StackHandle {
     app: AppEndpoint,
+    uplink: Uplink,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     module_names: Vec<String>,
-    /// Observers over every inter-module queue. These are *sender* clones
-    /// used only for `is_empty()`: receiver clones would keep the channels
-    /// connected and leave a module blocked in a bounded `send` hanging
-    /// forever at shutdown.
-    queue_probes: Vec<Sender<Packet>>,
     /// Per-module idle flags maintained by the module threads.
     idle_flags: Vec<Arc<AtomicBool>>,
-    /// Pulsed by stack threads whenever queues may have drained.
+    /// Counts the packets inside the stack; pulsed by stack threads
+    /// whenever that may have changed.
     quiesce: Arc<QuiesceSignal>,
     /// Shutdown wakeup: every stack thread selects on a clone of the
     /// matching receiver. Dropping this sender disconnects the channel and
     /// wakes all threads blocked in a select, so shutdown never waits for
     /// a tick or poll interval to expire.
     wake: Option<Sender<()>>,
-    /// Set by the transport pumps on a permanent transport error.
+    /// Set once the application has been told the transport is gone: by
+    /// the TX pump on a send failure, by the endpoint when the close
+    /// sentinel reaches it.
     transport_dead: Arc<AtomicBool>,
 }
 
@@ -160,30 +182,35 @@ impl StackHandle {
         &self.app
     }
 
+    /// Where the transport's [`RxPump`] delivers into this stack.
+    pub fn uplink(&self) -> Uplink {
+        self.uplink.clone()
+    }
+
     /// Names of the running modules, top to bottom.
     pub fn module_names(&self) -> &[String] {
         &self.module_names
     }
 
-    /// Number of worker threads (modules + 2 transport pumps).
+    /// Number of worker threads (modules + the transport TX pump).
     pub fn thread_count(&self) -> usize {
         self.threads.len()
     }
 
-    /// Whether the transport underneath this stack died permanently (peer
-    /// severed, I/O error). Inbound data queued before the death is still
-    /// receivable through the endpoint; new sends fail with
-    /// [`DacapoError::Closed`].
+    /// Whether the application has been told that the transport underneath
+    /// this stack is gone (closed by the peer, severed, I/O error): a send
+    /// failed, or every inbound frame that preceded the close has been
+    /// received. New sends fail with [`DacapoError::Closed`].
     pub fn transport_closed(&self) -> bool {
         self.transport_dead.load(Ordering::Acquire)
     }
 
-    /// Whether every queue is empty and every module reports no deferred
-    /// state — i.e. all application traffic has reached the transport (or
-    /// the application) and no ARQ window is outstanding.
+    /// Whether no packet is inside the stack — queued, or in the hands of
+    /// a module or pump thread — and every module reports no deferred
+    /// state: all application traffic has reached the transport (or the
+    /// application) and no ARQ window is outstanding.
     pub fn is_quiescent(&self) -> bool {
-        self.queue_probes.iter().all(|q| q.is_empty())
-            && self.idle_flags.iter().all(|f| f.load(Ordering::Acquire))
+        self.quiesce.is_empty() && self.idle_flags.iter().all(|f| f.load(Ordering::Acquire))
     }
 
     /// Waits up to `timeout` for the stack to quiesce; returns whether it
@@ -231,28 +258,128 @@ impl Drop for StackHandle {
     }
 }
 
-/// Marks the transport dead and wakes the application: a close sentinel
-/// (empty control packet) goes straight into the app's up queue —
-/// bypassing the modules, which never deliver control packets upward — so
-/// a receive blocked in the endpoint surfaces [`DacapoError::Closed`]
-/// immediately instead of idling out its timeout.
-fn signal_transport_death(
-    dead: &AtomicBool,
-    app_up: &Sender<Packet>,
-    quiesce: &QuiesceSignal,
-    registry: Option<&Registry>,
-    dir: &str,
-) {
-    dead.store(true, Ordering::Release);
-    if let Some(r) = registry {
-        r.flight_event(
-            flight_event::TRANSPORT_DEAD,
-            None,
-            format!("dacapo {dir} pump: transport failed permanently"),
-        );
+/// Where wire frames enter a stack: the bottom of its up chain. Held by the
+/// transport's [`RxPump`], replaced when the stack is.
+#[derive(Debug, Clone)]
+pub struct Uplink {
+    up_bottom: Sender<Packet>,
+    quiesce: Arc<QuiesceSignal>,
+}
+
+impl Uplink {
+    fn send(&self, pkt: Packet) {
+        self.quiesce.enter(1);
+        // A stack that is gone takes no more packets; its successor's
+        // uplink is installed before the pump reads on.
+        if self.up_bottom.send(pkt).is_err() {
+            self.quiesce.leave(1);
+        }
     }
-    let _ = app_up.send(Packet::control(&[]));
-    quiesce.pulse();
+
+    fn forward(&self, frame: Bytes) {
+        self.send(Packet::from_shared(frame, PacketKind::Data));
+    }
+
+    /// The wire closed: the close sentinel goes up *behind* the frames
+    /// already forwarded, through every module queue in order, so the
+    /// application receives the tail of the traffic and then `Closed`.
+    fn close(&self) {
+        self.send(Packet::close_sentinel());
+    }
+}
+
+/// The transport receive pump: one thread per transport, for as long as
+/// the transport lives (a [`crate::Connection`] owns it). It blocks in
+/// [`Transport::recv`] — woken by a frame or by [`Transport::close`] on
+/// either side, never by a timer — and forwards each frame into whichever
+/// stack's [`Uplink`] is installed in its forward slot. Reconfiguration
+/// therefore stops and joins only threads that select on the stack's wake
+/// channel, and a frame that arrives between two stacks waits for the new
+/// one instead of dying with the old.
+pub struct RxPump {
+    transport: Arc<dyn Transport>,
+    slot: Arc<OrderedMutex<Option<Uplink>>>,
+    thread: JoinHandle<()>,
+}
+
+impl RxPump {
+    /// Starts the pump on `transport`, delivering into `uplink`. When the
+    /// transport reports its end (closed by either side, I/O error) the
+    /// pump runs `on_closed`, then sends the close sentinel up the current
+    /// stack, and exits.
+    ///
+    /// # Errors
+    ///
+    /// [`DacapoError::Runtime`] if the OS thread cannot be spawned.
+    pub fn spawn(
+        transport: Arc<dyn Transport>,
+        uplink: Uplink,
+        telemetry: Option<&Registry>,
+        on_closed: impl FnOnce() + Send + 'static,
+    ) -> Result<Self, DacapoError> {
+        let slot = Arc::new(OrderedMutex::new(
+            lock_rank::CONNECTION_UPLINK,
+            "connection.uplink",
+            Some(uplink),
+        ));
+        let wire = telemetry.map(|r| wire_counters(r, "rx"));
+        let (pump_transport, pump_slot) = (transport.clone(), slot.clone());
+        let thread = std::thread::Builder::new()
+            .name("dacapo-t-rx".into())
+            .spawn(move || rx_pump_loop(&*pump_transport, &pump_slot, wire, on_closed))
+            .map_err(|e| DacapoError::Runtime(format!("spawn dacapo-t-rx: {e}")))?;
+        Ok(RxPump {
+            transport,
+            slot,
+            thread,
+        })
+    }
+
+    /// Locks the forward slot for a stack swap. While the guard is held the
+    /// pump parks with the frame it has just read; once it drops, that
+    /// frame and every later one go to the uplink the guard left behind
+    /// (`None` drops them).
+    pub fn swap(&self) -> OrderedMutexGuard<'_, Option<Uplink>> {
+        self.slot.lock()
+    }
+
+    /// Closes the transport — the one thing that wakes the pump — and
+    /// joins it.
+    pub fn shutdown(self) {
+        self.transport.close();
+        let _ = self.thread.join();
+    }
+}
+
+fn rx_pump_loop(
+    transport: &dyn Transport,
+    slot: &OrderedMutex<Option<Uplink>>,
+    wire: Option<(Arc<Counter>, Arc<Counter>)>,
+    on_closed: impl FnOnce(),
+) {
+    while let Ok(frame) = transport.recv() {
+        if let Some((frames, bytes)) = &wire {
+            frames.inc();
+            bytes.add(frame.len() as u64);
+        }
+        // The up queues are unbounded, so the send under the slot lock
+        // never blocks; a swap in progress holds the lock and parks the
+        // pump until the new stack is in.
+        if let Some(uplink) = slot.lock().as_ref() {
+            uplink.forward(frame);
+        }
+    }
+    on_closed();
+    if let Some(uplink) = slot.lock().as_ref() {
+        uplink.close();
+    }
+}
+
+fn wire_counters(registry: &Registry, dir: &str) -> (Arc<Counter>, Arc<Counter>) {
+    (
+        registry.counter(&Registry::labeled("dacapo_wire_frames_total", &[("dir", dir)])),
+        registry.counter(&Registry::labeled("dacapo_wire_bytes_total", &[("dir", dir)])),
+    )
 }
 
 /// Tears down a partially built stack after a spawn failure: signals
@@ -294,7 +421,6 @@ pub fn build_stack(
     let mut wake_tx = Some(wake_tx);
     let module_names: Vec<String> = modules.iter().map(|m| m.name().to_owned()).collect();
     let mut threads = Vec::new();
-    let mut queue_probes: Vec<Sender<Packet>> = Vec::new();
     let mut idle_flags: Vec<Arc<AtomicBool>> = Vec::new();
 
     let n = modules.len();
@@ -303,7 +429,6 @@ pub fn build_stack(
     let mut down_rx = Vec::with_capacity(n + 1);
     for _ in 0..=n {
         let (tx, rx) = bounded::<Packet>(opts.channel_capacity);
-        queue_probes.push(tx.clone());
         down_tx.push(tx);
         down_rx.push(rx);
     }
@@ -317,7 +442,6 @@ pub fn build_stack(
         // lint: allow(L003, up direction is wire-paced; bounded would risk send/send deadlock)
         // lint: allow(A005, §7.4: up direction is wire-paced and drained by the app endpoint; a bound risks send/send deadlock)
         let (tx, rx) = unbounded::<Packet>();
-        queue_probes.push(tx.clone());
         up_tx.push(tx);
         up_rx.push(rx);
     }
@@ -366,21 +490,16 @@ pub fn build_stack(
     let t_down_rx = prev_down_rx;
 
     // Transport TX pump: blocks in a select over the bottom down queue and
-    // the shutdown wake channel — no timeout, no polling.
+    // the shutdown wake channel — no timeout, no polling. (The RX side is
+    // the transport's [`RxPump`], which delivers into `up_tx[n]`.)
     {
-        let transport = transport.clone();
         let flag = shutdown.clone();
         let wake = wake_rx.clone();
         let tx_quiesce = quiesce.clone();
         let dead = transport_dead.clone();
         let app_up = up_tx[0].clone();
         let flight_reg = opts.telemetry.clone();
-        let wire = opts.telemetry.as_ref().map(|r| {
-            (
-                r.counter(&Registry::labeled("dacapo_wire_frames_total", &[("dir", "tx")])),
-                r.counter(&Registry::labeled("dacapo_wire_bytes_total", &[("dir", "tx")])),
-            )
-        });
+        let wire = opts.telemetry.as_deref().map(|r| wire_counters(r, "tx"));
         let spawned = std::thread::Builder::new()
             .name("dacapo-t-tx".into())
             .spawn(move || loop {
@@ -395,15 +514,26 @@ pub fn build_stack(
                     match op.recv(&t_down_rx) {
                         Ok(pkt) => {
                             let wire_len = pkt.len() as u64;
-                            if transport.send(pkt.into_bytes()).is_err() {
+                            let sent = transport.send(pkt.into_bytes());
+                            tx_quiesce.leave(1);
+                            if sent.is_err() {
+                                // The wire no longer takes what the
+                                // application sends: tell it now, ahead of
+                                // anything still climbing the up queues (a
+                                // failed send is not an orderly close),
+                                // unless this is our own teardown.
                                 if !flag.load(Ordering::Acquire) {
-                                    signal_transport_death(
-                                        &dead,
-                                        &app_up,
-                                        &tx_quiesce,
-                                        flight_reg.as_deref(),
-                                        "tx",
-                                    );
+                                    dead.store(true, Ordering::Release);
+                                    if let Some(r) = &flight_reg {
+                                        r.flight_event(
+                                            flight_event::TRANSPORT_DEAD,
+                                            None,
+                                            "dacapo tx pump: transport send failed".to_owned(),
+                                        );
+                                    }
+                                    tx_quiesce.enter(1);
+                                    let _ = app_up.send(Packet::close_sentinel());
+                                    tx_quiesce.pulse();
                                 }
                                 return;
                             }
@@ -433,69 +563,6 @@ pub fn build_stack(
         }
     }
 
-    // Transport RX pump feeds up_tx[n] (bottom of the up chain). It blocks
-    // in the transport's own receive wait (condvar/socket backed — arrival
-    // wakes it immediately); `shutdown_grace` only bounds how long teardown
-    // can lag, since a transport read cannot join the wake select.
-    {
-        let transport = transport.clone();
-        let flag = shutdown.clone();
-        let up_bottom = up_tx[n].clone();
-        let grace = opts.shutdown_grace;
-        let dead = transport_dead.clone();
-        let app_up = up_tx[0].clone();
-        let rx_quiesce = quiesce.clone();
-        let flight_reg = opts.telemetry.clone();
-        let wire = opts.telemetry.as_ref().map(|r| {
-            (
-                r.counter(&Registry::labeled("dacapo_wire_frames_total", &[("dir", "rx")])),
-                r.counter(&Registry::labeled("dacapo_wire_bytes_total", &[("dir", "rx")])),
-            )
-        });
-        let spawned = std::thread::Builder::new()
-            .name("dacapo-t-rx".into())
-            .spawn(move || loop {
-                if flag.load(Ordering::Acquire) {
-                    return;
-                }
-                match transport.recv_timeout(grace) {
-                    Ok(frame) => {
-                        if let Some((frames, bytes)) = &wire {
-                            frames.inc();
-                            bytes.add(frame.len() as u64);
-                        }
-                        let pkt = Packet::from_shared(frame, PacketKind::Data);
-                        if up_bottom.send(pkt).is_err() {
-                            return;
-                        }
-                    }
-                    Err(DacapoError::Timeout(_)) => continue,
-                    Err(_) => {
-                        // Permanent transport failure (peer severed, I/O
-                        // error): tell the application instead of dying
-                        // silently, unless this is an orderly shutdown.
-                        if !flag.load(Ordering::Acquire) {
-                            signal_transport_death(
-                                &dead,
-                                &app_up,
-                                &rx_quiesce,
-                                flight_reg.as_deref(),
-                                "rx",
-                            );
-                        }
-                        return;
-                    }
-                }
-            });
-        match spawned {
-            Ok(handle) => threads.push(handle),
-            Err(e) => {
-                abort_partial_stack(&shutdown, &mut wake_tx, &mut threads);
-                return Err(DacapoError::Runtime(format!("spawn dacapo-t-rx: {e}")));
-            }
-        }
-    }
-
     let tx_meter = Arc::new(ThroughputMeter::new());
     let rx_meter = Arc::new(ThroughputMeter::new());
     let app = AppEndpoint::new(
@@ -507,6 +574,11 @@ pub fn build_stack(
         transport_dead.clone(),
     );
 
+    let uplink = Uplink {
+        up_bottom: up_tx[n].clone(),
+        quiesce: quiesce.clone(),
+    };
+
     // Drop our copies of intermediate senders so threads observe
     // disconnection when their upstream exits.
     drop(down_tx);
@@ -515,10 +587,10 @@ pub fn build_stack(
 
     Ok(StackHandle {
         app,
+        uplink,
         shutdown,
         threads,
         module_names,
-        queue_probes,
         idle_flags,
         quiesce,
         wake: wake_tx,
@@ -573,21 +645,33 @@ fn module_loop(
         };
         let _ = down_idx;
 
-        match sel.select_timeout(tick_interval) {
+        // One event: at most one packet taken in, any number emitted.
+        let took = match sel.select_timeout(tick_interval) {
             Ok(op) if op.index() == wake_idx => {
                 // Disconnection of the wake channel signals shutdown; the
                 // flag check at the top of the loop handles it.
                 let _ = op.recv(&wake);
+                0
             }
             Ok(op) if Some(op.index()) == up_idx => match op.recv(&up_in) {
+                // Not the module's to interpret: hand it on behind what
+                // this module has already emitted.
+                Ok(pkt) if pkt.is_close_sentinel() => {
+                    out.push_up(pkt);
+                    1
+                }
                 Ok(pkt) => {
                     if let Some(t) = &telemetry {
                         t.up_frames.inc();
                         t.up_bytes.add(pkt.len() as u64);
                     }
-                    module.process_up(pkt, &mut out)
+                    module.process_up(pkt, &mut out);
+                    1
                 }
-                Err(_) => up_open = false,
+                Err(_) => {
+                    up_open = false;
+                    0
+                }
             },
             Ok(op) => match op.recv(&down_in) {
                 Ok(pkt) => {
@@ -595,16 +679,37 @@ fn module_loop(
                         t.down_frames.inc();
                         t.down_bytes.add(pkt.len() as u64);
                     }
-                    module.process_down(pkt, &mut out)
+                    module.process_down(pkt, &mut out);
+                    1
                 }
-                Err(_) => down_open = false,
+                Err(_) => {
+                    down_open = false;
+                    0
+                }
             },
-            Err(_) => module.on_tick(start.elapsed(), &mut out),
-        }
+            Err(_) => {
+                module.on_tick(start.elapsed(), &mut out);
+                0
+            }
+        };
         if let Some(t) = &telemetry {
             t.queue_depth.set((down_in.len() + up_in.len()) as f64);
         }
 
+        // Settle the books before anything moves on: whoever can see a
+        // packet this module sent (the peer acknowledging it, say) must
+        // also see what it left behind here. The stack's packet count takes
+        // the difference between what came in and what goes out — a packet
+        // passed through stays counted all along — and an ARQ window reads
+        // "not idle" from before its data leaves until the acknowledgement
+        // has come back.
+        let emitted = out.len();
+        if emitted > took {
+            quiesce.enter(emitted - took);
+        } else {
+            quiesce.leave(took - emitted);
+        }
+        idle.store(module.is_idle(), Ordering::Release);
         for pkt in out.take_down() {
             if down_out.send(pkt).is_err() {
                 return; // downstream gone: the stack is dead
@@ -614,9 +719,10 @@ fn module_loop(
             // Up channels are unbounded; a closed upstream just means the
             // application side is gone — keep running so in-flight ARQ
             // traffic can still drain.
-            let _ = up_out.send(pkt);
+            if up_out.send(pkt).is_err() {
+                quiesce.leave(1);
+            }
         }
-        idle.store(module.is_idle(), Ordering::Release);
         // Each iteration is event-driven (select wakeup), so this pulse is
         // bounded by the event and tick rate — cheap, and it guarantees a
         // drainer re-checks after the final packet of a burst moves on.
@@ -630,7 +736,6 @@ mod tests {
     use crate::catalog::{MechanismCatalog, ModuleParams};
     use crate::functions::MechanismId;
     use crate::tlayer::loopback_pair;
-    use bytes::Bytes;
 
     fn modules_from(ids: &[&str]) -> Vec<Box<dyn Module>> {
         let catalog = MechanismCatalog::standard();
@@ -645,12 +750,41 @@ mod tests {
             .collect()
     }
 
-    fn stack_pair(ids: &[&str]) -> (StackHandle, StackHandle) {
+    /// A stack with the receive pump a `Connection` would run under it.
+    struct Piped {
+        stack: StackHandle,
+        pump: RxPump,
+    }
+
+    impl std::ops::Deref for Piped {
+        type Target = StackHandle;
+        fn deref(&self) -> &StackHandle {
+            &self.stack
+        }
+    }
+
+    impl Piped {
+        fn shutdown(self) {
+            self.pump.shutdown();
+            self.stack.shutdown();
+        }
+    }
+
+    fn piped(modules: Vec<Box<dyn Module>>, transport: impl Transport, opts: &RuntimeOptions) -> Piped {
+        let transport: Arc<dyn Transport> = Arc::new(transport);
+        let stack = build_stack(modules, transport.clone(), opts).unwrap();
+        let pump =
+            RxPump::spawn(transport, stack.uplink(), opts.telemetry.as_deref(), || {}).unwrap();
+        Piped { stack, pump }
+    }
+
+    fn stack_pair(ids: &[&str]) -> (Piped, Piped) {
         let (ta, tb) = loopback_pair();
         let opts = RuntimeOptions::default();
-        let a = build_stack(modules_from(ids), Arc::new(ta), &opts).unwrap();
-        let b = build_stack(modules_from(ids), Arc::new(tb), &opts).unwrap();
-        (a, b)
+        (
+            piped(modules_from(ids), ta, &opts),
+            piped(modules_from(ids), tb, &opts),
+        )
     }
 
     #[test]
@@ -659,7 +793,7 @@ mod tests {
         a.endpoint().send(Bytes::from_static(b"hi")).unwrap();
         let got = b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(&got[..], b"hi");
-        assert_eq!(a.thread_count(), 2);
+        assert_eq!(a.thread_count(), 1);
         a.shutdown();
         b.shutdown();
     }
@@ -667,7 +801,7 @@ mod tests {
     #[test]
     fn dummy_chain_round_trip() {
         let (a, b) = stack_pair(&["dummy", "dummy", "dummy"]);
-        assert_eq!(a.thread_count(), 5);
+        assert_eq!(a.thread_count(), 4);
         for i in 0..20u8 {
             a.endpoint().send(Bytes::from(vec![i; 100])).unwrap();
         }
@@ -755,8 +889,8 @@ mod tests {
         let (ta, tb) = loopback_pair();
         // A transport that swallows sends keeps the wire from draining.
         let opts = RuntimeOptions::default();
-        let a = build_stack(modules_from(&["dummy"; 5]), Arc::new(ta), &opts).unwrap();
-        let b = build_stack(modules_from(&[]), Arc::new(tb), &opts).unwrap();
+        let a = piped(modules_from(&["dummy"; 5]), ta, &opts);
+        let b = piped(modules_from(&[]), tb, &opts);
         // Flood until the app-side send would block, then a bit more from
         // a background thread to guarantee blocked module sends.
         let ep = a.endpoint().clone();
@@ -779,6 +913,50 @@ mod tests {
     }
 
     #[test]
+    fn a_packet_in_a_modules_hands_is_not_quiescence() {
+        // Every queue is empty while a module holds the one packet in
+        // flight; a drain that called that quiet would let the close that
+        // follows it cut off the last frame of a stream.
+        struct Gate {
+            entered: std::sync::mpsc::Sender<()>,
+            release: std::sync::mpsc::Receiver<()>,
+        }
+        impl Module for Gate {
+            fn name(&self) -> &str {
+                "gate"
+            }
+            fn process_down(&mut self, pkt: Packet, out: &mut Outputs) {
+                self.entered.send(()).unwrap();
+                self.release.recv().unwrap();
+                out.push_down(pkt);
+            }
+            fn process_up(&mut self, pkt: Packet, out: &mut Outputs) {
+                out.push_up(pkt);
+            }
+        }
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let gate = Gate {
+            entered: entered_tx,
+            release: release_rx,
+        };
+        let (ta, tb) = loopback_pair();
+        let a = piped(vec![Box::new(gate)], ta, &RuntimeOptions::default());
+        assert!(a.is_quiescent());
+        a.endpoint().send(Bytes::from_static(b"last frame")).unwrap();
+        entered_rx.recv().unwrap();
+        assert!(!a.is_quiescent(), "the gate module holds a packet");
+        assert!(!a.drain(Duration::from_millis(20)));
+        release_tx.send(()).unwrap();
+        assert!(a.drain(Duration::from_secs(5)));
+        assert_eq!(
+            &tb.recv_timeout(Duration::from_secs(5)).unwrap()[..],
+            b"last frame"
+        );
+        a.shutdown();
+    }
+
+    #[test]
     fn shutdown_joins_quickly() {
         let (a, b) = stack_pair(&["dummy"; 8]);
         let start = Instant::now();
@@ -788,13 +966,35 @@ mod tests {
     }
 
     #[test]
-    fn recv_after_peer_shutdown_errors() {
-        let (a, b) = stack_pair(&[]);
+    fn peer_shutdown_reaches_the_application_at_once() {
+        let (a, b) = stack_pair(&["dummy", "dummy"]);
+        let start = Instant::now();
         a.shutdown();
-        // b eventually reports closed or times out (loopback does not
-        // propagate peer stack death, only transport closure would).
-        let r = b.endpoint().recv_timeout(Duration::from_millis(100));
-        assert!(r.is_err());
+        // Closing a's transport wakes b's pump; the sentinel climbs b's
+        // modules and ends the receive long before its timeout.
+        let r = b.endpoint().recv_timeout(Duration::from_secs(10));
+        assert!(matches!(r, Err(DacapoError::Closed)), "got {r:?}");
+        assert!(start.elapsed() < Duration::from_secs(5));
+        b.shutdown();
+    }
+
+    #[test]
+    fn close_sentinel_stays_behind_the_data_it_followed() {
+        // Every frame on the wire before the close is delivered through
+        // the module queues before the application reads `Closed`.
+        let (ta, tb) = loopback_pair();
+        let b = piped(modules_from(&["dummy"; 6]), tb, &RuntimeOptions::default());
+        for i in 0..200u8 {
+            ta.send(Bytes::from(vec![i; 16])).unwrap();
+        }
+        ta.close();
+        for i in 0..200u8 {
+            let got = b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(got[0], i);
+        }
+        let r = b.endpoint().recv_timeout(Duration::from_secs(5));
+        assert!(matches!(r, Err(DacapoError::Closed)), "got {r:?}");
+        assert!(b.transport_closed());
         b.shutdown();
     }
 
@@ -806,8 +1006,8 @@ mod tests {
             telemetry: Some(registry.clone()),
             ..RuntimeOptions::default()
         };
-        let a = build_stack(modules_from(&["crc32"]), Arc::new(ta), &opts).unwrap();
-        let b = build_stack(modules_from(&["crc32"]), Arc::new(tb), &opts).unwrap();
+        let a = piped(modules_from(&["crc32"]), ta, &opts);
+        let b = piped(modules_from(&["crc32"]), tb, &opts);
         for i in 0..10u8 {
             a.endpoint().send(Bytes::from(vec![i; 64])).unwrap();
         }
@@ -842,17 +1042,16 @@ mod tests {
     #[test]
     fn transport_death_signals_application_promptly() {
         let (ta, tb) = loopback_pair();
-        let opts = RuntimeOptions::default();
-        let b = build_stack(modules_from(&[]), Arc::new(tb), &opts).unwrap();
+        let b = piped(modules_from(&[]), tb, &RuntimeOptions::default());
         // Data in flight before the wire dies is still delivered.
         ta.send(Bytes::from_static(b"last words")).unwrap();
         assert_eq!(
             &b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..],
             b"last words"
         );
-        // Sever the wire: b's RX pump observes Closed within
-        // shutdown_grace and must surface it to the application instead of
-        // dying silently and leaving receives to idle out their timeout.
+        // Sever the wire: the close wakes b's RX pump, which must surface
+        // it to the application instead of dying silently and leaving
+        // receives to idle out their timeout.
         ta.close();
         let start = Instant::now();
         let r = b.endpoint().recv_timeout(Duration::from_secs(10));

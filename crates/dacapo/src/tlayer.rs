@@ -14,36 +14,56 @@
 
 use crate::error::DacapoError;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A frame-oriented point-to-point transport.
 ///
 /// Implementations must be thread-safe: the runtime calls `send` from the
-/// TX pump thread and `recv_timeout` from the RX pump thread concurrently.
+/// TX pump thread and `recv` from the connection's RX pump thread
+/// concurrently, and `close` from whichever thread tears the connection
+/// down.
+///
+/// The close contract, which the teardown paths rely on instead of
+/// timers (`tests/transport_contract.rs` runs it over every
+/// implementation): `close` wakes a receive blocked on *this* side at
+/// once; the peer still receives every frame sent before the close, in
+/// order, and then [`DacapoError::Closed`]; sends on either side fail
+/// from then on.
 pub trait Transport: Send + Sync + 'static {
     /// Sends one frame to the peer.
     ///
     /// # Errors
     ///
-    /// [`DacapoError::Closed`] after [`Transport::close`];
+    /// [`DacapoError::Closed`] after [`Transport::close`] on either side;
     /// [`DacapoError::Transport`] for I/O failures.
     fn send(&self, frame: Bytes) -> Result<(), DacapoError>;
+
+    /// Receives the next frame, blocking until one arrives or the
+    /// transport is closed — there is no timer to wait out.
+    ///
+    /// # Errors
+    ///
+    /// [`DacapoError::Closed`] once this side is closed, or the peer is and
+    /// its frames are drained.
+    fn recv(&self) -> Result<Bytes, DacapoError>;
 
     /// Receives the next frame, waiting at most `timeout`.
     ///
     /// # Errors
     ///
-    /// [`DacapoError::Timeout`] on expiry, [`DacapoError::Closed`] once the
-    /// transport is closed and drained.
+    /// [`DacapoError::Timeout`] on expiry, [`DacapoError::Closed`] as for
+    /// [`Transport::recv`].
     fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError>;
 
     /// Closes the transport; unblocks pending receives on both sides.
+    /// Idempotent.
     fn close(&self);
 
     /// Largest frame this transport can carry.
@@ -58,6 +78,10 @@ pub trait Transport: Send + Sync + 'static {
 impl Transport for Box<dyn Transport> {
     fn send(&self, frame: Bytes) -> Result<(), DacapoError> {
         (**self).send(frame)
+    }
+
+    fn recv(&self) -> Result<Bytes, DacapoError> {
+        (**self).recv()
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError> {
@@ -77,67 +101,111 @@ impl Transport for Box<dyn Transport> {
     }
 }
 
-/// In-process transport half backed by crossbeam channels.
+/// One direction of the loopback wire: a FIFO the sender pushes and the
+/// receiver parks on. Unbounded — it models an infinitely fast wire, and a
+/// bound would deadlock two peers sending at each other; the protocol
+/// stack above paces it.
+#[derive(Debug, Default)]
+struct LoopbackWire {
+    state: Mutex<LoopbackWireState>,
+    arrival: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct LoopbackWireState {
+    queue: VecDeque<Bytes>,
+    /// Either end closed the link: no more frames will be queued, and the
+    /// receiver reads `Closed` once the queue is empty.
+    closed: bool,
+}
+
+impl LoopbackWire {
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.arrival.notify_all();
+    }
+}
+
+/// In-process transport half: two [`LoopbackWire`]s shared with the peer.
 #[derive(Debug)]
 pub struct LoopbackTransport {
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
-    closed: Arc<AtomicBool>,
-    peer_closed: Arc<AtomicBool>,
+    tx: Arc<LoopbackWire>,
+    rx: Arc<LoopbackWire>,
+    /// This side called `close`: its receives return at once, without
+    /// draining what the peer had sent.
+    closed: AtomicBool,
 }
 
 /// Creates a connected pair of loopback transports.
 pub fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
-    // lint: allow(L003, loopback models an infinitely fast wire; a bound here would deadlock symmetric send/send peers)
-    // lint: allow(A005, §7.4: loopback wire, drained by peer recv_frame and paced by the sending protocol stack)
-    let (a_tx, b_rx) = unbounded();
-    // lint: allow(L003, loopback models an infinitely fast wire; a bound here would deadlock symmetric send/send peers)
-    // lint: allow(A005, §7.4: loopback wire, drained by peer recv_frame and paced by the sending protocol stack)
-    let (b_tx, a_rx) = unbounded();
-    let a_closed = Arc::new(AtomicBool::new(false));
-    let b_closed = Arc::new(AtomicBool::new(false));
+    let a_to_b = Arc::new(LoopbackWire::default());
+    let b_to_a = Arc::new(LoopbackWire::default());
     let a = LoopbackTransport {
-        tx: a_tx,
-        rx: a_rx,
-        closed: a_closed.clone(),
-        peer_closed: b_closed.clone(),
+        tx: a_to_b.clone(),
+        rx: b_to_a.clone(),
+        closed: AtomicBool::new(false),
     };
     let b = LoopbackTransport {
-        tx: b_tx,
-        rx: b_rx,
-        closed: b_closed,
-        peer_closed: a_closed,
+        tx: b_to_a,
+        rx: a_to_b,
+        closed: AtomicBool::new(false),
     };
     (a, b)
 }
 
+impl LoopbackTransport {
+    /// The one receive wait: `timeout` of `None` parks until a frame or a
+    /// close.
+    fn recv_within(&self, timeout: Option<Duration>) -> Result<Bytes, DacapoError> {
+        let deadline = timeout.map(|t| (Instant::now() + t, t));
+        let mut st = self.rx.state.lock();
+        loop {
+            if self.closed.load(Ordering::Acquire) {
+                return Err(DacapoError::Closed);
+            }
+            if let Some(frame) = st.queue.pop_front() {
+                return Ok(frame);
+            }
+            if st.closed {
+                return Err(DacapoError::Closed);
+            }
+            match deadline {
+                None => self.rx.arrival.wait(&mut st),
+                Some((at, timeout)) => {
+                    if Instant::now() >= at {
+                        return Err(DacapoError::Timeout(timeout));
+                    }
+                    self.rx.arrival.wait_until(&mut st, at);
+                }
+            }
+        }
+    }
+}
+
 impl Transport for LoopbackTransport {
     fn send(&self, frame: Bytes) -> Result<(), DacapoError> {
-        if self.closed.load(Ordering::Acquire) || self.peer_closed.load(Ordering::Acquire) {
+        let mut st = self.tx.state.lock();
+        if st.closed {
             return Err(DacapoError::Closed);
         }
-        self.tx.send(frame).map_err(|_| DacapoError::Closed)
+        st.queue.push_back(frame);
+        drop(st);
+        self.tx.arrival.notify_one();
+        Ok(())
+    }
+
+    fn recv(&self) -> Result<Bytes, DacapoError> {
+        self.recv_within(None)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(DacapoError::Closed);
-        }
-        match self.rx.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(RecvTimeoutError::Timeout) => {
-                if self.peer_closed.load(Ordering::Acquire) {
-                    Err(DacapoError::Closed)
-                } else {
-                    Err(DacapoError::Timeout(timeout))
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(DacapoError::Closed),
-        }
+        self.recv_within(Some(timeout))
     }
 
     fn close(&self) {
         self.closed.store(true, Ordering::Release);
+        self.tx.close();
+        self.rx.close();
     }
 
     fn name(&self) -> &str {
@@ -268,6 +336,15 @@ impl Transport for TcpTransport {
             .map_err(|e| DacapoError::Transport(format!("tcp send: {e}")))
     }
 
+    fn recv(&self) -> Result<Bytes, DacapoError> {
+        if self.closed.load(Ordering::Acquire) {
+            return Err(DacapoError::Closed);
+        }
+        // `close` on either side ends the reader thread, which drops the
+        // queue's sender: queued frames drain, then this disconnects.
+        self.frames.recv().map_err(|_| DacapoError::Closed)
+    }
+
     fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError> {
         if self.closed.load(Ordering::Acquire) {
             return Err(DacapoError::Closed);
@@ -299,47 +376,40 @@ impl Drop for TcpTransport {
 #[derive(Debug)]
 pub struct NetsimTransport {
     endpoint: netsim::Endpoint,
-    closed: AtomicBool,
 }
 
 impl NetsimTransport {
     /// Wraps one endpoint of a [`netsim::Link`].
     pub fn new(endpoint: netsim::Endpoint) -> Self {
-        NetsimTransport {
-            endpoint,
-            closed: AtomicBool::new(false),
-        }
+        NetsimTransport { endpoint }
+    }
+}
+
+/// A closed or severed link is the transport's `Closed`; anything else is
+/// an I/O failure.
+fn from_netsim(e: netsim::NetSimError) -> DacapoError {
+    match e {
+        netsim::NetSimError::Disconnected => DacapoError::Closed,
+        netsim::NetSimError::Timeout(d) => DacapoError::Timeout(d),
+        e => DacapoError::Transport(e.to_string()),
     }
 }
 
 impl Transport for NetsimTransport {
     fn send(&self, frame: Bytes) -> Result<(), DacapoError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(DacapoError::Closed);
-        }
-        match self.endpoint.send(frame) {
-            Ok(()) => Ok(()),
-            Err(netsim::NetSimError::FrameTooLarge { len, mtu }) => Err(DacapoError::Transport(
-                format!("frame {len} exceeds link mtu {mtu}"),
-            )),
-            Err(e) => Err(DacapoError::Transport(e.to_string())),
-        }
+        self.endpoint.send(frame).map_err(from_netsim)
+    }
+
+    fn recv(&self) -> Result<Bytes, DacapoError> {
+        self.endpoint.recv().map_err(from_netsim)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(DacapoError::Closed);
-        }
-        match self.endpoint.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(netsim::NetSimError::Timeout(d)) => Err(DacapoError::Timeout(d)),
-            Err(netsim::NetSimError::Disconnected) => Err(DacapoError::Closed),
-            Err(e) => Err(DacapoError::Transport(e.to_string())),
-        }
+        self.endpoint.recv_timeout(timeout).map_err(from_netsim)
     }
 
     fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+        self.endpoint.close();
     }
 
     fn mtu(&self) -> usize {

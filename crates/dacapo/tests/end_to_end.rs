@@ -257,7 +257,7 @@ fn scaler_filter_downscales_a_flow_in_a_live_stack() {
     // end to end; surviving packets arrive intact.
     use dacapo::catalog::{MechanismCatalog, ModuleParams};
     use dacapo::functions::MechanismId;
-    use dacapo::runtime::{build_stack, RuntimeOptions};
+    use dacapo::runtime::{build_stack, RuntimeOptions, RxPump};
     use std::sync::Arc;
 
     let catalog = MechanismCatalog::standard();
@@ -283,7 +283,9 @@ fn scaler_filter_downscales_a_flow_in_a_live_stack() {
         .get(&MechanismId::new("crc32"))
         .unwrap()
         .instantiate(&params);
-    let rx = build_stack(vec![rx_crc], Arc::new(tb), &opts).unwrap();
+    let tb: Arc<dyn Transport> = Arc::new(tb);
+    let rx = build_stack(vec![rx_crc], tb.clone(), &opts).unwrap();
+    let rx_pump = RxPump::spawn(tb, rx.uplink(), None, || {}).unwrap();
 
     let n = 60u8;
     for i in 0..n {
@@ -300,5 +302,171 @@ fn scaler_filter_downscales_a_flow_in_a_live_stack() {
         assert_eq!(*byte, (idx * 2) as u8);
     }
     tx.shutdown();
+    rx_pump.shutdown();
     rx.shutdown();
+}
+
+/// Median wall time of `runs` calls of `op`.
+fn median_of(runs: usize, mut op: impl FnMut()) -> Duration {
+    let mut times: Vec<Duration> = (0..runs)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            op();
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    times[runs / 2]
+}
+
+/// No timer on the reconfiguration or teardown path: with the peer alive
+/// and idle — so this side's receive pump is parked in the transport —
+/// both cost thread hand-offs, not a wait. (They took a 25 ms grace each
+/// when the pump belonged to the stack and polled a shutdown flag.)
+const LIFECYCLE_BOUND: Duration = Duration::from_millis(5);
+
+#[test]
+fn reconfigure_with_an_idle_peer_takes_no_timer() {
+    let catalog = MechanismCatalog::standard();
+    let (ta, _tb) = loopback_pair();
+    let conn = Connection::establish(ModuleGraph::empty(), ta, &catalog).unwrap();
+    let graphs = [ModuleGraph::from_ids(["crc32"]), ModuleGraph::from_ids(["seq", "crc32"])];
+    let mut next = 0;
+    let median = median_of(20, || {
+        conn.reconfigure(graphs[next % 2].clone()).unwrap();
+        next += 1;
+    });
+    assert!(median < LIFECYCLE_BOUND, "reconfigure median {median:?}");
+    conn.close();
+}
+
+#[test]
+fn close_with_an_idle_peer_takes_no_timer() {
+    let catalog = MechanismCatalog::standard();
+    let graph = ModuleGraph::from_ids(["seq", "crc32"]);
+    for (name, pair) in [
+        ("loopback", loopback_boxed as fn() -> BoxedPair),
+        ("netsim", netsim_boxed),
+    ] {
+        let mut peers = Vec::new();
+        let mut conns: Vec<Connection> = (0..20)
+            .map(|_| {
+                let (ta, tb) = pair();
+                peers.push(tb);
+                Connection::establish(graph.clone(), ta, &catalog).unwrap()
+            })
+            .collect();
+        let median = median_of(20, || conns.pop().unwrap().close());
+        assert!(median < LIFECYCLE_BOUND, "{name}: close median {median:?}");
+    }
+}
+
+type BoxedPair = (Box<dyn Transport>, Box<dyn Transport>);
+
+fn loopback_boxed() -> BoxedPair {
+    let (a, b) = loopback_pair();
+    (Box::new(a), Box::new(b))
+}
+
+fn netsim_boxed() -> BoxedPair {
+    let (a, b) = netsim_pair(fast_link());
+    (Box::new(a), Box::new(b))
+}
+
+#[test]
+fn peer_close_reaches_the_application_without_a_timeout() {
+    let catalog = MechanismCatalog::standard();
+    let graph = ModuleGraph::from_ids(["seq", "crc32"]);
+    let (ta, tb) = loopback_pair();
+    let a = Connection::establish(graph.clone(), ta, &catalog).unwrap();
+    let b = Connection::establish(graph, tb, &catalog).unwrap();
+    for i in 0..100u8 {
+        a.endpoint().send(Bytes::from(vec![i; 64])).unwrap();
+    }
+    assert!(a.drain(Duration::from_secs(5)));
+    a.close();
+    // The tail first, in order, then the close — at once.
+    let endpoint = b.endpoint();
+    for i in 0..100u8 {
+        assert_eq!(endpoint.recv_timeout(Duration::from_secs(5)).unwrap()[0], i);
+    }
+    let start = std::time::Instant::now();
+    let end = endpoint.recv_timeout(Duration::from_secs(10));
+    assert!(matches!(end, Err(DacapoError::Closed)), "got {end:?}");
+    assert!(start.elapsed() < Duration::from_secs(1));
+    assert!(b.is_closed(), "closed by the peer");
+    assert!(matches!(
+        b.reconfigure(ModuleGraph::empty()),
+        Err(DacapoError::Closed)
+    ));
+    b.close();
+}
+
+#[test]
+fn frames_on_the_wire_during_a_swap_reach_the_new_stack() {
+    // The peer keeps sending while this side swaps the empty graph for
+    // `dummy` (header-free, so either stack can read the frames). What the
+    // old stack had not yet taken in waits in the receive pump for the new
+    // one: the receiver — draining each endpoint until it ends, then
+    // fetching the next, as the ORB's channel pump does — misses nothing.
+    const FRAMES: u32 = 5_000;
+    let catalog = MechanismCatalog::standard();
+    let (ta, tb) = loopback_pair();
+    let a = Connection::establish(ModuleGraph::empty(), ta, &catalog).unwrap();
+    let b = std::sync::Arc::new(Connection::establish(ModuleGraph::empty(), tb, &catalog).unwrap());
+
+    // The sender stays at most 64 frames ahead of the receiver, so traffic
+    // is in flight — on the wire, in the pump, in the old endpoint —
+    // whenever the swap happens.
+    let (seen_tx, seen_rx) = std::sync::mpsc::channel::<u32>();
+    let (credit_tx, credit_rx) = std::sync::mpsc::channel::<()>();
+    for _ in 0..64 {
+        credit_tx.send(()).unwrap();
+    }
+    let receiver = {
+        let b = b.clone();
+        std::thread::spawn(move || loop {
+            let epoch = b.epoch();
+            let endpoint = b.endpoint();
+            while let Ok(frame) = endpoint.recv() {
+                let n = u32::from_be_bytes(frame[..4].try_into().unwrap());
+                seen_tx.send(n).unwrap();
+                if n == FRAMES - 1 {
+                    return;
+                }
+                let _ = credit_tx.send(());
+            }
+            assert!(!b.is_closed(), "connection ended before the last frame");
+            b.wait_epoch_change(epoch);
+        })
+    };
+    let sender = {
+        let endpoint = a.endpoint();
+        std::thread::spawn(move || {
+            for n in 0..FRAMES {
+                credit_rx.recv().unwrap();
+                endpoint.send(Bytes::copy_from_slice(&n.to_be_bytes())).unwrap();
+            }
+        })
+    };
+
+    // Swap once traffic is flowing, with most of it still to come.
+    let mut expected = 0;
+    while expected < FRAMES / 10 {
+        assert_eq!(seen_rx.recv_timeout(Duration::from_secs(10)).unwrap(), expected);
+        expected += 1;
+    }
+    b.reconfigure(ModuleGraph::from_ids(["dummy"])).unwrap();
+    while expected < FRAMES {
+        assert_eq!(
+            seen_rx.recv_timeout(Duration::from_secs(10)).unwrap(),
+            expected,
+            "a frame was lost or reordered across the swap"
+        );
+        expected += 1;
+    }
+    sender.join().unwrap();
+    receiver.join().unwrap();
+    a.close();
+    b.close();
 }

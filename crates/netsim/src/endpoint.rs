@@ -34,7 +34,8 @@ impl Endpoint {
     ///
     /// # Errors
     ///
-    /// [`NetSimError::FrameTooLarge`] if the frame exceeds the link MTU.
+    /// [`NetSimError::FrameTooLarge`] if the frame exceeds the link MTU;
+    /// [`NetSimError::Disconnected`] once either endpoint is closed.
     pub fn send(&self, frame: Bytes) -> Result<(), NetSimError> {
         self.tx.send(frame)
     }
@@ -43,8 +44,9 @@ impl Endpoint {
     ///
     /// # Errors
     ///
-    /// [`NetSimError::Disconnected`] once the peer endpoint is dropped and
-    /// all in-flight frames have been consumed.
+    /// [`NetSimError::Disconnected`] once the peer endpoint is dropped or
+    /// closed and all in-flight frames have been consumed, or as soon as
+    /// this endpoint is [closed](Endpoint::close).
     pub fn recv(&self) -> Result<Bytes, NetSimError> {
         self.rx.recv_until(None)
     }
@@ -70,6 +72,15 @@ impl Endpoint {
         self.rx.try_recv()
     }
 
+    /// Closes this endpoint without dropping it: a receive blocked on this
+    /// side returns [`NetSimError::Disconnected`] at once, the peer's
+    /// receiver drains what is in flight and then reads the same, and sends
+    /// from either side fail. Idempotent.
+    pub fn close(&self) {
+        self.tx.mark_sender_gone();
+        self.rx.close_receiver();
+    }
+
     /// The link spec shaping this endpoint's outgoing direction.
     pub fn spec(&self) -> &LinkSpec {
         self.tx.spec()
@@ -84,6 +95,7 @@ impl Drop for Endpoint {
 
 #[cfg(test)]
 mod tests {
+    use crate::error::NetSimError;
     use crate::link::Link;
     use crate::spec::LinkSpec;
     use bytes::Bytes;
@@ -100,6 +112,30 @@ mod tests {
         let link = Link::virtual_time(spec);
         let (a, _b) = link.endpoints();
         assert_eq!(a.spec().bandwidth_bps(), 123_456);
+    }
+
+    #[test]
+    fn close_wakes_own_receiver_and_lets_the_peer_drain() {
+        let link = Link::real_time(
+            LinkSpec::builder()
+                .bandwidth_bps(1_000_000_000)
+                .propagation(std::time::Duration::ZERO)
+                .build()
+                .unwrap(),
+        );
+        let (a, b) = link.endpoints();
+        let a = std::sync::Arc::new(a);
+        a.send(Bytes::from_static(b"tail")).unwrap();
+        let blocked = {
+            let a = a.clone();
+            std::thread::spawn(move || a.recv())
+        };
+        a.close();
+        assert_eq!(blocked.join().unwrap().unwrap_err(), NetSimError::Disconnected);
+        assert_eq!(&b.recv().unwrap()[..], b"tail");
+        assert_eq!(b.recv().unwrap_err(), NetSimError::Disconnected);
+        assert_eq!(a.send(Bytes::new()).unwrap_err(), NetSimError::Disconnected);
+        assert_eq!(b.send(Bytes::new()).unwrap_err(), NetSimError::Disconnected);
     }
 
     #[test]

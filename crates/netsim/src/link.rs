@@ -59,6 +59,9 @@ struct DirectionState {
     last_delivery: Duration,
     /// Frames accepted so far, for `sever_after` bookkeeping.
     accepted: u64,
+    /// Set by [`Direction::close_receiver`]: the receiving endpoint closed,
+    /// so its own blocked receive returns and the peer's sends fail.
+    receiver_closed: bool,
     rng: StdRng,
 }
 
@@ -70,6 +73,7 @@ impl Direction {
                 next_free: Duration::ZERO,
                 last_delivery: Duration::ZERO,
                 accepted: 0,
+                receiver_closed: false,
                 rng: StdRng::seed_from_u64(seed),
             }),
             spec,
@@ -84,9 +88,20 @@ impl Direction {
         self.stats.clone()
     }
 
+    /// The sending endpoint is gone (dropped, closed, severed): the receiver
+    /// drains what is in flight, then reads [`NetSimError::Disconnected`].
     pub(crate) fn mark_sender_gone(&self) {
+        // Under the state lock, so a receiver between its check and its
+        // wait cannot miss the wakeup.
+        let _st = self.state.lock();
         self.sender_alive.store(false, Ordering::Release);
-        // Wake any receiver blocked on an empty queue.
+        self.arrival.notify_all();
+    }
+
+    /// The receiving endpoint closed: a receive blocked on this direction
+    /// returns [`NetSimError::Disconnected`] at once, in flight or not.
+    pub(crate) fn close_receiver(&self) {
+        self.state.lock().receiver_closed = true;
         self.arrival.notify_all();
     }
 
@@ -100,6 +115,9 @@ impl Direction {
         }
         let now = self.clock.now();
         let mut st = self.state.lock();
+        if st.receiver_closed || !self.sender_alive.load(Ordering::Acquire) {
+            return Err(NetSimError::Disconnected);
+        }
 
         // Sever: after `n` accepted frames the direction goes dark for good.
         if let Some(n) = self.spec.sever_after() {
@@ -159,76 +177,59 @@ impl Direction {
     }
 
     /// Blocking receive; `deadline` (clock time) bounds the wait.
+    ///
+    /// One loop under the state lock: deliver the head frame once its time
+    /// has come, otherwise wait for whichever is next — an arrival, the
+    /// head frame's delivery time, the deadline — or for
+    /// [`Direction::close_receiver`], which ends the wait at once.
     pub(crate) fn recv_until(&self, deadline: Option<Duration>) -> Result<Bytes, NetSimError> {
+        let mut st = self.state.lock();
         loop {
-            // Phase 1: wait for a frame to be *queued*.
-            let deliver_at = {
-                let mut st = self.state.lock();
-                loop {
-                    if let Some((at, _)) = st.in_flight.front() {
-                        break *at;
-                    }
-                    if !self.sender_alive.load(Ordering::Acquire) {
-                        return Err(NetSimError::Disconnected);
-                    }
-                    match deadline {
-                        Some(d) => {
-                            let now = self.clock.now();
-                            if now >= d {
-                                return Err(NetSimError::Timeout(d));
-                            }
-                            // Real clocks park on the condvar; virtual clocks
-                            // cannot (nobody would advance them), so they jump
-                            // straight to the deadline if no sender races in.
-                            if self.clock.is_virtual() {
-                                drop(st);
-                                self.clock.sleep_until(d);
-                                st = self.state.lock();
-                                if st.in_flight.is_empty() {
-                                    return Err(NetSimError::Timeout(d));
-                                }
-                            } else {
-                                let wait = d - now;
-                                self.arrival.wait_for(&mut st, wait);
-                            }
-                        }
-                        None => {
-                            if self.clock.is_virtual() {
-                                // A virtual-clock receive with no deadline and
-                                // no queued frame can only be satisfied by a
-                                // concurrent sender; spin-yield briefly.
-                                drop(st);
-                                std::thread::yield_now();
-                                st = self.state.lock();
-                            } else {
-                                self.arrival.wait(&mut st);
-                            }
-                        }
-                    }
-                }
-            };
-
-            // Phase 2: wait for the frame's delivery time.
-            let effective = match deadline {
-                Some(d) if d < deliver_at => {
-                    // The frame will not arrive in time.
-                    self.clock.sleep_until(d);
-                    return Err(NetSimError::Timeout(d));
-                }
-                _ => deliver_at,
-            };
-            self.clock.sleep_until(effective);
-
-            let mut st = self.state.lock();
+            if st.receiver_closed {
+                return Err(NetSimError::Disconnected);
+            }
+            let now = self.clock.now();
             match st.in_flight.pop_front() {
-                Some((at, frame)) if at <= self.clock.now() => {
+                Some((at, frame)) if at <= now => {
                     self.stats.record_delivery(frame.len());
                     return Ok(frame);
                 }
-                Some(entry) => st.in_flight.push_front(entry),
+                Some(not_yet_due) => st.in_flight.push_front(not_yet_due),
+                None if !self.sender_alive.load(Ordering::Acquire) => {
+                    return Err(NetSimError::Disconnected);
+                }
                 None => {}
             }
-            // Someone else consumed it (shared receiving); loop again.
+            let head = st.in_flight.front().map(|(at, _)| *at);
+            if let Some(d) = deadline {
+                if now >= d {
+                    return Err(NetSimError::Timeout(d));
+                }
+            }
+            let wake_at = match (head, deadline) {
+                (Some(at), Some(d)) => Some(at.min(d)),
+                (at, d) => at.or(d),
+            };
+            if self.clock.is_virtual() {
+                // Nobody advances a virtual clock for us: jump to the next
+                // event, or — with no frame queued and no deadline — yield
+                // to the concurrent sender that alone can satisfy this.
+                drop(st);
+                match wake_at {
+                    Some(t) => {
+                        self.clock.sleep_until(t);
+                    }
+                    None => std::thread::yield_now(),
+                }
+                st = self.state.lock();
+            } else {
+                match wake_at {
+                    Some(t) => {
+                        self.arrival.wait_for(&mut st, t - now);
+                    }
+                    None => self.arrival.wait(&mut st),
+                }
+            }
         }
     }
 

@@ -12,6 +12,14 @@ cargo clippy --workspace -- -D warnings
 # gate here and break it. Its unit tests plus `ledger run --smoke`.
 cargo test --release --offline --manifest-path ledger/Cargo.toml
 
+# The Da CaPo lifecycle suites once more, optimized, next to the benchmark
+# whose `qos_churn` workload they pin: the transport close contract, the
+# reconfigure / close / set_qos latency bounds (no timer on the path), the
+# swap under traffic, the stream's end of flow and the server-side reclaim.
+cargo test -q --release -p dacapo --test transport_contract --test end_to_end
+cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow
+cargo test -q --release -p cool-orb --lib dacapo_chan
+
 # Project-invariant static analysis: poll loops, unwraps, unbounded data
 # paths, GIOP version agreement, error-variant test coverage. Exits
 # non-zero on any finding; the JSON report lands next to this gate's
