@@ -1,43 +1,40 @@
 //! # chorus-sim — a ChorusOS 3.2 stand-in
 //!
 //! The COOL ORB in the paper runs on the real-time µ-kernel **ChorusOS
-//! 3.2**, using Chorus IPC as one of its transports and the kernel's
-//! real-time scheduling classes for time-critical communication threads.
-//! A µ-kernel cannot be reproduced in a library, so this crate simulates the
-//! ingredients COOL actually consumes:
+//! 3.2** and uses Chorus IPC as one of its transports. A µ-kernel cannot be
+//! reproduced in a library; what this crate keeps of it is the IPC
+//! primitive itself:
 //!
-//! * **Actors** ([`actor::Actor`]) — named protection domains that own
-//!   ports; a registry maps actor/port names to live ports (the Chorus name
-//!   service used to locate object implementations).
 //! * **IPC ports** ([`port::Port`]) — bounded message queues carrying
 //!   [`message::IpcMessage`]s, with blocking, non-blocking and timed
-//!   receives, and a reply-port convention for RPC ([`ipc::call`]).
-//! * **Priority threads** ([`thread::ThreadBuilder`]) — Chorus scheduling
-//!   classes become advisory priorities carried with each thread; on a
-//!   stock-Linux host we cannot take real RT priorities, so priorities are
-//!   observable metadata used by upper layers (Da CaPo serves control
-//!   traffic before data traffic based on them). This preserves the paper's
-//!   *structure*; hard real-time guarantees are out of scope.
-//! * **Timers** ([`timer::Timer`]) — one-shot and periodic ticks delivered
-//!   as IPC messages.
+//!   receives, and a reply-port convention for RPC
+//!   ([`IpcMessage::with_reply_to`] / [`IpcMessage::reply`]).
+//!
+//! The ORB's Chorus transport (`cool_orb::transport::ChorusComChannel`) does
+//! not run on these ports — it shares the ORB's own frame inbox with the
+//! other transports; the perf ledger measures a port handoff next to it
+//! (`chorus-sim.port_handoff_ns`). Chorus actors, scheduling classes and
+//! timers are not modelled: nothing in the workspace would consume them,
+//! and real-time scheduling is out of scope on a stock-Linux host.
 //!
 //! ```
-//! use chorus_sim::{Actor, ipc};
+//! use chorus_sim::{IpcMessage, Port};
 //! use bytes::Bytes;
 //!
 //! # fn main() -> Result<(), chorus_sim::ChorusError> {
-//! let server = Actor::new("echo-server");
-//! let port = server.create_port("requests", 16)?;
-//! let receiver = port.receiver();
+//! let requests = Port::anonymous(16);
+//! let receiver = requests.receiver();
 //!
 //! // Server thread: echo every request back to its reply port.
 //! let handle = std::thread::spawn(move || {
 //!     let msg = receiver.recv().unwrap();
-//!     msg.reply(bytes::Bytes::from(msg.body().to_vec())).unwrap();
+//!     msg.reply(Bytes::from(msg.body().to_vec())).unwrap();
 //! });
 //!
-//! let reply = ipc::call(&port.sender(), Bytes::from_static(b"ping"), None)?;
-//! assert_eq!(&reply[..], b"ping");
+//! let replies = Port::anonymous(1);
+//! let ping = IpcMessage::new(Bytes::from_static(b"ping")).with_reply_to(replies.sender());
+//! requests.sender().send(ping)?;
+//! assert_eq!(&replies.receiver().recv()?.body()[..], b"ping");
 //! handle.join().unwrap();
 //! # Ok(())
 //! # }
@@ -47,20 +44,10 @@
 
 #![warn(missing_docs)]
 
-pub mod actor;
 pub mod error;
-pub mod ipc;
 pub mod message;
 pub mod port;
-pub mod registry;
-pub mod thread;
-pub mod timer;
 
-pub use actor::Actor;
 pub use error::ChorusError;
-pub use ipc::call;
 pub use message::IpcMessage;
 pub use port::{Port, PortId, PortReceiver, PortSender};
-pub use registry::PortRegistry;
-pub use thread::{Priority, ThreadBuilder};
-pub use timer::Timer;

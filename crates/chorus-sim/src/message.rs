@@ -8,7 +8,7 @@ use bytes::Bytes;
 ///
 /// Messages carry an opaque byte body, an application-chosen `tag`
 /// (standing in for Chorus message selectors), and optionally a reply port
-/// for the RPC convention used by [`crate::ipc::call`].
+/// for the RPC convention ([`IpcMessage::reply`]).
 #[derive(Debug, Clone)]
 pub struct IpcMessage {
     tag: u32,

@@ -1,7 +1,7 @@
 //! Property-based tests for the Chorus IPC simulation.
 
 use bytes::Bytes;
-use chorus_sim::{ipc, Actor, IpcMessage, Port, PortRegistry};
+use chorus_sim::{IpcMessage, Port};
 use proptest::prelude::*;
 
 proptest! {
@@ -36,49 +36,5 @@ proptest! {
         }
         prop_assert_eq!(accepted, attempts.min(capacity));
         prop_assert_eq!(port.len(), accepted);
-    }
-
-    /// The registry resolves exactly what was registered, for any set of
-    /// distinct names.
-    #[test]
-    fn registry_resolves_registered_names(names in proptest::collection::hash_set("[a-z]{1,12}", 1..20)) {
-        let registry = PortRegistry::new();
-        let mut ports = Vec::new();
-        for name in &names {
-            let port = Port::anonymous(1);
-            registry.register(name, port.sender()).unwrap();
-            ports.push((name.clone(), port));
-        }
-        for (name, port) in &ports {
-            prop_assert_eq!(registry.lookup(name).unwrap().id(), port.id());
-        }
-        prop_assert_eq!(registry.names().len(), names.len());
-        prop_assert!(registry.lookup("definitely-not-registered-9").is_err());
-    }
-
-    /// ipc::call round-trips arbitrary request/response pairs through an
-    /// echo actor.
-    #[test]
-    fn rpc_round_trips(requests in proptest::collection::vec(
-        proptest::collection::vec(any::<u8>(), 0..64), 1..10)) {
-        let actor = Actor::new("echo");
-        let port = actor.create_port("req", 16).unwrap();
-        let receiver = port.receiver();
-        let n = requests.len();
-        let server = std::thread::spawn(move || {
-            for _ in 0..n {
-                let msg = receiver.recv().unwrap();
-                let mut resp = msg.body().to_vec();
-                resp.reverse();
-                msg.reply(Bytes::from(resp)).unwrap();
-            }
-        });
-        for req in &requests {
-            let reply = ipc::call(&port.sender(), Bytes::from(req.clone()), None).unwrap();
-            let mut expected = req.clone();
-            expected.reverse();
-            prop_assert_eq!(&reply[..], &expected[..]);
-        }
-        server.join().unwrap();
     }
 }

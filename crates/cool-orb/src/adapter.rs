@@ -188,29 +188,16 @@ impl ObjectAdapter {
         spec: &QoSSpec,
         one_way: bool,
     ) -> DispatchOutcome {
-        self.dispatch_traced(key, operation, args, spec, one_way, None)
+        self.dispatch_traced_timed(key, operation, args, spec, one_way, None)
+            .0
     }
 
     /// Like [`ObjectAdapter::dispatch`], attributing the server-side span
     /// stages (`qos_negotiate`, `servant_execute`) to `request_id` when the
-    /// adapter has telemetry. The marks land only if the client opened its
-    /// span in the *same* registry (loopback setups sharing one registry).
-    pub fn dispatch_traced(
-        &self,
-        key: impl AsRef<[u8]>,
-        operation: &str,
-        args: &[u8],
-        spec: &QoSSpec,
-        one_way: bool,
-        request_id: Option<u32>,
-    ) -> DispatchOutcome {
-        self.dispatch_traced_timed(key, operation, args, spec, one_way, request_id)
-            .0
-    }
-
-    /// Like [`ObjectAdapter::dispatch_traced`], additionally reporting how
-    /// long negotiation and the servant upcall took so the server can echo
-    /// its half of a distributed trace back to the client.
+    /// adapter has telemetry — the marks land only if the client opened its
+    /// span in the *same* registry (loopback setups sharing one registry) —
+    /// and reporting how long negotiation and the servant upcall took, so
+    /// the server can echo its half of a distributed trace to the client.
     pub fn dispatch_traced_timed(
         &self,
         key: impl AsRef<[u8]>,

@@ -7,8 +7,7 @@
 //! outstanding requests by id and completes the waiter *on arrival*. There
 //! is no demux thread and no poll interval — a synchronous caller blocks
 //! on a rendezvous channel with a true deadline and wakes the moment its
-//! reply lands (the seed design polled `recv_frame` every 50ms instead).
-//! Timing policy (the default call deadline) comes from
+//! reply lands. Telemetry and tracing policy come from
 //! [`crate::config::OrbConfig`], threaded in via [`Binding::with_config`].
 //!
 //! On top of this the five invocation styles of the paper's
@@ -24,18 +23,24 @@
 //!   the one that would complete it);
 //! * [`DeferredReply::cancel`] / [`Binding::cancel`] — abandon a pending
 //!   request (sends GIOP `CancelRequest`).
+//!
+//! All four are one sequence, written once in `Binding::issue`: they
+//! differ only in whether a reply is expected and in the slot that
+//! receives it. Which message protocol the binding speaks is the business
+//! of [`crate::message_layer`]; nothing here can tell.
 
 use crate::config::OrbConfig;
 use crate::error::OrbError;
-use crate::message_layer::cool::CoolMessage;
-use crate::message_layer::{giop as giop_helpers, sniff, WireProtocol};
+use crate::message_layer::{self, Event, WireProtocol};
 use crate::transport::{ComChannel, FrameSink};
 use bytes::Bytes;
-use cool_giop::prelude::*;
+use cool_giop::prelude::{ByteOrder, QoSParameter, RequestTraceContext};
 use cool_telemetry::flight::event as flight_event;
-use cool_telemetry::{names, Counter, Histogram, Registry, ServerTraceTiming, SpanOutcome, Stage};
+use cool_telemetry::{
+    names, ClientTrace, Counter, Histogram, Registry, ServerTraceTiming, SpanOutcome, Stage,
+};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use multe_qos::{GrantedQoS, TransportRequirements};
+use multe_qos::TransportRequirements;
 use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
 use std::collections::HashMap;
@@ -43,35 +48,91 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Result of a two-way invocation: reply body plus any granted QoS the
-/// server attached.
-pub type ReplyResult = Result<(Bytes, Option<GrantedQoS>), OrbError>;
+pub use crate::message_layer::ReplyResult;
 
-/// Default reply timeout for synchronous calls (the
-/// [`OrbConfig::default`] value of `call_timeout`).
-pub const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(30);
+/// Requests go out big-endian; a server answers in the order it was asked.
+const ORDER: ByteOrder = ByteOrder::Big;
 
 enum Slot {
     Sync(Sender<ReplyResult>),
     Callback(Box<dyn FnOnce(ReplyResult) + Send>),
 }
 
-impl Slot {
-    fn complete(self, result: ReplyResult) {
-        match self {
+/// The rendezvous a synchronous or deferred caller blocks on: the demux
+/// sends exactly one reply into it.
+fn sync_slot() -> (Slot, Receiver<ReplyResult>) {
+    let (tx, rx) = bounded(1);
+    (Slot::Sync(tx), rx)
+}
+
+/// The outstanding requests of a binding, shared with its reply
+/// demultiplexer and every [`DeferredReply`] — never holding the channel,
+/// so the `channel → inbox → sink` chain contains no reference cycle.
+struct Pending {
+    slots: OrderedMutex<HashMap<u32, Slot>>,
+    telemetry: Option<ClientMetrics>,
+}
+
+impl Pending {
+    fn take(&self, request_id: u32) -> Option<Slot> {
+        self.slots.lock().remove(&request_id)
+    }
+
+    /// Hands `result` to a slot taken out of the table. A blocked caller
+    /// closes its own span once it wakes; behind a callback nobody waits,
+    /// so the span closes here (and the invocation counters tick) before
+    /// the user code runs — still on the transport's delivery thread.
+    fn complete(&self, request_id: u32, slot: Slot, result: ReplyResult) {
+        match slot {
             Slot::Sync(tx) => {
                 let _ = tx.send(result);
             }
-            Slot::Callback(f) => f(result),
+            Slot::Callback(f) => {
+                if let Some(t) = &self.telemetry {
+                    t.finish_invocation(request_id, &result);
+                }
+                f(result)
+            }
         }
+    }
+
+    /// Fails every outstanding request with [`OrbError::Closed`]. Drains
+    /// first, so each slot completes once however many teardowns race here.
+    fn fail_all(&self) {
+        let slots: Vec<(u32, Slot)> = self.slots.lock().drain().collect();
+        for (request_id, slot) in slots {
+            self.complete(request_id, slot, Err(OrbError::Closed));
+        }
+    }
+
+    /// The one blocking wait, behind [`Binding::call`] and
+    /// [`DeferredReply::wait`]: the delivery thread completes the slot the
+    /// moment the reply arrives. A timeout is attributed to the request,
+    /// with the time waited since `since`.
+    fn wait_timeout(
+        &self,
+        rx: &Receiver<ReplyResult>,
+        request_id: u32,
+        since: Instant,
+        timeout: Duration,
+    ) -> ReplyResult {
+        let result = match rx.recv_timeout(timeout) {
+            Ok(result) => result,
+            Err(RecvTimeoutError::Timeout) => {
+                self.take(request_id);
+                Err(OrbError::request_timeout(request_id, since.elapsed()))
+            }
+            Err(RecvTimeoutError::Disconnected) => Err(OrbError::Closed),
+        };
+        if let Some(t) = &self.telemetry {
+            t.finish_invocation(request_id, &result);
+        }
+        result
     }
 }
 
-type PendingMap = Arc<OrderedMutex<HashMap<u32, Slot>>>;
-
 /// Pre-resolved client-side metric handles (one lookup per binding, then
 /// relaxed atomics on the hot path).
-#[derive(Clone)]
 struct ClientMetrics {
     registry: Arc<Registry>,
     invocations: Arc<Counter>,
@@ -92,6 +153,30 @@ impl ClientMetrics {
             ctx_bytes: registry.counter(names::SERVICE_CONTEXT_BYTES),
             registry,
         }
+    }
+
+    /// Stamps the client half of a distributed trace — a fresh trace id
+    /// plus the send timestamp — as the context the request carries, so the
+    /// server can join its half (DESIGN.md §6), and as the record the span
+    /// keeps until the reply's half arrives.
+    fn open_trace(&self, started: Instant) -> (RequestTraceContext, ClientTrace) {
+        let trace_id = cool_telemetry::next_trace_id();
+        let sent_mono = Instant::now();
+        let sent_at_ns = cool_telemetry::now_wall_ns();
+        let ctx = RequestTraceContext {
+            trace_id,
+            sent_at_ns,
+            marshal_us: cool_telemetry::duration_as_u32_us(
+                sent_mono.saturating_duration_since(started),
+            ),
+        };
+        self.ctx_bytes.add(RequestTraceContext::WIRE_LEN as u64);
+        let client = ClientTrace {
+            trace_id,
+            sent_at_ns,
+            sent_mono,
+        };
+        (ctx, client)
     }
 
     /// Closes the span for a completed invocation (merging the distributed
@@ -154,17 +239,16 @@ pub struct Binding {
     /// a reconnect so the renegotiated binding keeps its operating point.
     last_qos: OrderedMutex<Option<TransportRequirements>>,
     protocol: WireProtocol,
-    order: ByteOrder,
     next_id: AtomicU32,
-    pending: PendingMap,
+    pending: Arc<Pending>,
     /// Permanent shutdown: once set, [`Binding::reconnect`] refuses to
     /// resurrect the binding.
     retired: AtomicBool,
     reconnector: OnceLock<Reconnector>,
-    default_timeout: Duration,
-    telemetry: Option<ClientMetrics>,
-    /// Whether outgoing requests carry a trace service context
-    /// ([`OrbConfig::tracing`]); meaningless without telemetry.
+    /// Whether requests carry a trace context: telemetry is on,
+    /// [`OrbConfig::tracing`] has not switched it off, and the protocol
+    /// has room for one. Otherwise the wire bytes are those of an
+    /// untraced build.
     tracing: bool,
 }
 
@@ -173,32 +257,75 @@ impl std::fmt::Debug for Binding {
         f.debug_struct("Binding")
             .field("transport", &self.conn.lock().channel.kind())
             .field("protocol", &self.protocol)
-            .field("pending", &self.pending.lock().len())
+            .field("pending", &self.pending.slots.lock().len())
             .finish()
     }
 }
 
 /// The reply demultiplexer, installed as the channel's [`FrameSink`].
-///
-/// Holds only the shared pending map and closed flag — never the channel
-/// or the binding — so the `channel → inbox → sink` chain contains no
-/// reference cycle.
+/// Runs on the transport's delivery thread.
 struct DemuxSink {
-    pending: PendingMap,
+    pending: Arc<Pending>,
     closed: Arc<AtomicBool>,
-    /// For the `ReplyDecode` span mark; the span itself is owned by the
-    /// caller that opened it in `call`/`defer`/`notify`.
-    registry: Option<Arc<Registry>>,
 }
 
 impl FrameSink for DemuxSink {
     fn on_frame(&self, frame: Bytes) {
-        demux_frame(&frame, &self.pending, &self.closed, self.registry.as_deref());
+        let decode_start = Instant::now();
+        message_layer::decode_frame(&frame, |event| match event {
+            Event::Reply {
+                request_id,
+                trace,
+                reply,
+            } => {
+                // A reply nobody waits for any more (cancelled, timed out)
+                // is dropped here, uninterpreted.
+                let Some(slot) = self.pending.take(request_id) else {
+                    return true;
+                };
+                let result = reply.interpret();
+                if let Some(t) = &self.pending.telemetry {
+                    // The `ReplyDecode` mark covers the decode + interpret
+                    // work; the span itself is owned by the caller that
+                    // opened it. A traced server echoes its half of the
+                    // span with the reply; stash it on the active span
+                    // (same lock as the mark) so the span finish merges
+                    // both halves into one TraceRecord. The reply's arrival
+                    // instant stands in for the client receive stamp,
+                    // derived against the span's send stamp under that same
+                    // lock.
+                    let server_half = trace.map(|ctx| {
+                        let timing = ServerTraceTiming {
+                            recv_at_ns: ctx.recv_at_ns,
+                            sent_at_ns: ctx.sent_at_ns,
+                            queue_wait_us: ctx.queue_wait_us,
+                            negotiate_us: ctx.negotiate_us,
+                            execute_us: ctx.execute_us,
+                        };
+                        (timing, decode_start)
+                    });
+                    t.registry.span_mark_reply(
+                        request_id,
+                        Stage::ReplyDecode,
+                        decode_start.elapsed(),
+                        server_half,
+                    );
+                }
+                self.pending.complete(request_id, slot, result);
+                true
+            }
+            Event::Closing => {
+                self.on_close();
+                true
+            }
+            // What only clients send, and what nobody can read: ignored.
+            _ => true,
+        });
     }
 
     fn on_close(&self) {
         self.closed.store(true, Ordering::Release);
-        fail_all(&self.pending, || OrbError::Closed);
+        self.pending.fail_all();
     }
 }
 
@@ -209,7 +336,7 @@ impl Binding {
     }
 
     /// Wraps a connected channel and registers the reply demultiplexer as
-    /// its frame sink. Timing policy comes from `config`.
+    /// its frame sink. Telemetry and tracing come from `config`.
     pub fn with_config(
         channel: Arc<dyn ComChannel>,
         protocol: WireProtocol,
@@ -219,13 +346,17 @@ impl Binding {
             .telemetry
             .as_ref()
             .map(|r| ClientMetrics::resolve(Arc::clone(r), channel.kind()));
-        let pending: PendingMap = Arc::new(OrderedMutex::new(
-            lock_rank::BINDING_PENDING,
-            "binding.pending",
-            HashMap::new(),
-        ));
+        let tracing = telemetry.is_some() && config.tracing && protocol.carries_trace();
+        let pending = Arc::new(Pending {
+            slots: OrderedMutex::new(
+                lock_rank::BINDING_PENDING,
+                "binding.pending",
+                HashMap::new(),
+            ),
+            telemetry,
+        });
         let closed = Arc::new(AtomicBool::new(false));
-        install_sink(&channel, &pending, &closed, telemetry.as_ref());
+        install_sink(&channel, &pending, &closed);
         Arc::new(Binding {
             reconnect_gate: OrderedMutex::new(
                 lock_rank::BINDING_RECONNECT,
@@ -239,14 +370,11 @@ impl Binding {
             ),
             last_qos: OrderedMutex::new(lock_rank::BINDING_LAST_QOS, "binding.last_qos", None),
             protocol,
-            order: ByteOrder::Big,
             next_id: AtomicU32::new(1),
             pending,
             retired: AtomicBool::new(false),
             reconnector: OnceLock::new(),
-            default_timeout: config.call_timeout,
-            telemetry,
-            tracing: config.tracing,
+            tracing,
         })
     }
 
@@ -256,24 +384,8 @@ impl Binding {
         let _ = self.reconnector.set(reconnector);
     }
 
-    /// The transport currently below this binding (a snapshot — a
-    /// reconnect may swap it at any time).
-    pub fn channel(&self) -> Arc<dyn ComChannel> {
-        self.conn.lock().channel.clone()
-    }
-
     fn current(&self) -> ConnHandle {
         self.conn.lock().clone()
-    }
-
-    /// The message protocol this binding speaks.
-    pub fn protocol(&self) -> WireProtocol {
-        self.protocol
-    }
-
-    /// The configured default deadline for synchronous invocations.
-    pub fn default_timeout(&self) -> Duration {
-        self.default_timeout
     }
 
     /// Whether the binding has been closed (permanently retired, or its
@@ -318,15 +430,15 @@ impl Binding {
         let reconnector = self.reconnector.get().ok_or(OrbError::Closed)?.clone();
         // Pending requests belonged to the dead connection; fail them now,
         // attributed, instead of letting them run out their deadlines.
-        fail_all(&self.pending, || OrbError::Closed);
+        self.pending.fail_all();
         let channel = reconnector()?;
         let closed = Arc::new(AtomicBool::new(false));
-        install_sink(&channel, &self.pending, &closed, self.telemetry.as_ref());
+        install_sink(&channel, &self.pending, &closed);
         if let Some(requirements) = *self.last_qos.lock() {
             channel.set_qos(&requirements)?;
         }
         *self.conn.lock() = ConnHandle { channel, closed };
-        if let Some(t) = &self.telemetry {
+        if let Some(t) = &self.pending.telemetry {
             t.reconnects.inc();
             t.registry.flight_event(
                 flight_event::RECONNECT,
@@ -337,93 +449,85 @@ impl Binding {
         Ok(())
     }
 
-    fn next_request_id(&self) -> u32 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn encode_request(
+    /// The one issue path behind every invocation mode: closed check →
+    /// request id → span begin → encode → register `slot` → send, unwinding
+    /// registration and span if the request never reaches the wire. Hands
+    /// back the request's id, when the invocation began (the origin of its
+    /// span and its timeout) and the connection the request went out on.
+    fn issue(
         &self,
-        request_id: u32,
         object_key: &[u8],
         operation: &str,
         args: Bytes,
         qos_params: &[QoSParameter],
         response_expected: bool,
-        started: Instant,
-    ) -> Result<(Bytes, Option<cool_telemetry::ClientTrace>), OrbError> {
-        match self.protocol {
-            WireProtocol::Giop => {
-                // With telemetry enabled (and tracing not switched off in
-                // the config) every GIOP request carries a trace service
-                // context: a fresh trace id plus the client's send
-                // timestamp, so the server can join its half of the span
-                // (DESIGN.md §6). Otherwise nothing is attached and the
-                // wire bytes are identical to the untraced build. The
-                // client half is returned to the caller, which attaches it
-                // to the span while marking `Marshal` — one lock for both.
-                let trace = self.telemetry.as_ref().filter(|_| self.tracing).map(|t| {
-                    let trace_id = cool_telemetry::next_trace_id();
-                    let sent_mono = Instant::now();
-                    let sent_at_ns = cool_telemetry::now_wall_ns();
-                    let ctx = RequestTraceContext {
-                        trace_id,
-                        sent_at_ns,
-                        marshal_us: cool_telemetry::duration_as_u32_us(
-                            sent_mono.saturating_duration_since(started),
-                        ),
-                    };
-                    t.ctx_bytes.add(RequestTraceContext::WIRE_LEN as u64);
-                    (
-                        ctx,
-                        cool_telemetry::ClientTrace {
-                            trace_id,
-                            sent_at_ns,
-                            sent_mono,
-                        },
-                    )
-                });
-                let (ctx, client) = match trace {
-                    Some((ctx, client)) => (Some(ctx), Some(client)),
-                    None => (None, None),
-                };
-                giop_helpers::make_request(
+        slot: Option<Slot>,
+    ) -> Result<(u32, Instant, Arc<dyn ComChannel>), OrbError> {
+        let conn = self.current();
+        if self.retired.load(Ordering::Acquire) || conn.closed.load(Ordering::Acquire) {
+            return Err(OrbError::Closed);
+        }
+        let started = Instant::now();
+        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let telemetry = self.pending.telemetry.as_ref();
+        if let Some(t) = telemetry {
+            t.registry
+                .span_begin(request_id, operation, conn.channel.kind());
+        }
+        // The context rides in the request; the client half is attached to
+        // the span while marking `Marshal` — one lock for both.
+        let (ctx, client_trace) = telemetry
+            .filter(|_| self.tracing)
+            .map(|t| t.open_trace(started))
+            .unzip();
+        let sent = message_layer::encode_request(
+            self.protocol,
+            request_id,
+            object_key,
+            operation,
+            args,
+            qos_params,
+            response_expected,
+            ctx.as_ref(),
+            ORDER,
+        )
+        .and_then(|frame| {
+            if let Some(t) = telemetry {
+                t.registry.span_mark_attach(
                     request_id,
-                    object_key,
-                    operation,
-                    args,
-                    qos_params.to_vec(),
-                    response_expected,
-                    ctx.as_ref(),
-                    self.order,
-                )
-                .map(|frame| (frame, client))
+                    Stage::Marshal,
+                    started.elapsed(),
+                    client_trace,
+                );
             }
-            WireProtocol::Cool => {
-                if !qos_params.is_empty() {
-                    return Err(OrbError::Protocol(
-                        "the cool message protocol carries no qos parameters; use giop".into(),
-                    ));
+            if let Some(slot) = slot {
+                self.pending.slots.lock().insert(request_id, slot);
+            }
+            let send_start = Instant::now();
+            conn.channel.send_frame(frame)?;
+            if let Some(t) = telemetry {
+                t.registry
+                    .span_mark(request_id, Stage::FrameSend, send_start.elapsed());
+            }
+            Ok(())
+        });
+        if sent.is_err() {
+            self.pending.take(request_id);
+        }
+        if let Some(t) = telemetry {
+            match &sent {
+                // One-way: the span ends once the request is on the wire
+                // (this also retires the trace entry the request opened —
+                // there is no reply to merge).
+                Ok(()) if !response_expected => {
+                    t.registry.span_finish_traced(request_id, SpanOutcome::Ok);
+                    t.invocations.inc();
                 }
-                Ok((
-                    CoolMessage::Request {
-                        request_id,
-                        object_key: object_key.to_vec(),
-                        operation: operation.to_owned(),
-                        one_way: !response_expected,
-                        args,
-                    }
-                    .encode(),
-                    None,
-                ))
+                Ok(()) => {}
+                Err(_) => t.abort_invocation(request_id, SpanOutcome::Error),
             }
         }
-    }
-
-    fn register_sync(&self, request_id: u32) -> Receiver<ReplyResult> {
-        let (tx, rx) = bounded(1);
-        self.pending.lock().insert(request_id, Slot::Sync(tx));
-        rx
+        sent.map(|()| (request_id, started, conn.channel))
     }
 
     /// Two-way synchronous invocation.
@@ -440,57 +544,10 @@ impl Binding {
         qos_params: &[QoSParameter],
         timeout: Duration,
     ) -> ReplyResult {
-        if self.is_closed() {
-            return Err(OrbError::Closed);
-        }
-        let conn = self.current();
-        let start = Instant::now();
-        let request_id = self.next_request_id();
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_begin(request_id, operation, conn.channel.kind());
-        }
-        let (frame, trace) = match self.encode_request(request_id, object_key, operation, args, qos_params, true, start)
-        {
-            Ok(pair) => pair,
-            Err(e) => {
-                if let Some(t) = &self.telemetry {
-                    t.abort_invocation(request_id, SpanOutcome::Error);
-                }
-                return Err(e);
-            }
-        };
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_mark_attach(request_id, Stage::Marshal, start.elapsed(), trace);
-        }
-        let rx = self.register_sync(request_id);
-        let send_start = Instant::now();
-        if let Err(e) = conn.channel.send_frame(frame) {
-            self.pending.lock().remove(&request_id);
-            if let Some(t) = &self.telemetry {
-                t.abort_invocation(request_id, SpanOutcome::Error);
-            }
-            return Err(e);
-        }
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_mark(request_id, Stage::FrameSend, send_start.elapsed());
-        }
-        // A true blocking wait: the delivery thread completes the slot the
-        // moment the matching Reply frame arrives.
-        let result = match rx.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => {
-                self.pending.lock().remove(&request_id);
-                Err(OrbError::request_timeout(request_id, start.elapsed()))
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(OrbError::Closed),
-        };
-        if let Some(t) = &self.telemetry {
-            t.finish_invocation(request_id, &result);
-        }
-        result
+        let (slot, rx) = sync_slot();
+        let (request_id, started, _) =
+            self.issue(object_key, operation, args, qos_params, true, Some(slot))?;
+        self.pending.wait_timeout(&rx, request_id, started, timeout)
     }
 
     /// One-way invocation: returns as soon as the request is on the wire.
@@ -506,48 +563,8 @@ impl Binding {
         args: Bytes,
         qos_params: &[QoSParameter],
     ) -> Result<(), OrbError> {
-        if self.is_closed() {
-            return Err(OrbError::Closed);
-        }
-        let conn = self.current();
-        let start = Instant::now();
-        let request_id = self.next_request_id();
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_begin(request_id, operation, conn.channel.kind());
-        }
-        let (frame, trace) = match self.encode_request(request_id, object_key, operation, args, qos_params, false, start)
-        {
-            Ok(pair) => pair,
-            Err(e) => {
-                if let Some(t) = &self.telemetry {
-                    t.abort_invocation(request_id, SpanOutcome::Error);
-                }
-                return Err(e);
-            }
-        };
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_mark_attach(request_id, Stage::Marshal, start.elapsed(), trace);
-        }
-        let send_start = Instant::now();
-        let sent = conn.channel.send_frame(frame);
-        if let Some(t) = &self.telemetry {
-            // One-way: the span ends once the request is on the wire.
-            let outcome = match &sent {
-                Ok(()) => {
-                    t.registry
-                        .span_mark(request_id, Stage::FrameSend, send_start.elapsed());
-                    SpanOutcome::Ok
-                }
-                Err(_) => SpanOutcome::Error,
-            };
-            // `span_finish_traced` also retires the trace entry the
-            // one-way request opened (there is no reply to merge).
-            t.registry.span_finish_traced(request_id, outcome);
-            t.invocations.inc();
-        }
-        sent
+        self.issue(object_key, operation, args, qos_params, false, None)
+            .map(|_| ())
     }
 
     /// Deferred synchronous invocation: the reply is collected later via
@@ -563,52 +580,16 @@ impl Binding {
         args: Bytes,
         qos_params: &[QoSParameter],
     ) -> Result<DeferredReply, OrbError> {
-        if self.is_closed() {
-            return Err(OrbError::Closed);
-        }
-        let conn = self.current();
-        let start = Instant::now();
-        let request_id = self.next_request_id();
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_begin(request_id, operation, conn.channel.kind());
-        }
-        let (frame, trace) = match self.encode_request(request_id, object_key, operation, args, qos_params, true, start)
-        {
-            Ok(pair) => pair,
-            Err(e) => {
-                if let Some(t) = &self.telemetry {
-                    t.abort_invocation(request_id, SpanOutcome::Error);
-                }
-                return Err(e);
-            }
-        };
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_mark_attach(request_id, Stage::Marshal, start.elapsed(), trace);
-        }
-        let rx = self.register_sync(request_id);
-        let send_start = Instant::now();
-        if let Err(e) = conn.channel.send_frame(frame) {
-            self.pending.lock().remove(&request_id);
-            if let Some(t) = &self.telemetry {
-                t.abort_invocation(request_id, SpanOutcome::Error);
-            }
-            return Err(e);
-        }
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_mark(request_id, Stage::FrameSend, send_start.elapsed());
-        }
+        let (slot, rx) = sync_slot();
+        let (request_id, _, channel) =
+            self.issue(object_key, operation, args, qos_params, true, Some(slot))?;
         Ok(DeferredReply {
             request_id,
             rx,
             pending: self.pending.clone(),
-            channel: conn.channel,
-            order: self.order,
+            channel,
             done: false,
             ready: None,
-            telemetry: self.telemetry.clone(),
         })
     }
 
@@ -626,59 +607,9 @@ impl Binding {
         qos_params: &[QoSParameter],
         callback: impl FnOnce(ReplyResult) + Send + 'static,
     ) -> Result<u32, OrbError> {
-        if self.is_closed() {
-            return Err(OrbError::Closed);
-        }
-        let conn = self.current();
-        let start = Instant::now();
-        let request_id = self.next_request_id();
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_begin(request_id, operation, conn.channel.kind());
-        }
-        let (frame, trace) = match self.encode_request(request_id, object_key, operation, args, qos_params, true, start)
-        {
-            Ok(pair) => pair,
-            Err(e) => {
-                if let Some(t) = &self.telemetry {
-                    t.abort_invocation(request_id, SpanOutcome::Error);
-                }
-                return Err(e);
-            }
-        };
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_mark_attach(request_id, Stage::Marshal, start.elapsed(), trace);
-        }
-        // With telemetry on, the callback is wrapped so the span closes
-        // (and the invocation counters tick) before the user code runs —
-        // still on the transport's delivery thread.
-        let slot_callback: Box<dyn FnOnce(ReplyResult) + Send> = match &self.telemetry {
-            Some(t) => {
-                let t = t.clone();
-                Box::new(move |result: ReplyResult| {
-                    t.finish_invocation(request_id, &result);
-                    callback(result);
-                })
-            }
-            None => Box::new(callback),
-        };
-        self.pending
-            .lock()
-            .insert(request_id, Slot::Callback(slot_callback));
-        let send_start = Instant::now();
-        if let Err(e) = conn.channel.send_frame(frame) {
-            self.pending.lock().remove(&request_id);
-            if let Some(t) = &self.telemetry {
-                t.abort_invocation(request_id, SpanOutcome::Error);
-            }
-            return Err(e);
-        }
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_mark(request_id, Stage::FrameSend, send_start.elapsed());
-        }
-        Ok(request_id)
+        let slot = Slot::Callback(Box::new(callback));
+        self.issue(object_key, operation, args, qos_params, true, Some(slot))
+            .map(|(request_id, ..)| request_id)
     }
 
     /// Cancels a pending request: notifies the server (GIOP
@@ -687,18 +618,13 @@ impl Binding {
     ///
     /// Returns whether the request was still pending.
     pub fn cancel(&self, request_id: u32) -> bool {
-        let slot = self.pending.lock().remove(&request_id);
-        let was_pending = slot.is_some();
-        if let Some(slot) = slot {
-            slot.complete(Err(OrbError::Cancelled));
-        }
-        if was_pending && self.protocol == WireProtocol::Giop {
-            let msg = Message::CancelRequest { request_id };
-            if let Ok(frame) = encode_message(&msg, GiopVersion::STANDARD, self.order) {
-                let _ = self.current().channel.send_frame(frame);
-            }
-        }
-        was_pending
+        let Some(slot) = self.pending.take(request_id) else {
+            return false;
+        };
+        self.pending
+            .complete(request_id, slot, Err(OrbError::Cancelled));
+        send_cancel(&*self.current().channel, request_id);
+        true
     }
 
     /// Closes the binding permanently; all pending requests complete with
@@ -713,7 +639,7 @@ impl Binding {
         // teardown is asynchronous. `fail_all` drains, so slots complete
         // exactly once.
         conn.channel.close();
-        fail_all(&self.pending, || OrbError::Closed);
+        self.pending.fail_all();
     }
 }
 
@@ -725,130 +651,18 @@ impl Drop for Binding {
 
 /// Wires a (possibly fresh) channel to the binding's demultiplexer with
 /// its own per-connection closed flag.
-fn install_sink(
-    channel: &Arc<dyn ComChannel>,
-    pending: &PendingMap,
-    closed: &Arc<AtomicBool>,
-    telemetry: Option<&ClientMetrics>,
-) {
+fn install_sink(channel: &Arc<dyn ComChannel>, pending: &Arc<Pending>, closed: &Arc<AtomicBool>) {
     channel.set_sink(Arc::new(DemuxSink {
         pending: pending.clone(),
         closed: closed.clone(),
-        registry: telemetry.map(|t| Arc::clone(&t.registry)),
     }));
 }
 
-fn fail_all(pending: &PendingMap, err: impl Fn() -> OrbError) {
-    let slots: Vec<Slot> = pending.lock().drain().map(|(_, s)| s).collect();
-    for slot in slots {
-        slot.complete(Err(err()));
-    }
-}
-
-/// Demultiplexes one inbound frame into the pending map. Runs on the
-/// transport's delivery thread. When `registry` is given, replies that
-/// match a pending request get a `ReplyDecode` span mark covering the
-/// sniff + decode + interpret work before the waiter is completed.
-fn demux_frame(
-    frame: &Bytes,
-    pending: &PendingMap,
-    closed: &AtomicBool,
-    registry: Option<&Registry>,
-) {
-    let decode_start = Instant::now();
-    let mark_decode = |request_id: u32| {
-        if let Some(r) = registry {
-            r.span_mark(request_id, Stage::ReplyDecode, decode_start.elapsed());
-        }
-    };
-    let Ok(protocol) = sniff(frame) else {
-        return; // unknown frame: ignore
-    };
-    match protocol {
-        // GIOP frames self-delimit, so an inbound transport frame may be a
-        // batch of several (a batching peer); split unconditionally — a
-        // non-batched frame yields exactly itself, zero-copy.
-        WireProtocol::Giop => {
-            for sub in cool_giop::codec::split_frames(frame) {
-                let Ok(sub) = sub else { break };
-                match Message::decode_frame(&sub) {
-                    Ok((Message::Reply { header, body }, _, order)) => {
-                        let slot = pending.lock().remove(&header.request_id);
-                        if let Some(slot) = slot {
-                            let result = giop_helpers::interpret_reply(&header, &body, order);
-                            if let Some(r) = registry {
-                                // A traced server echoes its half of the
-                                // span in a reply service context; stash it
-                                // on the active span (same lock as the
-                                // decode mark) so the span finish merges
-                                // both halves into one TraceRecord. The
-                                // reply's arrival instant stands in for the
-                                // client receive stamp, derived against the
-                                // span's send stamp under that same lock.
-                                let reply = ReplyTraceContext::from_list(&header.service_context)
-                                    .map(|ctx| {
-                                        (
-                                            ServerTraceTiming {
-                                                recv_at_ns: ctx.recv_at_ns,
-                                                sent_at_ns: ctx.sent_at_ns,
-                                                queue_wait_us: ctx.queue_wait_us,
-                                                negotiate_us: ctx.negotiate_us,
-                                                execute_us: ctx.execute_us,
-                                            },
-                                            decode_start,
-                                        )
-                                    });
-                                r.span_mark_reply(
-                                    header.request_id,
-                                    Stage::ReplyDecode,
-                                    decode_start.elapsed(),
-                                    reply,
-                                );
-                            }
-                            slot.complete(result);
-                        }
-                    }
-                    Ok((Message::CloseConnection, _, _)) => {
-                        closed.store(true, Ordering::Release);
-                        fail_all(pending, || OrbError::Closed);
-                    }
-                    Ok(_) | Err(_) => {}
-                }
-            }
-        }
-        WireProtocol::Cool => match CoolMessage::decode(frame) {
-            Ok(CoolMessage::Reply { request_id, body }) => {
-                let slot = pending.lock().remove(&request_id);
-                if let Some(slot) = slot {
-                    mark_decode(request_id);
-                    slot.complete(Ok((body, None)));
-                }
-            }
-            Ok(CoolMessage::Exception {
-                request_id,
-                kind,
-                detail,
-            }) => {
-                let slot = pending.lock().remove(&request_id);
-                if let Some(slot) = slot {
-                    mark_decode(request_id);
-                    let err = match kind.as_str() {
-                        "ObjectNotFound" => OrbError::ObjectNotFound(detail),
-                        "OperationUnknown" => {
-                            let (object, operation) =
-                                detail.split_once('/').unwrap_or((detail.as_str(), ""));
-                            OrbError::OperationUnknown {
-                                object: object.to_owned(),
-                                operation: operation.to_owned(),
-                            }
-                        }
-                        _ => OrbError::Protocol(format!("cool exception {kind}: {detail}")),
-                    };
-                    slot.complete(Err(err));
-                }
-            }
-            Ok(CoolMessage::Request { .. }) | Err(_) => {}
-        },
+/// Tells the server a request was abandoned. Best effort: the local
+/// waiter is already released.
+fn send_cancel(channel: &dyn ComChannel, request_id: u32) {
+    if let Some(frame) = message_layer::cancel_frame(request_id) {
+        let _ = channel.send_frame(frame);
     }
 }
 
@@ -856,16 +670,14 @@ fn demux_frame(
 pub struct DeferredReply {
     request_id: u32,
     rx: Receiver<ReplyResult>,
-    pending: PendingMap,
+    pending: Arc<Pending>,
     channel: Arc<dyn ComChannel>,
-    order: ByteOrder,
     done: bool,
     /// A reply observed by `poll` is stashed here so a later `wait` (or
     /// another `poll`) still returns it — with event-driven delivery a
     /// reply can land microseconds after the request is sent, making
     /// poll-then-wait a common interleaving rather than a rare race.
     ready: Option<ReplyResult>,
-    telemetry: Option<ClientMetrics>,
 }
 
 impl std::fmt::Debug for DeferredReply {
@@ -890,7 +702,7 @@ impl DeferredReply {
         if self.ready.is_none() {
             if let Ok(result) = self.rx.try_recv() {
                 self.done = true;
-                if let Some(t) = &self.telemetry {
+                if let Some(t) = &self.pending.telemetry {
                     t.finish_invocation(self.request_id, &result);
                 }
                 self.ready = Some(result);
@@ -909,45 +721,18 @@ impl DeferredReply {
         if let Some(result) = self.ready.take() {
             return result;
         }
-        let wait_start = Instant::now();
-        let result = match self.rx.recv_timeout(timeout) {
-            Ok(result) => {
-                self.done = true;
-                result
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                self.pending.lock().remove(&self.request_id);
-                self.done = true;
-                Err(OrbError::request_timeout(
-                    self.request_id,
-                    wait_start.elapsed(),
-                ))
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                self.done = true;
-                Err(OrbError::Closed)
-            }
-        };
-        if let Some(t) = &self.telemetry {
-            t.finish_invocation(self.request_id, &result);
-        }
-        result
+        // Timed out, closed or answered: either way the slot is gone.
+        self.done = true;
+        self.pending
+            .wait_timeout(&self.rx, self.request_id, Instant::now(), timeout)
     }
 
     /// Cancels the pending request (sends GIOP `CancelRequest`).
-    pub fn cancel(mut self) {
-        self.done = true;
-        if self.pending.lock().remove(&self.request_id).is_some() {
-            if let Some(t) = &self.telemetry {
-                t.abort_invocation(self.request_id, SpanOutcome::Cancelled);
-            }
-            let msg = Message::CancelRequest {
-                request_id: self.request_id,
-            };
-            if let Ok(frame) = encode_message(&msg, GiopVersion::STANDARD, self.order) {
-                let _ = self.channel.send_frame(frame);
-            }
+    pub fn cancel(self) {
+        if self.pending.take(self.request_id).is_some() {
+            send_cancel(&*self.channel, self.request_id);
         }
+        // Dropping `self` closes the span, as for any abandoned handle.
     }
 }
 
@@ -956,8 +741,8 @@ impl Drop for DeferredReply {
         if !self.done {
             // Abandoned without waiting: drop the slot so the pending map
             // does not hold a dead sender forever.
-            self.pending.lock().remove(&self.request_id);
-            if let Some(t) = &self.telemetry {
+            self.pending.take(self.request_id);
+            if let Some(t) = &self.pending.telemetry {
                 t.abort_invocation(self.request_id, SpanOutcome::Cancelled);
             }
         }

@@ -5,9 +5,9 @@
 //! loops, and the Da CaPo channel's sliced waits.
 //! The event-driven refactor removed the poll loops entirely; what remains
 //! are genuine policy knobs — how long a synchronous `call` may wait, how
-//! many dispatcher threads a server runs, how much backpressure the request
-//! queue applies — collected here and threaded through [`crate::orb::Orb`],
-//! [`crate::server::OrbServer`] and [`crate::binding::Binding`].
+//! many dispatcher threads a server runs — collected here and threaded
+//! through [`crate::orb::Orb`], [`crate::server::OrbServer`] and
+//! [`crate::binding::Binding`].
 
 use crate::retry::RetryPolicy;
 use cool_faults::{FaultPlan, PlanSet};
@@ -31,14 +31,6 @@ pub struct OrbConfig {
     /// connection are serviced concurrently (no head-of-line blocking).
     /// Values below 1 are treated as 1.
     pub dispatcher_threads: usize,
-    /// Capacity of the server's shared request queue. When full, transport
-    /// delivery threads block on enqueue — backpressure propagates to the
-    /// peer instead of buffering unboundedly.
-    pub dispatch_queue_depth: usize,
-    /// Maximum number of remembered `CancelRequest` ids per connection.
-    /// Cancellations for requests that never arrive would otherwise grow the
-    /// set without bound; the oldest entries are evicted first.
-    pub cancel_history: usize,
     /// Telemetry sink for everything this ORB creates: bindings, servers,
     /// transports and the Da CaPo stacks below them. `None` (the default)
     /// disables instrumentation entirely — the hot path then only branches
@@ -194,8 +186,6 @@ impl PartialEq for OrbConfig {
         };
         self.call_timeout == other.call_timeout
             && self.dispatcher_threads == other.dispatcher_threads
-            && self.dispatch_queue_depth == other.dispatch_queue_depth
-            && self.cancel_history == other.cancel_history
             && same_registry
             && self.tracing == other.tracing
             && self.retry == other.retry
@@ -212,8 +202,6 @@ impl Default for OrbConfig {
         OrbConfig {
             call_timeout: Duration::from_secs(30),
             dispatcher_threads: 4,
-            dispatch_queue_depth: 256,
-            cancel_history: 1024,
             telemetry: None,
             tracing: true,
             retry: None,
@@ -235,8 +223,6 @@ mod tests {
         let c = OrbConfig::default();
         assert_eq!(c.call_timeout, Duration::from_secs(30));
         assert!(c.dispatcher_threads >= 1);
-        assert!(c.dispatch_queue_depth >= c.dispatcher_threads);
-        assert!(c.cancel_history > 0);
         assert!(c.telemetry.is_none());
         assert!(c.tracing, "tracing is on by default when telemetry is");
         assert!(c.retry.is_none(), "retry must be opt-in");

@@ -17,6 +17,7 @@
 //! msg_type 2 = Exception: u16 kind_len, kind, u16 detail_len, detail
 //! ```
 
+use super::{Event, InboundReply, InboundRequest, ReplyFormat};
 use crate::error::OrbError;
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -169,6 +170,41 @@ impl CoolMessage {
             )));
         }
         Ok(msg)
+    }
+}
+
+/// What a COOL frame means.
+pub(super) fn event(frame: &[u8]) -> Event {
+    let reply = |request_id, result| Event::Reply {
+        request_id,
+        trace: None,
+        reply: InboundReply::Cool(result),
+    };
+    match CoolMessage::decode(frame) {
+        Ok(CoolMessage::Request {
+            request_id,
+            object_key,
+            operation,
+            one_way,
+            args,
+        }) => Event::Request(InboundRequest {
+            request_id,
+            object_key,
+            operation,
+            args,
+            qos_params: Vec::new(),
+            one_way,
+            trace: None,
+            reply_format: ReplyFormat::Cool,
+        }),
+        // The format has no room for granted QoS.
+        Ok(CoolMessage::Reply { request_id, body }) => reply(request_id, Ok((body, None))),
+        Ok(CoolMessage::Exception {
+            request_id,
+            kind,
+            detail,
+        }) => reply(request_id, Err(super::error_of(&kind, detail))),
+        Err(_) => Event::Malformed,
     }
 }
 

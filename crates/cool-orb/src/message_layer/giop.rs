@@ -1,11 +1,13 @@
-//! GIOP message construction/interpretation helpers for the ORB, plus the
-//! QoS reply service context.
+//! The GIOP half of the message layer: Request/Reply construction and
+//! interpretation, inbound frames as protocol-neutral events, plus the QoS
+//! reply service context.
 //!
 //! The paper returns results *"within a standard Reply message with the
 //! requested QoS"* — the concrete granted values ride back in a service
 //! context entry (id [`QOS_CONTEXT_ID`]) so the client learns its granted
 //! operating point without any change to the Reply header format.
 
+use super::{Event, InboundReply, InboundRequest, ReplyFormat};
 use crate::error::{OrbError, QOS_NACK_REPO_ID};
 use bytes::Bytes;
 use cool_giop::prelude::*;
@@ -49,102 +51,62 @@ pub fn make_request(
     encode_message(&msg, version, order).map_err(OrbError::from)
 }
 
-/// Builds a successful Reply, optionally attaching the granted QoS and
-/// the server half of a distributed trace.
+/// Builds the Reply carrying a dispatch result: the body with the granted
+/// QoS and the server half of a distributed trace in service contexts, or
+/// the exception the error travels as — the QoS NACK and a servant-raised
+/// user exception as `UserException`, everything else as the
+/// `SystemException` of the message layer's one error table.
 ///
 /// # Errors
 ///
 /// [`OrbError::Marshal`] if encoding fails.
 pub fn make_reply(
     request_id: u32,
-    body: Bytes,
-    granted: Option<&GrantedQoS>,
+    result: Result<(Bytes, GrantedQoS), OrbError>,
     trace: Option<&ReplyTraceContext>,
     version: GiopVersion,
     order: ByteOrder,
 ) -> Result<Bytes, OrbError> {
     let mut header = ReplyHeader::new(request_id, ReplyStatus::NoException);
-    if let Some(granted) = granted {
-        if !granted.is_best_effort() {
-            header
-                .service_context
-                .push(ServiceContext::new(QOS_CONTEXT_ID, encode_granted(granted)));
+    let body = match result {
+        Ok((body, granted)) => {
+            if !granted.is_best_effort() {
+                header
+                    .service_context
+                    .push(ServiceContext::new(QOS_CONTEXT_ID, encode_granted(&granted)));
+            }
+            if let Some(trace) = trace {
+                header.service_context.push(trace.to_service_context());
+            }
+            body
         }
-    }
-    if let Some(trace) = trace {
-        header.service_context.push(trace.to_service_context());
-    }
-    let msg = Message::Reply { header, body };
-    encode_message(&msg, version, order).map_err(OrbError::from)
-}
-
-/// Builds the QoS NACK: a UserException Reply whose body names
-/// [`QOS_NACK_REPO_ID`] (Figure 3-i: "NACK … with the standard CORBA
-/// exception mechanism").
-///
-/// # Errors
-///
-/// [`OrbError::Marshal`] if encoding fails.
-pub fn make_qos_nack(
-    request_id: u32,
-    reason: &QosError,
-    version: GiopVersion,
-    order: ByteOrder,
-) -> Result<Bytes, OrbError> {
-    let mut enc = CdrEncoder::new(order);
-    enc.put_string(QOS_NACK_REPO_ID);
-    enc.put_u32(reason.code());
-    enc.put_string(&reason.to_string());
-    let msg = Message::Reply {
-        header: ReplyHeader::new(request_id, ReplyStatus::UserException),
-        body: enc.into_bytes(),
+        Err(err) => {
+            let mut enc = CdrEncoder::new(order);
+            header.reply_status = match err {
+                // Figure 3-i: "NACK … with the standard CORBA exception
+                // mechanism".
+                OrbError::QosNotSupported(reason) => {
+                    enc.put_string(QOS_NACK_REPO_ID);
+                    enc.put_u32(reason.code());
+                    enc.put_string(&reason.to_string());
+                    ReplyStatus::UserException
+                }
+                OrbError::UserException { repo_id, body } => {
+                    enc.put_string(&repo_id);
+                    enc.put_raw(&body);
+                    ReplyStatus::UserException
+                }
+                other => {
+                    let (kind, detail) = super::exception_of(&other);
+                    enc.put_string(kind);
+                    enc.put_string(&detail);
+                    ReplyStatus::SystemException
+                }
+            };
+            enc.into_bytes()
+        }
     };
-    encode_message(&msg, version, order).map_err(OrbError::from)
-}
-
-/// Builds a user-exception Reply from a servant-raised exception.
-///
-/// # Errors
-///
-/// [`OrbError::Marshal`] if encoding fails.
-pub fn make_user_exception(
-    request_id: u32,
-    repo_id: &str,
-    body: &[u8],
-    version: GiopVersion,
-    order: ByteOrder,
-) -> Result<Bytes, OrbError> {
-    let mut enc = CdrEncoder::new(order);
-    enc.put_string(repo_id);
-    enc.put_raw(body);
-    let msg = Message::Reply {
-        header: ReplyHeader::new(request_id, ReplyStatus::UserException),
-        body: enc.into_bytes(),
-    };
-    encode_message(&msg, version, order).map_err(OrbError::from)
-}
-
-/// Builds a system-exception Reply (`kind` is a short stable tag such as
-/// `"ObjectNotFound"`).
-///
-/// # Errors
-///
-/// [`OrbError::Marshal`] if encoding fails.
-pub fn make_system_exception(
-    request_id: u32,
-    kind: &str,
-    detail: &str,
-    version: GiopVersion,
-    order: ByteOrder,
-) -> Result<Bytes, OrbError> {
-    let mut enc = CdrEncoder::new(order);
-    enc.put_string(kind);
-    enc.put_string(detail);
-    let msg = Message::Reply {
-        header: ReplyHeader::new(request_id, ReplyStatus::SystemException),
-        body: enc.into_bytes(),
-    };
-    encode_message(&msg, version, order).map_err(OrbError::from)
+    encode_message(&Message::Reply { header, body }, version, order).map_err(OrbError::from)
 }
 
 /// Interprets a Reply body according to its status, returning the result
@@ -185,23 +147,50 @@ pub fn interpret_reply(
             let mut dec = CdrDecoder::new(body, order);
             let kind = dec.get_string().map_err(OrbError::from)?;
             let detail = dec.get_string().map_err(OrbError::from)?;
-            Err(match kind.as_str() {
-                "ObjectNotFound" => OrbError::ObjectNotFound(detail),
-                "OperationUnknown" => {
-                    // detail is "object/operation"
-                    let (object, operation) =
-                        detail.split_once('/').unwrap_or((detail.as_str(), ""));
-                    OrbError::OperationUnknown {
-                        object: object.to_owned(),
-                        operation: operation.to_owned(),
-                    }
-                }
-                _ => OrbError::Protocol(format!("system exception {kind}: {detail}")),
-            })
+            Err(super::error_of(&kind, detail))
         }
         ReplyStatus::LocationForward => {
             Err(OrbError::Protocol("unexpected location forward".into()))
         }
+    }
+}
+
+/// A message that is all header — `CancelRequest`, `CloseConnection`,
+/// `MessageError` — as a big-endian GIOP 1.0 frame.
+pub(super) fn bodyless(msg: &Message) -> Option<Bytes> {
+    encode_message(msg, GiopVersion::STANDARD, ByteOrder::Big).ok()
+}
+
+/// What one GIOP frame of an inbound batch means.
+pub(super) fn event(frame: Result<Bytes, GiopError>) -> Event {
+    let Ok((msg, version, order)) = frame.and_then(|f| Message::decode_frame(&f)) else {
+        return Event::Malformed;
+    };
+    let reply_format = ReplyFormat::Giop { version, order };
+    match msg {
+        Message::Request { header, body } => Event::Request(InboundRequest {
+            request_id: header.request_id,
+            trace: RequestTraceContext::from_list(&header.service_context),
+            object_key: header.object_key,
+            operation: header.operation,
+            args: body,
+            qos_params: header.qos_params,
+            one_way: !header.response_expected,
+            reply_format,
+        }),
+        Message::CancelRequest { request_id } => Event::Cancel(request_id),
+        Message::LocateRequest(h) => Event::Locate {
+            request_id: h.request_id,
+            object_key: h.object_key,
+            reply_format,
+        },
+        Message::Reply { header, body } => Event::Reply {
+            request_id: header.request_id,
+            trace: ReplyTraceContext::from_list(&header.service_context),
+            reply: InboundReply::Giop(header, body, order),
+        },
+        Message::CloseConnection => Event::Closing,
+        Message::MessageError | Message::LocateReply(_) => Event::Unexpected,
     }
 }
 
@@ -329,8 +318,7 @@ mod tests {
         let granted = sample_granted();
         let reply = make_reply(
             7,
-            Bytes::from_static(b"result"),
-            Some(&granted),
+            Ok((Bytes::from_static(b"result"), granted.clone())),
             None,
             GiopVersion::STANDARD,
             ByteOrder::Big,
@@ -396,8 +384,7 @@ mod tests {
         let granted = sample_granted();
         let reply = make_reply(
             11,
-            Bytes::new(),
-            Some(&granted),
+            Ok((Bytes::new(), granted.clone())),
             Some(&rep_trace),
             GiopVersion::STANDARD,
             ByteOrder::Big,
@@ -415,92 +402,6 @@ mod tests {
                 assert_eq!(g, Some(granted));
             }
             other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn nack_round_trip() {
-        let reason = QosError::Infeasible {
-            dimension: "throughput",
-            requested: 9,
-            offered: Some(1),
-        };
-        let frame = make_qos_nack(3, &reason, GiopVersion::QOS_EXTENDED, ByteOrder::Big).unwrap();
-        let (msg, _, order) = cool_giop::codec::decode_message_ext(&frame).unwrap();
-        match msg {
-            Message::Reply { header, body } => {
-                let err = interpret_reply(&header, &body, order).unwrap_err();
-                match err {
-                    OrbError::QosNotSupported(QosError::Rejected(m)) => {
-                        assert!(m.contains("throughput"));
-                    }
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn user_and_system_exceptions_round_trip() {
-        let frame = make_user_exception(
-            1,
-            "IDL:app/Bad:1.0",
-            b"detail",
-            GiopVersion::STANDARD,
-            ByteOrder::Big,
-        )
-        .unwrap();
-        let (msg, _, order) = cool_giop::codec::decode_message_ext(&frame).unwrap();
-        if let Message::Reply { header, body } = msg {
-            match interpret_reply(&header, &body, order).unwrap_err() {
-                OrbError::UserException { repo_id, body } => {
-                    assert_eq!(repo_id, "IDL:app/Bad:1.0");
-                    assert_eq!(body, b"detail");
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        } else {
-            panic!("not a reply");
-        }
-
-        let frame = make_system_exception(
-            2,
-            "ObjectNotFound",
-            "ghost",
-            GiopVersion::STANDARD,
-            ByteOrder::Big,
-        )
-        .unwrap();
-        let (msg, _, order) = cool_giop::codec::decode_message_ext(&frame).unwrap();
-        if let Message::Reply { header, body } = msg {
-            assert!(matches!(
-                interpret_reply(&header, &body, order).unwrap_err(),
-                OrbError::ObjectNotFound(_)
-            ));
-        } else {
-            panic!("not a reply");
-        }
-
-        let frame = make_system_exception(
-            3,
-            "OperationUnknown",
-            "obj/ping",
-            GiopVersion::STANDARD,
-            ByteOrder::Big,
-        )
-        .unwrap();
-        let (msg, _, order) = cool_giop::codec::decode_message_ext(&frame).unwrap();
-        if let Message::Reply { header, body } = msg {
-            match interpret_reply(&header, &body, order).unwrap_err() {
-                OrbError::OperationUnknown { object, operation } => {
-                    assert_eq!(object, "obj");
-                    assert_eq!(operation, "ping");
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        } else {
-            panic!("not a reply");
         }
     }
 }

@@ -3,42 +3,39 @@
 //!
 //! ## Threading model
 //!
-//! The seed design gave every accepted channel a worker thread that
-//! re-polled `recv_frame` on a 50ms interval and served requests inline —
-//! one request at a time per connection (head-of-line blocking). This
-//! implementation is event-driven end to end:
+//! The server is event-driven end to end:
 //!
-//! * **Acceptors block.** The TCP acceptor sits in `listener.accept()`
-//!   (woken at shutdown by a loopback self-connect); the exchange acceptor
-//!   sits in a blocking queue `recv` (woken by the exchange dropping its
-//!   sender on `unlisten`). No accept poll.
+//! * **The acceptor blocks** — one loop over an accept source: the TCP
+//!   listener's `accept()` (woken at shutdown by a loopback self-connect)
+//!   or the exchange's acceptor queue (a blocking `recv`, woken by the
+//!   exchange dropping its sender on `unlisten`). No accept poll.
 //! * **Each connection registers a [`ConnSink`]** as its channel's
-//!   [`FrameSink`]: the transport's delivery thread decodes each frame the
-//!   moment it arrives and either answers protocol chatter inline
-//!   (`LocateRequest`, `CancelRequest`) or enqueues the decoded Request on
-//!   the shared dispatcher queue.
+//!   [`FrameSink`]: the transport's delivery thread has
+//!   [`crate::message_layer`] decode each frame the moment it arrives —
+//!   which protocol the peer speaks is not visible here — and either
+//!   answers protocol chatter inline (locate probes, cancels) or enqueues
+//!   the decoded request on the shared dispatcher queue.
 //! * **A shared pool of dispatcher threads** (size
 //!   [`OrbConfig::dispatcher_threads`]) executes requests and marshals
 //!   replies. Requests pipelined on one connection run *concurrently*;
 //!   replies are matched by request id, so out-of-order completion is
-//!   fine. The queue is bounded ([`OrbConfig::dispatch_queue_depth`]):
-//!   when servants fall behind, delivery threads block on enqueue and
-//!   backpressure reaches the peer instead of buffering without bound.
+//!   fine. The queue is bounded ([`DISPATCH_QUEUE_DEPTH`]): when servants
+//!   fall behind, delivery threads block on enqueue and backpressure
+//!   reaches the peer instead of buffering without bound.
 //!
-//! Per-connection `CancelRequest` bookkeeping is bounded too
-//! ([`OrbConfig::cancel_history`]): cancels for requests that never arrive
-//! evict oldest-first rather than growing a set forever.
+//! Per-connection cancel bookkeeping is bounded too ([`CANCEL_HISTORY`]):
+//! cancels for requests that never arrive evict oldest-first rather than
+//! growing a set forever.
 
-use crate::adapter::{DispatchOutcome, ObjectAdapter};
+use crate::adapter::ObjectAdapter;
 use crate::config::OrbConfig;
 use crate::error::OrbError;
 use crate::exchange::{Inbound, LocalExchange};
-use crate::message_layer::cool::CoolMessage;
-use crate::message_layer::{giop as giop_helpers, sniff, WireProtocol};
+use crate::message_layer::{self, Event, InboundRequest};
 use crate::object::{ObjectKey, ObjectRef, OrbAddr};
 use crate::transport::{BatchingChannel, ComChannel, FrameSink, TcpComChannel};
 use bytes::Bytes;
-use cool_giop::prelude::*;
+use cool_giop::prelude::{ReplyTraceContext, RequestTraceContext};
 use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::trace::duration_as_u32_us;
 use cool_telemetry::{names, Counter, Gauge, Histogram, Registry, Stage};
@@ -52,6 +49,13 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Capacity of a server's shared request queue: when full, delivery threads
+/// block on enqueue, so backpressure reaches the peer.
+const DISPATCH_QUEUE_DEPTH: usize = 256;
+
+/// Cancelled request ids remembered per connection, oldest evicted first.
+const CANCEL_HISTORY: usize = 1024;
+
 /// A running ORB endpoint serving objects from an adapter.
 pub struct OrbServer {
     addr: OrbAddr,
@@ -63,10 +67,9 @@ pub struct OrbServer {
     /// connection sink has released its clone.
     jobs_tx: OrderedMutex<Option<Sender<Job>>>,
     conns: Arc<OrderedMutex<Vec<Weak<ConnState>>>>,
-    exchange_binding: Option<(LocalExchange, &'static str, String)>,
-    /// Bound TCP address used for the shutdown self-connect that pops the
-    /// acceptor out of its blocking `accept()`.
-    wake_addr: Option<std::net::SocketAddr>,
+    /// Pops the acceptor out of its blocking wait; fired by
+    /// [`OrbServer::close`] once the shutdown flag is set.
+    wake: Box<dyn Fn() + Send + Sync>,
     /// While set, connection sinks refuse *new* Requests (drained clients
     /// see a timeout and may retry elsewhere) but replies for accepted
     /// work still flow.
@@ -101,73 +104,24 @@ impl OrbServer {
         let local = listener
             .local_addr()
             .map_err(|e| OrbError::Transport(format!("local addr: {e}")))?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<OrderedMutex<Vec<Weak<ConnState>>>> = Arc::new(OrderedMutex::new(
-            lock_rank::SERVER_CONNS,
-            "server.conns",
-            Vec::new(),
-        ));
-        let (jobs_tx, dispatchers) = start_dispatchers(adapter.clone(), config)?;
-        let draining = Arc::new(AtomicBool::new(false));
-        let tracker = JobTracker::new();
-
-        let flag = shutdown.clone();
-        let acceptor_adapter = adapter.clone();
-        let acceptor_conns = conns.clone();
-        let acceptor_jobs = jobs_tx.clone();
-        let acceptor_draining = draining.clone();
-        let acceptor_tracker = tracker.clone();
-        let cancel_cap = config.cancel_history;
         let telemetry = config.telemetry.clone();
-        let batching = config.batching;
-        let acceptor = std::thread::Builder::new()
-            .name("cool-tcp-acceptor".into())
-            .spawn(move || loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if flag.load(Ordering::Acquire) {
-                            return; // shutdown self-connect (or a late client)
-                        }
-                        if let Ok(channel) =
-                            TcpComChannel::from_stream_with(stream, telemetry.as_deref())
-                        {
-                            // Reply-side coalescing, mirroring the client.
-                            let channel: Arc<dyn ComChannel> = Arc::new(channel);
-                            let channel = match batching {
-                                Some(policy) => {
-                                    BatchingChannel::wrap_with(channel, policy, telemetry.as_ref())
-                                }
-                                None => channel,
-                            };
-                            attach_connection(
-                                channel,
-                                acceptor_adapter.clone(),
-                                acceptor_jobs.clone(),
-                                &acceptor_conns,
-                                cancel_cap,
-                                acceptor_draining.clone(),
-                                acceptor_tracker.clone(),
-                            );
-                        }
-                    }
-                    Err(_) => return,
-                }
-            })
-            .map_err(|e| OrbError::Transport(format!("spawn acceptor: {e}")))?;
-
-        Ok(OrbServer {
-            addr: OrbAddr::Tcp(local.to_string()),
-            adapter,
-            shutdown,
-            acceptor: OrderedMutex::new(lock_rank::SERVER_ACCEPTOR, "server.acceptor", Some(acceptor)),
-            dispatchers: OrderedMutex::new(lock_rank::SERVER_DISPATCHERS, "server.dispatchers", dispatchers),
-            jobs_tx: OrderedMutex::new(lock_rank::SERVER_JOBS_TX, "server.jobs_tx", Some(jobs_tx)),
-            conns,
-            exchange_binding: None,
-            wake_addr: Some(local),
-            draining,
-            tracker,
-        })
+        let accept = move |shutdown: &AtomicBool| loop {
+            let (stream, _peer) = listener.accept().ok()?;
+            if shutdown.load(Ordering::Acquire) {
+                return None; // shutdown self-connect (or a late client)
+            }
+            if let Ok(channel) = TcpComChannel::from_stream_with(stream, telemetry.as_deref()) {
+                return Some(Arc::new(channel) as Inbound);
+            }
+        };
+        // A loopback self-connect returns `accept()`. Bounded: the accept
+        // loop is local, so a second is ample; an unbounded connect could
+        // wedge `close` behind a half-dead loopback stack.
+        let wake = move || {
+            let _ = std::net::TcpStream::connect_timeout(&local, Duration::from_secs(1));
+        };
+        let addr = OrbAddr::Tcp(local.to_string());
+        OrbServer::start(adapter, addr, "cool-tcp-acceptor", config, accept, wake)
     }
 
     /// Starts an endpoint fed by a [`LocalExchange`] acceptor queue
@@ -183,12 +137,32 @@ impl OrbServer {
         exchange: LocalExchange,
         config: &OrbConfig,
     ) -> Result<Self, OrbError> {
-        let scheme = match &addr {
-            OrbAddr::Chorus(_) => "chorus",
-            OrbAddr::Dacapo(_) => "dacapo",
-            OrbAddr::Tcp(_) => "tcp",
+        let (scheme, name) = (addr.scheme(), addr.target().to_owned());
+        // Blocking recv: `unlisten` drops the exchange's sender, which
+        // disconnects this receiver and ends the thread — no poll.
+        let wake = move || exchange.unlisten(scheme, &name);
+        let accept = move |shutdown: &AtomicBool| loop {
+            let channel = acceptor.recv().ok()?;
+            if !shutdown.load(Ordering::Acquire) {
+                return Some(channel);
+            }
+            channel.close(); // connector raced the shutdown
         };
-        let name = addr.target().to_owned();
+        OrbServer::start(adapter, addr, "cool-exchange-acceptor", config, accept, wake)
+    }
+
+    /// The one constructor: the dispatcher pool, then an acceptor thread
+    /// that attaches every channel `accept` yields until it yields `None`.
+    /// `accept` blocks; it is handed the shutdown flag [`OrbServer::close`]
+    /// sets before it fires `wake`.
+    fn start(
+        adapter: Arc<ObjectAdapter>,
+        addr: OrbAddr,
+        acceptor_name: &str,
+        config: &OrbConfig,
+        mut accept: impl FnMut(&AtomicBool) -> Option<Inbound> + Send + 'static,
+        wake: impl Fn() + Send + Sync + 'static,
+    ) -> Result<Self, OrbError> {
         let shutdown = Arc::new(AtomicBool::new(false));
         let conns: Arc<OrderedMutex<Vec<Weak<ConnState>>>> = Arc::new(OrderedMutex::new(
             lock_rank::SERVER_CONNS,
@@ -196,28 +170,20 @@ impl OrbServer {
             Vec::new(),
         ));
         let (jobs_tx, dispatchers) = start_dispatchers(adapter.clone(), config)?;
-        let draining = Arc::new(AtomicBool::new(false));
-        let tracker = JobTracker::new();
-
-        let flag = shutdown.clone();
-        let acceptor_adapter = adapter.clone();
-        let acceptor_conns = conns.clone();
-        let acceptor_jobs = jobs_tx.clone();
-        let acceptor_draining = draining.clone();
-        let acceptor_tracker = tracker.clone();
-        let cancel_cap = config.cancel_history;
+        let intake = Intake {
+            adapter: adapter.clone(),
+            jobs: jobs_tx.clone(),
+            draining: Arc::new(AtomicBool::new(false)),
+            tracker: JobTracker::new(),
+        };
+        let (draining, tracker) = (intake.draining.clone(), intake.tracker.clone());
+        let (flag, acceptor_conns) = (shutdown.clone(), conns.clone());
         let batching = config.batching;
         let telemetry = config.telemetry.clone();
-        let handle = std::thread::Builder::new()
-            .name("cool-exchange-acceptor".into())
-            // Blocking recv: `unlisten` drops the exchange's sender, which
-            // disconnects this receiver and ends the thread — no poll.
+        let acceptor = std::thread::Builder::new()
+            .name(acceptor_name.into())
             .spawn(move || {
-                while let Ok(channel) = acceptor.recv() {
-                    if flag.load(Ordering::Acquire) {
-                        channel.close(); // connector raced the shutdown
-                        continue;
-                    }
+                while let Some(channel) = accept(&flag) {
                     // Reply-side coalescing, mirroring the client.
                     let channel = match batching {
                         Some(policy) => {
@@ -225,29 +191,20 @@ impl OrbServer {
                         }
                         None => channel,
                     };
-                    attach_connection(
-                        channel,
-                        acceptor_adapter.clone(),
-                        acceptor_jobs.clone(),
-                        &acceptor_conns,
-                        cancel_cap,
-                        acceptor_draining.clone(),
-                        acceptor_tracker.clone(),
-                    );
+                    attach_connection(channel, intake.clone(), &acceptor_conns);
                 }
             })
-            .map_err(|e| OrbError::Transport(format!("spawn exchange acceptor: {e}")))?;
+            .map_err(|e| OrbError::Transport(format!("spawn {acceptor_name}: {e}")))?;
 
         Ok(OrbServer {
             addr,
             adapter,
             shutdown,
-            acceptor: OrderedMutex::new(lock_rank::SERVER_ACCEPTOR, "server.acceptor", Some(handle)),
+            acceptor: OrderedMutex::new(lock_rank::SERVER_ACCEPTOR, "server.acceptor", Some(acceptor)),
             dispatchers: OrderedMutex::new(lock_rank::SERVER_DISPATCHERS, "server.dispatchers", dispatchers),
             jobs_tx: OrderedMutex::new(lock_rank::SERVER_JOBS_TX, "server.jobs_tx", Some(jobs_tx)),
             conns,
-            exchange_binding: Some((exchange, scheme, name)),
-            wake_addr: None,
+            wake: Box::new(wake),
             draining,
             tracker,
         })
@@ -286,17 +243,9 @@ impl OrbServer {
         if self.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        // 1. Stop the intake: unregister from the exchange (drops the
-        //    acceptor queue's sender) or poke the blocking TCP accept.
-        if let Some((exchange, scheme, name)) = &self.exchange_binding {
-            exchange.unlisten(scheme, name);
-        }
-        if let Some(addr) = self.wake_addr {
-            // Bounded poke: the accept loop is local, so a second is ample;
-            // an unbounded connect here could wedge close() behind a
-            // half-dead loopback stack.
-            let _ = std::net::TcpStream::connect_timeout(&addr, std::time::Duration::from_secs(1));
-        }
+        // 1. Stop the intake: pop the acceptor out of its blocking wait
+        //    (unregister from the exchange, or poke the TCP accept).
+        (self.wake)();
         // Take the handle out first, then join with the lock released: a
         // join under `server.acceptor` would stall any thread touching the
         // handle slot for as long as the accept loop takes to notice.
@@ -304,7 +253,7 @@ impl OrbServer {
         if let Some(h) = acceptor {
             let _ = h.join();
         }
-        // 2. Orderly GIOP shutdown: tell each peer before going away so
+        // 2. Orderly shutdown: tell each peer before going away so
         //    clients fail outstanding work immediately instead of timing
         //    out (Figure 2-i's CloseConnection message). Closing the
         //    channel also releases its sink (and that sink's queue handle).
@@ -314,11 +263,7 @@ impl OrbServer {
         let conns: Vec<_> = self.conns.lock().drain(..).collect();
         for weak in conns {
             if let Some(conn) = weak.upgrade() {
-                if let Ok(frame) = encode_message(
-                    &Message::CloseConnection,
-                    GiopVersion::STANDARD,
-                    ByteOrder::Big,
-                ) {
+                if let Some(frame) = message_layer::close_connection_frame() {
                     let _ = conn.channel.send_frame(frame);
                 }
                 conn.channel.close();
@@ -402,28 +347,20 @@ struct ConnState {
     cancelled: OrderedMutex<CancelSet>,
 }
 
-/// Bounded memory of `CancelRequest` ids (oldest evicted first), so a
-/// client spraying cancels for requests that never arrive cannot grow
-/// server state without limit.
+/// Bounded memory of `CancelRequest` ids (the newest [`CANCEL_HISTORY`];
+/// oldest evicted first), so a client spraying cancels for requests that
+/// never arrive cannot grow server state without limit.
+#[derive(Default)]
 struct CancelSet {
     ids: HashSet<u32>,
     order: VecDeque<u32>,
-    cap: usize,
 }
 
 impl CancelSet {
-    fn new(cap: usize) -> Self {
-        CancelSet {
-            ids: HashSet::new(),
-            order: VecDeque::new(),
-            cap: cap.max(1),
-        }
-    }
-
     fn insert(&mut self, id: u32) {
         if self.ids.insert(id) {
             self.order.push_back(id);
-            while self.order.len() > self.cap {
+            while self.order.len() > CANCEL_HISTORY {
                 if let Some(old) = self.order.pop_front() {
                     self.ids.remove(&old);
                 }
@@ -433,7 +370,7 @@ impl CancelSet {
 
     fn remove(&mut self, id: u32) -> bool {
         // A stale id may linger in `order` until evicted; both structures
-        // stay bounded by `cap` regardless.
+        // stay bounded by `CANCEL_HISTORY` regardless.
         self.ids.remove(&id)
     }
 }
@@ -488,7 +425,11 @@ impl ServerMetrics {
 /// A decoded request handed to the dispatcher pool.
 struct Job {
     conn: Arc<ConnState>,
-    work: Work,
+    request: InboundRequest,
+    /// Wall clock captured at decode when the request carried a trace
+    /// context — the server half's `recv_at_ns`. `None` for untraced
+    /// requests (no clock read on that path).
+    recv_at_ns: Option<u64>,
     /// When the delivery thread queued this request — the dispatcher
     /// measures queue wait from it.
     enqueued: Instant,
@@ -497,33 +438,15 @@ struct Job {
     _guard: JobGuard,
 }
 
-impl Job {
-    fn request_id(&self) -> u32 {
-        match &self.work {
-            Work::Giop { header, .. } => header.request_id,
-            Work::Cool { request_id, .. } => *request_id,
-        }
-    }
-}
-
-enum Work {
-    Giop {
-        header: RequestHeader,
-        body: Bytes,
-        version: GiopVersion,
-        order: ByteOrder,
-        /// Wall clock captured at decode when the request carried a trace
-        /// service context — the server half's `recv_at_ns`. `None` for
-        /// untraced requests (no clock read on that path).
-        recv_at_ns: Option<u64>,
-    },
-    Cool {
-        request_id: u32,
-        object_key: Vec<u8>,
-        operation: String,
-        one_way: bool,
-        args: Bytes,
-    },
+/// What every connection of one server feeds: cloned from the acceptor
+/// into each connection's sink.
+#[derive(Clone)]
+struct Intake {
+    adapter: Arc<ObjectAdapter>,
+    jobs: Sender<Job>,
+    /// While set, sinks refuse new requests; see `OrbServer::draining`.
+    draining: Arc<AtomicBool>,
+    tracker: Arc<JobTracker>,
 }
 
 /// The per-connection [`FrameSink`]: decodes frames on the transport's
@@ -534,10 +457,7 @@ enum Work {
 /// moment the connection ends.
 struct ConnSink {
     conn: OrderedMutex<Option<Arc<ConnState>>>,
-    adapter: Arc<ObjectAdapter>,
-    jobs: Sender<Job>,
-    draining: Arc<AtomicBool>,
-    tracker: Arc<JobTracker>,
+    intake: Intake,
 }
 
 impl FrameSink for ConnSink {
@@ -545,15 +465,7 @@ impl FrameSink for ConnSink {
         let Some(conn) = self.conn.lock().clone() else {
             return;
         };
-        let keep = process_frame(
-            &conn,
-            &self.adapter,
-            &self.jobs,
-            &frame,
-            &self.draining,
-            &self.tracker,
-        );
-        if !keep {
+        if !process_frame(&conn, &self.intake, &frame) {
             self.conn.lock().take();
             conn.channel.close();
         }
@@ -570,7 +482,7 @@ fn start_dispatchers(
     adapter: Arc<ObjectAdapter>,
     config: &OrbConfig,
 ) -> Result<(Sender<Job>, Vec<JoinHandle<()>>), OrbError> {
-    let (tx, rx) = bounded::<Job>(config.dispatch_queue_depth.max(1));
+    let (tx, rx) = bounded::<Job>(DISPATCH_QUEUE_DEPTH);
     let metrics = config
         .telemetry
         .as_ref()
@@ -594,7 +506,7 @@ fn start_dispatchers(
                             let waited = job.enqueued.elapsed();
                             m.queue_wait.record_duration_us(waited);
                             m.registry
-                                .span_mark(job.request_id(), Stage::QueueWait, waited);
+                                .span_mark(job.request.request_id, Stage::QueueWait, waited);
                             m.busy.inc();
                             run_job(&adapter, job, Some(m));
                             m.busy.dec();
@@ -611,16 +523,12 @@ fn start_dispatchers(
 
 fn attach_connection(
     channel: Arc<dyn ComChannel>,
-    adapter: Arc<ObjectAdapter>,
-    jobs: Sender<Job>,
+    intake: Intake,
     conns: &Arc<OrderedMutex<Vec<Weak<ConnState>>>>,
-    cancel_cap: usize,
-    draining: Arc<AtomicBool>,
-    tracker: Arc<JobTracker>,
 ) {
     let conn = Arc::new(ConnState {
         channel: channel.clone(),
-        cancelled: OrderedMutex::new(lock_rank::SERVER_CONN_CANCELLED, "server.conn.cancelled", CancelSet::new(cancel_cap)),
+        cancelled: OrderedMutex::new(lock_rank::SERVER_CONN_CANCELLED, "server.conn.cancelled", CancelSet::default()),
     });
     {
         let mut list = conns.lock();
@@ -629,332 +537,124 @@ fn attach_connection(
     }
     channel.set_sink(Arc::new(ConnSink {
         conn: OrderedMutex::new(lock_rank::SERVER_SINK_CONN, "server.sink.conn", Some(conn)),
-        adapter,
-        jobs,
-        draining,
-        tracker,
+        intake,
     }));
 }
 
-/// Handles one inbound frame on the delivery thread; `false` ends the
-/// connection. Cheap protocol chatter is answered inline; Requests go to
-/// the dispatcher pool (blocking when the queue is full — backpressure).
-fn process_frame(
-    conn: &Arc<ConnState>,
-    adapter: &Arc<ObjectAdapter>,
-    jobs: &Sender<Job>,
-    frame: &Bytes,
-    draining: &AtomicBool,
-    tracker: &Arc<JobTracker>,
-) -> bool {
-    let Ok(protocol) = sniff(frame) else {
-        // Unknown magic: report a GIOP MessageError and drop the
-        // connection, as a conforming ORB would.
-        if let Ok(err_frame) = encode_message(
-            &Message::MessageError,
-            GiopVersion::STANDARD,
-            ByteOrder::Big,
-        ) {
-            let _ = conn.channel.send_frame(err_frame);
-        }
-        return false;
-    };
-    match protocol {
-        WireProtocol::Giop => process_giop_frame(conn, adapter, jobs, frame, draining, tracker),
-        WireProtocol::Cool => process_cool_frame(conn, jobs, frame, draining, tracker),
-    }
-}
-
-fn process_giop_frame(
-    conn: &Arc<ConnState>,
-    adapter: &Arc<ObjectAdapter>,
-    jobs: &Sender<Job>,
-    frame: &Bytes,
-    draining: &AtomicBool,
-    tracker: &Arc<JobTracker>,
-) -> bool {
-    // Peers may coalesce several GIOP frames into one transport frame
-    // (see `crate::transport::batch`). Frames self-delimit, so split every
-    // inbound buffer unconditionally — sub-frames are zero-copy views —
-    // and handle the messages in arrival order.
-    for sub in cool_giop::codec::split_frames(frame) {
-        let (msg, version, order) = match sub.and_then(|s| Message::decode_frame(&s)) {
-            Ok(parts) => parts,
-            Err(_) => {
-                if let Ok(err_frame) = encode_message(
-                    &Message::MessageError,
-                    GiopVersion::STANDARD,
-                    ByteOrder::Big,
-                ) {
-                    let _ = conn.channel.send_frame(err_frame);
-                }
-                return false;
-            }
-        };
-        let keep_open = match msg {
-            Message::Request { header, body } => {
-                if draining.load(Ordering::Acquire) {
-                    // Draining: refuse new work but keep the connection open
-                    // so replies for already-accepted requests still flow.
-                    true
-                } else if conn.cancelled.lock().remove(header.request_id) {
-                    true // client abandoned it before we started
-                } else {
-                    let recv_at_ns = header
-                        .service_context
-                        .find(TRACE_REQUEST_CONTEXT_ID)
-                        .map(|_| cool_telemetry::now_wall_ns());
-                    jobs.send(Job {
-                        conn: conn.clone(),
-                        work: Work::Giop {
-                            header,
-                            body,
-                            version,
-                            order,
-                            recv_at_ns,
-                        },
-                        enqueued: Instant::now(),
-                        _guard: tracker.track(),
-                    })
-                    .is_ok() // dispatchers gone: the server is closing
-                }
-            }
-            Message::CancelRequest { request_id } => {
-                conn.cancelled.lock().insert(request_id);
+/// Handles one inbound frame on the delivery thread, event by event in
+/// wire order; `false` ends the connection. Cheap protocol chatter is
+/// answered inline; requests go to the dispatcher pool (blocking when the
+/// queue is full — backpressure).
+fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes) -> bool {
+    message_layer::decode_frame(frame, |event| match event {
+        Event::Request(request) => {
+            if intake.draining.load(Ordering::Acquire) {
+                // Draining: refuse new work but keep the connection open
+                // so replies for already-accepted requests still flow.
                 true
-            }
-            Message::LocateRequest(h) => {
-                // Raw-bytes probe: no ObjectKey allocation on this path.
-                let status = if adapter.contains(&h.object_key) {
-                    LocateStatus::ObjectHere
-                } else {
-                    LocateStatus::UnknownObject
+            } else if conn.cancelled.lock().remove(request.request_id) {
+                true // client abandoned it before we started
+            } else {
+                let recv_at_ns = request.trace.map(|_| cool_telemetry::now_wall_ns());
+                let job = Job {
+                    conn: conn.clone(),
+                    request,
+                    recv_at_ns,
+                    enqueued: Instant::now(),
+                    _guard: intake.tracker.track(),
                 };
-                let reply = Message::LocateReply(LocateReplyHeader {
-                    request_id: h.request_id,
-                    locate_status: status,
-                });
-                match encode_message(&reply, version, order) {
-                    Ok(frame) => conn.channel.send_frame(frame).is_ok(),
-                    Err(_) => false,
-                }
+                intake.jobs.send(job).is_ok() // dispatchers gone: the server is closing
             }
-            Message::CloseConnection => false,
-            Message::MessageError => false,
-            Message::Reply { .. } | Message::LocateReply(_) => {
-                // Clients do not send replies; protocol violation.
-                false
-            }
-        };
-        if !keep_open {
-            return false;
         }
-    }
-    true
-}
-
-fn process_cool_frame(
-    conn: &Arc<ConnState>,
-    jobs: &Sender<Job>,
-    frame: &Bytes,
-    draining: &AtomicBool,
-    tracker: &Arc<JobTracker>,
-) -> bool {
-    match CoolMessage::decode(frame) {
-        Ok(CoolMessage::Request {
+        Event::Cancel(request_id) => {
+            conn.cancelled.lock().insert(request_id);
+            true
+        }
+        // Raw-bytes probe: no ObjectKey allocation on this path.
+        Event::Locate {
             request_id,
             object_key,
-            operation,
-            one_way,
-            args,
-        }) => {
-            if draining.load(Ordering::Acquire) {
-                return true; // draining: refuse new work, keep the connection
-            }
-            jobs.send(Job {
-                conn: conn.clone(),
-                work: Work::Cool {
-                    request_id,
-                    object_key,
-                    operation,
-                    one_way,
-                    args,
-                },
-                enqueued: Instant::now(),
-                _guard: tracker.track(),
-            })
-            .is_ok()
+            reply_format,
+        } => {
+            let here = intake.adapter.contains(&object_key);
+            message_layer::encode_locate_reply(request_id, here, reply_format)
+                .is_some_and(|frame| conn.channel.send_frame(frame).is_ok())
         }
-        // Clients do not send replies/exceptions to servers; and anything
-        // undecodable ends the connection.
-        Ok(CoolMessage::Reply { .. }) | Ok(CoolMessage::Exception { .. }) | Err(_) => false,
-    }
+        // The peer is leaving, reported an error, or sent what only servers
+        // send: the connection ends quietly.
+        Event::Reply { .. } | Event::Closing | Event::Unexpected => false,
+        Event::Malformed => {
+            if let Some(frame) = message_layer::message_error_frame() {
+                let _ = conn.channel.send_frame(frame);
+            }
+            false
+        }
+    })
 }
 
 /// Executes one request on a dispatcher thread: upcall, marshal, reply.
 fn run_job(adapter: &Arc<ObjectAdapter>, job: Job, metrics: Option<&ServerMetrics>) {
-    match job.work {
-        Work::Giop {
-            header,
-            body,
-            version,
-            order,
-            recv_at_ns,
-        } => {
-            // Re-check cancellation: the CancelRequest may have arrived
-            // while this request sat in the dispatch queue.
-            if job.conn.cancelled.lock().remove(header.request_id) {
-                return;
-            }
-            // Join the client's distributed trace: a request-side trace
-            // context names the trace id this server's stage timings
-            // belong to; they ride back in the reply's trace context
-            // (DESIGN.md §6).
-            let trace_in = match (metrics, recv_at_ns) {
-                (Some(m), Some(recv_at_ns)) if m.tracing => {
-                    RequestTraceContext::from_list(&header.service_context).map(|ctx| {
-                        m.trace_joins.inc();
-                        m.ctx_bytes.add(RequestTraceContext::WIRE_LEN as u64);
-                        (ctx.trace_id, recv_at_ns)
-                    })
-                }
-                _ => None,
-            };
-            let queue_wait_us = duration_as_u32_us(job.enqueued.elapsed());
-            let spec = QoSSpec::from_params(&header.qos_params);
-            // Dispatch by the header's raw key bytes — the demux map
-            // lookup borrows them, so no per-request ObjectKey clone.
-            let (outcome, timings) = adapter.dispatch_traced_timed(
-                &header.object_key,
-                &header.operation,
-                &body,
-                &spec,
-                !header.response_expected,
-                Some(header.request_id),
-            );
-            if !header.response_expected {
-                return;
-            }
-            let trace_out = trace_in.map(|(trace_id, recv_at_ns)| {
-                if let Some(m) = metrics {
-                    m.ctx_bytes.add(ReplyTraceContext::WIRE_LEN as u64);
-                }
-                ReplyTraceContext {
-                    trace_id,
-                    recv_at_ns,
-                    // Derived from the receive stamp plus the monotonic
-                    // time since enqueue (taken in the same breath as
-                    // `recv_at_ns`): one wall read per request, and the
-                    // recv/sent pair cannot be reordered by a clock step.
-                    sent_at_ns: recv_at_ns.saturating_add(cool_telemetry::duration_as_u64_ns(
-                        job.enqueued.elapsed(),
-                    )),
-                    queue_wait_us,
-                    negotiate_us: timings.negotiate_us,
-                    execute_us: timings.execute_us,
-                }
-            });
-            let reply = match outcome {
-                DispatchOutcome::Success { body, granted } => giop_helpers::make_reply(
-                    header.request_id,
-                    Bytes::from(body),
-                    Some(&granted),
-                    trace_out.as_ref(),
-                    version,
-                    order,
-                ),
-                DispatchOutcome::QosNack(reason) => {
-                    giop_helpers::make_qos_nack(header.request_id, &reason, version, order)
-                }
-                DispatchOutcome::Error(err) => {
-                    encode_error_reply(header.request_id, &err, version, order)
-                }
-            };
-            match reply {
-                Ok(frame) => {
-                    let _ = job.conn.channel.send_frame(frame);
-                }
-                Err(_) => job.conn.channel.close(),
-            }
-        }
-        Work::Cool {
-            request_id,
-            object_key,
-            operation,
-            one_way,
-            args,
-        } => {
-            let outcome = adapter.dispatch_traced(
-                &object_key,
-                &operation,
-                &args,
-                &QoSSpec::best_effort(),
-                one_way,
-                Some(request_id),
-            );
-            if one_way {
-                return;
-            }
-            let reply = match outcome {
-                DispatchOutcome::Success { body, .. } => CoolMessage::Reply {
-                    request_id,
-                    body: Bytes::from(body),
-                },
-                DispatchOutcome::QosNack(reason) => CoolMessage::Exception {
-                    request_id,
-                    kind: "QosNotSupported".into(),
-                    detail: reason.to_string(),
-                },
-                DispatchOutcome::Error(err) => {
-                    let (kind, detail) = match &err {
-                        OrbError::ObjectNotFound(k) => ("ObjectNotFound", k.clone()),
-                        OrbError::OperationUnknown { object, operation } => {
-                            ("OperationUnknown", format!("{object}/{operation}"))
-                        }
-                        other => ("Internal", other.to_string()),
-                    };
-                    CoolMessage::Exception {
-                        request_id,
-                        kind: kind.into(),
-                        detail,
-                    }
-                }
-            };
-            let _ = job.conn.channel.send_frame(reply.encode());
-        }
+    let request = job.request;
+    // Re-check cancellation: the cancel may have arrived while this request
+    // sat in the dispatch queue.
+    if job.conn.cancelled.lock().remove(request.request_id) {
+        return;
     }
-}
-
-fn encode_error_reply(
-    request_id: u32,
-    err: &OrbError,
-    version: GiopVersion,
-    order: ByteOrder,
-) -> Result<Bytes, OrbError> {
-    match err {
-        OrbError::ObjectNotFound(key) => {
-            giop_helpers::make_system_exception(request_id, "ObjectNotFound", key, version, order)
+    // Join the client's distributed trace: a request-side trace context
+    // names the trace id this server's stage timings belong to; they ride
+    // back in the reply's trace context (DESIGN.md §6).
+    let trace_in = match (metrics, request.trace, job.recv_at_ns) {
+        (Some(m), Some(ctx), Some(recv_at_ns)) if m.tracing => {
+            m.trace_joins.inc();
+            m.ctx_bytes.add(RequestTraceContext::WIRE_LEN as u64);
+            Some((ctx.trace_id, recv_at_ns))
         }
-        OrbError::OperationUnknown { object, operation } => giop_helpers::make_system_exception(
-            request_id,
-            "OperationUnknown",
-            &format!("{object}/{operation}"),
-            version,
-            order,
-        ),
-        OrbError::UserException { repo_id, body } => {
-            giop_helpers::make_user_exception(request_id, repo_id, body, version, order)
+        _ => None,
+    };
+    let queue_wait_us = duration_as_u32_us(job.enqueued.elapsed());
+    let spec = QoSSpec::from_params(&request.qos_params);
+    // Dispatch by the request's raw key bytes — the demux map lookup
+    // borrows them, so no per-request ObjectKey clone.
+    let (outcome, timings) = adapter.dispatch_traced_timed(
+        &request.object_key,
+        &request.operation,
+        &request.args,
+        &spec,
+        request.one_way,
+        Some(request.request_id),
+    );
+    if request.one_way {
+        return;
+    }
+    let trace_out = trace_in.map(|(trace_id, recv_at_ns)| {
+        if let Some(m) = metrics {
+            m.ctx_bytes.add(ReplyTraceContext::WIRE_LEN as u64);
         }
-        OrbError::QosNotSupported(reason) => {
-            giop_helpers::make_qos_nack(request_id, reason, version, order)
+        ReplyTraceContext {
+            trace_id,
+            recv_at_ns,
+            // Derived from the receive stamp plus the monotonic time since
+            // enqueue (taken in the same breath as `recv_at_ns`): one wall
+            // read per request, and the recv/sent pair cannot be reordered
+            // by a clock step.
+            sent_at_ns: recv_at_ns
+                .saturating_add(cool_telemetry::duration_as_u64_ns(job.enqueued.elapsed())),
+            queue_wait_us,
+            negotiate_us: timings.negotiate_us,
+            execute_us: timings.execute_us,
         }
-        other => giop_helpers::make_system_exception(
-            request_id,
-            "Internal",
-            &other.to_string(),
-            version,
-            order,
-        ),
+    });
+    let reply = message_layer::encode_reply(
+        request.request_id,
+        outcome,
+        trace_out.as_ref(),
+        request.reply_format,
+    );
+    match reply {
+        Ok(frame) => {
+            let _ = job.conn.channel.send_frame(frame);
+        }
+        Err(_) => job.conn.channel.close(),
     }
 }
 
@@ -981,13 +681,14 @@ mod tests {
 
     #[test]
     fn cancel_set_is_bounded_with_oldest_evicted() {
-        let mut set = CancelSet::new(4);
-        for id in 0..100u32 {
+        let mut set = CancelSet::default();
+        let sprayed = 4 * CANCEL_HISTORY as u32;
+        for id in 0..sprayed {
             set.insert(id);
         }
-        assert!(set.order.len() <= 4);
-        assert!(set.ids.len() <= 4);
+        assert!(set.order.len() <= CANCEL_HISTORY);
+        assert!(set.ids.len() <= CANCEL_HISTORY);
         assert!(!set.remove(0), "oldest ids were evicted");
-        assert!(set.remove(99), "newest ids survive");
+        assert!(set.remove(sprayed - 1), "newest ids survive");
     }
 }

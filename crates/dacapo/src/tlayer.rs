@@ -232,8 +232,9 @@ impl std::fmt::Debug for TcpTransport {
     }
 }
 
-/// Upper bound on a TCP frame (guards allocation on corrupt streams).
-const MAX_TCP_FRAME: u32 = 256 * 1024 * 1024;
+/// Upper bound on a length-prefixed TCP frame: a corrupt length prefix
+/// would otherwise ask for an absurd allocation.
+pub const MAX_TCP_FRAME: u32 = 256 * 1024 * 1024;
 
 /// Writes `prefix` then `frame` with vectored I/O: the length prefix and
 /// the frame body go to the kernel in one `writev`-style call instead of
@@ -262,6 +263,28 @@ pub fn write_frame_vectored<W: Write>(
         written += n;
     }
     Ok(())
+}
+
+/// Reads one frame — a 4-byte big-endian length, then that many bytes —
+/// as [`write_frame_vectored`] wrote it.
+///
+/// # Errors
+///
+/// Whatever the reads raise (`UnexpectedEof` once the peer closes);
+/// `InvalidData` for a length above [`MAX_TCP_FRAME`].
+pub fn read_frame(r: &mut impl Read) -> std::io::Result<Bytes> {
+    let mut len_buf = [0u8; 4];
+    r.read_exact(&mut len_buf)?;
+    let len = u32::from_be_bytes(len_buf);
+    if len > MAX_TCP_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("frame of {len} bytes exceeds the {MAX_TCP_FRAME}-byte limit"),
+        ));
+    }
+    let mut frame = vec![0u8; len as usize];
+    r.read_exact(&mut frame)?;
+    Ok(Bytes::from(frame))
 }
 
 /// Receive queue depth between the reader thread and `recv` callers. When
@@ -301,23 +324,13 @@ impl TcpTransport {
     }
 
     fn reader_loop(mut stream: TcpStream, tx: Sender<Bytes>, closed: Arc<AtomicBool>) {
-        let mut len_buf = [0u8; 4];
-        loop {
-            if closed.load(Ordering::Acquire) {
+        while !closed.load(Ordering::Acquire) {
+            // Peer closed, corrupt stream or I/O error: give up, and the
+            // channel's sender drops.
+            let Ok(frame) = read_frame(&mut stream) else {
                 return;
-            }
-            if stream.read_exact(&mut len_buf).is_err() {
-                return; // peer closed or error: channel sender drops
-            }
-            let len = u32::from_be_bytes(len_buf);
-            if len > MAX_TCP_FRAME {
-                return; // corrupt stream: give up
-            }
-            let mut frame = vec![0u8; len as usize];
-            if stream.read_exact(&mut frame).is_err() {
-                return;
-            }
-            if tx.send(Bytes::from(frame)).is_err() {
+            };
+            if tx.send(frame).is_err() {
                 return;
             }
         }
@@ -506,6 +519,24 @@ mod tests {
             result = b.recv_timeout(Duration::from_millis(200));
         }
         assert!(matches!(result, Err(DacapoError::Closed)), "got {result:?}");
+    }
+
+    #[test]
+    fn read_frame_reads_what_write_frame_vectored_wrote_and_bounds_the_length() {
+        let mut wire = Vec::new();
+        for frame in [&b"first"[..], b"", b"third"] {
+            write_frame_vectored(&mut wire, &(frame.len() as u32).to_be_bytes(), frame).unwrap();
+        }
+        let mut reader = &wire[..];
+        for frame in [&b"first"[..], b"", b"third"] {
+            assert_eq!(&read_frame(&mut reader).unwrap()[..], frame);
+        }
+        let eof = read_frame(&mut reader).unwrap_err();
+        assert_eq!(eof.kind(), std::io::ErrorKind::UnexpectedEof);
+        // A corrupt prefix must not size an allocation.
+        let oversize = (MAX_TCP_FRAME + 1).to_be_bytes();
+        let refused = read_frame(&mut &oversize[..]).unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -3,6 +3,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Manifests tell the truth: no dependency edge names a crate the
+# depending package never mentions. A grep; nothing to install.
+./scripts/unused-deps.sh
+
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace -- -D warnings

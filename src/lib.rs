@@ -11,7 +11,7 @@
 //! | [`giop`] ([`cool_giop`]) | CDR marshalling, the seven GIOP messages, the 9.9 QoS extension |
 //! | [`qos`] ([`multe_qos`]) | QoS specifications, bilateral negotiation, unilateral admission |
 //! | [`dacapo`] | the Da CaPo flexible protocol system (layers A/C/T, module graphs, configuration/resource management) |
-//! | [`chorus`] ([`chorus_sim`]) | ChorusOS stand-in: actors, IPC ports, priority threads |
+//! | [`chorus`] ([`chorus_sim`]) | ChorusOS stand-in: typed IPC ports and messages |
 //! | [`netsim`] | simulated ATM-class links with reservations |
 //! | [`idl`] ([`chic`]) | the Chic IDL compiler with the QoS template extension |
 //! | [`telemetry`] ([`cool_telemetry`]) | opt-in metrics and invocation tracing across all of the above |
