@@ -171,91 +171,14 @@ pub struct RttHarness {
 impl RttHarness {
     /// Starts the echo server and binds a client stub (loopback TCP).
     pub fn new() -> Self {
-        Self::with_listener("tcp", |orb| orb.listen_tcp("127.0.0.1:0"))
-    }
-
-    /// Echo harness over the Chorus IPC transport.
-    pub fn new_chorus() -> Self {
-        Self::with_listener("chorus", |orb| orb.listen_chorus("rtt"))
-    }
-
-    /// Echo harness over the Da CaPo transport (QoS-capable).
-    pub fn new_dacapo() -> Self {
-        Self::with_listener("dacapo", |orb| orb.listen_dacapo("rtt"))
-    }
-
-    /// Loopback-TCP echo harness with both ORBs reporting into
-    /// `registry` — counters, latency histograms and invocation spans
-    /// (client and server share the registry, so spans are complete).
-    pub fn new_with_telemetry(registry: Arc<cool_telemetry::Registry>) -> Self {
-        let config = OrbConfig {
-            telemetry: Some(registry),
-            ..Default::default()
-        };
-        Self::with_listener_config("tcp-telemetry", config, |orb| orb.listen_tcp("127.0.0.1:0"))
-    }
-
-    /// Loopback-TCP echo harness with *disjoint* client and server
-    /// registries — the two-process tracing topology, where the server's
-    /// stage timings reach the client only via GIOP service contexts.
-    /// `tracing: false` keeps the identical telemetry wiring but attaches
-    /// no trace contexts (`OrbConfig::tracing`), isolating the tracing
-    /// machinery's marginal cost.
-    pub fn new_with_split_telemetry(
-        client: Arc<cool_telemetry::Registry>,
-        server: Arc<cool_telemetry::Registry>,
-        tracing: bool,
-    ) -> Self {
-        Self::with_configs(
-            if tracing { "tcp-traced" } else { "tcp-untraced" },
-            OrbConfig {
-                telemetry: Some(client),
-                tracing,
-                ..Default::default()
-            },
-            OrbConfig {
-                telemetry: Some(server),
-                tracing,
-                ..Default::default()
-            },
-            |orb| orb.listen_tcp("127.0.0.1:0"),
-        )
-    }
-
-    fn with_listener(
-        tag: &str,
-        listen: impl FnOnce(&Orb) -> Result<OrbServer, OrbError>,
-    ) -> Self {
-        Self::with_listener_config(tag, OrbConfig::default(), listen)
-    }
-
-    fn with_listener_config(
-        tag: &str,
-        config: OrbConfig,
-        listen: impl FnOnce(&Orb) -> Result<OrbServer, OrbError>,
-    ) -> Self {
-        Self::with_configs(tag, config.clone(), config, listen)
-    }
-
-    fn with_configs(
-        tag: &str,
-        client_config: OrbConfig,
-        server_config: OrbConfig,
-        listen: impl FnOnce(&Orb) -> Result<OrbServer, OrbError>,
-    ) -> Self {
         let exchange = LocalExchange::new();
-        let server_orb = Orb::with_exchange_and_config(
-            &format!("rtt-server-{tag}"),
-            exchange.clone(),
-            server_config,
-        );
+        let server_orb = Orb::with_exchange("rtt-server", exchange.clone());
         server_orb
             .adapter()
             .register_fn("echo", |_op, args, _ctx| Ok(args.to_vec()))
             .expect("register echo");
-        let server = listen(&server_orb).expect("listen");
-        let client_orb =
-            Orb::with_exchange_and_config(&format!("rtt-client-{tag}"), exchange, client_config);
+        let server = server_orb.listen_tcp("127.0.0.1:0").expect("listen");
+        let client_orb = Orb::with_exchange("rtt-client", exchange);
         let stub = client_orb.bind(&server.object_ref("echo")).expect("bind");
         RttHarness {
             server,
@@ -317,18 +240,6 @@ impl RttHarness {
         samples
     }
 
-    /// One invocation (for criterion loops).
-    pub fn call_once(&self, payload: &Bytes) {
-        self.stub
-            .invoke("echo", payload.clone())
-            .expect("echo call");
-    }
-
-    /// The underlying stub.
-    pub fn stub(&self) -> &Stub {
-        &self.stub
-    }
-
     /// Shuts the harness down.
     pub fn close(self) {
         self.server.close();
@@ -341,8 +252,7 @@ impl Default for RttHarness {
     }
 }
 
-/// JSON fragment for one [`RttStats`] (µs-resolution fields matching the
-/// telemetry snapshot's histogram serialization).
+/// JSON fragment for one [`RttStats`] (µs-resolution fields).
 pub fn rtt_stats_json(stats: &RttStats) -> String {
     format!(
         "{{\"samples\":{},\"mean_us\":{},\"p50_us\":{},\"p99_us\":{}}}",
@@ -354,8 +264,8 @@ pub fn rtt_stats_json(stats: &RttStats) -> String {
 }
 
 /// Emits one machine-readable result line (`BENCH_JSON {…}`) and mirrors
-/// it to `BENCH_<name>.json` in the working directory, so CI can scrape
-/// either the stream or the file.
+/// it to `BENCH_<name>.json` in the working directory (gitignored), so a
+/// run's numbers can be kept beside its printed table.
 pub fn emit_bench_json(name: &str, json: &str) {
     println!("BENCH_JSON {json}");
     let path = format!("BENCH_{name}.json");

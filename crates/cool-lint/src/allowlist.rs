@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! # comment
-//! crates/dacapo/src/runtime.rs L003 wake channel is drop-disconnected, bounded by module count
+//! build.rs L002 build script: panicking with context is the only error channel cargo gives us
 //! ```
 //!
 //! An entry suppresses every finding of `RULE` in `path`. Entries are

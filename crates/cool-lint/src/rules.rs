@@ -4,15 +4,15 @@
 //! |------|------------------------------------------------------------------|
 //! | L001 | no `thread::sleep` polling in non-test library code              |
 //! | L002 | no `.unwrap()` / `.expect()` in non-test, non-bench library code |
-//! | L003 | no unbounded channels in the ORB / Da CaPo data path             |
 //! | L004 | GIOP version constants agree across cool-giop, chic and the IDL  |
 //! | L005 | every `OrbError` variant is exercised somewhere in tests         |
 //! | L006 | invocation-path retry loops in cool-orb reference `RetryPolicy`  |
 //! | L007 | no buffer copies (`.to_vec()`/`.clone()`) on the zero-copy path  |
 //!
-//! L001–L003, L006 and L007 are per-file token scans; L004/L005 are
-//! workspace-level
-//! cross-artifact checks. Findings can be suppressed inline with
+//! L001, L002, L006 and L007 are per-file token scans; L004/L005 are
+//! workspace-level cross-artifact checks. (Unbounded channels on the data
+//! path are cool-analyze's A005, which reconciles every channel there
+//! against DESIGN §7.4.) Findings can be suppressed inline with
 //! `// lint: allow(RULE, reason)` on the same or preceding line — the
 //! reason is mandatory, an annotation without one does not suppress.
 
@@ -25,7 +25,7 @@ use std::collections::{HashMap, HashSet};
 pub enum FileRole {
     /// Library source: all rules apply outside `#[cfg(test)]` regions.
     LibSrc,
-    /// Integration tests, benches, examples: exempt from L001–L003 but
+    /// Integration tests, benches, examples: exempt from L001/L002 but
     /// scanned for L005 usage.
     TestLike,
 }
@@ -41,13 +41,13 @@ pub fn classify(rel_path: &str) -> FileRole {
     FileRole::LibSrc
 }
 
-/// True for files on the ORB / Da CaPo data path, where L003 applies.
+/// True for files on the ORB / Da CaPo data path.
 pub fn on_data_path(rel_path: &str) -> bool {
     rel_path.starts_with("crates/cool-orb/src/") || rel_path.starts_with("crates/dacapo/src/")
 }
 
 /// True for files on the zero-copy buffer path, where L007 applies: the
-/// L003 data path plus the GIOP codec (whose frames feed it).
+/// data path plus the GIOP codec (whose frames feed it).
 pub fn on_buffer_path(rel_path: &str) -> bool {
     rel_path.starts_with("crates/cool-giop/src/") || on_data_path(rel_path)
 }
@@ -191,34 +191,7 @@ fn allowed(allows: &HashMap<u32, Vec<String>>, line: u32, rule: &str) -> bool {
         .unwrap_or(false)
 }
 
-/// Runs the per-file rules (L001–L003) over one scanned file.
-/// Whether the tokens from `j` form a call: `(` directly, or a turbofish
-/// `:: < .. > (` first.
-fn is_called(toks: &[Tok], j: usize) -> bool {
-    let mut j = j;
-    if j + 2 < toks.len() && toks[j].text == ":" && toks[j + 1].text == ":" && toks[j + 2].text == "<"
-    {
-        let mut depth = 0usize;
-        j += 2;
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "<" => depth += 1,
-                ">" => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                ">>" => depth = depth.saturating_sub(2),
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-    j < toks.len() && toks[j].text == "("
-}
-
+/// Runs the per-file rules (L001, L002, L006, L007) over one scanned file.
 pub fn check_file(rel_path: &str, scan: &Scan) -> Vec<Finding> {
     let mut findings = Vec::new();
     if classify(rel_path) == FileRole::TestLike {
@@ -297,25 +270,6 @@ pub fn check_file(rel_path: &str, scan: &Scan) -> Vec<Finding> {
                         toks[i].text,
                         toks[i + 2].text
                     ),
-                ));
-            }
-        }
-        // L003: `unbounded (` on the data path — with an optional
-        // turbofish (`unbounded::<T>()`) between name and call.
-        if on_data_path(rel_path)
-            && toks[i].kind == TokKind::Ident
-            && toks[i].text == "unbounded"
-            && is_called(toks, i + 1)
-        {
-            let line = toks[i].line;
-            if !in_regions(line, &regions) && !allowed(&allows, line, "L003") {
-                findings.push(Finding::new(
-                    rel_path,
-                    line,
-                    "L003",
-                    "unbounded channel on the ORB/Da CaPo data path; use a bounded \
-                     queue with backpressure, or annotate `// lint: allow(L003, \
-                     reason)` with the deadlock-freedom argument",
                 ));
             }
         }
@@ -846,16 +800,6 @@ mod tests {
         assert!(check_file("crates/x/tests/e2e.rs", &scan(src)).is_empty());
         assert!(check_file("crates/x/benches/bench.rs", &scan(src)).is_empty());
         assert!(check_file("examples/demo.rs", &scan(src)).is_empty());
-    }
-
-    #[test]
-    fn l003_only_on_data_path() {
-        let src = "fn f() { let (tx, rx) = channel::unbounded(); }";
-        assert_eq!(
-            check_file("crates/cool-orb/src/exchange.rs", &scan(src)).len(),
-            1
-        );
-        assert!(check_file("crates/netsim/src/lib.rs", &scan(src)).is_empty());
     }
 
     #[test]

@@ -13,8 +13,8 @@ fn sample() -> Report {
     r.findings.push(Finding::new(
         "crates/b.rs",
         12,
-        "L003",
-        "unbounded channel",
+        "L001",
+        "sleep poll",
     ));
     r.findings.push(Finding::new(
         "crates/a.rs",

@@ -67,23 +67,6 @@ fn l002_exempts_test_like_files() {
     assert!(findings_at("l002.rs", "crates/fake/tests/t.rs").is_empty());
 }
 
-// ---- L003: unbounded channels on the data path ----------------------
-
-#[test]
-fn l003_flags_only_on_the_data_path() {
-    let on_path = findings_at("l003.rs", "crates/dacapo/src/fake_fixture.rs");
-    assert_eq!(
-        on_path,
-        vec![("L003".to_string(), 4)],
-        "the annotated and bounded channels stay clean"
-    );
-    let off_path = findings_at("l003.rs", "crates/netsim/src/fake_fixture.rs");
-    assert!(
-        off_path.is_empty(),
-        "unbounded channels outside the ORB/Da CaPo data path are allowed"
-    );
-}
-
 // ---- L004: GIOP version agreement -----------------------------------
 
 fn site(file: &str, major: u8, minor: u8) -> VersionSite {

@@ -42,8 +42,9 @@ pub struct OrbConfig {
     /// turning it off keeps every local metric and span but attaches no
     /// trace context to requests and joins none on the server — for
     /// deployments that must not leak timing data across process
-    /// boundaries, and for measuring the tracing machinery's own cost
-    /// (the `trace_overhead` bench). Ignored when `telemetry` is `None`.
+    /// boundaries. (What telemetry costs with tracing on, against a run
+    /// with neither, is the ledger's `cool-telemetry.traced_overhead_pct`.)
+    /// Ignored when `telemetry` is `None`.
     pub tracing: bool,
     /// Automatic retry for remote invocations. `None` (the default) keeps
     /// the historical single-attempt behaviour; `Some` makes every stub
@@ -234,6 +235,49 @@ mod tests {
         assert!(c.failover.probe_timeout < c.call_timeout);
         assert!(c.failover.suspect_threshold >= 1);
         assert!(c.failover.breaker_threshold >= 1);
+    }
+
+    #[test]
+    fn tracing_off_on_either_side_keeps_local_spans_and_joins_no_trace() {
+        use cool_telemetry::names;
+        const CALLS: usize = 8;
+        // Disjoint registries, as in two processes: the only way a trace
+        // could be joined is over the wire.
+        for (client_tracing, server_tracing) in [(false, true), (true, false)] {
+            let side = |tracing| {
+                let registry = Arc::new(Registry::new());
+                let config = OrbConfig {
+                    telemetry: Some(Arc::clone(&registry)),
+                    tracing,
+                    ..OrbConfig::default()
+                };
+                (registry, config)
+            };
+            let (server_reg, server_config) = side(server_tracing);
+            let (client_reg, client_config) = side(client_tracing);
+            let exchange = crate::LocalExchange::new();
+            let server_orb =
+                crate::Orb::with_exchange_and_config("server", exchange.clone(), server_config);
+            server_orb
+                .adapter()
+                .register_fn("echo", |_op, args, _ctx| Ok(args.to_vec()))
+                .unwrap();
+            let server = server_orb.listen_tcp("127.0.0.1:0").unwrap();
+            let client_orb = crate::Orb::with_exchange_and_config("client", exchange, client_config);
+            let stub = client_orb.bind(&server.object_ref("echo")).unwrap();
+            for _ in 0..CALLS {
+                stub.invoke("echo", bytes::Bytes::from_static(b"x")).unwrap();
+            }
+
+            let case = format!("client tracing {client_tracing}, server tracing {server_tracing}");
+            let server_snap = server_reg.snapshot();
+            assert_eq!(server_snap.counter(names::TRACE_JOINS_TOTAL).unwrap_or(0), 0, "{case}");
+            assert_eq!(server_snap.counter(names::SERVICE_CONTEXT_BYTES).unwrap_or(0), 0, "{case}");
+            assert!(client_reg.recent_traces().iter().all(|t| !t.is_merged()), "{case}");
+            assert_eq!(client_reg.recent_spans().len(), CALLS, "{case}: local spans stay");
+            client_orb.shutdown();
+            server.close();
+        }
     }
 
     #[test]

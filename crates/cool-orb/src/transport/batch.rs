@@ -141,7 +141,6 @@ impl BatchingChannel {
             closed: AtomicBool::new(false),
             registry: registry.cloned(),
         });
-        // lint: allow(L003, zero-sized wake tokens only — one per first-in-batch send, drained each flusher pass; no payload is buffered here)
         // lint: allow(A005, §7.4: zero-sized wake ticks, at most one outstanding per batch, drained every flusher pass)
         let (tick, wake) = unbounded();
         let flusher_core = Arc::clone(&core);

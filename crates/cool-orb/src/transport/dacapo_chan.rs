@@ -41,8 +41,8 @@
 //!    re-runs configuration *and resource admission* for the new
 //!    requirements and rebuilds its stack;
 //! 2. a peer-side failure surfaces to the initiator as the
-//!    unilateral-negotiation NACK of Section 4.3, with both stacks left on
-//!    their previous graphs;
+//!    unilateral-negotiation NACK of Section 4.3, with both sides left on
+//!    their previous graphs and grants;
 //! 3. on success the initiator admits and rebuilds its own side.
 //!
 //! The ORB calls `set_qos` only between invocations (no application frames
@@ -56,7 +56,7 @@ use crate::transport::{ComChannel, FrameInbox, FrameSink, InboxMetrics, SendMetr
 use bytes::Bytes;
 use cool_telemetry::Registry;
 use dacapo::config::{ConfigContext, ConfigurationManager};
-use dacapo::{Connection, ResourceGrant, ResourceManager};
+use dacapo::{Connection, ResourceManager};
 use multe_qos::{QosError, TransportRequirements};
 use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
@@ -75,7 +75,6 @@ struct Inner {
     connection: Connection,
     config_mgr: ConfigurationManager,
     resource_mgr: Option<ResourceManager>,
-    grant: OrderedMutex<Option<ResourceGrant>>,
     ctx: OrderedMutex<ConfigContext>,
     inbox: Arc<FrameInbox>,
     closed: AtomicBool,
@@ -87,38 +86,19 @@ struct Inner {
 }
 
 impl Inner {
-    /// Reconfigures this side: admission first, then the stack swap.
+    /// Reconfigures this side: configuration, admission — the connection
+    /// exchanges the grant it holds — then the stack swap. A refusal leaves
+    /// this side as it was.
     fn apply_requirements(&self, req: &TransportRequirements) -> Result<(), OrbError> {
         let ctx = self.ctx.lock().clone();
-        let cfg = self
-            .config_mgr
-            .configure(req, &ctx)
-            .map_err(OrbError::from)?;
-        if let Some(mgr) = &self.resource_mgr {
-            let mut grant = self.grant.lock();
-            // Release the previous configuration's share first so that a
-            // same-size reconfiguration is never spuriously rejected. If
-            // the new admission fails, the connection keeps its old graph
-            // but holds no QoS grant — it is best-effort until the client
-            // negotiates something feasible.
-            grant.take();
-            let new_grant = mgr
-                .admit(&cfg.graph, self.config_mgr.catalog(), req)
-                .map_err(OrbError::from)?;
-            *grant = Some(new_grant);
-        }
-        if cfg.graph != self.connection.graph() {
-            self.connection
-                .reconfigure(cfg.graph)
-                .map_err(OrbError::from)?;
-        }
-        Ok(())
+        self.connection
+            .reconfigure_with_qos(req, &ctx, &self.config_mgr, self.resource_mgr.as_ref())
+            .map_err(OrbError::from)
     }
 
     fn close(&self) {
         self.closed.store(true, Ordering::Release);
         self.connection.close();
-        self.grant.lock().take();
         self.inbox.close();
     }
 }
@@ -174,8 +154,8 @@ impl DacapoComChannel {
     /// transport) into a channel pair with a shared control path.
     ///
     /// When a `resource_mgr` is supplied, every reconfiguration re-runs
-    /// admission against it, holding a [`ResourceGrant`] per side for the
-    /// life of the configuration.
+    /// admission against it; each connection holds its side's grant, from
+    /// establishment if it was established with one, until it closes.
     ///
     /// # Errors
     ///
@@ -216,7 +196,6 @@ impl DacapoComChannel {
                 connection,
                 config_mgr: config_mgr.clone(),
                 resource_mgr: resource_mgr.clone(),
-                grant: OrderedMutex::new(lock_rank::CHAN_GRANT, "chan.grant", None),
                 ctx: OrderedMutex::new(lock_rank::CHAN_CTX, "chan.ctx", ConfigContext::default()),
                 inbox,
                 closed: AtomicBool::new(false),
@@ -435,6 +414,49 @@ mod tests {
         a.close();
         b.close();
         assert_eq!(mgr.used_bandwidth(), 0, "grants released on close");
+    }
+
+    #[test]
+    fn each_side_holds_one_grant_from_establishment_through_renegotiation_to_close() {
+        // As `LocalExchange::connect_dacapo` builds the pair: both
+        // connections established with QoS against the manager the channel
+        // then renegotiates against.
+        let mgr = ResourceManager::default();
+        let config_mgr = ConfigurationManager::standard();
+        // Above 1 Mbit/s the requirements also ask for error detection, so
+        // that the renegotiation swaps the graph as well as the grant.
+        let mbit = |n: u64| TransportRequirements {
+            error_detection: n > 1,
+            bandwidth_bps: Some(n * 1_000_000),
+            ..Default::default()
+        };
+        let ctx = ConfigContext::default();
+        let (ta, tb) = loopback_pair();
+        let a = Connection::establish_with_qos(&mbit(1), &ctx, ta, &config_mgr, &mgr).unwrap();
+        let b = Connection::establish_with_qos(&mbit(1), &ctx, tb, &config_mgr, &mgr).unwrap();
+        let (a, b) = DacapoComChannel::pair(a, b, config_mgr, Some(mgr.clone())).unwrap();
+        assert_eq!(mgr.used_bandwidth(), 2_000_000);
+
+        a.set_qos(&mbit(2)).unwrap();
+        assert_eq!(mgr.used_bandwidth(), 4_000_000, "2 Mbit/s in place of 1, per side");
+        let graph = a.graph();
+        assert!(!graph.is_empty());
+
+        // Refused by the peer's admission: books and graphs stay put.
+        let too_much = TransportRequirements {
+            bandwidth_bps: Some(u64::MAX / 4),
+            ..Default::default()
+        };
+        match a.set_qos(&too_much) {
+            Err(OrbError::QosNotSupported(_)) => {}
+            other => panic!("expected admission rejection, got {other:?}"),
+        }
+        assert_eq!(mgr.used_bandwidth(), 4_000_000);
+        assert_eq!((a.graph(), b.graph()), (graph.clone(), graph));
+
+        a.close();
+        b.close();
+        assert_eq!(mgr.used_bandwidth(), 0);
     }
 
     #[test]

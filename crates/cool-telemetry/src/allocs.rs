@@ -4,9 +4,10 @@
 //! most two data-path buffers end to end: the request frame on the client
 //! and the reply frame on the server. Every site that materialises a fresh
 //! data-path buffer (a new frame `BytesMut`, a legacy copying decode, a
-//! `Packet` copy-on-write) calls [`record_buffer_alloc`]; benches and the
-//! check.sh gate read the counter around a run and assert the per-call
-//! delta stays within budget.
+//! `Packet` copy-on-write) calls [`record_buffer_alloc`]; the root
+//! package's `tests/alloc_budget.rs` reads the counter around a run of
+//! calls and asserts the per-call delta is exactly two (the ledger reports
+//! the same figure as `cool-orb.allocs_per_call`).
 //!
 //! A process-global relaxed atomic rather than a [`crate::Registry`]
 //! metric: the count must be observable on paths (cool-giop) that have no

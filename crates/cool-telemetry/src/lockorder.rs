@@ -88,9 +88,6 @@ pub mod rank {
     pub const CHAN_PEER: u32 = 50;
     /// `dacapo_chan::Inner::ctx` — configuration context.
     pub const CHAN_CTX: u32 = 52;
-    /// `dacapo_chan::Inner::grant` — this side's resource grant (held
-    /// while re-running admission and the stack swap below it).
-    pub const CHAN_GRANT: u32 = 54;
     /// `Connection::stack` — running module stack (held across rebuild).
     pub const CONNECTION_STACK: u32 = 60;
     /// `dacapo::runtime::RxPump` forward slot — the uplink of the stack the
@@ -103,7 +100,8 @@ pub mod rank {
     pub const CONNECTION_GRAPH: u32 = 64;
     /// `Connection::params` — module parameters.
     pub const CONNECTION_PARAMS: u32 = 66;
-    /// `Connection::grant` — connection-held resource grant.
+    /// `Connection::grant` — the resource grant of this side of the
+    /// connection (held while it is exchanged at a renegotiation).
     pub const CONNECTION_GRANT: u32 = 68;
     /// `ResourceManager`/`ResourceGrant` usage ledger — innermost; taken
     /// by admission and by every grant drop.

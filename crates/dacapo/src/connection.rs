@@ -301,6 +301,38 @@ impl Connection {
         rebuilt
     }
 
+    /// Reconfigures from QoS-derived transport requirements, as
+    /// [`Connection::establish_with_qos`] establishes: configuration, then
+    /// unilateral admission, then the stack swap. The connection's grant is
+    /// exchanged for one covering the new configuration
+    /// ([`ResourceManager::exchange`]); the connection is the only holder of
+    /// its side's resources, from establishment to close.
+    ///
+    /// # Errors
+    ///
+    /// [`DacapoError::NoFeasibleConfiguration`] or
+    /// [`DacapoError::ResourceDenied`], with the previous grant and graph
+    /// left in place; otherwise as [`Connection::reconfigure`].
+    pub fn reconfigure_with_qos(
+        &self,
+        requirements: &TransportRequirements,
+        ctx: &ConfigContext,
+        config_mgr: &ConfigurationManager,
+        resource_mgr: Option<&ResourceManager>,
+    ) -> Result<(), DacapoError> {
+        let Configuration { graph, .. } = config_mgr.configure(requirements, ctx)?;
+        if let Some(mgr) = resource_mgr {
+            let mut grant = self.grant.lock();
+            // `close` raises the flag before it takes the grant: a grant
+            // booked past this check is still there for it to release.
+            if self.is_closed() {
+                return Err(DacapoError::Closed);
+            }
+            mgr.exchange(&mut grant, &graph, &self.catalog, requirements)?;
+        }
+        self.reconfigure(graph)
+    }
+
     /// Waits up to `timeout` for the running stack to quiesce (all queues
     /// empty, no ARQ window outstanding); returns whether it did. A close
     /// after a successful drain loses no in-flight data.

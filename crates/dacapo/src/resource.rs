@@ -38,7 +38,8 @@ impl Default for ResourceBudget {
     }
 }
 
-#[derive(Debug)]
+/// One holder's share of the budget, and the sum of all shares.
+#[derive(Debug, Clone, Copy, Default)]
 struct Usage {
     cpu_units: u32,
     memory_bytes: usize,
@@ -60,11 +61,8 @@ impl ResourceManager {
             usage: Arc::new(OrderedMutex::new(
                 lock_rank::RESOURCE_USAGE,
                 "resource.usage",
-                Usage {
-                cpu_units: 0,
-                memory_bytes: 0,
-                bandwidth_bps: 0,
-            })),
+                Usage::default(),
+            )),
         }
     }
 
@@ -102,44 +100,93 @@ impl ResourceManager {
         catalog: &MechanismCatalog,
         req: &TransportRequirements,
     ) -> Result<ResourceGrant, DacapoError> {
-        let cpu = graph.cpu_cost(catalog);
-        let memory = graph.memory_cost(catalog);
-        let bandwidth = req.bandwidth_bps.unwrap_or(0);
-
-        let mut usage = self.usage.lock();
-        if usage.cpu_units + cpu > self.budget.cpu_units {
-            return Err(DacapoError::ResourceDenied {
-                resource: format!(
-                    "cpu: need {cpu} units, {} of {} in use",
-                    usage.cpu_units, self.budget.cpu_units
-                ),
-            });
-        }
-        if usage.memory_bytes + memory > self.budget.memory_bytes {
-            return Err(DacapoError::ResourceDenied {
-                resource: format!(
-                    "memory: need {memory} bytes, {} of {} in use",
-                    usage.memory_bytes, self.budget.memory_bytes
-                ),
-            });
-        }
-        if usage.bandwidth_bps + bandwidth > self.budget.bandwidth_bps {
-            return Err(DacapoError::ResourceDenied {
-                resource: format!(
-                    "bandwidth: need {bandwidth} bps, {} of {} in use",
-                    usage.bandwidth_bps, self.budget.bandwidth_bps
-                ),
-            });
-        }
-        usage.cpu_units += cpu;
-        usage.memory_bytes += memory;
-        usage.bandwidth_bps += bandwidth;
+        let held = self.book(Usage::default(), graph, catalog, req)?;
         Ok(ResourceGrant {
             usage: self.usage.clone(),
-            cpu_units: cpu,
-            memory_bytes: memory,
-            bandwidth_bps: bandwidth,
+            held,
         })
+    }
+
+    /// Re-runs admission for a holder that is changing configuration:
+    /// `grant` comes to cover `graph` under `req` instead of whatever it
+    /// covered before. One step under the usage lock, with the budget
+    /// checked against what is in use *minus* the share being replaced, so
+    /// that a same-size change is never refused for its own previous
+    /// share and nobody else can take that share in between.
+    ///
+    /// # Errors
+    ///
+    /// [`DacapoError::ResourceDenied`] naming the exhausted resource;
+    /// `grant` and the books are then as they were.
+    pub fn exchange(
+        &self,
+        grant: &mut Option<ResourceGrant>,
+        graph: &ModuleGraph,
+        catalog: &MechanismCatalog,
+        req: &TransportRequirements,
+    ) -> Result<(), DacapoError> {
+        match grant {
+            Some(g) if Arc::ptr_eq(&g.usage, &self.usage) => {
+                g.held = self.book(g.held, graph, catalog, req)?;
+            }
+            // Nothing on these books to offset: an empty slot, or a grant
+            // of another manager, which goes back to its own books when
+            // the new one replaces it.
+            _ => *grant = Some(self.admit(graph, catalog, req)?),
+        }
+        Ok(())
+    }
+
+    /// Books the share `graph` and `req` need in place of `replacing`
+    /// (already on the books), or refuses and changes nothing.
+    fn book(
+        &self,
+        replacing: Usage,
+        graph: &ModuleGraph,
+        catalog: &MechanismCatalog,
+        req: &TransportRequirements,
+    ) -> Result<Usage, DacapoError> {
+        let want = Usage {
+            cpu_units: graph.cpu_cost(catalog),
+            memory_bytes: graph.memory_cost(catalog),
+            bandwidth_bps: req.bandwidth_bps.unwrap_or(0),
+        };
+        let mut usage = self.usage.lock();
+        // What the other holders have in use. The requested amounts come
+        // from a peer's QoS parameters, hence the saturating sums.
+        let cpu = usage.cpu_units - replacing.cpu_units;
+        let memory = usage.memory_bytes - replacing.memory_bytes;
+        let bandwidth = usage.bandwidth_bps - replacing.bandwidth_bps;
+        if cpu.saturating_add(want.cpu_units) > self.budget.cpu_units {
+            return Err(DacapoError::ResourceDenied {
+                resource: format!(
+                    "cpu: need {} units, {cpu} of {} in use",
+                    want.cpu_units, self.budget.cpu_units
+                ),
+            });
+        }
+        if memory.saturating_add(want.memory_bytes) > self.budget.memory_bytes {
+            return Err(DacapoError::ResourceDenied {
+                resource: format!(
+                    "memory: need {} bytes, {memory} of {} in use",
+                    want.memory_bytes, self.budget.memory_bytes
+                ),
+            });
+        }
+        if bandwidth.saturating_add(want.bandwidth_bps) > self.budget.bandwidth_bps {
+            return Err(DacapoError::ResourceDenied {
+                resource: format!(
+                    "bandwidth: need {} bps, {bandwidth} of {} in use",
+                    want.bandwidth_bps, self.budget.bandwidth_bps
+                ),
+            });
+        }
+        *usage = Usage {
+            cpu_units: cpu + want.cpu_units,
+            memory_bytes: memory + want.memory_bytes,
+            bandwidth_bps: bandwidth + want.bandwidth_bps,
+        };
+        Ok(want)
     }
 }
 
@@ -153,34 +200,32 @@ impl Default for ResourceManager {
 #[derive(Debug)]
 pub struct ResourceGrant {
     usage: Arc<OrderedMutex<Usage>>,
-    cpu_units: u32,
-    memory_bytes: usize,
-    bandwidth_bps: u64,
+    held: Usage,
 }
 
 impl ResourceGrant {
     /// CPU units held.
     pub fn cpu_units(&self) -> u32 {
-        self.cpu_units
+        self.held.cpu_units
     }
 
     /// Memory held, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.memory_bytes
+        self.held.memory_bytes
     }
 
     /// Bandwidth held, bits per second.
     pub fn bandwidth_bps(&self) -> u64 {
-        self.bandwidth_bps
+        self.held.bandwidth_bps
     }
 }
 
 impl Drop for ResourceGrant {
     fn drop(&mut self) {
         let mut usage = self.usage.lock();
-        usage.cpu_units -= self.cpu_units;
-        usage.memory_bytes -= self.memory_bytes;
-        usage.bandwidth_bps -= self.bandwidth_bps;
+        usage.cpu_units -= self.held.cpu_units;
+        usage.memory_bytes -= self.held.memory_bytes;
+        usage.bandwidth_bps -= self.held.bandwidth_bps;
     }
 }
 
@@ -258,6 +303,38 @@ mod tests {
         };
         let err = mgr.admit(&graph, &catalog, &req).unwrap_err();
         assert!(err.to_string().contains("bandwidth"));
+    }
+
+    #[test]
+    fn exchange_offsets_the_share_it_replaces_and_a_refusal_changes_nothing() {
+        let mgr = small_budget();
+        let catalog = MechanismCatalog::standard();
+        let graph = ModuleGraph::empty();
+        let bandwidth = |bps| TransportRequirements {
+            bandwidth_bps: Some(bps),
+            ..Default::default()
+        };
+        let mut grant = None;
+        mgr.exchange(&mut grant, &graph, &catalog, &bandwidth(800)).unwrap();
+        assert_eq!(mgr.used_bandwidth(), 800);
+        // 800 + 800 is over the 1 000 budget; 800 in place of 800 is not.
+        mgr.exchange(&mut grant, &graph, &catalog, &bandwidth(800)).unwrap();
+        mgr.exchange(&mut grant, &graph, &catalog, &bandwidth(1_000)).unwrap();
+        assert_eq!(mgr.used_bandwidth(), 1_000);
+        let err = mgr
+            .exchange(&mut grant, &graph, &catalog, &bandwidth(u64::MAX))
+            .unwrap_err();
+        assert!(err.to_string().contains("bandwidth"), "{err}");
+        assert_eq!(mgr.used_bandwidth(), 1_000);
+        assert_eq!(grant.as_ref().map(ResourceGrant::bandwidth_bps), Some(1_000));
+
+        // A grant of another manager is not offset here; it goes back to
+        // its own books.
+        let other = small_budget();
+        other.exchange(&mut grant, &graph, &catalog, &bandwidth(600)).unwrap();
+        assert_eq!((mgr.used_bandwidth(), other.used_bandwidth()), (0, 600));
+        drop(grant);
+        assert_eq!(other.used_bandwidth(), 0);
     }
 
     #[test]

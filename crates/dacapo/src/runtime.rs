@@ -34,15 +34,18 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tunables for a running stack.
-#[derive(Debug, Clone)]
+/// Capacity of each bounded down-direction queue: a stalled module
+/// backpressures the application's `send` within this many packets a hop.
+const CHANNEL_CAPACITY: usize = 128;
+
+/// Interval between [`Module::on_tick`] callbacks. This is a protocol
+/// timer (it drives ARQ retransmission), *not* a data-path poll: packet
+/// arrival wakes a module immediately via its queue select.
+const TICK_INTERVAL: Duration = Duration::from_millis(20);
+
+/// What a running stack reports to.
+#[derive(Debug, Clone, Default)]
 pub struct RuntimeOptions {
-    /// Capacity of each bounded down-direction queue.
-    pub channel_capacity: usize,
-    /// Interval between [`Module::on_tick`] callbacks. This is a protocol
-    /// timer (it drives ARQ retransmission), *not* a data-path poll: packet
-    /// arrival wakes a module immediately via its queue select.
-    pub tick_interval: Duration,
     /// When set, every module thread reports per-direction frame/byte
     /// throughput (`dacapo_module_frames_total{module,dir}`,
     /// `dacapo_module_bytes_total{module,dir}`) and its input-queue depth
@@ -51,16 +54,6 @@ pub struct RuntimeOptions {
     /// (`dacapo_wire_frames_total{dir}`, `dacapo_wire_bytes_total{dir}`)
     /// into this registry.
     pub telemetry: Option<Arc<Registry>>,
-}
-
-impl Default for RuntimeOptions {
-    fn default() -> Self {
-        RuntimeOptions {
-            channel_capacity: 128,
-            tick_interval: Duration::from_millis(20),
-            telemetry: None,
-        }
-    }
 }
 
 /// Pre-resolved registry handles for one module thread.
@@ -415,7 +408,6 @@ pub fn build_stack(
     // disconnects the receivers and wakes every blocked select below. It
     // carries no data, its capacity is irrelevant, and nothing can queue
     // on it — boundedness is moot.
-    // lint: allow(L003, never-sent shutdown wake channel, disconnect-only)
     // lint: allow(A005, §7.4: never sent on — exists only so drop disconnects and wakes blocked selects)
     let (wake_tx, wake_rx) = unbounded::<()>();
     let mut wake_tx = Some(wake_tx);
@@ -428,7 +420,7 @@ pub fn build_stack(
     let mut down_tx = Vec::with_capacity(n + 1);
     let mut down_rx = Vec::with_capacity(n + 1);
     for _ in 0..=n {
-        let (tx, rx) = bounded::<Packet>(opts.channel_capacity);
+        let (tx, rx) = bounded::<Packet>(CHANNEL_CAPACITY);
         down_tx.push(tx);
         down_rx.push(rx);
     }
@@ -439,7 +431,6 @@ pub fn build_stack(
     let mut up_tx = Vec::with_capacity(n + 1);
     let mut up_rx = Vec::with_capacity(n + 1);
     for _ in 0..=n {
-        // lint: allow(L003, up direction is wire-paced; bounded would risk send/send deadlock)
         // lint: allow(A005, §7.4: up direction is wire-paced and drained by the app endpoint; a bound risks send/send deadlock)
         let (tx, rx) = unbounded::<Packet>();
         up_tx.push(tx);
@@ -460,7 +451,6 @@ pub fn build_stack(
         let down_out = down_tx[i + 1].clone();
         let up_out = up_tx[i].clone();
         let flag = shutdown.clone();
-        let tick = opts.tick_interval;
         let idle = Arc::new(AtomicBool::new(true));
         idle_flags.push(idle.clone());
         let wake = wake_rx.clone();
@@ -474,7 +464,7 @@ pub fn build_stack(
         let module_quiesce = quiesce.clone();
         let spawned = std::thread::Builder::new().name(name.clone()).spawn(move || {
             module_loop(
-                module, down_in, up_in, down_out, up_out, flag, tick, idle, wake,
+                module, down_in, up_in, down_out, up_out, flag, idle, wake,
                 module_quiesce, telemetry,
             )
         });
@@ -607,7 +597,6 @@ fn module_loop(
     down_out: Sender<Packet>,
     up_out: Sender<Packet>,
     shutdown: Arc<AtomicBool>,
-    tick_interval: Duration,
     idle: Arc<AtomicBool>,
     wake: Receiver<()>,
     quiesce: Arc<QuiesceSignal>,
@@ -646,7 +635,7 @@ fn module_loop(
         let _ = down_idx;
 
         // One event: at most one packet taken in, any number emitted.
-        let took = match sel.select_timeout(tick_interval) {
+        let took = match sel.select_timeout(TICK_INTERVAL) {
             Ok(op) if op.index() == wake_idx => {
                 // Disconnection of the wake channel signals shutdown; the
                 // flag check at the top of the loop handles it.
@@ -1014,6 +1003,10 @@ mod tests {
         for _ in 0..10 {
             b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap();
         }
+        // Joined first: a pump counts a frame after handing it on, so the
+        // receiver can have the tenth before its sender has counted it.
+        a.shutdown();
+        b.shutdown();
         let snap = registry.snapshot();
         let down = snap
             .counter("dacapo_module_frames_total{module=\"crc32\",dir=\"down\"}")
@@ -1035,8 +1028,6 @@ mod tests {
             snap.counter("dacapo_wire_frames_total{dir=\"rx\"}").unwrap_or(0) >= 10
         );
         assert!(snap.gauge("dacapo_module_queue_depth{module=\"crc32\"}").is_some());
-        a.shutdown();
-        b.shutdown();
     }
 
     #[test]

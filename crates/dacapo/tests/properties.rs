@@ -11,6 +11,7 @@ use dacapo::module::Outputs;
 use dacapo::modules::crc::{crc16, crc32};
 use dacapo::modules::rle::{rle_decode, rle_encode};
 use dacapo::packet::Packet;
+use dacapo::resource::{ResourceBudget, ResourceGrant, ResourceManager};
 use multe_qos::TransportRequirements;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -166,6 +167,57 @@ proptest! {
             prop_assert!(factor <= last + 1e-12);
             last = factor;
         }
+    }
+
+    /// The admission ledger conserves its budget: no sequence of admit,
+    /// release and exchange books more than the budget of any resource,
+    /// the books always equal what the holders hold, a refused exchange
+    /// changes nothing, and everything goes back when the holders do.
+    #[test]
+    fn admission_never_exceeds_the_budget_and_returns_to_zero(
+        bandwidth_bps in 0u64..1_000_000,
+        steps in proptest::collection::vec((0u8..3, 0usize..6, 0u64..400_000, 0usize..4), 0..60),
+    ) {
+        let catalog = MechanismCatalog::standard();
+        // 0, 4, 5 and 11 CPU units; go-back-n buffers 2 MiB.
+        let graphs = [
+            ModuleGraph::empty(),
+            ModuleGraph::from_ids(["crc32"]),
+            ModuleGraph::from_ids(["go-back-n"]),
+            ModuleGraph::from_ids(["go-back-n", "crc16"]),
+        ];
+        let budget = ResourceBudget { cpu_units: 24, memory_bytes: 7 << 20, bandwidth_bps };
+        let mgr = ResourceManager::new(budget);
+        let mut slots: Vec<Option<ResourceGrant>> = (0..6).map(|_| None).collect();
+        let shares = |slots: &[Option<ResourceGrant>]| {
+            slots.iter().flatten().fold((0, 0, 0), |(c, m, b), g| {
+                (c + g.cpu_units(), m + g.memory_bytes(), b + g.bandwidth_bps())
+            })
+        };
+        for (action, slot, bps, graph) in steps {
+            let req = TransportRequirements { bandwidth_bps: Some(bps), ..Default::default() };
+            match action {
+                0 => {
+                    if let Ok(grant) = mgr.admit(&graphs[graph], &catalog, &req) {
+                        slots[slot] = Some(grant);
+                    }
+                }
+                1 => slots[slot] = None,
+                _ => {
+                    let before = shares(&slots);
+                    if mgr.exchange(&mut slots[slot], &graphs[graph], &catalog, &req).is_err() {
+                        prop_assert_eq!(shares(&slots), before);
+                    }
+                }
+            }
+            let used = (mgr.used_cpu(), mgr.used_memory(), mgr.used_bandwidth());
+            prop_assert_eq!(used, shares(&slots));
+            prop_assert!(used.0 <= budget.cpu_units, "cpu {} over budget", used.0);
+            prop_assert!(used.1 <= budget.memory_bytes, "memory {} over budget", used.1);
+            prop_assert!(used.2 <= budget.bandwidth_bps, "bandwidth {} over budget", used.2);
+        }
+        drop(slots);
+        prop_assert_eq!((mgr.used_cpu(), mgr.used_memory(), mgr.used_bandwidth()), (0, 0, 0));
     }
 }
 

@@ -27,7 +27,8 @@ pub enum QosError {
         /// Dimension with the broken range.
         dimension: &'static str,
     },
-    /// Local resource admission failed (unilateral negotiation).
+    /// Local resource admission failed (unilateral negotiation; raised by
+    /// the transport, see `dacapo::resource`).
     AdmissionDenied {
         /// What resource ran out.
         resource: String,

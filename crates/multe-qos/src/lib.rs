@@ -4,7 +4,9 @@
 //! concerns (Section 4): *(1) object based QoS specification, (2) QoS
 //! negotiation between client and object implementation, and (3) QoS
 //! negotiation between message layer and transport layer.* This crate
-//! implements all three, independent of any particular transport:
+//! implements the first two and the mapping the third starts from,
+//! independent of any particular transport (the admission itself is the
+//! transport's: `dacapo::resource`):
 //!
 //! * [`spec::QoSSpec`] — the typed, high-level specification a client
 //!   builds and hands to `setQoSParameter`; it marshals to/from the
@@ -13,10 +15,6 @@
 //!   between client and object implementation: the server evaluates the
 //!   requested ranges against its capabilities and either grants a concrete
 //!   operating point or NACKs (the CORBA-exception path of Figure 3-i).
-//! * [`admission`] — **unilateral** negotiation between message layer and
-//!   transport layer: a granted QoS must still be admitted against local
-//!   resources; rejection surfaces as an exception to the calling client
-//!   (Section 4.3).
 //! * [`mapping`] — derives the transport-level requirements (which protocol
 //!   functions a Da CaPo configuration must include, how much bandwidth to
 //!   reserve) from a granted QoS.
@@ -48,7 +46,6 @@
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod error;
 pub mod mapping;
 pub mod negotiation;
@@ -56,7 +53,6 @@ pub mod policy;
 pub mod spec;
 pub mod telemetry;
 
-pub use admission::{AdmissionTicket, CapacityAdmission, ResourceAdmission};
 pub use error::QosError;
 pub use mapping::TransportRequirements;
 pub use negotiation::GrantedQoS;
@@ -65,7 +61,6 @@ pub use spec::{QoSSpec, QoSSpecBuilder, Range, Reliability};
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
-    pub use crate::admission::{AdmissionTicket, CapacityAdmission, ResourceAdmission};
     pub use crate::error::QosError;
     pub use crate::mapping::TransportRequirements;
     pub use crate::negotiation::GrantedQoS;

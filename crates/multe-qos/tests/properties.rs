@@ -144,29 +144,6 @@ proptest! {
         }
     }
 
-    /// Admission conserves its budget under arbitrary admit/release orders.
-    #[test]
-    fn capacity_admission_conserves_budget(
-        capacity in 0u64..1_000_000,
-        requests in proptest::collection::vec((1u32..100_000, any::<bool>()), 0..50),
-    ) {
-        let adm = CapacityAdmission::new(capacity);
-        let mut held = Vec::new();
-        for (bps, pop) in requests {
-            if pop {
-                held.pop();
-            }
-            let spec = QoSSpec::builder().throughput_bps(bps, bps as i32, i32::MAX).build();
-            let granted = ServerPolicy::permissive().negotiate(&spec).unwrap();
-            if let Ok(ticket) = adm.admit(&granted) {
-                held.push(ticket);
-            }
-            prop_assert!(adm.used_bps() <= capacity);
-        }
-        drop(held);
-        prop_assert_eq!(adm.used_bps(), 0);
-    }
-
     /// Transport requirements are monotone in reliability: a stronger class
     /// never needs fewer functions.
     #[test]

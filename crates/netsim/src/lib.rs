@@ -7,10 +7,12 @@
 //!
 //! * token-bucket **bandwidth shaping** (transmission time per frame),
 //! * configurable **propagation delay** and random **jitter**,
-//! * probabilistic **frame loss**,
-//! * an **MTU** that rejects oversized frames, and
-//! * admission-controlled **bandwidth reservations** standing in for
-//!   ATM/RSVP QoS guarantees.
+//! * probabilistic **frame loss**, and
+//! * an **MTU** that rejects oversized frames.
+//!
+//! Reservation is not modelled here: bandwidth is admitted against the
+//! endsystem's budget by the transport that uses the link
+//! (`dacapo::resource`).
 //!
 //! Links are driven by a [`clock::Clock`], either the real monotonic clock
 //! ([`clock::RealClock`]) or a deterministic [`clock::VirtualClock`] that
@@ -47,8 +49,6 @@ pub mod clock;
 pub mod endpoint;
 pub mod error;
 pub mod link;
-pub mod network;
-pub mod reservation;
 pub mod spec;
 pub mod stats;
 
@@ -56,7 +56,5 @@ pub use clock::{Clock, RealClock, SharedClock, VirtualClock};
 pub use endpoint::Endpoint;
 pub use error::NetSimError;
 pub use link::Link;
-pub use network::{Network, NodeId};
-pub use reservation::{Reservation, ReservationError, ReservationTable};
 pub use spec::{LinkSpec, LinkSpecBuilder};
 pub use stats::LinkStats;

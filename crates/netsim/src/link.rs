@@ -25,7 +25,6 @@
 use crate::clock::{RealClock, SharedClock, VirtualClock};
 use crate::endpoint::Endpoint;
 use crate::error::NetSimError;
-use crate::reservation::ReservationTable;
 use crate::spec::LinkSpec;
 use crate::stats::LinkStats;
 use bytes::Bytes;
@@ -275,14 +274,11 @@ fn sample_jitter(rng: &mut StdRng, max: Duration) -> Duration {
 /// A duplex simulated link between two [`Endpoint`]s.
 ///
 /// Created with a [`LinkSpec`] and a clock mode; hand out the two endpoint
-/// halves with [`Link::endpoints`]. The link also owns a
-/// [`ReservationTable`] sized to the link bandwidth, used by resource
-/// managers for admission control.
+/// halves with [`Link::endpoints`].
 #[derive(Debug)]
 pub struct Link {
     a_to_b: Arc<Direction>,
     b_to_a: Arc<Direction>,
-    reservations: ReservationTable,
     spec: LinkSpec,
     clock: SharedClock,
     taken: AtomicBool,
@@ -305,11 +301,9 @@ impl Link {
     pub fn with_clock(spec: LinkSpec, clock: SharedClock) -> Self {
         let a_to_b = Direction::new(spec.clone(), clock.clone(), spec.seed());
         let b_to_a = Direction::new(spec.clone(), clock.clone(), spec.seed().wrapping_add(1));
-        let reservations = ReservationTable::new(spec.bandwidth_bps());
         Link {
             a_to_b,
             b_to_a,
-            reservations,
             spec,
             clock,
             taken: AtomicBool::new(false),
@@ -330,11 +324,6 @@ impl Link {
         let a = Endpoint::new(self.a_to_b.clone(), self.b_to_a.clone());
         let b = Endpoint::new(self.b_to_a.clone(), self.a_to_b.clone());
         (a, b)
-    }
-
-    /// The reservation table guarding this link's bandwidth.
-    pub fn reservations(&self) -> &ReservationTable {
-        &self.reservations
     }
 
     /// The link's spec.
@@ -530,12 +519,6 @@ mod tests {
         for i in 0..50u8 {
             assert_eq!(b.recv().unwrap()[0], i);
         }
-    }
-
-    #[test]
-    fn reservation_table_sized_to_bandwidth() {
-        let link = Link::virtual_time(fast_spec());
-        assert_eq!(link.reservations().capacity_bps(), 8_000_000);
     }
 
     /// One full run over a corrupting link: returns the delivered payloads

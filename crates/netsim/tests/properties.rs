@@ -1,7 +1,7 @@
 //! Property-based tests for netsim invariants.
 
 use bytes::Bytes;
-use netsim::{Link, LinkSpec, ReservationTable};
+use netsim::{Link, LinkSpec};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -68,30 +68,6 @@ proptest! {
         prop_assert_eq!(st.frames_sent(), n as u64);
         prop_assert_eq!(st.frames_delivered(), delivered);
         prop_assert_eq!(st.frames_delivered() + st.frames_dropped(), n as u64);
-    }
-
-    /// The reservation table never over-commits, regardless of the admit /
-    /// release interleaving.
-    #[test]
-    fn reservations_never_exceed_capacity(
-        capacity in 1u64..10_000,
-        ops in proptest::collection::vec((1u64..500, any::<bool>()), 1..100),
-    ) {
-        let table = ReservationTable::new(capacity);
-        let mut held = Vec::new();
-        for (bps, release_first) in ops {
-            if release_first && !held.is_empty() {
-                held.pop();
-            }
-            if let Ok(r) = table.reserve(bps) {
-                held.push(r);
-            }
-            prop_assert!(table.reserved_bps() <= capacity);
-            let held_sum: u64 = held.iter().map(|r| r.bps()).sum();
-            prop_assert_eq!(held_sum, table.reserved_bps());
-        }
-        drop(held);
-        prop_assert_eq!(table.reserved_bps(), 0);
     }
 
     /// Identical seeds reproduce identical loss patterns.

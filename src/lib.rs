@@ -9,10 +9,10 @@
 //! | [`orb`] ([`cool_orb`]) | the COOL ORB: object adapter, stubs/skeletons, generic message and transport layers, invocation modes, QoS propagation |
 //! | [`naming`] ([`cool_naming`]) | the QoS-aware replica directory: register with offered ladders, resolve by name + required QoS, feed replicated bindings |
 //! | [`giop`] ([`cool_giop`]) | CDR marshalling, the seven GIOP messages, the 9.9 QoS extension |
-//! | [`qos`] ([`multe_qos`]) | QoS specifications, bilateral negotiation, unilateral admission |
+//! | [`qos`] ([`multe_qos`]) | QoS specifications, bilateral negotiation, the mapping onto transport requirements |
 //! | [`dacapo`] | the Da CaPo flexible protocol system (layers A/C/T, module graphs, configuration/resource management) |
 //! | [`chorus`] ([`chorus_sim`]) | ChorusOS stand-in: typed IPC ports and messages |
-//! | [`netsim`] | simulated ATM-class links with reservations |
+//! | [`netsim`] | simulated ATM-class links |
 //! | [`idl`] ([`chic`]) | the Chic IDL compiler with the QoS template extension |
 //! | [`telemetry`] ([`cool_telemetry`]) | opt-in metrics and invocation tracing across all of the above |
 //!
