@@ -80,7 +80,7 @@ pub fn measure_throughput(
         std::thread::spawn(move || {
             while !stop.load(Ordering::Acquire) {
                 if ep.try_send(packet.clone()).is_err() {
-                    // lint: allow(L001, load-generator backoff under stack backpressure; measurement harness, not ORB data path)
+                    // Load-generator backoff under stack backpressure.
                     std::thread::sleep(Duration::from_micros(50));
                 }
             }

@@ -202,7 +202,7 @@ fn prefix(callee: &str, mut origin: Origin) -> Origin {
 mod tests {
     use super::*;
     use crate::parse::parse_file;
-    use cool_lint::lexer::scan;
+    use crate::lexer::scan;
 
     fn ws(files: &[(&str, &str)]) -> Workspace {
         Workspace::build(

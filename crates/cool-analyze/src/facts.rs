@@ -129,7 +129,7 @@ fn unambiguous(infos: &[LockInfo]) -> bool {
 mod tests {
     use super::*;
     use crate::parse::parse_file;
-    use cool_lint::lexer::scan;
+    use crate::lexer::scan;
 
     fn ws(files: &[(&str, &str)]) -> Workspace {
         Workspace::build(

@@ -29,8 +29,8 @@ pub struct Tok {
     /// Token kind.
     pub kind: TokKind,
     /// Token text. For `Str` this is the *body* of the literal (quotes and
-    /// raw-string hashes stripped) so rules can inspect embedded code
-    /// templates (the L004 codegen check needs this).
+    /// raw-string hashes stripped) so rules can read what it names (lock
+    /// names, metric names, flight-event kinds).
     pub text: String,
     /// 1-based line the token starts on.
     pub line: u32,

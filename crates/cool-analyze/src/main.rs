@@ -1,45 +1,26 @@
 //! The cool-analyze binary.
 //!
 //! ```text
-//! cargo run -q --release -p cool-analyze [WORKSPACE_ROOT] [--json-out FILE]
-//!     [--ratchet BASELINE] [--sarif-out FILE]
+//! cargo run -q --release -p cool-analyze [WORKSPACE_ROOT] [--sarif-out FILE]
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings, 2 I/O or usage error. The JSON report
-//! defaults to `analyze-report.json` at the workspace root. With
-//! `--ratchet` the gate compares against a checked-in `cool-report/v1`
-//! baseline (`analyze-baseline.json`) and fails only on *new* findings
-//! (or stale baseline entries, so the baseline only shrinks);
-//! `--sarif-out` additionally writes SARIF 2.1.0 for GitHub PR
-//! annotations.
+//! Prints the findings as text. Exit codes: 0 clean, 1 findings, 2 I/O or
+//! usage error. `--sarif-out` additionally writes SARIF 2.1.0 for GitHub
+//! PR annotations.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: cool-analyze [WORKSPACE_ROOT] [--sarif-out FILE] [--help]";
+
 fn main() -> ExitCode {
     let mut root_arg: Option<String> = None;
-    let mut json_out: Option<PathBuf> = None;
-    let mut ratchet_file: Option<PathBuf> = None;
     let mut sarif_out: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json-out" => match args.next() {
-                Some(p) => json_out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("cool-analyze: --json-out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--ratchet" => match args.next() {
-                Some(p) => ratchet_file = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("cool-analyze: --ratchet needs a baseline path");
-                    return ExitCode::from(2);
-                }
-            },
             "--sarif-out" => match args.next() {
                 Some(p) => sarif_out = Some(PathBuf::from(p)),
                 None => {
@@ -48,17 +29,14 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                println!(
-                    "usage: cool-analyze [WORKSPACE_ROOT] [--json-out FILE] \
-                     [--ratchet BASELINE] [--sarif-out FILE]"
-                );
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other if root_arg.is_none() && !other.starts_with('-') => {
                 root_arg = Some(other.to_owned());
             }
             other => {
-                eprintln!("cool-analyze: unknown argument `{other}`");
+                eprintln!("cool-analyze: unknown argument `{other}`\n{USAGE}");
                 return ExitCode::from(2);
             }
         }
@@ -73,43 +51,13 @@ fn main() -> ExitCode {
         }
     };
 
-    print!("{}", report.render_text_as("cool-analyze"));
+    print!("{}", report.render_text());
 
-    let json_path = json_out.unwrap_or_else(|| root.join("analyze-report.json"));
-    if let Err(e) = std::fs::write(&json_path, report.render_json_as("cool-analyze")) {
-        eprintln!("cool-analyze: write {}: {e}", json_path.display());
-        return ExitCode::from(2);
-    }
     if let Some(path) = sarif_out {
-        let sarif = cool_lint::ratchet::render_sarif(&report, "cool-analyze");
-        if let Err(e) = std::fs::write(&path, sarif) {
+        if let Err(e) = std::fs::write(&path, report.render_sarif()) {
             eprintln!("cool-analyze: write {}: {e}", path.display());
             return ExitCode::from(2);
         }
-    }
-
-    if let Some(path) = ratchet_file {
-        let doc = match std::fs::read_to_string(&path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("cool-analyze: read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = match cool_lint::ratchet::parse_baseline(&doc) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cool-analyze: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let gate = cool_lint::ratchet::ratchet(&report, &baseline);
-        print!("{}", gate.render_text("cool-analyze"));
-        return if gate.is_clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        };
     }
 
     if report.is_clean() {

@@ -1,6 +1,6 @@
-//! Item-level parsing on top of cool-lint's token scanner.
+//! Item-level parsing on top of the token scanner.
 //!
-//! `cool_lint::lexer::scan` gives a comment/string-safe token stream; this
+//! [`crate::lexer::scan`] gives a comment/string-safe token stream; this
 //! module lifts it to the item level the interprocedural rules need:
 //! functions (with impl/trait qualification and body spans), call sites,
 //! blocking operations, `OrderedMutex`/`OrderedRwLock` construction sites
@@ -17,8 +17,8 @@
 //! non-`self` method calls are not resolved, and `match` arms without
 //! braces over-approximate a scrutinee guard to the end of the `match`.
 
-use cool_lint::lexer::{Scan, Tok, TokKind};
-use cool_lint::rules::{classify, inline_allows, test_regions, FileRole};
+use crate::lexer::{Scan, Tok, TokKind};
+use crate::source::{classify, in_regions, inline_allows, test_regions, FileRole};
 use std::collections::{HashMap, HashSet};
 
 /// Identifiers that block the calling thread when invoked. `join` is only
@@ -239,6 +239,9 @@ pub struct ParsedFile {
     pub rel: String,
     pub krate: String,
     pub test_like: bool,
+    /// Line spans of `#[cfg(test)]` items, computed once here for every
+    /// collector below and for the per-file token rules.
+    pub test_regions: Vec<(u32, u32)>,
     pub fns: Vec<FnItem>,
     pub lock_ctors: Vec<LockCtor>,
     /// `const NAME: u32 = value;` entries inside a `mod rank { .. }`.
@@ -276,6 +279,9 @@ pub struct ParsedFile {
     /// event-kind catalogue (only for `src/flight.rs`), the vocabulary the
     /// §8.4 `flight:*` emission cells resolve against.
     pub flight_consts: Vec<(String, String, u32)>,
+    /// Declared variants of `enum OrbError` with their lines (only for
+    /// cool-orb's `src/error.rs`), the list L005 holds the tests to.
+    pub orb_error_variants: Vec<(String, u32)>,
 }
 
 /// Crate attribution: `crates/<name>/...` or the root package.
@@ -287,10 +293,6 @@ pub fn crate_of(rel: &str) -> String {
         }
     }
     "multe".to_owned()
-}
-
-fn in_regions(line: u32, regions: &[(u32, u32)]) -> bool {
-    regions.iter().any(|&(a, b)| line >= a && line <= b)
 }
 
 /// Index of the `}`/`)`/`]` matching the opener at `open`, or the last
@@ -376,6 +378,11 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
     };
     let loose_blocks = collect_loose_blocks(toks, &fns, &in_test_line, &in_macro);
     let variant_uses = collect_variant_uses(toks, &fns, &in_test_line, &in_macro);
+    let orb_error_variants = if rel == "crates/cool-orb/src/error.rs" {
+        collect_enum_variants(toks, "OrbError")
+    } else {
+        Vec::new()
+    };
 
     let mut lib_idents = HashSet::new();
     let mut lib_strs = HashSet::new();
@@ -401,6 +408,7 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
         rel: rel.to_owned(),
         krate: crate_of(rel),
         test_like,
+        test_regions: regions,
         fns,
         lock_ctors,
         rank_consts,
@@ -418,6 +426,7 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
         loose_blocks,
         variant_uses,
         flight_consts,
+        orb_error_variants,
     }
 }
 
@@ -1752,10 +1761,43 @@ fn collect_variant_uses(
     out
 }
 
+/// The variants of `enum <name>` as (variant, line), attributes and
+/// payloads skipped. Empty when the file declares no such enum.
+fn collect_enum_variants(toks: &[Tok], name: &str) -> Vec<(String, u32)> {
+    let Some(decl) = (0..toks.len().saturating_sub(1)).find(|&i| {
+        toks[i].kind == TokKind::Ident && toks[i].text == "enum" && toks[i + 1].text == name
+    }) else {
+        return Vec::new();
+    };
+    let Some(open) = (decl..toks.len()).find(|&i| toks[i].text == "{") else {
+        return Vec::new();
+    };
+    let close = match_close(toks, open);
+    let mut variants = Vec::new();
+    let mut expect_variant = true;
+    let mut j = open + 1;
+    while j < close {
+        let t = &toks[j];
+        match t.text.as_str() {
+            // Payloads, discriminant expressions and `#[...]` attribute
+            // bodies hold no variant names.
+            "{" | "(" | "[" => j = match_close(toks, j),
+            "," => expect_variant = true,
+            _ if expect_variant && t.kind == TokKind::Ident => {
+                variants.push((t.text.clone(), t.line));
+                expect_variant = false;
+            }
+            _ => {}
+        }
+        j += 1;
+    }
+    variants
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cool_lint::lexer::scan;
+    use crate::lexer::scan;
 
     fn parsed(src: &str) -> ParsedFile {
         parse_file("crates/app/src/lib.rs", &scan(src))

@@ -10,7 +10,7 @@
 
 use super::{section, walk_fn, Ctx};
 use crate::parse::{EventKind, RankExpr};
-use cool_lint::report::Finding;
+use crate::report::Finding;
 
 pub fn check(ctx: &Ctx) -> Vec<Finding> {
     let mut out = Vec::new();

@@ -10,7 +10,7 @@
 
 use super::{walk_fn, Ctx};
 use crate::parse::EventKind;
-use cool_lint::report::Finding;
+use crate::report::Finding;
 
 pub fn check(ctx: &Ctx) -> Vec<Finding> {
     let mut out = Vec::new();

@@ -20,7 +20,7 @@
 //! flagged — a documented soundness limit.
 
 use super::Ctx;
-use cool_lint::report::Finding;
+use crate::report::Finding;
 use std::collections::{BTreeMap, HashSet};
 
 const CRATE: &str = "cool-giop";

@@ -9,7 +9,7 @@
 //! DESIGN.md (fixture roots).
 
 use super::{section, Ctx};
-use cool_lint::report::Finding;
+use crate::report::Finding;
 
 pub fn check(ctx: &Ctx) -> Vec<Finding> {
     let mut out = Vec::new();

@@ -21,8 +21,8 @@
 
 use super::{line_of, Ctx};
 use crate::parse::{CapExpr, ChanKind};
-use cool_lint::report::Finding;
-use cool_lint::rules::on_data_path;
+use crate::report::Finding;
+use crate::source::on_data_path;
 
 pub fn check(ctx: &Ctx) -> Vec<Finding> {
     let mut out = Vec::new();

@@ -24,7 +24,7 @@
 
 use super::{walk_fn, Ctx};
 use crate::parse::EventKind;
-use cool_lint::report::Finding;
+use crate::report::Finding;
 use std::collections::{HashMap, HashSet};
 
 pub fn check(ctx: &Ctx) -> Vec<Finding> {

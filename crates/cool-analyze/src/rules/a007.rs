@@ -22,7 +22,7 @@
 
 use super::{shutdown_reachable, Ctx};
 use crate::parse::{EventKind, FnItem};
-use cool_lint::report::Finding;
+use crate::report::Finding;
 
 pub fn check(ctx: &Ctx) -> Vec<Finding> {
     let mut out = Vec::new();

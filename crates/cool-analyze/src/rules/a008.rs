@@ -23,8 +23,8 @@
 //!    callee of that name (unique within the crate) transitively performs
 //!    only bounded blocking. A chain that bottoms out in a raw
 //!    `TcpStream::connect` (no timeout) or cycles is unbounded;
-//! 5. **a reasoned inline allow** naming the wakeup source (the shared
-//!    allow machinery strips those findings downstream).
+//! 5. **a reasoned inline allow** naming the wakeup source (the driver
+//!    drops those findings afterwards, as for every rule).
 //!
 //! Closure bodies are deliberately excluded from the per-function event
 //! streams (a spawn callback does not run at its definition site), so this
@@ -36,8 +36,8 @@ use super::a005::backticked;
 use super::{is_shutdown_root, shutdown_reachable, Ctx};
 use crate::callgraph::FnKey;
 use crate::parse::EventKind;
-use cool_lint::report::Finding;
-use cool_lint::rules::on_data_path;
+use crate::report::Finding;
+use crate::source::on_data_path;
 use std::collections::{HashMap, HashSet};
 
 /// Names that hand off to a connection-establishment routine; bounded iff

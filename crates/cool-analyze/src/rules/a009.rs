@@ -32,7 +32,7 @@
 use super::a005::backticked;
 use super::Ctx;
 use crate::parse::ParsedFile;
-use cool_lint::report::Finding;
+use crate::report::Finding;
 
 /// One documented machine: the enum, the file that owns it, its rows.
 struct Machine {

@@ -27,7 +27,7 @@
 //! skeletal errors to probe the retry machinery on purpose.
 
 use super::Ctx;
-use cool_lint::report::Finding;
+use crate::report::Finding;
 
 /// Files whose `OrbError` constructions are held to attribution discipline.
 fn in_scope(rel: &str) -> bool {

@@ -1,7 +1,12 @@
-//! The A-rule set.
+//! The rule set.
 //!
 //! | Rule | Invariant                                                          |
 //! |------|--------------------------------------------------------------------|
+//! | L001 | no `thread::sleep` polling in library code                         |
+//! | L002 | no `.unwrap()` / `.expect()` in library code                       |
+//! | L005 | every `OrbError` variant is exercised somewhere in tests           |
+//! | L006 | invocation-path retry loops in cool-orb reference `RetryPolicy`    |
+//! | L007 | no buffer copies (`.to_vec()`/`.clone()`) on the zero-copy path    |
 //! | A001 | lock ranks strictly increase along every static acquisition path,  |
 //! |      | and the DESIGN.md §7.2 rank table matches the code                 |
 //! | A002 | no blocking operation (recv/wait/join/connect...) is reachable     |
@@ -24,13 +29,19 @@
 //! |      | telemetry/flight emission is real                                  |
 //! | A010 | `OrbError` sites on the data path carry their attribution payload  |
 //! |      | (request id, attempts+last, replica identity)                      |
-//! | A000 | the analyzer's allowlist entries stay live (shared with cool-lint) |
 //!
-//! A001/A002 skip test code: the lock-order checker's own tests provoke
-//! inversions on purpose, and test-only blocking under a lock is a test
-//! bug, not a product deadlock. A005–A010 skip test code for the same
-//! reason: test scaffolding spawns and queues die with the test process,
-//! and tests construct unattributed errors to probe the retry machinery.
+//! A rule id is a name, not a namespace: the letter records which pass a
+//! rule was born in, nothing more. No rule fires in test code — harness
+//! files and `#[cfg(test)]` regions: tests sleep, unwrap and copy freely,
+//! the lock-order checker's own tests provoke inversions on purpose, test
+//! scaffolding spawns and queues die with the test process, and tests
+//! construct unattributed errors to probe the retry machinery.
+//!
+//! A finding is suppressed by `// lint: allow(RULE, reason)` on the same
+//! or the preceding line — the reason is mandatory, an annotation without
+//! one does not suppress. Rules never look at the annotations themselves:
+//! the driver matches them against findings in one place
+//! ([`crate::analyze_workspace`]).
 
 pub mod a001;
 pub mod a002;
@@ -42,16 +53,19 @@ pub mod a007;
 pub mod a008;
 pub mod a009;
 pub mod a010;
+pub mod l005;
+pub mod tokens;
 
-/// Every rule the analyzer can emit, for allowlist hygiene and docs.
+/// Every rule the analyzer can emit.
 pub const RULES: &[&str] = &[
-    "A000", "A001", "A002", "A003", "A004", "A005", "A006", "A007", "A008", "A009", "A010",
+    "L001", "L002", "L005", "L006", "L007", "A001", "A002", "A003", "A004", "A005", "A006",
+    "A007", "A008", "A009", "A010",
 ];
 
 use crate::callgraph::Graph;
 use crate::facts::Workspace;
 use crate::parse::{Event, EventKind, FnItem};
-use cool_lint::report::Finding;
+use crate::report::Finding;
 use std::collections::HashSet;
 
 /// Everything a rule can look at.
@@ -63,8 +77,11 @@ pub struct Ctx<'a> {
     pub design: Option<&'a str>,
 }
 
+/// Runs every rule that needs the whole workspace. The four per-file rules
+/// ([`tokens`]) have already run by then, in the driver's read loop.
 pub fn run_all(ctx: &Ctx) -> Vec<Finding> {
     let mut out = Vec::new();
+    out.extend(l005::check(ctx));
     out.extend(a001::check(ctx));
     out.extend(a002::check(ctx));
     out.extend(a003::check(ctx));

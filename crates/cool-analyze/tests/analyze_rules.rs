@@ -3,8 +3,9 @@
 //! positive cases (the violation is flagged, at the right line), negative
 //! cases (the legal pattern — including the exact shapes the analyzer
 //! pushed into the real workspace, like take-then-join — stays clean) and
-//! an annotated-allow case. The last test asserts the real workspace
-//! analyzes clean, which is what `scripts/check.sh` enforces.
+//! an annotated-allow case; one table-driven test then holds every rule in
+//! `RULES` to the same three promises. The last test asserts the real
+//! workspace analyzes clean, which is what `scripts/check.sh` enforces.
 
 use cool_analyze::analyze_workspace;
 use std::path::{Path, PathBuf};
@@ -15,14 +16,18 @@ fn fixture_root(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// (rule, file, line, message) for every finding in a fixture tree.
-fn findings(name: &str) -> Vec<(String, String, u32, String)> {
-    let report = analyze_workspace(&fixture_root(name)).expect("fixture analyzes");
+/// (rule, file, line, message) for every finding in the tree at `root`.
+fn findings_in(root: &Path) -> Vec<(String, String, u32, String)> {
+    let report = analyze_workspace(root).expect("fixture analyzes");
     report
         .findings
         .iter()
         .map(|f| (f.rule.to_string(), f.file.clone(), f.line, f.message.clone()))
         .collect()
+}
+
+fn findings(name: &str) -> Vec<(String, String, u32, String)> {
+    findings_in(&fixture_root(name))
 }
 
 fn rule_lines(found: &[(String, String, u32, String)], rule: &str) -> Vec<u32> {
@@ -31,6 +36,138 @@ fn rule_lines(found: &[(String, String, u32, String)], rule: &str) -> Vec<u32> {
         .filter(|(r, _, _, _)| r == rule)
         .map(|(_, _, l, _)| *l)
         .collect()
+}
+
+// ---- Every rule fires, is suppressed by a reasoned allow, and by nothing less
+
+/// The fixture tree that exercises each rule. Every tree holds at least
+/// one violation and one site annotated `// lint: allow(RULE, reason)`.
+const FIXTURE_OF: &[(&str, &str)] = &[
+    ("L001", "l001"),
+    ("L002", "l002"),
+    ("L005", "l005"),
+    ("L006", "l006"),
+    ("L007", "l007"),
+    ("A001", "inversion"),
+    ("A002", "blocking"),
+    ("A003", "oneway"),
+    ("A004", "metrics"),
+    ("A005", "chantopo"),
+    ("A006", "condvar"),
+    ("A007", "spawnjoin"),
+    ("A008", "hangfree"),
+    ("A009", "statemachine"),
+    ("A010", "attribution"),
+];
+
+/// Copies the tree at `from` to `to`, cutting the reason out of every
+/// `lint: allow(<rule>, reason)` so that only the bare `allow(<rule>)` is
+/// left. Line numbers are preserved.
+fn copy_without_reasons(from: &Path, to: &Path, rule: &str) {
+    std::fs::create_dir_all(to).expect("create copy dir");
+    let annotated = format!("lint: allow({rule},");
+    for entry in std::fs::read_dir(from).expect("read fixture dir") {
+        let path = entry.expect("fixture dir entry").path();
+        let dest = to.join(path.file_name().expect("entry has a name"));
+        if path.is_dir() {
+            copy_without_reasons(&path, &dest, rule);
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("fixture is text");
+        let bare: Vec<String> = text
+            .lines()
+            .map(|line| match line.find(&annotated) {
+                Some(at) => format!("{}lint: allow({rule})", &line[..at]),
+                None => line.to_owned(),
+            })
+            .collect();
+        std::fs::write(&dest, bare.join("\n")).expect("write copy");
+    }
+}
+
+#[test]
+fn every_rule_fires_and_only_a_reasoned_allow_suppresses_it() {
+    let listed: Vec<&str> = FIXTURE_OF.iter().map(|&(rule, _)| rule).collect();
+    assert_eq!(listed, cool_analyze::rules::RULES, "one fixture per rule in RULES");
+    for &(rule, fixture) in FIXTURE_OF {
+        let with_reasons = rule_lines(&findings(fixture), rule);
+        assert!(!with_reasons.is_empty(), "{rule} fires on `{fixture}`");
+
+        let copy = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("bare-{rule}"));
+        let _ = std::fs::remove_dir_all(&copy);
+        copy_without_reasons(&fixture_root(fixture), &copy, rule);
+        let bare = rule_lines(&findings_in(&copy), rule);
+        assert!(
+            bare.len() > with_reasons.len() && with_reasons.iter().all(|l| bare.contains(l)),
+            "{rule}: the annotated site in `{fixture}` is suppressed by its reasoned allow \
+             ({with_reasons:?}) and fires once the reason is gone ({bare:?})"
+        );
+    }
+}
+
+// ---- L001: sleep-based polling --------------------------------------
+
+#[test]
+fn l001_flags_the_poll_loop_and_only_it() {
+    assert_eq!(
+        rule_lines(&findings("l001"), "L001"),
+        vec![5],
+        "exactly the un-annotated sleep is flagged; the annotated sleep, \
+         the condvar wait and the #[cfg(test)] sleep are not"
+    );
+}
+
+// ---- L002: unwrap/expect in library code ----------------------------
+
+#[test]
+fn l002_flags_unwrap_and_expect_only() {
+    assert_eq!(
+        rule_lines(&findings("l002"), "L002"),
+        vec![4, 8],
+        "unwrap_or_* variants, strings, the annotated site and the test \
+         module stay clean"
+    );
+}
+
+// ---- L005: every error variant exercised by tests -------------------
+
+#[test]
+fn l005_flags_exactly_the_orphan_variant() {
+    let found = findings("l005");
+    assert_eq!(found.len(), 1, "Covered and WithFields are used by tests/uses.rs: {found:?}");
+    let (rule, file, line, msg) = &found[0];
+    assert_eq!((rule.as_str(), file.as_str(), *line), ("L005", "crates/cool-orb/src/error.rs", 9));
+    assert!(
+        msg.contains("Orphan"),
+        "the variant only library code names is the orphan: {msg}"
+    );
+}
+
+// ---- L006: unbounded invocation retry loops -------------------------
+
+#[test]
+fn l006_flags_exactly_the_unbounded_retry_loops() {
+    let found = findings("l006");
+    assert_eq!(
+        rule_lines(&found, "L006"),
+        vec![4, 14],
+        "bare `loop`/`while` retries flagged; RetryPolicy-governed, \
+         non-invocation, annotated and #[cfg(test)] loops stay clean: {found:?}"
+    );
+}
+
+// ---- L007: buffer copies on the zero-copy path ----------------------
+
+#[test]
+fn l007_flags_the_copies_and_only_them() {
+    let found = findings("l007");
+    assert_eq!(
+        rule_lines(&found, "L007"),
+        vec![4, 8],
+        "frame.to_vec() and pkt.clone() flagged; the annotated retransmit \
+         copy, non-buffer receivers, Bytes views and the #[cfg(test)] copy \
+         stay clean: {found:?}"
+    );
 }
 
 // ---- A001: static lock-rank verification ----------------------------
@@ -145,23 +282,6 @@ fn a004_flags_orphan_and_undocumented_metric_names() {
         "undocumented name flagged: {msgs:?}"
     );
     assert_eq!(msgs.len(), 2, "used_total stays clean: {msgs:?}");
-}
-
-// ---- A000: shared-allowlist hygiene ---------------------------------
-
-#[test]
-fn a000_reports_stale_analyzer_entries_and_ignores_linter_ones() {
-    let found = findings("metrics");
-    let a000: Vec<_> = found.iter().filter(|(r, _, _, _)| r == "A000").collect();
-    assert_eq!(a000.len(), 1, "exactly the stale A002 entry rots: {found:?}");
-    let (_, file, line, msg) = a000[0];
-    assert_eq!(file, "lint-allow.txt");
-    assert_eq!(*line, 2);
-    assert!(msg.contains("gone.rs A002"), "{msg}");
-    assert!(
-        !found.iter().any(|(_, _, _, m)| m.contains("L002")),
-        "the L-namespace entry is cool-lint's business, not ours: {found:?}"
-    );
 }
 
 // ---- A001 documentation half: rank-table drift ----------------------
@@ -456,32 +576,25 @@ fn a010_flags_unattributed_errors_and_spares_helpers_and_patterns() {
     );
 }
 
-// ---- Ratchet + SARIF over a findings-bearing tree -------------------
+// ---- The gate and SARIF over a findings-bearing tree ----------------
 
 #[test]
-fn ratchet_demo_a_synthetic_unbounded_recv_fails_the_gate_and_lands_in_sarif() {
+fn a_synthetic_unbounded_recv_fails_the_gate_and_lands_in_sarif() {
     // The hangfree fixture's `serve` is the synthetic copy of the
-    // invocation path: a bare `recv()` a PR might introduce. Against the
-    // checked-in (empty) baseline the ratchet must fail on it as NEW,
-    // and the SARIF document must carry the annotation for the PR view.
+    // invocation path: a bare `recv()` a PR might introduce. The report
+    // must come back unclean — the binary's exit code 1 — and the SARIF
+    // document must carry the annotation for the PR view.
     let report = analyze_workspace(&fixture_root("hangfree")).expect("fixture analyzes");
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root");
-    let doc = std::fs::read_to_string(root.join("analyze-baseline.json"))
-        .expect("the baseline ships with the repo");
-    let baseline = cool_lint::ratchet::parse_baseline(&doc).expect("baseline parses");
-    let gate = cool_lint::ratchet::ratchet(&report, &baseline);
-    assert!(!gate.is_clean(), "new findings must fail the ratchet");
+    assert!(!report.is_clean(), "a finding must fail the gate");
     assert!(
-        gate.new
+        report
+            .findings
             .iter()
             .any(|f| f.rule == "A008" && f.file == "crates/cool-orb/src/lib.rs" && f.line == 8),
-        "the synthetic recv is NEW: {:?}",
-        gate.new
+        "the synthetic recv is reported: {:?}",
+        report.findings
     );
-    let sarif = cool_lint::ratchet::render_sarif(&report, "cool-analyze");
+    let sarif = report.render_sarif();
     assert!(
         sarif.contains("\"ruleId\": \"A008\"")
             && sarif.contains("\"uri\": \"crates/cool-orb/src/lib.rs\"")
@@ -490,83 +603,27 @@ fn ratchet_demo_a_synthetic_unbounded_recv_fails_the_gate_and_lands_in_sarif() {
     );
 }
 
-// ---- Hygiene: the baseline only shrinks, allows stay capped ---------
-
-#[test]
-fn baseline_and_allowlist_hygiene() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root");
-    // The checked-in baseline must be a valid cool-report/v1 document
-    // with no stale budget: every entry it carries must still fire, so
-    // regenerating it can only ever shrink it. (Today it is empty — the
-    // workspace analyzes clean — and this keeps it that way unless a
-    // finding is deliberately baselined.)
-    let doc = std::fs::read_to_string(root.join("analyze-baseline.json"))
-        .expect("analyze-baseline.json ships with the repo");
-    let baseline = cool_lint::ratchet::parse_baseline(&doc).expect("baseline parses");
-    let report = analyze_workspace(root).expect("workspace analyzes");
-    let gate = cool_lint::ratchet::ratchet(&report, &baseline);
-    assert!(
-        gate.stale.is_empty(),
-        "baseline entries that no longer fire must be removed: {:?}",
-        gate.stale
-    );
-    assert!(
-        gate.new.is_empty(),
-        "unbaselined findings: {:?}",
-        gate.new
-    );
-
-    // The shared allowlist stays within budget per rule namespace, and
-    // the hang-freedom/attribution rules take no file-level entries at
-    // all — their exemptions are inline allows (with reasons) or the
-    // §8.5 registry, both of which carry their own justification.
-    let allows = std::fs::read_to_string(root.join("lint-allow.txt")).expect("allowlist");
-    let entries: Vec<&str> = allows
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .collect();
-    let rule_of = |line: &str| line.split_whitespace().nth(1).unwrap_or("").to_owned();
-    let a_entries = entries.iter().filter(|l| rule_of(l).starts_with('A')).count();
-    let l_entries = entries.iter().filter(|l| rule_of(l).starts_with('L')).count();
-    assert!(a_entries <= 15, "A-namespace over its cap: {a_entries}");
-    assert!(l_entries <= 15, "L-namespace over its cap: {l_entries}");
-    for banned in ["A008", "A009", "A010"] {
-        assert!(
-            !entries.iter().any(|l| rule_of(l) == banned),
-            "{banned} must not be allowlisted file-wide; use an inline \
-             allow with a reason or the §8.5 registry"
-        );
-    }
-}
-
 // ---- The workspace itself -------------------------------------------
 
 #[test]
 fn the_real_workspace_analyzes_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crates/cool-analyze sits two levels below the root");
-    let report = analyze_workspace(root).expect("workspace analyzes");
+    let root = cool_analyze::workspace_root(None);
+    let report = analyze_workspace(&root).expect("workspace analyzes");
     assert!(
         report.is_clean(),
         "the workspace must analyze clean:\n{}",
-        report.render_text_as("cool-analyze")
+        report.render_text()
     );
-    // All ten substantive rules (plus A000) actually ran to produce
-    // that clean bill — a rule silently dropped from the registry would
-    // otherwise make this test pass vacuously.
+    // All fifteen rules actually ran to produce that clean bill — a rule
+    // silently dropped from the registry would otherwise make this test
+    // pass vacuously.
     assert_eq!(
         cool_analyze::rules::RULES,
         [
-            "A000", "A001", "A002", "A003", "A004", "A005", "A006", "A007", "A008", "A009",
-            "A010"
+            "L001", "L002", "L005", "L006", "L007", "A001", "A002", "A003", "A004", "A005",
+            "A006", "A007", "A008", "A009", "A010"
         ],
-        "the rule registry lists every A-rule"
+        "the rule registry lists every rule"
     );
     assert!(
         report.files_scanned > 100,

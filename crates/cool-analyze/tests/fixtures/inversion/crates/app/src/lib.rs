@@ -59,6 +59,14 @@ impl Locks {
         let a = self.outer.lock();
         touch(a);
     }
+
+    /// An inversion with an inline exemption: suppressed.
+    pub fn inverted_but_allowed(&self) {
+        let b = self.inner.lock();
+        // lint: allow(A001, fixture demonstrates the inline exemption)
+        let a = self.outer.lock();
+        consume(a, b);
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 // Fixture for L005: an OrbError-shaped enum declaration. The companion
-// uses-fixture (l005_uses.rs) constructs `Covered` but never `Orphan`.
+// uses-fixture (../tests/uses.rs) constructs `Covered` but never `Orphan`.
 
 /// Fixture error enum.
 pub enum OrbError {
@@ -12,4 +12,13 @@ pub enum OrbError {
         /// A detail string.
         detail: String,
     },
+    /// Never referenced either, but the annotation says why.
+    // lint: allow(L005, fixture: reserved for a wire code no peer sends yet)
+    Reserved,
+}
+
+/// Library code naming a variant is not a test of it: `Orphan` stays
+/// flagged.
+pub fn orphan() -> OrbError {
+    OrbError::Orphan(String::new())
 }

@@ -14,7 +14,7 @@ impl Worker {
     }
 
     pub fn close(&self) {
-        let h = self.handle.lock().unwrap().take();
+        let h = self.handle.lock().take();
         if let Some(h) = h {
             let _ = h.join();
         }

@@ -37,6 +37,12 @@ pub fn is_dead(h: &Health) -> bool {
     }
 }
 
+/// Another undocumented transition, with an inline exemption: suppressed.
+pub fn relapse_quietly() -> Health {
+    // lint: allow(A009, fixture demonstrates the inline exemption)
+    Health::Suspect
+}
+
 #[cfg(test)]
 mod tests {
     /// Test constructions don't count as transitions.

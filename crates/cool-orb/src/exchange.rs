@@ -242,11 +242,7 @@ impl LocalExchange {
                 (Box::new(a), Box::new(b))
             }
         };
-        let mtu = t_client.mtu();
-        let ctx = ConfigContext {
-            transport_mtu: (mtu != usize::MAX).then_some(mtu),
-            ..Default::default()
-        };
+        let ctx = ConfigContext::for_mtu(t_client.mtu());
         let opts = RuntimeOptions {
             telemetry: telemetry.cloned(),
         };

@@ -55,7 +55,7 @@ use crate::error::OrbError;
 use crate::transport::{ComChannel, FrameInbox, FrameSink, InboxMetrics, SendMetrics};
 use bytes::Bytes;
 use cool_telemetry::Registry;
-use dacapo::config::{ConfigContext, ConfigurationManager};
+use dacapo::config::ConfigurationManager;
 use dacapo::{Connection, ResourceManager};
 use multe_qos::{QosError, TransportRequirements};
 use cool_telemetry::lockorder::OrderedMutex;
@@ -75,7 +75,6 @@ struct Inner {
     connection: Connection,
     config_mgr: ConfigurationManager,
     resource_mgr: Option<ResourceManager>,
-    ctx: OrderedMutex<ConfigContext>,
     inbox: Arc<FrameInbox>,
     closed: AtomicBool,
     /// Control path to the other end of the pair (the management
@@ -90,9 +89,8 @@ impl Inner {
     /// exchanges the grant it holds — then the stack swap. A refusal leaves
     /// this side as it was.
     fn apply_requirements(&self, req: &TransportRequirements) -> Result<(), OrbError> {
-        let ctx = self.ctx.lock().clone();
         self.connection
-            .reconfigure_with_qos(req, &ctx, &self.config_mgr, self.resource_mgr.as_ref())
+            .reconfigure_with_qos(req, &self.config_mgr, self.resource_mgr.as_ref())
             .map_err(OrbError::from)
     }
 
@@ -196,7 +194,6 @@ impl DacapoComChannel {
                 connection,
                 config_mgr: config_mgr.clone(),
                 resource_mgr: resource_mgr.clone(),
-                ctx: OrderedMutex::new(lock_rank::CHAN_CTX, "chan.ctx", ConfigContext::default()),
                 inbox,
                 closed: AtomicBool::new(false),
                 peer: OrderedMutex::new(lock_rank::CHAN_PEER, "chan.peer", Weak::new()),
@@ -302,6 +299,7 @@ impl Drop for DacapoComChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dacapo::config::ConfigContext;
     use dacapo::prelude::*;
     use dacapo::resource::ResourceBudget;
 

@@ -1,6 +1,6 @@
 //! Live introspection: a tiny, dependency-free loopback HTTP endpoint.
 //!
-//! Hand-rolled on `std::net` in the same spirit as cool-lint's lexer —
+//! Hand-rolled on `std::net` in the same spirit as cool-analyze's lexer —
 //! just enough HTTP/1.1 to serve four read-only routes from a shared
 //! [`Registry`](crate::Registry):
 //!

@@ -86,8 +86,6 @@ pub mod rank {
     pub const STUB_STATE: u32 = 44;
     /// `dacapo_chan::Inner::peer` — control path to the pair's other end.
     pub const CHAN_PEER: u32 = 50;
-    /// `dacapo_chan::Inner::ctx` — configuration context.
-    pub const CHAN_CTX: u32 = 52;
     /// `Connection::stack` — running module stack (held across rebuild).
     pub const CONNECTION_STACK: u32 = 60;
     /// `dacapo::runtime::RxPump` forward slot — the uplink of the stack the

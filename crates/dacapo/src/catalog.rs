@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Per-connection parameters a factory may consult.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModuleParams {
     /// Transport MTU, bounding fragment sizes.
     pub mtu: usize,

@@ -54,6 +54,18 @@ impl Default for ConfigContext {
     }
 }
 
+impl ConfigContext {
+    /// The default context over a transport whose largest frame is `mtu`
+    /// bytes ([`crate::Transport::mtu`]; `usize::MAX` when it carries
+    /// frames of any size).
+    pub fn for_mtu(mtu: usize) -> Self {
+        ConfigContext {
+            transport_mtu: (mtu != usize::MAX).then_some(mtu),
+            ..Default::default()
+        }
+    }
+}
+
 /// A complete configuration decision: the graph plus instantiation
 /// parameters.
 #[derive(Debug, Clone)]

@@ -34,6 +34,10 @@ pub struct Connection {
     endpoint: OrderedMutex<AppEndpoint>,
     graph: OrderedMutex<ModuleGraph>,
     params: OrderedMutex<ModuleParams>,
+    /// What the connection was established with beyond its requirements
+    /// (the transport's MTU above all): every renegotiation configures
+    /// under it again.
+    ctx: ConfigContext,
     transport: Arc<dyn Transport>,
     catalog: MechanismCatalog,
     opts: RuntimeOptions,
@@ -95,6 +99,7 @@ impl Connection {
         Connection::establish_with(
             graph,
             ModuleParams::default(),
+            ConfigContext::for_mtu(transport.mtu()),
             transport,
             catalog,
             None,
@@ -118,14 +123,12 @@ impl Connection {
         config_mgr: &ConfigurationManager,
         resource_mgr: &ResourceManager,
     ) -> Result<Self, DacapoError> {
-        let Configuration { graph, params } = config_mgr.configure(requirements, ctx)?;
-        let grant = resource_mgr.admit(&graph, config_mgr.catalog(), requirements)?;
-        Connection::establish_with(
-            graph,
-            params,
+        Connection::establish_with_qos_opts(
+            requirements,
+            ctx,
             transport,
-            config_mgr.catalog(),
-            Some(grant),
+            config_mgr,
+            resource_mgr,
             RuntimeOptions::default(),
         )
     }
@@ -145,12 +148,21 @@ impl Connection {
     ) -> Result<Self, DacapoError> {
         let Configuration { graph, params } = config_mgr.configure(requirements, ctx)?;
         let grant = resource_mgr.admit(&graph, config_mgr.catalog(), requirements)?;
-        Connection::establish_with(graph, params, transport, config_mgr.catalog(), Some(grant), opts)
+        Connection::establish_with(
+            graph,
+            params,
+            ctx.clone(),
+            transport,
+            config_mgr.catalog(),
+            Some(grant),
+            opts,
+        )
     }
 
     fn establish_with(
         graph: ModuleGraph,
         params: ModuleParams,
+        ctx: ConfigContext,
         transport: impl Transport,
         catalog: &MechanismCatalog,
         grant: Option<ResourceGrant>,
@@ -208,6 +220,7 @@ impl Connection {
             ),
             graph: OrderedMutex::new(lock_rank::CONNECTION_GRAPH, "connection.graph", graph),
             params: OrderedMutex::new(lock_rank::CONNECTION_PARAMS, "connection.params", params),
+            ctx,
             transport,
             catalog: catalog.clone(),
             opts,
@@ -269,11 +282,30 @@ impl Connection {
     /// threads cannot be spawned, which leaves the connection without a
     /// stack until it is closed.
     pub fn reconfigure(&self, new_graph: ModuleGraph) -> Result<(), DacapoError> {
+        self.swap(new_graph, None)
+    }
+
+    /// The stack swap behind both reconfigurations: to `new_graph`, its
+    /// modules instantiated with `new_params` if given — which become the
+    /// connection's — and with the ones it has otherwise.
+    fn swap(
+        &self,
+        new_graph: ModuleGraph,
+        new_params: Option<ModuleParams>,
+    ) -> Result<(), DacapoError> {
         new_graph.validate(&self.catalog)?;
-        if new_graph == *self.graph.lock() {
-            return Ok(()); // fast path: already running this configuration
-        }
-        let params = self.params.lock().clone();
+        let same_graph = new_graph == *self.graph.lock();
+        let params = {
+            let mut current = self.params.lock();
+            match new_params {
+                // The same modules with other parameters (an ARQ window,
+                // an MTU) are another configuration: rebuild them.
+                Some(fresh) if fresh != *current => *current = fresh,
+                _ if same_graph => return Ok(()), // fast path: already running this configuration
+                _ => {}
+            }
+            current.clone()
+        };
         let modules = instantiate(&new_graph, &params, &self.catalog)?;
         let mut running = self.running.lock();
         let Running { stack, pump } = &mut *running;
@@ -302,25 +334,25 @@ impl Connection {
     }
 
     /// Reconfigures from QoS-derived transport requirements, as
-    /// [`Connection::establish_with_qos`] establishes: configuration, then
-    /// unilateral admission, then the stack swap. The connection's grant is
-    /// exchanged for one covering the new configuration
-    /// ([`ResourceManager::exchange`]); the connection is the only holder of
-    /// its side's resources, from establishment to close.
+    /// [`Connection::establish_with_qos`] establishes and under the context
+    /// it established with: configuration, then unilateral admission, then
+    /// the stack swap with the new configuration's module parameters. The
+    /// connection's grant is exchanged for one covering the new
+    /// configuration ([`ResourceManager::exchange`]); the connection is the
+    /// only holder of its side's resources, from establishment to close.
     ///
     /// # Errors
     ///
     /// [`DacapoError::NoFeasibleConfiguration`] or
-    /// [`DacapoError::ResourceDenied`], with the previous grant and graph
-    /// left in place; otherwise as [`Connection::reconfigure`].
+    /// [`DacapoError::ResourceDenied`], with the previous grant, graph and
+    /// parameters left in place; otherwise as [`Connection::reconfigure`].
     pub fn reconfigure_with_qos(
         &self,
         requirements: &TransportRequirements,
-        ctx: &ConfigContext,
         config_mgr: &ConfigurationManager,
         resource_mgr: Option<&ResourceManager>,
     ) -> Result<(), DacapoError> {
-        let Configuration { graph, .. } = config_mgr.configure(requirements, ctx)?;
+        let Configuration { graph, params } = config_mgr.configure(requirements, &self.ctx)?;
         if let Some(mgr) = resource_mgr {
             let mut grant = self.grant.lock();
             // `close` raises the flag before it takes the grant: a grant
@@ -330,7 +362,7 @@ impl Connection {
             }
             mgr.exchange(&mut grant, &graph, &self.catalog, requirements)?;
         }
-        self.reconfigure(graph)
+        self.swap(graph, Some(params))
     }
 
     /// Waits up to `timeout` for the running stack to quiesce (all queues
@@ -475,6 +507,67 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DacapoError::ResourceDenied { .. }));
+    }
+
+    /// One end of a loopback pair, established for a reliable 4 kbit/s
+    /// flow against a 10 kbit/s budget.
+    fn reliable_4k() -> (Connection, ConfigurationManager, ResourceManager, TransportRequirements) {
+        let config_mgr = ConfigurationManager::standard();
+        let resource_mgr = ResourceManager::new(crate::resource::ResourceBudget {
+            cpu_units: 1000,
+            memory_bytes: 1 << 30,
+            bandwidth_bps: 10_000,
+        });
+        let req = TransportRequirements {
+            error_detection: true,
+            retransmission: true,
+            sequencing: true,
+            bandwidth_bps: Some(4_000),
+            ..Default::default()
+        };
+        let (ta, _tb) = loopback_pair();
+        let ctx = ConfigContext::default();
+        let conn = Connection::establish_with_qos(&req, &ctx, ta, &config_mgr, &resource_mgr);
+        (conn.unwrap(), config_mgr, resource_mgr, req)
+    }
+
+    #[test]
+    fn renegotiation_installs_the_new_configurations_module_parameters() {
+        let (conn, config_mgr, resource_mgr, throughput) = reliable_4k();
+        assert_eq!(conn.params.lock().window, 32);
+        let (graph, epoch) = (conn.graph(), conn.epoch());
+
+        // The same functions under a 500 us latency budget: the same
+        // modules, with the short ARQ window such a budget asks for.
+        let latency_critical = TransportRequirements {
+            latency_budget_us: Some(500),
+            ..throughput
+        };
+        conn.reconfigure_with_qos(&latency_critical, &config_mgr, Some(&resource_mgr))
+            .unwrap();
+        assert_eq!(conn.params.lock().window, 4);
+        assert_eq!(conn.graph(), graph);
+        assert_ne!(conn.epoch(), epoch, "the modules were rebuilt with it");
+        conn.close();
+    }
+
+    #[test]
+    fn refused_renegotiation_leaves_graph_and_parameters_as_they_were() {
+        let (conn, config_mgr, resource_mgr, _) = reliable_4k();
+        let graph = conn.graph();
+        let greedy = TransportRequirements {
+            bandwidth_bps: Some(u64::MAX / 4),
+            latency_budget_us: Some(500),
+            ..Default::default()
+        };
+        let err = conn
+            .reconfigure_with_qos(&greedy, &config_mgr, Some(&resource_mgr))
+            .unwrap_err();
+        assert!(matches!(err, DacapoError::ResourceDenied { .. }), "{err:?}");
+        assert_eq!(conn.params.lock().window, 32);
+        assert_eq!(conn.graph(), graph);
+        assert_eq!(resource_mgr.used_bandwidth(), 4_000, "and the grant");
+        conn.close();
     }
 
     #[test]

@@ -124,3 +124,42 @@ fn shaped_link_bounds_orb_throughput() {
     );
     server.close();
 }
+
+#[test]
+fn fragmentation_survives_renegotiation() {
+    // A link that carries 1500-byte frames: the connection is established
+    // with a fragmentation module below GIOP, and every reconfiguration of
+    // it (Section 4.1: QoS changes "have to be reflected in
+    // reconfigurations of the transport connection") must configure for
+    // the same link, or an 8 KiB call no longer fits the wire.
+    let exchange = LocalExchange::new();
+    exchange.set_dacapo_link(Some(LinkSpec::builder().mtu(1500).build().unwrap()));
+    let server_orb = Orb::with_exchange("mtu-server", exchange.clone());
+    server_orb
+        .adapter()
+        .register_fn("echo", |_op, args, _ctx| Ok(args.to_vec()))
+        .unwrap();
+    let server = server_orb.listen_dacapo("mtu-endpoint").unwrap();
+    let client_orb = Orb::with_exchange("mtu-client", exchange);
+    let stub = client_orb.bind(&server.object_ref("echo")).unwrap();
+    stub.set_timeout(Duration::from_secs(2));
+
+    let echo_8k = |when: &str| {
+        let reply = stub
+            .invoke("echo", Bytes::from(vec![7u8; 8 * 1024]))
+            .unwrap_or_else(|e| panic!("8 KiB echo {when}: {e:?}"));
+        assert_eq!(reply.len(), 8 * 1024, "{when}");
+    };
+    echo_8k("as established");
+    stub.set_qos_parameter(
+        QoSSpec::builder()
+            .reliability(Reliability::Checked)
+            .ordered(true)
+            .build(),
+    )
+    .unwrap();
+    echo_8k("after set_qos_parameter");
+    stub.clear_qos().unwrap();
+    echo_8k("after clear_qos");
+    server.close();
+}
