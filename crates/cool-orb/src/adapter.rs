@@ -11,18 +11,50 @@
 use crate::error::OrbError;
 use crate::object::ObjectKey;
 use crate::servant::{FnServant, InvocationCtx, Servant};
+use crate::server::{INLINE_ADMIT_STREAK, INLINE_UPCALL_BUDGET};
 use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::trace::duration_as_u32_us;
 use cool_telemetry::{Histogram, Registry, Stage};
 use multe_qos::{GrantedQoS, QoSSpec, ServerPolicy};
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 struct Registration {
-    servant: Arc<dyn Servant>,
+    /// One `Arc` for what a dispatch takes out of the table: the servant
+    /// and the streak its upcall feeds.
+    target: Arc<Target>,
     policy: ServerPolicy,
+}
+
+struct Target {
+    servant: Arc<dyn Servant>,
+    cheap: CheapStreak,
+}
+
+/// How many upcalls in a row an object has answered inside
+/// [`INLINE_UPCALL_BUDGET`]: what the server reads to decide whether the
+/// next request may run on the thread that delivered it. Observed, never
+/// declared — nothing a servant or a registration can set. A statistic
+/// that publishes no other data, hence `Relaxed`; a lost update between
+/// racing dispatchers costs one upcall of admission either way.
+#[derive(Default)]
+struct CheapStreak(AtomicU32);
+
+impl CheapStreak {
+    fn observe(&self, took: Duration) {
+        if took > INLINE_UPCALL_BUDGET {
+            self.0.store(0, Ordering::Relaxed);
+        } else if !self.admitted() {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn admitted(&self) -> bool {
+        self.0.load(Ordering::Relaxed) >= INLINE_ADMIT_STREAK
+    }
 }
 
 /// Pre-resolved adapter-side metric handles.
@@ -126,7 +158,16 @@ impl ObjectAdapter {
                 "object key {key} already registered"
             )));
         }
-        objects.insert(key, Registration { servant, policy });
+        objects.insert(
+            key,
+            Registration {
+                target: Arc::new(Target {
+                    servant,
+                    cheap: CheapStreak::default(),
+                }),
+                policy,
+            },
+        );
         Ok(())
     }
 
@@ -153,6 +194,16 @@ impl ObjectAdapter {
     /// probe with the raw wire bytes without allocating an [`ObjectKey`].
     pub fn contains(&self, key: impl AsRef<[u8]>) -> bool {
         self.objects.read().contains_key(key.as_ref())
+    }
+
+    /// Whether the object's recent upcalls were all cheap enough for its
+    /// next request to run on the delivering thread (see
+    /// [`crate::server`]'s threading model). An unknown key is not.
+    pub(crate) fn runs_inline(&self, key: &[u8]) -> bool {
+        self.objects
+            .read()
+            .get(key)
+            .is_some_and(|reg| reg.target.cheap.admitted())
     }
 
     /// Replaces an object's QoS policy; returns whether it existed.
@@ -211,10 +262,10 @@ impl ObjectAdapter {
         // Lookups go through `Borrow<[u8]>`, so a request header's raw key
         // bytes index the map directly — no per-dispatch `ObjectKey`.
         let key = key.as_ref();
-        let (servant, policy) = {
+        let (target, policy) = {
             let objects = self.objects.read();
             match objects.get(key) {
-                Some(reg) => (reg.servant.clone(), reg.policy.clone()),
+                Some(reg) => (reg.target.clone(), reg.policy.clone()),
                 None => {
                     return (
                         DispatchOutcome::Error(OrbError::ObjectNotFound(
@@ -263,8 +314,9 @@ impl ObjectAdapter {
 
         let ctx = InvocationCtx::new(granted.clone(), operation, one_way);
         let exec_start = Instant::now();
-        let result = servant.dispatch(operation, args, &ctx);
+        let result = target.servant.dispatch(operation, args, &ctx);
         let took = exec_start.elapsed();
+        target.cheap.observe(took);
         timings.execute_us = duration_as_u32_us(took);
         if let Some(t) = &self.telemetry {
             t.execute_us.record_duration_us(took);

@@ -13,8 +13,9 @@
 //!   [`FrameSink`]: the transport's delivery thread has
 //!   [`crate::message_layer`] decode each frame the moment it arrives —
 //!   which protocol the peer speaks is not visible here — and either
-//!   answers protocol chatter inline (locate probes, cancels) or enqueues
-//!   the decoded request on the shared dispatcher queue.
+//!   answers protocol chatter inline (locate probes, cancels), runs the
+//!   decoded request to completion itself (below), or enqueues it on the
+//!   shared dispatcher queue.
 //! * **A shared pool of dispatcher threads** (size
 //!   [`OrbConfig::dispatcher_threads`]) executes requests and marshals
 //!   replies. Requests pipelined on one connection run *concurrently*;
@@ -22,6 +23,24 @@
 //!   fine. The queue is bounded ([`DISPATCH_QUEUE_DEPTH`]): when servants
 //!   fall behind, delivery threads block on enqueue and backpressure
 //!   reaches the peer instead of buffering without bound.
+//! * **A servant observed cheap runs on the delivering thread.** Handing
+//!   a request to the pool and the reply back costs thread wake-ups that
+//!   dwarf a short upcall, so an object whose last
+//!   [`INLINE_ADMIT_STREAK`] upcalls each finished inside
+//!   [`INLINE_UPCALL_BUDGET`] has its next request executed right where
+//!   the frame was decoded: the same [`run_job`], called directly, reply
+//!   written by the thread that ran the servant. Over Chorus that is the
+//!   *caller's* thread — the whole call happens on it. Nothing declares a
+//!   servant cheap: the adapter counts the streak from the execute time
+//!   it measures anyway, and one upcall over budget sends the object back
+//!   to the pool from its next request on. That one upcall holds its
+//!   connection's delivery thread for as long as it runs — requests
+//!   behind it on the same connection wait, and a Chorus caller sleeps
+//!   inside its own send and comes back with a late reply rather than a
+//!   timeout. Frames the delivering thread is merely draining for other
+//!   pushers ([`FrameSink::on_queued_frame`]) always go to the pool, so a
+//!   caller sharing a Chorus binding is never kept running other callers'
+//!   servants.
 //!
 //! Per-connection cancel bookkeeping is bounded too ([`CANCEL_HISTORY`]):
 //! cancels for requests that never arrive evict oldest-first rather than
@@ -52,6 +71,16 @@ use std::time::{Duration, Instant};
 /// Capacity of a server's shared request queue: when full, delivery threads
 /// block on enqueue, so backpressure reaches the peer.
 const DISPATCH_QUEUE_DEPTH: usize = 256;
+
+/// What an upcall may take and still count as cheap: about four thread
+/// handoffs (the ledger's `inbox_handoff_ns` ≈ 5 µs), so running it on the
+/// delivery thread holds that thread no longer than a few enqueues would.
+pub(crate) const INLINE_UPCALL_BUDGET: Duration = Duration::from_micros(20);
+
+/// Consecutive upcalls inside [`INLINE_UPCALL_BUDGET`] before an object's
+/// requests run on the delivering thread; one over budget starts the count
+/// again from zero.
+pub(crate) const INLINE_ADMIT_STREAK: u32 = 64;
 
 /// Cancelled request ids remembered per connection, oldest evicted first.
 const CANCEL_HISTORY: usize = 1024;
@@ -169,10 +198,15 @@ impl OrbServer {
             "server.conns",
             Vec::new(),
         ));
-        let (jobs_tx, dispatchers) = start_dispatchers(adapter.clone(), config)?;
+        let metrics = config
+            .telemetry
+            .as_ref()
+            .map(|r| ServerMetrics::resolve(Arc::clone(r), config.tracing));
+        let (jobs_tx, dispatchers) = start_dispatchers(&adapter, config, metrics.as_ref())?;
         let intake = Intake {
             adapter: adapter.clone(),
             jobs: jobs_tx.clone(),
+            metrics,
             draining: Arc::new(AtomicBool::new(false)),
             tracker: JobTracker::new(),
         };
@@ -291,26 +325,31 @@ impl Drop for OrbServer {
 // Connections and the dispatcher pool
 // ---------------------------------------------------------------------------
 
-/// Counts requests between acceptance (enqueue on the dispatcher queue)
-/// and completion, with a condvar wait for the drain in
-/// [`OrbServer::shutdown_graceful`]. Guard-based: a [`JobGuard`] rides in
-/// the [`Job`] itself, so a job dropped unexecuted (dispatchers exiting)
-/// still counts down.
+/// Counts requests between acceptance and completion, with a condvar wait
+/// for the drain in [`OrbServer::shutdown_graceful`]. Guard-based: a
+/// [`JobGuard`] rides in the [`Job`] itself, so a job dropped unexecuted
+/// (dispatchers exiting) still counts down. The count is an atomic — a
+/// request pays two of those — and the mutex and condvar, which only a
+/// drain ever waits on, are touched on the edge to zero alone.
 struct JobTracker {
-    active: parking_lot::Mutex<usize>,
+    active: AtomicUsize,
+    /// Orders the edge's notify after a drain's check of `active`: the
+    /// waiter checks under it, the last guard notifies under it.
+    gate: parking_lot::Mutex<()>,
     idle: parking_lot::Condvar,
 }
 
 impl JobTracker {
     fn new() -> Arc<Self> {
         Arc::new(JobTracker {
-            active: parking_lot::Mutex::new(0),
+            active: AtomicUsize::new(0),
+            gate: parking_lot::Mutex::new(()),
             idle: parking_lot::Condvar::new(),
         })
     }
 
     fn track(self: &Arc<Self>) -> JobGuard {
-        *self.active.lock() += 1;
+        self.active.fetch_add(1, Ordering::SeqCst);
         JobGuard(Arc::clone(self))
     }
 
@@ -318,10 +357,10 @@ impl JobTracker {
     /// Returns whether the pipeline is idle.
     fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut active = self.active.lock();
-        while *active > 0 {
-            if self.idle.wait_until(&mut active, deadline).timed_out() {
-                return *active == 0;
+        let mut gate = self.gate.lock();
+        while self.active.load(Ordering::SeqCst) > 0 {
+            if self.idle.wait_until(&mut gate, deadline).timed_out() {
+                return self.active.load(Ordering::SeqCst) == 0;
             }
         }
         true
@@ -332,9 +371,8 @@ struct JobGuard(Arc<JobTracker>);
 
 impl Drop for JobGuard {
     fn drop(&mut self) {
-        let mut active = self.0.active.lock();
-        *active = active.saturating_sub(1);
-        if *active == 0 {
+        if self.0.active.fetch_sub(1, Ordering::SeqCst) == 1 {
+            let _gate = self.0.gate.lock();
             self.0.idle.notify_all();
         }
     }
@@ -375,14 +413,18 @@ impl CancelSet {
     }
 }
 
-/// Pre-resolved dispatcher-pool metric handles, shared by all dispatcher
-/// threads of one server.
+/// Pre-resolved dispatch metric handles, shared by the dispatcher threads
+/// and the connection sinks of one server.
 #[derive(Clone)]
 struct ServerMetrics {
     registry: Arc<Registry>,
     queue_depth: Arc<Gauge>,
+    /// Pool threads inside a job; a delivery thread running one inline is
+    /// not a dispatcher and does not count.
     busy: Arc<Gauge>,
     queue_wait: Arc<Histogram>,
+    /// Requests run to completion on the thread that delivered them.
+    inline: Arc<Counter>,
     trace_joins: Arc<Counter>,
     ctx_bytes: Arc<Counter>,
     /// Deepest dispatcher queue seen so far; a new maximum lands in the
@@ -400,6 +442,7 @@ impl ServerMetrics {
             queue_depth: registry.gauge("orb_dispatch_queue_depth"),
             busy: registry.gauge("orb_dispatchers_busy"),
             queue_wait: registry.histogram("orb_dispatch_queue_wait_us"),
+            inline: registry.counter(names::DISPATCH_INLINE_TOTAL),
             trace_joins: registry.counter(names::TRACE_JOINS_TOTAL),
             ctx_bytes: registry.counter(names::SERVICE_CONTEXT_BYTES),
             queue_high_water: Arc::new(AtomicUsize::new(0)),
@@ -422,7 +465,8 @@ impl ServerMetrics {
     }
 }
 
-/// A decoded request handed to the dispatcher pool.
+/// A decoded request on its way to [`run_job`]: through the dispatcher
+/// queue, or straight from the delivery thread.
 struct Job {
     conn: Arc<ConnState>,
     request: InboundRequest,
@@ -430,8 +474,8 @@ struct Job {
     /// context — the server half's `recv_at_ns`. `None` for untraced
     /// requests (no clock read on that path).
     recv_at_ns: Option<u64>,
-    /// When the delivery thread queued this request — the dispatcher
-    /// measures queue wait from it.
+    /// When the delivery thread accepted this request — a dispatcher
+    /// measures queue wait from it, a traced reply its send stamp.
     enqueued: Instant,
     /// Keeps the server's drain accounting exact: dropped on completion
     /// *or* when the job dies unexecuted in a closing queue.
@@ -444,6 +488,9 @@ struct Job {
 struct Intake {
     adapter: Arc<ObjectAdapter>,
     jobs: Sender<Job>,
+    /// Here as well as in the pool, so a job run inline keeps its
+    /// `QueueWait` mark and its trace join.
+    metrics: Option<ServerMetrics>,
     /// While set, sinks refuse new requests; see `OrbServer::draining`.
     draining: Arc<AtomicBool>,
     tracker: Arc<JobTracker>,
@@ -460,15 +507,25 @@ struct ConnSink {
     intake: Intake,
 }
 
-impl FrameSink for ConnSink {
-    fn on_frame(&self, frame: Bytes) {
+impl ConnSink {
+    fn frame(&self, frame: &Bytes, own: bool) {
         let Some(conn) = self.conn.lock().clone() else {
             return;
         };
-        if !process_frame(&conn, &self.intake, &frame) {
+        if !process_frame(&conn, &self.intake, frame, own) {
             self.conn.lock().take();
             conn.channel.close();
         }
+    }
+}
+
+impl FrameSink for ConnSink {
+    fn on_frame(&self, frame: Bytes) {
+        self.frame(&frame, true);
+    }
+
+    fn on_queued_frame(&self, frame: Bytes) {
+        self.frame(&frame, false);
     }
 
     fn on_close(&self) {
@@ -479,39 +536,32 @@ impl FrameSink for ConnSink {
 }
 
 fn start_dispatchers(
-    adapter: Arc<ObjectAdapter>,
+    adapter: &Arc<ObjectAdapter>,
     config: &OrbConfig,
+    metrics: Option<&ServerMetrics>,
 ) -> Result<(Sender<Job>, Vec<JoinHandle<()>>), OrbError> {
     let (tx, rx) = bounded::<Job>(DISPATCH_QUEUE_DEPTH);
-    let metrics = config
-        .telemetry
-        .as_ref()
-        .map(|r| ServerMetrics::resolve(Arc::clone(r), config.tracing));
     let mut handles = Vec::new();
     for i in 0..config.dispatcher_threads.max(1) {
         let rx = rx.clone();
         let adapter = adapter.clone();
-        let metrics = metrics.clone();
+        let metrics = metrics.cloned();
         let handle = std::thread::Builder::new()
             .name(format!("cool-dispatch-{i}"))
             // Blocking recv; ends when every sender (server handle,
             // acceptor, connection sinks) is gone.
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    match &metrics {
-                        Some(m) => {
-                            // Sampled at dequeue: what is still waiting
-                            // behind the job this thread just took.
-                            m.note_queue_depth(rx.len());
-                            let waited = job.enqueued.elapsed();
-                            m.queue_wait.record_duration_us(waited);
-                            m.registry
-                                .span_mark(job.request.request_id, Stage::QueueWait, waited);
-                            m.busy.inc();
-                            run_job(&adapter, job, Some(m));
-                            m.busy.dec();
-                        }
-                        None => run_job(&adapter, job, None),
+                    let waited = job.enqueued.elapsed();
+                    if let Some(m) = &metrics {
+                        // Sampled at dequeue: what is still waiting
+                        // behind the job this thread just took.
+                        m.note_queue_depth(rx.len());
+                        m.busy.inc();
+                    }
+                    run_job(&adapter, job, waited, metrics.as_ref());
+                    if let Some(m) = &metrics {
+                        m.busy.dec();
                     }
                 }
             })
@@ -543,9 +593,11 @@ fn attach_connection(
 
 /// Handles one inbound frame on the delivery thread, event by event in
 /// wire order; `false` ends the connection. Cheap protocol chatter is
-/// answered inline; requests go to the dispatcher pool (blocking when the
+/// answered inline, and so is a request for an object whose recent upcalls
+/// were all cheap, provided this thread brought the frame itself (`own`);
+/// every other request goes to the dispatcher pool (blocking when the
 /// queue is full — backpressure).
-fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes) -> bool {
+fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes, own: bool) -> bool {
     message_layer::decode_frame(frame, |event| match event {
         Event::Request(request) => {
             if intake.draining.load(Ordering::Acquire) {
@@ -563,7 +615,20 @@ fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes) -> bool 
                     enqueued: Instant::now(),
                     _guard: intake.tracker.track(),
                 };
-                intake.jobs.send(job).is_ok() // dispatchers gone: the server is closing
+                if own && intake.adapter.runs_inline(&job.request.object_key) {
+                    if let Some(m) = &intake.metrics {
+                        m.inline.inc();
+                    }
+                    run_job(
+                        &intake.adapter,
+                        job,
+                        Duration::ZERO,
+                        intake.metrics.as_ref(),
+                    );
+                    true
+                } else {
+                    intake.jobs.send(job).is_ok() // dispatchers gone: the server is closing
+                }
             }
         }
         Event::Cancel(request_id) => {
@@ -592,9 +657,21 @@ fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes) -> bool 
     })
 }
 
-/// Executes one request on a dispatcher thread: upcall, marshal, reply.
-fn run_job(adapter: &Arc<ObjectAdapter>, job: Job, metrics: Option<&ServerMetrics>) {
+/// Executes one request — upcall, marshal, reply — on the calling thread: a
+/// dispatcher, or the delivery thread itself for a job that skipped the
+/// queue (`waited` is then zero, read off no clock).
+fn run_job(
+    adapter: &Arc<ObjectAdapter>,
+    job: Job,
+    waited: Duration,
+    metrics: Option<&ServerMetrics>,
+) {
     let request = job.request;
+    if let Some(m) = metrics {
+        m.queue_wait.record_duration_us(waited);
+        m.registry
+            .span_mark(request.request_id, Stage::QueueWait, waited);
+    }
     // Re-check cancellation: the cancel may have arrived while this request
     // sat in the dispatch queue.
     if job.conn.cancelled.lock().remove(request.request_id) {
@@ -611,7 +688,6 @@ fn run_job(adapter: &Arc<ObjectAdapter>, job: Job, metrics: Option<&ServerMetric
         }
         _ => None,
     };
-    let queue_wait_us = duration_as_u32_us(job.enqueued.elapsed());
     let spec = QoSSpec::from_params(&request.qos_params);
     // Dispatch by the request's raw key bytes — the demux map lookup
     // borrows them, so no per-request ObjectKey clone.
@@ -639,7 +715,7 @@ fn run_job(adapter: &Arc<ObjectAdapter>, job: Job, metrics: Option<&ServerMetric
             // by a clock step.
             sent_at_ns: recv_at_ns
                 .saturating_add(cool_telemetry::duration_as_u64_ns(job.enqueued.elapsed())),
-            queue_wait_us,
+            queue_wait_us: duration_as_u32_us(waited),
             negotiate_us: timings.negotiate_us,
             execute_us: timings.execute_us,
         }
@@ -677,6 +753,30 @@ mod tests {
         let waiter = std::thread::spawn(move || t.wait_idle(Duration::from_secs(5)));
         drop(guard);
         assert!(waiter.join().expect("waiter"), "drain completes on dec");
+    }
+
+    #[test]
+    fn job_tracker_wakes_a_drain_only_on_the_edge_to_zero() {
+        let tracker = JobTracker::new();
+        let pooled = tracker.track();
+        // The last job out is one a delivery thread ran itself: its guard
+        // drops there, not on a dispatcher, and must still end the drain.
+        let inline = tracker.track();
+        let t = tracker.clone();
+        let waiter = std::thread::spawn(move || t.wait_idle(Duration::from_secs(5)));
+        drop(pooled);
+        assert!(
+            !tracker.wait_idle(Duration::from_millis(10)),
+            "one of two jobs done is not idle"
+        );
+        std::thread::spawn(move || drop(inline))
+            .join()
+            .expect("delivery thread");
+        assert!(
+            waiter.join().expect("waiter"),
+            "the last guard ends the drain"
+        );
+        assert!(tracker.wait_idle(Duration::ZERO));
     }
 
     #[test]

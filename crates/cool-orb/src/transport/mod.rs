@@ -41,7 +41,17 @@
 //! Sink callbacks run on the delivering thread and are serialized per
 //! channel. They must not block on a synchronous invocation over the
 //! *same* channel (the delivery thread is the one that would unblock it) —
-//! the same re-entrancy rule the seed's demux thread had.
+//! the same re-entrancy rule the seed's demux thread had. The rule has a
+//! servant under it now: the server's sink runs a request for an object it
+//! has observed cheap to completion inside `on_frame` (see
+//! [`crate::server`]), so such a servant executes on the delivery thread —
+//! over Chorus, inside the caller's `send_frame` — and must not wait for a
+//! later frame of the connection that delivered its request.
+//!
+//! A thread that pushes while another is still inside the sink only
+//! enqueues; the thread inside drains those frames when its callback
+//! returns, as [`FrameSink::on_queued_frame`] — so a sink can tell the
+//! frame its thread brought from the ones it is handed on others' behalf.
 
 pub mod batch;
 pub mod chorus;
@@ -94,6 +104,15 @@ impl InboxMetrics {
 pub trait FrameSink: Send + Sync {
     /// A complete frame arrived on the channel.
     fn on_frame(&self, frame: Bytes);
+    /// A frame some *other* thread pushed while this one was inside
+    /// [`FrameSink::on_frame`] (several callers sharing a Chorus binding),
+    /// or one that queued before the sink was registered: the calling
+    /// thread is draining it on the pusher's behalf. Same frame, same
+    /// order; a sink that would do real work on the delivering thread
+    /// overrides this to do only what that thread can be held for.
+    fn on_queued_frame(&self, frame: Bytes) {
+        self.on_frame(frame);
+    }
     /// The channel closed (locally or by the peer). Called at most once,
     /// after the last `on_frame`.
     fn on_close(&self);
@@ -260,7 +279,9 @@ impl FrameInbox {
         }
         st.queue.push_back(frame);
         if st.sink.is_some() && !st.delivering {
-            self.deliver(st);
+            // The invariant below: the queue held nothing before this
+            // push, so the first frame out is the caller's own.
+            self.deliver(st, true);
         } else {
             self.arrived.notify_one();
         }
@@ -294,7 +315,7 @@ impl FrameInbox {
         let mut st = self.state.lock();
         st.sink = Some(sink);
         if !st.delivering {
-            self.deliver(st);
+            self.deliver(st, false);
         }
     }
 
@@ -305,7 +326,7 @@ impl FrameInbox {
         st.closed = true;
         self.arrived.notify_all();
         if st.sink.is_some() && !st.delivering {
-            self.deliver(st);
+            self.deliver(st, false);
         }
     }
 
@@ -316,12 +337,19 @@ impl FrameInbox {
 
     /// Drains the queue into the sink with the lock released around each
     /// callback, then fires `on_close` (once) if the inbox is closed.
-    fn deliver<'a>(&'a self, mut st: MutexGuard<'a, InboxState>) {
+    /// `own` says the first frame out is one the calling thread pushed;
+    /// every later one waited behind it and arrives as
+    /// [`FrameSink::on_queued_frame`].
+    fn deliver<'a>(&'a self, mut st: MutexGuard<'a, InboxState>, mut own: bool) {
         let Some(sink) = st.sink.clone() else { return };
         st.delivering = true;
         while let Some(frame) = st.queue.pop_front() {
             drop(st);
-            sink.on_frame(frame);
+            if std::mem::take(&mut own) {
+                sink.on_frame(frame);
+            } else {
+                sink.on_queued_frame(frame);
+            }
             st = self.state.lock();
         }
         st.delivering = false;

@@ -13,7 +13,7 @@ use bytes::Bytes;
 use cool_telemetry::Registry;
 use dacapo::tlayer::{read_frame, write_frame_vectored, MAX_TCP_FRAME};
 use parking_lot::Mutex;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -156,8 +156,11 @@ impl TcpComChannel {
 }
 
 /// Blocks on the socket, pushing each completed frame into the inbox;
-/// closes the inbox on EOF, shutdown, or any framing/IO error.
-fn reader_loop(mut stream: TcpStream, inbox: &FrameInbox) {
+/// closes the inbox on EOF, shutdown, or any framing/IO error. Buffered,
+/// so a small frame's length prefix and body arrive in one `read`; a body
+/// larger than the buffer is still read straight into its own storage.
+fn reader_loop(stream: TcpStream, inbox: &FrameInbox) {
+    let mut stream = BufReader::new(stream);
     while let Ok(frame) = read_frame(&mut stream) {
         inbox.push(frame);
     }

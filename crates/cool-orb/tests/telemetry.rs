@@ -13,15 +13,23 @@ use std::sync::Arc;
 /// Client + server ORB pair over loopback TCP, both reporting into the
 /// same registry so spans carry the server-side stages too.
 fn tcp_pair(registry: &Arc<Registry>) -> (OrbServer, Stub) {
+    tcp_pair_serving(registry, |_op, args, _ctx| Ok(args.to_vec()))
+}
+
+/// [`tcp_pair`] with the servant behind `"echo"` supplied by the caller.
+fn tcp_pair_serving(
+    registry: &Arc<Registry>,
+    servant: impl Fn(&str, &[u8], &cool_orb::InvocationCtx) -> Result<Vec<u8>, cool_orb::OrbError>
+        + Send
+        + Sync
+        + 'static,
+) -> (OrbServer, Stub) {
     let config = OrbConfig {
         telemetry: Some(Arc::clone(registry)),
         ..Default::default()
     };
     let server_orb = Orb::with_exchange_and_config("server", LocalExchange::new(), config.clone());
-    server_orb
-        .adapter()
-        .register_fn("echo", |_op, args, _ctx| Ok(args.to_vec()))
-        .unwrap();
+    server_orb.adapter().register_fn("echo", servant).unwrap();
     let server = server_orb.listen_tcp("127.0.0.1:0").unwrap();
     let reference = server.object_ref("echo");
     let client_orb = Orb::with_exchange_and_config("client", LocalExchange::new(), config);
@@ -146,6 +154,39 @@ fn thousand_calls_fill_counters_histograms_and_span_ring() {
     assert!(text.contains("orb_invocations_total"));
     let prom = registry.render_prometheus();
     assert!(prom.contains("orb_invocation_latency_us"));
+}
+
+#[test]
+fn inline_counter_tells_which_path_requests_took() {
+    let inline_after = |calls: u32, servant_sleep: Option<std::time::Duration>| {
+        let registry = Arc::new(Registry::new());
+        let (_server, stub) = tcp_pair_serving(&registry, move |_op, args, _ctx| {
+            if let Some(nap) = servant_sleep {
+                std::thread::sleep(nap);
+            }
+            Ok(args.to_vec())
+        });
+        for _ in 0..calls {
+            stub.invoke("op", Bytes::from_static(b"x")).unwrap();
+        }
+        let snap = registry.snapshot();
+        // Either way every request left a queue-wait sample (zero when it
+        // skipped the queue), which keeps its span at six stages.
+        assert_eq!(
+            snap.histogram("orb_dispatch_queue_wait_us").unwrap().count,
+            u64::from(calls)
+        );
+        snap.counter(cool_telemetry::names::DISPATCH_INLINE_TOTAL)
+    };
+    // An echo servant is observed cheap within its first hundred calls and
+    // runs on the connection's reader thread from then on; one that sleeps
+    // a millisecond never builds the streak, however many calls it serves.
+    let warmed = inline_after(1000, None).unwrap_or(0);
+    assert!(warmed > 0 && warmed < 1000, "inline dispatches: {warmed}");
+    assert_eq!(
+        inline_after(100, Some(std::time::Duration::from_millis(1))),
+        Some(0)
+    );
 }
 
 #[test]

@@ -28,6 +28,11 @@ pub const TRACE_JOINS_TOTAL: &str = "trace_joins_total";
 /// request (client) and reply (server) side.
 pub const SERVICE_CONTEXT_BYTES: &str = "service_context_bytes";
 
+/// Requests a server ran to completion on the thread that delivered them
+/// instead of handing them to its dispatcher pool — objects whose recent
+/// upcalls were all cheap (DESIGN.md §5, "Threading model").
+pub const DISPATCH_INLINE_TOTAL: &str = "orb_dispatch_inline_total";
+
 /// Flight-recorder events evicted from the bounded ring to make room for
 /// newer ones.
 pub const FLIGHT_EVENTS_DROPPED_TOTAL: &str = "flight_events_dropped_total";

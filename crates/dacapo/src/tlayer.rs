@@ -17,7 +17,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -323,7 +323,10 @@ impl TcpTransport {
         })
     }
 
-    fn reader_loop(mut stream: TcpStream, tx: Sender<Bytes>, closed: Arc<AtomicBool>) {
+    fn reader_loop(stream: TcpStream, tx: Sender<Bytes>, closed: Arc<AtomicBool>) {
+        // One `read` per small frame (prefix and body together); a body
+        // larger than the buffer bypasses it.
+        let mut stream = BufReader::new(stream);
         while !closed.load(Ordering::Acquire) {
             // Peer closed, corrupt stream or I/O error: give up, and the
             // channel's sender drops.

@@ -23,8 +23,12 @@ cargo test --release --offline --manifest-path ledger/Cargo.toml
 # whose `qos_churn` workload they pin: the transport close contract, the
 # reconfigure / close / set_qos latency bounds (no timer on the path), the
 # swap under traffic, the stream's end of flow and the server-side reclaim.
+# And the pipelining suite: that blocking servants overlap on one
+# connection, and still do once an object has been run on the delivery
+# thread and turned slow, is a claim about elapsed time — it has to hold
+# optimized as well.
 cargo test -q --release -p dacapo --test transport_contract --test end_to_end
-cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow
+cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow --test pipelining
 cargo test -q --release -p cool-orb --lib dacapo_chan
 
 # The analyzer (DESIGN §7.1), one pass over every .rs file. Per-file
