@@ -18,7 +18,7 @@
 //! `close` closes the Da CaPo connection, which closes the transport and
 //! so wakes the peer's receive pump. The peer's channel pump then reads
 //! everything that was sent before the close, sees the connection closed
-//! by the peer, and closes its own side: stack threads joined, resource
+//! by the peer, and closes its own side: stack executor joined, resource
 //! grant released, inbox closed (→ the sink's `on_close`). The server end
 //! of a binding is reclaimed that way when the client goes, without
 //! `OrbServer::close`.

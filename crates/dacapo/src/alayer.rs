@@ -23,7 +23,7 @@ pub struct AppEndpoint {
     /// can complete quiescence, so they tell any `drain` waiter to re-check.
     quiesce: Arc<QuiesceSignal>,
     /// Set once this application has been told the wire is gone (closed by
-    /// the peer, severed, I/O error): by the TX pump when a send fails, or
+    /// the peer, severed, I/O error): by the executor when a send fails, or
     /// here when the close sentinel — which travels up behind the inbound
     /// data that preceded it — is received. From then on sends fail and
     /// receives report [`DacapoError::Closed`] instead of idling out their

@@ -27,8 +27,8 @@ use std::sync::Arc;
 /// The connection owns the transport and, with it, the one thread that
 /// receives from it (the [`RxPump`]); module stacks come and go above
 /// that pump as the connection is reconfigured. Nothing on the
-/// reconfiguration or teardown path waits out a timer: stack threads are
-/// woken through their wake channel, the pump by [`Transport::close`].
+/// reconfiguration or teardown path waits out a timer: a stack's executor
+/// is woken through its wake channel, the pump by [`Transport::close`].
 pub struct Connection {
     running: OrderedMutex<Running>,
     endpoint: OrderedMutex<AppEndpoint>,
@@ -134,8 +134,8 @@ impl Connection {
     }
 
     /// Like [`Connection::establish_with_qos`], but with explicit runtime
-    /// options — in particular a telemetry registry the module threads and
-    /// transport pumps report into. The options survive
+    /// options — in particular a telemetry registry the stack's executor
+    /// and the receive pump report into. The options survive
     /// [`Connection::reconfigure`], so a reconfigured stack keeps feeding
     /// the same registry.
     pub fn establish_with_qos_opts(
@@ -384,7 +384,7 @@ impl Connection {
 
     /// Tears the connection down: closes the transport — which wakes the
     /// receive pumps of both sides, so the peer learns of it without being
-    /// told — then joins the pump and the stack's threads. Idempotent.
+    /// told — then joins the pump and the stack's executor. Idempotent.
     pub fn close(&self) {
         self.life.closed.store(true, Ordering::Release);
         // Before the lock: a drain or swap holding it ends sooner for it.

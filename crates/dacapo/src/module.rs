@@ -3,15 +3,17 @@
 //! *"The unified module interface allows free and unconstrained combination
 //! of modules to protocols"* (Section 5.1). A module sees two packet
 //! streams — **down** (application → wire) and **up** (wire → application)
-//! — plus periodic timer ticks for retransmission logic. It emits any
-//! number of packets in either direction per event; the runtime moves them
-//! to the neighbouring modules' queues.
+//! — plus periodic timer ticks for retransmission logic (by deadline:
+//! traffic does not postpone them). It emits any number of packets in
+//! either direction per event; the runtime moves them to the neighbouring
+//! modules' queues.
 //!
 //! Backpressure: a module may pause its down-direction intake (e.g. an ARQ
 //! with a full window) by returning `false` from
-//! [`Module::ready_for_down`]; the runtime then stops draining its down
-//! queue, which stalls the sender all the way up to the application — the
-//! flow-control behaviour the paper measures with the IRQ configuration.
+//! [`Module::ready_for_down`]; the runtime then leaves its down queue
+//! standing and takes nothing more from the application until it has
+//! emptied, which stalls the sender — the flow-control behaviour the paper
+//! measures with the IRQ configuration.
 
 use crate::packet::Packet;
 use std::time::Duration;
@@ -62,9 +64,12 @@ impl Outputs {
 
 /// A protocol mechanism instance living at one position of a module graph.
 ///
-/// Implementations are single-threaded: the runtime guarantees all methods
-/// are called from the module's own thread, so `&mut self` state needs no
-/// internal locking — matching the paper's one-thread-per-module design.
+/// Implementations are single-threaded: the runtime calls all methods of
+/// all modules of a stack from that stack's one executor thread
+/// (`dacapo-stack`), one event at a time, so `&mut self` state needs no
+/// internal locking — the guarantee the paper's one-thread-per-module
+/// design gave, kept by a design with fewer threads. A module must not
+/// block in a callback: it would hold up every module of its stack.
 pub trait Module: Send {
     /// Short name for diagnostics (usually the mechanism id).
     fn name(&self) -> &str;

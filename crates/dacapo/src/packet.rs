@@ -27,6 +27,22 @@ use cool_telemetry::allocs::record_buffer_alloc;
 /// Default headroom reserved for module headers (bytes).
 pub const DEFAULT_HEADROOM: usize = 64;
 
+/// Spare capacity reserved behind the payload for module trailers (a
+/// parity word, a CRC): the first trailer pushed onto a fresh buffer must
+/// not reallocate the frame it closes.
+const TAILROOM: usize = 32;
+
+/// An owned buffer holding `payload` behind `headroom` zeroed bytes, with
+/// [`TAILROOM`] spare capacity after it. Only the headroom is zero-filled;
+/// the payload is written once.
+fn owned_storage(payload: &[u8], headroom: usize) -> Vec<u8> {
+    record_buffer_alloc();
+    let mut storage = Vec::with_capacity(headroom + payload.len() + TAILROOM);
+    storage.resize(headroom, 0);
+    storage.extend_from_slice(payload);
+    storage
+}
+
 /// Whether a packet carries application data or module-to-module control
 /// information (acknowledgements, window updates, …).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,11 +105,8 @@ impl Packet {
 
     /// Creates a packet with explicit headroom.
     pub fn with_headroom(payload: &[u8], headroom: usize, kind: PacketKind) -> Self {
-        record_buffer_alloc();
-        let mut storage = vec![0u8; headroom + payload.len()];
-        storage[headroom..].copy_from_slice(payload);
         Packet {
-            storage: Storage::Owned(storage),
+            storage: Storage::Owned(owned_storage(payload, headroom)),
             start: headroom,
             end: headroom + payload.len(),
             kind,
@@ -194,11 +207,8 @@ impl Packet {
         };
         if header.len() > self.start {
             // Grow: reallocate with fresh headroom in front.
-            record_buffer_alloc();
             let needed = header.len() + DEFAULT_HEADROOM;
-            let mut grown = vec![0u8; needed + (self.end - self.start)];
-            grown[needed..].copy_from_slice(&storage[self.start..self.end]);
-            *storage = grown;
+            *storage = owned_storage(&storage[self.start..self.end], needed);
             self.end = storage.len();
             self.start = needed;
         }
@@ -230,10 +240,9 @@ impl Packet {
         let Storage::Owned(storage) = &mut self.storage else {
             unreachable!("make_owned converted storage")
         };
-        if self.end + trailer.len() > storage.len() {
-            storage.resize(self.end + trailer.len(), 0);
-        }
-        storage[self.end..self.end + trailer.len()].copy_from_slice(trailer);
+        // Anything behind `end` is a trailer already popped.
+        storage.truncate(self.end);
+        storage.extend_from_slice(trailer);
         self.end += trailer.len();
     }
 
@@ -278,10 +287,8 @@ impl Packet {
     /// the packet; no-op for packets already owned.
     fn make_owned(&mut self) {
         if let Storage::Shared(b) = &self.storage {
-            record_buffer_alloc();
             let len = self.end - self.start;
-            let mut storage = vec![0u8; DEFAULT_HEADROOM + len];
-            storage[DEFAULT_HEADROOM..].copy_from_slice(&b[self.start..self.end]);
+            let storage = owned_storage(&b[self.start..self.end], DEFAULT_HEADROOM);
             self.storage = Storage::Owned(storage);
             self.start = DEFAULT_HEADROOM;
             self.end = DEFAULT_HEADROOM + len;
@@ -422,6 +429,25 @@ mod tests {
         assert_eq!(out, &b"Hbody"[..]);
         // The owned Vec moved into the Bytes arc: same backing address.
         assert_eq!(out.as_ref().as_ptr(), before);
+    }
+
+    #[test]
+    fn a_trailer_after_a_header_does_not_move_the_frame() {
+        // `seq` then `parity` on every media frame: the copy-on-write
+        // buffer has room for both, so the 4 KiB payload is copied once.
+        let frame = Bytes::from(vec![0xabu8; 4096]);
+        let mut p = Packet::from_shared(frame, PacketKind::Data);
+        p.push_header(&[1, 2, 3, 4]);
+        let body = p.payload()[4..].as_ptr();
+        p.push_trailer(&[5, 6, 7, 8]);
+        assert_eq!(p.payload()[4..].as_ptr(), body);
+        assert_eq!(p.len(), 4 + 4096 + 4);
+        assert_eq!(&p.payload()[4100..], &[5, 6, 7, 8]);
+        // A popped trailer's bytes are not resurrected by the next push.
+        p.pop_trailer(4).unwrap();
+        p.push_trailer(&[9]);
+        assert_eq!(&p.payload()[4099..], &[0xab, 9]);
+        assert_eq!(p.payload()[4..].as_ptr(), body);
     }
 
     #[test]

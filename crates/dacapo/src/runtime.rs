@@ -1,21 +1,36 @@
-//! The module-graph runtime: one thread per module, message queues in
-//! between.
+//! The module-graph runtime: one executor thread per stack, a queue in
+//! front of every module.
 //!
-//! This is the paper's Figure 6 materialised: *"Each module in Da CaPo is
-//! executed by a single thread … Modules exchange pointers to packets over
-//! message queues. Each module has two message queues associated: one for
-//! data and one for control information."* Here the two directions (down =
-//! towards the wire, up = towards the application) are the two queues;
-//! control packets share the queues and are told apart by module-level
-//! header tags, which keeps the wire format self-describing.
+//! The paper's Figure 6 gives each module a thread and two message queues
+//! (*"Each module in Da CaPo is executed by a single thread … Modules
+//! exchange pointers to packets over message queues"*). The queues are
+//! still here — one per module and direction (down = towards the wire,
+//! up = towards the application), control packets sharing them and told
+//! apart by module-level header tags, which keeps the wire format
+//! self-describing — but they are `VecDeque`s owned by the stack's single
+//! `dacapo-stack` thread, which runs every module inline and writes to the
+//! transport itself. A packet crosses the whole chain without a thread
+//! handoff, and the executor keeps taking input until both its sources are
+//! dry before it parks again, so under load a wake-up is paid per burst,
+//! not per packet per module. What that gives up: the stages of one stack
+//! no longer overlap on different cores (DESIGN §2).
 //!
-//! Backpressure discipline: **down** channels are bounded — a module whose
-//! [`Module::ready_for_down`] returns `false` simply stops draining its
-//! down queue, which stalls everything above it up to the application
-//! (that is how the IRQ configuration throttles Figure 9's sender).
-//! **Up** channels are unbounded: the wire already paces them, and keeping
-//! them non-blocking rules out send/send deadlock between neighbouring
-//! threads.
+//! The executor has two inputs, both channels because other threads feed
+//! them: the application's **down** queue and the wire's **up** queue (the
+//! connection's [`RxPump`]). An empty graph has only the first: with no
+//! module to run on the way up, the pump's frames go straight to the
+//! application's queue.
+//!
+//! Backpressure discipline: the application's down queue is bounded. A
+//! module whose [`Module::ready_for_down`] returns `false` leaves its own
+//! queue standing, and the executor admits a new application packet only
+//! while no packet stands in any module's queue — so a stalled module
+//! stalls everything above it up to the application's `send` (that is how
+//! the IRQ configuration throttles Figure 9's sender), and what the stack
+//! buffers is bounded by that one queue plus the fan-out of one packet.
+//! The **up** direction is unbounded: the wire already paces it, the
+//! acknowledgements that release a stalled module arrive on it, and the
+//! receive pump may forward under its slot lock without ever blocking.
 
 use crate::alayer::AppEndpoint;
 use crate::module::{Module, Outputs};
@@ -27,36 +42,42 @@ use bytes::Bytes;
 use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::lockorder::{rank as lock_rank, OrderedMutex, OrderedMutexGuard};
 use cool_telemetry::{Counter, Gauge, Registry};
-use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender, TryRecvError};
 use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Capacity of each bounded down-direction queue: a stalled module
-/// backpressures the application's `send` within this many packets a hop.
+/// Capacity of the application's bounded down queue: a stalled module
+/// backpressures the application's `send` within this many packets.
 const CHANNEL_CAPACITY: usize = 128;
 
 /// Interval between [`Module::on_tick`] callbacks. This is a protocol
 /// timer (it drives ARQ retransmission), *not* a data-path poll: packet
-/// arrival wakes a module immediately via its queue select.
+/// arrival wakes the executor immediately via its queue select. It runs
+/// by deadline, checked after every batch, so traffic cannot starve it.
 const TICK_INTERVAL: Duration = Duration::from_millis(20);
+
+/// Packets the executor takes in before it looks at the clock, the
+/// shutdown flag and the quiescence signal again.
+const BATCH: usize = 64;
 
 /// What a running stack reports to.
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeOptions {
-    /// When set, every module thread reports per-direction frame/byte
-    /// throughput (`dacapo_module_frames_total{module,dir}`,
-    /// `dacapo_module_bytes_total{module,dir}`) and its input-queue depth
-    /// (`dacapo_module_queue_depth{module}`), and the transport pumps (the
-    /// stack's TX pump, the connection's [`RxPump`]) report wire traffic
+    /// When set, the executor reports per module its per-direction
+    /// frame/byte throughput (`dacapo_module_frames_total{module,dir}`,
+    /// `dacapo_module_bytes_total{module,dir}`) and the depth of the queues
+    /// in front of it (`dacapo_module_queue_depth{module}`), and it and the
+    /// connection's [`RxPump`] report wire traffic
     /// (`dacapo_wire_frames_total{dir}`, `dacapo_wire_bytes_total{dir}`)
     /// into this registry.
     pub telemetry: Option<Arc<Registry>>,
 }
 
-/// Pre-resolved registry handles for one module thread.
+/// Pre-resolved registry handles for one module.
 struct ModuleTelemetry {
     down_frames: Arc<Counter>,
     down_bytes: Arc<Counter>,
@@ -85,14 +106,14 @@ impl ModuleTelemetry {
 
 /// Quiescence bookkeeping shared by everything that touches a stack's
 /// packets: a count of the packets inside the stack, and a generation
-/// counter bumped by every stack thread (and the application endpoint)
-/// after it moves work on, so [`StackHandle::drain`] can park in a condvar
-/// instead of sleep-polling.
+/// counter bumped by the executor after every batch (and by the application
+/// endpoint after every receive), so [`StackHandle::drain`] can park in a
+/// condvar instead of sleep-polling.
 ///
 /// A packet is *inside* from the moment a sender is about to queue it
 /// (application send, receive pump) until it has left for good (handed to
 /// the transport, received by the application, consumed by a module) — so
-/// also while a thread holds it between two queues, which looking at the
+/// also while a module holds it between two queues, which looking at the
 /// queues alone would miss: a drain that saw them all empty at that moment
 /// would let a close cut off the last frame of a stream.
 #[derive(Debug, Default)]
@@ -142,29 +163,29 @@ impl QuiesceSignal {
     }
 }
 
-/// A running module stack bound to a transport: the module threads and the
-/// transport TX pump. The receiving side of the transport is not the
-/// stack's — one [`RxPump`] per transport outlives every stack built on it
-/// and feeds whichever one is current through its [`Uplink`].
+/// A running module stack bound to a transport: the executor thread that
+/// runs the modules and sends on the transport. The receiving side of the
+/// transport is not the stack's — one [`RxPump`] per transport outlives
+/// every stack built on it and feeds whichever one is current through its
+/// [`Uplink`].
 #[derive(Debug)]
 pub struct StackHandle {
     app: AppEndpoint,
     uplink: Uplink,
     shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    executor: Option<JoinHandle<()>>,
     module_names: Vec<String>,
-    /// Per-module idle flags maintained by the module threads.
+    /// Per-module idle flags maintained by the executor.
     idle_flags: Vec<Arc<AtomicBool>>,
-    /// Counts the packets inside the stack; pulsed by stack threads
+    /// Counts the packets inside the stack; pulsed by the executor
     /// whenever that may have changed.
     quiesce: Arc<QuiesceSignal>,
-    /// Shutdown wakeup: every stack thread selects on a clone of the
-    /// matching receiver. Dropping this sender disconnects the channel and
-    /// wakes all threads blocked in a select, so shutdown never waits for
-    /// a tick or poll interval to expire.
+    /// Shutdown wakeup: the executor selects on the matching receiver.
+    /// Dropping this sender disconnects the channel and wakes it out of
+    /// its select, so shutdown never waits for a tick to come round.
     wake: Option<Sender<()>>,
     /// Set once the application has been told the transport is gone: by
-    /// the TX pump on a send failure, by the endpoint when the close
+    /// the executor on a send failure, by the endpoint when the close
     /// sentinel reaches it.
     transport_dead: Arc<AtomicBool>,
 }
@@ -185,9 +206,10 @@ impl StackHandle {
         &self.module_names
     }
 
-    /// Number of worker threads (modules + the transport TX pump).
+    /// Number of threads the stack runs: its executor, whatever the
+    /// number of modules.
     pub fn thread_count(&self) -> usize {
-        self.threads.len()
+        1
     }
 
     /// Whether the application has been told that the transport underneath
@@ -199,7 +221,7 @@ impl StackHandle {
     }
 
     /// Whether no packet is inside the stack — queued, or in the hands of
-    /// a module or pump thread — and every module reports no deferred
+    /// a module or the receive pump — and every module reports no deferred
     /// state: all application traffic has reached the transport (or the
     /// application) and no ARQ window is outstanding.
     pub fn is_quiescent(&self) -> bool {
@@ -209,8 +231,8 @@ impl StackHandle {
     /// Waits up to `timeout` for the stack to quiesce; returns whether it
     /// did. Used for graceful teardown: close after `drain` loses nothing.
     ///
-    /// Event-driven: stack threads pulse [`QuiesceSignal`] after draining
-    /// work, so this parks in a condvar between re-checks instead of
+    /// Event-driven: the executor pulses [`QuiesceSignal`] after each batch
+    /// of work, so this parks in a condvar between re-checks instead of
     /// sleep-polling.
     pub fn drain(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
@@ -228,16 +250,16 @@ impl StackHandle {
         }
     }
 
-    /// Stops all stack threads and joins them. The transport itself is
-    /// *not* closed — the caller may rebuild a new stack on it
+    /// Stops the executor and joins it. The transport itself is *not*
+    /// closed — the caller may rebuild a new stack on it
     /// (reconfiguration).
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::Release);
-        // Dropping the wake sender disconnects every thread's wake
-        // receiver, popping them out of blocking selects immediately.
+        // Dropping the wake sender disconnects the executor's wake
+        // receiver, popping it out of a blocking select immediately.
         self.wake.take();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        if let Some(executor) = self.executor.take() {
+            let _ = executor.join();
         }
     }
 }
@@ -274,7 +296,7 @@ impl Uplink {
     }
 
     /// The wire closed: the close sentinel goes up *behind* the frames
-    /// already forwarded, through every module queue in order, so the
+    /// already forwarded, through every module's queue in order, so the
     /// application receives the tail of the traffic and then `Closed`.
     fn close(&self) {
         self.send(Packet::close_sentinel());
@@ -286,9 +308,9 @@ impl Uplink {
 /// [`Transport::recv`] — woken by a frame or by [`Transport::close`] on
 /// either side, never by a timer — and forwards each frame into whichever
 /// stack's [`Uplink`] is installed in its forward slot. Reconfiguration
-/// therefore stops and joins only threads that select on the stack's wake
-/// channel, and a frame that arrives between two stacks waits for the new
-/// one instead of dying with the old.
+/// therefore stops and joins only the stack's executor, which selects on
+/// the stack's wake channel, and a frame that arrives between two stacks
+/// waits for the new one instead of dying with the old.
 pub struct RxPump {
     transport: Arc<dyn Transport>,
     slot: Arc<OrderedMutex<Option<Uplink>>>,
@@ -355,7 +377,7 @@ fn rx_pump_loop(
             frames.inc();
             bytes.add(frame.len() as u64);
         }
-        // The up queues are unbounded, so the send under the slot lock
+        // The up queue is unbounded, so the send under the slot lock
         // never blocks; a swap in progress holds the lock and parks the
         // pump until the new stack is in.
         if let Some(uplink) = slot.lock().as_ref() {
@@ -375,27 +397,12 @@ fn wire_counters(registry: &Registry, dir: &str) -> (Arc<Counter>, Arc<Counter>)
     )
 }
 
-/// Tears down a partially built stack after a spawn failure: signals
-/// shutdown, disconnects the wake channel and joins what already started.
-fn abort_partial_stack(
-    shutdown: &AtomicBool,
-    wake_tx: &mut Option<Sender<()>>,
-    threads: &mut Vec<JoinHandle<()>>,
-) {
-    shutdown.store(true, Ordering::Release);
-    wake_tx.take();
-    for t in threads.drain(..) {
-        let _ = t.join();
-    }
-}
-
 /// Builds and starts a stack: `modules` top-to-bottom between the
 /// application and `transport`.
 ///
 /// # Errors
 ///
-/// [`DacapoError::Runtime`] if an OS thread cannot be spawned; threads
-/// already started are torn down before returning.
+/// [`DacapoError::Runtime`] if the executor's OS thread cannot be spawned.
 pub fn build_stack(
     modules: Vec<Box<dyn Module>>,
     transport: Arc<dyn Transport>,
@@ -405,286 +412,335 @@ pub fn build_stack(
     let quiesce = Arc::new(QuiesceSignal::default());
     let transport_dead = Arc::new(AtomicBool::new(false));
     // Never sent on: exists only so that dropping `wake_tx` (at shutdown)
-    // disconnects the receivers and wakes every blocked select below. It
+    // disconnects the receiver and wakes the executor's select. It
     // carries no data, its capacity is irrelevant, and nothing can queue
     // on it — boundedness is moot.
-    // lint: allow(A005, §7.4: never sent on — exists only so drop disconnects and wakes blocked selects)
+    // lint: allow(A005, §7.4: never sent on — exists only so drop disconnects and wakes the executor's select)
     let (wake_tx, wake_rx) = unbounded::<()>();
-    let mut wake_tx = Some(wake_tx);
     let module_names: Vec<String> = modules.iter().map(|m| m.name().to_owned()).collect();
-    let mut threads = Vec::new();
-    let mut idle_flags: Vec<Arc<AtomicBool>> = Vec::new();
 
-    let n = modules.len();
-    // Down channels: d[0] = app -> first module … d[n] = last module -> T.
-    let mut down_tx = Vec::with_capacity(n + 1);
-    let mut down_rx = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        let (tx, rx) = bounded::<Packet>(CHANNEL_CAPACITY);
-        down_tx.push(tx);
-        down_rx.push(rx);
-    }
-    // Up channels: u[0] = first module -> app … u[n] = T -> last module.
-    // Unbounded by design (module header): the wire already paces the up
-    // direction, and a bounded up queue could deadlock two neighbouring
-    // module threads against each other in `send`.
-    let mut up_tx = Vec::with_capacity(n + 1);
-    let mut up_rx = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        // lint: allow(A005, §7.4: up direction is wire-paced and drained by the app endpoint; a bound risks send/send deadlock)
+    // The executor's two inputs and its one output to another thread.
+    let (app_down_tx, app_down_rx) = bounded::<Packet>(CHANNEL_CAPACITY);
+    // lint: allow(A005, §7.4: filled by the executor at the pace of the wire and drained by the app endpoint; the executor must never block on the application)
+    let (app_up_tx, app_up_rx) = unbounded::<Packet>();
+    // An empty graph has nothing to run on the way up: what the receive
+    // pump reads is the application's as it stands, and goes to its queue
+    // without a stop at the executor.
+    let (wire_up_tx, wire_up_rx) = if modules.is_empty() {
+        (app_up_tx.clone(), None)
+    } else {
+        // Unbounded by design (module header): the wire paces the up
+        // direction, the acknowledgements that unstall a module travel on
+        // it, and the receive pump forwards under its slot lock.
+        // lint: allow(A005, §7.4: up direction is wire-paced and drained by the executor whatever else stalls; the receive pump forwards under its slot lock and must not block)
         let (tx, rx) = unbounded::<Packet>();
-        up_tx.push(tx);
-        up_rx.push(rx);
-    }
+        (tx, Some(rx))
+    };
 
-    // Module threads. Module i consumes down_rx[i] and up_rx[i+1], and
-    // produces into down_tx[i+1] and up_tx[i].
-    let mut down_rx_iter = down_rx.into_iter();
-    // lint: allow(L002, n+1 down channels were just created above; the iterator cannot be empty)
-    let first_down_rx = down_rx_iter.next().expect("at least one down channel");
-    let mut prev_down_rx = first_down_rx;
-    for (i, module) in modules.into_iter().enumerate() {
-        let down_in = prev_down_rx;
-        // lint: allow(L002, loop runs n times over n+1 channels; one receiver per module by construction)
-        prev_down_rx = down_rx_iter.next().expect("down channel per module");
-        let up_in = up_rx[i + 1].clone();
-        let down_out = down_tx[i + 1].clone();
-        let up_out = up_tx[i].clone();
-        let flag = shutdown.clone();
-        let idle = Arc::new(AtomicBool::new(true));
-        idle_flags.push(idle.clone());
-        let wake = wake_rx.clone();
-        // Same-named modules (within a stack or across the two peers of a
-        // connection sharing one registry) aggregate into one time series.
-        let telemetry = opts
-            .telemetry
-            .as_ref()
-            .map(|r| ModuleTelemetry::new(r, module.name()));
-        let name = format!("dacapo-mod-{}", module.name());
-        let module_quiesce = quiesce.clone();
-        let spawned = std::thread::Builder::new().name(name.clone()).spawn(move || {
-            module_loop(
-                module, down_in, up_in, down_out, up_out, flag, idle, wake,
-                module_quiesce, telemetry,
-            )
-        });
-        match spawned {
-            Ok(handle) => threads.push(handle),
-            Err(e) => {
-                abort_partial_stack(&shutdown, &mut wake_tx, &mut threads);
-                return Err(DacapoError::Runtime(format!("spawn {name}: {e}")));
-            }
-        }
-    }
-    // The remaining down receiver feeds the transport TX pump.
-    let t_down_rx = prev_down_rx;
+    let stages: Vec<Stage> = modules
+        .into_iter()
+        .map(|module| Stage {
+            // Same-named modules (within a stack or across the two peers
+            // of a connection sharing one registry) aggregate into one
+            // time series.
+            telemetry: opts
+                .telemetry
+                .as_ref()
+                .map(|r| ModuleTelemetry::new(r, module.name())),
+            module,
+            down: VecDeque::new(),
+            up: VecDeque::new(),
+            idle: Arc::new(AtomicBool::new(true)),
+        })
+        .collect();
+    let idle_flags = stages.iter().map(|s| s.idle.clone()).collect();
+    let executor = Executor {
+        stages,
+        queued: 0,
+        out: Outputs::new(),
+        transport,
+        app_up: app_up_tx,
+        shutdown: shutdown.clone(),
+        quiesce: quiesce.clone(),
+        transport_dead: transport_dead.clone(),
+        wire: opts.telemetry.as_deref().map(|r| wire_counters(r, "tx")),
+        registry: opts.telemetry.clone(),
+    };
+    let executor = std::thread::Builder::new()
+        .name("dacapo-stack".into())
+        .spawn(move || {
+            // Told to stop or out of things to serve: either way it is over.
+            let _ = executor.run(&app_down_rx, wire_up_rx.as_ref(), &wake_rx);
+        })
+        .map_err(|e| DacapoError::Runtime(format!("spawn dacapo-stack: {e}")))?;
 
-    // Transport TX pump: blocks in a select over the bottom down queue and
-    // the shutdown wake channel — no timeout, no polling. (The RX side is
-    // the transport's [`RxPump`], which delivers into `up_tx[n]`.)
-    {
-        let flag = shutdown.clone();
-        let wake = wake_rx.clone();
-        let tx_quiesce = quiesce.clone();
-        let dead = transport_dead.clone();
-        let app_up = up_tx[0].clone();
-        let flight_reg = opts.telemetry.clone();
-        let wire = opts.telemetry.as_deref().map(|r| wire_counters(r, "tx"));
-        let spawned = std::thread::Builder::new()
-            .name("dacapo-t-tx".into())
-            .spawn(move || loop {
-                if flag.load(Ordering::Acquire) {
-                    return;
-                }
-                let mut sel = Select::new();
-                let wake_idx = sel.recv(&wake);
-                let down_idx = sel.recv(&t_down_rx);
-                let op = sel.select();
-                if op.index() == down_idx {
-                    match op.recv(&t_down_rx) {
-                        Ok(pkt) => {
-                            let wire_len = pkt.len() as u64;
-                            let sent = transport.send(pkt.into_bytes());
-                            tx_quiesce.leave(1);
-                            if sent.is_err() {
-                                // The wire no longer takes what the
-                                // application sends: tell it now, ahead of
-                                // anything still climbing the up queues (a
-                                // failed send is not an orderly close),
-                                // unless this is our own teardown.
-                                if !flag.load(Ordering::Acquire) {
-                                    dead.store(true, Ordering::Release);
-                                    if let Some(r) = &flight_reg {
-                                        r.flight_event(
-                                            flight_event::TRANSPORT_DEAD,
-                                            None,
-                                            "dacapo tx pump: transport send failed".to_owned(),
-                                        );
-                                    }
-                                    tx_quiesce.enter(1);
-                                    let _ = app_up.send(Packet::close_sentinel());
-                                    tx_quiesce.pulse();
-                                }
-                                return;
-                            }
-                            if let Some((frames, bytes)) = &wire {
-                                frames.inc();
-                                bytes.add(wire_len);
-                            }
-                            // The bottom down queue just shrank; a drainer
-                            // may now observe quiescence.
-                            tx_quiesce.pulse();
-                        }
-                        Err(_) => return,
-                    }
-                } else {
-                    debug_assert_eq!(op.index(), wake_idx);
-                    // Disconnected wake channel: shutdown was signalled;
-                    // the flag check at the top of the loop returns.
-                    let _ = op.recv(&wake);
-                }
-            });
-        match spawned {
-            Ok(handle) => threads.push(handle),
-            Err(e) => {
-                abort_partial_stack(&shutdown, &mut wake_tx, &mut threads);
-                return Err(DacapoError::Runtime(format!("spawn dacapo-t-tx: {e}")));
-            }
-        }
-    }
-
-    let tx_meter = Arc::new(ThroughputMeter::new());
-    let rx_meter = Arc::new(ThroughputMeter::new());
     let app = AppEndpoint::new(
-        down_tx[0].clone(),
-        up_rx[0].clone(),
-        tx_meter,
-        rx_meter,
+        app_down_tx,
+        app_up_rx,
+        Arc::new(ThroughputMeter::new()),
+        Arc::new(ThroughputMeter::new()),
         quiesce.clone(),
         transport_dead.clone(),
     );
-
     let uplink = Uplink {
-        up_bottom: up_tx[n].clone(),
+        up_bottom: wire_up_tx,
         quiesce: quiesce.clone(),
     };
-
-    // Drop our copies of intermediate senders so threads observe
-    // disconnection when their upstream exits.
-    drop(down_tx);
-    drop(up_tx);
-    drop(up_rx);
-
     Ok(StackHandle {
         app,
         uplink,
         shutdown,
-        threads,
+        executor: Some(executor),
         module_names,
         idle_flags,
         quiesce,
-        wake: wake_tx,
+        wake: Some(wake_tx),
         transport_dead,
     })
 }
 
-/// One module's event loop.
-#[allow(clippy::too_many_arguments)]
-fn module_loop(
-    mut module: Box<dyn Module>,
-    down_in: Receiver<Packet>,
-    up_in: Receiver<Packet>,
-    down_out: Sender<Packet>,
-    up_out: Sender<Packet>,
-    shutdown: Arc<AtomicBool>,
+/// One module's place in the chain, with the queues in front of it.
+struct Stage {
+    module: Box<dyn Module>,
+    /// Packets on their way down, waiting for this module. Stands while
+    /// the module is not [`Module::ready_for_down`].
+    down: VecDeque<Packet>,
+    /// Packets on their way up, waiting for this module.
+    up: VecDeque<Packet>,
     idle: Arc<AtomicBool>,
-    wake: Receiver<()>,
-    quiesce: Arc<QuiesceSignal>,
     telemetry: Option<ModuleTelemetry>,
-) {
-    let start = Instant::now();
-    let mut out = Outputs::new();
-    let mut down_open = true;
-    let mut up_open = true;
+}
 
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if !down_open && !up_open {
-            return;
-        }
+/// The executor has nothing left to serve: the transport no longer takes
+/// frames, or the handle and everything that fed the stack are gone.
+struct Ended;
 
-        // Select over the currently admissible inputs. The shutdown wake
-        // receiver always participates, so a blocked module pops out of
-        // this select the instant teardown starts; the timeout is purely
-        // the module's protocol timer (ARQ retransmission), never a poll.
-        let take_down = down_open && module.ready_for_down();
-        let mut sel = Select::new();
-        let wake_idx = sel.recv(&wake);
-        let up_idx = if up_open {
-            Some(sel.recv(&up_in))
-        } else {
-            None
-        };
-        let down_idx = if take_down {
-            Some(sel.recv(&down_in))
-        } else {
-            None
-        };
-        let _ = down_idx;
+/// The next packet queued on `rx`, if there is one.
+fn try_take(rx: &Receiver<Packet>) -> Result<Option<Packet>, Ended> {
+    match rx.try_recv() {
+        Ok(pkt) => Ok(Some(pkt)),
+        Err(TryRecvError::Empty) => Ok(None),
+        Err(TryRecvError::Disconnected) => Err(Ended),
+    }
+}
 
-        // One event: at most one packet taken in, any number emitted.
-        let took = match sel.select_timeout(TICK_INTERVAL) {
-            Ok(op) if op.index() == wake_idx => {
-                // Disconnection of the wake channel signals shutdown; the
-                // flag check at the top of the loop handles it.
-                let _ = op.recv(&wake);
-                0
-            }
-            Ok(op) if Some(op.index()) == up_idx => match op.recv(&up_in) {
-                // Not the module's to interpret: hand it on behind what
-                // this module has already emitted.
-                Ok(pkt) if pkt.is_close_sentinel() => {
-                    out.push_up(pkt);
-                    1
+/// Everything a stack's one thread owns: the modules, the queues between
+/// them and the transport's send side.
+struct Executor {
+    /// Top (application side) to bottom (wire side).
+    stages: Vec<Stage>,
+    /// Packets standing in the stages' queues. Up queues always run dry,
+    /// so between two inputs this counts what stalled modules hold back.
+    queued: usize,
+    out: Outputs,
+    transport: Arc<dyn Transport>,
+    app_up: Sender<Packet>,
+    shutdown: Arc<AtomicBool>,
+    quiesce: Arc<QuiesceSignal>,
+    transport_dead: Arc<AtomicBool>,
+    wire: Option<(Arc<Counter>, Arc<Counter>)>,
+    registry: Option<Arc<Registry>>,
+}
+
+impl Executor {
+    /// The executor's thread: takes packets from the application and the
+    /// wire, a batch at a time, for as long as either has any; parks in a
+    /// select over both when they are dry. `wire_up` is `None` for an empty
+    /// graph, whose up direction does not come this way.
+    fn run(
+        mut self,
+        app_down: &Receiver<Packet>,
+        wire_up: Option<&Receiver<Packet>>,
+        wake: &Receiver<()>,
+    ) -> Result<(), Ended> {
+        let start = Instant::now();
+        let mut next_tick = start + TICK_INTERVAL;
+        let bottom = self.stages.len();
+        while !self.shutdown.load(Ordering::Acquire) {
+            let mut taken = 0;
+            while taken < BATCH {
+                let before = taken;
+                // The wire first: what it brings (acknowledgements) is
+                // what lets a stalled module take the next packet down.
+                let from_wire = match wire_up {
+                    Some(wire_up) => try_take(wire_up)?,
+                    None => None,
+                };
+                if let Some(pkt) = from_wire {
+                    taken += 1;
+                    self.push_up(bottom, pkt);
+                    self.settle_queues()?;
                 }
-                Ok(pkt) => {
-                    if let Some(t) = &telemetry {
-                        t.up_frames.inc();
-                        t.up_bytes.add(pkt.len() as u64);
+                if self.queued == 0 {
+                    if let Some(pkt) = try_take(app_down)? {
+                        taken += 1;
+                        self.push_down(0, pkt)?;
+                        self.settle_queues()?;
                     }
-                    module.process_up(pkt, &mut out);
-                    1
                 }
-                Err(_) => {
-                    up_open = false;
-                    0
+                if taken == before {
+                    break;
                 }
-            },
-            Ok(op) => match op.recv(&down_in) {
-                Ok(pkt) => {
-                    if let Some(t) = &telemetry {
+            }
+
+            let now = Instant::now();
+            let ticked = now >= next_tick;
+            if ticked {
+                next_tick = now + TICK_INTERVAL;
+                self.tick(now - start)?;
+            }
+            if taken > 0 || ticked {
+                // Whatever this batch moved on has moved: a drainer may
+                // now observe quiescence.
+                self.quiesce.pulse();
+            }
+            if taken == BATCH {
+                continue;
+            }
+
+            // Both inputs dry (or the application held off by a stalled
+            // module): park until either has something, shutdown
+            // disconnects the wake channel, or the next tick is due. What
+            // woke it is not taken here; the loop above looks again.
+            let mut sel = Select::new();
+            sel.recv(wake);
+            if let Some(wire_up) = wire_up {
+                sel.recv(wire_up);
+            }
+            if self.queued == 0 {
+                sel.recv(app_down);
+            }
+            let _ = sel.select_timeout(next_tick.saturating_duration_since(now));
+        }
+        Ok(())
+    }
+
+    /// Queues `pkt` for stage `to` on its way down; below the last stage
+    /// is the wire.
+    fn push_down(&mut self, to: usize, pkt: Packet) -> Result<(), Ended> {
+        match self.stages.get_mut(to) {
+            Some(stage) => {
+                stage.down.push_back(pkt);
+                self.queued += 1;
+                Ok(())
+            }
+            None => self.transmit(pkt),
+        }
+    }
+
+    /// Queues `pkt`, on its way up from stage `from` (or from the wire,
+    /// `from` = the number of stages), for the stage above; above the
+    /// first stage is the application.
+    fn push_up(&mut self, from: usize, pkt: Packet) {
+        match from.checked_sub(1) {
+            Some(to) => {
+                self.stages[to].up.push_back(pkt);
+                self.queued += 1;
+            }
+            // The application's queue is unbounded; a closed one just
+            // means the application side is gone — keep running so
+            // in-flight ARQ traffic can still drain.
+            None => {
+                if self.app_up.send(pkt).is_err() {
+                    self.quiesce.leave(1);
+                }
+            }
+        }
+    }
+
+    fn transmit(&mut self, pkt: Packet) -> Result<(), Ended> {
+        let wire_len = pkt.len() as u64;
+        let sent = self.transport.send(pkt.into_bytes());
+        self.quiesce.leave(1);
+        if sent.is_err() {
+            // The wire no longer takes what the application sends: tell it
+            // now, ahead of anything still climbing the up queues (a failed
+            // send is not an orderly close), unless this is our own
+            // teardown.
+            if !self.shutdown.load(Ordering::Acquire) {
+                self.transport_dead.store(true, Ordering::Release);
+                if let Some(r) = &self.registry {
+                    r.flight_event(
+                        flight_event::TRANSPORT_DEAD,
+                        None,
+                        "dacapo executor: transport send failed".to_owned(),
+                    );
+                }
+                self.quiesce.enter(1);
+                let _ = self.app_up.send(Packet::close_sentinel());
+                self.quiesce.pulse();
+            }
+            return Err(Ended);
+        }
+        if let Some((frames, bytes)) = &self.wire {
+            frames.inc();
+            bytes.add(wire_len);
+        }
+        Ok(())
+    }
+
+    /// Runs every queued packet that can run: up queues bottom to top,
+    /// then down queues top to bottom past every module that is ready,
+    /// again until nothing moves. Returns with all queues empty, or with
+    /// what a module that is not ready leaves standing.
+    fn settle_queues(&mut self) -> Result<(), Ended> {
+        while self.queued > 0 {
+            let mut moved = false;
+            for i in (0..self.stages.len()).rev() {
+                while let Some(pkt) = self.stages[i].up.pop_front() {
+                    self.queued -= 1;
+                    moved = true;
+                    let stage = &mut self.stages[i];
+                    if pkt.is_close_sentinel() {
+                        // Not the module's to interpret: hand it on behind
+                        // what this module has already emitted.
+                        self.out.push_up(pkt);
+                    } else {
+                        if let Some(t) = &stage.telemetry {
+                            t.up_frames.inc();
+                            t.up_bytes.add(pkt.len() as u64);
+                        }
+                        stage.module.process_up(pkt, &mut self.out);
+                    }
+                    self.forward(i, 1)?;
+                }
+            }
+            for i in 0..self.stages.len() {
+                while self.stages[i].module.ready_for_down() {
+                    let stage = &mut self.stages[i];
+                    let Some(pkt) = stage.down.pop_front() else {
+                        break;
+                    };
+                    self.queued -= 1;
+                    moved = true;
+                    if let Some(t) = &stage.telemetry {
                         t.down_frames.inc();
                         t.down_bytes.add(pkt.len() as u64);
                     }
-                    module.process_down(pkt, &mut out);
-                    1
+                    stage.module.process_down(pkt, &mut self.out);
+                    self.forward(i, 1)?;
                 }
-                Err(_) => {
-                    down_open = false;
-                    0
-                }
-            },
-            Err(_) => {
-                module.on_tick(start.elapsed(), &mut out);
-                0
             }
-        };
-        if let Some(t) = &telemetry {
-            t.queue_depth.set((down_in.len() + up_in.len()) as f64);
+            if !moved {
+                break;
+            }
         }
+        Ok(())
+    }
 
+    /// The protocol timer: every module's [`Module::on_tick`], then
+    /// whatever that set moving (a retransmission, say).
+    fn tick(&mut self, now: Duration) -> Result<(), Ended> {
+        for i in 0..self.stages.len() {
+            self.stages[i].module.on_tick(now, &mut self.out);
+            self.forward(i, 0)?;
+        }
+        self.settle_queues()
+    }
+
+    /// Moves what stage `i` emitted for one event, in which it took `took`
+    /// packets in, to its neighbours' queues.
+    fn forward(&mut self, i: usize, took: usize) -> Result<(), Ended> {
         // Settle the books before anything moves on: whoever can see a
         // packet this module sent (the peer acknowledging it, say) must
         // also see what it left behind here. The stack's packet count takes
@@ -692,30 +748,24 @@ fn module_loop(
         // passed through stays counted all along — and an ARQ window reads
         // "not idle" from before its data leaves until the acknowledgement
         // has come back.
-        let emitted = out.len();
+        let emitted = self.out.len();
         if emitted > took {
-            quiesce.enter(emitted - took);
+            self.quiesce.enter(emitted - took);
         } else {
-            quiesce.leave(took - emitted);
+            self.quiesce.leave(took - emitted);
         }
-        idle.store(module.is_idle(), Ordering::Release);
-        for pkt in out.take_down() {
-            if down_out.send(pkt).is_err() {
-                return; // downstream gone: the stack is dead
-            }
+        let stage = &self.stages[i];
+        stage.idle.store(stage.module.is_idle(), Ordering::Release);
+        if let Some(t) = &stage.telemetry {
+            t.queue_depth.set((stage.down.len() + stage.up.len()) as f64);
         }
-        for pkt in out.take_up() {
-            // Up channels are unbounded; a closed upstream just means the
-            // application side is gone — keep running so in-flight ARQ
-            // traffic can still drain.
-            if up_out.send(pkt).is_err() {
-                quiesce.leave(1);
-            }
+        for pkt in self.out.take_down() {
+            self.push_down(i + 1, pkt)?;
         }
-        // Each iteration is event-driven (select wakeup), so this pulse is
-        // bounded by the event and tick rate — cheap, and it guarantees a
-        // drainer re-checks after the final packet of a burst moves on.
-        quiesce.pulse();
+        for pkt in self.out.take_up() {
+            self.push_up(i, pkt);
+        }
+        Ok(())
     }
 }
 
@@ -790,7 +840,7 @@ mod tests {
     #[test]
     fn dummy_chain_round_trip() {
         let (a, b) = stack_pair(&["dummy", "dummy", "dummy"]);
-        assert_eq!(a.thread_count(), 4);
+        assert_eq!(a.thread_count(), 1);
         for i in 0..20u8 {
             a.endpoint().send(Bytes::from(vec![i; 100])).unwrap();
         }
@@ -943,6 +993,206 @@ mod tests {
             b"last frame"
         );
         a.shutdown();
+    }
+
+    #[test]
+    fn a_stalled_module_mid_chain_stalls_send_and_lets_its_acks_climb() {
+        // The peer's stack runs but nothing feeds it yet, so no
+        // acknowledgement comes back: `irq` (window 1) lets one packet out
+        // and stops taking its queue.
+        let chain = ["dummy", "irq", "dummy"];
+        let (ta, tb) = loopback_pair();
+        let opts = RuntimeOptions::default();
+        let a = piped(modules_from(&chain), ta, &opts);
+        let tb: Arc<dyn Transport> = Arc::new(tb);
+        let b = build_stack(modules_from(&chain), tb.clone(), &opts).unwrap();
+
+        // One packet on the wire, one standing in front of `irq`, and the
+        // application's queue behind them: `send` stalls at exactly that.
+        let mut sent = 0u32;
+        let mut refused_since = Instant::now();
+        while refused_since.elapsed() < Duration::from_millis(50) {
+            match a.endpoint().try_send(Bytes::from(sent.to_be_bytes().to_vec())) {
+                Ok(()) => {
+                    sent += 1;
+                    refused_since = Instant::now();
+                }
+                Err(DacapoError::Timeout(_)) => std::thread::yield_now(),
+                Err(e) => panic!("send failed: {e}"),
+            }
+        }
+        assert_eq!(sent as usize, CHANNEL_CAPACITY + 2);
+        assert!(!a.is_quiescent());
+
+        // The peer starts reading. Its acknowledgements climb `a` past
+        // the bottom `dummy` to `irq` while `a`'s down queues stand, and
+        // each one lets the next packet through.
+        let b_pump = RxPump::spawn(tb, b.uplink(), None, || {}).unwrap();
+        a.endpoint().send(Bytes::from(sent.to_be_bytes().to_vec())).unwrap();
+        for i in 0..=sent {
+            let got = b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(&got[..], &i.to_be_bytes());
+        }
+        assert!(a.drain(Duration::from_secs(5)));
+        a.shutdown();
+        b_pump.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn one_packet_fanning_out_past_the_window_arrives_whole_and_in_order() {
+        use crate::modules::{ArqModule, FragmentModule};
+        // 40 fragments against a window of 4: the fragments stand in
+        // `go-back-n`'s queue and leave as acknowledgements arrive; the
+        // second packet is not admitted until the first has left.
+        let chain = || -> Vec<Box<dyn Module>> {
+            vec![
+                Box::new(FragmentModule::new(16)),
+                Box::new(ArqModule::go_back_n(4)),
+            ]
+        };
+        let (ta, tb) = loopback_pair();
+        let opts = RuntimeOptions::default();
+        let a = piped(chain(), ta, &opts);
+        let b = piped(chain(), tb, &opts);
+        let first: Vec<u8> = (0..640u32).map(|i| i as u8).collect();
+        let second: Vec<u8> = (0..640u32).map(|i| (i * 7) as u8).collect();
+        a.endpoint().send(Bytes::from(first.clone())).unwrap();
+        a.endpoint().send(Bytes::from(second.clone())).unwrap();
+        assert_eq!(&b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..], &first[..]);
+        assert_eq!(&b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..], &second[..]);
+        assert!(a.drain(Duration::from_secs(5)));
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn a_backlog_is_moved_in_batches_not_packet_by_packet() {
+        // Holds the executor inside the first packet until released, and
+        // counts what it has passed up.
+        struct Hold {
+            entered: std::sync::mpsc::Sender<()>,
+            release: std::sync::mpsc::Receiver<()>,
+            passed: Arc<AtomicUsize>,
+        }
+        impl Module for Hold {
+            fn name(&self) -> &str {
+                "hold"
+            }
+            fn process_down(&mut self, pkt: Packet, out: &mut Outputs) {
+                out.push_down(pkt);
+            }
+            fn process_up(&mut self, pkt: Packet, out: &mut Outputs) {
+                if self.passed.load(Ordering::Acquire) == 0 {
+                    self.entered.send(()).unwrap();
+                    self.release.recv().unwrap();
+                }
+                out.push_up(pkt);
+                self.passed.fetch_add(1, Ordering::AcqRel);
+            }
+        }
+        const BACKLOG: usize = 1000;
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let passed = Arc::new(AtomicUsize::new(0));
+        let hold = Hold {
+            entered: entered_tx,
+            release: release_rx,
+            passed: passed.clone(),
+        };
+        let (ta, tb) = loopback_pair();
+        let mut modules = modules_from(&["dummy"]);
+        modules.insert(0, Box::new(hold));
+        let b = piped(modules, tb, &RuntimeOptions::default());
+        for i in 0..BACKLOG as u32 {
+            ta.send(Bytes::from(i.to_be_bytes().to_vec())).unwrap();
+        }
+        // The pump counts a packet in before it queues it: once all are
+        // counted (and the executor is held inside the first), the
+        // backlog is in the executor's up queue.
+        entered_rx.recv().unwrap();
+        while b.quiesce.in_flight.load(Ordering::SeqCst) < BACKLOG {
+            std::thread::yield_now();
+        }
+        let before = b.quiesce.generation();
+        release_tx.send(()).unwrap();
+        while passed.load(Ordering::Acquire) < BACKLOG {
+            std::thread::yield_now();
+        }
+        // The application has taken nothing yet, so every pulse so far is
+        // the executor's: one a batch, not one a packet (let alone one a
+        // packet a module).
+        let pulses = b.quiesce.generation() - before;
+        assert!(
+            pulses as usize <= 2 * BACKLOG / BATCH + 2,
+            "{pulses} pulses for {BACKLOG} packets"
+        );
+        for i in 0..BACKLOG as u32 {
+            let got = b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(&got[..], &i.to_be_bytes());
+        }
+        assert!(b.drain(Duration::from_secs(5)));
+        b.shutdown();
+    }
+
+    #[test]
+    fn ticks_are_not_starved_by_traffic() {
+        /// Swallows the first frame sent, passes every other.
+        struct LosesTheFirst {
+            inner: crate::tlayer::LoopbackTransport,
+            lost: AtomicBool,
+        }
+        impl Transport for LosesTheFirst {
+            fn send(&self, frame: Bytes) -> Result<(), DacapoError> {
+                if self.lost.swap(true, Ordering::AcqRel) {
+                    self.inner.send(frame)
+                } else {
+                    Ok(())
+                }
+            }
+            fn recv(&self) -> Result<Bytes, DacapoError> {
+                self.inner.recv()
+            }
+            fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError> {
+                self.inner.recv_timeout(timeout)
+            }
+            fn close(&self) {
+                self.inner.close()
+            }
+            fn name(&self) -> &str {
+                "loses-the-first"
+            }
+        }
+        let (ta, tb) = loopback_pair();
+        let ta = LosesTheFirst {
+            inner: ta,
+            lost: AtomicBool::new(false),
+        };
+        let opts = RuntimeOptions::default();
+        let a = piped(modules_from(&["go-back-n"]), ta, &opts);
+        let b = piped(modules_from(&["go-back-n"]), tb, &opts);
+
+        // A's one frame is lost; only a retransmission, which only a tick
+        // starts, can deliver it. Meanwhile B keeps A's executor busy: a
+        // packet every millisecond, so A is never silent for a tick
+        // interval.
+        a.endpoint().send(Bytes::from_static(b"lost once")).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let chatter = {
+            let (stop, b_end) = (stop.clone(), b.endpoint().clone());
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    b_end.send(Bytes::from_static(b"chatter")).unwrap();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            })
+        };
+        let got = b.endpoint().recv_timeout(Duration::from_millis(500));
+        stop.store(true, Ordering::Release);
+        chatter.join().unwrap();
+        assert_eq!(&got.expect("retransmitted under traffic")[..], b"lost once");
+        a.shutdown();
+        b.shutdown();
     }
 
     #[test]

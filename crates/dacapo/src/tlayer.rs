@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 /// A frame-oriented point-to-point transport.
 ///
 /// Implementations must be thread-safe: the runtime calls `send` from the
-/// TX pump thread and `recv` from the connection's RX pump thread
+/// stack's executor thread and `recv` from the connection's RX pump thread
 /// concurrently, and `close` from whichever thread tears the connection
 /// down.
 ///

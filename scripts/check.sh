@@ -12,6 +12,11 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q --workspace
+# The shims under shims/ are patched-in dependencies, not workspace
+# members: --workspace runs none of their tests. crossbeam and parking_lot
+# are the two with logic of their own (waiter-gated condvar notifies) that
+# every channel and lock in the tree stands on.
+cargo test -q -p crossbeam -p parking_lot
 cargo clippy --workspace -- -D warnings
 
 # The benchmark (ledger/, BENCHMARK.json) is a workspace of its own that

@@ -3,6 +3,12 @@
 //! Implementation: a `VecDeque` behind a mutex with two condvars
 //! (not-empty / not-full) and a per-`Select` waker registered with every
 //! participating channel so a push or disconnect wakes the selector.
+//!
+//! `std::sync::Condvar::notify_*` is a `FUTEX_WAKE` whether or not anyone
+//! waits, so every condvar here is signalled only when the state under its
+//! mutex says a thread is parked on it: `recv_waiting` / `send_waiting`
+//! for a channel, `parked` for a select. Each is set by the waiter while
+//! it still holds the lock and read by the notifier under the same lock.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -32,6 +38,8 @@ fn with_capacity<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
             cap,
             senders: 1,
             receivers: 1,
+            recv_waiting: 0,
+            send_waiting: 0,
             wakers: Vec::new(),
         }),
         not_empty: Condvar::new(),
@@ -50,6 +58,9 @@ struct State<T> {
     cap: Option<usize>,
     senders: usize,
     receivers: usize,
+    /// Threads parked on `not_empty` / `not_full` right now.
+    recv_waiting: usize,
+    send_waiting: usize,
     wakers: Vec<Weak<SelectWaker>>,
 }
 
@@ -71,9 +82,51 @@ struct Core<T> {
     not_full: Condvar,
 }
 
+type Locked<'a, T> = std::sync::MutexGuard<'a, State<T>>;
+
 impl<T> Core<T> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
+    fn lock(&self) -> Locked<'_, T> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Queues `value` and wakes whoever waits for one: selectors, and a
+    /// receiver if one is parked.
+    fn push(&self, st: &mut State<T>, value: T) {
+        st.queue.push_back(value);
+        st.wake_selects();
+        if st.recv_waiting > 0 {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Takes the oldest message, releasing a sender parked on a full queue.
+    fn pop(&self, st: &mut State<T>) -> Option<T> {
+        let value = st.queue.pop_front()?;
+        if st.send_waiting > 0 {
+            self.not_full.notify_one();
+        }
+        Some(value)
+    }
+
+    /// Parks a receiver until a push or the last sender's drop, or until
+    /// `timeout` has passed.
+    fn wait_not_empty<'a>(
+        &self,
+        mut st: Locked<'a, T>,
+        timeout: Option<Duration>,
+    ) -> Locked<'a, T> {
+        st.recv_waiting += 1;
+        let mut st = match timeout {
+            Some(t) => {
+                self.not_empty
+                    .wait_timeout(st, t)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0
+            }
+            None => self.not_empty.wait(st).unwrap_or_else(|e| e.into_inner()),
+        };
+        st.recv_waiting -= 1;
+        st
     }
 }
 
@@ -96,16 +149,16 @@ impl<T> Sender<T> {
                 return Err(SendError(value));
             }
             if st.cap.map_or(true, |c| st.queue.len() < c) {
-                st.queue.push_back(value);
-                st.wake_selects();
-                self.core.not_empty.notify_one();
+                self.core.push(&mut st, value);
                 return Ok(());
             }
+            st.send_waiting += 1;
             st = self
                 .core
                 .not_full
                 .wait(st)
                 .unwrap_or_else(|e| e.into_inner());
+            st.send_waiting -= 1;
         }
     }
 
@@ -118,9 +171,7 @@ impl<T> Sender<T> {
         if st.cap.is_some_and(|c| st.queue.len() >= c) {
             return Err(TrySendError::Full(value));
         }
-        st.queue.push_back(value);
-        st.wake_selects();
-        self.core.not_empty.notify_one();
+        self.core.push(&mut st, value);
         Ok(())
     }
 
@@ -150,7 +201,9 @@ impl<T> Drop for Sender<T> {
         st.senders -= 1;
         if st.senders == 0 {
             st.wake_selects();
-            self.core.not_empty.notify_all();
+            if st.recv_waiting > 0 {
+                self.core.not_empty.notify_all();
+            }
         }
     }
 }
@@ -167,18 +220,13 @@ impl<T> Receiver<T> {
     pub fn recv(&self) -> Result<T, RecvError> {
         let mut st = self.core.lock();
         loop {
-            if let Some(v) = st.queue.pop_front() {
-                self.core.not_full.notify_one();
+            if let Some(v) = self.core.pop(&mut st) {
                 return Ok(v);
             }
             if st.senders == 0 {
                 return Err(RecvError);
             }
-            st = self
-                .core
-                .not_empty
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
+            st = self.core.wait_not_empty(st, None);
         }
     }
 
@@ -191,8 +239,7 @@ impl<T> Receiver<T> {
     pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
         let mut st = self.core.lock();
         loop {
-            if let Some(v) = st.queue.pop_front() {
-                self.core.not_full.notify_one();
+            if let Some(v) = self.core.pop(&mut st) {
                 return Ok(v);
             }
             if st.senders == 0 {
@@ -202,20 +249,14 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
-            let (g, _) = self
-                .core
-                .not_empty
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = g;
+            st = self.core.wait_not_empty(st, Some(deadline - now));
         }
     }
 
     /// Receives without blocking.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut st = self.core.lock();
-        if let Some(v) = st.queue.pop_front() {
-            self.core.not_full.notify_one();
+        if let Some(v) = self.core.pop(&mut st) {
             return Ok(v);
         }
         if st.senders == 0 {
@@ -253,7 +294,7 @@ impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         let mut st = self.core.lock();
         st.receivers -= 1;
-        if st.receivers == 0 {
+        if st.receivers == 0 && st.send_waiting > 0 {
             self.core.not_full.notify_all();
         }
     }
@@ -414,42 +455,53 @@ impl Error for RecvTimeoutError {}
 // Select
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
+struct WakerState {
+    signalled: bool,
+    /// The selecting thread is inside `cv`'s wait.
+    parked: bool,
+}
+
 struct SelectWaker {
-    signalled: Mutex<bool>,
+    state: Mutex<WakerState>,
     cv: Condvar,
 }
 
 impl SelectWaker {
     fn new() -> Self {
         SelectWaker {
-            signalled: Mutex::new(false),
+            state: Mutex::new(WakerState::default()),
             cv: Condvar::new(),
         }
     }
 
     fn notify(&self) {
-        let mut s = self.signalled.lock().unwrap_or_else(|e| e.into_inner());
-        *s = true;
-        self.cv.notify_all();
+        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        s.signalled = true;
+        if s.parked {
+            self.cv.notify_all();
+        }
     }
 
     /// Waits until signalled or the deadline passes. Returns true on timeout.
     fn wait_deadline(&self, deadline: Instant) -> bool {
-        let mut s = self.signalled.lock().unwrap_or_else(|e| e.into_inner());
+        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if *s {
-                *s = false;
+            if s.signalled {
+                s.signalled = false;
                 return false;
             }
             let now = Instant::now();
             if now >= deadline {
                 return true;
             }
-            let (g, _) = self
+            s.parked = true;
+            s = self
                 .cv
                 .wait_timeout(s, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            s = g;
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            s.parked = false;
         }
     }
 }
@@ -609,6 +661,121 @@ mod tests {
         assert_eq!(rx.recv().unwrap(), 1);
         assert_eq!(rx.recv().unwrap(), 2);
         t.join().unwrap().unwrap();
+    }
+
+    /// Spins until `parked` reads true under the channel's lock: the
+    /// waiter counts are raised with that lock held, so from then on the
+    /// other thread is inside its condvar wait.
+    fn until_parked<T>(core: &Core<T>, parked: fn(&State<T>) -> bool) {
+        while !parked(&core.lock()) {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_sender_parked_on_a_full_channel_is_released_by_every_exit() {
+        // What the receiving side does once the sender is parked; `None`
+        // is "the last receiver goes away".
+        let exits: [Option<fn(&Receiver<u8>) -> u8>; 3] = [
+            Some(|rx| rx.recv().unwrap()),
+            Some(|rx| rx.try_recv().unwrap()),
+            None,
+        ];
+        for (case, take) in exits.into_iter().enumerate() {
+            let (tx, rx) = bounded(1);
+            tx.send(1).unwrap();
+            let core = Arc::clone(&tx.core);
+            let t = thread::spawn(move || tx.send(2));
+            until_parked(&core, |st| st.send_waiting == 1);
+            // Parked for ever if the notify was skipped.
+            match take {
+                Some(take) => {
+                    assert_eq!(take(&rx), 1);
+                    t.join().unwrap().unwrap();
+                    assert_eq!(rx.recv().unwrap(), 2);
+                }
+                None => {
+                    drop(rx);
+                    assert!(t.join().unwrap().is_err(), "case {case}");
+                }
+            }
+            assert_eq!(core.lock().send_waiting, 0);
+        }
+    }
+
+    #[test]
+    fn a_receiver_parked_on_an_empty_channel_is_released_by_every_exit() {
+        let release: [fn(Sender<u8>); 3] = [
+            |tx| tx.send(7).unwrap(),
+            |tx| tx.try_send(7).unwrap(),
+            drop,
+        ];
+        for (case, release) in release.into_iter().enumerate() {
+            for timed in [false, true] {
+                let (tx, rx) = bounded(1);
+                let core = Arc::clone(&tx.core);
+                let t = thread::spawn(move || {
+                    if timed {
+                        rx.recv_timeout(Duration::from_secs(60)).ok()
+                    } else {
+                        rx.recv().ok()
+                    }
+                });
+                until_parked(&core, |st| st.recv_waiting == 1);
+                release(tx);
+                let expected = if case < 2 { Some(7) } else { None };
+                assert_eq!(t.join().unwrap(), expected, "case {case}, timed {timed}");
+                assert_eq!(core.lock().recv_waiting, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_parked_select_is_woken_by_send_and_by_disconnect() {
+        for disconnect in [false, true] {
+            let (tx, rx) = unbounded::<u8>();
+            let (_idle_tx, idle_rx) = unbounded::<u8>();
+            let core = Arc::clone(&tx.core);
+            let t = thread::spawn(move || {
+                let mut sel = Select::new();
+                sel.recv(&idle_rx);
+                let i = sel.recv(&rx);
+                let op = sel.select_timeout(Duration::from_secs(60)).unwrap();
+                assert_eq!(op.index(), i);
+                op.recv(&rx).ok()
+            });
+            // Registered, then parked: the waker's own flag says when.
+            until_parked(&core, |st| {
+                st.wakers.iter().filter_map(Weak::upgrade).any(|w| {
+                    w.state.lock().unwrap_or_else(|e| e.into_inner()).parked
+                })
+            });
+            if disconnect {
+                drop(tx);
+                assert_eq!(t.join().unwrap(), None);
+            } else {
+                tx.send(9).unwrap();
+                assert_eq!(t.join().unwrap(), Some(9));
+            }
+        }
+    }
+
+    #[test]
+    fn a_message_sent_before_the_receive_is_never_slept_through() {
+        // One slot, two threads, no timeout: each side parks whenever it
+        // gets ahead, 100k times over. A notify gated on a stale waiter
+        // count would strand one of them and hang the test.
+        const ROUNDS: u32 = 100_000;
+        let (tx, rx) = bounded(1);
+        let t = thread::spawn(move || {
+            for i in 0..ROUNDS {
+                tx.send(i).unwrap();
+            }
+        });
+        for i in 0..ROUNDS {
+            assert_eq!(rx.recv().unwrap(), i);
+        }
+        t.join().unwrap();
     }
 
     #[test]

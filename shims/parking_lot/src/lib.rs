@@ -7,6 +7,7 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// A mutual exclusion primitive (non-poisoning wrapper over `std::sync::Mutex`).
@@ -184,8 +185,16 @@ impl WaitTimeoutResult {
 
 /// A condition variable whose wait methods take `&mut MutexGuard`
 /// (parking_lot style).
+///
+/// Like the real `parking_lot`, a notify with nobody waiting returns
+/// without a system call (`std::sync::Condvar` always issues a
+/// `FUTEX_WAKE`). `waiters` is raised while the waiter still holds the
+/// mutex and lowered after its wait returns, so a notifier that changed
+/// the predicate under that mutex either ran before the waiter's check or
+/// sees the count: no wakeup is lost that the std condvar would deliver.
 pub struct Condvar {
     inner: sync::Condvar,
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -193,23 +202,30 @@ impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     /// Wakes one waiting thread.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_one();
+        }
     }
 
     /// Wakes all waiting threads.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_all();
+        }
     }
 
     /// Blocks until notified.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.inner.take().expect("guard taken");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let inner = self.inner.wait(inner).unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
     }
 
@@ -220,13 +236,12 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let inner = guard.inner.take().expect("guard taken");
-        let (inner, result) = match self.inner.wait_timeout(inner, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(e) => {
-                let (g, r) = e.into_inner();
-                (g, r)
-            }
-        };
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let (inner, result) = self
+            .inner
+            .wait_timeout(inner, timeout)
+            .unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
         WaitTimeoutResult(result.timed_out())
     }
@@ -287,6 +302,82 @@ mod tests {
             cv.notify_all();
         }
         t.join().unwrap();
+    }
+
+    /// Parks a waiter, and only then sets the predicate and notifies with
+    /// `notify`: a gate that mistook a parked waiter for nobody would leave
+    /// it asleep and the join below would hang.
+    fn wakes_a_parked_waiter(notify: fn(&Condvar), timed: bool) {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let p2 = Arc::clone(&pair);
+        let t = thread::spawn(move || {
+            let (m, cv) = &*p2;
+            let mut done = m.lock();
+            while !*done {
+                if timed {
+                    cv.wait_for(&mut done, Duration::from_secs(60));
+                } else {
+                    cv.wait(&mut done);
+                }
+            }
+        });
+        let (m, cv) = &*pair;
+        // The count rises under the mutex, so once it reads 1 and the
+        // mutex can be taken the waiter is inside its wait.
+        while cv.waiters.load(Ordering::SeqCst) == 0 {
+            thread::yield_now();
+        }
+        *m.lock() = true;
+        notify(cv);
+        t.join().unwrap();
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn each_notify_flavour_wakes_a_parked_waiter() {
+        wakes_a_parked_waiter(Condvar::notify_one, false);
+        wakes_a_parked_waiter(Condvar::notify_all, false);
+        wakes_a_parked_waiter(Condvar::notify_one, true);
+        wakes_a_parked_waiter(Condvar::notify_all, true);
+    }
+
+    #[test]
+    fn notify_with_nobody_waiting_is_harmless() {
+        let cv = Condvar::new();
+        cv.notify_one();
+        cv.notify_all();
+        let m = Mutex::new(());
+        let mut g = m.lock();
+        // Nothing was stored up: the wait still runs to its timeout.
+        assert!(cv.wait_for(&mut g, Duration::from_millis(5)).timed_out());
+    }
+
+    #[test]
+    fn a_predicate_set_under_the_mutex_is_never_slept_through() {
+        // Ping-pong on one turn counter, 100k rounds a side, with no
+        // timeout anywhere: one notify skipped while the other side was
+        // between its check and its wait would hang the test.
+        const ROUNDS: u64 = 100_000;
+        let pair = Arc::new((Mutex::new(0u64), Condvar::new()));
+        let play = |pair: Arc<(Mutex<u64>, Condvar)>, parity: u64| {
+            move || {
+                let (m, cv) = &*pair;
+                let mut turn = m.lock();
+                while *turn < 2 * ROUNDS {
+                    if *turn % 2 == parity {
+                        *turn += 1;
+                        cv.notify_one();
+                    } else {
+                        cv.wait(&mut turn);
+                    }
+                }
+            }
+        };
+        let a = thread::spawn(play(Arc::clone(&pair), 0));
+        let b = thread::spawn(play(Arc::clone(&pair), 1));
+        a.join().unwrap();
+        b.join().unwrap();
+        assert_eq!(*pair.0.lock(), 2 * ROUNDS);
     }
 
     #[test]
