@@ -22,7 +22,13 @@
 //!   replies are matched by request id, so out-of-order completion is
 //!   fine. The queue is bounded ([`DISPATCH_QUEUE_DEPTH`]): when servants
 //!   fall behind, delivery threads block on enqueue and backpressure
-//!   reaches the peer instead of buffering without bound.
+//!   reaches the peer instead of buffering without bound. The exception is
+//!   a delivery thread that must not wait
+//!   ([`ComChannel::delivery_may_wait`] — Da CaPo's receive thread, which
+//!   also brings the acknowledgements a dispatcher blocked in a reply is
+//!   waiting for): what it finds no room for goes to an overflow the
+//!   dispatchers empty first, paced by Da CaPo's own flow control as the
+//!   connection's receive queue always was.
 //! * **A servant observed cheap runs on the delivering thread.** Handing
 //!   a request to the pool and the reply back costs thread wake-ups that
 //!   dwarf a short upcall, so an object whose last
@@ -58,7 +64,7 @@ use cool_giop::prelude::{ReplyTraceContext, RequestTraceContext};
 use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::trace::duration_as_u32_us;
 use cool_telemetry::{names, Counter, Gauge, Histogram, Registry, Stage};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use multe_qos::QoSSpec;
 use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
@@ -202,10 +208,15 @@ impl OrbServer {
             .telemetry
             .as_ref()
             .map(|r| ServerMetrics::resolve(Arc::clone(r), config.tracing));
-        let (jobs_tx, dispatchers) = start_dispatchers(&adapter, config, metrics.as_ref())?;
+        let Pool {
+            jobs: jobs_tx,
+            overflow,
+            threads: dispatchers,
+        } = start_dispatchers(&adapter, config, metrics.as_ref())?;
         let intake = Intake {
             adapter: adapter.clone(),
             jobs: jobs_tx.clone(),
+            overflow,
             metrics,
             draining: Arc::new(AtomicBool::new(false)),
             tracker: JobTracker::new(),
@@ -488,6 +499,9 @@ struct Job {
 struct Intake {
     adapter: Arc<ObjectAdapter>,
     jobs: Sender<Job>,
+    /// Where a delivery thread that must not wait puts what `jobs` has no
+    /// room for.
+    overflow: Sender<Job>,
     /// Here as well as in the pool, so a job run inline keeps its
     /// `QueueWait` mark and its trace join.
     metrics: Option<ServerMetrics>,
@@ -505,6 +519,23 @@ struct Intake {
 struct ConnSink {
     conn: OrderedMutex<Option<Arc<ConnState>>>,
     intake: Intake,
+}
+
+impl Intake {
+    /// Hands `job` to the dispatcher pool from the thread that delivers
+    /// `channel`'s frames; `false` when the pool is gone (the server is
+    /// closing).
+    fn enqueue(&self, job: Job, channel: &dyn ComChannel) -> bool {
+        if channel.delivery_may_wait() {
+            // Blocks while the queue is full: backpressure.
+            return self.jobs.send(job).is_ok();
+        }
+        match self.jobs.try_send(job) {
+            Ok(()) => true,
+            Err(TrySendError::Full(job)) => self.overflow.send(job).is_ok(),
+            Err(TrySendError::Disconnected(_)) => false,
+        }
+    }
 }
 
 impl ConnSink {
@@ -535,15 +566,25 @@ impl FrameSink for ConnSink {
     }
 }
 
+/// The dispatcher pool: the two ways into it ([`Intake::enqueue`]) and its
+/// threads.
+struct Pool {
+    jobs: Sender<Job>,
+    overflow: Sender<Job>,
+    threads: Vec<JoinHandle<()>>,
+}
+
 fn start_dispatchers(
     adapter: &Arc<ObjectAdapter>,
     config: &OrbConfig,
     metrics: Option<&ServerMetrics>,
-) -> Result<(Sender<Job>, Vec<JoinHandle<()>>), OrbError> {
+) -> Result<Pool, OrbError> {
     let (tx, rx) = bounded::<Job>(DISPATCH_QUEUE_DEPTH);
-    let mut handles = Vec::new();
+    // lint: allow(A005, §7.4: only a delivery thread that must not wait — Da CaPo's receive thread — puts here what the bounded queue has no room for; every dispatcher empties it after each job, and the peer's sends are paced by the Da CaPo stack below, as they were when this backlog stood in the connection's receive queue)
+    let (overflow_tx, overflow_rx) = unbounded::<Job>();
+    let mut threads = Vec::new();
     for i in 0..config.dispatcher_threads.max(1) {
-        let rx = rx.clone();
+        let (rx, overflow_rx) = (rx.clone(), overflow_rx.clone());
         let adapter = adapter.clone();
         let metrics = metrics.cloned();
         let handle = std::thread::Builder::new()
@@ -551,24 +592,36 @@ fn start_dispatchers(
             // Blocking recv; ends when every sender (server handle,
             // acceptor, connection sinks) is gone.
             .spawn(move || {
-                while let Ok(job) = rx.recv() {
+                let run = |job: Job| {
                     let waited = job.enqueued.elapsed();
                     if let Some(m) = &metrics {
                         // Sampled at dequeue: what is still waiting
                         // behind the job this thread just took.
-                        m.note_queue_depth(rx.len());
+                        m.note_queue_depth(rx.len() + overflow_rx.len());
                         m.busy.inc();
                     }
                     run_job(&adapter, job, waited, metrics.as_ref());
                     if let Some(m) = &metrics {
                         m.busy.dec();
                     }
+                };
+                while let Ok(job) = rx.recv() {
+                    run(job);
+                    // The overflow fills only while the queue is full, so
+                    // there is always a job that ends here to find it.
+                    while let Ok(job) = overflow_rx.try_recv() {
+                        run(job);
+                    }
                 }
             })
             .map_err(|e| OrbError::Transport(format!("spawn dispatcher: {e}")))?;
-        handles.push(handle);
+        threads.push(handle);
     }
-    Ok((tx, handles))
+    Ok(Pool {
+        jobs: tx,
+        overflow: overflow_tx,
+        threads,
+    })
 }
 
 fn attach_connection(
@@ -595,8 +648,8 @@ fn attach_connection(
 /// wire order; `false` ends the connection. Cheap protocol chatter is
 /// answered inline, and so is a request for an object whose recent upcalls
 /// were all cheap, provided this thread brought the frame itself (`own`);
-/// every other request goes to the dispatcher pool (blocking when the
-/// queue is full — backpressure).
+/// every other request goes to the dispatcher pool ([`Intake::enqueue`]:
+/// blocking when the queue is full — backpressure — if this thread may).
 fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes, own: bool) -> bool {
     message_layer::decode_frame(frame, |event| match event {
         Event::Request(request) => {
@@ -627,7 +680,7 @@ fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes, own: boo
                     );
                     true
                 } else {
-                    intake.jobs.send(job).is_ok() // dispatchers gone: the server is closing
+                    intake.enqueue(job, &*conn.channel)
                 }
             }
         }

@@ -267,6 +267,10 @@ impl ComChannel for BatchingChannel {
         self.core.inner.supports_qos()
     }
 
+    fn delivery_may_wait(&self) -> bool {
+        self.core.inner.delivery_may_wait()
+    }
+
     fn set_qos(&self, requirements: &multe_qos::TransportRequirements) -> Result<(), OrbError> {
         self.core.inner.set_qos(requirements)
     }

@@ -4,21 +4,26 @@
 //! ## Delivery
 //!
 //! The channel *"handles its own buffers in the Da CaPo runtime
-//! environment"*: a per-channel pump thread blocks in the Da CaPo
-//! application endpoint's receive wait and pushes every arriving frame
-//! into the channel's [`FrameInbox`], which wakes `recv_frame` waiters or
-//! runs the registered sink immediately. There is no poll slice and no
-//! timer: when the endpoint ends the pump either fetches its successor (a
-//! live reconfiguration swapped the stack; it parks on the connection's
-//! epoch condvar only while the swap is in flight) or the connection is
-//! over.
+//! environment"*, and it has no thread of its own: it installs a
+//! [`dacapo::Sink`] on its connection, so the connection's one receive
+//! thread (`dacapo-t-rx`) — having run a frame up the module stack — pushes
+//! the payload straight into the channel's [`FrameInbox`], which wakes
+//! `recv_frame` waiters or runs the registered [`FrameSink`] there and
+//! then. The sink is the connection's, not a stack's: a live
+//! reconfiguration swaps the stack underneath and the channel notices
+//! nothing. There is no poll slice and no timer. That thread also brings
+//! the acknowledgements a sender stuck behind a full ARQ window waits for,
+//! so a sink must not keep it waiting for such a sender
+//! ([`ComChannel::delivery_may_wait`] is `false` here, and the server's
+//! sink overflows its dispatch queue instead of blocking on it).
 //!
 //! ## Teardown
 //!
 //! `close` closes the Da CaPo connection, which closes the transport and
-//! so wakes the peer's receive pump. The peer's channel pump then reads
-//! everything that was sent before the close, sees the connection closed
-//! by the peer, and closes its own side: stack executor joined, resource
+//! so ends the wait of the peer's receive thread. That thread then brings
+//! up everything that was sent before the close, and last the close
+//! itself, on which the peer's sink closes its own side — from the receive
+//! thread, which is why nothing joins that thread: stack stopped, resource
 //! grant released, inbox closed (→ the sink's `on_close`). The server end
 //! of a binding is reclaimed that way when the client goes, without
 //! `OrbServer::close`.
@@ -35,7 +40,7 @@
 //! 0. both ends quiesce: the outgoing graph's own protocol traffic (an ARQ
 //!    acknowledgement for the last reply, say) is given the moment it needs
 //!    to arrive. A frame that crosses the swap is not lost — the
-//!    connection's receive pump holds it for the new stack — so a
+//!    connection's receive thread holds it for the new stack — so a
 //!    straggler of the old protocol would be read by the new one as data;
 //! 1. the initiator asks the peer management side to swap first: the peer
 //!    re-runs configuration *and resource admission* for the new
@@ -69,8 +74,8 @@ use std::time::Duration;
 /// wait is event-driven and ends when the stack is quiet.
 const QUIESCE_BOUND: Duration = Duration::from_secs(2);
 
-/// One side of the pair: everything the pump thread and the peer's
-/// control path need to share.
+/// One side of the pair: everything the channel handle, the connection's
+/// sink and the peer's control path need to share.
 struct Inner {
     connection: Connection,
     config_mgr: ConfigurationManager,
@@ -101,37 +106,27 @@ impl Inner {
     }
 }
 
-/// Blocks in the Da CaPo endpoint's receive wait, feeding the inbox, until
-/// the connection is over — closed here, or by the peer — and then closes
-/// this side. Holding the `Arc<Inner>` keeps the connection alive until
-/// then.
-fn pump_loop(inner: &Inner) {
-    loop {
-        // Snapshot the epoch *before* cloning the endpoint: if a
-        // reconfiguration lands in between, the epoch has already moved
-        // and the wait below returns immediately.
-        let epoch = inner.connection.epoch();
-        let endpoint = inner.connection.endpoint();
-        while let Ok(frame) = endpoint.recv() {
-            inner.inbox.push(frame);
-        }
-        // This endpoint has ended. If the stack was swapped the next one
-        // may already hold frames — fetch it, whatever else has happened
-        // since. Otherwise the connection is over, or a swap is in flight
-        // and the connection broadcasts when the new endpoint is in.
-        if inner.closed.load(Ordering::Acquire) {
-            break;
-        }
-        if inner.connection.epoch() == epoch {
-            if inner.connection.is_closed() {
-                break;
-            }
-            inner.connection.wait_epoch_change(epoch);
+/// What the connection's receive thread calls: frames into the inbox, and
+/// on the transport's end — closed here, or by the peer — this side closed.
+/// If it was the peer that closed, nobody else will reclaim this side;
+/// after a local close this finds everything already gone.
+struct InboxSink {
+    inbox: Arc<FrameInbox>,
+    /// Weak: the connection owns its sink, and `Inner` owns the
+    /// connection.
+    inner: Weak<Inner>,
+}
+
+impl dacapo::Sink for InboxSink {
+    fn deliver(&self, frame: Bytes) {
+        self.inbox.push(frame);
+    }
+
+    fn closed(&self) {
+        if let Some(inner) = self.inner.upgrade() {
+            inner.close();
         }
     }
-    // If it was the peer that closed, nobody else will reclaim this side;
-    // after a local close this finds everything already gone.
-    inner.close();
 }
 
 /// A frame channel over a Da CaPo connection, QoS-reconfigurable.
@@ -157,7 +152,7 @@ impl DacapoComChannel {
     ///
     /// # Errors
     ///
-    /// [`OrbError::Transport`] if a pump thread cannot be spawned.
+    /// None today: pairing spawns nothing (the signature predates that).
     pub fn pair(
         client_conn: Connection,
         server_conn: Connection,
@@ -174,7 +169,7 @@ impl DacapoComChannel {
     ///
     /// # Errors
     ///
-    /// [`OrbError::Transport`] if a pump thread cannot be spawned.
+    /// None today: pairing spawns nothing (the signature predates that).
     pub fn pair_with(
         client_conn: Connection,
         server_conn: Connection,
@@ -185,7 +180,7 @@ impl DacapoComChannel {
         let send_metrics = telemetry.map(|r| SendMetrics::resolve(r, "dacapo"));
         let inbox_metrics = telemetry.map(|r| InboxMetrics::resolve(r, "dacapo"));
         let make_inner = |connection: Connection| {
-            // lint: allow(A005, §7.4: pump thread forwards each frame into the Da CaPo stack as it arrives, so the inbox never accumulates)
+            // lint: allow(A005, §7.4: the connection's receive thread pushes each payload as it reaches the top of the stack; the sink or `recv_frame` drains per frame)
             let inbox = Arc::new(FrameInbox::new());
             if let Some(m) = &inbox_metrics {
                 inbox.set_metrics(m.clone());
@@ -205,12 +200,10 @@ impl DacapoComChannel {
         *a.peer.lock() = Arc::downgrade(&b);
         *b.peer.lock() = Arc::downgrade(&a);
         for inner in [&a, &b] {
-            let pump_inner = Arc::clone(inner);
-            std::thread::Builder::new()
-                .name("cool-dacapo-rx".into())
-                // lint: allow(A007, pump exits as soon as close() ends the endpoint it is parked in; close() also runs on the pump itself and on dispatcher threads the pump may be waiting for, so joining it there could deadlock)
-                .spawn(move || pump_loop(&pump_inner))
-                .map_err(|e| OrbError::Transport(format!("spawn dacapo pump: {e}")))?;
+            inner.connection.set_sink(Arc::new(InboxSink {
+                inbox: inner.inbox.clone(),
+                inner: Arc::downgrade(inner),
+            }));
         }
         Ok((DacapoComChannel { inner: a }, DacapoComChannel { inner: b }))
     }
@@ -260,6 +253,12 @@ impl ComChannel for DacapoComChannel {
 
     fn supports_qos(&self) -> bool {
         true
+    }
+
+    /// The sink runs on the connection's receive thread (`InboxSink`), and
+    /// while it does, no acknowledgement is processed on this connection.
+    fn delivery_may_wait(&self) -> bool {
+        false
     }
 
     fn set_qos(&self, requirements: &TransportRequirements) -> Result<(), OrbError> {
@@ -340,7 +339,7 @@ mod tests {
             encryption: true,
             ..Default::default()
         };
-        // No pump thread needed any more: the control path is synchronous.
+        // The control path is synchronous: no thread needs to be receiving.
         a.set_qos(&req).unwrap();
         assert!(!a.graph().is_empty(), "client side reconfigured");
         assert_eq!(a.graph(), b.graph(), "peers agree on the configuration");
@@ -459,7 +458,7 @@ mod tests {
 
     #[test]
     fn graph_changing_set_qos_with_an_idle_peer_takes_no_timer() {
-        // Both sides swap stacks per call while both receive pumps sit
+        // Both sides swap stacks per call while both receive threads sit
         // parked in the transport; nothing on that path waits out a timer
         // (it took one 25 ms grace per side when the pumps died with the
         // stacks).

@@ -243,6 +243,10 @@ impl ComChannel for FaultChannel {
         self.inner.supports_qos()
     }
 
+    fn delivery_may_wait(&self) -> bool {
+        self.inner.delivery_may_wait()
+    }
+
     fn set_qos(&self, requirements: &multe_qos::TransportRequirements) -> Result<(), OrbError> {
         self.inner.set_qos(requirements)
     }

@@ -156,6 +156,17 @@ pub trait ComChannel: Send + Sync {
         true
     }
 
+    /// Whether the thread that delivers this channel's frames to its sink
+    /// may be kept waiting there — which is how a server whose dispatch
+    /// queue is full makes backpressure reach the peer (TCP's reader stops
+    /// reading, a Chorus caller waits). `false` when that thread also
+    /// carries what the wait would depend on: Da CaPo's receive thread
+    /// brings the acknowledgements that a dispatcher blocked in
+    /// `send_frame` behind a full ARQ window is waiting for.
+    fn delivery_may_wait(&self) -> bool {
+        true
+    }
+
     /// Closes the channel (idempotent); unblocks both sides.
     fn close(&self);
 

@@ -1,6 +1,7 @@
 //! Regression for the perf ledger's Finding 1: the server's end of a
-//! Da CaPo binding is reclaimed when the client goes — the stack's
-//! executor, the pumps and the admission grant — without `OrbServer::close`.
+//! Da CaPo binding is reclaimed when the client goes — the stack, the
+//! connection's receive thread and the admission grant — without
+//! `OrbServer::close`.
 //!
 //! One test, alone in its binary: it counts the process's threads.
 

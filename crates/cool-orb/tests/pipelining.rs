@@ -167,6 +167,79 @@ fn pipelining_works_over_chorus_ipc_too() {
     client_orb.shutdown();
 }
 
+#[test]
+fn a_full_dispatch_queue_does_not_stop_a_dacapo_binding() {
+    // One dispatcher, a reliable (ARQ) graph, and more requests pipelined
+    // than the dispatch queue holds — a hundred to a frame, so that the
+    // delivery thread meets the full queue in the middle of one, with the
+    // client's acknowledgements behind it on the wire. Over TCP that
+    // thread would wait for room; over Da CaPo it also brings the
+    // acknowledgements the one dispatcher needs to get its replies past
+    // the ARQ window, so it must not: what finds no room overflows, and
+    // the binding keeps moving.
+    const REQUESTS: u32 = 400;
+    let exchange = LocalExchange::new();
+    let server_config = OrbConfig {
+        dispatcher_threads: 1,
+        ..OrbConfig::default()
+    };
+    let client_config = OrbConfig {
+        batching: Some(BatchingPolicy {
+            max_frames: 100,
+            max_bytes: 1 << 20,
+            max_delay: Duration::from_millis(5),
+        }),
+        ..OrbConfig::default()
+    };
+    let server_orb =
+        Orb::with_exchange_and_config("overflow-server", exchange.clone(), server_config);
+    server_orb
+        .adapter()
+        .register_with_policy(
+            "echo",
+            Arc::new(cool_orb::servant::FnServant::new(|_op, args, _ctx| {
+                // Over the inline budget: every request goes to the pool.
+                std::thread::sleep(Duration::from_micros(100));
+                Ok(args.to_vec())
+            })),
+            ServerPolicy::builder()
+                .max_reliability(multe_qos::Reliability::Reliable)
+                .build(),
+        )
+        .expect("register servant");
+    let server = server_orb.listen_dacapo("overflow").expect("listen");
+    let client_orb = Orb::with_exchange_and_config("overflow-client", exchange, client_config);
+    let stub = client_orb.bind(&server.object_ref("echo")).expect("bind");
+    stub.set_qos_parameter(
+        QoSSpec::builder()
+            .reliability(multe_qos::Reliability::Reliable)
+            .build(),
+    )
+    .expect("reliable qos");
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let pipeline = std::thread::spawn(move || {
+        let pending: Vec<DeferredReply> = (0..REQUESTS)
+            .map(|n| {
+                stub.invoke_deferred("work", Bytes::from(n.to_be_bytes().to_vec()))
+                    .expect("defer")
+            })
+            .collect();
+        for (n, reply) in pending.into_iter().enumerate() {
+            let (body, _) = reply.wait(Duration::from_secs(20)).expect("reply");
+            assert_eq!(&body[..], &(n as u32).to_be_bytes());
+        }
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the binding stopped with its dispatch queue full");
+    pipeline.join().unwrap();
+
+    client_orb.shutdown();
+    server.close();
+}
+
 // ---------------------------------------------------------------------------
 // Run-to-completion dispatch: admitted by observation, demoted by one overrun
 // ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@
 //! In release builds all bookkeeping compiles away; the wrappers are
 //! plain mutexes (non-poisoning: a panic elsewhere never wedges the ORB).
 
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+};
 
 /// The project-wide lock rank table. Ranks strictly increase along every
 /// legal acquisition path; gaps leave room to slot new locks in without
@@ -89,13 +91,25 @@ pub mod rank {
     /// `Connection::stack` — running module stack (held across rebuild).
     pub const CONNECTION_STACK: u32 = 60;
     /// `dacapo::runtime::RxPump` forward slot — the uplink of the stack the
-    /// connection's receive pump currently feeds (held across a stack
-    /// swap, under `connection.stack`; taken per frame by the pump alone).
+    /// connection's receive thread currently runs (held across a stack
+    /// swap, under `connection.stack`; taken per frame and per tick by the
+    /// receive thread, for as long as it runs that stack's modules).
     pub const CONNECTION_UPLINK: u32 = 61;
     /// `Connection::endpoint` — application endpoint of the stack.
     pub const CONNECTION_ENDPOINT: u32 = 62;
+    /// `dacapo::runtime` writer lock of a stack — whoever holds it writes
+    /// the stack's wire-bound frames to the transport, in order. Senders
+    /// and the connection's writer thread wait for it (a full wire is their
+    /// backpressure); the receive thread only ever tries it — to learn
+    /// whether somebody is writing, and to write what a sink callback sent.
+    pub const STACK_WRITER: u32 = 63;
     /// `Connection::graph` — module graph currently running.
     pub const CONNECTION_GRAPH: u32 = 64;
+    /// `dacapo::runtime` stack lock — the modules of a stack and the queues
+    /// between them. Taken under `connection.uplink` by the receive thread
+    /// and under `stack.writer` to fetch what is to be written; never held
+    /// across a transport call, a wait or an application callback.
+    pub const STACK_CHAIN: u32 = 65;
     /// `Connection::params` — module parameters.
     pub const CONNECTION_PARAMS: u32 = 66;
     /// `Connection::grant` — the resource grant of this side of the
@@ -268,6 +282,25 @@ impl<T> OrderedMutex<T> {
             #[cfg(debug_assertions)]
             _token: token,
         }
+    }
+
+    /// Acquires the lock if it is free, `None` if another thread holds it.
+    /// The order is validated as for [`OrderedMutex::lock`]: a try that
+    /// cannot deadlock today still records the edge a blocking acquisition
+    /// on the same path would.
+    pub fn try_lock(&self) -> Option<OrderedMutexGuard<'_, T>> {
+        #[cfg(debug_assertions)]
+        let token = check::acquire(self.rank, self.name);
+        let guard = match self.inner.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        Some(OrderedMutexGuard {
+            guard,
+            #[cfg(debug_assertions)]
+            _token: token,
+        })
     }
 
     /// This lock's rank.

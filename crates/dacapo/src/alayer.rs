@@ -1,121 +1,76 @@
-//! Layer A: the application-side endpoint of a running module stack.
+//! Layer A: the application-side endpoint of a module stack.
 
 use crate::error::DacapoError;
 use crate::packet::Packet;
-use crate::runtime::QuiesceSignal;
+use crate::runtime::Stack;
 use crate::stats::ThroughputMeter;
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TrySendError};
-use std::sync::atomic::{AtomicBool, Ordering};
+use crossbeam::channel::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// The application handle of a connection: what COOL's
 /// `DacapoComChannel` (or the measuring application of Figure 9) sends and
 /// receives through.
+///
+/// Sending runs the stack: the payload goes down the module chain and onto
+/// the transport on the caller's thread. Receiving pulls from the queue the
+/// connection's receive thread fills — unless the application installed a
+/// [`crate::Sink`], which is then called instead.
 #[derive(Debug, Clone)]
 pub struct AppEndpoint {
-    to_stack: Sender<Packet>,
-    from_stack: Receiver<Packet>,
-    tx_meter: Arc<ThroughputMeter>,
-    rx_meter: Arc<ThroughputMeter>,
-    /// The stack's packet count: sends enter it, receives leave it — which
-    /// can complete quiescence, so they tell any `drain` waiter to re-check.
-    quiesce: Arc<QuiesceSignal>,
-    /// Set once this application has been told the wire is gone (closed by
-    /// the peer, severed, I/O error): by the executor when a send fails, or
-    /// here when the close sentinel — which travels up behind the inbound
-    /// data that preceded it — is received. From then on sends fail and
-    /// receives report [`DacapoError::Closed`] instead of idling out their
-    /// timeout.
-    transport_dead: Arc<AtomicBool>,
+    stack: Arc<Stack>,
 }
 
 impl AppEndpoint {
-    pub(crate) fn new(
-        to_stack: Sender<Packet>,
-        from_stack: Receiver<Packet>,
-        tx_meter: Arc<ThroughputMeter>,
-        rx_meter: Arc<ThroughputMeter>,
-        quiesce: Arc<QuiesceSignal>,
-        transport_dead: Arc<AtomicBool>,
-    ) -> Self {
-        AppEndpoint {
-            to_stack,
-            from_stack,
-            tx_meter,
-            rx_meter,
-            quiesce,
-            transport_dead,
-        }
+    pub(crate) fn new(stack: Arc<Stack>) -> Self {
+        AppEndpoint { stack }
     }
 
     /// Whether this application has been told that the underlying transport
-    /// is gone.
+    /// is gone (closed by the peer, severed, I/O error): a write failed, or
+    /// the close sentinel — which travels up behind the inbound data that
+    /// preceded it — has been received. From then on sends fail and
+    /// receives report [`DacapoError::Closed`] instead of idling out their
+    /// timeout.
     pub fn transport_closed(&self) -> bool {
-        self.transport_dead.load(Ordering::Acquire)
+        self.stack.transport_closed()
     }
 
-    /// Sends a message to the peer application.
+    /// Sends a message to the peer application: through the modules and
+    /// onto the transport before it returns, at the cost of that work on
+    /// the calling thread.
     ///
-    /// Blocks when the stack applies backpressure (e.g. a full ARQ
-    /// window).
+    /// Blocks while the stack applies backpressure (a module with a full
+    /// ARQ window keeps a packet standing) and while the transport does (a
+    /// full wire).
     ///
     /// # Errors
     ///
-    /// [`DacapoError::Closed`] once the connection is torn down.
+    /// [`DacapoError::Closed`] once the connection is torn down or the
+    /// transport has failed.
     pub fn send(&self, payload: Bytes) -> Result<(), DacapoError> {
-        if self.transport_closed() {
-            return Err(DacapoError::Closed);
-        }
-        self.tx_meter.record(payload.len());
-        // The payload enters the stack as a shared view — no copy unless a
-        // module below needs to mutate it. Counted in before it is queued:
-        // a drain that follows this send must not find the stack empty
-        // while a module holds the packet between two queues.
-        self.quiesce.enter(1);
-        self.to_stack
-            .send(Packet::data_shared(payload))
-            .map_err(|_| {
-                self.quiesce.leave(1);
-                DacapoError::Closed
-            })
+        self.stack.send(payload, true)
     }
 
-    /// Sends without blocking.
+    /// Sends without waiting for the stack.
     ///
     /// # Errors
     ///
     /// [`DacapoError::Timeout`] (zero duration) when the stack is
-    /// backpressured, [`DacapoError::Closed`] on teardown.
+    /// backpressured — a packet stands in front of a module, or behind
+    /// another thread's write — [`DacapoError::Closed`] on teardown.
     pub fn try_send(&self, payload: Bytes) -> Result<(), DacapoError> {
-        if self.transport_closed() {
-            return Err(DacapoError::Closed);
-        }
-        let len = payload.len();
-        self.quiesce.enter(1);
-        self.to_stack
-            .try_send(Packet::data_shared(payload))
-            .map(|()| self.tx_meter.record(len))
-            .map_err(|refused| {
-                self.quiesce.leave(1);
-                match refused {
-                    TrySendError::Full(_) => DacapoError::Timeout(Duration::ZERO),
-                    TrySendError::Disconnected(_) => DacapoError::Closed,
-                }
-            })
+        self.stack.send(payload, false)
     }
 
-    /// What came off the top up-queue: a payload, or the close sentinel.
-    /// Either way the queue shrank, which can complete quiescence.
+    /// What came off the queue: a payload, or the close sentinel. Either
+    /// way the stack holds one packet fewer, which can complete quiescence.
     fn deliver(&self, pkt: Packet) -> Result<Bytes, DacapoError> {
-        self.quiesce.leave(1);
-        self.quiesce.pulse();
+        self.stack.received(&pkt);
         if pkt.is_close_sentinel() {
-            self.transport_dead.store(true, Ordering::Release);
             return Err(DacapoError::Closed);
         }
-        self.rx_meter.record(pkt.len());
         Ok(pkt.into_bytes())
     }
 
@@ -126,12 +81,13 @@ impl AppEndpoint {
     /// [`DacapoError::Timeout`] on expiry, [`DacapoError::Closed`] on
     /// teardown.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError> {
+        let from_stack = &self.stack.from_stack;
         // Fast path: transport already dead and nothing buffered — report
         // closure immediately rather than waiting out the timeout.
-        if self.transport_closed() && self.from_stack.is_empty() {
+        if self.transport_closed() && from_stack.is_empty() {
             return Err(DacapoError::Closed);
         }
-        match self.from_stack.recv_timeout(timeout) {
+        match from_stack.recv_timeout(timeout) {
             Ok(pkt) => self.deliver(pkt),
             Err(RecvTimeoutError::Timeout) => {
                 if self.transport_closed() {
@@ -150,32 +106,39 @@ impl AppEndpoint {
     ///
     /// [`DacapoError::Closed`] on teardown.
     pub fn recv(&self) -> Result<Bytes, DacapoError> {
-        if self.transport_closed() && self.from_stack.is_empty() {
+        let from_stack = &self.stack.from_stack;
+        if self.transport_closed() && from_stack.is_empty() {
             return Err(DacapoError::Closed);
         }
-        match self.from_stack.recv() {
+        match from_stack.recv() {
             Ok(pkt) => self.deliver(pkt),
             Err(_) => Err(DacapoError::Closed),
         }
     }
 
+    /// Packets waiting in the queue for a receive.
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> usize {
+        self.stack.from_stack.len()
+    }
+
     /// Bytes/packets sent by this endpoint.
     pub fn tx_meter(&self) -> &ThroughputMeter {
-        &self.tx_meter
+        &self.stack.tx_meter
     }
 
     /// Bytes/packets received by this endpoint.
     pub fn rx_meter(&self) -> &ThroughputMeter {
-        &self.rx_meter
+        &self.stack.rx_meter
     }
 
     /// Shared handle to the send meter (for monitors outliving borrows).
     pub fn tx_meter_shared(&self) -> Arc<ThroughputMeter> {
-        self.tx_meter.clone()
+        self.stack.tx_meter.clone()
     }
 
     /// Shared handle to the receive meter (for monitors outliving borrows).
     pub fn rx_meter_shared(&self) -> Arc<ThroughputMeter> {
-        self.rx_meter.clone()
+        self.stack.rx_meter.clone()
     }
 }

@@ -8,7 +8,7 @@ use crate::error::DacapoError;
 use crate::graph::ModuleGraph;
 use crate::module::Module;
 use crate::resource::{ResourceGrant, ResourceManager};
-use crate::runtime::{build_stack, RuntimeOptions, RxPump, StackHandle};
+use crate::runtime::{build_stack, RuntimeOptions, RxPump, Sink, StackHandle};
 use crate::tlayer::Transport;
 use multe_qos::TransportRequirements;
 use cool_telemetry::flight::event as flight_event;
@@ -24,13 +24,19 @@ use std::sync::Arc;
 /// because both derive their configuration deterministically from the
 /// QoS parameters agreed during bilateral negotiation.
 ///
-/// The connection owns the transport and, with it, the one thread that
-/// receives from it (the [`RxPump`]); module stacks come and go above
-/// that pump as the connection is reconfigured. Nothing on the
-/// reconfiguration or teardown path waits out a timer: a stack's executor
-/// is woken through its wake channel, the pump by [`Transport::close`].
+/// The connection owns the transport and, with it, its thread: the one
+/// that receives from the transport (the [`RxPump`]) and runs whatever
+/// comes off it up the modules and into the application. (An end whose
+/// modules answer what they receive — acknowledgements — gets a second,
+/// which writes those: the receive thread must never wait for the wire.)
+/// Module stacks come and go above that thread as the connection is
+/// reconfigured — a stack has no thread of its own, so a swap spawns and
+/// joins nothing. Nothing on the reconfiguration or teardown path waits out
+/// a timer: the receive thread is woken by [`Transport::close`].
 pub struct Connection {
-    running: OrderedMutex<Running>,
+    /// The current module stack; `None` once closed.
+    stack: OrderedMutex<Option<StackHandle>>,
+    pump: RxPump,
     endpoint: OrderedMutex<AppEndpoint>,
     graph: OrderedMutex<ModuleGraph>,
     params: OrderedMutex<ModuleParams>,
@@ -45,20 +51,11 @@ pub struct Connection {
     life: Arc<Lifecycle>,
 }
 
-/// What [`Connection::close`] stops and joins: the current module stack and
-/// the receive pump that feeds it. `None` once closed (and, for the stack,
-/// after a rebuild that could not spawn its threads).
-#[derive(Default)]
-struct Running {
-    stack: Option<StackHandle>,
-    pump: Option<RxPump>,
-}
-
-/// Lifecycle state shared with the receive pump's thread.
+/// Lifecycle state shared with the receive thread.
 #[derive(Default)]
 struct Lifecycle {
-    /// Closed by [`Connection::close`], or by the peer (the pump read the
-    /// transport's end).
+    /// Closed by [`Connection::close`], or by the peer (the receive thread
+    /// read the transport's end).
     closed: AtomicBool,
     /// Bumped (and broadcast) whenever the stack under
     /// [`Connection::endpoint`] changes or ends: reconfiguration swaps,
@@ -134,8 +131,8 @@ impl Connection {
     }
 
     /// Like [`Connection::establish_with_qos`], but with explicit runtime
-    /// options — in particular a telemetry registry the stack's executor
-    /// and the receive pump report into. The options survive
+    /// options — in particular a telemetry registry the stack and the
+    /// receive thread report into. The options survive
     /// [`Connection::reconfigure`], so a reconfigured stack keeps feeding
     /// the same registry.
     pub fn establish_with_qos_opts(
@@ -171,7 +168,7 @@ impl Connection {
         graph.validate(catalog)?;
         let transport: Arc<dyn Transport> = Arc::new(transport);
         let modules = instantiate(&graph, &params, catalog)?;
-        let stack = build_stack(modules, transport.clone(), &opts)?;
+        let stack = build_stack(modules, transport.clone(), &opts);
         let endpoint = stack.endpoint().clone();
         let life = Arc::new(Lifecycle::default());
         let pump = {
@@ -179,7 +176,7 @@ impl Connection {
             let telemetry = opts.telemetry.clone();
             RxPump::spawn(
                 transport.clone(),
-                stack.uplink(),
+                &stack,
                 opts.telemetry.as_deref(),
                 move || {
                     // The flag goes up before the close sentinel does:
@@ -195,24 +192,11 @@ impl Connection {
                     }
                     life.bump_epoch();
                 },
-            )
-        };
-        let pump = match pump {
-            Ok(pump) => pump,
-            Err(e) => {
-                stack.shutdown();
-                return Err(e);
-            }
+            )?
         };
         Ok(Connection {
-            running: OrderedMutex::new(
-                lock_rank::CONNECTION_STACK,
-                "connection.stack",
-                Running {
-                    stack: Some(stack),
-                    pump: Some(pump),
-                },
-            ),
+            stack: OrderedMutex::new(lock_rank::CONNECTION_STACK, "connection.stack", Some(stack)),
+            pump,
             endpoint: OrderedMutex::new(
                 lock_rank::CONNECTION_ENDPOINT,
                 "connection.endpoint",
@@ -238,8 +222,8 @@ impl Connection {
     }
 
     /// Blocks until the stack epoch differs from `seen`; returns the epoch
-    /// observed on wakeup. No timeout: reconfiguration (done or failed),
-    /// close and peer close all broadcast.
+    /// observed on wakeup. No timeout: reconfiguration, close and peer
+    /// close all broadcast.
     pub fn wait_epoch_change(&self, seen: u64) -> u64 {
         let mut epoch = self.life.epoch.lock();
         while *epoch == seen {
@@ -252,6 +236,17 @@ impl Connection {
     /// connection).
     pub fn endpoint(&self) -> AppEndpoint {
         self.endpoint.lock().clone()
+    }
+
+    /// Has the receive thread call `sink` with everything that reaches the
+    /// top of the stack from now on, instead of queueing it for
+    /// [`AppEndpoint::recv`]. The sink is the connection's, not a stack's:
+    /// it stays through every reconfiguration, so a push-mode consumer
+    /// needs no [`Connection::epoch`] loop. What the current endpoint's
+    /// queue already holds is delivered first, in order, on the calling
+    /// thread.
+    pub fn set_sink(&self, sink: Arc<dyn Sink>) {
+        self.pump.set_sink(sink);
     }
 
     /// The module graph currently running.
@@ -271,16 +266,16 @@ impl Connection {
     /// Packets inside the old stack's module queues are dropped (callers
     /// quiesce first; the ORB re-negotiates QoS before reconfiguring, so
     /// the request/reply protocol above tolerates the gap). Frames the peer
-    /// puts on the wire during the swap are not: the receive pump holds
-    /// them for the new stack.
+    /// puts on the wire during the swap are not: the receive thread holds
+    /// them for the new stack. The swap itself is a struct exchange under
+    /// two locks — no thread is spawned or joined, and nothing can fail
+    /// once the graph has validated.
     ///
     /// # Errors
     ///
     /// [`DacapoError::InvalidGraph`] if the new graph fails validation; the
     /// old stack keeps running in that case. [`DacapoError::Closed`] after
-    /// close or peer close. [`DacapoError::Runtime`] if the new stack's
-    /// threads cannot be spawned, which leaves the connection without a
-    /// stack until it is closed.
+    /// close or peer close.
     pub fn reconfigure(&self, new_graph: ModuleGraph) -> Result<(), DacapoError> {
         self.swap(new_graph, None)
     }
@@ -307,30 +302,24 @@ impl Connection {
             current.clone()
         };
         let modules = instantiate(&new_graph, &params, &self.catalog)?;
-        let mut running = self.running.lock();
-        let Running { stack, pump } = &mut *running;
-        let Some(pump) = pump.as_ref().filter(|_| !self.is_closed()) else {
+        let mut stack = self.stack.lock();
+        if stack.is_none() || self.is_closed() {
             return Err(DacapoError::Closed);
-        };
-        // The pump parks on this guard with any frame it reads meanwhile.
-        let mut uplink = pump.swap();
-        uplink.take();
-        if let Some(old) = stack.take() {
-            old.shutdown();
         }
-        // lint: allow(A002, stack lock is deliberately held across the rebuild (§7.2 rank 60); the spawn-failure cleanup joins only module pump threads, which never take connection locks)
-        let rebuilt = build_stack(modules, self.transport.clone(), &self.opts).map(|new| {
-            *uplink = Some(new.uplink());
-            *self.endpoint.lock() = new.endpoint().clone();
-            *self.graph.lock() = new_graph;
-            *stack = Some(new);
-        });
+        let new = build_stack(modules, self.transport.clone(), &self.opts);
+        // The receive thread parks on this guard with any frame it reads
+        // meanwhile, and is out of the old stack once we hold it.
+        let mut uplink = self.pump.swap();
+        *uplink = Some(new.stack.clone());
+        *self.endpoint.lock() = new.endpoint().clone();
+        *self.graph.lock() = new_graph;
+        // Dropped here, under the guard: the old endpoint's queue ends
+        // behind everything the receive thread delivered into it.
+        *stack = Some(new);
         drop(uplink);
-        // Wake receive loops parked in the old (now disconnected)
-        // endpoint — also after a failed rebuild, so that they wait for
-        // the close rather than for a swap that will never complete.
+        // Wake receive loops parked in the old (now ended) endpoint.
         self.life.bump_epoch();
-        rebuilt
+        Ok(())
     }
 
     /// Reconfigures from QoS-derived transport requirements, as
@@ -369,7 +358,7 @@ impl Connection {
     /// empty, no ARQ window outstanding); returns whether it did. A close
     /// after a successful drain loses no in-flight data.
     pub fn drain(&self, timeout: std::time::Duration) -> bool {
-        match self.running.lock().stack.as_ref() {
+        match self.stack.lock().as_ref() {
             Some(stack) => stack.drain(timeout),
             None => true,
         }
@@ -382,20 +371,16 @@ impl Connection {
         self.life.closed.load(Ordering::Acquire)
     }
 
-    /// Tears the connection down: closes the transport — which wakes the
-    /// receive pumps of both sides, so the peer learns of it without being
-    /// told — then joins the pump and the stack's executor. Idempotent.
+    /// Tears the connection down: closes the transport — which ends the
+    /// receive threads' waits on both sides, so the peer learns of it
+    /// without being told — and stops the stack. Nothing is joined (this
+    /// may be the receive thread itself, closing from a [`Sink`] callback):
+    /// the receive thread is on its way out when this returns. Idempotent.
     pub fn close(&self) {
         self.life.closed.store(true, Ordering::Release);
         // Before the lock: a drain or swap holding it ends sooner for it.
-        self.transport.close();
-        let Running { stack, pump } = std::mem::take(&mut *self.running.lock());
-        if let Some(pump) = pump {
-            pump.shutdown();
-        }
-        if let Some(stack) = stack {
-            stack.shutdown();
-        }
+        self.pump.shutdown();
+        self.stack.lock().take();
         self.grant.lock().take();
         self.life.bump_epoch();
     }
@@ -614,6 +599,52 @@ mod tests {
             b"still works"
         );
         a.close();
+        b.close();
+    }
+
+    #[test]
+    fn a_sink_installed_late_gets_what_was_queued_first_then_the_rest_across_a_swap() {
+        struct Collect(std::sync::mpsc::Sender<Option<u8>>);
+        impl Sink for Collect {
+            fn deliver(&self, payload: Bytes) {
+                let _ = self.0.send(Some(payload[0]));
+            }
+            fn closed(&self) {
+                let _ = self.0.send(None);
+            }
+        }
+        let (a, b) = pair(&ModuleGraph::from_ids(["seq"]));
+        for i in 0..10u8 {
+            a.endpoint().send(Bytes::from(vec![i])).unwrap();
+        }
+        // All ten are in `b`'s endpoint queue, none received.
+        assert!(a.drain(Duration::from_secs(5)));
+        while b.endpoint().queued() < 10 {
+            std::thread::yield_now();
+        }
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        b.set_sink(Arc::new(Collect(seen_tx)));
+        for i in 10..20u8 {
+            a.endpoint().send(Bytes::from(vec![i])).unwrap();
+        }
+        let expect = |range: std::ops::Range<u8>| {
+            for i in range {
+                assert_eq!(seen_rx.recv_timeout(Duration::from_secs(5)).unwrap(), Some(i));
+            }
+        };
+        expect(0..20);
+        // The sink is the connection's: it outlives the stack it was
+        // installed over.
+        let checked = ModuleGraph::from_ids(["seq", "crc32"]);
+        a.reconfigure(checked.clone()).unwrap();
+        b.reconfigure(checked).unwrap();
+        for i in 20..30u8 {
+            a.endpoint().send(Bytes::from(vec![i])).unwrap();
+        }
+        a.close();
+        expect(20..30);
+        assert_eq!(seen_rx.recv_timeout(Duration::from_secs(5)).unwrap(), None);
+        assert!(b.is_closed());
         b.close();
     }
 

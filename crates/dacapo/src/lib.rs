@@ -10,9 +10,11 @@
 //! * **Layer C** ([`module`], [`modules`], [`graph`]) — end-to-end protocol
 //!   functionality decomposed into **protocol functions** (error detection,
 //!   flow control, encryption, …), each realised by exchangeable
-//!   **mechanisms** implemented as modules. Modules run one-per-thread and
-//!   exchange packet pointers over message queues, exactly as in the
-//!   paper's Figure 6.
+//!   **mechanisms** implemented as modules. Modules exchange packet
+//!   pointers over message queues, as in the paper's Figure 6 — queues
+//!   behind one lock per stack rather than between threads ([`runtime`]):
+//!   a send runs the chain on the sender's thread, the connection's one
+//!   receive thread runs everything that comes off the wire.
 //! * **Layer T** ([`tlayer`]) — generic transport infrastructure: loopback
 //!   queues, real TCP (the paper's T module encapsulates TCP), or a
 //!   `netsim` link standing in for the ATM testbed.
@@ -77,6 +79,7 @@ pub use module::{Module, Outputs};
 pub use monitor::{MonitorConfig, QosEvent, QosMonitor};
 pub use packet::{Packet, PacketKind};
 pub use resource::{ResourceBudget, ResourceGrant, ResourceManager};
+pub use runtime::Sink;
 pub use stats::ThroughputMeter;
 pub use tlayer::{loopback_pair, LoopbackTransport, NetsimTransport, TcpTransport, Transport};
 
@@ -93,6 +96,7 @@ pub mod prelude {
     pub use crate::monitor::{MonitorConfig, QosEvent, QosMonitor};
     pub use crate::packet::{Packet, PacketKind};
     pub use crate::resource::{ResourceBudget, ResourceGrant, ResourceManager};
+    pub use crate::runtime::Sink;
     pub use crate::stats::ThroughputMeter;
     pub use crate::tlayer::{
         loopback_pair, LoopbackTransport, NetsimTransport, TcpTransport, Transport,

@@ -11,9 +11,8 @@
 //! Backpressure: a module may pause its down-direction intake (e.g. an ARQ
 //! with a full window) by returning `false` from
 //! [`Module::ready_for_down`]; the runtime then leaves its down queue
-//! standing and takes nothing more from the application until it has
-//! emptied, which stalls the sender — the flow-control behaviour the paper
-//! measures with the IRQ configuration.
+//! standing and makes the next sender wait until it has emptied — the
+//! flow-control behaviour the paper measures with the IRQ configuration.
 
 use crate::packet::Packet;
 use std::time::Duration;
@@ -21,8 +20,8 @@ use std::time::Duration;
 /// Packets a module wants forwarded after processing one event.
 #[derive(Debug, Default)]
 pub struct Outputs {
-    down: Vec<Packet>,
-    up: Vec<Packet>,
+    pub(crate) down: Vec<Packet>,
+    pub(crate) up: Vec<Packet>,
 }
 
 impl Outputs {
@@ -65,11 +64,13 @@ impl Outputs {
 /// A protocol mechanism instance living at one position of a module graph.
 ///
 /// Implementations are single-threaded: the runtime calls all methods of
-/// all modules of a stack from that stack's one executor thread
-/// (`dacapo-stack`), one event at a time, so `&mut self` state needs no
-/// internal locking — the guarantee the paper's one-thread-per-module
-/// design gave, kept by a design with fewer threads. A module must not
-/// block in a callback: it would hold up every module of its stack.
+/// all modules of a stack one callback at a time, under that stack's lock —
+/// `process_down` on the thread that sends, `process_up` and `on_tick` on
+/// the connection's receive thread — so `&mut self` state needs no
+/// internal locking: the guarantee the paper's one-thread-per-module
+/// design gave, kept by a design with no thread per stack at all. A module
+/// must not block in a callback: it would hold up every module of its
+/// stack, the sender it runs on and the receive thread behind it.
 pub trait Module: Send {
     /// Short name for diagnostics (usually the mechanism id).
     fn name(&self) -> &str;

@@ -1,5 +1,4 @@
-//! The module-graph runtime: one executor thread per stack, a queue in
-//! front of every module.
+//! The module-graph runtime: a stack is a monitor, not a thread.
 //!
 //! The paper's Figure 6 gives each module a thread and two message queues
 //! (*"Each module in Da CaPo is executed by a single thread … Modules
@@ -7,30 +6,56 @@
 //! still here — one per module and direction (down = towards the wire,
 //! up = towards the application), control packets sharing them and told
 //! apart by module-level header tags, which keeps the wire format
-//! self-describing — but they are `VecDeque`s owned by the stack's single
-//! `dacapo-stack` thread, which runs every module inline and writes to the
-//! transport itself. A packet crosses the whole chain without a thread
-//! handoff, and the executor keeps taking input until both its sources are
-//! dry before it parks again, so under load a wake-up is paid per burst,
-//! not per packet per module. What that gives up: the stages of one stack
-//! no longer overlap on different cores (DESIGN §2).
+//! self-describing — but they are `VecDeque`s behind one **stack lock**,
+//! and no thread belongs to a stack. Whoever brings a packet runs it
+//! through the chain:
 //!
-//! The executor has two inputs, both channels because other threads feed
-//! them: the application's **down** queue and the wire's **up** queue (the
-//! connection's [`RxPump`]). An empty graph has only the first: with no
-//! module to run on the way up, the pump's frames go straight to the
-//! application's queue.
+//! * **down** on the sender's thread: [`AppEndpoint::send`] takes the stack
+//!   lock, runs the packet module by module to the bottom, and writes what
+//!   arrives there to the transport;
+//! * **up**, and the protocol timer, on the connection's one receive
+//!   thread ([`RxPump`]), which runs every frame it reads through whichever
+//!   stack is installed and then — holding nothing — hands the payloads to
+//!   the application: to the connection's [`Sink`] if one is installed,
+//!   into the endpoint's queue otherwise.
 //!
-//! Backpressure discipline: the application's down queue is bounded. A
-//! module whose [`Module::ready_for_down`] returns `false` leaves its own
-//! queue standing, and the executor admits a new application packet only
-//! while no packet stands in any module's queue — so a stalled module
-//! stalls everything above it up to the application's `send` (that is how
-//! the IRQ configuration throttles Figure 9's sender), and what the stack
-//! buffers is bounded by that one queue plus the fan-out of one packet.
-//! The **up** direction is unbounded: the wire already paces it, the
-//! acknowledgements that release a stalled module arrive on it, and the
-//! receive pump may forward under its slot lock without ever blocking.
+//! A packet crosses the whole chain without a thread handoff in either
+//! direction, and a stack swap spawns and joins nothing. What that gives
+//! up: a send pays its module work inline, and the two directions of one
+//! stack no longer overlap (DESIGN §2).
+//!
+//! Three rules keep the monitor from hanging, each the difference between
+//! this and the obvious way of writing it:
+//!
+//! 1. The stack lock is never held across a transport write, a wait or an
+//!    application callback. Frames bound for the wire go to an in-order
+//!    deque under the lock and are written after it is released, under a
+//!    separate **writer lock** that senders wait for — a full wire is
+//!    their backpressure. **What the modules answer, the receive thread
+//!    never writes**: a [`Transport::send`] may block for as long as the
+//!    peer does not read, and two ends whose receive threads both sat in
+//!    one — each with an acknowledgement for the other — would wait for
+//!    each other for good. What a frame or a tick makes the modules send —
+//!    an acknowledgement, a retransmission, a packet a window let go — the
+//!    receive thread leaves in the deque: for the sender that holds the
+//!    writer lock at that moment (it looks at the deque again after
+//!    unlocking), else for the connection's `WireWriter`, a thread
+//!    started the first time that happens. So the receive thread keeps
+//!    draining the wire whatever this side's senders are stuck on; it waits
+//!    for module work and for its [`Sink`]'s callbacks, nothing else. (A
+//!    callback that *sends* is a sender: its frames it does write, if
+//!    nobody else is writing — see [`Sink`].)
+//! 2. A module whose [`Module::ready_for_down`] returns `false` leaves its
+//!    queue standing, and while anything stands a sender waits (and
+//!    `try_send` refuses) — that is how the IRQ configuration throttles
+//!    Figure 9's sender, and what the stack buffers is one packet's
+//!    fan-out. The exception is a send from inside a delivery (the reply
+//!    of a request the receive thread ran to completion): the
+//!    acknowledgement that frees the window arrives on that very thread,
+//!    so its packet queues behind what stands and the send returns.
+//! 3. Only the receive thread delivers, so what the application sees is in
+//!    wire order, and nothing joins that thread: `close` can run on it (a
+//!    sink reacting to the peer's close) or on a thread it is waiting for.
 
 use crate::alayer::AppEndpoint;
 use crate::module::{Module, Outputs};
@@ -42,32 +67,24 @@ use bytes::Bytes;
 use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::lockorder::{rank as lock_rank, OrderedMutex, OrderedMutexGuard};
 use cool_telemetry::{Counter, Gauge, Registry};
-use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Capacity of the application's bounded down queue: a stalled module
-/// backpressures the application's `send` within this many packets.
-const CHANNEL_CAPACITY: usize = 128;
-
 /// Interval between [`Module::on_tick`] callbacks. This is a protocol
-/// timer (it drives ARQ retransmission), *not* a data-path poll: packet
-/// arrival wakes the executor immediately via its queue select. It runs
-/// by deadline, checked after every batch, so traffic cannot starve it.
+/// timer (it drives ARQ retransmission), *not* a data-path poll: a frame
+/// wakes the receive thread at once. It runs by deadline, checked after
+/// every frame, so traffic cannot starve it.
 const TICK_INTERVAL: Duration = Duration::from_millis(20);
-
-/// Packets the executor takes in before it looks at the clock, the
-/// shutdown flag and the quiescence signal again.
-const BATCH: usize = 64;
 
 /// What a running stack reports to.
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeOptions {
-    /// When set, the executor reports per module its per-direction
+    /// When set, the stack reports per module its per-direction
     /// frame/byte throughput (`dacapo_module_frames_total{module,dir}`,
     /// `dacapo_module_bytes_total{module,dir}`) and the depth of the queues
     /// in front of it (`dacapo_module_queue_depth{module}`), and it and the
@@ -106,12 +123,13 @@ impl ModuleTelemetry {
 
 /// Quiescence bookkeeping shared by everything that touches a stack's
 /// packets: a count of the packets inside the stack, and a generation
-/// counter bumped by the executor after every batch (and by the application
-/// endpoint after every receive), so [`StackHandle::drain`] can park in a
-/// condvar instead of sleep-polling.
+/// counter bumped whenever a thread has finished moving packets through it
+/// (a send, a frame or tick on the receive thread, a receive by the
+/// application), so [`StackHandle::drain`] — and a sender waiting behind a
+/// stalled module — can park in a condvar instead of sleep-polling.
 ///
 /// A packet is *inside* from the moment a sender is about to queue it
-/// (application send, receive pump) until it has left for good (handed to
+/// (application send, receive thread) until it has left for good (handed to
 /// the transport, received by the application, consumed by a module) — so
 /// also while a module holds it between two queues, which looking at the
 /// queues alone would miss: a drain that saw them all empty at that moment
@@ -139,7 +157,8 @@ impl QuiesceSignal {
         self.in_flight.load(Ordering::SeqCst) == 0
     }
 
-    /// Announces "state changed, re-check quiescence" to any drainer.
+    /// Announces "state changed, look again" to any drainer or waiting
+    /// sender.
     pub(crate) fn pulse(&self) {
         let mut generation = self.generation.lock();
         *generation += 1;
@@ -161,342 +180,88 @@ impl QuiesceSignal {
         }
         true
     }
-}
 
-/// A running module stack bound to a transport: the executor thread that
-/// runs the modules and sends on the transport. The receiving side of the
-/// transport is not the stack's — one [`RxPump`] per transport outlives
-/// every stack built on it and feeds whichever one is current through its
-/// [`Uplink`].
-#[derive(Debug)]
-pub struct StackHandle {
-    app: AppEndpoint,
-    uplink: Uplink,
-    shutdown: Arc<AtomicBool>,
-    executor: Option<JoinHandle<()>>,
-    module_names: Vec<String>,
-    /// Per-module idle flags maintained by the executor.
-    idle_flags: Vec<Arc<AtomicBool>>,
-    /// Counts the packets inside the stack; pulsed by the executor
-    /// whenever that may have changed.
-    quiesce: Arc<QuiesceSignal>,
-    /// Shutdown wakeup: the executor selects on the matching receiver.
-    /// Dropping this sender disconnects the channel and wakes it out of
-    /// its select, so shutdown never waits for a tick to come round.
-    wake: Option<Sender<()>>,
-    /// Set once the application has been told the transport is gone: by
-    /// the executor on a send failure, by the endpoint when the close
-    /// sentinel reaches it.
-    transport_dead: Arc<AtomicBool>,
-}
-
-impl StackHandle {
-    /// The application endpoint of this stack.
-    pub fn endpoint(&self) -> &AppEndpoint {
-        &self.app
-    }
-
-    /// Where the transport's [`RxPump`] delivers into this stack.
-    pub fn uplink(&self) -> Uplink {
-        self.uplink.clone()
-    }
-
-    /// Names of the running modules, top to bottom.
-    pub fn module_names(&self) -> &[String] {
-        &self.module_names
-    }
-
-    /// Number of threads the stack runs: its executor, whatever the
-    /// number of modules.
-    pub fn thread_count(&self) -> usize {
-        1
-    }
-
-    /// Whether the application has been told that the transport underneath
-    /// this stack is gone (closed by the peer, severed, I/O error): a send
-    /// failed, or every inbound frame that preceded the close has been
-    /// received. New sends fail with [`DacapoError::Closed`].
-    pub fn transport_closed(&self) -> bool {
-        self.transport_dead.load(Ordering::Acquire)
-    }
-
-    /// Whether no packet is inside the stack — queued, or in the hands of
-    /// a module or the receive pump — and every module reports no deferred
-    /// state: all application traffic has reached the transport (or the
-    /// application) and no ARQ window is outstanding.
-    pub fn is_quiescent(&self) -> bool {
-        self.quiesce.is_empty() && self.idle_flags.iter().all(|f| f.load(Ordering::Acquire))
-    }
-
-    /// Waits up to `timeout` for the stack to quiesce; returns whether it
-    /// did. Used for graceful teardown: close after `drain` loses nothing.
-    ///
-    /// Event-driven: the executor pulses [`QuiesceSignal`] after each batch
-    /// of work, so this parks in a condvar between re-checks instead of
-    /// sleep-polling.
-    pub fn drain(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            // Generation before the check: a pulse landing between the
-            // check and the wait advances it, so the wait returns
-            // immediately rather than missing the wakeup.
-            let seen = self.quiesce.generation();
-            if self.is_quiescent() {
-                return true;
-            }
-            if !self.quiesce.wait_newer(seen, deadline) {
-                return self.is_quiescent();
-            }
-        }
-    }
-
-    /// Stops the executor and joins it. The transport itself is *not*
-    /// closed — the caller may rebuild a new stack on it
-    /// (reconfiguration).
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        // Dropping the wake sender disconnects the executor's wake
-        // receiver, popping it out of a blocking select immediately.
-        self.wake.take();
-        if let Some(executor) = self.executor.take() {
-            let _ = executor.join();
+    /// Waits for a pulse newer than `seen`, however long that takes: for a
+    /// sender behind a stalled module. The receive thread pulses after
+    /// every event — an acknowledgement that ran the queues dry, the
+    /// transport's end — and so do [`Stack::stop`] and a failed write.
+    fn wait_for_room(&self, seen: u64) {
+        let mut generation = self.generation.lock();
+        while *generation == seen {
+            self.cv.wait(&mut generation);
         }
     }
 }
 
-impl Drop for StackHandle {
-    fn drop(&mut self) {
-        // Signal but do not join: destructors must not block. An explicit
-        // `shutdown()` joins cleanly.
-        self.shutdown.store(true, Ordering::Release);
-        self.wake.take();
-    }
-}
-
-/// Where wire frames enter a stack: the bottom of its up chain. Held by the
-/// transport's [`RxPump`], replaced when the stack is.
-#[derive(Debug, Clone)]
-pub struct Uplink {
-    up_bottom: Sender<Packet>,
-    quiesce: Arc<QuiesceSignal>,
-}
-
-impl Uplink {
-    fn send(&self, pkt: Packet) {
-        self.quiesce.enter(1);
-        // A stack that is gone takes no more packets; its successor's
-        // uplink is installed before the pump reads on.
-        if self.up_bottom.send(pkt).is_err() {
-            self.quiesce.leave(1);
-        }
-    }
-
-    fn forward(&self, frame: Bytes) {
-        self.send(Packet::from_shared(frame, PacketKind::Data));
-    }
-
-    /// The wire closed: the close sentinel goes up *behind* the frames
-    /// already forwarded, through every module's queue in order, so the
-    /// application receives the tail of the traffic and then `Closed`.
-    fn close(&self) {
-        self.send(Packet::close_sentinel());
-    }
-}
-
-/// The transport receive pump: one thread per transport, for as long as
-/// the transport lives (a [`crate::Connection`] owns it). It blocks in
-/// [`Transport::recv`] — woken by a frame or by [`Transport::close`] on
-/// either side, never by a timer — and forwards each frame into whichever
-/// stack's [`Uplink`] is installed in its forward slot. Reconfiguration
-/// therefore stops and joins only the stack's executor, which selects on
-/// the stack's wake channel, and a frame that arrives between two stacks
-/// waits for the new one instead of dying with the old.
-pub struct RxPump {
-    transport: Arc<dyn Transport>,
-    slot: Arc<OrderedMutex<Option<Uplink>>>,
-    thread: JoinHandle<()>,
-}
-
-impl RxPump {
-    /// Starts the pump on `transport`, delivering into `uplink`. When the
-    /// transport reports its end (closed by either side, I/O error) the
-    /// pump runs `on_closed`, then sends the close sentinel up the current
-    /// stack, and exits.
-    ///
-    /// # Errors
-    ///
-    /// [`DacapoError::Runtime`] if the OS thread cannot be spawned.
-    pub fn spawn(
-        transport: Arc<dyn Transport>,
-        uplink: Uplink,
-        telemetry: Option<&Registry>,
-        on_closed: impl FnOnce() + Send + 'static,
-    ) -> Result<Self, DacapoError> {
-        let slot = Arc::new(OrderedMutex::new(
-            lock_rank::CONNECTION_UPLINK,
-            "connection.uplink",
-            Some(uplink),
-        ));
-        let wire = telemetry.map(|r| wire_counters(r, "rx"));
-        let (pump_transport, pump_slot) = (transport.clone(), slot.clone());
-        let thread = std::thread::Builder::new()
-            .name("dacapo-t-rx".into())
-            .spawn(move || rx_pump_loop(&*pump_transport, &pump_slot, wire, on_closed))
-            .map_err(|e| DacapoError::Runtime(format!("spawn dacapo-t-rx: {e}")))?;
-        Ok(RxPump {
-            transport,
-            slot,
-            thread,
-        })
-    }
-
-    /// Locks the forward slot for a stack swap. While the guard is held the
-    /// pump parks with the frame it has just read; once it drops, that
-    /// frame and every later one go to the uplink the guard left behind
-    /// (`None` drops them).
-    pub fn swap(&self) -> OrderedMutexGuard<'_, Option<Uplink>> {
-        self.slot.lock()
-    }
-
-    /// Closes the transport — the one thing that wakes the pump — and
-    /// joins it.
-    pub fn shutdown(self) {
-        self.transport.close();
-        let _ = self.thread.join();
-    }
-}
-
-fn rx_pump_loop(
-    transport: &dyn Transport,
-    slot: &OrderedMutex<Option<Uplink>>,
-    wire: Option<(Arc<Counter>, Arc<Counter>)>,
-    on_closed: impl FnOnce(),
-) {
-    while let Ok(frame) = transport.recv() {
-        if let Some((frames, bytes)) = &wire {
-            frames.inc();
-            bytes.add(frame.len() as u64);
-        }
-        // The up queue is unbounded, so the send under the slot lock
-        // never blocks; a swap in progress holds the lock and parks the
-        // pump until the new stack is in.
-        if let Some(uplink) = slot.lock().as_ref() {
-            uplink.forward(frame);
-        }
-    }
-    on_closed();
-    if let Some(uplink) = slot.lock().as_ref() {
-        uplink.close();
-    }
-}
-
-fn wire_counters(registry: &Registry, dir: &str) -> (Arc<Counter>, Arc<Counter>) {
-    (
-        registry.counter(&Registry::labeled("dacapo_wire_frames_total", &[("dir", dir)])),
-        registry.counter(&Registry::labeled("dacapo_wire_bytes_total", &[("dir", dir)])),
-    )
-}
-
-/// Builds and starts a stack: `modules` top-to-bottom between the
-/// application and `transport`.
+/// Where a connection's receive thread hands what it brings to the top of
+/// the stack, when the application would rather be called than pull from
+/// [`AppEndpoint::recv`]. Installed with [`crate::Connection::set_sink`]; it
+/// belongs to the connection, not to a stack, and survives reconfiguration.
 ///
-/// # Errors
+/// Both callbacks run on the receive thread, one at a time and in wire
+/// order, with no lock of the connection held — so a callback may send on
+/// the connection and may close it. While a callback runs, nothing else of
+/// the connection's receive side does: no frame is read, no acknowledgement
+/// processed, no protocol timer fires. So it must not block on something
+/// only a later frame of this connection can bring — which includes a
+/// thread that is itself waiting in a send on this connection behind a full
+/// ARQ window — and it must not own the connection (hold it weakly): the
+/// connection owns the sink.
 ///
-/// [`DacapoError::Runtime`] if the executor's OS thread cannot be spawned.
-pub fn build_stack(
-    modules: Vec<Box<dyn Module>>,
-    transport: Arc<dyn Transport>,
-    opts: &RuntimeOptions,
-) -> Result<StackHandle, DacapoError> {
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let quiesce = Arc::new(QuiesceSignal::default());
-    let transport_dead = Arc::new(AtomicBool::new(false));
-    // Never sent on: exists only so that dropping `wake_tx` (at shutdown)
-    // disconnects the receiver and wakes the executor's select. It
-    // carries no data, its capacity is irrelevant, and nothing can queue
-    // on it — boundedness is moot.
-    // lint: allow(A005, §7.4: never sent on — exists only so drop disconnects and wakes the executor's select)
-    let (wake_tx, wake_rx) = unbounded::<()>();
-    let module_names: Vec<String> = modules.iter().map(|m| m.name().to_owned()).collect();
+/// A send from a callback never waits behind a stalled module or another
+/// writer (the module header, rule 2), but it is a send: with nobody else
+/// writing, the frames go onto the transport there and then — which is
+/// what makes a request answered from its delivery a round trip of three
+/// thread handoffs — and a full wire holds the callback, and with it this
+/// side's reading, until the peer has read. That is safe as long as the
+/// peer's reading does not in turn wait for this side's (a client whose
+/// callbacks only take replies; a relay onto another connection); two ends
+/// that *both* answer from their callbacks over a transport that can fill
+/// up should hand the answer to a thread of their own.
+pub trait Sink: Send + Sync {
+    /// A payload reached the top of the stack.
+    fn deliver(&self, payload: Bytes);
+    /// The transport is gone — closed by the peer, severed, failed — and
+    /// everything that arrived before has been delivered. Called at most
+    /// once.
+    fn closed(&self);
+}
 
-    // The executor's two inputs and its one output to another thread.
-    let (app_down_tx, app_down_rx) = bounded::<Packet>(CHANNEL_CAPACITY);
-    // lint: allow(A005, §7.4: filled by the executor at the pace of the wire and drained by the app endpoint; the executor must never block on the application)
-    let (app_up_tx, app_up_rx) = unbounded::<Packet>();
-    // An empty graph has nothing to run on the way up: what the receive
-    // pump reads is the application's as it stands, and goes to its queue
-    // without a stop at the executor.
-    let (wire_up_tx, wire_up_rx) = if modules.is_empty() {
-        (app_up_tx.clone(), None)
-    } else {
-        // Unbounded by design (module header): the wire paces the up
-        // direction, the acknowledgements that unstall a module travel on
-        // it, and the receive pump forwards under its slot lock.
-        // lint: allow(A005, §7.4: up direction is wire-paced and drained by the executor whatever else stalls; the receive pump forwards under its slot lock and must not block)
-        let (tx, rx) = unbounded::<Packet>();
-        (tx, Some(rx))
-    };
+/// The connection's sink, if the application installed one. Deliveries
+/// into the endpoint's queue happen under this lock, so that a sink being
+/// installed finds everything that went to the queue before it.
+type SinkSlot = Mutex<Option<Arc<dyn Sink>>>;
 
-    let stages: Vec<Stage> = modules
-        .into_iter()
-        .map(|module| Stage {
-            // Same-named modules (within a stack or across the two peers
-            // of a connection sharing one registry) aggregate into one
-            // time series.
-            telemetry: opts
-                .telemetry
-                .as_ref()
-                .map(|r| ModuleTelemetry::new(r, module.name())),
-            module,
-            down: VecDeque::new(),
-            up: VecDeque::new(),
-            idle: Arc::new(AtomicBool::new(true)),
-        })
-        .collect();
-    let idle_flags = stages.iter().map(|s| s.idle.clone()).collect();
-    let executor = Executor {
-        stages,
-        queued: 0,
-        out: Outputs::new(),
-        transport,
-        app_up: app_up_tx,
-        shutdown: shutdown.clone(),
-        quiesce: quiesce.clone(),
-        transport_dead: transport_dead.clone(),
-        wire: opts.telemetry.as_deref().map(|r| wire_counters(r, "tx")),
-        registry: opts.telemetry.clone(),
-    };
-    let executor = std::thread::Builder::new()
-        .name("dacapo-stack".into())
-        .spawn(move || {
-            // Told to stop or out of things to serve: either way it is over.
-            let _ = executor.run(&app_down_rx, wire_up_rx.as_ref(), &wake_rx);
-        })
-        .map_err(|e| DacapoError::Runtime(format!("spawn dacapo-stack: {e}")))?;
+thread_local! {
+    /// The connection whose [`Sink`] callbacks this thread runs — its
+    /// receive thread, for that thread's whole life, or a thread replaying
+    /// the endpoint's queue in [`RxPump::set_sink`] — named by its
+    /// transport ([`transport_id`]), which outlives every stack; 0 on any
+    /// other thread.
+    static RECEIVING_FOR: Cell<usize> = const { Cell::new(0) };
+}
 
-    let app = AppEndpoint::new(
-        app_down_tx,
-        app_up_rx,
-        Arc::new(ThroughputMeter::new()),
-        Arc::new(ThroughputMeter::new()),
-        quiesce.clone(),
-        transport_dead.clone(),
-    );
-    let uplink = Uplink {
-        up_bottom: wire_up_tx,
-        quiesce: quiesce.clone(),
-    };
-    Ok(StackHandle {
-        app,
-        uplink,
-        shutdown,
-        executor: Some(executor),
-        module_names,
-        idle_flags,
-        quiesce,
-        wake: Some(wake_tx),
-        transport_dead,
-    })
+/// What names a connection across its stacks: where its transport lives.
+fn transport_id(transport: &Arc<dyn Transport>) -> usize {
+    Arc::as_ptr(transport) as *const () as usize
+}
+
+/// Runs `f` as a thread that delivers for `transport`'s connection.
+fn receiving_for<R>(transport: &Arc<dyn Transport>, f: impl FnOnce() -> R) -> R {
+    let outer = RECEIVING_FOR.with(|r| r.replace(transport_id(transport)));
+    let out = f();
+    RECEIVING_FOR.with(|r| r.set(outer));
+    out
+}
+
+/// What the receive thread brings to a stack.
+enum RxEvent {
+    /// A frame off the wire.
+    Frame(Bytes),
+    /// The protocol timer, this long after the receive thread started.
+    Tick(Duration),
+    /// The transport reported its end.
+    WireEnded,
 }
 
 /// One module's place in the chain, with the queues in front of it.
@@ -507,124 +272,77 @@ struct Stage {
     down: VecDeque<Packet>,
     /// Packets on their way up, waiting for this module.
     up: VecDeque<Packet>,
-    idle: Arc<AtomicBool>,
     telemetry: Option<ModuleTelemetry>,
 }
 
-/// The executor has nothing left to serve: the transport no longer takes
-/// frames, or the handle and everything that fed the stack are gone.
-struct Ended;
-
-/// The next packet queued on `rx`, if there is one.
-fn try_take(rx: &Receiver<Packet>) -> Result<Option<Packet>, Ended> {
-    match rx.try_recv() {
-        Ok(pkt) => Ok(Some(pkt)),
-        Err(TryRecvError::Empty) => Ok(None),
-        Err(TryRecvError::Disconnected) => Err(Ended),
-    }
-}
-
-/// Everything a stack's one thread owns: the modules, the queues between
-/// them and the transport's send side.
-struct Executor {
+/// What the stack lock guards: the modules and every queue of the stack.
+struct Chain {
     /// Top (application side) to bottom (wire side).
     stages: Vec<Stage>,
     /// Packets standing in the stages' queues. Up queues always run dry,
-    /// so between two inputs this counts what stalled modules hold back.
+    /// so between two events this counts what stalled modules hold back.
     queued: usize,
     out: Outputs,
+    /// Frames that reached the bottom, in order, until a holder of the
+    /// writer lock takes them to the transport.
+    wire: VecDeque<Packet>,
+    /// Payloads (and the close sentinel) that reached the top, in order,
+    /// until the receive thread takes them to the application.
+    top: Vec<Packet>,
+    /// The endpoint's queue. Dropped when the stack stops, so the queue
+    /// *ends* behind what it holds; a delivery in flight keeps a clone
+    /// until it is done.
+    to_app: Option<Sender<Packet>>,
+    /// The receive thread has read the transport's end: nothing will come
+    /// up any more — no acknowledgement either — so nothing goes down.
+    wire_ended: bool,
+}
+
+/// A module stack bound to a transport: everything its endpoint, its
+/// handle and the connection's receive thread share.
+pub(crate) struct Stack {
+    chain: OrderedMutex<Chain>,
+    /// Held while writing to the transport; its content is the writer's
+    /// scratch deque (swapped with [`Chain::wire`], so neither allocates in
+    /// steady state).
+    writer: OrderedMutex<VecDeque<Packet>>,
     transport: Arc<dyn Transport>,
-    app_up: Sender<Packet>,
-    shutdown: Arc<AtomicBool>,
-    quiesce: Arc<QuiesceSignal>,
-    transport_dead: Arc<AtomicBool>,
-    wire: Option<(Arc<Counter>, Arc<Counter>)>,
+    /// Set (under the stack lock) once the stack is replaced or torn down:
+    /// nothing enters it any more.
+    stopped: AtomicBool,
+    /// Per module: no deferred state (window, reorder buffer, reassembly).
+    idle: Vec<AtomicBool>,
+    quiesce: QuiesceSignal,
+    /// Set once the application has been told the transport is gone: by a
+    /// failed write, or when the close sentinel is delivered.
+    transport_dead: AtomicBool,
+    pub(crate) from_stack: Receiver<Packet>,
+    pub(crate) tx_meter: Arc<ThroughputMeter>,
+    pub(crate) rx_meter: Arc<ThroughputMeter>,
+    wire_tx: Option<(Arc<Counter>, Arc<Counter>)>,
     registry: Option<Arc<Registry>>,
 }
 
-impl Executor {
-    /// The executor's thread: takes packets from the application and the
-    /// wire, a batch at a time, for as long as either has any; parks in a
-    /// select over both when they are dry. `wire_up` is `None` for an empty
-    /// graph, whose up direction does not come this way.
-    fn run(
-        mut self,
-        app_down: &Receiver<Packet>,
-        wire_up: Option<&Receiver<Packet>>,
-        wake: &Receiver<()>,
-    ) -> Result<(), Ended> {
-        let start = Instant::now();
-        let mut next_tick = start + TICK_INTERVAL;
-        let bottom = self.stages.len();
-        while !self.shutdown.load(Ordering::Acquire) {
-            let mut taken = 0;
-            while taken < BATCH {
-                let before = taken;
-                // The wire first: what it brings (acknowledgements) is
-                // what lets a stalled module take the next packet down.
-                let from_wire = match wire_up {
-                    Some(wire_up) => try_take(wire_up)?,
-                    None => None,
-                };
-                if let Some(pkt) = from_wire {
-                    taken += 1;
-                    self.push_up(bottom, pkt);
-                    self.settle_queues()?;
-                }
-                if self.queued == 0 {
-                    if let Some(pkt) = try_take(app_down)? {
-                        taken += 1;
-                        self.push_down(0, pkt)?;
-                        self.settle_queues()?;
-                    }
-                }
-                if taken == before {
-                    break;
-                }
-            }
-
-            let now = Instant::now();
-            let ticked = now >= next_tick;
-            if ticked {
-                next_tick = now + TICK_INTERVAL;
-                self.tick(now - start)?;
-            }
-            if taken > 0 || ticked {
-                // Whatever this batch moved on has moved: a drainer may
-                // now observe quiescence.
-                self.quiesce.pulse();
-            }
-            if taken == BATCH {
-                continue;
-            }
-
-            // Both inputs dry (or the application held off by a stalled
-            // module): park until either has something, shutdown
-            // disconnects the wake channel, or the next tick is due. What
-            // woke it is not taken here; the loop above looks again.
-            let mut sel = Select::new();
-            sel.recv(wake);
-            if let Some(wire_up) = wire_up {
-                sel.recv(wire_up);
-            }
-            if self.queued == 0 {
-                sel.recv(app_down);
-            }
-            let _ = sel.select_timeout(next_tick.saturating_duration_since(now));
-        }
-        Ok(())
+impl std::fmt::Debug for Stack {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Stack")
+            .field("transport", &self.transport.name())
+            .field("stopped", &self.stopped)
+            .field("transport_dead", &self.transport_dead)
+            .finish_non_exhaustive()
     }
+}
 
+impl Chain {
     /// Queues `pkt` for stage `to` on its way down; below the last stage
     /// is the wire.
-    fn push_down(&mut self, to: usize, pkt: Packet) -> Result<(), Ended> {
+    fn push_down(&mut self, to: usize, pkt: Packet) {
         match self.stages.get_mut(to) {
             Some(stage) => {
                 stage.down.push_back(pkt);
                 self.queued += 1;
-                Ok(())
             }
-            None => self.transmit(pkt),
+            None => self.wire.push_back(pkt),
         }
     }
 
@@ -637,53 +355,15 @@ impl Executor {
                 self.stages[to].up.push_back(pkt);
                 self.queued += 1;
             }
-            // The application's queue is unbounded; a closed one just
-            // means the application side is gone — keep running so
-            // in-flight ARQ traffic can still drain.
-            None => {
-                if self.app_up.send(pkt).is_err() {
-                    self.quiesce.leave(1);
-                }
-            }
+            None => self.top.push(pkt),
         }
-    }
-
-    fn transmit(&mut self, pkt: Packet) -> Result<(), Ended> {
-        let wire_len = pkt.len() as u64;
-        let sent = self.transport.send(pkt.into_bytes());
-        self.quiesce.leave(1);
-        if sent.is_err() {
-            // The wire no longer takes what the application sends: tell it
-            // now, ahead of anything still climbing the up queues (a failed
-            // send is not an orderly close), unless this is our own
-            // teardown.
-            if !self.shutdown.load(Ordering::Acquire) {
-                self.transport_dead.store(true, Ordering::Release);
-                if let Some(r) = &self.registry {
-                    r.flight_event(
-                        flight_event::TRANSPORT_DEAD,
-                        None,
-                        "dacapo executor: transport send failed".to_owned(),
-                    );
-                }
-                self.quiesce.enter(1);
-                let _ = self.app_up.send(Packet::close_sentinel());
-                self.quiesce.pulse();
-            }
-            return Err(Ended);
-        }
-        if let Some((frames, bytes)) = &self.wire {
-            frames.inc();
-            bytes.add(wire_len);
-        }
-        Ok(())
     }
 
     /// Runs every queued packet that can run: up queues bottom to top,
     /// then down queues top to bottom past every module that is ready,
     /// again until nothing moves. Returns with all queues empty, or with
     /// what a module that is not ready leaves standing.
-    fn settle_queues(&mut self) -> Result<(), Ended> {
+    fn settle(&mut self, stack: &Stack) {
         while self.queued > 0 {
             let mut moved = false;
             for i in (0..self.stages.len()).rev() {
@@ -702,7 +382,7 @@ impl Executor {
                         }
                         stage.module.process_up(pkt, &mut self.out);
                     }
-                    self.forward(i, 1)?;
+                    self.forward(stack, i, 1);
                 }
             }
             for i in 0..self.stages.len() {
@@ -718,29 +398,27 @@ impl Executor {
                         t.down_bytes.add(pkt.len() as u64);
                     }
                     stage.module.process_down(pkt, &mut self.out);
-                    self.forward(i, 1)?;
+                    self.forward(stack, i, 1);
                 }
             }
             if !moved {
                 break;
             }
         }
-        Ok(())
     }
 
-    /// The protocol timer: every module's [`Module::on_tick`], then
-    /// whatever that set moving (a retransmission, say).
-    fn tick(&mut self, now: Duration) -> Result<(), Ended> {
+    /// The protocol timer: every module's [`Module::on_tick`]; the caller
+    /// then settles whatever that set moving (a retransmission, say).
+    fn tick(&mut self, stack: &Stack, now: Duration) {
         for i in 0..self.stages.len() {
             self.stages[i].module.on_tick(now, &mut self.out);
-            self.forward(i, 0)?;
+            self.forward(stack, i, 0);
         }
-        self.settle_queues()
     }
 
     /// Moves what stage `i` emitted for one event, in which it took `took`
     /// packets in, to its neighbours' queues.
-    fn forward(&mut self, i: usize, took: usize) -> Result<(), Ended> {
+    fn forward(&mut self, stack: &Stack, i: usize, took: usize) {
         // Settle the books before anything moves on: whoever can see a
         // packet this module sent (the peer acknowledging it, say) must
         // also see what it left behind here. The stack's packet count takes
@@ -750,22 +428,668 @@ impl Executor {
         // has come back.
         let emitted = self.out.len();
         if emitted > took {
-            self.quiesce.enter(emitted - took);
-        } else {
-            self.quiesce.leave(took - emitted);
+            stack.quiesce.enter(emitted - took);
+        } else if emitted < took {
+            stack.quiesce.leave(took - emitted);
         }
         let stage = &self.stages[i];
-        stage.idle.store(stage.module.is_idle(), Ordering::Release);
+        stack.idle[i].store(stage.module.is_idle(), Ordering::Release);
         if let Some(t) = &stage.telemetry {
             t.queue_depth.set((stage.down.len() + stage.up.len()) as f64);
         }
-        for pkt in self.out.take_down() {
-            self.push_down(i + 1, pkt)?;
+        // Emptied and handed back, so the lists keep their capacity.
+        let mut down = std::mem::take(&mut self.out.down);
+        for pkt in down.drain(..) {
+            self.push_down(i + 1, pkt);
         }
-        for pkt in self.out.take_up() {
+        self.out.down = down;
+        let mut up = std::mem::take(&mut self.out.up);
+        for pkt in up.drain(..) {
             self.push_up(i, pkt);
         }
-        Ok(())
+        self.out.up = up;
+    }
+}
+
+impl Stack {
+    fn stopped(&self) -> bool {
+        self.stopped.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn transport_closed(&self) -> bool {
+        self.transport_dead.load(Ordering::Acquire)
+    }
+
+    /// The send path: `payload` down the chain on the caller's thread, and
+    /// what reaches the bottom onto the transport. With `wait`, blocks
+    /// while a stalled module keeps anything standing and while another
+    /// writer holds a full wire; without, refuses instead.
+    pub(crate) fn send(&self, payload: Bytes, wait: bool) -> Result<(), DacapoError> {
+        // The caller is this connection's own receive thread, in a sink
+        // callback: no send may keep that thread waiting for something only
+        // it can bring.
+        let own_thread = RECEIVING_FOR.with(Cell::get) == transport_id(&self.transport);
+        // Taken before the look at the queues: a pulse landing between
+        // that look and the wait advances it, so the wait returns at once.
+        let mut seen = None;
+        loop {
+            if self.transport_closed() {
+                return Err(DacapoError::Closed);
+            }
+            let mut chain = self.chain.lock();
+            if self.stopped() || chain.wire_ended {
+                return Err(DacapoError::Closed);
+            }
+            let clear = chain.queued == 0 && (wait || chain.wire.is_empty());
+            if clear || own_thread {
+                // The payload enters the stack as a shared view — no copy
+                // unless a module below needs to mutate it.
+                self.quiesce.enter(1);
+                self.tx_meter.record(payload.len());
+                chain.push_down(0, Packet::data_shared(payload));
+                chain.settle(self);
+                let for_the_wire = !chain.wire.is_empty();
+                drop(chain);
+                if for_the_wire {
+                    self.flush_wire(wait && !own_thread);
+                }
+                self.quiesce.pulse();
+                return if self.transport_closed() {
+                    Err(DacapoError::Closed)
+                } else {
+                    Ok(())
+                };
+            }
+            drop(chain);
+            if !wait {
+                return Err(DacapoError::Timeout(Duration::ZERO));
+            }
+            match seen.take() {
+                Some(seen) => self.quiesce.wait_for_room(seen),
+                None => seen = Some(self.quiesce.generation()),
+            }
+        }
+    }
+
+    /// Hands the frames the receive thread queued for the wire in
+    /// [`Stack::run_up`], and must not write itself, to a thread that may
+    /// block — unless one has them already.
+    fn leave_wire_to(self: &Arc<Self>, writer: &Arc<WireWriter>) {
+        // Taken along since, by a sender or by what a sink callback sent.
+        if self.chain.lock().wire.is_empty() {
+            return;
+        }
+        // A thread that holds the writer lock looks at the deque again
+        // after unlocking; only when there is none must the writer come.
+        let nobody_writing = self.writer.try_lock().is_some();
+        if nobody_writing {
+            writer.write_for(self.clone());
+        }
+    }
+
+    /// Writes what stands for the wire, in order. `wait`: queue up behind
+    /// another writer (a sender's backpressure); otherwise leave the frames
+    /// to it — it looks again after unlocking. The receive thread gets here
+    /// only with what a sink callback sent, never with what the modules
+    /// answered.
+    fn flush_wire(&self, wait: bool) {
+        loop {
+            let mut batch = if wait {
+                self.writer.lock()
+            } else {
+                match self.writer.try_lock() {
+                    Some(batch) => batch,
+                    None => return,
+                }
+            };
+            std::mem::swap(&mut *batch, &mut self.chain.lock().wire);
+            for pkt in batch.drain(..) {
+                self.transmit(pkt);
+            }
+            drop(batch);
+            // A thread whose try failed while this one held the lock has
+            // left its frames behind.
+            if self.chain.lock().wire.is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// One frame onto the transport. It stays counted as inside the stack
+    /// until the transport has taken it.
+    fn transmit(&self, pkt: Packet) {
+        if self.stopped() || self.transport_closed() {
+            self.quiesce.leave(1);
+            return;
+        }
+        let wire_len = pkt.len() as u64;
+        let sent = self.transport.send(pkt.into_bytes());
+        self.quiesce.leave(1);
+        match sent {
+            Ok(()) => {
+                if let Some((frames, bytes)) = &self.wire_tx {
+                    frames.inc();
+                    bytes.add(wire_len);
+                }
+            }
+            // Our own teardown closes the transport under a send in flight.
+            Err(_) if self.stopped() => {}
+            Err(_) => self.wire_failed("transport send failed"),
+        }
+    }
+
+    /// The wire no longer takes what the application sends: tell it now —
+    /// sends fail from here on — and close the transport, which wakes this
+    /// side's receive thread to carry the close sentinel up behind whatever
+    /// has arrived.
+    fn wire_failed(&self, why: &str) {
+        self.transport_dead.store(true, Ordering::Release);
+        if let Some(r) = &self.registry {
+            r.flight_event(flight_event::TRANSPORT_DEAD, None, format!("dacapo stack: {why}"));
+        }
+        self.transport.close();
+        self.quiesce.pulse();
+    }
+
+    /// One event on the receive thread run through the chain. What reaches
+    /// the top is appended to `tops`; what reaches the bottom stays in the
+    /// wire deque. Returns, if there is something to deliver, the endpoint's
+    /// queue for [`Stack::deliver`] — taken while the stack was certainly
+    /// running, so the queue cannot end in front of this delivery — and
+    /// whether the caller owes the deque a writer ([`Stack::leave_wire_to`]):
+    /// it does for frames queued onto an *empty* deque; ones already
+    /// standing there have a writer on its way — the sender that put them
+    /// there, between the stack lock and the writer lock — which takes
+    /// along whatever is queued behind them.
+    fn run_up(
+        self: &Arc<Self>,
+        event: RxEvent,
+        tops: &mut Vec<Packet>,
+    ) -> (Option<Sender<Packet>>, bool) {
+        let mut chain = self.chain.lock();
+        if self.stopped() {
+            return (None, false);
+        }
+        let writer_on_its_way = !chain.wire.is_empty();
+        let from_the_wire = chain.stages.len();
+        match event {
+            RxEvent::Frame(frame) => {
+                self.quiesce.enter(1);
+                chain.push_up(from_the_wire, Packet::from_shared(frame, PacketKind::Data));
+            }
+            RxEvent::Tick(now) => chain.tick(self, now),
+            RxEvent::WireEnded => {
+                // Sends fail from here on, and a sender waiting behind a
+                // stalled module is released by this event's pulse: the
+                // acknowledgement it waited for will not come. The close
+                // sentinel goes up *behind* the frames already received,
+                // through every module's queue in order, so the application
+                // receives the tail of the traffic and then `Closed`.
+                chain.wire_ended = true;
+                self.quiesce.enter(1);
+                chain.push_up(from_the_wire, Packet::close_sentinel());
+            }
+        }
+        chain.settle(self);
+        tops.append(&mut chain.top);
+        let to_app = if tops.is_empty() {
+            None
+        } else {
+            chain.to_app.clone()
+        };
+        let owes_a_writer = !writer_on_its_way && !chain.wire.is_empty();
+        drop(chain);
+        self.quiesce.pulse();
+        (to_app, owes_a_writer)
+    }
+
+    /// Hands `tops` to the application, in order, holding no lock of the
+    /// stack: to the sink if there is one, into the endpoint's queue
+    /// otherwise.
+    fn deliver(&self, tops: &mut Vec<Packet>, to_app: &Sender<Packet>, sink: &SinkSlot) {
+        let sink = {
+            let slot = sink.lock();
+            match &*slot {
+                Some(sink) => sink.clone(),
+                None => {
+                    for pkt in tops.drain(..) {
+                        // Counted out by the endpoint that receives it
+                        // (the stack holds a receiver: the send succeeds).
+                        let _ = to_app.send(pkt);
+                    }
+                    return;
+                }
+            }
+        };
+        self.hand_to(&*sink, tops.drain(..));
+    }
+
+    /// `pkts` into `sink`, on a thread that is [`receiving_for`] this
+    /// stack's connection.
+    fn hand_to(&self, sink: &dyn Sink, pkts: impl Iterator<Item = Packet>) {
+        for pkt in pkts {
+            self.received(&pkt);
+            if pkt.is_close_sentinel() {
+                sink.closed();
+            } else {
+                sink.deliver(pkt.into_bytes());
+            }
+        }
+    }
+
+    /// The books for one packet off the top that the application now has:
+    /// it has left the stack, which can complete quiescence, and if it is
+    /// the close sentinel the application has been told.
+    pub(crate) fn received(&self, pkt: &Packet) {
+        if pkt.is_close_sentinel() {
+            self.transport_dead.store(true, Ordering::Release);
+        } else {
+            self.rx_meter.record(pkt.len());
+        }
+        self.quiesce.leave(1);
+        self.quiesce.pulse();
+    }
+
+    /// Nothing enters the stack any more: sends fail, the receive thread
+    /// passes it by, senders waiting behind a stalled module are released
+    /// and the endpoint's queue ends behind what it holds. Waits for
+    /// whoever is inside the chain to come out.
+    fn stop(&self) {
+        let mut chain = self.chain.lock();
+        self.stopped.store(true, Ordering::Release);
+        chain.to_app.take();
+        drop(chain);
+        self.quiesce.pulse();
+    }
+}
+
+/// A module stack bound to a transport. It has no thread of its own:
+/// senders run it downwards, the transport's [`RxPump`] — one per
+/// transport, outliving every stack built on it — runs it upwards.
+/// Dropping the handle stops the stack; the transport itself is *not*
+/// closed — the owner may build a new stack on it (reconfiguration).
+#[derive(Debug)]
+pub struct StackHandle {
+    app: AppEndpoint,
+    pub(crate) stack: Arc<Stack>,
+    module_names: Vec<String>,
+}
+
+impl StackHandle {
+    /// The application endpoint of this stack.
+    pub fn endpoint(&self) -> &AppEndpoint {
+        &self.app
+    }
+
+    /// Names of the running modules, top to bottom.
+    pub fn module_names(&self) -> &[String] {
+        &self.module_names
+    }
+
+    /// Whether the application has been told that the transport underneath
+    /// this stack is gone (closed by the peer, severed, I/O error): a send
+    /// failed, or every inbound frame that preceded the close has been
+    /// received. New sends fail with [`DacapoError::Closed`].
+    pub fn transport_closed(&self) -> bool {
+        self.stack.transport_closed()
+    }
+
+    /// Whether no packet is inside the stack — queued, in the hands of a
+    /// module, standing for the wire or on its way to the application —
+    /// and every module reports no deferred state: all application traffic
+    /// has reached the transport (or the application) and no ARQ window is
+    /// outstanding.
+    pub fn is_quiescent(&self) -> bool {
+        self.stack.quiesce.is_empty() && self.stack.idle.iter().all(|f| f.load(Ordering::Acquire))
+    }
+
+    /// Waits up to `timeout` for the stack to quiesce; returns whether it
+    /// did. Used for graceful teardown: close after `drain` loses nothing.
+    ///
+    /// Event-driven: every thread that moves packets through the stack
+    /// pulses [`QuiesceSignal`] when it is done, so this parks in a condvar
+    /// between re-checks instead of sleep-polling. It never takes the stack
+    /// lock.
+    pub fn drain(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        loop {
+            // Generation before the check: a pulse landing between the
+            // check and the wait advances it, so the wait returns
+            // immediately rather than missing the wakeup.
+            let seen = self.stack.quiesce.generation();
+            if self.is_quiescent() {
+                return true;
+            }
+            if !self.stack.quiesce.wait_newer(seen, deadline) {
+                return self.is_quiescent();
+            }
+        }
+    }
+}
+
+impl Drop for StackHandle {
+    fn drop(&mut self) {
+        self.stack.stop();
+    }
+}
+
+/// The thread that writes what the connection's receive thread must not
+/// (rule 1 of the module header): one per connection at most, started the
+/// first time the modules answer what the receive thread brought them with
+/// no sender there to take the answer to the wire — a connection over a
+/// graph that acknowledges nothing never has one — and, like the receive
+/// thread, there for as long as the transport is, whatever stacks come and
+/// go. The receive thread owns it and joins it on its way out.
+struct WireWriter {
+    transport: Arc<dyn Transport>,
+    state: Mutex<WriterState>,
+    work: Condvar,
+}
+
+#[derive(Default)]
+struct WriterState {
+    /// The stack in whose wire deque frames were left. One slot is enough:
+    /// when a newer stack's frames displace an older one's, the older stack
+    /// has been stopped, and what a stopped stack still held is dropped
+    /// wherever it stands ([`crate::Connection::reconfigure`]).
+    stack: Option<Arc<Stack>>,
+    thread: Option<std::thread::JoinHandle<()>>,
+    /// The transport has ended: nothing can be written any more.
+    ended: bool,
+}
+
+impl WireWriter {
+    fn new(transport: Arc<dyn Transport>) -> Arc<Self> {
+        Arc::new(WireWriter {
+            transport,
+            state: Mutex::default(),
+            work: Condvar::new(),
+        })
+    }
+
+    /// Has the writer thread write what stands in `stack`'s wire deque,
+    /// starting it if this is the first time. If it cannot be started the
+    /// frames can never leave: that is a failed wire.
+    fn write_for(self: &Arc<Self>, stack: Arc<Stack>) {
+        let mut state = self.state.lock();
+        if state.ended {
+            return;
+        }
+        if state.thread.is_none() {
+            let writer = self.clone();
+            let spawned = std::thread::Builder::new()
+                .name("dacapo-t-wr".into())
+                .spawn(move || writer.write_loop());
+            match spawned {
+                Ok(thread) => state.thread = Some(thread),
+                Err(e) => {
+                    drop(state);
+                    stack.wire_failed(&format!("spawn dacapo-t-wr: {e}"));
+                    return;
+                }
+            }
+        }
+        state.stack = Some(stack);
+        self.work.notify_one();
+    }
+
+    fn write_loop(&self) {
+        loop {
+            let stack = {
+                let mut state = self.state.lock();
+                loop {
+                    if state.ended {
+                        return;
+                    }
+                    if let Some(stack) = state.stack.take() {
+                        break stack;
+                    }
+                    self.work.wait(&mut state);
+                }
+            };
+            stack.flush_wire(true);
+            stack.quiesce.pulse();
+        }
+    }
+
+    /// The transport has ended: ends the writer thread, and waits for it.
+    /// Called by the receive thread as the last thing it does — nothing
+    /// waits for *that* thread, so a write that does not return holds up
+    /// nobody.
+    fn stop(&self) {
+        let thread = {
+            let mut state = self.state.lock();
+            state.ended = true;
+            state.stack = None;
+            self.work.notify_one();
+            state.thread.take()
+        };
+        if let Some(thread) = thread {
+            // A write still blocked on the ended transport returns once
+            // this side is closed as well.
+            self.transport.close();
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The connection's receive thread: one per transport, for as long as the
+/// transport lives (a [`crate::Connection`] owns it), whatever stacks come
+/// and go above it. It waits in [`Transport::recv_timeout`] — woken by a
+/// frame, by [`Transport::close`] on either side, or by the next protocol
+/// tick — and runs each frame up whichever stack is installed in its slot,
+/// under the slot's lock: a swap waits for the frame in hand, and a frame
+/// read during a swap goes to the new stack instead of dying with the old.
+/// Then, the lock released, it delivers. It never writes to the transport
+/// (the module header, rule 1).
+///
+/// Nothing joins this thread. It ends as soon as the transport does, but
+/// `shutdown` can run on the thread itself (a [`Sink`] closing its
+/// connection when the peer has) and on a thread it is waiting for (a sink
+/// blocked on a full dispatch queue whose one worker is closing the
+/// connection).
+pub struct RxPump {
+    transport: Arc<dyn Transport>,
+    slot: Arc<OrderedMutex<Option<Arc<Stack>>>>,
+    sink: Arc<SinkSlot>,
+}
+
+impl RxPump {
+    /// Starts the receive thread on `transport`, running `stack`. When the
+    /// transport reports its end (closed by either side, I/O error) the
+    /// thread runs `on_closed`, then sends the close sentinel up the
+    /// current stack, and exits.
+    ///
+    /// # Errors
+    ///
+    /// [`DacapoError::Runtime`] if the OS thread cannot be spawned.
+    pub fn spawn(
+        transport: Arc<dyn Transport>,
+        stack: &StackHandle,
+        telemetry: Option<&Registry>,
+        on_closed: impl FnOnce() + Send + 'static,
+    ) -> Result<Self, DacapoError> {
+        let pump = RxPump {
+            slot: Arc::new(OrderedMutex::new(
+                lock_rank::CONNECTION_UPLINK,
+                "connection.uplink",
+                Some(stack.stack.clone()),
+            )),
+            sink: Arc::new(SinkSlot::default()),
+            transport,
+        };
+        let wire = telemetry.map(|r| wire_counters(r, "rx"));
+        let (transport, slot, sink) = (pump.transport.clone(), pump.slot.clone(), pump.sink.clone());
+        let writer = WireWriter::new(transport.clone());
+        std::thread::Builder::new()
+            .name("dacapo-t-rx".into())
+            // lint: allow(A007, ends as soon as Transport::close ends the receive it waits in, which shutdown() calls; shutdown() also runs on this thread itself — a sink closing its connection on peer close — and on dispatcher threads a sink callback may be waiting for, so joining it there could deadlock)
+            .spawn(move || {
+                receiving_for(&transport, || {
+                    rx_pump_loop(&*transport, &slot, &sink, &writer, wire, on_closed)
+                })
+            })
+            .map_err(|e| DacapoError::Runtime(format!("spawn dacapo-t-rx: {e}")))?;
+        Ok(pump)
+    }
+
+    /// Locks the slot for a stack swap. While the guard is held the
+    /// receive thread parks with the frame it has just read; once it
+    /// drops, that frame and every later one go up the stack the guard
+    /// left behind (`None` drops them).
+    pub(crate) fn swap(&self) -> OrderedMutexGuard<'_, Option<Arc<Stack>>> {
+        self.slot.lock()
+    }
+
+    /// Installs the connection's sink. What the current stack's endpoint
+    /// queue already holds goes to the sink first, in order, on the calling
+    /// thread (with the receive thread held off: those callbacks must not
+    /// install a sink themselves); everything after that on the receive
+    /// thread.
+    pub fn set_sink(&self, sink: Arc<dyn Sink>) {
+        let mut slot = self.sink.lock();
+        // The receive thread queues under the sink lock: nothing can be
+        // added behind what is replayed here.
+        let current = self.slot.lock().clone();
+        if let Some(stack) = current {
+            // The acknowledgement a callback's send might wait for cannot
+            // get past the lock held here: this thread sends as the
+            // receive thread does.
+            receiving_for(&self.transport, || {
+                stack.hand_to(&*sink, stack.from_stack.try_iter())
+            });
+        }
+        *slot = Some(sink);
+    }
+
+    /// Closes the transport — which ends the receive thread, wherever it
+    /// waits — and takes the stack out of its reach.
+    pub fn shutdown(&self) {
+        self.transport.close();
+        self.slot.lock().take();
+    }
+}
+
+fn rx_pump_loop(
+    transport: &dyn Transport,
+    slot: &OrderedMutex<Option<Arc<Stack>>>,
+    sink: &SinkSlot,
+    writer: &Arc<WireWriter>,
+    wire: Option<(Arc<Counter>, Arc<Counter>)>,
+    on_closed: impl FnOnce(),
+) {
+    let mut tops = Vec::new();
+    // One event in three steps: up the installed stack under the slot
+    // lock; then — the lock released — what that brought to the top into
+    // the application; then what it brought to the bottom to a writer. In
+    // that order, so that a callback that answers what it is given takes
+    // the acknowledgement along with its answer and no other thread wakes.
+    let mut upcall = |event: RxEvent| {
+        let (stack, to_app, owes_a_writer) = {
+            let installed = slot.lock();
+            let Some(stack) = installed.as_ref() else {
+                return;
+            };
+            let (to_app, owes_a_writer) = stack.run_up(event, &mut tops);
+            if to_app.is_none() && !owes_a_writer {
+                return;
+            }
+            (stack.clone(), to_app, owes_a_writer)
+        };
+        if let Some(to_app) = to_app {
+            stack.deliver(&mut tops, &to_app, sink);
+        }
+        if owes_a_writer {
+            stack.leave_wire_to(writer);
+        }
+    };
+    let start = Instant::now();
+    let mut next_tick = start + TICK_INTERVAL;
+    loop {
+        let now = Instant::now();
+        if now >= next_tick {
+            next_tick = now + TICK_INTERVAL;
+            upcall(RxEvent::Tick(now - start));
+        }
+        match transport.recv_timeout(next_tick - now) {
+            Ok(frame) => {
+                if let Some((frames, bytes)) = &wire {
+                    frames.inc();
+                    bytes.add(frame.len() as u64);
+                }
+                upcall(RxEvent::Frame(frame));
+            }
+            Err(DacapoError::Timeout(_)) => {}
+            Err(_) => break,
+        }
+    }
+    on_closed();
+    upcall(RxEvent::WireEnded);
+    writer.stop();
+}
+
+fn wire_counters(registry: &Registry, dir: &str) -> (Arc<Counter>, Arc<Counter>) {
+    (
+        registry.counter(&Registry::labeled("dacapo_wire_frames_total", &[("dir", dir)])),
+        registry.counter(&Registry::labeled("dacapo_wire_bytes_total", &[("dir", dir)])),
+    )
+}
+
+/// Builds a stack: `modules` top-to-bottom between the application and
+/// `transport`. Spawns nothing, so it cannot fail.
+pub fn build_stack(
+    modules: Vec<Box<dyn Module>>,
+    transport: Arc<dyn Transport>,
+    opts: &RuntimeOptions,
+) -> StackHandle {
+    let module_names: Vec<String> = modules.iter().map(|m| m.name().to_owned()).collect();
+    // lint: allow(A005, §7.4: filled by the receive thread at the pace of the wire and drained by the app endpoint; the receive thread must never block on the application)
+    let (to_app, from_stack) = unbounded::<Packet>();
+    let stages: Vec<Stage> = modules
+        .into_iter()
+        .map(|module| Stage {
+            // Same-named modules (within a stack or across the two peers
+            // of a connection sharing one registry) aggregate into one
+            // time series.
+            telemetry: opts
+                .telemetry
+                .as_ref()
+                .map(|r| ModuleTelemetry::new(r, module.name())),
+            module,
+            down: VecDeque::new(),
+            up: VecDeque::new(),
+        })
+        .collect();
+    let stack = Arc::new(Stack {
+        idle: stages.iter().map(|_| AtomicBool::new(true)).collect(),
+        chain: OrderedMutex::new(
+            lock_rank::STACK_CHAIN,
+            "stack.chain",
+            Chain {
+                stages,
+                queued: 0,
+                out: Outputs::new(),
+                wire: VecDeque::new(),
+                top: Vec::new(),
+                to_app: Some(to_app),
+                wire_ended: false,
+            },
+        ),
+        writer: OrderedMutex::new(lock_rank::STACK_WRITER, "stack.writer", VecDeque::new()),
+        transport,
+        stopped: AtomicBool::new(false),
+        quiesce: QuiesceSignal::default(),
+        transport_dead: AtomicBool::new(false),
+        from_stack,
+        tx_meter: Arc::new(ThroughputMeter::new()),
+        rx_meter: Arc::new(ThroughputMeter::new()),
+        wire_tx: opts.telemetry.as_deref().map(|r| wire_counters(r, "tx")),
+        registry: opts.telemetry.clone(),
+    });
+    StackHandle {
+        app: AppEndpoint::new(stack.clone()),
+        stack,
+        module_names,
     }
 }
 
@@ -805,15 +1129,14 @@ mod tests {
     impl Piped {
         fn shutdown(self) {
             self.pump.shutdown();
-            self.stack.shutdown();
         }
     }
 
     fn piped(modules: Vec<Box<dyn Module>>, transport: impl Transport, opts: &RuntimeOptions) -> Piped {
         let transport: Arc<dyn Transport> = Arc::new(transport);
-        let stack = build_stack(modules, transport.clone(), opts).unwrap();
+        let stack = build_stack(modules, transport.clone(), opts);
         let pump =
-            RxPump::spawn(transport, stack.uplink(), opts.telemetry.as_deref(), || {}).unwrap();
+            RxPump::spawn(transport, &stack, opts.telemetry.as_deref(), || {}).unwrap();
         Piped { stack, pump }
     }
 
@@ -832,7 +1155,6 @@ mod tests {
         a.endpoint().send(Bytes::from_static(b"hi")).unwrap();
         let got = b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(&got[..], b"hi");
-        assert_eq!(a.thread_count(), 1);
         a.shutdown();
         b.shutdown();
     }
@@ -840,7 +1162,6 @@ mod tests {
     #[test]
     fn dummy_chain_round_trip() {
         let (a, b) = stack_pair(&["dummy", "dummy", "dummy"]);
-        assert_eq!(a.thread_count(), 1);
         for i in 0..20u8 {
             a.endpoint().send(Bytes::from(vec![i; 100])).unwrap();
         }
@@ -923,15 +1244,13 @@ mod tests {
 
     #[test]
     fn shutdown_with_flooded_queues_does_not_deadlock() {
-        // Regression: a sender flooding the stack leaves bounded queues
-        // full; shutdown must still unblock modules stuck in `send`.
+        // A sender flooding the stack is inside the chain, or writing, at
+        // any moment: shutdown must get past it, and the sender must see
+        // the stack end instead of waiting on it.
         let (ta, tb) = loopback_pair();
-        // A transport that swallows sends keeps the wire from draining.
         let opts = RuntimeOptions::default();
         let a = piped(modules_from(&["dummy"; 5]), ta, &opts);
         let b = piped(modules_from(&[]), tb, &opts);
-        // Flood until the app-side send would block, then a bit more from
-        // a background thread to guarantee blocked module sends.
         let ep = a.endpoint().clone();
         let flooder = std::thread::spawn(move || {
             for _ in 0..10_000 {
@@ -982,7 +1301,11 @@ mod tests {
         let (ta, tb) = loopback_pair();
         let a = piped(vec![Box::new(gate)], ta, &RuntimeOptions::default());
         assert!(a.is_quiescent());
-        a.endpoint().send(Bytes::from_static(b"last frame")).unwrap();
+        // The send is *in* the module while the gate holds it.
+        let sender = {
+            let endpoint = a.endpoint().clone();
+            std::thread::spawn(move || endpoint.send(Bytes::from_static(b"last frame")).unwrap())
+        };
         entered_rx.recv().unwrap();
         assert!(!a.is_quiescent(), "the gate module holds a packet");
         assert!(!a.drain(Duration::from_millis(20)));
@@ -992,6 +1315,7 @@ mod tests {
             &tb.recv_timeout(Duration::from_secs(5)).unwrap()[..],
             b"last frame"
         );
+        sender.join().unwrap();
         a.shutdown();
     }
 
@@ -1005,10 +1329,10 @@ mod tests {
         let opts = RuntimeOptions::default();
         let a = piped(modules_from(&chain), ta, &opts);
         let tb: Arc<dyn Transport> = Arc::new(tb);
-        let b = build_stack(modules_from(&chain), tb.clone(), &opts).unwrap();
+        let b = build_stack(modules_from(&chain), tb.clone(), &opts);
 
-        // One packet on the wire, one standing in front of `irq`, and the
-        // application's queue behind them: `send` stalls at exactly that.
+        // One packet on the wire, one standing in front of `irq`: `send`
+        // stalls at exactly that.
         let mut sent = 0u32;
         let mut refused_since = Instant::now();
         while refused_since.elapsed() < Duration::from_millis(50) {
@@ -1021,13 +1345,13 @@ mod tests {
                 Err(e) => panic!("send failed: {e}"),
             }
         }
-        assert_eq!(sent as usize, CHANNEL_CAPACITY + 2);
+        assert_eq!(sent, 2);
         assert!(!a.is_quiescent());
 
         // The peer starts reading. Its acknowledgements climb `a` past
         // the bottom `dummy` to `irq` while `a`'s down queues stand, and
         // each one lets the next packet through.
-        let b_pump = RxPump::spawn(tb, b.uplink(), None, || {}).unwrap();
+        let b_pump = RxPump::spawn(tb, &b, None, || {}).unwrap();
         a.endpoint().send(Bytes::from(sent.to_be_bytes().to_vec())).unwrap();
         for i in 0..=sent {
             let got = b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap();
@@ -1036,7 +1360,6 @@ mod tests {
         assert!(a.drain(Duration::from_secs(5)));
         a.shutdown();
         b_pump.shutdown();
-        b.shutdown();
     }
 
     #[test]
@@ -1063,75 +1386,6 @@ mod tests {
         assert_eq!(&b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..], &second[..]);
         assert!(a.drain(Duration::from_secs(5)));
         a.shutdown();
-        b.shutdown();
-    }
-
-    #[test]
-    fn a_backlog_is_moved_in_batches_not_packet_by_packet() {
-        // Holds the executor inside the first packet until released, and
-        // counts what it has passed up.
-        struct Hold {
-            entered: std::sync::mpsc::Sender<()>,
-            release: std::sync::mpsc::Receiver<()>,
-            passed: Arc<AtomicUsize>,
-        }
-        impl Module for Hold {
-            fn name(&self) -> &str {
-                "hold"
-            }
-            fn process_down(&mut self, pkt: Packet, out: &mut Outputs) {
-                out.push_down(pkt);
-            }
-            fn process_up(&mut self, pkt: Packet, out: &mut Outputs) {
-                if self.passed.load(Ordering::Acquire) == 0 {
-                    self.entered.send(()).unwrap();
-                    self.release.recv().unwrap();
-                }
-                out.push_up(pkt);
-                self.passed.fetch_add(1, Ordering::AcqRel);
-            }
-        }
-        const BACKLOG: usize = 1000;
-        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel();
-        let passed = Arc::new(AtomicUsize::new(0));
-        let hold = Hold {
-            entered: entered_tx,
-            release: release_rx,
-            passed: passed.clone(),
-        };
-        let (ta, tb) = loopback_pair();
-        let mut modules = modules_from(&["dummy"]);
-        modules.insert(0, Box::new(hold));
-        let b = piped(modules, tb, &RuntimeOptions::default());
-        for i in 0..BACKLOG as u32 {
-            ta.send(Bytes::from(i.to_be_bytes().to_vec())).unwrap();
-        }
-        // The pump counts a packet in before it queues it: once all are
-        // counted (and the executor is held inside the first), the
-        // backlog is in the executor's up queue.
-        entered_rx.recv().unwrap();
-        while b.quiesce.in_flight.load(Ordering::SeqCst) < BACKLOG {
-            std::thread::yield_now();
-        }
-        let before = b.quiesce.generation();
-        release_tx.send(()).unwrap();
-        while passed.load(Ordering::Acquire) < BACKLOG {
-            std::thread::yield_now();
-        }
-        // The application has taken nothing yet, so every pulse so far is
-        // the executor's: one a batch, not one a packet (let alone one a
-        // packet a module).
-        let pulses = b.quiesce.generation() - before;
-        assert!(
-            pulses as usize <= 2 * BACKLOG / BATCH + 2,
-            "{pulses} pulses for {BACKLOG} packets"
-        );
-        for i in 0..BACKLOG as u32 {
-            let got = b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(&got[..], &i.to_be_bytes());
-        }
-        assert!(b.drain(Duration::from_secs(5)));
         b.shutdown();
     }
 
@@ -1173,9 +1427,9 @@ mod tests {
         let b = piped(modules_from(&["go-back-n"]), tb, &opts);
 
         // A's one frame is lost; only a retransmission, which only a tick
-        // starts, can deliver it. Meanwhile B keeps A's executor busy: a
-        // packet every millisecond, so A is never silent for a tick
-        // interval.
+        // starts, can deliver it. Meanwhile B keeps A's receive thread
+        // busy: a packet every millisecond, so A is never silent for a
+        // tick interval.
         a.endpoint().send(Bytes::from_static(b"lost once")).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
         let chatter = {
@@ -1253,8 +1507,6 @@ mod tests {
         for _ in 0..10 {
             b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap();
         }
-        // Joined first: a pump counts a frame after handing it on, so the
-        // receiver can have the tenth before its sender has counted it.
         a.shutdown();
         b.shutdown();
         let snap = registry.snapshot();
@@ -1309,6 +1561,31 @@ mod tests {
             Err(DacapoError::Closed)
         ));
         b.shutdown();
+    }
+
+    #[test]
+    fn a_sender_parked_behind_a_stalled_module_is_released_when_the_peer_closes() {
+        // Send-only, and nobody receives: the close sentinel will sit in
+        // the endpoint's queue unread. The parked sender must hear of the
+        // transport's end from the receive thread itself — the
+        // acknowledgement it waits for will never come.
+        let (ta, tb) = loopback_pair();
+        let a = piped(modules_from(&["irq"]), ta, &RuntimeOptions::default());
+        // One on the wire, one standing before `irq`; the third parks.
+        a.endpoint().send(Bytes::from_static(b"1")).unwrap();
+        a.endpoint().send(Bytes::from_static(b"2")).unwrap();
+        let parked = {
+            let endpoint = a.endpoint().clone();
+            std::thread::spawn(move || endpoint.send(Bytes::from_static(b"3")))
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!parked.is_finished(), "the third send went through a stalled module");
+        let start = Instant::now();
+        tb.close();
+        let r = parked.join().unwrap();
+        assert!(matches!(r, Err(DacapoError::Closed)), "got {r:?}");
+        assert!(start.elapsed() < Duration::from_secs(1), "{:?}", start.elapsed());
+        a.shutdown();
     }
 
     #[test]

@@ -25,10 +25,18 @@ use std::time::{Duration, Instant};
 
 /// A frame-oriented point-to-point transport.
 ///
-/// Implementations must be thread-safe: the runtime calls `send` from the
-/// stack's executor thread and `recv` from the connection's RX pump thread
-/// concurrently, and `close` from whichever thread tears the connection
-/// down.
+/// Implementations must be thread-safe: the runtime calls `send` from
+/// whichever thread sends on the connection and from the connection's
+/// writer thread (one at a time, under the stack's writer lock),
+/// `recv_timeout` from the connection's receive thread, concurrently, and
+/// `close` from whichever thread tears the connection down. A `send` may
+/// block for as long as the peer does not read — a full wire is the
+/// sender's backpressure — and however little the transport buffers: the
+/// runtime never has the receive thread write what the modules answer
+/// (acknowledgements, retransmissions), so the reading that empties the
+/// wire never waits for a write. Only an application that sends from
+/// inside a [`crate::Sink`] callback puts that thread in a `send`. A
+/// `send` blocked on a full wire must return once either side closes.
 ///
 /// The close contract, which the teardown paths rely on instead of
 /// timers (`tests/transport_contract.rs` runs it over every
