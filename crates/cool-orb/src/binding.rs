@@ -2,13 +2,19 @@
 //! request/reply machinery for every invocation mode.
 //!
 //! A binding owns one [`ComChannel`] and registers a reply demultiplexer
-//! as the channel's [`FrameSink`]: the transport's delivery thread pushes
-//! each inbound frame straight into the demux, which matches Replies to
+//! as the channel's [`FrameSink`]: the thread that delivers an inbound
+//! frame pushes it straight into the demux, which matches Replies to
 //! outstanding requests by id and completes the waiter *on arrival*. There
-//! is no demux thread and no poll interval — a synchronous caller blocks
-//! on a rendezvous channel with a true deadline and wakes the moment its
-//! reply lands. Telemetry and tracing policy come from
-//! [`crate::config::OrbConfig`], threaded in via [`Binding::with_config`].
+//! is no demux thread and no poll interval. A waiting caller first offers
+//! to read the channel itself ([`ComChannel::read_turn`]): over TCP, when
+//! no other thread is reading, it delivers whatever arrives — its own
+//! reply included — on its own thread (leader/followers). Otherwise, and
+//! over Chorus and Da CaPo, it blocks on a rendezvous channel with a true
+//! deadline and wakes the moment its reply lands; a TCP binding then owes
+//! the reply to the channel's reader thread ([`ReadDemand`]), as it does
+//! every deferred or `notify` reply nobody waits for yet. Telemetry and
+//! tracing policy come from [`crate::config::OrbConfig`], threaded in via
+//! [`Binding::with_config`].
 //!
 //! On top of this the five invocation styles of the paper's
 //! `_DacapoComChannel` (Section 5.2) are provided:
@@ -18,9 +24,10 @@
 //! * [`Binding::defer`] — deferred synchronous: returns a
 //!   [`DeferredReply`] the caller polls or waits on later;
 //! * [`Binding::notify`] — asynchronous: a callback runs on the
-//!   transport's delivery thread when the reply arrives (it must not make
-//!   a blocking invocation over the same binding — the delivery thread is
-//!   the one that would complete it);
+//!   transport's delivery thread when the reply arrives — over TCP that
+//!   may be another caller of the binding, reading inside its own wait
+//!   (it must not make a blocking invocation over the same binding — the
+//!   delivering thread is the one that would complete it);
 //! * [`DeferredReply::cancel`] / [`Binding::cancel`] — abandon a pending
 //!   request (sends GIOP `CancelRequest`).
 //!
@@ -32,14 +39,14 @@
 use crate::config::OrbConfig;
 use crate::error::OrbError;
 use crate::message_layer::{self, Event, WireProtocol};
-use crate::transport::{ComChannel, FrameSink};
+use crate::transport::{ComChannel, FrameSink, Owed, ReadDemand};
 use bytes::Bytes;
 use cool_giop::prelude::{ByteOrder, QoSParameter, RequestTraceContext};
 use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::{
     names, ClientTrace, Counter, Histogram, Registry, ServerTraceTiming, SpanOutcome, Stage,
 };
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use multe_qos::TransportRequirements;
 use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
@@ -58,6 +65,18 @@ enum Slot {
     Callback(Box<dyn FnOnce(ReplyResult) + Send>),
 }
 
+/// Who collects a request's reply.
+enum Collect {
+    /// One-way: nothing comes back.
+    Nothing,
+    /// The issuing thread, which waits for it (and may read it) at once.
+    Caller(Slot),
+    /// Somebody later — a [`DeferredReply`] nobody waits on yet, or a
+    /// callback — so the reply is owed to the channel's reader thread from
+    /// the start.
+    Later(Slot),
+}
+
 /// The rendezvous a synchronous or deferred caller blocks on: the demux
 /// sends exactly one reply into it.
 fn sync_slot() -> (Slot, Receiver<ReplyResult>) {
@@ -65,17 +84,43 @@ fn sync_slot() -> (Slot, Receiver<ReplyResult>) {
     (Slot::Sync(tx), rx)
 }
 
+/// A request awaiting its reply.
+struct Entry {
+    slot: Slot,
+    /// Held while the reply is owed to a channel's reader thread; dropped
+    /// with the entry, however the request ends.
+    owed: Option<Owed>,
+}
+
 /// The outstanding requests of a binding, shared with its reply
 /// demultiplexer and every [`DeferredReply`] — never holding the channel,
 /// so the `channel → inbox → sink` chain contains no reference cycle.
 struct Pending {
-    slots: OrderedMutex<HashMap<u32, Slot>>,
+    slots: OrderedMutex<HashMap<u32, Entry>>,
     telemetry: Option<ClientMetrics>,
 }
 
 impl Pending {
     fn take(&self, request_id: u32) -> Option<Slot> {
-        self.slots.lock().remove(&request_id)
+        self.slots
+            .lock()
+            .remove(&request_id)
+            .map(|entry| entry.slot)
+    }
+
+    /// A waiter that found someone else reading owes its reply to the
+    /// reader thread (unless the reply is in already).
+    fn owe(&self, request_id: u32, demand: &Arc<ReadDemand>) {
+        if let Some(entry) = self.slots.lock().get_mut(&request_id) {
+            entry.owed.get_or_insert_with(|| demand.raise());
+        }
+    }
+
+    /// A thread waits for `request_id` now: the reply is owed to it.
+    fn claim(&self, request_id: u32) {
+        if let Some(entry) = self.slots.lock().get_mut(&request_id) {
+            entry.owed = None;
+        }
     }
 
     /// Hands `result` to a slot taken out of the table. A blocked caller
@@ -99,24 +144,45 @@ impl Pending {
     /// Fails every outstanding request with [`OrbError::Closed`]. Drains
     /// first, so each slot completes once however many teardowns race here.
     fn fail_all(&self) {
-        let slots: Vec<(u32, Slot)> = self.slots.lock().drain().collect();
-        for (request_id, slot) in slots {
-            self.complete(request_id, slot, Err(OrbError::Closed));
+        let entries: Vec<(u32, Entry)> = self.slots.lock().drain().collect();
+        for (request_id, entry) in entries {
+            self.complete(request_id, entry.slot, Err(OrbError::Closed));
         }
     }
 
     /// The one blocking wait, behind [`Binding::call`] and
-    /// [`DeferredReply::wait`]: the delivery thread completes the slot the
-    /// moment the reply arrives. A timeout is attributed to the request,
-    /// with the time waited since `since`.
+    /// [`DeferredReply::wait`]. While nobody else reads `conn`'s channel
+    /// the caller reads it itself, delivering whatever arrives, until its
+    /// own reply is in ([`ComChannel::read_turn`]); otherwise it owes the
+    /// reply to the reader and parks on its slot, which the delivering
+    /// thread completes. A timeout is attributed to the request, with the
+    /// time waited since `since`.
     fn wait_timeout(
         &self,
         rx: &Receiver<ReplyResult>,
         request_id: u32,
         since: Instant,
         timeout: Duration,
+        conn: &ConnHandle,
     ) -> ReplyResult {
-        let result = match rx.recv_timeout(timeout) {
+        let deadline = Instant::now() + timeout;
+        let received = loop {
+            if !conn.channel.read_turn(deadline, &|| !rx.is_empty()) {
+                if let Some(demand) = &conn.demand {
+                    self.owe(request_id, demand);
+                }
+                break rx.recv_deadline(deadline);
+            }
+            match rx.try_recv() {
+                Ok(result) => break Ok(result),
+                Err(TryRecvError::Disconnected) => break Err(RecvTimeoutError::Disconnected),
+                Err(TryRecvError::Empty) if Instant::now() >= deadline => {
+                    break Err(RecvTimeoutError::Timeout)
+                }
+                Err(TryRecvError::Empty) => {}
+            }
+        };
+        let result = match received {
             Ok(result) => result,
             Err(RecvTimeoutError::Timeout) => {
                 self.take(request_id);
@@ -225,6 +291,8 @@ pub type Reconnector = Arc<dyn Fn() -> Result<Arc<dyn ComChannel>, OrbError> + S
 struct ConnHandle {
     channel: Arc<dyn ComChannel>,
     closed: Arc<AtomicBool>,
+    /// The channel reader thread's demand, when it reads on demand (TCP).
+    demand: Option<Arc<ReadDemand>>,
 }
 
 /// A client connection to one server endpoint.
@@ -355,19 +423,14 @@ impl Binding {
             ),
             telemetry,
         });
-        let closed = Arc::new(AtomicBool::new(false));
-        install_sink(&channel, &pending, &closed);
+        let conn = attach(channel, &pending);
         Arc::new(Binding {
             reconnect_gate: OrderedMutex::new(
                 lock_rank::BINDING_RECONNECT,
                 "binding.reconnect_gate",
                 (),
             ),
-            conn: OrderedMutex::new(
-                lock_rank::BINDING_CONN,
-                "binding.conn",
-                ConnHandle { channel, closed },
-            ),
+            conn: OrderedMutex::new(lock_rank::BINDING_CONN, "binding.conn", conn),
             last_qos: OrderedMutex::new(lock_rank::BINDING_LAST_QOS, "binding.last_qos", None),
             protocol,
             next_id: AtomicU32::new(1),
@@ -390,8 +453,17 @@ impl Binding {
 
     /// Whether the binding has been closed (permanently retired, or its
     /// current connection died and no reconnect has succeeded yet).
+    ///
+    /// An idle TCP connection has nobody reading it, so what the peer said
+    /// last — a CloseConnection, the end of the stream — is taken in here
+    /// first, without blocking.
     pub fn is_closed(&self) -> bool {
-        self.retired.load(Ordering::Acquire) || self.current().closed.load(Ordering::Acquire)
+        if self.retired.load(Ordering::Acquire) {
+            return true;
+        }
+        let conn = self.current();
+        conn.channel.read_turn(Instant::now(), &|| false);
+        conn.closed.load(Ordering::Acquire)
     }
 
     /// Pushes transport QoS requirements down the current channel and
@@ -431,13 +503,11 @@ impl Binding {
         // Pending requests belonged to the dead connection; fail them now,
         // attributed, instead of letting them run out their deadlines.
         self.pending.fail_all();
-        let channel = reconnector()?;
-        let closed = Arc::new(AtomicBool::new(false));
-        install_sink(&channel, &self.pending, &closed);
+        let conn = attach(reconnector()?, &self.pending);
         if let Some(requirements) = *self.last_qos.lock() {
-            channel.set_qos(&requirements)?;
+            conn.channel.set_qos(&requirements)?;
         }
-        *self.conn.lock() = ConnHandle { channel, closed };
+        *self.conn.lock() = conn;
         if let Some(t) = &self.pending.telemetry {
             t.reconnects.inc();
             t.registry.flight_event(
@@ -450,19 +520,20 @@ impl Binding {
     }
 
     /// The one issue path behind every invocation mode: closed check →
-    /// request id → span begin → encode → register `slot` → send, unwinding
-    /// registration and span if the request never reaches the wire. Hands
-    /// back the request's id, when the invocation began (the origin of its
-    /// span and its timeout) and the connection the request went out on.
+    /// request id → span begin → encode → register the slot → send,
+    /// unwinding registration and span if the request never reaches the
+    /// wire. Hands back the request's id, when the invocation began (the
+    /// origin of its span and its timeout) and the connection the request
+    /// went out on.
     fn issue(
         &self,
         object_key: &[u8],
         operation: &str,
         args: Bytes,
         qos_params: &[QoSParameter],
-        response_expected: bool,
-        slot: Option<Slot>,
-    ) -> Result<(u32, Instant, Arc<dyn ComChannel>), OrbError> {
+        collect: Collect,
+    ) -> Result<(u32, Instant, ConnHandle), OrbError> {
+        let response_expected = !matches!(collect, Collect::Nothing);
         let conn = self.current();
         if self.retired.load(Ordering::Acquire) || conn.closed.load(Ordering::Acquire) {
             return Err(OrbError::Closed);
@@ -500,8 +571,16 @@ impl Binding {
                     client_trace,
                 );
             }
-            if let Some(slot) = slot {
-                self.pending.slots.lock().insert(request_id, slot);
+            let entry = match collect {
+                Collect::Nothing => None,
+                Collect::Caller(slot) => Some(Entry { slot, owed: None }),
+                Collect::Later(slot) => Some(Entry {
+                    slot,
+                    owed: conn.demand.as_ref().map(|demand| demand.raise()),
+                }),
+            };
+            if let Some(entry) = entry {
+                self.pending.slots.lock().insert(request_id, entry);
             }
             let send_start = Instant::now();
             conn.channel.send_frame(frame)?;
@@ -527,7 +606,7 @@ impl Binding {
                 Err(_) => t.abort_invocation(request_id, SpanOutcome::Error),
             }
         }
-        sent.map(|()| (request_id, started, conn.channel))
+        sent.map(|()| (request_id, started, conn))
     }
 
     /// Two-way synchronous invocation.
@@ -545,9 +624,11 @@ impl Binding {
         timeout: Duration,
     ) -> ReplyResult {
         let (slot, rx) = sync_slot();
-        let (request_id, started, _) =
-            self.issue(object_key, operation, args, qos_params, true, Some(slot))?;
-        self.pending.wait_timeout(&rx, request_id, started, timeout)
+        let collect = Collect::Caller(slot);
+        let (request_id, started, conn) =
+            self.issue(object_key, operation, args, qos_params, collect)?;
+        self.pending
+            .wait_timeout(&rx, request_id, started, timeout, &conn)
     }
 
     /// One-way invocation: returns as soon as the request is on the wire.
@@ -563,7 +644,7 @@ impl Binding {
         args: Bytes,
         qos_params: &[QoSParameter],
     ) -> Result<(), OrbError> {
-        self.issue(object_key, operation, args, qos_params, false, None)
+        self.issue(object_key, operation, args, qos_params, Collect::Nothing)
             .map(|_| ())
     }
 
@@ -581,20 +662,27 @@ impl Binding {
         qos_params: &[QoSParameter],
     ) -> Result<DeferredReply, OrbError> {
         let (slot, rx) = sync_slot();
-        let (request_id, _, channel) =
-            self.issue(object_key, operation, args, qos_params, true, Some(slot))?;
+        let (request_id, _, conn) = self.issue(
+            object_key,
+            operation,
+            args,
+            qos_params,
+            Collect::Later(slot),
+        )?;
         Ok(DeferredReply {
             request_id,
             rx,
             pending: self.pending.clone(),
-            channel,
+            conn,
             done: false,
             ready: None,
         })
     }
 
-    /// Asynchronous invocation: `callback` runs (on the transport's
-    /// delivery thread) when the reply or an error arrives.
+    /// Asynchronous invocation: `callback` runs when the reply or an error
+    /// arrives, on the thread that delivers it — the transport's delivery
+    /// thread, or over TCP a caller of the same binding reading replies
+    /// inside its own wait.
     ///
     /// # Errors
     ///
@@ -607,8 +695,8 @@ impl Binding {
         qos_params: &[QoSParameter],
         callback: impl FnOnce(ReplyResult) + Send + 'static,
     ) -> Result<u32, OrbError> {
-        let slot = Slot::Callback(Box::new(callback));
-        self.issue(object_key, operation, args, qos_params, true, Some(slot))
+        let collect = Collect::Later(Slot::Callback(Box::new(callback)));
+        self.issue(object_key, operation, args, qos_params, collect)
             .map(|(request_id, ..)| request_id)
     }
 
@@ -650,12 +738,19 @@ impl Drop for Binding {
 }
 
 /// Wires a (possibly fresh) channel to the binding's demultiplexer with
-/// its own per-connection closed flag.
-fn install_sink(channel: &Arc<dyn ComChannel>, pending: &Arc<Pending>, closed: &Arc<AtomicBool>) {
+/// its own per-connection closed flag, and takes over its reader's demand.
+fn attach(channel: Arc<dyn ComChannel>, pending: &Arc<Pending>) -> ConnHandle {
+    let closed = Arc::new(AtomicBool::new(false));
     channel.set_sink(Arc::new(DemuxSink {
         pending: pending.clone(),
         closed: closed.clone(),
     }));
+    let demand = channel.hand_over_demand();
+    ConnHandle {
+        channel,
+        closed,
+        demand,
+    }
 }
 
 /// Tells the server a request was abandoned. Best effort: the local
@@ -671,7 +766,7 @@ pub struct DeferredReply {
     request_id: u32,
     rx: Receiver<ReplyResult>,
     pending: Arc<Pending>,
-    channel: Arc<dyn ComChannel>,
+    conn: ConnHandle,
     done: bool,
     /// A reply observed by `poll` is stashed here so a later `wait` (or
     /// another `poll`) still returns it — with event-driven delivery a
@@ -723,14 +818,20 @@ impl DeferredReply {
         }
         // Timed out, closed or answered: either way the slot is gone.
         self.done = true;
-        self.pending
-            .wait_timeout(&self.rx, self.request_id, Instant::now(), timeout)
+        self.pending.claim(self.request_id);
+        self.pending.wait_timeout(
+            &self.rx,
+            self.request_id,
+            Instant::now(),
+            timeout,
+            &self.conn,
+        )
     }
 
     /// Cancels the pending request (sends GIOP `CancelRequest`).
     pub fn cancel(self) {
         if self.pending.take(self.request_id).is_some() {
-            send_cancel(&*self.channel, self.request_id);
+            send_cancel(&*self.conn.channel, self.request_id);
         }
         // Dropping `self` closes the span, as for any abandoned handle.
     }

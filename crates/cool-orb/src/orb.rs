@@ -332,12 +332,12 @@ impl Orb {
         protocol: WireProtocol,
     ) -> Result<Arc<Binding>, OrbError> {
         let cache_key = (addr.to_string(), protocol);
-        {
-            let bindings = self.bindings.lock();
-            if let Some(existing) = bindings.get(&cache_key) {
-                if !existing.is_closed() {
-                    return Ok(existing.clone());
-                }
+        // Asked with the cache unlocked: over TCP the question takes in
+        // what the connection received, and may run reply callbacks.
+        let cached = self.bindings.lock().get(&cache_key).cloned();
+        if let Some(existing) = cached {
+            if !existing.is_closed() {
+                return Ok(existing);
             }
         }
         let engine = self.engine_for(addr);

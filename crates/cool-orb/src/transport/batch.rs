@@ -28,7 +28,7 @@
 
 use crate::config::BatchingPolicy;
 use crate::error::OrbError;
-use crate::transport::{ComChannel, FrameSink};
+use crate::transport::{ComChannel, FrameSink, ReadDemand};
 use bytes::Bytes;
 use cool_giop::codec::{join_frames, HEADER_LEN, MAGIC};
 use cool_telemetry::flight::event as flight_event;
@@ -236,6 +236,14 @@ impl ComChannel for BatchingChannel {
 
     fn set_sink(&self, sink: Arc<dyn FrameSink>) {
         self.core.inner.set_sink(sink);
+    }
+
+    fn read_turn(&self, deadline: Instant, done: &dyn Fn() -> bool) -> bool {
+        self.core.inner.read_turn(deadline, done)
+    }
+
+    fn hand_over_demand(&self) -> Option<Arc<ReadDemand>> {
+        self.core.inner.hand_over_demand()
     }
 
     fn drain(&self, timeout: Duration) -> bool {

@@ -9,12 +9,13 @@
 //!
 //! Faults apply to the **send** side only: drops, delays, duplicates,
 //! reorders and bit-flips act on outbound frames, and a sever closes the
-//! underlying channel. The receive path, sink registration and QoS
-//! propagation delegate untouched. When `fault_plan` is `None` no
+//! underlying channel. The receive path (read turns and the reader's
+//! demand included), sink registration and QoS propagation delegate
+//! untouched. When `fault_plan` is `None` no
 //! `FaultChannel` exists at all — the clean path pays nothing.
 
 use crate::error::OrbError;
-use crate::transport::{ComChannel, FrameSink};
+use crate::transport::{ComChannel, FrameSink, ReadDemand};
 use bytes::Bytes;
 use cool_faults::{FaultAction, FaultEngine};
 use cool_giop::prelude::Message;
@@ -23,7 +24,7 @@ use cool_telemetry::{names, Counter, Registry};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Pre-resolved fault counters (`faults_injected_total` plus one labeled
 /// counter per fault kind).
@@ -223,6 +224,14 @@ impl ComChannel for FaultChannel {
 
     fn set_sink(&self, sink: Arc<dyn FrameSink>) {
         self.inner.set_sink(sink);
+    }
+
+    fn read_turn(&self, deadline: Instant, done: &dyn Fn() -> bool) -> bool {
+        self.inner.read_turn(deadline, done)
+    }
+
+    fn hand_over_demand(&self) -> Option<Arc<ReadDemand>> {
+        self.inner.hand_over_demand()
     }
 
     fn drain(&self, timeout: Duration) -> bool {

@@ -4,8 +4,9 @@
 //! A [`ComChannel`] moves whole frames between two ORB endpoints. Three
 //! concrete channels exist, mirroring the paper exactly:
 //!
-//! * [`TcpComChannel`] — real TCP with length-prefixed frames (and its
-//!   buffer handling, the `_TcpBuffer` role, lives in the reader thread);
+//! * [`TcpComChannel`] — real TCP with length-prefixed frames (its buffer
+//!   handling, the `_TcpBuffer` role, is a read token held by whichever
+//!   thread reads: a caller waiting for its reply, or the reader thread);
 //! * [`ChorusComChannel`] — Chorus IPC, where *"buffering is done
 //!   transparent by the communication subsystem"*;
 //! * [`DacapoComChannel`] — a Da CaPo connection, which *"handles its own
@@ -21,9 +22,11 @@
 //! ## Threading model: push first, pull as a veneer
 //!
 //! Frame delivery is *event-driven*. Every channel owns a [`FrameInbox`];
-//! whatever thread discovers an inbound frame (a TCP reader thread, the
-//! peer's sending thread for the in-process Chorus transport, a Da CaPo
-//! pump thread) pushes it into the inbox, which either
+//! whatever thread discovers an inbound frame (over TCP the holder of the
+//! connection's read token — a caller reading its own reply
+//! ([`ComChannel::read_turn`]) or the reader thread; the peer's sending
+//! thread for the in-process Chorus transport; a Da CaPo connection's
+//! receive thread) pushes it into the inbox, which either
 //!
 //! * hands it synchronously to a registered [`FrameSink`] (push mode — the
 //!   client demux and the server dispatcher run this way), or
@@ -40,7 +43,8 @@
 //!
 //! Sink callbacks run on the delivering thread and are serialized per
 //! channel. They must not block on a synchronous invocation over the
-//! *same* channel (the delivery thread is the one that would unblock it) —
+//! *same* channel (the delivering thread — over TCP, the one holding the
+//! read token — is the one that would unblock it) —
 //! the same re-entrancy rule the seed's demux thread had. The rule has a
 //! servant under it now: the server's sink runs a request for an object it
 //! has observed cheap to completion inside `on_frame` (see
@@ -167,6 +171,30 @@ pub trait ComChannel: Send + Sync {
         true
     }
 
+    /// Lets a thread waiting for a reply read the channel itself
+    /// (leader/followers): if no other thread is reading, reads and
+    /// delivers every frame — through the inbox and the sink, in wire
+    /// order — until `done()` holds, `deadline` passes or the channel
+    /// ends, and returns `true`. Returns `false` at once when another
+    /// thread is reading, or the channel ended. With a `deadline` already
+    /// past it takes in only what has arrived, without blocking.
+    ///
+    /// The default never reads: Chorus delivers on the sender's thread
+    /// and Da CaPo on its receive thread, so a waiter just waits.
+    fn read_turn(&self, deadline: Instant, done: &dyn Fn() -> bool) -> bool {
+        let _ = (deadline, done);
+        false
+    }
+
+    /// Hands the demand of the channel's reader thread to whoever waits
+    /// for replies (the binding): from then on the thread reads only
+    /// while some reply is owed to a thread that is not reading
+    /// ([`ReadDemand`]). `None` — the default — for a channel whose
+    /// delivery does not depend on demand.
+    fn hand_over_demand(&self) -> Option<Arc<ReadDemand>> {
+        None
+    }
+
     /// Closes the channel (idempotent); unblocks both sides.
     fn close(&self);
 
@@ -215,6 +243,90 @@ impl SendMetrics {
     pub fn record(&self, len: usize) {
         self.frames.inc();
         self.bytes.add(len as u64);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// ReadDemand
+// ---------------------------------------------------------------------------
+
+/// How much a channel's reader thread is wanted.
+///
+/// Until [`ComChannel::hand_over_demand`] the reader always reads: a server
+/// connection, or a pull-mode channel. After it, the reader reads only
+/// while some reply is owed to a thread that is not reading itself — a
+/// deferred reply nobody waits for yet, a `notify` callback, a caller that
+/// found another thread reading. Each such reply holds an `Owed` for as
+/// long as it is owed; the reader parks while none is.
+pub struct ReadDemand {
+    state: Mutex<DemandState>,
+    changed: Condvar,
+}
+
+struct DemandState {
+    owed: usize,
+    handed_over: bool,
+    closed: bool,
+}
+
+/// One reply owed to a channel's reader thread; dropping it releases the
+/// demand.
+pub(crate) struct Owed(Arc<ReadDemand>);
+
+impl Drop for Owed {
+    fn drop(&mut self) {
+        self.0.state.lock().owed -= 1;
+    }
+}
+
+impl ReadDemand {
+    pub(crate) fn new() -> Self {
+        ReadDemand {
+            state: Mutex::new(DemandState {
+                owed: 0,
+                handed_over: false,
+                closed: false,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// From now on the reader reads only while a reply is owed.
+    pub(crate) fn hand_over(&self) {
+        self.state.lock().handed_over = true;
+    }
+
+    /// One more reply owed to the reader; the first wakes it. Raised under
+    /// the lock the reader checks before it parks, so no wake-up is lost.
+    pub(crate) fn raise(self: &Arc<Self>) -> Owed {
+        let mut st = self.state.lock();
+        st.owed += 1;
+        if st.owed == 1 {
+            self.changed.notify_one();
+        }
+        Owed(Arc::clone(self))
+    }
+
+    /// Whether the reader should be reading now.
+    pub(crate) fn wanted(&self) -> bool {
+        let st = self.state.lock();
+        !st.handed_over || st.owed > 0
+    }
+
+    /// Parks the reader until it is wanted; `false` once the channel has
+    /// closed.
+    pub(crate) fn park_until_wanted(&self) -> bool {
+        let mut st = self.state.lock();
+        while !st.closed && st.handed_over && st.owed == 0 {
+            self.changed.wait(&mut st);
+        }
+        !st.closed
+    }
+
+    /// The channel is gone: the reader stops parking and ends.
+    pub(crate) fn close(&self) {
+        self.state.lock().closed = true;
+        self.changed.notify_all();
     }
 }
 

@@ -2,22 +2,35 @@
 //!
 //! Wire format: each frame is a 4-byte big-endian length prefix followed by
 //! the payload (the same framing `dacapo::tlayer::TcpTransport` speaks, so
-//! the two interoperate). A dedicated reader thread — COOL's `_TcpBuffer`
-//! role — blocks on the socket and pushes completed frames into the
-//! channel's [`FrameInbox`], which wakes `recv_frame` waiters or invokes
-//! the registered [`crate::transport::FrameSink`] immediately. No polling.
+//! the two interoperate, and the same [`FrameReader`] reads it).
+//!
+//! COOL's `_TcpBuffer` — the socket's read half plus the frame assembler —
+//! is a token here, held by whichever thread reads (the Leader/Followers
+//! reply wait of RT-CORBA ORBs). Whoever holds it pushes every frame it
+//! reads into the channel's [`FrameInbox`], which wakes `recv_frame`
+//! waiters or runs the registered [`crate::transport::FrameSink`] on the
+//! holder's thread, in wire order. Two kinds of thread hold it:
+//!
+//! * a caller waiting for its reply ([`ComChannel::read_turn`]) takes it if
+//!   it is free and reads until its own reply is in or its deadline
+//!   passes — so a lone synchronous call reads its own reply, and no
+//!   other thread of this side wakes;
+//! * the reader thread, `cool-tcp-rx`, reads on demand ([`ReadDemand`]):
+//!   always, until a binding takes the demand over (a server connection,
+//!   a pull-mode channel), and after that only while some reply is owed
+//!   to a thread that is not reading. Otherwise it parks. No polling.
 
 use crate::error::OrbError;
-use crate::transport::{ComChannel, FrameInbox, FrameSink, InboxMetrics, SendMetrics};
+use crate::transport::{ComChannel, FrameInbox, FrameSink, InboxMetrics, ReadDemand, SendMetrics};
 use bytes::Bytes;
 use cool_telemetry::Registry;
-use dacapo::tlayer::{read_frame, write_frame_vectored, MAX_TCP_FRAME};
+use dacapo::tlayer::{write_frame_vectored, FrameReader, MAX_TCP_FRAME};
 use parking_lot::Mutex;
-use std::io::{BufReader, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on TCP connection establishment. A blackholed address (a
 /// dropped-SYN firewall, a dead replica that still resolves) would leave a
@@ -30,12 +43,32 @@ pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// A frame-preserving channel over a real TCP connection.
 pub struct TcpComChannel {
     writer: Mutex<TcpStream>,
-    /// Separate handle used to shut the socket down and unblock the reader
+    /// Separate handle used to shut the socket down and unblock a reading
     /// thread even while a writer holds the lock.
     shutdown_handle: TcpStream,
-    inbox: Arc<FrameInbox>,
+    side: Arc<ReadSide>,
     closed: AtomicBool,
     send_metrics: Option<SendMetrics>,
+}
+
+/// The read side, shared by the channel and its reader thread.
+struct ReadSide {
+    inbox: FrameInbox,
+    /// The token: whoever holds it reads the socket.
+    token: Mutex<Reader>,
+    demand: Arc<ReadDemand>,
+}
+
+/// What the token holder reads with.
+struct Reader {
+    stream: TcpStream,
+    frames: FrameReader,
+    /// The socket's read timeout as last set (`None`: a read blocks). The
+    /// option belongs to the socket, not to a thread, so each holder sets
+    /// the one it needs.
+    timeout: Option<Duration>,
+    /// End of stream, an I/O error or a corrupt frame ended the connection.
+    ended: bool,
 }
 
 impl std::fmt::Debug for TcpComChannel {
@@ -119,27 +152,37 @@ impl TcpComChannel {
         telemetry: Option<&Registry>,
     ) -> Result<Self, OrbError> {
         stream.set_nodelay(true).ok();
-        let reader = stream
-            .try_clone()
-            .map_err(|e| OrbError::Transport(format!("tcp clone: {e}")))?;
-        let shutdown_handle = stream
-            .try_clone()
-            .map_err(|e| OrbError::Transport(format!("tcp clone: {e}")))?;
-        // lint: allow(A005, §7.4: inbox is drained per frame by the connection sink or recv_frame; depth is paced by the socket read loop)
-        let inbox = Arc::new(FrameInbox::new());
+        let clone = || {
+            stream
+                .try_clone()
+                .map_err(|e| OrbError::Transport(format!("tcp clone: {e}")))
+        };
+        let side = Arc::new(ReadSide {
+            // lint: allow(A005, §7.4: inbox is drained per frame by the connection sink or recv_frame; depth is paced by the socket read loop)
+            inbox: FrameInbox::new(),
+            token: Mutex::new(Reader {
+                stream: clone()?,
+                frames: FrameReader::new(),
+                timeout: None,
+                ended: false,
+            }),
+            demand: Arc::new(ReadDemand::new()),
+        });
         if let Some(registry) = telemetry {
-            inbox.set_metrics(InboxMetrics::resolve(registry, "tcp"));
+            side.inbox
+                .set_metrics(InboxMetrics::resolve(registry, "tcp"));
         }
-        let rx_inbox = Arc::clone(&inbox);
+        let shutdown_handle = clone()?;
+        let rx_side = Arc::clone(&side);
         std::thread::Builder::new()
             .name("cool-tcp-rx".into())
-            // lint: allow(A007, reader exits when the socket closes — close() shuts the stream down, which unblocks and ends it)
-            .spawn(move || reader_loop(reader, &rx_inbox))
+            // lint: allow(A007, reader exits when the socket closes — close() shuts the stream down and closes the demand, which unblocks and ends it)
+            .spawn(move || reader_loop(&rx_side))
             .map_err(|e| OrbError::Transport(format!("spawn tcp reader: {e}")))?;
         Ok(TcpComChannel {
             writer: Mutex::new(stream),
             shutdown_handle,
-            inbox,
+            side,
             closed: AtomicBool::new(false),
             send_metrics: telemetry.map(|r| SendMetrics::resolve(r, "tcp")),
         })
@@ -153,18 +196,102 @@ impl TcpComChannel {
     pub fn listen(addr: impl ToSocketAddrs) -> Result<TcpListener, OrbError> {
         TcpListener::bind(addr).map_err(|e| OrbError::Transport(format!("tcp bind: {e}")))
     }
+
+    /// Takes in what the socket already holds, without blocking: what a
+    /// connection nobody reads has to say (a peer's CloseConnection, its
+    /// end of stream) is heard when someone asks. The socket's blocking
+    /// mode is shared with the writer, so nothing is read while a writer
+    /// is at work.
+    fn take_in(&self, reader: &mut Reader) {
+        while self.side.deliver(reader) {
+            let read = match self.writer.try_lock() {
+                Some(_writer) => reader.stream.set_nonblocking(true).and_then(|()| {
+                    let read = reader.frames.fill(&mut reader.stream);
+                    reader.stream.set_nonblocking(false).and(read)
+                }),
+                None => return,
+            };
+            match read {
+                Ok(()) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(_) => return self.side.end(reader),
+            }
+        }
+    }
 }
 
-/// Blocks on the socket, pushing each completed frame into the inbox;
-/// closes the inbox on EOF, shutdown, or any framing/IO error. Buffered,
-/// so a small frame's length prefix and body arrive in one `read`; a body
-/// larger than the buffer is still read straight into its own storage.
-fn reader_loop(stream: TcpStream, inbox: &FrameInbox) {
-    let mut stream = BufReader::new(stream);
-    while let Ok(frame) = read_frame(&mut stream) {
-        inbox.push(frame);
+/// `cool-tcp-rx`: reads while it is wanted, parks while it is not, and
+/// ends with the connection.
+fn reader_loop(side: &ReadSide) {
+    while side.demand.park_until_wanted() {
+        let mut reader = side.token.lock();
+        if reader.ended {
+            return;
+        }
+        side.read(&mut reader, None, &|| !side.demand.wanted());
     }
-    inbox.close();
+}
+
+impl ReadSide {
+    /// Reads and delivers until `done()` holds, `deadline` passes or the
+    /// connection ends. The caller holds the token throughout, so frames
+    /// enter the inbox in the order they were read; a frame a timed-out
+    /// read left unfinished stays in `reader` for the next holder.
+    fn read(&self, reader: &mut Reader, deadline: Option<Instant>, done: &dyn Fn() -> bool) {
+        while self.deliver(reader) && !done() {
+            let timeout = match deadline {
+                None => None,
+                Some(deadline) => match read_timeout(deadline) {
+                    None => return,
+                    left => left,
+                },
+            };
+            if reader.timeout != timeout {
+                if reader.stream.set_read_timeout(timeout).is_err() {
+                    return self.end(reader);
+                }
+                reader.timeout = timeout;
+            }
+            match reader.frames.fill(&mut reader.stream) {
+                // Linux reports an expired read timeout as `WouldBlock`.
+                Ok(()) => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(_) => return self.end(reader),
+            }
+        }
+    }
+
+    /// Pushes every complete frame `reader` holds into the inbox; `false`
+    /// if a corrupt length ended the connection.
+    fn deliver(&self, reader: &mut Reader) -> bool {
+        loop {
+            match reader.frames.next_frame() {
+                Ok(Some(frame)) => self.inbox.push(frame),
+                Ok(None) => return true,
+                Err(_) => {
+                    self.end(reader);
+                    return false;
+                }
+            }
+        }
+    }
+
+    /// The connection is over: no more turns, the reader thread ends, and
+    /// the inbox closes (the sink's `on_close` fails what is pending).
+    fn end(&self, reader: &mut Reader) {
+        reader.ended = true;
+        self.demand.close();
+        self.inbox.close();
+    }
+}
+
+/// The read timeout that ends a wait at `deadline`: the time left, rounded
+/// up to a whole millisecond — so that waits with the same budget set the
+/// same value and skip the syscall — or `None` once it has passed.
+fn read_timeout(deadline: Instant) -> Option<Duration> {
+    let left = deadline.checked_duration_since(Instant::now())?;
+    let millis = u64::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX);
+    (millis > 0).then(|| Duration::from_millis(millis))
 }
 
 impl ComChannel for TcpComChannel {
@@ -200,18 +327,40 @@ impl ComChannel for TcpComChannel {
     }
 
     fn recv_frame(&self, timeout: Duration) -> Result<Bytes, OrbError> {
-        self.inbox.recv_timeout(timeout)
+        self.side.inbox.recv_timeout(timeout)
     }
 
     fn set_sink(&self, sink: Arc<dyn FrameSink>) {
-        self.inbox.set_sink(sink);
+        self.side.inbox.set_sink(sink);
+    }
+
+    fn read_turn(&self, deadline: Instant, done: &dyn Fn() -> bool) -> bool {
+        let Some(mut reader) = self.side.token.try_lock() else {
+            return false;
+        };
+        if reader.ended {
+            return false;
+        }
+        if deadline > Instant::now() {
+            self.side.read(&mut reader, Some(deadline), done);
+        } else {
+            self.take_in(&mut reader);
+        }
+        true
+    }
+
+    fn hand_over_demand(&self) -> Option<Arc<ReadDemand>> {
+        self.side.demand.hand_over();
+        Some(Arc::clone(&self.side.demand))
     }
 
     fn close(&self) {
         if !self.closed.swap(true, Ordering::AcqRel) {
             let _ = self.shutdown_handle.shutdown(Shutdown::Both);
         }
-        self.inbox.close();
+        // A parked reader thread is not in `read`: wake it to end.
+        self.side.demand.close();
+        self.side.inbox.close();
     }
 
     fn kind(&self) -> &'static str {

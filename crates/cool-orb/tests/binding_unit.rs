@@ -1,5 +1,6 @@
 //! Focused tests for the client binding: demultiplexing, invocation modes
-//! and teardown, driven over an in-process Chorus channel pair with a
+//! and teardown, driven over an in-process Chorus channel pair (and, where
+//! who reads the connection matters, a loopback TCP pair) with a
 //! hand-rolled server loop (no ORB server machinery, so failures localise
 //! to the binding itself).
 
@@ -7,7 +8,7 @@ use bytes::Bytes;
 use cool_giop::prelude::*;
 use cool_orb::binding::Binding;
 use cool_orb::message_layer::WireProtocol;
-use cool_orb::transport::{ChorusComChannel, ComChannel};
+use cool_orb::transport::{ChorusComChannel, ComChannel, TcpComChannel};
 use cool_orb::OrbError;
 use std::sync::Arc;
 use std::time::Duration;
@@ -180,6 +181,63 @@ fn server_close_connection_message_closes_binding() {
         std::thread::sleep(Duration::from_millis(10));
     }
     panic!("binding did not observe CloseConnection");
+}
+
+/// A loopback TCP pair: the client half for a binding, the server half in
+/// pull mode for a hand-rolled server.
+fn tcp_pair() -> (Arc<dyn ComChannel>, Arc<dyn ComChannel>) {
+    let listener = TcpComChannel::listen("127.0.0.1:0").unwrap();
+    let client = TcpComChannel::connect(listener.local_addr().unwrap()).unwrap();
+    let server = TcpComChannel::from_stream(listener.accept().unwrap().0).unwrap();
+    (Arc::new(client), Arc::new(server))
+}
+
+/// A TCP binding after one call, so that nobody reads its connection: the
+/// caller read its own reply and the reader thread has nothing owed to it.
+fn idle_tcp_binding() -> (Arc<Binding>, Arc<dyn ComChannel>) {
+    let (client, server) = tcp_pair();
+    echo_server(server.clone(), 1, Duration::ZERO);
+    let binding = Binding::new(client, WireProtocol::Giop);
+    binding
+        .call(b"key", "op", Bytes::new(), &[], Duration::from_secs(5))
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    (binding, server)
+}
+
+#[test]
+fn server_close_connection_message_closes_an_idle_tcp_binding() {
+    let (binding, server) = idle_tcp_binding();
+    let frame = encode_message(
+        &Message::CloseConnection,
+        GiopVersion::STANDARD,
+        ByteOrder::Big,
+    )
+    .unwrap();
+    server.send_frame(frame).unwrap();
+    // Nobody reads the connection; asking takes in what it holds.
+    for _ in 0..50 {
+        if binding.is_closed() {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("binding did not observe CloseConnection");
+}
+
+#[test]
+fn a_tcp_server_that_vanishes_fails_the_next_call_attributed() {
+    let (binding, server) = idle_tcp_binding();
+    // The socket goes away without a CloseConnection.
+    server.close();
+    let timeout = Duration::from_secs(2);
+    let start = std::time::Instant::now();
+    let outcome = binding.call(b"key", "op", Bytes::new(), &[], timeout);
+    assert!(
+        matches!(outcome, Err(OrbError::Closed | OrbError::Transport(_))),
+        "{outcome:?}"
+    );
+    assert!(start.elapsed() < timeout, "took {:?}", start.elapsed());
 }
 
 #[test]

@@ -17,7 +17,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::io::{BufReader, IoSlice, Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -273,26 +273,186 @@ pub fn write_frame_vectored<W: Write>(
     Ok(())
 }
 
-/// Reads one frame — a 4-byte big-endian length, then that many bytes —
-/// as [`write_frame_vectored`] wrote it.
+/// The most a [`FrameReader`] asks the socket for in one `read`, and the
+/// largest frame (prefix included) it assembles in its buffer.
+pub const READ_CHUNK: usize = 64 * 1024;
+
+/// A [`FrameReader`]'s buffer to begin with: connections that only ever
+/// carry small frames (and connections that carry none) never pay for a
+/// whole [`READ_CHUNK`].
+const FIRST_CHUNK: usize = 4 * 1024;
+
+/// Length of the big-endian prefix in front of every frame.
+const PREFIX: usize = 4;
+
+/// The reading half of the framing [`write_frame_vectored`] writes — a
+/// 4-byte big-endian length, then that many bytes — and the one reader of
+/// it in the workspace.
 ///
-/// # Errors
-///
-/// Whatever the reads raise (`UnexpectedEof` once the peer closes);
-/// `InvalidData` for a length above [`MAX_TCP_FRAME`].
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Bytes> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_TCP_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_TCP_FRAME}-byte limit"),
-        ));
+/// Incremental: [`FrameReader::fill`] makes one `read` into a buffer of up
+/// to [`READ_CHUNK`] (it doubles from 4 KiB each time a read fills it),
+/// which may bring many small frames at once, and
+/// [`FrameReader::next_frame`] hands out the ones that are complete. What
+/// a read left unfinished — a partial prefix, half a body — stays here,
+/// so a read that times out loses nothing and the next `fill` (on any
+/// thread) carries on. A frame too large for the buffer is read into
+/// storage of its own, grown as its bytes arrive: a prefix alone never
+/// sizes an allocation.
+#[derive(Debug)]
+pub struct FrameReader {
+    /// Read but not yet handed out: `chunk[start..end]`.
+    chunk: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// A frame larger than [`READ_CHUNK`], being read into storage of its
+    /// own.
+    large: Option<Large>,
+}
+
+/// A frame too large for a [`FrameReader`]'s buffer.
+#[derive(Debug)]
+struct Large {
+    /// Zeroed ahead of the reads, a step at a time.
+    storage: Vec<u8>,
+    /// How much of `storage` the reads have filled.
+    filled: usize,
+    /// The length the prefix announced.
+    len: usize,
+}
+
+impl Default for FrameReader {
+    fn default() -> Self {
+        Self::new()
     }
-    let mut frame = vec![0u8; len as usize];
-    r.read_exact(&mut frame)?;
-    Ok(Bytes::from(frame))
+}
+
+impl FrameReader {
+    /// An empty reader.
+    pub fn new() -> Self {
+        FrameReader {
+            chunk: vec![0u8; FIRST_CHUNK],
+            start: 0,
+            end: 0,
+            large: None,
+        }
+    }
+
+    /// The next frame already read, if one is complete. Reads nothing.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` for a prefix announcing more than [`MAX_TCP_FRAME`].
+    pub fn next_frame(&mut self) -> std::io::Result<Option<Bytes>> {
+        if let Some(large) = &self.large {
+            if large.filled < large.len {
+                return Ok(None);
+            }
+            return Ok(self.large.take().map(|large| Bytes::from(large.storage)));
+        }
+        let held = &self.chunk[self.start..self.end];
+        let Some(prefix) = held.first_chunk::<PREFIX>() else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes(*prefix);
+        if len > MAX_TCP_FRAME {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("frame of {len} bytes exceeds the {MAX_TCP_FRAME}-byte limit"),
+            ));
+        }
+        let len = len as usize;
+        if PREFIX + len > READ_CHUNK {
+            // The body continues in storage of its own; what of it is
+            // here already moves there.
+            let storage = held[PREFIX..].to_vec();
+            let filled = storage.len();
+            self.large = Some(Large {
+                storage,
+                filled,
+                len,
+            });
+            (self.start, self.end) = (0, 0);
+            return Ok(None);
+        }
+        if held.len() < PREFIX + len {
+            return Ok(None);
+        }
+        let frame = Bytes::copy_from_slice(&held[PREFIX..PREFIX + len]);
+        self.start += PREFIX + len;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
+        Ok(Some(frame))
+    }
+
+    /// One `read` from `r`: into the large frame's storage while one is
+    /// being assembled (at most up to its end), else into the buffer
+    /// behind what it holds. Call [`FrameReader::next_frame`] until it
+    /// yields nothing first.
+    ///
+    /// # Errors
+    ///
+    /// `UnexpectedEof` once the peer has closed; otherwise whatever the
+    /// read raises (`WouldBlock` or `TimedOut` when a read timeout
+    /// expires), after which the reader is as it was.
+    pub fn fill(&mut self, r: &mut impl Read) -> std::io::Result<()> {
+        let n = if let Some(large) = &mut self.large {
+            if large.filled == large.storage.len() {
+                // Grow by what has arrived so far, by at least a chunk,
+                // and never past the announced end.
+                let room = (large.len - large.filled).min(large.filled.max(READ_CHUNK));
+                large.storage.reserve_exact(room);
+                large.storage.resize(large.filled + room, 0);
+            }
+            let n = read_retrying(r, &mut large.storage[large.filled..])?;
+            large.filled += n;
+            n
+        } else {
+            if self.start > 0 {
+                self.chunk.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, self.end - self.start);
+            }
+            if self.end == self.chunk.len() {
+                // Full of the start of one frame: room for more of it.
+                let grown = (2 * self.chunk.len()).min(READ_CHUNK);
+                self.chunk.resize(grown, 0);
+            }
+            let n = read_retrying(r, &mut self.chunk[self.end..])?;
+            self.end += n;
+            n
+        };
+        if n == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "peer closed the connection",
+            ));
+        }
+        Ok(())
+    }
+
+    /// The next frame: one already read, else reads until one completes.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameReader::fill`] and [`FrameReader::next_frame`].
+    pub fn read_next(&mut self, r: &mut impl Read) -> std::io::Result<Bytes> {
+        loop {
+            if let Some(frame) = self.next_frame()? {
+                return Ok(frame);
+            }
+            self.fill(r)?;
+        }
+    }
+}
+
+/// `r.read(buf)`, again when a signal interrupted it.
+fn read_retrying(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    loop {
+        match r.read(buf) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            read => return read,
+        }
+    }
 }
 
 /// Receive queue depth between the reader thread and `recv` callers. When
@@ -331,14 +491,12 @@ impl TcpTransport {
         })
     }
 
-    fn reader_loop(stream: TcpStream, tx: Sender<Bytes>, closed: Arc<AtomicBool>) {
-        // One `read` per small frame (prefix and body together); a body
-        // larger than the buffer bypasses it.
-        let mut stream = BufReader::new(stream);
+    fn reader_loop(mut stream: TcpStream, tx: Sender<Bytes>, closed: Arc<AtomicBool>) {
+        let mut frames = FrameReader::new();
         while !closed.load(Ordering::Acquire) {
             // Peer closed, corrupt stream or I/O error: give up, and the
             // channel's sender drops.
-            let Ok(frame) = read_frame(&mut stream) else {
+            let Ok(frame) = frames.read_next(&mut stream) else {
                 return;
             };
             if tx.send(frame).is_err() {
@@ -532,21 +690,146 @@ mod tests {
         assert!(matches!(result, Err(DacapoError::Closed)), "got {result:?}");
     }
 
-    #[test]
-    fn read_frame_reads_what_write_frame_vectored_wrote_and_bounds_the_length() {
+    /// A socket stand-in: each `read` returns (up to the buffer's room)
+    /// from the next scripted step, an error step is returned as is, and
+    /// past the script the peer has closed.
+    struct Script(VecDeque<std::io::Result<Vec<u8>>>);
+
+    impl Script {
+        /// Non-empty pieces only: an empty read is the peer's close.
+        fn pieces(pieces: impl IntoIterator<Item = Vec<u8>>) -> Self {
+            Script(
+                pieces
+                    .into_iter()
+                    .filter(|p| !p.is_empty())
+                    .map(Ok)
+                    .collect(),
+            )
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(e)) => Err(e),
+                Some(Ok(mut piece)) => {
+                    let n = piece.len().min(buf.len());
+                    buf[..n].copy_from_slice(&piece[..n]);
+                    if n < piece.len() {
+                        self.0.push_front(Ok(piece.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn wire_of(frames: &[Vec<u8>]) -> Vec<u8> {
         let mut wire = Vec::new();
-        for frame in [&b"first"[..], b"", b"third"] {
+        for frame in frames {
             write_frame_vectored(&mut wire, &(frame.len() as u32).to_be_bytes(), frame).unwrap();
         }
-        let mut reader = &wire[..];
-        for frame in [&b"first"[..], b"", b"third"] {
-            assert_eq!(&read_frame(&mut reader).unwrap()[..], frame);
+        wire
+    }
+
+    /// Every frame `script` carries, then the error that ended it.
+    fn read_all(script: &mut Script) -> (Vec<Vec<u8>>, std::io::Error) {
+        let mut reader = FrameReader::new();
+        let mut frames = Vec::new();
+        loop {
+            match reader.read_next(script) {
+                Ok(frame) => frames.push(frame.to_vec()),
+                Err(e) => return (frames, e),
+            }
         }
-        let eof = read_frame(&mut reader).unwrap_err();
-        assert_eq!(eof.kind(), std::io::ErrorKind::UnexpectedEof);
-        // A corrupt prefix must not size an allocation.
-        let oversize = (MAX_TCP_FRAME + 1).to_be_bytes();
-        let refused = read_frame(&mut &oversize[..]).unwrap_err();
+    }
+
+    #[test]
+    fn frames_split_at_every_byte_boundary_reassemble() {
+        let frames = vec![
+            b"first".to_vec(),
+            Vec::new(),
+            b"third one".to_vec(),
+            vec![7; 300],
+        ];
+        let wire = wire_of(&frames);
+        for cut in 0..=wire.len() {
+            let mut script = Script::pieces([wire[..cut].to_vec(), wire[cut..].to_vec()]);
+            let (read, end) = read_all(&mut script);
+            assert_eq!(read, frames, "cut at byte {cut}");
+            assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof);
+        }
+        // One byte per read, with a frame larger than the buffer among
+        // them: every boundary at once, the large path included.
+        let frames = vec![
+            b"a".to_vec(),
+            (0..READ_CHUNK + 9).map(|i| i as u8).collect(),
+            b"z".to_vec(),
+        ];
+        let wire = wire_of(&frames);
+        let mut script = Script::pieces(wire.iter().map(|&b| vec![b]));
+        assert_eq!(read_all(&mut script).0, frames);
+        // Many small frames arrive in one read.
+        let frames: Vec<Vec<u8>> = (0..100u8).map(|i| vec![i; usize::from(i)]).collect();
+        let mut script = Script::pieces([wire_of(&frames)]);
+        assert_eq!(read_all(&mut script).0, frames);
+    }
+
+    #[test]
+    fn a_read_that_times_out_mid_frame_loses_nothing() {
+        let frames = vec![b"before".to_vec(), vec![0xAB; 5000], b"after".to_vec()];
+        let wire = wire_of(&frames);
+        let timed_out = |kind| Err(std::io::Error::from(kind));
+        let mut script = Script(VecDeque::from([
+            Ok(wire[..3].to_vec()),
+            timed_out(std::io::ErrorKind::WouldBlock),
+            Ok(wire[3..2000].to_vec()),
+            timed_out(std::io::ErrorKind::TimedOut),
+            Ok(wire[2000..].to_vec()),
+        ]));
+        let mut reader = FrameReader::new();
+        let mut read = Vec::new();
+        let mut timeouts = 0;
+        while read.len() < frames.len() {
+            match reader.read_next(&mut script) {
+                Ok(frame) => read.push(frame.to_vec()),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    timeouts += 1
+                }
+                Err(e) => panic!("{e}"),
+            }
+        }
+        assert_eq!(timeouts, 2);
+        assert_eq!(read, frames);
+    }
+
+    #[test]
+    fn a_prefix_alone_never_sizes_an_allocation() {
+        // 200 MiB announced, 10 bytes sent, then the peer closes.
+        let mut wire = (200u32 << 20).to_be_bytes().to_vec();
+        wire.extend_from_slice(&[1; 10]);
+        let mut reader = FrameReader::new();
+        let end = reader.read_next(&mut Script::pieces([wire])).unwrap_err();
+        assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof);
+        let reserved = reader
+            .large
+            .as_ref()
+            .map_or(0, |large| large.storage.capacity());
+        assert!(
+            reserved < 2 * READ_CHUNK,
+            "reserved {reserved} bytes for 10"
+        );
+        // Past the limit, the prefix is refused outright.
+        let oversize = (MAX_TCP_FRAME + 1).to_be_bytes().to_vec();
+        let refused = FrameReader::new()
+            .read_next(&mut Script::pieces([oversize]))
+            .unwrap_err();
         assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
     }
 

@@ -31,9 +31,10 @@ cargo test --release --offline --manifest-path ledger/Cargo.toml
 # And the pipelining suite: that blocking servants overlap on one
 # connection, and still do once an object has been run on the delivery
 # thread and turned slow, is a claim about elapsed time — it has to hold
-# optimized as well.
+# optimized as well. Beside it, who reads a TCP connection (leader and
+# followers): each of its tests guards a schedule, so it runs optimized too.
 cargo test -q --release -p dacapo --test transport_contract --test end_to_end
-cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow --test pipelining
+cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow --test pipelining --test tcp_reading
 cargo test -q --release -p cool-orb --lib dacapo_chan
 
 # The analyzer (DESIGN §7.1), one pass over every .rs file. Per-file
