@@ -217,7 +217,7 @@ mod tests {
     fn summaries_propagate_transitively() {
         let w = ws(&[(
             "crates/app/src/lib.rs",
-            "mod rank { pub const LOW: u32 = 10; }\n\
+            "mod rank { pub const LOW: Rank = Rank::new(10, \"s.inner\"); }\n\
              struct S { inner: OrderedMutex<u32> }\n\
              impl S {\n\
                fn leaf(&self) { let g = self.inner.lock(); }\n\
@@ -225,7 +225,7 @@ mod tests {
                fn mid(&self) { self.leaf(); }\n\
                fn top(&self) { self.mid(); self.waits(); }\n\
              }\n\
-             fn mk() -> S { S { inner: OrderedMutex::new(rank::LOW, \"s.inner\", 0) } }",
+             fn mk() -> S { S { inner: OrderedMutex::new(rank::LOW, 0) } }",
         )]);
         let g = Graph::build(&w);
         let top = w.files[0]

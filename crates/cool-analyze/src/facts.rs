@@ -1,22 +1,20 @@
 //! The whole-workspace fact base: parsed files plus the resolution maps
 //! that turn a guard acquisition's receiver ident back into a lock rank.
 
-use crate::parse::{ParsedFile, RankExpr};
+use crate::parse::ParsedFile;
 use std::collections::HashMap;
 
 /// A lock identity an acquisition site resolved to.
 #[derive(Debug, Clone)]
 pub struct LockInfo {
     pub rank: u32,
-    /// The registered lock name (constructor's second argument), when known.
+    /// The lock's name, as its rank constant carries it.
     pub name: String,
 }
 
 /// All parsed files plus derived lookup tables.
 pub struct Workspace {
     pub files: Vec<ParsedFile>,
-    /// `rank::NAME` constant values: name -> (value, file, line).
-    pub rank_consts: HashMap<String, (u32, String, u32)>,
     /// (file, binder) -> locks constructed under that binder in that file.
     by_file_binder: HashMap<(String, String), Vec<LockInfo>>,
     /// (crate, binder) -> same, crate-wide (fallback for cross-file fields).
@@ -28,10 +26,11 @@ pub struct Workspace {
 
 impl Workspace {
     pub fn build(files: Vec<ParsedFile>) -> Self {
-        let mut rank_consts = HashMap::new();
+        // `rank::NAME` -> (value, lock name).
+        let mut rank_consts: HashMap<&str, (u32, &str)> = HashMap::new();
         for f in &files {
-            for (name, value, line) in &f.rank_consts {
-                rank_consts.insert(name.clone(), (*value, f.rel.clone(), *line));
+            for (name, value, lock) in &f.rank_consts {
+                rank_consts.insert(name, (*value, lock));
             }
         }
 
@@ -39,16 +38,14 @@ impl Workspace {
         let mut by_crate_binder: HashMap<(String, String), Vec<LockInfo>> = HashMap::new();
         for f in &files {
             for c in &f.lock_ctors {
-                let rank = match &c.rank {
-                    RankExpr::Lit(v) => Some(*v),
-                    RankExpr::Const(name) => rank_consts.get(name).map(|&(v, _, _)| v),
-                };
-                let (Some(rank), Some(binder)) = (rank, c.binder.as_ref()) else {
+                let (Some(&(rank, name)), Some(binder)) =
+                    (rank_consts.get(c.rank.as_str()), c.binder.as_ref())
+                else {
                     continue;
                 };
                 let info = LockInfo {
                     rank,
-                    name: c.name_str.clone().unwrap_or_else(|| binder.clone()),
+                    name: name.to_owned(),
                 };
                 by_file_binder
                     .entry((f.rel.clone(), binder.clone()))
@@ -81,7 +78,6 @@ impl Workspace {
 
         Workspace {
             files,
-            rank_consts,
             by_file_binder,
             by_crate_binder,
             int_consts,
@@ -145,14 +141,15 @@ mod tests {
         let w = ws(&[
             (
                 "crates/app/src/a.rs",
-                "mod rank { pub const LOW: u32 = 10; pub const HIGH: u32 = 20; }\n\
+                "mod rank { pub const LOW: Rank = Rank::new(10, \"a.conn\");\n\
+                            pub const HIGH: Rank = Rank::new(20, \"b.peers\"); }\n\
                  struct A { conn: OrderedMutex<u32> }\n\
-                 fn mk() -> A { A { conn: OrderedMutex::new(rank::LOW, \"a.conn\", 0) } }",
+                 fn mk() -> A { A { conn: OrderedMutex::new(rank::LOW, 0) } }",
             ),
             (
                 "crates/app/src/b.rs",
                 "struct B { peers: OrderedMutex<u32> }\n\
-                 fn mk() -> B { B { peers: OrderedMutex::new(rank::HIGH, \"b.peers\", 0) } }",
+                 fn mk() -> B { B { peers: OrderedMutex::new(rank::HIGH, 0) } }",
             ),
         ]);
         let a = &w.files[0];
@@ -170,14 +167,15 @@ mod tests {
         let w = ws(&[
             (
                 "crates/app/src/a.rs",
-                "mod rank { pub const LOW: u32 = 10; pub const HIGH: u32 = 20; }\n\
+                "mod rank { pub const LOW: Rank = Rank::new(10, \"a.conn\");\n\
+                            pub const HIGH: Rank = Rank::new(20, \"b.conn\"); }\n\
                  struct A { conn: OrderedMutex<u32> }\n\
-                 fn mk() -> A { A { conn: OrderedMutex::new(rank::LOW, \"a.conn\", 0) } }",
+                 fn mk() -> A { A { conn: OrderedMutex::new(rank::LOW, 0) } }",
             ),
             (
                 "crates/app/src/b.rs",
                 "struct B { conn: OrderedMutex<u32> }\n\
-                 fn mk() -> B { B { conn: OrderedMutex::new(rank::HIGH, \"b.conn\", 0) } }",
+                 fn mk() -> B { B { conn: OrderedMutex::new(rank::HIGH, 0) } }",
             ),
             ("crates/app/src/c.rs", "fn other() {}"),
         ]);

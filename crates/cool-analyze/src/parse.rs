@@ -101,15 +101,6 @@ pub struct FnItem {
     pub events: Vec<Event>,
 }
 
-/// The rank argument of a lock constructor.
-#[derive(Debug, Clone)]
-pub enum RankExpr {
-    /// `rank::SOME_CONST` — resolved against the `mod rank` constants.
-    Const(String),
-    /// A numeric literal (lockorder's own unit tests).
-    Lit(u32),
-}
-
 /// The capacity argument of a bounded-channel constructor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CapExpr {
@@ -197,7 +188,7 @@ pub struct LooseBlock {
     pub in_test: bool,
 }
 
-/// One `Type::name` use (the A009/A010 fact): an enum-variant construction
+/// One `Type::name` use (the L005/A010 fact): an enum-variant construction
 /// or pattern, or an associated-call like `OrbError::timeout(..)`.
 #[derive(Debug)]
 pub struct VariantUse {
@@ -206,8 +197,6 @@ pub struct VariantUse {
     /// The variant or associated-fn ident right of it.
     pub name: String,
     pub line: u32,
-    /// Innermost function whose body contains the use.
-    pub fn_name: Option<String>,
     /// Pattern position (match arm, `if let`, `matches!`, `|`-alternation)
     /// rather than a construction or call.
     pub is_pattern: bool,
@@ -225,12 +214,9 @@ pub struct LockCtor {
     /// The struct field or `let` binding receiving the lock, when
     /// recoverable; this is what acquisition receivers are matched against.
     pub binder: Option<String>,
-    pub rank: RankExpr,
-    /// The lock's registered name string (second constructor argument).
-    pub name_str: Option<String>,
-    pub line: u32,
-    /// Constructed inside test code (skipped by the doc-drift checks).
-    pub in_test: bool,
+    /// The rank constant named by the first argument (`rank::X` → `X`),
+    /// resolved against the `mod rank` constants.
+    pub rank: String,
 }
 
 /// Everything the rules need from one `.rs` file.
@@ -244,8 +230,9 @@ pub struct ParsedFile {
     pub test_regions: Vec<(u32, u32)>,
     pub fns: Vec<FnItem>,
     pub lock_ctors: Vec<LockCtor>,
-    /// `const NAME: u32 = value;` entries inside a `mod rank { .. }`.
-    pub rank_consts: Vec<(String, u32, u32)>,
+    /// `const NAME: Rank = Rank::new(value, "lock.name");` entries inside
+    /// a `mod rank { .. }`, as (NAME, value, lock name).
+    pub rank_consts: Vec<(String, u32, String)>,
     /// `pub const NAME: &str = "value";` entries (only for `src/names.rs`).
     pub metric_consts: Vec<(String, String, u32)>,
     /// Identifiers appearing in non-test library code.
@@ -273,12 +260,8 @@ pub struct ParsedFile {
     /// Blocking sites outside the per-fn event streams (A008).
     pub loose_blocks: Vec<LooseBlock>,
     /// `Type::name` uses with construction/pattern classification
-    /// (A009/A010).
+    /// (L005/A010).
     pub variant_uses: Vec<VariantUse>,
-    /// `pub const NAME: &str = "value";` entries of the flight-recorder
-    /// event-kind catalogue (only for `src/flight.rs`), the vocabulary the
-    /// §8.4 `flight:*` emission cells resolve against.
-    pub flight_consts: Vec<(String, String, u32)>,
     /// Declared variants of `enum OrbError` with their lines (only for
     /// cool-orb's `src/error.rs`), the list L005 holds the tests to.
     pub orb_error_variants: Vec<(String, u32)>,
@@ -358,7 +341,7 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
         }
     }
 
-    let lock_ctors = collect_lock_ctors(toks, &in_test_line, &in_macro);
+    let lock_ctors = collect_lock_ctors(toks, &in_macro);
     let chan_ctors = collect_chan_ctors(toks, &fns, &in_test_line, &in_macro);
     let int_consts = collect_int_consts(toks);
     let condvar_binders = collect_condvar_binders(toks);
@@ -371,13 +354,8 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
     } else {
         Vec::new()
     };
-    let flight_consts = if rel.ends_with("src/flight.rs") {
-        collect_metric_consts(toks)
-    } else {
-        Vec::new()
-    };
     let loose_blocks = collect_loose_blocks(toks, &fns, &in_test_line, &in_macro);
-    let variant_uses = collect_variant_uses(toks, &fns, &in_test_line, &in_macro);
+    let variant_uses = collect_variant_uses(toks, &in_test_line, &in_macro);
     let orb_error_variants = if rel == "crates/cool-orb/src/error.rs" {
         collect_enum_variants(toks, "OrbError")
     } else {
@@ -425,7 +403,6 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
         spawns,
         loose_blocks,
         variant_uses,
-        flight_consts,
         orb_error_variants,
     }
 }
@@ -982,11 +959,7 @@ fn first_brace_after(toks: &[Tok], from: usize, body_close: usize) -> usize {
     body_close
 }
 
-fn collect_lock_ctors(
-    toks: &[Tok],
-    in_test_line: &dyn Fn(u32) -> bool,
-    in_macro: &dyn Fn(usize) -> bool,
-) -> Vec<LockCtor> {
+fn collect_lock_ctors(toks: &[Tok], in_macro: &dyn Fn(usize) -> bool) -> Vec<LockCtor> {
     let mut out = Vec::new();
     let mut j = 0usize;
     while j + 4 < toks.len() {
@@ -1002,11 +975,10 @@ fn collect_lock_ctors(
             j += 1;
             continue;
         }
-        // First argument: rank constant path or numeric literal.
+        // First argument: the rank constant's path.
         let mut p = j + 5;
         let mut depth = 0i32;
         let mut last_ident: Option<String> = None;
-        let mut lit: Option<u32> = None;
         while p < toks.len() {
             match toks[p].text.as_str() {
                 "(" | "[" | "<" => depth += 1,
@@ -1017,36 +989,18 @@ fn collect_lock_ctors(
                     depth -= 1;
                 }
                 "," if depth == 0 => break,
-                _ => match toks[p].kind {
-                    TokKind::Ident => last_ident = Some(toks[p].text.clone()),
-                    TokKind::Num => lit = toks[p].text.parse::<u32>().ok(),
-                    _ => {}
-                },
+                _ if toks[p].kind == TokKind::Ident => last_ident = Some(toks[p].text.clone()),
+                _ => {}
             }
             p += 1;
         }
-        let rank = match (lit, last_ident) {
-            (Some(v), _) => RankExpr::Lit(v),
-            (None, Some(name)) => RankExpr::Const(name),
-            (None, None) => {
-                j += 1;
-                continue;
-            }
+        let Some(rank) = last_ident else {
+            j += 1;
+            continue;
         };
-        // Second argument: the lock's name string.
-        let name_str = toks.get(p + 1).and_then(|t| {
-            if t.kind == TokKind::Str {
-                Some(t.text.clone())
-            } else {
-                None
-            }
-        });
         out.push(LockCtor {
             binder: find_binder(toks, j),
             rank,
-            name_str,
-            line: t.line,
-            in_test: in_test_line(t.line),
         });
         j = p + 1;
     }
@@ -1093,8 +1047,10 @@ fn find_binder(toks: &[Tok], ctor: usize) -> Option<String> {
     None
 }
 
-/// `const NAME: u32 = value;` entries inside `mod rank { .. }`.
-fn collect_rank_consts(toks: &[Tok]) -> Vec<(String, u32, u32)> {
+/// `const NAME: Rank = Rank::new(value, "lock.name");` entries inside
+/// `mod rank { .. }`: the first number and the first string literal
+/// between the `=` and the `;`.
+fn collect_rank_consts(toks: &[Tok]) -> Vec<(String, u32, String)> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i + 2 < toks.len() {
@@ -1108,17 +1064,24 @@ fn collect_rank_consts(toks: &[Tok]) -> Vec<(String, u32, u32)> {
             }
             let close = match_close(toks, open);
             let mut j = open;
-            while j + 5 < close {
+            while j + 4 < close {
                 if toks[j].text == "const"
                     && toks[j + 1].kind == TokKind::Ident
                     && toks[j + 2].text == ":"
                     && toks[j + 4].text == "="
-                    && toks[j + 5].kind == TokKind::Num
                 {
-                    if let Ok(v) = toks[j + 5].text.parse::<u32>() {
-                        out.push((toks[j + 1].text.clone(), v, toks[j + 1].line));
+                    let end = (j + 5..close)
+                        .find(|&k| toks[k].text == ";")
+                        .unwrap_or(close);
+                    let item = &toks[j + 5..end];
+                    let value = item.iter().find(|t| t.kind == TokKind::Num);
+                    let name = item.iter().find(|t| t.kind == TokKind::Str);
+                    if let (Some(value), Some(name)) = (value, name) {
+                        if let Ok(v) = value.text.parse::<u32>() {
+                            out.push((toks[j + 1].text.clone(), v, name.text.clone()));
+                        }
                     }
-                    j += 6;
+                    j = end;
                 } else {
                     j += 1;
                 }
@@ -1631,13 +1594,12 @@ fn pattern_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
 }
 
 /// `Type::name` uses with construction-vs-pattern classification (the
-/// A009/A010 fact). A use is a *pattern* when it sits inside a `matches!`
+/// L005/A010 fact). A use is a *pattern* when it sits inside a `matches!`
 /// body, a `match` arm pattern, a `let` pattern, follows a comparison
 /// operator or `&` (state inspection, not a transition), or is directly
 /// followed by `=>` / `|` / a match guard.
 fn collect_variant_uses(
     toks: &[Tok],
-    fns: &[FnItem],
     in_test_line: &dyn Fn(u32) -> bool,
     in_macro: &dyn Fn(usize) -> bool,
 ) -> Vec<VariantUse> {
@@ -1750,7 +1712,6 @@ fn collect_variant_uses(
             ty: t.text.clone(),
             name: toks[name_idx].text.clone(),
             line: t.line,
-            fn_name: enclosing_fn(fns, k).map(|i| fns[i].name.clone()),
             is_pattern,
             in_test: in_test_line(t.line),
             payload_idents,
@@ -1988,22 +1949,24 @@ mod tests {
     #[test]
     fn lock_ctors_bind_fields_lets_and_wrapped_forms() {
         let p = parsed(
-            "mod rank { pub const A: u32 = 10; pub const B: u32 = 20; }\n\
+            "mod rank { pub const A: Rank = Rank::new(10, \"s.f\");\n\
+                        pub const B: Rank = Rank::new(20, \"s.shared\"); }\n\
              struct S { f: OrderedMutex<u32> }\n\
-             fn mk() { let s = S { f: OrderedMutex::new(rank::A, \"s.f\", 0) };\n\
-                 let shared = Arc::new(OrderedMutex::new(rank::B, \"s.shared\", 1));\n\
-                 let raw = OrderedRwLock::new(7, \"s.raw\", 2); }",
+             fn mk() { let s = S { f: OrderedMutex::new(rank::A, 0) };\n\
+                 let shared = Arc::new(OrderedMutex::new(rank::B, 1));\n\
+                 let raw = OrderedRwLock::new(lockorder::rank::B, 2); }",
         );
-        assert_eq!(p.rank_consts.len(), 2);
-        let binders: Vec<_> = p
-            .lock_ctors
-            .iter()
-            .map(|c| (c.binder.clone(), c.name_str.clone()))
-            .collect();
-        assert!(binders.contains(&(Some("f".into()), Some("s.f".into()))));
-        assert!(binders.contains(&(Some("shared".into()), Some("s.shared".into()))));
-        assert!(binders.contains(&(Some("raw".into()), Some("s.raw".into()))));
-        assert!(matches!(p.lock_ctors[2].rank, RankExpr::Lit(7)));
+        assert_eq!(
+            p.rank_consts,
+            [
+                ("A".into(), 10, "s.f".into()),
+                ("B".into(), 20, "s.shared".into())
+            ]
+        );
+        let binders: Vec<_> = p.lock_ctors.iter().map(|c| c.binder.as_deref()).collect();
+        assert_eq!(binders, [Some("f"), Some("shared"), Some("raw")]);
+        let ranks: Vec<&str> = p.lock_ctors.iter().map(|c| c.rank.as_str()).collect();
+        assert_eq!(ranks, ["A", "B", "B"]);
     }
 
     #[test]
@@ -2191,7 +2154,6 @@ mod tests {
             .map(|v| v.name.as_str())
             .collect();
         assert_eq!(pats, ["Evicted", "Open", "Suspect", "Probing", "Evicted"]);
-        assert!(p.variant_uses.iter().all(|v| v.fn_name.as_deref() == Some("f")));
     }
 
     #[test]
@@ -2227,14 +2189,12 @@ mod tests {
     }
 
     #[test]
-    fn flight_consts_only_collected_for_flight_rs() {
-        let src = "pub const EVENT_FAILOVER: &str = \"failover\";";
-        let f = parse_file("crates/cool-telemetry/src/flight.rs", &scan(src));
-        assert_eq!(f.flight_consts.len(), 1);
-        assert_eq!(f.flight_consts[0].1, "failover");
-        assert!(f.metric_consts.is_empty());
+    fn metric_consts_only_collected_for_names_rs() {
+        let src = "pub const FAILOVERS_TOTAL: &str = \"failovers_total\";";
         let n = parse_file("crates/cool-telemetry/src/names.rs", &scan(src));
-        assert!(n.flight_consts.is_empty());
         assert_eq!(n.metric_consts.len(), 1);
+        assert_eq!(n.metric_consts[0].1, "failovers_total");
+        let f = parse_file("crates/cool-telemetry/src/flight.rs", &scan(src));
+        assert!(f.metric_consts.is_empty());
     }
 }

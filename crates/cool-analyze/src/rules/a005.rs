@@ -16,8 +16,8 @@
 //!    least one non-`block` edge — an all-blocking ring can deadlock the
 //!    moment every queue in it fills.
 //!
-//! Like A001's rank table, the §7.4 checks degrade to skipped when the
-//! tree has no DESIGN.md (fixture roots); the unbounded check still runs.
+//! The §7.4 checks degrade to skipped when the tree has no DESIGN.md
+//! (fixture roots); the unbounded check still runs.
 
 use super::{line_of, Ctx};
 use crate::parse::{CapExpr, ChanKind};
@@ -287,8 +287,8 @@ fn parse_chan_rows(design: &str) -> Vec<ChanRow> {
     rows
 }
 
-/// Backticked substrings of a table cell (shared with A008/A009's
-/// DESIGN.md parsers).
+/// Backticked substrings of a table cell (shared with A008's DESIGN.md
+/// parser).
 pub(crate) fn backticked(cell: &str) -> Vec<String> {
     let mut names = Vec::new();
     let mut rest = cell;

@@ -7,8 +7,7 @@
 //! | L005 | every `OrbError` variant is exercised somewhere in tests           |
 //! | L006 | invocation-path retry loops in cool-orb reference `RetryPolicy`    |
 //! | L007 | no buffer copies (`.to_vec()`/`.clone()`) on the zero-copy path    |
-//! | A001 | lock ranks strictly increase along every static acquisition path,  |
-//! |      | and the DESIGN.md §7.2 rank table matches the code                 |
+//! | A001 | lock ranks strictly increase along every static acquisition path   |
 //! | A002 | no blocking operation (recv/wait/join/connect...) is reachable     |
 //! |      | while a lock guard is live                                         |
 //! | A003 | cool-giop codecs are symmetric: every encode has a decode and a    |
@@ -24,9 +23,6 @@
 //! | A008 | every blocking call on the data path is bounded: timeout/deadline  |
 //! |      | variant, §8.5-documented close-sentinel drain, shutdown-path join, |
 //! |      | or a connect chain proven bounded through the call graph           |
-//! | A009 | the replica-health / breaker / retry state machines match the      |
-//! |      | DESIGN.md §8.4 tables both ways, and every transition's documented |
-//! |      | telemetry/flight emission is real                                  |
 //! | A010 | `OrbError` sites on the data path carry their attribution payload  |
 //! |      | (request id, attempts+last, replica identity)                      |
 //!
@@ -51,7 +47,6 @@ pub mod a005;
 pub mod a006;
 pub mod a007;
 pub mod a008;
-pub mod a009;
 pub mod a010;
 pub mod l005;
 pub mod tokens;
@@ -59,7 +54,7 @@ pub mod tokens;
 /// Every rule the analyzer can emit.
 pub const RULES: &[&str] = &[
     "L001", "L002", "L005", "L006", "L007", "A001", "A002", "A003", "A004", "A005", "A006",
-    "A007", "A008", "A009", "A010",
+    "A007", "A008", "A010",
 ];
 
 use crate::callgraph::Graph;
@@ -90,7 +85,6 @@ pub fn run_all(ctx: &Ctx) -> Vec<Finding> {
     out.extend(a006::check(ctx));
     out.extend(a007::check(ctx));
     out.extend(a008::check(ctx));
-    out.extend(a009::check(ctx));
     out.extend(a010::check(ctx));
     out
 }

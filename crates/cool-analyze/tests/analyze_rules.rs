@@ -56,7 +56,6 @@ const FIXTURE_OF: &[(&str, &str)] = &[
     ("A006", "condvar"),
     ("A007", "spawnjoin"),
     ("A008", "hangfree"),
-    ("A009", "statemachine"),
     ("A010", "attribution"),
 ];
 
@@ -284,52 +283,6 @@ fn a004_flags_orphan_and_undocumented_metric_names() {
     assert_eq!(msgs.len(), 2, "used_total stays clean: {msgs:?}");
 }
 
-// ---- A001 documentation half: rank-table drift ----------------------
-
-#[test]
-fn a001_rank_table_drift_is_flagged_in_both_directions() {
-    let found = findings("ranktable");
-    let msgs: Vec<(&str, u32, &str)> = found
-        .iter()
-        .map(|(r, f, l, m)| {
-            assert_eq!(r, "A001", "only drift findings here: {found:?}");
-            (f.as_str(), *l, m.as_str())
-        })
-        .collect();
-    let has = |pred: &dyn Fn(&(&str, u32, &str)) -> bool| msgs.iter().any(pred);
-    assert!(
-        has(&|(f, _, m)| *f == "crates/app/src/lib.rs"
-            && m.contains("`MISSING`")
-            && m.contains("missing from")),
-        "constant absent from the table: {msgs:?}"
-    );
-    assert!(
-        has(&|(f, l, m)| *f == "crates/app/src/lib.rs"
-            && *l == 19
-            && m.contains("app.mislabelled")),
-        "lock name absent from its row: {msgs:?}"
-    );
-    assert!(
-        has(&|(f, l, m)| *f == "crates/app/src/lib.rs"
-            && *l == 20
-            && m.contains("unknown rank constant")),
-        "unknown constant at a constructor: {msgs:?}"
-    );
-    assert!(
-        has(&|(f, l, m)| *f == "DESIGN.md" && *l == 10 && m.contains("matches no rank constant")),
-        "row covering no constant: {msgs:?}"
-    );
-    assert!(
-        has(&|(f, l, m)| *f == "DESIGN.md" && *l == 9 && m.contains("app.phantom")),
-        "table name with no constructor: {msgs:?}"
-    );
-    assert!(
-        has(&|(f, l, m)| *f == "DESIGN.md" && *l == 10 && m.contains("app.ghost")),
-        "ghost lock in the no-constant row: {msgs:?}"
-    );
-    assert_eq!(msgs.len(), 6, "app.good and rank 10 stay clean: {msgs:?}");
-}
-
 // ---- A005: channel topology -----------------------------------------
 
 #[test]
@@ -471,62 +424,6 @@ fn a008_flags_unbounded_blocking_and_honors_every_exemption() {
     );
 }
 
-// ---- A009: state-machine drift --------------------------------------
-
-#[test]
-fn a009_reconciles_tables_and_code_both_ways_with_real_emissions() {
-    let found = findings("statemachine");
-    let a009: Vec<(&str, u32, &str)> = found
-        .iter()
-        .filter(|(r, _, _, _)| r == "A009")
-        .map(|(_, f, l, m)| (f.as_str(), *l, m.as_str()))
-        .collect();
-    let has = |pred: &dyn Fn(&(&str, u32, &str)) -> bool| a009.iter().any(pred);
-    assert!(
-        has(&|(f, _, m)| *f == "crates/cool-orb/src/lib.rs"
-            && m.contains("`Health::Suspect`")
-            && m.contains("`relapse`")),
-        "undocumented transition flagged, code side: {a009:?}"
-    );
-    assert!(
-        has(&|(f, l, m)| *f == "DESIGN.md" && *l == 13 && m.contains("matches no construction")),
-        "stale row flagged: {a009:?}"
-    );
-    assert!(
-        has(&|(f, l, m)| *f == "DESIGN.md" && *l == 14 && m.contains("`Ghost`")),
-        "phantom source state flagged: {a009:?}"
-    );
-    assert!(
-        has(&|(f, l, m)| *f == "DESIGN.md"
-            && *l == 15
-            && m.contains("not in the telemetry vocabulary")),
-        "unknown emission flagged: {a009:?}"
-    );
-    assert!(
-        has(&|(f, l, m)| *f == "DESIGN.md" && *l == 16 && m.contains("never references")),
-        "emission whose site is gone flagged: {a009:?}"
-    );
-    assert!(
-        has(&|(f, l, m)| *f == "DESIGN.md" && *l == 17 && m.contains("names no emission")),
-        "emission-free row flagged: {a009:?}"
-    );
-    assert!(
-        has(&|(f, l, m)| *f == "DESIGN.md" && *l == 19 && m.contains("not in the \
-             workspace")),
-        "machine pointing at a missing file flagged: {a009:?}"
-    );
-    assert!(
-        has(&|(f, l, m)| *f == "DESIGN.md" && *l == 25 && m.contains("never constructs")),
-        "documented-but-never-built machine flagged: {a009:?}"
-    );
-    assert_eq!(
-        a009.len(),
-        8,
-        "the backed rows, match-arm patterns and test constructions stay \
-         clean: {a009:?}"
-    );
-}
-
 // ---- A010: error attribution ----------------------------------------
 
 #[test]
@@ -614,14 +511,14 @@ fn the_real_workspace_analyzes_clean() {
         "the workspace must analyze clean:\n{}",
         report.render_text()
     );
-    // All fifteen rules actually ran to produce that clean bill — a rule
+    // All fourteen rules actually ran to produce that clean bill — a rule
     // silently dropped from the registry would otherwise make this test
     // pass vacuously.
     assert_eq!(
         cool_analyze::rules::RULES,
         [
             "L001", "L002", "L005", "L006", "L007", "A001", "A002", "A003", "A004", "A005",
-            "A006", "A007", "A008", "A009", "A010"
+            "A006", "A007", "A008", "A010"
         ],
         "the rule registry lists every rule"
     );

@@ -2,7 +2,7 @@
 //! take-then-join pattern, and the inline exemption.
 
 pub mod rank {
-    pub const HANDLE: u32 = 10;
+    pub const HANDLE: Rank = Rank::new(10, "q.handle");
 }
 
 pub struct Q {
@@ -11,7 +11,7 @@ pub struct Q {
 
 pub fn mk() -> Q {
     Q {
-        handle: OrderedMutex::new(rank::HANDLE, "q.handle", 0),
+        handle: OrderedMutex::new(rank::HANDLE, 0),
     }
 }
 

@@ -3,7 +3,7 @@
 //! and the legal patterns (predicate loop, `*_while`, inline allow).
 
 pub mod rank {
-    pub const FOREIGN: u32 = 10;
+    pub const FOREIGN: Rank = Rank::new(10, "app.foreign");
 }
 
 pub struct S {
@@ -20,7 +20,7 @@ pub fn mk() -> S {
         cv: Condvar::new(),
         lonely: Condvar::new(),
         bare: Condvar::new(),
-        foreign: OrderedMutex::new(rank::FOREIGN, "app.foreign", 0),
+        foreign: OrderedMutex::new(rank::FOREIGN, 0),
     }
 }
 

@@ -2,8 +2,8 @@
 //! interprocedural, next to a legal increasing path.
 
 pub mod rank {
-    pub const OUTER: u32 = 10;
-    pub const INNER: u32 = 20;
+    pub const OUTER: Rank = Rank::new(10, "app.outer");
+    pub const INNER: Rank = Rank::new(20, "app.inner");
 }
 
 pub struct Locks {
@@ -13,8 +13,8 @@ pub struct Locks {
 
 pub fn mk() -> Locks {
     Locks {
-        outer: OrderedMutex::new(rank::OUTER, "app.outer", 0),
-        inner: OrderedMutex::new(rank::INNER, "app.inner", 0),
+        outer: OrderedMutex::new(rank::OUTER, 0),
+        inner: OrderedMutex::new(rank::INNER, 0),
     }
 }
 

@@ -416,22 +416,14 @@ impl Binding {
             .map(|r| ClientMetrics::resolve(Arc::clone(r), channel.kind()));
         let tracing = telemetry.is_some() && config.tracing && protocol.carries_trace();
         let pending = Arc::new(Pending {
-            slots: OrderedMutex::new(
-                lock_rank::BINDING_PENDING,
-                "binding.pending",
-                HashMap::new(),
-            ),
+            slots: OrderedMutex::new(lock_rank::BINDING_PENDING, HashMap::new()),
             telemetry,
         });
         let conn = attach(channel, &pending);
         Arc::new(Binding {
-            reconnect_gate: OrderedMutex::new(
-                lock_rank::BINDING_RECONNECT,
-                "binding.reconnect_gate",
-                (),
-            ),
-            conn: OrderedMutex::new(lock_rank::BINDING_CONN, "binding.conn", conn),
-            last_qos: OrderedMutex::new(lock_rank::BINDING_LAST_QOS, "binding.last_qos", None),
+            reconnect_gate: OrderedMutex::new(lock_rank::BINDING_RECONNECT, ()),
+            conn: OrderedMutex::new(lock_rank::BINDING_CONN, conn),
+            last_qos: OrderedMutex::new(lock_rank::BINDING_LAST_QOS, None),
             protocol,
             next_id: AtomicU32::new(1),
             pending,

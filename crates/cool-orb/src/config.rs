@@ -10,7 +10,7 @@
 //! [`crate::binding::Binding`].
 
 use crate::retry::RetryPolicy;
-use cool_faults::{FaultPlan, PlanSet};
+use cool_faults::PlanSet;
 use cool_telemetry::Registry;
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,16 +52,14 @@ pub struct OrbConfig {
     /// bounded exponential backoff and transparent reconnection.
     pub retry: Option<RetryPolicy>,
     /// Fault-injection test hook. `None` (the default) adds **nothing** to
-    /// the invocation path; `Some` wraps every client channel this ORB
-    /// creates in a `FaultChannel` decorator executing the plan (DESIGN.md
-    /// §8). Production configs must leave this `None`.
-    pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Per-target fault injection: different plans for different endpoints,
-    /// for replica-failure experiments where one replica is lossy while
-    /// its siblings stay healthy. Keyed by the transport address display
-    /// string (e.g. `"chorus://rep-b"`). The global [`OrbConfig::fault_plan`]
-    /// wins when both are set; engines are cached per target so a
-    /// reconnect continues the same deterministic fault schedule.
+    /// the invocation path; `Some` wraps every client channel to a target
+    /// the set has a plan for in a `FaultChannel` decorator executing it
+    /// (DESIGN.md §8). Keyed by the transport address display string (e.g.
+    /// `"chorus://rep-b"`), so one replica can be lossy while its siblings
+    /// stay healthy; `PlanSet::default().with_default(plan)` applies one
+    /// plan to every target. Engines are cached per target so a reconnect
+    /// continues the same deterministic fault schedule. Production configs
+    /// must leave this `None`.
     pub fault_plans: Option<Arc<PlanSet>>,
     /// Opportunistic frame batching. `None` (the default) sends every GIOP
     /// frame as its own transport frame; `Some` wraps each channel this ORB
@@ -175,11 +173,6 @@ impl PartialEq for OrbConfig {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
         };
-        let same_plan = match (&self.fault_plan, &other.fault_plan) {
-            (None, None) => true,
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        };
         let same_plans = match (&self.fault_plans, &other.fault_plans) {
             (None, None) => true,
             (Some(a), Some(b)) => a == b,
@@ -190,7 +183,6 @@ impl PartialEq for OrbConfig {
             && same_registry
             && self.tracing == other.tracing
             && self.retry == other.retry
-            && same_plan
             && same_plans
             && self.batching == other.batching
             && self.introspect == other.introspect
@@ -206,7 +198,6 @@ impl Default for OrbConfig {
             telemetry: None,
             tracing: true,
             retry: None,
-            fault_plan: None,
             fault_plans: None,
             batching: None,
             introspect: None,
@@ -227,8 +218,7 @@ mod tests {
         assert!(c.telemetry.is_none());
         assert!(c.tracing, "tracing is on by default when telemetry is");
         assert!(c.retry.is_none(), "retry must be opt-in");
-        assert!(c.fault_plan.is_none(), "fault injection must be opt-in");
-        assert!(c.fault_plans.is_none(), "per-target faults must be opt-in");
+        assert!(c.fault_plans.is_none(), "fault injection must be opt-in");
         assert!(c.batching.is_none(), "frame batching must be opt-in");
         assert!(c.introspect.is_none(), "introspection must be opt-in");
         assert!(c.failover.probe_period > Duration::ZERO);
@@ -332,22 +322,10 @@ mod tests {
         };
         assert_eq!(b, c);
 
-        let plan = Arc::new(FaultPlan::builder().drop_rate(0.1).build().unwrap());
-        let d = OrbConfig {
-            fault_plan: Some(Arc::clone(&plan)),
-            ..OrbConfig::default()
-        };
-        assert_ne!(a, d);
-        let e = OrbConfig {
-            fault_plan: Some(plan),
-            ..OrbConfig::default()
-        };
-        assert_eq!(d, e);
-
         let set = Arc::new(
             PlanSet::default().set(
                 "chorus://rep-b",
-                FaultPlan::builder().drop_rate(0.1).build().unwrap(),
+                cool_faults::FaultPlan::builder().drop_rate(0.1).build().unwrap(),
             ),
         );
         let f = OrbConfig {

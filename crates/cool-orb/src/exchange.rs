@@ -59,7 +59,6 @@ impl LocalExchange {
         LocalExchange {
             registry: Arc::new(OrderedMutex::new(
                 lock_rank::EXCHANGE_REGISTRY,
-                "exchange.registry",
                 Registry::default(),
             )),
             config_mgr: ConfigurationManager::new(MechanismCatalog::standard()),

@@ -1,4 +1,4 @@
-//! The one invocation pipeline (DESIGN.md §8.2–§8.4).
+//! The one invocation pipeline (DESIGN.md §8.2–§8.3).
 //!
 //! A two-way invocation through a plain [`crate::orb::Stub`] and through
 //! a replicated [`crate::replica::ResolvedStub`] is the same loop: run one
@@ -56,17 +56,28 @@ impl Endpoint {
     }
 }
 
-/// What the pipeline does after a failed attempt. Transitions are
-/// tabulated in DESIGN.md §8.4; [`decide`] is the only place one is made.
+/// What the pipeline does after a failed attempt. [`decide`] is the only
+/// place one is made, afresh from each error; each variant names when it
+/// is taken and what [`Invoker::invoke`] emits for it.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Step {
-    /// Wait this long, then replay against the same target.
+    /// Wait this long, then replay against the same target: a retryable
+    /// failure with attempts and wall-clock budget left on this target.
+    /// Emits `retries_total`.
     RetrySame(Duration),
-    /// This target's retries are spent; replay on the next one.
+    /// This target's attempts or budget are spent on a retryable failure
+    /// and another target is eligible; replay there. Emits
+    /// `failovers_total` and flight `failover`.
     NextTarget,
-    /// The server NACKed the QoS; step one rung down and replay.
+    /// The server NACKed the QoS and a fallback rung is left; step one
+    /// rung down and replay. Emits `qos_degradations_total` and flight
+    /// `qos_degrade`.
     Degrade,
-    /// Surface the error.
+    /// Surface the error. A retryable failure with attempts or budget
+    /// spent and no other target becomes `RetriesExhausted` (unchanged
+    /// without a retry policy); anything else — a NACK with the ladder
+    /// empty (`QosNotSupported`), an attributed timeout, a user exception
+    /// — surfaces as it is.
     Fail,
 }
 
@@ -172,7 +183,7 @@ impl Invoker {
             timeout: config.call_timeout,
         };
         Invoker {
-            per_stub: OrderedMutex::new(lock_rank::STUB_STATE, "stub.state", state),
+            per_stub: OrderedMutex::new(lock_rank::STUB_STATE, state),
             retry: config.retry.clone(),
             registry: config.telemetry.clone(),
         }

@@ -30,10 +30,6 @@ pub struct Orb {
     config: OrbConfig,
     bindings: OrderedMutex<HashMap<(String, WireProtocol), Arc<Binding>>>,
     served: OrderedMutex<Vec<OrbAddr>>,
-    /// One engine per ORB, shared by every channel incarnation (including
-    /// reconnects), so the injected fault sequence is a deterministic
-    /// function of the plan seed and the outbound frame sequence.
-    fault_engine: Option<Arc<FaultEngine>>,
     /// Per-target engines materialized lazily from
     /// [`OrbConfig::fault_plans`], cached under the address display string
     /// so reconnects to the same target continue the same deterministic
@@ -106,28 +102,15 @@ impl Orb {
             }
             _ => None,
         };
-        let fault_engine = config
-            .fault_plan
-            .as_ref()
-            .map(|plan| Arc::new(FaultEngine::new((**plan).clone())));
         Arc::new(Orb {
             name: name.to_owned(),
             adapter: Arc::new(ObjectAdapter::with_telemetry(config.telemetry.clone())),
             exchange,
             config,
-            bindings: OrderedMutex::new(lock_rank::ORB_BINDINGS, "orb.bindings", HashMap::new()),
-            served: OrderedMutex::new(lock_rank::ORB_SERVED, "orb.served", Vec::new()),
-            fault_engine,
-            fault_engines: OrderedMutex::new(
-                lock_rank::ORB_FAULT_ENGINES,
-                "orb.fault_engines",
-                HashMap::new(),
-            ),
-            introspect: OrderedMutex::new(
-                lock_rank::ORB_INTROSPECT,
-                "orb.introspect",
-                introspect,
-            ),
+            bindings: OrderedMutex::new(lock_rank::ORB_BINDINGS, HashMap::new()),
+            served: OrderedMutex::new(lock_rank::ORB_SERVED, Vec::new()),
+            fault_engines: OrderedMutex::new(lock_rank::ORB_FAULT_ENGINES, HashMap::new()),
+            introspect: OrderedMutex::new(lock_rank::ORB_INTROSPECT, introspect),
         })
     }
 
@@ -308,14 +291,10 @@ impl Orb {
         })
     }
 
-    /// The fault engine governing `addr`: the ORB-global engine when a
-    /// global plan is set, otherwise a per-target engine from
-    /// [`OrbConfig::fault_plans`] (created once and cached). `None` means
-    /// no faults for this target.
+    /// The fault engine governing `addr`, from [`OrbConfig::fault_plans`]
+    /// (created once per target and cached). `None` means no faults for
+    /// this target.
     fn engine_for(&self, addr: &OrbAddr) -> Option<Arc<FaultEngine>> {
-        if let Some(engine) = &self.fault_engine {
-            return Some(Arc::clone(engine));
-        }
         let plans = self.config.fault_plans.as_ref()?;
         let target = addr.to_string();
         let plan = plans.plan_for(&target)?.clone();

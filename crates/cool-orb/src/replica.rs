@@ -47,28 +47,50 @@ pub struct ReplicaCandidate {
     pub match_rung: u32,
 }
 
-/// Health of one replica within a resolved binding (the §8.3 state
-/// machine: healthy → suspect → evicted → probing → re-admitted).
+/// Health of one replica within a resolved binding (DESIGN.md §8.3:
+/// healthy → suspect → evicted → probing → re-admitted). Each variant
+/// names the transitions into it, the function making each, and what it
+/// emits beyond the `replicas_healthy` gauge (replicas in rotation), which
+/// every transition refreshes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Health {
-    /// In rotation, no recent failures.
+    /// In rotation, no recent failures. Entered when the replica is
+    /// registered (`bind_resolved`), when a call succeeds and resets a
+    /// `Suspect` streak (`note_success`), and when a probe reply proves a
+    /// `Probing` replica alive (`note_probe_success`: also
+    /// `replica_readmissions_total` and flight `replica_readmitted`).
     Healthy,
-    /// In rotation with this many consecutive failures.
+    /// In rotation with this many consecutive failures: a failure below
+    /// `suspect_threshold` (`note_failure`).
     Suspect(u32),
-    /// Out of rotation; only the prober may touch it.
+    /// Out of rotation; only the prober may touch it. Entered at
+    /// `suspect_threshold` consecutive failures (`note_failure`: also
+    /// `replica_evictions_total` and flight `replica_evicted`), and back
+    /// from `Probing` when the probe fails (`note_failure`).
     Evicted,
-    /// An evicted replica currently being probed for re-admission.
+    /// An evicted replica currently being probed for re-admission: its
+    /// `readmit_backoff` elapsed and the prober took it (`probe_all`).
     Probing,
 }
 
-/// Per-replica circuit breaker.
+/// Per-replica circuit breaker. Every transition sets the
+/// `breaker_state{replica}` gauge (0 closed, 1 half-open, 2 open).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Breaker {
-    /// Calls flow; counts consecutive failures.
+    /// Calls flow; counts consecutive failures. Entered when the replica
+    /// is registered (`bind_resolved`), from any state when a call
+    /// succeeds (`note_success`) or a probe reply proves the server alive
+    /// (`note_probe_success`); a failure below `breaker_threshold` bumps
+    /// the count (`note_failure`).
     Closed(u32),
-    /// Calls blocked since the given instant.
+    /// Calls blocked since the given instant. Entered at
+    /// `breaker_threshold` consecutive failures, or when the one trial
+    /// call of `HalfOpen` fails (`note_failure`: also flight
+    /// `breaker_open`).
     Open(Instant),
-    /// Cooldown elapsed; one trial call may pass.
+    /// Cooldown elapsed; one trial call may pass. Entered once
+    /// `breaker_cooldown` has passed since opening, as a call picks a
+    /// target or the prober sweeps (`half_open_cooled`).
     HalfOpen,
 }
 
@@ -218,7 +240,6 @@ impl Orb {
             policy: self.config().failover.clone(),
             replica_set: OrderedMutex::new(
                 lock_rank::RESOLVED_STATE,
-                "resolved.state",
                 SetState {
                     replicas,
                     active: None,
@@ -226,7 +247,7 @@ impl Orb {
                     rr: ROTATION.fetch_add(1, Ordering::Relaxed),
                 },
             ),
-            prober: OrderedMutex::new(lock_rank::RESOLVED_PROBER, "resolved.prober", None),
+            prober: OrderedMutex::new(lock_rank::RESOLVED_PROBER, None),
             stop_tx,
             healthy_gauge,
             registry,
@@ -794,6 +815,11 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter(names::QOS_DEGRADATIONS_TOTAL), Some(1));
         assert_eq!(snap.counter(names::FAILOVERS_TOTAL), Some(1));
+        let kinds: Vec<&str> = registry.flight().events().iter().map(|e| e.kind).collect();
+        assert!(
+            kinds.contains(&event::QOS_DEGRADE) && kinds.contains(&event::FAILOVER),
+            "{kinds:?}"
+        );
         resolved.close();
         server_a.close();
         server_b.close();
@@ -830,14 +856,13 @@ mod tests {
         );
         let registry = Arc::new(Registry::new());
         let mut config = client_config(Some(Arc::clone(&registry)));
-        config.fault_plan = Some(Arc::new(
-            cool_faults::FaultPlan::builder()
-                .seed(0x5A3E)
-                .delay(0.3, Duration::from_millis(1))
-                .sever_after(Some(3))
-                .build()
-                .expect("valid plan"),
-        ));
+        let plan = cool_faults::FaultPlan::builder()
+            .seed(0x5A3E)
+            .delay(0.3, Duration::from_millis(1))
+            .sever_after(Some(3))
+            .build()
+            .expect("valid plan");
+        config.fault_plans = Some(Arc::new(cool_faults::PlanSet::default().with_default(plan)));
         // Health must not cut the comparison short: a plain stub has none.
         config.failover.suspect_threshold = u32::MAX;
         config.failover.breaker_threshold = u32::MAX;
@@ -891,16 +916,26 @@ mod tests {
         );
     }
 
+    /// Walks one replica through every health and breaker transition,
+    /// reading the two gauges and the flight events each one emits.
     #[test]
     fn breaker_opens_then_probe_readmits_after_restart() {
         let exchange = LocalExchange::new();
         let (_orb_a, server_a) = echo_server(&exchange, "cycle-a");
         let registry = Arc::new(Registry::new());
-        let client = Orb::with_exchange_and_config(
-            "client",
-            exchange.clone(),
-            client_config(Some(Arc::clone(&registry))),
+        let mut config = client_config(Some(Arc::clone(&registry)));
+        // Two strikes: the first failure leaves the replica suspect and its
+        // breaker closed.
+        config.failover.suspect_threshold = 2;
+        config.failover.breaker_threshold = 2;
+        let cooldown = config.failover.breaker_cooldown;
+        let client = Orb::with_exchange_and_config("client", exchange.clone(), config);
+        let breaker_gauge = Registry::labeled(
+            names::BREAKER_STATE,
+            &[("replica", &server_a.object_ref("svc").addr.to_string())],
         );
+        // A value left by an earlier binding of the same replica.
+        registry.gauge(&breaker_gauge).set(2.0);
         let resolved = client
             .bind_resolved(
                 &[candidate(&server_a, 0)],
@@ -908,47 +943,93 @@ mod tests {
                 Vec::new(),
             )
             .expect("bind");
+        let gauges = || {
+            let snap = registry.snapshot();
+            (
+                snap.gauge(names::REPLICAS_HEALTHY),
+                snap.gauge(&breaker_gauge),
+            )
+        };
+        let states = || {
+            let snap = resolved.replicas();
+            (snap[0].health, snap[0].breaker)
+        };
+        let flights = |kind: &str| {
+            registry
+                .flight()
+                .events()
+                .iter()
+                .filter(|e| e.kind == kind)
+                .count()
+        };
+        let fail = |what: &'static str| {
+            let err = resolved
+                .invoke("echo", Bytes::from_static(b"down"))
+                .expect_err(what);
+            assert!(
+                !matches!(err, OrbError::Timeout { .. }),
+                "{what}: must fail attributed, got {err:?}"
+            );
+        };
+        assert_eq!(
+            gauges(),
+            (Some(1.0), Some(0.0)),
+            "registered: healthy, closed"
+        );
         resolved
             .invoke("echo", Bytes::from_static(b"up"))
             .expect("healthy call");
 
         server_a.close();
-        let err = resolved
-            .invoke("echo", Bytes::from_static(b"down"))
-            .expect_err("whole set down");
-        assert!(
-            !matches!(err, OrbError::Timeout { .. }),
-            "must fail attributed, got {err:?}"
+        fail("first strike");
+        assert_eq!(states(), ("suspect", "closed"));
+        assert_eq!(
+            gauges(),
+            (Some(1.0), Some(0.0)),
+            "a suspect replica stays in rotation"
         );
-        let snap = resolved.replicas();
-        assert_eq!(snap[0].health, "evicted");
-        assert_eq!(snap[0].breaker, "open");
+        let (_orb_a2, server_a2) = echo_server(&exchange, "cycle-a");
+        resolved
+            .invoke("echo", Bytes::from_static(b"back"))
+            .expect("a call resets the streak");
+        assert_eq!(states(), ("healthy", "closed"));
+
+        server_a2.close();
+        fail("first strike again");
+        fail("second strike");
+        assert_eq!(states(), ("evicted", "open"));
+        assert_eq!(gauges(), (Some(0.0), Some(2.0)));
+        assert_eq!(flights(event::REPLICA_EVICTED), 1);
+        assert_eq!(flights(event::BREAKER_OPEN), 1);
+
+        // Cooled down, the breaker half-opens for the sweep's one probe;
+        // the probe fails, the breaker re-opens, the replica stays out.
+        std::thread::sleep(cooldown + Duration::from_millis(10));
+        resolved.probe_all();
+        assert_eq!(states(), ("evicted", "open"));
+        assert_eq!(
+            flights(event::BREAKER_OPEN),
+            2,
+            "the failed trial re-opened it"
+        );
+        assert_eq!(gauges(), (Some(0.0), Some(2.0)));
 
         // Restart the replica under the same name; a probe sweep (the
         // prober thread's body, driven directly here) re-admits it.
-        let (_orb_a2, server_a2) = echo_server(&exchange, "cycle-a");
+        let (_orb_a3, server_a3) = echo_server(&exchange, "cycle-a");
+        std::thread::sleep(cooldown + Duration::from_millis(10));
         resolved.probe_all();
-        let snap = resolved.replicas();
-        assert_eq!(snap[0].health, "healthy");
-        assert_eq!(snap[0].breaker, "closed");
+        assert_eq!(states(), ("healthy", "closed"));
+        assert_eq!(gauges(), (Some(1.0), Some(0.0)));
+        assert_eq!(flights(event::REPLICA_READMITTED), 1);
         resolved
             .invoke("echo", Bytes::from_static(b"back"))
             .expect("call after re-admission");
         let snapshot = registry.snapshot();
-        assert!(
-            snapshot
-                .counter(names::REPLICA_READMISSIONS_TOTAL)
-                .unwrap_or(0)
-                >= 1
-        );
-        assert!(
-            snapshot
-                .counter(names::REPLICA_EVICTIONS_TOTAL)
-                .unwrap_or(0)
-                >= 1
-        );
+        assert_eq!(snapshot.counter(names::REPLICA_READMISSIONS_TOTAL), Some(1));
+        assert_eq!(snapshot.counter(names::REPLICA_EVICTIONS_TOTAL), Some(1));
         resolved.close();
-        server_a2.close();
+        server_a3.close();
     }
 
     #[test]

@@ -199,11 +199,8 @@ impl OrbServer {
         wake: impl Fn() + Send + Sync + 'static,
     ) -> Result<Self, OrbError> {
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<OrderedMutex<Vec<Weak<ConnState>>>> = Arc::new(OrderedMutex::new(
-            lock_rank::SERVER_CONNS,
-            "server.conns",
-            Vec::new(),
-        ));
+        let conns: Arc<OrderedMutex<Vec<Weak<ConnState>>>> =
+            Arc::new(OrderedMutex::new(lock_rank::SERVER_CONNS, Vec::new()));
         let metrics = config
             .telemetry
             .as_ref()
@@ -245,9 +242,9 @@ impl OrbServer {
             addr,
             adapter,
             shutdown,
-            acceptor: OrderedMutex::new(lock_rank::SERVER_ACCEPTOR, "server.acceptor", Some(acceptor)),
-            dispatchers: OrderedMutex::new(lock_rank::SERVER_DISPATCHERS, "server.dispatchers", dispatchers),
-            jobs_tx: OrderedMutex::new(lock_rank::SERVER_JOBS_TX, "server.jobs_tx", Some(jobs_tx)),
+            acceptor: OrderedMutex::new(lock_rank::SERVER_ACCEPTOR, Some(acceptor)),
+            dispatchers: OrderedMutex::new(lock_rank::SERVER_DISPATCHERS, dispatchers),
+            jobs_tx: OrderedMutex::new(lock_rank::SERVER_JOBS_TX, Some(jobs_tx)),
             conns,
             wake: Box::new(wake),
             draining,
@@ -631,7 +628,7 @@ fn attach_connection(
 ) {
     let conn = Arc::new(ConnState {
         channel: channel.clone(),
-        cancelled: OrderedMutex::new(lock_rank::SERVER_CONN_CANCELLED, "server.conn.cancelled", CancelSet::default()),
+        cancelled: OrderedMutex::new(lock_rank::SERVER_CONN_CANCELLED, CancelSet::default()),
     });
     {
         let mut list = conns.lock();
@@ -639,7 +636,7 @@ fn attach_connection(
         list.push(Arc::downgrade(&conn));
     }
     channel.set_sink(Arc::new(ConnSink {
-        conn: OrderedMutex::new(lock_rank::SERVER_SINK_CONN, "server.sink.conn", Some(conn)),
+        conn: OrderedMutex::new(lock_rank::SERVER_SINK_CONN, Some(conn)),
         intake,
     }));
 }

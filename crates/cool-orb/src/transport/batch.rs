@@ -131,7 +131,6 @@ impl BatchingChannel {
             policy,
             queue: OrderedMutex::new(
                 rank::CHAN_BATCH,
-                "chan.batch",
                 BatchState {
                     frames: Vec::new(),
                     bytes: 0,
@@ -154,7 +153,7 @@ impl BatchingChannel {
         Arc::new(BatchingChannel {
             core,
             tick,
-            flusher: OrderedMutex::new(rank::CHAN_FLUSHER, "chan.flusher", handle),
+            flusher: OrderedMutex::new(rank::CHAN_FLUSHER, handle),
         })
     }
 

@@ -191,7 +191,7 @@ impl DacapoComChannel {
                 resource_mgr: resource_mgr.clone(),
                 inbox,
                 closed: AtomicBool::new(false),
-                peer: OrderedMutex::new(lock_rank::CHAN_PEER, "chan.peer", Weak::new()),
+                peer: OrderedMutex::new(lock_rank::CHAN_PEER, Weak::new()),
                 send_metrics: send_metrics.clone(),
             })
         };

@@ -1,18 +1,19 @@
 //! Fault-injecting [`ComChannel`] decorator.
 //!
-//! When [`crate::OrbConfig::fault_plan`] is set, `Orb::binding_for` wraps
-//! every client channel it creates in a [`FaultChannel`] executing the
-//! plan's [`cool_faults::FaultEngine`]. The engine is shared across channel
-//! incarnations (reconnects), so the fault sequence is a deterministic
-//! function of the plan seed and the outbound frame sequence — rerunning a
-//! chaos scenario with the same seed injects bit-identical faults.
+//! When [`crate::OrbConfig::fault_plans`] has a plan for a target,
+//! `Orb::binding_for` wraps every client channel it creates to that target
+//! in a [`FaultChannel`] executing the plan's [`cool_faults::FaultEngine`].
+//! The engine is kept per target and shared across channel incarnations
+//! (reconnects), so the fault sequence is a deterministic function of the
+//! plan seed and the outbound frame sequence — rerunning a chaos scenario
+//! with the same seed injects bit-identical faults.
 //!
 //! Faults apply to the **send** side only: drops, delays, duplicates,
 //! reorders and bit-flips act on outbound frames, and a sever closes the
 //! underlying channel. The receive path (read turns and the reader's
 //! demand included), sink registration and QoS propagation delegate
-//! untouched. When `fault_plan` is `None` no
-//! `FaultChannel` exists at all — the clean path pays nothing.
+//! untouched. A target without a plan gets no `FaultChannel` at all — the
+//! clean path pays nothing.
 
 use crate::error::OrbError;
 use crate::transport::{ComChannel, FrameSink, ReadDemand};

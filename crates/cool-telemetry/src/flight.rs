@@ -90,7 +90,6 @@ impl FlightRecorder {
         FlightRecorder {
             inner: OrderedMutex::new(
                 rank::TELEMETRY_FLIGHT,
-                "telemetry.flight",
                 FlightInner {
                     events: VecDeque::with_capacity(capacity.max(1)),
                     seq: 0,

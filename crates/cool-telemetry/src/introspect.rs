@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::sampler::{GaugeSampler, GaugeSeries, DEFAULT_SERIES_CAPACITY};
+use crate::sampler::{GaugeSampler, GaugeSeries};
 use crate::span::render_spans_json;
 use crate::trace::render_traces_json;
 use crate::Registry;
@@ -48,8 +48,7 @@ impl IntrospectServer {
     ) -> io::Result<IntrospectServer> {
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
-        let sampler =
-            GaugeSampler::start(Arc::clone(&registry), sample_period, DEFAULT_SERIES_CAPACITY)?;
+        let sampler = GaugeSampler::start(Arc::clone(&registry), sample_period)?;
         let series = sampler.series();
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);

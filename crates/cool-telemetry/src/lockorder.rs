@@ -1,9 +1,10 @@
 //! Runtime lock-order deadlock detection.
 //!
 //! Every lock that participates in the ORB's cross-thread protocols is
-//! wrapped in an [`OrderedMutex`] or [`OrderedRwLock`] carrying a numeric
-//! **rank** and a name. In debug builds each acquisition is checked
-//! against a process-global acquisition-order graph:
+//! wrapped in an [`OrderedMutex`] or [`OrderedRwLock`] carrying a
+//! [`Rank`]: a number and the lock's name. In debug builds each
+//! acquisition is checked against a process-global acquisition-order
+//! graph:
 //!
 //! * acquiring a lock while holding another adds the edge
 //!   `held → acquired` to the graph;
@@ -14,10 +15,10 @@
 //! * acquiring two locks of the **same rank** at once is always rejected
 //!   (self-deadlock on reentry, or an AB/BA pair hidden inside one rank).
 //!
-//! The intended discipline is the rank table in `DESIGN.md` §7: ranks
-//! strictly increase along every legal acquisition path, so the graph
-//! stays acyclic by construction and the checker only ever fires on a
-//! genuine ordering bug.
+//! The intended discipline is the table in [`rank`]: ranks strictly
+//! increase along every legal acquisition path, so the graph stays
+//! acyclic by construction and the checker only ever fires on a genuine
+//! ordering bug. cool-analyze's A001 proves the same order statically.
 //!
 //! In release builds all bookkeeping compiles away; the wrappers are
 //! plain mutexes (non-poisoning: a panic elsewhere never wedges the ORB).
@@ -26,122 +27,168 @@ use std::sync::{
     Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
 };
 
-/// The project-wide lock rank table. Ranks strictly increase along every
-/// legal acquisition path; gaps leave room to slot new locks in without
-/// renumbering. The full table with rationale lives in `DESIGN.md` §7.
+/// A lock's place in the acquisition order, and the name lock-order
+/// reports give it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rank {
+    value: u32,
+    name: &'static str,
+}
+
+impl Rank {
+    /// Rank `value` for the lock called `name`; lower values are taken
+    /// first.
+    pub const fn new(value: u32, name: &'static str) -> Self {
+        Rank { value, name }
+    }
+
+    /// Position in the order.
+    pub const fn value(self) -> u32 {
+        self.value
+    }
+
+    /// The lock's name.
+    pub const fn name(self) -> &'static str {
+        self.name
+    }
+}
+
+/// The project-wide lock order, outermost first: ranks strictly increase
+/// along every legal acquisition path. Gaps leave room to slot new locks
+/// in without renumbering — a new lock takes the band matching where in
+/// the call graph it is acquired, and its constant here is the one place
+/// its rank and name are written down.
+///
+/// The Da CaPo band (60–68) interleaves a connection's locks with the two
+/// locks of the module stack it runs (63, 65; `dacapo::runtime`).
 pub mod rank {
-    /// `ResolvedStub::state` — replica health/breaker table of a
-    /// replicated binding; outermost of all: picking a replica precedes
-    /// (and never overlaps) taking any ORB or binding lock.
-    pub const RESOLVED_STATE: u32 = 5;
+    use super::Rank;
+
+    /// `ResolvedStub::replica_set` — a replicated binding's replica table:
+    /// health, breaker, active index and the one bound endpoint. Outermost
+    /// of all: failure bookkeeping runs under it and records flight events,
+    /// and picking a replica precedes (never overlaps) any ORB or binding
+    /// lock.
+    pub const RESOLVED_STATE: Rank = Rank::new(5, "resolved.state");
     /// `ResolvedStub::prober` — liveness-probe thread handle, taken (then
     /// joined outside the lock) at close.
-    pub const RESOLVED_PROBER: u32 = 7;
-    /// `Orb::bindings` — client binding cache; outermost, held while
-    /// tearing bindings down.
-    pub const ORB_BINDINGS: u32 = 10;
+    pub const RESOLVED_PROBER: Rank = Rank::new(7, "resolved.prober");
+    /// `Orb::bindings` — client binding cache; held while tearing down
+    /// everything below.
+    pub const ORB_BINDINGS: Rank = Rank::new(10, "orb.bindings");
     /// `Orb::served` — addresses served by collocated servers.
-    pub const ORB_SERVED: u32 = 11;
+    pub const ORB_SERVED: Rank = Rank::new(11, "orb.served");
     /// `Orb::introspect` — the live introspection endpoint handle; taken
     /// only at shutdown, never while serving a request.
-    pub const ORB_INTROSPECT: u32 = 12;
-    /// `Orb::fault_engines` — per-target fault engines, cached so a
-    /// reconnect replays the same deterministic fault schedule.
-    pub const ORB_FAULT_ENGINES: u32 = 13;
+    pub const ORB_INTROSPECT: Rank = Rank::new(12, "orb.introspect");
+    /// `Orb::fault_engines` — per-target fault engines
+    /// (`OrbConfig::fault_plans`), cached so a reconnect replays the same
+    /// deterministic fault schedule; taken briefly at dial time.
+    pub const ORB_FAULT_ENGINES: Rank = Rank::new(13, "orb.fault_engines");
     /// `Exchange::registry` — in-process transport listener registry.
-    pub const EXCHANGE_REGISTRY: u32 = 20;
+    pub const EXCHANGE_REGISTRY: Rank = Rank::new(20, "exchange.registry");
     /// `OrbServer::conns` — live server-side connection list.
-    pub const SERVER_CONNS: u32 = 30;
+    pub const SERVER_CONNS: Rank = Rank::new(30, "server.conns");
     /// `OrbServer::acceptor` — acceptor thread handle.
-    pub const SERVER_ACCEPTOR: u32 = 31;
+    pub const SERVER_ACCEPTOR: Rank = Rank::new(31, "server.acceptor");
     /// `OrbServer::dispatchers` — dispatcher thread handles.
-    pub const SERVER_DISPATCHERS: u32 = 32;
+    pub const SERVER_DISPATCHERS: Rank = Rank::new(32, "server.dispatchers");
     /// `OrbServer::jobs_tx` — dispatch queue sender.
-    pub const SERVER_JOBS_TX: u32 = 33;
+    pub const SERVER_JOBS_TX: Rank = Rank::new(33, "server.jobs_tx");
     /// `ConnState::cancelled` — per-connection cancel set.
-    pub const SERVER_CONN_CANCELLED: u32 = 35;
+    pub const SERVER_CONN_CANCELLED: Rank = Rank::new(35, "server.conn.cancelled");
     /// `ConnSink::conn` — sink's handle on its connection state.
-    pub const SERVER_SINK_CONN: u32 = 36;
+    pub const SERVER_SINK_CONN: Rank = Rank::new(36, "server.sink.conn");
     /// `Binding::reconnect_gate` — serializes reconnect attempts; held
     /// across the whole re-establishment (conn swap, pending flush, QoS
     /// replay), so it sits below every other binding lock.
-    pub const BINDING_RECONNECT: u32 = 37;
+    pub const BINDING_RECONNECT: Rank = Rank::new(37, "binding.reconnect_gate");
     /// `Binding::conn` — current channel incarnation (swapped on
     /// reconnect).
-    pub const BINDING_CONN: u32 = 38;
+    pub const BINDING_CONN: Rank = Rank::new(38, "binding.conn");
     /// `Binding::last_qos` — transport requirements to replay after a
     /// reconnect.
-    pub const BINDING_LAST_QOS: u32 = 39;
-    /// `Binding::pending` — in-flight request slots.
-    pub const BINDING_PENDING: u32 = 40;
+    pub const BINDING_LAST_QOS: Rank = Rank::new(39, "binding.last_qos");
+    /// `Binding::pending` — in-flight request slots (the reply demux).
+    pub const BINDING_PENDING: Rank = Rank::new(40, "binding.pending");
     /// `BatchingChannel::queue` — frames coalescing toward one transport
     /// frame. Above the binding locks (send paths hold none deeper) and
     /// below the channel locks the inner `send_frame` may take.
-    pub const CHAN_BATCH: u32 = 42;
+    pub const CHAN_BATCH: Rank = Rank::new(42, "chan.batch");
     /// `BatchingChannel::flusher` — the flusher thread's `JoinHandle`,
     /// taken (then joined outside the lock) at close. Sits just above
     /// `chan.batch`: close flushes the queue before reaping the thread.
-    pub const CHAN_FLUSHER: u32 = 43;
+    pub const CHAN_FLUSHER: Rank = Rank::new(43, "chan.flusher");
     /// `Invoker::per_stub` — what one logical stub carries from call to
     /// call: QoS operating point (offered spec, degradation ladder, steps
-    /// taken), last granted QoS, call timeout. Never held across a call.
-    pub const STUB_STATE: u32 = 44;
+    /// taken), last granted QoS, call timeout. A resolved binding has one
+    /// for all its replicas. Never held across a call.
+    pub const STUB_STATE: Rank = Rank::new(44, "stub.state");
     /// `dacapo_chan::Inner::peer` — control path to the pair's other end.
-    pub const CHAN_PEER: u32 = 50;
-    /// `Connection::stack` — running module stack (held across rebuild).
-    pub const CONNECTION_STACK: u32 = 60;
-    /// `dacapo::runtime::RxPump` forward slot — the uplink of the stack the
-    /// connection's receive thread currently runs (held across a stack
-    /// swap, under `connection.stack`; taken per frame and per tick by the
-    /// receive thread, for as long as it runs that stack's modules).
-    pub const CONNECTION_UPLINK: u32 = 61;
+    pub const CHAN_PEER: Rank = Rank::new(50, "chan.peer");
+    /// `Connection::stack` — running module stack, held across a stack
+    /// swap.
+    pub const CONNECTION_STACK: Rank = Rank::new(60, "connection.stack");
+    /// `dacapo::runtime::RxPump` forward slot — the uplink through which
+    /// the connection's receive thread enters the current stack. Taken
+    /// under `connection.stack` for the swap itself, which parks the
+    /// receive thread with any frame it reads meanwhile; taken per frame
+    /// and per tick by the receive thread, for as long as it runs that
+    /// stack's modules.
+    pub const CONNECTION_UPLINK: Rank = Rank::new(61, "connection.uplink");
     /// `Connection::endpoint` — application endpoint of the stack.
-    pub const CONNECTION_ENDPOINT: u32 = 62;
+    pub const CONNECTION_ENDPOINT: Rank = Rank::new(62, "connection.endpoint");
     /// `dacapo::runtime` writer lock of a stack — whoever holds it writes
-    /// the stack's wire-bound frames to the transport, in order. Senders
-    /// and the connection's writer thread wait for it (a full wire is their
-    /// backpressure); the receive thread only ever tries it — to learn
-    /// whether somebody is writing, and to write what a sink callback sent.
-    pub const STACK_WRITER: u32 = 63;
+    /// the stack's wire-bound frames to the transport, in order, and takes
+    /// `stack.chain` under it to fetch them, never the other way round.
+    /// Senders and the connection's writer thread wait for it, holding
+    /// nothing else (a full wire is their backpressure); the receive
+    /// thread takes it right after `connection.uplink` and only ever tries
+    /// it — to learn whether somebody is writing, and to write what a sink
+    /// callback sent.
+    pub const STACK_WRITER: Rank = Rank::new(63, "stack.writer");
     /// `Connection::graph` — module graph currently running.
-    pub const CONNECTION_GRAPH: u32 = 64;
-    /// `dacapo::runtime` stack lock — the modules of a stack and the queues
-    /// between them. Taken under `connection.uplink` by the receive thread
-    /// and under `stack.writer` to fetch what is to be written; never held
-    /// across a transport call, a wait or an application callback.
-    pub const STACK_CHAIN: u32 = 65;
+    pub const CONNECTION_GRAPH: Rank = Rank::new(64, "connection.graph");
+    /// `dacapo::runtime` stack lock — the modules of a stack, their
+    /// queues, and the deques for the wire and for the application. Taken
+    /// under `connection.uplink` by the receive thread and under
+    /// `stack.writer` to fetch what is to be written; never held across a
+    /// transport write, a wait or an application callback.
+    pub const STACK_CHAIN: Rank = Rank::new(65, "stack.chain");
     /// `Connection::params` — module parameters.
-    pub const CONNECTION_PARAMS: u32 = 66;
-    /// `Connection::grant` — the resource grant of this side of the
-    /// connection (held while it is exchanged at a renegotiation).
-    pub const CONNECTION_GRANT: u32 = 68;
-    /// `ResourceManager`/`ResourceGrant` usage ledger — innermost; taken
-    /// by admission and by every grant drop.
-    pub const RESOURCE_USAGE: u32 = 70;
+    pub const CONNECTION_PARAMS: Rank = Rank::new(66, "connection.params");
+    /// `Connection::grant` — this side's one resource grant, from
+    /// establishment to close; held while a renegotiation exchanges it on
+    /// the ledger below.
+    pub const CONNECTION_GRANT: Rank = Rank::new(68, "connection.grant");
+    /// `ResourceManager`/`ResourceGrant` usage ledger — admission;
+    /// innermost of the data path, taken by every grant drop.
+    pub const RESOURCE_USAGE: Rank = Rank::new(70, "resource.usage");
     /// `TraceStore::inner` — merged distributed-trace store. Leaf: taken
     /// with no other telemetry lock held, from code that may hold any of
     /// the locks above.
-    pub const TELEMETRY_TRACES: u32 = 90;
+    pub const TELEMETRY_TRACES: Rank = Rank::new(90, "telemetry.traces");
     /// `FlightRecorder::inner` — bounded event ring. Leaf; events are
     /// recorded from arbitrary call sites, so it must sit below nothing.
-    pub const TELEMETRY_FLIGHT: u32 = 92;
-    /// `GaugeSeries::inner` — sampled gauge time series. Leaf; written by
-    /// the sampler thread, read by the introspection endpoint.
-    pub const TELEMETRY_GAUGES: u32 = 94;
+    pub const TELEMETRY_FLIGHT: Rank = Rank::new(92, "telemetry.flight");
+    /// `GaugeSeries::inner` — sampled gauge time series; innermost of
+    /// all. Written by the sampler thread, read by the introspection
+    /// endpoint.
+    pub const TELEMETRY_GAUGES: Rank = Rank::new(94, "telemetry.gauges");
 }
 
 #[cfg(debug_assertions)]
 mod check {
+    use super::Rank;
     use std::cell::RefCell;
     use std::collections::{HashMap, HashSet};
     use std::sync::{Mutex, OnceLock, PoisonError};
 
-    /// Directed acquisition-order graph over ranks, plus rank → name for
-    /// reporting. Grows monotonically for the life of the process.
+    /// Directed acquisition-order graph over rank values. Grows
+    /// monotonically for the life of the process.
     #[derive(Default)]
     struct Graph {
         edges: HashMap<u32, HashSet<u32>>,
-        names: HashMap<u32, &'static str>,
     }
 
     impl Graph {
@@ -170,80 +217,67 @@ mod check {
 
     thread_local! {
         /// Locks currently held by this thread, in acquisition order.
-        static HELD: RefCell<Vec<(u32, &'static str)>> = const { RefCell::new(Vec::new()) };
+        static HELD: RefCell<Vec<Rank>> = const { RefCell::new(Vec::new()) };
     }
 
     /// Records (and validates) an acquisition; the returned token must be
     /// dropped when the guard is released.
     #[derive(Debug)]
     pub(super) struct Token {
-        rank: u32,
+        rank: Rank,
     }
 
     impl Drop for Token {
         fn drop(&mut self) {
             HELD.with(|held| {
                 let mut held = held.borrow_mut();
-                if let Some(pos) = held.iter().rposition(|&(r, _)| r == self.rank) {
+                if let Some(pos) = held.iter().rposition(|&r| r == self.rank) {
                     held.remove(pos);
                 }
             });
         }
     }
 
-    /// Checks `rank`/`name` against everything this thread already holds,
+    /// Checks `acquired` against everything this thread already holds,
     /// recording new edges. Panics on a same-rank acquisition or on any
     /// edge that closes a cycle in the global graph.
-    pub(super) fn acquire(rank: u32, name: &'static str) -> Token {
+    pub(super) fn acquire(acquired: Rank) -> Token {
         HELD.with(|held| {
-            let snapshot: Vec<(u32, &'static str)> = held.borrow().clone();
+            let snapshot: Vec<Rank> = held.borrow().clone();
+            let (rank, name) = (acquired.value(), acquired.name());
             if !snapshot.is_empty() {
                 // Check + insert must be one atomic step: two threads
                 // racing an AB/BA pair must serialize here so exactly the
                 // second edge is caught closing the cycle.
-                let mut g = graph()
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                g.names.insert(rank, name);
-                for &(held_rank, held_name) in &snapshot {
+                let mut g = graph().lock().unwrap_or_else(PoisonError::into_inner);
+                for held_lock in &snapshot {
+                    let (held_rank, held_name) = (held_lock.value(), held_lock.name());
                     assert!(
                         held_rank != rank,
                         "lock-order violation: acquiring `{name}` (rank {rank}) while \
                          holding `{held_name}` (rank {held_rank}); same-rank \
                          acquisition is never allowed"
                     );
-                    if g.reaches(rank, held_rank) {
-                        let path_hint = g
-                            .names
-                            .get(&held_rank)
-                            .copied()
-                            .unwrap_or("<unnamed>");
-                        panic!(
-                            "lock-order cycle: acquiring `{name}` (rank {rank}) while \
-                             holding `{held_name}` (rank {held_rank}), but the order \
-                             rank {rank} -> rank {held_rank} (`{name}` before \
-                             `{path_hint}`) is already established elsewhere"
-                        );
-                    }
+                    assert!(
+                        !g.reaches(rank, held_rank),
+                        "lock-order cycle: acquiring `{name}` (rank {rank}) while \
+                         holding `{held_name}` (rank {held_rank}), but the order \
+                         rank {rank} -> rank {held_rank} is already established \
+                         elsewhere"
+                    );
                     g.edges.entry(held_rank).or_default().insert(rank);
                 }
-            } else {
-                let mut g = graph()
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                g.names.insert(rank, name);
             }
-            held.borrow_mut().push((rank, name));
+            held.borrow_mut().push(acquired);
         });
-        Token { rank }
+        Token { rank: acquired }
     }
 }
 
 /// A mutex with a lock-order rank, checked in debug builds.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct OrderedMutex<T> {
-    rank: u32,
-    name: &'static str,
+    rank: Rank,
     inner: Mutex<T>,
 }
 
@@ -256,12 +290,10 @@ pub struct OrderedMutexGuard<'a, T> {
 }
 
 impl<T> OrderedMutex<T> {
-    /// Wraps `value` under `rank`/`name` (see the rank table in
-    /// `DESIGN.md` §7).
-    pub const fn new(rank: u32, name: &'static str, value: T) -> Self {
+    /// Wraps `value` under `rank` (one of the [`rank`] constants).
+    pub const fn new(rank: Rank, value: T) -> Self {
         OrderedMutex {
             rank,
-            name,
             inner: Mutex::new(value),
         }
     }
@@ -273,7 +305,7 @@ impl<T> OrderedMutex<T> {
         // Validate before blocking: an ordering bug reports instead of
         // deadlocking.
         #[cfg(debug_assertions)]
-        let token = check::acquire(self.rank, self.name);
+        let token = check::acquire(self.rank);
         OrderedMutexGuard {
             guard: self
                 .inner
@@ -290,7 +322,7 @@ impl<T> OrderedMutex<T> {
     /// on the same path would.
     pub fn try_lock(&self) -> Option<OrderedMutexGuard<'_, T>> {
         #[cfg(debug_assertions)]
-        let token = check::acquire(self.rank, self.name);
+        let token = check::acquire(self.rank);
         let guard = match self.inner.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
@@ -303,14 +335,9 @@ impl<T> OrderedMutex<T> {
         })
     }
 
-    /// This lock's rank.
-    pub fn rank(&self) -> u32 {
+    /// This lock's rank and name.
+    pub fn rank(&self) -> Rank {
         self.rank
-    }
-
-    /// This lock's name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -331,10 +358,9 @@ impl<T> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
 ///
 /// Readers and writers are ranked identically: a read acquisition can
 /// participate in exactly the same deadlock cycles as a write.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct OrderedRwLock<T> {
-    rank: u32,
-    name: &'static str,
+    rank: Rank,
     inner: RwLock<T>,
 }
 
@@ -355,11 +381,10 @@ pub struct OrderedWriteGuard<'a, T> {
 }
 
 impl<T> OrderedRwLock<T> {
-    /// Wraps `value` under `rank`/`name`.
-    pub const fn new(rank: u32, name: &'static str, value: T) -> Self {
+    /// Wraps `value` under `rank`.
+    pub const fn new(rank: Rank, value: T) -> Self {
         OrderedRwLock {
             rank,
-            name,
             inner: RwLock::new(value),
         }
     }
@@ -367,7 +392,7 @@ impl<T> OrderedRwLock<T> {
     /// Acquires shared access under the lock-order check.
     pub fn read(&self) -> OrderedReadGuard<'_, T> {
         #[cfg(debug_assertions)]
-        let token = check::acquire(self.rank, self.name);
+        let token = check::acquire(self.rank);
         OrderedReadGuard {
             guard: self
                 .inner
@@ -381,7 +406,7 @@ impl<T> OrderedRwLock<T> {
     /// Acquires exclusive access under the lock-order check.
     pub fn write(&self) -> OrderedWriteGuard<'_, T> {
         #[cfg(debug_assertions)]
-        let token = check::acquire(self.rank, self.name);
+        let token = check::acquire(self.rank);
         OrderedWriteGuard {
             guard: self
                 .inner
@@ -392,14 +417,9 @@ impl<T> OrderedRwLock<T> {
         }
     }
 
-    /// This lock's rank.
-    pub fn rank(&self) -> u32 {
+    /// This lock's rank and name.
+    pub fn rank(&self) -> Rank {
         self.rank
-    }
-
-    /// This lock's name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -433,8 +453,9 @@ mod tests {
 
     #[test]
     fn ordered_acquisition_passes() {
-        let a = OrderedMutex::new(9010, "test.a", 1);
-        let b = OrderedMutex::new(9011, "test.b", 2);
+        let (r_a, r_b) = (Rank::new(9010, "test.a"), Rank::new(9011, "test.b"));
+        let a = OrderedMutex::new(r_a, 1);
+        let b = OrderedMutex::new(r_b, 2);
         let ga = a.lock();
         let gb = b.lock();
         assert_eq!(*ga + *gb, 3);
@@ -442,7 +463,8 @@ mod tests {
 
     #[test]
     fn release_and_reacquire_is_clean() {
-        let a = OrderedMutex::new(9020, "test.re", 0);
+        let r_re = Rank::new(9020, "test.re");
+        let a = OrderedMutex::new(r_re, 0);
         for _ in 0..3 {
             let mut g = a.lock();
             *g += 1;
@@ -451,27 +473,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank 9031")]
+    #[should_panic(
+        expected = "acquiring `test.ab.a` (rank 9030) while holding `test.ab.b` (rank 9031)"
+    )]
     fn ab_ba_inversion_panics_naming_both_ranks() {
-        let a = Arc::new(OrderedMutex::new(9030, "test.ab.a", ()));
-        let b = Arc::new(OrderedMutex::new(9031, "test.ab.b", ()));
+        let (r_a, r_b) = (Rank::new(9030, "test.ab.a"), Rank::new(9031, "test.ab.b"));
+        let a = Arc::new(OrderedMutex::new(r_a, ()));
+        let b = Arc::new(OrderedMutex::new(r_b, ()));
         // Establish a -> b.
         {
             let _ga = a.lock();
             let _gb = b.lock();
         }
-        // Invert: b -> a must die with a cycle report. The message names
-        // both ranks (9030 asserted via the expected fragment of the
-        // sibling test below; 9031 here).
+        // Invert: b -> a must die with a cycle report naming both locks,
+        // each by the name its `Rank` carries.
         let _gb = b.lock();
         let _ga = a.lock();
     }
 
     #[test]
-    #[should_panic(expected = "rank 9040")]
+    #[should_panic(
+        expected = "acquiring `test.same.b` (rank 9040) while holding `test.same.a` (rank 9040)"
+    )]
     fn same_rank_acquisition_panics() {
-        let a = OrderedMutex::new(9040, "test.same.a", ());
-        let b = OrderedMutex::new(9040, "test.same.b", ());
+        let (r_a, r_b) = (
+            Rank::new(9040, "test.same.a"),
+            Rank::new(9040, "test.same.b"),
+        );
+        let a = OrderedMutex::new(r_a, ());
+        let b = OrderedMutex::new(r_b, ());
         let _ga = a.lock();
         let _gb = b.lock();
     }
@@ -479,8 +509,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "lock-order cycle")]
     fn rwlock_participates_in_cycles() {
-        let m = OrderedMutex::new(9050, "test.rw.m", ());
-        let rw = OrderedRwLock::new(9051, "test.rw.rw", ());
+        let (r_m, r_rw) = (Rank::new(9050, "test.rw.m"), Rank::new(9051, "test.rw.rw"));
+        let m = OrderedMutex::new(r_m, ());
+        let rw = OrderedRwLock::new(r_rw, ());
         {
             let _gm = m.lock();
             let _gr = rw.read();
@@ -491,10 +522,11 @@ mod tests {
 
     #[test]
     fn cross_thread_inversion_is_caught() {
+        let (r_a, r_b) = (Rank::new(9060, "test.x.a"), Rank::new(9061, "test.x.b"));
         // Thread 1 establishes a -> b; thread 2 then tries b -> a and
         // must panic. Joined sequentially so the order is deterministic.
-        let a = Arc::new(OrderedMutex::new(9060, "test.x.a", ()));
-        let b = Arc::new(OrderedMutex::new(9061, "test.x.b", ()));
+        let a = Arc::new(OrderedMutex::new(r_a, ()));
+        let b = Arc::new(OrderedMutex::new(r_b, ()));
         {
             let (a, b) = (a.clone(), b.clone());
             std::thread::spawn(move || {

@@ -44,14 +44,6 @@ impl Registry {
         Registry::default()
     }
 
-    /// Creates a registry whose recent-span ring holds `ring` spans.
-    pub fn with_span_capacity(ring: usize) -> Self {
-        Registry {
-            spans: SpanStore::with_capacity(ring),
-            ..Registry::default()
-        }
-    }
-
     /// Builds a labeled metric name: `labeled("x", &[("k", "v")])` →
     /// `x{k="v"}`.
     pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {

@@ -53,7 +53,6 @@ impl GaugeSeries {
         GaugeSeries {
             inner: OrderedMutex::new(
                 rank::TELEMETRY_GAUGES,
-                "telemetry.gauges",
                 SeriesInner {
                     series: BTreeMap::new(),
                 },
@@ -151,9 +150,10 @@ pub struct GaugeSampler {
 
 impl GaugeSampler {
     /// Spawns the sampler thread; it takes one pass every `period` until
-    /// the sampler is stopped or dropped.
-    pub fn start(registry: Arc<Registry>, period: Duration, capacity: usize) -> io::Result<Self> {
-        let series = Arc::new(GaugeSeries::with_capacity(capacity));
+    /// the sampler is stopped or dropped, keeping the last
+    /// [`DEFAULT_SERIES_CAPACITY`] samples of each gauge.
+    pub fn start(registry: Arc<Registry>, period: Duration) -> io::Result<Self> {
+        let series = Arc::new(GaugeSeries::with_capacity(DEFAULT_SERIES_CAPACITY));
         let signal = Arc::new(StopSignal {
             stopped: Mutex::new(false),
             cv: Condvar::new(),
@@ -237,9 +237,8 @@ mod tests {
     fn sampler_collects_and_stops() {
         let registry = Arc::new(Registry::new());
         registry.gauge("queue_depth").set(3.0);
-        let mut sampler =
-            GaugeSampler::start(Arc::clone(&registry), Duration::from_millis(2), 64)
-                .expect("spawn sampler");
+        let mut sampler = GaugeSampler::start(Arc::clone(&registry), Duration::from_millis(2))
+            .expect("spawn sampler");
         let series = sampler.series();
         let deadline = Instant::now() + Duration::from_secs(5);
         while series.samples("queue_depth").is_empty() && Instant::now() < deadline {

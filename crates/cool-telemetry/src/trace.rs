@@ -198,7 +198,6 @@ impl TraceStore {
         TraceStore {
             inner: OrderedMutex::new(
                 rank::TELEMETRY_TRACES,
-                "telemetry.traces",
                 TraceInner {
                     recent: VecDeque::with_capacity(capacity.max(1)),
                     capacity: capacity.max(1),

@@ -195,20 +195,16 @@ impl Connection {
             )?
         };
         Ok(Connection {
-            stack: OrderedMutex::new(lock_rank::CONNECTION_STACK, "connection.stack", Some(stack)),
+            stack: OrderedMutex::new(lock_rank::CONNECTION_STACK, Some(stack)),
             pump,
-            endpoint: OrderedMutex::new(
-                lock_rank::CONNECTION_ENDPOINT,
-                "connection.endpoint",
-                endpoint,
-            ),
-            graph: OrderedMutex::new(lock_rank::CONNECTION_GRAPH, "connection.graph", graph),
-            params: OrderedMutex::new(lock_rank::CONNECTION_PARAMS, "connection.params", params),
+            endpoint: OrderedMutex::new(lock_rank::CONNECTION_ENDPOINT, endpoint),
+            graph: OrderedMutex::new(lock_rank::CONNECTION_GRAPH, graph),
+            params: OrderedMutex::new(lock_rank::CONNECTION_PARAMS, params),
             ctx,
             transport,
             catalog: catalog.clone(),
             opts,
-            grant: OrderedMutex::new(lock_rank::CONNECTION_GRANT, "connection.grant", grant),
+            grant: OrderedMutex::new(lock_rank::CONNECTION_GRANT, grant),
             life,
         })
     }

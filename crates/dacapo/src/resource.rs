@@ -60,7 +60,6 @@ impl ResourceManager {
             budget,
             usage: Arc::new(OrderedMutex::new(
                 lock_rank::RESOURCE_USAGE,
-                "resource.usage",
                 Usage::default(),
             )),
         }

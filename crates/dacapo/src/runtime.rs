@@ -912,7 +912,6 @@ impl RxPump {
         let pump = RxPump {
             slot: Arc::new(OrderedMutex::new(
                 lock_rank::CONNECTION_UPLINK,
-                "connection.uplink",
                 Some(stack.stack.clone()),
             )),
             sink: Arc::new(SinkSlot::default()),
@@ -1064,7 +1063,6 @@ pub fn build_stack(
         idle: stages.iter().map(|_| AtomicBool::new(true)).collect(),
         chain: OrderedMutex::new(
             lock_rank::STACK_CHAIN,
-            "stack.chain",
             Chain {
                 stages,
                 queued: 0,
@@ -1075,7 +1073,7 @@ pub fn build_stack(
                 wire_ended: false,
             },
         ),
-        writer: OrderedMutex::new(lock_rank::STACK_WRITER, "stack.writer", VecDeque::new()),
+        writer: OrderedMutex::new(lock_rank::STACK_WRITER, VecDeque::new()),
         transport,
         stopped: AtomicBool::new(false),
         quiesce: QuiesceSignal::default(),

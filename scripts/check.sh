@@ -40,9 +40,9 @@ cargo test -q --release -p cool-orb --lib dacapo_chan
 # The analyzer (DESIGN §7.1), one pass over every .rs file. Per-file
 # invariants: poll loops, unwraps, buffer copies, unbounded invocation
 # loops. Whole-workspace analysis: error-variant test coverage, lock ranks
-# against the §7.2 table, blocking under a lock, codec symmetry, telemetry
-# names, channel topology against §7.4, condvar wait graph, spawn/join
-# lifecycle, hang-freedom against the §8.5 drain registry, state machines
-# against §8.4, error attribution. The gate is the exit code: non-zero on
-# any finding. SARIF is for PR annotations.
+# strictly increasing along every path, blocking under a lock, codec
+# symmetry, telemetry names, channel topology against §7.4, condvar wait
+# graph, spawn/join lifecycle, hang-freedom against the §8.5 drain
+# registry, error attribution. The gate is the exit code: non-zero on any
+# finding. SARIF is for PR annotations.
 cargo run -q --release -p cool-analyze -- --sarif-out analyze-report.sarif

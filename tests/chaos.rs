@@ -107,7 +107,7 @@ fn run_chaos(seed: u64) -> ChaosRun {
             seed,
             budget: Duration::from_secs(2),
         }),
-        fault_plan: Some(Arc::new(seeded_plan(seed))),
+        fault_plans: Some(Arc::new(PlanSet::default().with_default(seeded_plan(seed)))),
         ..OrbConfig::default()
     };
     let client_orb = Orb::with_exchange_and_config("chaos-client", exchange, config);
