@@ -17,8 +17,9 @@
 //!   views into the shared frame instead of fresh `Vec<u8>`s,
 //! * [`encode_message`] / [`decode_message`] for whole in-memory frames
 //!   (thin wrappers over the above),
-//! * [`join_frames`] / [`split_frames`] — frame batching: GIOP frames are
-//!   self-delimiting, so a receiver can always split a coalesced batch,
+//! * [`join_frames`] / [`split_frames`] — several messages in one transport
+//!   frame: GIOP frames are self-delimiting, so a receiver can always split
+//!   them,
 //! * [`MessageReader`] for incremental decoding from a byte stream
 //!   (TCP-like transports deliver arbitrary chunks),
 //! * [`read_message`] / [`write_message`] blocking helpers over

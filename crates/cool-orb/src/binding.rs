@@ -39,7 +39,7 @@
 use crate::config::OrbConfig;
 use crate::error::OrbError;
 use crate::message_layer::{self, Event, WireProtocol};
-use crate::transport::{ComChannel, FrameSink, Owed, ReadDemand};
+use crate::transport::{deadline_after, ComChannel, FrameSink, Owed, ReadDemand};
 use bytes::Bytes;
 use cool_giop::prelude::{ByteOrder, QoSParameter, RequestTraceContext};
 use cool_telemetry::flight::event as flight_event;
@@ -165,7 +165,7 @@ impl Pending {
         timeout: Duration,
         conn: &ConnHandle,
     ) -> ReplyResult {
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_after(timeout);
         let received = loop {
             if !conn.channel.read_turn(deadline, &|| !rx.is_empty()) {
                 if let Some(demand) = &conn.demand {

@@ -61,13 +61,6 @@ pub struct OrbConfig {
     /// continues the same deterministic fault schedule. Production configs
     /// must leave this `None`.
     pub fault_plans: Option<Arc<PlanSet>>,
-    /// Opportunistic frame batching. `None` (the default) sends every GIOP
-    /// frame as its own transport frame; `Some` wraps each channel this ORB
-    /// creates in a coalescer that packs small frames together (GIOP frames
-    /// self-delimit, so receivers split batches unconditionally). Trades a
-    /// bounded delay for per-frame overhead — the paper's Figure 9
-    /// small-packet regime.
-    pub batching: Option<BatchingPolicy>,
     /// Live introspection endpoint. `None` (the default) starts nothing —
     /// no listener, no sampler thread, zero cost. `Some` makes the ORB
     /// serve `/metrics`, `/spans`, `/flight` and `/gauges?window=` over a
@@ -141,31 +134,6 @@ impl Default for IntrospectPolicy {
     }
 }
 
-/// Limits for the opportunistic frame coalescer (see
-/// [`OrbConfig::batching`]). A batch is flushed as soon as it reaches
-/// `max_frames` or `max_bytes`, or when the oldest queued frame has waited
-/// `max_delay`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchingPolicy {
-    /// Flush after this many queued frames.
-    pub max_frames: usize,
-    /// Flush once the queued frames total this many bytes. Frames larger
-    /// than this are sent immediately (never held back).
-    pub max_bytes: usize,
-    /// Longest a queued frame may wait before the batch is flushed.
-    pub max_delay: Duration,
-}
-
-impl Default for BatchingPolicy {
-    fn default() -> Self {
-        BatchingPolicy {
-            max_frames: 16,
-            max_bytes: 16 * 1024,
-            max_delay: Duration::from_micros(200),
-        }
-    }
-}
-
 impl PartialEq for OrbConfig {
     fn eq(&self, other: &Self) -> bool {
         let same_registry = match (&self.telemetry, &other.telemetry) {
@@ -184,7 +152,6 @@ impl PartialEq for OrbConfig {
             && self.tracing == other.tracing
             && self.retry == other.retry
             && same_plans
-            && self.batching == other.batching
             && self.introspect == other.introspect
             && self.failover == other.failover
     }
@@ -199,7 +166,6 @@ impl Default for OrbConfig {
             tracing: true,
             retry: None,
             fault_plans: None,
-            batching: None,
             introspect: None,
             failover: FailoverPolicy::default(),
         }
@@ -219,7 +185,6 @@ mod tests {
         assert!(c.tracing, "tracing is on by default when telemetry is");
         assert!(c.retry.is_none(), "retry must be opt-in");
         assert!(c.fault_plans.is_none(), "fault injection must be opt-in");
-        assert!(c.batching.is_none(), "frame batching must be opt-in");
         assert!(c.introspect.is_none(), "introspection must be opt-in");
         assert!(c.failover.probe_period > Duration::ZERO);
         assert!(c.failover.probe_timeout < c.call_timeout);
@@ -291,21 +256,6 @@ mod tests {
             ..OrbConfig::default()
         };
         assert_ne!(b, d);
-    }
-
-    #[test]
-    fn equality_covers_batching() {
-        let a = OrbConfig::default();
-        let b = OrbConfig {
-            batching: Some(BatchingPolicy::default()),
-            ..OrbConfig::default()
-        };
-        assert_ne!(a, b);
-        let c = OrbConfig {
-            batching: Some(BatchingPolicy::default()),
-            ..OrbConfig::default()
-        };
-        assert_eq!(b, c);
     }
 
     #[test]

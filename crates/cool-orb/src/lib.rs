@@ -73,7 +73,7 @@ pub mod transport;
 pub use adapter::ObjectAdapter;
 pub use binding::{Binding, DeferredReply};
 pub use cool_faults::{FaultAction, FaultEngine, FaultPlan, FaultPlanBuilder, PlanSet};
-pub use config::{BatchingPolicy, FailoverPolicy, IntrospectPolicy, OrbConfig};
+pub use config::{FailoverPolicy, IntrospectPolicy, OrbConfig};
 pub use error::OrbError;
 pub use exchange::LocalExchange;
 pub use object::{ObjectKey, ObjectRef, OrbAddr};
@@ -91,7 +91,7 @@ pub use stream::{
 pub mod prelude {
     pub use crate::adapter::ObjectAdapter;
     pub use crate::binding::{Binding, DeferredReply};
-    pub use crate::config::{BatchingPolicy, FailoverPolicy, IntrospectPolicy, OrbConfig};
+    pub use crate::config::{FailoverPolicy, IntrospectPolicy, OrbConfig};
     pub use cool_faults::{FaultPlan, FaultPlanBuilder, PlanSet};
     pub use crate::error::OrbError;
     pub use crate::exchange::LocalExchange;

@@ -187,10 +187,10 @@ pub(crate) enum Event {
 
 /// Decodes an inbound frame — its protocol told by the magic — and hands
 /// each message in it to `handle`, in wire order, until `handle` returns
-/// `false` (the connection is over; the rest of a batch is not looked at).
+/// `false` (the connection is over; the rest of the frame is not looked at).
 /// Returns whether every message was accepted. GIOP frames self-delimit,
-/// so a transport frame may be a batch of several (a batching peer): it is
-/// split here — zero-copy views, a non-batched frame yields exactly itself.
+/// so a peer may pack several messages into one transport frame: it is
+/// split here — zero-copy views, a one-message frame yields exactly itself.
 pub(crate) fn decode_frame(frame: &Bytes, mut handle: impl FnMut(Event) -> bool) -> bool {
     match frame.get(..4) {
         Some(b"GIOP") => split_frames(frame).all(|sub| handle(giop::event(sub))),

@@ -238,17 +238,14 @@ impl Orb {
     }
 
     /// Dials `addr`, consulting the fault engine (connect refusal) and
-    /// wrapping the channel in a [`FaultChannel`] when a plan is active,
-    /// then in a [`crate::transport::BatchingChannel`] when batching is
-    /// configured (outermost, so a coalesced batch crosses the fault model
-    /// as one wire frame). Shared by the first connect and every
-    /// reconnect, so both paths see identical behaviour.
+    /// wrapping the channel in a [`FaultChannel`] when a plan is active.
+    /// Shared by the first connect and every reconnect, so both paths see
+    /// identical behaviour.
     fn dial(
         exchange: &LocalExchange,
         addr: &OrbAddr,
         telemetry: Option<&Arc<Registry>>,
         engine: Option<&Arc<FaultEngine>>,
-        batching: Option<crate::config::BatchingPolicy>,
     ) -> Result<Arc<dyn ComChannel>, OrbError> {
         if let Some(engine) = engine {
             if !engine.allow_connect() {
@@ -279,15 +276,9 @@ impl Orb {
                 telemetry,
             )?,
         };
-        let channel: Arc<dyn ComChannel> = match engine {
+        Ok(match engine {
             Some(engine) => Arc::new(FaultChannel::new(raw, Arc::clone(engine), telemetry)),
             None => raw,
-        };
-        Ok(match batching {
-            Some(policy) => {
-                crate::transport::BatchingChannel::wrap_with(channel, policy, telemetry)
-            }
-            None => channel,
         })
     }
 
@@ -325,7 +316,6 @@ impl Orb {
             addr,
             self.config.telemetry.as_ref(),
             engine.as_ref(),
-            self.config.batching,
         )?;
         let binding = Binding::with_config(channel, protocol, &self.config);
         // Re-dial with the same wrapping on reconnect; the closure owns
@@ -334,10 +324,8 @@ impl Orb {
         let exchange = self.exchange.clone();
         let addr = addr.clone();
         let telemetry = self.config.telemetry.clone();
-        let batching = self.config.batching;
-        let reconnector: Reconnector = Arc::new(move || {
-            Orb::dial(&exchange, &addr, telemetry.as_ref(), engine.as_ref(), batching)
-        });
+        let reconnector: Reconnector =
+            Arc::new(move || Orb::dial(&exchange, &addr, telemetry.as_ref(), engine.as_ref()));
         binding.set_reconnector(reconnector);
         self.bindings.lock().insert(cache_key, binding.clone());
         Ok(binding)

@@ -628,7 +628,6 @@ mod tests {
                 readmit_backoff: Duration::ZERO,
                 breaker_threshold: 1,
                 breaker_cooldown: Duration::from_millis(20),
-                ..Default::default()
             },
             ..OrbConfig::default()
         }

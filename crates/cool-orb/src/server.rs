@@ -58,7 +58,7 @@ use crate::error::OrbError;
 use crate::exchange::{Inbound, LocalExchange};
 use crate::message_layer::{self, Event, InboundRequest};
 use crate::object::{ObjectKey, ObjectRef, OrbAddr};
-use crate::transport::{BatchingChannel, ComChannel, FrameSink, TcpComChannel};
+use crate::transport::{deadline_after, ComChannel, FrameSink, TcpComChannel};
 use bytes::Bytes;
 use cool_giop::prelude::{ReplyTraceContext, RequestTraceContext};
 use cool_telemetry::flight::event as flight_event;
@@ -220,19 +220,10 @@ impl OrbServer {
         };
         let (draining, tracker) = (intake.draining.clone(), intake.tracker.clone());
         let (flag, acceptor_conns) = (shutdown.clone(), conns.clone());
-        let batching = config.batching;
-        let telemetry = config.telemetry.clone();
         let acceptor = std::thread::Builder::new()
             .name(acceptor_name.into())
             .spawn(move || {
                 while let Some(channel) = accept(&flag) {
-                    // Reply-side coalescing, mirroring the client.
-                    let channel = match batching {
-                        Some(policy) => {
-                            BatchingChannel::wrap_with(channel, policy, telemetry.as_ref())
-                        }
-                        None => channel,
-                    };
                     attach_connection(channel, intake.clone(), &acceptor_conns);
                 }
             })
@@ -364,7 +355,7 @@ impl JobTracker {
     /// Blocks until no request is in flight, or `timeout` elapses.
     /// Returns whether the pipeline is idle.
     fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_after(timeout);
         let mut gate = self.gate.lock();
         while self.active.load(Ordering::SeqCst) > 0 {
             if self.idle.wait_until(&mut gate, deadline).timed_out() {
@@ -799,8 +790,9 @@ mod tests {
             "one job in flight"
         );
 
+        // `Duration::MAX` is a drain without a deadline, not an overflow.
         let t = tracker.clone();
-        let waiter = std::thread::spawn(move || t.wait_idle(Duration::from_secs(5)));
+        let waiter = std::thread::spawn(move || t.wait_idle(Duration::MAX));
         drop(guard);
         assert!(waiter.join().expect("waiter"), "drain completes on dec");
     }

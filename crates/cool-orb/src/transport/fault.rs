@@ -117,9 +117,9 @@ impl FaultChannel {
         }
     }
 
-    /// Flight-records an injected fault, attributed to each GIOP request id
-    /// riding in `frame` (a coalesced batch may carry several). Runs only
-    /// on fault paths, so the decode cost never touches clean sends.
+    /// Flight-records an injected fault, attributed to the GIOP request
+    /// `frame` carries when it is one. Runs only on fault paths, so the
+    /// decode cost never touches clean sends.
     fn note_fault(&self, action: &FaultAction, frame: &Bytes) {
         let Some(registry) = &self.registry else {
             return;
@@ -132,19 +132,13 @@ impl FaultChannel {
             FaultAction::Corrupt { .. } => "corrupt",
             FaultAction::Sever => "sever",
         };
-        let mut attributed = false;
-        for sub in cool_giop::codec::split_frames(frame) {
-            let Ok(sub) = sub else { break };
-            if let Ok((Message::Request { header, .. }, _, _)) = Message::decode_frame(&sub) {
-                attributed = true;
-                registry.flight_event(
-                    flight_event::FAULT_INJECTED,
-                    Some(header.request_id),
-                    format!("{kind} injected on request {}", header.request_id),
-                );
-            }
-        }
-        if !attributed {
+        if let Ok((Message::Request { header, .. }, _, _)) = Message::decode_frame(frame) {
+            registry.flight_event(
+                flight_event::FAULT_INJECTED,
+                Some(header.request_id),
+                format!("{kind} injected on request {}", header.request_id),
+            );
+        } else {
             registry.flight_event(
                 flight_event::FAULT_INJECTED,
                 None,

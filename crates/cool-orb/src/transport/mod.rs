@@ -57,13 +57,11 @@
 //! returns, as [`FrameSink::on_queued_frame`] — so a sink can tell the
 //! frame its thread brought from the ones it is handed on others' behalf.
 
-pub mod batch;
 pub mod chorus;
 pub mod dacapo_chan;
 pub mod fault;
 pub mod tcp;
 
-pub use batch::BatchingChannel;
 pub use chorus::ChorusComChannel;
 pub use dacapo_chan::DacapoComChannel;
 pub use fault::{FaultChannel, FaultMetrics};
@@ -76,6 +74,16 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The furthest ahead a wait's deadline is placed: a longer timeout
+/// (`Duration::MAX` included) is a wait without a deadline in effect.
+const FAR_HORIZON: Duration = Duration::from_secs(100 * 365 * 24 * 60 * 60);
+
+/// The deadline of a wait that starts now and lasts `timeout`, capped at
+/// [`FAR_HORIZON`] so that no timeout overflows an `Instant`.
+pub(crate) fn deadline_after(timeout: Duration) -> Instant {
+    Instant::now() + timeout.min(FAR_HORIZON)
+}
 
 /// Pre-resolved receive-side counters for one channel's [`FrameInbox`].
 ///
@@ -413,7 +421,7 @@ impl FrameInbox {
     /// Blocks until a frame is available, the inbox closes, or the timeout
     /// elapses. Queued frames are drained before the close is reported.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, OrbError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_after(timeout);
         let mut st = self.state.lock();
         loop {
             if let Some(frame) = st.queue.pop_front() {
@@ -541,6 +549,13 @@ mod tests {
         let err = inbox.recv_timeout(Duration::from_millis(60)).unwrap_err();
         assert!(matches!(err, OrbError::Timeout { .. }));
         assert!(start.elapsed() >= Duration::from_millis(55));
+    }
+
+    #[test]
+    fn recv_with_duration_max_returns_a_pushed_frame() {
+        let inbox = FrameInbox::new();
+        inbox.push(Bytes::from_static(b"late"));
+        assert_eq!(&inbox.recv_timeout(Duration::MAX).unwrap()[..], b"late");
     }
 
     #[test]

@@ -486,14 +486,14 @@ fn every_mode_and_cancel_behave_the_same_under_giop_and_cool() {
     for protocol in PROTOCOLS {
         let binding = Binding::new(exchange.connect_chorus("modes").unwrap(), protocol);
         let payload = || Bytes::from_static(b"payload");
-        let mut seen = Vec::new();
-
         // call: a result, the two errors an adapter hands back itself, and
         // the QoS NACK.
-        seen.push(shape(binding.call(b"obj", "echo", payload(), &[], LONG)));
-        seen.push(shape(binding.call(b"obj", "nope", payload(), &[], LONG)));
-        seen.push(shape(binding.call(b"ghost", "echo", payload(), &[], LONG)));
-        seen.push(shape(binding.call(b"obj", "nack", payload(), &[], LONG)));
+        let mut seen = vec![
+            shape(binding.call(b"obj", "echo", payload(), &[], LONG)),
+            shape(binding.call(b"obj", "nope", payload(), &[], LONG)),
+            shape(binding.call(b"ghost", "echo", payload(), &[], LONG)),
+            shape(binding.call(b"obj", "nack", payload(), &[], LONG)),
+        ];
 
         // send: nothing comes back, but the servant runs (on a dispatcher
         // of its own, so it is waited for, not assumed).

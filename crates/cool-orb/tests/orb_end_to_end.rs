@@ -437,46 +437,6 @@ fn orb_shutdown_closes_cached_bindings() {
 }
 
 #[test]
-fn batched_invocations_round_trip_over_tcp() {
-    // Batching on both sides: requests coalesce client-side, replies
-    // coalesce server-side, and every receiver splits batches
-    // unconditionally — the invocations must be indistinguishable from
-    // the unbatched case.
-    let config = OrbConfig {
-        batching: Some(BatchingPolicy::default()),
-        ..OrbConfig::default()
-    };
-    let exchange = LocalExchange::new();
-    let server_orb = Orb::with_exchange_and_config("server", exchange.clone(), config.clone());
-    server_orb
-        .adapter()
-        .register_fn("echo", |_op, args, _ctx| Ok(args.to_vec()))
-        .unwrap();
-    let server = server_orb.listen_tcp("127.0.0.1:0").unwrap();
-    let reference = server.object_ref("echo");
-
-    let client_orb = Orb::with_exchange_and_config("client", exchange, config);
-    let stub = client_orb.bind(&reference).unwrap();
-
-    // Pipelined deferred calls: several requests are in flight at once,
-    // so the coalescer actually gets the chance to pack them together.
-    let mut pending = Vec::new();
-    for i in 0u32..24 {
-        let payload = Bytes::from(i.to_be_bytes().to_vec());
-        pending.push((i, stub.invoke_deferred("ping", payload).unwrap()));
-    }
-    for (i, deferred) in pending {
-        let (body, _granted) = deferred.wait(Duration::from_secs(5)).unwrap();
-        assert_eq!(&body[..], i.to_be_bytes());
-    }
-
-    // Synchronous calls still work (lone frames flush on max_delay).
-    let reply = stub.invoke("ping", Bytes::from_static(b"solo")).unwrap();
-    assert_eq!(&reply[..], b"solo");
-    server.close();
-}
-
-#[test]
 fn qos_changes_across_an_arq_graph_leave_no_straggler_for_the_new_stack() {
     // A reliable graph acknowledges the reply after the caller already has
     // it. If the next `set_qos_parameter` swapped the stacks under that

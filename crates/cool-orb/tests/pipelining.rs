@@ -15,7 +15,10 @@
 //! not the drain, not a cancel.
 
 use bytes::Bytes;
-use cool_giop::prelude::{encode_message, ByteOrder, GiopVersion, Message};
+use cool_giop::prelude::{
+    decode_message, encode_message, join_frames, split_frames, ByteOrder, GiopVersion, Message,
+    RequestHeader,
+};
 use cool_orb::message_layer::WireProtocol;
 use cool_orb::prelude::*;
 use cool_orb::transport::{ComChannel, TcpComChannel};
@@ -176,67 +179,82 @@ fn a_full_dispatch_queue_does_not_stop_a_dacapo_binding() {
     // thread would wait for room; over Da CaPo it also brings the
     // acknowledgements the one dispatcher needs to get its replies past
     // the ARQ window, so it must not: what finds no room overflows, and
-    // the binding keeps moving.
-    const REQUESTS: u32 = 400;
+    // the connection keeps moving.
+    const FRAMES: u32 = 4;
+    const PER_FRAME: u32 = 100;
+    const REQUESTS: u32 = FRAMES * PER_FRAME;
     let exchange = LocalExchange::new();
     let server_config = OrbConfig {
         dispatcher_threads: 1,
-        ..OrbConfig::default()
-    };
-    let client_config = OrbConfig {
-        batching: Some(BatchingPolicy {
-            max_frames: 100,
-            max_bytes: 1 << 20,
-            max_delay: Duration::from_millis(5),
-        }),
         ..OrbConfig::default()
     };
     let server_orb =
         Orb::with_exchange_and_config("overflow-server", exchange.clone(), server_config);
     server_orb
         .adapter()
-        .register_with_policy(
-            "echo",
-            Arc::new(cool_orb::servant::FnServant::new(|_op, args, _ctx| {
-                // Over the inline budget: every request goes to the pool.
-                std::thread::sleep(Duration::from_micros(100));
-                Ok(args.to_vec())
-            })),
-            ServerPolicy::builder()
-                .max_reliability(multe_qos::Reliability::Reliable)
-                .build(),
-        )
+        .register_fn("echo", |_op, args, _ctx| {
+            // Over the inline budget: every request goes to the pool.
+            std::thread::sleep(Duration::from_micros(100));
+            Ok(args.to_vec())
+        })
         .expect("register servant");
     let server = server_orb.listen_dacapo("overflow").expect("listen");
-    let client_orb = Orb::with_exchange_and_config("overflow-client", exchange, client_config);
-    let stub = client_orb.bind(&server.object_ref("echo")).expect("bind");
-    stub.set_qos_parameter(
-        QoSSpec::builder()
-            .reliability(multe_qos::Reliability::Reliable)
-            .build(),
-    )
-    .expect("reliable qos");
+    let reliable = TransportRequirements {
+        error_detection: true,
+        retransmission: true,
+        sequencing: true,
+        ..TransportRequirements::default()
+    };
+    let channel = exchange
+        .connect_dacapo("overflow", &reliable)
+        .expect("connect");
 
     let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let pipeline_channel = Arc::clone(&channel);
     let pipeline = std::thread::spawn(move || {
-        let pending: Vec<DeferredReply> = (0..REQUESTS)
-            .map(|n| {
-                stub.invoke_deferred("work", Bytes::from(n.to_be_bytes().to_vec()))
-                    .expect("defer")
-            })
-            .collect();
-        for (n, reply) in pending.into_iter().enumerate() {
-            let (body, _) = reply.wait(Duration::from_secs(20)).expect("reply");
-            assert_eq!(&body[..], &(n as u32).to_be_bytes());
+        let request = |n: u32| {
+            let header = RequestHeader::builder(n, b"echo".to_vec(), "work").build();
+            let body = Bytes::from(n.to_be_bytes().to_vec());
+            encode_message(
+                &Message::Request { header, body },
+                GiopVersion::STANDARD,
+                ByteOrder::Big,
+            )
+            .expect("encode")
+        };
+        for frame in 0..FRAMES {
+            let requests: Vec<Bytes> = (frame * PER_FRAME..(frame + 1) * PER_FRAME)
+                .map(request)
+                .collect();
+            pipeline_channel
+                .send_frame(join_frames(&requests))
+                .expect("send a frame of requests");
+        }
+        let mut replies = 0;
+        while replies < REQUESTS {
+            let frame = pipeline_channel
+                .recv_frame(Duration::from_secs(20))
+                .expect("a reply frame");
+            for reply in split_frames(&frame) {
+                let Message::Reply { header, body } =
+                    decode_message(&reply.expect("a whole reply")).expect("decode")
+                else {
+                    panic!("not a reply");
+                };
+                assert_eq!(&body[..], &header.request_id.to_be_bytes());
+                replies += 1;
+            }
         }
         let _ = done_tx.send(());
     });
-    done_rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("the binding stopped with its dispatch queue full");
+    let Ok(()) = done_rx.recv_timeout(Duration::from_secs(30)) else {
+        // Closing would wait for the wedged server threads: leave them.
+        std::mem::forget((server, channel));
+        panic!("the connection stopped with its dispatch queue full");
+    };
     pipeline.join().unwrap();
 
-    client_orb.shutdown();
+    channel.close();
     server.close();
 }
 

@@ -5,8 +5,9 @@
 //! thread that is not reading. These tests pin what that must keep: a lone
 //! caller wakes nobody, a read cut short by a timeout loses nothing, a
 //! caller that found someone else reading is still served, replies nobody
-//! waits for yet are read while more requests go out, and `notify` needs
-//! no caller at all.
+//! waits for yet are read while more requests go out, `notify` needs no
+//! caller at all, one frame carrying two replies completes both requests,
+//! and a caller without a deadline is served.
 
 use bytes::Bytes;
 use cool_giop::prelude::*;
@@ -380,4 +381,59 @@ fn notify_runs_its_callback_with_no_caller_waiting() {
     assert_eq!(&body[..], b"\x00async");
     binding.close();
     server.close();
+}
+
+#[test]
+fn one_frame_carrying_two_replies_completes_both_deferred_calls() {
+    // A raw peer answers two deferred requests with one transport frame:
+    // the client's demux splits it and hands each reply to its request.
+    let listener = TcpComChannel::listen("127.0.0.1:0").unwrap();
+    let client = TcpComChannel::connect(listener.local_addr().unwrap()).unwrap();
+    let server = TcpComChannel::from_stream(listener.accept().unwrap().0).unwrap();
+    let binding = Binding::new(Arc::new(client), WireProtocol::Giop);
+    let first = binding
+        .defer(b"echo", "echo", Bytes::from_static(b"first"), &[])
+        .expect("defer first");
+    let second = binding
+        .defer(b"echo", "echo", Bytes::from_static(b"second"), &[])
+        .expect("defer second");
+
+    let replies: Vec<Bytes> = (0..2)
+        .map(|_| {
+            let frame = server.recv_frame(LONG).expect("a request");
+            let (Message::Request { header, body }, version, order) =
+                cool_giop::codec::decode_message_ext(&frame).unwrap()
+            else {
+                panic!("not a request");
+            };
+            let reply = Message::Reply {
+                header: ReplyHeader::new(header.request_id, ReplyStatus::NoException),
+                body,
+            };
+            encode_message(&reply, version, order).unwrap()
+        })
+        .collect();
+    server
+        .send_frame(join_frames(&replies))
+        .expect("send both replies");
+
+    let (body, _) = first.wait(LONG).expect("first reply");
+    assert_eq!(&body[..], b"first");
+    let (body, _) = second.wait(LONG).expect("second reply");
+    assert_eq!(&body[..], b"second");
+    binding.close();
+}
+
+#[test]
+fn a_call_with_duration_max_waits_without_a_deadline() {
+    let (_server_orb, server) = echo_server();
+    let client_orb = Orb::new("tcp-reading-no-deadline");
+    let stub = client_orb.bind(&server.object_ref("echo")).expect("bind");
+    stub.set_timeout(Duration::MAX);
+    let body = stub
+        .invoke("echo", Bytes::from_static(b"\x00unbounded"))
+        .expect("a call with no deadline");
+    assert_eq!(&body[..], b"\x00unbounded");
+    server.close();
+    client_orb.shutdown();
 }

@@ -3,8 +3,8 @@
 //! Where metrics answer "how many" and spans answer "how long", the
 //! recorder answers "what happened, in what order" — it captures the
 //! *exceptional* path (reconnects, QoS NACKs and degradations, injected
-//! faults with the request ids they hit, batch flushes, dispatcher-queue
-//! high-water marks) so a failed chaos run or a flaky test can be
+//! faults with the request ids they hit, dispatcher-queue high-water
+//! marks) so a failed chaos run or a flaky test can be
 //! attributed from a single JSON dump instead of a rerun.
 //!
 //! High-frequency happy-path activity (every accepted negotiation, every
@@ -30,8 +30,6 @@ pub mod event {
     pub const QOS_DEGRADE: &str = "qos_degrade";
     /// The fault engine injected a fault into a frame.
     pub const FAULT_INJECTED: &str = "fault_injected";
-    /// The frame coalescer flushed a multi-frame batch.
-    pub const BATCH_FLUSH: &str = "batch_flush";
     /// The dispatcher queue reached a new high-water mark.
     pub const QUEUE_HIGH_WATER: &str = "queue_high_water";
     /// A Da CaPo transport died underneath its connection.
@@ -199,7 +197,7 @@ mod tests {
     fn ring_is_bounded_and_counts_evictions() {
         let rec = FlightRecorder::with_capacity(4);
         for i in 0..10u32 {
-            rec.record(event::BATCH_FLUSH, Some(i), String::new());
+            rec.record(event::FAULT_INJECTED, Some(i), String::new());
         }
         assert_eq!(rec.len(), 4);
         assert_eq!(rec.dropped(), 6);

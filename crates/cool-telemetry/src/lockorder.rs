@@ -111,14 +111,6 @@ pub mod rank {
     pub const BINDING_LAST_QOS: Rank = Rank::new(39, "binding.last_qos");
     /// `Binding::pending` — in-flight request slots (the reply demux).
     pub const BINDING_PENDING: Rank = Rank::new(40, "binding.pending");
-    /// `BatchingChannel::queue` — frames coalescing toward one transport
-    /// frame. Above the binding locks (send paths hold none deeper) and
-    /// below the channel locks the inner `send_frame` may take.
-    pub const CHAN_BATCH: Rank = Rank::new(42, "chan.batch");
-    /// `BatchingChannel::flusher` — the flusher thread's `JoinHandle`,
-    /// taken (then joined outside the lock) at close. Sits just above
-    /// `chan.batch`: close flushes the queue before reaping the thread.
-    pub const CHAN_FLUSHER: Rank = Rank::new(43, "chan.flusher");
     /// `Invoker::per_stub` — what one logical stub carries from call to
     /// call: QoS operating point (offered spec, degradation ladder, steps
     /// taken), last granted QoS, call timeout. A resolved binding has one

@@ -1495,7 +1495,6 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let opts = RuntimeOptions {
             telemetry: Some(registry.clone()),
-            ..RuntimeOptions::default()
         };
         let a = piped(modules_from(&["crc32"]), ta, &opts);
         let b = piped(modules_from(&["crc32"]), tb, &opts);

@@ -17,7 +17,8 @@ cargo test -q --workspace
 # are the two with logic of their own (waiter-gated condvar notifies) that
 # every channel and lock in the tree stands on.
 cargo test -q -p crossbeam -p parking_lot
-cargo clippy --workspace -- -D warnings
+# Unit tests, integration tests, benches and examples meet the library's bar.
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The benchmark (ledger/, BENCHMARK.json) is a workspace of its own that
 # nothing above builds: a slip in cool-orb's public API would pass every
