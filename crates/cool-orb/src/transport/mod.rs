@@ -50,7 +50,10 @@
 //! has observed cheap to completion inside `on_frame` (see
 //! [`crate::server`]), so such a servant executes on the delivery thread —
 //! over Chorus, inside the caller's `send_frame` — and must not wait for a
-//! later frame of the connection that delivered its request.
+//! later frame of the connection that delivered its request. Nor, over
+//! TCP, for the peer to answer anything it sends on that connection: a
+//! frame sent from a sink callback on its own channel leaves when the
+//! delivery run ends ([`ComChannel::send_frame`]).
 //!
 //! A thread that pushes while another is still inside the sink only
 //! enqueues; the thread inside drains those frames when its callback
@@ -69,7 +72,7 @@ pub use tcp::TcpComChannel;
 
 use crate::error::OrbError;
 use bytes::Bytes;
-use cool_telemetry::{Counter, Registry};
+use cool_telemetry::{names, Counter, Registry};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -133,6 +136,13 @@ pub trait FrameSink: Send + Sync {
 /// A frame-preserving duplex channel between two ORB endpoints.
 pub trait ComChannel: Send + Sync {
     /// Sends one message frame.
+    ///
+    /// A frame sent from this channel's own sink callback may leave only
+    /// when the callback's delivery run ends (TCP corks what a callback
+    /// sends while more frames of the same read are to come, and writes it
+    /// with the next write, in send order — `tcp.rs`), and an error writing
+    /// it is then heard by nobody: a callback must not wait for the peer to
+    /// act on what it sent.
     ///
     /// # Errors
     ///
@@ -234,23 +244,34 @@ pub trait ComChannel: Send + Sync {
 pub struct SendMetrics {
     frames: Arc<Counter>,
     bytes: Arc<Counter>,
+    writes: Arc<Counter>,
 }
 
 impl SendMetrics {
-    /// Resolves the `transport_*_sent_total` counters for a channel of the
-    /// given kind.
+    /// Resolves the `transport_*_sent_total` and `transport_writes_total`
+    /// counters for a channel of the given kind.
     pub fn resolve(registry: &Registry, kind: &str) -> Self {
         let labels: &[(&str, &str)] = &[("kind", kind)];
         SendMetrics {
             frames: registry.counter(&Registry::labeled("transport_frames_sent_total", labels)),
             bytes: registry.counter(&Registry::labeled("transport_bytes_sent_total", labels)),
+            writes: registry.counter(&Registry::labeled(names::TRANSPORT_WRITES_TOTAL, labels)),
         }
     }
 
-    /// Counts one outbound frame of `len` bytes.
+    /// Counts one outbound frame of `len` bytes, written on its own.
     pub fn record(&self, len: usize) {
         self.frames.inc();
         self.bytes.add(len as u64);
+        self.writes.inc();
+    }
+
+    /// Counts one write that carried `frames`.
+    pub fn record_write(&self, frames: &[Bytes]) {
+        self.frames.add(frames.len() as u64);
+        self.bytes
+            .add(frames.iter().map(|frame| frame.len() as u64).sum());
+        self.writes.inc();
     }
 }
 

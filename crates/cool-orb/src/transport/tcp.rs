@@ -19,14 +19,27 @@
 //!   always, until a binding takes the demand over (a server connection,
 //!   a pull-mode channel), and after that only while some reply is owed
 //!   to a thread that is not reading. Otherwise it parks. No polling.
+//!
+//! Whoever sends writes: [`ComChannel::send_frame`] writes on the caller's
+//! thread, under the connection's writer lock. The complete frames one
+//! `read` brought in are handed out as one *delivery run*; while frames of
+//! the run are still to come, what the holder's own thread sends on this
+//! connection (the replies of requests run to completion in the sink) is
+//! *corked*: kept in the writer. The next write carries it ahead of its own
+//! frame — a send made while the run's last frame is delivered, another
+//! thread's send, a close — and the run's end writes whatever is still
+//! corked, before the holder reads or parks again. So the replies to one
+//! read leave in one vectored write, a lone request's reply leaves at once,
+//! and frames leave in the order they were sent.
 
 use crate::error::OrbError;
 use crate::transport::{ComChannel, FrameInbox, FrameSink, InboxMetrics, ReadDemand, SendMetrics};
 use bytes::Bytes;
 use cool_telemetry::Registry;
-use dacapo::tlayer::{write_frame_vectored, FrameReader, MAX_TCP_FRAME};
+use dacapo::tlayer::{write_frames, FrameReader, MAX_TCP_FRAME};
 use parking_lot::Mutex;
-use std::io::{ErrorKind, Write};
+use std::cell::Cell;
+use std::io::ErrorKind;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -42,13 +55,11 @@ pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A frame-preserving channel over a real TCP connection.
 pub struct TcpComChannel {
-    writer: Mutex<TcpStream>,
     /// Separate handle used to shut the socket down and unblock a reading
     /// thread even while a writer holds the lock.
     shutdown_handle: TcpStream,
     side: Arc<ReadSide>,
     closed: AtomicBool,
-    send_metrics: Option<SendMetrics>,
 }
 
 /// The read side, shared by the channel and its reader thread.
@@ -57,6 +68,44 @@ struct ReadSide {
     /// The token: whoever holds it reads the socket.
     token: Mutex<Reader>,
     demand: Arc<ReadDemand>,
+    /// The write side, here because each delivery run flushes what it
+    /// corked.
+    writer: Mutex<Writer>,
+}
+
+/// The connection's write side.
+struct Writer {
+    stream: TcpStream,
+    /// Frames sent, not yet written: only a delivery run corks, so these
+    /// are its, and they leave with the next write, ahead of that write's
+    /// own frame, or at the run's end. Emptied, never shrunk: a write
+    /// allocates nothing.
+    corked: Vec<Bytes>,
+    metrics: Option<SendMetrics>,
+}
+
+/// Where this thread is in a delivery run of more than one frame (a run of
+/// one corks nothing, and leaves it unmarked).
+#[derive(Clone, Copy)]
+struct Run {
+    /// The connection's [`ReadSide`] address; 0 outside any such run.
+    side: usize,
+    /// Frames of the run are still to be handed out after the one being
+    /// delivered: what this thread sends now waits for them.
+    more: bool,
+    /// The run has corked a frame.
+    corked: bool,
+}
+
+thread_local! {
+    /// The delivery run this thread is in.
+    static RUN: Cell<Run> = const {
+        Cell::new(Run {
+            side: 0,
+            more: false,
+            corked: false,
+        })
+    };
 }
 
 /// What the token holder reads with.
@@ -167,12 +216,16 @@ impl TcpComChannel {
                 ended: false,
             }),
             demand: Arc::new(ReadDemand::new()),
+            writer: Mutex::new(Writer {
+                stream: clone()?,
+                corked: Vec::new(),
+                metrics: telemetry.map(|r| SendMetrics::resolve(r, "tcp")),
+            }),
         });
         if let Some(registry) = telemetry {
             side.inbox
                 .set_metrics(InboxMetrics::resolve(registry, "tcp"));
         }
-        let shutdown_handle = clone()?;
         let rx_side = Arc::clone(&side);
         std::thread::Builder::new()
             .name("cool-tcp-rx".into())
@@ -180,11 +233,9 @@ impl TcpComChannel {
             .spawn(move || reader_loop(&rx_side))
             .map_err(|e| OrbError::Transport(format!("spawn tcp reader: {e}")))?;
         Ok(TcpComChannel {
-            writer: Mutex::new(stream),
-            shutdown_handle,
+            shutdown_handle: stream,
             side,
             closed: AtomicBool::new(false),
-            send_metrics: telemetry.map(|r| SendMetrics::resolve(r, "tcp")),
         })
     }
 
@@ -204,7 +255,7 @@ impl TcpComChannel {
     /// is at work.
     fn take_in(&self, reader: &mut Reader) {
         while self.side.deliver(reader) {
-            let read = match self.writer.try_lock() {
+            let read = match self.side.writer.try_lock() {
                 Some(_writer) => reader.stream.set_nonblocking(true).and_then(|()| {
                     let read = reader.frames.fill(&mut reader.stream);
                     reader.stream.set_nonblocking(false).and(read)
@@ -261,19 +312,87 @@ impl ReadSide {
         }
     }
 
-    /// Pushes every complete frame `reader` holds into the inbox; `false`
-    /// if a corrupt length ended the connection.
+    /// Pushes every complete frame `reader` holds into the inbox — one
+    /// delivery run — then writes what the run left corked; `false` if a
+    /// corrupt length ended the connection.
+    ///
+    /// Only a run that corked takes the writer lock here: a client's reader
+    /// must not queue behind a caller stuck writing into a full socket.
     fn deliver(&self, reader: &mut Reader) -> bool {
-        loop {
-            match reader.frames.next_frame() {
-                Ok(Some(frame)) => self.inbox.push(frame),
-                Ok(None) => return true,
+        // What this thread's `RUN` was, once this run has marked it.
+        let mut outer = None;
+        let mut next = reader.frames.next_frame();
+        let intact = loop {
+            match next {
+                Ok(Some(frame)) => {
+                    // Whether another frame follows is known before this
+                    // one is delivered: the last of a batch writes the
+                    // batch, and a lone frame — the idle call — leaves the
+                    // thread unmarked, its reply written at once.
+                    next = reader.frames.next_frame();
+                    let more = matches!(next, Ok(Some(_)));
+                    match outer {
+                        None if !more => {}
+                        None => {
+                            outer = Some(RUN.with(|r| {
+                                r.replace(Run {
+                                    side: self.id(),
+                                    more,
+                                    corked: false,
+                                })
+                            }));
+                        }
+                        Some(_) => RUN.with(|r| r.set(Run { more, ..r.get() })),
+                    }
+                    self.inbox.push(frame);
+                }
+                Ok(None) => break true,
                 Err(_) => {
                     self.end(reader);
-                    return false;
+                    break false;
                 }
             }
+        };
+        if let Some(outer) = outer {
+            let run = RUN.with(|r| r.replace(outer));
+            if run.corked {
+                // The senders were told `Ok`; a socket that fails here ends
+                // the read side too.
+                let _ = self.writer.lock().flush();
+            }
         }
+        intact
+    }
+
+    /// What names this connection to [`RUN`].
+    fn id(&self) -> usize {
+        self as *const ReadSide as usize
+    }
+
+    /// Whether this thread is in a delivery run of this connection that
+    /// has corked a frame.
+    fn corked_here(&self) -> bool {
+        RUN.with(|r| {
+            let run = r.get();
+            run.side == self.id() && run.corked
+        })
+    }
+
+    /// Whether a frame this thread sends now is corked — it is delivering a
+    /// frame of this connection that more of its run follow — noting so
+    /// for the run's end.
+    fn corks(&self) -> bool {
+        RUN.with(|r| {
+            let run = r.get();
+            let corks = run.side == self.id() && run.more;
+            if corks {
+                r.set(Run {
+                    corked: true,
+                    ..run
+                });
+            }
+            corks
+        })
     }
 
     /// The connection is over: no more turns, the reader thread ends, and
@@ -282,6 +401,23 @@ impl ReadSide {
         reader.ended = true;
         self.demand.close();
         self.inbox.close();
+    }
+}
+
+impl Writer {
+    /// Writes everything corked, with one vectored write; nothing at all
+    /// when nothing is corked. Counted as it is handed to the socket, so a
+    /// peer that has read the frames finds them counted.
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.corked.is_empty() {
+            return Ok(());
+        }
+        if let Some(m) = &self.metrics {
+            m.record_write(&self.corked);
+        }
+        let written = write_frames(&mut self.stream, &self.corked);
+        self.corked.clear();
+        written
     }
 }
 
@@ -305,25 +441,20 @@ impl ComChannel for TcpComChannel {
                 frame.len()
             )));
         }
-        let mut w = self.writer.lock();
-        // One vectored write carries prefix + frame to the kernel together.
-        let io = write_frame_vectored(
-            &mut *w,
-            &(frame.len() as u32).to_be_bytes(),
-            &frame,
-        )
-        .and_then(|()| w.flush());
-        io.map_err(|e| {
+        let corks = self.side.corks();
+        let mut writer = self.side.writer.lock();
+        writer.corked.push(frame);
+        if corks {
+            return Ok(());
+        }
+        // One vectored write carries what is corked, then this frame.
+        writer.flush().map_err(|e| {
             if self.closed.load(Ordering::Acquire) {
                 OrbError::Closed
             } else {
                 OrbError::Transport(format!("tcp send: {e}"))
             }
-        })?;
-        if let Some(m) = &self.send_metrics {
-            m.record(frame.len());
-        }
-        Ok(())
+        })
     }
 
     fn recv_frame(&self, timeout: Duration) -> Result<Bytes, OrbError> {
@@ -356,6 +487,19 @@ impl ComChannel for TcpComChannel {
 
     fn close(&self) {
         if !self.closed.swap(true, Ordering::AcqRel) {
+            // What a delivery run corked leaves ahead of the end of stream.
+            // A run that corked waits for the writer, as its sends would
+            // have; anyone else only tries, since the shutdown below is
+            // what frees a writer stuck on a full socket — and a writer
+            // holding the lock writes what is corked itself.
+            let writer = if self.side.corked_here() {
+                Some(self.side.writer.lock())
+            } else {
+                self.side.writer.try_lock()
+            };
+            if let Some(mut writer) = writer {
+                let _ = writer.flush();
+            }
             let _ = self.shutdown_handle.shutdown(Shutdown::Both);
         }
         // A parked reader thread is not in `read`: wake it to end.
@@ -447,6 +591,10 @@ mod tests {
             Some(5)
         );
         assert_eq!(
+            snap.counter("transport_writes_total{kind=\"tcp\"}"),
+            Some(1)
+        );
+        assert_eq!(
             snap.counter("transport_frames_recv_total{kind=\"tcp\"}"),
             Some(1)
         );
@@ -483,6 +631,112 @@ mod tests {
             "dial must respect the connect timeout, waited {:?}",
             start.elapsed()
         );
+    }
+
+    /// A sink that runs a closure on each frame, on the delivering thread.
+    struct OnFrame<F>(F);
+
+    impl<F: Fn(Bytes) + Send + Sync> FrameSink for OnFrame<F> {
+        fn on_frame(&self, frame: Bytes) {
+            (self.0)(frame);
+        }
+        fn on_close(&self) {}
+    }
+
+    /// `server` runs `on_frame` (given the server itself) for each frame
+    /// it reads.
+    fn on_each_frame(
+        server: TcpComChannel,
+        on_frame: impl Fn(&Arc<TcpComChannel>, Bytes) + Send + Sync + 'static,
+    ) -> Arc<TcpComChannel> {
+        let server = Arc::new(server);
+        let own = Arc::clone(&server);
+        // The sink holds the channel until the channel closes.
+        server.set_sink(Arc::new(OnFrame(move |frame| on_frame(&own, frame))));
+        server
+    }
+
+    /// A channel, and a raw socket connected to it.
+    fn raw_peer(telemetry: Option<&Registry>) -> (TcpStream, TcpComChannel) {
+        let listener = TcpComChannel::listen("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // A reply that never comes fails the test instead of hanging it.
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        (
+            peer,
+            TcpComChannel::from_stream_with(accepted, telemetry).unwrap(),
+        )
+    }
+
+    /// `peer` writes `frames` with one write, which the channel reads with
+    /// one read: one delivery run.
+    fn send_at_once(peer: &mut TcpStream, frames: &[impl AsRef<[u8]>]) {
+        let mut wire = Vec::new();
+        write_frames(&mut wire, frames).unwrap();
+        std::io::Write::write_all(peer, &wire).unwrap();
+    }
+
+    #[test]
+    fn a_corked_frame_is_not_overtaken_by_another_threads_send() {
+        // Sent while the run's second frame is still to come, "A" is corked.
+        let (mut peer, server) = raw_peer(None);
+        let server = on_each_frame(server, |server, frame| {
+            if &frame[..] == b"first" {
+                server.send_frame(Bytes::from_static(b"A")).unwrap();
+                let other = Arc::clone(server);
+                std::thread::spawn(move || other.send_frame(Bytes::from_static(b"B")).unwrap())
+                    .join()
+                    .unwrap();
+            }
+        });
+        send_at_once(&mut peer, &["first", "second"]);
+        let mut replies = FrameReader::new();
+        assert_eq!(&replies.read_next(&mut peer).unwrap()[..], b"A");
+        assert_eq!(&replies.read_next(&mut peer).unwrap()[..], b"B");
+        server.close();
+    }
+
+    #[test]
+    fn a_corked_frame_leaves_before_the_close_its_run_makes() {
+        let (mut peer, server) = raw_peer(None);
+        let server = on_each_frame(server, |server, frame| {
+            if &frame[..] == b"first" {
+                server.send_frame(Bytes::from_static(b"A")).unwrap();
+                server.close();
+            }
+        });
+        send_at_once(&mut peer, &["first", "second"]);
+        let mut replies = FrameReader::new();
+        assert_eq!(&replies.read_next(&mut peer).unwrap()[..], b"A");
+        let end = replies.read_next(&mut peer).unwrap_err();
+        assert_eq!(end.kind(), ErrorKind::UnexpectedEof);
+        server.close();
+    }
+
+    #[test]
+    fn the_replies_to_one_read_are_counted_as_one_write() {
+        // A raw peer sends 8 frames in one write; the channel's sink echoes
+        // each: one read in, one write out.
+        let registry = Registry::new();
+        let (mut peer, server) = raw_peer(Some(&registry));
+        let server = on_each_frame(server, |server, frame| server.send_frame(frame).unwrap());
+        let frames: Vec<Bytes> = (0..8u8).map(|i| Bytes::from(vec![i; 16])).collect();
+        send_at_once(&mut peer, &frames);
+        let mut replies = FrameReader::new();
+        for frame in &frames {
+            assert_eq!(&replies.read_next(&mut peer).unwrap(), frame);
+        }
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter("transport_frames_sent_total{kind=\"tcp\"}"),
+            Some(8)
+        );
+        assert_eq!(
+            snap.counter("transport_writes_total{kind=\"tcp\"}"),
+            Some(1)
+        );
+        server.close();
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Who reads a TCP connection (leader/followers), over real loopback TCP.
+//! Who reads a TCP connection (leader/followers), and who writes it, over
+//! real loopback TCP.
 //!
 //! A caller waiting for its reply reads the socket itself when nobody else
 //! is reading; `cool-tcp-rx` reads only while some reply is owed to a
@@ -7,14 +8,15 @@
 //! caller that found someone else reading is still served, replies nobody
 //! waits for yet are read while more requests go out, `notify` needs no
 //! caller at all, one frame carrying two replies completes both requests,
-//! and a caller without a deadline is served.
+//! and a caller without a deadline is served. What the reading thread
+//! sends while it delivers the frames of one read leaves in one write.
 
 use bytes::Bytes;
 use cool_giop::prelude::*;
 use cool_orb::message_layer::WireProtocol;
 use cool_orb::prelude::*;
 use cool_orb::transport::{ComChannel, FrameSink, ReadDemand, TcpComChannel};
-use dacapo::tlayer::FrameReader;
+use dacapo::tlayer::{write_frames, FrameReader};
 use std::io::Write;
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
@@ -422,6 +424,62 @@ fn one_frame_carrying_two_replies_completes_both_deferred_calls() {
     let (body, _) = second.wait(LONG).expect("second reply");
     assert_eq!(&body[..], b"second");
     binding.close();
+}
+
+#[test]
+fn the_replies_to_one_read_leave_in_one_write() {
+    // A raw client writes 8 frames at once; the server channel's sink
+    // echoes each through the channel. The reader thread delivers all 8
+    // from one read, so all 8 echoes leave in one write, and the client's
+    // first read finds every one of them.
+    const FRAMES: usize = 8;
+    const ROUNDS: usize = 20;
+    struct Echo(Mutex<Option<Arc<TcpComChannel>>>);
+    impl FrameSink for Echo {
+        fn on_frame(&self, frame: Bytes) {
+            if let Some(channel) = &*self.0.lock().unwrap() {
+                channel.send_frame(frame).expect("echo");
+            }
+        }
+        fn on_close(&self) {
+            self.0.lock().unwrap().take();
+        }
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    client.set_read_timeout(Some(LONG)).unwrap();
+    let server = Arc::new(TcpComChannel::from_stream(listener.accept().unwrap().0).unwrap());
+    server.set_sink(Arc::new(Echo(Mutex::new(Some(Arc::clone(&server))))));
+
+    let mut replies = FrameReader::new();
+    let mut whole_rounds = 0;
+    for round in 0..ROUNDS {
+        let frames: Vec<Bytes> = (0..FRAMES)
+            .map(|i| Bytes::from(format!("round {round} frame {i}")))
+            .collect();
+        let mut wire = Vec::new();
+        write_frames(&mut wire, &frames).unwrap();
+        client.write_all(&wire).unwrap();
+        // One read, then what it brought.
+        replies.fill(&mut client).expect("a read");
+        let mut echoed = Vec::new();
+        while let Some(frame) = replies.next_frame().unwrap() {
+            echoed.push(frame);
+        }
+        if echoed.len() == FRAMES {
+            whole_rounds += 1;
+        }
+        // The rest of the round, so that the next one starts clean.
+        while echoed.len() < FRAMES {
+            echoed.push(replies.read_next(&mut client).expect("a reply"));
+        }
+        assert_eq!(echoed, frames);
+    }
+    assert_eq!(
+        whole_rounds, ROUNDS,
+        "the first read brought all {FRAMES} replies in {whole_rounds} of {ROUNDS} rounds"
+    );
+    server.close();
 }
 
 #[test]

@@ -33,6 +33,11 @@ pub const SERVICE_CONTEXT_BYTES: &str = "service_context_bytes";
 /// upcalls were all cheap (DESIGN.md §5, "Threading model").
 pub const DISPATCH_INLINE_TOTAL: &str = "orb_dispatch_inline_total";
 
+/// Writes a channel made to its transport, with a `kind` label; beside
+/// `transport_frames_sent_total` it tells how many frames a write carried
+/// (over TCP, the replies of one read leave in one write: DESIGN.md §5).
+pub const TRANSPORT_WRITES_TOTAL: &str = "transport_writes_total";
+
 /// Flight-recorder events evicted from the bounded ring to make room for
 /// newer ones.
 pub const FLIGHT_EVENTS_DROPPED_TOTAL: &str = "flight_events_dropped_total";

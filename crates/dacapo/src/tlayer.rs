@@ -244,31 +244,93 @@ impl std::fmt::Debug for TcpTransport {
 /// would otherwise ask for an absurd allocation.
 pub const MAX_TCP_FRAME: u32 = 256 * 1024 * 1024;
 
-/// Writes `prefix` then `frame` with vectored I/O: the length prefix and
-/// the frame body go to the kernel in one `writev`-style call instead of
-/// two writes (which would tempt Nagle/delayed-ACK interactions and cost a
-/// syscall), looping on partial writes. Shared by every length-prefixed
-/// TCP framing in the workspace.
-pub fn write_frame_vectored<W: Write>(
-    w: &mut W,
-    prefix: &[u8],
-    frame: &[u8],
+/// The most slices one vectored write may carry (Linux's `IOV_MAX`).
+pub const IOV_MAX: usize = 1024;
+
+/// Writes `frames`, each behind its length prefix, with vectored I/O:
+/// prefixes and bodies go to the kernel together — one `writev`-style call
+/// for up to `IOV_MAX / 2` frames, instead of a write per frame (which
+/// would tempt Nagle/delayed-ACK interactions and cost a syscall each) —
+/// carrying on where a partial write stopped. The writing half of the
+/// framing [`FrameReader`] reads; every length-prefixed TCP framing in the
+/// workspace writes through it. Allocates nothing.
+///
+/// # Errors
+///
+/// Whatever a write raises but `Interrupted`; `WriteZero` when a write
+/// takes nothing; `InvalidInput` for a frame over [`MAX_TCP_FRAME`], which
+/// no reader would take (frames ahead of it may have been written).
+pub fn write_frames<W: Write>(w: &mut W, frames: &[impl AsRef<[u8]>]) -> std::io::Result<()> {
+    // The slice array is zeroed on each call: a lone frame — one request,
+    // one reply, the common case — should not pay for 1024 of them.
+    if frames.len() == 1 {
+        write_frames_by::<2>(w, frames)
+    } else {
+        write_frames_by::<IOV_MAX>(w, frames)
+    }
+}
+
+/// [`write_frames`], at most `SLICES` slices per write. Never inlined: the
+/// large instance's 20 KiB of arrays would otherwise be the stack frame
+/// (probed page by page) of every write.
+#[inline(never)]
+fn write_frames_by<const SLICES: usize>(
+    w: &mut impl Write,
+    frames: &[impl AsRef<[u8]>],
 ) -> std::io::Result<()> {
-    let total = prefix.len() + frame.len();
-    let mut written = 0usize;
-    while written < total {
-        let n = if written < prefix.len() {
-            w.write_vectored(&[IoSlice::new(&prefix[written..]), IoSlice::new(frame)])?
-        } else {
-            w.write(&frame[written - prefix.len()..])?
-        };
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::WriteZero,
-                "failed to write whole frame",
-            ));
+    // `frames[next]` is the first not wholly written, `done` bytes of its
+    // prefix and body already are.
+    let (mut next, mut done) = (0, 0);
+    // A batch is at most `SLICES / 2` frames: two slices each.
+    let mut prefixes = [[0u8; PREFIX]; SLICES];
+    while next < frames.len() {
+        let batch = &frames[next..frames.len().min(next + SLICES / 2)];
+        for (prefix, frame) in prefixes.iter_mut().zip(batch) {
+            let len = frame.as_ref().len();
+            let len = u32::try_from(len)
+                .ok()
+                .filter(|&len| len <= MAX_TCP_FRAME)
+                .ok_or_else(|| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidInput,
+                        format!("frame of {len} bytes exceeds the {MAX_TCP_FRAME}-byte limit"),
+                    )
+                })?;
+            *prefix = len.to_be_bytes();
         }
-        written += n;
+        let mut slices = [IoSlice::new(&[]); SLICES];
+        let (mut used, mut skip) = (0, done);
+        for (prefix, frame) in prefixes.iter().zip(batch) {
+            let prefix = &prefix[skip.min(PREFIX)..];
+            if !prefix.is_empty() {
+                slices[used] = IoSlice::new(prefix);
+                used += 1;
+            }
+            slices[used] = IoSlice::new(&frame.as_ref()[skip.saturating_sub(PREFIX)..]);
+            used += 1;
+            skip = 0;
+        }
+        let mut n = match w.write_vectored(&slices[..used]) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => 0,
+            Err(e) => return Err(e),
+        };
+        // Skip what went out: whole frames, then into the one it stopped in.
+        while n > 0 {
+            let left = PREFIX + frames[next].as_ref().len() - done;
+            if n < left {
+                done += n;
+                break;
+            }
+            n -= left;
+            (next, done) = (next + 1, 0);
+        }
     }
     Ok(())
 }
@@ -285,7 +347,7 @@ const FIRST_CHUNK: usize = 4 * 1024;
 /// Length of the big-endian prefix in front of every frame.
 const PREFIX: usize = 4;
 
-/// The reading half of the framing [`write_frame_vectored`] writes — a
+/// The reading half of the framing [`write_frames`] writes — a
 /// 4-byte big-endian length, then that many bytes — and the one reader of
 /// it in the workspace.
 ///
@@ -512,8 +574,7 @@ impl Transport for TcpTransport {
             return Err(DacapoError::Closed);
         }
         let mut writer = self.writer.lock();
-        let len = (frame.len() as u32).to_be_bytes();
-        write_frame_vectored(&mut *writer, &len, &frame)
+        write_frames(&mut *writer, std::slice::from_ref(&frame))
             .and_then(|_| writer.flush())
             .map_err(|e| DacapoError::Transport(format!("tcp send: {e}")))
     }
@@ -725,12 +786,85 @@ mod tests {
         }
     }
 
+    /// The frames one at a time, each behind its length prefix.
     fn wire_of(frames: &[Vec<u8>]) -> Vec<u8> {
         let mut wire = Vec::new();
         for frame in frames {
-            write_frame_vectored(&mut wire, &(frame.len() as u32).to_be_bytes(), frame).unwrap();
+            wire.extend_from_slice(&(frame.len() as u32).to_be_bytes());
+            wire.extend_from_slice(frame);
         }
         wire
+    }
+
+    /// A socket stand-in that takes at most `take` bytes per write, across
+    /// as many slices as they span, and counts the slices it was offered.
+    struct Trickle {
+        take: usize,
+        wire: Vec<u8>,
+        most_slices: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.most_slices = self.most_slices.max(bufs.len());
+            let before = self.wire.len();
+            for buf in bufs {
+                let room = self.take - (self.wire.len() - before);
+                self.wire.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.wire.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Writes `frames` into sockets that take 1, 7 and any number of bytes
+    /// a write: the bytes are those of the frames written one at a time,
+    /// and no write is offered more than `IOV_MAX` slices. Returns the most
+    /// slices one write was offered.
+    fn write_like_one_at_a_time(frames: &[Vec<u8>]) -> usize {
+        let mut most_slices = 0;
+        for take in [1, 7, usize::MAX] {
+            let mut socket = Trickle {
+                take,
+                wire: Vec::new(),
+                most_slices: 0,
+            };
+            write_frames(&mut socket, frames).unwrap();
+            assert_eq!(
+                socket.wire,
+                wire_of(frames),
+                "{} frames, {take} bytes a write",
+                frames.len()
+            );
+            assert!(socket.most_slices <= IOV_MAX);
+            most_slices = most_slices.max(socket.most_slices);
+        }
+        most_slices
+    }
+
+    #[test]
+    fn write_frames_writes_a_single_frame() {
+        write_like_one_at_a_time(&[b"a single frame".to_vec()]);
+    }
+
+    #[test]
+    fn write_frames_writes_more_frames_than_one_write_carries() {
+        let frames: Vec<Vec<u8>> = (0..600).map(|i| vec![i as u8; i % 11]).collect();
+        assert!(frames.len() > IOV_MAX / 2);
+        assert_eq!(write_like_one_at_a_time(&frames), IOV_MAX);
+    }
+
+    #[test]
+    fn write_frames_writes_a_zero_length_frame() {
+        write_like_one_at_a_time(&[Vec::new()]);
+        write_like_one_at_a_time(&[b"x".to_vec(), Vec::new(), b"y".to_vec()]);
     }
 
     /// Every frame `script` carries, then the error that ended it.
