@@ -249,16 +249,14 @@ impl ClientMetrics {
     /// trace when one is pending) and feeds the invocation counter +
     /// end-to-end latency histogram.
     fn finish_invocation(&self, request_id: u32, result: &ReplyResult) {
-        let total_us = self
-            .registry
-            .span_finish_traced(request_id, outcome_of(result));
+        let total = self.registry.span_finish(request_id, outcome_of(result));
         self.invocations.inc();
         if matches!(result, Err(OrbError::Timeout { .. })) {
             self.timeouts.inc();
         }
         if result.is_ok() {
-            if let Some(total_us) = total_us {
-                self.latency.record(total_us);
+            if let Some(total) = total {
+                self.latency.record_duration_us(total);
             }
         }
     }
@@ -266,7 +264,7 @@ impl ClientMetrics {
     /// Closes the span (and any pending trace) for an invocation that
     /// never completed normally — encode or send failure, cancellation.
     fn abort_invocation(&self, request_id: u32, outcome: SpanOutcome) {
-        self.registry.span_finish_traced(request_id, outcome);
+        self.registry.span_finish(request_id, outcome);
     }
 }
 
@@ -591,7 +589,7 @@ impl Binding {
                 // (this also retires the trace entry the request opened —
                 // there is no reply to merge).
                 Ok(()) if !response_expected => {
-                    t.registry.span_finish_traced(request_id, SpanOutcome::Ok);
+                    t.registry.span_finish(request_id, SpanOutcome::Ok);
                     t.invocations.inc();
                 }
                 Ok(()) => {}

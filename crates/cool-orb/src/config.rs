@@ -113,23 +113,21 @@ impl Default for FailoverPolicy {
     }
 }
 
-/// Where and how the introspection endpoint runs (see
-/// [`OrbConfig::introspect`]).
+/// Where the introspection endpoint listens (see
+/// [`OrbConfig::introspect`]). Its `/gauges` series are sampled every
+/// [`cool_telemetry::DEFAULT_SAMPLE_PERIOD`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntrospectPolicy {
     /// Bind address; keep it loopback (`127.0.0.1:0` by default — the
     /// real port is available from `Orb::introspect_addr`). The endpoint
     /// is unauthenticated by design, for local operators and smoke tests.
     pub bind_addr: String,
-    /// Gauge sampling period for the `/gauges` time series.
-    pub sample_period: Duration,
 }
 
 impl Default for IntrospectPolicy {
     fn default() -> Self {
         IntrospectPolicy {
             bind_addr: "127.0.0.1:0".to_string(),
-            sample_period: cool_telemetry::DEFAULT_SAMPLE_PERIOD,
         }
     }
 }
@@ -251,7 +249,6 @@ mod tests {
         let d = OrbConfig {
             introspect: Some(IntrospectPolicy {
                 bind_addr: "127.0.0.1:9100".to_string(),
-                ..IntrospectPolicy::default()
             }),
             ..OrbConfig::default()
         };

@@ -82,11 +82,7 @@ impl Orb {
         }
         let introspect = match (&config.introspect, &config.telemetry) {
             (Some(policy), Some(registry)) => {
-                match IntrospectServer::start(
-                    Arc::clone(registry),
-                    &policy.bind_addr,
-                    policy.sample_period,
-                ) {
+                match IntrospectServer::start(Arc::clone(registry), &policy.bind_addr) {
                     Ok(server) => Some(server),
                     Err(e) => {
                         // Degrade rather than fail ORB construction; the

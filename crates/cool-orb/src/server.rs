@@ -9,7 +9,7 @@
 //!   listener's `accept()` (woken at shutdown by a loopback self-connect)
 //!   or the exchange's acceptor queue (a blocking `recv`, woken by the
 //!   exchange dropping its sender on `unlisten`). No accept poll.
-//! * **Each connection registers a [`ConnSink`]** as its channel's
+//! * **Each connection registers a `ConnSink`** as its channel's
 //!   [`FrameSink`]: the transport's delivery thread has
 //!   [`crate::message_layer`] decode each frame the moment it arrives —
 //!   which protocol the peer speaks is not visible here — and either
@@ -20,7 +20,7 @@
 //!   [`OrbConfig::dispatcher_threads`]) executes requests and marshals
 //!   replies. Requests pipelined on one connection run *concurrently*;
 //!   replies are matched by request id, so out-of-order completion is
-//!   fine. The queue is bounded ([`DISPATCH_QUEUE_DEPTH`]): when servants
+//!   fine. The queue is bounded (`DISPATCH_QUEUE_DEPTH`): when servants
 //!   fall behind, delivery threads block on enqueue and backpressure
 //!   reaches the peer instead of buffering without bound. The exception is
 //!   a delivery thread that must not wait
@@ -32,9 +32,9 @@
 //! * **A servant observed cheap runs on the delivering thread.** Handing
 //!   a request to the pool and the reply back costs thread wake-ups that
 //!   dwarf a short upcall, so an object whose last
-//!   [`INLINE_ADMIT_STREAK`] upcalls each finished inside
-//!   [`INLINE_UPCALL_BUDGET`] has its next request executed right where
-//!   the frame was decoded: the same [`run_job`], called directly, reply
+//!   `INLINE_ADMIT_STREAK` upcalls each finished inside
+//!   `INLINE_UPCALL_BUDGET` has its next request executed right where
+//!   the frame was decoded: the same `run_job`, called directly, reply
 //!   written by the thread that ran the servant. Over Chorus that is the
 //!   *caller's* thread — the whole call happens on it. Nothing declares a
 //!   servant cheap: the adapter counts the streak from the execute time
@@ -48,7 +48,7 @@
 //!   caller sharing a Chorus binding is never kept running other callers'
 //!   servants.
 //!
-//! Per-connection cancel bookkeeping is bounded too ([`CANCEL_HISTORY`]):
+//! Per-connection cancel bookkeeping is bounded too (`CANCEL_HISTORY`):
 //! cancels for requests that never arrive evict oldest-first rather than
 //! growing a set forever.
 

@@ -165,7 +165,7 @@ impl DacapoComChannel {
     /// Like [`DacapoComChannel::pair`], with channel-level frame/byte
     /// counters reported into `telemetry` when given (both endpoints feed
     /// the same `kind="dacapo"` series; the module stacks below report
-    /// separately via [`dacapo::RuntimeOptions::telemetry`]).
+    /// separately via [`dacapo::runtime::RuntimeOptions::telemetry`]).
     ///
     /// # Errors
     ///

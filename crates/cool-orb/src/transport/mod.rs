@@ -377,7 +377,7 @@ struct InboxState {
 
 /// The per-channel delivery core shared by all three transports: a
 /// condvar-backed frame queue supporting both blocking pull
-/// ([`FrameInbox::recv`]) and sink push.
+/// ([`FrameInbox::recv_timeout`]) and sink push.
 ///
 /// Invariant: while a sink is registered and no delivery is in flight, the
 /// queue is empty — every push drains synchronously.
@@ -415,7 +415,7 @@ impl FrameInbox {
     }
 
     /// Delivers one inbound frame: straight to the sink when one is
-    /// registered, otherwise queued for [`FrameInbox::recv`]. Frames pushed
+    /// registered, otherwise queued for [`FrameInbox::recv_timeout`]. Frames pushed
     /// after the close has been observed are dropped.
     pub fn push(&self, frame: Bytes) {
         let mut st = self.state.lock();

@@ -9,6 +9,7 @@
 
 use bytes::Bytes;
 use cool_orb::exchange::LocalExchange;
+use cool_orb::message_layer::WireProtocol;
 use cool_orb::{IntrospectPolicy, Orb, OrbConfig, OrbServer, Stub};
 use cool_telemetry::{names, Registry};
 use std::io::{Read as _, Write as _};
@@ -153,6 +154,70 @@ fn untraced_server_leaves_client_traces_unmerged() {
     assert!(traces[0].server.is_none());
 }
 
+/// Finished calls the span store keeps.
+const RECENT_CALLS: usize = 128;
+
+/// Client and server ORB over loopback TCP reporting into one registry,
+/// the client bound with `protocol`.
+fn shared_registry_stub(protocol: WireProtocol) -> (Arc<Registry>, OrbServer, Stub) {
+    let registry = Arc::new(Registry::new());
+    let config = OrbConfig {
+        telemetry: Some(Arc::clone(&registry)),
+        ..Default::default()
+    };
+    let server_orb = Orb::with_exchange_and_config("server", LocalExchange::new(), config.clone());
+    server_orb
+        .adapter()
+        .register_fn("echo", |_op, args, _ctx| Ok(args.to_vec()))
+        .unwrap();
+    let server = server_orb.listen_tcp("127.0.0.1:0").unwrap();
+    let client_orb = Orb::with_exchange_and_config("client", LocalExchange::new(), config);
+    let stub = client_orb
+        .bind_with_protocol(&server.object_ref("echo"), protocol)
+        .unwrap();
+    (registry, server, stub)
+}
+
+#[test]
+fn a_traced_call_is_one_record_seen_as_a_span_and_as_a_trace() {
+    let (registry, _server, stub) = shared_registry_stub(WireProtocol::Giop);
+    const CALLS: usize = RECENT_CALLS + 72;
+    for _ in 0..CALLS {
+        stub.invoke("echo", Bytes::from_static(b"x")).unwrap();
+    }
+
+    let spans = registry.recent_spans();
+    let traces = registry.recent_traces();
+    assert_eq!(spans.len(), RECENT_CALLS);
+    assert_eq!(traces.len(), RECENT_CALLS, "every GIOP call carried a trace");
+    for (span, trace) in spans.iter().zip(&traces) {
+        // The same call, not two copies that could disagree.
+        assert_eq!(span.request_id, trace.span.request_id);
+        assert_eq!(span.stages, trace.span.stages);
+        assert_eq!(span.total_us, trace.span.total_us);
+        assert!(span.is_complete(), "shared registry: all six stages {span:?}");
+    }
+    assert_eq!(
+        registry.snapshot().counter(names::SPANS_DROPPED_TOTAL),
+        Some((CALLS - RECENT_CALLS) as u64),
+        "one eviction per call beyond the ring, traced or not"
+    );
+}
+
+#[test]
+fn a_cool_protocol_call_is_a_span_without_a_trace() {
+    let (registry, _server, stub) = shared_registry_stub(WireProtocol::Cool);
+    const CALLS: usize = 5;
+    for _ in 0..CALLS {
+        stub.invoke("echo", Bytes::from_static(b"x")).unwrap();
+    }
+    assert_eq!(registry.recent_spans().len(), CALLS);
+    assert!(
+        registry.recent_traces().is_empty(),
+        "the COOL protocol carries no trace context"
+    );
+}
+
 /// Minimal HTTP/1.0 GET against the introspection endpoint.
 fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -191,10 +256,7 @@ fn introspection_endpoint_serves_all_four_resources() {
         "client",
         LocalExchange::new(),
         OrbConfig {
-            introspect: Some(IntrospectPolicy {
-                sample_period: Duration::from_millis(10),
-                ..Default::default()
-            }),
+            introspect: Some(IntrospectPolicy::default()),
             ..Default::default()
         },
     );

@@ -13,12 +13,11 @@
 //! The ring is bounded; evictions are counted and surfaced as
 //! `flight_events_dropped_total`.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::lockorder::{rank, OrderedMutex};
 use crate::registry::json_escape;
+use crate::ring::Ring;
 
 /// Well-known event kinds; free-form kinds are also accepted.
 pub mod event {
@@ -59,57 +58,34 @@ pub struct FlightEvent {
     pub detail: String,
 }
 
-struct FlightInner {
-    events: VecDeque<FlightEvent>,
-    seq: u64,
-}
-
-/// Default ring size — large enough to hold every exceptional event of a
-/// full chaos run with room to spare.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
+/// Events the recorder keeps — every exceptional event of a full chaos
+/// run with room to spare.
+const FLIGHT_CAPACITY: usize = 256;
 
 /// Bounded, lock-rank-disciplined event ring.
 pub struct FlightRecorder {
-    inner: OrderedMutex<FlightInner>,
+    events: OrderedMutex<Ring<FlightEvent, FLIGHT_CAPACITY>>,
     started: Instant,
-    capacity: usize,
-    dropped: AtomicU64,
 }
 
 impl Default for FlightRecorder {
     fn default() -> Self {
-        FlightRecorder::with_capacity(DEFAULT_FLIGHT_CAPACITY)
+        FlightRecorder {
+            events: OrderedMutex::new(rank::TELEMETRY_FLIGHT, Ring::default()),
+            started: Instant::now(),
+        }
     }
 }
 
 impl FlightRecorder {
-    /// Creates a recorder holding at most `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        FlightRecorder {
-            inner: OrderedMutex::new(
-                rank::TELEMETRY_FLIGHT,
-                FlightInner {
-                    events: VecDeque::with_capacity(capacity.max(1)),
-                    seq: 0,
-                },
-            ),
-            started: Instant::now(),
-            capacity: capacity.max(1),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
     /// Records one event, evicting the oldest when the ring is full.
     pub fn record(&self, kind: &'static str, request_id: Option<u32>, detail: String) {
         let at_us = self.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        let mut inner = self.inner.lock();
-        if inner.events.len() >= self.capacity {
-            inner.events.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        let seq = inner.seq;
-        inner.seq += 1;
-        inner.events.push_back(FlightEvent {
+        let mut events = self.events.lock();
+        // Every event ever recorded is either held or was evicted, so the
+        // next sequence number is their sum.
+        let seq = events.dropped() + events.len() as u64;
+        events.push(FlightEvent {
             seq,
             at_us,
             kind,
@@ -120,12 +96,12 @@ impl FlightRecorder {
 
     /// Copy of the ring, oldest first.
     pub fn events(&self) -> Vec<FlightEvent> {
-        self.inner.lock().events.iter().cloned().collect()
+        self.events.lock().iter().cloned().collect()
     }
 
     /// Number of events currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
+        self.events.lock().len()
     }
 
     /// True when nothing has been recorded (or everything was evicted).
@@ -135,15 +111,20 @@ impl FlightRecorder {
 
     /// Events evicted to make room for newer ones.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.events.lock().dropped()
     }
 
     /// Dumps the ring as a JSON object:
     /// `{"dropped":N,"events":[{seq,at_us,kind,request_id,detail}…]}`.
+    /// The count and the events come from one lock acquisition, so the
+    /// oldest event listed always has `seq == dropped`.
     pub fn to_json(&self) -> String {
-        let events = self.events();
+        let (dropped, events) = {
+            let ring = self.events.lock();
+            (ring.dropped(), ring.iter().cloned().collect::<Vec<_>>())
+        };
         let mut out = String::with_capacity(64 + 96 * events.len());
-        out.push_str(&format!("{{\"dropped\":{},\"events\":[", self.dropped()));
+        out.push_str(&format!("{{\"dropped\":{dropped},\"events\":["));
         for (i, e) in events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -164,10 +145,10 @@ impl FlightRecorder {
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let events = self.events.lock();
         f.debug_struct("FlightRecorder")
-            .field("len", &self.len())
-            .field("capacity", &self.capacity)
-            .field("dropped", &self.dropped())
+            .field("len", &events.len())
+            .field("dropped", &events.dropped())
             .finish()
     }
 }
@@ -194,15 +175,55 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_and_counts_evictions() {
-        let rec = FlightRecorder::with_capacity(4);
-        for i in 0..10u32 {
-            rec.record(event::FAULT_INJECTED, Some(i), String::new());
+    fn a_dump_taken_while_recording_agrees_with_itself() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        const WRITERS: usize = 4;
+        const DUMPS: usize = 1_000;
+        let rec = Arc::new(FlightRecorder::default());
+        let stop = Arc::new(AtomicBool::new(false));
+        // Each writer records past the ring's capacity on its own, then
+        // keeps recording until every dump has been taken.
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|_| {
+                let (rec, stop) = (Arc::clone(&rec), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    let mut recorded = 0u64;
+                    while recorded < FLIGHT_CAPACITY as u64 || !stop.load(Ordering::Relaxed) {
+                        rec.record(event::FAULT_INJECTED, None, String::new());
+                        recorded += 1;
+                    }
+                    recorded
+                })
+            })
+            .collect();
+        // `seq` counts from 0 and only the oldest event is ever evicted,
+        // so in every dump the first event listed is number `dropped`.
+        let check = |dump: &str| match dump.find("\"seq\":") {
+            Some(_) => assert_eq!(
+                json_u64_after(dump, "\"seq\":"),
+                json_u64_after(dump, "\"dropped\":"),
+                "{dump}"
+            ),
+            None => assert_eq!(json_u64_after(dump, "\"dropped\":"), 0, "{dump}"),
+        };
+        for _ in 0..DUMPS {
+            check(&rec.to_json());
         }
-        assert_eq!(rec.len(), 4);
-        assert_eq!(rec.dropped(), 6);
-        let ids: Vec<_> = rec.events().iter().filter_map(|e| e.request_id).collect();
-        assert_eq!(ids, vec![6, 7, 8, 9]);
+        stop.store(true, Ordering::Relaxed);
+        let total: u64 = writers
+            .into_iter()
+            .map(|w| w.join().expect("writer thread"))
+            .sum();
+        check(&rec.to_json());
+        assert_eq!(rec.dropped(), total - FLIGHT_CAPACITY as u64);
+        assert_eq!(rec.len(), FLIGHT_CAPACITY);
+    }
+
+    fn json_u64_after(json: &str, key: &str) -> u64 {
+        let at = json.find(key).expect("key present") + key.len();
+        let digits: String = json[at..].chars().take_while(char::is_ascii_digit).collect();
+        digits.parse().expect("a number")
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Hand-rolled on `std::net` in the same spirit as cool-analyze's lexer —
 //! just enough HTTP/1.1 to serve four read-only routes from a shared
-//! [`Registry`](crate::Registry):
+//! [`Registry`]:
 //!
 //! * `GET /metrics` — the existing Prometheus text render.
-//! * `GET /spans` — recent merged distributed traces (plus raw spans).
+//! * `GET /spans` — the recent calls' spans, and the merged distributed
+//!   traces of those that carried one.
 //! * `GET /flight` — the flight-recorder dump.
 //! * `GET /gauges?window=<ms>` — sampled gauge time series.
 //!
@@ -22,12 +23,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::sampler::{GaugeSampler, GaugeSeries};
-use crate::span::render_spans_json;
-use crate::trace::render_traces_json;
 use crate::Registry;
-
-/// Default gauge sampling period.
-pub const DEFAULT_SAMPLE_PERIOD: Duration = Duration::from_millis(20);
 
 /// A running introspection endpoint. Stops (and joins both threads) on
 /// [`IntrospectServer::stop`] or drop.
@@ -41,14 +37,10 @@ pub struct IntrospectServer {
 impl IntrospectServer {
     /// Binds `bind_addr` (e.g. `"127.0.0.1:0"`), spawns the accept and
     /// sampler threads, and returns the running server.
-    pub fn start(
-        registry: Arc<Registry>,
-        bind_addr: &str,
-        sample_period: Duration,
-    ) -> io::Result<IntrospectServer> {
+    pub fn start(registry: Arc<Registry>, bind_addr: &str) -> io::Result<IntrospectServer> {
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
-        let sampler = GaugeSampler::start(Arc::clone(&registry), sample_period)?;
+        let sampler = GaugeSampler::start(Arc::clone(&registry))?;
         let series = sampler.series();
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
@@ -124,15 +116,7 @@ fn serve_connection(mut stream: TcpStream, registry: &Registry, series: &Arc<Gau
             "text/plain; version=0.0.4",
             registry.render_prometheus(),
         ),
-        "/spans" => {
-            let mut body = String::with_capacity(1024);
-            body.push_str("{\"spans\":");
-            body.push_str(&render_spans_json(&registry.recent_spans()));
-            body.push_str(",\"traces\":");
-            body.push_str(&render_traces_json(&registry.recent_traces()));
-            body.push('}');
-            ("200 OK", "application/json", body)
-        }
+        "/spans" => ("200 OK", "application/json", registry.spans_json()),
         "/flight" => ("200 OK", "application/json", registry.flight().to_json()),
         "/gauges" => (
             "200 OK",
@@ -213,12 +197,8 @@ mod tests {
         registry.counter("orb_invocations_total").add(3);
         registry.gauge("orb_dispatch_queue_depth").set(1.0);
         registry.flight_event("reconnect", None, "tcp");
-        let mut server = IntrospectServer::start(
-            Arc::clone(&registry),
-            "127.0.0.1:0",
-            Duration::from_millis(5),
-        )
-        .expect("start server");
+        let mut server =
+            IntrospectServer::start(Arc::clone(&registry), "127.0.0.1:0").expect("start server");
         let addr = server.local_addr();
 
         let (head, body) = get(addr, "/metrics");

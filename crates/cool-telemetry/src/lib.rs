@@ -28,18 +28,17 @@ pub mod lockorder;
 pub mod metrics;
 pub mod names;
 pub mod registry;
+mod ring;
 pub mod sampler;
 pub mod span;
 pub mod trace;
 
-pub use flight::{FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
-pub use introspect::{IntrospectServer, DEFAULT_SAMPLE_PERIOD};
+pub use flight::{FlightEvent, FlightRecorder};
+pub use introspect::IntrospectServer;
 pub use metrics::{bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, BUCKET_COUNT, OVERFLOW_BUCKET};
 pub use registry::{Registry, TelemetrySnapshot};
-pub use sampler::{GaugeSample, GaugeSampler, GaugeSeries, DEFAULT_SERIES_CAPACITY};
-pub use span::{SpanOutcome, SpanRecord, SpanStore, Stage, StageTiming, DEFAULT_RING_CAPACITY, STAGES};
+pub use sampler::{GaugeSample, GaugeSampler, GaugeSeries, DEFAULT_SAMPLE_PERIOD};
+pub use span::{SpanOutcome, SpanRecord, Stage, StageTiming, STAGES};
 pub use trace::{
     duration_as_u32_us, duration_as_u64_ns, next_trace_id, now_wall_ns, ClientTrace, ServerTraceTiming, TraceRecord,
-    TraceStore,
-    DEFAULT_TRACE_CAPACITY,
 };

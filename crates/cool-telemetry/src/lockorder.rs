@@ -156,14 +156,14 @@ pub mod rank {
     /// `ResourceManager`/`ResourceGrant` usage ledger — admission;
     /// innermost of the data path, taken by every grant drop.
     pub const RESOURCE_USAGE: Rank = Rank::new(70, "resource.usage");
-    /// `TraceStore::inner` — merged distributed-trace store. Leaf: taken
-    /// with no other telemetry lock held, from code that may hold any of
-    /// the locks above.
-    pub const TELEMETRY_TRACES: Rank = Rank::new(90, "telemetry.traces");
-    /// `FlightRecorder::inner` — bounded event ring. Leaf; events are
+    /// `SpanStore::inner` — active spans and the ring of finished calls
+    /// (traced ones with their merged trace). Leaf: taken with no other
+    /// telemetry lock held, from code that may hold any of the locks above.
+    pub const TELEMETRY_SPANS: Rank = Rank::new(90, "telemetry.spans");
+    /// `FlightRecorder::events` — bounded event ring. Leaf; events are
     /// recorded from arbitrary call sites, so it must sit below nothing.
     pub const TELEMETRY_FLIGHT: Rank = Rank::new(92, "telemetry.flight");
-    /// `GaugeSeries::inner` — sampled gauge time series; innermost of
+    /// `GaugeSeries::series` — sampled gauge time series; innermost of
     /// all. Written by the sampler thread, read by the introspection
     /// endpoint.
     pub const TELEMETRY_GAUGES: Rank = Rank::new(94, "telemetry.gauges");

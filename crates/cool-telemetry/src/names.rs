@@ -38,6 +38,10 @@ pub const DISPATCH_INLINE_TOTAL: &str = "orb_dispatch_inline_total";
 /// (over TCP, the replies of one read leave in one write: DESIGN.md §5).
 pub const TRANSPORT_WRITES_TOTAL: &str = "transport_writes_total";
 
+/// Finished calls evicted from the span store's bounded ring to make room
+/// for newer ones — every evicted call, traced or not, counted once.
+pub const SPANS_DROPPED_TOTAL: &str = "spans_dropped_total";
+
 /// Flight-recorder events evicted from the bounded ring to make room for
 /// newer ones.
 pub const FLIGHT_EVENTS_DROPPED_TOTAL: &str = "flight_events_dropped_total";
@@ -99,9 +103,10 @@ mod tests {
         assert_eq!(snap.counter(RETRIES_TOTAL), Some(3));
         assert_eq!(snap.counter(TRACE_JOINS_TOTAL), Some(9));
         assert_eq!(snap.counter(SERVICE_CONTEXT_BYTES), Some(203));
-        // The flight recorder's eviction counter is synthesized into every
-        // snapshot even before any event is recorded.
+        // The bounded stores' eviction counters are synthesized into every
+        // snapshot even before anything is recorded.
         assert_eq!(snap.counter(FLIGHT_EVENTS_DROPPED_TOTAL), Some(0));
+        assert_eq!(snap.counter(SPANS_DROPPED_TOTAL), Some(0));
         assert_eq!(snap.counter(RECONNECTS_TOTAL), Some(1));
         assert_eq!(snap.counter(QOS_DEGRADATIONS_TOTAL), Some(2));
         assert_eq!(snap.counter(FAULTS_INJECTED_TOTAL), Some(7));

@@ -1,5 +1,6 @@
 //! The [`Registry`]: a process-wide (or per-ORB) table of named metrics
-//! plus the invocation-span store, with text/Prometheus/JSON exporters.
+//! plus the invocation-span store and the flight recorder, with
+//! text/Prometheus/JSON exporters.
 //!
 //! Components resolve their metric handles once at construction time
 //! (`registry.counter("transport_frames_sent_total{kind=\"tcp\"}")`) and
@@ -17,29 +18,28 @@ use crate::flight::FlightRecorder;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::names;
 use crate::span::{SpanOutcome, SpanRecord, SpanStore, Stage, STAGES};
-use crate::trace::{ClientTrace, ServerTraceTiming, TraceRecord, TraceStore};
+use crate::trace::{ClientTrace, ServerTraceTiming, TraceRecord};
 
 /// Locks `m`, recovering the data from a poisoned lock: telemetry must
 /// keep reporting even after a panic elsewhere, and every guarded value
 /// here stays internally consistent under any interleaving.
-fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Named-metric table + span store + distributed-trace store + flight
-/// recorder. Cheap to share via `Arc`.
+/// Named-metric table + span store (one record per finished call, traced
+/// or not) + flight recorder. Cheap to share via `Arc`.
 #[derive(Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     spans: SpanStore,
-    traces: TraceStore,
     flight: FlightRecorder,
 }
 
 impl Registry {
-    /// Creates an empty registry with the default recent-span ring.
+    /// Creates an empty registry.
     pub fn new() -> Self {
         Registry::default()
     }
@@ -93,19 +93,27 @@ impl Registry {
         )
     }
 
-    /// Opens an invocation span. See [`SpanStore::begin`].
+    /// Opens an invocation span keyed by `request_id`; an active span
+    /// with the same id is closed as cancelled first. At most 1 024 spans
+    /// are active: beyond that the oldest is closed as cancelled.
     pub fn span_begin(&self, request_id: u32, operation: &str, transport: &'static str) {
         self.spans.begin(request_id, operation, transport);
     }
 
-    /// Marks a stage complete on an active span. See [`SpanStore::mark`].
+    /// Marks `stage` complete on an active span, `duration` being the
+    /// stage's own length; its offset is taken from the span clock now.
+    /// No-op when the span is unknown (evicted, or telemetry attached
+    /// mid-call).
     pub fn span_mark(&self, request_id: u32, stage: Stage, duration: Duration) {
-        self.spans.mark(request_id, stage, duration);
+        self.spans.mark(request_id, stage, duration, None, None);
     }
 
-    /// Marks a stage and stashes the server half of a distributed trace
-    /// (keyed to the reply's demux-arrival instant) in one lock
-    /// acquisition. See [`SpanStore::mark_reply`].
+    /// Marks a stage and stashes the server half of a distributed trace in
+    /// one lock acquisition. The `Instant` is when the reply reached the
+    /// demux thread: the client receive wall stamp is derived from it and
+    /// the attached [`ClientTrace`]'s send stamps, so no second wall-clock
+    /// read is involved. A reply half on a span that sent no trace is
+    /// dropped.
     pub fn span_mark_reply(
         &self,
         request_id: u32,
@@ -113,11 +121,12 @@ impl Registry {
         duration: Duration,
         server_reply: Option<(ServerTraceTiming, std::time::Instant)>,
     ) {
-        self.spans.mark_reply(request_id, stage, duration, server_reply);
+        self.spans.mark(request_id, stage, duration, None, server_reply);
     }
 
     /// Marks a stage and attaches the client half of a distributed trace
-    /// in one lock acquisition. See [`SpanStore::mark_attach`].
+    /// in one lock acquisition — the client marks `Marshal` right after
+    /// stamping the outbound context.
     pub fn span_mark_attach(
         &self,
         request_id: u32,
@@ -125,35 +134,22 @@ impl Registry {
         duration: Duration,
         trace: Option<ClientTrace>,
     ) {
-        self.spans.mark_attach(request_id, stage, duration, trace);
+        self.spans.mark(request_id, stage, duration, trace, None);
     }
 
-    /// Closes a span. Returns the total elapsed time when the span was
-    /// known. See [`SpanStore::finish`].
+    /// Closes a span — the one way to — and keeps the call on the ring of
+    /// the last 128 finished calls: when a [`ClientTrace`] was attached,
+    /// as a [`TraceRecord`] merging both halves and the wire gaps, all
+    /// under the span store's one lock. Returns the span's total time when
+    /// the span was known.
     pub fn span_finish(&self, request_id: u32, outcome: SpanOutcome) -> Option<Duration> {
         self.spans.finish(request_id, outcome)
     }
 
-    /// Closes a span and, when the invocation carried a [`ClientTrace`],
-    /// merges the finished record with both trace halves into a
-    /// [`TraceRecord`] on the trace ring. Returns the span's total time in
-    /// microseconds. Untraced invocations never touch the trace store.
-    pub fn span_finish_traced(&self, request_id: u32, outcome: SpanOutcome) -> Option<u64> {
-        let (total_us, traced) = self.spans.finish_traced(request_id, outcome)?;
-        if let Some(tf) = traced {
-            self.traces.push_merged(tf.trace, tf.record, tf.server_reply);
-        }
-        Some(total_us)
-    }
-
-    /// Most recently merged distributed traces, oldest first.
+    /// The traces of the last 128 finished calls that carried one, oldest
+    /// first.
     pub fn recent_traces(&self) -> Vec<TraceRecord> {
-        self.traces.recent()
-    }
-
-    /// Direct access to the distributed-trace store.
-    pub fn traces(&self) -> &TraceStore {
-        &self.traces
+        self.spans.recent_traces()
     }
 
     /// Records a flight-recorder event. See [`FlightRecorder::record`].
@@ -175,26 +171,33 @@ impl Registry {
             .collect()
     }
 
-    /// Most recently finished spans, oldest first.
+    /// The spans of the last 128 finished calls, oldest first.
     pub fn recent_spans(&self) -> Vec<SpanRecord> {
-        self.spans.recent()
+        self.spans.recent_spans()
     }
 
-    /// Direct access to the span store (tests, custom inspection).
-    pub fn spans(&self) -> &SpanStore {
-        &self.spans
+    /// The `/spans` body: `{"spans":[…],"traces":[…]}`, both views read
+    /// in one acquisition.
+    pub(crate) fn spans_json(&self) -> String {
+        let (spans, traces, _) = self.spans.history();
+        let mut out = String::from("{");
+        push_spans_and_traces(&mut out, &spans, &traces);
+        out.push('}');
+        out
     }
 
-    /// Point-in-time copy of every metric, the recent-span ring and the
-    /// merged-trace ring. Overflow accounting of the bounded stores is
-    /// synthesized in as counters (`spans_dropped_total`,
-    /// `flight_events_dropped_total`) so it survives into every exporter.
+    /// Point-in-time copy of every metric and the finished-call ring.
+    /// Overflow accounting of the bounded stores is synthesized in as
+    /// counters ([`names::SPANS_DROPPED_TOTAL`],
+    /// [`names::FLIGHT_EVENTS_DROPPED_TOTAL`]) so it survives into every
+    /// exporter.
     pub fn snapshot(&self) -> TelemetrySnapshot {
+        let (spans, traces, spans_dropped) = self.spans.history();
         let mut counters: Vec<(String, u64)> = locked(&self.counters)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        counters.push(("spans_dropped_total".to_string(), self.spans.dropped()));
+        counters.push((names::SPANS_DROPPED_TOTAL.to_string(), spans_dropped));
         counters.push((
             names::FLIGHT_EVENTS_DROPPED_TOTAL.to_string(),
             self.flight.dropped(),
@@ -222,8 +225,8 @@ impl Registry {
             counters,
             gauges,
             histograms,
-            spans: self.spans.recent(),
-            traces: self.traces.recent(),
+            spans,
+            traces,
         }
     }
 
@@ -260,9 +263,9 @@ pub struct TelemetrySnapshot {
     pub gauges: Vec<(String, f64)>,
     /// `(name, snapshot)` for every histogram.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Recent-span ring contents, oldest first.
+    /// Spans of the finished-call ring, oldest first.
     pub spans: Vec<SpanRecord>,
-    /// Merged distributed traces, oldest first.
+    /// Traces of the ring's calls that carried one, oldest first.
     pub traces: Vec<TraceRecord>,
 }
 
@@ -335,38 +338,8 @@ impl TelemetrySnapshot {
                 h.max
             ));
         }
-        out.push_str("},\"spans\":[");
-        for (i, span) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"request_id\":{},\"operation\":\"{}\",\"transport\":\"{}\",\"outcome\":\"{}\",\"total_us\":{},\"stages\":{{",
-                span.request_id,
-                json_escape(&span.operation),
-                span.transport,
-                span.outcome.name(),
-                span.total_us
-            ));
-            let mut first = true;
-            for stage in STAGES {
-                if let Some(t) = span.stage(stage) {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    out.push_str(&format!(
-                        "\"{}\":{{\"offset_us\":{},\"duration_us\":{}}}",
-                        stage.name(),
-                        t.offset_us,
-                        t.duration_us
-                    ));
-                }
-            }
-            out.push_str("}}");
-        }
-        out.push_str("],\"traces\":");
-        out.push_str(&crate::trace::render_traces_json(&self.traces));
+        out.push_str("},");
+        push_spans_and_traces(&mut out, &self.spans, &self.traces);
         out.push('}');
         out
     }
@@ -452,6 +425,25 @@ fn with_label(name: &str, key: &str, value: &str) -> String {
         Some(head) => format!("{head},{key}=\"{value}\"}}"),
         None => format!("{name}{{{key}=\"{value}\"}}"),
     }
+}
+
+/// Writes `"spans":[…],"traces":[…]` into an open JSON object.
+fn push_spans_and_traces(out: &mut String, spans: &[SpanRecord], traces: &[TraceRecord]) {
+    out.push_str("\"spans\":");
+    push_json_array(out, spans.iter().map(SpanRecord::to_json));
+    out.push_str(",\"traces\":");
+    push_json_array(out, traces.iter().map(TraceRecord::to_json));
+}
+
+fn push_json_array(out: &mut String, objects: impl Iterator<Item = String>) {
+    out.push('[');
+    for (i, object) in objects.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&object);
+    }
+    out.push(']');
 }
 
 fn push_json_key(out: &mut String, name: &str) {

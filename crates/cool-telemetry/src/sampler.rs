@@ -1,27 +1,30 @@
 //! Periodic gauge sampling: snapshot-only gauges become time series.
 //!
 //! A [`GaugeSampler`] owns a background thread that copies every gauge in
-//! a [`Registry`](crate::Registry) into a bounded per-gauge ring at a
-//! fixed period, so quantities like dispatch-queue depth and transport
-//! inbox depth — which a point-in-time snapshot can only ever show as one
-//! number — can be read back as a `(t, value)` series over a window. The
+//! a [`Registry`] into a bounded per-gauge ring every
+//! [`DEFAULT_SAMPLE_PERIOD`], so quantities like dispatch-queue depth and
+//! transport inbox depth — which a point-in-time snapshot can only ever
+//! show as one number — can be read back as a `(t, value)` series over a
+//! window. The
 //! thread parks on a condvar deadline (no sleep polling) and stops
 //! promptly on drop.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::io;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::lockorder::{rank, OrderedMutex};
-use crate::registry::json_escape;
+use crate::registry::{json_escape, locked};
+use crate::ring::Ring;
 use crate::Registry;
 
-fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+/// How often the sampler copies the gauges.
+pub const DEFAULT_SAMPLE_PERIOD: Duration = Duration::from_millis(20);
+
+/// Samples kept per gauge: 20 s of history at the sampling period.
+const SERIES_CAPACITY: usize = 1024;
 
 /// One sample of one gauge.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,32 +35,17 @@ pub struct GaugeSample {
     pub value: f64,
 }
 
-struct SeriesInner {
-    series: BTreeMap<String, VecDeque<GaugeSample>>,
-}
-
-/// Default samples retained per gauge.
-pub const DEFAULT_SERIES_CAPACITY: usize = 1024;
-
 /// Bounded per-gauge time series, shared between the sampler thread and
 /// readers (the `/gauges` introspection route).
 pub struct GaugeSeries {
-    inner: OrderedMutex<SeriesInner>,
-    capacity: usize,
+    series: OrderedMutex<BTreeMap<String, Ring<GaugeSample, SERIES_CAPACITY>>>,
     started: Instant,
 }
 
 impl GaugeSeries {
-    /// Creates an empty store retaining `capacity` samples per gauge.
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn new() -> Self {
         GaugeSeries {
-            inner: OrderedMutex::new(
-                rank::TELEMETRY_GAUGES,
-                SeriesInner {
-                    series: BTreeMap::new(),
-                },
-            ),
-            capacity: capacity.max(1),
+            series: OrderedMutex::new(rank::TELEMETRY_GAUGES, BTreeMap::new()),
             started: Instant::now(),
         }
     }
@@ -65,13 +53,9 @@ impl GaugeSeries {
     /// Appends one sample per gauge, evicting the oldest when full.
     pub fn push_all(&self, gauges: &[(String, f64)]) {
         let at_ms = self.started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
-        let mut inner = self.inner.lock();
+        let mut series = self.series.lock();
         for (name, value) in gauges {
-            let ring = inner.series.entry(name.clone()).or_default();
-            if ring.len() >= self.capacity {
-                ring.pop_front();
-            }
-            ring.push_back(GaugeSample {
+            series.entry(name.clone()).or_default().push(GaugeSample {
                 at_ms,
                 value: *value,
             });
@@ -80,9 +64,8 @@ impl GaugeSeries {
 
     /// Samples of one gauge, oldest first.
     pub fn samples(&self, name: &str) -> Vec<GaugeSample> {
-        self.inner
+        self.series
             .lock()
-            .series
             .get(name)
             .map(|r| r.iter().copied().collect())
             .unwrap_or_default()
@@ -90,7 +73,7 @@ impl GaugeSeries {
 
     /// Names of every gauge seen so far.
     pub fn names(&self) -> Vec<String> {
-        self.inner.lock().series.keys().cloned().collect()
+        self.series.lock().keys().cloned().collect()
     }
 
     /// JSON dump `{"window_ms":…,"series":{name:[{at_ms,value}…]}}`,
@@ -99,13 +82,13 @@ impl GaugeSeries {
         let now_ms = self.started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
         let cutoff = window
             .map(|w| now_ms.saturating_sub(w.as_millis().min(u128::from(u64::MAX)) as u64));
-        let inner = self.inner.lock();
+        let series = self.series.lock();
         let mut out = String::with_capacity(1024);
         out.push_str(&format!(
             "{{\"window_ms\":{},\"series\":{{",
             window.map_or("null".to_string(), |w| w.as_millis().to_string())
         ));
-        for (i, (name, ring)) in inner.series.iter().enumerate() {
+        for (i, (name, ring)) in series.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -149,18 +132,17 @@ pub struct GaugeSampler {
 }
 
 impl GaugeSampler {
-    /// Spawns the sampler thread; it takes one pass every `period` until
-    /// the sampler is stopped or dropped, keeping the last
-    /// [`DEFAULT_SERIES_CAPACITY`] samples of each gauge.
-    pub fn start(registry: Arc<Registry>, period: Duration) -> io::Result<Self> {
-        let series = Arc::new(GaugeSeries::with_capacity(DEFAULT_SERIES_CAPACITY));
+    /// Spawns the sampler thread; it takes one pass every
+    /// [`DEFAULT_SAMPLE_PERIOD`] until the sampler is stopped or dropped,
+    /// keeping the last 1 024 samples of each gauge.
+    pub fn start(registry: Arc<Registry>) -> io::Result<Self> {
+        let series = Arc::new(GaugeSeries::new());
         let signal = Arc::new(StopSignal {
             stopped: Mutex::new(false),
             cv: Condvar::new(),
         });
         let thread_series = Arc::clone(&series);
         let thread_signal = Arc::clone(&signal);
-        let period = period.max(Duration::from_millis(1));
         let handle = std::thread::Builder::new()
             .name("cool-gauge-sampler".to_string())
             .spawn(move || loop {
@@ -168,7 +150,7 @@ impl GaugeSampler {
                     let guard = locked(&thread_signal.stopped);
                     let (guard, _) = thread_signal
                         .cv
-                        .wait_timeout(guard, period)
+                        .wait_timeout(guard, DEFAULT_SAMPLE_PERIOD)
                         .unwrap_or_else(PoisonError::into_inner);
                     if *guard {
                         return;
@@ -218,16 +200,17 @@ mod tests {
 
     #[test]
     fn series_is_bounded_and_windowed() {
-        let series = GaugeSeries::with_capacity(4);
-        for i in 0..10 {
+        let series = GaugeSeries::new();
+        for i in 0..SERIES_CAPACITY as u32 + 10 {
             series.push_all(&[("depth".to_string(), f64::from(i))]);
         }
         let samples = series.samples("depth");
-        assert_eq!(samples.len(), 4);
-        assert_eq!(samples.last().map(|s| s.value), Some(9.0));
+        assert_eq!(samples.len(), SERIES_CAPACITY);
+        assert_eq!(samples.first().map(|s| s.value), Some(10.0));
+        assert_eq!(samples.last().map(|s| s.value), Some(1033.0));
         let json = series.to_json(None);
         assert!(json.contains("\"depth\":["));
-        assert!(json.contains("\"value\":9"));
+        assert!(json.contains("\"value\":1033"));
         // A zero-width window excludes everything sampled earlier.
         let windowed = series.to_json(Some(Duration::ZERO));
         assert!(windowed.contains("\"depth\":[")); // series listed, maybe empty
@@ -237,8 +220,7 @@ mod tests {
     fn sampler_collects_and_stops() {
         let registry = Arc::new(Registry::new());
         registry.gauge("queue_depth").set(3.0);
-        let mut sampler = GaugeSampler::start(Arc::clone(&registry), Duration::from_millis(2))
-            .expect("spawn sampler");
+        let mut sampler = GaugeSampler::start(Arc::clone(&registry)).expect("spawn sampler");
         let series = sampler.series();
         let deadline = Instant::now() + Duration::from_secs(5);
         while series.samples("queue_depth").is_empty() && Instant::now() < deadline {
@@ -249,7 +231,7 @@ mod tests {
         assert!(!samples.is_empty(), "sampler never took a pass");
         assert_eq!(samples[0].value, 3.0);
         let len_after_stop = series.samples("queue_depth").len();
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(2 * DEFAULT_SAMPLE_PERIOD);
         assert_eq!(series.samples("queue_depth").len(), len_after_stop);
     }
 }

@@ -9,6 +9,12 @@
 //! registry both sides land in the same span, giving the full six-stage
 //! picture the paper's layered-QoS story calls for.
 //!
+//! A finished call is kept once, on one bounded ring: as its
+//! [`SpanRecord`], or — when a [`ClientTrace`] rode the span — as the
+//! [`TraceRecord`] that wraps the span with the server half and the wire
+//! gaps. `Registry::recent_spans` and `Registry::recent_traces` are two
+//! views of that ring, and its eviction count is `spans_dropped_total`.
+//!
 //! Spans are keyed by the GIOP/COOL request id alone. Two bindings that
 //! share a registry and happen to reuse an id concurrently will merge
 //! their marks — acceptable for an observability ring, and irrelevant for
@@ -16,17 +22,13 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::trace::{ClientTrace, ServerTraceTiming};
-
-/// Locks `m`, recovering the data from a poisoned lock: telemetry must
-/// keep reporting even after a panic elsewhere, and every guarded value
-/// here stays internally consistent under any interleaving.
-fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use crate::lockorder::{rank, OrderedMutex};
+use crate::registry::json_escape;
+use crate::ring::Ring;
+use crate::trace::{ClientTrace, ServerTraceTiming, TraceRecord};
 
 /// Pipeline stages of one invocation, in chronological order.
 ///
@@ -118,7 +120,7 @@ pub struct SpanRecord {
     /// GIOP/COOL request id the span is keyed by.
     pub request_id: u32,
     /// Operation name from the request header. Shared, so cloning a
-    /// record (span ring → trace ring, snapshots) never re-allocates it.
+    /// record (snapshots, `/spans`) never re-allocates it.
     pub operation: Arc<str>,
     /// Transport kind the call travelled over ("tcp", "chorus", "dacapo").
     pub transport: &'static str,
@@ -146,10 +148,20 @@ impl SpanRecord {
     /// Single-line JSON object for exporters and the `/spans` endpoint.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
+        out.push('{');
+        self.push_json_fields(&mut out, "stages");
+        out.push('}');
+        out
+    }
+
+    /// Writes the span's fields into an open JSON object, its completed
+    /// stages as an object under `stages_key` — the one stage renderer,
+    /// shared with [`TraceRecord::to_json`].
+    pub(crate) fn push_json_fields(&self, out: &mut String, stages_key: &str) {
         out.push_str(&format!(
-            "{{\"request_id\":{},\"operation\":\"{}\",\"transport\":\"{}\",\"outcome\":\"{}\",\"total_us\":{},\"stages\":{{",
+            "\"request_id\":{},\"operation\":\"{}\",\"transport\":\"{}\",\"outcome\":\"{}\",\"total_us\":{},\"{stages_key}\":{{",
             self.request_id,
-            crate::registry::json_escape(&self.operation),
+            json_escape(&self.operation),
             self.transport,
             self.outcome.name(),
             self.total_us
@@ -169,23 +181,8 @@ impl SpanRecord {
                 ));
             }
         }
-        out.push_str("}}");
-        out
+        out.push('}');
     }
-}
-
-/// Renders a slice of span records as a JSON array.
-pub fn render_spans_json(spans: &[SpanRecord]) -> String {
-    let mut out = String::with_capacity(64 + 256 * spans.len());
-    out.push('[');
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&s.to_json());
-    }
-    out.push(']');
-    out
 }
 
 struct ActiveSpan {
@@ -193,22 +190,48 @@ struct ActiveSpan {
     record: SpanRecord,
     /// Client half of a distributed trace, attached at send time. Riding
     /// the active span (instead of a separate pending table) means tracing
-    /// adds no lock acquisitions of its own until the final merge.
+    /// takes no lock acquisition of its own.
     trace: Option<ClientTrace>,
     /// Server half plus the client receive wall clock, stashed by the
     /// reply demux thread.
     server_reply: Option<(ServerTraceTiming, u64)>,
 }
 
-/// Everything a traced span yields at close time, ready for
-/// `TraceStore::push_merged`.
-pub struct TracedFinish {
-    /// The client half attached at send time.
-    pub trace: ClientTrace,
-    /// The finished span record (a copy of what went on the span ring).
-    pub record: SpanRecord,
-    /// Server half plus client receive stamp, when a traced reply arrived.
-    pub server_reply: Option<(ServerTraceTiming, u64)>,
+impl ActiveSpan {
+    /// Ends the span with `outcome`: its total is taken now, and the trace
+    /// halves are merged in when a client trace was attached.
+    fn close(self, outcome: SpanOutcome) -> Finished {
+        let mut record = self.record;
+        record.total_us = as_us(self.started.elapsed());
+        record.outcome = outcome;
+        match self.trace {
+            Some(trace) => Finished::Traced(TraceRecord::merge(trace, record, self.server_reply)),
+            None => Finished::Span(record),
+        }
+    }
+}
+
+/// One finished call as the ring keeps it: its span, or the merged trace
+/// that holds the span.
+enum Finished {
+    Span(SpanRecord),
+    Traced(TraceRecord),
+}
+
+impl Finished {
+    fn span(&self) -> &SpanRecord {
+        match self {
+            Finished::Span(span) => span,
+            Finished::Traced(trace) => &trace.span,
+        }
+    }
+
+    fn trace(&self) -> Option<&TraceRecord> {
+        match self {
+            Finished::Span(_) => None,
+            Finished::Traced(trace) => Some(trace),
+        }
+    }
 }
 
 /// Active spans are bounded: an abandoned span (a `notify` with no reply,
@@ -217,59 +240,49 @@ pub struct TracedFinish {
 /// to the ring.
 const MAX_ACTIVE_SPANS: usize = 1024;
 
+/// Finished calls the ring keeps.
+const RECENT_CALLS: usize = 128;
+
+type FinishedRing = Ring<Finished, RECENT_CALLS>;
+
+#[derive(Default)]
 struct SpanStoreInner {
     active: HashMap<u32, ActiveSpan>,
     /// FIFO of active request ids, for eviction. May contain stale ids of
     /// spans that already finished; those are skipped at eviction time.
     order: VecDeque<u32>,
-    recent: VecDeque<SpanRecord>,
-    capacity: usize,
-    dropped: u64,
+    finished: FinishedRing,
 }
 
 /// Bounded store of invocation spans: an active map keyed by request id
-/// plus a ring of the most recently finished spans.
-pub struct SpanStore {
-    inner: Mutex<SpanStoreInner>,
+/// plus the ring of the most recently finished calls.
+pub(crate) struct SpanStore {
+    inner: OrderedMutex<SpanStoreInner>,
 }
-
-/// Default size of the recent-span ring.
-pub const DEFAULT_RING_CAPACITY: usize = 128;
 
 impl Default for SpanStore {
     fn default() -> Self {
-        SpanStore::with_capacity(DEFAULT_RING_CAPACITY)
+        SpanStore {
+            inner: OrderedMutex::new(rank::TELEMETRY_SPANS, SpanStoreInner::default()),
+        }
     }
 }
 
 impl SpanStore {
-    /// Creates a store whose recent ring holds `capacity` spans.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SpanStore {
-            inner: Mutex::new(SpanStoreInner {
-                active: HashMap::new(),
-                order: VecDeque::new(),
-                recent: VecDeque::with_capacity(capacity.max(1)),
-                capacity: capacity.max(1),
-                dropped: 0,
-            }),
-        }
-    }
-
     /// Opens a span for `request_id`. If a span with the same id is
     /// already active it is finished as `Cancelled` and pushed to the
     /// ring first.
-    pub fn begin(&self, request_id: u32, operation: &str, transport: &'static str) {
+    pub(crate) fn begin(&self, request_id: u32, operation: &str, transport: &'static str) {
         let started = Instant::now();
-        let mut inner = locked(&self.inner);
+        let mut inner = self.inner.lock();
         if let Some(prev) = inner.active.remove(&request_id) {
-            push_finished(&mut inner, prev, SpanOutcome::Cancelled);
+            inner.finished.push(prev.close(SpanOutcome::Cancelled));
         }
         if inner.active.len() >= MAX_ACTIVE_SPANS {
             // Evict the oldest still-active span.
             while let Some(old_id) = inner.order.pop_front() {
                 if let Some(old) = inner.active.remove(&old_id) {
-                    push_finished(&mut inner, old, SpanOutcome::Cancelled);
+                    inner.finished.push(old.close(SpanOutcome::Cancelled));
                     break;
                 }
             }
@@ -301,44 +314,11 @@ impl SpanStore {
     }
 
     /// Marks `stage` as completed for `request_id`, with the stage's own
-    /// duration. The completion offset is taken from the span clock at the
-    /// time of this call. No-op if the span is unknown (evicted, or
-    /// telemetry attached mid-call).
-    pub fn mark(&self, request_id: u32, stage: Stage, duration: Duration) {
-        self.mark_full(request_id, stage, duration, None, None);
-    }
-
-    /// Like [`SpanStore::mark`], but also attaches the client half of a
-    /// distributed trace — one lock acquisition for both, since the
-    /// client marks `Marshal` right after stamping the outbound context.
-    pub fn mark_attach(
-        &self,
-        request_id: u32,
-        stage: Stage,
-        duration: Duration,
-        trace: Option<ClientTrace>,
-    ) {
-        self.mark_full(request_id, stage, duration, trace, None);
-    }
-
-    /// Like [`SpanStore::mark`], but also stashes the server trace half
-    /// decoded off a traced reply — one lock acquisition for both, since
-    /// the reply demux thread does them back to back. `recv_mono` is the
-    /// monotonic instant the reply hit the demux thread; the client
-    /// receive wall stamp is derived from it against the attached
-    /// [`ClientTrace`]'s send stamp, so no wall-clock read (and no risk of
-    /// a wall-clock step between send and receive) is involved.
-    pub fn mark_reply(
-        &self,
-        request_id: u32,
-        stage: Stage,
-        duration: Duration,
-        server_reply: Option<(ServerTraceTiming, Instant)>,
-    ) {
-        self.mark_full(request_id, stage, duration, None, server_reply);
-    }
-
-    fn mark_full(
+    /// duration, and attaches whichever trace half is given, in one
+    /// acquisition. The completion offset is taken from the span clock
+    /// now. No-op if the span is unknown (evicted, or telemetry attached
+    /// mid-call).
+    pub(crate) fn mark(
         &self,
         request_id: u32,
         stage: Stage,
@@ -346,7 +326,7 @@ impl SpanStore {
         trace: Option<ClientTrace>,
         server_reply: Option<(ServerTraceTiming, Instant)>,
     ) {
-        let mut inner = locked(&self.inner);
+        let mut inner = self.inner.lock();
         if let Some(span) = inner.active.get_mut(&request_id) {
             let offset = span.started.elapsed();
             span.record.stages[stage.index()] = Some(StageTiming {
@@ -371,90 +351,67 @@ impl SpanStore {
         }
     }
 
-    /// Closes the span and pushes it onto the recent ring. Returns the
-    /// total duration when the span was known.
-    pub fn finish(&self, request_id: u32, outcome: SpanOutcome) -> Option<Duration> {
-        self.finish_record(request_id, outcome)
-            .map(|r| Duration::from_micros(r.total_us))
+    /// Closes the span and keeps it on the ring — merged with its trace
+    /// halves when a client trace was attached, under this one lock
+    /// acquisition. Returns the span's total time when the span was known.
+    pub(crate) fn finish(&self, request_id: u32, outcome: SpanOutcome) -> Option<Duration> {
+        let mut inner = self.inner.lock();
+        let finished = inner.active.remove(&request_id)?.close(outcome);
+        let total = Duration::from_micros(finished.span().total_us);
+        inner.finished.push(finished);
+        Some(total)
     }
 
-    /// Like [`SpanStore::finish`], but returns the finished record itself
-    /// (with `total_us` and `outcome` filled in) so a caller can merge the
-    /// stage timings into a distributed trace.
-    pub fn finish_record(&self, request_id: u32, outcome: SpanOutcome) -> Option<SpanRecord> {
-        let mut inner = locked(&self.inner);
-        let span = inner.active.remove(&request_id)?;
-        push_finished(&mut inner, span, outcome);
-        inner.recent.back().cloned()
+    /// Spans of the most recently finished calls, oldest first.
+    pub(crate) fn recent_spans(&self) -> Vec<SpanRecord> {
+        spans_of(&self.inner.lock().finished)
     }
 
-    /// Closes the span and, when a [`ClientTrace`] was attached, returns
-    /// the pieces of the distributed trace alongside the total time.
-    /// Untraced spans pay no copy: the record moves straight onto the
-    /// ring and only its total comes back.
-    pub fn finish_traced(
-        &self,
-        request_id: u32,
-        outcome: SpanOutcome,
-    ) -> Option<(u64, Option<TracedFinish>)> {
-        let mut inner = locked(&self.inner);
-        let span = inner.active.remove(&request_id)?;
-        let trace = span.trace;
-        let server_reply = span.server_reply;
-        push_finished(&mut inner, span, outcome);
-        // lint: allow(L002, push_finished unconditionally pushed one entry)
-        let record = inner.recent.back().expect("just pushed");
-        let total_us = record.total_us;
-        let traced = trace.map(|trace| TracedFinish {
-            trace,
-            record: record.clone(),
-            server_reply,
-        });
-        Some((total_us, traced))
+    /// Traces of the most recently finished calls that carried one,
+    /// oldest first.
+    pub(crate) fn recent_traces(&self) -> Vec<TraceRecord> {
+        traces_of(&self.inner.lock().finished)
     }
 
-    /// The most recently finished spans, oldest first.
-    pub fn recent(&self) -> Vec<SpanRecord> {
-        let inner = locked(&self.inner);
-        inner.recent.iter().cloned().collect()
+    /// Both views of the ring and the number of calls it has evicted,
+    /// read in one acquisition so the three agree.
+    pub(crate) fn history(&self) -> (Vec<SpanRecord>, Vec<TraceRecord>, u64) {
+        let inner = self.inner.lock();
+        (
+            spans_of(&inner.finished),
+            traces_of(&inner.finished),
+            inner.finished.dropped(),
+        )
     }
 
-    /// Number of spans currently in flight.
-    pub fn active_len(&self) -> usize {
-        locked(&self.inner).active.len()
-    }
-
-    /// Spans evicted from the ring because it was full.
-    pub fn dropped(&self) -> u64 {
-        locked(&self.inner).dropped
+    #[cfg(test)]
+    fn active_len(&self) -> usize {
+        self.inner.lock().active.len()
     }
 
     #[cfg(test)]
     fn order_len(&self) -> usize {
-        locked(&self.inner).order.len()
+        self.inner.lock().order.len()
     }
 }
 
 impl std::fmt::Debug for SpanStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = locked(&self.inner);
+        let inner = self.inner.lock();
         f.debug_struct("SpanStore")
             .field("active", &inner.active.len())
-            .field("recent", &inner.recent.len())
-            .field("capacity", &inner.capacity)
+            .field("finished", &inner.finished.len())
+            .field("dropped", &inner.finished.dropped())
             .finish()
     }
 }
 
-fn push_finished(inner: &mut SpanStoreInner, span: ActiveSpan, outcome: SpanOutcome) {
-    let mut record = span.record;
-    record.total_us = as_us(span.started.elapsed());
-    record.outcome = outcome;
-    if inner.recent.len() >= inner.capacity {
-        inner.recent.pop_front();
-        inner.dropped += 1;
-    }
-    inner.recent.push_back(record);
+fn spans_of(ring: &FinishedRing) -> Vec<SpanRecord> {
+    ring.iter().map(|f| f.span().clone()).collect()
+}
+
+fn traces_of(ring: &FinishedRing) -> Vec<TraceRecord> {
+    ring.iter().filter_map(Finished::trace).cloned().collect()
 }
 
 fn as_us(d: Duration) -> u64 {
@@ -470,13 +427,13 @@ mod tests {
         let store = SpanStore::default();
         store.begin(7, "echo", "tcp");
         for stage in STAGES {
-            store.mark(7, stage, Duration::from_micros(3));
+            store.mark(7, stage, Duration::from_micros(3), None, None);
             std::thread::sleep(Duration::from_micros(200));
         }
         let total = store.finish(7, SpanOutcome::Ok).expect("span known");
         assert!(total >= Duration::from_micros(6 * 200 - 200));
 
-        let recent = store.recent();
+        let recent = store.recent_spans();
         assert_eq!(recent.len(), 1);
         let span = &recent[0];
         assert_eq!(span.request_id, 7);
@@ -500,35 +457,21 @@ mod tests {
     #[test]
     fn unknown_span_marks_and_finishes_are_noops() {
         let store = SpanStore::default();
-        store.mark(99, Stage::Marshal, Duration::ZERO);
+        store.mark(99, Stage::Marshal, Duration::ZERO, None, None);
         assert!(store.finish(99, SpanOutcome::Ok).is_none());
-        assert!(store.recent().is_empty());
-    }
-
-    #[test]
-    fn ring_is_bounded_and_drops_oldest() {
-        let store = SpanStore::with_capacity(4);
-        for id in 0..10u32 {
-            store.begin(id, "op", "tcp");
-            store.finish(id, SpanOutcome::Ok);
-        }
-        let recent = store.recent();
-        assert_eq!(recent.len(), 4);
-        let ids: Vec<u32> = recent.iter().map(|s| s.request_id).collect();
-        assert_eq!(ids, vec![6, 7, 8, 9]);
-        assert_eq!(store.dropped(), 6);
+        assert!(store.recent_spans().is_empty());
     }
 
     #[test]
     fn active_map_is_bounded() {
-        let store = SpanStore::with_capacity(8);
+        let store = SpanStore::default();
         for id in 0..(MAX_ACTIVE_SPANS as u32 + 50) {
             store.begin(id, "leaky", "tcp");
         }
         assert!(store.active_len() <= MAX_ACTIVE_SPANS);
         // Evicted spans surface in the ring as cancelled.
         assert!(store
-            .recent()
+            .recent_spans()
             .iter()
             .all(|s| s.outcome == SpanOutcome::Cancelled));
     }
@@ -538,7 +481,7 @@ mod tests {
         // Regression: `finish` leaves its id behind in the eviction FIFO,
         // which used to grow without bound under a normal begin/finish
         // workload that never fills the active map.
-        let store = SpanStore::with_capacity(4);
+        let store = SpanStore::default();
         for id in 0..(MAX_ACTIVE_SPANS as u32 * 8) {
             store.begin(id, "churn", "tcp");
             store.finish(id, SpanOutcome::Ok);
@@ -554,10 +497,10 @@ mod tests {
     fn dropped_is_exact_under_concurrent_begin_past_capacity() {
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 2 * MAX_ACTIVE_SPANS as u64;
-        let store = std::sync::Arc::new(SpanStore::with_capacity(16));
+        let store = Arc::new(SpanStore::default());
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
-                let store = std::sync::Arc::clone(&store);
+                let store = Arc::clone(&store);
                 std::thread::spawn(move || {
                     for i in 0..PER_THREAD {
                         // Distinct ids across all threads: no same-id
@@ -573,21 +516,21 @@ mod tests {
         }
         let total = THREADS * PER_THREAD;
         let active = store.active_len() as u64;
-        let in_ring = store.recent().len() as u64;
+        let (in_ring, _, dropped) = store.history();
         // Every span pushed to the ring beyond its capacity bumps
         // `dropped` exactly once, under any interleaving.
-        assert_eq!(store.dropped(), total - active - in_ring);
+        assert_eq!(dropped, total - active - in_ring.len() as u64);
         assert!(active <= MAX_ACTIVE_SPANS as u64);
     }
 
     #[test]
-    fn finish_record_returns_stages_and_total() {
+    fn finish_returns_the_total_of_the_record_it_keeps() {
         let store = SpanStore::default();
         store.begin(5, "echo", "tcp");
-        store.mark(5, Stage::Marshal, Duration::from_micros(7));
-        let rec = store
-            .finish_record(5, SpanOutcome::Ok)
-            .expect("span known");
+        store.mark(5, Stage::Marshal, Duration::from_micros(7), None, None);
+        let total = store.finish(5, SpanOutcome::Ok).expect("span known");
+        let rec = store.recent_spans().pop().expect("record on the ring");
+        assert_eq!(Duration::from_micros(rec.total_us), total);
         assert_eq!(rec.request_id, 5);
         assert_eq!(rec.outcome, SpanOutcome::Ok);
         assert_eq!(rec.stage(Stage::Marshal).unwrap().duration_us, 7);
@@ -600,11 +543,50 @@ mod tests {
         store.begin(1, "first", "tcp");
         store.begin(1, "second", "tcp");
         store.finish(1, SpanOutcome::Ok);
-        let recent = store.recent();
+        let recent = store.recent_spans();
         assert_eq!(recent.len(), 2);
         assert_eq!(&*recent[0].operation, "first");
         assert_eq!(recent[0].outcome, SpanOutcome::Cancelled);
         assert_eq!(&*recent[1].operation, "second");
         assert_eq!(recent[1].outcome, SpanOutcome::Ok);
+    }
+
+    #[test]
+    fn a_traced_call_is_one_record_seen_by_both_views() {
+        let store = SpanStore::default();
+        let sent_mono = Instant::now();
+        store.begin(1, "traced", "tcp");
+        let trace = ClientTrace {
+            trace_id: 99,
+            sent_at_ns: 1_000_000,
+            sent_mono,
+        };
+        store.mark(1, Stage::Marshal, Duration::from_micros(4), Some(trace), None);
+        let server = ServerTraceTiming {
+            recv_at_ns: 1_030_000,
+            sent_at_ns: 1_050_000,
+            queue_wait_us: 1,
+            negotiate_us: 1,
+            execute_us: 10,
+        };
+        let received = sent_mono + Duration::from_micros(90);
+        store.mark(1, Stage::ReplyDecode, Duration::from_micros(2), None, Some((server, received)));
+        store.finish(1, SpanOutcome::Ok);
+        store.begin(2, "plain", "tcp");
+        store.finish(2, SpanOutcome::Ok);
+
+        let (spans, traces, dropped) = store.history();
+        assert_eq!(dropped, 0);
+        let ids: Vec<u32> = spans.iter().map(|s| s.request_id).collect();
+        assert_eq!(ids, vec![1, 2]);
+        assert_eq!(traces.len(), 1, "only the traced call is a trace");
+        let trace = &traces[0];
+        assert_eq!(trace.trace_id, 99);
+        assert_eq!(trace.span.stages, spans[0].stages);
+        assert_eq!(trace.span.total_us, spans[0].total_us);
+        // Client receive = send + 90 µs of monotonic time.
+        assert_eq!(trace.wire_out_us, Some(30));
+        assert_eq!(trace.wire_back_us, Some(40));
+        assert_eq!(store.recent_traces().len(), 1);
     }
 }

@@ -6,9 +6,9 @@
 //! timings (piggybacked in a GIOP service context — see
 //! `cool_giop::trace`), the demux thread stashes them on the same span,
 //! and closing the span merges client stages, server stages and the two
-//! wire gaps into one [`TraceRecord`] on this store's ring. Riding the
-//! span store's existing lock acquisitions keeps the tracing bill on the
-//! invocation hot path down to a single extra lock (the ring push).
+//! wire gaps into one [`TraceRecord`]. That record *is* the call's entry
+//! on the span store's ring — there is no second store — so tracing adds
+//! no lock acquisition of its own to the invocation path.
 //!
 //! Wall-clock gaps are only meaningful when both ends share a clock (one
 //! host — exactly the loopback scenarios the bench and e2e suites run).
@@ -16,14 +16,11 @@
 //! whatever clock skew exists, which is the standard distributed-tracing
 //! trade-off.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::lockorder::{rank, OrderedMutex};
-use crate::registry::json_escape;
-use crate::span::{SpanRecord, STAGES};
+use crate::span::SpanRecord;
 
 /// Clamps a duration to whole microseconds in a `u32` — the wire width of
 /// the per-stage fields in the trace service contexts.
@@ -106,39 +103,45 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
+    /// Merges a finished span with the client half attached at send time
+    /// and, when a traced reply arrived, the server half plus the client
+    /// receive stamp; the wire gaps are the wall-clock deltas around the
+    /// server's work, clamped at zero.
+    pub(crate) fn merge(
+        trace: ClientTrace,
+        span: SpanRecord,
+        server_reply: Option<(ServerTraceTiming, u64)>,
+    ) -> TraceRecord {
+        let gap_us = |later: u64, earlier: u64| Some(later.saturating_sub(earlier) / 1_000);
+        let (wire_out_us, wire_back_us) = match &server_reply {
+            Some((s, client_recv_ns)) => (
+                gap_us(s.recv_at_ns, trace.sent_at_ns),
+                gap_us(*client_recv_ns, s.sent_at_ns),
+            ),
+            None => (None, None),
+        };
+        TraceRecord {
+            trace_id: trace.trace_id,
+            span,
+            server: server_reply.map(|(s, _)| s),
+            wire_out_us,
+            wire_back_us,
+        }
+    }
+
     /// True when both halves are present and the gaps were computed.
     pub fn is_merged(&self) -> bool {
         self.server.is_some() && self.wire_out_us.is_some() && self.wire_back_us.is_some()
     }
 
-    /// Single-line JSON object for exporters and the `/spans` endpoint.
+    /// Single-line JSON object for exporters and the `/spans` endpoint:
+    /// the span's fields with its stages under `"client"`, then the server
+    /// half and the wire gaps.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str(&format!(
-            "{{\"trace_id\":{},\"request_id\":{},\"operation\":\"{}\",\"transport\":\"{}\",\"outcome\":\"{}\",\"total_us\":{},\"client\":{{",
-            self.trace_id,
-            self.span.request_id,
-            json_escape(&self.span.operation),
-            self.span.transport,
-            self.span.outcome.name(),
-            self.span.total_us
-        ));
-        let mut first = true;
-        for stage in STAGES {
-            if let Some(t) = self.span.stage(stage) {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "\"{}\":{{\"offset_us\":{},\"duration_us\":{}}}",
-                    stage.name(),
-                    t.offset_us,
-                    t.duration_us
-                ));
-            }
-        }
-        out.push_str("},\"server\":");
+        let mut out = String::with_capacity(320);
+        out.push_str(&format!("{{\"trace_id\":{},", self.trace_id));
+        self.span.push_json_fields(&mut out, "client");
+        out.push_str(",\"server\":");
         match &self.server {
             Some(s) => out.push_str(&format!(
                 "{{\"recv_at_ns\":{},\"sent_at_ns\":{},\"queue_wait_us\":{},\"negotiate_us\":{},\"execute_us\":{}}}",
@@ -155,114 +158,10 @@ impl TraceRecord {
     }
 }
 
-/// Renders a slice of trace records as a JSON array.
-pub fn render_traces_json(traces: &[TraceRecord]) -> String {
-    let mut out = String::with_capacity(64 + 256 * traces.len());
-    out.push('[');
-    for (i, t) in traces.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&t.to_json());
-    }
-    out.push(']');
-    out
-}
-
-struct TraceInner {
-    recent: VecDeque<TraceRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-/// Default size of the merged-trace ring.
-pub const DEFAULT_TRACE_CAPACITY: usize = 128;
-
-/// Bounded ring of the most recently merged distributed traces. The
-/// in-flight halves of a trace live on the active invocation span (see
-/// `SpanStore`), not here — this store is touched exactly once per traced
-/// invocation, at the merge.
-pub struct TraceStore {
-    inner: OrderedMutex<TraceInner>,
-}
-
-impl Default for TraceStore {
-    fn default() -> Self {
-        TraceStore::with_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-}
-
-impl TraceStore {
-    /// Creates a store whose recent ring holds `capacity` traces.
-    pub fn with_capacity(capacity: usize) -> Self {
-        TraceStore {
-            inner: OrderedMutex::new(
-                rank::TELEMETRY_TRACES,
-                TraceInner {
-                    recent: VecDeque::with_capacity(capacity.max(1)),
-                    capacity: capacity.max(1),
-                    dropped: 0,
-                },
-            ),
-        }
-    }
-
-    /// Merges the finished invocation span with the client half (and the
-    /// server half plus client receive stamp, when a traced reply arrived)
-    /// into a [`TraceRecord`] on the recent ring.
-    pub fn push_merged(
-        &self,
-        trace: ClientTrace,
-        span: SpanRecord,
-        server_reply: Option<(ServerTraceTiming, u64)>,
-    ) {
-        let (wire_out_us, wire_back_us) = match &server_reply {
-            Some((s, client_recv_ns)) => (
-                Some(s.recv_at_ns.saturating_sub(trace.sent_at_ns) / 1_000),
-                Some(client_recv_ns.saturating_sub(s.sent_at_ns) / 1_000),
-            ),
-            None => (None, None),
-        };
-        let record = TraceRecord {
-            trace_id: trace.trace_id,
-            span,
-            server: server_reply.map(|(s, _)| s),
-            wire_out_us,
-            wire_back_us,
-        };
-        let mut inner = self.inner.lock();
-        if inner.recent.len() >= inner.capacity {
-            inner.recent.pop_front();
-            inner.dropped += 1;
-        }
-        inner.recent.push_back(record);
-    }
-
-    /// The most recently merged traces, oldest first.
-    pub fn recent(&self) -> Vec<TraceRecord> {
-        self.inner.lock().recent.iter().cloned().collect()
-    }
-
-    /// Traces evicted from the ring because it was full.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
-    }
-}
-
-impl std::fmt::Debug for TraceStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
-        f.debug_struct("TraceStore")
-            .field("recent", &inner.recent.len())
-            .field("dropped", &inner.dropped)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{SpanOutcome, SpanRecord};
+    use crate::span::SpanOutcome;
 
     fn span(request_id: u32) -> SpanRecord {
         SpanRecord {
@@ -277,8 +176,7 @@ mod tests {
 
     #[test]
     fn merge_computes_wire_gaps() {
-        let store = TraceStore::default();
-        store.push_merged(
+        let rec = TraceRecord::merge(
             ClientTrace {
                 trace_id: 42,
                 sent_at_ns: 1_000_000,
@@ -296,22 +194,20 @@ mod tests {
                 1_275_000,
             )),
         );
-        let rec = store.recent().pop().expect("merged record on the ring");
         assert!(rec.is_merged());
         assert_eq!(rec.trace_id, 42);
         assert_eq!(rec.wire_out_us, Some(80));
         assert_eq!(rec.wire_back_us, Some(75));
-        assert_eq!(store.recent().len(), 1);
         let json = rec.to_json();
-        assert!(json.contains("\"trace_id\":42"));
+        assert!(json.starts_with("{\"trace_id\":42,\"request_id\":1,"), "{json}");
+        assert!(json.contains("\"total_us\":250,\"client\":{}"), "{json}");
         assert!(json.contains("\"queue_wait_us\":5"));
         assert!(json.contains("\"wire_out_us\":80"));
     }
 
     #[test]
     fn replyless_trace_has_no_server_half() {
-        let store = TraceStore::default();
-        store.push_merged(
+        let rec = TraceRecord::merge(
             ClientTrace {
                 trace_id: 7,
                 sent_at_ns: 500,
@@ -320,29 +216,9 @@ mod tests {
             span(2),
             None,
         );
-        let rec = store.recent().pop().expect("record on the ring");
         assert!(!rec.is_merged());
         assert_eq!(rec.server, None);
         assert!(rec.to_json().contains("\"server\":null"));
-    }
-
-    #[test]
-    fn ring_is_bounded_and_counts_drops() {
-        let store = TraceStore::with_capacity(8);
-        for id in 0..100u32 {
-            store.push_merged(
-                ClientTrace {
-                    trace_id: u64::from(id),
-                    sent_at_ns: 0,
-                    sent_mono: std::time::Instant::now(),
-                },
-                span(id),
-                None,
-            );
-        }
-        assert_eq!(store.recent().len(), 8);
-        assert_eq!(store.dropped(), 92);
-        assert_eq!(store.recent()[0].trace_id, 92);
     }
 
     #[test]

@@ -747,7 +747,7 @@ impl StackHandle {
     /// did. Used for graceful teardown: close after `drain` loses nothing.
     ///
     /// Event-driven: every thread that moves packets through the stack
-    /// pulses [`QuiesceSignal`] when it is done, so this parks in a condvar
+    /// pulses `QuiesceSignal` when it is done, so this parks in a condvar
     /// between re-checks instead of sleep-polling. It never takes the stack
     /// lock.
     pub fn drain(&self, timeout: Duration) -> bool {

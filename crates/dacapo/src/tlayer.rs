@@ -134,7 +134,7 @@ impl LoopbackWire {
     }
 }
 
-/// In-process transport half: two [`LoopbackWire`]s shared with the peer.
+/// In-process transport half: two `LoopbackWire`s shared with the peer.
 #[derive(Debug)]
 pub struct LoopbackTransport {
     tx: Arc<LoopbackWire>,

@@ -19,6 +19,9 @@ cargo test -q --workspace
 cargo test -q -p crossbeam -p parking_lot
 # Unit tests, integration tests, benches and examples meet the library's bar.
 cargo clippy --workspace --all-targets -- -D warnings
+# The docs build without a warning: an intra-doc link to a renamed or
+# deleted item, or from a public doc to a private one, fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --keep-going
 
 # The benchmark (ledger/, BENCHMARK.json) is a workspace of its own that
 # nothing above builds: a slip in cool-orb's public API would pass every
