@@ -2,6 +2,11 @@
 //! generated stubs/skeletons compile and run (see `tests/chic_generated.rs`
 //! and `examples/media_server.rs`).
 
+#![allow(
+    clippy::expect_used,
+    reason = "a build script reports failure by panicking; cargo prints the message"
+)]
+
 use std::path::Path;
 
 fn main() {

@@ -2,16 +2,17 @@
 //! invariants `rustc` and `clippy` cannot see, checked in one pass.
 //!
 //! The binary (`cargo run -p cool-analyze`) reads and lexes every `.rs`
-//! file once. In that loop the per-file token rules (sleep polling,
-//! unwraps, buffer copies, unbounded retry loops) run on the token stream
-//! while the parser lifts it into a fact base (functions, call sites, lock
-//! acquisitions with their rank constants, codec impls, metric-name
-//! constants); the whole-workspace rules then run over the facts and an
-//! intra-crate call graph with transitive effect summaries. [`rules`] has
-//! the table. Findings print as `file:line RULE message`; `--sarif-out`
-//! also writes them as SARIF for PR annotations. The exit code is the
-//! gate: 0 clean, 1 findings, 2 usage or I/O error. The one way to exempt
-//! a line is an inline `// lint: allow(RULE, reason)`. See DESIGN.md §7.1.
+//! file once. In that loop the per-file token rule (unbounded retry
+//! loops) runs on the token stream while the parser lifts it into a fact
+//! base (functions, call sites, lock acquisitions with their rank
+//! constants, metric-name constants); the whole-workspace rules then run
+//! over the facts and an intra-crate call graph with transitive effect
+//! summaries. [`rules`] has the table. Findings print as
+//! `file:line RULE message`; `--sarif-out` also writes them as SARIF for
+//! PR annotations. The exit code is the gate: 0 clean, 1 findings, 2 usage
+//! or I/O error. The one way to exempt a line is an inline
+//! `// lint: allow(RULE, reason)`, and one that exempts nothing is itself
+//! a finding. See DESIGN.md §7.1.
 //!
 //! The crate has zero dependencies — it must stay buildable before
 //! anything else in the workspace (including the vendored shims it
@@ -32,6 +33,11 @@ pub use report::{Finding, Report};
 
 use std::fs;
 use std::path::{Path, PathBuf};
+
+/// The rule id of an inline allow that names no rule in [`rules::RULES`]
+/// or suppresses no finding. Like an unfulfilled `#[expect]` in rustc, it
+/// cannot itself be allowed: the fix is to delete the annotation.
+pub const STALE_ALLOW: &str = "ALLOW";
 
 /// Directories never descended into. `shims/` holds vendored stand-ins
 /// for crates.io dependencies — third-party API surface, not our code —
@@ -65,9 +71,10 @@ fn collect_files(root: &Path) -> Result<Vec<PathBuf>, String> {
 }
 
 /// Analyzes the workspace rooted at `root`: read, lex and parse every
-/// `.rs` file once (the per-file token rules run in that loop), build the
+/// `.rs` file once (the per-file token rule runs in that loop), build the
 /// call graph, run the whole-workspace rules, then drop every finding an
-/// inline annotation exempts.
+/// inline annotation exempts and report every annotation that exempted
+/// nothing.
 pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
     let mut report = Report::default();
 
@@ -100,15 +107,39 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
     // finding, whichever rule raised it: the annotation covers its own
     // line, any stacked allow lines below it, and the first non-allow line
     // after the stack. Findings in DESIGN.md have no line to annotate.
+    let mut used: Vec<Vec<bool>> = ws.files.iter().map(|p| vec![false; p.allows.len()]).collect();
     report.findings.retain(|f| {
-        let allowed = ws
-            .files
-            .iter()
-            .find(|p| p.rel == f.file)
-            .and_then(|p| p.allows.get(&f.line))
-            .is_some_and(|rules| rules.iter().any(|r| r == f.rule));
+        let Some(fi) = ws.files.iter().position(|p| p.rel == f.file) else {
+            return true;
+        };
+        let mut allowed = false;
+        for (ai, a) in ws.files[fi].allows.iter().enumerate() {
+            if a.rule == f.rule && a.covers(f.line) {
+                used[fi][ai] = true;
+                allowed = true;
+            }
+        }
         !allowed
     });
+    for (file, used) in ws.files.iter().zip(&used) {
+        for (a, _) in file.allows.iter().zip(used).filter(|(_, &u)| !u) {
+            let why = if rules::RULES.contains(&a.rule.as_str()) {
+                "suppresses no finding"
+            } else {
+                "names no rule the analyzer has"
+            };
+            report.findings.push(Finding::new(
+                &file.rel,
+                a.line,
+                STALE_ALLOW,
+                &format!(
+                    "`lint: allow({}, ..)` {why}; delete it (a reason worth keeping \
+                     becomes a plain comment)",
+                    a.rule
+                ),
+            ));
+        }
+    }
 
     report.finish();
     Ok(report)

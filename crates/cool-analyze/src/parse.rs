@@ -18,8 +18,8 @@
 //! braces over-approximate a scrutinee guard to the end of the `match`.
 
 use crate::lexer::{Scan, Tok, TokKind};
-use crate::source::{classify, in_regions, inline_allows, test_regions, FileRole};
-use std::collections::{HashMap, HashSet};
+use crate::source::{classify, in_regions, inline_allows, test_regions, Allow, FileRole};
+use std::collections::HashSet;
 
 /// Identifiers that block the calling thread when invoked. `join` is only
 /// counted with an empty argument list (`handle.join()`), which separates
@@ -226,7 +226,7 @@ pub struct ParsedFile {
     pub krate: String,
     pub test_like: bool,
     /// Line spans of `#[cfg(test)]` items, computed once here for every
-    /// collector below and for the per-file token rules.
+    /// collector below and for the per-file token rule.
     pub test_regions: Vec<(u32, u32)>,
     pub fns: Vec<FnItem>,
     pub lock_ctors: Vec<LockCtor>,
@@ -239,10 +239,8 @@ pub struct ParsedFile {
     pub lib_idents: HashSet<String>,
     /// String literals appearing in non-test library code.
     pub lib_strs: HashSet<String>,
-    /// Identifiers appearing in tests (test-like files or cfg(test)).
-    pub test_idents: HashSet<String>,
-    /// `// lint: allow(RULE, reason)` lines.
-    pub allows: HashMap<u32, Vec<String>>,
+    /// `// lint: allow(RULE, reason)` annotations.
+    pub allows: Vec<Allow>,
     /// Channel/inbox construction sites (A005).
     pub chan_ctors: Vec<ChanCtor>,
     /// Top-level `const NAME: <int> = value;` items, for capacity-constant
@@ -364,18 +362,12 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
 
     let mut lib_idents = HashSet::new();
     let mut lib_strs = HashSet::new();
-    let mut test_idents = HashSet::new();
-    for t in toks {
-        let test = in_test_line(t.line);
+    for t in toks.iter().filter(|t| !in_test_line(t.line)) {
         match t.kind {
             TokKind::Ident => {
-                if test {
-                    test_idents.insert(t.text.clone());
-                } else {
-                    lib_idents.insert(t.text.clone());
-                }
+                lib_idents.insert(t.text.clone());
             }
-            TokKind::Str if !test => {
+            TokKind::Str => {
                 lib_strs.insert(t.text.clone());
             }
             _ => {}
@@ -393,7 +385,6 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
         metric_consts,
         lib_idents,
         lib_strs,
-        test_idents,
         allows: inline_allows(&scan.comments),
         chan_ctors,
         int_consts,
@@ -1972,7 +1963,7 @@ mod tests {
     #[test]
     fn macro_rules_bodies_are_invisible() {
         let p = parsed(
-            "macro_rules! gen { ($t:ty) => { impl CdrEncode for $t { fn encode(&self) {} } }; }\n\
+            "macro_rules! gen { ($t:ty) => { impl Cdr for $t { fn encode(&self) {} } }; }\n\
              fn real() { used(); }",
         );
         assert_eq!(p.fns.len(), 1, "only `real` is an item");
@@ -1980,14 +1971,13 @@ mod tests {
     }
 
     #[test]
-    fn test_regions_split_ident_sets() {
+    fn test_regions_are_not_library_idents() {
         let p = parsed(
             "fn lib_fn() { lib_ident(); }\n\
              #[cfg(test)]\nmod tests { fn t() { test_ident(); } }",
         );
         assert!(p.lib_idents.contains("lib_ident"));
         assert!(!p.lib_idents.contains("test_ident"));
-        assert!(p.test_idents.contains("test_ident"));
     }
 
     #[test]

@@ -9,7 +9,8 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id, one of [`crate::rules::RULES`].
+    /// Rule id: one of [`crate::rules::RULES`], or [`crate::STALE_ALLOW`]
+    /// for an inline allow that exempts nothing.
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -138,13 +139,13 @@ mod tests {
     #[test]
     fn text_is_sorted_one_line_per_finding_plus_a_summary() {
         let mut r = Report::default();
-        r.findings.push(Finding::new("b.rs", 2, "L002", "two"));
-        r.findings.push(Finding::new("a.rs", 9, "L001", "one \"quoted\""));
+        r.findings.push(Finding::new("b.rs", 2, "L006", "two"));
+        r.findings.push(Finding::new("a.rs", 9, "L005", "one \"quoted\""));
         r.files_scanned = 2;
         r.finish();
         assert_eq!(r.findings[0].file, "a.rs", "sorted by file");
         let text = r.render_text();
-        assert!(text.contains("a.rs:9 L001 one \"quoted\""));
+        assert!(text.contains("a.rs:9 L005 one \"quoted\""));
         assert!(text.contains("2 finding(s), 2 file(s) scanned"));
         assert!(!r.is_clean());
         assert!(Report::default().is_clean());

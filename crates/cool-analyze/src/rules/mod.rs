@@ -2,16 +2,11 @@
 //!
 //! | Rule | Invariant                                                          |
 //! |------|--------------------------------------------------------------------|
-//! | L001 | no `thread::sleep` polling in library code                         |
-//! | L002 | no `.unwrap()` / `.expect()` in library code                       |
 //! | L005 | every `OrbError` variant is exercised somewhere in tests           |
 //! | L006 | invocation-path retry loops in cool-orb reference `RetryPolicy`    |
-//! | L007 | no buffer copies (`.to_vec()`/`.clone()`) on the zero-copy path    |
 //! | A001 | lock ranks strictly increase along every static acquisition path   |
 //! | A002 | no blocking operation (recv/wait/join/connect...) is reachable     |
 //! |      | while a lock guard is live                                         |
-//! | A003 | cool-giop codecs are symmetric: every encode has a decode and a    |
-//! |      | round-trip test naming the type                                    |
 //! | A004 | every telemetry name constant is emitted somewhere and documented  |
 //! |      | in DESIGN.md §6                                                    |
 //! | A005 | channel topology: every data-path queue is bounded (or carries an  |
@@ -26,22 +21,28 @@
 //! | A010 | `OrbError` sites on the data path carry their attribution payload  |
 //! |      | (request id, attempts+last, replica identity)                      |
 //!
+//! What the toolchain can check is left to it: clippy's `unwrap_used`,
+//! `expect_used` and `disallowed_methods` (`thread::sleep`, listed in
+//! `clippy.toml`) run over library code in `scripts/check.sh`; one `Cdr`
+//! trait in cool-giop makes a codec without its decode half a compile
+//! error; and `tests/alloc_budget.rs` holds the buffer count per call.
+//!
 //! A rule id is a name, not a namespace: the letter records which pass a
 //! rule was born in, nothing more. No rule fires in test code — harness
-//! files and `#[cfg(test)]` regions: tests sleep, unwrap and copy freely,
-//! the lock-order checker's own tests provoke inversions on purpose, test
-//! scaffolding spawns and queues die with the test process, and tests
-//! construct unattributed errors to probe the retry machinery.
+//! files and `#[cfg(test)]` regions: the lock-order checker's own tests
+//! provoke inversions on purpose, test scaffolding spawns and queues die
+//! with the test process, and tests construct unattributed errors to probe
+//! the retry machinery.
 //!
 //! A finding is suppressed by `// lint: allow(RULE, reason)` on the same
 //! or the preceding line — the reason is mandatory, an annotation without
 //! one does not suppress. Rules never look at the annotations themselves:
 //! the driver matches them against findings in one place
-//! ([`crate::analyze_workspace`]).
+//! ([`crate::analyze_workspace`]), and reports an annotation that names no
+//! rule in [`RULES`] or suppresses no finding.
 
 pub mod a001;
 pub mod a002;
-pub mod a003;
 pub mod a004;
 pub mod a005;
 pub mod a006;
@@ -53,8 +54,7 @@ pub mod tokens;
 
 /// Every rule the analyzer can emit.
 pub const RULES: &[&str] = &[
-    "L001", "L002", "L005", "L006", "L007", "A001", "A002", "A003", "A004", "A005", "A006",
-    "A007", "A008", "A010",
+    "L005", "L006", "A001", "A002", "A004", "A005", "A006", "A007", "A008", "A010",
 ];
 
 use crate::callgraph::Graph;
@@ -72,14 +72,13 @@ pub struct Ctx<'a> {
     pub design: Option<&'a str>,
 }
 
-/// Runs every rule that needs the whole workspace. The four per-file rules
-/// ([`tokens`]) have already run by then, in the driver's read loop.
+/// Runs every rule that needs the whole workspace. The per-file rule
+/// ([`tokens`]) has already run by then, in the driver's read loop.
 pub fn run_all(ctx: &Ctx) -> Vec<Finding> {
     let mut out = Vec::new();
     out.extend(l005::check(ctx));
     out.extend(a001::check(ctx));
     out.extend(a002::check(ctx));
-    out.extend(a003::check(ctx));
     out.extend(a004::check(ctx));
     out.extend(a005::check(ctx));
     out.extend(a006::check(ctx));

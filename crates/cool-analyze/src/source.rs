@@ -4,7 +4,7 @@
 //! whether it sits on the data path the scoped rules police.
 
 use crate::lexer::{Comment, Tok, TokKind};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// How a file participates in the analysis, derived from its
 /// workspace-relative path.
@@ -36,12 +36,6 @@ pub fn classify(rel_path: &str) -> FileRole {
 /// True for files on the ORB / Da CaPo data path.
 pub fn on_data_path(rel_path: &str) -> bool {
     rel_path.starts_with("crates/cool-orb/src/") || rel_path.starts_with("crates/dacapo/src/")
-}
-
-/// True for files on the zero-copy buffer path, where L007 applies: the
-/// data path plus the GIOP codec (whose frames feed it).
-pub fn on_buffer_path(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/cool-giop/src/") || on_data_path(rel_path)
 }
 
 /// Line spans (1-based, inclusive) covered by `#[cfg(test)]` items.
@@ -125,14 +119,28 @@ pub fn in_regions(line: u32, regions: &[(u32, u32)]) -> bool {
     regions.iter().any(|&(a, b)| line >= a && line <= b)
 }
 
-/// Inline exemptions: `// lint: allow(RULE, reason)`. The annotation
-/// covers its own line and extends through any directly following allow
-/// lines to the first non-allow line — so it can sit on the offending
-/// line, immediately above it, or stacked with other allows above it
-/// (one site may need more than one rule's exemption). Returns
-/// line -> allowed rules.
-pub fn inline_allows(comments: &[Comment]) -> HashMap<u32, Vec<String>> {
-    let mut at_line: Vec<(u32, String)> = Vec::new();
+/// One inline exemption, `// lint: allow(RULE, reason)` written on `line`.
+/// It covers its own line and extends through any directly following allow
+/// lines to the first non-allow line, `last` — so it can sit on the
+/// offending line, immediately above it, or stacked with other allows
+/// above it (one site may need more than one rule's exemption).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Allow {
+    pub rule: String,
+    pub line: u32,
+    pub last: u32,
+}
+
+impl Allow {
+    pub fn covers(&self, line: u32) -> bool {
+        (self.line..=self.last).contains(&line)
+    }
+}
+
+/// The file's inline exemptions, in comment order. A bare `allow(RULE)`
+/// without a reason is no exemption and is not returned.
+pub fn inline_allows(comments: &[Comment]) -> Vec<Allow> {
+    let mut allows: Vec<Allow> = Vec::new();
     for c in comments {
         let text = c.text.trim();
         let Some(rest) = text.strip_prefix("lint:").map(str::trim) else {
@@ -150,20 +158,20 @@ pub fn inline_allows(comments: &[Comment]) -> HashMap<u32, Vec<String>> {
         if reason.trim().is_empty() {
             continue;
         }
-        at_line.push((c.line, rule.trim().to_owned()));
+        allows.push(Allow {
+            rule: rule.trim().to_owned(),
+            line: c.line,
+            last: c.line,
+        });
     }
-    let allow_lines: HashSet<u32> = at_line.iter().map(|&(l, _)| l).collect();
-    let mut map: HashMap<u32, Vec<String>> = HashMap::new();
-    for (line, rule) in at_line {
-        let mut end = line + 1;
-        while allow_lines.contains(&end) {
-            end += 1;
-        }
-        for l in line..=end {
-            map.entry(l).or_default().push(rule.clone());
+    let allow_lines: HashSet<u32> = allows.iter().map(|a| a.line).collect();
+    for a in &mut allows {
+        a.last = a.line + 1;
+        while allow_lines.contains(&a.last) {
+            a.last += 1;
         }
     }
-    map
+    allows
 }
 
 #[cfg(test)]
@@ -206,17 +214,19 @@ mod tests {
     fn stacked_allows_cover_the_site_below_the_stack() {
         // Two allow lines above one site: both rules must reach line 4.
         let src = "fn f() {\n    // lint: allow(A005, drained by flusher)\n    \
-                   // lint: allow(L001, fixed-rate sampler)\n    std::thread::sleep(d);\n}";
+                   // lint: allow(A006, woken by the flusher's close)\n    cv.wait(g);\n}";
         let allows = inline_allows(&scan(src).comments);
-        let at = |line: u32| allows.get(&line).cloned().unwrap_or_default();
-        assert!(at(4).contains(&"A005".to_string()), "stacked rule reaches the site");
-        assert!(at(4).contains(&"L001".to_string()));
+        let at = |line: u32| -> Vec<&str> {
+            allows.iter().filter(|a| a.covers(line)).map(|a| a.rule.as_str()).collect()
+        };
+        assert_eq!(at(4), ["A005", "A006"], "stacked rules reach the site");
+        assert_eq!(allows[0].line, 2, "an allow knows the line it is written on");
         assert!(at(5).is_empty(), "coverage stops at the first non-allow line");
     }
 
     #[test]
     fn an_allow_without_a_reason_is_no_allow() {
-        let src = "// lint: allow(L001)\nfn f() {}\n// lint: allow(L001, )\nfn g() {}";
+        let src = "// lint: allow(A007)\nfn f() {}\n// lint: allow(A007, )\nfn g() {}";
         assert!(inline_allows(&scan(src).comments).is_empty());
     }
 }

@@ -212,7 +212,7 @@ impl CdrEncoder {
     }
 
     /// Writes a sequence of encodable values: `u32` count + elements.
-    pub fn put_seq<T: CdrEncode>(&mut self, items: &[T]) {
+    pub fn put_seq<T: Cdr>(&mut self, items: &[T]) {
         self.put_u32(items.len() as u32);
         for item in items {
             item.encode(self);
@@ -416,7 +416,6 @@ impl<'a> CdrDecoder<'a> {
         if nul != [0] {
             return Err(GiopError::InvalidString("missing nul terminator".into()));
         }
-        // lint: allow(L007, a decoded String must own its storage)
         String::from_utf8(body.to_vec())
             .map_err(|e| GiopError::InvalidString(format!("invalid utf-8: {e}")))
     }
@@ -456,7 +455,7 @@ impl<'a> CdrDecoder<'a> {
     ///
     /// Propagates element decode errors; [`GiopError::LengthOverflow`] for
     /// absurd element counts.
-    pub fn get_seq<T: CdrDecode>(&mut self) -> Result<Vec<T>, GiopError> {
+    pub fn get_seq<T: Cdr>(&mut self) -> Result<Vec<T>, GiopError> {
         let len = self.get_u32()?;
         if len > MAX_LENGTH {
             return Err(GiopError::LengthOverflow {
@@ -479,14 +478,13 @@ impl<'a> CdrDecoder<'a> {
     }
 }
 
-/// Types that marshal themselves into CDR.
-pub trait CdrEncode {
+/// Types that marshal themselves into CDR and back. Both directions are
+/// one trait, so a type that can be written can also be read: a codec with
+/// one half missing does not compile.
+pub trait Cdr: Sized {
     /// Appends this value to the encoder.
     fn encode(&self, enc: &mut CdrEncoder);
-}
 
-/// Types that unmarshal themselves from CDR.
-pub trait CdrDecode: Sized {
     /// Reads one value from the decoder.
     ///
     /// # Errors
@@ -497,12 +495,11 @@ pub trait CdrDecode: Sized {
 
 macro_rules! impl_cdr_primitive {
     ($ty:ty, $put:ident, $get:ident) => {
-        impl CdrEncode for $ty {
+        impl Cdr for $ty {
             fn encode(&self, enc: &mut CdrEncoder) {
                 enc.$put(*self);
             }
-        }
-        impl CdrDecode for $ty {
+
             fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
                 dec.$get()
             }
@@ -521,13 +518,11 @@ impl_cdr_primitive!(i64, put_i64, get_i64);
 impl_cdr_primitive!(f32, put_f32, get_f32);
 impl_cdr_primitive!(f64, put_f64, get_f64);
 
-impl CdrEncode for String {
+impl Cdr for String {
     fn encode(&self, enc: &mut CdrEncoder) {
         enc.put_string(self);
     }
-}
 
-impl CdrDecode for String {
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
         dec.get_string()
     }
@@ -539,7 +534,7 @@ mod tests {
 
     fn round_trip<T>(value: T, order: ByteOrder) -> T
     where
-        T: CdrEncode + CdrDecode + PartialEq + std::fmt::Debug,
+        T: Cdr + PartialEq + std::fmt::Debug,
     {
         let mut enc = CdrEncoder::new(order);
         value.encode(&mut enc);

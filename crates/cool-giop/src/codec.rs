@@ -25,7 +25,7 @@
 //! * [`read_message`] / [`write_message`] blocking helpers over
 //!   [`std::io::Read`]/[`std::io::Write`].
 
-use crate::cdr::{ByteOrder, CdrDecode, CdrDecoder, CdrEncode, CdrEncoder};
+use crate::cdr::{ByteOrder, Cdr, CdrDecoder, CdrEncoder};
 use crate::error::GiopError;
 use crate::message::{
     LocateReplyHeader, LocateRequestHeader, Message, MsgType, ReplyHeader, RequestHeader,
@@ -201,7 +201,6 @@ pub fn parse_header(buf: &[u8]) -> Result<FrameHeader, GiopError> {
 /// body (operation parameters / results) given its body-relative offset —
 /// a shared-storage slice on the zero-copy paths, a copy on the legacy
 /// slice-only paths.
-// lint: allow(A003, shared decode core for decode_message/decode_frame; its encode counterpart is Message::encode_into)
 fn decode_body_with(
     header: FrameHeader,
     body: &[u8],
@@ -248,7 +247,6 @@ fn decode_body(header: FrameHeader, body: &[u8]) -> Result<Message, GiopError> {
 /// Any [`GiopError`] describing the malformation; notably
 /// [`GiopError::SizeMismatch`] if the buffer length disagrees with the
 /// header's `message_size`.
-// lint: allow(A003, asymmetric by design - encoding takes version and order as arguments so only the decode side needs to report them back)
 pub fn decode_message_ext(frame: &[u8]) -> Result<(Message, GiopVersion, ByteOrder), GiopError> {
     let header = parse_header(frame)?;
     let body = &frame[HEADER_LEN..];
@@ -388,7 +386,6 @@ pub fn join_frames(frames: &[Bytes]) -> Bytes {
 /// the first error.
 pub fn split_frames(batch: &Bytes) -> FrameIter {
     FrameIter {
-        // lint: allow(L007, Bytes::clone is a refcount bump, not a copy)
         rest: batch.clone(),
         poisoned: false,
     }
@@ -510,7 +507,7 @@ pub fn write_message<W: Write>(
 
 /// Convenience: marshal a value into a standalone CDR body (used for
 /// operation parameters and results).
-pub fn encode_body<T: CdrEncode>(value: &T, order: ByteOrder) -> Bytes {
+pub fn encode_body<T: Cdr>(value: &T, order: ByteOrder) -> Bytes {
     let mut enc = CdrEncoder::new(order);
     value.encode(&mut enc);
     enc.into_bytes()
@@ -521,8 +518,7 @@ pub fn encode_body<T: CdrEncode>(value: &T, order: ByteOrder) -> Bytes {
 /// # Errors
 ///
 /// Any [`GiopError`] from malformed input.
-// lint: allow(A003, the encode counterpart is `encode_body` - the `_as` suffix only marks the turbofish-friendly decode direction)
-pub fn decode_body_as<T: CdrDecode>(body: &[u8], order: ByteOrder) -> Result<T, GiopError> {
+pub fn decode_body_as<T: Cdr>(body: &[u8], order: ByteOrder) -> Result<T, GiopError> {
     let mut dec = CdrDecoder::new(body, order);
     T::decode(&mut dec)
 }

@@ -49,7 +49,7 @@ pub mod service_context;
 pub mod trace;
 pub mod version;
 
-pub use cdr::{ByteOrder, CdrDecode, CdrDecoder, CdrEncode, CdrEncoder};
+pub use cdr::{ByteOrder, Cdr, CdrDecoder, CdrEncoder};
 pub use codec::{decode_message, encode_message, join_frames, split_frames, MessageReader};
 pub use error::GiopError;
 pub use message::{
@@ -65,7 +65,7 @@ pub use version::GiopVersion;
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
-    pub use crate::cdr::{ByteOrder, CdrDecode, CdrDecoder, CdrEncode, CdrEncoder};
+    pub use crate::cdr::{ByteOrder, Cdr, CdrDecoder, CdrEncoder};
     pub use crate::codec::{decode_message, encode_message, join_frames, split_frames, MessageReader};
     pub use crate::error::GiopError;
     pub use crate::message::{

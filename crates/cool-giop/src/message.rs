@@ -6,7 +6,7 @@
 //! field is marshalled if and only if the enclosing message announces GIOP
 //! 9.9 in its header, so standard-GIOP peers interoperate untouched.
 
-use crate::cdr::{CdrDecode, CdrDecoder, CdrEncode, CdrEncoder};
+use crate::cdr::{Cdr, CdrDecoder, CdrEncoder};
 use crate::error::GiopError;
 use crate::qos::QoSParameter;
 use crate::service_context::ServiceContextList;
@@ -264,15 +264,13 @@ impl ReplyHeader {
     }
 }
 
-impl CdrEncode for ReplyHeader {
+impl Cdr for ReplyHeader {
     fn encode(&self, enc: &mut CdrEncoder) {
         self.service_context.encode(enc);
         enc.put_u32(self.request_id);
         enc.put_u32(self.reply_status.code());
     }
-}
 
-impl CdrDecode for ReplyHeader {
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
         Ok(ReplyHeader {
             service_context: ServiceContextList::decode(dec)?,
@@ -291,14 +289,12 @@ pub struct LocateRequestHeader {
     pub object_key: Vec<u8>,
 }
 
-impl CdrEncode for LocateRequestHeader {
+impl Cdr for LocateRequestHeader {
     fn encode(&self, enc: &mut CdrEncoder) {
         enc.put_u32(self.request_id);
         enc.put_octet_seq(&self.object_key);
     }
-}
 
-impl CdrDecode for LocateRequestHeader {
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
         Ok(LocateRequestHeader {
             request_id: dec.get_u32()?,
@@ -357,14 +353,12 @@ pub struct LocateReplyHeader {
     pub locate_status: LocateStatus,
 }
 
-impl CdrEncode for LocateReplyHeader {
+impl Cdr for LocateReplyHeader {
     fn encode(&self, enc: &mut CdrEncoder) {
         enc.put_u32(self.request_id);
         enc.put_u32(self.locate_status.code());
     }
-}
 
-impl CdrDecode for LocateReplyHeader {
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
         Ok(LocateReplyHeader {
             request_id: dec.get_u32()?,

@@ -15,7 +15,7 @@
 //! operating point; `min_value`/`max_value` bound the range the client will
 //! accept, which is what gives the server room to negotiate.
 
-use crate::cdr::{CdrDecode, CdrDecoder, CdrEncode, CdrEncoder};
+use crate::cdr::{Cdr, CdrDecoder, CdrEncoder};
 use crate::error::GiopError;
 
 /// Well-known QoS parameter dimensions used by MULTE.
@@ -120,16 +120,14 @@ impl QoSParameter {
     }
 }
 
-impl CdrEncode for QoSParameter {
+impl Cdr for QoSParameter {
     fn encode(&self, enc: &mut CdrEncoder) {
         enc.put_u32(self.param_type);
         enc.put_u32(self.request_value);
         enc.put_i32(self.max_value);
         enc.put_i32(self.min_value);
     }
-}
 
-impl CdrDecode for QoSParameter {
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
         Ok(QoSParameter {
             param_type: dec.get_u32()?,

@@ -6,7 +6,7 @@
 //! is part of the protocol proper — but the list must still be marshalled
 //! for CORBA compliance.
 
-use crate::cdr::{CdrDecode, CdrDecoder, CdrEncode, CdrEncoder, MAX_LENGTH};
+use crate::cdr::{Cdr, CdrDecoder, CdrEncoder, MAX_LENGTH};
 use crate::error::GiopError;
 
 /// Inline capacity of [`ContextData`]: covers both trace contexts (21 and
@@ -137,14 +137,12 @@ impl ServiceContext {
     }
 }
 
-impl CdrEncode for ServiceContext {
+impl Cdr for ServiceContext {
     fn encode(&self, enc: &mut CdrEncoder) {
         enc.put_u32(self.context_id);
         enc.put_octet_seq(&self.context_data);
     }
-}
 
-impl CdrDecode for ServiceContext {
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
         Ok(ServiceContext {
             context_id: dec.get_u32()?,
@@ -257,13 +255,11 @@ impl FromIterator<ServiceContext> for ServiceContextList {
     }
 }
 
-impl CdrEncode for ServiceContextList {
+impl Cdr for ServiceContextList {
     fn encode(&self, enc: &mut CdrEncoder) {
         enc.put_seq(self.as_slice());
     }
-}
 
-impl CdrDecode for ServiceContextList {
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
         let len = dec.get_u32()?;
         if len > MAX_LENGTH {

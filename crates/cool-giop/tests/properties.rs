@@ -3,6 +3,7 @@
 use bytes::Bytes;
 use cool_giop::prelude::*;
 use proptest::prelude::*;
+use std::fmt::Debug;
 
 fn arb_order() -> impl Strategy<Value = ByteOrder> {
     prop_oneof![Just(ByteOrder::Big), Just(ByteOrder::Little)]
@@ -53,6 +54,49 @@ fn arb_request_header() -> impl Strategy<Value = RequestHeader> {
         })
 }
 
+fn arb_reply_status() -> impl Strategy<Value = ReplyStatus> {
+    prop_oneof![
+        Just(ReplyStatus::NoException),
+        Just(ReplyStatus::UserException),
+        Just(ReplyStatus::SystemException),
+        Just(ReplyStatus::LocationForward)
+    ]
+}
+
+fn arb_reply_header() -> impl Strategy<Value = ReplyHeader> {
+    (arb_service_context_list(), any::<u32>(), arb_reply_status()).prop_map(
+        |(service_context, request_id, reply_status)| ReplyHeader {
+            service_context,
+            request_id,
+            reply_status,
+        },
+    )
+}
+
+fn arb_locate_request() -> impl Strategy<Value = LocateRequestHeader> {
+    (any::<u32>(), proptest::collection::vec(any::<u8>(), 0..32)).prop_map(
+        |(request_id, object_key)| LocateRequestHeader {
+            request_id,
+            object_key,
+        },
+    )
+}
+
+fn arb_locate_reply() -> impl Strategy<Value = LocateReplyHeader> {
+    (
+        any::<u32>(),
+        prop_oneof![
+            Just(LocateStatus::UnknownObject),
+            Just(LocateStatus::ObjectHere),
+            Just(LocateStatus::ObjectForward)
+        ],
+    )
+        .prop_map(|(request_id, locate_status)| LocateReplyHeader {
+            request_id,
+            locate_status,
+        })
+}
+
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
         (
@@ -65,12 +109,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
             }),
         (
             any::<u32>(),
-            prop_oneof![
-                Just(ReplyStatus::NoException),
-                Just(ReplyStatus::UserException),
-                Just(ReplyStatus::SystemException),
-                Just(ReplyStatus::LocationForward)
-            ],
+            arb_reply_status(),
             proptest::collection::vec(any::<u8>(), 0..128)
         )
             .prop_map(|(id, status, body)| Message::Reply {
@@ -78,26 +117,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 body: Bytes::from(body),
             }),
         any::<u32>().prop_map(|request_id| Message::CancelRequest { request_id }),
-        (any::<u32>(), proptest::collection::vec(any::<u8>(), 0..32)).prop_map(
-            |(request_id, object_key)| Message::LocateRequest(LocateRequestHeader {
-                request_id,
-                object_key
-            })
-        ),
-        (
-            any::<u32>(),
-            prop_oneof![
-                Just(LocateStatus::UnknownObject),
-                Just(LocateStatus::ObjectHere),
-                Just(LocateStatus::ObjectForward)
-            ]
-        )
-            .prop_map(|(request_id, locate_status)| Message::LocateReply(
-                LocateReplyHeader {
-                    request_id,
-                    locate_status
-                }
-            )),
+        arb_locate_request().prop_map(Message::LocateRequest),
+        arb_locate_reply().prop_map(Message::LocateReply),
         Just(Message::CloseConnection),
         Just(Message::MessageError),
     ]
@@ -114,7 +135,61 @@ fn legal_version(msg: &Message) -> GiopVersion {
     }
 }
 
+/// Encodes `value` under both byte orders and decodes it back: the decoder
+/// must return the value and consume exactly what the encoder wrote.
+fn cdr_round_trip<T: Cdr + PartialEq + Debug>(value: T) {
+    for order in [ByteOrder::Big, ByteOrder::Little] {
+        let mut enc = CdrEncoder::new(order);
+        value.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut dec = CdrDecoder::new(&bytes, order);
+        assert_eq!(T::decode(&mut dec).unwrap(), value, "{order:?}");
+        assert!(dec.is_exhausted(), "{order:?}: {} bytes left", dec.remaining());
+    }
+}
+
 proptest! {
+    /// Every `Cdr` impl in the crate reads back what it writes, under Big
+    /// and Little byte order alike.
+    #[test]
+    fn every_cdr_impl_round_trips_both_orders(
+        octet in any::<u8>(),
+        flag in any::<bool>(),
+        ushort in any::<u16>(),
+        ulong in any::<u32>(),
+        ulonglong in any::<u64>(),
+        short in any::<i16>(),
+        long in any::<i32>(),
+        longlong in any::<i64>(),
+        float in any::<f32>(),
+        double in any::<f64>(),
+        string in "[a-zA-Z0-9 _é€]{0,24}",
+        qos in arb_qos_param(),
+        reply in arb_reply_header(),
+        locate_request in arb_locate_request(),
+        locate_reply in arb_locate_reply(),
+        context in (any::<u32>(), proptest::collection::vec(any::<u8>(), 0..32)),
+        contexts in arb_service_context_list(),
+    ) {
+        cdr_round_trip(octet);
+        cdr_round_trip(flag);
+        cdr_round_trip(ushort);
+        cdr_round_trip(ulong);
+        cdr_round_trip(ulonglong);
+        cdr_round_trip(short);
+        cdr_round_trip(long);
+        cdr_round_trip(longlong);
+        cdr_round_trip(float);
+        cdr_round_trip(double);
+        cdr_round_trip(string);
+        cdr_round_trip(qos);
+        cdr_round_trip(reply);
+        cdr_round_trip(locate_request);
+        cdr_round_trip(locate_reply);
+        cdr_round_trip(ServiceContext::new(context.0, context.1));
+        cdr_round_trip(contexts);
+    }
+
     /// Every message round-trips bit-exactly through encode/decode under
     /// both byte orders.
     #[test]

@@ -126,7 +126,6 @@ pub fn interpret_reply(
                 .service_context
                 .find(QOS_CONTEXT_ID)
                 .and_then(|sc| decode_granted(&sc.context_data));
-            // lint: allow(L007, Bytes::clone is a refcount bump, not a copy)
             Ok((body.clone(), granted))
         }
         ReplyStatus::UserException => {

@@ -186,7 +186,6 @@ impl ComChannel for FaultChannel {
                 self.forward(frame)
             }
             Some(FaultAction::Duplicate) => {
-                // lint: allow(L007, Bytes::clone is a refcount bump, not a copy)
                 self.forward(frame.clone())?;
                 self.forward(frame)
             }
@@ -200,7 +199,7 @@ impl ComChannel for FaultChannel {
                 }
             }
             Some(FaultAction::Corrupt { bit }) => {
-                // lint: allow(L007, corruption injection needs a mutable copy)
+                // Corruption injection needs a mutable copy.
                 let mut buf = frame.to_vec();
                 FaultEngine::apply_corrupt(&mut buf, bit);
                 self.forward(Bytes::from(buf))

@@ -132,7 +132,6 @@ impl Module for ArqModule {
         header[0] = PTYPE_DATA;
         header[1..5].copy_from_slice(&seq.to_be_bytes());
         pkt.push_header(&header);
-        // lint: allow(L007, retransmit window must own its copy)
         self.window.insert(seq, pkt.clone());
         out.push_down(pkt);
     }
@@ -181,7 +180,6 @@ impl Module for ArqModule {
             self.ticks_without_progress = 0;
             for pkt in self.window.values() {
                 self.retransmissions += 1;
-                // lint: allow(L007, retransmission resends an owned copy)
                 out.push_down(pkt.clone());
             }
         }

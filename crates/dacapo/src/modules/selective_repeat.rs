@@ -127,7 +127,6 @@ impl Module for SelectiveRepeatModule {
         self.window.insert(
             seq,
             InFlight {
-                // lint: allow(L007, retransmit window must own its copy)
                 packet: pkt.clone(),
                 ticks_since_send: 0,
             },
@@ -182,7 +181,6 @@ impl Module for SelectiveRepeatModule {
         for seq in to_resend {
             if let Some(entry) = self.window.get(&seq) {
                 self.retransmissions += 1;
-                // lint: allow(L007, retransmission resends an owned copy)
                 out.push_down(entry.packet.clone());
             }
         }

@@ -922,7 +922,11 @@ impl RxPump {
         let writer = WireWriter::new(transport.clone());
         std::thread::Builder::new()
             .name("dacapo-t-rx".into())
-            // lint: allow(A007, ends as soon as Transport::close ends the receive it waits in, which shutdown() calls; shutdown() also runs on this thread itself — a sink closing its connection on peer close — and on dispatcher threads a sink callback may be waiting for, so joining it there could deadlock)
+            // Never joined: it ends as soon as Transport::close ends the
+            // receive it waits in, which shutdown() calls. shutdown() also
+            // runs on this thread itself (a sink closing its connection on
+            // peer close) and on dispatcher threads a sink callback may be
+            // waiting for, so joining it there could deadlock.
             .spawn(move || {
                 receiving_for(&transport, || {
                     rx_pump_loop(&*transport, &slot, &sink, &writer, wire, on_closed)

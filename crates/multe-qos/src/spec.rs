@@ -39,7 +39,10 @@ impl Range {
     /// Panics if `value` exceeds `i32::MAX` (not representable in the wire
     /// struct's `long` bounds).
     pub fn exact(value: u32) -> Self {
-        // lint: allow(L002, documented # Panics contract: exact() requires value <= i32::MAX)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics contract: exact() requires value <= i32::MAX"
+        )]
         let v = i32::try_from(value).expect("exact qos value must fit in i32");
         Range {
             requested: value,

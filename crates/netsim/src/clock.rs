@@ -74,7 +74,10 @@ impl Clock for RealClock {
     fn sleep_until(&self, deadline: Duration) -> Duration {
         let now = self.now();
         if deadline > now {
-            // lint: allow(L001, RealClock maps simulated deadlines onto wall-clock delay; this sleep is the wait primitive itself)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "RealClock maps simulated deadlines onto wall-clock delay; this sleep is the wait primitive itself"
+            )]
             std::thread::sleep(deadline - now);
         }
         self.now()

@@ -132,8 +132,11 @@ impl LinkSpec {
 }
 
 impl Default for LinkSpec {
+    #[expect(
+        clippy::expect_used,
+        reason = "builder defaults are compile-time constants kept valid by the default_spec_is_valid test"
+    )]
     fn default() -> Self {
-        // lint: allow(L002, builder defaults are compile-time constants kept valid by the default_spec_is_valid test)
         LinkSpec::builder().build().expect("default spec is valid")
     }
 }
