@@ -11,19 +11,16 @@
 //! ```
 //!
 //! Entry points:
-//! * [`Message::encode_into`] / [`Message::decode_frame`] — the zero-copy
-//!   path: encode appends header + CDR body to one caller-owned buffer
-//!   (size patched in place, no body copy); decode returns `Bytes`-slice
-//!   views into the shared frame instead of fresh `Vec<u8>`s,
-//! * [`encode_message`] / [`decode_message`] for whole in-memory frames
-//!   (thin wrappers over the above),
+//! * [`Message::encode_into`] — appends header + CDR body to one
+//!   caller-owned buffer (size patched in place, no body copy);
+//!   [`encode_message`] is its allocating wrapper,
+//! * [`Message::decode_frame`] — the one decoder: Request/Reply bodies come
+//!   back as `Bytes`-slice views into the shared frame, not copies,
 //! * [`join_frames`] / [`split_frames`] — several messages in one transport
 //!   frame: GIOP frames are self-delimiting, so a receiver can always split
 //!   them,
-//! * [`MessageReader`] for incremental decoding from a byte stream
-//!   (TCP-like transports deliver arbitrary chunks),
-//! * [`read_message`] / [`write_message`] blocking helpers over
-//!   [`std::io::Read`]/[`std::io::Write`].
+//! * [`parse_header`] — the fixed 12-byte header alone, which
+//!   `decode_frame` and `split_frames` read first.
 
 use crate::cdr::{ByteOrder, Cdr, CdrDecoder, CdrEncoder};
 use crate::error::GiopError;
@@ -33,7 +30,6 @@ use crate::message::{
 use crate::version::GiopVersion;
 use bytes::{BufMut, Bytes, BytesMut};
 use cool_telemetry::allocs::record_buffer_alloc;
-use std::io::{Read, Write};
 
 /// The 4-byte GIOP magic.
 pub const MAGIC: [u8; 4] = *b"GIOP";
@@ -120,13 +116,13 @@ impl Message {
                 actual: body.len(),
             });
         }
-        let msg = decode_body_with(header, body, |pos| frame.slice(HEADER_LEN + pos..))?;
+        let msg = decode_body(header, frame)?;
         Ok((msg, header.version, header.order))
     }
 }
 
-/// Encodes a complete message into a wire frame (legacy contiguous API: a
-/// fresh buffer per frame). Thin wrapper over [`Message::encode_into`].
+/// Encodes a complete message into a fresh wire frame: the allocating
+/// wrapper over [`Message::encode_into`].
 ///
 /// # Errors
 ///
@@ -197,29 +193,24 @@ pub fn parse_header(buf: &[u8]) -> Result<FrameHeader, GiopError> {
     })
 }
 
-/// Decodes a frame body. `rest` materialises the undecoded tail of the
-/// body (operation parameters / results) given its body-relative offset —
-/// a shared-storage slice on the zero-copy paths, a copy on the legacy
-/// slice-only paths.
-fn decode_body_with(
-    header: FrameHeader,
-    body: &[u8],
-    rest: impl FnOnce(usize) -> Bytes,
-) -> Result<Message, GiopError> {
-    let mut dec = CdrDecoder::new(body, header.order);
+/// Decodes the body of `frame`, whose header `header` has been parsed and
+/// whose length has been checked. The undecoded tail of a Request/Reply
+/// body (operation parameters / results) is a slice of `frame`.
+fn decode_body(header: FrameHeader, frame: &Bytes) -> Result<Message, GiopError> {
+    let mut dec = CdrDecoder::new(&frame[HEADER_LEN..], header.order);
     Ok(match header.msg_type {
         MsgType::Request => {
-            let req = RequestHeader::decode(&mut dec, header.version)?;
+            let header = RequestHeader::decode(&mut dec, header.version)?;
             Message::Request {
-                header: req,
-                body: rest(dec.position()),
+                header,
+                body: frame.slice(HEADER_LEN + dec.position()..),
             }
         }
         MsgType::Reply => {
-            let rep = ReplyHeader::decode(&mut dec)?;
+            let header = ReplyHeader::decode(&mut dec)?;
             Message::Reply {
-                header: rep,
-                body: rest(dec.position()),
+                header,
+                body: frame.slice(HEADER_LEN + dec.position()..),
             }
         }
         MsgType::CancelRequest => Message::CancelRequest {
@@ -230,129 +221,6 @@ fn decode_body_with(
         MsgType::CloseConnection => Message::CloseConnection,
         MsgType::MessageError => Message::MessageError,
     })
-}
-
-fn decode_body(header: FrameHeader, body: &[u8]) -> Result<Message, GiopError> {
-    decode_body_with(header, body, |pos| {
-        record_buffer_alloc();
-        Bytes::copy_from_slice(&body[pos..])
-    })
-}
-
-/// Decodes one complete frame, returning the message together with the
-/// version and byte order it was marshalled under.
-///
-/// # Errors
-///
-/// Any [`GiopError`] describing the malformation; notably
-/// [`GiopError::SizeMismatch`] if the buffer length disagrees with the
-/// header's `message_size`.
-pub fn decode_message_ext(frame: &[u8]) -> Result<(Message, GiopVersion, ByteOrder), GiopError> {
-    let header = parse_header(frame)?;
-    let body = &frame[HEADER_LEN..];
-    if body.len() != header.message_size as usize {
-        return Err(GiopError::SizeMismatch {
-            announced: header.message_size as usize,
-            actual: body.len(),
-        });
-    }
-    let msg = decode_body(header, body)?;
-    Ok((msg, header.version, header.order))
-}
-
-/// Decodes one complete frame into a [`Message`].
-///
-/// # Errors
-///
-/// See [`decode_message_ext`].
-pub fn decode_message(frame: &[u8]) -> Result<Message, GiopError> {
-    decode_message_ext(frame).map(|(msg, _, _)| msg)
-}
-
-/// Incremental frame decoder for byte-stream transports.
-///
-/// Feed arbitrary chunks with [`MessageReader::feed`]; complete messages
-/// pop out of [`MessageReader::next_message`].
-///
-/// ```
-/// use cool_giop::prelude::*;
-///
-/// # fn main() -> Result<(), cool_giop::GiopError> {
-/// let frame = encode_message(&Message::CloseConnection, GiopVersion::STANDARD, ByteOrder::Big)?;
-/// let mut reader = MessageReader::new();
-/// // Feed the frame one byte at a time: no message until the last byte.
-/// for (i, byte) in frame.iter().enumerate() {
-///     reader.feed(&[*byte]);
-///     let ready = reader.next_message()?;
-///     if i + 1 < frame.len() {
-///         assert!(ready.is_none());
-///     } else {
-///         assert_eq!(ready, Some(Message::CloseConnection));
-///     }
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Default)]
-pub struct MessageReader {
-    buf: BytesMut,
-}
-
-impl MessageReader {
-    /// Creates an empty reader.
-    pub fn new() -> Self {
-        MessageReader {
-            buf: BytesMut::new(),
-        }
-    }
-
-    /// Appends raw bytes received from the transport.
-    pub fn feed(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
-    }
-
-    /// Bytes buffered but not yet consumed.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Attempts to decode the next complete message.
-    ///
-    /// Returns `Ok(None)` if more bytes are needed.
-    ///
-    /// # Errors
-    ///
-    /// Any [`GiopError`] if the buffered prefix is not a valid frame; the
-    /// reader is then poisoned for further use on this stream (GIOP has no
-    /// resynchronisation points).
-    pub fn next_message(&mut self) -> Result<Option<Message>, GiopError> {
-        self.next_message_ext()
-            .map(|opt| opt.map(|(msg, _, _)| msg))
-    }
-
-    /// Like [`MessageReader::next_message`] but also reports version and
-    /// byte order.
-    ///
-    /// # Errors
-    ///
-    /// See [`MessageReader::next_message`].
-    pub fn next_message_ext(
-        &mut self,
-    ) -> Result<Option<(Message, GiopVersion, ByteOrder)>, GiopError> {
-        if self.buf.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let header = parse_header(&self.buf)?;
-        let total = HEADER_LEN + header.message_size as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        // Freeze the frame into shared storage so the body view needs no
-        // copy; the split moves the buffered prefix, it does not clone it.
-        let frame = self.buf.split_to(total).freeze();
-        let (msg, version, order) = Message::decode_frame(&frame)?;
-        Ok(Some((msg, version, order)))
-    }
 }
 
 /// Coalesces whole GIOP frames into one transport frame. Zero frames give
@@ -424,105 +292,6 @@ impl Iterator for FrameIter {
     }
 }
 
-/// Errors from the blocking I/O helpers.
-#[derive(Debug)]
-pub enum IoCodecError {
-    /// The underlying transport failed.
-    Io(std::io::Error),
-    /// The stream carried malformed GIOP.
-    Giop(GiopError),
-}
-
-impl std::fmt::Display for IoCodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IoCodecError::Io(e) => write!(f, "giop transport i/o error: {e}"),
-            IoCodecError::Giop(e) => write!(f, "giop protocol error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for IoCodecError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            IoCodecError::Io(e) => Some(e),
-            IoCodecError::Giop(e) => Some(e),
-        }
-    }
-}
-
-impl From<std::io::Error> for IoCodecError {
-    fn from(e: std::io::Error) -> Self {
-        IoCodecError::Io(e)
-    }
-}
-
-impl From<GiopError> for IoCodecError {
-    fn from(e: GiopError) -> Self {
-        IoCodecError::Giop(e)
-    }
-}
-
-/// Blocking read of exactly one message from a byte stream.
-///
-/// A mutable reference works as the reader: `read_message(&mut stream)`.
-///
-/// # Errors
-///
-/// [`IoCodecError::Io`] for transport failures (including EOF mid-frame),
-/// [`IoCodecError::Giop`] for malformed frames.
-pub fn read_message<R: Read>(mut r: R) -> Result<(Message, GiopVersion, ByteOrder), IoCodecError> {
-    let mut header_buf = [0u8; HEADER_LEN];
-    r.read_exact(&mut header_buf)?;
-    let header = parse_header(&header_buf)?;
-    record_buffer_alloc();
-    let mut body = vec![0u8; header.message_size as usize];
-    r.read_exact(&mut body)?;
-    // Move the freshly read body into shared storage so Request/Reply
-    // payload views borrow from it instead of copying again.
-    let body = Bytes::from(body);
-    let msg = decode_body_with(header, &body, |pos| body.slice(pos..))?;
-    Ok((msg, header.version, header.order))
-}
-
-/// Blocking write of one message to a byte stream.
-///
-/// A mutable reference works as the writer: `write_message(&mut stream, …)`.
-///
-/// # Errors
-///
-/// [`IoCodecError::Giop`] if the message cannot be marshalled under
-/// `version`, [`IoCodecError::Io`] for transport failures.
-pub fn write_message<W: Write>(
-    mut w: W,
-    msg: &Message,
-    version: GiopVersion,
-    order: ByteOrder,
-) -> Result<(), IoCodecError> {
-    let frame = encode_message(msg, version, order)?;
-    w.write_all(&frame)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Convenience: marshal a value into a standalone CDR body (used for
-/// operation parameters and results).
-pub fn encode_body<T: Cdr>(value: &T, order: ByteOrder) -> Bytes {
-    let mut enc = CdrEncoder::new(order);
-    value.encode(&mut enc);
-    enc.into_bytes()
-}
-
-/// Convenience: unmarshal a value from a standalone CDR body.
-///
-/// # Errors
-///
-/// Any [`GiopError`] from malformed input.
-pub fn decode_body_as<T: Cdr>(body: &[u8], order: ByteOrder) -> Result<T, GiopError> {
-    let mut dec = CdrDecoder::new(body, order);
-    T::decode(&mut dec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,7 +331,7 @@ mod tests {
         for msg in messages {
             for order in [ByteOrder::Big, ByteOrder::Little] {
                 let frame = encode_message(&msg, GiopVersion::STANDARD, order).unwrap();
-                let (decoded, v, o) = decode_message_ext(&frame).unwrap();
+                let (decoded, v, o) = Message::decode_frame(&frame).unwrap();
                 assert_eq!(decoded, msg);
                 assert_eq!(v, GiopVersion::STANDARD);
                 assert_eq!(o, order);
@@ -574,7 +343,7 @@ mod tests {
     fn qos_request_round_trips_under_9_9() {
         let msg = sample_request(true);
         let frame = encode_message(&msg, GiopVersion::QOS_EXTENDED, ByteOrder::Big).unwrap();
-        let (decoded, v, _) = decode_message_ext(&frame).unwrap();
+        let (decoded, v, _) = Message::decode_frame(&frame).unwrap();
         assert_eq!(v, GiopVersion::QOS_EXTENDED);
         assert_eq!(decoded, msg);
     }
@@ -616,7 +385,7 @@ mod tests {
         .to_vec();
         frame[0] = b'X';
         assert!(matches!(
-            decode_message(&frame),
+            Message::decode_frame(&Bytes::from(frame)),
             Err(GiopError::BadMagic(_))
         ));
     }
@@ -632,7 +401,7 @@ mod tests {
         .to_vec();
         frame[4] = 2;
         assert!(matches!(
-            decode_message(&frame),
+            Message::decode_frame(&Bytes::from(frame)),
             Err(GiopError::UnsupportedVersion { .. })
         ));
     }
@@ -645,7 +414,7 @@ mod tests {
             .to_vec();
         frame.push(0); // trailing garbage
         assert!(matches!(
-            decode_message(&frame),
+            Message::decode_frame(&Bytes::from(frame)),
             Err(GiopError::SizeMismatch { .. })
         ));
     }
@@ -664,64 +433,6 @@ mod tests {
             parse_header(&frame),
             Err(GiopError::LengthOverflow { .. })
         ));
-    }
-
-    #[test]
-    fn reader_handles_fragmented_and_coalesced_frames() {
-        let m1 = sample_request(false);
-        let m2 = Message::CancelRequest { request_id: 99 };
-        let f1 = encode_message(&m1, GiopVersion::STANDARD, ByteOrder::Big).unwrap();
-        let f2 = encode_message(&m2, GiopVersion::STANDARD, ByteOrder::Little).unwrap();
-
-        let mut combined = f1.to_vec();
-        combined.extend_from_slice(&f2);
-
-        let mut reader = MessageReader::new();
-        // Feed in three ragged chunks.
-        let third = combined.len() / 3;
-        reader.feed(&combined[..third]);
-        let mut out = Vec::new();
-        while let Some(m) = reader.next_message().unwrap() {
-            out.push(m);
-        }
-        reader.feed(&combined[third..2 * third]);
-        while let Some(m) = reader.next_message().unwrap() {
-            out.push(m);
-        }
-        reader.feed(&combined[2 * third..]);
-        while let Some(m) = reader.next_message().unwrap() {
-            out.push(m);
-        }
-        assert_eq!(out, vec![m1, m2]);
-        assert_eq!(reader.buffered(), 0);
-    }
-
-    #[test]
-    fn io_helpers_round_trip_over_a_pipe() {
-        let msg = sample_request(true);
-        let mut buf = Vec::new();
-        write_message(&mut buf, &msg, GiopVersion::QOS_EXTENDED, ByteOrder::Little).unwrap();
-        let (decoded, v, o) = read_message(&buf[..]).unwrap();
-        assert_eq!(decoded, msg);
-        assert_eq!(v, GiopVersion::QOS_EXTENDED);
-        assert_eq!(o, ByteOrder::Little);
-    }
-
-    #[test]
-    fn read_message_reports_truncation_as_io_error() {
-        let msg = sample_request(false);
-        let frame = encode_message(&msg, GiopVersion::STANDARD, ByteOrder::Big).unwrap();
-        let truncated = &frame[..frame.len() - 2];
-        assert!(matches!(read_message(truncated), Err(IoCodecError::Io(_))));
-    }
-
-    #[test]
-    fn body_helpers_round_trip() {
-        let body = encode_body(&0xDEAD_BEEFu32, ByteOrder::Big);
-        assert_eq!(
-            decode_body_as::<u32>(&body, ByteOrder::Big).unwrap(),
-            0xDEAD_BEEF
-        );
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   header (Figure 2-ii). Standard-GIOP peers never see the new field, so
 //!   backwards compatibility is preserved: a 1.0 Request is bit-identical
 //!   to what an unmodified ORB produces.
-//! * **Framing** ([`codec`]) — 12-byte header + body encoding, with an
-//!   incremental reader for use over byte-stream transports.
+//! * **Framing** ([`codec`]) — 12-byte header + body encoding, one
+//!   decoder ([`Message::decode_frame`]) whose bodies are views into the
+//!   frame, and batching of several frames into one transport frame.
 //!
 //! ```
 //! use cool_giop::prelude::*;
@@ -30,8 +31,9 @@
 //! let msg = Message::Request { header: request, body: bytes::Bytes::new() };
 //!
 //! let wire = encode_message(&msg, GiopVersion::QOS_EXTENDED, ByteOrder::Big)?;
-//! let decoded = decode_message(&wire)?;
+//! let (decoded, version, _) = Message::decode_frame(&wire)?;
 //! assert_eq!(decoded, msg);
+//! assert_eq!(version, GiopVersion::QOS_EXTENDED);
 //! # Ok(())
 //! # }
 //! ```
@@ -50,7 +52,7 @@ pub mod trace;
 pub mod version;
 
 pub use cdr::{ByteOrder, Cdr, CdrDecoder, CdrEncoder};
-pub use codec::{decode_message, encode_message, join_frames, split_frames, MessageReader};
+pub use codec::{encode_message, join_frames, split_frames};
 pub use error::GiopError;
 pub use message::{
     LocateReplyHeader, LocateRequestHeader, LocateStatus, Message, MsgType, ReplyHeader,
@@ -66,7 +68,7 @@ pub use version::GiopVersion;
 /// Convenient glob import for downstream crates.
 pub mod prelude {
     pub use crate::cdr::{ByteOrder, Cdr, CdrDecoder, CdrEncoder};
-    pub use crate::codec::{decode_message, encode_message, join_frames, split_frames, MessageReader};
+    pub use crate::codec::{encode_message, join_frames, split_frames};
     pub use crate::error::GiopError;
     pub use crate::message::{
         LocateReplyHeader, LocateRequestHeader, LocateStatus, Message, MsgType, ReplyHeader,

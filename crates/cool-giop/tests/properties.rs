@@ -196,7 +196,7 @@ proptest! {
     fn message_round_trip(msg in arb_message(), order in arb_order()) {
         let version = legal_version(&msg);
         let frame = encode_message(&msg, version, order).unwrap();
-        let (decoded, v, o) = cool_giop::codec::decode_message_ext(&frame).unwrap();
+        let (decoded, v, o) = Message::decode_frame(&frame).unwrap();
         prop_assert_eq!(decoded, msg);
         prop_assert_eq!(v, version);
         prop_assert_eq!(o, order);
@@ -208,7 +208,7 @@ proptest! {
     fn qos_request_round_trip(header in arb_request_header(), order in arb_order()) {
         let msg = Message::Request { header, body: Bytes::new() };
         let frame = encode_message(&msg, GiopVersion::QOS_EXTENDED, order).unwrap();
-        let decoded = decode_message(&frame).unwrap();
+        let (decoded, _, _) = Message::decode_frame(&frame).unwrap();
         prop_assert_eq!(decoded, msg);
     }
 
@@ -228,41 +228,51 @@ proptest! {
         let msg = Message::Request { header, body: Bytes::from(body) };
         for order in [ByteOrder::Big, ByteOrder::Little] {
             let frame = encode_message(&msg, GiopVersion::QOS_EXTENDED, order).unwrap();
-            let (decoded, v, o) = cool_giop::codec::decode_message_ext(&frame).unwrap();
+            let (decoded, v, o) = Message::decode_frame(&frame).unwrap();
             prop_assert_eq!(&decoded, &msg);
             prop_assert_eq!(v, GiopVersion::QOS_EXTENDED);
             prop_assert_eq!(o, order);
         }
     }
 
-    /// The incremental reader produces the same messages as whole-frame
-    /// decoding for any chunking of the stream.
-    #[test]
-    fn reader_is_chunking_invariant(
-        msgs in proptest::collection::vec(arb_message(), 1..5),
-        chunk_size in 1usize..64,
-    ) {
-        let mut stream = Vec::new();
-        for m in &msgs {
-            let frame = encode_message(m, legal_version(m), ByteOrder::Big).unwrap();
-            stream.extend_from_slice(&frame);
-        }
-        let mut reader = MessageReader::new();
-        let mut out = Vec::new();
-        for chunk in stream.chunks(chunk_size) {
-            reader.feed(chunk);
-            while let Some(m) = reader.next_message().unwrap() {
-                out.push(m);
-            }
-        }
-        prop_assert_eq!(out, msgs);
-    }
-
     /// Arbitrary byte garbage never panics the decoder — it errors or, by
     /// astronomical luck, parses.
     #[test]
     fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_message(&bytes);
+        let _ = Message::decode_frame(&Bytes::from(bytes));
+    }
+
+    /// Arbitrary bytes never panic the batch splitter: every frame it
+    /// yields is a sub-slice of the input, in order and without gaps, and
+    /// iteration stops after the first error.
+    #[test]
+    fn split_frames_never_panics_and_stops_at_the_first_error(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        frames in proptest::collection::vec((arb_message(), arb_order()), 0..3),
+    ) {
+        // Valid frames ahead of the garbage, so the splitter gets past the
+        // first header as often as not.
+        let mut input = Vec::new();
+        for (m, o) in &frames {
+            input.extend_from_slice(&encode_message(m, legal_version(m), *o).unwrap());
+        }
+        let valid = input.len();
+        input.extend_from_slice(&bytes);
+        let input = Bytes::from(input);
+        let (mut offset, mut failed) = (0, false);
+        let mut iter = split_frames(&input);
+        for item in iter.by_ref() {
+            let Ok(frame) = item else {
+                failed = true;
+                break;
+            };
+            prop_assert_eq!(frame.as_ptr(), input[offset..].as_ptr());
+            prop_assert!(offset + frame.len() <= input.len());
+            offset += frame.len();
+        }
+        prop_assert!(iter.next().is_none(), "an item after the first error or the end");
+        prop_assert!(offset >= valid, "a valid frame was not split off");
+        prop_assert!(failed || offset == input.len(), "bytes left over without an error");
     }
 
     /// Truncating a valid frame anywhere yields an error, never a wrong
@@ -273,8 +283,7 @@ proptest! {
         if frame.len() > 12 {
             // Cut somewhere strictly inside the frame.
             let cut = 1 + cut % (frame.len() - 1);
-            let truncated = &frame[..cut];
-            prop_assert!(decode_message(truncated).is_err());
+            prop_assert!(Message::decode_frame(&frame.slice(..cut)).is_err());
         }
     }
 
@@ -350,7 +359,7 @@ proptest! {
             .collect();
         let unbatched: Vec<Message> = frames
             .iter()
-            .map(|f| decode_message(f).unwrap())
+            .map(|f| Message::decode_frame(f).unwrap().0)
             .collect();
 
         let batch = join_frames(&frames);
@@ -398,7 +407,7 @@ proptest! {
         let msg = Message::Request { header, body: Bytes::from_static(b"body") };
 
         let frame = encode_message(&msg, GiopVersion::STANDARD, order).unwrap();
-        let decoded = decode_message(&frame).unwrap();
+        let (decoded, _, _) = Message::decode_frame(&frame).unwrap();
         prop_assert_eq!(&decoded, &msg);
         let reencoded = encode_message(&decoded, GiopVersion::STANDARD, order).unwrap();
         prop_assert_eq!(reencoded, frame);

@@ -20,6 +20,7 @@
 use super::{Event, InboundReply, InboundRequest, ReplyFormat};
 use crate::error::OrbError;
 use bytes::{BufMut, Bytes, BytesMut};
+use cool_giop::GiopError;
 
 /// Magic prefix of every COOL-protocol frame.
 pub const MAGIC: &[u8; 4] = b"COOL";
@@ -69,7 +70,13 @@ impl CoolMessage {
     }
 
     /// Encodes the message into a frame.
-    pub fn encode(&self) -> Bytes {
+    ///
+    /// # Errors
+    ///
+    /// [`OrbError::Marshal`] with [`GiopError::LengthOverflow`] if a field
+    /// is longer than its length prefix can say: 65 535 bytes for the key,
+    /// operation, kind and detail, 4 GiB for args and body.
+    pub fn encode(&self) -> Result<Bytes, OrbError> {
         let mut buf = BytesMut::with_capacity(32);
         buf.put_slice(MAGIC);
         match self {
@@ -82,19 +89,15 @@ impl CoolMessage {
             } => {
                 buf.put_u8(0);
                 buf.put_u32(*request_id);
-                buf.put_u16(object_key.len() as u16);
-                buf.put_slice(object_key);
-                buf.put_u16(operation.len() as u16);
-                buf.put_slice(operation.as_bytes());
+                put_short(&mut buf, object_key)?;
+                put_short(&mut buf, operation.as_bytes())?;
                 buf.put_u8(*one_way as u8);
-                buf.put_u32(args.len() as u32);
-                buf.put_slice(args);
+                put_long(&mut buf, args)?;
             }
             CoolMessage::Reply { request_id, body } => {
                 buf.put_u8(1);
                 buf.put_u32(*request_id);
-                buf.put_u32(body.len() as u32);
-                buf.put_slice(body);
+                put_long(&mut buf, body)?;
             }
             CoolMessage::Exception {
                 request_id,
@@ -103,13 +106,11 @@ impl CoolMessage {
             } => {
                 buf.put_u8(2);
                 buf.put_u32(*request_id);
-                buf.put_u16(kind.len() as u16);
-                buf.put_slice(kind.as_bytes());
-                buf.put_u16(detail.len() as u16);
-                buf.put_slice(detail.as_bytes());
+                put_short(&mut buf, kind.as_bytes())?;
+                put_short(&mut buf, detail.as_bytes())?;
             }
         }
-        buf.freeze()
+        Ok(buf.freeze())
     }
 
     /// Decodes a frame.
@@ -171,6 +172,29 @@ impl CoolMessage {
         }
         Ok(msg)
     }
+}
+
+/// Writes `field` behind its length as a `u16`.
+fn put_short(buf: &mut BytesMut, field: &[u8]) -> Result<(), OrbError> {
+    let len = u16::try_from(field.len()).map_err(|_| too_long(field, u16::MAX.into()))?;
+    buf.put_u16(len);
+    buf.put_slice(field);
+    Ok(())
+}
+
+/// Writes `field` behind its length as a `u32`.
+fn put_long(buf: &mut BytesMut, field: &[u8]) -> Result<(), OrbError> {
+    let len = u32::try_from(field.len()).map_err(|_| too_long(field, u32::MAX.into()))?;
+    buf.put_u32(len);
+    buf.put_slice(field);
+    Ok(())
+}
+
+fn too_long(field: &[u8], limit: u64) -> OrbError {
+    OrbError::Marshal(GiopError::LengthOverflow {
+        declared: field.len() as u64,
+        limit,
+    })
 }
 
 /// What a COOL frame means.
@@ -254,7 +278,7 @@ mod tests {
             one_way: false,
             args: Bytes::from_static(b"\x01\x02"),
         };
-        assert_eq!(CoolMessage::decode(&msg.encode()).unwrap(), msg);
+        assert_eq!(CoolMessage::decode(&msg.encode().unwrap()).unwrap(), msg);
         assert_eq!(msg.request_id(), 42);
     }
 
@@ -264,13 +288,13 @@ mod tests {
             request_id: 1,
             body: Bytes::from_static(b"ok"),
         };
-        assert_eq!(CoolMessage::decode(&reply.encode()).unwrap(), reply);
+        assert_eq!(CoolMessage::decode(&reply.encode().unwrap()).unwrap(), reply);
         let exc = CoolMessage::Exception {
             request_id: 2,
             kind: "ObjectNotFound".into(),
             detail: "ghost".into(),
         };
-        assert_eq!(CoolMessage::decode(&exc.encode()).unwrap(), exc);
+        assert_eq!(CoolMessage::decode(&exc.encode().unwrap()).unwrap(), exc);
     }
 
     #[test]
@@ -282,6 +306,7 @@ mod tests {
             body: Bytes::new(),
         }
         .encode()
+        .unwrap()
         .to_vec();
         frame.push(0xFF); // trailing garbage
         assert!(CoolMessage::decode(&frame).is_err());

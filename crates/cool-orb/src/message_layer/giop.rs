@@ -303,7 +303,7 @@ mod tests {
             ByteOrder::Big,
         )
         .unwrap();
-        let (msg, version, _) = cool_giop::codec::decode_message_ext(&frame).unwrap();
+        let (msg, version, _) = Message::decode_frame(&frame).unwrap();
         assert_eq!(version, GiopVersion::STANDARD);
         match msg {
             Message::Request { header, body } => {
@@ -323,7 +323,7 @@ mod tests {
             ByteOrder::Big,
         )
         .unwrap();
-        let (msg, _, order) = cool_giop::codec::decode_message_ext(&reply).unwrap();
+        let (msg, _, order) = Message::decode_frame(&reply).unwrap();
         match msg {
             Message::Reply { header, body } => {
                 let (out, g) = interpret_reply(&header, &body, order).unwrap();
@@ -339,7 +339,7 @@ mod tests {
         let qos = vec![QoSParameter::new(ParamKind::Throughput, 1, 2, 0)];
         let frame =
             make_request(1, b"k", "m", Bytes::new(), qos, true, None, ByteOrder::Little).unwrap();
-        let (_, version, _) = cool_giop::codec::decode_message_ext(&frame).unwrap();
+        let (_, version, _) = Message::decode_frame(&frame).unwrap();
         assert_eq!(version, GiopVersion::QOS_EXTENDED);
     }
 
@@ -361,7 +361,7 @@ mod tests {
             ByteOrder::Big,
         )
         .unwrap();
-        let (msg, _, _) = cool_giop::codec::decode_message_ext(&frame).unwrap();
+        let (msg, _, _) = Message::decode_frame(&frame).unwrap();
         match msg {
             Message::Request { header, .. } => {
                 assert_eq!(
@@ -389,7 +389,7 @@ mod tests {
             ByteOrder::Big,
         )
         .unwrap();
-        let (msg, _, order) = cool_giop::codec::decode_message_ext(&reply).unwrap();
+        let (msg, _, order) = Message::decode_frame(&reply).unwrap();
         match msg {
             Message::Reply { header, body } => {
                 assert_eq!(

@@ -103,14 +103,14 @@ pub(crate) fn encode_request(
         WireProtocol::Cool if !qos_params.is_empty() => Err(OrbError::Protocol(
             "the cool message protocol carries no qos parameters; use giop".into(),
         )),
-        WireProtocol::Cool => Ok(CoolMessage::Request {
+        WireProtocol::Cool => CoolMessage::Request {
             request_id,
             object_key: object_key.to_vec(),
             operation: operation.to_owned(),
             one_way: !response_expected,
             args,
         }
-        .encode()),
+        .encode(),
     }
 }
 
@@ -219,7 +219,7 @@ pub(crate) fn encode_reply(
         ReplyFormat::Giop { version, order } => {
             giop::make_reply(request_id, result, trace, version, order)
         }
-        ReplyFormat::Cool => Ok(match result {
+        ReplyFormat::Cool => match result {
             Ok((body, _granted)) => CoolMessage::Reply { request_id, body },
             // A user exception's body does not fit `Exception { kind,
             // detail }`: it travels as `Internal`, like any other error.
@@ -232,7 +232,7 @@ pub(crate) fn encode_reply(
                 }
             }
         }
-        .encode()),
+        .encode(),
     }
 }
 
@@ -283,16 +283,25 @@ pub(crate) fn close_connection_frame() -> Option<Bytes> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn frames_of_no_protocol_are_malformed() {
-        for junk in [&b"HTTP/1.1"[..], b"GI", b"", b"GIOP", b"COOL...."] {
-            let mut events = 0;
-            decode_frame(&Bytes::copy_from_slice(junk), |event| {
-                assert!(matches!(event, Event::Malformed), "{junk:?}");
-                events += 1;
+    proptest::proptest! {
+        /// Arbitrary bytes, behind either magic or none, never panic the
+        /// frame decoder; bytes of neither protocol are exactly one
+        /// `Malformed` event.
+        #[test]
+        fn frames_of_no_protocol_are_malformed(
+            magic in 0usize..3,
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+        ) {
+            let magic = [&b""[..], b"GIOP", b"COOL"][magic];
+            let frame = Bytes::from([magic, &tail[..]].concat());
+            let mut malformed = Vec::new();
+            decode_frame(&frame, |event| {
+                malformed.push(matches!(event, Event::Malformed));
                 true
             });
-            assert_eq!(events, 1, "{junk:?}");
+            if !matches!(frame.get(..4), Some(b"GIOP" | b"COOL")) {
+                proptest::prop_assert_eq!(malformed, vec![true]);
+            }
         }
     }
 

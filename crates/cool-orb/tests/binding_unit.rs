@@ -25,7 +25,7 @@ fn echo_server(channel: Arc<dyn ComChannel>, n: usize, delay: Duration) {
                     Err(_) => return,
                 }
             };
-            let Ok((msg, version, order)) = cool_giop::codec::decode_message_ext(&frame) else {
+            let Ok((msg, version, order)) = Message::decode_frame(&frame) else {
                 return;
             };
             if let Message::Request { header, body } = msg {
@@ -91,7 +91,7 @@ fn oneway_send_does_not_wait() {
         .unwrap();
     // The frame really is on the wire.
     let frame = server.recv_frame(Duration::from_secs(1)).unwrap();
-    let msg = decode_message(&frame).unwrap();
+    let (msg, _, _) = Message::decode_frame(&frame).unwrap();
     match msg {
         Message::Request { header, .. } => assert!(!header.response_expected),
         other => panic!("unexpected {other:?}"),
@@ -113,7 +113,7 @@ fn interleaved_replies_demultiplex_by_request_id() {
                     Err(_) => return,
                 }
             };
-            let (msg, version, order) = cool_giop::codec::decode_message_ext(&frame).unwrap();
+            let (msg, version, order) = Message::decode_frame(&frame).unwrap();
             if let Message::Request { header, body } = msg {
                 pending.push((header.request_id, body, version, order));
             }
@@ -382,7 +382,8 @@ fn every_mode_puts_the_message_layers_frame_on_the_wire() {
                     one_way: !response_expected,
                     args,
                 }
-                .encode(),
+                .encode()
+                .unwrap(),
             };
             assert_eq!(sent[i], expected, "{operation} over {protocol:?}");
         }
@@ -410,6 +411,17 @@ fn a_request_that_never_reaches_the_wire_leaves_nothing_pending() {
     for issued in issue_in_every_mode(&binding, &throughput) {
         assert!(matches!(issued, Err(OrbError::Protocol(_))), "{issued:?}");
     }
+    // Nor does a key too long for COOL's 16-bit length prefix: it fails
+    // here instead of going out with a wrapped length.
+    let key = vec![b'k'; 70_000];
+    let issued = binding.send(&key, "send", Bytes::new(), &[]);
+    assert!(
+        matches!(
+            issued,
+            Err(OrbError::Marshal(GiopError::LengthOverflow { declared: 70_000, .. }))
+        ),
+        "{issued:?}"
+    );
     assert_eq!(pending(&binding), "pending: 0");
     assert!(channel.sent.lock().unwrap().is_empty());
 }

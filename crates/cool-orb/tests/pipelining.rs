@@ -16,8 +16,7 @@
 
 use bytes::Bytes;
 use cool_giop::prelude::{
-    decode_message, encode_message, join_frames, split_frames, ByteOrder, GiopVersion, Message,
-    RequestHeader,
+    encode_message, join_frames, split_frames, ByteOrder, GiopVersion, Message, RequestHeader,
 };
 use cool_orb::message_layer::WireProtocol;
 use cool_orb::prelude::*;
@@ -236,8 +235,8 @@ fn a_full_dispatch_queue_does_not_stop_a_dacapo_binding() {
                 .recv_frame(Duration::from_secs(20))
                 .expect("a reply frame");
             for reply in split_frames(&frame) {
-                let Message::Reply { header, body } =
-                    decode_message(&reply.expect("a whole reply")).expect("decode")
+                let (Message::Reply { header, body }, _, _) =
+                    Message::decode_frame(&reply.expect("a whole reply")).expect("decode")
                 else {
                     panic!("not a reply");
                 };

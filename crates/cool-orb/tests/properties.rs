@@ -78,14 +78,14 @@ proptest! {
     /// Every COOL-protocol message round-trips bit-exactly.
     #[test]
     fn cool_protocol_round_trip(msg in arb_cool_message()) {
-        let frame = msg.encode();
+        let frame = msg.encode().unwrap();
         prop_assert_eq!(CoolMessage::decode(&frame).unwrap(), msg);
     }
 
     /// Truncating a COOL frame anywhere is detected, never mis-parsed.
     #[test]
     fn cool_protocol_truncation_detected(msg in arb_cool_message(), cut in 0usize..64) {
-        let frame = msg.encode();
+        let frame = msg.encode().unwrap();
         if frame.len() > 1 {
             let cut = 1 + cut % (frame.len() - 1);
             prop_assert!(CoolMessage::decode(&frame[..cut]).is_err());

@@ -141,7 +141,7 @@ fn serve_echo(channel: Arc<TcpComChannel>) {
     std::thread::spawn(move || {
         while let Ok(frame) = channel.recv_frame(Duration::from_secs(30)) {
             let Ok((Message::Request { header, body }, version, order)) =
-                cool_giop::codec::decode_message_ext(&frame)
+                Message::decode_frame(&frame)
             else {
                 continue;
             };
@@ -221,7 +221,7 @@ fn a_reply_cut_by_a_timeout_is_finished_by_the_next_reader() {
                 .read_next(&mut stream.try_clone().unwrap())
                 .unwrap();
             let (Message::Request { header, body }, version, order) =
-                cool_giop::codec::decode_message_ext(&frame).unwrap()
+                Message::decode_frame(&frame).unwrap()
             else {
                 panic!("not a request");
             };
@@ -404,7 +404,7 @@ fn one_frame_carrying_two_replies_completes_both_deferred_calls() {
         .map(|_| {
             let frame = server.recv_frame(LONG).expect("a request");
             let (Message::Request { header, body }, version, order) =
-                cool_giop::codec::decode_message_ext(&frame).unwrap()
+                Message::decode_frame(&frame).unwrap()
             else {
                 panic!("not a request");
             };

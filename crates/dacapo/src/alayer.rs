@@ -131,14 +131,4 @@ impl AppEndpoint {
     pub fn rx_meter(&self) -> &ThroughputMeter {
         &self.stack.rx_meter
     }
-
-    /// Shared handle to the send meter (for monitors outliving borrows).
-    pub fn tx_meter_shared(&self) -> Arc<ThroughputMeter> {
-        self.stack.tx_meter.clone()
-    }
-
-    /// Shared handle to the receive meter (for monitors outliving borrows).
-    pub fn rx_meter_shared(&self) -> Arc<ThroughputMeter> {
-        self.stack.rx_meter.clone()
-    }
 }

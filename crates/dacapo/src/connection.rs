@@ -14,7 +14,6 @@ use multe_qos::TransportRequirements;
 use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -48,29 +47,9 @@ pub struct Connection {
     catalog: MechanismCatalog,
     opts: RuntimeOptions,
     grant: OrderedMutex<Option<ResourceGrant>>,
-    life: Arc<Lifecycle>,
-}
-
-/// Lifecycle state shared with the receive thread.
-#[derive(Default)]
-struct Lifecycle {
     /// Closed by [`Connection::close`], or by the peer (the receive thread
-    /// read the transport's end).
-    closed: AtomicBool,
-    /// Bumped (and broadcast) whenever the stack under
-    /// [`Connection::endpoint`] changes or ends: reconfiguration swaps,
-    /// close, peer close. Receive loops blocked in a dead endpoint wait on
-    /// this instead of sleep-polling for the new stack.
-    epoch: Mutex<u64>,
-    epoch_cv: Condvar,
-}
-
-impl Lifecycle {
-    fn bump_epoch(&self) {
-        let mut epoch = self.epoch.lock();
-        *epoch += 1;
-        self.epoch_cv.notify_all();
-    }
+    /// read the transport's end); shared with the receive thread.
+    closed: Arc<AtomicBool>,
 }
 
 impl std::fmt::Debug for Connection {
@@ -170,9 +149,9 @@ impl Connection {
         let modules = instantiate(&graph, &params, catalog)?;
         let stack = build_stack(modules, transport.clone(), &opts);
         let endpoint = stack.endpoint().clone();
-        let life = Arc::new(Lifecycle::default());
+        let closed = Arc::new(AtomicBool::new(false));
         let pump = {
-            let life = life.clone();
+            let closed = closed.clone();
             let telemetry = opts.telemetry.clone();
             RxPump::spawn(
                 transport.clone(),
@@ -182,7 +161,7 @@ impl Connection {
                     // The flag goes up before the close sentinel does:
                     // whoever sees the endpoint end already reads the
                     // connection as closed.
-                    let by_peer = !life.closed.swap(true, Ordering::AcqRel);
+                    let by_peer = !closed.swap(true, Ordering::AcqRel);
                     if let (true, Some(r)) = (by_peer, &telemetry) {
                         r.flight_event(
                             flight_event::TRANSPORT_DEAD,
@@ -190,7 +169,6 @@ impl Connection {
                             "dacapo rx pump: transport closed by the peer or failed".to_owned(),
                         );
                     }
-                    life.bump_epoch();
                 },
             )?
         };
@@ -205,27 +183,8 @@ impl Connection {
             catalog: catalog.clone(),
             opts,
             grant: OrderedMutex::new(lock_rank::CONNECTION_GRANT, grant),
-            life,
+            closed,
         })
-    }
-
-    /// The current stack epoch. Take it *before* grabbing
-    /// [`Connection::endpoint`]; if that endpoint then dies,
-    /// [`Connection::wait_epoch_change`] with this value blocks only while
-    /// the stack swap is still in flight.
-    pub fn epoch(&self) -> u64 {
-        *self.life.epoch.lock()
-    }
-
-    /// Blocks until the stack epoch differs from `seen`; returns the epoch
-    /// observed on wakeup. No timeout: reconfiguration, close and peer
-    /// close all broadcast.
-    pub fn wait_epoch_change(&self, seen: u64) -> u64 {
-        let mut epoch = self.life.epoch.lock();
-        while *epoch == seen {
-            self.life.epoch_cv.wait(&mut epoch);
-        }
-        *epoch
     }
 
     /// The application endpoint (clone it freely; clones share the
@@ -237,8 +196,8 @@ impl Connection {
     /// Has the receive thread call `sink` with everything that reaches the
     /// top of the stack from now on, instead of queueing it for
     /// [`AppEndpoint::recv`]. The sink is the connection's, not a stack's:
-    /// it stays through every reconfiguration, so a push-mode consumer
-    /// needs no [`Connection::epoch`] loop. What the current endpoint's
+    /// it stays through every reconfiguration, where an endpoint ends with
+    /// its stack. What the current endpoint's
     /// queue already holds is delivered first, in order, on the calling
     /// thread.
     pub fn set_sink(&self, sink: Arc<dyn Sink>) {
@@ -313,8 +272,6 @@ impl Connection {
         // behind everything the receive thread delivered into it.
         *stack = Some(new);
         drop(uplink);
-        // Wake receive loops parked in the old (now ended) endpoint.
-        self.life.bump_epoch();
         Ok(())
     }
 
@@ -364,7 +321,7 @@ impl Connection {
     /// the peer (what the peer sent before closing can still be received
     /// from [`Connection::endpoint`], which then reports `Closed`).
     pub fn is_closed(&self) -> bool {
-        self.life.closed.load(Ordering::Acquire)
+        self.closed.load(Ordering::Acquire)
     }
 
     /// Tears the connection down: closes the transport — which ends the
@@ -373,12 +330,11 @@ impl Connection {
     /// may be the receive thread itself, closing from a [`Sink`] callback):
     /// the receive thread is on its way out when this returns. Idempotent.
     pub fn close(&self) {
-        self.life.closed.store(true, Ordering::Release);
+        self.closed.store(true, Ordering::Release);
         // Before the lock: a drain or swap holding it ends sooner for it.
         self.pump.shutdown();
         self.stack.lock().take();
         self.grant.lock().take();
-        self.life.bump_epoch();
     }
 }
 
@@ -516,7 +472,8 @@ mod tests {
     fn renegotiation_installs_the_new_configurations_module_parameters() {
         let (conn, config_mgr, resource_mgr, throughput) = reliable_4k();
         assert_eq!(conn.params.lock().window, 32);
-        let (graph, epoch) = (conn.graph(), conn.epoch());
+        let graph = conn.graph();
+        let before = conn.stack.lock().as_ref().map(|s| s.stack.clone()).unwrap();
 
         // The same functions under a 500 us latency budget: the same
         // modules, with the short ARQ window such a budget asks for.
@@ -528,7 +485,8 @@ mod tests {
             .unwrap();
         assert_eq!(conn.params.lock().window, 4);
         assert_eq!(conn.graph(), graph);
-        assert_ne!(conn.epoch(), epoch, "the modules were rebuilt with it");
+        let after = conn.stack.lock().as_ref().map(|s| s.stack.clone()).unwrap();
+        assert!(!Arc::ptr_eq(&before, &after), "the modules were rebuilt with it");
         conn.close();
     }
 

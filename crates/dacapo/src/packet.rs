@@ -175,19 +175,6 @@ impl Packet {
         self.len() == 0
     }
 
-    /// The payload as [`Bytes`]. Zero-copy for shared packets; copies for
-    /// owned packets (which [`Packet::into_bytes`] avoids — prefer it when
-    /// the packet is consumed).
-    pub fn to_bytes(&self) -> Bytes {
-        match &self.storage {
-            Storage::Shared(b) => b.slice(self.start..self.end),
-            Storage::Owned(_) => {
-                record_buffer_alloc();
-                Bytes::copy_from_slice(self.payload())
-            }
-        }
-    }
-
     /// Consumes the packet, returning its payload as [`Bytes`] without
     /// copying: shared storage is sliced, owned storage is moved into
     /// shared storage wholesale.

@@ -712,18 +712,12 @@ impl Stack {
 pub struct StackHandle {
     app: AppEndpoint,
     pub(crate) stack: Arc<Stack>,
-    module_names: Vec<String>,
 }
 
 impl StackHandle {
     /// The application endpoint of this stack.
     pub fn endpoint(&self) -> &AppEndpoint {
         &self.app
-    }
-
-    /// Names of the running modules, top to bottom.
-    pub fn module_names(&self) -> &[String] {
-        &self.module_names
     }
 
     /// Whether the application has been told that the transport underneath
@@ -1045,7 +1039,6 @@ pub fn build_stack(
     transport: Arc<dyn Transport>,
     opts: &RuntimeOptions,
 ) -> StackHandle {
-    let module_names: Vec<String> = modules.iter().map(|m| m.name().to_owned()).collect();
     // lint: allow(A005, §7.4: filled by the receive thread at the pace of the wire and drained by the app endpoint; the receive thread must never block on the application)
     let (to_app, from_stack) = unbounded::<Packet>();
     let stages: Vec<Stage> = modules
@@ -1091,7 +1084,6 @@ pub fn build_stack(
     StackHandle {
         app: AppEndpoint::new(stack.clone()),
         stack,
-        module_names,
     }
 }
 
@@ -1587,16 +1579,5 @@ mod tests {
         assert!(matches!(r, Err(DacapoError::Closed)), "got {r:?}");
         assert!(start.elapsed() < Duration::from_secs(1), "{:?}", start.elapsed());
         a.shutdown();
-    }
-
-    #[test]
-    fn module_names_reported() {
-        let (a, b) = stack_pair(&["xor-crypt", "crc32"]);
-        assert_eq!(
-            a.module_names(),
-            &["xor-crypt".to_string(), "crc32".to_string()]
-        );
-        a.shutdown();
-        b.shutdown();
     }
 }

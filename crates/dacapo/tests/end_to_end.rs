@@ -405,39 +405,38 @@ fn frames_on_the_wire_during_a_swap_reach_the_new_stack() {
     // The peer keeps sending while this side swaps the empty graph for
     // `dummy` (header-free, so either stack can read the frames). What the
     // old stack had not yet taken in waits in the receive pump for the new
-    // one: the receiver — draining each endpoint until it ends, then
-    // fetching the next, as the ORB's channel pump does — misses nothing.
+    // one: the connection's sink — which the ORB's channel installs, and
+    // which outlives every stack — misses nothing.
     const FRAMES: u32 = 5_000;
+    struct Watch {
+        seen: std::sync::mpsc::Sender<u32>,
+        credit: std::sync::mpsc::Sender<()>,
+    }
+    impl Sink for Watch {
+        fn deliver(&self, frame: Bytes) {
+            let n = u32::from_be_bytes(frame[..4].try_into().unwrap());
+            let _ = self.seen.send(n);
+            let _ = self.credit.send(());
+        }
+        fn closed(&self) {}
+    }
     let catalog = MechanismCatalog::standard();
     let (ta, tb) = loopback_pair();
     let a = Connection::establish(ModuleGraph::empty(), ta, &catalog).unwrap();
-    let b = std::sync::Arc::new(Connection::establish(ModuleGraph::empty(), tb, &catalog).unwrap());
+    let b = Connection::establish(ModuleGraph::empty(), tb, &catalog).unwrap();
 
     // The sender stays at most 64 frames ahead of the receiver, so traffic
-    // is in flight — on the wire, in the pump, in the old endpoint —
-    // whenever the swap happens.
+    // is in flight — on the wire, in the pump, in the old stack — whenever
+    // the swap happens.
     let (seen_tx, seen_rx) = std::sync::mpsc::channel::<u32>();
     let (credit_tx, credit_rx) = std::sync::mpsc::channel::<()>();
     for _ in 0..64 {
         credit_tx.send(()).unwrap();
     }
-    let receiver = {
-        let b = b.clone();
-        std::thread::spawn(move || loop {
-            let epoch = b.epoch();
-            let endpoint = b.endpoint();
-            while let Ok(frame) = endpoint.recv() {
-                let n = u32::from_be_bytes(frame[..4].try_into().unwrap());
-                seen_tx.send(n).unwrap();
-                if n == FRAMES - 1 {
-                    return;
-                }
-                let _ = credit_tx.send(());
-            }
-            assert!(!b.is_closed(), "connection ended before the last frame");
-            b.wait_epoch_change(epoch);
-        })
-    };
+    b.set_sink(std::sync::Arc::new(Watch {
+        seen: seen_tx,
+        credit: credit_tx,
+    }));
     let sender = {
         let endpoint = a.endpoint();
         std::thread::spawn(move || {
@@ -464,7 +463,6 @@ fn frames_on_the_wire_during_a_swap_reach_the_new_stack() {
         expected += 1;
     }
     sender.join().unwrap();
-    receiver.join().unwrap();
     a.close();
     b.close();
 }

@@ -222,16 +222,18 @@ proptest! {
 }
 
 proptest! {
-    /// Selective-repeat ARQ over a lossy, reordering simulated link
-    /// delivers every frame, in order, for any loss/reorder mix the link
-    /// can throw at it. This is the chaos-robustness property behind the
-    /// ORB's reliable QoS profiles. Frame counts and rates are kept small:
+    /// Selective-repeat ARQ over a lossy, reordering, bit-flipping
+    /// simulated link delivers every frame, intact and in order, for any
+    /// loss/reorder/corruption mix the link can throw at it: `crc32` turns
+    /// a flipped bit into a loss the ARQ repairs. This is the
+    /// chaos-robustness property behind the ORB's reliable QoS profiles. Frame counts and rates are kept small:
     /// every case spins up a real-time netsim link plus two full module
     /// stacks, so the budget here is wall-clock, not case count.
     #[test]
     fn selective_repeat_survives_loss_and_reordering(
         loss in 0.0f64..0.15,
         reorder in 0.0f64..0.20,
+        corrupt in 0.0f64..0.10,
         seed in any::<u64>(),
         n in 8u32..24,
     ) {
@@ -240,6 +242,7 @@ proptest! {
             .propagation(Duration::from_micros(10))
             .loss_rate(loss)
             .reorder_rate(reorder)
+            .corrupt_rate(corrupt)
             .seed(seed)
             .build()
             .unwrap();
@@ -259,8 +262,7 @@ proptest! {
         };
         for i in 0..n {
             let got = b.endpoint().recv_timeout(Duration::from_secs(30)).unwrap();
-            let value = u32::from_be_bytes([got[0], got[1], got[2], got[3]]);
-            prop_assert_eq!(value, i, "frame {} lost or out of order despite selective repeat", i);
+            prop_assert_eq!(&got[..], &i.to_be_bytes(), "frame {} lost, corrupted or out of order despite selective repeat", i);
         }
         sender.join().unwrap();
         a.close();

@@ -16,9 +16,8 @@
 //! behaviour of an ATM VC or a TCP-bearing link.
 //!
 //! On top of the shaping pipeline, a spec can inject deterministic faults:
-//! single-bit **corruption** (`corrupt_rate`), pairwise **reordering**
-//! (`reorder_rate` — the only way frames leave FIFO order) and a hard
-//! **sever** after N accepted frames (`sever_after`). All randomness comes
+//! single-bit **corruption** (`corrupt_rate`) and pairwise **reordering**
+//! (`reorder_rate` — the only way frames leave FIFO order). All randomness comes
 //! from the per-direction seeded RNG, so a fixed seed replays the exact
 //! same fault sequence.
 
@@ -56,8 +55,6 @@ struct DirectionState {
     next_free: Duration,
     /// Latest delivery time handed out (enforces FIFO despite jitter).
     last_delivery: Duration,
-    /// Frames accepted so far, for `sever_after` bookkeeping.
-    accepted: u64,
     /// Set by [`Direction::close_receiver`]: the receiving endpoint closed,
     /// so its own blocked receive returns and the peer's sends fail.
     receiver_closed: bool,
@@ -71,7 +68,6 @@ impl Direction {
                 in_flight: VecDeque::new(),
                 next_free: Duration::ZERO,
                 last_delivery: Duration::ZERO,
-                accepted: 0,
                 receiver_closed: false,
                 rng: StdRng::seed_from_u64(seed),
             }),
@@ -87,7 +83,7 @@ impl Direction {
         self.stats.clone()
     }
 
-    /// The sending endpoint is gone (dropped, closed, severed): the receiver
+    /// The sending endpoint is gone (dropped or closed): the receiver
     /// drains what is in flight, then reads [`NetSimError::Disconnected`].
     pub(crate) fn mark_sender_gone(&self) {
         // Under the state lock, so a receiver between its check and its
@@ -117,16 +113,6 @@ impl Direction {
         if st.receiver_closed || !self.sender_alive.load(Ordering::Acquire) {
             return Err(NetSimError::Disconnected);
         }
-
-        // Sever: after `n` accepted frames the direction goes dark for good.
-        if let Some(n) = self.spec.sever_after() {
-            if st.accepted >= n {
-                drop(st);
-                self.mark_sender_gone();
-                return Err(NetSimError::Disconnected);
-            }
-        }
-        st.accepted += 1;
         self.stats.record_send(frame.len());
 
         // Serialisation: the wire is busy until the frame has left it.
@@ -567,26 +553,6 @@ mod tests {
 
         let (_, other) = corrupt_run(99);
         assert_ne!(n1, other, "different seed, different fault sequence");
-    }
-
-    #[test]
-    fn sever_after_cuts_the_direction() {
-        let spec = LinkSpec::builder().sever_after(Some(5)).build().unwrap();
-        let link = Link::virtual_time(spec);
-        let (a, b) = link.endpoints();
-        for i in 0..5u8 {
-            a.send(Bytes::from(vec![i])).unwrap();
-        }
-        assert_eq!(
-            a.send(Bytes::from_static(b"x")).unwrap_err(),
-            NetSimError::Disconnected
-        );
-        // Frames accepted before the sever still drain in order...
-        for i in 0..5u8 {
-            assert_eq!(b.recv().unwrap()[0], i);
-        }
-        // ...then the receiver sees end-of-link.
-        assert_eq!(b.recv().unwrap_err(), NetSimError::Disconnected);
     }
 
     #[test]

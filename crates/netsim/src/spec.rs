@@ -41,7 +41,6 @@ pub struct LinkSpec {
     loss_rate: f64,
     corrupt_rate: f64,
     reorder_rate: f64,
-    sever_after: Option<u64>,
     mtu: usize,
     seed: u64,
     frame_overhead: Duration,
@@ -83,13 +82,6 @@ impl LinkSpec {
     /// queued immediately ahead of it (pairwise swap), breaking FIFO order.
     pub fn reorder_rate(&self) -> f64 {
         self.reorder_rate
-    }
-
-    /// If set, each direction severs after accepting this many frames:
-    /// subsequent sends fail with [`NetSimError::Disconnected`] and the
-    /// receiver sees end-of-link once the in-flight queue drains.
-    pub fn sever_after(&self) -> Option<u64> {
-        self.sever_after
     }
 
     /// Maximum frame size accepted by the link, in bytes.
@@ -150,7 +142,6 @@ pub struct LinkSpecBuilder {
     loss_rate: f64,
     corrupt_rate: f64,
     reorder_rate: f64,
-    sever_after: Option<u64>,
     mtu: usize,
     seed: u64,
     frame_overhead: Duration,
@@ -165,7 +156,6 @@ impl Default for LinkSpecBuilder {
             loss_rate: 0.0,
             corrupt_rate: 0.0,
             reorder_rate: 0.0,
-            sever_after: None,
             mtu: DEFAULT_MTU,
             seed: 0x5eed_cafe,
             frame_overhead: Duration::ZERO,
@@ -207,13 +197,6 @@ impl LinkSpecBuilder {
     /// Sets the pairwise reorder probability; must lie in `[0, 1)`.
     pub fn reorder_rate(mut self, p: f64) -> Self {
         self.reorder_rate = p;
-        self
-    }
-
-    /// Severs each direction after it has accepted `n` frames (see
-    /// [`LinkSpec::sever_after`]).
-    pub fn sever_after(mut self, n: Option<u64>) -> Self {
-        self.sever_after = n;
         self
     }
 
@@ -273,7 +256,6 @@ impl LinkSpecBuilder {
             loss_rate: self.loss_rate,
             corrupt_rate: self.corrupt_rate,
             reorder_rate: self.reorder_rate,
-            sever_after: self.sever_after,
             mtu: self.mtu,
             seed: self.seed,
             frame_overhead: self.frame_overhead,
@@ -319,12 +301,10 @@ mod tests {
         let spec = LinkSpec::builder()
             .corrupt_rate(0.01)
             .reorder_rate(0.1)
-            .sever_after(Some(42))
             .build()
             .unwrap();
         assert_eq!(spec.corrupt_rate(), 0.01);
         assert_eq!(spec.reorder_rate(), 0.1);
-        assert_eq!(spec.sever_after(), Some(42));
     }
 
     #[test]
@@ -332,7 +312,6 @@ mod tests {
         let spec = LinkSpec::default();
         assert_eq!(spec.corrupt_rate(), 0.0);
         assert_eq!(spec.reorder_rate(), 0.0);
-        assert_eq!(spec.sever_after(), None);
     }
 
     #[test]

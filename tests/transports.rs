@@ -135,7 +135,7 @@ fn locate_request_over_tcp() {
         let frame = encode_message(&msg, GiopVersion::STANDARD, ByteOrder::Big).unwrap();
         channel.send_frame(frame).unwrap();
         let reply_frame = channel.recv_frame(Duration::from_secs(5)).unwrap();
-        let reply = decode_message(&reply_frame).unwrap();
+        let (reply, _, _) = Message::decode_frame(&reply_frame).unwrap();
         match reply {
             Message::LocateReply(h) => {
                 assert_eq!(h.request_id, 77);
@@ -168,7 +168,7 @@ fn malformed_frame_gets_message_error_and_close() {
         .send_frame(Bytes::from_static(b"NOPE-not-a-protocol"))
         .unwrap();
     let reply = channel.recv_frame(Duration::from_secs(5)).unwrap();
-    let msg = multe::giop::decode_message(&reply).unwrap();
+    let (msg, _, _) = multe::giop::Message::decode_frame(&reply).unwrap();
     assert_eq!(msg, multe::giop::Message::MessageError);
     server.close();
 }
