@@ -84,7 +84,8 @@ impl std::fmt::Debug for ObjectAdapter {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchTimings {
     /// Time spent in bilateral QoS negotiation, in microseconds (zero for
-    /// best-effort requests — no negotiation takes place).
+    /// best-effort requests — no negotiation takes place — and from an
+    /// adapter without telemetry, which does not time it).
     pub negotiate_us: u32,
     /// Time spent in the servant upcall, in microseconds.
     pub execute_us: u32,
@@ -280,16 +281,17 @@ impl ObjectAdapter {
         // Bilateral negotiation (Figure 3): only engaged when the client
         // actually specified QoS. Best-effort requests still get the span
         // mark (a ~zero-length stage) but do not tick negotiation counters
-        // — no negotiation took place.
-        let neg_start = Instant::now();
+        // — no negotiation took place. Timed only for telemetry: the span
+        // mark and the trace a traced server echoes.
+        let neg_start = self.telemetry.as_ref().map(|t| (t, Instant::now()));
         let negotiated = if spec.is_best_effort() {
             None
         } else {
             Some(policy.negotiate(spec))
         };
-        let neg_took = neg_start.elapsed();
-        timings.negotiate_us = duration_as_u32_us(neg_took);
-        if let Some(t) = &self.telemetry {
+        if let Some((t, neg_start)) = neg_start {
+            let neg_took = neg_start.elapsed();
+            timings.negotiate_us = duration_as_u32_us(neg_took);
             if let Some(result) = &negotiated {
                 multe_qos::telemetry::record_negotiation(&t.registry, spec, result);
             }

@@ -165,6 +165,13 @@ impl Pending {
         timeout: Duration,
         conn: &ConnHandle,
     ) -> ReplyResult {
+        // Over Chorus the reply is in before the wait begins: no deadline.
+        if let Ok(result) = rx.try_recv() {
+            if let Some(t) = &self.telemetry {
+                t.finish_invocation(request_id, &result);
+            }
+            return result;
+        }
         let deadline = deadline_after(timeout);
         let received = loop {
             if !conn.channel.read_turn(deadline, &|| !rx.is_empty()) {
@@ -337,7 +344,8 @@ struct DemuxSink {
 
 impl FrameSink for DemuxSink {
     fn on_frame(&self, frame: Bytes) {
-        let decode_start = Instant::now();
+        // Timed only for the `ReplyDecode` mark.
+        let decode_start = self.pending.telemetry.as_ref().map(|_| Instant::now());
         message_layer::decode_frame(&frame, |event| match event {
             Event::Reply {
                 request_id,
@@ -350,7 +358,7 @@ impl FrameSink for DemuxSink {
                     return true;
                 };
                 let result = reply.interpret();
-                if let Some(t) = &self.pending.telemetry {
+                if let (Some(t), Some(decode_start)) = (&self.pending.telemetry, decode_start) {
                     // The `ReplyDecode` mark covers the decode + interpret
                     // work; the span itself is owned by the caller that
                     // opened it. A traced server echoes its half of the
@@ -572,9 +580,9 @@ impl Binding {
             if let Some(entry) = entry {
                 self.pending.slots.lock().insert(request_id, entry);
             }
-            let send_start = Instant::now();
+            let send_start = telemetry.map(|t| (t, Instant::now()));
             conn.channel.send_frame(frame)?;
-            if let Some(t) = telemetry {
+            if let Some((t, send_start)) = send_start {
                 t.registry
                     .span_mark(request_id, Stage::FrameSend, send_start.elapsed());
             }

@@ -351,8 +351,13 @@ impl ResolvedStub {
     }
 
     /// Half-opens every breaker whose cooldown has elapsed, letting one
-    /// trial call or probe through.
+    /// trial call or probe through. Reads the clock only while a breaker
+    /// is open.
     fn half_open_cooled(&self, state: &mut SetState) {
+        let open = |replica: &ReplicaState| matches!(replica.breaker, Breaker::Open(_));
+        if !state.replicas.iter().any(open) {
+            return;
+        }
         let now = Instant::now();
         for replica in &mut state.replicas {
             if matches!(replica.breaker, Breaker::Open(since)

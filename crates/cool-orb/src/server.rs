@@ -474,8 +474,9 @@ struct Job {
     /// requests (no clock read on that path).
     recv_at_ns: Option<u64>,
     /// When the delivery thread accepted this request — a dispatcher
-    /// measures queue wait from it, a traced reply its send stamp.
-    enqueued: Instant,
+    /// measures queue wait from it, a traced reply its send stamp. `None`
+    /// for an untraced request run where it was decoded: nothing reads it.
+    enqueued: Option<Instant>,
     /// Keeps the server's drain accounting exact: dropped on completion
     /// *or* when the job dies unexecuted in a closing queue.
     _guard: JobGuard,
@@ -581,7 +582,7 @@ fn start_dispatchers(
             // acceptor, connection sinks) is gone.
             .spawn(move || {
                 let run = |job: Job| {
-                    let waited = job.enqueued.elapsed();
+                    let waited = job.enqueued.map_or(Duration::ZERO, |at| at.elapsed());
                     if let Some(m) = &metrics {
                         // Sampled at dequeue: what is still waiting
                         // behind the job this thread just took.
@@ -649,14 +650,15 @@ fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes, own: boo
                 true // client abandoned it before we started
             } else {
                 let recv_at_ns = request.trace.map(|_| cool_telemetry::now_wall_ns());
+                let inline = own && intake.adapter.runs_inline(&request.object_key);
                 let job = Job {
                     conn: conn.clone(),
                     request,
                     recv_at_ns,
-                    enqueued: Instant::now(),
+                    enqueued: (!inline || recv_at_ns.is_some()).then(Instant::now),
                     _guard: intake.tracker.track(),
                 };
-                if own && intake.adapter.runs_inline(&job.request.object_key) {
+                if inline {
                     if let Some(m) = &intake.metrics {
                         m.inline.inc();
                     }
@@ -754,8 +756,9 @@ fn run_job(
             // enqueue (taken in the same breath as `recv_at_ns`): one wall
             // read per request, and the recv/sent pair cannot be reordered
             // by a clock step.
-            sent_at_ns: recv_at_ns
-                .saturating_add(cool_telemetry::duration_as_u64_ns(job.enqueued.elapsed())),
+            sent_at_ns: recv_at_ns.saturating_add(cool_telemetry::duration_as_u64_ns(
+                job.enqueued.map_or(Duration::ZERO, |at| at.elapsed()),
+            )),
             queue_wait_us: duration_as_u32_us(waited),
             negotiate_us: timings.negotiate_us,
             execute_us: timings.execute_us,
