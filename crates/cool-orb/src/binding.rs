@@ -5,14 +5,17 @@
 //! as the channel's [`FrameSink`]: the thread that delivers an inbound
 //! frame pushes it straight into the demux, which matches Replies to
 //! outstanding requests by id and completes the waiter *on arrival*. There
-//! is no demux thread and no poll interval. A waiting caller first offers
-//! to read the channel itself ([`ComChannel::read_turn`]): over TCP, when
-//! no other thread is reading, it delivers whatever arrives — its own
-//! reply included — on its own thread (leader/followers). Otherwise, and
-//! over Chorus and Da CaPo, it blocks on a rendezvous channel with a true
-//! deadline and wakes the moment its reply lands; a TCP binding then owes
-//! the reply to the channel's reader thread ([`ReadDemand`]), as it does
-//! every deferred or `notify` reply nobody waits for yet. Telemetry and
+//! is no demux thread and no poll interval. The table of outstanding
+//! requests is the rendezvous: the demux puts a reply into its request's
+//! entry, and the caller takes it out. Over Chorus the reply is in before
+//! the caller looks. Otherwise a waiting caller first offers to read the
+//! channel itself ([`ComChannel::read_turn`]): over TCP, when no other
+//! thread is reading, it delivers whatever arrives — its own reply
+//! included — on its own thread (leader/followers). Failing that, it parks
+//! in its entry with a true deadline and is woken the moment its reply
+//! lands; a TCP binding then owes the reply to the channel's reader thread
+//! ([`ReadDemand`]), as it does every deferred or `notify` reply nobody
+//! waits for yet. Telemetry and
 //! tracing policy come from [`crate::config::OrbConfig`], threaded in via
 //! [`Binding::with_config`].
 //!
@@ -46,13 +49,13 @@ use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::{
     names, ClientTrace, Counter, Histogram, Registry, ServerTraceTiming, SpanOutcome, Stage,
 };
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use multe_qos::TransportRequirements;
 use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 pub use crate::message_layer::ReplyResult;
@@ -60,8 +63,17 @@ pub use crate::message_layer::ReplyResult;
 /// Requests go out big-endian; a server answers in the order it was asked.
 const ORDER: ByteOrder = ByteOrder::Big;
 
+/// Where a request's reply goes. A synchronous or deferred caller collects
+/// it from the pending table itself: the entry is the rendezvous.
 enum Slot {
-    Sync(Sender<ReplyResult>),
+    /// Nobody has the reply yet, and nobody sleeps on it.
+    Expecting,
+    /// Its collector sleeps until the reply is in: whoever fills the entry
+    /// wakes this thread.
+    Parked(Thread),
+    /// The reply, or the error that ended the request, until collected.
+    Ready(ReplyResult),
+    /// Runs with the reply on the thread that delivers it.
     Callback(Box<dyn FnOnce(ReplyResult) + Send>),
 }
 
@@ -70,26 +82,28 @@ enum Collect {
     /// One-way: nothing comes back.
     Nothing,
     /// The issuing thread, which waits for it (and may read it) at once.
-    Caller(Slot),
+    Caller,
     /// Somebody later — a [`DeferredReply`] nobody waits on yet, or a
     /// callback — so the reply is owed to the channel's reader thread from
     /// the start.
     Later(Slot),
 }
 
-/// The rendezvous a synchronous or deferred caller blocks on: the demux
-/// sends exactly one reply into it.
-fn sync_slot() -> (Slot, Receiver<ReplyResult>) {
-    let (tx, rx) = bounded(1);
-    (Slot::Sync(tx), rx)
-}
-
 /// A request awaiting its reply.
 struct Entry {
     slot: Slot,
     /// Held while the reply is owed to a channel's reader thread; dropped
-    /// with the entry, however the request ends.
+    /// once the reply is in, or with the entry, however the request ends.
     owed: Option<Owed>,
+}
+
+impl Entry {
+    fn into_ready(self) -> Option<ReplyResult> {
+        match self.slot {
+            Slot::Ready(result) => Some(result),
+            _ => None,
+        }
+    }
 }
 
 /// The outstanding requests of a binding, shared with its reply
@@ -100,6 +114,20 @@ struct Pending {
     telemetry: Option<ClientMetrics>,
 }
 
+/// Takes the reply out of `request_id`'s entry, and the entry out of the
+/// table, if the reply is in. An entry already gone reads as
+/// [`OrbError::Closed`]: nothing is left to wait for.
+fn take_ready(slots: &mut HashMap<u32, Entry>, request_id: u32) -> Option<ReplyResult> {
+    match slots.get(&request_id) {
+        None => Some(Err(OrbError::Closed)),
+        Some(Entry {
+            slot: Slot::Ready(_),
+            ..
+        }) => slots.remove(&request_id).and_then(Entry::into_ready),
+        Some(_) => None,
+    }
+}
+
 impl Pending {
     fn take(&self, request_id: u32) -> Option<Slot> {
         self.slots
@@ -108,12 +136,20 @@ impl Pending {
             .map(|entry| entry.slot)
     }
 
-    /// A waiter that found someone else reading owes its reply to the
-    /// reader thread (unless the reply is in already).
-    fn owe(&self, request_id: u32, demand: &Arc<ReadDemand>) {
-        if let Some(entry) = self.slots.lock().get_mut(&request_id) {
-            entry.owed.get_or_insert_with(|| demand.raise());
-        }
+    /// The reply, if it is in; collecting it removes the entry.
+    fn collect(&self, request_id: u32) -> Option<ReplyResult> {
+        take_ready(&mut self.slots.lock(), request_id)
+    }
+
+    /// Whether `request_id`'s reply is still to come.
+    fn expecting(&self, request_id: u32) -> bool {
+        matches!(
+            self.slots.lock().get(&request_id),
+            Some(Entry {
+                slot: Slot::Expecting,
+                ..
+            })
+        )
     }
 
     /// A thread waits for `request_id` now: the reply is owed to it.
@@ -123,84 +159,122 @@ impl Pending {
         }
     }
 
-    /// Hands `result` to a slot taken out of the table. A blocked caller
-    /// closes its own span once it wakes; behind a callback nobody waits,
-    /// so the span closes here (and the invocation counters tick) before
-    /// the user code runs — still on the transport's delivery thread.
-    fn complete(&self, request_id: u32, slot: Slot, result: ReplyResult) {
-        match slot {
-            Slot::Sync(tx) => {
-                let _ = tx.send(result);
-            }
-            Slot::Callback(f) => {
-                if let Some(t) = &self.telemetry {
-                    t.finish_invocation(request_id, &result);
+    /// Hands the reply `reply` produces to whoever collects `request_id`,
+    /// and returns whether the request was still waiting for one. `reply`
+    /// runs under the table's lock, and only then: a reply nobody waits
+    /// for any more (cancelled, timed out, already failed) is dropped
+    /// uninterpreted, and one that lands at a waiter's deadline is either
+    /// in before the waiter looks or found gone by it — never both lost.
+    ///
+    /// A caller's entry is filled in place, and its thread woken only if
+    /// it parked. Behind a callback nobody waits, so the span closes here
+    /// (and the invocation counters tick) before the user code runs —
+    /// outside the lock, still on the transport's delivery thread.
+    fn complete(&self, request_id: u32, reply: impl FnOnce() -> ReplyResult) -> bool {
+        let mut slots = self.slots.lock();
+        let Some(entry) = slots.get_mut(&request_id) else {
+            return false;
+        };
+        match entry.slot {
+            Slot::Ready(_) => false,
+            Slot::Expecting | Slot::Parked(_) => {
+                entry.owed = None;
+                let waiter = std::mem::replace(&mut entry.slot, Slot::Ready(reply()));
+                drop(slots);
+                if let Slot::Parked(thread) = waiter {
+                    thread.unpark();
                 }
-                f(result)
+                true
+            }
+            Slot::Callback(_) => {
+                let result = reply();
+                let callback = slots.remove(&request_id).map(|entry| entry.slot);
+                drop(slots);
+                if let Some(Slot::Callback(f)) = callback {
+                    if let Some(t) = &self.telemetry {
+                        t.finish_invocation(request_id, &result);
+                    }
+                    f(result);
+                }
+                true
             }
         }
     }
 
-    /// Fails every outstanding request with [`OrbError::Closed`]. Drains
-    /// first, so each slot completes once however many teardowns race here.
+    /// Fails every outstanding request with [`OrbError::Closed`]. Each
+    /// completes once however many teardowns race here: an entry already
+    /// answered keeps its answer.
     fn fail_all(&self) {
-        let entries: Vec<(u32, Entry)> = self.slots.lock().drain().collect();
-        for (request_id, entry) in entries {
-            self.complete(request_id, entry.slot, Err(OrbError::Closed));
+        let request_ids: Vec<u32> = self.slots.lock().keys().copied().collect();
+        for request_id in request_ids {
+            self.complete(request_id, || Err(OrbError::Closed));
         }
     }
 
     /// The one blocking wait, behind [`Binding::call`] and
-    /// [`DeferredReply::wait`]. While nobody else reads `conn`'s channel
-    /// the caller reads it itself, delivering whatever arrives, until its
-    /// own reply is in ([`ComChannel::read_turn`]); otherwise it owes the
-    /// reply to the reader and parks on its slot, which the delivering
-    /// thread completes. A timeout is attributed to the request, with the
-    /// time waited since `since`.
+    /// [`DeferredReply::wait`]. A timeout is attributed to the request,
+    /// with the time waited since `since`.
     fn wait_timeout(
         &self,
-        rx: &Receiver<ReplyResult>,
         request_id: u32,
         since: Instant,
         timeout: Duration,
         conn: &ConnHandle,
     ) -> ReplyResult {
-        // Over Chorus the reply is in before the wait begins: no deadline.
-        if let Ok(result) = rx.try_recv() {
-            if let Some(t) = &self.telemetry {
-                t.finish_invocation(request_id, &result);
-            }
-            return result;
-        }
-        let deadline = deadline_after(timeout);
-        let received = loop {
-            if !conn.channel.read_turn(deadline, &|| !rx.is_empty()) {
-                if let Some(demand) = &conn.demand {
-                    self.owe(request_id, demand);
-                }
-                break rx.recv_deadline(deadline);
-            }
-            match rx.try_recv() {
-                Ok(result) => break Ok(result),
-                Err(TryRecvError::Disconnected) => break Err(RecvTimeoutError::Disconnected),
-                Err(TryRecvError::Empty) if Instant::now() >= deadline => {
-                    break Err(RecvTimeoutError::Timeout)
-                }
-                Err(TryRecvError::Empty) => {}
-            }
-        };
-        let result = match received {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => {
-                self.take(request_id);
-                Err(OrbError::request_timeout(request_id, since.elapsed()))
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(OrbError::Closed),
-        };
+        let result = self.rendezvous(request_id, since, timeout, conn);
         if let Some(t) = &self.telemetry {
             t.finish_invocation(request_id, &result);
         }
         result
+    }
+
+    /// Collects `request_id`'s reply. Over Chorus it is in before the wait
+    /// begins, and no deadline is computed. Otherwise, while nobody else
+    /// reads `conn`'s channel the caller reads it itself, delivering
+    /// whatever arrives, until its own reply is in
+    /// ([`ComChannel::read_turn`]); once somebody else reads it, the caller
+    /// owes the reply to the reader and parks in its entry until the
+    /// delivering thread fills it or the deadline passes. At the deadline
+    /// the entry is removed under the lock the demux fills it under, so a
+    /// reply that is in is returned, not lost.
+    fn rendezvous(
+        &self,
+        request_id: u32,
+        since: Instant,
+        timeout: Duration,
+        conn: &ConnHandle,
+    ) -> ReplyResult {
+        if let Some(result) = self.collect(request_id) {
+            return result;
+        }
+        let deadline = deadline_after(timeout);
+        let mut reading = true;
+        loop {
+            if reading {
+                reading = conn
+                    .channel
+                    .read_turn(deadline, &|| !self.expecting(request_id));
+            }
+            let mut slots = self.slots.lock();
+            if let Some(result) = take_ready(&mut slots, request_id) {
+                return result;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                slots.remove(&request_id);
+                return Err(OrbError::request_timeout(request_id, since.elapsed()));
+            }
+            if !reading {
+                if let Some(entry) = slots.get_mut(&request_id) {
+                    entry.slot = Slot::Parked(std::thread::current());
+                    if let Some(demand) = &conn.demand {
+                        entry.owed.get_or_insert_with(|| demand.raise());
+                    }
+                }
+                drop(slots);
+                std::thread::park_timeout(deadline - now);
+            }
+        }
     }
 }
 
@@ -352,40 +426,38 @@ impl FrameSink for DemuxSink {
                 trace,
                 reply,
             } => {
-                // A reply nobody waits for any more (cancelled, timed out)
-                // is dropped here, uninterpreted.
-                let Some(slot) = self.pending.take(request_id) else {
-                    return true;
-                };
-                let result = reply.interpret();
-                if let (Some(t), Some(decode_start)) = (&self.pending.telemetry, decode_start) {
-                    // The `ReplyDecode` mark covers the decode + interpret
-                    // work; the span itself is owned by the caller that
-                    // opened it. A traced server echoes its half of the
-                    // span with the reply; stash it on the active span
-                    // (same lock as the mark) so the span finish merges
-                    // both halves into one TraceRecord. The reply's arrival
-                    // instant stands in for the client receive stamp,
-                    // derived against the span's send stamp under that same
-                    // lock.
-                    let server_half = trace.map(|ctx| {
-                        let timing = ServerTraceTiming {
-                            recv_at_ns: ctx.recv_at_ns,
-                            sent_at_ns: ctx.sent_at_ns,
-                            queue_wait_us: ctx.queue_wait_us,
-                            negotiate_us: ctx.negotiate_us,
-                            execute_us: ctx.execute_us,
-                        };
-                        (timing, decode_start)
-                    });
-                    t.registry.span_mark_reply(
-                        request_id,
-                        Stage::ReplyDecode,
-                        decode_start.elapsed(),
-                        server_half,
-                    );
-                }
-                self.pending.complete(request_id, slot, result);
+                self.pending.complete(request_id, || {
+                    let result = reply.interpret();
+                    if let (Some(t), Some(decode_start)) = (&self.pending.telemetry, decode_start)
+                    {
+                        // The `ReplyDecode` mark covers the decode +
+                        // interpret work, and lands before the waiter can
+                        // close the span it opened. A traced server echoes
+                        // its half of the span with the reply; stash it on
+                        // the active span (same lock as the mark) so the
+                        // span finish merges both halves into one
+                        // TraceRecord. The reply's arrival instant stands
+                        // in for the client receive stamp, derived against
+                        // the span's send stamp under that same lock.
+                        let server_half = trace.map(|ctx| {
+                            let timing = ServerTraceTiming {
+                                recv_at_ns: ctx.recv_at_ns,
+                                sent_at_ns: ctx.sent_at_ns,
+                                queue_wait_us: ctx.queue_wait_us,
+                                negotiate_us: ctx.negotiate_us,
+                                execute_us: ctx.execute_us,
+                            };
+                            (timing, decode_start)
+                        });
+                        t.registry.span_mark_reply(
+                            request_id,
+                            Stage::ReplyDecode,
+                            decode_start.elapsed(),
+                            server_half,
+                        );
+                    }
+                    result
+                });
                 true
             }
             Event::Closing => {
@@ -571,7 +643,10 @@ impl Binding {
             }
             let entry = match collect {
                 Collect::Nothing => None,
-                Collect::Caller(slot) => Some(Entry { slot, owed: None }),
+                Collect::Caller => Some(Entry {
+                    slot: Slot::Expecting,
+                    owed: None,
+                }),
                 Collect::Later(slot) => Some(Entry {
                     slot,
                     owed: conn.demand.as_ref().map(|demand| demand.raise()),
@@ -621,12 +696,10 @@ impl Binding {
         qos_params: &[QoSParameter],
         timeout: Duration,
     ) -> ReplyResult {
-        let (slot, rx) = sync_slot();
-        let collect = Collect::Caller(slot);
         let (request_id, started, conn) =
-            self.issue(object_key, operation, args, qos_params, collect)?;
+            self.issue(object_key, operation, args, qos_params, Collect::Caller)?;
         self.pending
-            .wait_timeout(&rx, request_id, started, timeout, &conn)
+            .wait_timeout(request_id, started, timeout, &conn)
     }
 
     /// One-way invocation: returns as soon as the request is on the wire.
@@ -659,17 +732,15 @@ impl Binding {
         args: Bytes,
         qos_params: &[QoSParameter],
     ) -> Result<DeferredReply, OrbError> {
-        let (slot, rx) = sync_slot();
         let (request_id, _, conn) = self.issue(
             object_key,
             operation,
             args,
             qos_params,
-            Collect::Later(slot),
+            Collect::Later(Slot::Expecting),
         )?;
         Ok(DeferredReply {
             request_id,
-            rx,
             pending: self.pending.clone(),
             conn,
             done: false,
@@ -704,11 +775,12 @@ impl Binding {
     ///
     /// Returns whether the request was still pending.
     pub fn cancel(&self, request_id: u32) -> bool {
-        let Some(slot) = self.pending.take(request_id) else {
+        if !self
+            .pending
+            .complete(request_id, || Err(OrbError::Cancelled))
+        {
             return false;
-        };
-        self.pending
-            .complete(request_id, slot, Err(OrbError::Cancelled));
+        }
         send_cancel(&*self.current().channel, request_id);
         true
     }
@@ -722,8 +794,8 @@ impl Binding {
         conn.closed.store(true, Ordering::Release);
         // Closing the channel fires the sink's `on_close`, which also
         // fails the pending map; doing it here too covers transports whose
-        // teardown is asynchronous. `fail_all` drains, so slots complete
-        // exactly once.
+        // teardown is asynchronous. An answered entry keeps its answer, so
+        // requests complete exactly once.
         conn.channel.close();
         self.pending.fail_all();
     }
@@ -762,7 +834,6 @@ fn send_cancel(channel: &dyn ComChannel, request_id: u32) {
 /// Handle to a deferred-synchronous invocation.
 pub struct DeferredReply {
     request_id: u32,
-    rx: Receiver<ReplyResult>,
     pending: Arc<Pending>,
     conn: ConnHandle,
     done: bool,
@@ -793,7 +864,7 @@ impl DeferredReply {
     /// again, so discarding one poll's result loses nothing.
     pub fn poll(&mut self) -> Option<ReplyResult> {
         if self.ready.is_none() {
-            if let Ok(result) = self.rx.try_recv() {
+            if let Some(result) = self.pending.collect(self.request_id) {
                 self.done = true;
                 if let Some(t) = &self.pending.telemetry {
                     t.finish_invocation(self.request_id, &result);
@@ -818,7 +889,6 @@ impl DeferredReply {
         self.done = true;
         self.pending.claim(self.request_id);
         self.pending.wait_timeout(
-            &self.rx,
             self.request_id,
             Instant::now(),
             timeout,
@@ -828,7 +898,9 @@ impl DeferredReply {
 
     /// Cancels the pending request (sends GIOP `CancelRequest`).
     pub fn cancel(self) {
-        if self.pending.take(self.request_id).is_some() {
+        // An answered request is not cancelled on the wire.
+        let slot = self.pending.take(self.request_id);
+        if slot.is_some_and(|slot| !matches!(slot, Slot::Ready(_))) {
             send_cancel(&*self.conn.channel, self.request_id);
         }
         // Dropping `self` closes the span, as for any abandoned handle.
@@ -838,12 +910,56 @@ impl DeferredReply {
 impl Drop for DeferredReply {
     fn drop(&mut self) {
         if !self.done {
-            // Abandoned without waiting: drop the slot so the pending map
-            // does not hold a dead sender forever.
+            // Abandoned without waiting: drop the entry so the pending
+            // map does not hold it forever.
             self.pending.take(self.request_id);
             if let Some(t) = &self.pending.telemetry {
                 t.abort_invocation(self.request_id, SpanOutcome::Cancelled);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::ChorusComChannel;
+
+    #[test]
+    fn a_reply_the_demux_holds_at_the_deadline_is_returned() {
+        let pending = Arc::new(Pending {
+            slots: OrderedMutex::new(lock_rank::BINDING_PENDING, HashMap::new()),
+            telemetry: None,
+        });
+        let entry = Entry {
+            slot: Slot::Expecting,
+            owed: None,
+        };
+        pending.slots.lock().insert(1, entry);
+        let (client, _server) = ChorusComChannel::pair();
+        let conn = attach(Arc::new(client), &pending);
+        let waiter = {
+            let pending = Arc::clone(&pending);
+            std::thread::spawn(move || {
+                pending.wait_timeout(1, Instant::now(), Duration::from_millis(10), &conn)
+            })
+        };
+        // Once the caller sleeps in its entry, the demux takes the entry in
+        // hand and is still interpreting the reply at 50 ms, well past the
+        // caller's deadline.
+        while pending.expecting(1) {
+            std::thread::yield_now();
+        }
+        let filled = pending.complete(1, || {
+            std::thread::sleep(Duration::from_millis(50));
+            Ok((Bytes::from_static(b"late"), None))
+        });
+        assert!(filled, "the demux reached the entry before the deadline");
+        let (body, _) = waiter
+            .join()
+            .expect("waiter")
+            .expect("a reply in hand at the deadline is returned, not a timeout");
+        assert_eq!(&body[..], b"late");
+        assert_eq!(pending.slots.lock().len(), 0, "the caller took its entry");
     }
 }
