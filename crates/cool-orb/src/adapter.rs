@@ -22,11 +22,23 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-struct Registration {
+/// An object as the table holds it. A request looks it up once
+/// ([`ObjectAdapter::lookup`]) and carries the copy to its upcall.
+#[derive(Clone)]
+pub(crate) struct Registration {
     /// One `Arc` for what a dispatch takes out of the table: the servant
     /// and the streak its upcall feeds.
     target: Arc<Target>,
     policy: ServerPolicy,
+}
+
+impl Registration {
+    /// Whether the object's recent upcalls were all cheap enough for its
+    /// next request to run on the delivering thread (see
+    /// [`crate::server`]'s threading model).
+    pub(crate) fn is_cheap(&self) -> bool {
+        self.target.cheap.admitted()
+    }
 }
 
 struct Target {
@@ -197,14 +209,16 @@ impl ObjectAdapter {
         self.objects.read().contains_key(key.as_ref())
     }
 
-    /// Whether the object's recent upcalls were all cheap enough for its
-    /// next request to run on the delivering thread (see
-    /// [`crate::server`]'s threading model). An unknown key is not.
-    pub(crate) fn runs_inline(&self, key: &[u8]) -> bool {
+    /// The object registered under `key` — the one table lookup a request
+    /// makes — or [`OrbError::ObjectNotFound`].
+    pub(crate) fn lookup(&self, key: &[u8]) -> Result<Registration, OrbError> {
+        // Lookups go through `Borrow<[u8]>`, so a request header's raw key
+        // bytes index the map directly — no per-request `ObjectKey`.
         self.objects
             .read()
             .get(key)
-            .is_some_and(|reg| reg.target.cheap.admitted())
+            .cloned()
+            .ok_or_else(|| OrbError::ObjectNotFound(String::from_utf8_lossy(key).into_owned()))
     }
 
     /// Replaces an object's QoS policy; returns whether it existed.
@@ -259,23 +273,25 @@ impl ObjectAdapter {
         one_way: bool,
         request_id: Option<u32>,
     ) -> (DispatchOutcome, DispatchTimings) {
+        let registration = self.lookup(key.as_ref());
+        self.dispatch_to(registration, operation, args, spec, one_way, request_id)
+    }
+
+    /// [`ObjectAdapter::dispatch_traced_timed`] for a request whose object
+    /// was looked up already.
+    pub(crate) fn dispatch_to(
+        &self,
+        registration: Result<Registration, OrbError>,
+        operation: &str,
+        args: &[u8],
+        spec: &QoSSpec,
+        one_way: bool,
+        request_id: Option<u32>,
+    ) -> (DispatchOutcome, DispatchTimings) {
         let mut timings = DispatchTimings::default();
-        // Lookups go through `Borrow<[u8]>`, so a request header's raw key
-        // bytes index the map directly — no per-dispatch `ObjectKey`.
-        let key = key.as_ref();
-        let (target, policy) = {
-            let objects = self.objects.read();
-            match objects.get(key) {
-                Some(reg) => (reg.target.clone(), reg.policy.clone()),
-                None => {
-                    return (
-                        DispatchOutcome::Error(OrbError::ObjectNotFound(
-                            String::from_utf8_lossy(key).into_owned(),
-                        )),
-                        timings,
-                    )
-                }
-            }
+        let Registration { target, policy } = match registration {
+            Ok(registration) => registration,
+            Err(err) => return (DispatchOutcome::Error(err), timings),
         };
 
         // Bilateral negotiation (Figure 3): only engaged when the client

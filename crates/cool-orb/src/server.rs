@@ -52,7 +52,7 @@
 //! cancels for requests that never arrive evict oldest-first rather than
 //! growing a set forever.
 
-use crate::adapter::ObjectAdapter;
+use crate::adapter::{ObjectAdapter, Registration};
 use crate::config::OrbConfig;
 use crate::error::OrbError;
 use crate::exchange::{Inbound, LocalExchange};
@@ -469,6 +469,10 @@ impl ServerMetrics {
 struct Job {
     conn: Arc<ConnState>,
     request: InboundRequest,
+    /// The object the request names, looked up once as it was decoded:
+    /// a request accepted for an object runs on it even if the object is
+    /// deactivated while the request waits in the queue.
+    registration: Result<Registration, OrbError>,
     /// Wall clock captured at decode when the request carried a trace
     /// context — the server half's `recv_at_ns`. `None` for untraced
     /// requests (no clock read on that path).
@@ -650,10 +654,12 @@ fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes, own: boo
                 true // client abandoned it before we started
             } else {
                 let recv_at_ns = request.trace.map(|_| cool_telemetry::now_wall_ns());
-                let inline = own && intake.adapter.runs_inline(&request.object_key);
+                let registration = intake.adapter.lookup(&request.object_key);
+                let inline = own && registration.as_ref().is_ok_and(Registration::is_cheap);
                 let job = Job {
                     conn: conn.clone(),
                     request,
+                    registration,
                     recv_at_ns,
                     enqueued: (!inline || recv_at_ns.is_some()).then(Instant::now),
                     _guard: intake.tracker.track(),
@@ -732,10 +738,8 @@ fn run_job(
         _ => None,
     };
     let spec = QoSSpec::from_params(&request.qos_params);
-    // Dispatch by the request's raw key bytes — the demux map lookup
-    // borrows them, so no per-request ObjectKey clone.
-    let (outcome, timings) = adapter.dispatch_traced_timed(
-        &request.object_key,
+    let (outcome, timings) = adapter.dispatch_to(
+        job.registration,
         &request.operation,
         &request.args,
         &spec,
