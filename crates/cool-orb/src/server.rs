@@ -653,9 +653,9 @@ fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes, own: boo
             } else if conn.cancelled.lock().remove(request.request_id) {
                 true // client abandoned it before we started
             } else {
-                let recv_at_ns = request.trace.map(|_| cool_telemetry::now_wall_ns());
                 let registration = intake.adapter.lookup(&request.object_key);
                 let inline = own && registration.as_ref().is_ok_and(Registration::is_cheap);
+                let recv_at_ns = request.trace.map(|_| cool_telemetry::now_wall_ns());
                 let job = Job {
                     conn: conn.clone(),
                     request,

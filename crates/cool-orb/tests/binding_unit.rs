@@ -570,3 +570,200 @@ fn every_mode_and_cancel_behave_the_same_under_giop_and_cool() {
     assert!(giop.contains(&"pending: 0".to_owned()), "{giop:?}");
     server.close();
 }
+
+// ---------------------------------------------------------------------------
+// Every way the reply rendezvous ends, on Chorus and on TCP. Over Chorus a
+// reply the server sends from inside the request's delivery is in before
+// the caller waits; one sent from another thread finds the caller parked.
+// Over TCP the caller reads its own connection, or parks when another
+// thread reads it.
+// ---------------------------------------------------------------------------
+
+/// Waits until `binding` has `n` requests registered: a caller issued its
+/// request and is (or is about to be) waiting for the reply.
+fn await_pending(binding: &Binding, n: usize) {
+    let deadline = std::time::Instant::now() + LONG;
+    while pending(binding) != format!("pending: {n}") {
+        assert!(std::time::Instant::now() < deadline, "{}", pending(binding));
+        std::thread::yield_now();
+    }
+}
+
+/// A Chorus server that answers every request on the thread delivering
+/// it, inside the client's `send_frame`: the reply is in before the
+/// caller looks for it.
+struct AnswerInline(std::sync::Weak<dyn ComChannel>);
+
+impl cool_orb::transport::FrameSink for AnswerInline {
+    fn on_frame(&self, frame: Bytes) {
+        let Some(channel) = self.0.upgrade() else {
+            return;
+        };
+        let Ok((Message::Request { header, body }, version, order)) =
+            Message::decode_frame(&frame)
+        else {
+            return;
+        };
+        let reply = Message::Reply {
+            header: ReplyHeader::new(header.request_id, ReplyStatus::NoException),
+            body,
+        };
+        channel
+            .send_frame(encode_message(&reply, version, order).unwrap())
+            .unwrap();
+    }
+    fn on_close(&self) {}
+}
+
+#[test]
+fn a_reply_sent_inside_the_request_delivery_is_collected_over_chorus() {
+    let (client, server) = pair();
+    server.set_sink(Arc::new(AnswerInline(Arc::downgrade(&server))));
+    let binding = Binding::new(client, WireProtocol::Giop);
+    for timeout in [LONG, Duration::MAX] {
+        let (body, _) = binding
+            .call(b"k", "op", Bytes::from_static(b"inline"), &[], timeout)
+            .unwrap();
+        assert_eq!(&body[..], b"inline");
+    }
+    let mut deferred = binding
+        .defer(b"k", "op", Bytes::from_static(b"deferred"), &[])
+        .unwrap();
+    let polled = deferred.poll().expect("in before the first poll");
+    assert_eq!(&polled.unwrap().0[..], b"deferred");
+    assert_eq!(&deferred.wait(LONG).unwrap().0[..], b"deferred");
+    assert_eq!(pending(&binding), "pending: 0");
+}
+
+#[test]
+fn a_parked_caller_is_woken_by_its_reply_with_or_without_a_deadline() {
+    for timeout in [LONG, Duration::MAX] {
+        let (client, server) = pair();
+        // Answered from the server's own thread, after the caller parked.
+        echo_server(server, 1, Duration::from_millis(30));
+        let binding = Binding::new(client, WireProtocol::Giop);
+        let (body, _) = binding
+            .call(b"k", "op", Bytes::from_static(b"late"), &[], timeout)
+            .unwrap();
+        assert_eq!(&body[..], b"late", "{timeout:?}");
+        assert_eq!(pending(&binding), "pending: 0");
+    }
+}
+
+/// The two transports whose waits differ, each a client half for a
+/// binding and a server half nobody answers on.
+fn silent_pairs() -> [(&'static str, Arc<dyn ComChannel>, Arc<dyn ComChannel>); 2] {
+    let (chorus_client, chorus_server) = pair();
+    let (tcp_client, tcp_server) = tcp_pair();
+    [
+        ("chorus", chorus_client, chorus_server),
+        ("tcp", tcp_client, tcp_server),
+    ]
+}
+
+#[test]
+fn close_releases_a_waiting_caller_with_closed_on_chorus_and_tcp() {
+    for (transport, client, _server) in silent_pairs() {
+        let binding = Binding::new(client, WireProtocol::Giop);
+        let caller = {
+            let binding = Arc::clone(&binding);
+            std::thread::spawn(move || {
+                let start = std::time::Instant::now();
+                let result = binding.call(b"k", "op", Bytes::new(), &[], Duration::from_secs(30));
+                (result, start.elapsed())
+            })
+        };
+        await_pending(&binding, 1);
+        binding.close();
+        let (result, waited) = caller.join().unwrap();
+        assert!(matches!(result, Err(OrbError::Closed)), "{transport}: {result:?}");
+        assert!(waited < LONG, "{transport}: released after {waited:?}");
+    }
+}
+
+#[test]
+fn a_timeout_names_its_request_on_chorus_and_tcp() {
+    for (transport, client, _server) in silent_pairs() {
+        let binding = Binding::new(client, WireProtocol::Giop);
+        let brief = Duration::from_millis(20);
+        binding.send(b"k", "first", Bytes::new(), &[]).unwrap();
+        match binding.call(b"k", "op", Bytes::new(), &[], brief) {
+            Err(OrbError::Timeout {
+                request_id: Some(2),
+                elapsed,
+            }) => assert!(elapsed >= brief, "{transport}: {elapsed:?}"),
+            other => panic!("{transport}: expected request 2 to time out, got {other:?}"),
+        }
+        assert_eq!(pending(&binding), "pending: 0", "{transport}");
+    }
+}
+
+#[test]
+fn cancel_releases_a_waiting_caller_with_cancelled_on_chorus_and_tcp() {
+    for (transport, client, _server) in silent_pairs() {
+        let binding = Binding::new(client, WireProtocol::Giop);
+        // A TCP caller reading its own connection sees the cancel when its
+        // read returns, at the latest at its deadline: the cancel still
+        // wins over the timeout.
+        let timeout = Duration::from_millis(300);
+        let caller = {
+            let binding = Arc::clone(&binding);
+            std::thread::spawn(move || binding.call(b"k", "op", Bytes::new(), &[], timeout))
+        };
+        await_pending(&binding, 1);
+        assert!(binding.cancel(1), "{transport}: request 1 was pending");
+        let result = caller.join().unwrap();
+        assert!(matches!(result, Err(OrbError::Cancelled)), "{transport}: {result:?}");
+        assert!(!binding.cancel(1), "{transport}: cancelled once");
+        assert_eq!(pending(&binding), "pending: 0", "{transport}");
+    }
+}
+
+#[test]
+fn poll_then_wait_returns_the_same_reply_over_tcp() {
+    let (client, server) = tcp_pair();
+    echo_server(server, 1, Duration::ZERO);
+    let binding = Binding::new(client, WireProtocol::Giop);
+    let mut deferred = binding
+        .defer(b"k", "op", Bytes::from_static(b"polled"), &[])
+        .unwrap();
+    // The connection's reader thread reads a deferred reply.
+    let deadline = std::time::Instant::now() + LONG;
+    let polled = loop {
+        if let Some(result) = deferred.poll() {
+            break result;
+        }
+        assert!(std::time::Instant::now() < deadline, "never polled a reply");
+        std::thread::yield_now();
+    };
+    assert_eq!(&polled.unwrap().0[..], b"polled");
+    assert_eq!(&deferred.wait(LONG).unwrap().0[..], b"polled");
+    assert_eq!(pending(&binding), "pending: 0");
+}
+
+#[test]
+fn eight_threads_share_one_chorus_binding_and_lose_no_reply() {
+    const THREADS: u32 = 8;
+    const CALLS: u32 = 500;
+    let (_orb, server, exchange) = served(Arc::new(AtomicUsize::new(0)));
+    let binding = Binding::new(exchange.connect_chorus("modes").unwrap(), WireProtocol::Giop);
+    let callers: Vec<_> = (0..THREADS)
+        .map(|thread| {
+            let binding = Arc::clone(&binding);
+            std::thread::spawn(move || {
+                for call in 0..CALLS {
+                    let args = Bytes::from(format!("{thread}/{call}"));
+                    let (body, _) = binding
+                        .call(b"obj", "echo", args.clone(), &[], LONG)
+                        .unwrap_or_else(|e| panic!("call {thread}/{call}: {e:?}"));
+                    assert_eq!(body, args, "a reply went to the wrong caller");
+                }
+            })
+        })
+        .collect();
+    for caller in callers {
+        caller.join().unwrap();
+    }
+    assert_eq!(pending(&binding), "pending: 0");
+    server.close();
+}

@@ -1,7 +1,7 @@
 //! End-to-end observability: a client and server ORB sharing one
 //! `cool_telemetry::Registry` produce complete invocation spans (all six
-//! stages), consistent QoS negotiation counters, and populated latency
-//! histograms — over real loopback TCP.
+//! stages, over TCP, Chorus and Da CaPo), consistent QoS negotiation
+//! counters, and populated latency histograms — over real loopback TCP.
 
 use bytes::Bytes;
 use cool_orb::exchange::LocalExchange;
@@ -61,29 +61,73 @@ fn assert_stage_invariants(span: &SpanRecord) {
     assert!(offset(Stage::ReplyDecode) <= span.total_us, "{span:?}");
 }
 
+/// Client + server ORB pair reporting into one registry, the echo object
+/// served on `transport` (`"tcp"`, `"chorus"` or `"dacapo"`).
+fn pair_over(registry: &Arc<Registry>, transport: &str) -> (OrbServer, Stub) {
+    if transport == "tcp" {
+        return tcp_pair(registry);
+    }
+    let config = OrbConfig {
+        telemetry: Some(Arc::clone(registry)),
+        ..Default::default()
+    };
+    let exchange = LocalExchange::new();
+    let server_orb = Orb::with_exchange_and_config("server", exchange.clone(), config.clone());
+    server_orb
+        .adapter()
+        .register_fn("echo", |_op, args, _ctx| Ok(args.to_vec()))
+        .unwrap();
+    let server = match transport {
+        "chorus" => server_orb.listen_chorus("echo-server"),
+        _ => server_orb.listen_dacapo("echo-server"),
+    }
+    .unwrap();
+    let client_orb = Orb::with_exchange_and_config("client", exchange, config);
+    let stub = client_orb.bind(&server.object_ref("echo")).unwrap();
+    (server, stub)
+}
+
 #[test]
 fn loopback_call_produces_a_complete_six_stage_span() {
-    let registry = Arc::new(Registry::new());
-    let (_server, stub) = tcp_pair(&registry);
-    stub.set_qos_parameter(QoSSpec::builder().ordered(true).build())
-        .unwrap();
-    let reply = stub.invoke("echo", Bytes::from_static(b"ping")).unwrap();
-    assert_eq!(&reply[..], b"ping");
+    // Enough calls for the echo object to be run on the delivering thread
+    // too (§5 of DESIGN.md): the first span went through the dispatcher
+    // pool, the last did not, and both keep all six stages.
+    const CALLS: usize = 100;
+    for transport in ["tcp", "chorus", "dacapo"] {
+        let registry = Arc::new(Registry::new());
+        let (_server, stub) = pair_over(&registry, transport);
+        stub.set_qos_parameter(QoSSpec::builder().ordered(true).build())
+            .unwrap();
+        for _ in 0..CALLS {
+            let reply = stub.invoke("echo", Bytes::from_static(b"ping")).unwrap();
+            assert_eq!(&reply[..], b"ping");
+        }
 
-    let snap = registry.snapshot();
-    assert!(
-        snap.counter("qos_negotiations_accepted").unwrap_or(0) >= 1,
-        "negotiation should have been recorded: {}",
-        registry.render_text()
-    );
-    let spans = registry.recent_spans();
-    let span = spans
-        .iter()
-        .find(|s| &*s.operation == "echo")
-        .expect("span for the echo call");
-    assert_eq!(span.transport, "tcp");
-    assert!(matches!(span.outcome, SpanOutcome::Ok));
-    assert_stage_invariants(span);
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter("qos_negotiations_accepted"),
+            Some(CALLS as u64),
+            "{transport}: every negotiation recorded: {}",
+            registry.render_text()
+        );
+        assert!(
+            snap.counter(cool_telemetry::names::DISPATCH_INLINE_TOTAL)
+                .unwrap_or(0)
+                > 0,
+            "{transport}: the warmed-up object ran on the delivering thread"
+        );
+        let spans: Vec<SpanRecord> = registry
+            .recent_spans()
+            .into_iter()
+            .filter(|s| &*s.operation == "echo")
+            .collect();
+        assert_eq!(spans.len(), CALLS, "{transport}");
+        for span in &spans {
+            assert_eq!(span.transport, transport);
+            assert!(matches!(span.outcome, SpanOutcome::Ok), "{transport}");
+            assert_stage_invariants(span);
+        }
+    }
 }
 
 #[test]

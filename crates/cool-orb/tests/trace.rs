@@ -1,4 +1,5 @@
-//! Cross-process distributed tracing over real loopback TCP.
+//! Cross-process distributed tracing over real loopback TCP (and one
+//! Chorus case, where both halves are stamped on the caller's thread).
 //!
 //! Unlike `tests/telemetry.rs` (which shares one registry between both
 //! ORBs, so spans merge in-process), these tests give the client and the
@@ -119,6 +120,60 @@ fn each_invocation_yields_one_merged_trace_with_server_stages_and_wire_gaps() {
     // The server must NOT have produced client-side spans of its own —
     // its half of the story travels on the reply only.
     assert_eq!(server_reg.recent_traces().len(), 0);
+}
+
+#[test]
+fn a_traced_chorus_call_has_non_negative_wire_gaps() {
+    // Over Chorus the server runs inside the caller's send (once the object
+    // is admitted to the delivering thread, §5 of DESIGN.md): every stamp
+    // comes from one thread, so the two halves must nest exactly.
+    let exchange = LocalExchange::new();
+    let (client_reg, server_reg) = (Arc::new(Registry::new()), Arc::new(Registry::new()));
+    let config = |registry: &Arc<Registry>| OrbConfig {
+        telemetry: Some(Arc::clone(registry)),
+        ..Default::default()
+    };
+    let server_orb = Orb::with_exchange_and_config("server", exchange.clone(), config(&server_reg));
+    server_orb
+        .adapter()
+        .register_fn("echo", |_op, args, _ctx| Ok(args.to_vec()))
+        .unwrap();
+    let server = server_orb.listen_chorus("traced").unwrap();
+    let client_orb = Orb::with_exchange_and_config("client", exchange, config(&client_reg));
+    let stub = client_orb.bind(&server.object_ref("echo")).unwrap();
+    const CALLS: usize = 100;
+    for _ in 0..CALLS {
+        stub.invoke("echo", Bytes::from_static(b"x")).unwrap();
+    }
+
+    let traces = client_reg.recent_traces();
+    assert_eq!(traces.len(), CALLS);
+    for t in &traces {
+        assert!(t.is_merged(), "{t:?}");
+        let server = t.server.expect("server half");
+        let server_us = (server.sent_at_ns - server.recv_at_ns) / 1_000;
+        assert!(
+            u64::from(server.queue_wait_us + server.negotiate_us + server.execute_us)
+                <= server_us + 1,
+            "the server's stages fit between its stamps: {t:?}"
+        );
+        // A negative gap would have been clamped to zero; what is left of
+        // the call around the server's work bounds both gaps from above.
+        let (out, back) = (t.wire_out_us.unwrap(), t.wire_back_us.unwrap());
+        assert!(out + server_us + back <= t.span.total_us + 2, "{t:?}");
+    }
+    assert_eq!(
+        server_reg.snapshot().counter(names::TRACE_JOINS_TOTAL),
+        Some(CALLS as u64)
+    );
+    assert!(
+        server_reg
+            .snapshot()
+            .counter(names::DISPATCH_INLINE_TOTAL)
+            .unwrap_or(0)
+            > 0,
+        "the warmed-up object ran on the caller's thread"
+    );
 }
 
 #[test]

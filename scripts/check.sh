@@ -44,9 +44,12 @@ cargo test --release --offline --manifest-path ledger/Cargo.toml
 # thread and turned slow, is a claim about elapsed time — it has to hold
 # optimized as well. Beside it, who reads a TCP connection (leader and
 # followers): each of its tests guards a schedule, so it runs optimized too.
+# So do the binding's reply rendezvous tests, unit and integration: a reply
+# that lands at a caller's deadline, and every way a parked or reading
+# caller is released, depend on timing.
 cargo test -q --release -p dacapo --test transport_contract --test end_to_end
-cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow --test pipelining --test tcp_reading
-cargo test -q --release -p cool-orb --lib dacapo_chan
+cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow --test pipelining --test tcp_reading --test binding_unit
+cargo test -q --release -p cool-orb --lib -- dacapo_chan binding
 
 # The analyzer (DESIGN §7.1), one pass over every .rs file, for what no
 # stock tool sees. Per file: unbounded invocation retry loops.
