@@ -428,8 +428,7 @@ impl FrameSink for DemuxSink {
             } => {
                 self.pending.complete(request_id, || {
                     let result = reply.interpret();
-                    if let (Some(t), Some(decode_start)) = (&self.pending.telemetry, decode_start)
-                    {
+                    if let (Some(t), Some(decode_start)) = (&self.pending.telemetry, decode_start) {
                         // The `ReplyDecode` mark covers the decode +
                         // interpret work, and lands before the waiter can
                         // close the span it opened. A traced server echoes
@@ -888,12 +887,8 @@ impl DeferredReply {
         // Timed out, closed or answered: either way the slot is gone.
         self.done = true;
         self.pending.claim(self.request_id);
-        self.pending.wait_timeout(
-            self.request_id,
-            Instant::now(),
-            timeout,
-            &self.conn,
-        )
+        self.pending
+            .wait_timeout(self.request_id, Instant::now(), timeout, &self.conn)
     }
 
     /// Cancels the pending request (sends GIOP `CancelRequest`).

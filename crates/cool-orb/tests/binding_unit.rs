@@ -599,8 +599,7 @@ impl cool_orb::transport::FrameSink for AnswerInline {
         let Some(channel) = self.0.upgrade() else {
             return;
         };
-        let Ok((Message::Request { header, body }, version, order)) =
-            Message::decode_frame(&frame)
+        let Ok((Message::Request { header, body }, version, order)) = Message::decode_frame(&frame)
         else {
             return;
         };
@@ -650,9 +649,12 @@ fn a_parked_caller_is_woken_by_its_reply_with_or_without_a_deadline() {
     }
 }
 
+/// A transport's name, a client half for a binding and a server half.
+type NamedPair = (&'static str, Arc<dyn ComChannel>, Arc<dyn ComChannel>);
+
 /// The two transports whose waits differ, each a client half for a
 /// binding and a server half nobody answers on.
-fn silent_pairs() -> [(&'static str, Arc<dyn ComChannel>, Arc<dyn ComChannel>); 2] {
+fn silent_pairs() -> [NamedPair; 2] {
     let (chorus_client, chorus_server) = pair();
     let (tcp_client, tcp_server) = tcp_pair();
     [
@@ -676,7 +678,10 @@ fn close_releases_a_waiting_caller_with_closed_on_chorus_and_tcp() {
         await_pending(&binding, 1);
         binding.close();
         let (result, waited) = caller.join().unwrap();
-        assert!(matches!(result, Err(OrbError::Closed)), "{transport}: {result:?}");
+        assert!(
+            matches!(result, Err(OrbError::Closed)),
+            "{transport}: {result:?}"
+        );
         assert!(waited < LONG, "{transport}: released after {waited:?}");
     }
 }
@@ -713,7 +718,10 @@ fn cancel_releases_a_waiting_caller_with_cancelled_on_chorus_and_tcp() {
         await_pending(&binding, 1);
         assert!(binding.cancel(1), "{transport}: request 1 was pending");
         let result = caller.join().unwrap();
-        assert!(matches!(result, Err(OrbError::Cancelled)), "{transport}: {result:?}");
+        assert!(
+            matches!(result, Err(OrbError::Cancelled)),
+            "{transport}: {result:?}"
+        );
         assert!(!binding.cancel(1), "{transport}: cancelled once");
         assert_eq!(pending(&binding), "pending: 0", "{transport}");
     }
@@ -746,7 +754,10 @@ fn eight_threads_share_one_chorus_binding_and_lose_no_reply() {
     const THREADS: u32 = 8;
     const CALLS: u32 = 500;
     let (_orb, server, exchange) = served(Arc::new(AtomicUsize::new(0)));
-    let binding = Binding::new(exchange.connect_chorus("modes").unwrap(), WireProtocol::Giop);
+    let binding = Binding::new(
+        exchange.connect_chorus("modes").unwrap(),
+        WireProtocol::Giop,
+    );
     let callers: Vec<_> = (0..THREADS)
         .map(|thread| {
             let binding = Arc::clone(&binding);
