@@ -55,20 +55,24 @@ fn pair() -> (Arc<dyn ComChannel>, Arc<dyn ComChannel>) {
 
 #[test]
 fn call_round_trips() {
-    let (client, server) = pair();
-    echo_server(server, 1, Duration::ZERO);
-    let binding = Binding::new(client, WireProtocol::Giop);
-    let (body, granted) = binding
-        .call(
-            b"key",
-            "op",
-            Bytes::from_static(b"payload"),
-            &[],
-            Duration::from_secs(5),
-        )
-        .unwrap();
-    assert_eq!(&body[..], b"payload");
-    assert!(granted.is_none(), "echo server attaches no qos context");
+    // A reply sent from the server's own thread finds the caller waiting,
+    // parked in its entry once the server takes its time — with a
+    // deadline or without one.
+    let timeouts = [
+        (Duration::ZERO, Duration::from_secs(5)),
+        (Duration::from_millis(30), Duration::from_secs(5)),
+        (Duration::from_millis(30), Duration::MAX),
+    ];
+    for (delay, timeout) in timeouts {
+        let (client, server) = pair();
+        echo_server(server, 1, delay);
+        let binding = Binding::new(client, WireProtocol::Giop);
+        let (body, granted) = binding
+            .call(b"key", "op", Bytes::from_static(b"payload"), &[], timeout)
+            .unwrap();
+        assert_eq!(&body[..], b"payload", "{delay:?} {timeout:?}");
+        assert!(granted.is_none(), "echo server attaches no qos context");
+    }
 }
 
 #[test]
@@ -429,26 +433,37 @@ fn a_request_that_never_reaches_the_wire_leaves_nothing_pending() {
 #[test]
 fn a_timeout_names_its_request_in_call_and_in_deferred_wait_alike() {
     for protocol in PROTOCOLS {
-        let binding = Binding::new(Arc::new(RecordingChannel::default()), protocol);
-        let brief = Duration::from_millis(20);
-        let from_call = binding.call(b"k", "op", Bytes::new(), &[], brief);
-        let deferred = binding.defer(b"k", "op", Bytes::new(), &[]).unwrap();
-        let deferred_id = deferred.request_id();
-        let from_wait = deferred.wait(brief);
-        for (result, request_id) in [(from_call, 1), (from_wait, deferred_id)] {
-            match result {
-                Err(OrbError::Timeout {
-                    request_id: Some(id),
-                    elapsed,
-                }) => {
-                    assert_eq!(id, request_id, "{protocol:?}");
-                    assert!(elapsed >= brief, "{protocol:?}: {elapsed:?}");
+        // A channel that never delivers, and the two whose waits differ:
+        // over Chorus the caller parks, over TCP it reads its own
+        // connection.
+        let recording: Arc<dyn ComChannel> = Arc::new(RecordingChannel::default());
+        let [chorus, tcp] = silent_pairs();
+        for (transport, client, _server) in
+            [("recording", recording.clone(), recording), chorus, tcp]
+        {
+            let binding = Binding::new(client, protocol);
+            let brief = Duration::from_millis(20);
+            let from_call = binding.call(b"k", "op", Bytes::new(), &[], brief);
+            let deferred = binding.defer(b"k", "op", Bytes::new(), &[]).unwrap();
+            let deferred_id = deferred.request_id();
+            let from_wait = deferred.wait(brief);
+            for (result, request_id) in [(from_call, 1), (from_wait, deferred_id)] {
+                match result {
+                    Err(OrbError::Timeout {
+                        request_id: Some(id),
+                        elapsed,
+                    }) => {
+                        assert_eq!(id, request_id, "{transport} {protocol:?}");
+                        assert!(elapsed >= brief, "{transport} {protocol:?}: {elapsed:?}");
+                    }
+                    other => panic!(
+                        "{transport} {protocol:?}: expected an attributed timeout, got {other:?}"
+                    ),
                 }
-                other => panic!("{protocol:?}: expected an attributed timeout, got {other:?}"),
             }
+            assert_eq!(deferred_id, 2);
+            assert_eq!(pending(&binding), "pending: 0", "{transport} {protocol:?}");
         }
-        assert_eq!(deferred_id, 2);
-        assert_eq!(pending(&binding), "pending: 0", "{protocol:?}");
     }
 }
 
@@ -634,21 +649,6 @@ fn a_reply_sent_inside_the_request_delivery_is_collected_over_chorus() {
     assert_eq!(pending(&binding), "pending: 0");
 }
 
-#[test]
-fn a_parked_caller_is_woken_by_its_reply_with_or_without_a_deadline() {
-    for timeout in [LONG, Duration::MAX] {
-        let (client, server) = pair();
-        // Answered from the server's own thread, after the caller parked.
-        echo_server(server, 1, Duration::from_millis(30));
-        let binding = Binding::new(client, WireProtocol::Giop);
-        let (body, _) = binding
-            .call(b"k", "op", Bytes::from_static(b"late"), &[], timeout)
-            .unwrap();
-        assert_eq!(&body[..], b"late", "{timeout:?}");
-        assert_eq!(pending(&binding), "pending: 0");
-    }
-}
-
 /// A transport's name, a client half for a binding and a server half.
 type NamedPair = (&'static str, Arc<dyn ComChannel>, Arc<dyn ComChannel>);
 
@@ -683,23 +683,6 @@ fn close_releases_a_waiting_caller_with_closed_on_chorus_and_tcp() {
             "{transport}: {result:?}"
         );
         assert!(waited < LONG, "{transport}: released after {waited:?}");
-    }
-}
-
-#[test]
-fn a_timeout_names_its_request_on_chorus_and_tcp() {
-    for (transport, client, _server) in silent_pairs() {
-        let binding = Binding::new(client, WireProtocol::Giop);
-        let brief = Duration::from_millis(20);
-        binding.send(b"k", "first", Bytes::new(), &[]).unwrap();
-        match binding.call(b"k", "op", Bytes::new(), &[], brief) {
-            Err(OrbError::Timeout {
-                request_id: Some(2),
-                elapsed,
-            }) => assert!(elapsed >= brief, "{transport}: {elapsed:?}"),
-            other => panic!("{transport}: expected request 2 to time out, got {other:?}"),
-        }
-        assert_eq!(pending(&binding), "pending: 0", "{transport}");
     }
 }
 

@@ -61,14 +61,13 @@ fn assert_stage_invariants(span: &SpanRecord) {
     assert!(offset(Stage::ReplyDecode) <= span.total_us, "{span:?}");
 }
 
-/// Client + server ORB pair reporting into one registry, the echo object
-/// served on `transport` (`"tcp"`, `"chorus"` or `"dacapo"`).
-fn pair_over(registry: &Arc<Registry>, transport: &str) -> (OrbServer, Stub) {
-    if transport == "tcp" {
-        return tcp_pair(registry);
-    }
+/// Client + server ORB pair reporting into one registry, with distributed
+/// tracing on or off, the echo object served on `transport` (`"tcp"`,
+/// `"chorus"` or `"dacapo"`).
+fn pair_over(registry: &Arc<Registry>, tracing: bool, transport: &str) -> (OrbServer, Stub) {
     let config = OrbConfig {
         telemetry: Some(Arc::clone(registry)),
+        tracing,
         ..Default::default()
     };
     let exchange = LocalExchange::new();
@@ -78,6 +77,7 @@ fn pair_over(registry: &Arc<Registry>, transport: &str) -> (OrbServer, Stub) {
         .register_fn("echo", |_op, args, _ctx| Ok(args.to_vec()))
         .unwrap();
     let server = match transport {
+        "tcp" => server_orb.listen_tcp("127.0.0.1:0"),
         "chorus" => server_orb.listen_chorus("echo-server"),
         _ => server_orb.listen_dacapo("echo-server"),
     }
@@ -91,11 +91,15 @@ fn pair_over(registry: &Arc<Registry>, transport: &str) -> (OrbServer, Stub) {
 fn loopback_call_produces_a_complete_six_stage_span() {
     // Enough calls for the echo object to be run on the delivering thread
     // too (§5 of DESIGN.md): the first span went through the dispatcher
-    // pool, the last did not, and both keep all six stages.
+    // pool, the last did not, and both keep all six stages, whether or not
+    // the request carries a trace context.
     const CALLS: usize = 100;
-    for transport in ["tcp", "chorus", "dacapo"] {
+    let runs = [true, false]
+        .into_iter()
+        .flat_map(|tracing| ["tcp", "chorus", "dacapo"].map(|transport| (tracing, transport)));
+    for (tracing, transport) in runs {
         let registry = Arc::new(Registry::new());
-        let (_server, stub) = pair_over(&registry, transport);
+        let (_server, stub) = pair_over(&registry, tracing, transport);
         stub.set_qos_parameter(QoSSpec::builder().ordered(true).build())
             .unwrap();
         for _ in 0..CALLS {
@@ -107,21 +111,21 @@ fn loopback_call_produces_a_complete_six_stage_span() {
         assert_eq!(
             snap.counter("qos_negotiations_accepted"),
             Some(CALLS as u64),
-            "{transport}: every negotiation recorded: {}",
+            "{transport} (tracing {tracing}): every negotiation recorded: {}",
             registry.render_text()
         );
         assert!(
             snap.counter(cool_telemetry::names::DISPATCH_INLINE_TOTAL)
                 .unwrap_or(0)
                 > 0,
-            "{transport}: the warmed-up object ran on the delivering thread"
+            "{transport} (tracing {tracing}): the warmed-up object ran on the delivering thread"
         );
         let spans: Vec<SpanRecord> = registry
             .recent_spans()
             .into_iter()
             .filter(|s| &*s.operation == "echo")
             .collect();
-        assert_eq!(spans.len(), CALLS, "{transport}");
+        assert_eq!(spans.len(), CALLS, "{transport} (tracing {tracing})");
         for span in &spans {
             assert_eq!(span.transport, transport);
             assert!(matches!(span.outcome, SpanOutcome::Ok), "{transport}");
