@@ -52,7 +52,7 @@ use cool_telemetry::{
 use multe_qos::TransportRequirements;
 use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
@@ -118,13 +118,12 @@ struct Pending {
 /// table, if the reply is in. An entry already gone reads as
 /// [`OrbError::Closed`]: nothing is left to wait for.
 fn take_ready(slots: &mut HashMap<u32, Entry>, request_id: u32) -> Option<ReplyResult> {
-    match slots.get(&request_id) {
-        None => Some(Err(OrbError::Closed)),
-        Some(Entry {
-            slot: Slot::Ready(_),
-            ..
-        }) => slots.remove(&request_id).and_then(Entry::into_ready),
-        Some(_) => None,
+    match slots.entry(request_id) {
+        hash_map::Entry::Vacant(_) => Some(Err(OrbError::Closed)),
+        hash_map::Entry::Occupied(entry) => match entry.get().slot {
+            Slot::Ready(_) => entry.remove().into_ready(),
+            _ => None,
+        },
     }
 }
 
