@@ -408,8 +408,7 @@ impl CancelSet {
     fn remove(&mut self, id: u32) -> bool {
         // A stale id may linger in `order` until evicted; both structures
         // stay bounded by `CANCEL_HISTORY` regardless. With no cancel
-        // outstanding — every request's case but a cancelled one's —
-        // nothing is hashed.
+        // outstanding, the usual case, nothing is hashed.
         !self.ids.is_empty() && self.ids.remove(&id)
     }
 }
