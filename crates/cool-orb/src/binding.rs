@@ -883,7 +883,7 @@ impl DeferredReply {
         if let Some(result) = self.ready.take() {
             return result;
         }
-        // Timed out, closed or answered: either way the slot is gone.
+        // Timed out, closed or answered: either way the entry is gone.
         self.done = true;
         self.pending.claim(self.request_id);
         self.pending
