@@ -54,7 +54,7 @@ use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
 use std::collections::{hash_map, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
@@ -362,13 +362,13 @@ fn outcome_of(result: &ReplyResult) -> SpanOutcome {
 /// re-wraps the channel exactly as the original dial did).
 pub type Reconnector = Arc<dyn Fn() -> Result<Arc<dyn ComChannel>, OrbError> + Send + Sync>;
 
-/// One incarnation of the binding's transport. The closed flag is *per
-/// connection* so a stale `on_close` from a replaced channel can never
-/// mark its successor dead.
+/// One incarnation of the binding's transport. Whether it has ended is
+/// its channel's to say ([`ComChannel::is_closed`]): each incarnation has
+/// its own inbox, so a replaced channel's end never reads as its
+/// successor's.
 #[derive(Clone)]
 struct ConnHandle {
     channel: Arc<dyn ComChannel>,
-    closed: Arc<AtomicBool>,
     /// The channel reader thread's demand, when it reads on demand (TCP).
     demand: Option<Arc<ReadDemand>>,
 }
@@ -412,7 +412,9 @@ impl std::fmt::Debug for Binding {
 /// Runs on the transport's delivery thread.
 struct DemuxSink {
     pending: Arc<Pending>,
-    closed: Arc<AtomicBool>,
+    /// Closed when the server says CloseConnection. Weak: the channel owns
+    /// its sink.
+    channel: Weak<dyn ComChannel>,
 }
 
 impl FrameSink for DemuxSink {
@@ -458,8 +460,12 @@ impl FrameSink for DemuxSink {
                 });
                 true
             }
+            // The channel's close reaches `on_close` once this delivery
+            // run is over.
             Event::Closing => {
-                self.on_close();
+                if let Some(channel) = self.channel.upgrade() {
+                    channel.close();
+                }
                 true
             }
             // What only clients send, and what nobody can read: ignored.
@@ -468,7 +474,6 @@ impl FrameSink for DemuxSink {
     }
 
     fn on_close(&self) {
-        self.closed.store(true, Ordering::Release);
         self.pending.fail_all();
     }
 }
@@ -531,7 +536,7 @@ impl Binding {
         }
         let conn = self.current();
         conn.channel.read_turn(Instant::now(), &|| false);
-        conn.closed.load(Ordering::Acquire)
+        conn.channel.is_closed()
     }
 
     /// Pushes transport QoS requirements down the current channel and
@@ -564,7 +569,7 @@ impl Binding {
             return Err(OrbError::Closed);
         }
         let _gate = self.reconnect_gate.lock();
-        if !self.current().closed.load(Ordering::Acquire) {
+        if !self.current().channel.is_closed() {
             return Ok(()); // someone else already reconnected
         }
         let reconnector = self.reconnector.get().ok_or(OrbError::Closed)?.clone();
@@ -603,7 +608,7 @@ impl Binding {
     ) -> Result<(u32, Instant, ConnHandle), OrbError> {
         let response_expected = !matches!(collect, Collect::Nothing);
         let conn = self.current();
-        if self.retired.load(Ordering::Acquire) || conn.closed.load(Ordering::Acquire) {
+        if self.retired.load(Ordering::Acquire) || conn.channel.is_closed() {
             return Err(OrbError::Closed);
         }
         let started = Instant::now();
@@ -789,7 +794,6 @@ impl Binding {
     pub fn close(&self) {
         self.retired.store(true, Ordering::Release);
         let conn = self.current();
-        conn.closed.store(true, Ordering::Release);
         // Closing the channel fires the sink's `on_close`, which also
         // fails the pending map; doing it here too covers transports whose
         // teardown is asynchronous. An answered entry keeps its answer, so
@@ -805,20 +809,15 @@ impl Drop for Binding {
     }
 }
 
-/// Wires a (possibly fresh) channel to the binding's demultiplexer with
-/// its own per-connection closed flag, and takes over its reader's demand.
+/// Wires a (possibly fresh) channel to the binding's demultiplexer, and
+/// takes over its reader's demand.
 fn attach(channel: Arc<dyn ComChannel>, pending: &Arc<Pending>) -> ConnHandle {
-    let closed = Arc::new(AtomicBool::new(false));
     channel.set_sink(Arc::new(DemuxSink {
         pending: pending.clone(),
-        closed: closed.clone(),
+        channel: Arc::downgrade(&channel),
     }));
     let demand = channel.hand_over_demand();
-    ConnHandle {
-        channel,
-        closed,
-        demand,
-    }
+    ConnHandle { channel, demand }
 }
 
 /// Tells the server a request was abandoned. Best effort: the local

@@ -507,11 +507,11 @@ struct Intake {
 /// The per-connection [`FrameSink`]: decodes frames on the transport's
 /// delivery thread and feeds the shared dispatcher queue.
 ///
-/// Holds the connection state behind an `Option` cleared on close, so the
-/// `channel → inbox → sink → ConnState → channel` loop is broken the
-/// moment the connection ends.
+/// The `channel → inbox → sink → ConnState → channel` loop is broken by
+/// the inbox, which drops its sink once it has reported the close; frames
+/// still queued behind the close are skipped.
 struct ConnSink {
-    conn: OrderedMutex<Option<Arc<ConnState>>>,
+    conn: Arc<ConnState>,
     intake: Intake,
 }
 
@@ -534,12 +534,9 @@ impl Intake {
 
 impl ConnSink {
     fn frame(&self, frame: &Bytes, own: bool) {
-        let Some(conn) = self.conn.lock().clone() else {
-            return;
-        };
-        if !process_frame(&conn, &self.intake, frame, own) {
-            self.conn.lock().take();
-            conn.channel.close();
+        let channel = &self.conn.channel;
+        if !channel.is_closed() && !process_frame(&self.conn, &self.intake, frame, own) {
+            channel.close();
         }
     }
 }
@@ -554,9 +551,7 @@ impl FrameSink for ConnSink {
     }
 
     fn on_close(&self) {
-        if let Some(conn) = self.conn.lock().take() {
-            conn.channel.close();
-        }
+        self.conn.channel.close();
     }
 }
 
@@ -632,10 +627,7 @@ fn attach_connection(
         list.retain(|w| w.strong_count() > 0);
         list.push(Arc::downgrade(&conn));
     }
-    channel.set_sink(Arc::new(ConnSink {
-        conn: OrderedMutex::new(lock_rank::SERVER_SINK_CONN, Some(conn)),
-        intake,
-    }));
+    channel.set_sink(Arc::new(ConnSink { conn, intake }));
 }
 
 /// Handles one inbound frame on the delivery thread, event by event in

@@ -9,27 +9,25 @@
 //! and zero polling.
 
 use crate::error::OrbError;
-use crate::transport::{ComChannel, FrameInbox, FrameSink, InboxMetrics, SendMetrics};
+use crate::transport::{ComChannel, FrameInbox, InboxMetrics, SendMetrics};
 use bytes::Bytes;
 use cool_telemetry::Registry;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A frame channel over a simulated Chorus IPC port pair.
 pub struct ChorusComChannel {
     /// Where our sends deliver (the peer's receive inbox).
     peer: Arc<FrameInbox>,
-    /// Where we receive.
+    /// Where we receive. Either end's close closes both inboxes, so this
+    /// one records the connection's end for this side.
     inbox: Arc<FrameInbox>,
-    closed: AtomicBool,
     send_metrics: Option<SendMetrics>,
 }
 
 impl std::fmt::Debug for ChorusComChannel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChorusComChannel")
-            .field("closed", &self.closed.load(Ordering::Acquire))
+            .field("closed", &self.is_closed())
             .finish()
     }
 }
@@ -56,13 +54,11 @@ impl ChorusComChannel {
         let a = ChorusComChannel {
             peer: Arc::clone(&b_inbox),
             inbox: a_inbox.clone(),
-            closed: AtomicBool::new(false),
             send_metrics: send_metrics.clone(),
         };
         let b = ChorusComChannel {
             peer: a_inbox,
             inbox: b_inbox,
-            closed: AtomicBool::new(false),
             send_metrics,
         };
         (a, b)
@@ -71,7 +67,9 @@ impl ChorusComChannel {
 
 impl ComChannel for ChorusComChannel {
     fn send_frame(&self, frame: Bytes) -> Result<(), OrbError> {
-        if self.closed.load(Ordering::Acquire) || self.peer.is_closed() {
+        // Two lock-free reads: a close is under way when either inbox is
+        // closed.
+        if self.is_closed() || self.peer.is_closed() {
             return Err(OrbError::Closed);
         }
         if let Some(m) = &self.send_metrics {
@@ -82,16 +80,11 @@ impl ComChannel for ChorusComChannel {
         Ok(())
     }
 
-    fn recv_frame(&self, timeout: Duration) -> Result<Bytes, OrbError> {
-        self.inbox.recv_timeout(timeout)
-    }
-
-    fn set_sink(&self, sink: Arc<dyn FrameSink>) {
-        self.inbox.set_sink(sink);
+    fn inbox(&self) -> &FrameInbox {
+        &self.inbox
     }
 
     fn close(&self) {
-        self.closed.store(true, Ordering::Release);
         // Close both directions so a blocked peer wakes immediately.
         self.inbox.close();
         self.peer.close();
@@ -105,7 +98,7 @@ impl ComChannel for ChorusComChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn pair_round_trip() {
@@ -115,7 +108,6 @@ mod tests {
         b.send_frame(Bytes::from_static(b"rep")).unwrap();
         assert_eq!(&a.recv_frame(Duration::from_secs(1)).unwrap()[..], b"rep");
         assert_eq!(a.kind(), "chorus");
-        assert!(!a.supports_qos());
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //! [`dacapo::Sink`] on its connection, so the connection's one receive
 //! thread (`dacapo-t-rx`) — having run a frame up the module stack — pushes
 //! the payload straight into the channel's [`FrameInbox`], which wakes
-//! `recv_frame` waiters or runs the registered [`FrameSink`] there and
-//! then. The sink is the connection's, not a stack's: a live
-//! reconfiguration swaps the stack underneath and the channel notices
-//! nothing. There is no poll slice and no timer. That thread also brings
-//! the acknowledgements a sender stuck behind a full ARQ window waits for,
-//! so a sink must not keep it waiting for such a sender
-//! ([`ComChannel::delivery_may_wait`] is `false` here, and the server's
-//! sink overflows its dispatch queue instead of blocking on it).
+//! `recv_frame` waiters or runs the registered
+//! [`FrameSink`](crate::transport::FrameSink) there and then. The sink is
+//! the connection's, not a stack's: a live reconfiguration swaps the stack
+//! underneath and the channel notices nothing. There is no poll slice and
+//! no timer. That thread also brings the acknowledgements a sender stuck
+//! behind a full ARQ window waits for, so a sink must not keep it waiting
+//! for such a sender ([`ComChannel::delivery_may_wait`] is `false` here,
+//! and the server's sink overflows its dispatch queue instead of blocking
+//! on it).
 //!
 //! ## Teardown
 //!
@@ -57,7 +58,7 @@
 //! parked in `recv_frame` on the peer.
 
 use crate::error::OrbError;
-use crate::transport::{ComChannel, FrameInbox, FrameSink, InboxMetrics, SendMetrics};
+use crate::transport::{ComChannel, FrameInbox, InboxMetrics, SendMetrics};
 use bytes::Bytes;
 use cool_telemetry::Registry;
 use dacapo::config::ConfigurationManager;
@@ -65,7 +66,6 @@ use dacapo::{Connection, ResourceManager};
 use multe_qos::{QosError, TransportRequirements};
 use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -80,8 +80,9 @@ struct Inner {
     connection: Connection,
     config_mgr: ConfigurationManager,
     resource_mgr: Option<ResourceManager>,
+    /// Where the receive thread delivers, and the record of this side's
+    /// end: closed locally, or when the receive thread hears the peer's.
     inbox: Arc<FrameInbox>,
-    closed: AtomicBool,
     /// Control path to the other end of the pair (the management
     /// signalling facility). Weak: a dropped peer must read as gone, not
     /// be kept alive by our side.
@@ -99,8 +100,10 @@ impl Inner {
             .map_err(OrbError::from)
     }
 
+    /// The connection first: by the sink's `on_close` the stack has
+    /// stopped and the grant is released. A send that races the close
+    /// finds the connection closed, which is [`OrbError::Closed`] too.
     fn close(&self) {
-        self.closed.store(true, Ordering::Release);
         self.connection.close();
         self.inbox.close();
     }
@@ -190,7 +193,6 @@ impl DacapoComChannel {
                 config_mgr: config_mgr.clone(),
                 resource_mgr: resource_mgr.clone(),
                 inbox,
-                closed: AtomicBool::new(false),
                 peer: OrderedMutex::new(lock_rank::CHAN_PEER, Weak::new()),
                 send_metrics: send_metrics.clone(),
             })
@@ -216,7 +218,7 @@ impl DacapoComChannel {
 
 impl ComChannel for DacapoComChannel {
     fn send_frame(&self, frame: Bytes) -> Result<(), OrbError> {
-        if self.inner.closed.load(Ordering::Acquire) {
+        if self.is_closed() {
             return Err(OrbError::Closed);
         }
         let len = frame.len();
@@ -231,12 +233,8 @@ impl ComChannel for DacapoComChannel {
         Ok(())
     }
 
-    fn recv_frame(&self, timeout: Duration) -> Result<Bytes, OrbError> {
-        self.inner.inbox.recv_timeout(timeout)
-    }
-
-    fn set_sink(&self, sink: Arc<dyn FrameSink>) {
-        self.inner.inbox.set_sink(sink);
+    fn inbox(&self) -> &FrameInbox {
+        &self.inner.inbox
     }
 
     fn drain(&self, timeout: Duration) -> bool {
@@ -251,10 +249,6 @@ impl ComChannel for DacapoComChannel {
         "dacapo"
     }
 
-    fn supports_qos(&self) -> bool {
-        true
-    }
-
     /// The sink runs on the connection's receive thread (`InboxSink`), and
     /// while it does, no acknowledgement is processed on this connection.
     fn delivery_may_wait(&self) -> bool {
@@ -262,11 +256,11 @@ impl ComChannel for DacapoComChannel {
     }
 
     fn set_qos(&self, requirements: &TransportRequirements) -> Result<(), OrbError> {
-        if self.inner.closed.load(Ordering::Acquire) {
+        if self.is_closed() {
             return Err(OrbError::Closed);
         }
         let peer = self.inner.peer.lock().upgrade().ok_or(OrbError::Closed)?;
-        if peer.closed.load(Ordering::Acquire) {
+        if peer.inbox.is_closed() {
             return Err(OrbError::Closed);
         }
         // Phase 0: quiesce both ends. Each wait ends the instant that
@@ -298,6 +292,7 @@ impl Drop for DacapoComChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::FrameSink;
     use dacapo::config::ConfigContext;
     use dacapo::prelude::*;
     use dacapo::resource::ResourceBudget;
@@ -325,7 +320,6 @@ mod tests {
             b"giop frame"
         );
         assert_eq!(a.kind(), "dacapo");
-        assert!(a.supports_qos());
         a.close();
         b.close();
     }

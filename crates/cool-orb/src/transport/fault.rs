@@ -10,20 +10,21 @@
 //!
 //! Faults apply to the **send** side only: drops, delays, duplicates,
 //! reorders and bit-flips act on outbound frames, and a sever closes the
-//! underlying channel. The receive path (read turns and the reader's
-//! demand included), sink registration and QoS propagation delegate
-//! untouched. A target without a plan gets no `FaultChannel` at all — the
-//! clean path pays nothing.
+//! underlying channel. The receive path (the inner channel's inbox, read
+//! turns and the reader's demand), sink registration and QoS propagation
+//! delegate untouched; so does the connection's end, which is the inner
+//! channel's: once it has ended, however it ended, a send fails
+//! [`OrbError::Closed`] without asking the engine. A target without a plan
+//! gets no `FaultChannel` at all — the clean path pays nothing.
 
 use crate::error::OrbError;
-use crate::transport::{ComChannel, FrameSink, ReadDemand};
+use crate::transport::{ComChannel, FrameInbox, ReadDemand};
 use bytes::Bytes;
 use cool_faults::{FaultAction, FaultEngine};
 use cool_giop::prelude::Message;
 use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::{names, Counter, Registry};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -86,10 +87,6 @@ impl FaultMetrics {
 pub struct FaultChannel {
     inner: Arc<dyn ComChannel>,
     engine: Arc<FaultEngine>,
-    /// Set once the engine severs this incarnation; subsequent sends fail
-    /// without consuming engine decisions, keeping fault counts independent
-    /// of how quickly callers observe the close.
-    severed: AtomicBool,
     /// Frame held back by a reorder, sent after its successor. Never held
     /// across an `inner` call.
     stash: Mutex<Option<Bytes>>,
@@ -110,7 +107,6 @@ impl FaultChannel {
         FaultChannel {
             inner,
             engine,
-            severed: AtomicBool::new(false),
             stash: Mutex::new(None),
             metrics: registry.map(|r| FaultMetrics::resolve(r)),
             registry: registry.cloned(),
@@ -168,7 +164,9 @@ impl FaultChannel {
 
 impl ComChannel for FaultChannel {
     fn send_frame(&self, frame: Bytes) -> Result<(), OrbError> {
-        if self.severed.load(Ordering::Acquire) {
+        // A send after the end consumes no engine decision, keeping fault
+        // counts independent of how quickly callers observe the close.
+        if self.is_closed() {
             return Err(OrbError::Closed);
         }
         let action = self.engine.on_frame(frame.len());
@@ -205,19 +203,14 @@ impl ComChannel for FaultChannel {
                 self.forward(Bytes::from(buf))
             }
             Some(FaultAction::Sever) => {
-                self.severed.store(true, Ordering::Release);
                 self.inner.close();
                 Err(OrbError::Transport("fault injection: link severed".into()))
             }
         }
     }
 
-    fn recv_frame(&self, timeout: Duration) -> Result<Bytes, OrbError> {
-        self.inner.recv_frame(timeout)
-    }
-
-    fn set_sink(&self, sink: Arc<dyn FrameSink>) {
-        self.inner.set_sink(sink);
+    fn inbox(&self) -> &FrameInbox {
+        self.inner.inbox()
     }
 
     fn read_turn(&self, deadline: Instant, done: &dyn Fn() -> bool) -> bool {
@@ -242,10 +235,6 @@ impl ComChannel for FaultChannel {
         self.inner.kind()
     }
 
-    fn supports_qos(&self) -> bool {
-        self.inner.supports_qos()
-    }
-
     fn delivery_may_wait(&self) -> bool {
         self.inner.delivery_may_wait()
     }
@@ -263,32 +252,31 @@ mod tests {
     /// Inner channel that records what actually reaches the wire.
     struct RecordingChannel {
         sent: Mutex<Vec<Bytes>>,
-        closed: AtomicBool,
+        inbox: FrameInbox,
     }
 
     impl RecordingChannel {
         fn new() -> Arc<Self> {
             Arc::new(RecordingChannel {
                 sent: Mutex::new(Vec::new()),
-                closed: AtomicBool::new(false),
+                inbox: FrameInbox::new(),
             })
         }
     }
 
     impl ComChannel for RecordingChannel {
         fn send_frame(&self, frame: Bytes) -> Result<(), OrbError> {
-            if self.closed.load(Ordering::Acquire) {
+            if self.is_closed() {
                 return Err(OrbError::Closed);
             }
             self.sent.lock().push(frame);
             Ok(())
         }
-        fn recv_frame(&self, timeout: Duration) -> Result<Bytes, OrbError> {
-            Err(OrbError::timeout(timeout))
+        fn inbox(&self) -> &FrameInbox {
+            &self.inbox
         }
-        fn set_sink(&self, _sink: Arc<dyn FrameSink>) {}
         fn close(&self) {
-            self.closed.store(true, Ordering::Release);
+            self.inbox.close();
         }
         fn kind(&self) -> &'static str {
             "mock"
@@ -347,7 +335,7 @@ mod tests {
         }
         let err = ch.send_frame(Bytes::from_static(b"x")).unwrap_err();
         assert!(matches!(err, OrbError::Transport(_)), "{err}");
-        assert!(inner.closed.load(Ordering::Acquire));
+        assert!(inner.is_closed());
         // Post-sever sends fail Closed without consuming engine decisions:
         // the count stays timing-independent.
         let frames_at_sever = engine.frames_seen();

@@ -34,6 +34,13 @@
 //!   (pull mode — used by streams and by tests that drive a channel half
 //!   by hand).
 //!
+//! The inbox is also the one record of the connection's end. A channel
+//! provides only [`ComChannel::inbox`]; `recv_frame`, `set_sink` and
+//! [`ComChannel::is_closed`] are written once, here, over it. Whatever
+//! ends the connection — a local close, the peer's close, a failed read —
+//! closes the inbox, and a send on either end fails [`OrbError::Closed`]
+//! from then on.
+//!
 //! There is no polling anywhere on this path: `recv_frame` is a true
 //! blocking wait on a condition variable with a real deadline, and a sink
 //! runs the instant a frame arrives. This diverges from the seed design,
@@ -75,6 +82,7 @@ use bytes::Bytes;
 use cool_telemetry::{names, Counter, Registry};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -150,6 +158,10 @@ pub trait ComChannel: Send + Sync {
     /// failure.
     fn send_frame(&self, frame: Bytes) -> Result<(), OrbError>;
 
+    /// The inbox the channel delivers into: where its inbound frames go,
+    /// and the one record of whether the connection has ended.
+    fn inbox(&self) -> &FrameInbox;
+
     /// Receives the next frame, blocking until one arrives, the channel
     /// closes, or `timeout` elapses. A real blocking wait with a real
     /// deadline — arrival wakes the caller immediately.
@@ -161,13 +173,23 @@ pub trait ComChannel: Send + Sync {
     ///
     /// [`OrbError::Timeout`] on expiry; [`OrbError::Closed`] once the
     /// channel is torn down.
-    fn recv_frame(&self, timeout: Duration) -> Result<Bytes, OrbError>;
+    fn recv_frame(&self, timeout: Duration) -> Result<Bytes, OrbError> {
+        self.inbox().recv_timeout(timeout)
+    }
 
     /// Registers a push consumer. Frames already queued (and a pending
     /// close) are replayed into the sink immediately, in order; subsequent
     /// frames are pushed as they arrive. A channel has at most one sink;
     /// registering a new one replaces the old.
-    fn set_sink(&self, sink: Arc<dyn FrameSink>);
+    fn set_sink(&self, sink: Arc<dyn FrameSink>) {
+        self.inbox().set_sink(sink);
+    }
+
+    /// Whether the connection has ended: closed here, by the peer, or by a
+    /// failed read. From then on `send_frame` fails [`OrbError::Closed`].
+    fn is_closed(&self) -> bool {
+        self.inbox().is_closed()
+    }
 
     /// Waits up to `timeout` for in-flight traffic to clear so that a
     /// subsequent [`ComChannel::close`] loses nothing; returns whether the
@@ -213,16 +235,12 @@ pub trait ComChannel: Send + Sync {
         None
     }
 
-    /// Closes the channel (idempotent); unblocks both sides.
+    /// Closes the channel (idempotent): closes its inbox, which fires the
+    /// sink's `on_close`, and unblocks both sides.
     fn close(&self);
 
     /// Transport kind for diagnostics (`"tcp"`, `"chorus"`, `"dacapo"`).
     fn kind(&self) -> &'static str;
-
-    /// Whether this transport honours `set_qos`.
-    fn supports_qos(&self) -> bool {
-        false
-    }
 
     /// Propagates QoS requirements into the transport (unilateral
     /// negotiation). The default implementation accepts and ignores them —
@@ -370,7 +388,6 @@ struct InboxState {
     /// lock released. Concurrent pushers then only enqueue, which keeps
     /// sink callbacks serialized and in FIFO order.
     delivering: bool,
-    closed: bool,
     close_notified: bool,
     metrics: Option<InboxMetrics>,
 }
@@ -379,11 +396,17 @@ struct InboxState {
 /// condvar-backed frame queue supporting both blocking pull
 /// ([`FrameInbox::recv_timeout`]) and sink push.
 ///
+/// Its closed flag is the one record of the connection's end (module
+/// docs).
+///
 /// Invariant: while a sink is registered and no delivery is in flight, the
 /// queue is empty — every push drains synchronously.
 pub struct FrameInbox {
     state: Mutex<InboxState>,
     arrived: Condvar,
+    /// Set once, under `state`'s lock, by [`FrameInbox::close`]; read
+    /// without it.
+    closed: AtomicBool,
 }
 
 impl Default for FrameInbox {
@@ -400,11 +423,11 @@ impl FrameInbox {
                 queue: VecDeque::new(),
                 sink: None,
                 delivering: false,
-                closed: false,
                 close_notified: false,
                 metrics: None,
             }),
             arrived: Condvar::new(),
+            closed: AtomicBool::new(false),
         }
     }
 
@@ -448,12 +471,12 @@ impl FrameInbox {
             if let Some(frame) = st.queue.pop_front() {
                 return Ok(frame);
             }
-            if st.closed {
+            if self.is_closed() {
                 return Err(OrbError::Closed);
             }
             if self.arrived.wait_until(&mut st, deadline).timed_out()
                 && st.queue.is_empty()
-                && !st.closed
+                && !self.is_closed()
             {
                 // lint: allow(A010, the inbox sits below the request layer — no request exists here; invoke_once rewraps this as request_timeout with the id)
                 return Err(OrbError::timeout(timeout));
@@ -474,17 +497,17 @@ impl FrameInbox {
     /// Closes the inbox: wakes all `recv` waiters and, in sink mode, fires
     /// `on_close` once any queued frames have been delivered. Idempotent.
     pub fn close(&self) {
-        let mut st = self.state.lock();
-        st.closed = true;
+        let st = self.state.lock();
+        self.closed.store(true, Ordering::Release);
         self.arrived.notify_all();
         if st.sink.is_some() && !st.delivering {
             self.deliver(st, false);
         }
     }
 
-    /// Whether the inbox has been closed.
+    /// Whether the inbox has been closed. Takes no lock.
     pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
+        self.closed.load(Ordering::Acquire)
     }
 
     /// Drains the queue into the sink with the lock released around each
@@ -505,7 +528,7 @@ impl FrameInbox {
             st = self.state.lock();
         }
         st.delivering = false;
-        if st.closed && !st.close_notified {
+        if self.is_closed() && !st.close_notified {
             st.close_notified = true;
             // Release the sink so anything it owns (dispatcher queue
             // handles, connection state) is freed even while other parties
@@ -520,7 +543,7 @@ impl FrameInbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
     use std::thread;
 
     struct CountingSink {

@@ -33,7 +33,7 @@
 //! and frames leave in the order they were sent.
 
 use crate::error::OrbError;
-use crate::transport::{ComChannel, FrameInbox, FrameSink, InboxMetrics, ReadDemand, SendMetrics};
+use crate::transport::{ComChannel, FrameInbox, InboxMetrics, ReadDemand, SendMetrics};
 use bytes::Bytes;
 use cool_telemetry::Registry;
 use dacapo::tlayer::{write_frames, FrameReader, MAX_TCP_FRAME};
@@ -41,7 +41,6 @@ use parking_lot::Mutex;
 use std::cell::Cell;
 use std::io::ErrorKind;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,11 +58,12 @@ pub struct TcpComChannel {
     /// thread even while a writer holds the lock.
     shutdown_handle: TcpStream,
     side: Arc<ReadSide>,
-    closed: AtomicBool,
 }
 
 /// The read side, shared by the channel and its reader thread.
 struct ReadSide {
+    /// Where the frames go, and the record of the connection's end: a
+    /// closed inbox ends every read and fails every send.
     inbox: FrameInbox,
     /// The token: whoever holds it reads the socket.
     token: Mutex<Reader>,
@@ -116,14 +116,12 @@ struct Reader {
     /// option belongs to the socket, not to a thread, so each holder sets
     /// the one it needs.
     timeout: Option<Duration>,
-    /// End of stream, an I/O error or a corrupt frame ended the connection.
-    ended: bool,
 }
 
 impl std::fmt::Debug for TcpComChannel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpComChannel")
-            .field("closed", &self.closed.load(Ordering::Acquire))
+            .field("closed", &self.is_closed())
             .finish()
     }
 }
@@ -213,7 +211,6 @@ impl TcpComChannel {
                 stream: clone()?,
                 frames: FrameReader::new(),
                 timeout: None,
-                ended: false,
             }),
             demand: Arc::new(ReadDemand::new()),
             writer: Mutex::new(Writer {
@@ -235,7 +232,6 @@ impl TcpComChannel {
         Ok(TcpComChannel {
             shutdown_handle: stream,
             side,
-            closed: AtomicBool::new(false),
         })
     }
 
@@ -265,7 +261,7 @@ impl TcpComChannel {
             match read {
                 Ok(()) => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(_) => return self.side.end(reader),
+                Err(_) => return self.side.end(),
             }
         }
     }
@@ -276,7 +272,7 @@ impl TcpComChannel {
 fn reader_loop(side: &ReadSide) {
     while side.demand.park_until_wanted() {
         let mut reader = side.token.lock();
-        if reader.ended {
+        if side.inbox.is_closed() {
             return;
         }
         side.read(&mut reader, None, &|| !side.demand.wanted());
@@ -299,7 +295,7 @@ impl ReadSide {
             };
             if reader.timeout != timeout {
                 if reader.stream.set_read_timeout(timeout).is_err() {
-                    return self.end(reader);
+                    return self.end();
                 }
                 reader.timeout = timeout;
             }
@@ -307,7 +303,7 @@ impl ReadSide {
                 // Linux reports an expired read timeout as `WouldBlock`.
                 Ok(()) => {}
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                Err(_) => return self.end(reader),
+                Err(_) => return self.end(),
             }
         }
     }
@@ -348,7 +344,7 @@ impl ReadSide {
                 }
                 Ok(None) => break true,
                 Err(_) => {
-                    self.end(reader);
+                    self.end();
                     break false;
                 }
             }
@@ -395,12 +391,11 @@ impl ReadSide {
         })
     }
 
-    /// The connection is over: no more turns, the reader thread ends, and
-    /// the inbox closes (the sink's `on_close` fails what is pending).
-    fn end(&self, reader: &mut Reader) {
-        reader.ended = true;
-        self.demand.close();
+    /// The connection is over: the inbox closes (no more turns, and the
+    /// sink's `on_close` fails what is pending), and the reader thread ends.
+    fn end(&self) {
         self.inbox.close();
+        self.demand.close();
     }
 }
 
@@ -432,7 +427,7 @@ fn read_timeout(deadline: Instant) -> Option<Duration> {
 
 impl ComChannel for TcpComChannel {
     fn send_frame(&self, frame: Bytes) -> Result<(), OrbError> {
-        if self.closed.load(Ordering::Acquire) {
+        if self.is_closed() {
             return Err(OrbError::Closed);
         }
         if frame.len() as u64 > u64::from(MAX_TCP_FRAME) {
@@ -449,7 +444,7 @@ impl ComChannel for TcpComChannel {
         }
         // One vectored write carries what is corked, then this frame.
         writer.flush().map_err(|e| {
-            if self.closed.load(Ordering::Acquire) {
+            if self.is_closed() {
                 OrbError::Closed
             } else {
                 OrbError::Transport(format!("tcp send: {e}"))
@@ -457,19 +452,15 @@ impl ComChannel for TcpComChannel {
         })
     }
 
-    fn recv_frame(&self, timeout: Duration) -> Result<Bytes, OrbError> {
-        self.side.inbox.recv_timeout(timeout)
-    }
-
-    fn set_sink(&self, sink: Arc<dyn FrameSink>) {
-        self.side.inbox.set_sink(sink);
+    fn inbox(&self) -> &FrameInbox {
+        &self.side.inbox
     }
 
     fn read_turn(&self, deadline: Instant, done: &dyn Fn() -> bool) -> bool {
         let Some(mut reader) = self.side.token.try_lock() else {
             return false;
         };
-        if reader.ended {
+        if self.is_closed() {
             return false;
         }
         if deadline > Instant::now() {
@@ -486,25 +477,24 @@ impl ComChannel for TcpComChannel {
     }
 
     fn close(&self) {
-        if !self.closed.swap(true, Ordering::AcqRel) {
-            // What a delivery run corked leaves ahead of the end of stream.
-            // A run that corked waits for the writer, as its sends would
-            // have; anyone else only tries, since the shutdown below is
-            // what frees a writer stuck on a full socket — and a writer
-            // holding the lock writes what is corked itself.
-            let writer = if self.side.corked_here() {
-                Some(self.side.writer.lock())
-            } else {
-                self.side.writer.try_lock()
-            };
-            if let Some(mut writer) = writer {
-                let _ = writer.flush();
-            }
-            let _ = self.shutdown_handle.shutdown(Shutdown::Both);
+        // The inbox first: a send that races the shutdown below then fails
+        // `Closed`, not with the broken pipe it finds.
+        self.side.end();
+        // What a delivery run corked leaves ahead of the end of stream. A
+        // run that corked waits for the writer, as its sends would have;
+        // anyone else only tries, since the shutdown below is what frees a
+        // writer stuck on a full socket — and a writer holding the lock
+        // writes what is corked itself. A second close finds nothing
+        // corked, and a socket already shut.
+        let writer = if self.side.corked_here() {
+            Some(self.side.writer.lock())
+        } else {
+            self.side.writer.try_lock()
+        };
+        if let Some(mut writer) = writer {
+            let _ = writer.flush();
         }
-        // A parked reader thread is not in `read`: wake it to end.
-        self.side.demand.close();
-        self.side.inbox.close();
+        let _ = self.shutdown_handle.shutdown(Shutdown::Both);
     }
 
     fn kind(&self) -> &'static str {
@@ -521,6 +511,7 @@ impl Drop for TcpComChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::FrameSink;
     use std::time::Instant;
 
     fn connected_pair() -> (TcpComChannel, TcpComChannel) {
@@ -546,7 +537,6 @@ mod tests {
             b"reply"
         );
         assert_eq!(client.kind(), "tcp");
-        assert!(!client.supports_qos());
         client.close();
         server.close();
     }

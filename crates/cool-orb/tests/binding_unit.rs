@@ -8,7 +8,7 @@ use bytes::Bytes;
 use cool_giop::prelude::*;
 use cool_orb::binding::Binding;
 use cool_orb::message_layer::WireProtocol;
-use cool_orb::transport::{ChorusComChannel, ComChannel, TcpComChannel};
+use cool_orb::transport::{ChorusComChannel, ComChannel, FrameInbox, TcpComChannel};
 use cool_orb::OrbError;
 use std::sync::Arc;
 use std::time::Duration;
@@ -166,10 +166,15 @@ fn close_fails_pending_and_subsequent_calls() {
     assert!(binding.is_closed());
 }
 
-#[test]
-fn server_close_connection_message_closes_binding() {
-    let (client, server) = pair();
-    let binding = Binding::new(client, WireProtocol::Giop);
+/// Has `server` send CloseConnection to `binding`, whose channel is
+/// `client`: the binding closes its channel, which the server's end hears
+/// as the connection's end. Asking the binding takes in what an idle TCP
+/// connection holds.
+fn close_connection_closes_the_channel(
+    binding: &Binding,
+    client: &dyn ComChannel,
+    server: &dyn ComChannel,
+) {
     let frame = encode_message(
         &Message::CloseConnection,
         GiopVersion::STANDARD,
@@ -177,14 +182,24 @@ fn server_close_connection_message_closes_binding() {
     )
     .unwrap();
     server.send_frame(frame).unwrap();
-    // The demux observes CloseConnection and poisons the binding.
-    for _ in 0..50 {
-        if binding.is_closed() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !(binding.is_closed() && server.is_closed()) && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
     }
-    panic!("binding did not observe CloseConnection");
+    assert!(binding.is_closed(), "binding did not observe CloseConnection");
+    assert!(client.is_closed(), "the binding's channel is still open");
+    assert!(server.is_closed(), "the server's end did not hear the close");
+    assert!(matches!(
+        server.send_frame(Bytes::from_static(b"late")),
+        Err(OrbError::Closed)
+    ));
+}
+
+#[test]
+fn server_close_connection_message_closes_binding() {
+    let (client, server) = pair();
+    let binding = Binding::new(Arc::clone(&client), WireProtocol::Giop);
+    close_connection_closes_the_channel(&binding, &*client, &*server);
 }
 
 /// A loopback TCP pair: the client half for a binding, the server half in
@@ -198,40 +213,27 @@ fn tcp_pair() -> (Arc<dyn ComChannel>, Arc<dyn ComChannel>) {
 
 /// A TCP binding after one call, so that nobody reads its connection: the
 /// caller read its own reply and the reader thread has nothing owed to it.
-fn idle_tcp_binding() -> (Arc<Binding>, Arc<dyn ComChannel>) {
+/// Returns the binding, its channel and the server's end.
+fn idle_tcp_binding() -> (Arc<Binding>, Arc<dyn ComChannel>, Arc<dyn ComChannel>) {
     let (client, server) = tcp_pair();
     echo_server(server.clone(), 1, Duration::ZERO);
-    let binding = Binding::new(client, WireProtocol::Giop);
+    let binding = Binding::new(Arc::clone(&client), WireProtocol::Giop);
     binding
         .call(b"key", "op", Bytes::new(), &[], Duration::from_secs(5))
         .unwrap();
     std::thread::sleep(Duration::from_millis(20));
-    (binding, server)
+    (binding, client, server)
 }
 
 #[test]
 fn server_close_connection_message_closes_an_idle_tcp_binding() {
-    let (binding, server) = idle_tcp_binding();
-    let frame = encode_message(
-        &Message::CloseConnection,
-        GiopVersion::STANDARD,
-        ByteOrder::Big,
-    )
-    .unwrap();
-    server.send_frame(frame).unwrap();
-    // Nobody reads the connection; asking takes in what it holds.
-    for _ in 0..50 {
-        if binding.is_closed() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    panic!("binding did not observe CloseConnection");
+    let (binding, client, server) = idle_tcp_binding();
+    close_connection_closes_the_channel(&binding, &*client, &*server);
 }
 
 #[test]
 fn a_tcp_server_that_vanishes_fails_the_next_call_attributed() {
-    let (binding, server) = idle_tcp_binding();
+    let (binding, _, server) = idle_tcp_binding();
     // The socket goes away without a CloseConnection.
     server.close();
     let timeout = Duration::from_secs(2);
@@ -301,6 +303,7 @@ const LONG: Duration = Duration::from_secs(5);
 struct RecordingChannel {
     sent: Mutex<Vec<Bytes>>,
     refuse: bool,
+    inbox: FrameInbox,
 }
 
 impl ComChannel for RecordingChannel {
@@ -311,10 +314,9 @@ impl ComChannel for RecordingChannel {
         self.sent.lock().unwrap().push(frame);
         Ok(())
     }
-    fn recv_frame(&self, timeout: Duration) -> Result<Bytes, OrbError> {
-        Err(OrbError::timeout(timeout))
+    fn inbox(&self) -> &FrameInbox {
+        &self.inbox
     }
-    fn set_sink(&self, _sink: Arc<dyn cool_orb::transport::FrameSink>) {}
     fn close(&self) {}
     fn kind(&self) -> &'static str {
         "recording"

@@ -15,7 +15,7 @@ use bytes::Bytes;
 use cool_giop::prelude::*;
 use cool_orb::message_layer::WireProtocol;
 use cool_orb::prelude::*;
-use cool_orb::transport::{ComChannel, FrameSink, ReadDemand, TcpComChannel};
+use cool_orb::transport::{ComChannel, FrameInbox, FrameSink, ReadDemand, TcpComChannel};
 use dacapo::tlayer::{write_frames, FrameReader};
 use std::io::Write;
 use std::net::TcpListener;
@@ -92,8 +92,8 @@ impl ComChannel for Watched {
     fn send_frame(&self, frame: Bytes) -> Result<(), OrbError> {
         self.inner.send_frame(frame)
     }
-    fn recv_frame(&self, timeout: Duration) -> Result<Bytes, OrbError> {
-        self.inner.recv_frame(timeout)
+    fn inbox(&self) -> &FrameInbox {
+        self.inner.inbox()
     }
     fn set_sink(&self, sink: Arc<dyn FrameSink>) {
         let delivered_on = Arc::clone(&self.delivered_on);

@@ -89,46 +89,65 @@ fn pair_over(registry: &Arc<Registry>, tracing: bool, transport: &str) -> (OrbSe
 
 #[test]
 fn loopback_call_produces_a_complete_six_stage_span() {
-    // Enough calls for the echo object to be run on the delivering thread
-    // too (§5 of DESIGN.md): the first span went through the dispatcher
-    // pool, the last did not, and both keep all six stages, whether or not
-    // the request carries a trace context.
-    const CALLS: usize = 100;
+    // The echo object runs on the delivering thread (§5 of DESIGN.md) once
+    // its last 64 upcalls were each cheap, so the first call goes through
+    // the dispatcher pool and a later one does not; the calls go on until
+    // one has. Both kinds of span keep all six stages, whether or not the
+    // request carries a trace context.
+    const MAX_CALLS: usize = 1_000;
+    // What `Registry::recent_spans` keeps.
+    const RING: usize = 128;
     let runs = [true, false]
         .into_iter()
         .flat_map(|tracing| ["tcp", "chorus", "dacapo"].map(|transport| (tracing, transport)));
     for (tracing, transport) in runs {
+        let what = format!("{transport} (tracing {tracing})");
         let registry = Arc::new(Registry::new());
         let (_server, stub) = pair_over(&registry, tracing, transport);
         stub.set_qos_parameter(QoSSpec::builder().ordered(true).build())
             .unwrap();
-        for _ in 0..CALLS {
+        let inline = || {
+            registry
+                .snapshot()
+                .counter(cool_telemetry::names::DISPATCH_INLINE_TOTAL)
+                .unwrap_or(0)
+        };
+        let echo = || {
             let reply = stub.invoke("echo", Bytes::from_static(b"ping")).unwrap();
             assert_eq!(&reply[..], b"ping");
+        };
+        echo();
+        assert_eq!(inline(), 0, "{what}: a cold object runs on the pool");
+        let pooled = registry.recent_spans().pop().expect("the first call's span");
+        let mut calls = 1;
+        while inline() == 0 {
+            assert!(
+                calls < MAX_CALLS,
+                "{what}: {calls} calls and the object never ran on the delivering thread"
+            );
+            echo();
+            calls += 1;
         }
+        // Calls are synchronous: the one that ticked the counter is the last.
+        let inlined = registry.recent_spans().pop().expect("the last call's span");
 
         let snap = registry.snapshot();
         assert_eq!(
             snap.counter("qos_negotiations_accepted"),
-            Some(CALLS as u64),
-            "{transport} (tracing {tracing}): every negotiation recorded: {}",
+            Some(calls as u64),
+            "{what}: every negotiation recorded: {}",
             registry.render_text()
-        );
-        assert!(
-            snap.counter(cool_telemetry::names::DISPATCH_INLINE_TOTAL)
-                .unwrap_or(0)
-                > 0,
-            "{transport} (tracing {tracing}): the warmed-up object ran on the delivering thread"
         );
         let spans: Vec<SpanRecord> = registry
             .recent_spans()
             .into_iter()
             .filter(|s| &*s.operation == "echo")
             .collect();
-        assert_eq!(spans.len(), CALLS, "{transport} (tracing {tracing})");
-        for span in &spans {
+        assert_eq!(spans.len(), calls.min(RING), "{what}");
+        for span in spans.iter().chain([&pooled, &inlined]) {
+            assert_eq!(&*span.operation, "echo", "{what}");
             assert_eq!(span.transport, transport);
-            assert!(matches!(span.outcome, SpanOutcome::Ok), "{transport}");
+            assert!(matches!(span.outcome, SpanOutcome::Ok), "{what}");
             assert_stage_invariants(span);
         }
     }

@@ -97,8 +97,6 @@ pub mod rank {
     pub const SERVER_JOBS_TX: Rank = Rank::new(33, "server.jobs_tx");
     /// `ConnState::cancelled` — per-connection cancel set.
     pub const SERVER_CONN_CANCELLED: Rank = Rank::new(35, "server.conn.cancelled");
-    /// `ConnSink::conn` — sink's handle on its connection state.
-    pub const SERVER_SINK_CONN: Rank = Rank::new(36, "server.sink.conn");
     /// `Binding::reconnect_gate` — serializes reconnect attempts; held
     /// across the whole re-establishment (conn swap, pending flush, QoS
     /// replay), so it sits below every other binding lock.

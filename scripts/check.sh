@@ -46,9 +46,10 @@ cargo test --release --offline --manifest-path ledger/Cargo.toml
 # followers): each of its tests guards a schedule, so it runs optimized too.
 # So do the binding's reply rendezvous tests, unit and integration: a reply
 # that lands at a caller's deadline, and every way a parked or reading
-# caller is released, depend on timing.
+# caller is released, depend on timing. And the channel-end table: a close
+# races the sends, reads and deliveries on both ends of every transport.
 cargo test -q --release -p dacapo --test transport_contract --test end_to_end
-cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow --test pipelining --test tcp_reading --test binding_unit
+cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow --test pipelining --test tcp_reading --test binding_unit --test channel_end
 cargo test -q --release -p cool-orb --lib -- dacapo_chan binding
 
 # The analyzer (DESIGN §7.1), one pass over every .rs file, for what no
