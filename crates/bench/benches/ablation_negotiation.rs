@@ -95,16 +95,17 @@ fn bench_negotiation(c: &mut Criterion) {
         ..Default::default()
     };
     let dacapo_exchange = LocalExchange::new();
-    let acceptor = dacapo_exchange
-        .listen_dacapo("abl-establish")
-        .expect("listen");
     let accepted: Arc<std::sync::Mutex<Vec<_>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
     let sink = accepted.clone();
-    std::thread::spawn(move || {
-        while let Ok(chan) = acceptor.recv() {
-            sink.lock().expect("lock").push(chan);
-        }
-    });
+    dacapo_exchange
+        .listen_dacapo(
+            "abl-establish",
+            Arc::new(move |chan| {
+                sink.lock().expect("lock").push(chan);
+                Ok(())
+            }),
+        )
+        .expect("listen");
     group.sample_size(10);
     group.bench_function("dacapo_establish", |b| {
         b.iter(|| {

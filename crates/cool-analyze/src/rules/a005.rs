@@ -8,7 +8,7 @@
 //!    story;
 //! 2. the sites match the DESIGN.md §7.4 channel-topology table in both
 //!    directions, including the *value* of a documented capacity constant
-//!    (mutating `TCP_RX_QUEUE_DEPTH` without updating the table is drift);
+//!    (mutating `DISPATCH_QUEUE_DEPTH` without updating the table is drift);
 //! 3. every table row's full-policy is one of `block`/`grow`/`drop` and
 //!    consistent with the capacity column;
 //! 4. every cycle in the documented producer→consumer graph (rows linked

@@ -3,16 +3,17 @@
 //!
 //! Real TCP endpoints rendezvous through the kernel; the simulated
 //! transports need an equivalent meeting point. A [`LocalExchange`] maps
-//! endpoint names to acceptor queues: servers register a listener, clients
-//! connect by name and the exchange manufactures a connected channel pair,
-//! handing one half to the server's acceptor. For the Da CaPo transport
-//! the exchange also owns connection *establishment with QoS*: the
-//! client's requirements deterministically configure both peer stacks.
+//! endpoint names to [`Listener`]s: servers register one, clients connect
+//! by name and the exchange manufactures a connected channel pair, then
+//! hands the server's half to the listener on the connecting thread — no
+//! queue, no acceptor thread — and returns what the listener refused with
+//! to the connector. For the Da CaPo transport the exchange also owns
+//! connection *establishment with QoS*: the client's requirements
+//! deterministically configure both peer stacks.
 
 use crate::error::OrbError;
 use crate::transport::{ChorusComChannel, ComChannel, DacapoComChannel};
 use cool_telemetry::Registry as TelemetryRegistry;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use dacapo::config::{ConfigContext, ConfigurationManager};
 use dacapo::runtime::RuntimeOptions;
 use dacapo::tlayer::Transport;
@@ -23,13 +24,16 @@ use cool_telemetry::lockorder::rank as lock_rank;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// An accepted inbound channel, queued for the server.
-pub type Inbound = Arc<dyn ComChannel>;
+/// What a server registers under a name: called on the connecting thread
+/// with the server's half of each new connection. An error refuses the
+/// connection — the listener closes the half it was given — and is what
+/// the connector's `connect_*` returns.
+pub type Listener = Arc<dyn Fn(Arc<dyn ComChannel>) -> Result<(), OrbError> + Send + Sync>;
 
 #[derive(Default)]
 struct Registry {
-    chorus: HashMap<String, Sender<Inbound>>,
-    dacapo: HashMap<String, Sender<Inbound>>,
+    chorus: HashMap<String, Listener>,
+    dacapo: HashMap<String, Listener>,
     /// When set, Da CaPo connections run over a simulated link with this
     /// spec instead of the in-process loopback — the ATM-testbed mode.
     dacapo_link: Option<netsim::LinkSpec>,
@@ -96,40 +100,37 @@ impl LocalExchange {
         self.registry.lock().dacapo_link = spec;
     }
 
-    /// Registers a Chorus listener; returns the acceptor queue.
+    /// Registers `listener` under a Chorus endpoint name.
     ///
     /// # Errors
     ///
     /// [`OrbError::BadAddress`] if the name is taken.
-    pub fn listen_chorus(&self, name: &str) -> Result<Receiver<Inbound>, OrbError> {
-        let mut reg = self.registry.lock();
-        if reg.chorus.contains_key(name) {
-            return Err(OrbError::BadAddress(format!(
-                "chorus endpoint {name:?} already bound"
-            )));
-        }
-        // lint: allow(A005, acceptor queue documented in §7.4: entries are connections not frames, paced by connect rate, drained by the accept loop)
-        let (tx, rx) = unbounded();
-        reg.chorus.insert(name.to_owned(), tx);
-        Ok(rx)
+    pub fn listen_chorus(&self, name: &str, listener: Listener) -> Result<(), OrbError> {
+        Self::listen(&mut self.registry.lock().chorus, "chorus", name, listener)
     }
 
-    /// Registers a Da CaPo listener; returns the acceptor queue.
+    /// Registers `listener` under a Da CaPo endpoint name.
     ///
     /// # Errors
     ///
     /// [`OrbError::BadAddress`] if the name is taken.
-    pub fn listen_dacapo(&self, name: &str) -> Result<Receiver<Inbound>, OrbError> {
-        let mut reg = self.registry.lock();
-        if reg.dacapo.contains_key(name) {
+    pub fn listen_dacapo(&self, name: &str, listener: Listener) -> Result<(), OrbError> {
+        Self::listen(&mut self.registry.lock().dacapo, "dacapo", name, listener)
+    }
+
+    fn listen(
+        names: &mut HashMap<String, Listener>,
+        scheme: &str,
+        name: &str,
+        listener: Listener,
+    ) -> Result<(), OrbError> {
+        if names.contains_key(name) {
             return Err(OrbError::BadAddress(format!(
-                "dacapo endpoint {name:?} already bound"
+                "{scheme} endpoint {name:?} already bound"
             )));
         }
-        // lint: allow(A005, acceptor queue documented in §7.4: entries are connections not frames, paced by connect rate, drained by the accept loop)
-        let (tx, rx) = unbounded();
-        reg.dacapo.insert(name.to_owned(), tx);
-        Ok(rx)
+        names.insert(name.to_owned(), listener);
+        Ok(())
     }
 
     /// Removes a listener registration.
@@ -150,8 +151,9 @@ impl LocalExchange {
     ///
     /// # Errors
     ///
-    /// [`OrbError::BadAddress`] for unknown names; [`OrbError::Closed`] if
-    /// the listener stopped accepting.
+    /// [`OrbError::BadAddress`] for unknown names; whatever the listener
+    /// refused the connection with ([`OrbError::Closed`] from a closing
+    /// server).
     pub fn connect_chorus(&self, name: &str) -> Result<Arc<dyn ComChannel>, OrbError> {
         self.connect_chorus_with(name, None)
     }
@@ -167,18 +169,15 @@ impl LocalExchange {
         name: &str,
         telemetry: Option<&TelemetryRegistry>,
     ) -> Result<Arc<dyn ComChannel>, OrbError> {
-        let acceptor = {
-            let reg = self.registry.lock();
-            reg.chorus
-                .get(name)
-                .cloned()
-                .ok_or_else(|| OrbError::BadAddress(format!("no chorus endpoint {name:?}")))?
-        };
+        let listener = self
+            .registry
+            .lock()
+            .chorus
+            .get(name)
+            .cloned()
+            .ok_or_else(|| OrbError::BadAddress(format!("no chorus endpoint {name:?}")))?;
         let (client, server) = ChorusComChannel::pair_with(telemetry);
-        acceptor
-            .send(Arc::new(server))
-            .map_err(|_| OrbError::Closed)?;
-        Ok(Arc::new(client))
+        hand_over(&listener, Arc::new(client), Arc::new(server))
     }
 
     /// Connects to a Da CaPo listener, establishing both peer stacks from
@@ -189,7 +188,7 @@ impl LocalExchange {
     ///
     /// [`OrbError::BadAddress`] for unknown names;
     /// [`OrbError::QosNotSupported`] if configuration or admission fails;
-    /// [`OrbError::Closed`] if the listener stopped accepting.
+    /// whatever the listener refused the connection with.
     pub fn connect_dacapo(
         &self,
         name: &str,
@@ -212,14 +211,14 @@ impl LocalExchange {
         requirements: &TransportRequirements,
         telemetry: Option<&Arc<TelemetryRegistry>>,
     ) -> Result<Arc<dyn ComChannel>, OrbError> {
-        let (acceptor, link_spec) = {
+        let (listener, link_spec) = {
             let reg = self.registry.lock();
-            let acceptor = reg
+            let listener = reg
                 .dacapo
                 .get(name)
                 .cloned()
                 .ok_or_else(|| OrbError::BadAddress(format!("no dacapo endpoint {name:?}")))?;
-            (acceptor, reg.dacapo_link.clone())
+            (listener, reg.dacapo_link.clone())
         };
         let (t_client, t_server): (Box<dyn Transport>, Box<dyn Transport>) = match link_spec {
             Some(spec) => {
@@ -271,11 +270,20 @@ impl LocalExchange {
             Some(self.resource_mgr.clone()),
             telemetry.map(Arc::as_ref),
         )?;
-        acceptor
-            .send(Arc::new(server))
-            .map_err(|_| OrbError::Closed)?;
-        Ok(Arc::new(client))
+        hand_over(&listener, Arc::new(client), Arc::new(server))
     }
+}
+
+/// Gives the server's half of a new connection to `listener`, here on the
+/// connecting thread (with no lock held), and the client's half to the
+/// connector — or closes it, when the listener refused the connection.
+fn hand_over(
+    listener: &Listener,
+    client: Arc<dyn ComChannel>,
+    server: Arc<dyn ComChannel>,
+) -> Result<Arc<dyn ComChannel>, OrbError> {
+    listener(server).inspect_err(|_| client.close())?;
+    Ok(client)
 }
 
 impl Default for LocalExchange {
@@ -288,14 +296,32 @@ impl Default for LocalExchange {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use std::sync::mpsc;
     use std::time::Duration;
+
+    /// A listener that takes every connection, and where they arrive.
+    fn taking() -> (Listener, mpsc::Receiver<Arc<dyn ComChannel>>) {
+        let (tx, rx) = mpsc::sync_channel(16);
+        let listener: Listener =
+            Arc::new(move |channel| tx.try_send(channel).map_err(|_| OrbError::Closed));
+        (listener, rx)
+    }
+
+    fn refusing() -> Listener {
+        Arc::new(|channel: Arc<dyn ComChannel>| {
+            channel.close();
+            Err(OrbError::Closed)
+        })
+    }
 
     #[test]
     fn chorus_rendezvous() {
         let ex = LocalExchange::new();
-        let acceptor = ex.listen_chorus("server").unwrap();
+        let (listener, accepted) = taking();
+        ex.listen_chorus("server", listener).unwrap();
         let client = ex.connect_chorus("server").unwrap();
-        let server = acceptor.recv().unwrap();
+        // Handed over before `connect_chorus` returned.
+        let server = accepted.try_recv().unwrap();
         client.send_frame(Bytes::from_static(b"hello")).unwrap();
         assert_eq!(
             &server.recv_frame(Duration::from_secs(1)).unwrap()[..],
@@ -304,12 +330,30 @@ mod tests {
     }
 
     #[test]
+    fn a_refusal_reaches_the_connector_with_its_half_closed() {
+        let ex = LocalExchange::new();
+        ex.listen_chorus("full", refusing()).unwrap();
+        ex.listen_dacapo("full", refusing()).unwrap();
+        assert!(matches!(ex.connect_chorus("full"), Err(OrbError::Closed)));
+        let req = TransportRequirements {
+            bandwidth_bps: Some(1_000_000),
+            ..Default::default()
+        };
+        assert!(matches!(
+            ex.connect_dacapo("full", &req),
+            Err(OrbError::Closed)
+        ));
+        // Both refused stacks gave back what admission granted them.
+        assert_eq!(ex.resource_manager().used_bandwidth(), 0);
+    }
+
+    #[test]
     fn duplicate_listener_rejected() {
         let ex = LocalExchange::new();
-        ex.listen_chorus("x").unwrap();
-        assert!(ex.listen_chorus("x").is_err());
-        ex.listen_dacapo("x").unwrap(); // different namespace
-        assert!(ex.listen_dacapo("x").is_err());
+        ex.listen_chorus("x", refusing()).unwrap();
+        assert!(ex.listen_chorus("x", refusing()).is_err());
+        ex.listen_dacapo("x", refusing()).unwrap(); // different namespace
+        assert!(ex.listen_dacapo("x", refusing()).is_err());
     }
 
     #[test]
@@ -328,7 +372,8 @@ mod tests {
     #[test]
     fn dacapo_rendezvous_with_qos() {
         let ex = LocalExchange::new();
-        let acceptor = ex.listen_dacapo("media").unwrap();
+        let (listener, accepted) = taking();
+        ex.listen_dacapo("media", listener).unwrap();
         let req = TransportRequirements {
             error_detection: true,
             encryption: true,
@@ -336,7 +381,7 @@ mod tests {
             ..Default::default()
         };
         let client = ex.connect_dacapo("media", &req).unwrap();
-        let server = acceptor.recv().unwrap();
+        let server = accepted.try_recv().unwrap();
         assert!(ex.resource_manager().used_bandwidth() >= 2_000_000);
         client.send_frame(Bytes::from_static(b"qos data")).unwrap();
         assert_eq!(
@@ -350,7 +395,8 @@ mod tests {
     #[test]
     fn dacapo_admission_failure_propagates() {
         let ex = LocalExchange::new();
-        let _acceptor = ex.listen_dacapo("narrow").unwrap();
+        let (listener, accepted) = taking();
+        ex.listen_dacapo("narrow", listener).unwrap();
         let req = TransportRequirements {
             bandwidth_bps: Some(u64::MAX / 4),
             ..Default::default()
@@ -360,14 +406,15 @@ mod tests {
             Ok(_) => panic!("admission should have been denied"),
         };
         assert!(matches!(err, OrbError::QosNotSupported(_)), "got {err:?}");
+        assert!(accepted.try_recv().is_err(), "nothing reached the listener");
     }
 
     #[test]
     fn unlisten_frees_name() {
         let ex = LocalExchange::new();
-        ex.listen_chorus("temp").unwrap();
+        ex.listen_chorus("temp", refusing()).unwrap();
         ex.unlisten("chorus", "temp");
-        ex.listen_chorus("temp").unwrap();
+        ex.listen_chorus("temp", refusing()).unwrap();
     }
 
     #[test]
@@ -375,8 +422,8 @@ mod tests {
         let a = LocalExchange::global();
         let b = LocalExchange::global();
         let name = format!("shared-{}", std::process::id());
-        a.listen_chorus(&name).unwrap();
-        assert!(b.listen_chorus(&name).is_err());
+        a.listen_chorus(&name, refusing()).unwrap();
+        assert!(b.listen_chorus(&name, refusing()).is_err());
         a.unlisten("chorus", &name);
     }
 }

@@ -144,9 +144,8 @@ impl Orb {
     ///
     /// [`OrbError::Transport`] if binding fails.
     pub fn listen_tcp(&self, addr: &str) -> Result<OrbServer, OrbError> {
-        let server = OrbServer::start_tcp(self.adapter.clone(), addr, &self.config)?;
-        self.served.lock().push(server.addr().clone());
-        Ok(server)
+        let adapter = self.adapter.clone();
+        self.served_by(OrbServer::start_tcp(adapter, addr, &self.config))
     }
 
     /// Serves this ORB's adapter on a Chorus IPC endpoint.
@@ -155,16 +154,7 @@ impl Orb {
     ///
     /// [`OrbError::BadAddress`] if the name is taken.
     pub fn listen_chorus(&self, name: &str) -> Result<OrbServer, OrbError> {
-        let acceptor = self.exchange.listen_chorus(name)?;
-        let addr = OrbAddr::Chorus(name.to_owned());
-        self.served.lock().push(addr.clone());
-        OrbServer::start_exchange(
-            self.adapter.clone(),
-            addr,
-            acceptor,
-            self.exchange.clone(),
-            &self.config,
-        )
+        self.listen_exchange(OrbAddr::Chorus(name.to_owned()))
     }
 
     /// Serves this ORB's adapter on a Da CaPo endpoint (QoS-capable).
@@ -173,16 +163,22 @@ impl Orb {
     ///
     /// [`OrbError::BadAddress`] if the name is taken.
     pub fn listen_dacapo(&self, name: &str) -> Result<OrbServer, OrbError> {
-        let acceptor = self.exchange.listen_dacapo(name)?;
-        let addr = OrbAddr::Dacapo(name.to_owned());
-        self.served.lock().push(addr.clone());
-        OrbServer::start_exchange(
-            self.adapter.clone(),
-            addr,
-            acceptor,
-            self.exchange.clone(),
-            &self.config,
-        )
+        self.listen_exchange(OrbAddr::Dacapo(name.to_owned()))
+    }
+
+    fn listen_exchange(&self, addr: OrbAddr) -> Result<OrbServer, OrbError> {
+        let adapter = self.adapter.clone();
+        let exchange = self.exchange.clone();
+        self.served_by(OrbServer::start_exchange(adapter, addr, exchange, &self.config))
+    }
+
+    /// Records the address of a server that started as served (so binds to
+    /// it go colocated); a failed start — a name this ORB did not get —
+    /// records nothing.
+    fn served_by(&self, server: Result<OrbServer, OrbError>) -> Result<OrbServer, OrbError> {
+        let server = server?;
+        self.served.lock().push(server.addr().clone());
+        Ok(server)
     }
 
     /// Binds to an object reference, returning a client stub.

@@ -1,14 +1,17 @@
-//! The server side of the ORB: blocking acceptors, push-mode connection
+//! The server side of the ORB: connection intake, push-mode connection
 //! sinks, and a shared dispatcher pool.
 //!
 //! ## Threading model
 //!
 //! The server is event-driven end to end:
 //!
-//! * **The acceptor blocks** — one loop over an accept source: the TCP
-//!   listener's `accept()` (woken at shutdown by a loopback self-connect)
-//!   or the exchange's acceptor queue (a blocking `recv`, woken by the
-//!   exchange dropping its sender on `unlisten`). No accept poll.
+//! * **A connection is attached on the thread that makes it** —
+//!   `Intake::attach`, the one way in: TCP's `cool-tcp-acceptor` calls it
+//!   for each socket its blocking `accept()` returns (woken at shutdown by
+//!   a loopback self-connect), and over Chorus and Da CaPo the connecting
+//!   thread does, through the listener the server registered with the
+//!   [`LocalExchange`]. An in-process server has no thread waiting for
+//!   connections, and no queue between the connector and it.
 //! * **Each connection registers a `ConnSink`** as its channel's
 //!   [`FrameSink`]: the transport's delivery thread has
 //!   [`crate::message_layer`] decode each frame the moment it arrives —
@@ -55,7 +58,7 @@
 use crate::adapter::{ObjectAdapter, Registration};
 use crate::config::OrbConfig;
 use crate::error::OrbError;
-use crate::exchange::{Inbound, LocalExchange};
+use crate::exchange::{Listener, LocalExchange};
 use crate::message_layer::{self, Event, InboundRequest};
 use crate::object::{ObjectKey, ObjectRef, OrbAddr};
 use crate::transport::{deadline_after, ComChannel, FrameSink, TcpComChannel};
@@ -64,7 +67,7 @@ use cool_giop::prelude::{ReplyTraceContext, RequestTraceContext};
 use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::trace::duration_as_u32_us;
 use cool_telemetry::{names, Counter, Gauge, Histogram, Registry, Stage};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, unbounded, Sender, TrySendError};
 use multe_qos::QoSSpec;
 use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
@@ -95,15 +98,20 @@ const CANCEL_HISTORY: usize = 1024;
 pub struct OrbServer {
     addr: OrbAddr,
     adapter: Arc<ObjectAdapter>,
+    /// Set by [`OrbServer::close`]; [`Intake::attach`] refuses from then on.
     shutdown: Arc<AtomicBool>,
+    /// TCP's `cool-tcp-acceptor`; an exchange server has no thread of its
+    /// own waiting for connections.
     acceptor: OrderedMutex<Option<JoinHandle<()>>>,
     dispatchers: OrderedMutex<Vec<JoinHandle<()>>>,
     /// Dropped at close so dispatchers see disconnection once every
     /// connection sink has released its clone.
     jobs_tx: OrderedMutex<Option<Sender<Job>>>,
     conns: Arc<OrderedMutex<Vec<Weak<ConnState>>>>,
-    /// Pops the acceptor out of its blocking wait; fired by
-    /// [`OrbServer::close`] once the shutdown flag is set.
+    /// Stops the connection source — pokes the TCP acceptor out of
+    /// `accept()`, or unregisters the exchange name (dropping the
+    /// listener's intake); fired by [`OrbServer::close`] once the shutdown
+    /// flag is set.
     wake: Box<dyn Fn() + Send + Sync>,
     /// While set, connection sinks refuse *new* Requests (drained clients
     /// see a timeout and may retry elsewhere) but replies for accepted
@@ -139,68 +147,69 @@ impl OrbServer {
         let local = listener
             .local_addr()
             .map_err(|e| OrbError::Transport(format!("local addr: {e}")))?;
+        let addr = OrbAddr::Tcp(local.to_string());
+        let (mut server, intake) = OrbServer::start(adapter, addr, config)?;
         let telemetry = config.telemetry.clone();
-        let accept = move |shutdown: &AtomicBool| loop {
-            let (stream, _peer) = listener.accept().ok()?;
-            if shutdown.load(Ordering::Acquire) {
-                return None; // shutdown self-connect (or a late client)
-            }
-            if let Ok(channel) = TcpComChannel::from_stream_with(stream, telemetry.as_deref()) {
-                return Some(Arc::new(channel) as Inbound);
-            }
-        };
+        let acceptor = std::thread::Builder::new()
+            .name("cool-tcp-acceptor".into())
+            .spawn(move || {
+                while let Ok((stream, _peer)) = listener.accept() {
+                    if intake.shutdown.load(Ordering::Acquire) {
+                        return; // `close`'s self-connect (or a late client)
+                    }
+                    let channel = TcpComChannel::from_stream_with(stream, telemetry.as_deref());
+                    if let Ok(channel) = channel {
+                        let _ = intake.attach(Arc::new(channel));
+                    }
+                }
+            })
+            .map_err(|e| OrbError::Transport(format!("spawn cool-tcp-acceptor: {e}")))?;
+        *server.acceptor.lock() = Some(acceptor);
         // A loopback self-connect returns `accept()`. Bounded: the accept
         // loop is local, so a second is ample; an unbounded connect could
         // wedge `close` behind a half-dead loopback stack.
-        let wake = move || {
+        server.wake = Box::new(move || {
             let _ = std::net::TcpStream::connect_timeout(&local, Duration::from_secs(1));
-        };
-        let addr = OrbAddr::Tcp(local.to_string());
-        OrbServer::start(adapter, addr, "cool-tcp-acceptor", config, accept, wake)
+        });
+        Ok(server)
     }
 
-    /// Starts an endpoint fed by a [`LocalExchange`] acceptor queue
-    /// (Chorus or Da CaPo transports).
+    /// Starts an endpoint on a [`LocalExchange`] name (`addr` is a Chorus
+    /// or Da CaPo address): the exchange attaches each connection on the
+    /// thread that makes it, and no thread of the server's waits for one.
     ///
     /// # Errors
     ///
-    /// [`OrbError::Transport`] if a server thread cannot be spawned.
+    /// [`OrbError::BadAddress`] if the name is taken (or `addr` is not an
+    /// exchange address); [`OrbError::Transport`] if a server thread cannot
+    /// be spawned.
     pub fn start_exchange(
         adapter: Arc<ObjectAdapter>,
         addr: OrbAddr,
-        acceptor: Receiver<Inbound>,
         exchange: LocalExchange,
         config: &OrbConfig,
     ) -> Result<Self, OrbError> {
-        let (scheme, name) = (addr.scheme(), addr.target().to_owned());
-        // Blocking recv: `unlisten` drops the exchange's sender, which
-        // disconnects this receiver and ends the thread — no poll.
-        let wake = move || exchange.unlisten(scheme, &name);
-        let accept = move |shutdown: &AtomicBool| loop {
-            let channel = acceptor.recv().ok()?;
-            if !shutdown.load(Ordering::Acquire) {
-                return Some(channel);
-            }
-            channel.close(); // connector raced the shutdown
-        };
-        OrbServer::start(adapter, addr, "cool-exchange-acceptor", config, accept, wake)
+        let (mut server, intake) = OrbServer::start(adapter, addr, config)?;
+        let listener: Listener = Arc::new(move |channel| intake.attach(channel));
+        match &server.addr {
+            OrbAddr::Chorus(name) => exchange.listen_chorus(name, listener)?,
+            OrbAddr::Dacapo(name) => exchange.listen_dacapo(name, listener)?,
+            OrbAddr::Tcp(_) => return Err(OrbError::BadAddress("not an exchange address".into())),
+        }
+        // Only now is the name this server's to give back: one that lost
+        // the race for it must not unregister the winner.
+        let (scheme, name) = (server.addr.scheme(), server.addr.target().to_owned());
+        server.wake = Box::new(move || exchange.unlisten(scheme, &name));
+        Ok(server)
     }
 
-    /// The one constructor: the dispatcher pool, then an acceptor thread
-    /// that attaches every channel `accept` yields until it yields `None`.
-    /// `accept` blocks; it is handed the shutdown flag [`OrbServer::close`]
-    /// sets before it fires `wake`.
+    /// The dispatcher pool and the [`Intake`] that connections attach to;
+    /// the caller starts the connection source, and sets what stops it.
     fn start(
         adapter: Arc<ObjectAdapter>,
         addr: OrbAddr,
-        acceptor_name: &str,
         config: &OrbConfig,
-        mut accept: impl FnMut(&AtomicBool) -> Option<Inbound> + Send + 'static,
-        wake: impl Fn() + Send + Sync + 'static,
-    ) -> Result<Self, OrbError> {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<OrderedMutex<Vec<Weak<ConnState>>>> =
-            Arc::new(OrderedMutex::new(lock_rank::SERVER_CONNS, Vec::new()));
+    ) -> Result<(Self, Intake), OrbError> {
         let metrics = config
             .telemetry
             .as_ref()
@@ -217,30 +226,22 @@ impl OrbServer {
             metrics,
             draining: Arc::new(AtomicBool::new(false)),
             tracker: JobTracker::new(),
+            conns: Arc::new(OrderedMutex::new(lock_rank::SERVER_CONNS, Vec::new())),
+            shutdown: Arc::new(AtomicBool::new(false)),
         };
-        let (draining, tracker) = (intake.draining.clone(), intake.tracker.clone());
-        let (flag, acceptor_conns) = (shutdown.clone(), conns.clone());
-        let acceptor = std::thread::Builder::new()
-            .name(acceptor_name.into())
-            .spawn(move || {
-                while let Some(channel) = accept(&flag) {
-                    attach_connection(channel, intake.clone(), &acceptor_conns);
-                }
-            })
-            .map_err(|e| OrbError::Transport(format!("spawn {acceptor_name}: {e}")))?;
-
-        Ok(OrbServer {
+        let server = OrbServer {
             addr,
             adapter,
-            shutdown,
-            acceptor: OrderedMutex::new(lock_rank::SERVER_ACCEPTOR, Some(acceptor)),
+            shutdown: intake.shutdown.clone(),
+            acceptor: OrderedMutex::new(lock_rank::SERVER_ACCEPTOR, None),
             dispatchers: OrderedMutex::new(lock_rank::SERVER_DISPATCHERS, dispatchers),
             jobs_tx: OrderedMutex::new(lock_rank::SERVER_JOBS_TX, Some(jobs_tx)),
-            conns,
-            wake: Box::new(wake),
-            draining,
-            tracker,
-        })
+            conns: intake.conns.clone(),
+            wake: Box::new(|| {}),
+            draining: intake.draining.clone(),
+            tracker: intake.tracker.clone(),
+        };
+        Ok((server, intake))
     }
 
     /// The address clients connect to.
@@ -276,8 +277,8 @@ impl OrbServer {
         if self.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        // 1. Stop the intake: pop the acceptor out of its blocking wait
-        //    (unregister from the exchange, or poke the TCP accept).
+        // 1. Stop the intake: `attach` refuses from the flag on; the wake
+        //    unregisters the exchange name, or pokes the TCP accept.
         (self.wake)();
         // Take the handle out first, then join with the lock released: a
         // join under `server.acceptor` would stall any thread touching the
@@ -487,8 +488,10 @@ struct Job {
     _guard: JobGuard,
 }
 
-/// What every connection of one server feeds: cloned from the acceptor
-/// into each connection's sink.
+/// What every connection of one server feeds, and the one way in for a
+/// connection ([`Intake::attach`]): cloned into the connection source (the
+/// TCP acceptor, or the exchange's listener) and into each connection's
+/// sink.
 #[derive(Clone)]
 struct Intake {
     adapter: Arc<ObjectAdapter>,
@@ -502,6 +505,10 @@ struct Intake {
     /// While set, sinks refuse new requests; see `OrbServer::draining`.
     draining: Arc<AtomicBool>,
     tracker: Arc<JobTracker>,
+    /// The live connections, which [`OrbServer::close`] says goodbye to.
+    conns: Arc<OrderedMutex<Vec<Weak<ConnState>>>>,
+    /// See `OrbServer::shutdown`.
+    shutdown: Arc<AtomicBool>,
 }
 
 /// The per-connection [`FrameSink`]: decodes frames on the transport's
@@ -516,6 +523,36 @@ struct ConnSink {
 }
 
 impl Intake {
+    /// Serves `channel` from now on, on whichever thread made it (the TCP
+    /// acceptor, or an exchange connector). Decided under `server.conns`:
+    /// once [`OrbServer::close`] has set the shutdown flag — before it
+    /// drains the list — the channel is closed and refused instead, so no
+    /// connection outlives its server unclosed.
+    fn attach(&self, channel: Arc<dyn ComChannel>) -> Result<(), OrbError> {
+        let conn = Arc::new(ConnState {
+            channel: channel.clone(),
+            cancelled: OrderedMutex::new(lock_rank::SERVER_CONN_CANCELLED, CancelSet::default()),
+        });
+        {
+            let mut list = self.conns.lock();
+            if self.shutdown.load(Ordering::Acquire) {
+                drop(list);
+                channel.close();
+                return Err(OrbError::Closed);
+            }
+            list.retain(|w| w.strong_count() > 0);
+            list.push(Arc::downgrade(&conn));
+        }
+        // Outside the lock: the sink takes in what already arrived. If
+        // `close` got to the channel first, the closed inbox reports it to
+        // the sink at once and lets go of it.
+        channel.set_sink(Arc::new(ConnSink {
+            conn,
+            intake: self.clone(),
+        }));
+        Ok(())
+    }
+
     /// Hands `job` to the dispatcher pool from the thread that delivers
     /// `channel`'s frames; `false` when the pool is gone (the server is
     /// closing).
@@ -611,23 +648,6 @@ fn start_dispatchers(
         overflow: overflow_tx,
         threads,
     })
-}
-
-fn attach_connection(
-    channel: Arc<dyn ComChannel>,
-    intake: Intake,
-    conns: &Arc<OrderedMutex<Vec<Weak<ConnState>>>>,
-) {
-    let conn = Arc::new(ConnState {
-        channel: channel.clone(),
-        cancelled: OrderedMutex::new(lock_rank::SERVER_CONN_CANCELLED, CancelSet::default()),
-    });
-    {
-        let mut list = conns.lock();
-        list.retain(|w| w.strong_count() > 0);
-        list.push(Arc::downgrade(&conn));
-    }
-    channel.set_sink(Arc::new(ConnSink { conn, intake }));
 }
 
 /// Handles one inbound frame on the delivery thread, event by event in

@@ -27,8 +27,9 @@ use crate::servant::FnServant;
 use crate::transport::ComChannel;
 use bytes::Bytes;
 use cool_giop::cdr::{ByteOrder, CdrDecoder, CdrEncoder};
+use crossbeam::channel::bounded;
 use multe_qos::{GrantedQoS, QoSSpec, ServerPolicy, TransportRequirements};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -146,9 +147,9 @@ impl Drop for StreamReceiver {
 }
 
 /// Serves one `_open_stream`-style control request: allocates a
-/// rendezvous endpoint, spawns a thread that waits for the client's data
-/// connection and hands the flow to `source`, and returns the marshalled
-/// Reply body naming the endpoint.
+/// rendezvous endpoint, whose listener hands the client's data connection
+/// to a thread that runs `source` on it, and returns the marshalled Reply
+/// body naming the endpoint.
 ///
 /// Generated stream skeletons (Chic's extended-IDL back end) call this
 /// from their dispatch path; hand-written servants may too.
@@ -169,7 +170,23 @@ pub fn handle_stream_open(
         tag,
         STREAM_COUNTER.fetch_add(1, Ordering::Relaxed)
     );
-    let acceptor = exchange.listen_dacapo(&endpoint_name)?;
+    // The listener hands the first connection to the flow thread and
+    // refuses every later one.
+    let (handoff, acceptor) = bounded::<Arc<dyn ComChannel>>(1);
+    let claimed = AtomicBool::new(false);
+    exchange.listen_dacapo(
+        &endpoint_name,
+        Arc::new(move |channel| {
+            if claimed.swap(true, Ordering::AcqRel) {
+                channel.close();
+                return Err(OrbError::Closed);
+            }
+            handoff.try_send(channel).map_err(|refused| {
+                refused.into_inner().close();
+                OrbError::Closed
+            })
+        }),
+    )?;
 
     // Wait for the client's data connection on a detached thread; the
     // control Reply races ahead, as it should — the client connects after
@@ -183,7 +200,9 @@ pub fn handle_stream_open(
         // lint: allow(A007, one-shot rendezvous acceptor, self-terminating within RENDEZVOUS_TIMEOUT; the Reply must not block on it)
         .spawn(move || {
             let accepted = acceptor.recv_timeout(RENDEZVOUS_TIMEOUT);
-            // One flow per endpoint: stop accepting either way.
+            // One flow per endpoint: stop accepting either way. A connection
+            // that lands after the timeout is dropped with the queue, which
+            // closes it.
             exchange_for_cleanup.unlisten("dacapo", &endpoint_for_cleanup);
             if let Ok(channel) = accepted {
                 source.stream(FlowHandle { channel }, &granted, &args);
@@ -434,6 +453,30 @@ mod tests {
         let _ = receiver.recv(Duration::from_secs(10)).unwrap();
         receiver.close(); // producer observes Closed and stops
         server.close();
+    }
+
+    #[test]
+    fn a_flow_endpoint_takes_one_connection() {
+        let exchange = LocalExchange::new();
+        let (streamed_tx, streamed) = std::sync::mpsc::channel();
+        let source = move |flow: FlowHandle, _: &GrantedQoS| {
+            streamed_tx.send(()).unwrap();
+            flow.close();
+        };
+        let reply =
+            handle_stream_open(&exchange, "one", Arc::new(source), &GrantedQoS::default(), &[])
+                .unwrap();
+        let name = CdrDecoder::new(&reply, ByteOrder::Big).get_string().unwrap();
+        let best_effort = TransportRequirements::best_effort();
+        let _flow = exchange.connect_dacapo(&name, &best_effort).unwrap();
+        // Refused by the listener, or by the exchange once the flow thread
+        // has given the name back: never a second flow.
+        assert!(matches!(
+            exchange.connect_dacapo(&name, &best_effort),
+            Err(OrbError::Closed | OrbError::BadAddress(_))
+        ));
+        streamed.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(streamed.recv_timeout(Duration::from_millis(50)).is_err());
     }
 
     #[test]

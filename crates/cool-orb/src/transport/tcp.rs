@@ -36,7 +36,7 @@ use crate::error::OrbError;
 use crate::transport::{ComChannel, FrameInbox, InboxMetrics, ReadDemand, SendMetrics};
 use bytes::Bytes;
 use cool_telemetry::Registry;
-use dacapo::tlayer::{write_frames, FrameReader, MAX_TCP_FRAME};
+use dacapo::tlayer::{read_timeout, write_frames, FrameReader, MAX_TCP_FRAME};
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::io::ErrorKind;
@@ -414,15 +414,6 @@ impl Writer {
         self.corked.clear();
         written
     }
-}
-
-/// The read timeout that ends a wait at `deadline`: the time left, rounded
-/// up to a whole millisecond — so that waits with the same budget set the
-/// same value and skip the syscall — or `None` once it has passed.
-fn read_timeout(deadline: Instant) -> Option<Duration> {
-    let left = deadline.checked_duration_since(Instant::now())?;
-    let millis = u64::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX);
-    (millis > 0).then(|| Duration::from_millis(millis))
 }
 
 impl ComChannel for TcpComChannel {

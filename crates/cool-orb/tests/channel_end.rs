@@ -4,19 +4,21 @@
 //! channel reads as closed, a send fails [`OrbError::Closed`] (not `Ok`,
 //! not a transport error), a receive reports the close, the sink hears
 //! `on_close` exactly once, and a fault engine consumes no decision after
-//! the end.
+//! the end. And the end a server's close gives the connections attached to
+//! it, however a connect races that close.
 
 use bytes::Bytes;
 use cool_orb::transport::{
     ChorusComChannel, ComChannel, DacapoComChannel, FaultChannel, FrameSink, TcpComChannel,
 };
-use cool_orb::{FaultEngine, FaultPlan, OrbError};
+use cool_orb::{FaultEngine, FaultPlan, LocalExchange, Orb, OrbError, OrbServer};
 use dacapo::config::ConfigurationManager;
 use dacapo::prelude::*;
+use multe_qos::TransportRequirements;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 /// How long an end may take to be heard on the other side.
 const BOUND: Duration = Duration::from_secs(5);
@@ -180,6 +182,88 @@ fn every_channel_tells_its_end_the_same_way_on_both_ends() {
                     1,
                     "{case}: the {end} end's on_close"
                 );
+            }
+        }
+    }
+}
+
+/// Threads connecting while a server closes, and closes per transport.
+const CONNECTORS: usize = 4;
+const CLOSES: usize = 20;
+/// More connects than any connector makes before a close refuses it.
+const CONNECT_CAP: usize = 10_000;
+
+#[test]
+fn a_connect_racing_its_servers_close_is_refused_or_ends() {
+    type Listen = fn(&Orb) -> Result<OrbServer, OrbError>;
+    type Connect = fn(&LocalExchange) -> Result<Arc<dyn ComChannel>, OrbError>;
+    let transports: [(&str, Listen, Connect); 2] = [
+        (
+            "chorus",
+            |orb| orb.listen_chorus("closing"),
+            |exchange| exchange.connect_chorus("closing"),
+        ),
+        (
+            "dacapo",
+            |orb| orb.listen_dacapo("closing"),
+            |exchange| exchange.connect_dacapo("closing", &TransportRequirements::best_effort()),
+        ),
+    ];
+    for (transport, listen, connect) in transports {
+        for round in 0..CLOSES {
+            let case = format!("{transport}, close {round}");
+            let exchange = LocalExchange::new();
+            let orb = Orb::with_exchange("closing", exchange.clone());
+            let server = listen(&orb).unwrap();
+            let start = Arc::new(Barrier::new(CONNECTORS + 1));
+            let connectors: Vec<_> = (0..CONNECTORS)
+                .map(|_| {
+                    let (exchange, start) = (exchange.clone(), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        // Connect until refused, so that connects span the
+                        // whole close.
+                        let mut made = Vec::new();
+                        for _ in 0..CONNECT_CAP {
+                            match connect(&exchange) {
+                                Ok(channel) => made.push(channel),
+                                Err(refused) => return (made, refused),
+                            }
+                        }
+                        panic!("{CONNECT_CAP} connects, and the closed server took them all");
+                    })
+                })
+                .collect();
+            start.wait();
+            // On its own thread, so that a close that never returns fails
+            // here instead of hanging the suite.
+            let (closed_tx, closed) = mpsc::channel();
+            let closer = std::thread::spawn(move || {
+                server.close();
+                closed_tx.send(()).unwrap();
+            });
+            closed
+                .recv_timeout(BOUND)
+                .unwrap_or_else(|_| panic!("{case}: close did not return within {BOUND:?}"));
+            closer.join().unwrap();
+            for connector in connectors {
+                let (made, refused) = connector.join().unwrap();
+                // `Closed` from an attach that found the server closing,
+                // `BadAddress` once the close has given the name back.
+                assert!(
+                    matches!(refused, OrbError::Closed | OrbError::BadAddress(_)),
+                    "{case}: a connect was refused with {refused:?}"
+                );
+                for channel in made {
+                    let deadline = Instant::now() + BOUND;
+                    while !channel.is_closed() && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    assert!(
+                        channel.is_closed(),
+                        "{case}: a connection attached to the server outlived its close"
+                    );
+                }
             }
         }
     }

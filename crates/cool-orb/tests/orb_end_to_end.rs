@@ -50,6 +50,34 @@ fn chorus_ipc_invocation() {
 }
 
 #[test]
+fn a_server_that_loses_the_race_for_a_name_leaves_the_winner_serving() {
+    let exchange = LocalExchange::new();
+    let named = |name: &str, reply: &'static [u8]| {
+        let orb = Orb::with_exchange(name, exchange.clone());
+        orb.adapter()
+            .register_fn("svc", move |_op, _args, _ctx| Ok(reply.to_vec()))
+            .unwrap();
+        orb
+    };
+    let winner = named("winner", b"winner");
+    let server = winner.listen_chorus("contested").unwrap();
+    let loser = named("loser", b"loser");
+    assert!(matches!(
+        loser.listen_chorus("contested"),
+        Err(OrbError::BadAddress(_))
+    ));
+    // The losing server unregistered nothing, and its ORB does not count
+    // the address as its own: from it too, the name reaches the winner.
+    let client = Orb::with_exchange("client", exchange.clone());
+    for orb in [&loser, &client] {
+        let stub = orb.bind(&server.object_ref("svc")).unwrap();
+        assert!(!stub.is_colocated(), "{}", orb.name());
+        assert_eq!(&stub.invoke("who", Bytes::new()).unwrap()[..], b"winner");
+    }
+    server.close();
+}
+
+#[test]
 fn dacapo_invocation_with_qos() {
     let exchange = LocalExchange::new();
     let server_orb = echo_orb("server", exchange.clone());

@@ -2,23 +2,16 @@
 //!
 //! Every lock that participates in the ORB's cross-thread protocols is
 //! wrapped in an [`OrderedMutex`] or [`OrderedRwLock`] carrying a
-//! [`Rank`]: a number and the lock's name. In debug builds each
-//! acquisition is checked against a process-global acquisition-order
-//! graph:
-//!
-//! * acquiring a lock while holding another adds the edge
-//!   `held → acquired` to the graph;
-//! * if that edge closes a cycle — some thread previously acquired these
-//!   ranks in the opposite order — the process panics immediately with a
-//!   report naming both locks, instead of deadlocking some unlucky night
-//!   later;
-//! * acquiring two locks of the **same rank** at once is always rejected
-//!   (self-deadlock on reentry, or an AB/BA pair hidden inside one rank).
-//!
-//! The intended discipline is the table in [`rank`]: ranks strictly
-//! increase along every legal acquisition path, so the graph stays
-//! acyclic by construction and the checker only ever fires on a genuine
-//! ordering bug. cool-analyze's A001 proves the same order statically.
+//! [`Rank`]: a number and the lock's name. The discipline is the table
+//! in [`rank`]: ranks strictly increase along every acquisition path. In
+//! debug builds each acquisition is checked against the locks the
+//! acquiring thread already holds: a lock whose rank does not exceed every
+//! held rank panics at once, with a report naming both locks, instead of
+//! deadlocking some unlucky night later when another path takes the pair
+//! the other way round. That covers a lock of the **same rank** as one
+//! held (self-deadlock on reentry, or an AB/BA pair hidden inside one
+//! rank). The rule is the one cool-analyze's A001 proves statically; this
+//! check catches, on the paths tests run, what A001 cannot resolve.
 //!
 //! In release builds all bookkeeping compiles away; the wrappers are
 //! plain mutexes (non-poisoning: a panic elsewhere never wedges the ORB).
@@ -85,10 +78,6 @@ pub mod rank {
     /// (`OrbConfig::fault_plans`), cached so a reconnect replays the same
     /// deterministic fault schedule; taken briefly at dial time.
     pub const ORB_FAULT_ENGINES: Rank = Rank::new(13, "orb.fault_engines");
-    /// `Exchange::registry` — in-process transport listener registry.
-    pub const EXCHANGE_REGISTRY: Rank = Rank::new(20, "exchange.registry");
-    /// `OrbServer::conns` — live server-side connection list.
-    pub const SERVER_CONNS: Rank = Rank::new(30, "server.conns");
     /// `OrbServer::acceptor` — acceptor thread handle.
     pub const SERVER_ACCEPTOR: Rank = Rank::new(31, "server.acceptor");
     /// `OrbServer::dispatchers` — dispatcher thread handles.
@@ -109,6 +98,15 @@ pub mod rank {
     pub const BINDING_LAST_QOS: Rank = Rank::new(39, "binding.last_qos");
     /// `Binding::pending` — in-flight request slots (the reply demux).
     pub const BINDING_PENDING: Rank = Rank::new(40, "binding.pending");
+    /// `OrbServer::conns` — live server-side connection list. Taken by an
+    /// attach, which runs on the thread that made the connection — a
+    /// binding's reconnect among them, under `binding.reconnect_gate` —
+    /// and by the server's close. Nothing is taken under it.
+    pub const SERVER_CONNS: Rank = Rank::new(42, "server.conns");
+    /// `Exchange::registry` — in-process transport listener registry. A
+    /// leaf, taken by a dial (a reconnect's among them) to look a listener
+    /// up; the listener runs with it released.
+    pub const EXCHANGE_REGISTRY: Rank = Rank::new(43, "exchange.registry");
     /// `Invoker::per_stub` — what one logical stub carries from call to
     /// call: QoS operating point (offered spec, degradation ladder, steps
     /// taken), last granted QoS, call timeout. A resolved binding has one
@@ -171,39 +169,6 @@ pub mod rank {
 mod check {
     use super::Rank;
     use std::cell::RefCell;
-    use std::collections::{HashMap, HashSet};
-    use std::sync::{Mutex, OnceLock, PoisonError};
-
-    /// Directed acquisition-order graph over rank values. Grows
-    /// monotonically for the life of the process.
-    #[derive(Default)]
-    struct Graph {
-        edges: HashMap<u32, HashSet<u32>>,
-    }
-
-    impl Graph {
-        /// Is `to` reachable from `from` along recorded edges?
-        fn reaches(&self, from: u32, to: u32) -> bool {
-            let mut stack = vec![from];
-            let mut seen = HashSet::new();
-            while let Some(n) = stack.pop() {
-                if n == to {
-                    return true;
-                }
-                if seen.insert(n) {
-                    if let Some(next) = self.edges.get(&n) {
-                        stack.extend(next.iter().copied());
-                    }
-                }
-            }
-            false
-        }
-    }
-
-    fn graph() -> &'static Mutex<Graph> {
-        static GRAPH: OnceLock<Mutex<Graph>> = OnceLock::new();
-        GRAPH.get_or_init(|| Mutex::new(Graph::default()))
-    }
 
     thread_local! {
         /// Locks currently held by this thread, in acquisition order.
@@ -228,37 +193,28 @@ mod check {
         }
     }
 
-    /// Checks `acquired` against everything this thread already holds,
-    /// recording new edges. Panics on a same-rank acquisition or on any
-    /// edge that closes a cycle in the global graph.
+    /// Checks `acquired` against everything this thread already holds:
+    /// its rank must exceed every held rank. Panics otherwise.
     pub(super) fn acquire(acquired: Rank) -> Token {
         HELD.with(|held| {
-            let snapshot: Vec<Rank> = held.borrow().clone();
+            let mut held = held.borrow_mut();
             let (rank, name) = (acquired.value(), acquired.name());
-            if !snapshot.is_empty() {
-                // Check + insert must be one atomic step: two threads
-                // racing an AB/BA pair must serialize here so exactly the
-                // second edge is caught closing the cycle.
-                let mut g = graph().lock().unwrap_or_else(PoisonError::into_inner);
-                for held_lock in &snapshot {
-                    let (held_rank, held_name) = (held_lock.value(), held_lock.name());
-                    assert!(
-                        held_rank != rank,
-                        "lock-order violation: acquiring `{name}` (rank {rank}) while \
-                         holding `{held_name}` (rank {held_rank}); same-rank \
-                         acquisition is never allowed"
-                    );
-                    assert!(
-                        !g.reaches(rank, held_rank),
-                        "lock-order cycle: acquiring `{name}` (rank {rank}) while \
-                         holding `{held_name}` (rank {held_rank}), but the order \
-                         rank {rank} -> rank {held_rank} is already established \
-                         elsewhere"
-                    );
-                    g.edges.entry(held_rank).or_default().insert(rank);
-                }
+            for held_lock in held.iter() {
+                let (held_rank, held_name) = (held_lock.value(), held_lock.name());
+                assert!(
+                    held_rank != rank,
+                    "lock-order violation: acquiring `{name}` (rank {rank}) while \
+                     holding `{held_name}` (rank {held_rank}); same-rank \
+                     acquisition is never allowed"
+                );
+                assert!(
+                    held_rank < rank,
+                    "lock-order violation: acquiring `{name}` (rank {rank}) while \
+                     holding `{held_name}` (rank {held_rank}); ranks must \
+                     strictly increase"
+                );
             }
-            held.borrow_mut().push(acquired);
+            held.push(acquired);
         });
         Token { rank: acquired }
     }
@@ -438,8 +394,8 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    // Each test uses its own rank band: the acquisition-order graph is
-    // process-global, so shared ranks would couple unrelated tests.
+    // Each test uses its own rank band, so a failure names its own test's
+    // locks.
 
     #[test]
     fn ordered_acquisition_passes() {
@@ -475,8 +431,8 @@ mod tests {
             let _ga = a.lock();
             let _gb = b.lock();
         }
-        // Invert: b -> a must die with a cycle report naming both locks,
-        // each by the name its `Rank` carries.
+        // Invert: b -> a must die with a report naming both locks, each by
+        // the name its `Rank` carries.
         let _gb = b.lock();
         let _ga = a.lock();
     }
@@ -497,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lock-order cycle")]
+    #[should_panic(expected = "ranks must strictly increase")]
     fn rwlock_participates_in_cycles() {
         let (r_m, r_rw) = (Rank::new(9050, "test.rw.m"), Rank::new(9051, "test.rw.rw"));
         let m = OrderedMutex::new(r_m, ());

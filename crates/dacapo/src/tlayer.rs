@@ -8,16 +8,16 @@
 //! * [`LoopbackTransport`] — in-process queues (colocated tests, the
 //!   fastest baseline);
 //! * [`TcpTransport`] — a real TCP connection with length-prefixed frames,
-//!   exactly the paper's "T module encapsulating TCP";
+//!   exactly the paper's "T module encapsulating TCP", read by the thread
+//!   that receives;
 //! * [`NetsimTransport`] — a `netsim` link endpoint standing in for the
 //!   ATM testbed, with shaped bandwidth/delay/loss.
 
 use crate::error::DacapoError;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -223,12 +223,14 @@ impl Transport for LoopbackTransport {
 
 /// TCP transport with 4-byte big-endian length-prefixed frames.
 ///
-/// A dedicated reader thread owns the receiving half so that read timeouts
-/// can never tear a frame in half; received frames queue internally.
+/// The thread that receives reads the socket itself, under `SO_RCVTIMEO`
+/// for a receive with a deadline: the socket's read half and its
+/// [`FrameReader`] sit behind one lock, and what a timed-out read left
+/// unfinished stays in the reader for the next receive.
 pub struct TcpTransport {
     writer: Mutex<TcpStream>,
-    frames: Receiver<Bytes>,
-    closed: Arc<AtomicBool>,
+    reader: Mutex<TcpReader>,
+    closed: AtomicBool,
     stream: TcpStream,
 }
 
@@ -238,6 +240,14 @@ impl std::fmt::Debug for TcpTransport {
             .field("peer", &self.stream.peer_addr().ok())
             .finish()
     }
+}
+
+/// The read half of a [`TcpTransport`].
+struct TcpReader {
+    stream: TcpStream,
+    frames: FrameReader,
+    /// What `SO_RCVTIMEO` is set to, so an unchanged wait skips the call.
+    timeout: Option<Duration>,
 }
 
 /// Upper bound on a length-prefixed TCP frame: a corrupt length prefix
@@ -517,52 +527,71 @@ fn read_retrying(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
     }
 }
 
-/// Receive queue depth between the reader thread and `recv` callers. When
-/// full, the reader blocks, so backpressure lands in the kernel socket
-/// buffer (and ultimately the sender) instead of unbounded heap growth.
-const TCP_RX_QUEUE_DEPTH: usize = 1024;
+/// The read timeout that ends a wait at `deadline`: the time left, rounded
+/// up to a whole millisecond — so that waits with the same budget set the
+/// same value and skip the syscall — or `None` once it has passed.
+pub fn read_timeout(deadline: Instant) -> Option<Duration> {
+    let left = deadline.checked_duration_since(Instant::now())?;
+    let millis = u64::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX);
+    (millis > 0).then(|| Duration::from_millis(millis))
+}
 
 impl TcpTransport {
     /// Wraps a connected stream.
     ///
     /// # Errors
     ///
-    /// [`DacapoError::Transport`] if the stream cannot be cloned for the
-    /// reader thread.
+    /// [`DacapoError::Transport`] if the stream cannot be cloned for its
+    /// read and write halves.
     pub fn new(stream: TcpStream) -> Result<Self, DacapoError> {
         stream.set_nodelay(true).ok();
-        let reader_stream = stream
-            .try_clone()
-            .map_err(|e| DacapoError::Transport(format!("clone tcp stream: {e}")))?;
-        let writer = stream
-            .try_clone()
-            .map_err(|e| DacapoError::Transport(format!("clone tcp stream: {e}")))?;
-        let closed = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = bounded(TCP_RX_QUEUE_DEPTH);
-        let flag = closed.clone();
-        std::thread::Builder::new()
-            .name("dacapo-tcp-reader".into())
-            // lint: allow(A007, reader exits on socket close/error; close() sets the flag and shuts the stream down)
-            .spawn(move || Self::reader_loop(reader_stream, tx, flag))
-            .map_err(|e| DacapoError::Transport(format!("spawn reader: {e}")))?;
+        let clone = || {
+            stream
+                .try_clone()
+                .map_err(|e| DacapoError::Transport(format!("clone tcp stream: {e}")))
+        };
         Ok(TcpTransport {
-            writer: Mutex::new(writer),
-            frames: rx,
-            closed,
+            writer: Mutex::new(clone()?),
+            reader: Mutex::new(TcpReader {
+                stream: clone()?,
+                frames: FrameReader::new(),
+                timeout: None,
+            }),
+            closed: AtomicBool::new(false),
             stream,
         })
     }
 
-    fn reader_loop(mut stream: TcpStream, tx: Sender<Bytes>, closed: Arc<AtomicBool>) {
-        let mut frames = FrameReader::new();
-        while !closed.load(Ordering::Acquire) {
-            // Peer closed, corrupt stream or I/O error: give up, and the
-            // channel's sender drops.
-            let Ok(frame) = frames.read_next(&mut stream) else {
-                return;
-            };
-            if tx.send(frame).is_err() {
-                return;
+    /// The one receive: `timeout` of `None` reads until a frame completes
+    /// or the connection ends. `close` shuts the socket down, which ends a
+    /// blocked read at once.
+    fn recv_within(&self, timeout: Option<Duration>) -> Result<Bytes, DacapoError> {
+        let deadline = timeout.and_then(|t| Some((Instant::now().checked_add(t)?, t)));
+        let reader = &mut *self.reader.lock();
+        loop {
+            if self.closed.load(Ordering::Acquire) {
+                return Err(DacapoError::Closed);
+            }
+            // A corrupt length prefix ends the connection like its close.
+            let next = reader.frames.next_frame().map_err(|_| DacapoError::Closed)?;
+            if let Some(frame) = next {
+                return Ok(frame);
+            }
+            let wait = deadline
+                .map(|(at, t)| read_timeout(at).ok_or(DacapoError::Timeout(t)))
+                .transpose()?;
+            if reader.timeout != wait {
+                reader
+                    .stream
+                    .set_read_timeout(wait)
+                    .map_err(|e| DacapoError::Transport(format!("tcp read timeout: {e}")))?;
+                reader.timeout = wait;
+            }
+            match reader.frames.fill(&mut reader.stream) {
+                Ok(()) => {}
+                // Linux reports an expired read timeout as `WouldBlock`.
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(_) => return Err(DacapoError::Closed),
             }
         }
     }
@@ -580,23 +609,11 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&self) -> Result<Bytes, DacapoError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(DacapoError::Closed);
-        }
-        // `close` on either side ends the reader thread, which drops the
-        // queue's sender: queued frames drain, then this disconnects.
-        self.frames.recv().map_err(|_| DacapoError::Closed)
+        self.recv_within(None)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(DacapoError::Closed);
-        }
-        match self.frames.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(RecvTimeoutError::Timeout) => Err(DacapoError::Timeout(timeout)),
-            Err(RecvTimeoutError::Disconnected) => Err(DacapoError::Closed),
-        }
+        self.recv_within(Some(timeout))
     }
 
     fn close(&self) {
@@ -749,6 +766,23 @@ mod tests {
             result = b.recv_timeout(Duration::from_millis(200));
         }
         assert!(matches!(result, Err(DacapoError::Closed)), "got {result:?}");
+    }
+
+    #[test]
+    fn tcp_receive_across_a_timeout_loses_nothing() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let transport = TcpTransport::new(listener.accept().unwrap().0).unwrap();
+        // Half the prefix, then the rest of it and some of the body, then
+        // the rest: each receive in between times out, and keeps what came.
+        let wire = wire_of(&[b"one whole frame".to_vec()]);
+        for piece in [&wire[..2], &wire[2..7]] {
+            peer.write_all(piece).unwrap();
+            let got = transport.recv_timeout(Duration::from_millis(30));
+            assert!(matches!(got, Err(DacapoError::Timeout(_))), "got {got:?}");
+        }
+        peer.write_all(&wire[7..]).unwrap();
+        assert_eq!(&transport.recv().unwrap()[..], b"one whole frame");
     }
 
     /// A socket stand-in: each `read` returns (up to the buffer's room)

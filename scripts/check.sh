@@ -47,10 +47,12 @@ cargo test --release --offline --manifest-path ledger/Cargo.toml
 # So do the binding's reply rendezvous tests, unit and integration: a reply
 # that lands at a caller's deadline, and every way a parked or reading
 # caller is released, depend on timing. And the channel-end table: a close
-# races the sends, reads and deliveries on both ends of every transport.
+# races the sends, reads and deliveries on both ends of every transport —
+# and its attach race, connects on several threads against a server's
+# close, which the exchange's and the server's unit tests flank.
 cargo test -q --release -p dacapo --test transport_contract --test end_to_end
 cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow --test pipelining --test tcp_reading --test binding_unit --test channel_end
-cargo test -q --release -p cool-orb --lib -- dacapo_chan binding
+cargo test -q --release -p cool-orb --lib -- dacapo_chan binding exchange server
 
 # The analyzer (DESIGN §7.1), one pass over every .rs file, for what no
 # stock tool sees. Per file: unbounded invocation retry loops.
