@@ -391,14 +391,14 @@ impl<'a> CdrDecoder<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
-    /// Reads a CDR string.
+    /// Reads a CDR string in place: a view of the input, not a copy.
     ///
     /// # Errors
     ///
     /// [`GiopError::InvalidString`] for missing NUL or invalid UTF-8;
     /// [`GiopError::LengthOverflow`] for absurd lengths;
     /// [`GiopError::Underflow`] at end of input.
-    pub fn get_string(&mut self) -> Result<String, GiopError> {
+    pub fn get_str(&mut self) -> Result<&'a str, GiopError> {
         let len = self.get_u32()?;
         if len == 0 {
             return Err(GiopError::InvalidString(
@@ -416,8 +416,18 @@ impl<'a> CdrDecoder<'a> {
         if nul != [0] {
             return Err(GiopError::InvalidString("missing nul terminator".into()));
         }
-        String::from_utf8(body.to_vec())
+        std::str::from_utf8(body)
             .map_err(|e| GiopError::InvalidString(format!("invalid utf-8: {e}")))
+    }
+
+    /// Reads a CDR string into an owned `String`: [`get_str`](Self::get_str)
+    /// and its checks, then a copy.
+    ///
+    /// # Errors
+    ///
+    /// As [`get_str`](Self::get_str).
+    pub fn get_string(&mut self) -> Result<String, GiopError> {
+        self.get_str().map(str::to_owned)
     }
 
     /// Reads a `sequence<octet>`.
@@ -475,6 +485,65 @@ impl<'a> CdrDecoder<'a> {
         let rest = &self.buf[self.pos..];
         self.pos = self.buf.len();
         rest
+    }
+}
+
+/// A string held as a view of shared storage — a CDR string decoded in
+/// place from its frame ([`StrView::slice_of`]) — that dereferences to
+/// `str`. Every constructor takes a `str`, so the bytes are UTF-8.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct StrView(Bytes);
+
+impl StrView {
+    /// The view of `s`, a string borrowed from `src` — what
+    /// [`CdrDecoder::get_str`] returns while reading `src` — sharing
+    /// `src`'s storage.
+    ///
+    /// # Panics
+    ///
+    /// If a non-empty `s` does not lie inside `src`.
+    pub fn slice_of(src: &Bytes, s: &str) -> Self {
+        StrView(src.slice_ref(s.as_bytes()))
+    }
+
+    /// The string. Checked again on each read (a few nanoseconds for an
+    /// operation name): the crate forbids the unchecked conversion, and
+    /// the check cannot fail.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).unwrap_or_default()
+    }
+}
+
+impl std::ops::Deref for StrView {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for StrView {
+    /// Copies `s` into storage of its own.
+    fn from(s: &str) -> Self {
+        StrView(Bytes::copy_from_slice(s.as_bytes()))
+    }
+}
+
+impl From<String> for StrView {
+    fn from(s: String) -> Self {
+        StrView(Bytes::from(s))
+    }
+}
+
+impl PartialEq<&str> for StrView {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl std::fmt::Debug for StrView {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_str().fmt(f)
     }
 }
 
@@ -626,6 +695,28 @@ mod tests {
         let bytes = [0, 0, 0, 2, 0xFF, 0];
         let mut dec = CdrDecoder::new(&bytes, ByteOrder::Big);
         assert!(matches!(dec.get_string(), Err(GiopError::InvalidString(_))));
+    }
+
+    #[test]
+    fn get_str_is_a_view_with_get_strings_checks() {
+        let mut enc = CdrEncoder::new(ByteOrder::Little);
+        enc.put_string("render");
+        let frame = enc.into_bytes();
+        let mut dec = CdrDecoder::new(&frame, ByteOrder::Little);
+        let s = dec.get_str().unwrap();
+        assert_eq!(s, "render");
+        assert!(dec.is_exhausted());
+        let view = StrView::slice_of(&frame, s);
+        assert_eq!(view, "render");
+        assert_eq!(view.as_ptr(), frame[4..].as_ptr());
+        for bad in [
+            &[0u8, 0, 0, 2, b'h', b'i'][..],
+            &[0, 0, 0, 2, 0xFF, 0],
+            &[0, 0, 0, 0],
+        ] {
+            let mut dec = CdrDecoder::new(bad, ByteOrder::Big);
+            assert!(matches!(dec.get_str(), Err(GiopError::InvalidString(_))));
+        }
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //! Entry points:
 //! * [`Message::encode_into`] — appends header + CDR body to one
 //!   caller-owned buffer (size patched in place, no body copy);
-//!   [`encode_message`] is its allocating wrapper,
-//! * [`Message::decode_frame`] — the one decoder: Request/Reply bodies come
-//!   back as `Bytes`-slice views into the shared frame, not copies,
+//!   [`new_frame`] writes a frame from any body — the ORB's, from
+//!   borrowed parts — into a buffer sized once, and [`encode_message`] is
+//!   it for a [`Message`]. One private routine writes every header,
+//! * [`Message::decode_frame`] — the one decoder: Request/Reply bodies,
+//!   object keys and operation names come back as `Bytes`-slice views
+//!   into the shared frame, not copies,
 //! * [`join_frames`] / [`split_frames`] — several messages in one transport
 //!   frame: GIOP frames are self-delimiting, so a receiver can always split
 //!   them,
@@ -25,7 +28,8 @@
 use crate::cdr::{ByteOrder, Cdr, CdrDecoder, CdrEncoder};
 use crate::error::GiopError;
 use crate::message::{
-    LocateReplyHeader, LocateRequestHeader, Message, MsgType, ReplyHeader, RequestHeader,
+    request_header_len_bound, LocateReplyHeader, LocateRequestHeader, Message, MsgType,
+    ReplyHeader, RequestHeader,
 };
 use crate::version::GiopVersion;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -41,12 +45,72 @@ pub const HEADER_LEN: usize = 12;
 /// against corrupt streams); generous for 64 KiB experiment payloads.
 pub const MAX_MESSAGE_SIZE: u32 = 256 * 1024 * 1024;
 
+/// Appends one complete wire frame to `buf`: the 12-byte GIOP header,
+/// then the CDR body `body` writes into the same buffer, then
+/// `message_size` patched in place once the body length is known — no
+/// intermediate body buffer, no copy. The one writer of a GIOP header:
+/// [`Message::encode_into`] and [`new_frame`] — so every frame — come
+/// through here. On error `buf` is rolled back to its prior length.
+fn write_frame(
+    buf: &mut BytesMut,
+    version: GiopVersion,
+    order: ByteOrder,
+    msg_type: MsgType,
+    body: impl FnOnce(&mut CdrEncoder) -> Result<(), GiopError>,
+) -> Result<(), GiopError> {
+    let start = buf.len();
+    buf.put_slice(&MAGIC);
+    buf.put_slice(&[version.major, version.minor, order.flag(), msg_type.code()]);
+    buf.put_slice(&[0u8; 4]); // message_size, patched below
+    // Hand the buffer to the CDR encoder; its base offset makes body
+    // alignment identical to a standalone encapsulation.
+    let mut enc = CdrEncoder::append_to(std::mem::take(buf), order);
+    let encoded = body(&mut enc);
+    let body_len = enc.len();
+    *buf = enc.into_inner();
+    if let Err(e) = encoded {
+        buf.truncate(start);
+        return Err(e);
+    }
+    let size = body_len as u32;
+    let size_bytes = match order {
+        ByteOrder::Big => size.to_be_bytes(),
+        ByteOrder::Little => size.to_le_bytes(),
+    };
+    buf[start + 8..start + 12].copy_from_slice(&size_bytes);
+    Ok(())
+}
+
+/// A fresh frame: one buffer sized for the header and `body_len_bound`
+/// body bytes — an upper bound on what `body` writes, so the buffer never
+/// grows — holding the 12-byte GIOP header and the CDR body `body` writes
+/// after it, `message_size` patched in. One recorded buffer allocation.
+///
+/// # Errors
+///
+/// Whatever `body` returns.
+pub fn new_frame(
+    version: GiopVersion,
+    order: ByteOrder,
+    msg_type: MsgType,
+    body_len_bound: usize,
+    body: impl FnOnce(&mut CdrEncoder) -> Result<(), GiopError>,
+) -> Result<Bytes, GiopError> {
+    record_buffer_alloc();
+    let mut frame = BytesMut::with_capacity(HEADER_LEN + body_len_bound);
+    write_frame(&mut frame, version, order, msg_type, body)?;
+    debug_assert!(
+        frame.len() <= HEADER_LEN + body_len_bound,
+        "a {msg_type:?} body outgrew its bound of {body_len_bound} bytes"
+    );
+    Ok(frame.freeze())
+}
+
 impl Message {
-    /// Appends this message as one complete wire frame to `buf`: the
-    /// 12-byte GIOP header and the CDR body are written into the same
-    /// buffer, with `message_size` patched in place once the body length
-    /// is known. This is the single-encode path — no intermediate body
-    /// buffer, no copy. On error `buf` is rolled back to its prior length.
+    /// Appends this message as one complete wire frame to `buf`: header
+    /// and CDR body in the same buffer, `message_size` patched in place —
+    /// no intermediate body buffer, no copy. On error `buf` is rolled back
+    /// to its prior length.
     ///
     /// # Errors
     ///
@@ -58,49 +122,53 @@ impl Message {
         order: ByteOrder,
         buf: &mut BytesMut,
     ) -> Result<(), GiopError> {
-        let start = buf.len();
-        buf.put_slice(&MAGIC);
-        buf.put_slice(&[version.major, version.minor, order.flag(), self.msg_type().code()]);
-        buf.put_slice(&[0u8; 4]); // message_size, patched below
-        // Hand the buffer to the CDR encoder; its base offset makes body
-        // alignment identical to a standalone encapsulation.
-        let mut enc = CdrEncoder::append_to(std::mem::take(buf), order);
-        let encoded = (|| {
-            match self {
-                Message::Request { header, body } => {
-                    header.encode(&mut enc, version)?;
-                    enc.put_raw(body);
-                }
-                Message::Reply { header, body } => {
-                    header.encode(&mut enc);
-                    enc.put_raw(body);
-                }
-                Message::CancelRequest { request_id } => enc.put_u32(*request_id),
-                Message::LocateRequest(h) => h.encode(&mut enc),
-                Message::LocateReply(h) => h.encode(&mut enc),
-                Message::CloseConnection | Message::MessageError => {}
+        write_frame(buf, version, order, self.msg_type(), |enc| {
+            self.encode_body(enc, version)
+        })
+    }
+
+    fn encode_body(&self, enc: &mut CdrEncoder, version: GiopVersion) -> Result<(), GiopError> {
+        match self {
+            Message::Request { header, body } => {
+                header.encode(enc, version)?;
+                enc.put_raw(body);
             }
-            Ok(())
-        })();
-        let body_len = enc.len();
-        *buf = enc.into_inner();
-        if let Err(e) = encoded {
-            buf.truncate(start);
-            return Err(e);
+            Message::Reply { header, body } => {
+                header.encode(enc);
+                enc.put_raw(body);
+            }
+            Message::CancelRequest { request_id } => enc.put_u32(*request_id),
+            Message::LocateRequest(h) => h.encode(enc),
+            Message::LocateReply(h) => h.encode(enc),
+            Message::CloseConnection | Message::MessageError => {}
         }
-        let size = body_len as u32;
-        let size_bytes = match order {
-            ByteOrder::Big => size.to_be_bytes(),
-            ByteOrder::Little => size.to_le_bytes(),
-        };
-        buf[start + 8..start + 12].copy_from_slice(&size_bytes);
         Ok(())
+    }
+
+    /// An upper bound on the body bytes [`Message::encode_body`] writes.
+    fn body_len_bound(&self) -> usize {
+        match self {
+            Message::Request { header: h, body } => {
+                request_header_len_bound(
+                    &h.service_context,
+                    &h.object_key,
+                    &h.operation,
+                    &h.qos_params,
+                    &h.requesting_principal,
+                ) + body.len()
+            }
+            Message::Reply { header, body } => header.encoded_len_bound() + body.len(),
+            Message::CancelRequest { .. } => 4,
+            Message::LocateRequest(h) => 4 + 4 + h.object_key.len(),
+            Message::LocateReply(_) => 8,
+            Message::CloseConnection | Message::MessageError => 0,
+        }
     }
 
     /// Decodes one complete frame held in shared storage, returning the
     /// message together with the version and byte order it was marshalled
-    /// under. Request/Reply bodies come back as `Bytes` views into
-    /// `frame` — no copy.
+    /// under. Request/Reply bodies, object keys and operation names come
+    /// back as views into `frame` — no copy.
     ///
     /// # Errors
     ///
@@ -121,8 +189,8 @@ impl Message {
     }
 }
 
-/// Encodes a complete message into a fresh wire frame: the allocating
-/// wrapper over [`Message::encode_into`].
+/// Encodes a complete message into a fresh wire frame ([`new_frame`]),
+/// sized once from the message's parts.
 ///
 /// # Errors
 ///
@@ -133,10 +201,13 @@ pub fn encode_message(
     version: GiopVersion,
     order: ByteOrder,
 ) -> Result<Bytes, GiopError> {
-    record_buffer_alloc();
-    let mut frame = BytesMut::with_capacity(HEADER_LEN + 64);
-    msg.encode_into(version, order, &mut frame)?;
-    Ok(frame.freeze())
+    new_frame(
+        version,
+        order,
+        msg.msg_type(),
+        msg.body_len_bound(),
+        |enc| msg.encode_body(enc, version),
+    )
 }
 
 /// Parsed GIOP frame header.
@@ -200,7 +271,7 @@ fn decode_body(header: FrameHeader, frame: &Bytes) -> Result<Message, GiopError>
     let mut dec = CdrDecoder::new(&frame[HEADER_LEN..], header.order);
     Ok(match header.msg_type {
         MsgType::Request => {
-            let header = RequestHeader::decode(&mut dec, header.version)?;
+            let header = RequestHeader::decode(&mut dec, frame, header.version)?;
             Message::Request {
                 header,
                 body: frame.slice(HEADER_LEN + dec.position()..),
@@ -216,7 +287,9 @@ fn decode_body(header: FrameHeader, frame: &Bytes) -> Result<Message, GiopError>
         MsgType::CancelRequest => Message::CancelRequest {
             request_id: dec.get_u32()?,
         },
-        MsgType::LocateRequest => Message::LocateRequest(LocateRequestHeader::decode(&mut dec)?),
+        MsgType::LocateRequest => {
+            Message::LocateRequest(LocateRequestHeader::decode(&mut dec, frame)?)
+        }
         MsgType::LocateReply => Message::LocateReply(LocateReplyHeader::decode(&mut dec)?),
         MsgType::CloseConnection => Message::CloseConnection,
         MsgType::MessageError => Message::MessageError,
@@ -319,7 +392,7 @@ mod tests {
             Message::CancelRequest { request_id: 4 },
             Message::LocateRequest(LocateRequestHeader {
                 request_id: 5,
-                object_key: b"k".to_vec(),
+                object_key: Bytes::from_static(b"k"),
             }),
             Message::LocateReply(LocateReplyHeader {
                 request_id: 5,

@@ -15,8 +15,9 @@
 //!   backwards compatibility is preserved: a 1.0 Request is bit-identical
 //!   to what an unmodified ORB produces.
 //! * **Framing** ([`codec`]) — 12-byte header + body encoding, one
-//!   decoder ([`Message::decode_frame`]) whose bodies are views into the
-//!   frame, and batching of several frames into one transport frame.
+//!   decoder ([`Message::decode_frame`]) whose bodies, object keys and
+//!   operation names are views into the frame, and batching of several
+//!   frames into one transport frame.
 //!
 //! ```
 //! use cool_giop::prelude::*;
@@ -51,12 +52,12 @@ pub mod service_context;
 pub mod trace;
 pub mod version;
 
-pub use cdr::{ByteOrder, Cdr, CdrDecoder, CdrEncoder};
-pub use codec::{encode_message, join_frames, split_frames};
+pub use cdr::{ByteOrder, Cdr, CdrDecoder, CdrEncoder, StrView};
+pub use codec::{encode_message, join_frames, new_frame, split_frames};
 pub use error::GiopError;
 pub use message::{
-    LocateReplyHeader, LocateRequestHeader, LocateStatus, Message, MsgType, ReplyHeader,
-    ReplyStatus, RequestHeader,
+    encode_request_header, request_header_len_bound, LocateReplyHeader, LocateRequestHeader,
+    LocateStatus, Message, MsgType, ReplyHeader, ReplyStatus, RequestHeader,
 };
 pub use qos::{ParamKind, QoSParameter};
 pub use service_context::{ServiceContext, ServiceContextList};
@@ -67,12 +68,12 @@ pub use version::GiopVersion;
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
-    pub use crate::cdr::{ByteOrder, Cdr, CdrDecoder, CdrEncoder};
-    pub use crate::codec::{encode_message, join_frames, split_frames};
+    pub use crate::cdr::{ByteOrder, Cdr, CdrDecoder, CdrEncoder, StrView};
+    pub use crate::codec::{encode_message, join_frames, new_frame, split_frames};
     pub use crate::error::GiopError;
     pub use crate::message::{
-        LocateReplyHeader, LocateRequestHeader, LocateStatus, Message, MsgType, ReplyHeader,
-        ReplyStatus, RequestHeader,
+        encode_request_header, request_header_len_bound, LocateReplyHeader, LocateRequestHeader,
+        LocateStatus, Message, MsgType, ReplyHeader, ReplyStatus, RequestHeader,
     };
     pub use crate::qos::{ParamKind, QoSParameter};
     pub use crate::service_context::{ServiceContext, ServiceContextList};

@@ -6,7 +6,7 @@
 //! field is marshalled if and only if the enclosing message announces GIOP
 //! 9.9 in its header, so standard-GIOP peers interoperate untouched.
 
-use crate::cdr::{Cdr, CdrDecoder, CdrEncoder};
+use crate::cdr::{Cdr, CdrDecoder, CdrEncoder, StrView};
 use crate::error::GiopError;
 use crate::qos::QoSParameter;
 use crate::service_context::ServiceContextList;
@@ -73,7 +73,8 @@ impl MsgType {
 /// The (possibly extended) GIOP Request header.
 ///
 /// `qos_params` is the paper's addition; it is ignored (and must be empty)
-/// when the message is marshalled as standard GIOP 1.0.
+/// when the message is marshalled as standard GIOP 1.0. A decoded header's
+/// `object_key` and `operation` are views of the frame it came from.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RequestHeader {
     /// Piggybacked ORB service data.
@@ -83,9 +84,9 @@ pub struct RequestHeader {
     /// `false` for one-way operations.
     pub response_expected: bool,
     /// Opaque key identifying the target object within its adapter.
-    pub object_key: Vec<u8>,
+    pub object_key: Bytes,
     /// Name of the operation to invoke.
-    pub operation: String,
+    pub operation: StrView,
     /// QoS requirements (extension; marshalled only under GIOP 9.9).
     pub qos_params: Vec<QoSParameter>,
     /// Identity of the requester (unused by COOL, kept for compliance).
@@ -94,53 +95,66 @@ pub struct RequestHeader {
 
 impl RequestHeader {
     /// Starts building a header with the mandatory fields.
-    pub fn builder(request_id: u32, object_key: Vec<u8>, operation: &str) -> RequestHeaderBuilder {
+    pub fn builder(
+        request_id: u32,
+        object_key: impl Into<Bytes>,
+        operation: &str,
+    ) -> RequestHeaderBuilder {
         RequestHeaderBuilder {
             header: RequestHeader {
                 service_context: ServiceContextList::empty(),
                 request_id,
                 response_expected: true,
-                object_key,
-                operation: operation.to_owned(),
+                object_key: object_key.into(),
+                operation: operation.into(),
                 qos_params: Vec::new(),
                 requesting_principal: Vec::new(),
             },
         }
     }
 
-    /// Encodes under the given version.
+    /// Encodes under the given version: [`encode_request_header`] of this
+    /// header's fields.
     ///
     /// # Errors
     ///
     /// [`GiopError::QosOnStandardGiop`] if `qos_params` is non-empty but
     /// `version` is standard GIOP.
     pub fn encode(&self, enc: &mut CdrEncoder, version: GiopVersion) -> Result<(), GiopError> {
-        if !self.qos_params.is_empty() && !version.is_qos() {
-            return Err(GiopError::QosOnStandardGiop);
-        }
-        self.service_context.encode(enc);
-        enc.put_u32(self.request_id);
-        enc.put_bool(self.response_expected);
-        enc.put_octet_seq(&self.object_key);
-        enc.put_string(&self.operation);
-        if version.is_qos() {
-            enc.put_seq(&self.qos_params);
-        }
-        enc.put_octet_seq(&self.requesting_principal);
-        Ok(())
+        encode_request_header(
+            enc,
+            version,
+            &self.service_context,
+            self.request_id,
+            self.response_expected,
+            &self.object_key,
+            &self.operation,
+            &self.qos_params,
+            &self.requesting_principal,
+        )
     }
 
-    /// Decodes under the given version.
+    /// Decodes under the given version. `dec` reads from inside `frame`:
+    /// the object key and the operation come back as views of `frame`, not
+    /// copies.
     ///
     /// # Errors
     ///
     /// Propagates CDR errors from malformed input.
-    pub fn decode(dec: &mut CdrDecoder<'_>, version: GiopVersion) -> Result<Self, GiopError> {
+    ///
+    /// # Panics
+    ///
+    /// If `dec` reads anything but a slice of `frame`.
+    pub fn decode(
+        dec: &mut CdrDecoder<'_>,
+        frame: &Bytes,
+        version: GiopVersion,
+    ) -> Result<Self, GiopError> {
         let service_context = ServiceContextList::decode(dec)?;
         let request_id = dec.get_u32()?;
         let response_expected = dec.get_bool()?;
-        let object_key = dec.get_octet_seq()?;
-        let operation = dec.get_string()?;
+        let object_key = frame.slice_ref(dec.get_octet_slice()?);
+        let operation = StrView::slice_of(frame, dec.get_str()?);
         let qos_params = if version.is_qos() {
             dec.get_seq()?
         } else {
@@ -157,6 +171,64 @@ impl RequestHeader {
             requesting_principal,
         })
     }
+}
+
+/// Encodes a Request header from borrowed parts — what
+/// [`RequestHeader::encode`] writes for a header holding them, without
+/// building one.
+///
+/// # Errors
+///
+/// [`GiopError::QosOnStandardGiop`] if `qos` is non-empty but `version` is
+/// standard GIOP.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per field of the Request header (Figure 2-ii)"
+)]
+pub fn encode_request_header(
+    enc: &mut CdrEncoder,
+    version: GiopVersion,
+    contexts: &ServiceContextList,
+    request_id: u32,
+    response_expected: bool,
+    key: &[u8],
+    op: &str,
+    qos: &[QoSParameter],
+    principal: &[u8],
+) -> Result<(), GiopError> {
+    if !qos.is_empty() && !version.is_qos() {
+        return Err(GiopError::QosOnStandardGiop);
+    }
+    contexts.encode(enc);
+    enc.put_u32(request_id);
+    enc.put_bool(response_expected);
+    enc.put_octet_seq(key);
+    enc.put_string(op);
+    if version.is_qos() {
+        enc.put_seq(qos);
+    }
+    enc.put_octet_seq(principal);
+    Ok(())
+}
+
+/// An upper bound on the bytes [`encode_request_header`] writes for these
+/// parts under either version, so a frame sized by it never grows. Every
+/// field after the service contexts is 4-aligned at most: its bytes plus
+/// up to 3 of padding.
+pub fn request_header_len_bound(
+    contexts: &ServiceContextList,
+    key: &[u8],
+    op: &str,
+    qos: &[QoSParameter],
+    principal: &[u8],
+) -> usize {
+    contexts.encoded_len_bound()
+        + 4 // request_id
+        + 1 // response_expected
+        + 3 + 4 + key.len()
+        + 3 + 4 + op.len() + 1
+        + 3 + 4 + 16 * qos.len() // four 4-byte fields each
+        + 3 + 4 + principal.len()
 }
 
 /// Builder for [`RequestHeader`].
@@ -262,6 +334,11 @@ impl ReplyHeader {
             reply_status,
         }
     }
+
+    /// An upper bound on the bytes [`Cdr::encode`] writes for this header.
+    pub fn encoded_len_bound(&self) -> usize {
+        self.service_context.encoded_len_bound() + 4 + 4
+    }
 }
 
 impl Cdr for ReplyHeader {
@@ -280,25 +357,37 @@ impl Cdr for ReplyHeader {
     }
 }
 
-/// The GIOP LocateRequest header.
+/// The GIOP LocateRequest header. A decoded header's `object_key` is a
+/// view of the frame it came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocateRequestHeader {
     /// Correlates the LocateReply.
     pub request_id: u32,
     /// Key of the object being located.
-    pub object_key: Vec<u8>,
+    pub object_key: Bytes,
 }
 
-impl Cdr for LocateRequestHeader {
-    fn encode(&self, enc: &mut CdrEncoder) {
+impl LocateRequestHeader {
+    /// Encodes the header.
+    pub fn encode(&self, enc: &mut CdrEncoder) {
         enc.put_u32(self.request_id);
         enc.put_octet_seq(&self.object_key);
     }
 
-    fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
+    /// Decodes the header; `dec` reads from inside `frame`, and the object
+    /// key comes back as a view of `frame`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates CDR errors from malformed input.
+    ///
+    /// # Panics
+    ///
+    /// If `dec` reads anything but a slice of `frame`.
+    pub fn decode(dec: &mut CdrDecoder<'_>, frame: &Bytes) -> Result<Self, GiopError> {
         Ok(LocateRequestHeader {
             request_id: dec.get_u32()?,
-            object_key: dec.get_octet_seq()?,
+            object_key: frame.slice_ref(dec.get_octet_slice()?),
         })
     }
 }
@@ -463,9 +552,12 @@ mod tests {
         h.encode(&mut enc, GiopVersion::STANDARD).unwrap();
         let bytes = enc.into_bytes();
         let mut dec = CdrDecoder::new(&bytes, ByteOrder::Big);
-        let decoded = RequestHeader::decode(&mut dec, GiopVersion::STANDARD).unwrap();
+        let decoded = RequestHeader::decode(&mut dec, &bytes, GiopVersion::STANDARD).unwrap();
         assert_eq!(decoded, h);
         assert!(dec.is_exhausted());
+        // Key and operation are views of the encoded bytes.
+        assert!(bytes.as_ptr_range().contains(&decoded.object_key.as_ptr()));
+        assert!(bytes.as_ptr_range().contains(&decoded.operation.as_ptr()));
     }
 
     #[test]
@@ -478,7 +570,7 @@ mod tests {
         h.encode(&mut enc, GiopVersion::QOS_EXTENDED).unwrap();
         let bytes = enc.into_bytes();
         let mut dec = CdrDecoder::new(&bytes, ByteOrder::Little);
-        let decoded = RequestHeader::decode(&mut dec, GiopVersion::QOS_EXTENDED).unwrap();
+        let decoded = RequestHeader::decode(&mut dec, &bytes, GiopVersion::QOS_EXTENDED).unwrap();
         assert_eq!(decoded, h);
     }
 
@@ -537,13 +629,13 @@ mod tests {
     fn locate_headers_round_trip() {
         let req = LocateRequestHeader {
             request_id: 1,
-            object_key: b"k".to_vec(),
+            object_key: Bytes::from_static(b"k"),
         };
         let mut enc = CdrEncoder::new(ByteOrder::Big);
         req.encode(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = CdrDecoder::new(&bytes, ByteOrder::Big);
-        assert_eq!(LocateRequestHeader::decode(&mut dec).unwrap(), req);
+        assert_eq!(LocateRequestHeader::decode(&mut dec, &bytes).unwrap(), req);
 
         for status in [
             LocateStatus::UnknownObject,

@@ -202,6 +202,17 @@ impl ServiceContextList {
         self.as_slice().len()
     }
 
+    /// An upper bound on the bytes [`Cdr::encode`] writes for this list
+    /// when it starts 4-aligned: the count, then per entry its id, length,
+    /// payload and up to 3 bytes of padding before what follows.
+    pub fn encoded_len_bound(&self) -> usize {
+        4 + self
+            .as_slice()
+            .iter()
+            .map(|c| 4 + 4 + c.context_data.len() + 3)
+            .sum::<usize>()
+    }
+
     /// Finds the first entry with the given id.
     pub fn find(&self, context_id: u32) -> Option<&ServiceContext> {
         self.as_slice().iter().find(|c| c.context_id == context_id)

@@ -330,7 +330,7 @@ impl ObjectAdapter {
             }
         };
 
-        let ctx = InvocationCtx::new(granted.clone(), operation, one_way);
+        let ctx = InvocationCtx::new(granted.clone(), one_way);
         let exec_start = Instant::now();
         let result = target.servant.dispatch(operation, args, &ctx);
         let took = exec_start.elapsed();

@@ -213,8 +213,8 @@ pub(super) fn event(frame: &[u8]) -> Event {
             args,
         }) => Event::Request(InboundRequest {
             request_id,
-            object_key,
-            operation,
+            object_key: Bytes::from(object_key),
+            operation: operation.into(),
             args,
             qos_params: Vec::new(),
             one_way,

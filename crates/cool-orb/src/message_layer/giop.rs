@@ -17,63 +17,81 @@ use multe_qos::{GrantedQoS, QosError, Reliability};
 pub const QOS_CONTEXT_ID: u32 = 0x514F_5300;
 
 /// Builds the Request frame for an invocation, optionally attaching the
-/// distributed-trace service context (see `cool_giop::trace`).
+/// distributed-trace service context (see `cool_giop::trace`): the header
+/// is encoded from the borrowed parts straight into a frame sized for
+/// them.
 ///
 /// # Errors
 ///
 /// [`OrbError::Marshal`] if encoding fails.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the parts of a Request, each borrowed, plus trace and byte order"
+)]
 pub fn make_request(
     request_id: u32,
     object_key: &[u8],
     operation: &str,
     args: Bytes,
-    qos_params: Vec<QoSParameter>,
+    qos_params: impl AsRef<[QoSParameter]>,
     response_expected: bool,
     trace: Option<&RequestTraceContext>,
     order: ByteOrder,
 ) -> Result<Bytes, OrbError> {
-    let version = if qos_params.is_empty() {
+    let qos = qos_params.as_ref();
+    let version = if qos.is_empty() {
         GiopVersion::STANDARD
     } else {
         GiopVersion::QOS_EXTENDED
     };
-    let mut builder = RequestHeader::builder(request_id, object_key.to_vec(), operation)
-        .response_expected(response_expected)
-        .qos_params(qos_params);
-    if let Some(trace) = trace {
-        builder = builder.service_context([trace.to_service_context()].into_iter().collect());
-    }
-    let msg = Message::Request {
-        header: builder.build(),
-        body: args,
-    };
-    encode_message(&msg, version, order).map_err(OrbError::from)
+    let contexts: ServiceContextList = trace
+        .map(RequestTraceContext::to_service_context)
+        .into_iter()
+        .collect();
+    let bound = request_header_len_bound(&contexts, object_key, operation, qos, &[]) + args.len();
+    new_frame(version, order, MsgType::Request, bound, |enc| {
+        encode_request_header(
+            enc,
+            version,
+            &contexts,
+            request_id,
+            response_expected,
+            object_key,
+            operation,
+            qos,
+            &[],
+        )?;
+        enc.put_raw(&args);
+        Ok(())
+    })
+    .map_err(OrbError::from)
 }
 
 /// Builds the Reply carrying a dispatch result: the body with the granted
 /// QoS and the server half of a distributed trace in service contexts, or
 /// the exception the error travels as — the QoS NACK and a servant-raised
 /// user exception as `UserException`, everything else as the
-/// `SystemException` of the message layer's one error table.
+/// `SystemException` of the message layer's one error table. The body is
+/// written straight into a frame sized for it.
 ///
 /// # Errors
 ///
 /// [`OrbError::Marshal`] if encoding fails.
 pub fn make_reply(
     request_id: u32,
-    result: Result<(Bytes, GrantedQoS), OrbError>,
+    result: Result<(&[u8], &GrantedQoS), &OrbError>,
     trace: Option<&ReplyTraceContext>,
     version: GiopVersion,
     order: ByteOrder,
 ) -> Result<Bytes, OrbError> {
     let mut header = ReplyHeader::new(request_id, ReplyStatus::NoException);
+    let exception;
     let body = match result {
         Ok((body, granted)) => {
             if !granted.is_best_effort() {
                 header
                     .service_context
-                    .push(ServiceContext::new(QOS_CONTEXT_ID, encode_granted(&granted)));
+                    .push(ServiceContext::new(QOS_CONTEXT_ID, encode_granted(granted)));
             }
             if let Some(trace) = trace {
                 header.service_context.push(trace.to_service_context());
@@ -92,21 +110,28 @@ pub fn make_reply(
                     ReplyStatus::UserException
                 }
                 OrbError::UserException { repo_id, body } => {
-                    enc.put_string(&repo_id);
-                    enc.put_raw(&body);
+                    enc.put_string(repo_id);
+                    enc.put_raw(body);
                     ReplyStatus::UserException
                 }
                 other => {
-                    let (kind, detail) = super::exception_of(&other);
+                    let (kind, detail) = super::exception_of(other);
                     enc.put_string(kind);
                     enc.put_string(&detail);
                     ReplyStatus::SystemException
                 }
             };
-            enc.into_bytes()
+            exception = enc.into_bytes();
+            &exception[..]
         }
     };
-    encode_message(&Message::Reply { header, body }, version, order).map_err(OrbError::from)
+    let bound = header.encoded_len_bound() + body.len();
+    new_frame(version, order, MsgType::Reply, bound, |enc| {
+        header.encode(enc);
+        enc.put_raw(body);
+        Ok(())
+    })
+    .map_err(OrbError::from)
 }
 
 /// Interprets a Reply body according to its status, returning the result
@@ -263,7 +288,9 @@ pub fn decode_granted(buf: &[u8]) -> Option<GrantedQoS> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message_layer::{decode_frame, Event};
     use multe_qos::{QoSSpec, ServerPolicy};
+    use std::time::Duration;
 
     fn sample_granted() -> GrantedQoS {
         let spec = QoSSpec::builder()
@@ -317,7 +344,7 @@ mod tests {
         let granted = sample_granted();
         let reply = make_reply(
             7,
-            Ok((Bytes::from_static(b"result"), granted.clone())),
+            Ok((&b"result"[..], &granted)),
             None,
             GiopVersion::STANDARD,
             ByteOrder::Big,
@@ -383,7 +410,7 @@ mod tests {
         let granted = sample_granted();
         let reply = make_reply(
             11,
-            Ok((Bytes::new(), granted.clone())),
+            Ok((&[][..], &granted)),
             Some(&rep_trace),
             GiopVersion::STANDARD,
             ByteOrder::Big,
@@ -401,6 +428,198 @@ mod tests {
                 assert_eq!(g, Some(granted));
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// The four-parameter QoS request the benchmark's probes encode.
+    fn qos4() -> Vec<QoSParameter> {
+        QoSSpec::builder()
+            .throughput_bps(1_000_000, 0, i32::MAX)
+            .reliability(Reliability::Checked)
+            .ordered(true)
+            .latency(
+                Duration::from_millis(10),
+                Duration::ZERO,
+                Duration::from_secs(1),
+            )
+            .build()
+            .to_params()
+    }
+
+    /// `make_request` encodes from borrowed parts; a `Message::Request`
+    /// holding the same parts is the reference. The two are byte-identical
+    /// in every row, and the decoded key and operation are the inputs.
+    #[test]
+    fn make_request_is_byte_identical_to_the_message_path() {
+        let trace = RequestTraceContext {
+            trace_id: 42,
+            sent_at_ns: 7_000,
+            marshal_us: 3,
+        };
+        for order in [ByteOrder::Big, ByteOrder::Little] {
+            for qos in [Vec::new(), qos4()] {
+                for trace in [None, Some(&trace)] {
+                    for key in [&b""[..], b"svc"] {
+                        for size in [0, 64, 16 * 1024] {
+                            let row = format!(
+                                "{order:?}, {} qos, trace {}, key {key:?}, {size} B",
+                                qos.len(),
+                                trace.is_some()
+                            );
+                            let args = Bytes::from(vec![0xA5; size]);
+                            let frame = make_request(
+                                9,
+                                key,
+                                "render",
+                                args.clone(),
+                                &qos[..],
+                                true,
+                                trace,
+                                order,
+                            )
+                            .unwrap();
+                            let mut header = RequestHeader::builder(9, key.to_vec(), "render")
+                                .qos_params(qos.clone());
+                            if let Some(trace) = trace {
+                                header = header.service_context(
+                                    [trace.to_service_context()].into_iter().collect(),
+                                );
+                            }
+                            let msg = Message::Request {
+                                header: header.build(),
+                                body: args,
+                            };
+                            let version = if qos.is_empty() {
+                                GiopVersion::STANDARD
+                            } else {
+                                GiopVersion::QOS_EXTENDED
+                            };
+                            let reference = encode_message(&msg, version, order).unwrap();
+                            assert_eq!(frame, reference, "{row}");
+                            let (decoded, _, _) = Message::decode_frame(&frame).unwrap();
+                            let Message::Request { header, .. } = &decoded else {
+                                panic!("{row}: not a request");
+                            };
+                            assert_eq!(&header.object_key[..], key, "{row}");
+                            assert_eq!(header.operation, "render", "{row}");
+                            assert_eq!(decoded, msg, "{row}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `make_reply` writes the result or the exception straight into the
+    /// frame; a `Message::Reply` whose body was marshalled on its own is
+    /// the reference, for success, QoS NACK, user and system exception.
+    #[test]
+    fn make_reply_is_byte_identical_to_the_message_path() {
+        let granted = sample_granted();
+        let trace = ReplyTraceContext {
+            trace_id: 42,
+            recv_at_ns: 1,
+            sent_at_ns: 2,
+            queue_wait_us: 3,
+            negotiate_us: 4,
+            execute_us: 5,
+        };
+        let nack = QosError::Rejected("too fast".into());
+        let nack_error = OrbError::QosNotSupported(nack.clone());
+        let user = OrbError::UserException {
+            repo_id: "IDL:app/Bad:1.0".into(),
+            body: b"why".to_vec(),
+        };
+        let system = OrbError::ObjectNotFound("ghost".into());
+        for version in [GiopVersion::STANDARD, GiopVersion::QOS_EXTENDED] {
+            for order in [ByteOrder::Big, ByteOrder::Little] {
+                let standalone = |fill: &dyn Fn(&mut CdrEncoder)| {
+                    let mut enc = CdrEncoder::new(order);
+                    fill(&mut enc);
+                    enc.into_bytes()
+                };
+                // What the dispatch ended in; the reference reply's status
+                // and its body, marshalled on its own.
+                let rows = [
+                    (
+                        Ok((&b"result"[..], &granted)),
+                        ReplyStatus::NoException,
+                        Bytes::from_static(b"result"),
+                    ),
+                    (
+                        Err(&nack_error),
+                        ReplyStatus::UserException,
+                        standalone(&|enc| {
+                            enc.put_string(QOS_NACK_REPO_ID);
+                            enc.put_u32(nack.code());
+                            enc.put_string(&nack.to_string());
+                        }),
+                    ),
+                    (
+                        Err(&user),
+                        ReplyStatus::UserException,
+                        standalone(&|enc| {
+                            enc.put_string("IDL:app/Bad:1.0");
+                            enc.put_raw(b"why");
+                        }),
+                    ),
+                    (
+                        Err(&system),
+                        ReplyStatus::SystemException,
+                        standalone(&|enc| {
+                            enc.put_string("ObjectNotFound");
+                            enc.put_string("ghost");
+                        }),
+                    ),
+                ];
+                for (result, status, body) in rows {
+                    let row = format!("{version:?} {order:?} {status:?}");
+                    let mut header = ReplyHeader::new(3, status);
+                    if result.is_ok() {
+                        header.service_context.push(ServiceContext::new(
+                            QOS_CONTEXT_ID,
+                            encode_granted(&granted),
+                        ));
+                        header.service_context.push(trace.to_service_context());
+                    }
+                    let frame = make_reply(3, result, Some(&trace), version, order).unwrap();
+                    let reference =
+                        encode_message(&Message::Reply { header, body }, version, order).unwrap();
+                    assert_eq!(frame, reference, "{row}");
+                }
+            }
+        }
+    }
+
+    /// A Request whose operation is not a CDR string — invalid UTF-8, or
+    /// no nul terminator — is malformed, as it was before the operation
+    /// became a view of the frame.
+    #[test]
+    fn a_request_with_a_bad_operation_is_malformed() {
+        let frame = make_request(
+            1,
+            b"svc",
+            "op",
+            Bytes::new(),
+            Vec::new(),
+            true,
+            None,
+            ByteOrder::Big,
+        )
+        .unwrap();
+        // Header 12, empty contexts 4, id 4, flag 1 + pad 3, key 4 + 3,
+        // pad 1, then the operation's length (3) and "op\0".
+        let op = 12 + 4 + 4 + 4 + 4 + 3 + 1 + 4;
+        assert_eq!(&frame[op..op + 3], b"op\0");
+        for (at, byte) in [(op, 0xFF), (op + 2, b'x')] {
+            let mut bad = frame.to_vec();
+            bad[at] = byte;
+            let mut events = Vec::new();
+            decode_frame(&Bytes::from(bad), |event| {
+                events.push(matches!(event, Event::Malformed));
+                true
+            });
+            assert_eq!(events, vec![true], "byte {at} set to {byte:#x}");
         }
     }
 }

@@ -63,7 +63,8 @@ fn error_of(kind: &str, detail: String) -> OrbError {
     match kind {
         "ObjectNotFound" => OrbError::ObjectNotFound(detail),
         "OperationUnknown" => {
-            let (object, operation) = detail.split_once('/').unwrap_or((detail.as_str(), ""));
+            // Object keys may contain '/', IDL operation names never do.
+            let (object, operation) = detail.rsplit_once('/').unwrap_or((detail.as_str(), ""));
             OrbError::OperationUnknown {
                 object: object.to_owned(),
                 operation: operation.to_owned(),
@@ -77,7 +78,10 @@ fn error_of(kind: &str, detail: String) -> OrbError {
 /// Encodes a request of `protocol` from its protocol-neutral parts:
 /// [`OrbError::Marshal`] if that fails, [`OrbError::Protocol`] if the
 /// protocol cannot carry the QoS parameters given.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the parts of a request, each borrowed, plus trace and byte order"
+)]
 pub(crate) fn encode_request(
     protocol: WireProtocol,
     request_id: u32,
@@ -95,7 +99,7 @@ pub(crate) fn encode_request(
             object_key,
             operation,
             args,
-            qos_params.to_vec(),
+            qos_params,
             response_expected,
             trace,
             order,
@@ -146,11 +150,12 @@ pub(crate) enum ReplyFormat {
 }
 
 /// An invocation off the wire. `qos_params` is empty, and `trace` absent,
-/// where the protocol has no field for them.
+/// where the protocol has no field for them. Over GIOP the key and the
+/// operation are views of the frame, like `args`.
 pub(crate) struct InboundRequest {
     pub(crate) request_id: u32,
-    pub(crate) object_key: Vec<u8>,
-    pub(crate) operation: String,
+    pub(crate) object_key: Bytes,
+    pub(crate) operation: StrView,
     pub(crate) args: Bytes,
     pub(crate) qos_params: Vec<QoSParameter>,
     pub(crate) one_way: bool,
@@ -167,7 +172,7 @@ pub(crate) enum Event {
     /// An object-location probe, answered with [`encode_locate_reply`].
     Locate {
         request_id: u32,
-        object_key: Vec<u8>,
+        object_key: Bytes,
         reply_format: ReplyFormat,
     },
     Reply {
@@ -202,7 +207,8 @@ pub(crate) fn decode_frame(frame: &Bytes, mut handle: impl FnMut(Event) -> bool)
 /// Marshals the outcome of a dispatch as the reply to `request_id`: the
 /// result (with granted QoS and the server's trace half where the format
 /// has room), or the exception the error travels as — the adapter's QoS
-/// NACK and a servant raising `QosNotSupported` are the same reply.
+/// NACK and a servant raising `QosNotSupported` are the same reply. Over
+/// GIOP the servant's result is written straight into the reply frame.
 /// [`OrbError::Marshal`] if encoding fails.
 pub(crate) fn encode_reply(
     request_id: u32,
@@ -211,16 +217,23 @@ pub(crate) fn encode_reply(
     format: ReplyFormat,
 ) -> Result<Bytes, OrbError> {
     let result = match outcome {
-        DispatchOutcome::Success { body, granted } => Ok((Bytes::from(body), granted)),
+        DispatchOutcome::Success { body, granted } => Ok((body, granted)),
         DispatchOutcome::QosNack(reason) => Err(OrbError::QosNotSupported(reason)),
         DispatchOutcome::Error(err) => Err(err),
     };
     match format {
-        ReplyFormat::Giop { version, order } => {
-            giop::make_reply(request_id, result, trace, version, order)
-        }
+        ReplyFormat::Giop { version, order } => giop::make_reply(
+            request_id,
+            result.as_ref().map(|(body, granted)| (&body[..], granted)),
+            trace,
+            version,
+            order,
+        ),
         ReplyFormat::Cool => match result {
-            Ok((body, _granted)) => CoolMessage::Reply { request_id, body },
+            Ok((body, _granted)) => CoolMessage::Reply {
+                request_id,
+                body: Bytes::from(body),
+            },
             // A user exception's body does not fit `Exception { kind,
             // detail }`: it travels as `Internal`, like any other error.
             Err(err) => {
@@ -339,6 +352,11 @@ mod tests {
             object: "obj".into(),
             operation: "ping".into(),
         };
+        // An object key may contain '/'; an operation name may not.
+        let unknown_nested = OrbError::OperationUnknown {
+            object: "media/cam1".into(),
+            operation: "zoom".into(),
+        };
         let user = OrbError::UserException {
             repo_id: "IDL:app/Bad:1.0".into(),
             body: b"detail".to_vec(),
@@ -353,6 +371,7 @@ mod tests {
                 None,
             ),
             (unknown.clone(), unknown, None),
+            (unknown_nested.clone(), unknown_nested, None),
             (
                 OrbError::QosNotSupported(nack.clone()),
                 OrbError::QosNotSupported(QosError::Rejected(nack.to_string())),

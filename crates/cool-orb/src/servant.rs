@@ -8,33 +8,25 @@ use multe_qos::GrantedQoS;
 /// Carries the outcome of the bilateral QoS negotiation so that an object
 /// implementation can adapt its behaviour to the granted operating point —
 /// e.g. the paper's motivating image server returning a lower resolution
-/// under a lower QoS (Section 4.1).
+/// under a lower QoS (Section 4.1). The operation's name is not in here:
+/// [`Servant::dispatch`] receives it as its first argument, a view of the
+/// request frame, so building a context copies nothing.
 #[derive(Debug, Clone, Default)]
 pub struct InvocationCtx {
     granted: GrantedQoS,
-    operation: String,
     one_way: bool,
 }
 
 impl InvocationCtx {
     /// Creates a context (used by the adapter).
-    pub fn new(granted: GrantedQoS, operation: &str, one_way: bool) -> Self {
-        InvocationCtx {
-            granted,
-            operation: operation.to_owned(),
-            one_way,
-        }
+    pub fn new(granted: GrantedQoS, one_way: bool) -> Self {
+        InvocationCtx { granted, one_way }
     }
 
     /// The QoS granted for this invocation (best-effort when the client
     /// never called `set_qos_parameter`).
     pub fn granted(&self) -> &GrantedQoS {
         &self.granted
-    }
-
-    /// The operation being invoked.
-    pub fn operation(&self) -> &str {
-        &self.operation
     }
 
     /// Whether the client expects no reply.
@@ -125,8 +117,7 @@ mod tests {
 
     #[test]
     fn ctx_accessors() {
-        let ctx = InvocationCtx::new(GrantedQoS::best_effort(), "render", true);
-        assert_eq!(ctx.operation(), "render");
+        let ctx = InvocationCtx::new(GrantedQoS::best_effort(), true);
         assert!(ctx.is_one_way());
         assert!(ctx.granted().is_best_effort());
     }

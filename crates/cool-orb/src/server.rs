@@ -697,7 +697,7 @@ fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes, own: boo
             conn.cancelled.lock().insert(request_id);
             true
         }
-        // Raw-bytes probe: no ObjectKey allocation on this path.
+        // The key is a view of the frame: no allocation on this path.
         Event::Locate {
             request_id,
             object_key,

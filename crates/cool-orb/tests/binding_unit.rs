@@ -375,7 +375,7 @@ fn every_mode_puts_the_message_layers_frame_on_the_wire() {
                     b"key",
                     operation,
                     args,
-                    qos.to_vec(),
+                    qos,
                     response_expected,
                     None,
                     ByteOrder::Big,

@@ -3,11 +3,17 @@
 //! The zero-copy refactor's invariant is that one invocation allocates at
 //! most two data-path buffers end to end: the request frame on the client
 //! and the reply frame on the server. Every site that materialises a fresh
-//! data-path buffer (a new frame `BytesMut`, a legacy copying decode, a
-//! `Packet` copy-on-write) calls [`record_buffer_alloc`]; the root
-//! package's `tests/alloc_budget.rs` reads the counter around a run of
-//! calls and asserts the per-call delta is exactly two (the ledger reports
-//! the same figure as `cool-orb.allocs_per_call`).
+//! data-path buffer (a new frame `BytesMut`, a copying decode, a `Packet`
+//! copy-on-write) calls [`record_buffer_alloc`]; the root package's
+//! `tests/alloc_budget.rs` reads the counter around a run of calls and
+//! asserts the per-call delta is exactly two (the ledger reports the same
+//! figure as `cool-orb.allocs_per_call`).
+//!
+//! This is a count of those sites, not of the heap: a frame's `Arc`, the
+//! servant's result `Vec` or an owned copy made anywhere else goes unseen
+//! here. `tests/heap_budget.rs` counts every heap allocation of a call at
+//! a counting global allocator (at most 5 over Chorus and Da CaPo, 9 over
+//! TCP).
 //!
 //! A process-global relaxed atomic rather than a [`crate::Registry`]
 //! metric: the count must be observable on paths (cool-giop) that have no

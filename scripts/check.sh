@@ -53,6 +53,9 @@ cargo test --release --offline --manifest-path ledger/Cargo.toml
 cargo test -q --release -p dacapo --test transport_contract --test end_to_end
 cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow --test pipelining --test tcp_reading --test binding_unit --test channel_end
 cargo test -q --release -p cool-orb --lib -- dacapo_chan binding exchange server
+# The heap allocations of a call, counted at the allocator, once more in
+# the optimized build the ledger measures.
+cargo test -q --release --test heap_budget
 
 # The analyzer (DESIGN §7.1), one pass over every .rs file, for what no
 # stock tool sees. Per file: unbounded invocation retry loops.

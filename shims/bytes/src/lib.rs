@@ -74,6 +74,26 @@ impl Bytes {
         }
     }
 
+    /// Returns `subset` — a slice borrowed from this buffer, such as a
+    /// parser hands back — as a `Bytes` sharing storage. An empty `subset`
+    /// gives an empty view.
+    ///
+    /// # Panics
+    ///
+    /// If a non-empty `subset` does not lie inside this buffer.
+    pub fn slice_ref(&self, subset: &[u8]) -> Bytes {
+        if subset.is_empty() {
+            return self.slice(0..0);
+        }
+        let base = self.as_ptr() as usize;
+        let start = subset.as_ptr() as usize;
+        assert!(
+            start >= base && start + subset.len() <= base + self.len(),
+            "slice_ref: subset is not a slice of this buffer"
+        );
+        self.slice(start - base..start - base + subset.len())
+    }
+
     /// Splits the buffer at `at`; returns the front half, leaves the rest.
     pub fn split_to(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len(), "split_to out of bounds");
@@ -436,6 +456,24 @@ mod tests {
         assert_eq!(&s[..], &[2, 3, 4]);
         let c = b.clone();
         assert_eq!(b, c);
+    }
+
+    #[test]
+    fn slice_ref_shares_storage() {
+        let b = Bytes::from(vec![1u8, 2, 3, 4, 5]);
+        let inner = b.slice(1..);
+        let s = inner.slice_ref(&b[2..4]);
+        assert_eq!(&s[..], &[3, 4]);
+        assert_eq!(s.as_ptr(), b[2..].as_ptr());
+        assert!(b.slice_ref(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "not a slice of this buffer")]
+    fn slice_ref_rejects_foreign_slices() {
+        let b = Bytes::from(vec![1u8, 2, 3]);
+        let other = vec![1u8, 2];
+        let _ = b.slice_ref(&other);
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! The zero-copy data path's allocation budget: one two-way invocation
+//! The zero-copy data path's metered-buffer budget: one two-way invocation
 //! allocates exactly two data-path buffers end to end — the request frame
-//! on the client, the reply frame on the server; every decode is a view.
-//! The budget holds over every transport and for small and large bodies
-//! alike, so a copy through any metered site (a copying decode, a
-//! `Packet` copy-on-write, a fresh frame) shows up here as a third.
+//! on the client, the reply frame on the server; a GIOP decode makes none
+//! (body, object key and operation are views of the frame). The budget
+//! holds over every transport and for small and large bodies alike, so a
+//! copy through any metered site (a copying decode, a `Packet`
+//! copy-on-write, a fresh frame) shows up here as a third. It counts
+//! those sites, not the heap: `tests/heap_budget.rs` counts every
+//! allocation a call makes.
 //!
 //! Alone in its test binary on purpose: the counter
 //! (`cool_telemetry::allocs`) is process-global, so any other test

@@ -130,7 +130,7 @@ fn locate_request_over_tcp() {
     ] {
         let msg = Message::LocateRequest(LocateRequestHeader {
             request_id: 77,
-            object_key: key.to_vec(),
+            object_key: Bytes::copy_from_slice(key),
         });
         let frame = encode_message(&msg, GiopVersion::STANDARD, ByteOrder::Big).unwrap();
         channel.send_frame(frame).unwrap();
