@@ -1,29 +1,24 @@
 //! A006 — condvar wait-graph analysis.
 //!
 //! For every condvar wait site (a `.wait*` call whose receiver binds a
-//! `Condvar` somewhere in the crate) three ingredients of the classic
-//! missed-wakeup/convoy hangs are checked:
+//! `Condvar` somewhere in the crate) two ingredients of the classic
+//! missed-wakeup hangs are checked:
 //!
-//! (a) no *other* ordered lock is held across the wait — the wait
-//!     releases only its own mutex, so anything else held blocks every
-//!     thread that needs it until the wakeup arrives (convoy), and by
-//!     repo convention condvar mutexes are plain `parking_lot`/`std`
-//!     mutexes, so any `OrderedMutex` guard live at the wait is foreign;
-//! (b) at least one non-test `notify_one`/`notify_all` on the same
+//! (a) at least one non-test `notify_one`/`notify_all` on the same
 //!     receiver exists in the crate — a condvar nobody notifies is a
 //!     hang, not a synchronization;
-//! (c) the wait is guarded by a predicate loop (lexically inside
+//! (b) the wait is guarded by a predicate loop (lexically inside
 //!     `loop`/`while`/`for`, or a `*_while` variant that re-checks
 //!     internally) — bare waits miss wakeups that arrive early and
 //!     return spuriously.
 //!
+//! A wait while an ordered lock is held (the convoy) is A002's: a wait is
+//! one of its blocking operations.
+//!
 //! Wait sites are collected whole-file, so waits inside spawned-thread
-//! closures are checked even though closure bodies are excluded from the
-//! per-function event streams; check (a) alone relies on those streams
-//! and therefore sees only non-closure waits.
+//! closures are checked too.
 
-use super::{walk_fn, Ctx};
-use crate::parse::EventKind;
+use super::Ctx;
 use crate::report::Finding;
 use std::collections::{HashMap, HashSet};
 
@@ -50,7 +45,7 @@ pub fn check(ctx: &Ctx) -> Vec<Finding> {
         }
     }
 
-    for (fi, file) in ws.files.iter().enumerate() {
+    for file in &ws.files {
         if file.test_like {
             continue;
         }
@@ -63,7 +58,7 @@ pub fn check(ctx: &Ctx) -> Vec<Finding> {
             if w.in_test || !is_condvar(&w.recv) {
                 continue;
             }
-            // (b) a notify site must exist for this condvar.
+            // (a) a notify site must exist for this condvar.
             if !notified
                 .get(file.krate.as_str())
                 .is_some_and(|n| n.contains(w.recv.as_str()))
@@ -79,7 +74,7 @@ pub fn check(ctx: &Ctx) -> Vec<Finding> {
                     ),
                 ));
             }
-            // (c) predicate loop (or a *_while variant).
+            // (b) predicate loop (or a *_while variant).
             if !w.in_loop && !w.method.ends_with("_while") {
                 out.push(Finding::new(
                     &file.rel,
@@ -93,31 +88,6 @@ pub fn check(ctx: &Ctx) -> Vec<Finding> {
                     ),
                 ));
             }
-        }
-        // (a) no ordered lock held across a wait.
-        for (gi, f) in file.fns.iter().enumerate() {
-            if f.in_test {
-                continue;
-            }
-            walk_fn(ws, fi, gi, |e, held| {
-                if let EventKind::Block { what } = &e.kind {
-                    if what.starts_with("wait") {
-                        for h in held {
-                            out.push(Finding::new(
-                                &file.rel,
-                                e.line,
-                                "A006",
-                                &format!(
-                                    "condvar-style `{what}` while holding ordered lock `{}` \
-                                     (rank {}, locked at line {}); the wait releases only \
-                                     its own mutex, so `{}` stays held until the wakeup",
-                                    h.name, h.rank, h.line, h.name
-                                ),
-                            ));
-                        }
-                    }
-                }
-            });
         }
     }
     out

@@ -12,8 +12,7 @@
 //! | A005 | channel topology: every data-path queue is bounded (or carries an  |
 //! |      | allow), matches the DESIGN.md §7.4 table (capacities included),    |
 //! |      | and no documented cycle is all-blocking                            |
-//! | A006 | condvar waits hold no other ordered lock, have a reachable notify, |
-//! |      | and sit in a predicate loop                                        |
+//! | A006 | condvar waits have a reachable notify and sit in a predicate loop  |
 //! | A007 | every spawned thread has a join reachable from the shutdown path   |
 //! | A008 | every blocking call on the data path is bounded: timeout/deadline  |
 //! |      | variant, §8.5-documented close-sentinel drain, shutdown-path join, |

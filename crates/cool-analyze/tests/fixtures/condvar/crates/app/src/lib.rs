@@ -1,6 +1,6 @@
 //! A006 fixture: condvar wait-graph — a wait nobody notifies, a bare
-//! wait outside any predicate loop, a wait under a foreign ordered lock,
-//! and the legal patterns (predicate loop, `*_while`, inline allow).
+//! wait outside any predicate loop, a wait under a foreign ordered lock
+//! (A002's), and the legal patterns (predicate loop, `*_while`, allow).
 
 pub mod rank {
     pub const FOREIGN: Rank = Rank::new(10, "app.foreign");

@@ -45,7 +45,6 @@ use crate::message_layer::{self, Event, WireProtocol};
 use crate::transport::{deadline_after, ComChannel, FrameSink, Owed, ReadDemand};
 use bytes::Bytes;
 use cool_giop::prelude::{ByteOrder, QoSParameter, RequestTraceContext};
-use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::{
     names, ClientTrace, Counter, Histogram, Registry, ServerTraceTiming, SpanOutcome, Stage,
 };
@@ -54,7 +53,7 @@ use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
 use std::collections::{hash_map, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
@@ -284,7 +283,6 @@ struct ClientMetrics {
     invocations: Arc<Counter>,
     latency: Arc<Histogram>,
     timeouts: Arc<Counter>,
-    reconnects: Arc<Counter>,
     ctx_bytes: Arc<Counter>,
 }
 
@@ -295,7 +293,6 @@ impl ClientMetrics {
             invocations: registry.counter(&Registry::labeled("orb_invocations_total", labels)),
             latency: registry.histogram(&Registry::labeled("orb_invocation_latency_us", labels)),
             timeouts: registry.counter("orb_timeouts_total"),
-            reconnects: registry.counter(names::RECONNECTS_TOTAL),
             ctx_bytes: registry.counter(names::SERVICE_CONTEXT_BYTES),
             registry,
         }
@@ -357,15 +354,8 @@ fn outcome_of(result: &ReplyResult) -> SpanOutcome {
     }
 }
 
-/// How a binding re-establishes its transport after the connection dies:
-/// a dial closure installed by the ORB (it re-resolves the address and
-/// re-wraps the channel exactly as the original dial did).
-pub type Reconnector = Arc<dyn Fn() -> Result<Arc<dyn ComChannel>, OrbError> + Send + Sync>;
-
-/// One incarnation of the binding's transport. Whether it has ended is
-/// its channel's to say ([`ComChannel::is_closed`]): each incarnation has
-/// its own inbox, so a replaced channel's end never reads as its
-/// successor's.
+/// The binding's transport, fixed for the binding's life. Whether it has
+/// ended is its channel's to say ([`ComChannel::is_closed`]).
 #[derive(Clone)]
 struct ConnHandle {
     channel: Arc<dyn ComChannel>,
@@ -375,22 +365,13 @@ struct ConnHandle {
 
 /// A client connection to one server endpoint.
 pub struct Binding {
-    /// Serialises reconnection; held across the whole re-establishment so
-    /// concurrent callers observe either the old (closed) or the fully
-    /// wired new connection, never a half-built one.
-    reconnect_gate: OrderedMutex<()>,
-    conn: OrderedMutex<ConnHandle>,
-    /// Transport QoS the application last pushed down (via
-    /// [`Binding::set_transport_qos`]); replayed onto the new channel after
-    /// a reconnect so the renegotiated binding keeps its operating point.
-    last_qos: OrderedMutex<Option<TransportRequirements>>,
+    conn: ConnHandle,
     protocol: WireProtocol,
     next_id: AtomicU32,
     pending: Arc<Pending>,
-    /// Permanent shutdown: once set, [`Binding::reconnect`] refuses to
-    /// resurrect the binding.
+    /// Closed here ([`Binding::close`]), not lost: the ORB never replaces
+    /// a retired binding.
     retired: AtomicBool,
-    reconnector: OnceLock<Reconnector>,
     /// Whether requests carry a trace context: telemetry is on,
     /// [`OrbConfig::tracing`] has not switched it off, and the protocol
     /// has room for one. Otherwise the wire bytes are those of an
@@ -401,7 +382,7 @@ pub struct Binding {
 impl std::fmt::Debug for Binding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Binding")
-            .field("transport", &self.conn.lock().channel.kind())
+            .field("transport", &self.conn.channel.kind())
             .field("protocol", &self.protocol)
             .field("pending", &self.pending.slots.lock().len())
             .finish()
@@ -500,104 +481,52 @@ impl Binding {
             slots: OrderedMutex::new(lock_rank::BINDING_PENDING, HashMap::new()),
             telemetry,
         });
-        let conn = attach(channel, &pending);
         Arc::new(Binding {
-            reconnect_gate: OrderedMutex::new(lock_rank::BINDING_RECONNECT, ()),
-            conn: OrderedMutex::new(lock_rank::BINDING_CONN, conn),
-            last_qos: OrderedMutex::new(lock_rank::BINDING_LAST_QOS, None),
+            conn: attach(channel, &pending),
             protocol,
             next_id: AtomicU32::new(1),
             pending,
             retired: AtomicBool::new(false),
-            reconnector: OnceLock::new(),
             tracing,
         })
     }
 
-    /// Installs the dial closure used by [`Binding::reconnect`]. Set once
-    /// by the ORB right after construction; later calls are ignored.
-    pub fn set_reconnector(&self, reconnector: Reconnector) {
-        let _ = self.reconnector.set(reconnector);
-    }
-
-    fn current(&self) -> ConnHandle {
-        self.conn.lock().clone()
-    }
-
-    /// Whether the binding has been closed (permanently retired, or its
-    /// current connection died and no reconnect has succeeded yet).
+    /// Whether the binding is closed: by [`Binding::close`], or because its
+    /// connection ended. A binding is never repaired; the ORB replaces one
+    /// whose connection ended with a fresh dial.
     ///
     /// An idle TCP connection has nobody reading it, so what the peer said
     /// last — a CloseConnection, the end of the stream — is taken in here
     /// first, without blocking.
     pub fn is_closed(&self) -> bool {
-        if self.retired.load(Ordering::Acquire) {
-            return true;
-        }
-        let conn = self.current();
-        conn.channel.read_turn(Instant::now(), &|| false);
-        conn.channel.is_closed()
+        self.retired.load(Ordering::Acquire) || self.is_lost()
     }
 
-    /// Pushes transport QoS requirements down the current channel and
-    /// remembers them for replay after a reconnect.
+    /// Whether the connection ended without [`Binding::close`]: the peer
+    /// closed it, or the wire failed. Such a binding is replaced, a
+    /// retired one never.
+    pub(crate) fn is_lost(&self) -> bool {
+        if self.retired.load(Ordering::Acquire) {
+            return false;
+        }
+        self.conn.channel.read_turn(Instant::now(), &|| false);
+        self.conn.channel.is_closed()
+    }
+
+    /// Pushes transport QoS requirements down the channel.
     ///
     /// # Errors
     ///
     /// Whatever the transport's `set_qos` raises.
     pub fn set_transport_qos(&self, requirements: &TransportRequirements) -> Result<(), OrbError> {
-        let conn = self.current();
-        *self.last_qos.lock() = Some(*requirements);
-        conn.channel.set_qos(requirements)
-    }
-
-    /// Re-establishes the transport after the connection died: fails all
-    /// pending requests with an attributed [`OrbError::Closed`], dials a
-    /// fresh channel via the installed [`Reconnector`], replays the last
-    /// transport QoS, and swaps the connection in.
-    ///
-    /// Idempotent under concurrency — callers racing on a dead connection
-    /// serialise on the reconnect gate, and whoever arrives after a
-    /// successful reconnect returns immediately.
-    ///
-    /// # Errors
-    ///
-    /// [`OrbError::Closed`] if the binding was retired or no reconnector
-    /// is installed; otherwise the dial or QoS-replay failure.
-    pub fn reconnect(&self) -> Result<(), OrbError> {
-        if self.retired.load(Ordering::Acquire) {
-            return Err(OrbError::Closed);
-        }
-        let _gate = self.reconnect_gate.lock();
-        if !self.current().channel.is_closed() {
-            return Ok(()); // someone else already reconnected
-        }
-        let reconnector = self.reconnector.get().ok_or(OrbError::Closed)?.clone();
-        // Pending requests belonged to the dead connection; fail them now,
-        // attributed, instead of letting them run out their deadlines.
-        self.pending.fail_all();
-        let conn = attach(reconnector()?, &self.pending);
-        if let Some(requirements) = *self.last_qos.lock() {
-            conn.channel.set_qos(&requirements)?;
-        }
-        *self.conn.lock() = conn;
-        if let Some(t) = &self.pending.telemetry {
-            t.reconnects.inc();
-            t.registry.flight_event(
-                flight_event::RECONNECT,
-                None,
-                format!("channel {} redialed", self.current().channel.kind()),
-            );
-        }
-        Ok(())
+        self.conn.channel.set_qos(requirements)
     }
 
     /// The one issue path behind every invocation mode: closed check →
     /// request id → span begin → encode → register the slot → send,
     /// unwinding registration and span if the request never reaches the
-    /// wire. Hands back the request's id, when the invocation began (the
-    /// origin of its span and its timeout) and the connection the request
-    /// went out on.
+    /// wire. Hands back the request's id and when the invocation began (the
+    /// origin of its span and its timeout).
     fn issue(
         &self,
         object_key: &[u8],
@@ -605,9 +534,9 @@ impl Binding {
         args: Bytes,
         qos_params: &[QoSParameter],
         collect: Collect,
-    ) -> Result<(u32, Instant, ConnHandle), OrbError> {
+    ) -> Result<(u32, Instant), OrbError> {
         let response_expected = !matches!(collect, Collect::Nothing);
-        let conn = self.current();
+        let conn = &self.conn;
         if self.retired.load(Ordering::Acquire) || conn.channel.is_closed() {
             return Err(OrbError::Closed);
         }
@@ -682,7 +611,7 @@ impl Binding {
                 Err(_) => t.abort_invocation(request_id, SpanOutcome::Error),
             }
         }
-        sent.map(|()| (request_id, started, conn))
+        sent.map(|()| (request_id, started))
     }
 
     /// Two-way synchronous invocation.
@@ -699,10 +628,10 @@ impl Binding {
         qos_params: &[QoSParameter],
         timeout: Duration,
     ) -> ReplyResult {
-        let (request_id, started, conn) =
+        let (request_id, started) =
             self.issue(object_key, operation, args, qos_params, Collect::Caller)?;
         self.pending
-            .wait_timeout(request_id, started, timeout, &conn)
+            .wait_timeout(request_id, started, timeout, &self.conn)
     }
 
     /// One-way invocation: returns as soon as the request is on the wire.
@@ -735,7 +664,7 @@ impl Binding {
         args: Bytes,
         qos_params: &[QoSParameter],
     ) -> Result<DeferredReply, OrbError> {
-        let (request_id, _, conn) = self.issue(
+        let (request_id, _) = self.issue(
             object_key,
             operation,
             args,
@@ -745,7 +674,7 @@ impl Binding {
         Ok(DeferredReply {
             request_id,
             pending: self.pending.clone(),
-            conn,
+            conn: self.conn.clone(),
             done: false,
             ready: None,
         })
@@ -784,21 +713,20 @@ impl Binding {
         {
             return false;
         }
-        send_cancel(&*self.current().channel, request_id);
+        send_cancel(&*self.conn.channel, request_id);
         true
     }
 
-    /// Closes the binding permanently; all pending requests complete with
-    /// [`OrbError::Closed`] and [`Binding::reconnect`] refuses to revive
-    /// it.
+    /// Closes the binding for good; all pending requests complete with
+    /// [`OrbError::Closed`], and so does every later call: the ORB does not
+    /// replace a binding closed here.
     pub fn close(&self) {
         self.retired.store(true, Ordering::Release);
-        let conn = self.current();
         // Closing the channel fires the sink's `on_close`, which also
         // fails the pending map; doing it here too covers transports whose
         // teardown is asynchronous. An answered entry keeps its answer, so
         // requests complete exactly once.
-        conn.channel.close();
+        self.conn.channel.close();
         self.pending.fail_all();
     }
 }
@@ -809,8 +737,8 @@ impl Drop for Binding {
     }
 }
 
-/// Wires a (possibly fresh) channel to the binding's demultiplexer, and
-/// takes over its reader's demand.
+/// Wires a channel to the binding's demultiplexer, and takes over its
+/// reader's demand.
 fn attach(channel: Arc<dyn ComChannel>, pending: &Arc<Pending>) -> ConnHandle {
     channel.set_sink(Arc::new(DemuxSink {
         pending: pending.clone(),

@@ -49,7 +49,8 @@ pub struct OrbConfig {
     /// Automatic retry for remote invocations. `None` (the default) keeps
     /// the historical single-attempt behaviour; `Some` makes every stub
     /// replay retryable errors (see [`crate::OrbError::is_retryable`]) with
-    /// bounded exponential backoff and transparent reconnection.
+    /// bounded exponential backoff, binding afresh when a connection was
+    /// lost.
     pub retry: Option<RetryPolicy>,
     /// Fault-injection test hook. `None` (the default) adds **nothing** to
     /// the invocation path; `Some` wraps every client channel to a target
@@ -57,8 +58,9 @@ pub struct OrbConfig {
     /// (DESIGN.md §8). Keyed by the transport address display string (e.g.
     /// `"chorus://rep-b"`), so one replica can be lossy while its siblings
     /// stay healthy; `PlanSet::default().with_default(plan)` applies one
-    /// plan to every target. Engines are cached per target so a reconnect
-    /// continues the same deterministic fault schedule. Production configs
+    /// plan to every target. Engines are cached per target so a binding
+    /// that replaces a lost one continues the same deterministic fault
+    /// schedule. Production configs
     /// must leave this `None`.
     pub fault_plans: Option<Arc<PlanSet>>,
     /// Live introspection endpoint. `None` (the default) starts nothing —

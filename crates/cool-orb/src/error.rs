@@ -85,7 +85,7 @@ impl OrbError {
     /// Whether a `RetryPolicy` may transparently replay the invocation.
     ///
     /// Retryable: transport failures, a closed binding (the retry path
-    /// reconnects first) and *unattributed* timeouts — waits that never
+    /// replaces one whose connection was lost) and *unattributed* timeouts — waits that never
     /// involved a specific outstanding request, so the server cannot have
     /// started executing it. A timeout carrying a request id is **not**
     /// retryable: the request reached the wire and may have executed, and

@@ -9,18 +9,23 @@
 //!
 //! The QoS operating point lives here, once per *logical* stub, so a
 //! target the loop switches to is offered what the previous one had
-//! degraded to — never the preferred spec again.
+//! degraded to — never the preferred spec again. So does the one bound
+//! target's endpoint: a target is bound afresh, with that operating
+//! point, when the loop switches to it or its binding's connection was
+//! lost — never repaired in place.
 
 use crate::adapter::{DispatchOutcome, ObjectAdapter};
 use crate::binding::Binding;
 use crate::config::OrbConfig;
 use crate::error::OrbError;
-use crate::object::ObjectKey;
+use crate::message_layer::WireProtocol;
+use crate::object::{ObjectKey, ObjectRef};
+use crate::orb::Orb;
 use crate::retry::{wait_backoff, RetryPolicy};
 use bytes::Bytes;
 use cool_telemetry::flight::event;
 use cool_telemetry::lockorder::rank as lock_rank;
-use cool_telemetry::lockorder::OrderedMutex;
+use cool_telemetry::lockorder::{OrderedMutex, OrderedMutexGuard};
 use cool_telemetry::{names, Registry};
 use multe_qos::{GrantedQoS, QoSSpec, ServerPolicy, TransportRequirements};
 use std::collections::VecDeque;
@@ -61,9 +66,10 @@ impl Endpoint {
 /// is taken and what [`Invoker::invoke`] emits for it.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Step {
-    /// Wait this long, then replay against the same target: a retryable
-    /// failure with attempts and wall-clock budget left on this target.
-    /// Emits `retries_total`.
+    /// Wait this long, then replay against the same target, bound afresh
+    /// when its binding's connection was lost: a retryable failure with
+    /// attempts and wall-clock budget left on this target. Emits
+    /// `retries_total`.
     RetrySame(Duration),
     /// This target's attempts or budget are spent on a retryable failure
     /// and another target is eligible; replay there. Emits
@@ -111,8 +117,9 @@ pub(crate) fn decide(
 /// The targets one logical stub may invoke, by index. The defaults are
 /// the plain stub's: one target, no health to keep.
 pub(crate) trait Targets {
-    /// Target `idx` bound, its transport carrying the offered QoS.
-    fn endpoint(&self, idx: usize) -> Result<Arc<Endpoint>, OrbError>;
+    /// Where target `idx` is bound from: the ORB that binds it, its
+    /// reference and the protocol it is spoken to in.
+    fn locate(&self, idx: usize) -> Result<(Arc<Orb>, ObjectRef, WireProtocol), OrbError>;
 
     /// The target for the next attempt, none of `failed`; an attributed
     /// error when no eligible target exists.
@@ -162,6 +169,10 @@ pub(crate) struct State {
     pub(crate) granted: Option<GrantedQoS>,
     /// Reply timeout of a two-way call.
     pub(crate) timeout: Duration,
+    /// The one target bound, by index, and its endpoint: read under the
+    /// lock a call takes anyway. Fixed until a failure drops it; the next
+    /// attempt then binds the target afresh ([`Invoker::bind`]).
+    bound: Option<(usize, Arc<Endpoint>)>,
 }
 
 /// The invocation pipeline of one logical stub: its [`State`] — above all
@@ -173,14 +184,21 @@ pub(crate) struct Invoker {
 }
 
 impl Invoker {
-    /// A pipeline offering `offered`; nothing touches a transport yet.
-    pub(crate) fn new(config: &OrbConfig, offered: QoSSpec, fallbacks: Vec<QoSSpec>) -> Self {
+    /// A pipeline offering `offered`, with target 0 already bound to
+    /// `bound` when given; nothing touches a transport yet.
+    pub(crate) fn new(
+        config: &OrbConfig,
+        offered: QoSSpec,
+        fallbacks: Vec<QoSSpec>,
+        bound: Option<Arc<Endpoint>>,
+    ) -> Self {
         let state = State {
             offered,
             fallbacks: fallbacks.into(),
             steps: Vec::new(),
             granted: None,
             timeout: config.call_timeout,
+            bound: bound.map(|endpoint| (0, endpoint)),
         };
         Invoker {
             per_stub: OrderedMutex::new(lock_rank::STUB_STATE, state),
@@ -193,8 +211,72 @@ impl Invoker {
         self.per_stub.lock().offered.clone()
     }
 
-    pub(crate) fn qos_params(&self) -> Vec<cool_giop::QoSParameter> {
-        self.per_stub.lock().offered.to_params()
+    /// The endpoint held for target `idx`, if any.
+    pub(crate) fn held(&self, idx: usize) -> Option<Arc<Endpoint>> {
+        match &self.per_stub.lock().bound {
+            Some((held, endpoint)) if *held == idx => Some(Arc::clone(endpoint)),
+            _ => None,
+        }
+    }
+
+    /// Drops the endpoint held for target `idx`: the next attempt binds the
+    /// target afresh. Dropped with the state unlocked, like any endpoint
+    /// that leaves it: a binding closes with its last endpoint, and closing
+    /// takes `binding.pending`, ranked below the state.
+    pub(crate) fn unbind(&self, idx: usize) {
+        let unbound = self.per_stub.lock().bound.take_if(|(held, _)| *held == idx);
+        drop(unbound);
+    }
+
+    /// Drops target `idx`'s endpoint when its binding's connection was
+    /// lost. A binding closed here (retired) is kept, and keeps failing
+    /// `Closed`: nothing replaces it. Asked with the state unlocked: over
+    /// TCP the question reads the socket.
+    fn unbind_lost(&self, idx: usize) {
+        let held = self.held(idx);
+        if held.is_some_and(|e| matches!(&e.target, Target::Remote(b) if b.is_lost())) {
+            self.unbind(idx);
+        }
+    }
+
+    /// Binds target `idx` afresh and applies the current offered QoS to its
+    /// transport: the one rebinding routine, behind a replica switch and
+    /// the replacement of a lost binding alike.
+    fn bind<T: Targets>(&self, targets: &T, idx: usize) -> Result<Arc<Endpoint>, OrbError> {
+        let (orb, reference, protocol) = targets.locate(idx)?;
+        // No such listener (yet, or any more) is as retryable, and as worth
+        // failing over from, as a refused connection.
+        let endpoint = orb
+            .endpoint_for(&reference, protocol)
+            .map_err(|err| match err {
+                OrbError::BadAddress(why) => {
+                    OrbError::Transport(format!("{} unreachable: {why}", reference.addr))
+                }
+                other => other,
+            })?;
+        endpoint.apply_qos(&self.offered())?;
+        Ok(endpoint)
+    }
+
+    /// The stub's state, locked, and the endpoint of target `idx`: the one
+    /// held, or one bound afresh when none is.
+    pub(crate) fn bound<T: Targets>(
+        &self,
+        targets: &T,
+        idx: usize,
+    ) -> Result<(OrderedMutexGuard<'_, State>, Arc<Endpoint>), OrbError> {
+        let state = self.per_stub.lock();
+        if let Some((held, endpoint)) = &state.bound {
+            if *held == idx {
+                let endpoint = Arc::clone(endpoint);
+                return Ok((state, endpoint));
+            }
+        }
+        drop(state);
+        let endpoint = self.bind(targets, idx)?;
+        let replaced = self.per_stub.lock().bound.replace((idx, Arc::clone(&endpoint)));
+        drop(replaced);
+        Ok((self.per_stub.lock(), endpoint))
     }
 
     /// Makes the next fallback rung the offered QoS, recording the step.
@@ -230,11 +312,10 @@ impl Invoker {
         // Grows only when a target fails: the success path allocates nothing.
         let mut failed: Vec<usize> = Vec::new();
         let mut idx = targets.pick(&failed, operation)?;
-        let mut endpoint: Option<Arc<Endpoint>> = None;
         let mut degrade = false;
         let (mut attempts, mut start) = (1u32, Instant::now());
         loop {
-            let err = match self.attempt(targets, idx, &mut endpoint, degrade, operation, &args) {
+            let err = match self.attempt(targets, idx, degrade, operation, &args) {
                 Ok(body) => {
                     targets.succeeded(idx);
                     return Ok(body);
@@ -252,14 +333,9 @@ impl Invoker {
                     }
                     attempts += 1;
                     wait_backoff(delay);
-                    match endpoint.as_deref().map(|e| &e.target) {
-                        // A failed redial surfaces on the next attempt as
-                        // an attributed Closed/Transport error.
-                        Some(Target::Remote(binding)) if binding.is_closed() => {
-                            let _ = binding.reconnect();
-                        }
-                        _ => {}
-                    }
+                    // A failed rebind surfaces on the next attempt as an
+                    // attributed Transport error.
+                    self.unbind_lost(idx);
                 }
                 Step::Degrade => degrade = true,
                 Step::NextTarget => {
@@ -269,7 +345,6 @@ impl Invoker {
                     emit(&self.registry, counter, event::FAILOVER, detail);
                     failed.push(idx);
                     idx = targets.pick(&failed, operation)?;
-                    endpoint = None;
                     (attempts, start) = (1, Instant::now());
                 }
                 Step::Fail if !err.is_retryable() => return Err(err),
@@ -288,40 +363,39 @@ impl Invoker {
     }
 
     /// One lap of [`Invoker::invoke`]: step the QoS down first when the
-    /// last lap was NACKed, bind target `idx` if this call has not yet.
+    /// last lap was NACKed, bind target `idx` if none is held for it.
     fn attempt<T: Targets>(
         &self,
         targets: &T,
         idx: usize,
-        endpoint: &mut Option<Arc<Endpoint>>,
         degrade: bool,
         operation: &str,
         args: &Bytes,
     ) -> Result<Bytes, OrbError> {
         if degrade {
             self.step_down(operation);
-            if let Some(bound) = endpoint.as_ref() {
-                bound.apply_qos(&self.offered())?;
+            if let Some(endpoint) = self.held(idx) {
+                endpoint.apply_qos(&self.offered())?;
             }
         }
-        let endpoint = match endpoint {
-            Some(bound) => bound,
-            // A fresh endpoint is offered the current QoS as it binds.
-            None => endpoint.insert(targets.endpoint(idx)?),
-        };
-        self.invoke_once(endpoint, operation, args.clone())
+        let (state, endpoint) = self.bound(targets, idx)?;
+        self.invoke_once(state, &endpoint, operation, args.clone())
     }
 
-    /// One attempt, with no resilience applied.
+    /// One attempt, with no resilience applied: what it offers is read
+    /// from `state`, which is released before the call.
     pub(crate) fn invoke_once(
         &self,
+        state: OrderedMutexGuard<'_, State>,
         endpoint: &Endpoint,
         operation: &str,
         args: Bytes,
     ) -> Result<Bytes, OrbError> {
         match &endpoint.target {
             Target::Local(adapter) => {
-                match adapter.dispatch(&endpoint.key, operation, &args, &self.offered(), false) {
+                let offered = state.offered.clone();
+                drop(state);
+                match adapter.dispatch(&endpoint.key, operation, &args, &offered, false) {
                     DispatchOutcome::Success { body, granted } => {
                         self.per_stub.lock().granted = Some(granted);
                         Ok(Bytes::from(body))
@@ -331,10 +405,8 @@ impl Invoker {
                 }
             }
             Target::Remote(binding) => {
-                let (params, timeout) = {
-                    let state = self.per_stub.lock();
-                    (state.offered.to_params(), state.timeout)
-                };
+                let (params, timeout) = (state.offered.to_params(), state.timeout);
+                drop(state);
                 let key = endpoint.key.as_bytes();
                 let (body, granted) = binding.call(key, operation, args, &params, timeout)?;
                 if granted.is_some() {

@@ -1,11 +1,11 @@
 //! The ORB façade and client stubs.
 
 use crate::adapter::ObjectAdapter;
-use crate::binding::{Binding, DeferredReply, Reconnector};
+use crate::binding::{Binding, DeferredReply};
 use crate::config::OrbConfig;
 use crate::error::OrbError;
 use crate::exchange::LocalExchange;
-use crate::invoke::{Endpoint, Invoker, Target, Targets};
+use crate::invoke::{emit, Endpoint, Invoker, Target, Targets};
 use crate::message_layer::WireProtocol;
 use crate::object::{ObjectKey, ObjectRef, OrbAddr};
 use crate::server::OrbServer;
@@ -13,12 +13,12 @@ use crate::transport::{ComChannel, FaultChannel, FaultMetrics};
 use bytes::Bytes;
 use cool_faults::FaultEngine;
 use cool_telemetry::flight::event as flight_event;
-use cool_telemetry::{IntrospectServer, Registry};
+use cool_telemetry::{names, IntrospectServer, Registry};
 use multe_qos::{GrantedQoS, QoSSpec, TransportRequirements};
 use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// The Object Request Broker: one per process role (client, server, or
@@ -32,8 +32,8 @@ pub struct Orb {
     served: OrderedMutex<Vec<OrbAddr>>,
     /// Per-target engines materialized lazily from
     /// [`OrbConfig::fault_plans`], cached under the address display string
-    /// so reconnects to the same target continue the same deterministic
-    /// fault schedule instead of restarting it.
+    /// so a binding that replaces a lost one continues the same
+    /// deterministic fault schedule instead of restarting it.
     fault_engines: OrderedMutex<HashMap<String, Arc<FaultEngine>>>,
     /// The live introspection endpoint (`OrbConfig::introspect`); absent —
     /// no listener, no sampler thread — unless explicitly configured.
@@ -207,8 +207,13 @@ impl Orb {
         protocol: WireProtocol,
     ) -> Result<Stub, OrbError> {
         let endpoint = self.endpoint_for(reference, protocol)?;
-        let invoker = Invoker::new(&self.config, QoSSpec::best_effort(), Vec::new());
-        Ok(Stub { endpoint, invoker })
+        let offered = QoSSpec::best_effort();
+        Ok(Stub {
+            orb: Arc::downgrade(self),
+            reference: reference.clone(),
+            protocol,
+            invoker: Invoker::new(&self.config, offered, Vec::new(), Some(endpoint)),
+        })
     }
 
     /// Binds `reference`: the colocated adapter when this ORB serves the
@@ -231,15 +236,10 @@ impl Orb {
 
     /// Dials `addr`, consulting the fault engine (connect refusal) and
     /// wrapping the channel in a [`FaultChannel`] when a plan is active.
-    /// Shared by the first connect and every reconnect, so both paths see
-    /// identical behaviour.
-    fn dial(
-        exchange: &LocalExchange,
-        addr: &OrbAddr,
-        telemetry: Option<&Arc<Registry>>,
-        engine: Option<&Arc<FaultEngine>>,
-    ) -> Result<Arc<dyn ComChannel>, OrbError> {
-        if let Some(engine) = engine {
+    fn dial(&self, addr: &OrbAddr) -> Result<Arc<dyn ComChannel>, OrbError> {
+        let engine = self.engine_for(addr);
+        let telemetry = self.config.telemetry.as_ref();
+        if let Some(engine) = &engine {
             if !engine.allow_connect() {
                 if let Some(registry) = telemetry {
                     FaultMetrics::resolve(registry).record_refuse();
@@ -260,16 +260,16 @@ impl Orb {
                 telemetry.map(Arc::as_ref),
             )?),
             OrbAddr::Chorus(name) => {
-                exchange.connect_chorus_with(name, telemetry.map(Arc::as_ref))?
+                self.exchange.connect_chorus_with(name, telemetry.map(Arc::as_ref))?
             }
-            OrbAddr::Dacapo(name) => exchange.connect_dacapo_with(
+            OrbAddr::Dacapo(name) => self.exchange.connect_dacapo_with(
                 name,
                 &TransportRequirements::best_effort(),
                 telemetry,
             )?,
         };
         Ok(match engine {
-            Some(engine) => Arc::new(FaultChannel::new(raw, Arc::clone(engine), telemetry)),
+            Some(engine) => Arc::new(FaultChannel::new(raw, engine, telemetry)),
             None => raw,
         })
     }
@@ -288,6 +288,11 @@ impl Orb {
         Some(Arc::clone(engine))
     }
 
+    /// The cached binding to `addr`, or a fresh dial when there is none or
+    /// the cached one is closed. Replacing a closed binding counts as a
+    /// reconnect (`reconnects_total`, flight `reconnect`). Callers racing
+    /// to replace one keep the first fresh binding cached, and close
+    /// their own.
     fn binding_for(
         &self,
         addr: &OrbAddr,
@@ -297,36 +302,43 @@ impl Orb {
         // Asked with the cache unlocked: over TCP the question takes in
         // what the connection received, and may run reply callbacks.
         let cached = self.bindings.lock().get(&cache_key).cloned();
-        if let Some(existing) = cached {
+        if let Some(existing) = &cached {
             if !existing.is_closed() {
-                return Ok(existing);
+                return Ok(Arc::clone(existing));
             }
         }
-        let engine = self.engine_for(addr);
-        let channel = Orb::dial(
-            &self.exchange,
-            addr,
-            self.config.telemetry.as_ref(),
-            engine.as_ref(),
-        )?;
-        let binding = Binding::with_config(channel, protocol, &self.config);
-        // Re-dial with the same wrapping on reconnect; the closure owns
-        // clones (including the cached fault engine, so the schedule
-        // continues) and the binding outlives this ORB reference.
-        let exchange = self.exchange.clone();
-        let addr = addr.clone();
-        let telemetry = self.config.telemetry.clone();
-        let reconnector: Reconnector =
-            Arc::new(move || Orb::dial(&exchange, &addr, telemetry.as_ref(), engine.as_ref()));
-        binding.set_reconnector(reconnector);
-        self.bindings.lock().insert(cache_key, binding.clone());
+        let binding = Binding::with_config(self.dial(addr)?, protocol, &self.config);
+        let mut bindings = self.bindings.lock();
+        let current = bindings.get(&cache_key);
+        let replaced = match (current, &cached) {
+            (Some(current), Some(closed)) if Arc::ptr_eq(current, closed) => true,
+            (None, _) => false,
+            // Another caller's fresh binding got in first.
+            (Some(current), _) => {
+                let kept = Arc::clone(current);
+                drop(bindings);
+                binding.close();
+                return Ok(kept);
+            }
+        };
+        let displaced = bindings.insert(cache_key, Arc::clone(&binding));
+        // The closed binding goes with the cache unlocked.
+        drop(bindings);
+        drop(displaced);
+        if replaced {
+            let detail = format!("{addr} rebound after its connection was lost");
+            let counter = Some(names::RECONNECTS_TOTAL);
+            emit(&self.config.telemetry, counter, flight_event::RECONNECT, detail);
+        }
         Ok(binding)
     }
 
     /// Closes all cached client bindings and stops the introspection
     /// endpoint (when one is running).
     pub fn shutdown(&self) {
-        for (_, binding) in self.bindings.lock().drain() {
+        // Drain, then close with the cache unlocked.
+        let bindings = std::mem::take(&mut *self.bindings.lock());
+        for binding in bindings.into_values() {
             binding.close();
         }
         // Take the handle out, then stop with the lock released — stop
@@ -343,36 +355,45 @@ impl Orb {
 /// This is what Chic-generated stubs wrap: `invoke` carries marshalled
 /// parameters, and `set_qos_parameter` is the method the modified Chic
 /// compiler adds to every stub (Section 4.1).
+///
+/// Its endpoint is held in its pipeline's state (`Invoker`); the ORB,
+/// reference and protocol are what binds the object afresh when the
+/// endpoint's connection is lost.
 pub struct Stub {
-    pub(crate) endpoint: Arc<Endpoint>,
+    orb: Weak<Orb>,
+    reference: ObjectRef,
+    protocol: WireProtocol,
     pub(crate) invoker: Invoker,
 }
 
 impl std::fmt::Debug for Stub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Stub")
-            .field("key", &self.endpoint.key.to_string())
+            .field("key", &self.key().to_string())
             .field("colocated", &self.is_colocated())
             .finish()
     }
 }
 
 /// A plain stub is the one-target case of the invocation pipeline.
-impl Targets for Arc<Endpoint> {
-    fn endpoint(&self, _idx: usize) -> Result<Arc<Endpoint>, OrbError> {
-        Ok(Arc::clone(self))
+impl Targets for Stub {
+    fn locate(&self, _idx: usize) -> Result<(Arc<Orb>, ObjectRef, WireProtocol), OrbError> {
+        let orb = self.orb.upgrade().ok_or(OrbError::Closed)?;
+        Ok((orb, self.reference.clone(), self.protocol))
     }
 }
 
 impl Stub {
     /// The object key this stub addresses.
     pub fn key(&self) -> &ObjectKey {
-        &self.endpoint.key
+        &self.reference.key
     }
 
     /// Whether this stub short-circuits to a colocated object.
     pub fn is_colocated(&self) -> bool {
-        matches!(self.endpoint.target, Target::Local(_))
+        self.invoker
+            .held(0)
+            .is_some_and(|endpoint| matches!(endpoint.target, Target::Local(_)))
     }
 
     /// Sets the reply timeout for synchronous calls.
@@ -394,7 +415,10 @@ impl Stub {
     /// transport cannot provide the mapped requirements.
     pub fn set_qos_parameter(&self, spec: QoSSpec) -> Result<(), OrbError> {
         spec.validate().map_err(OrbError::QosNotSupported)?;
-        self.endpoint.apply_qos(&spec)?;
+        // Without an endpoint, the next bind applies it.
+        if let Some(endpoint) = self.invoker.held(0) {
+            endpoint.apply_qos(&spec)?;
+        }
         self.invoker.per_stub.lock().offered = spec;
         Ok(())
     }
@@ -435,8 +459,10 @@ impl Stub {
     /// Two-way synchronous invocation with marshalled parameters.
     ///
     /// With [`crate::OrbConfig::retry`] set, retryable failures (see
-    /// [`OrbError::is_retryable`]) are replayed with bounded backoff,
-    /// reconnecting the binding transparently when its connection died.
+    /// [`OrbError::is_retryable`]) are replayed with bounded backoff; when
+    /// the binding's connection was lost, the replay binds the object
+    /// afresh and offers the new binding the current QoS. A binding closed
+    /// locally ([`Orb::shutdown`]) is not replaced.
     /// With a QoS ladder installed ([`Stub::set_qos_ladder`]), a server
     /// NACK steps the QoS down instead of failing. Both are off by
     /// default, giving exactly one attempt.
@@ -447,7 +473,7 @@ impl Stub {
     /// exhausted), marshalling or transport failures, [`OrbError::Timeout`],
     /// or — a retry policy gave up — [`OrbError::RetriesExhausted`].
     pub fn invoke(&self, operation: &str, args: Bytes) -> Result<Bytes, OrbError> {
-        self.invoker.invoke(&self.endpoint, operation, args)
+        self.invoker.invoke(self, operation, args)
     }
 
     /// One-way invocation (`send`): no reply, errors after the send are
@@ -457,14 +483,18 @@ impl Stub {
     ///
     /// Local marshalling/transport failures only.
     pub fn invoke_oneway(&self, operation: &str, args: Bytes) -> Result<(), OrbError> {
-        match &self.endpoint.target {
+        let (state, endpoint) = self.invoker.bound(self, 0)?;
+        match &endpoint.target {
             Target::Local(adapter) => {
-                let spec = self.invoker.offered();
+                let spec = state.offered.clone();
+                drop(state);
                 adapter.dispatch(self.key(), operation, &args, &spec, true);
                 Ok(())
             }
             Target::Remote(binding) => {
-                binding.send(self.key().as_bytes(), operation, args, &self.invoker.qos_params())
+                let params = state.offered.to_params();
+                drop(state);
+                binding.send(self.key().as_bytes(), operation, args, &params)
             }
         }
     }
@@ -477,13 +507,14 @@ impl Stub {
     /// call would already be complete) and return
     /// [`OrbError::Protocol`].
     pub fn invoke_deferred(&self, operation: &str, args: Bytes) -> Result<DeferredReply, OrbError> {
-        match &self.endpoint.target {
+        let (state, endpoint) = self.invoker.bound(self, 0)?;
+        let params = state.offered.to_params();
+        drop(state);
+        match &endpoint.target {
             Target::Local(_) => Err(OrbError::Protocol(
                 "deferred invocation on a colocated object is meaningless".into(),
             )),
-            Target::Remote(binding) => {
-                binding.defer(self.key().as_bytes(), operation, args, &self.invoker.qos_params())
-            }
+            Target::Remote(binding) => binding.defer(self.key().as_bytes(), operation, args, &params),
         }
     }
 
@@ -500,18 +531,19 @@ impl Stub {
         args: Bytes,
         callback: impl FnOnce(Result<Bytes, OrbError>) + Send + 'static,
     ) -> Result<u32, OrbError> {
-        match &self.endpoint.target {
+        let (state, endpoint) = self.invoker.bound(self, 0)?;
+        match &endpoint.target {
             Target::Local(_) => {
-                callback(self.invoker.invoke_once(&self.endpoint, operation, args));
+                callback(self.invoker.invoke_once(state, &endpoint, operation, args));
                 Ok(0)
             }
-            Target::Remote(binding) => binding.notify(
-                self.key().as_bytes(),
-                operation,
-                args,
-                &self.invoker.qos_params(),
-                move |result| callback(result.map(|(body, _)| body)),
-            ),
+            Target::Remote(binding) => {
+                let params = state.offered.to_params();
+                drop(state);
+                binding.notify(self.key().as_bytes(), operation, args, &params, move |result| {
+                    callback(result.map(|(body, _)| body))
+                })
+            }
         }
     }
 
@@ -519,9 +551,9 @@ impl Stub {
     ///
     /// Returns whether the request was still pending.
     pub fn cancel(&self, request_id: u32) -> bool {
-        match &self.endpoint.target {
-            Target::Local(_) => false,
-            Target::Remote(binding) => binding.cancel(request_id),
+        match self.invoker.held(0).as_deref().map(|endpoint| &endpoint.target) {
+            Some(Target::Remote(binding)) => binding.cancel(request_id),
+            _ => false,
         }
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::config::FailoverPolicy;
 use crate::error::OrbError;
-use crate::invoke::{emit, Endpoint, Invoker, Targets};
+use crate::invoke::{emit, Invoker, Targets};
 use crate::message_layer::WireProtocol;
 use crate::object::ObjectRef;
 use crate::orb::Orb;
@@ -128,13 +128,12 @@ impl ReplicaState {
 }
 
 /// The mutable core of a [`ResolvedStub`]: replica table, the active
-/// replica with its endpoint, and the rotation cursor.
+/// replica and the rotation cursor. The one bound replica's endpoint is
+/// the pipeline's (`Invoker`).
 struct SetState {
     replicas: Vec<ReplicaState>,
     /// The replica calls go to until one against it fails.
     active: Option<usize>,
-    /// `active`, bound: lazily, and only ever one replica at a time.
-    endpoint: Option<Arc<Endpoint>>,
     /// Rotation cursor for spreading calls across equally-ranked replicas.
     rr: usize,
 }
@@ -236,14 +235,13 @@ impl Orb {
         let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
         let resolved = Arc::new(ResolvedStub {
             orb: Arc::clone(self),
-            invoker: Invoker::new(self.config(), required, ladder),
+            invoker: Invoker::new(self.config(), required, ladder, None),
             policy: self.config().failover.clone(),
             replica_set: OrderedMutex::new(
                 lock_rank::RESOLVED_STATE,
                 SetState {
                     replicas,
                     active: None,
-                    endpoint: None,
                     rr: ROTATION.fetch_add(1, Ordering::Relaxed),
                 },
             ),
@@ -368,11 +366,12 @@ impl ResolvedStub {
         }
     }
 
-    /// Success bookkeeping: the replica's health and breaker reset (it
-    /// became the active one as it was bound).
+    /// Success bookkeeping: the replica becomes the active one, and its
+    /// health and breaker reset.
     fn note_success(&self, idx: usize) {
         let mut guard = self.replica_set.lock();
         let state = &mut *guard;
+        state.active = Some(idx);
         let replica = &mut state.replicas[idx];
         replica.health = Health::Healthy;
         replica.evicted_at = None;
@@ -382,8 +381,7 @@ impl ResolvedStub {
 
     /// Advances one replica's breaker and health state machines after a
     /// failed call or probe, and returns the replica's address. A failed
-    /// call also clears the active slot and with it the endpoint, so the
-    /// next use redials.
+    /// call also clears the active slot.
     fn note_failure(&self, idx: usize, from_call: bool) -> String {
         let mut guard = self.replica_set.lock();
         let state = &mut *guard;
@@ -431,7 +429,7 @@ impl ResolvedStub {
             emit(&self.registry, counter, event::REPLICA_EVICTED, detail);
         }
         if from_call && state.active == Some(idx) {
-            (state.active, state.endpoint) = (None, None);
+            state.active = None;
         }
         self.update_healthy_gauge(state);
         addr
@@ -483,9 +481,10 @@ impl ResolvedStub {
             return false;
         };
         stub.set_timeout(self.policy.probe_timeout);
-        let pong = stub
-            .invoker
-            .invoke_once(&stub.endpoint, "_ping", Bytes::new());
+        let pong = stub.invoker.bound(&stub, 0).and_then(|(state, endpoint)| {
+            stub.invoker
+                .invoke_once(state, &endpoint, "_ping", Bytes::new())
+        });
         match pong {
             Ok(_) => true,
             // A servant-level answer proves liveness.
@@ -556,29 +555,11 @@ impl Targets for ResolvedStub {
         Ok(best[state.rr % best.len()])
     }
 
-    /// Replica `idx`'s endpoint. Switching to a replica binds it afresh
-    /// and applies the set's *current* operating point to its transport.
-    fn endpoint(&self, idx: usize) -> Result<Arc<Endpoint>, OrbError> {
-        let reference = {
-            let state = self.replica_set.lock();
-            match &state.endpoint {
-                Some(endpoint) if state.active == Some(idx) => return Ok(Arc::clone(endpoint)),
-                _ => state.replicas[idx].reference.clone(),
-            }
-        };
-        let bound = self.orb.endpoint_for(&reference, WireProtocol::Giop);
-        // No such listener (yet, or any more) is as retryable, and as worth
-        // failing over from, as a refused connection.
-        let endpoint = bound.map_err(|err| match err {
-            OrbError::BadAddress(why) => {
-                OrbError::Transport(format!("replica {} unreachable: {why}", reference.addr))
-            }
-            other => other,
-        })?;
-        endpoint.apply_qos(&self.invoker.offered())?;
-        let mut state = self.replica_set.lock();
-        (state.active, state.endpoint) = (Some(idx), Some(Arc::clone(&endpoint)));
-        Ok(endpoint)
+    /// Replica `idx`, spoken to over GIOP. Switching to a replica binds it
+    /// afresh, with the set's *current* operating point.
+    fn locate(&self, idx: usize) -> Result<(Arc<Orb>, ObjectRef, WireProtocol), OrbError> {
+        let reference = self.replica_set.lock().replicas[idx].reference.clone();
+        Ok((Arc::clone(&self.orb), reference, WireProtocol::Giop))
     }
 
     fn others_left(&self, idx: usize, failed: &[usize]) -> bool {
@@ -592,8 +573,12 @@ impl Targets for ResolvedStub {
         self.note_success(idx);
     }
 
+    /// Also drops the replica's endpoint, so that the next use binds it
+    /// afresh.
     fn failed(&self, idx: usize) -> String {
-        self.note_failure(idx, true)
+        let addr = self.note_failure(idx, true);
+        self.invoker.unbind(idx);
+        addr
     }
 }
 

@@ -47,8 +47,8 @@ use std::time::{Duration, Instant};
 /// Upper bound on TCP connection establishment. A blackholed address (a
 /// dropped-SYN firewall, a dead replica that still resolves) would leave a
 /// bare `TcpStream::connect` in the OS default wait — minutes — and that
-/// wait sits on the *invocation* path: `Stub` reconnects mid-call after a
-/// transport death. Failing the dial attributed after a bounded wait lets
+/// wait sits on the *invocation* path: a `Stub` binds afresh mid-call
+/// after a transport death. Failing the dial attributed after a bounded wait lets
 /// the retry/failover machinery move to the next replica instead.
 pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 

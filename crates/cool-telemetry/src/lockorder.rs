@@ -66,8 +66,10 @@ pub mod rank {
     /// `ResolvedStub::prober` — liveness-probe thread handle, taken (then
     /// joined outside the lock) at close.
     pub const RESOLVED_PROBER: Rank = Rank::new(7, "resolved.prober");
-    /// `Orb::bindings` — client binding cache; held while tearing down
-    /// everything below.
+    /// `Orb::bindings` — client binding cache. Nothing is dialed or closed
+    /// under it: shutdown drains it and closes the bindings with it
+    /// released, and a binding an insert displaces is dropped after the
+    /// guard.
     pub const ORB_BINDINGS: Rank = Rank::new(10, "orb.bindings");
     /// `Orb::served` — addresses served by collocated servers.
     pub const ORB_SERVED: Rank = Rank::new(11, "orb.served");
@@ -86,25 +88,18 @@ pub mod rank {
     pub const SERVER_JOBS_TX: Rank = Rank::new(33, "server.jobs_tx");
     /// `ConnState::cancelled` — per-connection cancel set.
     pub const SERVER_CONN_CANCELLED: Rank = Rank::new(35, "server.conn.cancelled");
-    /// `Binding::reconnect_gate` — serializes reconnect attempts; held
-    /// across the whole re-establishment (conn swap, pending flush, QoS
-    /// replay), so it sits below every other binding lock.
-    pub const BINDING_RECONNECT: Rank = Rank::new(37, "binding.reconnect_gate");
-    /// `Binding::conn` — current channel incarnation (swapped on
-    /// reconnect).
-    pub const BINDING_CONN: Rank = Rank::new(38, "binding.conn");
-    /// `Binding::last_qos` — transport requirements to replay after a
-    /// reconnect.
-    pub const BINDING_LAST_QOS: Rank = Rank::new(39, "binding.last_qos");
-    /// `Binding::pending` — in-flight request slots (the reply demux).
+    /// `Binding::pending` — in-flight request slots (the reply demux); a
+    /// binding's one ranked lock, since its channel is fixed for its life.
+    /// Taken by callers and by the thread delivering replies; only span
+    /// bookkeeping is taken under it.
     pub const BINDING_PENDING: Rank = Rank::new(40, "binding.pending");
     /// `OrbServer::conns` — live server-side connection list. Taken by an
-    /// attach, which runs on the thread that made the connection — a
-    /// binding's reconnect among them, under `binding.reconnect_gate` —
-    /// and by the server's close. Nothing is taken under it.
+    /// attach, which runs on the thread that made the connection (a dial,
+    /// with no ranked lock held), and by the server's close. Nothing is
+    /// taken under it.
     pub const SERVER_CONNS: Rank = Rank::new(42, "server.conns");
     /// `Exchange::registry` — in-process transport listener registry. A
-    /// leaf, taken by a dial (a reconnect's among them) to look a listener
+    /// leaf, taken by a dial (with no ranked lock held) to look a listener
     /// up; the listener runs with it released.
     pub const EXCHANGE_REGISTRY: Rank = Rank::new(43, "exchange.registry");
     /// `Invoker::per_stub` — what one logical stub carries from call to

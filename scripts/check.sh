@@ -56,6 +56,10 @@ cargo test -q --release -p cool-orb --lib -- dacapo_chan binding exchange server
 # The heap allocations of a call, counted at the allocator, once more in
 # the optimized build the ledger measures.
 cargo test -q --release --test heap_budget
+# Servers that vanish, restart or close under a call: a stub replacing its
+# lost binding (one replacement however many callers race, the stub's QoS
+# on the new transport) depends on when a close lands, so optimized too.
+cargo test -q --release --test failure_injection
 
 # The analyzer (DESIGN §7.1), one pass over every .rs file, for what no
 # stock tool sees. Per file: unbounded invocation retry loops.

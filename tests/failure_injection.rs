@@ -3,6 +3,8 @@
 
 use bytes::Bytes;
 use multe::orb::prelude::*;
+use multe::telemetry::flight::event as flight_event;
+use multe::telemetry::{names, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -189,6 +191,142 @@ fn rebinding_after_server_restart_works() {
     }
     assert!(reached_gen_2, "client never reached the restarted server");
     server.close();
+}
+
+/// Starts `orb` serving over `transport` at `at`, and again at the same
+/// address once it has been closed (a TCP port may linger in TIME_WAIT).
+fn listen_at(orb: &Orb, transport: &str, at: &str) -> OrbServer {
+    for _ in 0..50 {
+        let server = match transport {
+            "tcp" => orb.listen_tcp(at),
+            "chorus" => orb.listen_chorus(at),
+            _ => orb.listen_dacapo(at),
+        };
+        match server {
+            Ok(server) => return server,
+            Err(_) => std::thread::sleep(Duration::from_millis(100)),
+        }
+    }
+    panic!("{transport}: {at} not reusable after close");
+}
+
+/// A restarted server is reached again by the stubs bound to its first
+/// lifetime: their next call replaces the lost binding. One replacement
+/// however many threads and stubs find the binding lost, the stubs' QoS on
+/// the replacement's transport, and nothing replaces a binding the ORB
+/// closed itself.
+#[test]
+fn a_stub_rebinds_once_after_its_server_restarts_on_every_transport() {
+    for transport in ["tcp", "chorus", "dacapo"] {
+        let exchange = LocalExchange::new();
+        let calls = Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let server_orb = Orb::with_exchange("restarting-server", exchange.clone());
+        let counted = Arc::clone(&calls);
+        server_orb
+            .adapter()
+            .register_fn("obj", move |_o, _a, _c| {
+                counted.fetch_add(1, Ordering::Relaxed);
+                Ok(b"up".to_vec())
+            })
+            .unwrap();
+        let first = match transport {
+            "tcp" => "127.0.0.1:0".to_owned(),
+            _ => format!("rebind-{transport}"),
+        };
+        let server = listen_at(&server_orb, transport, &first);
+        let at = match server.addr() {
+            OrbAddr::Tcp(hostport) => hostport.clone(),
+            _ => first,
+        };
+        let registry = Arc::new(Registry::new());
+        let client_orb = Orb::with_exchange_and_config(
+            "client",
+            exchange.clone(),
+            OrbConfig {
+                call_timeout: Duration::from_secs(2),
+                telemetry: Some(Arc::clone(&registry)),
+                retry: Some(RetryPolicy {
+                    max_attempts: 5,
+                    initial_backoff: Duration::from_millis(2),
+                    max_backoff: Duration::from_millis(20),
+                    budget: Duration::from_secs(5),
+                    ..RetryPolicy::default()
+                }),
+                ..OrbConfig::default()
+            },
+        );
+        // Two stubs on one cached binding. Over Da CaPo each asks for
+        // 4 Mbit/s, which each end of a connection holds as an admission
+        // grant.
+        let stubs: Vec<Stub> = (0..2)
+            .map(|_| {
+                let stub = client_orb.bind(&server.object_ref("obj")).unwrap();
+                if transport == "dacapo" {
+                    let qos = QoSSpec::builder().throughput_bps(4_000_000, 0, i32::MAX);
+                    stub.set_qos_parameter(qos.build()).unwrap();
+                }
+                stub.invoke("get", Bytes::new()).unwrap();
+                stub
+            })
+            .collect();
+        let (stub, other) = (&stubs[0], &stubs[1]);
+
+        server.close();
+        let server = listen_at(&server_orb, transport, &at);
+        std::thread::scope(|s| {
+            let callers: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| stub.invoke("get", Bytes::new())))
+                .collect();
+            for caller in callers {
+                let reply = caller.join().unwrap();
+                assert_eq!(&reply.unwrap()[..], b"up", "{transport}: recovered");
+            }
+        });
+        // The other stub still holds the lost binding, which the cache no
+        // longer does: it takes the replacement, and drops its last hold on
+        // the lost one.
+        assert_eq!(&other.invoke("get", Bytes::new()).unwrap()[..], b"up");
+
+        let reconnects = registry.snapshot().counter(names::RECONNECTS_TOTAL);
+        assert_eq!(reconnects, Some(1), "{transport}: one replacement");
+        let events = registry.flight().events();
+        let flights = events.iter().filter(|e| e.kind == flight_event::RECONNECT);
+        assert_eq!(flights.count(), 1, "{transport}: {events:?}");
+        assert!(
+            format!("{client_orb:?}").contains("bindings: 1"),
+            "{transport}: one binding cached: {client_orb:?}"
+        );
+        if transport == "dacapo" {
+            // The first connection's grants went with it; the replacement's
+            // two ends hold the stubs' 4 Mbit/s each.
+            let resources = exchange.resource_manager();
+            assert_eq!(resources.used_bandwidth(), 8_000_000, "{transport}");
+        }
+
+        // A binding the ORB closed is not replaced: the call fails without
+        // a dial, which would have cached a binding and reached the servant.
+        client_orb.shutdown();
+        let before = calls.load(Ordering::Relaxed);
+        for stub in &stubs {
+            match stub.invoke("get", Bytes::new()) {
+                Err(OrbError::RetriesExhausted { last, .. }) => {
+                    assert!(matches!(*last, OrbError::Closed), "{transport}: {last:?}");
+                }
+                unexpected => panic!("{transport}: expected RetriesExhausted, got {unexpected:?}"),
+            }
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), before, "{transport}");
+        assert!(
+            format!("{client_orb:?}").contains("bindings: 0"),
+            "{transport}: nothing dialed: {client_orb:?}"
+        );
+        assert_eq!(
+            registry.snapshot().counter(names::RECONNECTS_TOTAL),
+            Some(1),
+            "{transport}"
+        );
+        server.close();
+    }
 }
 
 #[test]
