@@ -6,9 +6,9 @@
 //! The channel *"handles its own buffers in the Da CaPo runtime
 //! environment"*, and it has no thread of its own: it installs a
 //! [`dacapo::Sink`] on its connection, so the connection's one receive
-//! thread (`dacapo-t-rx`) — having run a frame up the module stack — pushes
-//! the payload straight into the channel's [`FrameInbox`], which wakes
-//! `recv_frame` waiters or runs the registered
+//! thread (a `conn-rx` thread of [`dacapo::pool`]) — having run a frame up
+//! the module stack — pushes the payload straight into the channel's
+//! [`FrameInbox`], which wakes `recv_frame` waiters or runs the registered
 //! [`FrameSink`](crate::transport::FrameSink) there and then. The sink is
 //! the connection's, not a stack's: a live reconfiguration swaps the stack
 //! underneath and the channel notices nothing. There is no poll slice and
@@ -25,9 +25,10 @@
 //! up everything that was sent before the close, and last the close
 //! itself, on which the peer's sink closes its own side — from the receive
 //! thread, which is why nothing joins that thread: stack stopped, resource
-//! grant released, inbox closed (→ the sink's `on_close`). The server end
-//! of a binding is reclaimed that way when the client goes, without
-//! `OrbServer::close`.
+//! grant released, inbox closed (→ the sink's `on_close`). Then the
+//! receive loop returns, and its thread parks in the pool for the next
+//! connection. The server end of a binding is reclaimed that way when the
+//! client goes, without `OrbServer::close`.
 //!
 //! ## Reconfiguration protocol
 //!

@@ -15,10 +15,13 @@
 //!   it is free and reads until its own reply is in or its deadline
 //!   passes — so a lone synchronous call reads its own reply, and no
 //!   other thread of this side wakes;
-//! * the reader thread, `cool-tcp-rx`, reads on demand ([`ReadDemand`]):
-//!   always, until a binding takes the demand over (a server connection,
-//!   a pull-mode channel), and after that only while some reply is owed
-//!   to a thread that is not reading. Otherwise it parks. No polling.
+//! * the reader thread reads on demand ([`ReadDemand`]): always, until a
+//!   binding takes the demand over (a server connection, a pull-mode
+//!   channel), and after that only while some reply is owed to a thread
+//!   that is not reading. Otherwise it parks. No polling. It is a loop on
+//!   a thread of the receive-thread pool ([`dacapo::pool`], named
+//!   `conn-rx`), not a thread of its own: when the connection ends it
+//!   returns, and the thread goes on to the next connection's loop.
 //!
 //! Whoever sends writes: [`ComChannel::send_frame`] writes on the caller's
 //! thread, under the connection's writer lock. The complete frames one
@@ -86,7 +89,7 @@ struct Writer {
 
 /// Where this thread is in a delivery run of more than one frame (a run of
 /// one corks nothing, and leaves it unmarked).
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 struct Run {
     /// The connection's [`ReadSide`] address; 0 outside any such run.
     side: usize,
@@ -97,15 +100,18 @@ struct Run {
     corked: bool,
 }
 
+impl Run {
+    /// Outside any run.
+    const NONE: Run = Run {
+        side: 0,
+        more: false,
+        corked: false,
+    };
+}
+
 thread_local! {
     /// The delivery run this thread is in.
-    static RUN: Cell<Run> = const {
-        Cell::new(Run {
-            side: 0,
-            more: false,
-            corked: false,
-        })
-    };
+    static RUN: Cell<Run> = const { Cell::new(Run::NONE) };
 }
 
 /// What the token holder reads with.
@@ -181,8 +187,8 @@ impl TcpComChannel {
     ///
     /// # Errors
     ///
-    /// [`OrbError::Transport`] if the stream cannot be prepared or the
-    /// reader thread cannot be spawned.
+    /// [`OrbError::Transport`] if the stream cannot be prepared or no
+    /// thread can be had for the reader.
     pub fn from_stream(stream: TcpStream) -> Result<Self, OrbError> {
         TcpComChannel::from_stream_with(stream, None)
     }
@@ -192,8 +198,8 @@ impl TcpComChannel {
     ///
     /// # Errors
     ///
-    /// [`OrbError::Transport`] if the stream cannot be prepared or the
-    /// reader thread cannot be spawned.
+    /// [`OrbError::Transport`] if the stream cannot be prepared or no
+    /// thread can be had for the reader.
     pub fn from_stream_with(
         stream: TcpStream,
         telemetry: Option<&Registry>,
@@ -224,11 +230,14 @@ impl TcpComChannel {
                 .set_metrics(InboxMetrics::resolve(registry, "tcp"));
         }
         let rx_side = Arc::clone(&side);
-        std::thread::Builder::new()
-            .name("cool-tcp-rx".into())
-            // lint: allow(A007, reader exits when the socket closes — close() shuts the stream down and closes the demand, which unblocks and ends it)
-            .spawn(move || reader_loop(&rx_side))
-            .map_err(|e| OrbError::Transport(format!("spawn tcp reader: {e}")))?;
+        dacapo::pool::spawn(move || {
+            reader_loop(&rx_side);
+            debug_assert!(
+                RUN.with(Cell::get) == Run::NONE,
+                "the reader returned inside a delivery run"
+            );
+        })
+        .map_err(|e| OrbError::Transport(format!("spawn tcp reader: {e}")))?;
         Ok(TcpComChannel {
             shutdown_handle: stream,
             side,
@@ -267,8 +276,9 @@ impl TcpComChannel {
     }
 }
 
-/// `cool-tcp-rx`: reads while it is wanted, parks while it is not, and
-/// ends with the connection.
+/// The reader thread: reads while it is wanted, parks while it is not, and
+/// returns when the connection ends — to the receive-thread pool
+/// ([`dacapo::pool`]), which has its thread serve the next connection.
 fn reader_loop(side: &ReadSide) {
     while side.demand.park_until_wanted() {
         let mut reader = side.token.lock();

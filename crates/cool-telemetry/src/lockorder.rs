@@ -213,6 +213,21 @@ mod check {
         });
         Token { rank: acquired }
     }
+
+    pub(super) fn holds_none() -> bool {
+        HELD.with(|held| held.borrow().is_empty())
+    }
+}
+
+/// Whether this thread holds no ranked lock — what a thread that runs one
+/// job after another checks between two. Always `true` in release builds,
+/// which keep no record.
+pub fn holds_none() -> bool {
+    #[cfg(debug_assertions)]
+    let none = check::holds_none();
+    #[cfg(not(debug_assertions))]
+    let none = true;
+    none
 }
 
 /// A mutex with a lock-order rank, checked in debug builds.

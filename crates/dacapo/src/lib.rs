@@ -63,6 +63,7 @@ pub mod module;
 pub mod modules;
 pub mod monitor;
 pub mod packet;
+pub mod pool;
 pub mod resource;
 pub mod runtime;
 pub mod stats;

@@ -1,0 +1,269 @@
+//! Receive threads, kept for the next connection.
+//!
+//! A connection's receive thread — Da CaPo's [`RxPump`](crate::runtime::RxPump),
+//! the ORB's TCP reader — lives as long as its connection, and nothing
+//! joins it: it ends when its transport does, and the close that ends it
+//! may run on that very thread. Such a loop is handed to [`spawn`]. It runs
+//! on a thread parked here by a loop that has returned; a thread is spawned
+//! only when none is parked. So a connection set up and torn down again —
+//! a binding made and shut down — costs no thread creation and exit once
+//! the process has as many threads as it has connections at a time. A parked thread that gets no job within
+//! [`LINGER`] exits: an idle process goes back to the threads it had.
+//!
+//! Every thread of the pool is named `conn-rx`, whatever connection it
+//! serves. A job starts in the state a fresh thread has: in debug
+//! builds the pool checks, each time a job returns, that it left no ranked
+//! lock held ([`cool_telemetry::lockorder`]) and no connection's sink
+//! callbacks marked as this thread's; a job with thread-local state of its
+//! own checks that before it returns. A job that panics ends its thread,
+//! which the pool never counted as parked.
+
+use parking_lot::{Condvar, Mutex};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// How long a thread whose job has returned waits for the next one before
+/// it exits.
+pub const LINGER: Duration = Duration::from_millis(100);
+
+/// The name every thread of the pool carries.
+const THREAD_NAME: &str = "conn-rx";
+
+type Job = Box<dyn FnOnce() + Send>;
+
+/// The process's receive threads.
+static RECEIVE_THREADS: Pool = Pool::new();
+
+/// Runs `job` on a parked thread of the pool, or on a new one if none is
+/// parked. Nothing joins it: `job` must end on its own (its connection's
+/// end ends it).
+///
+/// # Errors
+///
+/// The OS error if a thread was needed and could not be spawned; `job` is
+/// dropped unrun.
+pub fn spawn(job: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
+    RECEIVE_THREADS.spawn(Box::new(job))
+}
+
+struct Pool {
+    /// The parked threads, the one that parked last on top: it gets the
+    /// next job, so the pool keeps as many threads as connections come and
+    /// go at a time and the ones below run out their linger.
+    parked: Mutex<Vec<Arc<Slot>>>,
+}
+
+/// Where a parked thread waits for its next job.
+#[derive(Default)]
+struct Slot {
+    job: Mutex<Option<Job>>,
+    handed: Condvar,
+}
+
+impl Pool {
+    const fn new() -> Self {
+        Pool {
+            parked: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn spawn(&'static self, job: Job) -> std::io::Result<()> {
+        let mut parked = self.parked.lock();
+        if let Some(slot) = parked.pop() {
+            // Handed over before the thread can look for itself among the
+            // parked: one that finds itself gone finds its job.
+            *slot.job.lock() = Some(job);
+            slot.handed.notify_one();
+            return Ok(());
+        }
+        drop(parked);
+        std::thread::Builder::new()
+            .name(THREAD_NAME.into())
+            // lint: allow(A007, the pool's threads are detached by design: each ends after LINGER without a job, and a job ends with its connection's transport — closed from any thread, possibly from the job itself, so nothing may join one)
+            .spawn(move || self.serve(job))
+            .map(drop)
+    }
+
+    /// A pool thread: `job`, then each job handed to it while it is
+    /// parked, until none comes within [`LINGER`].
+    fn serve(&self, mut job: Job) {
+        let slot = Arc::new(Slot::default());
+        loop {
+            job();
+            debug_assert!(
+                cool_telemetry::lockorder::holds_none(),
+                "a `{THREAD_NAME}` job returned holding a ranked lock"
+            );
+            debug_assert!(
+                crate::runtime::receives_for_nobody(),
+                "a `{THREAD_NAME}` job returned marked as a connection's receive thread"
+            );
+            match self.park(&slot) {
+                Some(next) => job = next,
+                None => return,
+            }
+        }
+    }
+
+    /// Parks in `slot` until a job is handed over or [`LINGER`] passes
+    /// without one.
+    fn park(&self, slot: &Arc<Slot>) -> Option<Job> {
+        self.parked.lock().push(Arc::clone(slot));
+        let deadline = Instant::now() + LINGER;
+        let mut job = slot.job.lock();
+        loop {
+            if let Some(job) = job.take() {
+                return Some(job);
+            }
+            if slot.handed.wait_until(&mut job, deadline).timed_out() {
+                drop(job);
+                let mut parked = self.parked.lock();
+                if let Some(at) = parked.iter().position(|p| Arc::ptr_eq(p, slot)) {
+                    parked.remove(at);
+                    return None;
+                }
+                drop(parked);
+                // Taken off the stack at the deadline: the job is in the
+                // slot already.
+                job = slot.job.lock();
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::{receives_for_nobody, receiving_for};
+    use crate::tlayer::{loopback_pair, Transport};
+    use cool_telemetry::lockorder::{holds_none, rank, OrderedMutex};
+    use std::cell::RefCell;
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::thread::ThreadId;
+
+    const LONG: Duration = Duration::from_secs(5);
+
+    impl Pool {
+        /// Waits until `n` threads are parked.
+        fn wait_parked(&self, n: usize) {
+            let deadline = Instant::now() + LONG;
+            while self.parked.lock().len() != n {
+                assert!(Instant::now() < deadline, "{n} threads never parked");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        /// Runs `job` on the pool and waits for what it returns.
+        fn run<R: Send + 'static>(&'static self, job: impl FnOnce() -> R + Send + 'static) -> R {
+            let (tx, rx) = mpsc::channel();
+            self.spawn(Box::new(move || tx.send(job()).unwrap()))
+                .unwrap();
+            rx.recv_timeout(LONG).expect("the job ran")
+        }
+    }
+
+    /// What a fresh thread starts with: no ranked lock held, no
+    /// connection's receive side, the pool's name.
+    fn starts_clean() -> (ThreadId, bool) {
+        let me = std::thread::current();
+        let clean = holds_none() && receives_for_nobody() && me.name() == Some(THREAD_NAME);
+        (me.id(), clean)
+    }
+
+    thread_local! {
+        /// Dropped when the thread exits.
+        static ON_EXIT: RefCell<Option<mpsc::Sender<()>>> = const { RefCell::new(None) };
+    }
+
+    /// A receiver that disconnects once the calling thread has exited.
+    fn exit_of_this_thread() -> mpsc::Receiver<()> {
+        let (tx, rx) = mpsc::channel();
+        ON_EXIT.with(|slot| *slot.borrow_mut() = Some(tx));
+        rx
+    }
+
+    #[test]
+    fn a_second_job_runs_on_the_parked_thread_and_starts_clean() {
+        static POOL: Pool = Pool::new();
+        let first = POOL.run(|| {
+            let started = starts_clean();
+            // What a receive loop does to its thread, undone on the way out.
+            let (transport, _peer) = loopback_pair();
+            let transport: Arc<dyn Transport> = Arc::new(transport);
+            let lock = OrderedMutex::new(rank::CONNECTION_UPLINK, ());
+            receiving_for(&transport, || {
+                let _held = lock.lock();
+                assert!(!holds_none() && !receives_for_nobody());
+            });
+            started
+        });
+        assert!(first.1, "the first job started dirty");
+        POOL.wait_parked(1);
+        let second = POOL.run(starts_clean);
+        assert_eq!(second.0, first.0, "the second job got a new thread");
+        assert!(
+            second.1,
+            "the second job started with the first one's state"
+        );
+    }
+
+    #[test]
+    fn a_thread_with_no_job_exits_after_the_linger() {
+        static POOL: Pool = Pool::new();
+        let (exited, parked_at) = POOL.run(|| (exit_of_this_thread(), Instant::now()));
+        assert_eq!(
+            exited.recv_timeout(LONG),
+            Err(RecvTimeoutError::Disconnected)
+        );
+        assert!(
+            parked_at.elapsed() >= LINGER,
+            "exited after {:?}",
+            parked_at.elapsed()
+        );
+        assert_eq!(POOL.parked.lock().len(), 0);
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_no_parked_entry_and_the_next_job_runs() {
+        static POOL: Pool = Pool::new();
+        let (tx, rx) = mpsc::channel();
+        POOL.spawn(Box::new(move || {
+            tx.send((std::thread::current().id(), exit_of_this_thread()))
+                .unwrap();
+            panic!("a job that panics");
+        }))
+        .unwrap();
+        let (panicked_on, exited) = rx.recv_timeout(LONG).unwrap();
+        assert_eq!(
+            exited.recv_timeout(LONG),
+            Err(RecvTimeoutError::Disconnected)
+        );
+        assert_eq!(
+            POOL.parked.lock().len(),
+            0,
+            "the panicked thread is counted as parked"
+        );
+
+        let (next_on, exited) = POOL.run(|| (std::thread::current().id(), exit_of_this_thread()));
+        assert_ne!(next_on, panicked_on);
+        assert_eq!(
+            exited.recv_timeout(LONG),
+            Err(RecvTimeoutError::Disconnected)
+        );
+        assert_eq!(POOL.parked.lock().len(), 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_job_that_returns_holding_a_lock_does_not_pass_its_thread_on() {
+        static POOL: Pool = Pool::new();
+        static LOCK: OrderedMutex<()> = OrderedMutex::new(rank::CONNECTION_UPLINK, ());
+        let leaked_on = POOL.run(|| {
+            std::mem::forget(LOCK.lock());
+            std::thread::current().id()
+        });
+        let (next_on, clean) = POOL.run(starts_clean);
+        assert_ne!(next_on, leaked_on, "a dirty thread took the next job");
+        assert!(clean);
+    }
+}

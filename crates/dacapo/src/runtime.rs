@@ -56,6 +56,10 @@
 //! 3. Only the receive thread delivers, so what the application sees is in
 //!    wire order, and nothing joins that thread: `close` can run on it (a
 //!    sink reacting to the peer's close) or on a thread it is waiting for.
+//!    It is a thread of the receive-thread pool ([`crate::pool`], named
+//!    `conn-rx`): when the transport ends, the loop returns and the thread
+//!    parks for the next connection's loop, so setting a connection up
+//!    and tearing it down again spawns no thread once one is parked.
 
 use crate::alayer::AppEndpoint;
 use crate::module::{Module, Outputs};
@@ -234,11 +238,17 @@ type SinkSlot = Mutex<Option<Arc<dyn Sink>>>;
 
 thread_local! {
     /// The connection whose [`Sink`] callbacks this thread runs — its
-    /// receive thread, for that thread's whole life, or a thread replaying
-    /// the endpoint's queue in [`RxPump::set_sink`] — named by its
-    /// transport ([`transport_id`]), which outlives every stack; 0 on any
-    /// other thread.
+    /// receive thread, for as long as the receive loop runs, or a thread
+    /// replaying the endpoint's queue in [`RxPump::set_sink`] — named by
+    /// its transport ([`transport_id`]), which outlives every stack; 0 on
+    /// any other thread.
     static RECEIVING_FOR: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Whether this thread delivers for no connection: what a pooled thread
+/// must be between two jobs ([`crate::pool`]).
+pub(crate) fn receives_for_nobody() -> bool {
+    RECEIVING_FOR.with(Cell::get) == 0
 }
 
 /// What names a connection across its stacks: where its transport lives.
@@ -247,7 +257,7 @@ fn transport_id(transport: &Arc<dyn Transport>) -> usize {
 }
 
 /// Runs `f` as a thread that delivers for `transport`'s connection.
-fn receiving_for<R>(transport: &Arc<dyn Transport>, f: impl FnOnce() -> R) -> R {
+pub(crate) fn receiving_for<R>(transport: &Arc<dyn Transport>, f: impl FnOnce() -> R) -> R {
     let outer = RECEIVING_FOR.with(|r| r.replace(transport_id(transport)));
     let out = f();
     RECEIVING_FOR.with(|r| r.set(outer));
@@ -869,16 +879,17 @@ impl WireWriter {
 
 /// The connection's receive thread: one per transport, for as long as the
 /// transport lives (a [`crate::Connection`] owns it), whatever stacks come
-/// and go above it. It waits in [`Transport::recv_timeout`] — woken by a
-/// frame, by [`Transport::close`] on either side, or by the next protocol
-/// tick — and runs each frame up whichever stack is installed in its slot,
-/// under the slot's lock: a swap waits for the frame in hand, and a frame
-/// read during a swap goes to the new stack instead of dying with the old.
-/// Then, the lock released, it delivers. It never writes to the transport
-/// (the module header, rule 1).
+/// and go above it — a loop run on a thread of [`crate::pool`], which
+/// parks for the next connection when the loop returns. It waits in
+/// [`Transport::recv_timeout`] — woken by a frame, by [`Transport::close`]
+/// on either side, or by the next protocol tick — and runs each frame up
+/// whichever stack is installed in its slot, under the slot's lock: a swap
+/// waits for the frame in hand, and a frame read during a swap goes to the
+/// new stack instead of dying with the old. Then, the lock released, it
+/// delivers. It never writes to the transport (the module header, rule 1).
 ///
-/// Nothing joins this thread. It ends as soon as the transport does, but
-/// `shutdown` can run on the thread itself (a [`Sink`] closing its
+/// Nothing joins this loop. It returns as soon as the transport ends, but
+/// `shutdown` can run on its thread itself (a [`Sink`] closing its
 /// connection when the peer has) and on a thread it is waiting for (a sink
 /// blocked on a full dispatch queue whose one worker is closing the
 /// connection).
@@ -889,14 +900,16 @@ pub struct RxPump {
 }
 
 impl RxPump {
-    /// Starts the receive thread on `transport`, running `stack`. When the
-    /// transport reports its end (closed by either side, I/O error) the
-    /// thread runs `on_closed`, then sends the close sentinel up the
-    /// current stack, and exits.
+    /// Starts the receive loop on `transport`, running `stack`, on a parked
+    /// thread of [`crate::pool`] or a new one. When the transport reports
+    /// its end (closed by either side, I/O error) the loop runs
+    /// `on_closed`, then sends the close sentinel up the current stack,
+    /// joins the connection's writer thread if it has one, and returns.
     ///
     /// # Errors
     ///
-    /// [`DacapoError::Runtime`] if the OS thread cannot be spawned.
+    /// [`DacapoError::Runtime`] if no thread is parked and none can be
+    /// spawned.
     pub fn spawn(
         transport: Arc<dyn Transport>,
         stack: &StackHandle,
@@ -914,19 +927,12 @@ impl RxPump {
         let wire = telemetry.map(|r| wire_counters(r, "rx"));
         let (transport, slot, sink) = (pump.transport.clone(), pump.slot.clone(), pump.sink.clone());
         let writer = WireWriter::new(transport.clone());
-        std::thread::Builder::new()
-            .name("dacapo-t-rx".into())
-            // Never joined: it ends as soon as Transport::close ends the
-            // receive it waits in, which shutdown() calls. shutdown() also
-            // runs on this thread itself (a sink closing its connection on
-            // peer close) and on dispatcher threads a sink callback may be
-            // waiting for, so joining it there could deadlock.
-            .spawn(move || {
-                receiving_for(&transport, || {
-                    rx_pump_loop(&*transport, &slot, &sink, &writer, wire, on_closed)
-                })
+        crate::pool::spawn(move || {
+            receiving_for(&transport, || {
+                rx_pump_loop(&*transport, &slot, &sink, &writer, wire, on_closed)
             })
-            .map_err(|e| DacapoError::Runtime(format!("spawn dacapo-t-rx: {e}")))?;
+        })
+        .map_err(|e| DacapoError::Runtime(format!("spawn a receive thread: {e}")))?;
         Ok(pump)
     }
 

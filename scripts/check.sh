@@ -49,9 +49,12 @@ cargo test --release --offline --manifest-path ledger/Cargo.toml
 # caller is released, depend on timing. And the channel-end table: a close
 # races the sends, reads and deliveries on both ends of every transport —
 # and its attach race, connects on several threads against a server's
-# close, which the exchange's and the server's unit tests flank.
+# close, which the exchange's and the server's unit tests flank. And
+# `receive_threads`: connections made and closed one after another, over
+# Da CaPo and over TCP, are served by a few parked receive threads, not a
+# new one each, and those threads are gone once the process is idle.
 cargo test -q --release -p dacapo --test transport_contract --test end_to_end
-cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow --test pipelining --test tcp_reading --test binding_unit --test channel_end
+cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow --test pipelining --test tcp_reading --test binding_unit --test channel_end --test receive_threads
 cargo test -q --release -p cool-orb --lib -- dacapo_chan binding exchange server
 # The heap allocations of a call, counted at the allocator, once more in
 # the optimized build the ledger measures.
