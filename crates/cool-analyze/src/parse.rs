@@ -3,7 +3,7 @@
 //! [`crate::lexer::scan`] gives a comment/string-safe token stream; this
 //! module lifts it to the item level the interprocedural rules need:
 //! functions (with impl/trait qualification and body spans), call sites,
-//! blocking operations, `OrderedMutex`/`OrderedRwLock` construction sites
+//! blocking operations, `OrderedMutex` construction sites
 //! with their rank constants, and — the delicate part — the *liveness
 //! extent* of every lock guard, following Rust's temporary-lifetime rules
 //! closely enough to tell `let g = x.lock();` (guard lives to the end of
@@ -59,7 +59,7 @@ pub enum CallKind {
 /// One semantic event inside a function body, in token order.
 #[derive(Debug, Clone)]
 pub enum EventKind {
-    /// A `.lock()`/`.read()`/`.write()` on `recv`; the guard is live for
+    /// A `.lock()` on `recv`; the guard is live for
     /// tokens in `(tok, release]`.
     Acquire { recv: String, release: usize },
     /// A call site that may be resolvable to a workspace function.
@@ -208,7 +208,7 @@ pub struct VariantUse {
     pub fields: Vec<String>,
 }
 
-/// One `OrderedMutex::new`/`OrderedRwLock::new` site.
+/// One `OrderedMutex::new` site.
 #[derive(Debug)]
 pub struct LockCtor {
     /// The struct field or `let` binding receiving the lock, when
@@ -681,9 +681,8 @@ fn body_events(
         }
         let prev = toks[k - 1].text.as_str();
         let next = toks.get(k + 1).map(|t| t.text.as_str());
-        // Guard acquisition: `.lock()` / `.read()` / `.write()` — empty
-        // argument list separates lock APIs from io::Read/Write.
-        if matches!(t.text.as_str(), "lock" | "read" | "write")
+        // Guard acquisition: `.lock()`, with an empty argument list.
+        if t.text == "lock"
             && prev == "."
             && next == Some("(")
             && toks.get(k + 2).map(|t| t.text.as_str()) == Some(")")
@@ -957,7 +956,7 @@ fn collect_lock_ctors(toks: &[Tok], in_macro: &dyn Fn(usize) -> bool) -> Vec<Loc
         let t = &toks[j];
         if in_macro(j)
             || t.kind != TokKind::Ident
-            || !(t.text == "OrderedMutex" || t.text == "OrderedRwLock")
+            || t.text != "OrderedMutex"
             || toks[j + 1].text != ":"
             || toks[j + 2].text != ":"
             || toks[j + 3].text != "new"
@@ -1945,7 +1944,7 @@ mod tests {
              struct S { f: OrderedMutex<u32> }\n\
              fn mk() { let s = S { f: OrderedMutex::new(rank::A, 0) };\n\
                  let shared = Arc::new(OrderedMutex::new(rank::B, 1));\n\
-                 let raw = OrderedRwLock::new(lockorder::rank::B, 2); }",
+                 let raw = OrderedMutex::new(lockorder::rank::B, 2); }",
         );
         assert_eq!(
             p.rank_consts,

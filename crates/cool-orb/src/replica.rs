@@ -128,14 +128,17 @@ impl ReplicaState {
 }
 
 /// The mutable core of a [`ResolvedStub`]: replica table, the active
-/// replica and the rotation cursor. The one bound replica's endpoint is
-/// the pipeline's (`Invoker`).
+/// replica, the rotation cursor and the prober. The one bound replica's
+/// endpoint is the pipeline's (`Invoker`).
 struct SetState {
     replicas: Vec<ReplicaState>,
     /// The replica calls go to until one against it fails.
     active: Option<usize>,
     /// Rotation cursor for spreading calls across equally-ranked replicas.
     rr: usize,
+    /// The liveness prober's thread; taken by [`ResolvedStub::close`],
+    /// which joins it with the table released.
+    prober: Option<JoinHandle<()>>,
 }
 
 /// Point-in-time view of one replica, for tests and diagnostics.
@@ -164,7 +167,6 @@ pub struct ResolvedStub {
     invoker: Invoker,
     policy: FailoverPolicy,
     replica_set: OrderedMutex<SetState>,
-    prober: OrderedMutex<Option<JoinHandle<()>>>,
     stop_tx: crossbeam::channel::Sender<()>,
     healthy_gauge: Option<Arc<Gauge>>,
     registry: Option<Arc<Registry>>,
@@ -243,9 +245,9 @@ impl Orb {
                     replicas,
                     active: None,
                     rr: ROTATION.fetch_add(1, Ordering::Relaxed),
+                    prober: None,
                 },
             ),
-            prober: OrderedMutex::new(lock_rank::RESOLVED_PROBER, None),
             stop_tx,
             healthy_gauge,
             registry,
@@ -259,7 +261,7 @@ impl Orb {
             let weak: Weak<ResolvedStub> = Arc::downgrade(&resolved);
             // A failed spawn (resource exhaustion) leaves the binding
             // without a prober rather than failing the bind.
-            *resolved.prober.lock() = std::thread::Builder::new()
+            let prober = std::thread::Builder::new()
                 .name("resolved-prober".into())
                 .spawn(move || {
                     while let Err(crossbeam::channel::RecvTimeoutError::Timeout) =
@@ -272,6 +274,7 @@ impl Orb {
                     }
                 })
                 .ok();
+            resolved.replica_set.lock().prober = prober;
         }
         Ok(resolved)
     }
@@ -336,7 +339,7 @@ impl ResolvedStub {
     /// Stops the background prober and joins it. Called automatically on
     /// drop; safe to call multiple times.
     pub fn close(&self) {
-        let handle = self.prober.lock().take();
+        let handle = self.replica_set.lock().prober.take();
         let _ = self.stop_tx.try_send(());
         if let Some(h) = handle {
             // The last strong reference can be dropped *by* the prober

@@ -100,13 +100,9 @@ pub struct OrbServer {
     adapter: Arc<ObjectAdapter>,
     /// Set by [`OrbServer::close`]; [`Intake::attach`] refuses from then on.
     shutdown: Arc<AtomicBool>,
-    /// TCP's `cool-tcp-acceptor`; an exchange server has no thread of its
-    /// own waiting for connections.
-    acceptor: OrderedMutex<Option<JoinHandle<()>>>,
-    dispatchers: OrderedMutex<Vec<JoinHandle<()>>>,
-    /// Dropped at close so dispatchers see disconnection once every
-    /// connection sink has released its clone.
-    jobs_tx: OrderedMutex<Option<Sender<Job>>>,
+    /// Written at start, taken out by [`OrbServer::close`]; `None` from
+    /// then on.
+    threads: OrderedMutex<Option<Threads>>,
     conns: Arc<OrderedMutex<Vec<Weak<ConnState>>>>,
     /// Stops the connection source — pokes the TCP acceptor out of
     /// `accept()`, or unregisters the exchange name (dropping the
@@ -120,6 +116,17 @@ pub struct OrbServer {
     /// Counts accepted-but-unfinished requests, so a graceful shutdown can
     /// wait for the pipeline to empty.
     tracker: Arc<JobTracker>,
+}
+
+/// What [`OrbServer::close`] winds down, in this order.
+struct Threads {
+    /// TCP's `cool-tcp-acceptor`; an exchange server has no thread of its
+    /// own waiting for connections.
+    acceptor: Option<JoinHandle<()>>,
+    /// Dropped at close so dispatchers see disconnection once every
+    /// connection sink has released its clone.
+    jobs_tx: Sender<Job>,
+    dispatchers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for OrbServer {
@@ -164,7 +171,9 @@ impl OrbServer {
                 }
             })
             .map_err(|e| OrbError::Transport(format!("spawn cool-tcp-acceptor: {e}")))?;
-        *server.acceptor.lock() = Some(acceptor);
+        if let Some(threads) = server.threads.lock().as_mut() {
+            threads.acceptor = Some(acceptor);
+        }
         // A loopback self-connect returns `accept()`. Bounded: the accept
         // loop is local, so a second is ample; an unbounded connect could
         // wedge `close` behind a half-dead loopback stack.
@@ -233,9 +242,14 @@ impl OrbServer {
             addr,
             adapter,
             shutdown: intake.shutdown.clone(),
-            acceptor: OrderedMutex::new(lock_rank::SERVER_ACCEPTOR, None),
-            dispatchers: OrderedMutex::new(lock_rank::SERVER_DISPATCHERS, dispatchers),
-            jobs_tx: OrderedMutex::new(lock_rank::SERVER_JOBS_TX, Some(jobs_tx)),
+            threads: OrderedMutex::new(
+                lock_rank::SERVER_THREADS,
+                Some(Threads {
+                    acceptor: None,
+                    jobs_tx,
+                    dispatchers,
+                }),
+            ),
             conns: intake.conns.clone(),
             wake: Box::new(|| {}),
             draining: intake.draining.clone(),
@@ -277,14 +291,15 @@ impl OrbServer {
         if self.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
+        // Everything to wind down comes out at once, and every join below
+        // runs with `server.threads` released.
+        let Some(threads) = self.threads.lock().take() else {
+            return;
+        };
         // 1. Stop the intake: `attach` refuses from the flag on; the wake
         //    unregisters the exchange name, or pokes the TCP accept.
         (self.wake)();
-        // Take the handle out first, then join with the lock released: a
-        // join under `server.acceptor` would stall any thread touching the
-        // handle slot for as long as the accept loop takes to notice.
-        let acceptor = self.acceptor.lock().take();
-        if let Some(h) = acceptor {
+        if let Some(h) = threads.acceptor {
             let _ = h.join();
         }
         // 2. Orderly shutdown: tell each peer before going away so
@@ -304,12 +319,8 @@ impl OrbServer {
             }
         }
         // 3. With every sender gone, dispatchers drain the queue and exit.
-        //    Same discipline: collect the handles, join unlocked, so a
-        //    dispatcher still executing a servant never waits on a thread
-        //    that holds `server.dispatchers`.
-        self.jobs_tx.lock().take();
-        let dispatchers: Vec<_> = self.dispatchers.lock().drain(..).collect();
-        for t in dispatchers {
+        drop(threads.jobs_tx);
+        for t in threads.dispatchers {
             let _ = t.join();
         }
     }

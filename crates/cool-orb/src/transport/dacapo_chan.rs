@@ -65,9 +65,7 @@ use cool_telemetry::Registry;
 use dacapo::config::ConfigurationManager;
 use dacapo::{Connection, ResourceManager};
 use multe_qos::{QosError, TransportRequirements};
-use cool_telemetry::lockorder::OrderedMutex;
-use cool_telemetry::lockorder::rank as lock_rank;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 /// How long `set_qos` waits for either end's stack to quiesce before it
@@ -86,8 +84,8 @@ struct Inner {
     inbox: Arc<FrameInbox>,
     /// Control path to the other end of the pair (the management
     /// signalling facility). Weak: a dropped peer must read as gone, not
-    /// be kept alive by our side.
-    peer: OrderedMutex<Weak<Inner>>,
+    /// be kept alive by our side. Set once, at pairing.
+    peer: OnceLock<Weak<Inner>>,
     send_metrics: Option<SendMetrics>,
 }
 
@@ -194,14 +192,14 @@ impl DacapoComChannel {
                 config_mgr: config_mgr.clone(),
                 resource_mgr: resource_mgr.clone(),
                 inbox,
-                peer: OrderedMutex::new(lock_rank::CHAN_PEER, Weak::new()),
+                peer: OnceLock::new(),
                 send_metrics: send_metrics.clone(),
             })
         };
         let a = make_inner(client_conn);
         let b = make_inner(server_conn);
-        *a.peer.lock() = Arc::downgrade(&b);
-        *b.peer.lock() = Arc::downgrade(&a);
+        let _ = a.peer.set(Arc::downgrade(&b));
+        let _ = b.peer.set(Arc::downgrade(&a));
         for inner in [&a, &b] {
             inner.connection.set_sink(Arc::new(InboxSink {
                 inbox: inner.inbox.clone(),
@@ -260,7 +258,7 @@ impl ComChannel for DacapoComChannel {
         if self.is_closed() {
             return Err(OrbError::Closed);
         }
-        let peer = self.inner.peer.lock().upgrade().ok_or(OrbError::Closed)?;
+        let peer = self.inner.peer.get().and_then(Weak::upgrade).ok_or(OrbError::Closed)?;
         if peer.inbox.is_closed() {
             return Err(OrbError::Closed);
         }

@@ -2,8 +2,8 @@
 //! real loopback TCP.
 //!
 //! A caller waiting for its reply reads the socket itself when nobody else
-//! is reading; `cool-tcp-rx` reads only while some reply is owed to a
-//! thread that is not reading. These tests pin what that must keep: a lone
+//! is reading; the connection's reader, a pooled `conn-rx` thread, reads
+//! only while some reply is owed to a thread that is not reading. These tests pin what that must keep: a lone
 //! caller wakes nobody, a read cut short by a timeout loses nothing, a
 //! caller that found someone else reading is still served, replies nobody
 //! waits for yet are read while more requests go out, `notify` needs no

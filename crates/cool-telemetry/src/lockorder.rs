@@ -1,12 +1,12 @@
 //! Runtime lock-order deadlock detection.
 //!
 //! Every lock that participates in the ORB's cross-thread protocols is
-//! wrapped in an [`OrderedMutex`] or [`OrderedRwLock`] carrying a
-//! [`Rank`]: a number and the lock's name. The discipline is the table
-//! in [`rank`]: ranks strictly increase along every acquisition path. In
-//! debug builds each acquisition is checked against the locks the
-//! acquiring thread already holds: a lock whose rank does not exceed every
-//! held rank panics at once, with a report naming both locks, instead of
+//! wrapped in an [`OrderedMutex`] carrying a [`Rank`]: a number and the
+//! lock's name. The discipline is the table in [`rank`]: ranks strictly
+//! increase along every acquisition path. In debug builds each
+//! acquisition is checked against the locks the acquiring thread already
+//! holds: a lock whose rank does not exceed every held rank panics at
+//! once, with a report naming both locks, instead of
 //! deadlocking some unlucky night later when another path takes the pair
 //! the other way round. That covers a lock of the **same rank** as one
 //! held (self-deadlock on reentry, or an AB/BA pair hidden inside one
@@ -16,9 +16,7 @@
 //! In release builds all bookkeeping compiles away; the wrappers are
 //! plain mutexes (non-poisoning: a panic elsewhere never wedges the ORB).
 
-use std::sync::{
-    Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
-};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// A lock's place in the acquisition order, and the name lock-order
 /// reports give it.
@@ -52,20 +50,18 @@ impl Rank {
 /// the call graph it is acquired, and its constant here is the one place
 /// its rank and name are written down.
 ///
-/// The Da CaPo band (60–68) interleaves a connection's locks with the two
+/// The Da CaPo band (60–65) holds a connection's two locks, then the two
 /// locks of the module stack it runs (63, 65; `dacapo::runtime`).
 pub mod rank {
     use super::Rank;
 
     /// `ResolvedStub::replica_set` — a replicated binding's replica table:
-    /// health, breaker, active index and the one bound endpoint. Outermost
-    /// of all: failure bookkeeping runs under it and records flight events,
-    /// and picking a replica precedes (never overlaps) any ORB or binding
-    /// lock.
+    /// health, breaker, active index, rotation cursor and the liveness
+    /// prober's thread handle (taken at close, then joined outside the
+    /// lock). Outermost of all: failure bookkeeping runs under it and
+    /// records flight events, and picking a replica precedes (never
+    /// overlaps) any ORB or binding lock.
     pub const RESOLVED_STATE: Rank = Rank::new(5, "resolved.state");
-    /// `ResolvedStub::prober` — liveness-probe thread handle, taken (then
-    /// joined outside the lock) at close.
-    pub const RESOLVED_PROBER: Rank = Rank::new(7, "resolved.prober");
     /// `Orb::bindings` — client binding cache. Nothing is dialed or closed
     /// under it: shutdown drains it and closes the bindings with it
     /// released, and a binding an insert displaces is dropped after the
@@ -80,12 +76,11 @@ pub mod rank {
     /// (`OrbConfig::fault_plans`), cached so a reconnect replays the same
     /// deterministic fault schedule; taken briefly at dial time.
     pub const ORB_FAULT_ENGINES: Rank = Rank::new(13, "orb.fault_engines");
-    /// `OrbServer::acceptor` — acceptor thread handle.
-    pub const SERVER_ACCEPTOR: Rank = Rank::new(31, "server.acceptor");
-    /// `OrbServer::dispatchers` — dispatcher thread handles.
-    pub const SERVER_DISPATCHERS: Rank = Rank::new(32, "server.dispatchers");
-    /// `OrbServer::jobs_tx` — dispatch queue sender.
-    pub const SERVER_JOBS_TX: Rank = Rank::new(33, "server.jobs_tx");
+    /// `OrbServer::threads` — the TCP acceptor's and the dispatchers'
+    /// thread handles and the dispatch queue's sender: written at start,
+    /// taken out together by close, which joins with it released. Nothing
+    /// is taken under it.
+    pub const SERVER_THREADS: Rank = Rank::new(31, "server.threads");
     /// `ConnState::cancelled` — per-connection cancel set.
     pub const SERVER_CONN_CANCELLED: Rank = Rank::new(35, "server.conn.cancelled");
     /// `Binding::pending` — in-flight request slots (the reply demux); a
@@ -107,20 +102,22 @@ pub mod rank {
     /// taken), last granted QoS, call timeout. A resolved binding has one
     /// for all its replicas. Never held across a call.
     pub const STUB_STATE: Rank = Rank::new(44, "stub.state");
-    /// `dacapo_chan::Inner::peer` — control path to the pair's other end.
-    pub const CHAN_PEER: Rank = Rank::new(50, "chan.peer");
-    /// `Connection::stack` — running module stack, held across a stack
-    /// swap.
-    pub const CONNECTION_STACK: Rank = Rank::new(60, "connection.stack");
+    /// `Connection::running` — what a reconfiguration replaces as one
+    /// record: the running module stack (whose endpoint every send reads),
+    /// the module graph and parameters, and this side's one resource grant,
+    /// from establishment to close. Held across a stack swap and while a
+    /// renegotiation exchanges the grant on the ledger below; never across
+    /// a wait, a join or transport I/O (a drain clones the stack and waits
+    /// with it released).
+    pub const CONNECTION_STATE: Rank = Rank::new(60, "connection.state");
     /// `dacapo::runtime::RxPump` forward slot — the uplink through which
     /// the connection's receive thread enters the current stack. Taken
-    /// under `connection.stack` for the swap itself, which parks the
+    /// under `connection.state` for the swap itself, which parks the
     /// receive thread with any frame it reads meanwhile; taken per frame
     /// and per tick by the receive thread, for as long as it runs that
-    /// stack's modules.
+    /// stack's modules — which is why it is not part of the state: a
+    /// sender must not wait behind it.
     pub const CONNECTION_UPLINK: Rank = Rank::new(61, "connection.uplink");
-    /// `Connection::endpoint` — application endpoint of the stack.
-    pub const CONNECTION_ENDPOINT: Rank = Rank::new(62, "connection.endpoint");
     /// `dacapo::runtime` writer lock of a stack — whoever holds it writes
     /// the stack's wire-bound frames to the transport, in order, and takes
     /// `stack.chain` under it to fetch them, never the other way round.
@@ -130,20 +127,12 @@ pub mod rank {
     /// it — to learn whether somebody is writing, and to write what a sink
     /// callback sent.
     pub const STACK_WRITER: Rank = Rank::new(63, "stack.writer");
-    /// `Connection::graph` — module graph currently running.
-    pub const CONNECTION_GRAPH: Rank = Rank::new(64, "connection.graph");
     /// `dacapo::runtime` stack lock — the modules of a stack, their
     /// queues, and the deques for the wire and for the application. Taken
     /// under `connection.uplink` by the receive thread and under
     /// `stack.writer` to fetch what is to be written; never held across a
     /// transport write, a wait or an application callback.
     pub const STACK_CHAIN: Rank = Rank::new(65, "stack.chain");
-    /// `Connection::params` — module parameters.
-    pub const CONNECTION_PARAMS: Rank = Rank::new(66, "connection.params");
-    /// `Connection::grant` — this side's one resource grant, from
-    /// establishment to close; held while a renegotiation exchanges it on
-    /// the ledger below.
-    pub const CONNECTION_GRANT: Rank = Rank::new(68, "connection.grant");
     /// `ResourceManager`/`ResourceGrant` usage ledger — admission;
     /// innermost of the data path, taken by every grant drop.
     pub const RESOURCE_USAGE: Rank = Rank::new(70, "resource.usage");
@@ -310,95 +299,6 @@ impl<T> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock with a lock-order rank, checked in debug builds.
-///
-/// Readers and writers are ranked identically: a read acquisition can
-/// participate in exactly the same deadlock cycles as a write.
-#[derive(Debug)]
-pub struct OrderedRwLock<T> {
-    rank: Rank,
-    inner: RwLock<T>,
-}
-
-/// Read guard for [`OrderedRwLock`].
-#[derive(Debug)]
-pub struct OrderedReadGuard<'a, T> {
-    guard: RwLockReadGuard<'a, T>,
-    #[cfg(debug_assertions)]
-    _token: check::Token,
-}
-
-/// Write guard for [`OrderedRwLock`].
-#[derive(Debug)]
-pub struct OrderedWriteGuard<'a, T> {
-    guard: RwLockWriteGuard<'a, T>,
-    #[cfg(debug_assertions)]
-    _token: check::Token,
-}
-
-impl<T> OrderedRwLock<T> {
-    /// Wraps `value` under `rank`.
-    pub const fn new(rank: Rank, value: T) -> Self {
-        OrderedRwLock {
-            rank,
-            inner: RwLock::new(value),
-        }
-    }
-
-    /// Acquires shared access under the lock-order check.
-    pub fn read(&self) -> OrderedReadGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        let token = check::acquire(self.rank);
-        OrderedReadGuard {
-            guard: self
-                .inner
-                .read()
-                .unwrap_or_else(PoisonError::into_inner),
-            #[cfg(debug_assertions)]
-            _token: token,
-        }
-    }
-
-    /// Acquires exclusive access under the lock-order check.
-    pub fn write(&self) -> OrderedWriteGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        let token = check::acquire(self.rank);
-        OrderedWriteGuard {
-            guard: self
-                .inner
-                .write()
-                .unwrap_or_else(PoisonError::into_inner),
-            #[cfg(debug_assertions)]
-            _token: token,
-        }
-    }
-
-    /// This lock's rank and name.
-    pub fn rank(&self) -> Rank {
-        self.rank
-    }
-}
-
-impl<T> std::ops::Deref for OrderedReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> std::ops::Deref for OrderedWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> std::ops::DerefMut for OrderedWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
 #[cfg(all(test, debug_assertions))]
 mod tests {
     use super::*;
@@ -460,20 +360,6 @@ mod tests {
         let b = OrderedMutex::new(r_b, ());
         let _ga = a.lock();
         let _gb = b.lock();
-    }
-
-    #[test]
-    #[should_panic(expected = "ranks must strictly increase")]
-    fn rwlock_participates_in_cycles() {
-        let (r_m, r_rw) = (Rank::new(9050, "test.rw.m"), Rank::new(9051, "test.rw.rw"));
-        let m = OrderedMutex::new(r_m, ());
-        let rw = OrderedRwLock::new(r_rw, ());
-        {
-            let _gm = m.lock();
-            let _gr = rw.read();
-        }
-        let _gw = rw.write();
-        let _gm = m.lock();
     }
 
     #[test]

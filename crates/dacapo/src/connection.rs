@@ -32,13 +32,16 @@ use std::sync::Arc;
 /// reconfigured — a stack has no thread of its own, so a swap spawns and
 /// joins nothing. Nothing on the reconfiguration or teardown path waits out
 /// a timer: the receive thread is woken by [`Transport::close`].
+///
+/// What a renegotiation changes — the running stack, its graph and
+/// parameters, the resource grant — changes as one record, under one lock
+/// (`connection.state`), which is never held across a wait, a join or
+/// transport I/O. Besides it there is only the receive thread's slot
+/// (`connection.uplink`), which that thread holds while it runs a frame up
+/// the modules: a sender never waits behind it.
 pub struct Connection {
-    /// The current module stack; `None` once closed.
-    stack: OrderedMutex<Option<StackHandle>>,
+    running: OrderedMutex<Running>,
     pump: RxPump,
-    endpoint: OrderedMutex<AppEndpoint>,
-    graph: OrderedMutex<ModuleGraph>,
-    params: OrderedMutex<ModuleParams>,
     /// What the connection was established with beyond its requirements
     /// (the transport's MTU above all): every renegotiation configures
     /// under it again.
@@ -46,16 +49,26 @@ pub struct Connection {
     transport: Arc<dyn Transport>,
     catalog: MechanismCatalog,
     opts: RuntimeOptions,
-    grant: OrderedMutex<Option<ResourceGrant>>,
     /// Closed by [`Connection::close`], or by the peer (the receive thread
     /// read the transport's end); shared with the receive thread.
     closed: Arc<AtomicBool>,
 }
 
+/// What a reconfiguration replaces, together.
+struct Running {
+    /// The current module stack. Stopped by [`Connection::close`] but kept:
+    /// its endpoint is the connection's, which then reports `Closed`.
+    stack: StackHandle,
+    graph: ModuleGraph,
+    params: ModuleParams,
+    /// This side's one resource grant, from establishment to close.
+    grant: Option<ResourceGrant>,
+}
+
 impl std::fmt::Debug for Connection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Connection")
-            .field("graph", &self.graph.lock().to_string())
+            .field("graph", &self.running.lock().graph.to_string())
             .field("transport", &self.transport.name())
             .finish()
     }
@@ -148,7 +161,6 @@ impl Connection {
         let transport: Arc<dyn Transport> = Arc::new(transport);
         let modules = instantiate(&graph, &params, catalog)?;
         let stack = build_stack(modules, transport.clone(), &opts);
-        let endpoint = stack.endpoint().clone();
         let closed = Arc::new(AtomicBool::new(false));
         let pump = {
             let closed = closed.clone();
@@ -173,16 +185,20 @@ impl Connection {
             )?
         };
         Ok(Connection {
-            stack: OrderedMutex::new(lock_rank::CONNECTION_STACK, Some(stack)),
+            running: OrderedMutex::new(
+                lock_rank::CONNECTION_STATE,
+                Running {
+                    stack,
+                    graph,
+                    params,
+                    grant,
+                },
+            ),
             pump,
-            endpoint: OrderedMutex::new(lock_rank::CONNECTION_ENDPOINT, endpoint),
-            graph: OrderedMutex::new(lock_rank::CONNECTION_GRAPH, graph),
-            params: OrderedMutex::new(lock_rank::CONNECTION_PARAMS, params),
             ctx,
             transport,
             catalog: catalog.clone(),
             opts,
-            grant: OrderedMutex::new(lock_rank::CONNECTION_GRANT, grant),
             closed,
         })
     }
@@ -190,7 +206,7 @@ impl Connection {
     /// The application endpoint (clone it freely; clones share the
     /// connection).
     pub fn endpoint(&self) -> AppEndpoint {
-        self.endpoint.lock().clone()
+        self.running.lock().stack.endpoint().clone()
     }
 
     /// Has the receive thread call `sink` with everything that reaches the
@@ -206,7 +222,7 @@ impl Connection {
 
     /// The module graph currently running.
     pub fn graph(&self) -> ModuleGraph {
-        self.graph.lock().clone()
+        self.running.lock().graph.clone()
     }
 
     /// The transport below the stack.
@@ -222,9 +238,10 @@ impl Connection {
     /// quiesce first; the ORB re-negotiates QoS before reconfiguring, so
     /// the request/reply protocol above tolerates the gap). Frames the peer
     /// puts on the wire during the swap are not: the receive thread holds
-    /// them for the new stack. The swap itself is a struct exchange under
-    /// two locks — no thread is spawned or joined, and nothing can fail
-    /// once the graph has validated.
+    /// them for the new stack. The swap itself is a record exchange under
+    /// the connection's lock and the receive thread's slot — no thread is
+    /// spawned or joined, and nothing can fail once the graph has
+    /// validated.
     ///
     /// # Errors
     ///
@@ -232,45 +249,41 @@ impl Connection {
     /// old stack keeps running in that case. [`DacapoError::Closed`] after
     /// close or peer close.
     pub fn reconfigure(&self, new_graph: ModuleGraph) -> Result<(), DacapoError> {
-        self.swap(new_graph, None)
+        self.swap(&mut self.running.lock(), new_graph, None)
     }
 
-    /// The stack swap behind both reconfigurations: to `new_graph`, its
-    /// modules instantiated with `new_params` if given — which become the
-    /// connection's — and with the ones it has otherwise.
+    /// The stack swap behind both reconfigurations, under `connection.state`:
+    /// to `new_graph`, its modules instantiated with `new_params` if given
+    /// — which become the connection's — and with the ones it has
+    /// otherwise.
     fn swap(
         &self,
+        running: &mut Running,
         new_graph: ModuleGraph,
         new_params: Option<ModuleParams>,
     ) -> Result<(), DacapoError> {
         new_graph.validate(&self.catalog)?;
-        let same_graph = new_graph == *self.graph.lock();
-        let params = {
-            let mut current = self.params.lock();
-            match new_params {
-                // The same modules with other parameters (an ARQ window,
-                // an MTU) are another configuration: rebuild them.
-                Some(fresh) if fresh != *current => *current = fresh,
-                _ if same_graph => return Ok(()), // fast path: already running this configuration
-                _ => {}
-            }
-            current.clone()
+        let params = match new_params {
+            // The same modules with other parameters (an ARQ window, an
+            // MTU) are another configuration: rebuild them.
+            Some(fresh) if fresh != running.params => fresh,
+            _ if new_graph == running.graph => return Ok(()), // fast path: already running this configuration
+            _ => running.params.clone(),
         };
-        let modules = instantiate(&new_graph, &params, &self.catalog)?;
-        let mut stack = self.stack.lock();
-        if stack.is_none() || self.is_closed() {
+        if self.is_closed() {
             return Err(DacapoError::Closed);
         }
+        let modules = instantiate(&new_graph, &params, &self.catalog)?;
         let new = build_stack(modules, self.transport.clone(), &self.opts);
         // The receive thread parks on this guard with any frame it reads
         // meanwhile, and is out of the old stack once we hold it.
         let mut uplink = self.pump.swap();
         *uplink = Some(new.stack.clone());
-        *self.endpoint.lock() = new.endpoint().clone();
-        *self.graph.lock() = new_graph;
+        running.graph = new_graph;
+        running.params = params;
         // Dropped here, under the guard: the old endpoint's queue ends
         // behind everything the receive thread delivered into it.
-        *stack = Some(new);
+        running.stack = new;
         drop(uplink);
         Ok(())
     }
@@ -282,6 +295,7 @@ impl Connection {
     /// connection's grant is exchanged for one covering the new
     /// configuration ([`ResourceManager::exchange`]); the connection is the
     /// only holder of its side's resources, from establishment to close.
+    /// The exchange and the swap happen under one guard.
     ///
     /// # Errors
     ///
@@ -295,26 +309,25 @@ impl Connection {
         resource_mgr: Option<&ResourceManager>,
     ) -> Result<(), DacapoError> {
         let Configuration { graph, params } = config_mgr.configure(requirements, &self.ctx)?;
+        let mut running = self.running.lock();
         if let Some(mgr) = resource_mgr {
-            let mut grant = self.grant.lock();
             // `close` raises the flag before it takes the grant: a grant
             // booked past this check is still there for it to release.
             if self.is_closed() {
                 return Err(DacapoError::Closed);
             }
-            mgr.exchange(&mut grant, &graph, &self.catalog, requirements)?;
+            mgr.exchange(&mut running.grant, &graph, &self.catalog, requirements)?;
         }
-        self.swap(graph, Some(params))
+        self.swap(&mut running, graph, Some(params))
     }
 
     /// Waits up to `timeout` for the running stack to quiesce (all queues
     /// empty, no ARQ window outstanding); returns whether it did. A close
-    /// after a successful drain loses no in-flight data.
+    /// after a successful drain loses no in-flight data. The wait holds no
+    /// lock, and ends early when the stack is swapped out or closed.
     pub fn drain(&self, timeout: std::time::Duration) -> bool {
-        match self.stack.lock().as_ref() {
-            Some(stack) => stack.drain(timeout),
-            None => true,
-        }
+        let stack = self.running.lock().stack.stack.clone();
+        stack.drain(timeout)
     }
 
     /// Whether the connection is closed: by [`Connection::close`], or by
@@ -331,10 +344,12 @@ impl Connection {
     /// the receive thread is on its way out when this returns. Idempotent.
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        // Before the lock: a drain or swap holding it ends sooner for it.
+        // Before the lock: the transport's close is I/O, and a swap
+        // holding the lock ends sooner for it.
         self.pump.shutdown();
-        self.stack.lock().take();
-        self.grant.lock().take();
+        let mut running = self.running.lock();
+        running.stack.stack.stop();
+        running.grant.take();
     }
 }
 
@@ -471,9 +486,9 @@ mod tests {
     #[test]
     fn renegotiation_installs_the_new_configurations_module_parameters() {
         let (conn, config_mgr, resource_mgr, throughput) = reliable_4k();
-        assert_eq!(conn.params.lock().window, 32);
+        assert_eq!(conn.running.lock().params.window, 32);
         let graph = conn.graph();
-        let before = conn.stack.lock().as_ref().map(|s| s.stack.clone()).unwrap();
+        let before = conn.running.lock().stack.stack.clone();
 
         // The same functions under a 500 us latency budget: the same
         // modules, with the short ARQ window such a budget asks for.
@@ -483,9 +498,9 @@ mod tests {
         };
         conn.reconfigure_with_qos(&latency_critical, &config_mgr, Some(&resource_mgr))
             .unwrap();
-        assert_eq!(conn.params.lock().window, 4);
+        assert_eq!(conn.running.lock().params.window, 4);
         assert_eq!(conn.graph(), graph);
-        let after = conn.stack.lock().as_ref().map(|s| s.stack.clone()).unwrap();
+        let after = conn.running.lock().stack.stack.clone();
         assert!(!Arc::ptr_eq(&before, &after), "the modules were rebuilt with it");
         conn.close();
     }
@@ -503,7 +518,7 @@ mod tests {
             .reconfigure_with_qos(&greedy, &config_mgr, Some(&resource_mgr))
             .unwrap_err();
         assert!(matches!(err, DacapoError::ResourceDenied { .. }), "{err:?}");
-        assert_eq!(conn.params.lock().window, 32);
+        assert_eq!(conn.running.lock().params.window, 32);
         assert_eq!(conn.graph(), graph);
         assert_eq!(resource_mgr.used_bandwidth(), 4_000, "and the grant");
         conn.close();
@@ -600,6 +615,33 @@ mod tests {
         assert_eq!(seen_rx.recv_timeout(Duration::from_secs(5)).unwrap(), None);
         assert!(b.is_closed());
         b.close();
+    }
+
+    #[test]
+    fn close_does_not_wait_out_a_drain_on_another_thread() {
+        // The far end is never established: nothing acknowledges, so the
+        // window stays outstanding and the drain has nothing to wait for
+        // but its timeout — or the close.
+        let catalog = MechanismCatalog::standard();
+        let (ta, _tb) = loopback_pair();
+        let graph = ModuleGraph::from_ids(["go-back-n"]);
+        let conn = Arc::new(Connection::establish(graph, ta, &catalog).unwrap());
+        conn.endpoint().send(Bytes::from_static(b"never acknowledged")).unwrap();
+        let drainer = {
+            let conn = conn.clone();
+            std::thread::spawn(move || {
+                let started = std::time::Instant::now();
+                (conn.drain(Duration::from_secs(10)), started.elapsed())
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        let started = std::time::Instant::now();
+        conn.close();
+        let closing = started.elapsed();
+        assert!(closing < Duration::from_secs(1), "close waited {closing:?}");
+        let (drained, draining) = drainer.join().unwrap();
+        assert!(!drained, "the window was still outstanding");
+        assert!(draining < Duration::from_secs(2), "the drain outlived the close: {draining:?}");
     }
 
     #[test]

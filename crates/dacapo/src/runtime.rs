@@ -701,15 +701,38 @@ impl Stack {
     }
 
     /// Nothing enters the stack any more: sends fail, the receive thread
-    /// passes it by, senders waiting behind a stalled module are released
-    /// and the endpoint's queue ends behind what it holds. Waits for
-    /// whoever is inside the chain to come out.
-    fn stop(&self) {
+    /// passes it by, senders waiting behind a stalled module are released,
+    /// a drain returns and the endpoint's queue ends behind what it holds.
+    /// Waits for whoever is inside the chain to come out. Idempotent.
+    pub(crate) fn stop(&self) {
         let mut chain = self.chain.lock();
         self.stopped.store(true, Ordering::Release);
         chain.to_app.take();
         drop(chain);
         self.quiesce.pulse();
+    }
+
+    /// See [`StackHandle::is_quiescent`].
+    fn is_quiescent(&self) -> bool {
+        self.quiesce.is_empty() && self.idle.iter().all(|f| f.load(Ordering::Acquire))
+    }
+
+    /// See [`StackHandle::drain`]. A stopped stack moves nothing any more:
+    /// the wait ends there, with whether it was left empty.
+    pub(crate) fn drain(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        loop {
+            // Generation before the check: a pulse landing between the
+            // check and the wait advances it, so the wait returns
+            // immediately rather than missing the wakeup.
+            let seen = self.quiesce.generation();
+            if self.is_quiescent() {
+                return true;
+            }
+            if self.stopped() || !self.quiesce.wait_newer(seen, deadline) {
+                return self.is_quiescent();
+            }
+        }
     }
 }
 
@@ -744,7 +767,7 @@ impl StackHandle {
     /// has reached the transport (or the application) and no ARQ window is
     /// outstanding.
     pub fn is_quiescent(&self) -> bool {
-        self.stack.quiesce.is_empty() && self.stack.idle.iter().all(|f| f.load(Ordering::Acquire))
+        self.stack.is_quiescent()
     }
 
     /// Waits up to `timeout` for the stack to quiesce; returns whether it
@@ -753,21 +776,9 @@ impl StackHandle {
     /// Event-driven: every thread that moves packets through the stack
     /// pulses `QuiesceSignal` when it is done, so this parks in a condvar
     /// between re-checks instead of sleep-polling. It never takes the stack
-    /// lock.
+    /// lock, and it ends when the stack is stopped.
     pub fn drain(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            // Generation before the check: a pulse landing between the
-            // check and the wait advances it, so the wait returns
-            // immediately rather than missing the wakeup.
-            let seen = self.stack.quiesce.generation();
-            if self.is_quiescent() {
-                return true;
-            }
-            if !self.stack.quiesce.wait_newer(seen, deadline) {
-                return self.is_quiescent();
-            }
-        }
+        self.stack.drain(timeout)
     }
 }
 

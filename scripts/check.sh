@@ -53,7 +53,12 @@ cargo test --release --offline --manifest-path ledger/Cargo.toml
 # `receive_threads`: connections made and closed one after another, over
 # Da CaPo and over TCP, are served by a few parked receive threads, not a
 # new one each, and those threads are gone once the process is idle.
-cargo test -q --release -p dacapo --test transport_contract --test end_to_end
+# Beside the Da CaPo suites, the connection's own paths: a swap spawning
+# no thread (`reconfigure_threads`), and the connection unit tests — the
+# one-lock record, and a close that does not wait out another thread's
+# drain.
+cargo test -q --release -p dacapo --test transport_contract --test end_to_end --test reconfigure_threads
+cargo test -q --release -p dacapo --lib -- connection
 cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow --test pipelining --test tcp_reading --test binding_unit --test channel_end --test receive_threads
 cargo test -q --release -p cool-orb --lib -- dacapo_chan binding exchange server
 # The heap allocations of a call, counted at the allocator, once more in

@@ -439,9 +439,8 @@ fn many_concurrent_deferred_requests_demultiplex_correctly() {
 fn concurrent_server_close_never_deadlocks() {
     // Regression for the teardown findings cool-analyze (A002) surfaced:
     // `OrbServer::close` used to join the acceptor and dispatcher threads
-    // while still holding the `server.acceptor` / `server.dispatchers`
-    // handle locks, and wrote CloseConnection frames with `server.conns`
-    // held. The static rule keeps the joins out from under the locks; this
+    // while still holding the locks over their handles, and wrote
+    // CloseConnection frames with `server.conns` held. The static rule keeps the joins out from under the locks; this
     // test exercises the dynamic side — closes racing each other and a
     // graceful shutdown, with calls in flight, must finish within the
     // watchdog instead of parking forever on a handle lock.
