@@ -100,7 +100,7 @@ fn bench_negotiation(c: &mut Criterion) {
     dacapo_exchange
         .listen_dacapo(
             "abl-establish",
-            Arc::new(move |chan| {
+            Arc::new(move |_, chan| {
                 sink.lock().expect("lock").push(chan);
                 Ok(())
             }),

@@ -36,12 +36,10 @@ impl Origin {
     }
 }
 
-/// Transitive effects of calling a function: lock ranks it may acquire and
-/// blocking operations it may perform, anywhere in its intra-crate call
-/// closure.
+/// Transitive effects of calling a function: the blocking operations it
+/// may perform, anywhere in its intra-crate call closure.
 #[derive(Debug, Default, Clone)]
 pub struct Summary {
-    pub acquires: HashMap<u32, Origin>,
     pub blocks: HashMap<String, Origin>,
 }
 
@@ -126,24 +124,12 @@ impl Graph {
             for (gi, f) in file.fns.iter().enumerate() {
                 let mut s = Summary::default();
                 for e in &f.events {
-                    match &e.kind {
-                        EventKind::Acquire { recv, .. } => {
-                            if let Some(info) = ws.resolve_guard(file, recv) {
-                                s.acquires.entry(info.rank).or_insert(Origin {
-                                    file: file.rel.clone(),
-                                    line: e.line,
-                                    chain: Vec::new(),
-                                });
-                            }
-                        }
-                        EventKind::Block { what } => {
-                            s.blocks.entry(what.clone()).or_insert(Origin {
-                                file: file.rel.clone(),
-                                line: e.line,
-                                chain: Vec::new(),
-                            });
-                        }
-                        EventKind::Call { .. } => {}
+                    if let EventKind::Block { what } = &e.kind {
+                        s.blocks.entry(what.clone()).or_insert(Origin {
+                            file: file.rel.clone(),
+                            line: e.line,
+                            chain: Vec::new(),
+                        });
                     }
                 }
                 summaries.insert((fi, gi), s);
@@ -161,12 +147,6 @@ impl Graph {
                         None => continue,
                     };
                     let mine = summaries.entry(key).or_default();
-                    for (rank, origin) in callee_sum.acquires {
-                        mine.acquires.entry(rank).or_insert_with(|| {
-                            changed = true;
-                            prefix(&callee_name, origin.clone())
-                        });
-                    }
                     for (what, origin) in callee_sum.blocks {
                         mine.blocks.entry(what.clone()).or_insert_with(|| {
                             changed = true;
@@ -217,15 +197,12 @@ mod tests {
     fn summaries_propagate_transitively() {
         let w = ws(&[(
             "crates/app/src/lib.rs",
-            "mod rank { pub const LOW: Rank = Rank::new(10, \"s.inner\"); }\n\
-             struct S { inner: OrderedMutex<u32> }\n\
+            "struct S;\n\
              impl S {\n\
-               fn leaf(&self) { let g = self.inner.lock(); }\n\
-               fn waits(&self) { rx.recv(); }\n\
+               fn leaf(&self) { rx.recv(); }\n\
                fn mid(&self) { self.leaf(); }\n\
-               fn top(&self) { self.mid(); self.waits(); }\n\
-             }\n\
-             fn mk() -> S { S { inner: OrderedMutex::new(rank::LOW, 0) } }",
+               fn top(&self) { self.mid(); }\n\
+             }",
         )]);
         let g = Graph::build(&w);
         let top = w.files[0]
@@ -234,10 +211,8 @@ mod tests {
             .position(|f| f.name == "top")
             .expect("top exists");
         let s = &g.summaries[&(0, top)];
-        let acq = s.acquires.get(&10).expect("rank 10 reachable from top");
-        assert_eq!(acq.chain, vec!["mid".to_owned(), "leaf".to_owned()]);
         let blk = s.blocks.get("recv").expect("recv reachable from top");
-        assert_eq!(blk.chain, vec!["waits".to_owned()]);
+        assert_eq!(blk.chain, vec!["mid".to_owned(), "leaf".to_owned()]);
     }
 
     #[test]

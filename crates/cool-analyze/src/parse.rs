@@ -3,13 +3,14 @@
 //! [`crate::lexer::scan`] gives a comment/string-safe token stream; this
 //! module lifts it to the item level the interprocedural rules need:
 //! functions (with impl/trait qualification and body spans), call sites,
-//! blocking operations, `OrderedMutex` construction sites
-//! with their rank constants, and — the delicate part — the *liveness
-//! extent* of every lock guard, following Rust's temporary-lifetime rules
-//! closely enough to tell `let g = x.lock();` (guard lives to the end of
-//! the block) from `x.lock().take();` (guard dies at the semicolon) from
-//! `if let Some(v) = x.lock().take()` (scrutinee temporaries live through
-//! the whole construct).
+//! blocking operations, and — the delicate part — the *liveness extent* of
+//! every ranked lock guard, following Rust's temporary-lifetime rules
+//! closely enough to tell `let (g, _) = x.lock(held);` (guard lives to the
+//! end of the block) from `x.lock(held).0.take();` (guard dies at the
+//! semicolon) from `if let Some(v) = x.lock(held).0.take()` (scrutinee
+//! temporaries live through the whole construct). A ranked guard is known
+//! by its acquisition alone: `cool_telemetry::lockorder::OrderedMutex::lock`
+//! takes a token, a plain mutex's `lock()` takes nothing.
 //!
 //! Known soundness limits, by design (documented in DESIGN.md §7.3):
 //! closure bodies are not attributed to the defining function (a spawn
@@ -59,8 +60,8 @@ pub enum CallKind {
 /// One semantic event inside a function body, in token order.
 #[derive(Debug, Clone)]
 pub enum EventKind {
-    /// A `.lock()` on `recv`; the guard is live for
-    /// tokens in `(tok, release]`.
+    /// A token-taking `.lock(held)` on `recv` — a ranked lock; the guard
+    /// is live for tokens in `(tok, release]`.
     Acquire { recv: String, release: usize },
     /// A call site that may be resolvable to a workspace function.
     Call {
@@ -93,7 +94,7 @@ pub struct FnItem {
     /// trait-method declarations.
     pub body: Option<(usize, usize)>,
     /// True for functions inside `#[cfg(test)]` regions or test-like files;
-    /// A001/A002 skip them (lock-order tests provoke inversions on purpose).
+    /// A002 skips them.
     pub in_test: bool,
     /// Signature mentions `JoinHandle` — the function hands the spawned
     /// thread's handle to its caller, so A007 holds the caller responsible.
@@ -208,17 +209,6 @@ pub struct VariantUse {
     pub fields: Vec<String>,
 }
 
-/// One `OrderedMutex::new` site.
-#[derive(Debug)]
-pub struct LockCtor {
-    /// The struct field or `let` binding receiving the lock, when
-    /// recoverable; this is what acquisition receivers are matched against.
-    pub binder: Option<String>,
-    /// The rank constant named by the first argument (`rank::X` → `X`),
-    /// resolved against the `mod rank` constants.
-    pub rank: String,
-}
-
 /// Everything the rules need from one `.rs` file.
 #[derive(Debug)]
 pub struct ParsedFile {
@@ -229,10 +219,6 @@ pub struct ParsedFile {
     /// collector below and for the per-file token rule.
     pub test_regions: Vec<(u32, u32)>,
     pub fns: Vec<FnItem>,
-    pub lock_ctors: Vec<LockCtor>,
-    /// `const NAME: Rank = Rank::new(value, "lock.name");` entries inside
-    /// a `mod rank { .. }`, as (NAME, value, lock name).
-    pub rank_consts: Vec<(String, u32, String)>,
     /// `pub const NAME: &str = "value";` entries (only for `src/names.rs`).
     pub metric_consts: Vec<(String, String, u32)>,
     /// Identifiers appearing in non-test library code.
@@ -339,14 +325,12 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
         }
     }
 
-    let lock_ctors = collect_lock_ctors(toks, &in_macro);
     let chan_ctors = collect_chan_ctors(toks, &fns, &in_test_line, &in_macro);
     let int_consts = collect_int_consts(toks);
     let condvar_binders = collect_condvar_binders(toks);
     let loops = loop_spans(toks);
     let (waits, notifies) = collect_wait_notify(toks, &loops, &in_test_line, &in_macro);
     let spawns = collect_spawns(toks, &fns, &in_test_line, &in_macro);
-    let rank_consts = collect_rank_consts(toks);
     let metric_consts = if rel.ends_with("src/names.rs") {
         collect_metric_consts(toks)
     } else {
@@ -380,8 +364,6 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
         test_like,
         test_regions: regions,
         fns,
-        lock_ctors,
-        rank_consts,
         metric_consts,
         lib_idents,
         lib_strs,
@@ -681,30 +663,25 @@ fn body_events(
         }
         let prev = toks[k - 1].text.as_str();
         let next = toks.get(k + 1).map(|t| t.text.as_str());
-        // Guard acquisition: `.lock()`, with an empty argument list.
+        // Ranked guard acquisition: `.lock(held)`, handed a token.
         if t.text == "lock"
             && prev == "."
             && next == Some("(")
-            && toks.get(k + 2).map(|t| t.text.as_str()) == Some(")")
+            && toks.get(k + 2).map(|t| t.text.as_str()) != Some(")")
         {
+            let args_end = match_close(toks, k + 1);
             let recv = &toks[k - 2];
-            if recv.kind == TokKind::Ident && !is_keyword(&recv.text) || recv.text == "self" {
-                // `self.lock()` has receiver `self` (rare); field access
-                // `self.field.lock()` has the field at k-2.
-                let recv_name = recv.text.clone();
-                if recv.kind == TokKind::Ident {
-                    let release = guard_release(toks, open, close, k);
-                    events.push(Event {
-                        kind: EventKind::Acquire {
-                            recv: recv_name,
-                            release,
-                        },
-                        tok: k,
-                        line: t.line,
-                    });
-                }
+            if recv.kind == TokKind::Ident && !is_keyword(&recv.text) {
+                events.push(Event {
+                    kind: EventKind::Acquire {
+                        recv: recv.text.clone(),
+                        release: guard_release(toks, open, close, k, args_end),
+                    },
+                    tok: k,
+                    line: t.line,
+                });
             }
-            k += 3;
+            k = args_end + 1;
             continue;
         }
         // Calls and blocking operations: `ident (` not preceded by `fn`
@@ -756,9 +733,16 @@ fn body_events(
     events
 }
 
-/// Where the guard acquired at token `k` (the `lock`/`read`/`write`
-/// ident) dies, as a token index. See the module docs for the model.
-fn guard_release(toks: &[Tok], body_open: usize, body_close: usize, k: usize) -> usize {
+/// Where the guard acquired at token `k` (the `lock` ident, its argument
+/// list closing at `args_end`) dies, as a token index. See the module docs
+/// for the model.
+fn guard_release(
+    toks: &[Tok],
+    body_open: usize,
+    body_close: usize,
+    k: usize,
+    args_end: usize,
+) -> usize {
     let stmt = stmt_start(toks, body_open, k);
 
     // Construct scrutinee? Find the last construct keyword between the
@@ -811,16 +795,23 @@ fn guard_release(toks: &[Tok], body_open: usize, body_close: usize, k: usize) ->
         let discard = toks.get(s + 1).map(|t| t.text.as_str()) == Some("_")
             && toks.get(s + 2).map(|t| t.text.as_str()) == Some("=");
         // Is the guard itself the bound value? Only when the acquisition
-        // call is the tail of the initializer (`let g = x.lock();`) and
-        // the receiver chain is not behind a deref (`let v = *x.lock();`).
-        let after = toks.get(k + 3).map(|t| t.text.as_str());
+        // call is the tail of the initializer (`let (g, _) = x.lock(held);`,
+        // `let g = x.lock(held).0;`) and the receiver chain is not behind a
+        // deref (`let v = *x.lock(held).0;`).
+        let text = |i: usize| toks.get(i).map(|t| t.text.as_str());
+        let bound = match text(args_end + 1) {
+            Some(";") => true,
+            Some(".") => text(args_end + 2) == Some("0") && text(args_end + 3) == Some(";"),
+            _ => false,
+        };
         let derefed = chain_start_prefixed_by_star(toks, k);
-        if !discard && after == Some(";") && !derefed {
-            let binder = if toks.get(s + 1).map(|t| t.text.as_str()) == Some("mut") {
-                toks.get(s + 2)
-            } else {
-                toks.get(s + 1)
-            };
+        if !discard && bound && !derefed {
+            // The guard's name: `g` in `let [mut] g` or `let ([mut] g, ..)`.
+            let mut b = s + 1;
+            while matches!(text(b), Some("(" | "mut")) {
+                b += 1;
+            }
+            let binder = toks.get(b);
             let end = enclosing_block_end(toks, body_close, k);
             // An explicit `drop(binder)` releases early.
             if let Some(b) = binder {
@@ -947,141 +938,6 @@ fn first_brace_after(toks: &[Tok], from: usize, body_close: usize) -> usize {
         j += 1;
     }
     body_close
-}
-
-fn collect_lock_ctors(toks: &[Tok], in_macro: &dyn Fn(usize) -> bool) -> Vec<LockCtor> {
-    let mut out = Vec::new();
-    let mut j = 0usize;
-    while j + 4 < toks.len() {
-        let t = &toks[j];
-        if in_macro(j)
-            || t.kind != TokKind::Ident
-            || t.text != "OrderedMutex"
-            || toks[j + 1].text != ":"
-            || toks[j + 2].text != ":"
-            || toks[j + 3].text != "new"
-            || toks[j + 4].text != "("
-        {
-            j += 1;
-            continue;
-        }
-        // First argument: the rank constant's path.
-        let mut p = j + 5;
-        let mut depth = 0i32;
-        let mut last_ident: Option<String> = None;
-        while p < toks.len() {
-            match toks[p].text.as_str() {
-                "(" | "[" | "<" => depth += 1,
-                ")" | "]" | ">" => {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
-                }
-                "," if depth == 0 => break,
-                _ if toks[p].kind == TokKind::Ident => last_ident = Some(toks[p].text.clone()),
-                _ => {}
-            }
-            p += 1;
-        }
-        let Some(rank) = last_ident else {
-            j += 1;
-            continue;
-        };
-        out.push(LockCtor {
-            binder: find_binder(toks, j),
-            rank,
-        });
-        j = p + 1;
-    }
-    out
-}
-
-/// Walks backwards from an `OrderedMutex` token to the field or `let`
-/// binding receiving the lock, skipping `Arc::new(` style wrappers and
-/// path prefixes.
-fn find_binder(toks: &[Tok], ctor: usize) -> Option<String> {
-    let mut p = ctor;
-    while p > 0 {
-        p -= 1;
-        let t = &toks[p];
-        let skip = t.text == "(" || t.text == ":" || (t.kind == TokKind::Ident
-            && matches!(t.text.as_str(), "new" | "Arc" | "Box" | "Rc" | "lockorder" | "cool_telemetry"));
-        if skip {
-            continue;
-        }
-        if t.text == "=" {
-            // `let name[: Ty] = ...`: find the `let` a few tokens back.
-            let mut q = p;
-            let floor = p.saturating_sub(16);
-            while q > floor {
-                q -= 1;
-                if toks[q].text == "let" {
-                    let b = if toks.get(q + 1).map(|t| t.text.as_str()) == Some("mut") {
-                        toks.get(q + 2)
-                    } else {
-                        toks.get(q + 1)
-                    };
-                    return b.filter(|t| t.kind == TokKind::Ident).map(|t| t.text.clone());
-                }
-            }
-            return None;
-        }
-        if t.kind == TokKind::Ident && !is_keyword(&t.text) {
-            // Struct-literal field (`field: OrderedMutex::new(..)`) or the
-            // last segment before the ctor.
-            return Some(t.text.clone());
-        }
-        return None;
-    }
-    None
-}
-
-/// `const NAME: Rank = Rank::new(value, "lock.name");` entries inside
-/// `mod rank { .. }`: the first number and the first string literal
-/// between the `=` and the `;`.
-fn collect_rank_consts(toks: &[Tok]) -> Vec<(String, u32, String)> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i + 2 < toks.len() {
-        if toks[i].text == "mod" && toks[i + 1].text == "rank" {
-            let mut open = i + 2;
-            while open < toks.len() && toks[open].text != "{" {
-                open += 1;
-            }
-            if open >= toks.len() {
-                break;
-            }
-            let close = match_close(toks, open);
-            let mut j = open;
-            while j + 4 < close {
-                if toks[j].text == "const"
-                    && toks[j + 1].kind == TokKind::Ident
-                    && toks[j + 2].text == ":"
-                    && toks[j + 4].text == "="
-                {
-                    let end = (j + 5..close)
-                        .find(|&k| toks[k].text == ";")
-                        .unwrap_or(close);
-                    let item = &toks[j + 5..end];
-                    let value = item.iter().find(|t| t.kind == TokKind::Num);
-                    let name = item.iter().find(|t| t.kind == TokKind::Str);
-                    if let (Some(value), Some(name)) = (value, name) {
-                        if let Ok(v) = value.text.parse::<u32>() {
-                            out.push((toks[j + 1].text.clone(), v, name.text.clone()));
-                        }
-                    }
-                    j = end;
-                } else {
-                    j += 1;
-                }
-            }
-            i = close + 1;
-        } else {
-            i += 1;
-        }
-    }
-    out
 }
 
 /// `pub const NAME: &str = "value";` entries (telemetry metric names).
@@ -1791,8 +1647,9 @@ mod tests {
     #[test]
     fn let_bound_guard_lives_to_block_end_and_drop_releases() {
         let p = parsed(
-            "fn a(&self) { let g = self.x.lock(); use_it(); }\n\
-             fn b(&self) { let g = self.x.lock(); drop(g); after(); }",
+            "fn a(&self) { let (g, _) = self.x.lock(held); use_it(); }\n\
+             fn b(&self) { let (mut g, t) = self.x.lock(held); drop(g); after(); }\n\
+             fn c(&self) { let g = self.x.lock(held).0; use_it(); }",
         );
         let a = fn_named(&p, "a");
         let (_, tok, rel) = acquires(a)[0];
@@ -1811,14 +1668,29 @@ mod tests {
             .find(|e| matches!(&e.kind, EventKind::Call { name, .. } if name == "after"))
             .unwrap();
         assert!(after.tok > rel_b, "drop(g) released before after()");
+
+        let c = fn_named(&p, "c");
+        let (_, tok, rel) = acquires(c)[0];
+        let call = c
+            .events
+            .iter()
+            .find(|e| matches!(&e.kind, EventKind::Call { name, .. } if name == "use_it"))
+            .unwrap();
+        assert!(call.tok > tok && call.tok <= rel, "guard moved out of the pair is bound");
+    }
+
+    #[test]
+    fn a_lock_taking_no_token_is_not_a_ranked_guard() {
+        let p = parsed("fn a(&self) { let g = self.state.lock(); blocked(); }");
+        assert!(acquires(fn_named(&p, "a")).is_empty());
     }
 
     #[test]
     fn temporaries_die_at_statement_end() {
         let p = parsed(
-            "fn a(&self) { self.x.lock().take(); blocked(); }\n\
-             fn b(&self) { let v = self.x.lock().take(); blocked(); }\n\
-             fn c(&self) { let v = *self.x.lock(); blocked(); }",
+            "fn a(&self) { self.x.lock(held).0.take(); blocked(); }\n\
+             fn b(&self) { let v = self.x.lock(held).0.take(); blocked(); }\n\
+             fn c(&self) { let v = *self.x.lock(held).0; blocked(); }",
         );
         for name in ["a", "b", "c"] {
             let f = fn_named(&p, name);
@@ -1835,9 +1707,9 @@ mod tests {
     #[test]
     fn scrutinee_guards_live_through_the_construct() {
         let p = parsed(
-            "fn a(&self) { if let Some(h) = self.x.lock().take() { h.join(); } tail(); }\n\
-             fn b(&self) { for w in self.x.lock().drain(..) { body(); } tail(); }\n\
-             fn c(&self) { if self.x.lock().is_empty() { body(); } }",
+            "fn a(&self) { if let Some(h) = self.x.lock(held).0.take() { h.join(); } tail(); }\n\
+             fn b(&self) { for w in self.x.lock(held).0.drain(..) { body(); } tail(); }\n\
+             fn c(&self) { if self.x.lock(held).0.is_empty() { body(); } }",
         );
         for name in ["a", "b"] {
             let f = fn_named(&p, name);
@@ -1873,7 +1745,7 @@ mod tests {
     #[test]
     fn inner_block_bounds_a_let_guard() {
         let p = parsed(
-            "fn a(&self) { let y = { let g = self.x.lock(); g.get() }; blocked(); }",
+            "fn a(&self) { let y = { let (g, _) = self.x.lock(held); g.get() }; blocked(); }",
         );
         let f = fn_named(&p, "a");
         let (_, _, rel) = acquires(f)[0];
@@ -1934,29 +1806,6 @@ mod tests {
         assert!(kinds.contains(&("make".into(), CallKind::Qualified)));
         assert!(kinds.contains(&("method".into(), CallKind::Method)));
         assert!(!kinds.iter().any(|(n, _)| n == "mac"), "macros are not calls");
-    }
-
-    #[test]
-    fn lock_ctors_bind_fields_lets_and_wrapped_forms() {
-        let p = parsed(
-            "mod rank { pub const A: Rank = Rank::new(10, \"s.f\");\n\
-                        pub const B: Rank = Rank::new(20, \"s.shared\"); }\n\
-             struct S { f: OrderedMutex<u32> }\n\
-             fn mk() { let s = S { f: OrderedMutex::new(rank::A, 0) };\n\
-                 let shared = Arc::new(OrderedMutex::new(rank::B, 1));\n\
-                 let raw = OrderedMutex::new(lockorder::rank::B, 2); }",
-        );
-        assert_eq!(
-            p.rank_consts,
-            [
-                ("A".into(), 10, "s.f".into()),
-                ("B".into(), 20, "s.shared".into())
-            ]
-        );
-        let binders: Vec<_> = p.lock_ctors.iter().map(|c| c.binder.as_deref()).collect();
-        assert_eq!(binders, [Some("f"), Some("shared"), Some("raw")]);
-        let ranks: Vec<&str> = p.lock_ctors.iter().map(|c| c.rank.as_str()).collect();
-        assert_eq!(ranks, ["A", "B", "B"]);
     }
 
     #[test]

@@ -19,6 +19,17 @@
 //! sockets or flushing late) after `OrbServer::close` returns. Deliberate
 //! detachment (fire-and-forget rendezvous helpers) takes an inline allow
 //! naming why the thread's lifetime is bounded some other way.
+//!
+//! Rule 3 is per file, not per spawn site, on purpose. Which join waits
+//! for which thread is a matter of where the handle is stored, and at the
+//! token level that means matching the field a spawn's handle goes into
+//! with the field a shutdown path joins — resolution by field name, which
+//! this analyzer no longer does (A002 knows a ranked guard by its token
+//! for the same reason: names collide). The cost is small because a file
+//! that spawns owned threads has one owner of them (`OrbServer`,
+//! `ResolvedStub`, `GaugeSampler`, `IntrospectServer`, Da CaPo's
+//! `WireWriter`), and a detached spawn in a file without a shutdown join
+//! is still caught.
 
 use super::{shutdown_reachable, Ctx};
 use crate::parse::{EventKind, FnItem};

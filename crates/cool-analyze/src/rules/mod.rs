@@ -4,9 +4,8 @@
 //! |------|--------------------------------------------------------------------|
 //! | L005 | every `OrbError` variant is exercised somewhere in tests           |
 //! | L006 | invocation-path retry loops in cool-orb reference `RetryPolicy`    |
-//! | A001 | lock ranks strictly increase along every static acquisition path   |
 //! | A002 | no blocking operation (recv/wait/join/connect...) is reachable     |
-//! |      | while a lock guard is live                                         |
+//! |      | while a ranked lock guard is live                                  |
 //! | A004 | every telemetry name constant is emitted somewhere and documented  |
 //! |      | in DESIGN.md §6                                                    |
 //! | A005 | channel topology: every data-path queue is bounded (or carries an  |
@@ -20,18 +19,19 @@
 //! | A010 | `OrbError` sites on the data path carry their attribution payload  |
 //! |      | (request id, attempts+last, replica identity)                      |
 //!
-//! What the toolchain can check is left to it: clippy's `unwrap_used`,
-//! `expect_used` and `disallowed_methods` (`thread::sleep`, listed in
-//! `clippy.toml`) run over library code in `scripts/check.sh`; one `Cdr`
-//! trait in cool-giop makes a codec without its decode half a compile
-//! error; and `tests/alloc_budget.rs` holds the buffer count per call.
+//! What the toolchain can check is left to it: the lock order is a type
+//! (`cool_telemetry::lockorder`: an acquisition against it does not
+//! compile); clippy's `unwrap_used`, `expect_used` and `disallowed_methods`
+//! (`thread::sleep`, listed in `clippy.toml`) run over library code in
+//! `scripts/check.sh`; one `Cdr` trait in cool-giop makes a codec without
+//! its decode half a compile error; and `tests/alloc_budget.rs` holds the
+//! buffer count per call.
 //!
 //! A rule id is a name, not a namespace: the letter records which pass a
 //! rule was born in, nothing more. No rule fires in test code — harness
-//! files and `#[cfg(test)]` regions: the lock-order checker's own tests
-//! provoke inversions on purpose, test scaffolding spawns and queues die
-//! with the test process, and tests construct unattributed errors to probe
-//! the retry machinery.
+//! files and `#[cfg(test)]` regions: test scaffolding blocks, spawns and
+//! queues die with the test process, and tests construct unattributed
+//! errors to probe the retry machinery.
 //!
 //! A finding is suppressed by `// lint: allow(RULE, reason)` on the same
 //! or the preceding line — the reason is mandatory, an annotation without
@@ -40,7 +40,6 @@
 //! ([`crate::analyze_workspace`]), and reports an annotation that names no
 //! rule in [`RULES`] or suppresses no finding.
 
-pub mod a001;
 pub mod a002;
 pub mod a004;
 pub mod a005;
@@ -53,12 +52,12 @@ pub mod tokens;
 
 /// Every rule the analyzer can emit.
 pub const RULES: &[&str] = &[
-    "L005", "L006", "A001", "A002", "A004", "A005", "A006", "A007", "A008", "A010",
+    "L005", "L006", "A002", "A004", "A005", "A006", "A007", "A008", "A010",
 ];
 
 use crate::callgraph::Graph;
 use crate::facts::Workspace;
-use crate::parse::{Event, EventKind, FnItem};
+use crate::parse::FnItem;
 use crate::report::Finding;
 use std::collections::HashSet;
 
@@ -76,7 +75,6 @@ pub struct Ctx<'a> {
 pub fn run_all(ctx: &Ctx) -> Vec<Finding> {
     let mut out = Vec::new();
     out.extend(l005::check(ctx));
-    out.extend(a001::check(ctx));
     out.extend(a002::check(ctx));
     out.extend(a004::check(ctx));
     out.extend(a005::check(ctx));
@@ -121,39 +119,6 @@ pub fn shutdown_reachable(ctx: &Ctx) -> HashSet<(usize, usize)> {
         }
     }
     reach
-}
-
-/// A guard live at some program point.
-#[derive(Debug, Clone)]
-pub struct Held {
-    pub rank: u32,
-    pub name: String,
-    pub line: u32,
-    release: usize,
-}
-
-/// Walks one function's events in token order, calling `visit` with the
-/// set of guards live at each event. A guard enters the set *after* its
-/// own acquisition event (the acquire itself is checked against the
-/// previously-held set).
-pub fn walk_fn<F: FnMut(&Event, &[Held])>(ws: &Workspace, fi: usize, gi: usize, mut visit: F) {
-    let file = &ws.files[fi];
-    let f = &file.fns[gi];
-    let mut held: Vec<Held> = Vec::new();
-    for e in &f.events {
-        held.retain(|h| h.release >= e.tok);
-        visit(e, &held);
-        if let EventKind::Acquire { recv, release } = &e.kind {
-            if let Some(info) = ws.resolve_guard(file, recv) {
-                held.push(Held {
-                    rank: info.rank,
-                    name: info.name,
-                    line: e.line,
-                    release: *release,
-                });
-            }
-        }
-    }
 }
 
 /// The slice of `design` belonging to the section whose header line starts

@@ -45,7 +45,6 @@ fn rule_lines(found: &[(String, String, u32, String)], rule: &str) -> Vec<u32> {
 const FIXTURE_OF: &[(&str, &str)] = &[
     ("L005", "l005"),
     ("L006", "l006"),
-    ("A001", "inversion"),
     ("A002", "blocking"),
     ("A004", "metrics"),
     ("A005", "chantopo"),
@@ -127,39 +126,6 @@ fn l006_flags_exactly_the_unbounded_retry_loops() {
     );
 }
 
-// ---- A001: static lock-rank verification ----------------------------
-
-#[test]
-fn a001_flags_direct_interprocedural_and_same_rank_inversions() {
-    let found = findings("inversion");
-    let lines = rule_lines(&found, "A001");
-    assert!(
-        lines.contains(&32),
-        "direct inversion (outer under inner) flagged: {found:?}"
-    );
-    assert!(
-        lines.contains(&44),
-        "interprocedural inversion (via grab_outer) flagged: {found:?}"
-    );
-    assert!(
-        lines.contains(&51),
-        "same-rank reacquisition flagged: {found:?}"
-    );
-    assert_eq!(lines.len(), 3, "legal/sequential/test code stays clean: {found:?}");
-    assert!(
-        found.iter().all(|(r, _, _, _)| r == "A001"),
-        "no other rule fires on this fixture: {found:?}"
-    );
-    let (_, _, _, msg) = found
-        .iter()
-        .find(|(_, _, l, _)| *l == 44)
-        .expect("line 44 finding");
-    assert!(
-        msg.contains("grab_outer") && msg.contains("app.inner"),
-        "the interprocedural message names the callee and the held lock: {msg}"
-    );
-}
-
 // ---- A002: blocking while holding a lock ----------------------------
 
 #[test]
@@ -178,6 +144,18 @@ fn a002_flags_blocking_under_guards_and_spares_the_fixed_patterns() {
         "take-then-join, drop-then-recv and the inline-allowed site stay \
          clean: {found:?}"
     );
+}
+
+#[test]
+fn a002_knows_a_ranked_guard_by_its_token_not_its_name() {
+    let found = findings("collision");
+    assert_eq!(
+        rule_lines(&found, "A002"),
+        vec![34, 43],
+        "two ranked `state` locks are two guards; the plain `state` mutex is none: \
+         {found:?}"
+    );
+    assert_eq!(found.len(), 2, "no other finding: {found:?}");
 }
 
 // ---- A004: telemetry name discipline --------------------------------
@@ -272,7 +250,7 @@ fn a006_flags_missing_notify_bare_wait_and_foreign_lock() {
     assert!(
         found.iter().any(|(r, _, l, m)| r == "A002"
             && *l == 63
-            && m.contains("holding `app.foreign`")),
+            && m.contains("holding `foreign`")),
         "wait under a foreign ordered lock flagged by A002: {found:?}"
     );
 }
@@ -458,12 +436,12 @@ fn the_real_workspace_analyzes_clean() {
         "the workspace must analyze clean:\n{}",
         report.render_text()
     );
-    // All ten rules actually ran to produce that clean bill — a rule
+    // All nine rules actually ran to produce that clean bill — a rule
     // silently dropped from the registry would otherwise make this test
     // pass vacuously.
     assert_eq!(
         cool_analyze::rules::RULES,
-        ["L005", "L006", "A001", "A002", "A004", "A005", "A006", "A007", "A008", "A010"],
+        ["L005", "L006", "A002", "A004", "A005", "A006", "A007", "A008", "A010"],
         "the rule registry lists every rule"
     );
     assert!(

@@ -2,16 +2,16 @@
 //! wait outside any predicate loop, a wait under a foreign ordered lock
 //! (A002's), and the legal patterns (predicate loop, `*_while`, allow).
 
-pub mod rank {
-    pub const FOREIGN: Rank = Rank::new(10, "app.foreign");
-}
+use cool_telemetry::lockorder::{rank, Locked, OrderedMutex, Unlocked};
+
+/// `foreign` is a ranked lock: taking it takes a lock-order token.
 
 pub struct S {
     done: Mutex<bool>,
     cv: Condvar,
     lonely: Condvar,
     bare: Condvar,
-    foreign: OrderedMutex<u32>,
+    foreign: OrderedMutex<u32, rank::Foreign>,
 }
 
 pub fn mk() -> S {
@@ -20,7 +20,7 @@ pub fn mk() -> S {
         cv: Condvar::new(),
         lonely: Condvar::new(),
         bare: Condvar::new(),
-        foreign: OrderedMutex::new(rank::FOREIGN, 0),
+        foreign: OrderedMutex::new(0),
     }
 }
 
@@ -56,8 +56,8 @@ impl S {
     }
 
     /// Waits while a foreign ordered lock stays held. Line 63.
-    pub fn wait_under_foreign(&self) {
-        let f = self.foreign.lock();
+    pub fn wait_under_foreign(&self, held: &mut Locked<Unlocked>) {
+        let (f, _) = self.foreign.lock(held);
         let mut g = self.done.lock().unwrap();
         while !*g {
             g = self.cv.wait(g).unwrap();

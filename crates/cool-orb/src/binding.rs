@@ -45,12 +45,11 @@ use crate::message_layer::{self, Event, WireProtocol};
 use crate::transport::{deadline_after, ComChannel, FrameSink, Owed, ReadDemand};
 use bytes::Bytes;
 use cool_giop::prelude::{ByteOrder, QoSParameter, RequestTraceContext};
+use cool_telemetry::lockorder::{rank, Locked, OrderedMutex, Unlocked};
 use cool_telemetry::{
     names, ClientTrace, Counter, Histogram, Registry, ServerTraceTiming, SpanOutcome, Stage,
 };
 use multe_qos::TransportRequirements;
-use cool_telemetry::lockorder::OrderedMutex;
-use cool_telemetry::lockorder::rank as lock_rank;
 use std::collections::{hash_map, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
@@ -109,7 +108,7 @@ impl Entry {
 /// demultiplexer and every [`DeferredReply`] — never holding the channel,
 /// so the `channel → inbox → sink` chain contains no reference cycle.
 struct Pending {
-    slots: OrderedMutex<HashMap<u32, Entry>>,
+    slots: OrderedMutex<HashMap<u32, Entry>, rank::BindingPending>,
     telemetry: Option<ClientMetrics>,
 }
 
@@ -127,22 +126,23 @@ fn take_ready(slots: &mut HashMap<u32, Entry>, request_id: u32) -> Option<ReplyR
 }
 
 impl Pending {
-    fn take(&self, request_id: u32) -> Option<Slot> {
+    fn take(&self, held: &mut Locked<Unlocked>, request_id: u32) -> Option<Slot> {
         self.slots
-            .lock()
+            .lock(held)
+            .0
             .remove(&request_id)
             .map(|entry| entry.slot)
     }
 
     /// The reply, if it is in; collecting it removes the entry.
-    fn collect(&self, request_id: u32) -> Option<ReplyResult> {
-        take_ready(&mut self.slots.lock(), request_id)
+    fn collect(&self, held: &mut Locked<Unlocked>, request_id: u32) -> Option<ReplyResult> {
+        take_ready(&mut self.slots.lock(held).0, request_id)
     }
 
     /// Whether `request_id`'s reply is still to come.
-    fn expecting(&self, request_id: u32) -> bool {
+    fn expecting(&self, held: &mut Locked<Unlocked>, request_id: u32) -> bool {
         matches!(
-            self.slots.lock().get(&request_id),
+            self.slots.lock(held).0.get(&request_id),
             Some(Entry {
                 slot: Slot::Expecting,
                 ..
@@ -151,8 +151,8 @@ impl Pending {
     }
 
     /// A thread waits for `request_id` now: the reply is owed to it.
-    fn claim(&self, request_id: u32) {
-        if let Some(entry) = self.slots.lock().get_mut(&request_id) {
+    fn claim(&self, held: &mut Locked<Unlocked>, request_id: u32) {
+        if let Some(entry) = self.slots.lock(held).0.get_mut(&request_id) {
             entry.owed = None;
         }
     }
@@ -168,8 +168,13 @@ impl Pending {
     /// it parked. Behind a callback nobody waits, so the span closes here
     /// (and the invocation counters tick) before the user code runs —
     /// outside the lock, still on the transport's delivery thread.
-    fn complete(&self, request_id: u32, reply: impl FnOnce() -> ReplyResult) -> bool {
-        let mut slots = self.slots.lock();
+    fn complete(
+        &self,
+        held: &mut Locked<Unlocked>,
+        request_id: u32,
+        reply: impl FnOnce() -> ReplyResult,
+    ) -> bool {
+        let (mut slots, _) = self.slots.lock(held);
         let Some(entry) = slots.get_mut(&request_id) else {
             return false;
         };
@@ -202,10 +207,10 @@ impl Pending {
     /// Fails every outstanding request with [`OrbError::Closed`]. Each
     /// completes once however many teardowns race here: an entry already
     /// answered keeps its answer.
-    fn fail_all(&self) {
-        let request_ids: Vec<u32> = self.slots.lock().keys().copied().collect();
+    fn fail_all(&self, held: &mut Locked<Unlocked>) {
+        let request_ids: Vec<u32> = self.slots.lock(held).0.keys().copied().collect();
         for request_id in request_ids {
-            self.complete(request_id, || Err(OrbError::Closed));
+            self.complete(held, request_id, || Err(OrbError::Closed));
         }
     }
 
@@ -214,12 +219,13 @@ impl Pending {
     /// with the time waited since `since`.
     fn wait_timeout(
         &self,
+        held: &mut Locked<Unlocked>,
         request_id: u32,
         since: Instant,
         timeout: Duration,
         conn: &ConnHandle,
     ) -> ReplyResult {
-        let result = self.rendezvous(request_id, since, timeout, conn);
+        let result = self.rendezvous(held, request_id, since, timeout, conn);
         if let Some(t) = &self.telemetry {
             t.finish_invocation(request_id, &result);
         }
@@ -237,12 +243,13 @@ impl Pending {
     /// reply that is in is returned, not lost.
     fn rendezvous(
         &self,
+        held: &mut Locked<Unlocked>,
         request_id: u32,
         since: Instant,
         timeout: Duration,
         conn: &ConnHandle,
     ) -> ReplyResult {
-        if let Some(result) = self.collect(request_id) {
+        if let Some(result) = self.collect(held, request_id) {
             return result;
         }
         let deadline = deadline_after(timeout);
@@ -251,9 +258,9 @@ impl Pending {
             if reading {
                 reading = conn
                     .channel
-                    .read_turn(deadline, &|| !self.expecting(request_id));
+                    .read_turn(held, deadline, &|held| !self.expecting(held, request_id));
             }
-            let mut slots = self.slots.lock();
+            let (mut slots, _) = self.slots.lock(held);
             if let Some(result) = take_ready(&mut slots, request_id) {
                 return result;
             }
@@ -384,7 +391,7 @@ impl std::fmt::Debug for Binding {
         f.debug_struct("Binding")
             .field("transport", &self.conn.channel.kind())
             .field("protocol", &self.protocol)
-            .field("pending", &self.pending.slots.lock().len())
+            .field("pending", &self.pending.slots.lock(Locked::root()).0.len())
             .finish()
     }
 }
@@ -400,6 +407,7 @@ struct DemuxSink {
 
 impl FrameSink for DemuxSink {
     fn on_frame(&self, frame: Bytes) {
+        let held = Locked::root();
         // Timed only for the `ReplyDecode` mark.
         let decode_start = self.pending.telemetry.as_ref().map(|_| Instant::now());
         message_layer::decode_frame(&frame, |event| match event {
@@ -408,7 +416,7 @@ impl FrameSink for DemuxSink {
                 trace,
                 reply,
             } => {
-                self.pending.complete(request_id, || {
+                self.pending.complete(held, request_id, || {
                     let result = reply.interpret();
                     if let (Some(t), Some(decode_start)) = (&self.pending.telemetry, decode_start) {
                         // The `ReplyDecode` mark covers the decode +
@@ -455,7 +463,7 @@ impl FrameSink for DemuxSink {
     }
 
     fn on_close(&self) {
-        self.pending.fail_all();
+        self.pending.fail_all(Locked::root());
     }
 }
 
@@ -478,7 +486,7 @@ impl Binding {
             .map(|r| ClientMetrics::resolve(Arc::clone(r), channel.kind()));
         let tracing = telemetry.is_some() && config.tracing && protocol.carries_trace();
         let pending = Arc::new(Pending {
-            slots: OrderedMutex::new(lock_rank::BINDING_PENDING, HashMap::new()),
+            slots: OrderedMutex::new(HashMap::new()),
             telemetry,
         });
         Arc::new(Binding {
@@ -499,17 +507,19 @@ impl Binding {
     /// last — a CloseConnection, the end of the stream — is taken in here
     /// first, without blocking.
     pub fn is_closed(&self) -> bool {
-        self.retired.load(Ordering::Acquire) || self.is_lost()
+        self.retired.load(Ordering::Acquire) || self.is_lost(Locked::root())
     }
 
     /// Whether the connection ended without [`Binding::close`]: the peer
     /// closed it, or the wire failed. Such a binding is replaced, a
     /// retired one never.
-    pub(crate) fn is_lost(&self) -> bool {
+    pub(crate) fn is_lost(&self, held: &mut Locked<Unlocked>) -> bool {
         if self.retired.load(Ordering::Acquire) {
             return false;
         }
-        self.conn.channel.read_turn(Instant::now(), &|| false);
+        self.conn
+            .channel
+            .read_turn(held, Instant::now(), &|_| false);
         self.conn.channel.is_closed()
     }
 
@@ -529,6 +539,7 @@ impl Binding {
     /// origin of its span and its timeout).
     fn issue(
         &self,
+        held: &mut Locked<Unlocked>,
         object_key: &[u8],
         operation: &str,
         args: Bytes,
@@ -585,7 +596,7 @@ impl Binding {
                 }),
             };
             if let Some(entry) = entry {
-                self.pending.slots.lock().insert(request_id, entry);
+                self.pending.slots.lock(held).0.insert(request_id, entry);
             }
             let send_start = telemetry.map(|t| (t, Instant::now()));
             conn.channel.send_frame(frame)?;
@@ -596,7 +607,7 @@ impl Binding {
             Ok(())
         });
         if sent.is_err() {
-            self.pending.take(request_id);
+            self.pending.take(held, request_id);
         }
         if let Some(t) = telemetry {
             match &sent {
@@ -628,10 +639,17 @@ impl Binding {
         qos_params: &[QoSParameter],
         timeout: Duration,
     ) -> ReplyResult {
-        let (request_id, started) =
-            self.issue(object_key, operation, args, qos_params, Collect::Caller)?;
+        let held = Locked::root();
+        let (request_id, started) = self.issue(
+            held,
+            object_key,
+            operation,
+            args,
+            qos_params,
+            Collect::Caller,
+        )?;
         self.pending
-            .wait_timeout(request_id, started, timeout, &self.conn)
+            .wait_timeout(held, request_id, started, timeout, &self.conn)
     }
 
     /// One-way invocation: returns as soon as the request is on the wire.
@@ -647,8 +665,15 @@ impl Binding {
         args: Bytes,
         qos_params: &[QoSParameter],
     ) -> Result<(), OrbError> {
-        self.issue(object_key, operation, args, qos_params, Collect::Nothing)
-            .map(|_| ())
+        self.issue(
+            Locked::root(),
+            object_key,
+            operation,
+            args,
+            qos_params,
+            Collect::Nothing,
+        )
+        .map(|_| ())
     }
 
     /// Deferred synchronous invocation: the reply is collected later via
@@ -665,6 +690,7 @@ impl Binding {
         qos_params: &[QoSParameter],
     ) -> Result<DeferredReply, OrbError> {
         let (request_id, _) = self.issue(
+            Locked::root(),
             object_key,
             operation,
             args,
@@ -697,8 +723,15 @@ impl Binding {
         callback: impl FnOnce(ReplyResult) + Send + 'static,
     ) -> Result<u32, OrbError> {
         let collect = Collect::Later(Slot::Callback(Box::new(callback)));
-        self.issue(object_key, operation, args, qos_params, collect)
-            .map(|(request_id, ..)| request_id)
+        self.issue(
+            Locked::root(),
+            object_key,
+            operation,
+            args,
+            qos_params,
+            collect,
+        )
+        .map(|(request_id, ..)| request_id)
     }
 
     /// Cancels a pending request: notifies the server (GIOP
@@ -709,7 +742,7 @@ impl Binding {
     pub fn cancel(&self, request_id: u32) -> bool {
         if !self
             .pending
-            .complete(request_id, || Err(OrbError::Cancelled))
+            .complete(Locked::root(), request_id, || Err(OrbError::Cancelled))
         {
             return false;
         }
@@ -727,7 +760,7 @@ impl Binding {
         // teardown is asynchronous. An answered entry keeps its answer, so
         // requests complete exactly once.
         self.conn.channel.close();
-        self.pending.fail_all();
+        self.pending.fail_all(Locked::root());
     }
 }
 
@@ -789,7 +822,7 @@ impl DeferredReply {
     /// again, so discarding one poll's result loses nothing.
     pub fn poll(&mut self) -> Option<ReplyResult> {
         if self.ready.is_none() {
-            if let Some(result) = self.pending.collect(self.request_id) {
+            if let Some(result) = self.pending.collect(Locked::root(), self.request_id) {
                 self.done = true;
                 if let Some(t) = &self.pending.telemetry {
                     t.finish_invocation(self.request_id, &result);
@@ -812,15 +845,16 @@ impl DeferredReply {
         }
         // Timed out, closed or answered: either way the entry is gone.
         self.done = true;
-        self.pending.claim(self.request_id);
+        let held = Locked::root();
+        self.pending.claim(held, self.request_id);
         self.pending
-            .wait_timeout(self.request_id, Instant::now(), timeout, &self.conn)
+            .wait_timeout(held, self.request_id, Instant::now(), timeout, &self.conn)
     }
 
     /// Cancels the pending request (sends GIOP `CancelRequest`).
     pub fn cancel(self) {
         // An answered request is not cancelled on the wire.
-        let slot = self.pending.take(self.request_id);
+        let slot = self.pending.take(Locked::root(), self.request_id);
         if slot.is_some_and(|slot| !matches!(slot, Slot::Ready(_))) {
             send_cancel(&*self.conn.channel, self.request_id);
         }
@@ -833,7 +867,7 @@ impl Drop for DeferredReply {
         if !self.done {
             // Abandoned without waiting: drop the entry so the pending
             // map does not hold it forever.
-            self.pending.take(self.request_id);
+            self.pending.take(Locked::root(), self.request_id);
             if let Some(t) = &self.pending.telemetry {
                 t.abort_invocation(self.request_id, SpanOutcome::Cancelled);
             }
@@ -849,29 +883,31 @@ mod tests {
     #[test]
     fn a_reply_the_demux_holds_at_the_deadline_is_returned() {
         let pending = Arc::new(Pending {
-            slots: OrderedMutex::new(lock_rank::BINDING_PENDING, HashMap::new()),
+            slots: OrderedMutex::new(HashMap::new()),
             telemetry: None,
         });
         let entry = Entry {
             slot: Slot::Expecting,
             owed: None,
         };
-        pending.slots.lock().insert(1, entry);
+        let held = Locked::root();
+        pending.slots.lock(held).0.insert(1, entry);
         let (client, _server) = ChorusComChannel::pair();
         let conn = attach(Arc::new(client), &pending);
         let waiter = {
             let pending = Arc::clone(&pending);
             std::thread::spawn(move || {
-                pending.wait_timeout(1, Instant::now(), Duration::from_millis(10), &conn)
+                let held = Locked::root();
+                pending.wait_timeout(held, 1, Instant::now(), Duration::from_millis(10), &conn)
             })
         };
         // Once the caller sleeps in its entry, the demux takes the entry in
         // hand and is still interpreting the reply at 50 ms, well past the
         // caller's deadline.
-        while pending.expecting(1) {
+        while pending.expecting(held, 1) {
             std::thread::yield_now();
         }
-        let filled = pending.complete(1, || {
+        let filled = pending.complete(held, 1, || {
             std::thread::sleep(Duration::from_millis(50));
             Ok((Bytes::from_static(b"late"), None))
         });
@@ -881,6 +917,10 @@ mod tests {
             .expect("waiter")
             .expect("a reply in hand at the deadline is returned, not a timeout");
         assert_eq!(&body[..], b"late");
-        assert_eq!(pending.slots.lock().len(), 0, "the caller took its entry");
+        assert_eq!(
+            pending.slots.lock(held).0.len(),
+            0,
+            "the caller took its entry"
+        );
     }
 }

@@ -13,22 +13,23 @@
 
 use crate::error::OrbError;
 use crate::transport::{ChorusComChannel, ComChannel, DacapoComChannel};
+use cool_telemetry::lockorder::{rank, Locked, OrderedMutex, Unlocked};
 use cool_telemetry::Registry as TelemetryRegistry;
 use dacapo::config::{ConfigContext, ConfigurationManager};
 use dacapo::runtime::RuntimeOptions;
 use dacapo::tlayer::Transport;
 use dacapo::{Connection, MechanismCatalog, NetsimTransport, ResourceManager};
 use multe_qos::TransportRequirements;
-use cool_telemetry::lockorder::OrderedMutex;
-use cool_telemetry::lockorder::rank as lock_rank;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// What a server registers under a name: called on the connecting thread
-/// with the server's half of each new connection. An error refuses the
-/// connection — the listener closes the half it was given — and is what
-/// the connector's `connect_*` returns.
-pub type Listener = Arc<dyn Fn(Arc<dyn ComChannel>) -> Result<(), OrbError> + Send + Sync>;
+/// What a server registers under a name: called on the connecting thread,
+/// with that thread's token (it holds no lock), with the server's half of
+/// each new connection. An error refuses the connection — the listener
+/// closes the half it was given — and is what the connector's `connect_*`
+/// returns.
+pub type Listener =
+    Arc<dyn Fn(&mut Locked<Unlocked>, Arc<dyn ComChannel>) -> Result<(), OrbError> + Send + Sync>;
 
 #[derive(Default)]
 struct Registry {
@@ -42,14 +43,14 @@ struct Registry {
 /// Name-based rendezvous for in-process transports.
 #[derive(Clone)]
 pub struct LocalExchange {
-    registry: Arc<OrderedMutex<Registry>>,
+    registry: Arc<OrderedMutex<Registry, rank::ExchangeRegistry>>,
     config_mgr: ConfigurationManager,
     resource_mgr: ResourceManager,
 }
 
 impl std::fmt::Debug for LocalExchange {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let reg = self.registry.lock();
+        let (reg, _) = self.registry.lock(Locked::root());
         f.debug_struct("LocalExchange")
             .field("chorus_endpoints", &reg.chorus.len())
             .field("dacapo_endpoints", &reg.dacapo.len())
@@ -61,10 +62,7 @@ impl LocalExchange {
     /// Creates an isolated exchange (tests that must not share state).
     pub fn new() -> Self {
         LocalExchange {
-            registry: Arc::new(OrderedMutex::new(
-                lock_rank::EXCHANGE_REGISTRY,
-                Registry::default(),
-            )),
+            registry: Arc::new(OrderedMutex::new(Registry::default())),
             config_mgr: ConfigurationManager::new(MechanismCatalog::standard()),
             resource_mgr: ResourceManager::default(),
         }
@@ -97,7 +95,7 @@ impl LocalExchange {
     /// ATM-class network: losses on the link surface at the ORB unless the
     /// negotiated QoS installs a reliable protocol configuration.
     pub fn set_dacapo_link(&self, spec: Option<netsim::LinkSpec>) {
-        self.registry.lock().dacapo_link = spec;
+        self.registry.lock(Locked::root()).0.dacapo_link = spec;
     }
 
     /// Registers `listener` under a Chorus endpoint name.
@@ -106,7 +104,12 @@ impl LocalExchange {
     ///
     /// [`OrbError::BadAddress`] if the name is taken.
     pub fn listen_chorus(&self, name: &str, listener: Listener) -> Result<(), OrbError> {
-        Self::listen(&mut self.registry.lock().chorus, "chorus", name, listener)
+        Self::listen(
+            &mut self.registry.lock(Locked::root()).0.chorus,
+            "chorus",
+            name,
+            listener,
+        )
     }
 
     /// Registers `listener` under a Da CaPo endpoint name.
@@ -115,7 +118,12 @@ impl LocalExchange {
     ///
     /// [`OrbError::BadAddress`] if the name is taken.
     pub fn listen_dacapo(&self, name: &str, listener: Listener) -> Result<(), OrbError> {
-        Self::listen(&mut self.registry.lock().dacapo, "dacapo", name, listener)
+        Self::listen(
+            &mut self.registry.lock(Locked::root()).0.dacapo,
+            "dacapo",
+            name,
+            listener,
+        )
     }
 
     fn listen(
@@ -135,7 +143,7 @@ impl LocalExchange {
 
     /// Removes a listener registration.
     pub fn unlisten(&self, scheme: &str, name: &str) {
-        let mut reg = self.registry.lock();
+        let (mut reg, _) = self.registry.lock(Locked::root());
         match scheme {
             "chorus" => {
                 reg.chorus.remove(name);
@@ -169,15 +177,17 @@ impl LocalExchange {
         name: &str,
         telemetry: Option<&TelemetryRegistry>,
     ) -> Result<Arc<dyn ComChannel>, OrbError> {
+        let held = Locked::root();
         let listener = self
             .registry
-            .lock()
+            .lock(held)
+            .0
             .chorus
             .get(name)
             .cloned()
             .ok_or_else(|| OrbError::BadAddress(format!("no chorus endpoint {name:?}")))?;
         let (client, server) = ChorusComChannel::pair_with(telemetry);
-        hand_over(&listener, Arc::new(client), Arc::new(server))
+        hand_over(held, &listener, Arc::new(client), Arc::new(server))
     }
 
     /// Connects to a Da CaPo listener, establishing both peer stacks from
@@ -211,8 +221,9 @@ impl LocalExchange {
         requirements: &TransportRequirements,
         telemetry: Option<&Arc<TelemetryRegistry>>,
     ) -> Result<Arc<dyn ComChannel>, OrbError> {
+        let held = Locked::root();
         let (listener, link_spec) = {
-            let reg = self.registry.lock();
+            let (reg, _) = self.registry.lock(held);
             let listener = reg
                 .dacapo
                 .get(name)
@@ -270,7 +281,7 @@ impl LocalExchange {
             Some(self.resource_mgr.clone()),
             telemetry.map(Arc::as_ref),
         )?;
-        hand_over(&listener, Arc::new(client), Arc::new(server))
+        hand_over(held, &listener, Arc::new(client), Arc::new(server))
     }
 }
 
@@ -278,11 +289,12 @@ impl LocalExchange {
 /// connecting thread (with no lock held), and the client's half to the
 /// connector — or closes it, when the listener refused the connection.
 fn hand_over(
+    held: &mut Locked<Unlocked>,
     listener: &Listener,
     client: Arc<dyn ComChannel>,
     server: Arc<dyn ComChannel>,
 ) -> Result<Arc<dyn ComChannel>, OrbError> {
-    listener(server).inspect_err(|_| client.close())?;
+    listener(held, server).inspect_err(|_| client.close())?;
     Ok(client)
 }
 
@@ -302,13 +314,14 @@ mod tests {
     /// A listener that takes every connection, and where they arrive.
     fn taking() -> (Listener, mpsc::Receiver<Arc<dyn ComChannel>>) {
         let (tx, rx) = mpsc::sync_channel(16);
-        let listener: Listener =
-            Arc::new(move |channel| tx.try_send(channel).map_err(|_| OrbError::Closed));
+        let listener: Listener = Arc::new(move |_: &mut Locked<Unlocked>, channel| {
+            tx.try_send(channel).map_err(|_| OrbError::Closed)
+        });
         (listener, rx)
     }
 
     fn refusing() -> Listener {
-        Arc::new(|channel: Arc<dyn ComChannel>| {
+        Arc::new(|_: &mut Locked<Unlocked>, channel: Arc<dyn ComChannel>| {
             channel.close();
             Err(OrbError::Closed)
         })

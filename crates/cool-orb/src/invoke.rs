@@ -24,8 +24,7 @@ use crate::orb::Orb;
 use crate::retry::{wait_backoff, RetryPolicy};
 use bytes::Bytes;
 use cool_telemetry::flight::event;
-use cool_telemetry::lockorder::rank as lock_rank;
-use cool_telemetry::lockorder::{OrderedMutex, OrderedMutexGuard};
+use cool_telemetry::lockorder::{rank, Locked, OrderedMutex, Unlocked};
 use cool_telemetry::{names, Registry};
 use multe_qos::{GrantedQoS, QoSSpec, ServerPolicy, TransportRequirements};
 use std::collections::VecDeque;
@@ -119,25 +118,34 @@ pub(crate) fn decide(
 pub(crate) trait Targets {
     /// Where target `idx` is bound from: the ORB that binds it, its
     /// reference and the protocol it is spoken to in.
-    fn locate(&self, idx: usize) -> Result<(Arc<Orb>, ObjectRef, WireProtocol), OrbError>;
+    fn locate(
+        &self,
+        held: &mut Locked<Unlocked>,
+        idx: usize,
+    ) -> Result<(Arc<Orb>, ObjectRef, WireProtocol), OrbError>;
 
     /// The target for the next attempt, none of `failed`; an attributed
     /// error when no eligible target exists.
-    fn pick(&self, _failed: &[usize], _operation: &str) -> Result<usize, OrbError> {
+    fn pick(
+        &self,
+        _held: &mut Locked<Unlocked>,
+        _failed: &[usize],
+        _operation: &str,
+    ) -> Result<usize, OrbError> {
         Ok(0)
     }
 
     /// Whether a target besides `idx` and `failed` is still eligible.
-    fn others_left(&self, _idx: usize, _failed: &[usize]) -> bool {
+    fn others_left(&self, _held: &mut Locked<Unlocked>, _idx: usize, _failed: &[usize]) -> bool {
         false
     }
 
     /// A call against target `idx` completed.
-    fn succeeded(&self, _idx: usize) {}
+    fn succeeded(&self, _held: &mut Locked<Unlocked>, _idx: usize) {}
 
     /// The pipeline gave up on target `idx` after a retryable failure;
     /// returns the target's address for the flight record.
-    fn failed(&self, _idx: usize) -> String {
+    fn failed(&self, _held: &mut Locked<Unlocked>, _idx: usize) -> String {
         String::new()
     }
 }
@@ -175,10 +183,18 @@ pub(crate) struct State {
     bound: Option<(usize, Arc<Endpoint>)>,
 }
 
+/// What one attempt takes from the stub's state, in one acquisition: its
+/// target's endpoint, the QoS offered and the reply timeout.
+pub(crate) struct Attempt {
+    pub(crate) endpoint: Arc<Endpoint>,
+    pub(crate) offered: QoSSpec,
+    pub(crate) timeout: Duration,
+}
+
 /// The invocation pipeline of one logical stub: its [`State`] — above all
 /// the QoS operating point — and the loop that applies the retry policy.
 pub(crate) struct Invoker {
-    pub(crate) per_stub: OrderedMutex<State>,
+    pub(crate) per_stub: OrderedMutex<State, rank::StubState>,
     retry: Option<RetryPolicy>,
     registry: Option<Arc<Registry>>,
 }
@@ -201,20 +217,24 @@ impl Invoker {
             bound: bound.map(|endpoint| (0, endpoint)),
         };
         Invoker {
-            per_stub: OrderedMutex::new(lock_rank::STUB_STATE, state),
+            per_stub: OrderedMutex::new(state),
             retry: config.retry.clone(),
             registry: config.telemetry.clone(),
         }
     }
 
-    pub(crate) fn offered(&self) -> QoSSpec {
-        self.per_stub.lock().offered.clone()
+    pub(crate) fn offered(&self, held: &mut Locked<Unlocked>) -> QoSSpec {
+        self.per_stub.lock(held).0.offered.clone()
     }
 
     /// The endpoint held for target `idx`, if any.
-    pub(crate) fn held(&self, idx: usize) -> Option<Arc<Endpoint>> {
-        match &self.per_stub.lock().bound {
-            Some((held, endpoint)) if *held == idx => Some(Arc::clone(endpoint)),
+    pub(crate) fn endpoint(
+        &self,
+        held: &mut Locked<Unlocked>,
+        idx: usize,
+    ) -> Option<Arc<Endpoint>> {
+        match &self.per_stub.lock(held).0.bound {
+            Some((bound, endpoint)) if *bound == idx => Some(Arc::clone(endpoint)),
             _ => None,
         }
     }
@@ -223,8 +243,13 @@ impl Invoker {
     /// target afresh. Dropped with the state unlocked, like any endpoint
     /// that leaves it: a binding closes with its last endpoint, and closing
     /// takes `binding.pending`, ranked below the state.
-    pub(crate) fn unbind(&self, idx: usize) {
-        let unbound = self.per_stub.lock().bound.take_if(|(held, _)| *held == idx);
+    pub(crate) fn unbind(&self, held: &mut Locked<Unlocked>, idx: usize) {
+        let unbound = self
+            .per_stub
+            .lock(held)
+            .0
+            .bound
+            .take_if(|(bound, _)| *bound == idx);
         drop(unbound);
     }
 
@@ -232,58 +257,72 @@ impl Invoker {
     /// lost. A binding closed here (retired) is kept, and keeps failing
     /// `Closed`: nothing replaces it. Asked with the state unlocked: over
     /// TCP the question reads the socket.
-    fn unbind_lost(&self, idx: usize) {
-        let held = self.held(idx);
-        if held.is_some_and(|e| matches!(&e.target, Target::Remote(b) if b.is_lost())) {
-            self.unbind(idx);
+    fn unbind_lost(&self, held: &mut Locked<Unlocked>, idx: usize) {
+        let endpoint = self.endpoint(held, idx);
+        if endpoint.is_some_and(|e| matches!(&e.target, Target::Remote(b) if b.is_lost(held))) {
+            self.unbind(held, idx);
         }
     }
 
     /// Binds target `idx` afresh and applies the current offered QoS to its
     /// transport: the one rebinding routine, behind a replica switch and
     /// the replacement of a lost binding alike.
-    fn bind<T: Targets>(&self, targets: &T, idx: usize) -> Result<Arc<Endpoint>, OrbError> {
-        let (orb, reference, protocol) = targets.locate(idx)?;
+    fn bind<T: Targets>(
+        &self,
+        held: &mut Locked<Unlocked>,
+        targets: &T,
+        idx: usize,
+    ) -> Result<Arc<Endpoint>, OrbError> {
+        let (orb, reference, protocol) = targets.locate(held, idx)?;
         // No such listener (yet, or any more) is as retryable, and as worth
         // failing over from, as a refused connection.
         let endpoint = orb
-            .endpoint_for(&reference, protocol)
+            .endpoint_for(held, &reference, protocol)
             .map_err(|err| match err {
                 OrbError::BadAddress(why) => {
                     OrbError::Transport(format!("{} unreachable: {why}", reference.addr))
                 }
                 other => other,
             })?;
-        endpoint.apply_qos(&self.offered())?;
+        endpoint.apply_qos(&self.offered(held))?;
         Ok(endpoint)
     }
 
-    /// The stub's state, locked, and the endpoint of target `idx`: the one
-    /// held, or one bound afresh when none is.
+    /// What an attempt against target `idx` takes from the state: the
+    /// endpoint held, or one bound afresh when none is.
     pub(crate) fn bound<T: Targets>(
         &self,
+        held: &mut Locked<Unlocked>,
         targets: &T,
         idx: usize,
-    ) -> Result<(OrderedMutexGuard<'_, State>, Arc<Endpoint>), OrbError> {
-        let state = self.per_stub.lock();
-        if let Some((held, endpoint)) = &state.bound {
-            if *held == idx {
-                let endpoint = Arc::clone(endpoint);
-                return Ok((state, endpoint));
+    ) -> Result<Attempt, OrbError> {
+        let attempt = |state: &State, endpoint: &Arc<Endpoint>| Attempt {
+            endpoint: Arc::clone(endpoint),
+            offered: state.offered.clone(),
+            timeout: state.timeout,
+        };
+        {
+            let (state, _) = self.per_stub.lock(held);
+            if let Some((bound, endpoint)) = &state.bound {
+                if *bound == idx {
+                    return Ok(attempt(&state, endpoint));
+                }
             }
         }
+        let endpoint = self.bind(held, targets, idx)?;
+        let (mut state, _) = self.per_stub.lock(held);
+        let replaced = state.bound.replace((idx, Arc::clone(&endpoint)));
+        let bound = attempt(&state, &endpoint);
         drop(state);
-        let endpoint = self.bind(targets, idx)?;
-        let replaced = self.per_stub.lock().bound.replace((idx, Arc::clone(&endpoint)));
         drop(replaced);
-        Ok((self.per_stub.lock(), endpoint))
+        Ok(bound)
     }
 
     /// Makes the next fallback rung the offered QoS, recording the step.
     /// Only called on [`Step::Degrade`], which a non-empty ladder gates.
-    fn step_down(&self, operation: &str) {
+    fn step_down(&self, held: &mut Locked<Unlocked>, operation: &str) {
         let rung = {
-            let mut state = self.per_stub.lock();
+            let (mut state, _) = self.per_stub.lock(held);
             let Some(rung) = state.fallbacks.pop_front() else {
                 return;
             };
@@ -305,26 +344,27 @@ impl Invoker {
     /// count and budget restart on it).
     pub(crate) fn invoke<T: Targets>(
         &self,
+        held: &mut Locked<Unlocked>,
         targets: &T,
         operation: &str,
         args: Bytes,
     ) -> Result<Bytes, OrbError> {
         // Grows only when a target fails: the success path allocates nothing.
         let mut failed: Vec<usize> = Vec::new();
-        let mut idx = targets.pick(&failed, operation)?;
+        let mut idx = targets.pick(held, &failed, operation)?;
         let mut degrade = false;
         let (mut attempts, mut start) = (1u32, Instant::now());
         loop {
-            let err = match self.attempt(targets, idx, degrade, operation, &args) {
+            let err = match self.attempt(held, targets, idx, degrade, operation, &args) {
                 Ok(body) => {
-                    targets.succeeded(idx);
+                    targets.succeeded(held, idx);
                     return Ok(body);
                 }
                 Err(err) => err,
             };
             degrade = false;
-            let rungs_left = !self.per_stub.lock().fallbacks.is_empty();
-            let targets_left = targets.others_left(idx, &failed);
+            let rungs_left = !self.per_stub.lock(held).0.fallbacks.is_empty();
+            let targets_left = targets.others_left(held, idx, &failed);
             let (elapsed, retry) = (start.elapsed(), self.retry.as_ref());
             match decide(&err, attempts, elapsed, retry, rungs_left, targets_left) {
                 Step::RetrySame(delay) => {
@@ -335,21 +375,21 @@ impl Invoker {
                     wait_backoff(delay);
                     // A failed rebind surfaces on the next attempt as an
                     // attributed Transport error.
-                    self.unbind_lost(idx);
+                    self.unbind_lost(held, idx);
                 }
                 Step::Degrade => degrade = true,
                 Step::NextTarget => {
-                    let replica = targets.failed(idx);
+                    let replica = targets.failed(held, idx);
                     let detail = format!("replica {replica} failed ({err}); failing over");
                     let counter = Some(names::FAILOVERS_TOTAL);
                     emit(&self.registry, counter, event::FAILOVER, detail);
                     failed.push(idx);
-                    idx = targets.pick(&failed, operation)?;
+                    idx = targets.pick(held, &failed, operation)?;
                     (attempts, start) = (1, Instant::now());
                 }
                 Step::Fail if !err.is_retryable() => return Err(err),
                 Step::Fail => {
-                    targets.failed(idx);
+                    targets.failed(held, idx);
                     // Without a policy there was only ever one attempt. One
                     // that gave up says *what kept failing*, and how often.
                     if self.retry.is_none() {
@@ -366,6 +406,7 @@ impl Invoker {
     /// last lap was NACKed, bind target `idx` if none is held for it.
     fn attempt<T: Targets>(
         &self,
+        held: &mut Locked<Unlocked>,
         targets: &T,
         idx: usize,
         degrade: bool,
@@ -373,31 +414,33 @@ impl Invoker {
         args: &Bytes,
     ) -> Result<Bytes, OrbError> {
         if degrade {
-            self.step_down(operation);
-            if let Some(endpoint) = self.held(idx) {
-                endpoint.apply_qos(&self.offered())?;
+            self.step_down(held, operation);
+            if let Some(endpoint) = self.endpoint(held, idx) {
+                endpoint.apply_qos(&self.offered(held))?;
             }
         }
-        let (state, endpoint) = self.bound(targets, idx)?;
-        self.invoke_once(state, &endpoint, operation, args.clone())
+        let attempt = self.bound(held, targets, idx)?;
+        self.invoke_once(held, attempt, operation, args.clone())
     }
 
-    /// One attempt, with no resilience applied: what it offers is read
-    /// from `state`, which is released before the call.
+    /// One attempt, with no resilience applied.
     pub(crate) fn invoke_once(
         &self,
-        state: OrderedMutexGuard<'_, State>,
-        endpoint: &Endpoint,
+        held: &mut Locked<Unlocked>,
+        attempt: Attempt,
         operation: &str,
         args: Bytes,
     ) -> Result<Bytes, OrbError> {
+        let Attempt {
+            endpoint,
+            offered,
+            timeout,
+        } = attempt;
         match &endpoint.target {
             Target::Local(adapter) => {
-                let offered = state.offered.clone();
-                drop(state);
                 match adapter.dispatch(&endpoint.key, operation, &args, &offered, false) {
                     DispatchOutcome::Success { body, granted } => {
-                        self.per_stub.lock().granted = Some(granted);
+                        self.per_stub.lock(held).0.granted = Some(granted);
                         Ok(Bytes::from(body))
                     }
                     DispatchOutcome::QosNack(reason) => Err(OrbError::QosNotSupported(reason)),
@@ -405,12 +448,11 @@ impl Invoker {
                 }
             }
             Target::Remote(binding) => {
-                let (params, timeout) = (state.offered.to_params(), state.timeout);
-                drop(state);
+                let params = offered.to_params();
                 let key = endpoint.key.as_bytes();
                 let (body, granted) = binding.call(key, operation, args, &params, timeout)?;
                 if granted.is_some() {
-                    self.per_stub.lock().granted = granted;
+                    self.per_stub.lock(held).0.granted = granted;
                 }
                 Ok(body)
             }

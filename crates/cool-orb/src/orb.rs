@@ -13,10 +13,9 @@ use crate::transport::{ComChannel, FaultChannel, FaultMetrics};
 use bytes::Bytes;
 use cool_faults::FaultEngine;
 use cool_telemetry::flight::event as flight_event;
+use cool_telemetry::lockorder::{rank, Locked, OrderedMutex, Unlocked};
 use cool_telemetry::{names, IntrospectServer, Registry};
 use multe_qos::{GrantedQoS, QoSSpec, TransportRequirements};
-use cool_telemetry::lockorder::OrderedMutex;
-use cool_telemetry::lockorder::rank as lock_rank;
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -28,16 +27,16 @@ pub struct Orb {
     adapter: Arc<ObjectAdapter>,
     exchange: LocalExchange,
     config: OrbConfig,
-    bindings: OrderedMutex<HashMap<(String, WireProtocol), Arc<Binding>>>,
-    served: OrderedMutex<Vec<OrbAddr>>,
+    bindings: OrderedMutex<HashMap<(String, WireProtocol), Arc<Binding>>, rank::OrbBindings>,
+    served: OrderedMutex<Vec<OrbAddr>, rank::OrbServed>,
     /// Per-target engines materialized lazily from
     /// [`OrbConfig::fault_plans`], cached under the address display string
     /// so a binding that replaces a lost one continues the same
     /// deterministic fault schedule instead of restarting it.
-    fault_engines: OrderedMutex<HashMap<String, Arc<FaultEngine>>>,
+    fault_engines: OrderedMutex<HashMap<String, Arc<FaultEngine>>, rank::OrbFaultEngines>,
     /// The live introspection endpoint (`OrbConfig::introspect`); absent —
     /// no listener, no sampler thread — unless explicitly configured.
-    introspect: OrderedMutex<Option<IntrospectServer>>,
+    introspect: OrderedMutex<Option<IntrospectServer>, rank::OrbIntrospect>,
 }
 
 impl std::fmt::Debug for Orb {
@@ -45,7 +44,7 @@ impl std::fmt::Debug for Orb {
         f.debug_struct("Orb")
             .field("name", &self.name)
             .field("objects", &self.adapter.len())
-            .field("bindings", &self.bindings.lock().len())
+            .field("bindings", &self.bindings.lock(Locked::root()).0.len())
             .finish()
     }
 }
@@ -103,10 +102,10 @@ impl Orb {
             adapter: Arc::new(ObjectAdapter::with_telemetry(config.telemetry.clone())),
             exchange,
             config,
-            bindings: OrderedMutex::new(lock_rank::ORB_BINDINGS, HashMap::new()),
-            served: OrderedMutex::new(lock_rank::ORB_SERVED, Vec::new()),
-            fault_engines: OrderedMutex::new(lock_rank::ORB_FAULT_ENGINES, HashMap::new()),
-            introspect: OrderedMutex::new(lock_rank::ORB_INTROSPECT, introspect),
+            bindings: OrderedMutex::new(HashMap::new()),
+            served: OrderedMutex::new(Vec::new()),
+            fault_engines: OrderedMutex::new(HashMap::new()),
+            introspect: OrderedMutex::new(introspect),
         })
     }
 
@@ -114,7 +113,11 @@ impl Orb {
     /// [`OrbConfig::introspect`] is set and the endpoint started. `None`
     /// means no endpoint exists (the default — zero cost, no thread).
     pub fn introspect_addr(&self) -> Option<std::net::SocketAddr> {
-        self.introspect.lock().as_ref().map(IntrospectServer::local_addr)
+        self.introspect
+            .lock(Locked::root())
+            .0
+            .as_ref()
+            .map(IntrospectServer::local_addr)
     }
 
     /// The configuration this ORB threads through its servers and
@@ -177,7 +180,10 @@ impl Orb {
     /// records nothing.
     fn served_by(&self, server: Result<OrbServer, OrbError>) -> Result<OrbServer, OrbError> {
         let server = server?;
-        self.served.lock().push(server.addr().clone());
+        self.served
+            .lock(Locked::root())
+            .0
+            .push(server.addr().clone());
         Ok(server)
     }
 
@@ -206,7 +212,7 @@ impl Orb {
         reference: &ObjectRef,
         protocol: WireProtocol,
     ) -> Result<Stub, OrbError> {
-        let endpoint = self.endpoint_for(reference, protocol)?;
+        let endpoint = self.endpoint_for(Locked::root(), reference, protocol)?;
         let offered = QoSSpec::best_effort();
         Ok(Stub {
             orb: Arc::downgrade(self),
@@ -221,23 +227,28 @@ impl Orb {
     /// the cached binding to its address.
     pub(crate) fn endpoint_for(
         &self,
+        held: &mut Locked<Unlocked>,
         reference: &ObjectRef,
         protocol: WireProtocol,
     ) -> Result<Arc<Endpoint>, OrbError> {
         let key = reference.key.clone();
-        let colocated = self.served.lock().contains(&reference.addr);
+        let colocated = self.served.lock(held).0.contains(&reference.addr);
         let target = if colocated && self.adapter.contains(&key) {
             Target::Local(self.adapter.clone())
         } else {
-            Target::Remote(self.binding_for(&reference.addr, protocol)?)
+            Target::Remote(self.binding_for(held, &reference.addr, protocol)?)
         };
         Ok(Arc::new(Endpoint { target, key }))
     }
 
     /// Dials `addr`, consulting the fault engine (connect refusal) and
     /// wrapping the channel in a [`FaultChannel`] when a plan is active.
-    fn dial(&self, addr: &OrbAddr) -> Result<Arc<dyn ComChannel>, OrbError> {
-        let engine = self.engine_for(addr);
+    fn dial(
+        &self,
+        held: &mut Locked<Unlocked>,
+        addr: &OrbAddr,
+    ) -> Result<Arc<dyn ComChannel>, OrbError> {
+        let engine = self.engine_for(held, addr);
         let telemetry = self.config.telemetry.as_ref();
         if let Some(engine) = &engine {
             if !engine.allow_connect() {
@@ -277,11 +288,11 @@ impl Orb {
     /// The fault engine governing `addr`, from [`OrbConfig::fault_plans`]
     /// (created once per target and cached). `None` means no faults for
     /// this target.
-    fn engine_for(&self, addr: &OrbAddr) -> Option<Arc<FaultEngine>> {
+    fn engine_for(&self, held: &mut Locked<Unlocked>, addr: &OrbAddr) -> Option<Arc<FaultEngine>> {
         let plans = self.config.fault_plans.as_ref()?;
         let target = addr.to_string();
         let plan = plans.plan_for(&target)?.clone();
-        let mut engines = self.fault_engines.lock();
+        let (mut engines, _) = self.fault_engines.lock(held);
         let engine = engines
             .entry(target)
             .or_insert_with(|| Arc::new(FaultEngine::new(plan)));
@@ -295,20 +306,21 @@ impl Orb {
     /// their own.
     fn binding_for(
         &self,
+        held: &mut Locked<Unlocked>,
         addr: &OrbAddr,
         protocol: WireProtocol,
     ) -> Result<Arc<Binding>, OrbError> {
         let cache_key = (addr.to_string(), protocol);
         // Asked with the cache unlocked: over TCP the question takes in
         // what the connection received, and may run reply callbacks.
-        let cached = self.bindings.lock().get(&cache_key).cloned();
+        let cached = self.bindings.lock(held).0.get(&cache_key).cloned();
         if let Some(existing) = &cached {
             if !existing.is_closed() {
                 return Ok(Arc::clone(existing));
             }
         }
-        let binding = Binding::with_config(self.dial(addr)?, protocol, &self.config);
-        let mut bindings = self.bindings.lock();
+        let binding = Binding::with_config(self.dial(held, addr)?, protocol, &self.config);
+        let (mut bindings, _) = self.bindings.lock(held);
         let current = bindings.get(&cache_key);
         let replaced = match (current, &cached) {
             (Some(current), Some(closed)) if Arc::ptr_eq(current, closed) => true,
@@ -337,13 +349,14 @@ impl Orb {
     /// endpoint (when one is running).
     pub fn shutdown(&self) {
         // Drain, then close with the cache unlocked.
-        let bindings = std::mem::take(&mut *self.bindings.lock());
+        let held = Locked::root();
+        let bindings = std::mem::take(&mut *self.bindings.lock(held).0);
         for binding in bindings.into_values() {
             binding.close();
         }
         // Take the handle out, then stop with the lock released — stop
         // joins the accept and sampler threads.
-        let introspect = self.introspect.lock().take();
+        let introspect = self.introspect.lock(held).0.take();
         if let Some(mut server) = introspect {
             server.stop();
         }
@@ -377,7 +390,11 @@ impl std::fmt::Debug for Stub {
 
 /// A plain stub is the one-target case of the invocation pipeline.
 impl Targets for Stub {
-    fn locate(&self, _idx: usize) -> Result<(Arc<Orb>, ObjectRef, WireProtocol), OrbError> {
+    fn locate(
+        &self,
+        _held: &mut Locked<Unlocked>,
+        _idx: usize,
+    ) -> Result<(Arc<Orb>, ObjectRef, WireProtocol), OrbError> {
         let orb = self.orb.upgrade().ok_or(OrbError::Closed)?;
         Ok((orb, self.reference.clone(), self.protocol))
     }
@@ -392,13 +409,13 @@ impl Stub {
     /// Whether this stub short-circuits to a colocated object.
     pub fn is_colocated(&self) -> bool {
         self.invoker
-            .held(0)
+            .endpoint(Locked::root(), 0)
             .is_some_and(|endpoint| matches!(endpoint.target, Target::Local(_)))
     }
 
     /// Sets the reply timeout for synchronous calls.
     pub fn set_timeout(&self, timeout: Duration) {
-        self.invoker.per_stub.lock().timeout = timeout;
+        self.invoker.per_stub.lock(Locked::root()).0.timeout = timeout;
     }
 
     /// The paper's `setQoSParameter`: specifies the QoS for subsequent
@@ -415,11 +432,12 @@ impl Stub {
     /// transport cannot provide the mapped requirements.
     pub fn set_qos_parameter(&self, spec: QoSSpec) -> Result<(), OrbError> {
         spec.validate().map_err(OrbError::QosNotSupported)?;
+        let held = Locked::root();
         // Without an endpoint, the next bind applies it.
-        if let Some(endpoint) = self.invoker.held(0) {
+        if let Some(endpoint) = self.invoker.endpoint(held, 0) {
             endpoint.apply_qos(&spec)?;
         }
-        self.invoker.per_stub.lock().offered = spec;
+        self.invoker.per_stub.lock(held).0.offered = spec;
         Ok(())
     }
 
@@ -436,7 +454,7 @@ impl Stub {
     /// The QoS granted by the server on the most recent invocation, if
     /// any.
     pub fn last_granted(&self) -> Option<GrantedQoS> {
-        self.invoker.per_stub.lock().granted.clone()
+        self.invoker.per_stub.lock(Locked::root()).0.granted.clone()
     }
 
     /// Installs a graceful-degradation ladder: when an invocation fails
@@ -446,14 +464,14 @@ impl Stub {
     /// and retries the call. The ladder is consumed rung by rung; once
     /// empty, the NACK surfaces to the caller.
     pub fn set_qos_ladder(&self, fallbacks: Vec<QoSSpec>) {
-        let mut state = self.invoker.per_stub.lock();
+        let (mut state, _) = self.invoker.per_stub.lock(Locked::root());
         state.fallbacks = fallbacks.into();
         state.steps.clear();
     }
 
     /// The degradation rungs applied so far, in the order they were taken.
     pub fn degradation_steps(&self) -> Vec<QoSSpec> {
-        self.invoker.per_stub.lock().steps.clone()
+        self.invoker.per_stub.lock(Locked::root()).0.steps.clone()
     }
 
     /// Two-way synchronous invocation with marshalled parameters.
@@ -473,7 +491,7 @@ impl Stub {
     /// exhausted), marshalling or transport failures, [`OrbError::Timeout`],
     /// or — a retry policy gave up — [`OrbError::RetriesExhausted`].
     pub fn invoke(&self, operation: &str, args: Bytes) -> Result<Bytes, OrbError> {
-        self.invoker.invoke(self, operation, args)
+        self.invoker.invoke(Locked::root(), self, operation, args)
     }
 
     /// One-way invocation (`send`): no reply, errors after the send are
@@ -483,17 +501,15 @@ impl Stub {
     ///
     /// Local marshalling/transport failures only.
     pub fn invoke_oneway(&self, operation: &str, args: Bytes) -> Result<(), OrbError> {
-        let (state, endpoint) = self.invoker.bound(self, 0)?;
-        match &endpoint.target {
+        let held = Locked::root();
+        let attempt = self.invoker.bound(held, self, 0)?;
+        match &attempt.endpoint.target {
             Target::Local(adapter) => {
-                let spec = state.offered.clone();
-                drop(state);
-                adapter.dispatch(self.key(), operation, &args, &spec, true);
+                adapter.dispatch(self.key(), operation, &args, &attempt.offered, true);
                 Ok(())
             }
             Target::Remote(binding) => {
-                let params = state.offered.to_params();
-                drop(state);
+                let params = attempt.offered.to_params();
                 binding.send(self.key().as_bytes(), operation, args, &params)
             }
         }
@@ -507,14 +523,16 @@ impl Stub {
     /// call would already be complete) and return
     /// [`OrbError::Protocol`].
     pub fn invoke_deferred(&self, operation: &str, args: Bytes) -> Result<DeferredReply, OrbError> {
-        let (state, endpoint) = self.invoker.bound(self, 0)?;
-        let params = state.offered.to_params();
-        drop(state);
-        match &endpoint.target {
+        let held = Locked::root();
+        let attempt = self.invoker.bound(held, self, 0)?;
+        match &attempt.endpoint.target {
             Target::Local(_) => Err(OrbError::Protocol(
                 "deferred invocation on a colocated object is meaningless".into(),
             )),
-            Target::Remote(binding) => binding.defer(self.key().as_bytes(), operation, args, &params),
+            Target::Remote(binding) => {
+                let params = attempt.offered.to_params();
+                binding.defer(self.key().as_bytes(), operation, args, &params)
+            }
         }
     }
 
@@ -531,15 +549,15 @@ impl Stub {
         args: Bytes,
         callback: impl FnOnce(Result<Bytes, OrbError>) + Send + 'static,
     ) -> Result<u32, OrbError> {
-        let (state, endpoint) = self.invoker.bound(self, 0)?;
-        match &endpoint.target {
+        let held = Locked::root();
+        let attempt = self.invoker.bound(held, self, 0)?;
+        match &attempt.endpoint.target {
             Target::Local(_) => {
-                callback(self.invoker.invoke_once(state, &endpoint, operation, args));
+                callback(self.invoker.invoke_once(held, attempt, operation, args));
                 Ok(0)
             }
             Target::Remote(binding) => {
-                let params = state.offered.to_params();
-                drop(state);
+                let params = attempt.offered.to_params();
                 binding.notify(self.key().as_bytes(), operation, args, &params, move |result| {
                     callback(result.map(|(body, _)| body))
                 })
@@ -551,7 +569,13 @@ impl Stub {
     ///
     /// Returns whether the request was still pending.
     pub fn cancel(&self, request_id: u32) -> bool {
-        match self.invoker.held(0).as_deref().map(|endpoint| &endpoint.target) {
+        let held = Locked::root();
+        match self
+            .invoker
+            .endpoint(held, 0)
+            .as_deref()
+            .map(|endpoint| &endpoint.target)
+        {
             Some(Target::Remote(binding)) => binding.cancel(request_id),
             _ => false,
         }

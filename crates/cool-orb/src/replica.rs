@@ -27,8 +27,7 @@ use crate::object::ObjectRef;
 use crate::orb::Orb;
 use bytes::Bytes;
 use cool_telemetry::flight::event;
-use cool_telemetry::lockorder::rank as lock_rank;
-use cool_telemetry::lockorder::OrderedMutex;
+use cool_telemetry::lockorder::{rank, Locked, OrderedMutex, Unlocked};
 use cool_telemetry::{names, Gauge, Registry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -166,7 +165,7 @@ pub struct ResolvedStub {
     /// The set's one QoS operating point, timeout and retry policy.
     invoker: Invoker,
     policy: FailoverPolicy,
-    replica_set: OrderedMutex<SetState>,
+    replica_set: OrderedMutex<SetState, rank::ResolvedState>,
     stop_tx: crossbeam::channel::Sender<()>,
     healthy_gauge: Option<Arc<Gauge>>,
     registry: Option<Arc<Registry>>,
@@ -239,15 +238,12 @@ impl Orb {
             orb: Arc::clone(self),
             invoker: Invoker::new(self.config(), required, ladder, None),
             policy: self.config().failover.clone(),
-            replica_set: OrderedMutex::new(
-                lock_rank::RESOLVED_STATE,
-                SetState {
-                    replicas,
-                    active: None,
-                    rr: ROTATION.fetch_add(1, Ordering::Relaxed),
-                    prober: None,
-                },
-            ),
+            replica_set: OrderedMutex::new(SetState {
+                replicas,
+                active: None,
+                rr: ROTATION.fetch_add(1, Ordering::Relaxed),
+                prober: None,
+            }),
             stop_tx,
             healthy_gauge,
             registry,
@@ -255,8 +251,9 @@ impl Orb {
         // The first pick rotates across the best-ranked candidates from a
         // process-wide cursor, so independent clients spread their load
         // without coordination.
-        let first = resolved.pick(&[], "bind").ok();
-        resolved.replica_set.lock().active = first;
+        let held = Locked::root();
+        let first = resolved.pick(held, &[], "bind").ok();
+        resolved.replica_set.lock(held).0.active = first;
         if period > std::time::Duration::ZERO {
             let weak: Weak<ResolvedStub> = Arc::downgrade(&resolved);
             // A failed spawn (resource exhaustion) leaves the binding
@@ -264,17 +261,18 @@ impl Orb {
             let prober = std::thread::Builder::new()
                 .name("resolved-prober".into())
                 .spawn(move || {
+                    let held = Locked::root();
                     while let Err(crossbeam::channel::RecvTimeoutError::Timeout) =
                         stop_rx.recv_timeout(period)
                     {
                         // The binding owns us via a JoinHandle; once every
                         // strong reference is gone we stop.
                         let Some(me) = weak.upgrade() else { break };
-                        me.probe_all();
+                        me.probe_all(held);
                     }
                 })
                 .ok();
-            resolved.replica_set.lock().prober = prober;
+            resolved.replica_set.lock(held).0.prober = prober;
         }
         Ok(resolved)
     }
@@ -284,7 +282,7 @@ impl ResolvedStub {
     /// The replica currently serving traffic, once a call has succeeded
     /// (or the initial load-balanced choice before that).
     pub fn active_replica(&self) -> Option<ObjectRef> {
-        let state = self.replica_set.lock();
+        let (state, _) = self.replica_set.lock(Locked::root());
         state
             .active
             .and_then(|i| state.replicas.get(i))
@@ -294,13 +292,14 @@ impl ResolvedStub {
     /// Degradation rungs consumed so far across the whole replica set
     /// (0 = still at the original requirement).
     pub fn consumed_rungs(&self) -> usize {
-        self.invoker.per_stub.lock().steps.len()
+        self.invoker.per_stub.lock(Locked::root()).0.steps.len()
     }
 
     /// Point-in-time health/breaker view of every replica.
     pub fn replicas(&self) -> Vec<ReplicaSnapshot> {
         self.replica_set
-            .lock()
+            .lock(Locked::root())
+            .0
             .replicas
             .iter()
             .map(|r| ReplicaSnapshot {
@@ -333,13 +332,13 @@ impl ResolvedStub {
     /// last replica's failure once every eligible replica has been tried —
     /// attributed, never a hang.
     pub fn invoke(&self, operation: &str, args: Bytes) -> Result<Bytes, OrbError> {
-        self.invoker.invoke(self, operation, args)
+        self.invoker.invoke(Locked::root(), self, operation, args)
     }
 
     /// Stops the background prober and joins it. Called automatically on
     /// drop; safe to call multiple times.
     pub fn close(&self) {
-        let handle = self.replica_set.lock().prober.take();
+        let handle = self.replica_set.lock(Locked::root()).0.prober.take();
         let _ = self.stop_tx.try_send(());
         if let Some(h) = handle {
             // The last strong reference can be dropped *by* the prober
@@ -371,8 +370,8 @@ impl ResolvedStub {
 
     /// Success bookkeeping: the replica becomes the active one, and its
     /// health and breaker reset.
-    fn note_success(&self, idx: usize) {
-        let mut guard = self.replica_set.lock();
+    fn note_success(&self, held: &mut Locked<Unlocked>, idx: usize) {
+        let (mut guard, _) = self.replica_set.lock(held);
         let state = &mut *guard;
         state.active = Some(idx);
         let replica = &mut state.replicas[idx];
@@ -385,8 +384,8 @@ impl ResolvedStub {
     /// Advances one replica's breaker and health state machines after a
     /// failed call or probe, and returns the replica's address. A failed
     /// call also clears the active slot.
-    fn note_failure(&self, idx: usize, from_call: bool) -> String {
-        let mut guard = self.replica_set.lock();
+    fn note_failure(&self, held: &mut Locked<Unlocked>, idx: usize, from_call: bool) -> String {
+        let (mut guard, _) = self.replica_set.lock(held);
         let state = &mut *guard;
         let replica = &mut state.replicas[idx];
         let addr = replica.reference.addr.to_string();
@@ -447,10 +446,10 @@ impl ResolvedStub {
     /// One sweep of the prober (tests drive it directly): half-opens
     /// cooled-down breakers, starts re-admission probes for evicted replicas
     /// whose backoff elapsed, and probes every replica not sitting out.
-    pub(crate) fn probe_all(&self) {
+    pub(crate) fn probe_all(&self, held: &mut Locked<Unlocked>) {
         let now = Instant::now();
         let due: Vec<(usize, ObjectRef)> = {
-            let mut guard = self.replica_set.lock();
+            let (mut guard, _) = self.replica_set.lock(held);
             let state = &mut *guard;
             self.half_open_cooled(state);
             let mut due = Vec::new();
@@ -468,10 +467,10 @@ impl ResolvedStub {
             due
         };
         for (idx, reference) in due {
-            if self.probe_one(&reference) {
-                self.note_probe_success(idx);
+            if self.probe_one(held, &reference) {
+                self.note_probe_success(held, idx);
             } else {
-                self.note_failure(idx, false);
+                self.note_failure(held, idx, false);
             }
         }
     }
@@ -479,14 +478,14 @@ impl ResolvedStub {
     /// Whether `reference` answers at all: any reply proving a live server
     /// — including "no such operation" for servants without a `_ping` —
     /// counts as alive; only transport-level failures count as dead.
-    fn probe_one(&self, reference: &ObjectRef) -> bool {
+    fn probe_one(&self, held: &mut Locked<Unlocked>, reference: &ObjectRef) -> bool {
         let Ok(stub) = self.orb.bind(reference) else {
             return false;
         };
         stub.set_timeout(self.policy.probe_timeout);
-        let pong = stub.invoker.bound(&stub, 0).and_then(|(state, endpoint)| {
+        let pong = stub.invoker.bound(held, &stub, 0).and_then(|attempt| {
             stub.invoker
-                .invoke_once(state, &endpoint, "_ping", Bytes::new())
+                .invoke_once(held, attempt, "_ping", Bytes::new())
         });
         match pong {
             Ok(_) => true,
@@ -504,8 +503,8 @@ impl ResolvedStub {
 
     /// A probe answered: re-admit the replica (when it was out) and reset
     /// its breaker.
-    fn note_probe_success(&self, idx: usize) {
-        let mut guard = self.replica_set.lock();
+    fn note_probe_success(&self, held: &mut Locked<Unlocked>, idx: usize) {
+        let (mut guard, _) = self.replica_set.lock(held);
         let state = &mut *guard;
         let replica = &mut state.replicas[idx];
         let was_out = matches!(replica.health, Health::Probing | Health::Evicted);
@@ -525,8 +524,13 @@ impl ResolvedStub {
 impl Targets for ResolvedStub {
     /// The active replica when still eligible, otherwise the best-ranked
     /// eligible one, rotating among equals.
-    fn pick(&self, failed: &[usize], operation: &str) -> Result<usize, OrbError> {
-        let mut guard = self.replica_set.lock();
+    fn pick(
+        &self,
+        held: &mut Locked<Unlocked>,
+        failed: &[usize],
+        operation: &str,
+    ) -> Result<usize, OrbError> {
+        let (mut guard, _) = self.replica_set.lock(held);
         let state = &mut *guard;
         self.half_open_cooled(state);
         let eligible = |i: &usize| !failed.contains(i) && state.replicas[*i].eligible();
@@ -560,27 +564,33 @@ impl Targets for ResolvedStub {
 
     /// Replica `idx`, spoken to over GIOP. Switching to a replica binds it
     /// afresh, with the set's *current* operating point.
-    fn locate(&self, idx: usize) -> Result<(Arc<Orb>, ObjectRef, WireProtocol), OrbError> {
-        let reference = self.replica_set.lock().replicas[idx].reference.clone();
+    fn locate(
+        &self,
+        held: &mut Locked<Unlocked>,
+        idx: usize,
+    ) -> Result<(Arc<Orb>, ObjectRef, WireProtocol), OrbError> {
+        let reference = self.replica_set.lock(held).0.replicas[idx]
+            .reference
+            .clone();
         Ok((Arc::clone(&self.orb), reference, WireProtocol::Giop))
     }
 
-    fn others_left(&self, idx: usize, failed: &[usize]) -> bool {
-        let mut state = self.replica_set.lock();
+    fn others_left(&self, held: &mut Locked<Unlocked>, idx: usize, failed: &[usize]) -> bool {
+        let (mut state, _) = self.replica_set.lock(held);
         self.half_open_cooled(&mut state);
         (0..state.replicas.len())
             .any(|i| i != idx && !failed.contains(&i) && state.replicas[i].eligible())
     }
 
-    fn succeeded(&self, idx: usize) {
-        self.note_success(idx);
+    fn succeeded(&self, held: &mut Locked<Unlocked>, idx: usize) {
+        self.note_success(held, idx);
     }
 
     /// Also drops the replica's endpoint, so that the next use binds it
     /// afresh.
-    fn failed(&self, idx: usize) -> String {
-        let addr = self.note_failure(idx, true);
-        self.invoker.unbind(idx);
+    fn failed(&self, held: &mut Locked<Unlocked>, idx: usize) -> String {
+        let addr = self.note_failure(held, idx, true);
+        self.invoker.unbind(held, idx);
         addr
     }
 }
@@ -997,7 +1007,7 @@ mod tests {
         // Cooled down, the breaker half-opens for the sweep's one probe;
         // the probe fails, the breaker re-opens, the replica stays out.
         std::thread::sleep(cooldown + Duration::from_millis(10));
-        resolved.probe_all();
+        resolved.probe_all(Locked::root());
         assert_eq!(states(), ("evicted", "open"));
         assert_eq!(
             flights(event::BREAKER_OPEN),
@@ -1010,7 +1020,7 @@ mod tests {
         // prober thread's body, driven directly here) re-admits it.
         let (_orb_a3, server_a3) = echo_server(&exchange, "cycle-a");
         std::thread::sleep(cooldown + Duration::from_millis(10));
-        resolved.probe_all();
+        resolved.probe_all(Locked::root());
         assert_eq!(states(), ("healthy", "closed"));
         assert_eq!(gauges(), (Some(1.0), Some(0.0)));
         assert_eq!(flights(event::REPLICA_READMITTED), 1);

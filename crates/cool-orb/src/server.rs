@@ -65,12 +65,11 @@ use crate::transport::{deadline_after, ComChannel, FrameSink, TcpComChannel};
 use bytes::Bytes;
 use cool_giop::prelude::{ReplyTraceContext, RequestTraceContext};
 use cool_telemetry::flight::event as flight_event;
+use cool_telemetry::lockorder::{rank, Locked, OrderedMutex, Unlocked};
 use cool_telemetry::trace::duration_as_u32_us;
 use cool_telemetry::{names, Counter, Gauge, Histogram, Registry, Stage};
 use crossbeam::channel::{bounded, unbounded, Sender, TrySendError};
 use multe_qos::QoSSpec;
-use cool_telemetry::lockorder::OrderedMutex;
-use cool_telemetry::lockorder::rank as lock_rank;
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -102,8 +101,8 @@ pub struct OrbServer {
     shutdown: Arc<AtomicBool>,
     /// Written at start, taken out by [`OrbServer::close`]; `None` from
     /// then on.
-    threads: OrderedMutex<Option<Threads>>,
-    conns: Arc<OrderedMutex<Vec<Weak<ConnState>>>>,
+    threads: OrderedMutex<Option<Threads>, rank::ServerThreads>,
+    conns: Arc<OrderedMutex<Vec<Weak<ConnState>>, rank::ServerConns>>,
     /// Stops the connection source — pokes the TCP acceptor out of
     /// `accept()`, or unregisters the exchange name (dropping the
     /// listener's intake); fired by [`OrbServer::close`] once the shutdown
@@ -166,12 +165,12 @@ impl OrbServer {
                     }
                     let channel = TcpComChannel::from_stream_with(stream, telemetry.as_deref());
                     if let Ok(channel) = channel {
-                        let _ = intake.attach(Arc::new(channel));
+                        let _ = intake.attach(Locked::root(), Arc::new(channel));
                     }
                 }
             })
             .map_err(|e| OrbError::Transport(format!("spawn cool-tcp-acceptor: {e}")))?;
-        if let Some(threads) = server.threads.lock().as_mut() {
+        if let Some(threads) = server.threads.lock(Locked::root()).0.as_mut() {
             threads.acceptor = Some(acceptor);
         }
         // A loopback self-connect returns `accept()`. Bounded: the accept
@@ -199,7 +198,7 @@ impl OrbServer {
         config: &OrbConfig,
     ) -> Result<Self, OrbError> {
         let (mut server, intake) = OrbServer::start(adapter, addr, config)?;
-        let listener: Listener = Arc::new(move |channel| intake.attach(channel));
+        let listener: Listener = Arc::new(move |held, channel| intake.attach(held, channel));
         match &server.addr {
             OrbAddr::Chorus(name) => exchange.listen_chorus(name, listener)?,
             OrbAddr::Dacapo(name) => exchange.listen_dacapo(name, listener)?,
@@ -235,21 +234,18 @@ impl OrbServer {
             metrics,
             draining: Arc::new(AtomicBool::new(false)),
             tracker: JobTracker::new(),
-            conns: Arc::new(OrderedMutex::new(lock_rank::SERVER_CONNS, Vec::new())),
+            conns: Arc::new(OrderedMutex::new(Vec::new())),
             shutdown: Arc::new(AtomicBool::new(false)),
         };
         let server = OrbServer {
             addr,
             adapter,
             shutdown: intake.shutdown.clone(),
-            threads: OrderedMutex::new(
-                lock_rank::SERVER_THREADS,
-                Some(Threads {
-                    acceptor: None,
-                    jobs_tx,
-                    dispatchers,
-                }),
-            ),
+            threads: OrderedMutex::new(Some(Threads {
+                acceptor: None,
+                jobs_tx,
+                dispatchers,
+            })),
             conns: intake.conns.clone(),
             wake: Box::new(|| {}),
             draining: intake.draining.clone(),
@@ -293,7 +289,8 @@ impl OrbServer {
         }
         // Everything to wind down comes out at once, and every join below
         // runs with `server.threads` released.
-        let Some(threads) = self.threads.lock().take() else {
+        let held = Locked::root();
+        let Some(threads) = self.threads.lock(held).0.take() else {
             return;
         };
         // 1. Stop the intake: `attach` refuses from the flag on; the wake
@@ -309,7 +306,7 @@ impl OrbServer {
         //    Drain the list under the lock, write to sockets without it —
         //    send_frame can block on a slow peer, and connection teardown
         //    paths take `server.conns` too.
-        let conns: Vec<_> = self.conns.lock().drain(..).collect();
+        let conns: Vec<_> = self.conns.lock(held).0.drain(..).collect();
         for weak in conns {
             if let Some(conn) = weak.upgrade() {
                 if let Some(frame) = message_layer::close_connection_frame() {
@@ -393,7 +390,7 @@ impl Drop for JobGuard {
 /// any in-flight dispatcher jobs.
 struct ConnState {
     channel: Arc<dyn ComChannel>,
-    cancelled: OrderedMutex<CancelSet>,
+    cancelled: OrderedMutex<CancelSet, rank::ServerConnCancelled>,
 }
 
 /// Bounded memory of `CancelRequest` ids (the newest [`CANCEL_HISTORY`];
@@ -517,7 +514,7 @@ struct Intake {
     draining: Arc<AtomicBool>,
     tracker: Arc<JobTracker>,
     /// The live connections, which [`OrbServer::close`] says goodbye to.
-    conns: Arc<OrderedMutex<Vec<Weak<ConnState>>>>,
+    conns: Arc<OrderedMutex<Vec<Weak<ConnState>>, rank::ServerConns>>,
     /// See `OrbServer::shutdown`.
     shutdown: Arc<AtomicBool>,
 }
@@ -539,13 +536,17 @@ impl Intake {
     /// once [`OrbServer::close`] has set the shutdown flag — before it
     /// drains the list — the channel is closed and refused instead, so no
     /// connection outlives its server unclosed.
-    fn attach(&self, channel: Arc<dyn ComChannel>) -> Result<(), OrbError> {
+    fn attach(
+        &self,
+        held: &mut Locked<Unlocked>,
+        channel: Arc<dyn ComChannel>,
+    ) -> Result<(), OrbError> {
         let conn = Arc::new(ConnState {
             channel: channel.clone(),
-            cancelled: OrderedMutex::new(lock_rank::SERVER_CONN_CANCELLED, CancelSet::default()),
+            cancelled: OrderedMutex::new(CancelSet::default()),
         });
         {
-            let mut list = self.conns.lock();
+            let (mut list, _) = self.conns.lock(held);
             if self.shutdown.load(Ordering::Acquire) {
                 drop(list);
                 channel.close();
@@ -583,7 +584,8 @@ impl Intake {
 impl ConnSink {
     fn frame(&self, frame: &Bytes, own: bool) {
         let channel = &self.conn.channel;
-        if !channel.is_closed() && !process_frame(&self.conn, &self.intake, frame, own) {
+        let held = Locked::root();
+        if !channel.is_closed() && !process_frame(held, &self.conn, &self.intake, frame, own) {
             channel.close();
         }
     }
@@ -629,7 +631,7 @@ fn start_dispatchers(
             // Blocking recv; ends when every sender (server handle,
             // acceptor, connection sinks) is gone.
             .spawn(move || {
-                let run = |job: Job| {
+                let run = |held: &mut Locked<Unlocked>, job: Job| {
                     let waited = job.enqueued.map_or(Duration::ZERO, |at| at.elapsed());
                     if let Some(m) = &metrics {
                         // Sampled at dequeue: what is still waiting
@@ -637,17 +639,18 @@ fn start_dispatchers(
                         m.note_queue_depth(rx.len() + overflow_rx.len());
                         m.busy.inc();
                     }
-                    run_job(&adapter, job, waited, metrics.as_ref());
+                    run_job(held, &adapter, job, waited, metrics.as_ref());
                     if let Some(m) = &metrics {
                         m.busy.dec();
                     }
                 };
+                let held = Locked::root();
                 while let Ok(job) = rx.recv() {
-                    run(job);
+                    run(held, job);
                     // The overflow fills only while the queue is full, so
                     // there is always a job that ends here to find it.
                     while let Ok(job) = overflow_rx.try_recv() {
-                        run(job);
+                        run(held, job);
                     }
                 }
             })
@@ -667,14 +670,20 @@ fn start_dispatchers(
 /// were all cheap, provided this thread brought the frame itself (`own`);
 /// every other request goes to the dispatcher pool ([`Intake::enqueue`]:
 /// blocking when the queue is full — backpressure — if this thread may).
-fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes, own: bool) -> bool {
+fn process_frame(
+    held: &mut Locked<Unlocked>,
+    conn: &Arc<ConnState>,
+    intake: &Intake,
+    frame: &Bytes,
+    own: bool,
+) -> bool {
     message_layer::decode_frame(frame, |event| match event {
         Event::Request(request) => {
             if intake.draining.load(Ordering::Acquire) {
                 // Draining: refuse new work but keep the connection open
                 // so replies for already-accepted requests still flow.
                 true
-            } else if conn.cancelled.lock().remove(request.request_id) {
+            } else if conn.cancelled.lock(held).0.remove(request.request_id) {
                 true // client abandoned it before we started
             } else {
                 let registration = intake.adapter.lookup(&request.object_key);
@@ -693,6 +702,7 @@ fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes, own: boo
                         m.inline.inc();
                     }
                     run_job(
+                        held,
                         &intake.adapter,
                         job,
                         Duration::ZERO,
@@ -705,7 +715,7 @@ fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes, own: boo
             }
         }
         Event::Cancel(request_id) => {
-            conn.cancelled.lock().insert(request_id);
+            conn.cancelled.lock(held).0.insert(request_id);
             true
         }
         // The key is a view of the frame: no allocation on this path.
@@ -734,6 +744,7 @@ fn process_frame(conn: &Arc<ConnState>, intake: &Intake, frame: &Bytes, own: boo
 /// dispatcher, or the delivery thread itself for a job that skipped the
 /// queue (`waited` is then zero, read off no clock).
 fn run_job(
+    held: &mut Locked<Unlocked>,
     adapter: &Arc<ObjectAdapter>,
     job: Job,
     waited: Duration,
@@ -747,7 +758,7 @@ fn run_job(
     }
     // Re-check cancellation: the cancel may have arrived while this request
     // sat in the dispatch queue.
-    if job.conn.cancelled.lock().remove(request.request_id) {
+    if job.conn.cancelled.lock(held).0.remove(request.request_id) {
         return;
     }
     // Join the client's distributed trace: a request-side trace context

@@ -26,6 +26,7 @@ use crate::orb::Orb;
 use crate::servant::FnServant;
 use crate::transport::ComChannel;
 use bytes::Bytes;
+use cool_telemetry::lockorder::{Locked, Unlocked};
 use cool_giop::cdr::{ByteOrder, CdrDecoder, CdrEncoder};
 use crossbeam::channel::bounded;
 use multe_qos::{GrantedQoS, QoSSpec, ServerPolicy, TransportRequirements};
@@ -176,7 +177,7 @@ pub fn handle_stream_open(
     let claimed = AtomicBool::new(false);
     exchange.listen_dacapo(
         &endpoint_name,
-        Arc::new(move |channel| {
+        Arc::new(move |_: &mut Locked<Unlocked>, channel| {
             if claimed.swap(true, Ordering::AcqRel) {
                 channel.close();
                 return Err(OrbError::Closed);

@@ -23,6 +23,7 @@ use bytes::Bytes;
 use cool_faults::{FaultAction, FaultEngine};
 use cool_giop::prelude::Message;
 use cool_telemetry::flight::event as flight_event;
+use cool_telemetry::lockorder::{Locked, Unlocked};
 use cool_telemetry::{names, Counter, Registry};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -213,8 +214,13 @@ impl ComChannel for FaultChannel {
         self.inner.inbox()
     }
 
-    fn read_turn(&self, deadline: Instant, done: &dyn Fn() -> bool) -> bool {
-        self.inner.read_turn(deadline, done)
+    fn read_turn(
+        &self,
+        held: &mut Locked<Unlocked>,
+        deadline: Instant,
+        done: &dyn Fn(&mut Locked<Unlocked>) -> bool,
+    ) -> bool {
+        self.inner.read_turn(held, deadline, done)
     }
 
     fn hand_over_demand(&self) -> Option<Arc<ReadDemand>> {

@@ -79,6 +79,7 @@ pub use tcp::TcpComChannel;
 
 use crate::error::OrbError;
 use bytes::Bytes;
+use cool_telemetry::lockorder::{Locked, Unlocked};
 use cool_telemetry::{names, Counter, Registry};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
@@ -214,15 +215,20 @@ pub trait ComChannel: Send + Sync {
     /// Lets a thread waiting for a reply read the channel itself
     /// (leader/followers): if no other thread is reading, reads and
     /// delivers every frame — through the inbox and the sink, in wire
-    /// order — until `done()` holds, `deadline` passes or the channel
+    /// order — until `done(held)` holds, `deadline` passes or the channel
     /// ends, and returns `true`. Returns `false` at once when another
     /// thread is reading, or the channel ended. With a `deadline` already
     /// past it takes in only what has arrived, without blocking.
     ///
     /// The default never reads: Chorus delivers on the sender's thread
     /// and Da CaPo on its receive thread, so a waiter just waits.
-    fn read_turn(&self, deadline: Instant, done: &dyn Fn() -> bool) -> bool {
-        let _ = (deadline, done);
+    fn read_turn(
+        &self,
+        held: &mut Locked<Unlocked>,
+        deadline: Instant,
+        done: &dyn Fn(&mut Locked<Unlocked>) -> bool,
+    ) -> bool {
+        let _ = (held, deadline, done);
         false
     }
 

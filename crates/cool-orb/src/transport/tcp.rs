@@ -1,8 +1,7 @@
 //! TCP channel: the paper's `_TcpComChannel` (+ `_TcpBuffer`).
 //!
 //! Wire format: each frame is a 4-byte big-endian length prefix followed by
-//! the payload (the same framing `dacapo::tlayer::TcpTransport` speaks, so
-//! the two interoperate, and the same [`FrameReader`] reads it).
+//! the payload, read back by [`FrameReader`].
 //!
 //! COOL's `_TcpBuffer` — the socket's read half plus the frame assembler —
 //! is a token here, held by whichever thread reads (the Leader/Followers
@@ -38,6 +37,7 @@
 use crate::error::OrbError;
 use crate::transport::{ComChannel, FrameInbox, InboxMetrics, ReadDemand, SendMetrics};
 use bytes::Bytes;
+use cool_telemetry::lockorder::{Locked, Unlocked};
 use cool_telemetry::Registry;
 use dacapo::tlayer::{read_timeout, write_frames, FrameReader, MAX_TCP_FRAME};
 use parking_lot::Mutex;
@@ -230,8 +230,8 @@ impl TcpComChannel {
                 .set_metrics(InboxMetrics::resolve(registry, "tcp"));
         }
         let rx_side = Arc::clone(&side);
-        dacapo::pool::spawn(move || {
-            reader_loop(&rx_side);
+        dacapo::pool::spawn(move |held| {
+            reader_loop(held, &rx_side);
             debug_assert!(
                 RUN.with(Cell::get) == Run::NONE,
                 "the reader returned inside a delivery run"
@@ -279,23 +279,29 @@ impl TcpComChannel {
 /// The reader thread: reads while it is wanted, parks while it is not, and
 /// returns when the connection ends — to the receive-thread pool
 /// ([`dacapo::pool`]), which has its thread serve the next connection.
-fn reader_loop(side: &ReadSide) {
+fn reader_loop(held: &mut Locked<Unlocked>, side: &ReadSide) {
     while side.demand.park_until_wanted() {
         let mut reader = side.token.lock();
         if side.inbox.is_closed() {
             return;
         }
-        side.read(&mut reader, None, &|| !side.demand.wanted());
+        side.read(held, &mut reader, None, &|_| !side.demand.wanted());
     }
 }
 
 impl ReadSide {
-    /// Reads and delivers until `done()` holds, `deadline` passes or the
+    /// Reads and delivers until `done(held)` holds, `deadline` passes or the
     /// connection ends. The caller holds the token throughout, so frames
     /// enter the inbox in the order they were read; a frame a timed-out
     /// read left unfinished stays in `reader` for the next holder.
-    fn read(&self, reader: &mut Reader, deadline: Option<Instant>, done: &dyn Fn() -> bool) {
-        while self.deliver(reader) && !done() {
+    fn read(
+        &self,
+        held: &mut Locked<Unlocked>,
+        reader: &mut Reader,
+        deadline: Option<Instant>,
+        done: &dyn Fn(&mut Locked<Unlocked>) -> bool,
+    ) {
+        while self.deliver(reader) && !done(held) {
             let timeout = match deadline {
                 None => None,
                 Some(deadline) => match read_timeout(deadline) {
@@ -457,7 +463,12 @@ impl ComChannel for TcpComChannel {
         &self.side.inbox
     }
 
-    fn read_turn(&self, deadline: Instant, done: &dyn Fn() -> bool) -> bool {
+    fn read_turn(
+        &self,
+        held: &mut Locked<Unlocked>,
+        deadline: Instant,
+        done: &dyn Fn(&mut Locked<Unlocked>) -> bool,
+    ) -> bool {
         let Some(mut reader) = self.side.token.try_lock() else {
             return false;
         };
@@ -465,7 +476,7 @@ impl ComChannel for TcpComChannel {
             return false;
         }
         if deadline > Instant::now() {
-            self.side.read(&mut reader, Some(deadline), done);
+            self.side.read(held, &mut reader, Some(deadline), done);
         } else {
             self.take_in(&mut reader);
         }

@@ -16,6 +16,7 @@ use cool_giop::prelude::*;
 use cool_orb::message_layer::WireProtocol;
 use cool_orb::prelude::*;
 use cool_orb::transport::{ComChannel, FrameInbox, FrameSink, ReadDemand, TcpComChannel};
+use cool_telemetry::lockorder::{Locked, Unlocked};
 use dacapo::tlayer::{write_frames, FrameReader};
 use std::io::Write;
 use std::net::TcpListener;
@@ -102,8 +103,13 @@ impl ComChannel for Watched {
             delivered_on,
         }));
     }
-    fn read_turn(&self, deadline: Instant, done: &dyn Fn() -> bool) -> bool {
-        self.inner.read_turn(deadline, done)
+    fn read_turn(
+        &self,
+        held: &mut Locked<Unlocked>,
+        deadline: Instant,
+        done: &dyn Fn(&mut Locked<Unlocked>) -> bool,
+    ) -> bool {
+        self.inner.read_turn(held, deadline, done)
     }
     fn hand_over_demand(&self) -> Option<Arc<ReadDemand>> {
         self.inner.hand_over_demand()

@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use crate::lockorder::{rank, OrderedMutex};
+use crate::lockorder::{rank, Locked, OrderedMutex};
 use crate::registry::json_escape;
 use crate::ring::Ring;
 
@@ -64,14 +64,14 @@ const FLIGHT_CAPACITY: usize = 256;
 
 /// Bounded, lock-rank-disciplined event ring.
 pub struct FlightRecorder {
-    events: OrderedMutex<Ring<FlightEvent, FLIGHT_CAPACITY>>,
+    events: OrderedMutex<Ring<FlightEvent, FLIGHT_CAPACITY>, rank::TelemetryFlight>,
     started: Instant,
 }
 
 impl Default for FlightRecorder {
     fn default() -> Self {
         FlightRecorder {
-            events: OrderedMutex::new(rank::TELEMETRY_FLIGHT, Ring::default()),
+            events: OrderedMutex::new(Ring::default()),
             started: Instant::now(),
         }
     }
@@ -81,7 +81,7 @@ impl FlightRecorder {
     /// Records one event, evicting the oldest when the ring is full.
     pub fn record(&self, kind: &'static str, request_id: Option<u32>, detail: String) {
         let at_us = self.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        let mut events = self.events.lock();
+        let (mut events, _) = self.events.lock(Locked::anywhere());
         // Every event ever recorded is either held or was evicted, so the
         // next sequence number is their sum.
         let seq = events.dropped() + events.len() as u64;
@@ -96,12 +96,17 @@ impl FlightRecorder {
 
     /// Copy of the ring, oldest first.
     pub fn events(&self) -> Vec<FlightEvent> {
-        self.events.lock().iter().cloned().collect()
+        self.events
+            .lock(Locked::anywhere())
+            .0
+            .iter()
+            .cloned()
+            .collect()
     }
 
     /// Number of events currently held.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events.lock(Locked::anywhere()).0.len()
     }
 
     /// True when nothing has been recorded (or everything was evicted).
@@ -111,7 +116,7 @@ impl FlightRecorder {
 
     /// Events evicted to make room for newer ones.
     pub fn dropped(&self) -> u64 {
-        self.events.lock().dropped()
+        self.events.lock(Locked::anywhere()).0.dropped()
     }
 
     /// Dumps the ring as a JSON object:
@@ -120,7 +125,7 @@ impl FlightRecorder {
     /// oldest event listed always has `seq == dropped`.
     pub fn to_json(&self) -> String {
         let (dropped, events) = {
-            let ring = self.events.lock();
+            let (ring, _) = self.events.lock(Locked::anywhere());
             (ring.dropped(), ring.iter().cloned().collect::<Vec<_>>())
         };
         let mut out = String::with_capacity(64 + 96 * events.len());
@@ -145,7 +150,7 @@ impl FlightRecorder {
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let events = self.events.lock();
+        let (events, _) = self.events.lock(Locked::anywhere());
         f.debug_struct("FlightRecorder")
             .field("len", &events.len())
             .field("dropped", &events.dropped())

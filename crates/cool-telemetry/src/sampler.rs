@@ -15,7 +15,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::lockorder::{rank, OrderedMutex};
+use crate::lockorder::{rank, Locked, OrderedMutex};
 use crate::registry::{json_escape, locked};
 use crate::ring::Ring;
 use crate::Registry;
@@ -38,14 +38,15 @@ pub struct GaugeSample {
 /// Bounded per-gauge time series, shared between the sampler thread and
 /// readers (the `/gauges` introspection route).
 pub struct GaugeSeries {
-    series: OrderedMutex<BTreeMap<String, Ring<GaugeSample, SERIES_CAPACITY>>>,
+    series:
+        OrderedMutex<BTreeMap<String, Ring<GaugeSample, SERIES_CAPACITY>>, rank::TelemetryGauges>,
     started: Instant,
 }
 
 impl GaugeSeries {
     fn new() -> Self {
         GaugeSeries {
-            series: OrderedMutex::new(rank::TELEMETRY_GAUGES, BTreeMap::new()),
+            series: OrderedMutex::new(BTreeMap::new()),
             started: Instant::now(),
         }
     }
@@ -53,7 +54,7 @@ impl GaugeSeries {
     /// Appends one sample per gauge, evicting the oldest when full.
     pub fn push_all(&self, gauges: &[(String, f64)]) {
         let at_ms = self.started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
-        let mut series = self.series.lock();
+        let (mut series, _) = self.series.lock(Locked::anywhere());
         for (name, value) in gauges {
             series.entry(name.clone()).or_default().push(GaugeSample {
                 at_ms,
@@ -65,7 +66,8 @@ impl GaugeSeries {
     /// Samples of one gauge, oldest first.
     pub fn samples(&self, name: &str) -> Vec<GaugeSample> {
         self.series
-            .lock()
+            .lock(Locked::anywhere())
+            .0
             .get(name)
             .map(|r| r.iter().copied().collect())
             .unwrap_or_default()
@@ -73,7 +75,12 @@ impl GaugeSeries {
 
     /// Names of every gauge seen so far.
     pub fn names(&self) -> Vec<String> {
-        self.series.lock().keys().cloned().collect()
+        self.series
+            .lock(Locked::anywhere())
+            .0
+            .keys()
+            .cloned()
+            .collect()
     }
 
     /// JSON dump `{"window_ms":…,"series":{name:[{at_ms,value}…]}}`,
@@ -82,7 +89,7 @@ impl GaugeSeries {
         let now_ms = self.started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
         let cutoff = window
             .map(|w| now_ms.saturating_sub(w.as_millis().min(u128::from(u64::MAX)) as u64));
-        let series = self.series.lock();
+        let (series, _) = self.series.lock(Locked::anywhere());
         let mut out = String::with_capacity(1024);
         out.push_str(&format!(
             "{{\"window_ms\":{},\"series\":{{",

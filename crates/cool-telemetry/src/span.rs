@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::lockorder::{rank, OrderedMutex};
+use crate::lockorder::{rank, Locked, OrderedMutex};
 use crate::registry::json_escape;
 use crate::ring::Ring;
 use crate::trace::{ClientTrace, ServerTraceTiming, TraceRecord};
@@ -257,13 +257,13 @@ struct SpanStoreInner {
 /// Bounded store of invocation spans: an active map keyed by request id
 /// plus the ring of the most recently finished calls.
 pub(crate) struct SpanStore {
-    inner: OrderedMutex<SpanStoreInner>,
+    inner: OrderedMutex<SpanStoreInner, rank::TelemetrySpans>,
 }
 
 impl Default for SpanStore {
     fn default() -> Self {
         SpanStore {
-            inner: OrderedMutex::new(rank::TELEMETRY_SPANS, SpanStoreInner::default()),
+            inner: OrderedMutex::new(SpanStoreInner::default()),
         }
     }
 }
@@ -274,7 +274,7 @@ impl SpanStore {
     /// ring first.
     pub(crate) fn begin(&self, request_id: u32, operation: &str, transport: &'static str) {
         let started = Instant::now();
-        let mut inner = self.inner.lock();
+        let (mut inner, _) = self.inner.lock(Locked::anywhere());
         if let Some(prev) = inner.active.remove(&request_id) {
             inner.finished.push(prev.close(SpanOutcome::Cancelled));
         }
@@ -326,7 +326,7 @@ impl SpanStore {
         trace: Option<ClientTrace>,
         server_reply: Option<(ServerTraceTiming, Instant)>,
     ) {
-        let mut inner = self.inner.lock();
+        let (mut inner, _) = self.inner.lock(Locked::anywhere());
         if let Some(span) = inner.active.get_mut(&request_id) {
             let offset = span.started.elapsed();
             span.record.stages[stage.index()] = Some(StageTiming {
@@ -355,7 +355,7 @@ impl SpanStore {
     /// halves when a client trace was attached, under this one lock
     /// acquisition. Returns the span's total time when the span was known.
     pub(crate) fn finish(&self, request_id: u32, outcome: SpanOutcome) -> Option<Duration> {
-        let mut inner = self.inner.lock();
+        let (mut inner, _) = self.inner.lock(Locked::anywhere());
         let finished = inner.active.remove(&request_id)?.close(outcome);
         let total = Duration::from_micros(finished.span().total_us);
         inner.finished.push(finished);
@@ -364,19 +364,19 @@ impl SpanStore {
 
     /// Spans of the most recently finished calls, oldest first.
     pub(crate) fn recent_spans(&self) -> Vec<SpanRecord> {
-        spans_of(&self.inner.lock().finished)
+        spans_of(&self.inner.lock(Locked::anywhere()).0.finished)
     }
 
     /// Traces of the most recently finished calls that carried one,
     /// oldest first.
     pub(crate) fn recent_traces(&self) -> Vec<TraceRecord> {
-        traces_of(&self.inner.lock().finished)
+        traces_of(&self.inner.lock(Locked::anywhere()).0.finished)
     }
 
     /// Both views of the ring and the number of calls it has evicted,
     /// read in one acquisition so the three agree.
     pub(crate) fn history(&self) -> (Vec<SpanRecord>, Vec<TraceRecord>, u64) {
-        let inner = self.inner.lock();
+        let (inner, _) = self.inner.lock(Locked::anywhere());
         (
             spans_of(&inner.finished),
             traces_of(&inner.finished),
@@ -386,18 +386,18 @@ impl SpanStore {
 
     #[cfg(test)]
     fn active_len(&self) -> usize {
-        self.inner.lock().active.len()
+        self.inner.lock(Locked::anywhere()).0.active.len()
     }
 
     #[cfg(test)]
     fn order_len(&self) -> usize {
-        self.inner.lock().order.len()
+        self.inner.lock(Locked::anywhere()).0.order.len()
     }
 }
 
 impl std::fmt::Debug for SpanStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let (inner, _) = self.inner.lock(Locked::anywhere());
         f.debug_struct("SpanStore")
             .field("active", &inner.active.len())
             .field("finished", &inner.finished.len())

@@ -5,6 +5,7 @@ use crate::packet::Packet;
 use crate::runtime::Stack;
 use crate::stats::ThroughputMeter;
 use bytes::Bytes;
+use cool_telemetry::lockorder::Locked;
 use crossbeam::channel::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,7 +51,7 @@ impl AppEndpoint {
     /// [`DacapoError::Closed`] once the connection is torn down or the
     /// transport has failed.
     pub fn send(&self, payload: Bytes) -> Result<(), DacapoError> {
-        self.stack.send(payload, true)
+        self.stack.send(Locked::root(), payload, true)
     }
 
     /// Sends without waiting for the stack.
@@ -61,7 +62,7 @@ impl AppEndpoint {
     /// backpressured — a packet stands in front of a module, or behind
     /// another thread's write — [`DacapoError::Closed`] on teardown.
     pub fn try_send(&self, payload: Bytes) -> Result<(), DacapoError> {
-        self.stack.send(payload, false)
+        self.stack.send(Locked::root(), payload, false)
     }
 
     /// What came off the queue: a payload, or the close sentinel. Either

@@ -12,8 +12,7 @@ use crate::runtime::{build_stack, RuntimeOptions, RxPump, Sink, StackHandle};
 use crate::tlayer::Transport;
 use multe_qos::TransportRequirements;
 use cool_telemetry::flight::event as flight_event;
-use cool_telemetry::lockorder::OrderedMutex;
-use cool_telemetry::lockorder::rank as lock_rank;
+use cool_telemetry::lockorder::{rank, Locked, OrderedMutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -40,7 +39,7 @@ use std::sync::Arc;
 /// (`connection.uplink`), which that thread holds while it runs a frame up
 /// the modules: a sender never waits behind it.
 pub struct Connection {
-    running: OrderedMutex<Running>,
+    running: OrderedMutex<Running, rank::ConnectionState>,
     pump: RxPump,
     /// What the connection was established with beyond its requirements
     /// (the transport's MTU above all): every renegotiation configures
@@ -68,7 +67,10 @@ struct Running {
 impl std::fmt::Debug for Connection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Connection")
-            .field("graph", &self.running.lock().graph.to_string())
+            .field(
+                "graph",
+                &self.running.lock(Locked::root()).0.graph.to_string(),
+            )
             .field("transport", &self.transport.name())
             .finish()
     }
@@ -185,15 +187,12 @@ impl Connection {
             )?
         };
         Ok(Connection {
-            running: OrderedMutex::new(
-                lock_rank::CONNECTION_STATE,
-                Running {
-                    stack,
-                    graph,
-                    params,
-                    grant,
-                },
-            ),
+            running: OrderedMutex::new(Running {
+                stack,
+                graph,
+                params,
+                grant,
+            }),
             pump,
             ctx,
             transport,
@@ -206,7 +205,7 @@ impl Connection {
     /// The application endpoint (clone it freely; clones share the
     /// connection).
     pub fn endpoint(&self) -> AppEndpoint {
-        self.running.lock().stack.endpoint().clone()
+        self.running.lock(Locked::root()).0.stack.endpoint().clone()
     }
 
     /// Has the receive thread call `sink` with everything that reaches the
@@ -222,7 +221,7 @@ impl Connection {
 
     /// The module graph currently running.
     pub fn graph(&self) -> ModuleGraph {
-        self.running.lock().graph.clone()
+        self.running.lock(Locked::root()).0.graph.clone()
     }
 
     /// The transport below the stack.
@@ -249,7 +248,8 @@ impl Connection {
     /// old stack keeps running in that case. [`DacapoError::Closed`] after
     /// close or peer close.
     pub fn reconfigure(&self, new_graph: ModuleGraph) -> Result<(), DacapoError> {
-        self.swap(&mut self.running.lock(), new_graph, None)
+        let (mut running, held) = self.running.lock(Locked::root());
+        self.swap(held, &mut running, new_graph, None)
     }
 
     /// The stack swap behind both reconfigurations, under `connection.state`:
@@ -258,6 +258,7 @@ impl Connection {
     /// otherwise.
     fn swap(
         &self,
+        held: &mut Locked<rank::ConnectionState>,
         running: &mut Running,
         new_graph: ModuleGraph,
         new_params: Option<ModuleParams>,
@@ -277,13 +278,13 @@ impl Connection {
         let new = build_stack(modules, self.transport.clone(), &self.opts);
         // The receive thread parks on this guard with any frame it reads
         // meanwhile, and is out of the old stack once we hold it.
-        let mut uplink = self.pump.swap();
+        let (mut uplink, held) = self.pump.swap(held);
         *uplink = Some(new.stack.clone());
         running.graph = new_graph;
         running.params = params;
-        // Dropped here, under the guard: the old endpoint's queue ends
+        // Stopped here, under the guard: the old endpoint's queue ends
         // behind everything the receive thread delivered into it.
-        running.stack = new;
+        std::mem::replace(&mut running.stack, new).stack.stop(held);
         drop(uplink);
         Ok(())
     }
@@ -309,7 +310,7 @@ impl Connection {
         resource_mgr: Option<&ResourceManager>,
     ) -> Result<(), DacapoError> {
         let Configuration { graph, params } = config_mgr.configure(requirements, &self.ctx)?;
-        let mut running = self.running.lock();
+        let (mut running, held) = self.running.lock(Locked::root());
         if let Some(mgr) = resource_mgr {
             // `close` raises the flag before it takes the grant: a grant
             // booked past this check is still there for it to release.
@@ -318,7 +319,7 @@ impl Connection {
             }
             mgr.exchange(&mut running.grant, &graph, &self.catalog, requirements)?;
         }
-        self.swap(&mut running, graph, Some(params))
+        self.swap(held, &mut running, graph, Some(params))
     }
 
     /// Waits up to `timeout` for the running stack to quiesce (all queues
@@ -326,7 +327,7 @@ impl Connection {
     /// after a successful drain loses no in-flight data. The wait holds no
     /// lock, and ends early when the stack is swapped out or closed.
     pub fn drain(&self, timeout: std::time::Duration) -> bool {
-        let stack = self.running.lock().stack.stack.clone();
+        let stack = self.running.lock(Locked::root()).0.stack.stack.clone();
         stack.drain(timeout)
     }
 
@@ -347,8 +348,8 @@ impl Connection {
         // Before the lock: the transport's close is I/O, and a swap
         // holding the lock ends sooner for it.
         self.pump.shutdown();
-        let mut running = self.running.lock();
-        running.stack.stack.stop();
+        let (mut running, held) = self.running.lock(Locked::root());
+        running.stack.stack.stop(held);
         running.grant.take();
     }
 }
@@ -486,9 +487,9 @@ mod tests {
     #[test]
     fn renegotiation_installs_the_new_configurations_module_parameters() {
         let (conn, config_mgr, resource_mgr, throughput) = reliable_4k();
-        assert_eq!(conn.running.lock().params.window, 32);
+        assert_eq!(conn.running.lock(Locked::root()).0.params.window, 32);
         let graph = conn.graph();
-        let before = conn.running.lock().stack.stack.clone();
+        let before = conn.running.lock(Locked::root()).0.stack.stack.clone();
 
         // The same functions under a 500 us latency budget: the same
         // modules, with the short ARQ window such a budget asks for.
@@ -498,9 +499,9 @@ mod tests {
         };
         conn.reconfigure_with_qos(&latency_critical, &config_mgr, Some(&resource_mgr))
             .unwrap();
-        assert_eq!(conn.running.lock().params.window, 4);
+        assert_eq!(conn.running.lock(Locked::root()).0.params.window, 4);
         assert_eq!(conn.graph(), graph);
-        let after = conn.running.lock().stack.stack.clone();
+        let after = conn.running.lock(Locked::root()).0.stack.stack.clone();
         assert!(!Arc::ptr_eq(&before, &after), "the modules were rebuilt with it");
         conn.close();
     }
@@ -518,7 +519,7 @@ mod tests {
             .reconfigure_with_qos(&greedy, &config_mgr, Some(&resource_mgr))
             .unwrap_err();
         assert!(matches!(err, DacapoError::ResourceDenied { .. }), "{err:?}");
-        assert_eq!(conn.running.lock().params.window, 32);
+        assert_eq!(conn.running.lock(Locked::root()).0.params.window, 32);
         assert_eq!(conn.graph(), graph);
         assert_eq!(resource_mgr.used_bandwidth(), 4_000, "and the grant");
         conn.close();

@@ -11,13 +11,15 @@
 //! [`LINGER`] exits: an idle process goes back to the threads it had.
 //!
 //! Every thread of the pool is named `conn-rx`, whatever connection it
-//! serves. A job starts in the state a fresh thread has: in debug
-//! builds the pool checks, each time a job returns, that it left no ranked
-//! lock held ([`cool_telemetry::lockorder`]) and no connection's sink
-//! callbacks marked as this thread's; a job with thread-local state of its
-//! own checks that before it returns. A job that panics ends its thread,
+//! serves. A job starts in the state a fresh thread has. It is handed a
+//! root token ([`cool_telemetry::lockorder::Locked::root`]), minted when
+//! the previous job returned — which debug builds refuse while the thread
+//! holds a lock guard — and in debug builds the pool checks that the job
+//! left no connection's sink callbacks marked as this thread's; a job with
+//! thread-local state of its own checks that before it returns. A job that panics ends its thread,
 //! which the pool never counted as parked.
 
+use cool_telemetry::lockorder::{Locked, Unlocked};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,7 +31,7 @@ pub const LINGER: Duration = Duration::from_millis(100);
 /// The name every thread of the pool carries.
 const THREAD_NAME: &str = "conn-rx";
 
-type Job = Box<dyn FnOnce() + Send>;
+type Job = Box<dyn FnOnce(&mut Locked<Unlocked>) + Send>;
 
 /// The process's receive threads.
 static RECEIVE_THREADS: Pool = Pool::new();
@@ -42,7 +44,7 @@ static RECEIVE_THREADS: Pool = Pool::new();
 ///
 /// The OS error if a thread was needed and could not be spawned; `job` is
 /// dropped unrun.
-pub fn spawn(job: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
+pub fn spawn(job: impl FnOnce(&mut Locked<Unlocked>) + Send + 'static) -> std::io::Result<()> {
     RECEIVE_THREADS.spawn(Box::new(job))
 }
 
@@ -88,12 +90,12 @@ impl Pool {
     /// parked, until none comes within [`LINGER`].
     fn serve(&self, mut job: Job) {
         let slot = Arc::new(Slot::default());
+        let mut held = Locked::root();
         loop {
-            job();
-            debug_assert!(
-                cool_telemetry::lockorder::holds_none(),
-                "a `{THREAD_NAME}` job returned holding a ranked lock"
-            );
+            job(held);
+            // Before the thread parks: a job that returned holding a guard
+            // ends its thread here (debug builds), not the next job's.
+            held = Locked::root();
             debug_assert!(
                 crate::runtime::receives_for_nobody(),
                 "a `{THREAD_NAME}` job returned marked as a connection's receive thread"
@@ -136,7 +138,7 @@ mod tests {
     use super::*;
     use crate::runtime::{receives_for_nobody, receiving_for};
     use crate::tlayer::{loopback_pair, Transport};
-    use cool_telemetry::lockorder::{holds_none, rank, OrderedMutex};
+    use cool_telemetry::lockorder::{rank, OrderedMutex};
     use std::cell::RefCell;
     use std::sync::mpsc::{self, RecvTimeoutError};
     use std::thread::ThreadId;
@@ -154,19 +156,24 @@ mod tests {
         }
 
         /// Runs `job` on the pool and waits for what it returns.
-        fn run<R: Send + 'static>(&'static self, job: impl FnOnce() -> R + Send + 'static) -> R {
+        fn run<R: Send + 'static>(
+            &'static self,
+            job: impl FnOnce(&mut Locked<Unlocked>) -> R + Send + 'static,
+        ) -> R {
             let (tx, rx) = mpsc::channel();
-            self.spawn(Box::new(move || tx.send(job()).unwrap()))
-                .unwrap();
+            self.spawn(Box::new(move |held: &mut Locked<Unlocked>| {
+                tx.send(job(held)).unwrap()
+            }))
+            .unwrap();
             rx.recv_timeout(LONG).expect("the job ran")
         }
     }
 
-    /// What a fresh thread starts with: no ranked lock held, no
-    /// connection's receive side, the pool's name.
-    fn starts_clean() -> (ThreadId, bool) {
+    /// What a fresh thread starts with: no connection's receive side, the
+    /// pool's name (and a root token, which is not minted under a guard).
+    fn starts_clean(_held: &mut Locked<Unlocked>) -> (ThreadId, bool) {
         let me = std::thread::current();
-        let clean = holds_none() && receives_for_nobody() && me.name() == Some(THREAD_NAME);
+        let clean = receives_for_nobody() && me.name() == Some(THREAD_NAME);
         (me.id(), clean)
     }
 
@@ -185,15 +192,15 @@ mod tests {
     #[test]
     fn a_second_job_runs_on_the_parked_thread_and_starts_clean() {
         static POOL: Pool = Pool::new();
-        let first = POOL.run(|| {
-            let started = starts_clean();
+        let first = POOL.run(|held| {
+            let started = starts_clean(held);
             // What a receive loop does to its thread, undone on the way out.
             let (transport, _peer) = loopback_pair();
             let transport: Arc<dyn Transport> = Arc::new(transport);
-            let lock = OrderedMutex::new(rank::CONNECTION_UPLINK, ());
+            let lock = OrderedMutex::<(), rank::ConnectionUplink>::new(());
             receiving_for(&transport, || {
-                let _held = lock.lock();
-                assert!(!holds_none() && !receives_for_nobody());
+                let _uplink = lock.lock(held);
+                assert!(!receives_for_nobody());
             });
             started
         });
@@ -210,7 +217,7 @@ mod tests {
     #[test]
     fn a_thread_with_no_job_exits_after_the_linger() {
         static POOL: Pool = Pool::new();
-        let (exited, parked_at) = POOL.run(|| (exit_of_this_thread(), Instant::now()));
+        let (exited, parked_at) = POOL.run(|_| (exit_of_this_thread(), Instant::now()));
         assert_eq!(
             exited.recv_timeout(LONG),
             Err(RecvTimeoutError::Disconnected)
@@ -227,7 +234,7 @@ mod tests {
     fn a_panicking_job_leaves_no_parked_entry_and_the_next_job_runs() {
         static POOL: Pool = Pool::new();
         let (tx, rx) = mpsc::channel();
-        POOL.spawn(Box::new(move || {
+        POOL.spawn(Box::new(move |_: &mut Locked<Unlocked>| {
             tx.send((std::thread::current().id(), exit_of_this_thread()))
                 .unwrap();
             panic!("a job that panics");
@@ -244,7 +251,7 @@ mod tests {
             "the panicked thread is counted as parked"
         );
 
-        let (next_on, exited) = POOL.run(|| (std::thread::current().id(), exit_of_this_thread()));
+        let (next_on, exited) = POOL.run(|_| (std::thread::current().id(), exit_of_this_thread()));
         assert_ne!(next_on, panicked_on);
         assert_eq!(
             exited.recv_timeout(LONG),
@@ -257,9 +264,9 @@ mod tests {
     #[test]
     fn a_job_that_returns_holding_a_lock_does_not_pass_its_thread_on() {
         static POOL: Pool = Pool::new();
-        static LOCK: OrderedMutex<()> = OrderedMutex::new(rank::CONNECTION_UPLINK, ());
-        let leaked_on = POOL.run(|| {
-            std::mem::forget(LOCK.lock());
+        static LOCK: OrderedMutex<(), rank::ConnectionUplink> = OrderedMutex::new(());
+        let leaked_on = POOL.run(|held| {
+            std::mem::forget(LOCK.lock(held));
             std::thread::current().id()
         });
         let (next_on, clean) = POOL.run(starts_clean);

@@ -10,9 +10,8 @@
 use crate::catalog::MechanismCatalog;
 use crate::error::DacapoError;
 use crate::graph::ModuleGraph;
+use cool_telemetry::lockorder::{rank, Locked, OrderedMutex};
 use multe_qos::TransportRequirements;
-use cool_telemetry::lockorder::OrderedMutex;
-use cool_telemetry::lockorder::rank as lock_rank;
 use std::sync::Arc;
 
 /// Endsystem and network budgets guarded by a [`ResourceManager`].
@@ -50,7 +49,7 @@ struct Usage {
 #[derive(Debug, Clone)]
 pub struct ResourceManager {
     budget: ResourceBudget,
-    usage: Arc<OrderedMutex<Usage>>,
+    usage: Arc<OrderedMutex<Usage, rank::ResourceUsage>>,
 }
 
 impl ResourceManager {
@@ -58,10 +57,7 @@ impl ResourceManager {
     pub fn new(budget: ResourceBudget) -> Self {
         ResourceManager {
             budget,
-            usage: Arc::new(OrderedMutex::new(
-                lock_rank::RESOURCE_USAGE,
-                Usage::default(),
-            )),
+            usage: Arc::new(OrderedMutex::new(Usage::default())),
         }
     }
 
@@ -72,17 +68,17 @@ impl ResourceManager {
 
     /// Currently admitted CPU units.
     pub fn used_cpu(&self) -> u32 {
-        self.usage.lock().cpu_units
+        self.usage.lock(Locked::anywhere()).0.cpu_units
     }
 
     /// Currently admitted memory.
     pub fn used_memory(&self) -> usize {
-        self.usage.lock().memory_bytes
+        self.usage.lock(Locked::anywhere()).0.memory_bytes
     }
 
     /// Currently admitted bandwidth.
     pub fn used_bandwidth(&self) -> u64 {
-        self.usage.lock().bandwidth_bps
+        self.usage.lock(Locked::anywhere()).0.bandwidth_bps
     }
 
     /// Attempts to admit a configuration with its QoS requirements.
@@ -150,7 +146,7 @@ impl ResourceManager {
             memory_bytes: graph.memory_cost(catalog),
             bandwidth_bps: req.bandwidth_bps.unwrap_or(0),
         };
-        let mut usage = self.usage.lock();
+        let (mut usage, _) = self.usage.lock(Locked::anywhere());
         // What the other holders have in use. The requested amounts come
         // from a peer's QoS parameters, hence the saturating sums.
         let cpu = usage.cpu_units - replacing.cpu_units;
@@ -198,7 +194,7 @@ impl Default for ResourceManager {
 /// Resources held by an admitted configuration; released on drop.
 #[derive(Debug)]
 pub struct ResourceGrant {
-    usage: Arc<OrderedMutex<Usage>>,
+    usage: Arc<OrderedMutex<Usage, rank::ResourceUsage>>,
     held: Usage,
 }
 
@@ -221,7 +217,7 @@ impl ResourceGrant {
 
 impl Drop for ResourceGrant {
     fn drop(&mut self) {
-        let mut usage = self.usage.lock();
+        let (mut usage, _) = self.usage.lock(Locked::anywhere());
         usage.cpu_units -= self.held.cpu_units;
         usage.memory_bytes -= self.held.memory_bytes;
         usage.bandwidth_bps -= self.held.bandwidth_bps;

@@ -69,7 +69,9 @@ use crate::tlayer::Transport;
 use crate::DacapoError;
 use bytes::Bytes;
 use cool_telemetry::flight::event as flight_event;
-use cool_telemetry::lockorder::{rank as lock_rank, OrderedMutex, OrderedMutexGuard};
+use cool_telemetry::lockorder::{
+    rank, LockBefore, Locked, OrderedMutex, OrderedMutexGuard, Unlocked,
+};
 use cool_telemetry::{Counter, Gauge, Registry};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
@@ -311,11 +313,11 @@ struct Chain {
 /// A module stack bound to a transport: everything its endpoint, its
 /// handle and the connection's receive thread share.
 pub(crate) struct Stack {
-    chain: OrderedMutex<Chain>,
+    chain: OrderedMutex<Chain, rank::StackChain>,
     /// Held while writing to the transport; its content is the writer's
     /// scratch deque (swapped with [`Chain::wire`], so neither allocates in
     /// steady state).
-    writer: OrderedMutex<VecDeque<Packet>>,
+    writer: OrderedMutex<VecDeque<Packet>, rank::StackWriter>,
     transport: Arc<dyn Transport>,
     /// Set (under the stack lock) once the stack is replaced or torn down:
     /// nothing enters it any more.
@@ -474,7 +476,12 @@ impl Stack {
     /// what reaches the bottom onto the transport. With `wait`, blocks
     /// while a stalled module keeps anything standing and while another
     /// writer holds a full wire; without, refuses instead.
-    pub(crate) fn send(&self, payload: Bytes, wait: bool) -> Result<(), DacapoError> {
+    pub(crate) fn send(
+        &self,
+        held: &mut Locked<Unlocked>,
+        payload: Bytes,
+        wait: bool,
+    ) -> Result<(), DacapoError> {
         // The caller is this connection's own receive thread, in a sink
         // callback: no send may keep that thread waiting for something only
         // it can bring.
@@ -486,7 +493,7 @@ impl Stack {
             if self.transport_closed() {
                 return Err(DacapoError::Closed);
             }
-            let mut chain = self.chain.lock();
+            let (mut chain, _) = self.chain.lock(held);
             if self.stopped() || chain.wire_ended {
                 return Err(DacapoError::Closed);
             }
@@ -501,7 +508,7 @@ impl Stack {
                 let for_the_wire = !chain.wire.is_empty();
                 drop(chain);
                 if for_the_wire {
-                    self.flush_wire(wait && !own_thread);
+                    self.flush_wire(held, wait && !own_thread);
                 }
                 self.quiesce.pulse();
                 return if self.transport_closed() {
@@ -524,14 +531,14 @@ impl Stack {
     /// Hands the frames the receive thread queued for the wire in
     /// [`Stack::run_up`], and must not write itself, to a thread that may
     /// block — unless one has them already.
-    fn leave_wire_to(self: &Arc<Self>, writer: &Arc<WireWriter>) {
+    fn leave_wire_to(self: &Arc<Self>, held: &mut Locked<Unlocked>, writer: &Arc<WireWriter>) {
         // Taken along since, by a sender or by what a sink callback sent.
-        if self.chain.lock().wire.is_empty() {
+        if self.chain.lock(held).0.wire.is_empty() {
             return;
         }
         // A thread that holds the writer lock looks at the deque again
         // after unlocking; only when there is none must the writer come.
-        let nobody_writing = self.writer.try_lock().is_some();
+        let nobody_writing = self.writer.try_lock(held).is_some();
         if nobody_writing {
             writer.write_for(self.clone());
         }
@@ -542,24 +549,24 @@ impl Stack {
     /// to it — it looks again after unlocking. The receive thread gets here
     /// only with what a sink callback sent, never with what the modules
     /// answered.
-    fn flush_wire(&self, wait: bool) {
+    fn flush_wire(&self, held: &mut Locked<Unlocked>, wait: bool) {
         loop {
-            let mut batch = if wait {
-                self.writer.lock()
+            let (mut batch, writing) = if wait {
+                self.writer.lock(held)
             } else {
-                match self.writer.try_lock() {
-                    Some(batch) => batch,
+                match self.writer.try_lock(held) {
+                    Some(locked) => locked,
                     None => return,
                 }
             };
-            std::mem::swap(&mut *batch, &mut self.chain.lock().wire);
+            std::mem::swap(&mut *batch, &mut self.chain.lock(writing).0.wire);
             for pkt in batch.drain(..) {
                 self.transmit(pkt);
             }
             drop(batch);
             // A thread whose try failed while this one held the lock has
             // left its frames behind.
-            if self.chain.lock().wire.is_empty() {
+            if self.chain.lock(held).0.wire.is_empty() {
                 return;
             }
         }
@@ -613,10 +620,11 @@ impl Stack {
     /// along whatever is queued behind them.
     fn run_up(
         self: &Arc<Self>,
+        held: &mut Locked<rank::ConnectionUplink>,
         event: RxEvent,
         tops: &mut Vec<Packet>,
     ) -> (Option<Sender<Packet>>, bool) {
-        let mut chain = self.chain.lock();
+        let (mut chain, _) = self.chain.lock(held);
         if self.stopped() {
             return (None, false);
         }
@@ -704,8 +712,8 @@ impl Stack {
     /// passes it by, senders waiting behind a stalled module are released,
     /// a drain returns and the endpoint's queue ends behind what it holds.
     /// Waits for whoever is inside the chain to come out. Idempotent.
-    pub(crate) fn stop(&self) {
-        let mut chain = self.chain.lock();
+    pub(crate) fn stop<L: LockBefore<rank::StackChain>>(&self, held: &mut Locked<L>) {
+        let (mut chain, _) = self.chain.lock(held);
         self.stopped.store(true, Ordering::Release);
         chain.to_app.take();
         drop(chain);
@@ -783,8 +791,12 @@ impl StackHandle {
 }
 
 impl Drop for StackHandle {
+    /// Stops the stack, unless its owner did already: a connection stops
+    /// its stacks itself, under its own locks.
     fn drop(&mut self) {
-        self.stack.stop();
+        if !self.stack.stopped() {
+            self.stack.stop(Locked::root());
+        }
     }
 }
 
@@ -834,7 +846,7 @@ impl WireWriter {
             let writer = self.clone();
             let spawned = std::thread::Builder::new()
                 .name("dacapo-t-wr".into())
-                .spawn(move || writer.write_loop());
+                .spawn(move || writer.write_loop(Locked::root()));
             match spawned {
                 Ok(thread) => state.thread = Some(thread),
                 Err(e) => {
@@ -848,7 +860,7 @@ impl WireWriter {
         self.work.notify_one();
     }
 
-    fn write_loop(&self) {
+    fn write_loop(&self, held: &mut Locked<Unlocked>) {
         loop {
             let stack = {
                 let mut state = self.state.lock();
@@ -862,7 +874,7 @@ impl WireWriter {
                     self.work.wait(&mut state);
                 }
             };
-            stack.flush_wire(true);
+            stack.flush_wire(held, true);
             stack.quiesce.pulse();
         }
     }
@@ -906,7 +918,7 @@ impl WireWriter {
 /// connection).
 pub struct RxPump {
     transport: Arc<dyn Transport>,
-    slot: Arc<OrderedMutex<Option<Arc<Stack>>>>,
+    slot: Arc<OrderedMutex<Option<Arc<Stack>>, rank::ConnectionUplink>>,
     sink: Arc<SinkSlot>,
 }
 
@@ -928,19 +940,16 @@ impl RxPump {
         on_closed: impl FnOnce() + Send + 'static,
     ) -> Result<Self, DacapoError> {
         let pump = RxPump {
-            slot: Arc::new(OrderedMutex::new(
-                lock_rank::CONNECTION_UPLINK,
-                Some(stack.stack.clone()),
-            )),
+            slot: Arc::new(OrderedMutex::new(Some(stack.stack.clone()))),
             sink: Arc::new(SinkSlot::default()),
             transport,
         };
         let wire = telemetry.map(|r| wire_counters(r, "rx"));
         let (transport, slot, sink) = (pump.transport.clone(), pump.slot.clone(), pump.sink.clone());
         let writer = WireWriter::new(transport.clone());
-        crate::pool::spawn(move || {
+        crate::pool::spawn(move |held| {
             receiving_for(&transport, || {
-                rx_pump_loop(&*transport, &slot, &sink, &writer, wire, on_closed)
+                rx_pump_loop(held, &*transport, &slot, &sink, &writer, wire, on_closed)
             })
         })
         .map_err(|e| DacapoError::Runtime(format!("spawn a receive thread: {e}")))?;
@@ -951,8 +960,14 @@ impl RxPump {
     /// receive thread parks with the frame it has just read; once it
     /// drops, that frame and every later one go up the stack the guard
     /// left behind (`None` drops them).
-    pub(crate) fn swap(&self) -> OrderedMutexGuard<'_, Option<Arc<Stack>>> {
-        self.slot.lock()
+    pub(crate) fn swap<'a>(
+        &'a self,
+        held: &'a mut Locked<rank::ConnectionState>,
+    ) -> (
+        OrderedMutexGuard<'a, Option<Arc<Stack>>>,
+        &'a mut Locked<rank::ConnectionUplink>,
+    ) {
+        self.slot.lock(held)
     }
 
     /// Installs the connection's sink. What the current stack's endpoint
@@ -964,7 +979,7 @@ impl RxPump {
         let mut slot = self.sink.lock();
         // The receive thread queues under the sink lock: nothing can be
         // added behind what is replayed here.
-        let current = self.slot.lock().clone();
+        let current = self.slot.lock(Locked::root()).0.clone();
         if let Some(stack) = current {
             // The acknowledgement a callback's send might wait for cannot
             // get past the lock held here: this thread sends as the
@@ -980,13 +995,14 @@ impl RxPump {
     /// waits — and takes the stack out of its reach.
     pub fn shutdown(&self) {
         self.transport.close();
-        self.slot.lock().take();
+        self.slot.lock(Locked::root()).0.take();
     }
 }
 
 fn rx_pump_loop(
+    held: &mut Locked<Unlocked>,
     transport: &dyn Transport,
-    slot: &OrderedMutex<Option<Arc<Stack>>>,
+    slot: &OrderedMutex<Option<Arc<Stack>>, rank::ConnectionUplink>,
     sink: &SinkSlot,
     writer: &Arc<WireWriter>,
     wire: Option<(Arc<Counter>, Arc<Counter>)>,
@@ -998,13 +1014,13 @@ fn rx_pump_loop(
     // the application; then what it brought to the bottom to a writer. In
     // that order, so that a callback that answers what it is given takes
     // the acknowledgement along with its answer and no other thread wakes.
-    let mut upcall = |event: RxEvent| {
+    let mut upcall = |held: &mut Locked<Unlocked>, event: RxEvent| {
         let (stack, to_app, owes_a_writer) = {
-            let installed = slot.lock();
+            let (installed, uplink) = slot.lock(held);
             let Some(stack) = installed.as_ref() else {
                 return;
             };
-            let (to_app, owes_a_writer) = stack.run_up(event, &mut tops);
+            let (to_app, owes_a_writer) = stack.run_up(uplink, event, &mut tops);
             if to_app.is_none() && !owes_a_writer {
                 return;
             }
@@ -1014,7 +1030,7 @@ fn rx_pump_loop(
             stack.deliver(&mut tops, &to_app, sink);
         }
         if owes_a_writer {
-            stack.leave_wire_to(writer);
+            stack.leave_wire_to(held, writer);
         }
     };
     let start = Instant::now();
@@ -1023,7 +1039,7 @@ fn rx_pump_loop(
         let now = Instant::now();
         if now >= next_tick {
             next_tick = now + TICK_INTERVAL;
-            upcall(RxEvent::Tick(now - start));
+            upcall(held, RxEvent::Tick(now - start));
         }
         match transport.recv_timeout(next_tick - now) {
             Ok(frame) => {
@@ -1031,14 +1047,14 @@ fn rx_pump_loop(
                     frames.inc();
                     bytes.add(frame.len() as u64);
                 }
-                upcall(RxEvent::Frame(frame));
+                upcall(held, RxEvent::Frame(frame));
             }
             Err(DacapoError::Timeout(_)) => {}
             Err(_) => break,
         }
     }
     on_closed();
-    upcall(RxEvent::WireEnded);
+    upcall(held, RxEvent::WireEnded);
     writer.stop();
 }
 
@@ -1075,19 +1091,16 @@ pub fn build_stack(
         .collect();
     let stack = Arc::new(Stack {
         idle: stages.iter().map(|_| AtomicBool::new(true)).collect(),
-        chain: OrderedMutex::new(
-            lock_rank::STACK_CHAIN,
-            Chain {
-                stages,
-                queued: 0,
-                out: Outputs::new(),
-                wire: VecDeque::new(),
-                top: Vec::new(),
-                to_app: Some(to_app),
-                wire_ended: false,
-            },
-        ),
-        writer: OrderedMutex::new(lock_rank::STACK_WRITER, VecDeque::new()),
+        chain: OrderedMutex::new(Chain {
+            stages,
+            queued: 0,
+            out: Outputs::new(),
+            wire: VecDeque::new(),
+            top: Vec::new(),
+            to_app: Some(to_app),
+            wire_ended: false,
+        }),
+        writer: OrderedMutex::new(VecDeque::new()),
         transport,
         stopped: AtomicBool::new(false),
         quiesce: QuiesceSignal::default(),

@@ -71,8 +71,8 @@ cargo test -q --release --test failure_injection
 
 # The analyzer (DESIGN §7.1), one pass over every .rs file, for what no
 # stock tool sees. Per file: unbounded invocation retry loops.
-# Whole-workspace analysis: error-variant test coverage, lock ranks
-# strictly increasing along every path, blocking under a lock, telemetry
+# Whole-workspace analysis: error-variant test coverage, blocking under a
+# ranked lock (the lock order itself is a type, checked by rustc), telemetry
 # names, channel topology against §7.4, condvar wait graph, spawn/join
 # lifecycle, hang-freedom against the §8.5 drain registry, error
 # attribution. An inline allow that suppresses nothing is a finding too.
