@@ -787,18 +787,17 @@ fn guard_release(
         return end;
     }
 
+    let text = |i: usize| toks.get(i).map(|t| t.text.as_str());
     let mut s = stmt;
-    if toks.get(s).map(|t| t.text.as_str()) == Some("else") {
+    if text(s) == Some("else") {
         s += 1;
     }
-    if toks.get(s).map(|t| t.text.as_str()) == Some("let") {
-        let discard = toks.get(s + 1).map(|t| t.text.as_str()) == Some("_")
-            && toks.get(s + 2).map(|t| t.text.as_str()) == Some("=");
+    if text(s) == Some("let") {
+        let discard = text(s + 1) == Some("_") && text(s + 2) == Some("=");
         // Is the guard itself the bound value? Only when the acquisition
         // call is the tail of the initializer (`let (g, _) = x.lock(held);`,
         // `let g = x.lock(held).0;`) and the receiver chain is not behind a
         // deref (`let v = *x.lock(held).0;`).
-        let text = |i: usize| toks.get(i).map(|t| t.text.as_str());
         let bound = match text(args_end + 1) {
             Some(";") => true,
             Some(".") => text(args_end + 2) == Some("0") && text(args_end + 3) == Some(";"),
@@ -806,33 +805,82 @@ fn guard_release(
         };
         let derefed = chain_start_prefixed_by_star(toks, k);
         if !discard && bound && !derefed {
-            // The guard's name: `g` in `let [mut] g` or `let ([mut] g, ..)`.
-            let mut b = s + 1;
-            while matches!(text(b), Some("(" | "mut")) {
-                b += 1;
-            }
-            let binder = toks.get(b);
-            let end = enclosing_block_end(toks, body_close, k);
-            // An explicit `drop(binder)` releases early.
-            if let Some(b) = binder {
-                if b.kind == TokKind::Ident {
-                    let mut j = k;
-                    while j < end {
-                        if toks[j].text == "drop"
-                            && toks.get(j + 1).map(|t| t.text.as_str()) == Some("(")
-                            && toks.get(j + 2).map(|t| t.text.as_str()) == Some(b.text.as_str())
-                            && toks.get(j + 3).map(|t| t.text.as_str()) == Some(")")
-                        {
-                            return j;
-                        }
-                        j += 1;
-                    }
-                }
-            }
-            return end;
+            return let_bound_release(toks, body_close, s, k);
+        }
+    }
+    // The value of a branch of an `if` chain that is a `let`'s initializer
+    // (`let (g, _) = if c { x.lock(held) } else { .. };`): bound by that
+    // `let`, not dead at the branch's brace.
+    if let Some(s) = branch_of_let(toks, body_open, stmt, args_end) {
+        if !chain_start_prefixed_by_star(toks, k) {
+            return let_bound_release(toks, body_close, s, k);
         }
     }
     stmt_end(toks, body_close, k)
+}
+
+/// Where a guard bound by the `let` at `s` (acquired at `k`) dies: at the
+/// end of the block the `let` is in, or at an explicit `drop(binder)`.
+fn let_bound_release(toks: &[Tok], body_close: usize, s: usize, k: usize) -> usize {
+    let text = |i: usize| toks.get(i).map(|t| t.text.as_str());
+    // The guard's name: `g` in `let [mut] g` or `let ([mut] g, ..)`.
+    let mut b = s + 1;
+    while matches!(text(b), Some("(" | "mut")) {
+        b += 1;
+    }
+    let binder = toks.get(b);
+    let end = enclosing_block_end(toks, body_close, s);
+    // An explicit `drop(binder)` releases early.
+    if let Some(b) = binder {
+        if b.kind == TokKind::Ident {
+            let mut j = k;
+            while j < end {
+                if toks[j].text == "drop"
+                    && text(j + 1) == Some("(")
+                    && text(j + 2) == Some(b.text.as_str())
+                    && text(j + 3) == Some(")")
+                {
+                    return j;
+                }
+                j += 1;
+            }
+        }
+    }
+    end
+}
+
+/// The `let` whose initializer is an `if` chain with a branch block ending
+/// in the acquisition whose statement starts at `stmt` (its argument list
+/// closing at `args_end`): the acquisition, or its `.0`, is the block's
+/// tail, and the block opens right before `stmt` at the top level of a
+/// `let PAT = if ..` statement.
+fn branch_of_let(toks: &[Tok], body_open: usize, stmt: usize, args_end: usize) -> Option<usize> {
+    let text = |i: usize| toks.get(i).map(|t| t.text.as_str());
+    let tail = match text(args_end + 1) {
+        Some("}") => true,
+        Some(".") => text(args_end + 2) == Some("0") && text(args_end + 3) == Some("}"),
+        _ => false,
+    };
+    let open = stmt.checked_sub(1)?;
+    if !tail || open <= body_open || text(open) != Some("{") {
+        return None;
+    }
+    let s = stmt_start(toks, body_open, open);
+    if text(s) != Some("let") {
+        return None;
+    }
+    let mut depth = 0i32;
+    let mut j = s + 1;
+    while j < open {
+        match toks[j].text.as_str() {
+            "(" | "[" => depth += 1,
+            ")" | "]" => depth -= 1,
+            "=" if depth == 0 => return (text(j + 1) == Some("if")).then_some(s),
+            _ => {}
+        }
+        j += 1;
+    }
+    None
 }
 
 /// Is the method-call chain containing token `k` prefixed by `*`

@@ -158,6 +158,18 @@ fn a002_knows_a_ranked_guard_by_its_token_not_its_name() {
     assert_eq!(found.len(), 2, "no other finding: {found:?}");
 }
 
+#[test]
+fn a002_keeps_a_guard_bound_through_an_if_initializer_alive_to_the_end_of_its_block() {
+    let found = findings("branchbound");
+    assert_eq!(
+        rule_lines(&found, "A002"),
+        vec![23],
+        "recv under a guard that an `if` branch hands to a `let` is flagged; \
+         recv after dropping it is not: {found:?}"
+    );
+    assert_eq!(found.len(), 1, "no other finding: {found:?}");
+}
+
 // ---- A004: telemetry name discipline --------------------------------
 
 #[test]

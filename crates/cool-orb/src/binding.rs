@@ -8,14 +8,14 @@
 //! is no demux thread and no poll interval. The table of outstanding
 //! requests is the rendezvous: the demux puts a reply into its request's
 //! entry, and the caller takes it out. Over Chorus the reply is in before
-//! the caller looks. Otherwise a waiting caller first offers to read the
-//! channel itself ([`ComChannel::read_turn`]): over TCP, when no other
-//! thread is reading, it delivers whatever arrives — its own reply
-//! included — on its own thread (leader/followers). Failing that, it parks
-//! in its entry with a true deadline and is woken the moment its reply
-//! lands; a TCP binding then owes the reply to the channel's reader thread
-//! ([`ReadDemand`]), as it does every deferred or `notify` reply nobody
-//! waits for yet. Telemetry and
+//! the caller looks. Otherwise — over TCP and over Da CaPo — a waiting
+//! caller first offers to read the channel itself
+//! ([`ComChannel::read_turn`]): when no other thread is reading, it
+//! delivers whatever arrives — its own reply included — on its own thread
+//! (leader/followers). Failing that, it parks in its entry with a true
+//! deadline and is woken the moment its reply lands; the binding then owes
+//! the reply to the channel's reader loop ([`ReadDemand`]), as it does
+//! every deferred or `notify` reply nobody waits for yet. Telemetry and
 //! tracing policy come from [`crate::config::OrbConfig`], threaded in via
 //! [`Binding::with_config`].
 //!
@@ -27,8 +27,9 @@
 //! * [`Binding::defer`] — deferred synchronous: returns a
 //!   [`DeferredReply`] the caller polls or waits on later;
 //! * [`Binding::notify`] — asynchronous: a callback runs on the
-//!   transport's delivery thread when the reply arrives — over TCP that
-//!   may be another caller of the binding, reading inside its own wait
+//!   transport's delivery thread when the reply arrives — over TCP and Da
+//!   CaPo that may be another caller of the binding, reading inside its
+//!   own wait
 //!   (it must not make a blocking invocation over the same binding — the
 //!   delivering thread is the one that would complete it);
 //! * [`DeferredReply::cancel`] / [`Binding::cancel`] — abandon a pending
@@ -82,7 +83,7 @@ enum Collect {
     /// The issuing thread, which waits for it (and may read it) at once.
     Caller,
     /// Somebody later — a [`DeferredReply`] nobody waits on yet, or a
-    /// callback — so the reply is owed to the channel's reader thread from
+    /// callback — so the reply is owed to the channel's reader loop from
     /// the start.
     Later(Slot),
 }
@@ -90,7 +91,7 @@ enum Collect {
 /// A request awaiting its reply.
 struct Entry {
     slot: Slot,
-    /// Held while the reply is owed to a channel's reader thread; dropped
+    /// Held while the reply is owed to a channel's reader loop; dropped
     /// once the reply is in, or with the entry, however the request ends.
     owed: Option<Owed>,
 }
@@ -366,7 +367,8 @@ fn outcome_of(result: &ReplyResult) -> SpanOutcome {
 #[derive(Clone)]
 struct ConnHandle {
     channel: Arc<dyn ComChannel>,
-    /// The channel reader thread's demand, when it reads on demand (TCP).
+    /// The channel reader loop's demand, when it reads on demand (TCP, Da
+    /// CaPo).
     demand: Option<Arc<ReadDemand>>,
 }
 
@@ -503,7 +505,7 @@ impl Binding {
     /// connection ended. A binding is never repaired; the ORB replaces one
     /// whose connection ended with a fresh dial.
     ///
-    /// An idle TCP connection has nobody reading it, so what the peer said
+    /// An idle TCP or Da CaPo connection has nobody reading it, so what the peer said
     /// last — a CloseConnection, the end of the stream — is taken in here
     /// first, without blocking.
     pub fn is_closed(&self) -> bool {
@@ -708,8 +710,8 @@ impl Binding {
 
     /// Asynchronous invocation: `callback` runs when the reply or an error
     /// arrives, on the thread that delivers it — the transport's delivery
-    /// thread, or over TCP a caller of the same binding reading replies
-    /// inside its own wait.
+    /// thread, or over TCP and Da CaPo a caller of the same binding reading
+    /// replies inside its own wait.
     ///
     /// # Errors
     ///

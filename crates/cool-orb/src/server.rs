@@ -27,7 +27,7 @@
 //!   fall behind, delivery threads block on enqueue and backpressure
 //!   reaches the peer instead of buffering without bound. The exception is
 //!   a delivery thread that must not wait
-//!   ([`ComChannel::delivery_may_wait`] — Da CaPo's receive thread, which
+//!   ([`ComChannel::delivery_may_wait`] — Da CaPo's turn holder, which
 //!   also brings the acknowledgements a dispatcher blocked in a reply is
 //!   waiting for): what it finds no room for goes to an overflow the
 //!   dispatchers empty first, paced by Da CaPo's own flow control as the
@@ -619,7 +619,7 @@ fn start_dispatchers(
     metrics: Option<&ServerMetrics>,
 ) -> Result<Pool, OrbError> {
     let (tx, rx) = bounded::<Job>(DISPATCH_QUEUE_DEPTH);
-    // lint: allow(A005, §7.4: only a delivery thread that must not wait — Da CaPo's receive thread — puts here what the bounded queue has no room for; every dispatcher empties it after each job, and the peer's sends are paced by the Da CaPo stack below, as they were when this backlog stood in the connection's receive queue)
+    // lint: allow(A005, §7.4: only a delivery thread that must not wait — the holder of a Da CaPo connection's receive turn — puts here what the bounded queue has no room for; every dispatcher empties it after each job, and the peer's sends are paced by the Da CaPo stack below, as they were when this backlog stood in the connection's receive queue)
     let (overflow_tx, overflow_rx) = unbounded::<Job>();
     let mut threads = Vec::new();
     for i in 0..config.dispatcher_threads.max(1) {

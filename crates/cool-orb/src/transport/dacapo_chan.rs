@@ -5,30 +5,41 @@
 //!
 //! The channel *"handles its own buffers in the Da CaPo runtime
 //! environment"*, and it has no thread of its own: it installs a
-//! [`dacapo::Sink`] on its connection, so the connection's one receive
-//! thread (a `conn-rx` thread of [`dacapo::pool`]) — having run a frame up
-//! the module stack — pushes the payload straight into the channel's
-//! [`FrameInbox`], which wakes `recv_frame` waiters or runs the registered
+//! [`dacapo::Sink`] on its connection, so whichever thread holds the
+//! connection's receive turn — having run a frame up the module stack —
+//! pushes the payload straight into the channel's [`FrameInbox`], which
+//! wakes `recv_frame` waiters or runs the registered
 //! [`FrameSink`](crate::transport::FrameSink) there and then. The sink is
 //! the connection's, not a stack's: a live reconfiguration swaps the stack
 //! underneath and the channel notices nothing. There is no poll slice and
-//! no timer. That thread also brings the acknowledgements a sender stuck
-//! behind a full ARQ window waits for, so a sink must not keep it waiting
-//! for such a sender ([`ComChannel::delivery_may_wait`] is `false` here,
-//! and the server's sink overflows its dispatch queue instead of blocking
-//! on it).
+//! no timer.
 //!
+//! Who holds the turn is leader/followers, as over TCP: a caller waiting
+//! for its reply reads the connection itself when nobody else is
+//! ([`ComChannel::read_turn`]), running due protocol ticks and delivering
+//! whatever arrives, its reply included. The connection's loop (a
+//! `conn-rx` job of [`dacapo::pool`]) reads always until a binding takes
+//! its demand over ([`ComChannel::hand_over_demand`]) — a server's end, a
+//! pull-mode end — and after that only while a reply is owed to a thread
+//! that is not reading, a drain waits, or a module is not idle.
+//!
+//! The turn holder also brings the acknowledgements a sender stuck behind
+//! a full ARQ window waits for, so a sink must not keep it waiting for such
+//! a sender ([`ComChannel::delivery_may_wait`] is `false` here, and the
+//! server's sink overflows its dispatch queue instead of blocking on it).
+
 //! ## Teardown
 //!
 //! `close` closes the Da CaPo connection, which closes the transport and
-//! so ends the wait of the peer's receive thread. That thread then brings
-//! up everything that was sent before the close, and last the close
-//! itself, on which the peer's sink closes its own side — from the receive
-//! thread, which is why nothing joins that thread: stack stopped, resource
-//! grant released, inbox closed (→ the sink's `on_close`). Then the
-//! receive loop returns, and its thread parks in the pool for the next
-//! connection. The server end of a binding is reclaimed that way when the
-//! client goes, without `OrbServer::close`.
+//! so ends the wait of the peer's reader. That reader then brings up
+//! everything that was sent before the close, and last the close itself,
+//! on which the peer's sink closes its own side — from the reading thread,
+//! which is why nothing joins a reader: stack stopped, resource grant
+//! released, inbox closed (→ the sink's `on_close`). Then the receive loop
+//! returns, and its thread parks in the pool for the next connection. The
+//! server end of a binding is reclaimed that way when the client goes,
+//! without `OrbServer::close`; an idle client end hears its server's close
+//! when next asked, as over TCP.
 //!
 //! ## Reconfiguration protocol
 //!
@@ -42,7 +53,7 @@
 //! 0. both ends quiesce: the outgoing graph's own protocol traffic (an ARQ
 //!    acknowledgement for the last reply, say) is given the moment it needs
 //!    to arrive. A frame that crosses the swap is not lost — the
-//!    connection's receive thread holds it for the new stack — so a
+//!    connection's turn holder keeps it for the new stack — so a
 //!    straggler of the old protocol would be read by the new one as data;
 //! 1. the initiator asks the peer management side to swap first: the peer
 //!    re-runs configuration *and resource admission* for the new
@@ -59,14 +70,15 @@
 //! parked in `recv_frame` on the peer.
 
 use crate::error::OrbError;
-use crate::transport::{ComChannel, FrameInbox, InboxMetrics, SendMetrics};
+use crate::transport::{ComChannel, FrameInbox, InboxMetrics, ReadDemand, SendMetrics};
 use bytes::Bytes;
+use cool_telemetry::lockorder::{Locked, Unlocked};
 use cool_telemetry::Registry;
 use dacapo::config::ConfigurationManager;
 use dacapo::{Connection, ResourceManager};
 use multe_qos::{QosError, TransportRequirements};
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long `set_qos` waits for either end's stack to quiesce before it
 /// swaps them anyway. A deadline for hang-freedom, not a grace period: the
@@ -79,8 +91,8 @@ struct Inner {
     connection: Connection,
     config_mgr: ConfigurationManager,
     resource_mgr: Option<ResourceManager>,
-    /// Where the receive thread delivers, and the record of this side's
-    /// end: closed locally, or when the receive thread hears the peer's.
+    /// Where the turn holder delivers, and the record of this side's end:
+    /// closed locally, or when a reader hears the peer's.
     inbox: Arc<FrameInbox>,
     /// Control path to the other end of the pair (the management
     /// signalling facility). Weak: a dropped peer must read as gone, not
@@ -108,10 +120,11 @@ impl Inner {
     }
 }
 
-/// What the connection's receive thread calls: frames into the inbox, and
-/// on the transport's end — closed here, or by the peer — this side closed.
-/// If it was the peer that closed, nobody else will reclaim this side;
-/// after a local close this finds everything already gone.
+/// What the holder of the connection's receive turn calls: frames into
+/// the inbox, and on the transport's end — closed here, or by the peer —
+/// this side closed. If it was the peer that closed, nobody else will
+/// reclaim this side; after a local close this finds everything already
+/// gone.
 struct InboxSink {
     inbox: Arc<FrameInbox>,
     /// Weak: the connection owns its sink, and `Inner` owns the
@@ -182,7 +195,7 @@ impl DacapoComChannel {
         let send_metrics = telemetry.map(|r| SendMetrics::resolve(r, "dacapo"));
         let inbox_metrics = telemetry.map(|r| InboxMetrics::resolve(r, "dacapo"));
         let make_inner = |connection: Connection| {
-            // lint: allow(A005, §7.4: the connection's receive thread pushes each payload as it reaches the top of the stack; the sink or `recv_frame` drains per frame)
+            // lint: allow(A005, §7.4: the holder of the connection's receive turn pushes each payload as it reaches the top of the stack; the sink or `recv_frame` drains per frame)
             let inbox = Arc::new(FrameInbox::new());
             if let Some(m) = &inbox_metrics {
                 inbox.set_metrics(m.clone());
@@ -248,10 +261,24 @@ impl ComChannel for DacapoComChannel {
         "dacapo"
     }
 
-    /// The sink runs on the connection's receive thread (`InboxSink`), and
-    /// while it does, no acknowledgement is processed on this connection.
+    /// The sink runs on the holder of the connection's receive turn
+    /// (`InboxSink`), and while it does, no acknowledgement is processed on
+    /// this connection.
     fn delivery_may_wait(&self) -> bool {
         false
+    }
+
+    fn read_turn(
+        &self,
+        held: &mut Locked<Unlocked>,
+        deadline: Instant,
+        done: &dyn Fn(&mut Locked<Unlocked>) -> bool,
+    ) -> bool {
+        self.inner.connection.read_turn(held, deadline, done)
+    }
+
+    fn hand_over_demand(&self) -> Option<Arc<ReadDemand>> {
+        Some(self.inner.connection.hand_over_demand())
     }
 
     fn set_qos(&self, requirements: &TransportRequirements) -> Result<(), OrbError> {
@@ -451,7 +478,7 @@ mod tests {
 
     #[test]
     fn graph_changing_set_qos_with_an_idle_peer_takes_no_timer() {
-        // Both sides swap stacks per call while both receive threads sit
+        // Both sides swap stacks per call while both receive loops sit
         // parked in the transport; nothing on that path waits out a timer
         // (it took one 25 ms grace per side when the pumps died with the
         // stacks).

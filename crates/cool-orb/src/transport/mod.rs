@@ -6,7 +6,7 @@
 //!
 //! * [`TcpComChannel`] — real TCP with length-prefixed frames (its buffer
 //!   handling, the `_TcpBuffer` role, is a read token held by whichever
-//!   thread reads: a caller waiting for its reply, or the reader thread);
+//!   thread reads: a caller waiting for its reply, or the reader loop);
 //! * [`ChorusComChannel`] — Chorus IPC, where *"buffering is done
 //!   transparent by the communication subsystem"*;
 //! * [`DacapoComChannel`] — a Da CaPo connection, which *"handles its own
@@ -22,11 +22,11 @@
 //! ## Threading model: push first, pull as a veneer
 //!
 //! Frame delivery is *event-driven*. Every channel owns a [`FrameInbox`];
-//! whatever thread discovers an inbound frame (over TCP the holder of the
-//! connection's read token — a caller reading its own reply
-//! ([`ComChannel::read_turn`]) or the reader thread; the peer's sending
-//! thread for the in-process Chorus transport; a Da CaPo connection's
-//! receive thread) pushes it into the inbox, which either
+//! whatever thread discovers an inbound frame pushes it into the inbox:
+//! over TCP and Da CaPo the holder of the connection's read turn — a caller
+//! reading its own reply ([`ComChannel::read_turn`]) or the connection's
+//! pooled loop, which reads on demand ([`ReadDemand`]); over the in-process
+//! Chorus transport the peer's sending thread. The inbox either
 //!
 //! * hands it synchronously to a registered [`FrameSink`] (push mode — the
 //!   client demux and the server dispatcher run this way), or
@@ -50,8 +50,8 @@
 //!
 //! Sink callbacks run on the delivering thread and are serialized per
 //! channel. They must not block on a synchronous invocation over the
-//! *same* channel (the delivering thread — over TCP, the one holding the
-//! read token — is the one that would unblock it) —
+//! *same* channel (the delivering thread — over TCP and Da CaPo, the one
+//! holding the read turn — is the one that would unblock it) —
 //! the same re-entrancy rule the seed's demux thread had. The rule has a
 //! servant under it now: the server's sink runs a request for an object it
 //! has observed cheap to completion inside `on_frame` (see
@@ -76,6 +76,9 @@ pub use chorus::ChorusComChannel;
 pub use dacapo_chan::DacapoComChannel;
 pub use fault::{FaultChannel, FaultMetrics};
 pub use tcp::TcpComChannel;
+
+pub use dacapo::pool::ReadDemand;
+pub(crate) use dacapo::pool::Owed;
 
 use crate::error::OrbError;
 use bytes::Bytes;
@@ -205,9 +208,9 @@ pub trait ComChannel: Send + Sync {
     /// may be kept waiting there — which is how a server whose dispatch
     /// queue is full makes backpressure reach the peer (TCP's reader stops
     /// reading, a Chorus caller waits). `false` when that thread also
-    /// carries what the wait would depend on: Da CaPo's receive thread
-    /// brings the acknowledgements that a dispatcher blocked in
-    /// `send_frame` behind a full ARQ window is waiting for.
+    /// carries what the wait would depend on: the holder of a Da CaPo
+    /// connection's read turn brings the acknowledgements that a dispatcher
+    /// blocked in `send_frame` behind a full ARQ window is waiting for.
     fn delivery_may_wait(&self) -> bool {
         true
     }
@@ -220,8 +223,8 @@ pub trait ComChannel: Send + Sync {
     /// thread is reading, or the channel ended. With a `deadline` already
     /// past it takes in only what has arrived, without blocking.
     ///
-    /// The default never reads: Chorus delivers on the sender's thread
-    /// and Da CaPo on its receive thread, so a waiter just waits.
+    /// The default never reads: Chorus delivers on the sender's thread, so
+    /// a waiter just waits. TCP and Da CaPo read.
     fn read_turn(
         &self,
         held: &mut Locked<Unlocked>,
@@ -232,11 +235,12 @@ pub trait ComChannel: Send + Sync {
         false
     }
 
-    /// Hands the demand of the channel's reader thread to whoever waits
-    /// for replies (the binding): from then on the thread reads only
-    /// while some reply is owed to a thread that is not reading
-    /// ([`ReadDemand`]). `None` — the default — for a channel whose
-    /// delivery does not depend on demand.
+    /// Hands the demand of the channel's reader loop to whoever waits for
+    /// replies (the binding): from then on the loop reads only while some
+    /// reply is owed to a thread that is not reading ([`ReadDemand`]) — and
+    /// over Da CaPo while the connection's protocol has work of its own
+    /// (an ARQ window outstanding). `None` — the default — for a channel
+    /// whose delivery does not depend on demand.
     fn hand_over_demand(&self) -> Option<Arc<ReadDemand>> {
         None
     }
@@ -296,90 +300,6 @@ impl SendMetrics {
         self.bytes
             .add(frames.iter().map(|frame| frame.len() as u64).sum());
         self.writes.inc();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ReadDemand
-// ---------------------------------------------------------------------------
-
-/// How much a channel's reader thread is wanted.
-///
-/// Until [`ComChannel::hand_over_demand`] the reader always reads: a server
-/// connection, or a pull-mode channel. After it, the reader reads only
-/// while some reply is owed to a thread that is not reading itself — a
-/// deferred reply nobody waits for yet, a `notify` callback, a caller that
-/// found another thread reading. Each such reply holds an `Owed` for as
-/// long as it is owed; the reader parks while none is.
-pub struct ReadDemand {
-    state: Mutex<DemandState>,
-    changed: Condvar,
-}
-
-struct DemandState {
-    owed: usize,
-    handed_over: bool,
-    closed: bool,
-}
-
-/// One reply owed to a channel's reader thread; dropping it releases the
-/// demand.
-pub(crate) struct Owed(Arc<ReadDemand>);
-
-impl Drop for Owed {
-    fn drop(&mut self) {
-        self.0.state.lock().owed -= 1;
-    }
-}
-
-impl ReadDemand {
-    pub(crate) fn new() -> Self {
-        ReadDemand {
-            state: Mutex::new(DemandState {
-                owed: 0,
-                handed_over: false,
-                closed: false,
-            }),
-            changed: Condvar::new(),
-        }
-    }
-
-    /// From now on the reader reads only while a reply is owed.
-    pub(crate) fn hand_over(&self) {
-        self.state.lock().handed_over = true;
-    }
-
-    /// One more reply owed to the reader; the first wakes it. Raised under
-    /// the lock the reader checks before it parks, so no wake-up is lost.
-    pub(crate) fn raise(self: &Arc<Self>) -> Owed {
-        let mut st = self.state.lock();
-        st.owed += 1;
-        if st.owed == 1 {
-            self.changed.notify_one();
-        }
-        Owed(Arc::clone(self))
-    }
-
-    /// Whether the reader should be reading now.
-    pub(crate) fn wanted(&self) -> bool {
-        let st = self.state.lock();
-        !st.handed_over || st.owed > 0
-    }
-
-    /// Parks the reader until it is wanted; `false` once the channel has
-    /// closed.
-    pub(crate) fn park_until_wanted(&self) -> bool {
-        let mut st = self.state.lock();
-        while !st.closed && st.handed_over && st.owed == 0 {
-            self.changed.wait(&mut st);
-        }
-        !st.closed
-    }
-
-    /// The channel is gone: the reader stops parking and ends.
-    pub(crate) fn close(&self) {
-        self.state.lock().closed = true;
-        self.changed.notify_all();
     }
 }
 

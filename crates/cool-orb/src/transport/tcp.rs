@@ -14,7 +14,7 @@
 //!   it is free and reads until its own reply is in or its deadline
 //!   passes — so a lone synchronous call reads its own reply, and no
 //!   other thread of this side wakes;
-//! * the reader thread reads on demand ([`ReadDemand`]): always, until a
+//! * the reader loop reads on demand ([`ReadDemand`]): always, until a
 //!   binding takes the demand over (a server connection, a pull-mode
 //!   channel), and after that only while some reply is owed to a thread
 //!   that is not reading. Otherwise it parks. No polling. It is a loop on
@@ -218,7 +218,7 @@ impl TcpComChannel {
                 frames: FrameReader::new(),
                 timeout: None,
             }),
-            demand: Arc::new(ReadDemand::new()),
+            demand: Arc::default(),
             writer: Mutex::new(Writer {
                 stream: clone()?,
                 corked: Vec::new(),
@@ -280,7 +280,7 @@ impl TcpComChannel {
 /// returns when the connection ends — to the receive-thread pool
 /// ([`dacapo::pool`]), which has its thread serve the next connection.
 fn reader_loop(held: &mut Locked<Unlocked>, side: &ReadSide) {
-    while side.demand.park_until_wanted() {
+    while side.demand.park_until_wanted(None) {
         let mut reader = side.token.lock();
         if side.inbox.is_closed() {
             return;

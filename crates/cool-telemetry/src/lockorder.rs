@@ -192,23 +192,23 @@ pub mod rank {
     /// with it released).
     pub struct ConnectionState;
     /// `connection.uplink` — the `dacapo::runtime::RxPump` slot through
-    /// which the connection's receive thread enters the current stack.
-    /// Taken under `connection.state` for the swap itself, which parks the
-    /// receive thread with any frame it reads meanwhile; taken per frame
-    /// and per tick by the receive thread, for as long as it runs that
+    /// which the holder of the connection's receive turn enters the current
+    /// stack. Taken under `connection.state` for the swap itself, which
+    /// parks the turn holder with any frame it reads meanwhile; taken per
+    /// frame and per tick by the turn holder, for as long as it runs that
     /// stack's modules — which is why it is not part of the state: a sender
     /// must not wait behind it.
     pub struct ConnectionUplink;
     /// `stack.writer` — a `dacapo::runtime` stack's writer lock: whoever
     /// holds it writes the stack's wire-bound frames to the transport, in
     /// order, and takes `stack.chain` under it to fetch them. Senders and
-    /// the connection's writer thread wait for it, holding nothing else (a
-    /// full wire is their backpressure); the receive thread only ever tries
-    /// it, to learn whether somebody is writing.
+    /// the connection's writer job wait for it, holding nothing else (a
+    /// full wire is their backpressure); the receive turn's holder only
+    /// ever tries it, to learn whether somebody is writing.
     pub struct StackWriter;
     /// `stack.chain` — a `dacapo::runtime` stack's modules, their queues,
     /// and the deques for the wire and for the application. Taken under
-    /// `connection.uplink` by the receive thread and under `stack.writer`
+    /// `connection.uplink` by the receive turn's holder and under `stack.writer`
     /// to fetch what is to be written; never held across a transport write,
     /// a wait or an application callback.
     pub struct StackChain;

@@ -16,7 +16,7 @@ use std::time::Duration;
 ///
 /// Sending runs the stack: the payload goes down the module chain and onto
 /// the transport on the caller's thread. Receiving pulls from the queue the
-/// connection's receive thread fills — unless the application installed a
+/// holder of the connection's receive turn fills — unless the application installed a
 /// [`crate::Sink`], which is then called instead.
 #[derive(Debug, Clone)]
 pub struct AppEndpoint {

@@ -7,14 +7,16 @@ use crate::config::{ConfigContext, Configuration, ConfigurationManager};
 use crate::error::DacapoError;
 use crate::graph::ModuleGraph;
 use crate::module::Module;
+use crate::pool::ReadDemand;
 use crate::resource::{ResourceGrant, ResourceManager};
 use crate::runtime::{build_stack, RuntimeOptions, RxPump, Sink, StackHandle};
 use crate::tlayer::Transport;
 use multe_qos::TransportRequirements;
 use cool_telemetry::flight::event as flight_event;
-use cool_telemetry::lockorder::{rank, Locked, OrderedMutex};
+use cool_telemetry::lockorder::{rank, Locked, OrderedMutex, Unlocked};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One side of a Da CaPo connection: a module stack over a transport.
 ///
@@ -22,22 +24,25 @@ use std::sync::Arc;
 /// because both derive their configuration deterministically from the
 /// QoS parameters agreed during bilateral negotiation.
 ///
-/// The connection owns the transport and, with it, its thread: the one
-/// that receives from the transport (the [`RxPump`]) and runs whatever
-/// comes off it up the modules and into the application. (An end whose
-/// modules answer what they receive — acknowledgements — gets a second,
-/// which writes those: the receive thread must never wait for the wire.)
-/// Module stacks come and go above that thread as the connection is
-/// reconfigured — a stack has no thread of its own, so a swap spawns and
-/// joins nothing. Nothing on the reconfiguration or teardown path waits out
-/// a timer: the receive thread is woken by [`Transport::close`].
+/// The connection owns the transport and, with it, its receive side (the
+/// [`RxPump`]): a turn, held by whichever thread reads the transport and
+/// runs what comes off it up the modules and into the application — a
+/// thread waiting for a reply ([`Connection::read_turn`]), or the
+/// connection's loop on a pooled thread, which reads while it is wanted.
+/// (An end whose modules answer what they receive — acknowledgements —
+/// gets a writer job as well, which writes those: the turn holder must
+/// never wait for the wire.) Module stacks come and go above the receive
+/// side as the connection is reconfigured — a stack has no thread of its
+/// own, so a swap spawns and joins nothing. Nothing on the reconfiguration
+/// or teardown path waits out a timer: a reader is woken by
+/// [`Transport::close`].
 ///
 /// What a renegotiation changes — the running stack, its graph and
 /// parameters, the resource grant — changes as one record, under one lock
 /// (`connection.state`), which is never held across a wait, a join or
-/// transport I/O. Besides it there is only the receive thread's slot
-/// (`connection.uplink`), which that thread holds while it runs a frame up
-/// the modules: a sender never waits behind it.
+/// transport I/O. Besides it there is only the receive side's slot
+/// (`connection.uplink`), which the turn holder holds while it runs a frame
+/// up the modules: a sender never waits behind it.
 pub struct Connection {
     running: OrderedMutex<Running, rank::ConnectionState>,
     pump: RxPump,
@@ -48,8 +53,8 @@ pub struct Connection {
     transport: Arc<dyn Transport>,
     catalog: MechanismCatalog,
     opts: RuntimeOptions,
-    /// Closed by [`Connection::close`], or by the peer (the receive thread
-    /// read the transport's end); shared with the receive thread.
+    /// Closed by [`Connection::close`], or by the peer (a turn holder read
+    /// the transport's end); shared with the receive side.
     closed: Arc<AtomicBool>,
 }
 
@@ -126,7 +131,7 @@ impl Connection {
 
     /// Like [`Connection::establish_with_qos`], but with explicit runtime
     /// options — in particular a telemetry registry the stack and the
-    /// receive thread report into. The options survive
+    /// receive side report into. The options survive
     /// [`Connection::reconfigure`], so a reconfigured stack keeps feeding
     /// the same registry.
     pub fn establish_with_qos_opts(
@@ -208,7 +213,7 @@ impl Connection {
         self.running.lock(Locked::root()).0.stack.endpoint().clone()
     }
 
-    /// Has the receive thread call `sink` with everything that reaches the
+    /// Has the holder of the receive turn call `sink` with everything that reaches the
     /// top of the stack from now on, instead of queueing it for
     /// [`AppEndpoint::recv`]. The sink is the connection's, not a stack's:
     /// it stays through every reconfiguration, where an endpoint ends with
@@ -217,6 +222,23 @@ impl Connection {
     /// thread.
     pub fn set_sink(&self, sink: Arc<dyn Sink>) {
         self.pump.set_sink(sink);
+    }
+
+    /// Lets a thread waiting for a reply read the connection itself
+    /// (leader/followers): see [`RxPump::read_turn`].
+    pub fn read_turn(
+        &self,
+        held: &mut Locked<Unlocked>,
+        deadline: Instant,
+        done: &dyn Fn(&mut Locked<Unlocked>) -> bool,
+    ) -> bool {
+        self.pump.read_turn(held, deadline, done)
+    }
+
+    /// Hands the receive loop's demand to whoever waits for replies: see
+    /// [`RxPump::hand_over_demand`].
+    pub fn hand_over_demand(&self) -> Arc<ReadDemand> {
+        self.pump.hand_over_demand()
     }
 
     /// The module graph currently running.
@@ -236,9 +258,9 @@ impl Connection {
     /// Packets inside the old stack's module queues are dropped (callers
     /// quiesce first; the ORB re-negotiates QoS before reconfiguring, so
     /// the request/reply protocol above tolerates the gap). Frames the peer
-    /// puts on the wire during the swap are not: the receive thread holds
+    /// puts on the wire during the swap are not: the turn holder keeps
     /// them for the new stack. The swap itself is a record exchange under
-    /// the connection's lock and the receive thread's slot — no thread is
+    /// the connection's lock and the receive side's slot — no thread is
     /// spawned or joined, and nothing can fail once the graph has
     /// validated.
     ///
@@ -276,14 +298,13 @@ impl Connection {
         }
         let modules = instantiate(&new_graph, &params, &self.catalog)?;
         let new = build_stack(modules, self.transport.clone(), &self.opts);
-        // The receive thread parks on this guard with any frame it reads
+        // The turn holder parks on this guard with any frame it reads
         // meanwhile, and is out of the old stack once we hold it.
-        let (mut uplink, held) = self.pump.swap(held);
-        *uplink = Some(new.stack.clone());
+        let (uplink, held) = self.pump.swap(held, &new);
         running.graph = new_graph;
         running.params = params;
         // Stopped here, under the guard: the old endpoint's queue ends
-        // behind everything the receive thread delivered into it.
+        // behind everything the turn holder delivered into it.
         std::mem::replace(&mut running.stack, new).stack.stop(held);
         drop(uplink);
         Ok(())
@@ -339,10 +360,10 @@ impl Connection {
     }
 
     /// Tears the connection down: closes the transport — which ends the
-    /// receive threads' waits on both sides, so the peer learns of it
-    /// without being told — and stops the stack. Nothing is joined (this
-    /// may be the receive thread itself, closing from a [`Sink`] callback):
-    /// the receive thread is on its way out when this returns. Idempotent.
+    /// readers' waits on both sides, so the peer learns of it without being
+    /// told — and stops the stack. Nothing is joined (this may be the turn
+    /// holder itself, closing from a [`Sink`] callback): the receive loop
+    /// is on its way out when this returns. Idempotent.
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
         // Before the lock: the transport's close is I/O, and a swap
@@ -643,6 +664,72 @@ mod tests {
         let (drained, draining) = drainer.join().unwrap();
         assert!(!drained, "the window was still outstanding");
         assert!(draining < Duration::from_secs(2), "the drain outlived the close: {draining:?}");
+    }
+
+    /// A loopback transport whose timed receives wait 5 s whatever they
+    /// are asked for: only a wake ends one early.
+    struct SlowTicks(crate::tlayer::LoopbackTransport);
+
+    impl Transport for SlowTicks {
+        fn send(&self, frame: Bytes) -> Result<(), DacapoError> {
+            self.0.send(frame)
+        }
+        fn recv(&self) -> Result<Bytes, DacapoError> {
+            self.0.recv()
+        }
+        fn recv_timeout(&self, _timeout: Duration) -> Result<Bytes, DacapoError> {
+            self.0.recv_timeout(Duration::from_secs(5))
+        }
+        fn close(&self) {
+            self.0.close()
+        }
+        fn wake_receiver(&self) {
+            self.0.wake_receiver()
+        }
+        fn notify_arrival(&self, waker: Option<crate::tlayer::Waker>) -> bool {
+            self.0.notify_arrival(waker)
+        }
+        fn name(&self) -> &str {
+            "slow-ticks"
+        }
+    }
+
+    #[test]
+    fn a_hand_over_frees_the_turn_of_a_loop_blocked_in_a_receive_at_once() {
+        let catalog = MechanismCatalog::standard();
+        let (ta, tb) = loopback_pair();
+        let a = Connection::establish(ModuleGraph::empty(), ta, &catalog).unwrap();
+        let b = Connection::establish(ModuleGraph::empty(), SlowTicks(tb), &catalog).unwrap();
+        // A frame has come: `b`'s loop, not handed over, has delivered it
+        // and waits in a receive for the next one.
+        let (delivered, took) = std::sync::mpsc::channel();
+        b.set_sink(Arc::new(Tell(std::sync::Mutex::new(delivered))));
+        a.endpoint().send(Bytes::from_static(b"x")).unwrap();
+        took.recv_timeout(Duration::from_secs(5)).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let handed_over = std::time::Instant::now();
+        b.hand_over_demand();
+        let held = Locked::root();
+        while !b.read_turn(held, std::time::Instant::now(), &|_| true) {
+            std::thread::yield_now();
+        }
+        assert!(
+            handed_over.elapsed() < Duration::from_secs(2),
+            "the loop held the turn for {:?} after the hand-over",
+            handed_over.elapsed()
+        );
+        a.close();
+        b.close();
+    }
+
+    /// A sink that tells of each delivery.
+    struct Tell(std::sync::Mutex<std::sync::mpsc::Sender<()>>);
+
+    impl Sink for Tell {
+        fn deliver(&self, _payload: Bytes) {
+            let _ = self.0.lock().unwrap().send(());
+        }
+        fn closed(&self) {}
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   **mechanisms** implemented as modules. Modules exchange packet
 //!   pointers over message queues, as in the paper's Figure 6 — queues
 //!   behind one lock per stack rather than between threads ([`runtime`]):
-//!   a send runs the chain on the sender's thread, the connection's one
-//!   receive thread runs everything that comes off the wire.
+//!   a send runs the chain on the sender's thread, the holder of the
+//!   connection's receive turn runs everything that comes off the wire.
 //! * **Layer T** ([`tlayer`]) — generic transport infrastructure: loopback
 //!   queues, real TCP (the paper's T module encapsulates TCP), or a
 //!   `netsim` link standing in for the ATM testbed.

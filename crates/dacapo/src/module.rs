@@ -66,11 +66,11 @@ impl Outputs {
 /// Implementations are single-threaded: the runtime calls all methods of
 /// all modules of a stack one callback at a time, under that stack's lock —
 /// `process_down` on the thread that sends, `process_up` and `on_tick` on
-/// the connection's receive thread — so `&mut self` state needs no
+/// the holder of the connection's receive turn — so `&mut self` state needs no
 /// internal locking: the guarantee the paper's one-thread-per-module
 /// design gave, kept by a design with no thread per stack at all. A module
 /// must not block in a callback: it would hold up every module of its
-/// stack, the sender it runs on and the receive thread behind it.
+/// stack, the sender it runs on and the reader behind it.
 pub trait Module: Send {
     /// Short name for diagnostics (usually the mechanism id).
     fn name(&self) -> &str;

@@ -1,9 +1,10 @@
 //! Receive threads, kept for the next connection.
 //!
-//! A connection's receive thread — Da CaPo's [`RxPump`](crate::runtime::RxPump),
-//! the ORB's TCP reader — lives as long as its connection, and nothing
-//! joins it: it ends when its transport does, and the close that ends it
-//! may run on that very thread. Such a loop is handed to [`spawn`]. It runs
+//! A connection's receive loop — Da CaPo's
+//! [`RxPump`](crate::runtime::RxPump) and its wire writer, the ORB's TCP
+//! reader — lives as long as its connection, and nothing joins it: it ends
+//! when its transport does, and the close that ends it may run on that
+//! very thread. Such a loop is handed to [`spawn`]. It runs
 //! on a thread parked here by a loop that has returned; a thread is spawned
 //! only when none is parked. So a connection set up and torn down again —
 //! a binding made and shut down — costs no thread creation and exit once
@@ -18,6 +19,11 @@
 //! left no connection's sink callbacks marked as this thread's; a job with
 //! thread-local state of its own checks that before it returns. A job that panics ends its thread,
 //! which the pool never counted as parked.
+//!
+//! A connection's receive loop need not read all the time: whoever waits
+//! for a reply can read it itself (leader/followers). [`ReadDemand`] is how
+//! much the loop is wanted — the one such type for Da CaPo's connections
+//! and the ORB's TCP channels.
 
 use cool_telemetry::lockorder::{Locked, Unlocked};
 use parking_lot::{Condvar, Mutex};
@@ -130,6 +136,137 @@ impl Pool {
                 job = slot.job.lock();
             }
         }
+    }
+}
+
+/// How much a connection's pooled receive loop is wanted.
+///
+/// Until [`ReadDemand::hand_over`] the loop always reads: a server's end, a
+/// pull-mode end. After it, whoever waits for a reply reads the connection
+/// itself when nobody else is, and the loop reads only while some reply is
+/// owed to a thread that is not reading — a deferred reply nobody waits for
+/// yet, a `notify` callback, a caller that found another thread reading, a
+/// drain or a sender waiting for the peer's acknowledgements. Each holds an
+/// [`Owed`] for as long as it waits; the loop parks while none does, unless
+/// [`ReadDemand::nudge`]d to look at something else it may be wanted for.
+pub struct ReadDemand {
+    state: Mutex<DemandState>,
+    changed: Condvar,
+}
+
+struct DemandState {
+    owed: usize,
+    handed_over: bool,
+    /// The loop has been asked to look again.
+    nudged: bool,
+    closed: bool,
+}
+
+/// One reply (or drain) owed to a connection's receive loop; dropping it
+/// releases the demand.
+#[must_use = "the demand ends when this is dropped"]
+pub struct Owed(Arc<ReadDemand>);
+
+impl Drop for Owed {
+    fn drop(&mut self) {
+        self.0.state.lock().owed -= 1;
+    }
+}
+
+impl Default for ReadDemand {
+    fn default() -> Self {
+        ReadDemand::new()
+    }
+}
+
+impl ReadDemand {
+    /// A loop that reads until handed over.
+    pub fn new() -> Self {
+        ReadDemand {
+            state: Mutex::new(DemandState {
+                owed: 0,
+                handed_over: false,
+                nudged: false,
+                closed: false,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// From now on the loop reads only while something is owed to it.
+    pub fn hand_over(&self) {
+        self.state.lock().handed_over = true;
+    }
+
+    /// One more reply owed to the loop; the first wakes it. Raised under
+    /// the lock the loop checks before it parks, so no wake-up is lost.
+    pub fn raise(self: &Arc<Self>) -> Owed {
+        let mut st = self.state.lock();
+        st.owed += 1;
+        if st.owed == 1 {
+            self.changed.notify_one();
+        }
+        Owed(Arc::clone(self))
+    }
+
+    /// Whether the loop should be reading now for a reply owed to it.
+    pub fn wanted(&self) -> bool {
+        let st = self.state.lock();
+        !st.handed_over || st.owed > 0
+    }
+
+    /// Wakes the parked loop to look again at whether it is wanted for
+    /// something this type does not count. Remembered until it does.
+    pub fn nudge(&self) {
+        self.state.lock().nudged = true;
+        self.changed.notify_one();
+    }
+
+    /// Whether the demand has been handed over.
+    pub fn is_handed_over(&self) -> bool {
+        self.state.lock().handed_over
+    }
+
+    /// Parks the loop until it is wanted, nudged, or — if given — `recheck`
+    /// has passed; `false` once the connection has closed.
+    pub fn park_until_wanted(&self, recheck: Option<Duration>) -> bool {
+        self.park(recheck, true)
+    }
+
+    /// Parks a loop that has nothing to read yet until it is nudged — by
+    /// its transport when something arrives — a reply is owed to it, or
+    /// `recheck` has passed, whether or not the demand has been handed
+    /// over; `false` once the connection has closed.
+    pub fn park_until_nudged(&self, recheck: Option<Duration>) -> bool {
+        self.park(recheck, false)
+    }
+
+    /// `wanted_until_handed_over`: a demand not yet handed over ends the
+    /// wait at once.
+    fn park(&self, recheck: Option<Duration>, wanted_until_handed_over: bool) -> bool {
+        let deadline = recheck.map(|after| Instant::now() + after);
+        let mut st = self.state.lock();
+        while !st.closed
+            && (st.handed_over || !wanted_until_handed_over)
+            && st.owed == 0
+            && !std::mem::take(&mut st.nudged)
+        {
+            match deadline {
+                None => self.changed.wait(&mut st),
+                Some(deadline) => {
+                    if self.changed.wait_until(&mut st, deadline).timed_out() {
+                        break;
+                    }
+                }
+            }
+        }
+        !st.closed
+    }
+
+    /// The connection is gone: the loop stops parking and ends.
+    pub fn close(&self) {
+        self.state.lock().closed = true;
+        self.changed.notify_all();
     }
 }
 

@@ -13,11 +13,13 @@
 //! * **down** on the sender's thread: [`AppEndpoint::send`] takes the stack
 //!   lock, runs the packet module by module to the bottom, and writes what
 //!   arrives there to the transport;
-//! * **up**, and the protocol timer, on the connection's one receive
-//!   thread ([`RxPump`]), which runs every frame it reads through whichever
-//!   stack is installed and then — holding nothing — hands the payloads to
-//!   the application: to the connection's [`Sink`] if one is installed,
-//!   into the endpoint's queue otherwise.
+//! * **up**, and the protocol timer, on whichever thread holds the
+//!   connection's receive turn ([`RxPump`]): a thread waiting for a reply,
+//!   which reads it itself, or the connection's loop on a pooled thread.
+//!   The holder runs every frame it reads through whichever stack is
+//!   installed and then — holding nothing — hands the payloads to the
+//!   application: to the connection's [`Sink`] if one is installed, into
+//!   the endpoint's queue otherwise.
 //!
 //! A packet crosses the whole chain without a thread handoff in either
 //! direction, and a stack swap spawns and joins nothing. What that gives
@@ -31,16 +33,16 @@
 //!    application callback. Frames bound for the wire go to an in-order
 //!    deque under the lock and are written after it is released, under a
 //!    separate **writer lock** that senders wait for — a full wire is
-//!    their backpressure. **What the modules answer, the receive thread
-//!    never writes**: a [`Transport::send`] may block for as long as the
-//!    peer does not read, and two ends whose receive threads both sat in
-//!    one — each with an acknowledgement for the other — would wait for
-//!    each other for good. What a frame or a tick makes the modules send —
-//!    an acknowledgement, a retransmission, a packet a window let go — the
-//!    receive thread leaves in the deque: for the sender that holds the
-//!    writer lock at that moment (it looks at the deque again after
-//!    unlocking), else for the connection's `WireWriter`, a thread
-//!    started the first time that happens. So the receive thread keeps
+//!    their backpressure. **What the modules answer, the turn holder never
+//!    writes**: a [`Transport::send`] may block for as long as the peer
+//!    does not read, and two ends whose readers both sat in one — each
+//!    with an acknowledgement for the other — would wait for each other for
+//!    good. What a frame or a tick makes the modules send — an
+//!    acknowledgement, a retransmission, a packet a window let go — the
+//!    turn holder leaves in the deque: for the sender that holds the writer
+//!    lock at that moment (it looks at the deque again after unlocking),
+//!    else for the connection's `WireWriter`, a job on the receive-thread
+//!    pool started the first time that happens. So the turn holder keeps
 //!    draining the wire whatever this side's senders are stuck on; it waits
 //!    for module work and for its [`Sink`]'s callbacks, nothing else. (A
 //!    callback that *sends* is a sender: its frames it does write, if
@@ -50,22 +52,24 @@
 //!    `try_send` refuses) — that is how the IRQ configuration throttles
 //!    Figure 9's sender, and what the stack buffers is one packet's
 //!    fan-out. The exception is a send from inside a delivery (the reply
-//!    of a request the receive thread ran to completion): the
-//!    acknowledgement that frees the window arrives on that very thread,
-//!    so its packet queues behind what stands and the send returns.
-//! 3. Only the receive thread delivers, so what the application sees is in
-//!    wire order, and nothing joins that thread: `close` can run on it (a
-//!    sink reacting to the peer's close) or on a thread it is waiting for.
-//!    It is a thread of the receive-thread pool ([`crate::pool`], named
-//!    `conn-rx`): when the transport ends, the loop returns and the thread
-//!    parks for the next connection's loop, so setting a connection up
-//!    and tearing it down again spawns no thread once one is parked.
+//!    of a request the turn holder ran to completion): the acknowledgement
+//!    that frees the window arrives on that very thread, so its packet
+//!    queues behind what stands and the send returns.
+//! 3. Only the holder of the receive turn delivers, and one thread holds it
+//!    at a time, so what the application sees is in wire order; and nothing
+//!    joins a reader: `close` can run on the turn holder (a sink reacting
+//!    to the peer's close) or on a thread it is waiting for. The
+//!    connection's loop is a job of the receive-thread pool ([`crate::pool`],
+//!    named `conn-rx`): when the transport ends, the loop returns and the
+//!    thread parks for the next connection's loop, so setting a connection
+//!    up and tearing it down again spawns no thread once one is parked.
 
 use crate::alayer::AppEndpoint;
 use crate::module::{Module, Outputs};
 use crate::packet::{Packet, PacketKind};
+use crate::pool::ReadDemand;
 use crate::stats::ThroughputMeter;
-use crate::tlayer::Transport;
+use crate::tlayer::{Transport, Waker};
 use crate::DacapoError;
 use bytes::Bytes;
 use cool_telemetry::flight::event as flight_event;
@@ -78,12 +82,12 @@ use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Interval between [`Module::on_tick`] callbacks. This is a protocol
 /// timer (it drives ARQ retransmission), *not* a data-path poll: a frame
-/// wakes the receive thread at once. It runs by deadline, checked after
+/// wakes the turn holder at once. It runs by deadline, checked after
 /// every frame, so traffic cannot starve it.
 const TICK_INTERVAL: Duration = Duration::from_millis(20);
 
@@ -130,12 +134,12 @@ impl ModuleTelemetry {
 /// Quiescence bookkeeping shared by everything that touches a stack's
 /// packets: a count of the packets inside the stack, and a generation
 /// counter bumped whenever a thread has finished moving packets through it
-/// (a send, a frame or tick on the receive thread, a receive by the
+/// (a send, a frame or tick under the receive turn, a receive by the
 /// application), so [`StackHandle::drain`] — and a sender waiting behind a
 /// stalled module — can park in a condvar instead of sleep-polling.
 ///
 /// A packet is *inside* from the moment a sender is about to queue it
-/// (application send, receive thread) until it has left for good (handed to
+/// (application send, turn holder) until it has left for good (handed to
 /// the transport, received by the application, consumed by a module) — so
 /// also while a module holds it between two queues, which looking at the
 /// queues alone would miss: a drain that saw them all empty at that moment
@@ -188,7 +192,7 @@ impl QuiesceSignal {
     }
 
     /// Waits for a pulse newer than `seen`, however long that takes: for a
-    /// sender behind a stalled module. The receive thread pulses after
+    /// sender behind a stalled module. The turn holder pulses after
     /// every event — an acknowledgement that ran the queues dry, the
     /// transport's end — and so do [`Stack::stop`] and a failed write.
     fn wait_for_room(&self, seen: u64) {
@@ -199,13 +203,14 @@ impl QuiesceSignal {
     }
 }
 
-/// Where a connection's receive thread hands what it brings to the top of
+/// Where the holder of a connection's receive turn hands what it brings to the top of
 /// the stack, when the application would rather be called than pull from
 /// [`AppEndpoint::recv`]. Installed with [`crate::Connection::set_sink`]; it
 /// belongs to the connection, not to a stack, and survives reconfiguration.
 ///
-/// Both callbacks run on the receive thread, one at a time and in wire
-/// order, with no lock of the connection held — so a callback may send on
+/// Both callbacks run on the holder of the receive turn — a thread
+/// waiting for a reply, or the connection's loop — one at a time and in
+/// wire order, with no lock of the connection held — so a callback may send on
 /// the connection and may close it. While a callback runs, nothing else of
 /// the connection's receive side does: no frame is read, no acknowledgement
 /// processed, no protocol timer fires. So it must not block on something
@@ -239,8 +244,8 @@ pub trait Sink: Send + Sync {
 type SinkSlot = Mutex<Option<Arc<dyn Sink>>>;
 
 thread_local! {
-    /// The connection whose [`Sink`] callbacks this thread runs — its
-    /// receive thread, for as long as the receive loop runs, or a thread
+    /// The connection whose [`Sink`] callbacks this thread runs — the
+    /// holder of its receive turn, for as long as it reads, or a thread
     /// replaying the endpoint's queue in [`RxPump::set_sink`] — named by
     /// its transport ([`transport_id`]), which outlives every stack; 0 on
     /// any other thread.
@@ -266,11 +271,11 @@ pub(crate) fn receiving_for<R>(transport: &Arc<dyn Transport>, f: impl FnOnce() 
     out
 }
 
-/// What the receive thread brings to a stack.
+/// What the holder of the receive turn brings to a stack.
 enum RxEvent {
     /// A frame off the wire.
     Frame(Bytes),
-    /// The protocol timer, this long after the receive thread started.
+    /// The protocol timer, this long after the receive side started.
     Tick(Duration),
     /// The transport reported its end.
     WireEnded,
@@ -299,19 +304,19 @@ struct Chain {
     /// writer lock takes them to the transport.
     wire: VecDeque<Packet>,
     /// Payloads (and the close sentinel) that reached the top, in order,
-    /// until the receive thread takes them to the application.
+    /// until the turn holder takes them to the application.
     top: Vec<Packet>,
     /// The endpoint's queue. Dropped when the stack stops, so the queue
     /// *ends* behind what it holds; a delivery in flight keeps a clone
     /// until it is done.
     to_app: Option<Sender<Packet>>,
-    /// The receive thread has read the transport's end: nothing will come
+    /// The turn holder has read the transport's end: nothing will come
     /// up any more — no acknowledgement either — so nothing goes down.
     wire_ended: bool,
 }
 
 /// A module stack bound to a transport: everything its endpoint, its
-/// handle and the connection's receive thread share.
+/// handle and the connection's receive side share.
 pub(crate) struct Stack {
     chain: OrderedMutex<Chain, rank::StackChain>,
     /// Held while writing to the transport; its content is the writer's
@@ -329,6 +334,10 @@ pub(crate) struct Stack {
     /// failed write, or when the close sentinel is delivered.
     transport_dead: AtomicBool,
     pub(crate) from_stack: Receiver<Packet>,
+    /// The demand on the receive loop of the connection the stack is
+    /// installed on: a drain, and a sender behind a stalled module, wait
+    /// for what only a reader brings.
+    demand: OnceLock<Arc<ReadDemand>>,
     pub(crate) tx_meter: Arc<ThroughputMeter>,
     pub(crate) rx_meter: Arc<ThroughputMeter>,
     wire_tx: Option<(Arc<Counter>, Arc<Counter>)>,
@@ -482,7 +491,7 @@ impl Stack {
         payload: Bytes,
         wait: bool,
     ) -> Result<(), DacapoError> {
-        // The caller is this connection's own receive thread, in a sink
+        // The caller holds this connection's receive turn, in a sink
         // callback: no send may keep that thread waiting for something only
         // it can bring.
         let own_thread = RECEIVING_FOR.with(Cell::get) == transport_id(&self.transport);
@@ -522,13 +531,13 @@ impl Stack {
                 return Err(DacapoError::Timeout(Duration::ZERO));
             }
             match seen.take() {
-                Some(seen) => self.quiesce.wait_for_room(seen),
+                Some(seen) => self.with_a_reader(|| self.quiesce.wait_for_room(seen)),
                 None => seen = Some(self.quiesce.generation()),
             }
         }
     }
 
-    /// Hands the frames the receive thread queued for the wire in
+    /// Hands the frames the turn holder queued for the wire in
     /// [`Stack::run_up`], and must not write itself, to a thread that may
     /// block — unless one has them already.
     fn leave_wire_to(self: &Arc<Self>, held: &mut Locked<Unlocked>, writer: &Arc<WireWriter>) {
@@ -546,7 +555,7 @@ impl Stack {
 
     /// Writes what stands for the wire, in order. `wait`: queue up behind
     /// another writer (a sender's backpressure); otherwise leave the frames
-    /// to it — it looks again after unlocking. The receive thread gets here
+    /// to it — it looks again after unlocking. The turn holder gets here
     /// only with what a sink callback sent, never with what the modules
     /// answered.
     fn flush_wire(&self, held: &mut Locked<Unlocked>, wait: bool) {
@@ -597,7 +606,7 @@ impl Stack {
 
     /// The wire no longer takes what the application sends: tell it now —
     /// sends fail from here on — and close the transport, which wakes this
-    /// side's receive thread to carry the close sentinel up behind whatever
+    /// side's reader to carry the close sentinel up behind whatever
     /// has arrived.
     fn wire_failed(&self, why: &str) {
         self.transport_dead.store(true, Ordering::Release);
@@ -608,7 +617,7 @@ impl Stack {
         self.quiesce.pulse();
     }
 
-    /// One event on the receive thread run through the chain. What reaches
+    /// One event under the receive turn run through the chain. What reaches
     /// the top is appended to `tops`; what reaches the bottom stays in the
     /// wire deque. Returns, if there is something to deliver, the endpoint's
     /// queue for [`Stack::deliver`] — taken while the stack was certainly
@@ -708,7 +717,7 @@ impl Stack {
         self.quiesce.pulse();
     }
 
-    /// Nothing enters the stack any more: sends fail, the receive thread
+    /// Nothing enters the stack any more: sends fail, the turn holder
     /// passes it by, senders waiting behind a stalled module are released,
     /// a drain returns and the endpoint's queue ends behind what it holds.
     /// Waits for whoever is inside the chain to come out. Idempotent.
@@ -720,16 +729,25 @@ impl Stack {
         self.quiesce.pulse();
     }
 
+    /// Whether every module reports no deferred state.
+    fn modules_idle(&self) -> bool {
+        self.idle.iter().all(|f| f.load(Ordering::Acquire))
+    }
+
     /// See [`StackHandle::is_quiescent`].
     fn is_quiescent(&self) -> bool {
-        self.quiesce.is_empty() && self.idle.iter().all(|f| f.load(Ordering::Acquire))
+        self.quiesce.is_empty() && self.modules_idle()
     }
 
     /// See [`StackHandle::drain`]. A stopped stack moves nothing any more:
-    /// the wait ends there, with whether it was left empty.
+    /// the wait ends there, with whether it was left empty. While a module
+    /// waits for an acknowledgement, the connection's receive loop reads it.
     pub(crate) fn drain(&self, timeout: Duration) -> bool {
+        if self.is_quiescent() {
+            return true;
+        }
         let deadline = Instant::now() + timeout;
-        loop {
+        self.with_a_reader(|| loop {
             // Generation before the check: a pulse landing between the
             // check and the wait advances it, so the wait returns
             // immediately rather than missing the wakeup.
@@ -740,7 +758,26 @@ impl Stack {
             if self.stopped() || !self.quiesce.wait_newer(seen, deadline) {
                 return self.is_quiescent();
             }
+        })
+    }
+
+    /// Runs `waiting`, for something a module's deferred state makes only
+    /// a reader bring (an acknowledgement), with the connection's receive
+    /// loop wanted meanwhile; then, if it is wanted no more, wakes it out
+    /// of its receive, to give the turn back to whoever waits for a reply
+    /// next. With every module idle, reading brings nothing the wait is
+    /// for: the loop stays parked.
+    fn with_a_reader<R>(&self, waiting: impl FnOnce() -> R) -> R {
+        let Some(demand) = self.demand.get().filter(|_| !self.modules_idle()) else {
+            return waiting();
+        };
+        let owed = demand.raise();
+        let out = waiting();
+        drop(owed);
+        if !demand.wanted() {
+            self.transport.wake_receiver();
         }
+        out
     }
 }
 
@@ -800,17 +837,19 @@ impl Drop for StackHandle {
     }
 }
 
-/// The thread that writes what the connection's receive thread must not
-/// (rule 1 of the module header): one per connection at most, started the
-/// first time the modules answer what the receive thread brought them with
-/// no sender there to take the answer to the wire — a connection over a
-/// graph that acknowledges nothing never has one — and, like the receive
-/// thread, there for as long as the transport is, whatever stacks come and
-/// go. The receive thread owns it and joins it on its way out.
+/// What writes the frames a holder of the receive turn must not (rule 1 of
+/// the module header): a job on [`crate::pool`], started the first time the
+/// modules answer what the turn holder brought them with no sender there to
+/// take the answer to the wire — a connection over a graph that
+/// acknowledges nothing never has one — and there for as long as the
+/// transport is, whatever stacks come and go. Whoever takes the
+/// transport's end up the stack stops it and waits for it to return.
 struct WireWriter {
     transport: Arc<dyn Transport>,
     state: Mutex<WriterState>,
     work: Condvar,
+    /// Signalled when the job returns.
+    finished: Condvar,
 }
 
 #[derive(Default)]
@@ -820,7 +859,8 @@ struct WriterState {
     /// has been stopped, and what a stopped stack still held is dropped
     /// wherever it stands ([`crate::Connection::reconfigure`]).
     stack: Option<Arc<Stack>>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    /// The job is on the pool and has not returned.
+    running: bool,
     /// The transport has ended: nothing can be written any more.
     ended: bool,
 }
@@ -831,10 +871,11 @@ impl WireWriter {
             transport,
             state: Mutex::default(),
             work: Condvar::new(),
+            finished: Condvar::new(),
         })
     }
 
-    /// Has the writer thread write what stands in `stack`'s wire deque,
+    /// Has the writer job write what stands in `stack`'s wire deque,
     /// starting it if this is the first time. If it cannot be started the
     /// frames can never leave: that is a failed wire.
     fn write_for(self: &Arc<Self>, stack: Arc<Stack>) {
@@ -842,19 +883,14 @@ impl WireWriter {
         if state.ended {
             return;
         }
-        if state.thread.is_none() {
+        if !state.running {
             let writer = self.clone();
-            let spawned = std::thread::Builder::new()
-                .name("dacapo-t-wr".into())
-                .spawn(move || writer.write_loop(Locked::root()));
-            match spawned {
-                Ok(thread) => state.thread = Some(thread),
-                Err(e) => {
-                    drop(state);
-                    stack.wire_failed(&format!("spawn dacapo-t-wr: {e}"));
-                    return;
-                }
+            if let Err(e) = crate::pool::spawn(move |held| writer.write_loop(held)) {
+                drop(state);
+                stack.wire_failed(&format!("start the wire writer: {e}"));
+                return;
             }
+            state.running = true;
         }
         state.stack = Some(stack);
         self.work.notify_one();
@@ -866,6 +902,8 @@ impl WireWriter {
                 let mut state = self.state.lock();
                 loop {
                     if state.ended {
+                        state.running = false;
+                        self.finished.notify_all();
                         return;
                     }
                     if let Some(stack) = state.stack.take() {
@@ -879,55 +917,99 @@ impl WireWriter {
         }
     }
 
-    /// The transport has ended: ends the writer thread, and waits for it.
-    /// Called by the receive thread as the last thing it does — nothing
-    /// waits for *that* thread, so a write that does not return holds up
-    /// nobody.
+    /// The transport has ended: ends the writer job, and waits for it to
+    /// return. A write still blocked on the ended transport returns once
+    /// this side is closed as well.
     fn stop(&self) {
-        let thread = {
-            let mut state = self.state.lock();
-            state.ended = true;
-            state.stack = None;
-            self.work.notify_one();
-            state.thread.take()
-        };
-        if let Some(thread) = thread {
-            // A write still blocked on the ended transport returns once
-            // this side is closed as well.
+        let mut state = self.state.lock();
+        state.ended = true;
+        state.stack = None;
+        self.work.notify_one();
+        if state.running {
             self.transport.close();
-            let _ = thread.join();
+            while state.running {
+                self.finished.wait(&mut state);
+            }
         }
     }
 }
 
-/// The connection's receive thread: one per transport, for as long as the
+/// A connection's receive side: one per transport, for as long as the
 /// transport lives (a [`crate::Connection`] owns it), whatever stacks come
-/// and go above it — a loop run on a thread of [`crate::pool`], which
-/// parks for the next connection when the loop returns. It waits in
-/// [`Transport::recv_timeout`] — woken by a frame, by [`Transport::close`]
-/// on either side, or by the next protocol tick — and runs each frame up
-/// whichever stack is installed in its slot, under the slot's lock: a swap
-/// waits for the frame in hand, and a frame read during a swap goes to the
-/// new stack instead of dying with the old. Then, the lock released, it
-/// delivers. It never writes to the transport (the module header, rule 1).
+/// and go above it.
 ///
-/// Nothing joins this loop. It returns as soon as the transport ends, but
-/// `shutdown` can run on its thread itself (a [`Sink`] closing its
-/// connection when the peer has) and on a thread it is waiting for (a sink
-/// blocked on a full dispatch queue whose one worker is closing the
-/// connection).
+/// Reading is a *turn*, held by one thread at a time, so what comes off
+/// the wire goes up the stack and into the application in wire order. The
+/// holder waits in [`Transport::recv_timeout`] — woken by a frame, by
+/// [`Transport::close`] on either side, or by the next protocol tick, which
+/// it runs — and runs each frame up whichever stack is installed in the
+/// slot, under the slot's lock: a swap waits for the frame in hand, and a
+/// frame read during a swap goes to the new stack instead of dying with the
+/// old. Then, the lock released, it delivers. It never writes what the
+/// modules answer (the module header, rule 1).
+///
+/// Two kinds of thread hold the turn (leader/followers):
+///
+/// * a thread waiting for a reply ([`RxPump::read_turn`]) takes it if it is
+///   free, and reads until its reply is in or its deadline passes — so a
+///   lone synchronous caller reads its own reply and no other thread of
+///   its side wakes;
+/// * the connection's loop, run on a thread of [`crate::pool`], holds it
+///   for as long as it is wanted: always until the demand is handed over
+///   ([`RxPump::hand_over_demand`]); after that while a reply is owed to a
+///   thread that is not reading ([`ReadDemand`]), while a drain or a sender
+///   behind a stalled module waits, or while a module is not idle (an ARQ
+///   window, a reorder buffer: the protocol timer must run). Otherwise it
+///   parks on the demand, never in a receive. Until its transport reports
+///   a first arrival ([`Transport::notify_arrival`]: loopback, netsim) a
+///   new loop waits there too, so a binding that hands the demand over
+///   right after connecting finds no receive to end; a hand-over wakes one
+///   blocked in a loopback or netsim receive at once
+///   ([`Transport::wake_receiver`]), one on TCP at its next tick. An end
+///   whose stack has modules looks again at every tick while parked.
+///
+/// Whoever reads the transport's end runs `on_closed`, takes the close
+/// sentinel up the stack, stops the connection's wire writer and releases
+/// the loop, which returns. Nothing joins the loop: `shutdown` can run on
+/// its thread itself (a [`Sink`] closing its connection when the peer has)
+/// and on a thread it is waiting for (a sink blocked on a full dispatch
+/// queue whose one worker is closing the connection).
 pub struct RxPump {
+    side: Arc<RxSide>,
+}
+
+/// What the turn holders and the loop share.
+struct RxSide {
     transport: Arc<dyn Transport>,
-    slot: Arc<OrderedMutex<Option<Arc<Stack>>, rank::ConnectionUplink>>,
-    sink: Arc<SinkSlot>,
+    slot: OrderedMutex<Option<Arc<Stack>>, rank::ConnectionUplink>,
+    sink: SinkSlot,
+    /// The receive turn: whoever holds it reads the transport.
+    turn: Mutex<Turn>,
+    demand: Arc<ReadDemand>,
+    writer: Arc<WireWriter>,
+    wire: Option<(Arc<Counter>, Arc<Counter>)>,
+}
+
+/// What the holder of the receive turn reads with.
+struct Turn {
+    /// The protocol timer's origin.
+    start: Instant,
+    next_tick: Instant,
+    /// What reached the top of the stack, until delivered; kept for its
+    /// capacity.
+    tops: Vec<Packet>,
+    /// Run by whoever reads the transport's end.
+    on_closed: Option<Box<dyn FnOnce() + Send>>,
+    /// The transport's end has gone up the stack: nothing more to read.
+    ended: bool,
 }
 
 impl RxPump {
     /// Starts the receive loop on `transport`, running `stack`, on a parked
-    /// thread of [`crate::pool`] or a new one. When the transport reports
-    /// its end (closed by either side, I/O error) the loop runs
-    /// `on_closed`, then sends the close sentinel up the current stack,
-    /// joins the connection's writer thread if it has one, and returns.
+    /// thread of [`crate::pool`] or a new one. Whoever reads the
+    /// transport's end (closed by either side, I/O error) runs `on_closed`,
+    /// then sends the close sentinel up the current stack and stops the
+    /// connection's wire writer; then the loop returns.
     ///
     /// # Errors
     ///
@@ -939,123 +1021,270 @@ impl RxPump {
         telemetry: Option<&Registry>,
         on_closed: impl FnOnce() + Send + 'static,
     ) -> Result<Self, DacapoError> {
-        let pump = RxPump {
-            slot: Arc::new(OrderedMutex::new(Some(stack.stack.clone()))),
-            sink: Arc::new(SinkSlot::default()),
+        let demand = Arc::new(ReadDemand::new());
+        let _ = stack.stack.demand.set(demand.clone());
+        let start = Instant::now();
+        let side = Arc::new(RxSide {
+            slot: OrderedMutex::new(Some(stack.stack.clone())),
+            sink: SinkSlot::default(),
+            turn: Mutex::new(Turn {
+                start,
+                next_tick: start + TICK_INTERVAL,
+                tops: Vec::new(),
+                on_closed: Some(Box::new(on_closed)),
+                ended: false,
+            }),
+            demand,
+            writer: WireWriter::new(transport.clone()),
+            wire: telemetry.map(|r| wire_counters(r, "rx")),
             transport,
-        };
-        let wire = telemetry.map(|r| wire_counters(r, "rx"));
-        let (transport, slot, sink) = (pump.transport.clone(), pump.slot.clone(), pump.sink.clone());
-        let writer = WireWriter::new(transport.clone());
-        crate::pool::spawn(move |held| {
-            receiving_for(&transport, || {
-                rx_pump_loop(held, &*transport, &slot, &sink, &writer, wire, on_closed)
-            })
-        })
-        .map_err(|e| DacapoError::Runtime(format!("spawn a receive thread: {e}")))?;
-        Ok(pump)
+        });
+        let looping = side.clone();
+        crate::pool::spawn(move |held| looping.serve(held))
+            .map_err(|e| DacapoError::Runtime(format!("spawn a receive thread: {e}")))?;
+        Ok(RxPump { side })
     }
 
-    /// Locks the slot for a stack swap. While the guard is held the
-    /// receive thread parks with the frame it has just read; once it
-    /// drops, that frame and every later one go up the stack the guard
-    /// left behind (`None` drops them).
+    /// Installs `stack` for a stack swap and hands back the slot, locked.
+    /// While the guard is held the holder of the receive turn parks with
+    /// the frame it has just read; once it drops, that frame and every
+    /// later one go up `stack`.
     pub(crate) fn swap<'a>(
         &'a self,
         held: &'a mut Locked<rank::ConnectionState>,
+        stack: &StackHandle,
     ) -> (
         OrderedMutexGuard<'a, Option<Arc<Stack>>>,
         &'a mut Locked<rank::ConnectionUplink>,
     ) {
-        self.slot.lock(held)
+        let _ = stack.stack.demand.set(self.side.demand.clone());
+        let (mut slot, uplink) = self.side.slot.lock(held);
+        *slot = Some(stack.stack.clone());
+        (slot, uplink)
     }
 
     /// Installs the connection's sink. What the current stack's endpoint
     /// queue already holds goes to the sink first, in order, on the calling
-    /// thread (with the receive thread held off: those callbacks must not
-    /// install a sink themselves); everything after that on the receive
-    /// thread.
+    /// thread (with the turn holder's deliveries held off: those callbacks
+    /// must not install a sink themselves); everything after that on the
+    /// holder of the receive turn.
     pub fn set_sink(&self, sink: Arc<dyn Sink>) {
-        let mut slot = self.sink.lock();
-        // The receive thread queues under the sink lock: nothing can be
-        // added behind what is replayed here.
-        let current = self.slot.lock(Locked::root()).0.clone();
+        let side = &*self.side;
+        let mut slot = side.sink.lock();
+        // The turn holder queues under the sink lock: nothing can be added
+        // behind what is replayed here.
+        let current = side.slot.lock(Locked::root()).0.clone();
         if let Some(stack) = current {
             // The acknowledgement a callback's send might wait for cannot
-            // get past the lock held here: this thread sends as the
-            // receive thread does.
-            receiving_for(&self.transport, || {
+            // get past the lock held here: this thread sends as the turn
+            // holder does.
+            receiving_for(&side.transport, || {
                 stack.hand_to(&*sink, stack.from_stack.try_iter())
             });
         }
         *slot = Some(sink);
     }
 
-    /// Closes the transport — which ends the receive thread, wherever it
-    /// waits — and takes the stack out of its reach.
+    /// Lets a thread waiting for a reply read the connection itself: if no
+    /// other thread holds the receive turn, takes it and reads, runs due
+    /// ticks and delivers every frame until `done(held)` holds, `deadline`
+    /// passes or the transport ends, and returns `true`. Returns `false` at
+    /// once when another thread holds the turn, or the transport's end has
+    /// been read. With a `deadline` already past it takes in only what has
+    /// arrived, without blocking. What the turn leaves undone — a module
+    /// not idle — the loop takes up.
+    pub fn read_turn(
+        &self,
+        held: &mut Locked<Unlocked>,
+        deadline: Instant,
+        done: &dyn Fn(&mut Locked<Unlocked>) -> bool,
+    ) -> bool {
+        let side = &*self.side;
+        let Some(mut turn) = side.turn.try_lock() else {
+            return false;
+        };
+        if turn.ended {
+            return false;
+        }
+        side.read(held, &mut turn, Some(deadline), &mut |held| done(held));
+        let ended = turn.ended;
+        drop(turn);
+        if !ended && side.busy(held) {
+            side.demand.nudge();
+        }
+        true
+    }
+
+    /// Hands the loop's demand to whoever waits for replies: from now on
+    /// the loop reads only while something is owed to it or a module is
+    /// not idle, and a waiting thread reads for itself
+    /// ([`RxPump::read_turn`]). A loop blocked in a receive is woken to
+    /// give up its turn.
+    pub fn hand_over_demand(&self) -> Arc<ReadDemand> {
+        self.side.demand.hand_over();
+        // A loop still waiting for its first arrival needs no more waking.
+        self.side.transport.notify_arrival(None);
+        // A turn that is free has no receive to end: whoever takes it
+        // next looks at the demand first.
+        if self.side.turn.try_lock().is_none() {
+            self.side.transport.wake_receiver();
+        }
+        self.side.demand.clone()
+    }
+
+    /// Closes the transport — which ends every wait in a receive and
+    /// releases the loop — and takes the stack out of the turn holder's
+    /// reach.
     pub fn shutdown(&self) {
-        self.transport.close();
-        self.slot.lock(Locked::root()).0.take();
+        self.side.transport.close();
+        self.side.slot.lock(Locked::root()).0.take();
+        self.side.demand.close();
     }
 }
 
-fn rx_pump_loop(
-    held: &mut Locked<Unlocked>,
-    transport: &dyn Transport,
-    slot: &OrderedMutex<Option<Arc<Stack>>, rank::ConnectionUplink>,
-    sink: &SinkSlot,
-    writer: &Arc<WireWriter>,
-    wire: Option<(Arc<Counter>, Arc<Counter>)>,
-    on_closed: impl FnOnce(),
-) {
-    let mut tops = Vec::new();
-    // One event in three steps: up the installed stack under the slot
-    // lock; then — the lock released — what that brought to the top into
-    // the application; then what it brought to the bottom to a writer. In
-    // that order, so that a callback that answers what it is given takes
-    // the acknowledgement along with its answer and no other thread wakes.
-    let mut upcall = |held: &mut Locked<Unlocked>, event: RxEvent| {
+impl RxSide {
+    /// The pooled loop: reads while it is wanted, parks while it is not,
+    /// and returns once the transport's end has been read — to the pool,
+    /// which has its thread serve the next connection.
+    fn serve(&self, held: &mut Locked<Unlocked>) {
+        let wanted = |held: &mut Locked<Unlocked>| self.demand.wanted() || self.busy(held);
+        self.await_first_arrival(held);
+        loop {
+            // Looked at before parking: what ended the wait for a first
+            // arrival — a turn's nudge above all — is not seen twice.
+            let open = wanted(held) || {
+                let recheck = self.has_modules(held).then_some(TICK_INTERVAL);
+                let open = self.demand.park_until_wanted(recheck);
+                if open && !wanted(held) {
+                    continue;
+                }
+                open
+            };
+            let mut turn = self.turn.lock();
+            if open {
+                self.read(held, &mut turn, None, &mut |held| !wanted(held));
+            } else {
+                // Closed: the transport is, so the read ends at once.
+                self.read(held, &mut turn, None, &mut |_| false);
+            }
+            if turn.ended {
+                return;
+            }
+        }
+    }
+
+    /// Until something arrives, a loop whose transport reports arrivals
+    /// waits on its demand, not in a receive: a binding that hands the
+    /// demand over meanwhile — which it does right after the connection is
+    /// made — then finds nothing to wake, and the loop stays parked. One
+    /// that has not been handed over reads from the first arrival on, as
+    /// it would have from the start.
+    fn await_first_arrival(&self, held: &mut Locked<Unlocked>) {
+        let demand = self.demand.clone();
+        let waker: Waker = Box::new(move || demand.nudge());
+        if self.demand.is_handed_over() || !self.transport.notify_arrival(Some(waker)) {
+            return;
+        }
+        // Handed over since the look above: the hand-over may have
+        // disarmed nothing yet.
+        if !self.demand.is_handed_over() {
+            let recheck = self.has_modules(held).then_some(TICK_INTERVAL);
+            self.demand.park_until_nudged(recheck);
+        }
+        self.transport.notify_arrival(None);
+    }
+
+    /// Whether a module of the installed stack holds deferred state.
+    fn busy(&self, held: &mut Locked<Unlocked>) -> bool {
+        let (installed, _) = self.slot.lock(held);
+        installed.as_ref().is_some_and(|stack| !stack.modules_idle())
+    }
+
+    /// Whether the installed stack has a module at all.
+    fn has_modules(&self, held: &mut Locked<Unlocked>) -> bool {
+        let (installed, _) = self.slot.lock(held);
+        installed.as_ref().is_some_and(|stack| !stack.idle.is_empty())
+    }
+
+    /// Reads and runs up the stack, under the turn, until `done(held)`
+    /// holds, `deadline` passes or the transport's end has been read; the
+    /// protocol timer runs by deadline, checked after every event, so
+    /// traffic cannot starve it.
+    fn read(
+        &self,
+        held: &mut Locked<Unlocked>,
+        turn: &mut Turn,
+        deadline: Option<Instant>,
+        done: &mut dyn FnMut(&mut Locked<Unlocked>) -> bool,
+    ) {
+        receiving_for(&self.transport, || {
+            while !turn.ended && !done(held) {
+                let now = Instant::now();
+                if now >= turn.next_tick {
+                    turn.next_tick = now + TICK_INTERVAL;
+                    let since = now - turn.start;
+                    self.upcall(held, turn, RxEvent::Tick(since));
+                }
+                let until = match deadline {
+                    Some(deadline) => deadline.min(turn.next_tick),
+                    None => turn.next_tick,
+                };
+                match self.transport.recv_timeout(until.saturating_duration_since(now)) {
+                    Ok(frame) => {
+                        if let Some((frames, bytes)) = &self.wire {
+                            frames.inc();
+                            bytes.add(frame.len() as u64);
+                        }
+                        self.upcall(held, turn, RxEvent::Frame(frame));
+                    }
+                    Err(DacapoError::Timeout(_)) => {
+                        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                            return;
+                        }
+                    }
+                    Err(_) => self.end(held, turn),
+                }
+            }
+        });
+    }
+
+    /// One event in three steps: up the installed stack under the slot
+    /// lock; then — the lock released — what that brought to the top into
+    /// the application; then what it brought to the bottom to a writer. In
+    /// that order, so that a callback that answers what it is given takes
+    /// the acknowledgement along with its answer and no other thread wakes.
+    fn upcall(&self, held: &mut Locked<Unlocked>, turn: &mut Turn, event: RxEvent) {
         let (stack, to_app, owes_a_writer) = {
-            let (installed, uplink) = slot.lock(held);
+            let (installed, uplink) = self.slot.lock(held);
             let Some(stack) = installed.as_ref() else {
                 return;
             };
-            let (to_app, owes_a_writer) = stack.run_up(uplink, event, &mut tops);
+            let (to_app, owes_a_writer) = stack.run_up(uplink, event, &mut turn.tops);
             if to_app.is_none() && !owes_a_writer {
                 return;
             }
             (stack.clone(), to_app, owes_a_writer)
         };
         if let Some(to_app) = to_app {
-            stack.deliver(&mut tops, &to_app, sink);
+            stack.deliver(&mut turn.tops, &to_app, &self.sink);
         }
         if owes_a_writer {
-            stack.leave_wire_to(held, writer);
-        }
-    };
-    let start = Instant::now();
-    let mut next_tick = start + TICK_INTERVAL;
-    loop {
-        let now = Instant::now();
-        if now >= next_tick {
-            next_tick = now + TICK_INTERVAL;
-            upcall(held, RxEvent::Tick(now - start));
-        }
-        match transport.recv_timeout(next_tick - now) {
-            Ok(frame) => {
-                if let Some((frames, bytes)) = &wire {
-                    frames.inc();
-                    bytes.add(frame.len() as u64);
-                }
-                upcall(held, RxEvent::Frame(frame));
-            }
-            Err(DacapoError::Timeout(_)) => {}
-            Err(_) => break,
+            stack.leave_wire_to(held, &self.writer);
         }
     }
-    on_closed();
-    upcall(held, RxEvent::WireEnded);
-    writer.stop();
+
+    /// The transport has ended: `on_closed`, the close sentinel up the
+    /// stack behind everything that arrived, the wire writer stopped, and
+    /// the loop released.
+    fn end(&self, held: &mut Locked<Unlocked>, turn: &mut Turn) {
+        turn.ended = true;
+        if let Some(on_closed) = turn.on_closed.take() {
+            on_closed();
+        }
+        self.upcall(held, turn, RxEvent::WireEnded);
+        self.writer.stop();
+        self.demand.close();
+    }
 }
 
 fn wire_counters(registry: &Registry, dir: &str) -> (Arc<Counter>, Arc<Counter>) {
@@ -1072,7 +1301,7 @@ pub fn build_stack(
     transport: Arc<dyn Transport>,
     opts: &RuntimeOptions,
 ) -> StackHandle {
-    // lint: allow(A005, §7.4: filled by the receive thread at the pace of the wire and drained by the app endpoint; the receive thread must never block on the application)
+    // lint: allow(A005, §7.4: filled by the turn holder at the pace of the wire and drained by the app endpoint; the turn holder must never block on the application)
     let (to_app, from_stack) = unbounded::<Packet>();
     let stages: Vec<Stage> = modules
         .into_iter()
@@ -1106,6 +1335,7 @@ pub fn build_stack(
         quiesce: QuiesceSignal::default(),
         transport_dead: AtomicBool::new(false),
         from_stack,
+        demand: OnceLock::new(),
         tx_meter: Arc::new(ThroughputMeter::new()),
         rx_meter: Arc::new(ThroughputMeter::new()),
         wire_tx: opts.telemetry.as_deref().map(|r| wire_counters(r, "tx")),

@@ -23,16 +23,21 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// What [`Transport::notify_arrival`] calls.
+pub type Waker = Box<dyn FnOnce() + Send>;
+
 /// A frame-oriented point-to-point transport.
 ///
 /// Implementations must be thread-safe: the runtime calls `send` from
 /// whichever thread sends on the connection and from the connection's
-/// writer thread (one at a time, under the stack's writer lock),
-/// `recv_timeout` from the connection's receive thread, concurrently, and
+/// writer job (one at a time, under the stack's writer lock),
+/// `recv_timeout` from the holder of the connection's receive turn,
+/// concurrently, [`Transport::wake_receiver`] from a thread handing the
+/// turn's demand over, and
 /// `close` from whichever thread tears the connection down. A `send` may
 /// block for as long as the peer does not read — a full wire is the
 /// sender's backpressure — and however little the transport buffers: the
-/// runtime never has the receive thread write what the modules answer
+/// runtime never has the turn holder write what the modules answer
 /// (acknowledgements, retransmissions), so the reading that empties the
 /// wire never waits for a write. Only an application that sends from
 /// inside a [`crate::Sink`] callback puts that thread in a `send`. A
@@ -74,6 +79,23 @@ pub trait Transport: Send + Sync + 'static {
     /// Idempotent.
     fn close(&self);
 
+    /// Ends the [`Transport::recv_timeout`] blocked on this side — or, if
+    /// none is, the next one — early with [`DacapoError::Timeout`], so that
+    /// its thread looks again at whether it should be reading at all. The
+    /// default does nothing: such a receive ends at its timeout.
+    fn wake_receiver(&self) {}
+
+    /// Has `waker` called once, outside any lock of the transport, when
+    /// this side next has something to receive — a frame, or the
+    /// transport's end — and at once if it has already; `None` disarms a
+    /// waker that has not fired. `false`, and `waker` dropped unrun, when
+    /// the transport cannot tell without a receive (the default): a thread
+    /// that wants to know must wait in one.
+    fn notify_arrival(&self, waker: Option<Waker>) -> bool {
+        drop(waker);
+        false
+    }
+
     /// Largest frame this transport can carry.
     fn mtu(&self) -> usize {
         usize::MAX
@@ -100,6 +122,14 @@ impl Transport for Box<dyn Transport> {
         (**self).close()
     }
 
+    fn wake_receiver(&self) {
+        (**self).wake_receiver()
+    }
+
+    fn notify_arrival(&self, waker: Option<Waker>) -> bool {
+        (**self).notify_arrival(waker)
+    }
+
     fn mtu(&self) -> usize {
         (**self).mtu()
     }
@@ -119,18 +149,38 @@ struct LoopbackWire {
     arrival: Condvar,
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct LoopbackWireState {
     queue: VecDeque<Bytes>,
     /// Either end closed the link: no more frames will be queued, and the
     /// receiver reads `Closed` once the queue is empty.
     closed: bool,
+    /// [`Transport::wake_receiver`] was called: the next timed receive
+    /// that finds no frame ends at once.
+    woken: bool,
+    /// [`Transport::notify_arrival`]'s waker, until a frame or the close.
+    on_arrival: Option<Waker>,
+}
+
+impl std::fmt::Debug for LoopbackWireState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LoopbackWireState")
+            .field("queued", &self.queue.len())
+            .field("closed", &self.closed)
+            .finish_non_exhaustive()
+    }
 }
 
 impl LoopbackWire {
     fn close(&self) {
-        self.state.lock().closed = true;
+        let mut st = self.state.lock();
+        st.closed = true;
+        let on_arrival = st.on_arrival.take();
+        drop(st);
         self.arrival.notify_all();
+        if let Some(waker) = on_arrival {
+            waker();
+        }
     }
 }
 
@@ -180,7 +230,7 @@ impl LoopbackTransport {
             match deadline {
                 None => self.rx.arrival.wait(&mut st),
                 Some((at, timeout)) => {
-                    if Instant::now() >= at {
+                    if std::mem::take(&mut st.woken) || Instant::now() >= at {
                         return Err(DacapoError::Timeout(timeout));
                     }
                     self.rx.arrival.wait_until(&mut st, at);
@@ -197,8 +247,12 @@ impl Transport for LoopbackTransport {
             return Err(DacapoError::Closed);
         }
         st.queue.push_back(frame);
+        let on_arrival = st.on_arrival.take();
         drop(st);
         self.tx.arrival.notify_one();
+        if let Some(waker) = on_arrival {
+            waker();
+        }
         Ok(())
     }
 
@@ -214,6 +268,24 @@ impl Transport for LoopbackTransport {
         self.closed.store(true, Ordering::Release);
         self.tx.close();
         self.rx.close();
+    }
+
+    fn wake_receiver(&self) {
+        self.rx.state.lock().woken = true;
+        self.rx.arrival.notify_all();
+    }
+
+    fn notify_arrival(&self, waker: Option<Waker>) -> bool {
+        let mut st = self.rx.state.lock();
+        let arrived = !st.queue.is_empty() || st.closed || self.closed.load(Ordering::Acquire);
+        match waker {
+            Some(waker) if arrived => {
+                drop(st);
+                waker();
+            }
+            waker => st.on_arrival = waker,
+        }
+        true
     }
 
     fn name(&self) -> &str {
@@ -672,6 +744,15 @@ impl Transport for NetsimTransport {
         self.endpoint.close();
     }
 
+    fn wake_receiver(&self) {
+        self.endpoint.wake_receiver();
+    }
+
+    fn notify_arrival(&self, waker: Option<Waker>) -> bool {
+        self.endpoint.notify_arrival(waker);
+        true
+    }
+
     fn mtu(&self) -> usize {
         self.endpoint.spec().mtu()
     }
@@ -999,6 +1080,49 @@ mod tests {
             .read_next(&mut Script::pieces([oversize]))
             .unwrap_err();
         assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    /// Arms `transport`'s arrival waker; the receiver tells whether it fired.
+    fn arm(transport: &dyn Transport) -> std::sync::mpsc::Receiver<()> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waker: Waker = Box::new(move || tx.send(()).unwrap());
+        assert!(transport.notify_arrival(Some(waker)));
+        rx
+    }
+
+    #[test]
+    fn an_arrival_waker_fires_once_on_a_frame_or_the_end_and_not_once_disarmed() {
+        let links = || {
+            let spec = netsim::LinkSpec::builder().propagation(Duration::ZERO).build();
+            let (ea, eb) = netsim::Link::real_time(spec.unwrap()).endpoints();
+            let netsim: (Box<dyn Transport>, Box<dyn Transport>) =
+                (Box::new(NetsimTransport::new(ea)), Box::new(NetsimTransport::new(eb)));
+            let (la, lb) = loopback_pair();
+            let loopback: (Box<dyn Transport>, Box<dyn Transport>) = (Box::new(la), Box::new(lb));
+            [loopback, netsim]
+        };
+        for (a, b) in links() {
+            let fired = arm(&*b);
+            assert!(fired.try_recv().is_err(), "{}: nothing has arrived", b.name());
+            a.send(Bytes::from_static(b"one")).unwrap();
+            fired.try_recv().unwrap();
+            // Something is there already: at once.
+            arm(&*b).try_recv().unwrap();
+            b.recv_timeout(Duration::from_secs(1)).unwrap();
+            // Disarmed: the next frame wakes nobody.
+            let disarmed = arm(&*b);
+            b.notify_arrival(None);
+            a.send(Bytes::from_static(b"two")).unwrap();
+            assert!(disarmed.try_recv().is_err(), "{}: a disarmed waker fired", b.name());
+            b.recv_timeout(Duration::from_secs(1)).unwrap();
+            // The end is an arrival too.
+            let fired = arm(&*b);
+            a.close();
+            fired.try_recv().unwrap();
+        }
+        // A transport that cannot tell says so.
+        let (a, _b) = tcp_pair();
+        assert!(!a.notify_arrival(Some(Box::new(|| {}))));
     }
 
     #[test]

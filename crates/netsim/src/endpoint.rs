@@ -81,6 +81,22 @@ impl Endpoint {
         self.rx.close_receiver();
     }
 
+    /// Ends a [`Endpoint::recv_timeout`] blocked on this endpoint — or, if
+    /// none is, the next one that finds nothing deliverable — with
+    /// [`NetSimError::Timeout`] at once. Under a virtual clock a receive
+    /// already sleeping towards its next event is not cut short.
+    pub fn wake_receiver(&self) {
+        self.rx.wake_receiver();
+    }
+
+    /// Has `waker` called once, outside any lock of the link, when a frame
+    /// is queued for this endpoint or its receive side ends — at once if
+    /// either has happened (a queued frame may not be due yet); `None`
+    /// disarms a waker that has not fired.
+    pub fn notify_arrival(&self, waker: Option<Box<dyn FnOnce() + Send>>) {
+        self.rx.notify_arrival(waker);
+    }
+
     /// The link spec shaping this endpoint's outgoing direction.
     pub fn spec(&self) -> &LinkSpec {
         self.tx.spec()

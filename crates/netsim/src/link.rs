@@ -47,7 +47,6 @@ pub(crate) struct Direction {
     stats: Arc<LinkStats>,
 }
 
-#[derive(Debug)]
 struct DirectionState {
     /// Frames in flight: `(deliver_at, frame)`, deliver_at monotone.
     in_flight: VecDeque<(Duration, Bytes)>,
@@ -58,7 +57,21 @@ struct DirectionState {
     /// Set by [`Direction::close_receiver`]: the receiving endpoint closed,
     /// so its own blocked receive returns and the peer's sends fail.
     receiver_closed: bool,
+    /// Set by [`Direction::wake_receiver`]: the next receive with a
+    /// deadline that has nothing to deliver returns its timeout at once.
+    woken: bool,
+    /// [`Direction::notify_arrival`]'s waker, until a frame or the end.
+    on_arrival: Option<Box<dyn FnOnce() + Send>>,
     rng: StdRng,
+}
+
+impl std::fmt::Debug for DirectionState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DirectionState")
+            .field("in_flight", &self.in_flight.len())
+            .field("receiver_closed", &self.receiver_closed)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Direction {
@@ -69,6 +82,8 @@ impl Direction {
                 next_free: Duration::ZERO,
                 last_delivery: Duration::ZERO,
                 receiver_closed: false,
+                woken: false,
+                on_arrival: None,
                 rng: StdRng::seed_from_u64(seed),
             }),
             spec,
@@ -88,15 +103,50 @@ impl Direction {
     pub(crate) fn mark_sender_gone(&self) {
         // Under the state lock, so a receiver between its check and its
         // wait cannot miss the wakeup.
-        let _st = self.state.lock();
+        let mut st = self.state.lock();
         self.sender_alive.store(false, Ordering::Release);
         self.arrival.notify_all();
+        let on_arrival = st.on_arrival.take();
+        drop(st);
+        if let Some(waker) = on_arrival {
+            waker();
+        }
     }
 
     /// The receiving endpoint closed: a receive blocked on this direction
     /// returns [`NetSimError::Disconnected`] at once, in flight or not.
     pub(crate) fn close_receiver(&self) {
-        self.state.lock().receiver_closed = true;
+        let mut st = self.state.lock();
+        st.receiver_closed = true;
+        let on_arrival = st.on_arrival.take();
+        drop(st);
+        self.arrival.notify_all();
+        if let Some(waker) = on_arrival {
+            waker();
+        }
+    }
+
+    /// Has `waker` called once, outside the lock, when a frame is queued
+    /// for this direction's receiver or the direction ends — at once if
+    /// either has happened; `None` disarms it.
+    pub(crate) fn notify_arrival(&self, waker: Option<Box<dyn FnOnce() + Send>>) {
+        let mut st = self.state.lock();
+        let arrived = !st.in_flight.is_empty()
+            || st.receiver_closed
+            || !self.sender_alive.load(Ordering::Acquire);
+        match waker {
+            Some(waker) if arrived => {
+                drop(st);
+                waker();
+            }
+            waker => st.on_arrival = waker,
+        }
+    }
+
+    /// Ends the receive with a deadline blocked on this direction (or the
+    /// next one) early, as if its deadline had passed.
+    pub(crate) fn wake_receiver(&self) {
+        self.state.lock().woken = true;
         self.arrival.notify_all();
     }
 
@@ -156,8 +206,12 @@ impl Direction {
             st.in_flight[last - 1].1 = tail;
             self.stats.record_reorder();
         }
+        let on_arrival = st.on_arrival.take();
         drop(st);
         self.arrival.notify_one();
+        if let Some(waker) = on_arrival {
+            waker();
+        }
         Ok(())
     }
 
@@ -187,7 +241,7 @@ impl Direction {
             }
             let head = st.in_flight.front().map(|(at, _)| *at);
             if let Some(d) = deadline {
-                if now >= d {
+                if std::mem::take(&mut st.woken) || now >= d {
                     return Err(NetSimError::Timeout(d));
                 }
             }

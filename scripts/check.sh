@@ -43,7 +43,10 @@ cargo test --release --offline --manifest-path ledger/Cargo.toml
 # connection, and still do once an object has been run on the delivery
 # thread and turned slow, is a claim about elapsed time — it has to hold
 # optimized as well. Beside it, who reads a TCP connection (leader and
-# followers): each of its tests guards a schedule, so it runs optimized too.
+# followers): each of its tests guards a schedule, so it runs optimized too,
+# and so does its Da CaPo twin, `dacapo_reading` (a lone caller reading
+# its own reply wakes no other thread; a go-back-n caller runs the
+# retransmission timer under its turn).
 # So do the binding's reply rendezvous tests, unit and integration: a reply
 # that lands at a caller's deadline, and every way a parked or reading
 # caller is released, depend on timing. And the channel-end table: a close
@@ -59,7 +62,7 @@ cargo test --release --offline --manifest-path ledger/Cargo.toml
 # drain.
 cargo test -q --release -p dacapo --test transport_contract --test end_to_end --test reconfigure_threads
 cargo test -q --release -p dacapo --lib -- connection
-cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow --test pipelining --test tcp_reading --test binding_unit --test channel_end --test receive_threads
+cargo test -q --release -p cool-orb --test dacapo_reclaim --test stream_end_of_flow --test pipelining --test tcp_reading --test dacapo_reading --test binding_unit --test channel_end --test receive_threads
 cargo test -q --release -p cool-orb --lib -- dacapo_chan binding exchange server
 # The heap allocations of a call, counted at the allocator, once more in
 # the optimized build the ledger measures.
