@@ -43,6 +43,11 @@
 #![forbid(unsafe_code)]
 
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "chorus-sim has no ranked lock and no lock-order token: a port receive is the \
+              simulated kernel's own blocking call, and the ORB's library code never makes it"
+)]
 
 pub mod error;
 pub mod message;

@@ -1,52 +1,23 @@
-//! Intra-crate call-graph construction and transitive effect summaries.
+//! The intra-crate call graph, which the shutdown-path rules (A007, A008)
+//! walk from the shutdown roots.
 //!
 //! Call edges resolve conservatively: a free call by unique name within
 //! the crate, `Type::name` against that type's methods, `self.name()`
 //! against the enclosing impl type. Plain method calls on other receivers
 //! (`conn.close()`) never resolve — receiver types are unknown at the
 //! token level — which is a documented under-approximation: cross-object
-//! effects are invisible, cross-crate edges do not exist.
+//! calls are invisible, cross-crate edges do not exist.
 
 use crate::facts::Workspace;
-use crate::parse::{CallKind, EventKind};
+use crate::parse::{Call, CallKind};
 use std::collections::HashMap;
 
 /// A function key: (file index in `Workspace::files`, fn index in that file).
 pub type FnKey = (usize, usize);
 
-/// Where a transitive effect bottoms out, for finding messages.
-#[derive(Debug, Clone)]
-pub struct Origin {
-    pub file: String,
-    pub line: u32,
-    /// Call chain from the summarised function down to the effect site,
-    /// e.g. `close_all -> drain_one`; empty for direct effects.
-    pub chain: Vec<String>,
-}
-
-impl Origin {
-    /// `via close_all -> drain_one, crates/x/src/a.rs:12` (or just the
-    /// location for direct effects).
-    pub fn describe(&self) -> String {
-        if self.chain.is_empty() {
-            format!("{}:{}", self.file, self.line)
-        } else {
-            format!("via {}, {}:{}", self.chain.join(" -> "), self.file, self.line)
-        }
-    }
-}
-
-/// Transitive effects of calling a function: the blocking operations it
-/// may perform, anywhere in its intra-crate call closure.
-#[derive(Debug, Default, Clone)]
-pub struct Summary {
-    pub blocks: HashMap<String, Origin>,
-}
-
 pub struct Graph {
-    /// Resolved callees per function, keyed by the call's token index.
-    pub edges: HashMap<FnKey, Vec<(usize, FnKey)>>,
-    pub summaries: HashMap<FnKey, Summary>,
+    /// Resolved callees per function.
+    pub edges: HashMap<FnKey, Vec<FnKey>>,
 }
 
 impl Graph {
@@ -72,14 +43,14 @@ impl Graph {
             }
         }
 
-        let mut edges: HashMap<FnKey, Vec<(usize, FnKey)>> = HashMap::new();
+        let mut edges: HashMap<FnKey, Vec<FnKey>> = HashMap::new();
         for (fi, file) in ws.files.iter().enumerate() {
             for (gi, f) in file.fns.iter().enumerate() {
                 let mut out = Vec::new();
-                for e in &f.events {
-                    let EventKind::Call { name, qual, kind } = &e.kind else {
-                        continue;
-                    };
+                for Call {
+                    name, qual, kind, ..
+                } in &f.calls
+                {
                     let target = match kind {
                         CallKind::Free => {
                             let hits = by_name.get(&(file.krate.clone(), name.clone()));
@@ -106,76 +77,16 @@ impl Graph {
                         }),
                         CallKind::Method => None,
                     };
-                    if let Some(t) = target {
-                        if t != (fi, gi) {
-                            out.push((e.tok, t));
-                        }
+                    if let Some(t) = target.filter(|&t| t != (fi, gi)) {
+                        out.push(t);
                     }
                 }
                 edges.insert((fi, gi), out);
             }
         }
 
-        // Fixpoint over effect summaries. Keys only ever gain entries and
-        // the key space is finite, so this terminates; first-writer-wins
-        // keeps each origin stable across iterations.
-        let mut summaries: HashMap<FnKey, Summary> = HashMap::new();
-        for (fi, file) in ws.files.iter().enumerate() {
-            for (gi, f) in file.fns.iter().enumerate() {
-                let mut s = Summary::default();
-                for e in &f.events {
-                    if let EventKind::Block { what } = &e.kind {
-                        s.blocks.entry(what.clone()).or_insert(Origin {
-                            file: file.rel.clone(),
-                            line: e.line,
-                            chain: Vec::new(),
-                        });
-                    }
-                }
-                summaries.insert((fi, gi), s);
-            }
-        }
-        loop {
-            let mut changed = false;
-            let keys: Vec<FnKey> = summaries.keys().copied().collect();
-            for key in keys {
-                let callees = edges.get(&key).cloned().unwrap_or_default();
-                for (_, callee) in callees {
-                    let callee_name = ws.files[callee.0].fns[callee.1].name.clone();
-                    let callee_sum = match summaries.get(&callee) {
-                        Some(s) => s.clone(),
-                        None => continue,
-                    };
-                    let mine = summaries.entry(key).or_default();
-                    for (what, origin) in callee_sum.blocks {
-                        mine.blocks.entry(what.clone()).or_insert_with(|| {
-                            changed = true;
-                            prefix(&callee_name, origin.clone())
-                        });
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        Graph { edges, summaries }
+        Graph { edges }
     }
-
-    /// The resolved target of the call event at `call_tok`, if any.
-    pub fn resolve_call(&self, caller: FnKey, call_tok: usize) -> Option<FnKey> {
-        self.edges
-            .get(&caller)?
-            .iter()
-            .find(|(tok, _)| *tok == call_tok)
-            .map(|&(_, t)| t)
-    }
-}
-
-fn prefix(callee: &str, mut origin: Origin) -> Origin {
-    origin.chain.insert(0, callee.to_owned());
-    origin
 }
 
 #[cfg(test)]
@@ -193,45 +104,34 @@ mod tests {
         )
     }
 
+    fn key(w: &Workspace, file: usize, name: &str) -> FnKey {
+        let fns = &w.files[file].fns;
+        (file, fns.iter().position(|f| f.name == name).expect("fn exists"))
+    }
+
     #[test]
-    fn summaries_propagate_transitively() {
+    fn self_calls_resolve_to_the_impl_type() {
         let w = ws(&[(
             "crates/app/src/lib.rs",
             "struct S;\n\
              impl S {\n\
-               fn leaf(&self) { rx.recv(); }\n\
-               fn mid(&self) { self.leaf(); }\n\
-               fn top(&self) { self.mid(); }\n\
+               fn leaf(&self) {}\n\
+               fn mid(&self) { self.leaf(); other.leaf(); }\n\
              }",
         )]);
         let g = Graph::build(&w);
-        let top = w.files[0]
-            .fns
-            .iter()
-            .position(|f| f.name == "top")
-            .expect("top exists");
-        let s = &g.summaries[&(0, top)];
-        let blk = s.blocks.get("recv").expect("recv reachable from top");
-        assert_eq!(blk.chain, vec!["mid".to_owned(), "leaf".to_owned()]);
+        assert_eq!(g.edges[&key(&w, 0, "mid")], [key(&w, 0, "leaf")]);
     }
 
     #[test]
     fn ambiguous_free_names_do_not_resolve() {
         let w = ws(&[
-            (
-                "crates/app/src/a.rs",
-                "fn helper() { rx.recv(); }\nfn caller() { helper(); }",
-            ),
+            ("crates/app/src/a.rs", "fn helper() {}\nfn caller() { helper(); }"),
             ("crates/app/src/b.rs", "fn helper() {}"),
         ]);
         let g = Graph::build(&w);
-        let caller = w.files[0]
-            .fns
-            .iter()
-            .position(|f| f.name == "caller")
-            .expect("caller exists");
         assert!(
-            g.summaries[&(0, caller)].blocks.is_empty(),
+            g.edges[&key(&w, 0, "caller")].is_empty(),
             "two `helper` fns in the crate: the free call must not resolve"
         );
     }

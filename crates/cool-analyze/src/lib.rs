@@ -4,10 +4,9 @@
 //! The binary (`cargo run -p cool-analyze`) reads and lexes every `.rs`
 //! file once. In that loop the per-file token rule (unbounded retry
 //! loops) runs on the token stream while the parser lifts it into a fact
-//! base (functions, call sites, ranked lock guards with their extent,
-//! metric-name constants); the whole-workspace rules then run
-//! over the facts and an intra-crate call graph with transitive effect
-//! summaries. [`rules`] has the table. Findings print as
+//! base (functions, call sites, blocking calls, spawns, channels,
+//! metric-name constants); the whole-workspace rules then run over the
+//! facts and an intra-crate call graph. [`rules`] has the table. Findings print as
 //! `file:line RULE message`; `--sarif-out` also writes them as SARIF for
 //! PR annotations. The exit code is the gate: 0 clean, 1 findings, 2 usage
 //! or I/O error. The one way to exempt a line is an inline

@@ -1,48 +1,43 @@
 //! Item-level parsing on top of the token scanner.
 //!
 //! [`crate::lexer::scan`] gives a comment/string-safe token stream; this
-//! module lifts it to the item level the interprocedural rules need:
-//! functions (with impl/trait qualification and body spans), call sites,
-//! blocking operations, and — the delicate part — the *liveness extent* of
-//! every ranked lock guard, following Rust's temporary-lifetime rules
-//! closely enough to tell `let (g, _) = x.lock(held);` (guard lives to the
-//! end of the block) from `x.lock(held).0.take();` (guard dies at the
-//! semicolon) from `if let Some(v) = x.lock(held).0.take()` (scrutinee
-//! temporaries live through the whole construct). A ranked guard is known
-//! by its acquisition alone: `cool_telemetry::lockorder::OrderedMutex::lock`
-//! takes a token, a plain mutex's `lock()` takes nothing.
+//! module lifts it to the item level the whole-workspace rules need:
+//! functions (with impl/trait qualification and body spans), their call
+//! sites, and the file-wide sites of blocking calls, condvar waits and
+//! notifies, spawns, channel constructions and error variants.
 //!
-//! Known soundness limits, by design (documented in DESIGN.md §7.3):
-//! closure bodies are not attributed to the defining function (a spawn
-//! callback does not run at its definition site), trait-object and
-//! non-`self` method calls are not resolved, and `match` arms without
-//! braces over-approximate a scrutinee guard to the end of the `match`.
+//! Known limits, by design (documented in DESIGN.md §7.3): closure bodies
+//! are not attributed to the defining function's calls (a spawn callback
+//! does not run at its definition site), and trait-object and non-`self`
+//! method calls are not resolved.
 
 use crate::lexer::{Scan, Tok, TokKind};
 use crate::source::{classify, in_regions, inline_allows, test_regions, Allow, FileRole};
 use std::collections::HashSet;
 
-/// Identifiers that block the calling thread when invoked. `join` is only
-/// counted with an empty argument list (`handle.join()`), which separates
-/// thread joins from `Path::join`/`str::join`.
+/// The functions of `cool_telemetry::blocking`, the one way library code
+/// blocks on a channel, condvar, join or connect (clippy denies the raw
+/// methods there): a call `blocking::name(..)` with one of these names is a
+/// blocking site. So is a method call named like one of its receives
+/// (`x.recv(..)`, `x.recv_timeout(..)`, `x.recv_deadline(..)`), on any
+/// receiver: a transport's, an endpoint's or an inbox's receive blocks
+/// too, and takes no token.
 pub const BLOCKING: &[&str] = &[
     "recv",
     "recv_timeout",
-    "wait",
-    "wait_timeout",
-    "wait_while",
-    "wait_timeout_while",
-    "wait_until",
-    "join",
-    "dial",
-    "connect",
-    "connect_timeout",
     "recv_deadline",
-    "connect_chorus",
-    "connect_dacapo",
-    "connect_chorus_with",
-    "connect_dacapo_with",
+    "wait_while",
+    "wait_while_until",
+    "join",
+    "connect_timeout",
 ];
+
+/// The receives among [`BLOCKING`], a site also as `x.name(..)`.
+const RECEIVES: &[&str] = &["recv", "recv_timeout", "recv_deadline"];
+
+/// The condvar waits among [`BLOCKING`]; their second argument is the
+/// condvar.
+const WAITS: &[&str] = &["wait_while", "wait_while_until"];
 
 /// How a call site names its callee, which decides resolvability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,26 +52,12 @@ pub enum CallKind {
     Method,
 }
 
-/// One semantic event inside a function body, in token order.
+/// A call site that may be resolvable to a workspace function.
 #[derive(Debug, Clone)]
-pub enum EventKind {
-    /// A token-taking `.lock(held)` on `recv` — a ranked lock; the guard
-    /// is live for tokens in `(tok, release]`.
-    Acquire { recv: String, release: usize },
-    /// A call site that may be resolvable to a workspace function.
-    Call {
-        name: String,
-        qual: Option<String>,
-        kind: CallKind,
-    },
-    /// A directly blocking operation ([`BLOCKING`]).
-    Block { what: String },
-}
-
-/// An event with its position.
-#[derive(Debug, Clone)]
-pub struct Event {
-    pub kind: EventKind,
+pub struct Call {
+    pub name: String,
+    pub qual: Option<String>,
+    pub kind: CallKind,
     pub tok: usize,
     pub line: u32,
 }
@@ -94,12 +75,14 @@ pub struct FnItem {
     /// trait-method declarations.
     pub body: Option<(usize, usize)>,
     /// True for functions inside `#[cfg(test)]` regions or test-like files;
-    /// A002 skips them.
+    /// the rules skip them.
     pub in_test: bool,
     /// Signature mentions `JoinHandle` — the function hands the spawned
     /// thread's handle to its caller, so A007 holds the caller responsible.
     pub sig_has_handle: bool,
-    pub events: Vec<Event>,
+    /// Call sites in the body, in token order (closures and nested fns
+    /// excluded).
+    pub calls: Vec<Call>,
 }
 
 /// The capacity argument of a bounded-channel constructor.
@@ -139,20 +122,15 @@ pub struct ChanCtor {
     pub in_test: bool,
 }
 
-/// One condvar wait site (the A006 fact). Collected at file scope — a wait
-/// inside a spawn closure is still a wait — so this is independent of the
-/// per-function event streams.
+/// One condvar wait site (the A006 fact), collected at file scope: a wait
+/// inside a spawn closure is still a wait.
 #[derive(Debug)]
 pub struct WaitSite {
-    /// Receiver ident (`self.cv.wait(..)` → `cv`). A006 only counts
-    /// receivers that bind a `Condvar` somewhere in the crate.
+    /// The condvar's ident (`blocking::wait_while(held, &self.cv, ..)` →
+    /// `cv`). A006 only counts idents that bind a `Condvar` somewhere in
+    /// the crate.
     pub recv: String,
-    /// `wait`, `wait_for`, `wait_until`, `wait_timeout`, `wait_while`,
-    /// `wait_timeout_while`.
-    pub method: String,
     pub line: u32,
-    /// Lexically inside a `loop`/`while`/`for` body.
-    pub in_loop: bool,
     pub in_test: bool,
 }
 
@@ -174,18 +152,16 @@ pub struct SpawnSite {
     pub fn_idx: Option<usize>,
 }
 
-/// One blocking call site *outside* every function's event stream — closure
-/// bodies, mostly (the A008 fact). A spawn callback blocks at run time, not
-/// where it is defined, so the per-function streams deliberately exclude
-/// these; the hang-freedom rule folds them back in under the label of the
-/// function that textually contains the closure.
+/// One blocking call site (the A007/A008 fact), closure bodies included: a
+/// spawn callback's block counts under the function that textually
+/// contains the closure.
 #[derive(Debug)]
-pub struct LooseBlock {
-    /// The [`BLOCKING`] identifier that was called.
+pub struct BlockSite {
+    /// The [`BLOCKING`] function that was called.
     pub what: String,
     pub line: u32,
-    /// Innermost function whose body textually contains the site.
-    pub fn_name: Option<String>,
+    /// Index into `ParsedFile::fns` of the innermost enclosing function.
+    pub fn_idx: Option<usize>,
     pub in_test: bool,
 }
 
@@ -205,8 +181,6 @@ pub struct VariantUse {
     /// Identifier tokens inside the `(..)`/`{..}` payload, for the
     /// static-vs-attributed payload distinction A010 draws.
     pub payload_idents: Vec<String>,
-    /// Field names of a struct-literal payload (`Timeout { request_id: .. }`).
-    pub fields: Vec<String>,
 }
 
 /// Everything the rules need from one `.rs` file.
@@ -241,8 +215,8 @@ pub struct ParsedFile {
     pub notifies: Vec<NotifySite>,
     /// Thread spawn sites (A007).
     pub spawns: Vec<SpawnSite>,
-    /// Blocking sites outside the per-fn event streams (A008).
-    pub loose_blocks: Vec<LooseBlock>,
+    /// Blocking call sites (A007/A008).
+    pub blocks: Vec<BlockSite>,
     /// `Type::name` uses with construction/pattern classification
     /// (L005/A010).
     pub variant_uses: Vec<VariantUse>,
@@ -312,7 +286,7 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
     for f in &mut fns {
         f.in_test = in_test_line(f.line);
     }
-    // Nested fn bodies are excluded from the enclosing fn's event stream.
+    // Nested fn bodies are excluded from the enclosing fn's calls.
     let bodies: Vec<(usize, usize)> = fns.iter().filter_map(|f| f.body).collect();
     for f in &mut fns {
         if let Some((open, close)) = f.body {
@@ -321,22 +295,21 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
                 .filter(|&&(a, b)| a > open && b < close)
                 .copied()
                 .collect();
-            f.events = body_events(toks, open, close, &nested, &macro_spans);
+            f.calls = body_calls(toks, open, close, &nested, &macro_spans);
         }
     }
 
     let chan_ctors = collect_chan_ctors(toks, &fns, &in_test_line, &in_macro);
     let int_consts = collect_int_consts(toks);
     let condvar_binders = collect_condvar_binders(toks);
-    let loops = loop_spans(toks);
-    let (waits, notifies) = collect_wait_notify(toks, &loops, &in_test_line, &in_macro);
+    let (waits, notifies) = collect_wait_notify(toks, &in_test_line, &in_macro);
     let spawns = collect_spawns(toks, &fns, &in_test_line, &in_macro);
     let metric_consts = if rel.ends_with("src/names.rs") {
         collect_metric_consts(toks)
     } else {
         Vec::new()
     };
-    let loose_blocks = collect_loose_blocks(toks, &fns, &in_test_line, &in_macro);
+    let blocks = collect_blocks(toks, &fns, &in_test_line, &in_macro);
     let variant_uses = collect_variant_uses(toks, &in_test_line, &in_macro);
     let orb_error_variants = if rel == "crates/cool-orb/src/error.rs" {
         collect_enum_variants(toks, "OrbError")
@@ -374,7 +347,7 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
         waits,
         notifies,
         spawns,
-        loose_blocks,
+        blocks,
         variant_uses,
         orb_error_variants,
     }
@@ -525,7 +498,7 @@ fn collect_fns(toks: &[Tok], macro_spans: &[(usize, usize)]) -> Vec<FnItem> {
                         body,
                         in_test: false,
                         sig_has_handle,
-                        events: Vec::new(),
+                        calls: Vec::new(),
                     });
                     // Continue *into* the body so nested fns are found too.
                     i = match body {
@@ -542,7 +515,7 @@ fn collect_fns(toks: &[Tok], macro_spans: &[(usize, usize)]) -> Vec<FnItem> {
 }
 
 /// Closure spans inside `(open, close)`: the body of `|args| ...` or
-/// `move |args| ...`. Events inside them are not attributed to the
+/// `move |args| ...`. Calls inside them are not attributed to the
 /// enclosing function.
 fn closure_spans(toks: &[Tok], open: usize, close: usize) -> Vec<(usize, usize)> {
     let mut spans: Vec<(usize, usize)> = Vec::new();
@@ -634,358 +607,77 @@ fn closure_spans(toks: &[Tok], open: usize, close: usize) -> Vec<(usize, usize)>
     spans
 }
 
-/// Extracts the event stream of one function body.
-fn body_events(
+/// Extracts the call sites of one function body.
+fn body_calls(
     toks: &[Tok],
     open: usize,
     close: usize,
     nested_fns: &[(usize, usize)],
     macro_spans: &[(usize, usize)],
-) -> Vec<Event> {
+) -> Vec<Call> {
     let closures = closure_spans(toks, open, close);
     let excluded = |idx: usize| {
-        nested_fns.iter().any(|&(a, b)| idx >= a && idx <= b)
-            || macro_spans.iter().any(|&(a, b)| idx >= a && idx <= b)
-            || closures.iter().any(|&(a, b)| idx >= a && idx <= b)
+        [nested_fns, macro_spans, &closures]
+            .iter()
+            .any(|spans| spans.iter().any(|&(a, b)| idx >= a && idx <= b))
     };
-
-    let mut events = Vec::new();
-    let mut k = open + 1;
-    while k < close {
-        if excluded(k) {
-            k += 1;
-            continue;
-        }
+    let mut calls = Vec::new();
+    for k in open + 1..close {
         let t = &toks[k];
-        if t.kind != TokKind::Ident {
-            k += 1;
+        // `ident (` not preceded by `fn` and not a macro (`ident !`).
+        if excluded(k)
+            || t.kind != TokKind::Ident
+            || is_keyword(&t.text)
+            || toks[k - 1].text == "fn"
+            || toks.get(k + 1).map(|t| t.text.as_str()) != Some("(")
+        {
             continue;
         }
         let prev = toks[k - 1].text.as_str();
-        let next = toks.get(k + 1).map(|t| t.text.as_str());
-        // Ranked guard acquisition: `.lock(held)`, handed a token.
-        if t.text == "lock"
-            && prev == "."
-            && next == Some("(")
-            && toks.get(k + 2).map(|t| t.text.as_str()) != Some(")")
-        {
-            let args_end = match_close(toks, k + 1);
-            let recv = &toks[k - 2];
-            if recv.kind == TokKind::Ident && !is_keyword(&recv.text) {
-                events.push(Event {
-                    kind: EventKind::Acquire {
-                        recv: recv.text.clone(),
-                        release: guard_release(toks, open, close, k, args_end),
-                    },
-                    tok: k,
-                    line: t.line,
-                });
-            }
-            k = args_end + 1;
-            continue;
-        }
-        // Calls and blocking operations: `ident (` not preceded by `fn`
-        // and not a macro (`ident !`).
-        if next == Some("(") && prev != "fn" && !is_keyword(&t.text) {
-            let name = t.text.clone();
-            if BLOCKING.contains(&name.as_str()) {
-                let zero_arg = toks.get(k + 2).map(|t| t.text.as_str()) == Some(")");
-                let counts = if name == "join" { zero_arg } else { true };
-                if counts {
-                    events.push(Event {
-                        kind: EventKind::Block { what: name },
-                        tok: k,
-                        line: t.line,
-                    });
-                    k += 1;
-                    continue;
-                }
+        let mut qual = None;
+        let kind = if prev == "." {
+            if toks[k - 2].text == "self" {
+                CallKind::SelfMethod
             } else {
-                let kind;
-                let mut qual = None;
-                if prev == "." {
-                    if toks[k - 2].text == "self" {
-                        kind = CallKind::SelfMethod;
-                    } else {
-                        kind = CallKind::Method;
-                    }
-                } else if prev == ":" && toks[k - 2].text == ":" {
-                    let q = &toks[k - 3];
-                    if q.kind == TokKind::Ident && !is_keyword(&q.text) {
-                        qual = Some(q.text.clone());
-                        kind = CallKind::Qualified;
-                    } else {
-                        kind = CallKind::Method; // `<T as Trait>::f(..)` etc.
-                    }
-                } else {
-                    kind = CallKind::Free;
-                }
-                events.push(Event {
-                    kind: EventKind::Call { name, qual, kind },
-                    tok: k,
-                    line: t.line,
-                });
+                CallKind::Method
             }
-        }
-        k += 1;
-    }
-    events.sort_by_key(|e| e.tok);
-    events
-}
-
-/// Where the guard acquired at token `k` (the `lock` ident, its argument
-/// list closing at `args_end`) dies, as a token index. See the module docs
-/// for the model.
-fn guard_release(
-    toks: &[Tok],
-    body_open: usize,
-    body_close: usize,
-    k: usize,
-    args_end: usize,
-) -> usize {
-    let stmt = stmt_start(toks, body_open, k);
-
-    // Construct scrutinee? Find the last construct keyword between the
-    // statement start and `k` with no `{` in between.
-    let mut construct: Option<usize> = None;
-    let mut j = stmt;
-    while j < k {
-        let t = &toks[j];
-        if t.kind == TokKind::Ident
-            && matches!(t.text.as_str(), "if" | "while" | "for" | "match")
-        {
-            construct = Some(j);
-        } else if t.text == "{" {
-            construct = None;
-        }
-        j += 1;
-    }
-    if let Some(c) = construct {
-        let is_let = toks.get(c + 1).map(|t| t.text.as_str()) == Some("let");
-        let word = toks[c].text.as_str();
-        if matches!(word, "if" | "while") && !is_let {
-            // Bare condition: temporaries drop when the condition has been
-            // evaluated, before the block runs.
-            return first_brace_after(toks, k, body_close);
-        }
-        // `if let` / `while let` / `for` / `match`: scrutinee temporaries
-        // live through the construct (if-else chains included).
-        let mut open = first_brace_after(toks, k, body_close);
-        if toks.get(open).map(|t| t.text.as_str()) != Some("{") {
-            return open;
-        }
-        let mut end = match_close(toks, open);
-        if word == "if" {
-            while toks.get(end + 1).map(|t| t.text.as_str()) == Some("else") {
-                open = first_brace_after(toks, end + 2, body_close);
-                if toks.get(open).map(|t| t.text.as_str()) != Some("{") {
-                    break;
-                }
-                end = match_close(toks, open);
+        } else if prev == ":" && toks[k - 2].text == ":" {
+            let q = &toks[k - 3];
+            if q.kind == TokKind::Ident && !is_keyword(&q.text) {
+                qual = Some(q.text.clone());
+                CallKind::Qualified
+            } else {
+                CallKind::Method // `<T as Trait>::f(..)` etc.
             }
-        }
-        return end;
-    }
-
-    let text = |i: usize| toks.get(i).map(|t| t.text.as_str());
-    let mut s = stmt;
-    if text(s) == Some("else") {
-        s += 1;
-    }
-    if text(s) == Some("let") {
-        let discard = text(s + 1) == Some("_") && text(s + 2) == Some("=");
-        // Is the guard itself the bound value? Only when the acquisition
-        // call is the tail of the initializer (`let (g, _) = x.lock(held);`,
-        // `let g = x.lock(held).0;`) and the receiver chain is not behind a
-        // deref (`let v = *x.lock(held).0;`).
-        let bound = match text(args_end + 1) {
-            Some(";") => true,
-            Some(".") => text(args_end + 2) == Some("0") && text(args_end + 3) == Some(";"),
-            _ => false,
+        } else {
+            CallKind::Free
         };
-        let derefed = chain_start_prefixed_by_star(toks, k);
-        if !discard && bound && !derefed {
-            return let_bound_release(toks, body_close, s, k);
-        }
+        calls.push(Call {
+            name: t.text.clone(),
+            qual,
+            kind,
+            tok: k,
+            line: t.line,
+        });
     }
-    // The value of a branch of an `if` chain that is a `let`'s initializer
-    // (`let (g, _) = if c { x.lock(held) } else { .. };`): bound by that
-    // `let`, not dead at the branch's brace.
-    if let Some(s) = branch_of_let(toks, body_open, stmt, args_end) {
-        if !chain_start_prefixed_by_star(toks, k) {
-            return let_bound_release(toks, body_close, s, k);
-        }
-    }
-    stmt_end(toks, body_close, k)
+    calls
 }
 
-/// Where a guard bound by the `let` at `s` (acquired at `k`) dies: at the
-/// end of the block the `let` is in, or at an explicit `drop(binder)`.
-fn let_bound_release(toks: &[Tok], body_close: usize, s: usize, k: usize) -> usize {
-    let text = |i: usize| toks.get(i).map(|t| t.text.as_str());
-    // The guard's name: `g` in `let [mut] g` or `let ([mut] g, ..)`.
-    let mut b = s + 1;
-    while matches!(text(b), Some("(" | "mut")) {
-        b += 1;
-    }
-    let binder = toks.get(b);
-    let end = enclosing_block_end(toks, body_close, s);
-    // An explicit `drop(binder)` releases early.
-    if let Some(b) = binder {
-        if b.kind == TokKind::Ident {
-            let mut j = k;
-            while j < end {
-                if toks[j].text == "drop"
-                    && text(j + 1) == Some("(")
-                    && text(j + 2) == Some(b.text.as_str())
-                    && text(j + 3) == Some(")")
-                {
-                    return j;
-                }
-                j += 1;
-            }
-        }
-    }
-    end
-}
-
-/// The `let` whose initializer is an `if` chain with a branch block ending
-/// in the acquisition whose statement starts at `stmt` (its argument list
-/// closing at `args_end`): the acquisition, or its `.0`, is the block's
-/// tail, and the block opens right before `stmt` at the top level of a
-/// `let PAT = if ..` statement.
-fn branch_of_let(toks: &[Tok], body_open: usize, stmt: usize, args_end: usize) -> Option<usize> {
-    let text = |i: usize| toks.get(i).map(|t| t.text.as_str());
-    let tail = match text(args_end + 1) {
-        Some("}") => true,
-        Some(".") => text(args_end + 2) == Some("0") && text(args_end + 3) == Some("}"),
-        _ => false,
-    };
-    let open = stmt.checked_sub(1)?;
-    if !tail || open <= body_open || text(open) != Some("{") {
-        return None;
-    }
-    let s = stmt_start(toks, body_open, open);
-    if text(s) != Some("let") {
-        return None;
-    }
-    let mut depth = 0i32;
-    let mut j = s + 1;
-    while j < open {
-        match toks[j].text.as_str() {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "=" if depth == 0 => return (text(j + 1) == Some("if")).then_some(s),
-            _ => {}
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Is the method-call chain containing token `k` prefixed by `*`
-/// (`*self.x.lock()`)? Then the guard is a temporary even in `let` form.
-fn chain_start_prefixed_by_star(toks: &[Tok], k: usize) -> bool {
-    let mut j = k - 1; // the `.` before lock
-    while j > 0 {
-        let t = &toks[j];
-        let chain = t.text == "." || t.text == "self" || (t.kind == TokKind::Ident && !is_keyword(&t.text));
-        if !chain {
-            break;
-        }
-        j -= 1;
-    }
-    toks[j].text == "*"
-}
-
-/// Start-of-statement token index for the statement containing `k`.
-fn stmt_start(toks: &[Tok], body_open: usize, k: usize) -> usize {
-    let mut paren = 0i32;
-    let mut brace = 0i32;
-    let mut j = k;
-    while j > body_open {
-        j -= 1;
-        match toks[j].text.as_str() {
-            ")" | "]" => paren += 1,
-            "(" | "[" => paren -= 1,
-            "}" => {
-                if brace == 0 {
-                    return j + 1; // previous statement ended with a block
-                }
-                brace += 1;
-            }
-            "{" => {
-                if brace == 0 {
-                    return j + 1; // enclosing block opens here
-                }
-                brace -= 1;
-            }
-            // Paren/bracket depth matters: `[u8; 4]` semicolons are not
-            // statement boundaries.
-            ";" if brace == 0 && paren == 0 => return j + 1,
-            _ => {}
-        }
-    }
-    body_open + 1
-}
-
-/// End of the statement containing `k`: the `;` (or closing `}` of the
-/// enclosing block) at relative depth zero.
-fn stmt_end(toks: &[Tok], body_close: usize, k: usize) -> usize {
-    let mut brace = 0i32;
-    let mut j = k;
-    while j < body_close {
-        j += 1;
-        match toks[j].text.as_str() {
-            "{" => brace += 1,
-            "}" => {
-                if brace == 0 {
-                    return j;
-                }
-                brace -= 1;
-            }
-            ";" if brace == 0 => return j,
-            _ => {}
-        }
-    }
-    body_close
-}
-
-/// Closing `}` of the block enclosing `k`.
-fn enclosing_block_end(toks: &[Tok], body_close: usize, k: usize) -> usize {
-    let mut brace = 0i32;
-    let mut j = k;
-    while j < body_close {
-        j += 1;
-        match toks[j].text.as_str() {
-            "{" => brace += 1,
-            "}" => {
-                if brace == 0 {
-                    return j;
-                }
-                brace -= 1;
-            }
-            _ => {}
-        }
-    }
-    body_close
-}
-
-/// First `{` at or after `from` (skipping parenthesized groups), else the
-/// position stopped at.
-fn first_brace_after(toks: &[Tok], from: usize, body_close: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = from;
-    while j <= body_close {
-        match toks[j].text.as_str() {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "{" if depth <= 0 => return j,
-            _ => {}
-        }
-        j += 1;
-    }
-    body_close
+/// The [`BLOCKING`] function called at token `k` (`blocking::name(`, or
+/// `.name(` for one of the [`RECEIVES`]), if it is one.
+fn blocking_call(toks: &[Tok], k: usize) -> Option<&str> {
+    let t = &toks[k];
+    let name = t.text.as_str();
+    let wrapper = k >= 3
+        && toks[k - 1].text == ":"
+        && toks[k - 2].text == ":"
+        && toks[k - 3].text == "blocking";
+    let method = k >= 1 && toks[k - 1].text == "." && RECEIVES.contains(&name);
+    (t.kind == TokKind::Ident
+        && BLOCKING.contains(&name)
+        && toks.get(k + 1).map(|t| t.text.as_str()) == Some("(")
+        && (wrapper || method))
+        .then_some(name)
 }
 
 /// `pub const NAME: &str = "value";` entries (telemetry metric names).
@@ -1209,74 +901,52 @@ fn collect_condvar_binders(toks: &[Tok]) -> HashSet<String> {
     out
 }
 
-/// Token spans of `loop`/`while`/`for` bodies. `for` only counts as a
-/// loop when an `in` appears before its body brace, which excludes
-/// `impl Trait for Type` headers and HRTB `for<'a>` bounds.
-fn loop_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || !matches!(t.text.as_str(), "loop" | "while" | "for") {
-            continue;
-        }
-        let open = first_brace_after(toks, i + 1, toks.len() - 1);
-        if toks.get(open).map(|t| t.text.as_str()) != Some("{") {
-            continue;
-        }
-        if t.text == "for"
-            && !toks[i + 1..open]
-                .iter()
-                .any(|t| t.kind == TokKind::Ident && t.text == "in")
-        {
-            continue;
-        }
-        spans.push((open, match_close(toks, open)));
-    }
-    spans
-}
-
-const WAIT_METHODS: &[&str] = &[
-    "wait",
-    "wait_for",
-    "wait_until",
-    "wait_timeout",
-    "wait_while",
-    "wait_timeout_while",
-];
-
-/// Condvar-shaped wait and notify call sites, collected whole-file so
-/// waits inside spawn closures are seen too.
+/// Condvar wait and notify call sites, collected whole-file so waits
+/// inside spawn closures are seen too.
 fn collect_wait_notify(
     toks: &[Tok],
-    loops: &[(usize, usize)],
     in_test_line: &dyn Fn(u32) -> bool,
     in_macro: &dyn Fn(usize) -> bool,
 ) -> (Vec<WaitSite>, Vec<NotifySite>) {
     let mut waits = Vec::new();
     let mut notifies = Vec::new();
     for (k, t) in toks.iter().enumerate() {
-        if k < 2
-            || in_macro(k)
-            || t.kind != TokKind::Ident
-            || toks[k - 1].text != "."
-            || toks.get(k + 1).map(|t| t.text.as_str()) != Some("(")
+        if in_macro(k) {
+            continue;
+        }
+        if blocking_call(toks, k).is_some_and(|what| WAITS.contains(&what)) {
+            // The condvar is the second argument: its last ident.
+            let close = match_close(toks, k + 1);
+            let mut depth = 0;
+            let mut arg = 0;
+            let mut recv = None;
+            for u in &toks[k + 2..close] {
+                match u.text.as_str() {
+                    "(" | "[" | "{" => depth += 1,
+                    ")" | "]" | "}" => depth -= 1,
+                    "," if depth == 0 => arg += 1,
+                    _ if arg == 1 && u.kind == TokKind::Ident && !is_keyword(&u.text) => {
+                        recv = Some(u.text.clone());
+                    }
+                    _ => {}
+                }
+            }
+            if let Some(recv) = recv {
+                waits.push(WaitSite {
+                    recv,
+                    line: t.line,
+                    in_test: in_test_line(t.line),
+                });
+            }
+        } else if k >= 2
+            && (t.text == "notify_one" || t.text == "notify_all")
+            && toks[k - 1].text == "."
+            && toks[k - 2].kind == TokKind::Ident
+            && !is_keyword(&toks[k - 2].text)
+            && toks.get(k + 1).map(|t| t.text.as_str()) == Some("(")
         {
-            continue;
-        }
-        let recv = &toks[k - 2];
-        if recv.kind != TokKind::Ident || is_keyword(&recv.text) {
-            continue;
-        }
-        if WAIT_METHODS.contains(&t.text.as_str()) {
-            waits.push(WaitSite {
-                recv: recv.text.clone(),
-                method: t.text.clone(),
-                line: t.line,
-                in_loop: loops.iter().any(|&(a, b)| k >= a && k <= b),
-                in_test: in_test_line(t.line),
-            });
-        } else if t.text == "notify_one" || t.text == "notify_all" {
             notifies.push(NotifySite {
-                recv: recv.text.clone(),
+                recv: toks[k - 2].text.clone(),
                 line: t.line,
                 in_test: in_test_line(t.line),
             });
@@ -1330,46 +1000,25 @@ fn collect_spawns(
     out
 }
 
-/// Blocking call sites *not* covered by any function's event stream —
-/// closure bodies handed to spawns, mostly. A008 folds these back in under
-/// the textually-enclosing function's label.
-fn collect_loose_blocks(
+/// Blocking call sites, closure bodies included, each with the innermost
+/// function that textually contains it.
+fn collect_blocks(
     toks: &[Tok],
     fns: &[FnItem],
     in_test_line: &dyn Fn(u32) -> bool,
     in_macro: &dyn Fn(usize) -> bool,
-) -> Vec<LooseBlock> {
-    let covered: HashSet<usize> = fns
-        .iter()
-        .flat_map(|f| f.events.iter())
-        .filter_map(|e| match e.kind {
-            EventKind::Block { .. } => Some(e.tok),
-            _ => None,
+) -> Vec<BlockSite> {
+    (0..toks.len())
+        .filter(|&k| !in_macro(k))
+        .filter_map(|k| {
+            Some(BlockSite {
+                what: blocking_call(toks, k)?.to_owned(),
+                line: toks[k].line,
+                fn_idx: enclosing_fn(fns, k),
+                in_test: in_test_line(toks[k].line),
+            })
         })
-        .collect();
-    let mut out = Vec::new();
-    for (k, t) in toks.iter().enumerate() {
-        if k == 0
-            || in_macro(k)
-            || covered.contains(&k)
-            || t.kind != TokKind::Ident
-            || !BLOCKING.contains(&t.text.as_str())
-            || toks.get(k + 1).map(|t| t.text.as_str()) != Some("(")
-            || toks[k - 1].text == "fn"
-        {
-            continue;
-        }
-        if t.text == "join" && toks.get(k + 2).map(|t| t.text.as_str()) != Some(")") {
-            continue;
-        }
-        out.push(LooseBlock {
-            what: t.text.clone(),
-            line: t.line,
-            fn_name: enclosing_fn(fns, k).map(|i| fns[i].name.clone()),
-            in_test: in_test_line(t.line),
-        });
-    }
-    out
+        .collect()
 }
 
 /// Token spans of `matches!(..)` invocations — everything inside is
@@ -1532,7 +1181,6 @@ fn collect_variant_uses(
             continue;
         }
         let mut payload_idents = Vec::new();
-        let mut fields = Vec::new();
         let mut after = name_idx + 1;
         match toks.get(name_idx + 1).map(|t| t.text.as_str()) {
             Some("(") => {
@@ -1560,21 +1208,12 @@ fn collect_variant_uses(
                     }
                 };
                 if shaped {
-                    for j in open + 1..close {
-                        if toks[j].kind != TokKind::Ident {
-                            continue;
-                        }
-                        payload_idents.push(toks[j].text.clone());
-                        let prev = toks[j - 1].text.as_str();
-                        let next = toks.get(j + 1).map(|t| t.text.as_str());
-                        let field_pos = prev == "{" || prev == ",";
-                        let named = next == Some(":")
-                            && toks.get(j + 2).map(|t| t.text.as_str()) != Some(":");
-                        let shorthand = next == Some(",") || next == Some("}");
-                        if field_pos && (named || shorthand) {
-                            fields.push(toks[j].text.clone());
-                        }
-                    }
+                    payload_idents.extend(
+                        toks[open + 1..close]
+                            .iter()
+                            .filter(|t| t.kind == TokKind::Ident)
+                            .map(|t| t.text.clone()),
+                    );
                     after = close + 1;
                 }
             }
@@ -1609,7 +1248,6 @@ fn collect_variant_uses(
             is_pattern,
             in_test: in_test_line(t.line),
             payload_idents,
-            fields,
         });
         k = name_idx + 1;
     }
@@ -1662,16 +1300,6 @@ mod tests {
         p.fns.iter().find(|f| f.name == name).unwrap()
     }
 
-    fn acquires(f: &FnItem) -> Vec<(&str, usize, usize)> {
-        f.events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::Acquire { recv, release } => Some((recv.as_str(), e.tok, *release)),
-                _ => None,
-            })
-            .collect()
-    }
-
     #[test]
     fn fns_and_impls_are_qualified() {
         let p = parsed(
@@ -1693,146 +1321,10 @@ mod tests {
     }
 
     #[test]
-    fn let_bound_guard_lives_to_block_end_and_drop_releases() {
-        let p = parsed(
-            "fn a(&self) { let (g, _) = self.x.lock(held); use_it(); }\n\
-             fn b(&self) { let (mut g, t) = self.x.lock(held); drop(g); after(); }\n\
-             fn c(&self) { let g = self.x.lock(held).0; use_it(); }",
-        );
-        let a = fn_named(&p, "a");
-        let (_, tok, rel) = acquires(a)[0];
-        let call = a
-            .events
-            .iter()
-            .find(|e| matches!(&e.kind, EventKind::Call { name, .. } if name == "use_it"))
-            .unwrap();
-        assert!(call.tok > tok && call.tok <= rel, "guard live at use_it");
-
-        let b = fn_named(&p, "b");
-        let (_, _, rel_b) = acquires(b)[0];
-        let after = b
-            .events
-            .iter()
-            .find(|e| matches!(&e.kind, EventKind::Call { name, .. } if name == "after"))
-            .unwrap();
-        assert!(after.tok > rel_b, "drop(g) released before after()");
-
-        let c = fn_named(&p, "c");
-        let (_, tok, rel) = acquires(c)[0];
-        let call = c
-            .events
-            .iter()
-            .find(|e| matches!(&e.kind, EventKind::Call { name, .. } if name == "use_it"))
-            .unwrap();
-        assert!(call.tok > tok && call.tok <= rel, "guard moved out of the pair is bound");
-    }
-
-    #[test]
-    fn a_lock_taking_no_token_is_not_a_ranked_guard() {
-        let p = parsed("fn a(&self) { let g = self.state.lock(); blocked(); }");
-        assert!(acquires(fn_named(&p, "a")).is_empty());
-    }
-
-    #[test]
-    fn temporaries_die_at_statement_end() {
-        let p = parsed(
-            "fn a(&self) { self.x.lock(held).0.take(); blocked(); }\n\
-             fn b(&self) { let v = self.x.lock(held).0.take(); blocked(); }\n\
-             fn c(&self) { let v = *self.x.lock(held).0; blocked(); }",
-        );
-        for name in ["a", "b", "c"] {
-            let f = fn_named(&p, name);
-            let (_, _, rel) = acquires(f)[0];
-            let call = f
-                .events
-                .iter()
-                .find(|e| matches!(&e.kind, EventKind::Call { name, .. } if name == "blocked"))
-                .unwrap();
-            assert!(call.tok > rel, "fn {name}: temp guard died at `;`");
-        }
-    }
-
-    #[test]
-    fn scrutinee_guards_live_through_the_construct() {
-        let p = parsed(
-            "fn a(&self) { if let Some(h) = self.x.lock(held).0.take() { h.join(); } tail(); }\n\
-             fn b(&self) { for w in self.x.lock(held).0.drain(..) { body(); } tail(); }\n\
-             fn c(&self) { if self.x.lock(held).0.is_empty() { body(); } }",
-        );
-        for name in ["a", "b"] {
-            let f = fn_named(&p, name);
-            let (_, _, rel) = acquires(f)[0];
-            let tail = f
-                .events
-                .iter()
-                .find(|e| matches!(&e.kind, EventKind::Call { name, .. } if name == "tail"))
-                .unwrap();
-            let inner = f
-                .events
-                .iter()
-                .find(|e| match &e.kind {
-                    EventKind::Call { name, .. } => name == "body",
-                    EventKind::Block { what } => what == "join",
-                    EventKind::Acquire { .. } => false,
-                })
-                .unwrap();
-            assert!(inner.tok <= rel, "fn {name}: guard live inside the block");
-            assert!(tail.tok > rel, "fn {name}: guard dead after the block");
-        }
-        // Bare `if` condition: guard dies before the block.
-        let c = fn_named(&p, "c");
-        let (_, _, rel) = acquires(c)[0];
-        let body = c
-            .events
-            .iter()
-            .find(|e| matches!(&e.kind, EventKind::Call { name, .. } if name == "body"))
-            .unwrap();
-        assert!(body.tok > rel, "bare-if condition guard died at `{{`");
-    }
-
-    #[test]
-    fn inner_block_bounds_a_let_guard() {
-        let p = parsed(
-            "fn a(&self) { let y = { let (g, _) = self.x.lock(held); g.get() }; blocked(); }",
-        );
-        let f = fn_named(&p, "a");
-        let (_, _, rel) = acquires(f)[0];
-        let call = f
-            .events
-            .iter()
-            .find(|e| matches!(&e.kind, EventKind::Call { name, .. } if name == "blocked"))
-            .unwrap();
-        assert!(call.tok > rel, "guard scoped to the inner block");
-    }
-
-    #[test]
     fn closures_are_not_the_defining_fn() {
-        let p = parsed(
-            "fn a(&self) { spawn(move || { rx.recv(); }); let g = map(|x| x + 1); }",
-        );
-        let f = fn_named(&p, "a");
-        assert!(
-            !f.events
-                .iter()
-                .any(|e| matches!(&e.kind, EventKind::Block { .. })),
-            "recv inside a spawn closure is not an event of `a`"
-        );
-    }
-
-    #[test]
-    fn blocking_join_needs_empty_args() {
-        let p = parsed(
-            "fn a(&self) { h.join(); }\n\
-             fn b(&self) { root.join(name); parts.join(stuff); }",
-        );
-        assert!(fn_named(&p, "a")
-            .events
-            .iter()
-            .any(|e| matches!(&e.kind, EventKind::Block { what } if what == "join")));
-        assert!(!fn_named(&p, "b")
-            .events
-            .iter()
-            .any(|e| matches!(&e.kind, EventKind::Block { .. })));
+        let p = parsed("fn a(&self) { spawn(move || { inner(); }); let g = map(|x| twice(x)); }");
+        let names: Vec<&str> = fn_named(&p, "a").calls.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["spawn", "map"], "calls inside closures are not `a`'s");
     }
 
     #[test]
@@ -1841,14 +1333,8 @@ mod tests {
             "fn a(&self) { free(); self.me(); Other::make(); thing.method(); mac!(x); }",
         );
         let f = fn_named(&p, "a");
-        let kinds: Vec<(String, CallKind)> = f
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::Call { name, kind, .. } => Some((name.clone(), *kind)),
-                _ => None,
-            })
-            .collect();
+        let kinds: Vec<(String, CallKind)> =
+            f.calls.iter().map(|c| (c.name.clone(), c.kind)).collect();
         assert!(kinds.contains(&("free".into(), CallKind::Free)));
         assert!(kinds.contains(&("me".into(), CallKind::SelfMethod)));
         assert!(kinds.contains(&("make".into(), CallKind::Qualified)));
@@ -1919,8 +1405,9 @@ mod tests {
              fn mk() -> S { S { idle: parking_lot::Condvar::new() } }\n\
              fn local() { let lonely = Condvar::new(); }\n\
              impl W {\n\
-               fn good(&self) { let mut g = self.m.lock(); while !*g { self.cv.wait(&mut g); } }\n\
-               fn bad(&self) { let mut g = self.m.lock(); self.cv.wait_timeout(&mut g, d); }\n\
+               fn a(&self, held: H) { let mut g = self.m.lock(); blocking::wait_while(held, &self.cv, &mut g, |g| !*g); }\n\
+               fn b(&self, held: H) { let mut g = self.m.lock(); blocking::wait_while_until(held, &self.cv, &mut g, d, f(x)); }\n\
+               fn raw(&self) { let mut g = self.m.lock(); self.cv.wait(&mut g); }\n\
                fn wake(&self) { self.cv.notify_all(); }\n\
              }",
         );
@@ -1928,28 +1415,10 @@ mod tests {
             assert!(p.condvar_binders.contains(b), "binder {b}");
         }
         assert!(!p.condvar_binders.contains("parking_lot"));
-        let wait_in_loop: Vec<(bool, &str)> = p
-            .waits
-            .iter()
-            .map(|w| (w.in_loop, w.method.as_str()))
-            .collect();
-        assert!(wait_in_loop.contains(&(true, "wait")));
-        assert!(wait_in_loop.contains(&(false, "wait_timeout")));
-        assert_eq!(p.waits.iter().filter(|w| w.recv == "cv").count(), 2);
+        let waits: Vec<(&str, u32)> = p.waits.iter().map(|w| (w.recv.as_str(), w.line)).collect();
+        assert_eq!(waits, [("cv", 6), ("cv", 7)], "the raw wait is not a blocking site");
         assert_eq!(p.notifies.len(), 1);
         assert_eq!(p.notifies[0].recv, "cv");
-    }
-
-    #[test]
-    fn impl_for_is_not_a_loop() {
-        let p = parsed(
-            "struct S { cv: Condvar }\n\
-             impl Runnable for S {\n\
-               fn run(&self) { let mut g = lock(); self.cv.wait(&mut g); }\n\
-             }",
-        );
-        assert_eq!(p.waits.len(), 1);
-        assert!(!p.waits[0].in_loop, "impl-for body is not a loop body");
     }
 
     #[test]
@@ -1974,43 +1443,31 @@ mod tests {
     }
 
     #[test]
-    fn loose_blocks_catch_closure_sites_the_event_streams_exclude() {
+    fn blocks_are_blocking_module_calls_closures_included() {
         let p = parsed(
-            "fn pump(rx: Receiver<u8>) { let _ = rx.recv(); }\n\
+            "fn pump(held: H, rx: Receiver<u8>) { let _ = blocking::recv_timeout(held, &rx, D); }\n\
              fn start(rx: Receiver<u8>) {\n\
-                 std::thread::spawn(move || { while let Ok(v) = rx.recv() { use_it(v); } });\n\
+                 std::thread::spawn(move || { while let Ok(v) = blocking::recv(Locked::root(), &rx) { use_it(v); } });\n\
              }\n\
-             fn tidy(p: &Path) { let q = p.join(\"x\"); }\n\
-             #[cfg(test)]\nmod tests { fn t(rx: R) { spawn(move || rx.recv()); } }",
+             fn raw(h: JoinHandle<()>, p: &Path) { h.join(); p.join(\"x\"); t.recv(); recv(); }\n\
+             #[cfg(test)]\nmod tests { fn t(h: J) { blocking::join(Locked::root(), h); } }",
         );
-        // `pump`'s recv is in its event stream, not loose.
-        let pump = fn_named(&p, "pump");
-        assert!(pump
-            .events
+        let sites: Vec<(&str, &str, bool)> = p
+            .blocks
             .iter()
-            .any(|e| matches!(&e.kind, EventKind::Block { what } if what == "recv")));
-        let lib: Vec<_> = p.loose_blocks.iter().filter(|b| !b.in_test).collect();
-        assert_eq!(lib.len(), 1, "only the closure recv is loose: {lib:?}");
-        assert_eq!(lib[0].what, "recv");
-        assert_eq!(lib[0].fn_name.as_deref(), Some("start"));
-        assert!(p.loose_blocks.iter().any(|b| b.in_test));
-    }
-
-    #[test]
-    fn timeout_variants_are_still_block_events() {
-        let p = parsed(
-            "fn a(rx: R, s: &A) { let _ = rx.recv_timeout(D); s.connect_timeout(addr, D); \n\
-                 let _ = rx.recv_deadline(t); }",
-        );
-        let whats: Vec<String> = fn_named(&p, "a")
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::Block { what } => Some(what.clone()),
-                _ => None,
-            })
+            .map(|b| (b.what.as_str(), p.fns[b.fn_idx.unwrap()].name.as_str(), b.in_test))
             .collect();
-        assert_eq!(whats, ["recv_timeout", "connect_timeout", "recv_deadline"]);
+        assert_eq!(
+            sites,
+            [
+                ("recv_timeout", "pump", false),
+                ("recv", "start", false),
+                ("recv", "raw", false),
+                ("join", "t", true)
+            ],
+            "a spawn closure's block counts under its fn; a receive is one by its \
+             method name, a join only through `blocking::`"
+        );
     }
 
     #[test]
@@ -2043,7 +1500,7 @@ mod tests {
     }
 
     #[test]
-    fn variant_use_payloads_capture_attribution_idents_and_fields() {
+    fn variant_use_payloads_capture_attribution_idents() {
         let p = parsed(
             "fn f() -> OrbError {\n\
                  let a = OrbError::Transport(\"static\".into());\n\
@@ -2061,7 +1518,7 @@ mod tests {
         };
         let re = by_name("RetriesExhausted");
         assert_eq!(re.len(), 1);
-        assert_eq!(re[0].fields, ["attempts", "last"]);
+        assert_eq!(re[0].payload_idents, ["attempts", "last", "Box", "new", "e"]);
         let to = by_name("timeout");
         assert_eq!(to.len(), 1);
         assert_eq!(to[0].payload_idents, ["elapsed"]);

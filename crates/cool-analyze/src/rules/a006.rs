@@ -1,19 +1,12 @@
-//! A006 — condvar wait-graph analysis.
+//! A006 — every condvar waited on has a notify.
 //!
-//! For every condvar wait site (a `.wait*` call whose receiver binds a
-//! `Condvar` somewhere in the crate) two ingredients of the classic
-//! missed-wakeup hangs are checked:
-//!
-//! (a) at least one non-test `notify_one`/`notify_all` on the same
-//!     receiver exists in the crate — a condvar nobody notifies is a
-//!     hang, not a synchronization;
-//! (b) the wait is guarded by a predicate loop (lexically inside
-//!     `loop`/`while`/`for`, or a `*_while` variant that re-checks
-//!     internally) — bare waits miss wakeups that arrive early and
-//!     return spuriously.
-//!
-//! A wait while an ordered lock is held (the convoy) is A002's: a wait is
-//! one of its blocking operations.
+//! For every condvar wait site (a `blocking::wait_while*` call whose
+//! condvar binds a `Condvar` somewhere in the crate), at least one non-test
+//! `notify_one`/`notify_all` on the same ident must exist in the crate: a
+//! condvar nobody notifies is a hang, not a synchronization. The other two
+//! ways a wait hangs are types now: `cool_telemetry::blocking` waits only
+//! with the predicate that ends the wait, and only with the unlocked
+//! token, which no live ranked guard leaves free.
 //!
 //! Wait sites are collected whole-file, so waits inside spawned-thread
 //! closures are checked too.
@@ -58,7 +51,6 @@ pub fn check(ctx: &Ctx) -> Vec<Finding> {
             if w.in_test || !is_condvar(&w.recv) {
                 continue;
             }
-            // (a) a notify site must exist for this condvar.
             if !notified
                 .get(file.krate.as_str())
                 .is_some_and(|n| n.contains(w.recv.as_str()))
@@ -71,20 +63,6 @@ pub fn check(ctx: &Ctx) -> Vec<Finding> {
                         "condvar `{}` is waited on here but crate `{}` has no \
                          notify_one/notify_all site for it — nothing can wake this thread",
                         w.recv, file.krate
-                    ),
-                ));
-            }
-            // (b) predicate loop (or a *_while variant).
-            if !w.in_loop && !w.method.ends_with("_while") {
-                out.push(Finding::new(
-                    &file.rel,
-                    w.line,
-                    "A006",
-                    &format!(
-                        "condvar wait on `{}` is not guarded by a predicate loop; spurious \
-                         wakeups and early notifies are lost — wrap it in `while !cond` or \
-                         use a `*_while` variant",
-                        w.recv
                     ),
                 ));
             }

@@ -6,7 +6,7 @@
 //! 1. the spawning function's signature mentions `JoinHandle` — the
 //!    handle is passed up, and the *caller's* spawn-shaped use (if any)
 //!    is what gets checked;
-//! 2. the spawning function itself joins a thread (`handle.join()`), the
+//! 2. the spawning function itself joins a thread (`blocking::join`), the
 //!    scoped worker pattern;
 //! 3. the spawn's file contains a join inside a function on the shutdown
 //!    path: named with a `close`/`shutdown`/`stop`/`teardown`/`cancel`/
@@ -24,15 +24,13 @@
 //! for which thread is a matter of where the handle is stored, and at the
 //! token level that means matching the field a spawn's handle goes into
 //! with the field a shutdown path joins — resolution by field name, which
-//! this analyzer no longer does (A002 knows a ranked guard by its token
-//! for the same reason: names collide). The cost is small because a file
+//! this analyzer no longer does: names collide. The cost is small because a file
 //! that spawns owned threads has one owner of them (`OrbServer`,
 //! `ResolvedStub`, `GaugeSampler`, `IntrospectServer`, Da CaPo's
 //! `WireWriter`), and a detached spawn in a file without a shutdown join
 //! is still caught.
 
 use super::{shutdown_reachable, Ctx};
-use crate::parse::{EventKind, FnItem};
 use crate::report::Finding;
 
 pub fn check(ctx: &Ctx) -> Vec<Finding> {
@@ -42,28 +40,26 @@ pub fn check(ctx: &Ctx) -> Vec<Finding> {
     // Functions reachable from any shutdown root via resolved call edges.
     let reach = shutdown_reachable(ctx);
 
-    let has_join = |f: &FnItem| {
-        f.events
-            .iter()
-            .any(|e| matches!(&e.kind, EventKind::Block { what } if what == "join"))
-    };
-
     for (fi, file) in ws.files.iter().enumerate() {
         if file.test_like {
             continue;
         }
+        let has_join = |gi: usize| {
+            file.blocks
+                .iter()
+                .any(|b| b.what == "join" && b.fn_idx == Some(gi))
+        };
         // Does this file join threads anywhere on the shutdown path?
         let shutdown_join = file.fns.iter().enumerate().any(|(gi, f)| {
-            !f.in_test && has_join(f) && reach.contains(&(fi, gi))
+            !f.in_test && has_join(gi) && reach.contains(&(fi, gi))
         });
         for s in &file.spawns {
             if s.in_test {
                 continue;
             }
-            let owned = s.fn_idx.is_some_and(|gi| {
-                let f = &file.fns[gi];
-                f.sig_has_handle || has_join(f)
-            });
+            let owned = s
+                .fn_idx
+                .is_some_and(|gi| file.fns[gi].sig_has_handle || has_join(gi));
             if owned || shutdown_join {
                 continue;
             }

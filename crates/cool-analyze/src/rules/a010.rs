@@ -13,13 +13,13 @@
 //!    `OrbError::request_timeout(id, elapsed)`;
 //! 2. a literal `OrbError::Timeout { .. }` bypasses the helpers that keep
 //!    the attribution fields mandatory;
-//! 3. `OrbError::RetriesExhausted { .. }` must carry both `attempts` and
-//!    `last` (the terminal cause) — dropping either loses the retry
-//!    history;
-//! 4. in `replica.rs`, a `Transport`/`BadAddress` built from a *static*
+//! 3. in `replica.rs`, a `Transport`/`BadAddress` built from a *static*
 //!    string drops the replica identity the failover machinery exists to
 //!    report; the payload must mention which replica/set failed (a
 //!    `format!` or a computed message).
+//!
+//! That `RetriesExhausted` carries both `attempts` and `last` needs no
+//! check: an enum-variant literal cannot leave a field out.
 //!
 //! `error.rs` itself is exempt — it defines the helpers and the `From`
 //! conversions this rule funnels everyone else through. Pattern positions
@@ -72,19 +72,6 @@ pub fn check(ctx: &Ctx) -> Vec<Finding> {
                      helpers; construct via `OrbError::request_timeout`/`timeout` so \
                      the payload fields stay mandatory",
                 )),
-                "RetriesExhausted" => {
-                    let has = |f: &str| v.fields.iter().any(|x| x == f);
-                    if !(has("attempts") && has("last")) {
-                        out.push(Finding::new(
-                            &file.rel,
-                            v.line,
-                            "A010",
-                            "`OrbError::RetriesExhausted` must carry both `attempts` \
-                             and `last` (the terminal cause); dropping either loses \
-                             the retry history the caller needs for attribution",
-                        ));
-                    }
-                }
                 "Transport" | "BadAddress" if file.rel.ends_with("replica.rs") => {
                     let static_payload = !v.payload_idents.is_empty()
                         && v.payload_idents

@@ -4,25 +4,26 @@
 //! |------|--------------------------------------------------------------------|
 //! | L005 | every `OrbError` variant is exercised somewhere in tests           |
 //! | L006 | invocation-path retry loops in cool-orb reference `RetryPolicy`    |
-//! | A002 | no blocking operation (recv/wait/join/connect...) is reachable     |
-//! |      | while a ranked lock guard is live                                  |
 //! | A004 | every telemetry name constant is emitted somewhere and documented  |
 //! |      | in DESIGN.md §6                                                    |
 //! | A005 | channel topology: every data-path queue is bounded (or carries an  |
 //! |      | allow), matches the DESIGN.md §7.4 table (capacities included),    |
 //! |      | and no documented cycle is all-blocking                            |
-//! | A006 | condvar waits have a reachable notify and sit in a predicate loop  |
+//! | A006 | every condvar waited on has a notify in its crate                  |
 //! | A007 | every spawned thread has a join reachable from the shutdown path   |
 //! | A008 | every blocking call on the data path is bounded: timeout/deadline  |
-//! |      | variant, §8.5-documented close-sentinel drain, shutdown-path join, |
-//! |      | or a connect chain proven bounded through the call graph           |
+//! |      | variant, §8.5-documented close-sentinel drain, or shutdown-path    |
+//! |      | join                                                               |
 //! | A010 | `OrbError` sites on the data path carry their attribution payload  |
-//! |      | (request id, attempts+last, replica identity)                      |
+//! |      | (request id, replica identity)                                     |
 //!
 //! What the toolchain can check is left to it: the lock order is a type
 //! (`cool_telemetry::lockorder`: an acquisition against it does not
-//! compile); clippy's `unwrap_used`, `expect_used` and `disallowed_methods`
-//! (`thread::sleep`, listed in `clippy.toml`) run over library code in
+//! compile), and so is blocking under a lock (`cool_telemetry::blocking`
+//! takes the unlocked token, which a live guard holds borrowed; a condvar
+//! is waited on only with its predicate); clippy's `unwrap_used`,
+//! `expect_used` and `disallowed_methods` (`thread::sleep` and the raw
+//! blocking methods, listed in `clippy.toml`) run over library code in
 //! `scripts/check.sh`; one `Cdr` trait in cool-giop makes a codec without
 //! its decode half a compile error; and `tests/alloc_budget.rs` holds the
 //! buffer count per call.
@@ -40,7 +41,6 @@
 //! ([`crate::analyze_workspace`]), and reports an annotation that names no
 //! rule in [`RULES`] or suppresses no finding.
 
-pub mod a002;
 pub mod a004;
 pub mod a005;
 pub mod a006;
@@ -52,7 +52,7 @@ pub mod tokens;
 
 /// Every rule the analyzer can emit.
 pub const RULES: &[&str] = &[
-    "L005", "L006", "A002", "A004", "A005", "A006", "A007", "A008", "A010",
+    "L005", "L006", "A004", "A005", "A006", "A007", "A008", "A010",
 ];
 
 use crate::callgraph::Graph;
@@ -75,7 +75,6 @@ pub struct Ctx<'a> {
 pub fn run_all(ctx: &Ctx) -> Vec<Finding> {
     let mut out = Vec::new();
     out.extend(l005::check(ctx));
-    out.extend(a002::check(ctx));
     out.extend(a004::check(ctx));
     out.extend(a005::check(ctx));
     out.extend(a006::check(ctx));
@@ -111,7 +110,7 @@ pub fn shutdown_reachable(ctx: &Ctx) -> HashSet<(usize, usize)> {
     }
     while let Some(key) = queue.pop() {
         if let Some(edges) = ctx.graph.edges.get(&key) {
-            for &(_, target) in edges {
+            for &target in edges {
                 if reach.insert(target) {
                     queue.push(target);
                 }

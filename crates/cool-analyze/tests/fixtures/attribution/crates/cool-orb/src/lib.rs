@@ -26,11 +26,6 @@ pub fn attributed_timeout(id: u64, elapsed: Duration) -> OrbError {
     OrbError::request_timeout(id, elapsed)
 }
 
-/// Violation: dropping `last` loses the terminal cause.
-pub fn exhausted_without_cause(attempts: u32) -> OrbError {
-    OrbError::RetriesExhausted { attempts }
-}
-
 /// Clean: both attribution fields present.
 pub fn exhausted(attempts: u32, last: OrbError) -> OrbError {
     OrbError::RetriesExhausted {

@@ -1,17 +1,13 @@
-//! A006 fixture: condvar wait-graph — a wait nobody notifies, a bare
-//! wait outside any predicate loop, a wait under a foreign ordered lock
-//! (A002's), and the legal patterns (predicate loop, `*_while`, allow).
+//! A006 fixture: condvar wait-graph — a wait on a condvar nobody
+//! notifies, the legal pattern, and the inline allow.
 
-use cool_telemetry::lockorder::{rank, Locked, OrderedMutex, Unlocked};
-
-/// `foreign` is a ranked lock: taking it takes a lock-order token.
+use cool_telemetry::blocking;
+use cool_telemetry::lockorder::{Locked, Unlocked};
 
 pub struct S {
     done: Mutex<bool>,
     cv: Condvar,
     lonely: Condvar,
-    bare: Condvar,
-    foreign: OrderedMutex<u32, rank::Foreign>,
 }
 
 pub fn mk() -> S {
@@ -19,71 +15,39 @@ pub fn mk() -> S {
         done: Mutex::new(false),
         cv: Condvar::new(),
         lonely: Condvar::new(),
-        bare: Condvar::new(),
-        foreign: OrderedMutex::new(0),
     }
 }
 
 impl S {
-    /// Clean: predicate loop, and `wake` notifies this condvar.
-    pub fn wait_good(&self) {
-        let mut g = self.done.lock().unwrap();
-        while !*g {
-            g = self.cv.wait(g).unwrap();
-        }
+    /// Clean: `wake` notifies this condvar.
+    pub fn wait_good(&self, held: &mut Locked<Unlocked>) {
+        let mut g = self.done.lock();
+        blocking::wait_while(held, &self.cv, &mut g, |done| !*done);
     }
 
     pub fn wake(&self) {
         self.cv.notify_all();
     }
 
-    /// No notify for `lonely` anywhere in the crate. Line 44.
-    pub fn wait_lonely(&self) {
-        let mut g = self.done.lock().unwrap();
-        while !*g {
-            g = self.lonely.wait(g).unwrap();
-        }
-    }
-
-    /// Bare wait: no predicate loop, not a `*_while`. Line 51.
-    pub fn wait_bare(&self) {
-        let g = self.done.lock().unwrap();
-        let _ = self.bare.wait(g);
-    }
-
-    pub fn wake_bare(&self) {
-        self.bare.notify_one();
-    }
-
-    /// Waits while a foreign ordered lock stays held. Line 63.
-    pub fn wait_under_foreign(&self, held: &mut Locked<Unlocked>) {
-        let (f, _) = self.foreign.lock(held);
-        let mut g = self.done.lock().unwrap();
-        while !*g {
-            g = self.cv.wait(g).unwrap();
-        }
-        touch(f);
-    }
-
-    /// Clean: the `*_while` variant re-checks its predicate internally.
-    pub fn wait_while_ok(&self) {
-        let g = self.done.lock().unwrap();
-        let _ = self.cv.wait_while(g, |d| !*d);
+    /// No notify for `lonely` anywhere in the crate. Line 35.
+    pub fn wait_lonely(&self, held: &mut Locked<Unlocked>, deadline: Instant) {
+        let mut g = self.done.lock();
+        blocking::wait_while_until(held, &self.lonely, &mut g, deadline, |done| !*done);
     }
 
     /// Suppressed: the inline exemption covers exactly this site.
-    pub fn allowed_bare(&self) {
-        let g = self.done.lock().unwrap();
+    pub fn allowed_lonely(&self, held: &mut Locked<Unlocked>) {
+        let mut g = self.done.lock();
         // lint: allow(A006, fixture demonstrates the inline exemption)
-        let _ = self.bare.wait(g);
+        blocking::wait_while(held, &self.lonely, &mut g, |done| !*done);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    /// Test code may wait bare; A006 must not look here.
-    fn bare_in_test(s: &super::S) {
-        let g = s.done.lock().unwrap();
-        let _ = s.bare.wait(g);
+    /// Test code may wait on anything; A006 must not look here.
+    fn lonely_in_test(s: &super::S) {
+        let mut g = s.done.lock();
+        blocking::wait_while(Locked::root(), &s.lonely, &mut g, |done| !*done);
     }
 }

@@ -1,69 +1,59 @@
-//! A008 fixture: unbounded blocking on the data path vs every exemption —
-//! timeout variants, shutdown joins, the §8.5 drain registry, bounded
-//! connect chains, inline allows — plus a closure-body site the
-//! per-function event streams exclude and a stale registry entry.
+//! A008 fixture: unbounded blocking on the data path (`blocking::` calls,
+//! receives by method name) vs every exemption — timeout variants,
+//! shutdown joins, the §8.5 drain registry, inline allows — plus a
+//! closure-body site and a stale registry entry.
 
 /// Violation: a bare receive with no deadline and no documented drain.
-pub fn serve(rx: &Receiver) {
-    let _ = rx.recv();
+pub fn serve(held: &mut Locked<Unlocked>, rx: &Receiver) {
+    let _ = blocking::recv(held, rx);
 }
 
 /// Clean: the deadline variant bounds the wait by name.
-pub fn serve_bounded(rx: &Receiver) {
-    let _ = rx.recv_timeout(TIMEOUT);
+pub fn serve_bounded(held: &mut Locked<Unlocked>, rx: &Receiver) {
+    let _ = blocking::recv_timeout(held, rx, TIMEOUT);
 }
 
 /// Clean: `lib.rs::pump_loop` is in the §8.5 drain registry.
-pub fn pump_loop(rx: &Receiver) {
-    while let Ok(_f) = rx.recv() {}
+pub fn pump_loop(held: &mut Locked<Unlocked>, rx: &Receiver) {
+    while let Ok(_f) = blocking::recv(held, rx) {}
 }
 
 /// Clean: a shutdown root may join — the threads it waits for are the
 /// ones the close sentinels drain.
-pub fn close(h: Handle) {
-    let _ = h.join();
+pub fn close(held: &mut Locked<Unlocked>, h: Handle) {
+    let _ = blocking::join(held, h);
 }
 
 /// Violation, attributed to this function: the blocking call sits in a
-/// closure body, which the per-function event streams exclude; the
-/// loose-block harvest folds it back in.
+/// closure body, which runs wherever the closure is called.
 pub fn spawn_worker(rx: Receiver) {
-    let _worker = move || {
-        let _ = rx.recv();
+    let _worker = move |held: &mut Locked<Unlocked>| {
+        let _ = blocking::recv(held, &rx);
     };
 }
 
-/// Clean: the connect chain bottoms out in a timeout-bounded dial.
-pub fn redial_ok(addr: &str) {
-    dial(addr);
+/// Clean: a TCP connect exists only with a timeout.
+pub fn dial(held: &mut Locked<Unlocked>, addr: &SocketAddr) {
+    let _ = blocking::connect_timeout(held, addr, TIMEOUT);
 }
 
-/// The bounded dialer the chain check resolves.
-pub fn dial(addr: &str) {
-    let _ = TcpStream::connect_timeout(addr, TIMEOUT);
-}
-
-/// Violation: `connect` resolves to the function below, whose own
-/// blocking cannot be proven bounded (the chain cycles).
-pub fn redial_bad(addr: &str) {
-    let _ = connect(addr);
-}
-
-/// An unbounded connector: its own raw `connect` makes the chain cycle.
-pub fn connect(addr: &str) -> Conn {
-    TcpStream::connect(addr)
+/// Violation: a transport's receive takes no token, but it blocks; its
+/// deadline variant is clean.
+pub fn read_transport(t: &Transport) {
+    let _ = t.recv();
+    let _ = t.recv_timeout(TIMEOUT);
 }
 
 /// Clean: a reasoned inline allow names the wakeup source.
-pub fn wait_forever(rx: &Receiver) {
+pub fn wait_forever(held: &mut Locked<Unlocked>, rx: &Receiver) {
     // lint: allow(A008, fixture: the teardown pump pushes a sentinel that wakes this receiver)
-    let _ = rx.recv();
+    let _ = blocking::recv(held, rx);
 }
 
 #[cfg(test)]
 mod tests {
     /// Test code may block without a deadline; A008 must not look here.
     fn blocking_helper(rx: &super::Receiver) {
-        let _ = rx.recv();
+        let _ = blocking::recv(Locked::root(), rx);
     }
 }

@@ -16,7 +16,7 @@ impl Worker {
     pub fn close(&self) {
         let h = self.handle.lock().take();
         if let Some(h) = h {
-            let _ = h.join();
+            let _ = blocking::join(held, h);
         }
     }
 }

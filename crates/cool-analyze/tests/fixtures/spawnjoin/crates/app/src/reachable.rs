@@ -11,7 +11,7 @@ pub fn stop() {
 
 fn reap() {
     let h = current();
-    let _ = h.join();
+    let _ = blocking::join(held, h);
 }
 
 fn pump() {}

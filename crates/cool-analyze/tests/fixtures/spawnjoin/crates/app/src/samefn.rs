@@ -2,7 +2,7 @@
 
 pub fn run_once() {
     let h = std::thread::spawn(step);
-    let _ = h.join();
+    let _ = blocking::join(held, h);
 }
 
 fn step() {}

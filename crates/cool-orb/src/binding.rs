@@ -530,8 +530,12 @@ impl Binding {
     /// # Errors
     ///
     /// Whatever the transport's `set_qos` raises.
-    pub fn set_transport_qos(&self, requirements: &TransportRequirements) -> Result<(), OrbError> {
-        self.conn.channel.set_qos(requirements)
+    pub fn set_transport_qos(
+        &self,
+        held: &mut Locked<Unlocked>,
+        requirements: &TransportRequirements,
+    ) -> Result<(), OrbError> {
+        self.conn.channel.set_qos(held, requirements)
     }
 
     /// The one issue path behind every invocation mode: closed check →

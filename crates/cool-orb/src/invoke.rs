@@ -46,17 +46,21 @@ impl Endpoint {
     /// Pushes the transport requirements `spec` maps to down the channel
     /// (unilateral negotiation, Section 4.3): permissive negotiation takes
     /// the request as-is. Colocated objects have no transport.
-    pub(crate) fn apply_qos(&self, spec: &QoSSpec) -> Result<(), OrbError> {
+    pub(crate) fn apply_qos(
+        &self,
+        held: &mut Locked<Unlocked>,
+        spec: &QoSSpec,
+    ) -> Result<(), OrbError> {
         let Target::Remote(binding) = &self.target else {
             return Ok(());
         };
         if spec.is_best_effort() {
-            return binding.set_transport_qos(&TransportRequirements::best_effort());
+            return binding.set_transport_qos(held, &TransportRequirements::best_effort());
         }
         let optimistic = ServerPolicy::permissive()
             .negotiate(spec)
             .map_err(OrbError::QosNotSupported)?;
-        binding.set_transport_qos(&TransportRequirements::from_granted(&optimistic))
+        binding.set_transport_qos(held, &TransportRequirements::from_granted(&optimistic))
     }
 }
 
@@ -284,7 +288,8 @@ impl Invoker {
                 }
                 other => other,
             })?;
-        endpoint.apply_qos(&self.offered(held))?;
+        let offered = self.offered(held);
+        endpoint.apply_qos(held, &offered)?;
         Ok(endpoint)
     }
 
@@ -416,7 +421,8 @@ impl Invoker {
         if degrade {
             self.step_down(held, operation);
             if let Some(endpoint) = self.endpoint(held, idx) {
-                endpoint.apply_qos(&self.offered(held))?;
+                let offered = self.offered(held);
+                endpoint.apply_qos(held, &offered)?;
             }
         }
         let attempt = self.bound(held, targets, idx)?;

@@ -267,6 +267,7 @@ impl Orb {
         }
         let raw: Arc<dyn ComChannel> = match addr {
             OrbAddr::Tcp(hostport) => Arc::new(crate::transport::TcpComChannel::connect_with(
+                held,
                 hostport.as_str(),
                 telemetry.map(Arc::as_ref),
             )?),
@@ -435,7 +436,7 @@ impl Stub {
         let held = Locked::root();
         // Without an endpoint, the next bind applies it.
         if let Some(endpoint) = self.invoker.endpoint(held, 0) {
-            endpoint.apply_qos(&spec)?;
+            endpoint.apply_qos(held, &spec)?;
         }
         self.invoker.per_stub.lock(held).0.offered = spec;
         Ok(())

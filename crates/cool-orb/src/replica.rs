@@ -26,6 +26,7 @@ use crate::message_layer::WireProtocol;
 use crate::object::ObjectRef;
 use crate::orb::Orb;
 use bytes::Bytes;
+use cool_telemetry::blocking;
 use cool_telemetry::flight::event;
 use cool_telemetry::lockorder::{rank, Locked, OrderedMutex, Unlocked};
 use cool_telemetry::{names, Gauge, Registry};
@@ -263,7 +264,7 @@ impl Orb {
                 .spawn(move || {
                     let held = Locked::root();
                     while let Err(crossbeam::channel::RecvTimeoutError::Timeout) =
-                        stop_rx.recv_timeout(period)
+                        blocking::recv_timeout(held, &stop_rx, period)
                     {
                         // The binding owns us via a JoinHandle; once every
                         // strong reference is gone we stop.
@@ -338,14 +339,15 @@ impl ResolvedStub {
     /// Stops the background prober and joins it. Called automatically on
     /// drop; safe to call multiple times.
     pub fn close(&self) {
-        let handle = self.replica_set.lock(Locked::root()).0.prober.take();
+        let held = Locked::root();
+        let handle = self.replica_set.lock(held).0.prober.take();
         let _ = self.stop_tx.try_send(());
         if let Some(h) = handle {
             // The last strong reference can be dropped *by* the prober
             // thread (its `upgrade` briefly owns one); joining ourselves
             // would deadlock — the loop exits on its own in that case.
             if h.thread().id() != std::thread::current().id() {
-                let _ = h.join();
+                let _ = blocking::join(held, h);
             }
         }
     }

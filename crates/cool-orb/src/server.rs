@@ -64,6 +64,7 @@ use crate::object::{ObjectKey, ObjectRef, OrbAddr};
 use crate::transport::{deadline_after, ComChannel, FrameSink, TcpComChannel};
 use bytes::Bytes;
 use cool_giop::prelude::{ReplyTraceContext, RequestTraceContext};
+use cool_telemetry::blocking;
 use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::lockorder::{rank, Locked, OrderedMutex, Unlocked};
 use cool_telemetry::trace::duration_as_u32_us;
@@ -93,6 +94,9 @@ pub(crate) const INLINE_ADMIT_STREAK: u32 = 64;
 /// Cancelled request ids remembered per connection, oldest evicted first.
 const CANCEL_HISTORY: usize = 1024;
 
+/// What stops a server's connection source (see `OrbServer::wake`).
+type Wake = Box<dyn Fn(&mut Locked<Unlocked>) + Send + Sync>;
+
 /// A running ORB endpoint serving objects from an adapter.
 pub struct OrbServer {
     addr: OrbAddr,
@@ -107,7 +111,7 @@ pub struct OrbServer {
     /// `accept()`, or unregisters the exchange name (dropping the
     /// listener's intake); fired by [`OrbServer::close`] once the shutdown
     /// flag is set.
-    wake: Box<dyn Fn() + Send + Sync>,
+    wake: Wake,
     /// While set, connection sinks refuse *new* Requests (drained clients
     /// see a timeout and may retry elsewhere) but replies for accepted
     /// work still flow.
@@ -176,8 +180,8 @@ impl OrbServer {
         // A loopback self-connect returns `accept()`. Bounded: the accept
         // loop is local, so a second is ample; an unbounded connect could
         // wedge `close` behind a half-dead loopback stack.
-        server.wake = Box::new(move || {
-            let _ = std::net::TcpStream::connect_timeout(&local, Duration::from_secs(1));
+        server.wake = Box::new(move |held| {
+            let _ = blocking::connect_timeout(held, &local, Duration::from_secs(1));
         });
         Ok(server)
     }
@@ -207,7 +211,7 @@ impl OrbServer {
         // Only now is the name this server's to give back: one that lost
         // the race for it must not unregister the winner.
         let (scheme, name) = (server.addr.scheme(), server.addr.target().to_owned());
-        server.wake = Box::new(move || exchange.unlisten(scheme, &name));
+        server.wake = Box::new(move |_| exchange.unlisten(scheme, &name));
         Ok(server)
     }
 
@@ -247,7 +251,7 @@ impl OrbServer {
                 dispatchers,
             })),
             conns: intake.conns.clone(),
-            wake: Box::new(|| {}),
+            wake: Box::new(|_| {}),
             draining: intake.draining.clone(),
             tracker: intake.tracker.clone(),
         };
@@ -277,7 +281,7 @@ impl OrbServer {
     /// [`close`]: OrbServer::close
     pub fn shutdown_graceful(&self, drain_timeout: Duration) -> bool {
         self.draining.store(true, Ordering::Release);
-        let drained = self.tracker.wait_idle(drain_timeout);
+        let drained = self.tracker.wait_idle(Locked::root(), drain_timeout);
         self.close();
         drained
     }
@@ -295,9 +299,9 @@ impl OrbServer {
         };
         // 1. Stop the intake: `attach` refuses from the flag on; the wake
         //    unregisters the exchange name, or pokes the TCP accept.
-        (self.wake)();
+        (self.wake)(held);
         if let Some(h) = threads.acceptor {
-            let _ = h.join();
+            let _ = blocking::join(held, h);
         }
         // 2. Orderly shutdown: tell each peer before going away so
         //    clients fail outstanding work immediately instead of timing
@@ -318,7 +322,7 @@ impl OrbServer {
         // 3. With every sender gone, dispatchers drain the queue and exit.
         drop(threads.jobs_tx);
         for t in threads.dispatchers {
-            let _ = t.join();
+            let _ = blocking::join(held, t);
         }
     }
 }
@@ -363,15 +367,13 @@ impl JobTracker {
 
     /// Blocks until no request is in flight, or `timeout` elapses.
     /// Returns whether the pipeline is idle.
-    fn wait_idle(&self, timeout: Duration) -> bool {
+    fn wait_idle(&self, held: &mut Locked<Unlocked>, timeout: Duration) -> bool {
         let deadline = deadline_after(timeout);
         let mut gate = self.gate.lock();
-        while self.active.load(Ordering::SeqCst) > 0 {
-            if self.idle.wait_until(&mut gate, deadline).timed_out() {
-                return self.active.load(Ordering::SeqCst) == 0;
-            }
-        }
-        true
+        blocking::wait_while_until(held, &self.idle, &mut gate, deadline, |_| {
+            self.active.load(Ordering::SeqCst) > 0
+        });
+        self.active.load(Ordering::SeqCst) == 0
     }
 }
 
@@ -645,7 +647,7 @@ fn start_dispatchers(
                     }
                 };
                 let held = Locked::root();
-                while let Ok(job) = rx.recv() {
+                while let Ok(job) = blocking::recv(held, &rx) {
                     run(held, job);
                     // The overflow fills only while the queue is full, so
                     // there is always a job that ends here to find it.
@@ -824,17 +826,20 @@ mod tests {
     #[test]
     fn job_tracker_waits_for_inflight_work() {
         let tracker = JobTracker::new();
-        assert!(tracker.wait_idle(Duration::ZERO), "idle at rest");
+        assert!(
+            tracker.wait_idle(Locked::root(), Duration::ZERO),
+            "idle at rest"
+        );
 
         let guard = tracker.track();
         assert!(
-            !tracker.wait_idle(Duration::from_millis(10)),
+            !tracker.wait_idle(Locked::root(), Duration::from_millis(10)),
             "one job in flight"
         );
 
         // `Duration::MAX` is a drain without a deadline, not an overflow.
         let t = tracker.clone();
-        let waiter = std::thread::spawn(move || t.wait_idle(Duration::MAX));
+        let waiter = std::thread::spawn(move || t.wait_idle(Locked::root(), Duration::MAX));
         drop(guard);
         assert!(waiter.join().expect("waiter"), "drain completes on dec");
     }
@@ -847,10 +852,11 @@ mod tests {
         // drops there, not on a dispatcher, and must still end the drain.
         let inline = tracker.track();
         let t = tracker.clone();
-        let waiter = std::thread::spawn(move || t.wait_idle(Duration::from_secs(5)));
+        let waiter =
+            std::thread::spawn(move || t.wait_idle(Locked::root(), Duration::from_secs(5)));
         drop(pooled);
         assert!(
-            !tracker.wait_idle(Duration::from_millis(10)),
+            !tracker.wait_idle(Locked::root(), Duration::from_millis(10)),
             "one of two jobs done is not idle"
         );
         std::thread::spawn(move || drop(inline))
@@ -860,7 +866,7 @@ mod tests {
             waiter.join().expect("waiter"),
             "the last guard ends the drain"
         );
-        assert!(tracker.wait_idle(Duration::ZERO));
+        assert!(tracker.wait_idle(Locked::root(), Duration::ZERO));
     }
 
     #[test]

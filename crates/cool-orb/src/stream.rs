@@ -26,6 +26,7 @@ use crate::orb::Orb;
 use crate::servant::FnServant;
 use crate::transport::ComChannel;
 use bytes::Bytes;
+use cool_telemetry::blocking;
 use cool_telemetry::lockorder::{Locked, Unlocked};
 use cool_giop::cdr::{ByteOrder, CdrDecoder, CdrEncoder};
 use crossbeam::channel::bounded;
@@ -200,7 +201,7 @@ pub fn handle_stream_open(
         .name(format!("stream-{endpoint_name}"))
         // lint: allow(A007, one-shot rendezvous acceptor, self-terminating within RENDEZVOUS_TIMEOUT; the Reply must not block on it)
         .spawn(move || {
-            let accepted = acceptor.recv_timeout(RENDEZVOUS_TIMEOUT);
+            let accepted = blocking::recv_timeout(Locked::root(), &acceptor, RENDEZVOUS_TIMEOUT);
             // One flow per endpoint: stop accepting either way. A connection
             // that lands after the timeout is dropped with the queue, which
             // closes it.

@@ -281,7 +281,14 @@ impl ComChannel for DacapoComChannel {
         Some(self.inner.connection.hand_over_demand())
     }
 
-    fn set_qos(&self, requirements: &TransportRequirements) -> Result<(), OrbError> {
+    fn set_qos(
+        &self,
+        held: &mut Locked<Unlocked>,
+        requirements: &TransportRequirements,
+    ) -> Result<(), OrbError> {
+        // The drains below wait for both ends to quiesce: the caller's
+        // token is what says no lock is held across them.
+        let _ = held;
         if self.is_closed() {
             return Err(OrbError::Closed);
         }
@@ -360,7 +367,7 @@ mod tests {
             ..Default::default()
         };
         // The control path is synchronous: no thread needs to be receiving.
-        a.set_qos(&req).unwrap();
+        a.set_qos(Locked::root(), &req).unwrap();
         assert!(!a.graph().is_empty(), "client side reconfigured");
         assert_eq!(a.graph(), b.graph(), "peers agree on the configuration");
 
@@ -380,9 +387,10 @@ mod tests {
             encryption: true,
             ..Default::default()
         };
-        a.set_qos(&strong).unwrap();
+        a.set_qos(Locked::root(), &strong).unwrap();
         assert!(!a.graph().is_empty());
-        a.set_qos(&TransportRequirements::best_effort()).unwrap();
+        a.set_qos(Locked::root(), &TransportRequirements::best_effort())
+            .unwrap();
         assert!(a.graph().is_empty());
         assert!(b.graph().is_empty());
         a.close();
@@ -397,7 +405,7 @@ mod tests {
             error_detection: true,
             ..Default::default()
         };
-        assert!(a.set_qos(&req).is_err());
+        assert!(a.set_qos(Locked::root(), &req).is_err());
         a.close();
     }
 
@@ -415,7 +423,7 @@ mod tests {
             bandwidth_bps: Some(4_000),
             ..Default::default()
         };
-        a.set_qos(&ok_req).unwrap();
+        a.set_qos(Locked::root(), &ok_req).unwrap();
         assert_eq!(mgr.used_bandwidth(), 8_000, "both sides hold a grant");
 
         // Infeasible: the peer rejects, the initiator reports the NACK.
@@ -423,7 +431,7 @@ mod tests {
             bandwidth_bps: Some(9_000),
             ..Default::default()
         };
-        match a.set_qos(&bad_req) {
+        match a.set_qos(Locked::root(), &bad_req) {
             Err(OrbError::QosNotSupported(_)) => {}
             other => panic!("expected admission rejection, got {other:?}"),
         }
@@ -454,7 +462,7 @@ mod tests {
         let (a, b) = DacapoComChannel::pair(a, b, config_mgr, Some(mgr.clone())).unwrap();
         assert_eq!(mgr.used_bandwidth(), 2_000_000);
 
-        a.set_qos(&mbit(2)).unwrap();
+        a.set_qos(Locked::root(), &mbit(2)).unwrap();
         assert_eq!(mgr.used_bandwidth(), 4_000_000, "2 Mbit/s in place of 1, per side");
         let graph = a.graph();
         assert!(!graph.is_empty());
@@ -464,7 +472,7 @@ mod tests {
             bandwidth_bps: Some(u64::MAX / 4),
             ..Default::default()
         };
-        match a.set_qos(&too_much) {
+        match a.set_qos(Locked::root(), &too_much) {
             Err(OrbError::QosNotSupported(_)) => {}
             other => panic!("expected admission rejection, got {other:?}"),
         }
@@ -496,7 +504,7 @@ mod tests {
                 let req = if i % 2 == 0 { &checked } else { &encrypted };
                 let before = a.graph();
                 let start = std::time::Instant::now();
-                a.set_qos(req).unwrap();
+                a.set_qos(Locked::root(), req).unwrap();
                 let took = start.elapsed();
                 assert_ne!(a.graph(), before, "every call changes the graph");
                 took
@@ -528,7 +536,7 @@ mod tests {
             bandwidth_bps: 10_000,
         });
         let (a, b) = channel_pair_with(Some(mgr.clone()));
-        a.set_qos(&TransportRequirements {
+        a.set_qos(Locked::root(), &TransportRequirements {
             bandwidth_bps: Some(4_000),
             ..Default::default()
         })
@@ -554,7 +562,7 @@ mod tests {
         let (a, b) = channel_pair();
         a.send_frame(Bytes::from_static(b"before")).unwrap();
         assert_eq!(&b.recv_frame(Duration::from_secs(5)).unwrap()[..], b"before");
-        a.set_qos(&TransportRequirements {
+        a.set_qos(Locked::root(), &TransportRequirements {
             error_detection: true,
             ..Default::default()
         })

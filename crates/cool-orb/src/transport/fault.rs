@@ -245,8 +245,12 @@ impl ComChannel for FaultChannel {
         self.inner.delivery_may_wait()
     }
 
-    fn set_qos(&self, requirements: &multe_qos::TransportRequirements) -> Result<(), OrbError> {
-        self.inner.set_qos(requirements)
+    fn set_qos(
+        &self,
+        held: &mut Locked<Unlocked>,
+        requirements: &multe_qos::TransportRequirements,
+    ) -> Result<(), OrbError> {
+        self.inner.set_qos(held, requirements)
     }
 }
 

@@ -82,6 +82,7 @@ pub(crate) use dacapo::pool::Owed;
 
 use crate::error::OrbError;
 use bytes::Bytes;
+use cool_telemetry::blocking;
 use cool_telemetry::lockorder::{Locked, Unlocked};
 use cool_telemetry::{names, Counter, Registry};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -253,7 +254,9 @@ pub trait ComChannel: Send + Sync {
     fn kind(&self) -> &'static str;
 
     /// Propagates QoS requirements into the transport (unilateral
-    /// negotiation). The default implementation accepts and ignores them —
+    /// negotiation), which may wait for in-flight traffic to clear: it
+    /// takes the unlocked token. The default implementation accepts and
+    /// ignores them —
     /// the behaviour of TCP and Chorus IPC in the paper, which simply do
     /// not implement the method.
     ///
@@ -261,8 +264,12 @@ pub trait ComChannel: Send + Sync {
     ///
     /// Implementations that *do* support QoS report admission or
     /// configuration failures as [`OrbError::QosNotSupported`].
-    fn set_qos(&self, requirements: &multe_qos::TransportRequirements) -> Result<(), OrbError> {
-        let _ = requirements;
+    fn set_qos(
+        &self,
+        held: &mut Locked<Unlocked>,
+        requirements: &multe_qos::TransportRequirements,
+    ) -> Result<(), OrbError> {
+        let _ = (held, requirements);
         Ok(())
     }
 }
@@ -393,21 +400,17 @@ impl FrameInbox {
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, OrbError> {
         let deadline = deadline_after(timeout);
         let mut st = self.state.lock();
-        loop {
-            if let Some(frame) = st.queue.pop_front() {
-                return Ok(frame);
-            }
-            if self.is_closed() {
-                return Err(OrbError::Closed);
-            }
-            if self.arrived.wait_until(&mut st, deadline).timed_out()
-                && st.queue.is_empty()
-                && !self.is_closed()
-            {
-                // lint: allow(A010, the inbox sits below the request layer — no request exists here; invoke_once rewraps this as request_timeout with the id)
-                return Err(OrbError::timeout(timeout));
-            }
+        blocking::wait_while_until(Locked::root(), &self.arrived, &mut st, deadline, |st| {
+            st.queue.is_empty() && !self.is_closed()
+        });
+        if let Some(frame) = st.queue.pop_front() {
+            return Ok(frame);
         }
+        if self.is_closed() {
+            return Err(OrbError::Closed);
+        }
+        // lint: allow(A010, the inbox sits below the request layer — no request exists here; invoke_once rewraps this as request_timeout with the id)
+        Err(OrbError::timeout(timeout))
     }
 
     /// Registers the push consumer, replaying any queued frames (and a

@@ -37,6 +37,7 @@
 use crate::error::OrbError;
 use crate::transport::{ComChannel, FrameInbox, InboxMetrics, ReadDemand, SendMetrics};
 use bytes::Bytes;
+use cool_telemetry::blocking;
 use cool_telemetry::lockorder::{Locked, Unlocked};
 use cool_telemetry::Registry;
 use dacapo::tlayer::{read_timeout, write_frames, FrameReader, MAX_TCP_FRAME};
@@ -139,7 +140,7 @@ impl TcpComChannel {
     ///
     /// [`OrbError::Transport`] if the connection cannot be established.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, OrbError> {
-        TcpComChannel::connect_with(addr, None)
+        TcpComChannel::connect_with(Locked::root(), addr, None)
     }
 
     /// Like [`TcpComChannel::connect`], with frame/byte counters reported
@@ -149,10 +150,11 @@ impl TcpComChannel {
     ///
     /// [`OrbError::Transport`] if the connection cannot be established.
     pub fn connect_with(
+        held: &mut Locked<Unlocked>,
         addr: impl ToSocketAddrs,
         telemetry: Option<&Registry>,
     ) -> Result<Self, OrbError> {
-        TcpComChannel::connect_timeout_with(addr, CONNECT_TIMEOUT, telemetry)
+        TcpComChannel::connect_timeout_with(held, addr, CONNECT_TIMEOUT, telemetry)
     }
 
     /// Like [`TcpComChannel::connect_with`], with an explicit bound on the
@@ -163,6 +165,7 @@ impl TcpComChannel {
     ///
     /// [`OrbError::Transport`] if no address accepts within `timeout`.
     pub fn connect_timeout_with(
+        held: &mut Locked<Unlocked>,
         addr: impl ToSocketAddrs,
         timeout: Duration,
         telemetry: Option<&Registry>,
@@ -172,7 +175,7 @@ impl TcpComChannel {
             .map_err(|e| OrbError::Transport(format!("tcp resolve: {e}")))?;
         let mut last: Option<std::io::Error> = None;
         for a in addrs {
-            match TcpStream::connect_timeout(&a, timeout) {
+            match blocking::connect_timeout(held, &a, timeout) {
                 Ok(stream) => return TcpComChannel::from_stream_with(stream, telemetry),
                 Err(e) => last = Some(e),
             }
@@ -280,7 +283,7 @@ impl TcpComChannel {
 /// returns when the connection ends — to the receive-thread pool
 /// ([`dacapo::pool`]), which has its thread serve the next connection.
 fn reader_loop(held: &mut Locked<Unlocked>, side: &ReadSide) {
-    while side.demand.park_until_wanted(None) {
+    while side.demand.park_until_wanted(held, None) {
         let mut reader = side.token.lock();
         if side.inbox.is_closed() {
             return;
@@ -565,7 +568,7 @@ mod tests {
             error_detection: true,
             ..Default::default()
         };
-        assert!(client.set_qos(&req).is_ok());
+        assert!(client.set_qos(Locked::root(), &req).is_ok());
         client.close();
     }
 
@@ -574,7 +577,7 @@ mod tests {
         let registry = Registry::new();
         let listener = TcpComChannel::listen("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let client = TcpComChannel::connect_with(addr, Some(&registry)).unwrap();
+        let client = TcpComChannel::connect_with(Locked::root(), addr, Some(&registry)).unwrap();
         let (server_stream, _) = listener.accept().unwrap();
         let server = TcpComChannel::from_stream_with(server_stream, Some(&registry)).unwrap();
 
@@ -623,8 +626,12 @@ mod tests {
         // well before the OS-default connect wait (minutes), bounded by
         // the passed timeout; when it does fail, it must fail attributed.
         let start = Instant::now();
-        let res =
-            TcpComChannel::connect_timeout_with("240.0.0.1:81", Duration::from_millis(200), None);
+        let res = TcpComChannel::connect_timeout_with(
+            Locked::root(),
+            "240.0.0.1:81",
+            Duration::from_millis(200),
+            None,
+        );
         if let Err(e) = &res {
             assert!(matches!(e, OrbError::Transport(_)), "unattributed: {e:?}");
         }

@@ -141,13 +141,31 @@ fn a_traced_chorus_call_has_non_negative_wire_gaps() {
     let server = server_orb.listen_chorus("traced").unwrap();
     let client_orb = Orb::with_exchange_and_config("client", exchange, config(&client_reg));
     let stub = client_orb.bind(&server.object_ref("echo")).unwrap();
+    // At least CALLS calls, and on until the object is admitted to the
+    // caller's thread: admission takes 64 upcalls in a row under 20 µs,
+    // which a loaded host may deny for a while, but not for ADMISSION_BOUND.
     const CALLS: usize = 100;
-    for _ in 0..CALLS {
+    const ADMISSION_BOUND: usize = 10_000;
+    let inline = || {
+        server_reg
+            .snapshot()
+            .counter(names::DISPATCH_INLINE_TOTAL)
+            .unwrap_or(0)
+    };
+    let mut calls = 0;
+    while calls < CALLS || inline() == 0 {
+        assert!(
+            calls < ADMISSION_BOUND,
+            "the warmed-up object never ran on the caller's thread"
+        );
         stub.invoke("echo", Bytes::from_static(b"x")).unwrap();
+        calls += 1;
     }
 
+    // One trace per call: on the ring, or evicted from it.
     let traces = client_reg.recent_traces();
-    assert_eq!(traces.len(), CALLS);
+    let evicted = client_reg.snapshot().counter(names::SPANS_DROPPED_TOTAL);
+    assert_eq!(traces.len() as u64 + evicted.unwrap_or(0), calls as u64);
     for t in &traces {
         assert!(t.is_merged(), "{t:?}");
         let server = t.server.expect("server half");
@@ -164,15 +182,7 @@ fn a_traced_chorus_call_has_non_negative_wire_gaps() {
     }
     assert_eq!(
         server_reg.snapshot().counter(names::TRACE_JOINS_TOTAL),
-        Some(CALLS as u64)
-    );
-    assert!(
-        server_reg
-            .snapshot()
-            .counter(names::DISPATCH_INLINE_TOTAL)
-            .unwrap_or(0)
-            > 0,
-        "the warmed-up object ran on the caller's thread"
+        Some(calls as u64)
     );
 }
 

@@ -22,8 +22,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::blocking;
+use crate::lockorder::Locked;
 use crate::sampler::{GaugeSampler, GaugeSeries};
 use crate::Registry;
+
+/// How long [`IntrospectServer::stop`] waits for the connection that wakes
+/// its acceptor.
+const POKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// A running introspection endpoint. Stops (and joins both threads) on
 /// [`IntrospectServer::stop`] or drop.
@@ -71,12 +77,15 @@ impl IntrospectServer {
 
     /// Stops both threads and waits for them. Idempotent.
     pub fn stop(&mut self) {
+        let held = Locked::root();
         if !self.stop.swap(true, Ordering::AcqRel) {
-            // Unblock the accept loop with a throwaway connection.
-            let _ = TcpStream::connect(self.addr);
+            // Unblock the accept loop with a throwaway connection; a
+            // loopback connect that takes longer than this means the
+            // acceptor is gone already.
+            let _ = blocking::connect_timeout(held, &self.addr, POKE_TIMEOUT);
         }
         if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+            let _ = blocking::join(held, handle);
         }
         if let Some(mut sampler) = self.sampler.take() {
             sampler.stop();

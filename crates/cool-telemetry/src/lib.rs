@@ -1,4 +1,4 @@
-//! `cool-telemetry` — zero-dependency observability for the COOL ORB.
+//! `cool-telemetry` — observability for the COOL ORB.
 //!
 //! The paper's central claim is that QoS becomes *visible and negotiable*
 //! at every layer of the ORB. This crate is the "visible" half: a shared
@@ -8,7 +8,8 @@
 //! reply decode.
 //!
 //! Design rules:
-//! - **No dependencies.** std only, so every runtime crate (netsim,
+//! - **No new dependencies.** std plus the in-tree channel and lock shims
+//!   every runtime crate already uses, so every runtime crate (netsim,
 //!   multe-qos, dacapo, cool-orb, bench) can depend on it without
 //!   widening the graph.
 //! - **Lock-free hot path.** Metric updates are relaxed atomics on
@@ -22,6 +23,7 @@
 #![forbid(unsafe_code)]
 
 pub mod allocs;
+pub mod blocking;
 pub mod flight;
 pub mod introspect;
 pub mod lockorder;

@@ -1,4 +1,4 @@
-//! Lock order, checked by the compiler.
+//! Lock order and blocking under a lock, checked by the compiler.
 //!
 //! Every lock that participates in the ORB's cross-thread protocols is an
 //! [`OrderedMutex`] whose second type parameter is its rank: one of the
@@ -13,6 +13,13 @@
 //! locks is handed its token as an argument; a token cannot cross
 //! threads).
 //!
+//! Blocking follows from the same borrow. A channel receive, a condvar
+//! wait, a join and a TCP connect go through [`crate::blocking`], whose
+//! functions take the unlocked token, `&mut Locked<Unlocked>`. While any
+//! guard lives that token is borrowed, so such a call under a ranked lock
+//! does not compile; a function that blocks says so by taking the token.
+//! `clippy.toml` lists the raw methods, denied in library code.
+//!
 //! Tokens come from two places:
 //! - [`Locked::root`] — "this thread holds no lock" — is minted where a
 //!   thread starts (a pool job, a dispatcher, the prober, the sampler, the
@@ -20,10 +27,13 @@
 //!   the guards a thread holds and panic if a root is minted while it
 //!   holds one, which is the one thing the types cannot see.
 //! - [`Locked::anywhere`] is for code that may run under any lock
-//!   (telemetry's API, a grant's drop): it admits only the leaves.
+//!   (telemetry's API, a grant's drop): it admits only the leaves, and
+//!   blocks nowhere.
 //!
 //! A *leaf* rank is one nothing is taken under. Any token admits it, and
 //! the token it hands back admits nothing.
+//!
+//! Each refusal below sits beside its compiling twin.
 //!
 //! ```compile_fail
 //! // `stack.chain` taken before `connection.uplink`: refused.
@@ -77,6 +87,88 @@
 //! }
 //! let pending = Arc::new(OrderedMutex::<(), rank::BindingPending>::new(()));
 //! on_another_thread(move |held| drop(pending.lock(held)));
+//! ```
+//! ```compile_fail
+//! // A channel receive while a guard lives: `held` is borrowed by it.
+//! use cool_telemetry::blocking;
+//! use cool_telemetry::lockorder::{rank, Locked, OrderedMutex};
+//! let pending = OrderedMutex::<(), rank::BindingPending>::new(());
+//! let (_tx, rx) = crossbeam::channel::bounded::<()>(1);
+//! let held = Locked::root();
+//! let (slots, _) = pending.lock(held);
+//! let _ = blocking::recv_timeout(held, &rx, std::time::Duration::ZERO);
+//! drop(slots);
+//! ```
+//! ```
+//! // Its twin, the guard released first: compiles.
+//! use cool_telemetry::blocking;
+//! use cool_telemetry::lockorder::{rank, Locked, OrderedMutex};
+//! let pending = OrderedMutex::<(), rank::BindingPending>::new(());
+//! let (_tx, rx) = crossbeam::channel::bounded::<()>(1);
+//! let held = Locked::root();
+//! let (slots, _) = pending.lock(held);
+//! drop(slots);
+//! let _ = blocking::recv_timeout(held, &rx, std::time::Duration::ZERO);
+//! ```
+//! ```compile_fail
+//! // A join under `server.threads`, as a server's close once had it.
+//! use cool_telemetry::blocking;
+//! use cool_telemetry::lockorder::{rank, Locked, OrderedMutex};
+//! let threads = OrderedMutex::<_, rank::ServerThreads>::new(Some(std::thread::spawn(|| {})));
+//! let held = Locked::root();
+//! let (mut slot, _) = threads.lock(held);
+//! if let Some(thread) = slot.take() {
+//!     let _ = blocking::join(held, thread);
+//! }
+//! ```
+//! ```
+//! // Its twin, the handle taken out and joined with the lock released:
+//! // compiles.
+//! use cool_telemetry::blocking;
+//! use cool_telemetry::lockorder::{rank, Locked, OrderedMutex};
+//! let threads = OrderedMutex::<_, rank::ServerThreads>::new(Some(std::thread::spawn(|| {})));
+//! let held = Locked::root();
+//! let thread = threads.lock(held).0.take();
+//! if let Some(thread) = thread {
+//!     let _ = blocking::join(held, thread);
+//! }
+//! ```
+//! ```compile_fail
+//! // A closure that blocks with a token it was not handed: refused.
+//! use cool_telemetry::blocking;
+//! use cool_telemetry::lockorder::{Locked, Unlocked};
+//! fn on_another_thread(job: impl FnOnce(&mut Locked<Unlocked>) + Send + 'static) {
+//!     std::thread::spawn(move || job(Locked::root()));
+//! }
+//! let (_tx, rx) = crossbeam::channel::bounded::<()>(1);
+//! let held = Locked::root();
+//! on_another_thread(move |_| drop(blocking::recv_timeout(held, &rx, std::time::Duration::ZERO)));
+//! ```
+//! ```
+//! // Its twin, blocking with the token it is handed: compiles.
+//! use cool_telemetry::blocking;
+//! use cool_telemetry::lockorder::{Locked, Unlocked};
+//! fn on_another_thread(job: impl FnOnce(&mut Locked<Unlocked>) + Send + 'static) {
+//!     std::thread::spawn(move || job(Locked::root()));
+//! }
+//! let (_tx, rx) = crossbeam::channel::bounded::<()>(1);
+//! on_another_thread(move |held| drop(blocking::recv_timeout(held, &rx, std::time::Duration::ZERO)));
+//! ```
+//! ```compile_fail
+//! // A condvar wait with no predicate: there is no such call.
+//! use cool_telemetry::blocking;
+//! use cool_telemetry::lockorder::Locked;
+//! let (done, cv) = (parking_lot::Mutex::new(true), parking_lot::Condvar::new());
+//! let mut done = done.lock();
+//! blocking::wait_while(Locked::root(), &cv, &mut done);
+//! ```
+//! ```
+//! // Its twin, waiting while the predicate holds: compiles.
+//! use cool_telemetry::blocking;
+//! use cool_telemetry::lockorder::Locked;
+//! let (done, cv) = (parking_lot::Mutex::new(true), parking_lot::Condvar::new());
+//! let mut done = done.lock();
+//! blocking::wait_while(Locked::root(), &cv, &mut done, |done| !*done);
 //! ```
 //!
 //! Release builds keep nothing: tokens are zero-sized and the wrappers are

@@ -9,14 +9,16 @@
 //! thread parks on a condvar deadline (no sleep polling) and stops
 //! promptly on drop.
 
+use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::blocking;
 use crate::lockorder::{rank, Locked, OrderedMutex};
-use crate::registry::{json_escape, locked};
+use crate::registry::json_escape;
 use crate::ring::Ring;
 use crate::Registry;
 
@@ -152,18 +154,24 @@ impl GaugeSampler {
         let thread_signal = Arc::clone(&signal);
         let handle = std::thread::Builder::new()
             .name("cool-gauge-sampler".to_string())
-            .spawn(move || loop {
-                {
-                    let guard = locked(&thread_signal.stopped);
-                    let (guard, _) = thread_signal
-                        .cv
-                        .wait_timeout(guard, DEFAULT_SAMPLE_PERIOD)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    if *guard {
+            .spawn(move || {
+                let held = Locked::root();
+                loop {
+                    let deadline = Instant::now() + DEFAULT_SAMPLE_PERIOD;
+                    let mut stopped = thread_signal.stopped.lock();
+                    blocking::wait_while_until(
+                        held,
+                        &thread_signal.cv,
+                        &mut stopped,
+                        deadline,
+                        |stopped| !*stopped,
+                    );
+                    if *stopped {
                         return;
                     }
+                    drop(stopped);
+                    thread_series.push_all(&registry.gauge_values());
                 }
-                thread_series.push_all(&registry.gauge_values());
             })?;
         Ok(GaugeSampler {
             series,
@@ -179,10 +187,10 @@ impl GaugeSampler {
 
     /// Stops the thread and waits for it to exit. Idempotent.
     pub fn stop(&mut self) {
-        *locked(&self.signal.stopped) = true;
+        *self.signal.stopped.lock() = true;
         self.signal.cv.notify_all();
         if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+            let _ = blocking::join(Locked::root(), handle);
         }
     }
 }

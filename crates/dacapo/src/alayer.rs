@@ -5,6 +5,7 @@ use crate::packet::Packet;
 use crate::runtime::Stack;
 use crate::stats::ThroughputMeter;
 use bytes::Bytes;
+use cool_telemetry::blocking;
 use cool_telemetry::lockorder::Locked;
 use crossbeam::channel::RecvTimeoutError;
 use std::sync::Arc;
@@ -88,7 +89,7 @@ impl AppEndpoint {
         if self.transport_closed() && from_stack.is_empty() {
             return Err(DacapoError::Closed);
         }
-        match from_stack.recv_timeout(timeout) {
+        match blocking::recv_timeout(Locked::root(), from_stack, timeout) {
             Ok(pkt) => self.deliver(pkt),
             Err(RecvTimeoutError::Timeout) => {
                 if self.transport_closed() {
@@ -111,7 +112,7 @@ impl AppEndpoint {
         if self.transport_closed() && from_stack.is_empty() {
             return Err(DacapoError::Closed);
         }
-        match from_stack.recv() {
+        match blocking::recv(Locked::root(), from_stack) {
             Ok(pkt) => self.deliver(pkt),
             Err(_) => Err(DacapoError::Closed),
         }

@@ -348,8 +348,9 @@ impl Connection {
     /// after a successful drain loses no in-flight data. The wait holds no
     /// lock, and ends early when the stack is swapped out or closed.
     pub fn drain(&self, timeout: std::time::Duration) -> bool {
-        let stack = self.running.lock(Locked::root()).0.stack.stack.clone();
-        stack.drain(timeout)
+        let held = Locked::root();
+        let stack = self.running.lock(held).0.stack.stack.clone();
+        stack.drain(held, timeout)
     }
 
     /// Whether the connection is closed: by [`Connection::close`], or by

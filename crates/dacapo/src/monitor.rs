@@ -11,6 +11,8 @@
 
 use crate::error::DacapoError;
 use crate::stats::ThroughputMeter;
+use cool_telemetry::blocking;
+use cool_telemetry::lockorder::{Locked, Unlocked};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
@@ -73,14 +75,10 @@ impl StopSignal {
 
     /// Parks until `deadline` or an earlier [`StopSignal::stop`]; returns
     /// whether stop was signalled.
-    fn wait_until(&self, deadline: Instant) -> bool {
+    fn wait_until(&self, held: &mut Locked<Unlocked>, deadline: Instant) -> bool {
         let mut stopped = self.stopped.lock();
-        while !*stopped {
-            if self.cv.wait_until(&mut stopped, deadline).timed_out() {
-                return *stopped;
-            }
-        }
-        true
+        blocking::wait_while_until(held, &self.cv, &mut stopped, deadline, |stopped| !*stopped);
+        *stopped
     }
 }
 
@@ -146,7 +144,7 @@ impl QosMonitor {
     pub fn stop(mut self) {
         self.stop.stop();
         if let Some(h) = self.handle.take() {
-            let _ = h.join();
+            let _ = blocking::join(Locked::root(), h);
         }
     }
 }
@@ -173,8 +171,9 @@ fn monitor_loop(
     // Fixed-rate cadence: deadlines advance by the interval, so sampling
     // drift does not accumulate and a stop wakes the thread at once.
     let mut deadline = Instant::now() + config.interval;
+    let held = Locked::root();
     loop {
-        if stop.wait_until(deadline) {
+        if stop.wait_until(held, deadline) {
             return;
         }
         deadline += config.interval;

@@ -25,6 +25,7 @@
 //! much the loop is wanted — the one such type for Da CaPo's connections
 //! and the ORB's TCP channels.
 
+use cool_telemetry::blocking;
 use cool_telemetry::lockorder::{Locked, Unlocked};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
@@ -106,7 +107,7 @@ impl Pool {
                 crate::runtime::receives_for_nobody(),
                 "a `{THREAD_NAME}` job returned marked as a connection's receive thread"
             );
-            match self.park(&slot) {
+            match self.park(held, &slot) {
                 Some(next) => job = next,
                 None => return,
             }
@@ -115,26 +116,25 @@ impl Pool {
 
     /// Parks in `slot` until a job is handed over or [`LINGER`] passes
     /// without one.
-    fn park(&self, slot: &Arc<Slot>) -> Option<Job> {
+    fn park(&self, held: &mut Locked<Unlocked>, slot: &Arc<Slot>) -> Option<Job> {
         self.parked.lock().push(Arc::clone(slot));
         let deadline = Instant::now() + LINGER;
         let mut job = slot.job.lock();
         loop {
-            if let Some(job) = job.take() {
-                return Some(job);
+            let empty = |job: &mut Option<Job>| job.is_none();
+            if !blocking::wait_while_until(held, &slot.handed, &mut job, deadline, empty) {
+                return job.take();
             }
-            if slot.handed.wait_until(&mut job, deadline).timed_out() {
-                drop(job);
-                let mut parked = self.parked.lock();
-                if let Some(at) = parked.iter().position(|p| Arc::ptr_eq(p, slot)) {
-                    parked.remove(at);
-                    return None;
-                }
-                drop(parked);
-                // Taken off the stack at the deadline: the job is in the
-                // slot already.
-                job = slot.job.lock();
+            drop(job);
+            let mut parked = self.parked.lock();
+            if let Some(at) = parked.iter().position(|p| Arc::ptr_eq(p, slot)) {
+                parked.remove(at);
+                return None;
             }
+            drop(parked);
+            // Taken off the stack at the deadline: the job is in the slot
+            // already.
+            job = slot.job.lock();
         }
     }
 }
@@ -229,35 +229,51 @@ impl ReadDemand {
 
     /// Parks the loop until it is wanted, nudged, or — if given — `recheck`
     /// has passed; `false` once the connection has closed.
-    pub fn park_until_wanted(&self, recheck: Option<Duration>) -> bool {
-        self.park(recheck, true)
+    pub fn park_until_wanted(
+        &self,
+        held: &mut Locked<Unlocked>,
+        recheck: Option<Duration>,
+    ) -> bool {
+        self.park(held, recheck, true)
     }
 
     /// Parks a loop that has nothing to read yet until it is nudged — by
     /// its transport when something arrives — a reply is owed to it, or
     /// `recheck` has passed, whether or not the demand has been handed
     /// over; `false` once the connection has closed.
-    pub fn park_until_nudged(&self, recheck: Option<Duration>) -> bool {
-        self.park(recheck, false)
+    pub fn park_until_nudged(
+        &self,
+        held: &mut Locked<Unlocked>,
+        recheck: Option<Duration>,
+    ) -> bool {
+        self.park(held, recheck, false)
     }
 
     /// `wanted_until_handed_over`: a demand not yet handed over ends the
     /// wait at once.
-    fn park(&self, recheck: Option<Duration>, wanted_until_handed_over: bool) -> bool {
-        let deadline = recheck.map(|after| Instant::now() + after);
+    fn park(
+        &self,
+        held: &mut Locked<Unlocked>,
+        recheck: Option<Duration>,
+        wanted_until_handed_over: bool,
+    ) -> bool {
+        let unwanted = |st: &mut DemandState| {
+            !st.closed
+                && (st.handed_over || !wanted_until_handed_over)
+                && st.owed == 0
+                && !std::mem::take(&mut st.nudged)
+        };
         let mut st = self.state.lock();
-        while !st.closed
-            && (st.handed_over || !wanted_until_handed_over)
-            && st.owed == 0
-            && !std::mem::take(&mut st.nudged)
-        {
-            match deadline {
-                None => self.changed.wait(&mut st),
-                Some(deadline) => {
-                    if self.changed.wait_until(&mut st, deadline).timed_out() {
-                        break;
-                    }
-                }
+        match recheck {
+            None => blocking::wait_while(held, &self.changed, &mut st, unwanted),
+            Some(after) => {
+                blocking::wait_while_until(
+                    held,
+                    &self.changed,
+                    &mut st,
+                    Instant::now() + after,
+                    unwanted,
+                );
             }
         }
         !st.closed

@@ -72,6 +72,7 @@ use crate::stats::ThroughputMeter;
 use crate::tlayer::{Transport, Waker};
 use crate::DacapoError;
 use bytes::Bytes;
+use cool_telemetry::blocking;
 use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::lockorder::{
     rank, LockBefore, Locked, OrderedMutex, OrderedMutexGuard, Unlocked,
@@ -181,25 +182,18 @@ impl QuiesceSignal {
 
     /// Waits for a pulse newer than `seen`; false when `deadline` passes
     /// first.
-    fn wait_newer(&self, seen: u64, deadline: Instant) -> bool {
+    fn wait_newer(&self, held: &mut Locked<Unlocked>, seen: u64, deadline: Instant) -> bool {
         let mut generation = self.generation.lock();
-        while *generation == seen {
-            if self.cv.wait_until(&mut generation, deadline).timed_out() {
-                return false;
-            }
-        }
-        true
+        !blocking::wait_while_until(held, &self.cv, &mut generation, deadline, |g| *g == seen)
     }
 
     /// Waits for a pulse newer than `seen`, however long that takes: for a
     /// sender behind a stalled module. The turn holder pulses after
     /// every event — an acknowledgement that ran the queues dry, the
     /// transport's end — and so do [`Stack::stop`] and a failed write.
-    fn wait_for_room(&self, seen: u64) {
+    fn wait_for_room(&self, held: &mut Locked<Unlocked>, seen: u64) {
         let mut generation = self.generation.lock();
-        while *generation == seen {
-            self.cv.wait(&mut generation);
-        }
+        blocking::wait_while(held, &self.cv, &mut generation, |g| *g == seen);
     }
 }
 
@@ -531,7 +525,7 @@ impl Stack {
                 return Err(DacapoError::Timeout(Duration::ZERO));
             }
             match seen.take() {
-                Some(seen) => self.with_a_reader(|| self.quiesce.wait_for_room(seen)),
+                Some(seen) => self.with_a_reader(|| self.quiesce.wait_for_room(held, seen)),
                 None => seen = Some(self.quiesce.generation()),
             }
         }
@@ -742,7 +736,7 @@ impl Stack {
     /// See [`StackHandle::drain`]. A stopped stack moves nothing any more:
     /// the wait ends there, with whether it was left empty. While a module
     /// waits for an acknowledgement, the connection's receive loop reads it.
-    pub(crate) fn drain(&self, timeout: Duration) -> bool {
+    pub(crate) fn drain(&self, held: &mut Locked<Unlocked>, timeout: Duration) -> bool {
         if self.is_quiescent() {
             return true;
         }
@@ -755,7 +749,7 @@ impl Stack {
             if self.is_quiescent() {
                 return true;
             }
-            if self.stopped() || !self.quiesce.wait_newer(seen, deadline) {
+            if self.stopped() || !self.quiesce.wait_newer(held, seen, deadline) {
                 return self.is_quiescent();
             }
         })
@@ -823,7 +817,7 @@ impl StackHandle {
     /// between re-checks instead of sleep-polling. It never takes the stack
     /// lock, and it ends when the stack is stopped.
     pub fn drain(&self, timeout: Duration) -> bool {
-        self.stack.drain(timeout)
+        self.stack.drain(Locked::root(), timeout)
     }
 }
 
@@ -900,16 +894,16 @@ impl WireWriter {
         loop {
             let stack = {
                 let mut state = self.state.lock();
-                loop {
-                    if state.ended {
+                blocking::wait_while(held, &self.work, &mut state, |s| {
+                    !s.ended && s.stack.is_none()
+                });
+                match state.stack.take() {
+                    Some(stack) if !state.ended => stack,
+                    _ => {
                         state.running = false;
                         self.finished.notify_all();
                         return;
                     }
-                    if let Some(stack) = state.stack.take() {
-                        break stack;
-                    }
-                    self.work.wait(&mut state);
                 }
             };
             stack.flush_wire(held, true);
@@ -920,16 +914,14 @@ impl WireWriter {
     /// The transport has ended: ends the writer job, and waits for it to
     /// return. A write still blocked on the ended transport returns once
     /// this side is closed as well.
-    fn stop(&self) {
+    fn stop(&self, held: &mut Locked<Unlocked>) {
         let mut state = self.state.lock();
         state.ended = true;
         state.stack = None;
         self.work.notify_one();
         if state.running {
             self.transport.close();
-            while state.running {
-                self.finished.wait(&mut state);
-            }
+            blocking::wait_while(held, &self.finished, &mut state, |s| s.running);
         }
     }
 }
@@ -1154,7 +1146,7 @@ impl RxSide {
             // arrival — a turn's nudge above all — is not seen twice.
             let open = wanted(held) || {
                 let recheck = self.has_modules(held).then_some(TICK_INTERVAL);
-                let open = self.demand.park_until_wanted(recheck);
+                let open = self.demand.park_until_wanted(held, recheck);
                 if open && !wanted(held) {
                     continue;
                 }
@@ -1189,7 +1181,7 @@ impl RxSide {
         // disarmed nothing yet.
         if !self.demand.is_handed_over() {
             let recheck = self.has_modules(held).then_some(TICK_INTERVAL);
-            self.demand.park_until_nudged(recheck);
+            self.demand.park_until_nudged(held, recheck);
         }
         self.transport.notify_arrival(None);
     }
@@ -1282,7 +1274,7 @@ impl RxSide {
             on_closed();
         }
         self.upcall(held, turn, RxEvent::WireEnded);
-        self.writer.stop();
+        self.writer.stop(held);
         self.demand.close();
     }
 }

@@ -15,6 +15,8 @@
 
 use crate::error::DacapoError;
 use bytes::Bytes;
+use cool_telemetry::blocking;
+use cool_telemetry::lockorder::{Locked, Unlocked};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -214,7 +216,11 @@ pub fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
 impl LoopbackTransport {
     /// The one receive wait: `timeout` of `None` parks until a frame or a
     /// close.
-    fn recv_within(&self, timeout: Option<Duration>) -> Result<Bytes, DacapoError> {
+    fn recv_within(
+        &self,
+        held: &mut Locked<Unlocked>,
+        timeout: Option<Duration>,
+    ) -> Result<Bytes, DacapoError> {
         let deadline = timeout.map(|t| (Instant::now() + t, t));
         let mut st = self.rx.state.lock();
         loop {
@@ -227,13 +233,16 @@ impl LoopbackTransport {
             if st.closed {
                 return Err(DacapoError::Closed);
             }
+            let idle = |st: &mut LoopbackWireState| {
+                st.queue.is_empty() && !st.closed && !(deadline.is_some() && st.woken)
+            };
             match deadline {
-                None => self.rx.arrival.wait(&mut st),
+                None => blocking::wait_while(held, &self.rx.arrival, &mut st, idle),
                 Some((at, timeout)) => {
                     if std::mem::take(&mut st.woken) || Instant::now() >= at {
                         return Err(DacapoError::Timeout(timeout));
                     }
-                    self.rx.arrival.wait_until(&mut st, at);
+                    blocking::wait_while_until(held, &self.rx.arrival, &mut st, at, idle);
                 }
             }
         }
@@ -257,11 +266,11 @@ impl Transport for LoopbackTransport {
     }
 
     fn recv(&self) -> Result<Bytes, DacapoError> {
-        self.recv_within(None)
+        self.recv_within(Locked::root(), None)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError> {
-        self.recv_within(Some(timeout))
+        self.recv_within(Locked::root(), Some(timeout))
     }
 
     fn close(&self) {
@@ -636,8 +645,13 @@ impl TcpTransport {
 
     /// The one receive: `timeout` of `None` reads until a frame completes
     /// or the connection ends. `close` shuts the socket down, which ends a
-    /// blocked read at once.
-    fn recv_within(&self, timeout: Option<Duration>) -> Result<Bytes, DacapoError> {
+    /// blocked read at once. The read blocks, so it takes the unlocked
+    /// token as the loopback wire's wait does.
+    fn recv_within(
+        &self,
+        _held: &mut Locked<Unlocked>,
+        timeout: Option<Duration>,
+    ) -> Result<Bytes, DacapoError> {
         let deadline = timeout.and_then(|t| Some((Instant::now().checked_add(t)?, t)));
         let reader = &mut *self.reader.lock();
         loop {
@@ -681,11 +695,11 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&self) -> Result<Bytes, DacapoError> {
-        self.recv_within(None)
+        self.recv_within(Locked::root(), None)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError> {
-        self.recv_within(Some(timeout))
+        self.recv_within(Locked::root(), Some(timeout))
     }
 
     fn close(&self) {

@@ -4,6 +4,7 @@ use crate::error::NetSimError;
 use crate::link::Direction;
 use crate::spec::LinkSpec;
 use bytes::Bytes;
+use cool_telemetry::lockorder::Locked;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -48,7 +49,7 @@ impl Endpoint {
     /// closed and all in-flight frames have been consumed, or as soon as
     /// this endpoint is [closed](Endpoint::close).
     pub fn recv(&self) -> Result<Bytes, NetSimError> {
-        self.rx.recv_until(None)
+        self.rx.recv_until(Locked::root(), None)
     }
 
     /// Blocks for at most `timeout` for the next frame.
@@ -59,7 +60,7 @@ impl Endpoint {
     /// [`NetSimError::Disconnected`] as for [`Endpoint::recv`].
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, NetSimError> {
         let deadline = self.rx.clock().now() + timeout;
-        self.rx.recv_until(Some(deadline))
+        self.rx.recv_until(Locked::root(), Some(deadline))
     }
 
     /// Returns the next frame if one is already deliverable.

@@ -27,13 +27,15 @@ use crate::error::NetSimError;
 use crate::spec::LinkSpec;
 use crate::stats::LinkStats;
 use bytes::Bytes;
+use cool_telemetry::blocking;
+use cool_telemetry::lockorder::{Locked, Unlocked};
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One shaped direction of a link. Shared between exactly one sending
 /// endpoint and one receiving endpoint.
@@ -221,7 +223,11 @@ impl Direction {
     /// has come, otherwise wait for whichever is next — an arrival, the
     /// head frame's delivery time, the deadline — or for
     /// [`Direction::close_receiver`], which ends the wait at once.
-    pub(crate) fn recv_until(&self, deadline: Option<Duration>) -> Result<Bytes, NetSimError> {
+    pub(crate) fn recv_until(
+        &self,
+        held: &mut Locked<Unlocked>,
+        deadline: Option<Duration>,
+    ) -> Result<Bytes, NetSimError> {
         let mut st = self.state.lock();
         loop {
             if st.receiver_closed {
@@ -262,11 +268,21 @@ impl Direction {
                 }
                 st = self.state.lock();
             } else {
+                // Until something this loop acts on changes: the head
+                // frame, the receiver's close, a wake (when bounded), or
+                // the sender's end (when nothing is in flight).
+                let unchanged = |st: &mut DirectionState| {
+                    st.in_flight.front().map(|(at, _)| *at) == head
+                        && !st.receiver_closed
+                        && !(deadline.is_some() && st.woken)
+                        && (head.is_some() || self.sender_alive.load(Ordering::Acquire))
+                };
                 match wake_at {
                     Some(t) => {
-                        self.arrival.wait_for(&mut st, t - now);
+                        let until = Instant::now() + (t - now);
+                        blocking::wait_while_until(held, &self.arrival, &mut st, until, unchanged);
                     }
-                    None => self.arrival.wait(&mut st),
+                    None => blocking::wait_while(held, &self.arrival, &mut st, unchanged),
                 }
             }
         }

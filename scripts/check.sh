@@ -18,11 +18,14 @@ cargo test -q --workspace
 # every channel and lock in the tree stands on.
 cargo test -q -p crossbeam -p parking_lot
 # Unit tests, integration tests, benches and examples meet the library's bar.
-# Tests sleep, so clippy.toml's disallowed `thread::sleep` is allowed here.
+# Tests sleep and block freely, so clippy.toml's disallowed methods are
+# allowed here.
 cargo clippy --workspace --all-targets -- -D warnings -A clippy::disallowed_methods
 # Library and binary code only (no cfg(test) code, no test, bench or example
-# target, and not the bench harness crate): no unwrap or expect, and no
-# `thread::sleep` polling. An exemption is an `#[expect(lint, reason = "..")]`,
+# target, and not the bench harness crate): no unwrap or expect, no
+# `thread::sleep` polling, and no raw blocking call — it goes through
+# `cool_telemetry::blocking`, which takes the unlocked lock-order token, so
+# blocking under a ranked lock does not compile. An exemption is an `#[expect(lint, reason = "..")]`,
 # which rustc itself reports once it no longer fires.
 cargo clippy --workspace --exclude bench --lib --bins -- \
     -D clippy::unwrap_used -D clippy::expect_used -D clippy::disallowed_methods
@@ -74,11 +77,10 @@ cargo test -q --release --test failure_injection
 
 # The analyzer (DESIGN §7.1), one pass over every .rs file, for what no
 # stock tool sees. Per file: unbounded invocation retry loops.
-# Whole-workspace analysis: error-variant test coverage, blocking under a
-# ranked lock (the lock order itself is a type, checked by rustc), telemetry
-# names, channel topology against §7.4, condvar wait graph, spawn/join
-# lifecycle, hang-freedom against the §8.5 drain registry, error
-# attribution. An inline allow that suppresses nothing is a finding too.
+# Whole-workspace analysis: error-variant test coverage, telemetry names,
+# channel topology against §7.4, condvar notifies, spawn/join lifecycle,
+# hang-freedom against the §8.5 drain registry, error attribution. (The
+# lock order and blocking under a ranked lock are types, checked by rustc.) An inline allow that suppresses nothing is a finding too.
 # The gate is the exit code: non-zero on any finding. SARIF is for PR
 # annotations.
 cargo run -q --release -p cool-analyze -- --sarif-out analyze-report.sarif
