@@ -45,7 +45,7 @@
 #![warn(missing_docs)]
 #![expect(
     clippy::disallowed_methods,
-    reason = "chorus-sim has no ranked lock and no lock-order token: a port receive is the \
+    reason = "chorus-sim has no ranked lock and no lock-order token: a port send or receive is the \
               simulated kernel's own blocking call, and the ORB's library code never makes it"
 )]
 

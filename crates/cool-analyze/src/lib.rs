@@ -4,8 +4,8 @@
 //! The binary (`cargo run -p cool-analyze`) reads and lexes every `.rs`
 //! file once. In that loop the per-file token rule (unbounded retry
 //! loops) runs on the token stream while the parser lifts it into a fact
-//! base (functions, call sites, blocking calls, spawns, channels,
-//! metric-name constants); the whole-workspace rules then run over the
+//! base (functions, call sites, blocking calls, spawns, metric-name
+//! constants); the whole-workspace rules then run over the
 //! facts and an intra-crate call graph. [`rules`] has the table. Findings print as
 //! `file:line RULE message`; `--sarif-out` also writes them as SARIF for
 //! PR annotations. The exit code is the gate: 0 clean, 1 findings, 2 usage

@@ -16,18 +16,20 @@ use crate::source::{classify, in_regions, inline_allows, test_regions, Allow, Fi
 use std::collections::HashSet;
 
 /// The functions of `cool_telemetry::blocking`, the one way library code
-/// blocks on a channel, condvar, join or connect (clippy denies the raw
-/// methods there): a call `blocking::name(..)` with one of these names is a
+/// blocks on a channel, condvar, park, join or connect (clippy denies the
+/// raw methods there): a call `blocking::name(..)` with one of these names is a
 /// blocking site. So is a method call named like one of its receives
 /// (`x.recv(..)`, `x.recv_timeout(..)`, `x.recv_deadline(..)`), on any
 /// receiver: a transport's, an endpoint's or an inbox's receive blocks
 /// too, and takes no token.
 pub const BLOCKING: &[&str] = &[
+    "send",
     "recv",
     "recv_timeout",
     "recv_deadline",
     "wait_while",
     "wait_while_until",
+    "park_timeout",
     "join",
     "connect_timeout",
 ];
@@ -83,43 +85,6 @@ pub struct FnItem {
     /// Call sites in the body, in token order (closures and nested fns
     /// excluded).
     pub calls: Vec<Call>,
-}
-
-/// The capacity argument of a bounded-channel constructor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CapExpr {
-    /// `bounded(8)`.
-    Lit(u64),
-    /// `bounded(SOME_DEPTH)` — a single SCREAMING_CASE constant, resolved
-    /// against the workspace integer-constant table.
-    Const(String),
-    /// Anything computed (`bounded(config.depth.max(1))`); the identifiers
-    /// appearing in the expression, for table matching.
-    Dynamic(Vec<String>),
-}
-
-/// What kind of queue a construction site creates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChanKind {
-    /// `crossbeam::channel::bounded(cap)`.
-    Bounded,
-    /// `crossbeam::channel::unbounded()`.
-    Unbounded,
-    /// `FrameInbox::new()` — condvar-backed, grows until a sink drains it.
-    Inbox,
-}
-
-/// One channel/inbox construction site (the A005 fact).
-#[derive(Debug)]
-pub struct ChanCtor {
-    pub kind: ChanKind,
-    /// `None` for unbounded kinds.
-    pub cap: Option<CapExpr>,
-    /// Innermost enclosing function, the site's identity in the DESIGN.md
-    /// §7.4 channel-topology table.
-    pub fn_name: Option<String>,
-    pub line: u32,
-    pub in_test: bool,
 }
 
 /// One condvar wait site (the A006 fact), collected at file scope: a wait
@@ -201,11 +166,6 @@ pub struct ParsedFile {
     pub lib_strs: HashSet<String>,
     /// `// lint: allow(RULE, reason)` annotations.
     pub allows: Vec<Allow>,
-    /// Channel/inbox construction sites (A005).
-    pub chan_ctors: Vec<ChanCtor>,
-    /// Top-level `const NAME: <int> = value;` items, for capacity-constant
-    /// resolution.
-    pub int_consts: Vec<(String, u64, u32)>,
     /// Identifiers that bind a `Condvar` (field declarations, struct
     /// literals, `let` bindings).
     pub condvar_binders: HashSet<String>,
@@ -299,8 +259,6 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
         }
     }
 
-    let chan_ctors = collect_chan_ctors(toks, &fns, &in_test_line, &in_macro);
-    let int_consts = collect_int_consts(toks);
     let condvar_binders = collect_condvar_binders(toks);
     let (waits, notifies) = collect_wait_notify(toks, &in_test_line, &in_macro);
     let spawns = collect_spawns(toks, &fns, &in_test_line, &in_macro);
@@ -341,8 +299,6 @@ pub fn parse_file(rel: &str, scan: &Scan) -> ParsedFile {
         lib_idents,
         lib_strs,
         allows: inline_allows(&scan.comments),
-        chan_ctors,
-        int_consts,
         condvar_binders,
         waits,
         notifies,
@@ -714,141 +670,6 @@ fn enclosing_fn(fns: &[FnItem], idx: usize) -> Option<usize> {
         .filter(|&(_, a, b)| idx >= a && idx <= b)
         .min_by_key(|&(_, a, b)| b - a)
         .map(|(i, _, _)| i)
-}
-
-/// Channel/inbox construction sites: `bounded(cap)` / `unbounded()`
-/// (turbofish forms included) and `FrameInbox::new()`.
-fn collect_chan_ctors(
-    toks: &[Tok],
-    fns: &[FnItem],
-    in_test_line: &dyn Fn(u32) -> bool,
-    in_macro: &dyn Fn(usize) -> bool,
-) -> Vec<ChanCtor> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if in_macro(i) || toks[i].kind != TokKind::Ident {
-            i += 1;
-            continue;
-        }
-        let t = &toks[i];
-        let prev = if i > 0 { toks[i - 1].text.as_str() } else { "" };
-        let kind = match t.text.as_str() {
-            "bounded" if prev != "." && prev != "fn" => ChanKind::Bounded,
-            "unbounded" if prev != "." && prev != "fn" => ChanKind::Unbounded,
-            "FrameInbox"
-                if toks.get(i + 1).map(|t| t.text.as_str()) == Some(":")
-                    && toks.get(i + 2).map(|t| t.text.as_str()) == Some(":")
-                    && toks.get(i + 3).map(|t| t.text.as_str()) == Some("new")
-                    && toks.get(i + 4).map(|t| t.text.as_str()) == Some("(") =>
-            {
-                ChanKind::Inbox
-            }
-            _ => {
-                i += 1;
-                continue;
-            }
-        };
-        // The argument-list paren, skipping a `::<T>` turbofish. A bare
-        // `bounded`/`unbounded` ident without one (imports) is not a site.
-        let args_open = if kind == ChanKind::Inbox {
-            i + 4
-        } else {
-            let mut j = i + 1;
-            if toks.get(j).map(|t| t.text.as_str()) == Some(":")
-                && toks.get(j + 1).map(|t| t.text.as_str()) == Some(":")
-                && toks.get(j + 2).map(|t| t.text.as_str()) == Some("<")
-            {
-                let mut depth = 0i32;
-                j += 2;
-                while j < toks.len() {
-                    match toks[j].text.as_str() {
-                        "<" => depth += 1,
-                        ">" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
-            if toks.get(j).map(|t| t.text.as_str()) != Some("(") {
-                i += 1;
-                continue;
-            }
-            j
-        };
-        let args_close = match_close(toks, args_open);
-        let cap = if kind == ChanKind::Bounded {
-            let mut idents: Vec<String> = Vec::new();
-            let mut lits: Vec<u64> = Vec::new();
-            for t in &toks[args_open + 1..args_close] {
-                match t.kind {
-                    TokKind::Ident if !is_keyword(&t.text) => idents.push(t.text.clone()),
-                    TokKind::Num => {
-                        if let Ok(v) = t.text.replace('_', "").parse::<u64>() {
-                            lits.push(v);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let screaming = |s: &str| {
-                s.chars().any(|c| c.is_ascii_uppercase())
-                    && !s.chars().any(|c| c.is_ascii_lowercase())
-            };
-            Some(match (idents.as_slice(), lits.as_slice()) {
-                ([], [v]) => CapExpr::Lit(*v),
-                ([name], []) if screaming(name) => CapExpr::Const(name.clone()),
-                _ => CapExpr::Dynamic(idents),
-            })
-        } else {
-            None
-        };
-        out.push(ChanCtor {
-            kind,
-            cap,
-            fn_name: enclosing_fn(fns, i).map(|fi| fns[fi].name.clone()),
-            line: t.line,
-            in_test: in_test_line(t.line),
-        });
-        i = args_open + 1;
-    }
-    out
-}
-
-const INT_TYPES: &[&str] = &[
-    "usize", "u8", "u16", "u32", "u64", "i8", "i16", "i32", "i64", "isize",
-];
-
-/// `const NAME: usize = 123;` items at any nesting, for A005
-/// capacity-constant resolution (and its drift check against §7.4).
-fn collect_int_consts(toks: &[Tok]) -> Vec<(String, u64, u32)> {
-    let mut out = Vec::new();
-    let mut j = 0usize;
-    while j + 5 < toks.len() {
-        if toks[j].text == "const"
-            && toks[j + 1].kind == TokKind::Ident
-            && toks[j + 2].text == ":"
-            && toks[j + 3].kind == TokKind::Ident
-            && INT_TYPES.contains(&toks[j + 3].text.as_str())
-            && toks[j + 4].text == "="
-            && toks[j + 5].kind == TokKind::Num
-            && toks.get(j + 6).map(|t| t.text.as_str()) == Some(";")
-        {
-            if let Ok(v) = toks[j + 5].text.replace('_', "").parse::<u64>() {
-                out.push((toks[j + 1].text.clone(), v, toks[j + 1].line));
-            }
-            j += 6;
-        } else {
-            j += 1;
-        }
-    }
-    out
 }
 
 /// Identifiers that bind a `Condvar`: struct-field declarations
@@ -1360,41 +1181,6 @@ mod tests {
         );
         assert!(p.lib_idents.contains("lib_ident"));
         assert!(!p.lib_idents.contains("test_ident"));
-    }
-
-    #[test]
-    fn chan_ctors_classify_kind_and_capacity() {
-        let p = parsed(
-            "use crossbeam_channel::{bounded, unbounded};\n\
-             const DEPTH: usize = 8;\n\
-             fn a() { let (t, r) = bounded(4); }\n\
-             fn b() { let (t, r) = bounded(DEPTH); }\n\
-             fn c(n: usize) { let (t, r) = bounded::<u8>(n.max(1)); }\n\
-             fn d() { let (t, r) = unbounded(); }\n\
-             fn e() { let q = FrameInbox::new(); }\n\
-             #[cfg(test)]\nmod tests { fn t() { let (x, y) = unbounded(); } }",
-        );
-        assert_eq!(p.int_consts, vec![("DEPTH".to_string(), 8, 2)]);
-        let by_fn = |name: &str| {
-            p.chan_ctors
-                .iter()
-                .find(|c| c.fn_name.as_deref() == Some(name))
-                .unwrap()
-        };
-        assert_eq!(by_fn("a").kind, ChanKind::Bounded);
-        assert_eq!(by_fn("a").cap, Some(CapExpr::Lit(4)));
-        assert_eq!(by_fn("b").cap, Some(CapExpr::Const("DEPTH".into())));
-        assert_eq!(
-            by_fn("c").cap,
-            Some(CapExpr::Dynamic(vec!["n".into(), "max".into()]))
-        );
-        assert_eq!(by_fn("d").kind, ChanKind::Unbounded);
-        assert_eq!(by_fn("d").cap, None);
-        assert_eq!(by_fn("e").kind, ChanKind::Inbox);
-        let test_site = by_fn("t");
-        assert!(test_site.in_test);
-        // The braced import tokens are not construction sites.
-        assert_eq!(p.chan_ctors.len(), 6);
     }
 
     #[test]

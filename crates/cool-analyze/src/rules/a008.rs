@@ -25,7 +25,6 @@
 //! contains the closure: a worker loop's receive is checked no matter how
 //! the worker is spawned.
 
-use super::a005::backticked;
 use super::{is_shutdown_root, shutdown_reachable, Ctx};
 use crate::report::Finding;
 use crate::source::on_data_path;
@@ -34,6 +33,19 @@ use std::collections::HashSet;
 /// Bounded by the operation's own name.
 fn bounded_by_name(what: &str) -> bool {
     what.contains("timeout") || what.contains("deadline") || what.ends_with("_until")
+}
+
+/// Backticked substrings of `text`.
+fn backticked(text: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut rest = text;
+    while let Some(start) = rest.find('`') {
+        let after = &rest[start + 1..];
+        let Some(end) = after.find('`') else { break };
+        names.push(after[..end].to_owned());
+        rest = &after[end + 1..];
+    }
+    names
 }
 
 /// One §8.5 drain-registry entry: `` - `file.rs::fn` — wakeup story ``.

@@ -213,13 +213,13 @@ mod tests {
     #[test]
     fn stacked_allows_cover_the_site_below_the_stack() {
         // Two allow lines above one site: both rules must reach line 4.
-        let src = "fn f() {\n    // lint: allow(A005, drained by flusher)\n    \
-                   // lint: allow(A006, woken by the flusher's close)\n    cv.wait(g);\n}";
+        let src = "fn f() {\n    // lint: allow(A006, woken by the flusher's close)\n    \
+                   // lint: allow(A008, the flusher's close ends the wait)\n    cv.wait(g);\n}";
         let allows = inline_allows(&scan(src).comments);
         let at = |line: u32| -> Vec<&str> {
             allows.iter().filter(|a| a.covers(line)).map(|a| a.rule.as_str()).collect()
         };
-        assert_eq!(at(4), ["A005", "A006"], "stacked rules reach the site");
+        assert_eq!(at(4), ["A006", "A008"], "stacked rules reach the site");
         assert_eq!(allows[0].line, 2, "an allow knows the line it is written on");
         assert!(at(5).is_empty(), "coverage stops at the first non-allow line");
     }

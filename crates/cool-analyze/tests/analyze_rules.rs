@@ -46,7 +46,6 @@ const FIXTURE_OF: &[(&str, &str)] = &[
     ("L005", "l005"),
     ("L006", "l006"),
     ("A004", "metrics"),
-    ("A005", "chantopo"),
     ("A006", "condvar"),
     ("A007", "spawnjoin"),
     ("A008", "hangfree"),
@@ -146,46 +145,6 @@ fn a004_flags_orphan_and_undocumented_metric_names() {
         "undocumented name flagged: {msgs:?}"
     );
     assert_eq!(msgs.len(), 2, "used_total stays clean: {msgs:?}");
-}
-
-// ---- A005: channel topology -----------------------------------------
-
-#[test]
-fn a005_flags_unbounded_drift_missing_phantom_policy_and_cycles() {
-    let found = findings("chantopo");
-    assert!(
-        found.iter().all(|(r, _, _, _)| r == "A005"),
-        "no other rule fires on this fixture: {found:?}"
-    );
-    let find = |file: &str, line: u32| -> &str {
-        &found
-            .iter()
-            .find(|(_, f, l, _)| f == file && *l == line)
-            .unwrap_or_else(|| panic!("no finding at {file}:{line}: {found:?}"))
-            .3
-    };
-    // Site side.
-    assert!(
-        find("crates/cool-orb/src/lib.rs", 16).contains("drifted")
-            && find("crates/cool-orb/src/lib.rs", 16).contains("bounded(DEPTH = 9)"),
-        "mutating a capacity constant without a table update is drift"
-    );
-    assert!(find("crates/cool-orb/src/lib.rs", 21).contains("unbounded channel"));
-    assert!(find("crates/cool-orb/src/lib.rs", 47).contains("missing from the DESIGN.md"));
-    // Table side.
-    assert!(find("DESIGN.md", 10).contains("no construction site"));
-    assert!(find("DESIGN.md", 12).contains("matches no construction site"));
-    assert!(find("DESIGN.md", 13).contains("unknown full-policy `maybe`"));
-    assert!(
-        find("DESIGN.md", 14).contains("channel cycle")
-            && find("DESIGN.md", 14).contains("ring_a -> lib.rs::ring_b"),
-        "all-block ring reported with its path"
-    );
-    assert_eq!(
-        found.len(),
-        7,
-        "make_good, make_allowed and the test-mod queue stay clean: {found:?}"
-    );
 }
 
 // ---- A006: condvar wait-graph ---------------------------------------
@@ -369,12 +328,12 @@ fn the_real_workspace_analyzes_clean() {
         "the workspace must analyze clean:\n{}",
         report.render_text()
     );
-    // All eight rules actually ran to produce that clean bill — a rule
+    // All seven rules actually ran to produce that clean bill — a rule
     // silently dropped from the registry would otherwise make this test
     // pass vacuously.
     assert_eq!(
         cool_analyze::rules::RULES,
-        ["L005", "L006", "A004", "A005", "A006", "A007", "A008", "A010"],
+        ["L005", "L006", "A004", "A006", "A007", "A008", "A010"],
         "the rule registry lists every rule"
     );
     assert!(

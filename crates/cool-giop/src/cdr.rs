@@ -473,7 +473,9 @@ impl<'a> CdrDecoder<'a> {
                 limit: MAX_LENGTH as u64,
             });
         }
-        let mut items = Vec::with_capacity((len as usize).min(1024));
+        // Every item takes at least a byte: reserve no more than the input
+        // holds, whatever the length claims.
+        let mut items = Vec::with_capacity((len as usize).min(1024).min(self.remaining()));
         for _ in 0..len {
             items.push(T::decode(self)?);
         }

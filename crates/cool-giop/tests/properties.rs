@@ -460,4 +460,33 @@ proptest! {
         // The other direction's tag is never confused for this one.
         prop_assert_eq!(RequestTraceContext::from_list(&list), None);
     }
+
+    /// Arbitrary context data never panics either trace decoder: it
+    /// parses exactly when it leads with the format octet and holds every
+    /// field, and then reads the fields from the leading `WIRE_LEN` bytes
+    /// alone (whatever follows is a later format's and is ignored).
+    #[test]
+    fn trace_contexts_decode_arbitrary_bytes(
+        data in proptest::collection::vec(any::<u8>(), 0..48),
+        versioned in any::<bool>(),
+    ) {
+        let mut data = data;
+        let probe = RequestTraceContext { trace_id: 0, sent_at_ns: 0, marshal_us: 0 };
+        let format = probe.encode()[0];
+        if versioned && !data.is_empty() {
+            data[0] = format;
+        }
+        let v1 = data.first() == Some(&format);
+
+        let request = RequestTraceContext::decode(&data);
+        prop_assert_eq!(request.is_some(), v1 && data.len() >= RequestTraceContext::WIRE_LEN);
+        if let Some(ctx) = request {
+            prop_assert_eq!(&ctx.encode()[..], &data[..RequestTraceContext::WIRE_LEN]);
+        }
+        let reply = ReplyTraceContext::decode(&data);
+        prop_assert_eq!(reply.is_some(), v1 && data.len() >= ReplyTraceContext::WIRE_LEN);
+        if let Some(ctx) = reply {
+            prop_assert_eq!(&ctx.encode()[..], &data[..ReplyTraceContext::WIRE_LEN]);
+        }
+    }
 }

@@ -69,9 +69,9 @@ pub fn encode_ladder(enc: &mut CdrEncoder, ladder: &[QoSSpec]) {
 /// [`GiopError`] on a truncated or malformed stream.
 pub fn decode_ladder(dec: &mut CdrDecoder<'_>) -> Result<Vec<QoSSpec>, GiopError> {
     let count = dec.get_u32()?;
-    // Cap the pre-allocation: a corrupt count must not allocate wildly;
-    // a genuinely long ladder still decodes, just without the reserve.
-    let mut rungs = Vec::with_capacity(count.min(64) as usize);
+    // Reserve only what the bytes can back: every rung costs at least its
+    // four-byte parameter count, whatever the count claims.
+    let mut rungs = Vec::with_capacity((count as usize).min(dec.remaining() / 4));
     for _ in 0..count {
         let params: Vec<QoSParameter> = dec.get_seq()?;
         rungs.push(QoSSpec::from_params(&params));

@@ -46,6 +46,7 @@ use crate::message_layer::{self, Event, WireProtocol};
 use crate::transport::{deadline_after, ComChannel, FrameSink, Owed, ReadDemand};
 use bytes::Bytes;
 use cool_giop::prelude::{ByteOrder, QoSParameter, RequestTraceContext};
+use cool_telemetry::blocking;
 use cool_telemetry::lockorder::{rank, Locked, OrderedMutex, Unlocked};
 use cool_telemetry::{
     names, ClientTrace, Counter, Histogram, Registry, ServerTraceTiming, SpanOutcome, Stage,
@@ -278,7 +279,7 @@ impl Pending {
                     }
                 }
                 drop(slots);
-                std::thread::park_timeout(deadline - now);
+                blocking::park_timeout(held, deadline - now);
             }
         }
     }

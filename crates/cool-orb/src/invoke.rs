@@ -377,7 +377,7 @@ impl Invoker {
                         registry.counter(names::RETRIES_TOTAL).inc();
                     }
                     attempts += 1;
-                    wait_backoff(delay);
+                    wait_backoff(held, delay);
                     // A failed rebind surfaces on the next attempt as an
                     // attributed Transport error.
                     self.unbind_lost(held, idx);

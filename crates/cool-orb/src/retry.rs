@@ -9,6 +9,8 @@
 //! callers see exactly one attempt and unchanged error behaviour.
 
 use cool_faults::FaultRng;
+use cool_telemetry::blocking;
+use cool_telemetry::lockorder::{Locked, Unlocked};
 use std::time::{Duration, Instant};
 
 /// Retry bounds and backoff shape for one stub invocation.
@@ -88,14 +90,14 @@ impl RetryPolicy {
 
 /// Parks the calling thread for `d` (condvar-free bounded wait; spurious
 /// unparks just shorten one lap of the loop).
-pub(crate) fn wait_backoff(d: Duration) {
+pub(crate) fn wait_backoff(held: &mut Locked<Unlocked>, d: Duration) {
     let deadline = Instant::now() + d;
     loop {
         let now = Instant::now();
         if now >= deadline {
             return;
         }
-        std::thread::park_timeout(deadline - now);
+        blocking::park_timeout(held, deadline - now);
     }
 }
 
@@ -144,7 +146,7 @@ mod tests {
     #[test]
     fn wait_backoff_waits_at_least_the_duration() {
         let start = Instant::now();
-        wait_backoff(Duration::from_millis(20));
+        wait_backoff(Locked::root(), Duration::from_millis(20));
         assert!(start.elapsed() >= Duration::from_millis(20));
     }
 }

@@ -570,14 +570,14 @@ impl Intake {
     /// Hands `job` to the dispatcher pool from the thread that delivers
     /// `channel`'s frames; `false` when the pool is gone (the server is
     /// closing).
-    fn enqueue(&self, job: Job, channel: &dyn ComChannel) -> bool {
+    fn enqueue(&self, held: &mut Locked<Unlocked>, job: Job, channel: &dyn ComChannel) -> bool {
         if channel.delivery_may_wait() {
             // Blocks while the queue is full: backpressure.
-            return self.jobs.send(job).is_ok();
+            return blocking::send(held, &self.jobs, job).is_ok();
         }
         match self.jobs.try_send(job) {
             Ok(()) => true,
-            Err(TrySendError::Full(job)) => self.overflow.send(job).is_ok(),
+            Err(TrySendError::Full(job)) => self.overflow.try_send(job).is_ok(),
             Err(TrySendError::Disconnected(_)) => false,
         }
     }
@@ -621,7 +621,13 @@ fn start_dispatchers(
     metrics: Option<&ServerMetrics>,
 ) -> Result<Pool, OrbError> {
     let (tx, rx) = bounded::<Job>(DISPATCH_QUEUE_DEPTH);
-    // lint: allow(A005, §7.4: only a delivery thread that must not wait — the holder of a Da CaPo connection's receive turn — puts here what the bounded queue has no room for; every dispatcher empties it after each job, and the peer's sends are paced by the Da CaPo stack below, as they were when this backlog stood in the connection's receive queue)
+    // Only a delivery thread that must not wait (the holder of a Da CaPo
+    // connection's receive turn) puts here what `jobs` has no room for; the
+    // peer's sends are paced by the Da CaPo stack below.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "grows: every dispatcher empties it after each job it runs"
+    )]
     let (overflow_tx, overflow_rx) = unbounded::<Job>();
     let mut threads = Vec::new();
     for i in 0..config.dispatcher_threads.max(1) {
@@ -712,7 +718,7 @@ fn process_frame(
                     );
                     true
                 } else {
-                    intake.enqueue(job, &*conn.channel)
+                    intake.enqueue(held, job, &*conn.channel)
                 }
             }
         }

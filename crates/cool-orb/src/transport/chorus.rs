@@ -42,9 +42,8 @@ impl ChorusComChannel {
     /// into `telemetry` when given (both endpoints feed the same
     /// `kind="chorus"` series).
     pub fn pair_with(telemetry: Option<&Registry>) -> (ChorusComChannel, ChorusComChannel) {
-        // lint: allow(A005, §7.4: both inboxes are drained per frame by the owning side's sink or recv_frame)
         let a_inbox = Arc::new(FrameInbox::new());
-        let b_inbox = Arc::new(FrameInbox::new()); // lint: allow(A005, drained per frame, see the a_inbox allow above)
+        let b_inbox = Arc::new(FrameInbox::new());
         let send_metrics = telemetry.map(|r| SendMetrics::resolve(r, "chorus"));
         if let Some(registry) = telemetry {
             let metrics = InboxMetrics::resolve(registry, "chorus");

@@ -195,7 +195,6 @@ impl DacapoComChannel {
         let send_metrics = telemetry.map(|r| SendMetrics::resolve(r, "dacapo"));
         let inbox_metrics = telemetry.map(|r| InboxMetrics::resolve(r, "dacapo"));
         let make_inner = |connection: Connection| {
-            // lint: allow(A005, §7.4: the holder of the connection's receive turn pushes each payload as it reaches the top of the stack; the sink or `recv_frame` drains per frame)
             let inbox = Arc::new(FrameInbox::new());
             if let Some(m) = &inbox_metrics {
                 inbox.set_metrics(m.clone());

@@ -181,7 +181,9 @@ impl ComChannel for FaultChannel {
             None => self.forward(frame),
             Some(FaultAction::Drop) => Ok(()),
             Some(FaultAction::Delay(extra)) => {
-                crate::retry::wait_backoff(extra);
+                // A send takes no token: the root is the (debug-checked)
+                // claim that no guard is held here.
+                crate::retry::wait_backoff(Locked::root(), extra);
                 self.forward(frame)
             }
             Some(FaultAction::Duplicate) => {

@@ -332,6 +332,10 @@ struct InboxState {
 /// Its closed flag is the one record of the connection's end (module
 /// docs).
 ///
+/// It grows, by design: it is every transport's inbox, filled by the one
+/// thread that reads the connection and drained per frame by the sink or
+/// [`FrameInbox::recv_timeout`].
+///
 /// Invariant: while a sink is registered and no delivery is in flight, the
 /// queue is empty — every push drains synchronously.
 pub struct FrameInbox {

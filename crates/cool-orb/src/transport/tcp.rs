@@ -214,7 +214,6 @@ impl TcpComChannel {
                 .map_err(|e| OrbError::Transport(format!("tcp clone: {e}")))
         };
         let side = Arc::new(ReadSide {
-            // lint: allow(A005, §7.4: inbox is drained per frame by the connection sink or recv_frame; depth is paced by the socket read loop)
             inbox: FrameInbox::new(),
             token: Mutex::new(Reader {
                 stream: clone()?,

@@ -1,14 +1,20 @@
 //! Blocking, only with no lock held.
 //!
-//! A channel receive, a condvar wait, a thread join and a TCP connect go
-//! through this module, and each of its functions takes the thread's
-//! unlocked token, `&mut Locked<Unlocked>` (see [`crate::lockorder`]).
-//! While an [`OrderedMutex`](crate::lockorder::OrderedMutex) guard lives,
-//! that token is mutably borrowed by it, so one of these calls under a
-//! ranked lock does not compile. `clippy.toml` lists the raw methods, and
-//! library code is linted with them denied: this module is their one
-//! caller. Other blocking is not here: a socket read or accept, and
-//! `thread::park_timeout` (DESIGN.md §7.3 lists those sites).
+//! A channel send or receive, a condvar wait, a park, a thread join and a
+//! TCP connect go through this module, and each of its functions takes
+//! the thread's unlocked token, `&mut Locked<Unlocked>` (see
+//! [`crate::lockorder`]). While an
+//! [`OrderedMutex`](crate::lockorder::OrderedMutex) guard lives, that
+//! token is mutably borrowed by it, so one of these calls under a ranked
+//! lock does not compile. `clippy.toml` lists the raw methods, and library
+//! code is linted with them denied: this module is their one caller. Other
+//! blocking is not here: a socket read or accept (DESIGN.md §7.3 lists
+//! those sites).
+//!
+//! A queue's policy when full is in its code too: a bounded queue whose
+//! sender waits uses [`send`]; one that drops uses `try_send`; one that
+//! grows is built by `crossbeam::channel::unbounded`, which `clippy.toml`
+//! denies, under an `#[expect]` whose reason names its drain.
 //!
 //! A condvar is waited on only with the predicate that ends the wait
 //! ([`wait_while`], [`wait_while_until`]), so a bare wait, which misses a
@@ -20,12 +26,19 @@
 )]
 
 use crate::lockorder::{Locked, Unlocked};
-use crossbeam::channel::{Receiver, RecvError, RecvTimeoutError};
+use crossbeam::channel::{Receiver, RecvError, RecvTimeoutError, SendError, Sender};
 use parking_lot::{Condvar, MutexGuard};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+
+/// Sends `value` on `tx`, waiting while a bounded channel is full: an
+/// error once every receiver is gone.
+pub fn send<T>(held: &mut Locked<Unlocked>, tx: &Sender<T>, value: T) -> Result<(), SendError<T>> {
+    let _ = held;
+    tx.send(value)
+}
 
 /// Receives from `rx`, waiting for as long as it takes: an error once every
 /// sender is gone and the channel is drained.
@@ -84,6 +97,13 @@ pub fn wait_while_until<T>(
         }
     }
     false
+}
+
+/// Parks the calling thread for at most `timeout`; an unpark, or a
+/// spurious wakeup, ends it sooner.
+pub fn park_timeout(held: &mut Locked<Unlocked>, timeout: Duration) {
+    let _ = held;
+    thread::park_timeout(timeout);
 }
 
 /// Waits for the thread of `handle` to finish.

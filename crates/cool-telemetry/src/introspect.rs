@@ -20,7 +20,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::blocking;
 use crate::lockorder::Locked;
@@ -30,6 +30,11 @@ use crate::Registry;
 /// How long [`IntrospectServer::stop`] waits for the connection that wakes
 /// its acceptor.
 const POKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How long a client has, from accept, to send its request head; and how
+/// long a response write may take. The one acceptor serves connections
+/// one at a time, so this bounds what one slow client costs every other.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A running introspection endpoint. Stops (and joins both threads) on
 /// [`IntrospectServer::stop`] or drop.
@@ -110,9 +115,8 @@ impl std::fmt::Debug for IntrospectServer {
 /// Reads one request, writes one response, closes. Any I/O error just
 /// drops the connection — the endpoint is best-effort by design.
 fn serve_connection(mut stream: TcpStream, registry: &Registry, series: &Arc<GaugeSeries>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let Some(target) = read_request_target(&mut stream) else {
+    let _ = stream.set_write_timeout(Some(CLIENT_TIMEOUT));
+    let Some(target) = read_request_target(&mut stream, Instant::now() + CLIENT_TIMEOUT) else {
         return;
     };
     let (path, query) = match target.split_once('?') {
@@ -147,12 +151,17 @@ fn serve_connection(mut stream: TcpStream, registry: &Registry, series: &Arc<Gau
 }
 
 /// Reads up to the end of the request head and returns the request
-/// target (`GET <target> HTTP/1.1`). `None` on malformed input.
-fn read_request_target(stream: &mut TcpStream) -> Option<String> {
+/// target (`GET <target> HTTP/1.1`). `None` on malformed input, and when
+/// the head is not in by `deadline`, however the bytes trickle in.
+fn read_request_target(stream: &mut TcpStream, deadline: Instant) -> Option<String> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     while !buf.windows(4).any(|w| w == b"\r\n\r\n") {
         if buf.len() > 8 * 1024 {
+            return None;
+        }
+        let left = deadline.checked_duration_since(Instant::now())?;
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
             return None;
         }
         match stream.read(&mut chunk) {
@@ -243,6 +252,41 @@ mod tests {
         server.stop();
         // After stop the port no longer accepts (or at least never
         // answers); a second stop is a no-op.
+        server.stop();
+    }
+
+    #[test]
+    fn a_client_trickling_its_request_does_not_hold_the_acceptor() {
+        let registry = Arc::new(Registry::new());
+        let mut server =
+            IntrospectServer::start(Arc::clone(&registry), "127.0.0.1:0").expect("start server");
+        let addr = server.local_addr();
+        // One byte every half second, each well inside a per-read
+        // timeout, for six seconds: never a whole request head.
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickle = {
+            let stop = Arc::clone(&stop);
+            let mut slow = TcpStream::connect(addr).expect("connect");
+            std::thread::spawn(move || {
+                for _ in 0..12 {
+                    if stop.load(Ordering::Acquire) || slow.write_all(b"G").is_err() {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(500));
+                }
+            })
+        };
+        std::thread::sleep(Duration::from_millis(200));
+        let asked = Instant::now();
+        let (head, _) = get(addr, "/metrics");
+        let waited = asked.elapsed();
+        stop.store(true, Ordering::Release);
+        trickle.join().expect("trickling client");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(
+            waited < CLIENT_TIMEOUT + Duration::from_secs(1),
+            "a second client waited {waited:?} behind a trickling one"
+        );
         server.stop();
     }
 }

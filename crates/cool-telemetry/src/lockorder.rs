@@ -13,8 +13,9 @@
 //! locks is handed its token as an argument; a token cannot cross
 //! threads).
 //!
-//! Blocking follows from the same borrow. A channel receive, a condvar
-//! wait, a join and a TCP connect go through [`crate::blocking`], whose
+//! Blocking follows from the same borrow. A channel send that may wait, a
+//! receive, a condvar wait, a park, a join and a TCP connect go through
+//! [`crate::blocking`], whose
 //! functions take the unlocked token, `&mut Locked<Unlocked>`. While any
 //! guard lives that token is borrowed, so such a call under a ranked lock
 //! does not compile; a function that blocks says so by taking the token.
@@ -109,6 +110,49 @@
 //! let (slots, _) = pending.lock(held);
 //! drop(slots);
 //! let _ = blocking::recv_timeout(held, &rx, std::time::Duration::ZERO);
+//! ```
+//! ```compile_fail
+//! // A send that waits for room, under `server.conns`: refused.
+//! use cool_telemetry::blocking;
+//! use cool_telemetry::lockorder::{rank, Locked, OrderedMutex};
+//! let conns = OrderedMutex::<(), rank::ServerConns>::new(());
+//! let (tx, _rx) = crossbeam::channel::bounded::<()>(1);
+//! let held = Locked::root();
+//! let (list, _) = conns.lock(held);
+//! let _ = blocking::send(held, &tx, ());
+//! drop(list);
+//! ```
+//! ```
+//! // Its twin, the guard released first: compiles.
+//! use cool_telemetry::blocking;
+//! use cool_telemetry::lockorder::{rank, Locked, OrderedMutex};
+//! let conns = OrderedMutex::<(), rank::ServerConns>::new(());
+//! let (tx, _rx) = crossbeam::channel::bounded::<()>(1);
+//! let held = Locked::root();
+//! let (list, _) = conns.lock(held);
+//! drop(list);
+//! let _ = blocking::send(held, &tx, ());
+//! ```
+//! ```compile_fail
+//! // A park under `binding.pending`, as the parked reply wait would be
+//! // if it kept its slots: refused.
+//! use cool_telemetry::blocking;
+//! use cool_telemetry::lockorder::{rank, Locked, OrderedMutex};
+//! let pending = OrderedMutex::<(), rank::BindingPending>::new(());
+//! let held = Locked::root();
+//! let (slots, _) = pending.lock(held);
+//! blocking::park_timeout(held, std::time::Duration::ZERO);
+//! drop(slots);
+//! ```
+//! ```
+//! // Its twin, the slots dropped before the park: compiles.
+//! use cool_telemetry::blocking;
+//! use cool_telemetry::lockorder::{rank, Locked, OrderedMutex};
+//! let pending = OrderedMutex::<(), rank::BindingPending>::new(());
+//! let held = Locked::root();
+//! let (slots, _) = pending.lock(held);
+//! drop(slots);
+//! blocking::park_timeout(held, std::time::Duration::ZERO);
 //! ```
 //! ```compile_fail
 //! // A join under `server.threads`, as a server's close once had it.

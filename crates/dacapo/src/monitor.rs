@@ -111,11 +111,11 @@ impl QosMonitor {
         );
         assert!(!config.interval.is_zero(), "interval must be nonzero");
         let stop = Arc::new(StopSignal::default());
-        // Control path, not data path: the hysteresis guarantees at most
-        // one event per sampling interval, so the queue depth is bounded
-        // by how long the consumer ignores it — and an ignored monitor
-        // should drop no alarms.
-        // lint: allow(A005, §7.4: control-path event stream, hysteresis bounds it to one event per sampling interval)
+        // An ignored monitor should drop no alarms, so its queue grows.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "grows: drained by the owner's `events()`; hysteresis sends at most one event per sampling interval"
+        )]
         let (tx, rx) = unbounded();
         let flag = stop.clone();
         let handle = std::thread::Builder::new()
@@ -184,7 +184,7 @@ fn monitor_loop(
         if !degraded && observed_bps < alarm_threshold {
             degraded = true;
             if tx
-                .send(QosEvent::Degraded {
+                .try_send(QosEvent::Degraded {
                     observed_bps,
                     target_bps: config.target_bps,
                 })
@@ -194,7 +194,7 @@ fn monitor_loop(
             }
         } else if degraded && observed_bps >= recover_threshold {
             degraded = false;
-            if tx.send(QosEvent::Recovered { observed_bps }).is_err() {
+            if tx.try_send(QosEvent::Recovered { observed_bps }).is_err() {
                 return;
             }
         }

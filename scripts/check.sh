@@ -25,8 +25,10 @@ cargo clippy --workspace --all-targets -- -D warnings -A clippy::disallowed_meth
 # target, and not the bench harness crate): no unwrap or expect, no
 # `thread::sleep` polling, and no raw blocking call — it goes through
 # `cool_telemetry::blocking`, which takes the unlocked lock-order token, so
-# blocking under a ranked lock does not compile. An exemption is an `#[expect(lint, reason = "..")]`,
-# which rustc itself reports once it no longer fires.
+# blocking under a ranked lock does not compile; and no `unbounded` queue
+# without an `#[expect]` that names its drain. An exemption is an
+# `#[expect(lint, reason = "..")]`, which the pass above reports once it
+# no longer fires.
 cargo clippy --workspace --exclude bench --lib --bins -- \
     -D clippy::unwrap_used -D clippy::expect_used -D clippy::disallowed_methods
 # The docs build without a warning: an intra-doc link to a renamed or
@@ -78,9 +80,10 @@ cargo test -q --release --test failure_injection
 # The analyzer (DESIGN §7.1), one pass over every .rs file, for what no
 # stock tool sees. Per file: unbounded invocation retry loops.
 # Whole-workspace analysis: error-variant test coverage, telemetry names,
-# channel topology against §7.4, condvar notifies, spawn/join lifecycle,
-# hang-freedom against the §8.5 drain registry, error attribution. (The
-# lock order and blocking under a ranked lock are types, checked by rustc.) An inline allow that suppresses nothing is a finding too.
+# condvar notifies, spawn/join lifecycle, hang-freedom against the §8.5
+# drain registry, error attribution. (The lock order and blocking under a
+# ranked lock are types, checked by rustc; a queue's full-policy is
+# clippy's.) An inline allow that suppresses nothing is a finding too.
 # The gate is the exit code: non-zero on any finding. SARIF is for PR
 # annotations.
 cargo run -q --release -p cool-analyze -- --sarif-out analyze-report.sarif
