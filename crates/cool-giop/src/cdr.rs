@@ -26,6 +26,7 @@ pub enum ByteOrder {
 
 impl ByteOrder {
     /// The native byte order of this host.
+    #[inline]
     pub fn native() -> Self {
         if cfg!(target_endian = "little") {
             ByteOrder::Little
@@ -35,6 +36,7 @@ impl ByteOrder {
     }
 
     /// Encoding of the GIOP `boolean byte_order` flag.
+    #[inline]
     pub fn flag(self) -> u8 {
         match self {
             ByteOrder::Big => 0,
@@ -47,6 +49,7 @@ impl ByteOrder {
     /// # Errors
     ///
     /// [`GiopError::InvalidBool`] for flags other than 0 or 1.
+    #[inline]
     pub fn from_flag(flag: u8) -> Result<Self, GiopError> {
         match flag {
             0 => Ok(ByteOrder::Big),
@@ -73,6 +76,7 @@ pub struct CdrEncoder {
 
 impl CdrEncoder {
     /// Creates an encoder for the given byte order.
+    #[inline]
     pub fn new(order: ByteOrder) -> Self {
         CdrEncoder {
             buf: BytesMut::with_capacity(64),
@@ -82,6 +86,7 @@ impl CdrEncoder {
     }
 
     /// Creates an encoder with a capacity hint.
+    #[inline]
     pub fn with_capacity(order: ByteOrder, capacity: usize) -> Self {
         CdrEncoder {
             buf: BytesMut::with_capacity(capacity),
@@ -95,33 +100,39 @@ impl CdrEncoder {
     /// zero-copy path: the GIOP framer writes its header, hands the same
     /// buffer here for the body, and takes it back with
     /// [`CdrEncoder::into_inner`] — no body copy.
+    #[inline]
     pub fn append_to(buf: BytesMut, order: ByteOrder) -> Self {
         let base = buf.len();
         CdrEncoder { buf, base, order }
     }
 
     /// The encoder's byte order.
+    #[inline]
     pub fn order(&self) -> ByteOrder {
         self.order
     }
 
     /// Bytes written so far (relative to the encapsulation start).
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len() - self.base
     }
 
     /// Whether nothing has been written.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Finishes encoding and returns the buffer.
+    #[inline]
     pub fn into_bytes(self) -> Bytes {
         self.buf.freeze()
     }
 
     /// Finishes encoding and returns the underlying buffer, including any
     /// prefix that was present before [`CdrEncoder::append_to`].
+    #[inline]
     pub fn into_inner(self) -> BytesMut {
         self.buf
     }
@@ -129,23 +140,24 @@ impl CdrEncoder {
     fn align(&mut self, n: usize) {
         let misalign = (self.buf.len() - self.base) % n;
         if misalign != 0 {
-            for _ in 0..(n - misalign) {
-                self.buf.put_u8(0);
-            }
+            self.buf.put_slice(&[0; 8][..n - misalign]);
         }
     }
 
     /// Writes a single octet (no alignment).
+    #[inline]
     pub fn put_octet(&mut self, v: u8) {
         self.buf.put_u8(v);
     }
 
     /// Writes a boolean as one octet (1 = true).
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.put_octet(v as u8);
     }
 
     /// Writes an unsigned short with 2-byte alignment.
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
         self.align(2);
         match self.order {
@@ -155,6 +167,7 @@ impl CdrEncoder {
     }
 
     /// Writes an unsigned long with 4-byte alignment.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.align(4);
         match self.order {
@@ -164,6 +177,7 @@ impl CdrEncoder {
     }
 
     /// Writes an unsigned long long with 8-byte alignment.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.align(8);
         match self.order {
@@ -173,32 +187,38 @@ impl CdrEncoder {
     }
 
     /// Writes a short with 2-byte alignment.
+    #[inline]
     pub fn put_i16(&mut self, v: i16) {
         self.put_u16(v as u16);
     }
 
     /// Writes a long with 4-byte alignment.
+    #[inline]
     pub fn put_i32(&mut self, v: i32) {
         self.put_u32(v as u32);
     }
 
     /// Writes a long long with 8-byte alignment.
+    #[inline]
     pub fn put_i64(&mut self, v: i64) {
         self.put_u64(v as u64);
     }
 
     /// Writes an IEEE-754 float with 4-byte alignment.
+    #[inline]
     pub fn put_f32(&mut self, v: f32) {
         self.put_u32(v.to_bits());
     }
 
     /// Writes an IEEE-754 double with 8-byte alignment.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
     /// Writes a CDR string: `u32` length including the NUL terminator,
     /// UTF-8 bytes, NUL.
+    #[inline]
     pub fn put_string(&mut self, s: &str) {
         self.put_u32(s.len() as u32 + 1);
         self.buf.put_slice(s.as_bytes());
@@ -206,12 +226,17 @@ impl CdrEncoder {
     }
 
     /// Writes a `sequence<octet>`: `u32` count + raw bytes.
+    #[inline]
     pub fn put_octet_seq(&mut self, bytes: &[u8]) {
         self.put_u32(bytes.len() as u32);
         self.buf.put_slice(bytes);
     }
 
     /// Writes a sequence of encodable values: `u32` count + elements.
+    #[expect(
+        clippy::missing_inline_in_public_items,
+        reason = "generic: instantiated in its caller's crate"
+    )]
     pub fn put_seq<T: Cdr>(&mut self, items: &[T]) {
         self.put_u32(items.len() as u32);
         for item in items {
@@ -221,6 +246,7 @@ impl CdrEncoder {
 
     /// Writes raw bytes without any length prefix or alignment (used for
     /// pre-marshalled bodies).
+    #[inline]
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.put_slice(bytes);
     }
@@ -236,34 +262,41 @@ pub struct CdrDecoder<'a> {
 
 impl<'a> CdrDecoder<'a> {
     /// Creates a decoder over `buf` using the given byte order.
+    #[inline]
     pub fn new(buf: &'a [u8], order: ByteOrder) -> Self {
         CdrDecoder { buf, pos: 0, order }
     }
 
     /// The decoder's byte order.
+    #[inline]
     pub fn order(&self) -> ByteOrder {
         self.order
     }
 
     /// Current read offset.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Whether the input is fully consumed.
+    #[inline]
     pub fn is_exhausted(&self) -> bool {
         self.remaining() == 0
     }
 
+    /// Skips the padding before an `n`-aligned value, stopping at the end
+    /// of the input: the read that follows then reports the underflow.
     fn align(&mut self, n: usize) {
         let misalign = self.pos % n;
         if misalign != 0 {
-            self.pos += n - misalign;
+            self.pos = (self.pos + n - misalign).min(self.buf.len());
         }
     }
 
@@ -284,6 +317,7 @@ impl<'a> CdrDecoder<'a> {
     /// # Errors
     ///
     /// [`GiopError::Underflow`] at end of input.
+    #[inline]
     pub fn get_octet(&mut self) -> Result<u8, GiopError> {
         Ok(self.take(1)?[0])
     }
@@ -293,6 +327,7 @@ impl<'a> CdrDecoder<'a> {
     /// # Errors
     ///
     /// [`GiopError::InvalidBool`] for octets other than 0/1.
+    #[inline]
     pub fn get_bool(&mut self) -> Result<bool, GiopError> {
         match self.get_octet()? {
             0 => Ok(false),
@@ -306,6 +341,7 @@ impl<'a> CdrDecoder<'a> {
     /// # Errors
     ///
     /// [`GiopError::Underflow`] at end of input.
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16, GiopError> {
         self.align(2);
         let b = self.take(2)?;
@@ -321,6 +357,7 @@ impl<'a> CdrDecoder<'a> {
     /// # Errors
     ///
     /// [`GiopError::Underflow`] at end of input.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, GiopError> {
         self.align(4);
         let b = self.take(4)?;
@@ -336,6 +373,7 @@ impl<'a> CdrDecoder<'a> {
     /// # Errors
     ///
     /// [`GiopError::Underflow`] at end of input.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, GiopError> {
         self.align(8);
         let b = self.take(8)?;
@@ -351,6 +389,7 @@ impl<'a> CdrDecoder<'a> {
     /// # Errors
     ///
     /// [`GiopError::Underflow`] at end of input.
+    #[inline]
     pub fn get_i16(&mut self) -> Result<i16, GiopError> {
         Ok(self.get_u16()? as i16)
     }
@@ -360,6 +399,7 @@ impl<'a> CdrDecoder<'a> {
     /// # Errors
     ///
     /// [`GiopError::Underflow`] at end of input.
+    #[inline]
     pub fn get_i32(&mut self) -> Result<i32, GiopError> {
         Ok(self.get_u32()? as i32)
     }
@@ -369,6 +409,7 @@ impl<'a> CdrDecoder<'a> {
     /// # Errors
     ///
     /// [`GiopError::Underflow`] at end of input.
+    #[inline]
     pub fn get_i64(&mut self) -> Result<i64, GiopError> {
         Ok(self.get_u64()? as i64)
     }
@@ -378,6 +419,7 @@ impl<'a> CdrDecoder<'a> {
     /// # Errors
     ///
     /// [`GiopError::Underflow`] at end of input.
+    #[inline]
     pub fn get_f32(&mut self) -> Result<f32, GiopError> {
         Ok(f32::from_bits(self.get_u32()?))
     }
@@ -387,6 +429,7 @@ impl<'a> CdrDecoder<'a> {
     /// # Errors
     ///
     /// [`GiopError::Underflow`] at end of input.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64, GiopError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
@@ -398,6 +441,7 @@ impl<'a> CdrDecoder<'a> {
     /// [`GiopError::InvalidString`] for missing NUL or invalid UTF-8;
     /// [`GiopError::LengthOverflow`] for absurd lengths;
     /// [`GiopError::Underflow`] at end of input.
+    #[inline]
     pub fn get_str(&mut self) -> Result<&'a str, GiopError> {
         let len = self.get_u32()?;
         if len == 0 {
@@ -426,6 +470,7 @@ impl<'a> CdrDecoder<'a> {
     /// # Errors
     ///
     /// As [`get_str`](Self::get_str).
+    #[inline]
     pub fn get_string(&mut self) -> Result<String, GiopError> {
         self.get_str().map(str::to_owned)
     }
@@ -436,6 +481,7 @@ impl<'a> CdrDecoder<'a> {
     ///
     /// [`GiopError::LengthOverflow`] for absurd lengths;
     /// [`GiopError::Underflow`] at end of input.
+    #[inline]
     pub fn get_octet_seq(&mut self) -> Result<Vec<u8>, GiopError> {
         Ok(self.get_octet_slice()?.to_vec())
     }
@@ -448,6 +494,7 @@ impl<'a> CdrDecoder<'a> {
     ///
     /// [`GiopError::LengthOverflow`] for absurd lengths;
     /// [`GiopError::Underflow`] at end of input.
+    #[inline]
     pub fn get_octet_slice(&mut self) -> Result<&'a [u8], GiopError> {
         let len = self.get_u32()?;
         if len > MAX_LENGTH {
@@ -465,6 +512,10 @@ impl<'a> CdrDecoder<'a> {
     ///
     /// Propagates element decode errors; [`GiopError::LengthOverflow`] for
     /// absurd element counts.
+    #[expect(
+        clippy::missing_inline_in_public_items,
+        reason = "generic: instantiated in its caller's crate"
+    )]
     pub fn get_seq<T: Cdr>(&mut self) -> Result<Vec<T>, GiopError> {
         let len = self.get_u32()?;
         if len > MAX_LENGTH {
@@ -483,6 +534,7 @@ impl<'a> CdrDecoder<'a> {
     }
 
     /// Reads all remaining bytes (used for message bodies).
+    #[inline]
     pub fn get_rest(&mut self) -> &'a [u8] {
         let rest = &self.buf[self.pos..];
         self.pos = self.buf.len();
@@ -504,6 +556,7 @@ impl StrView {
     /// # Panics
     ///
     /// If a non-empty `s` does not lie inside `src`.
+    #[inline]
     pub fn slice_of(src: &Bytes, s: &str) -> Self {
         StrView(src.slice_ref(s.as_bytes()))
     }
@@ -511,6 +564,7 @@ impl StrView {
     /// The string. Checked again on each read (a few nanoseconds for an
     /// operation name): the crate forbids the unchecked conversion, and
     /// the check cannot fail.
+    #[inline]
     pub fn as_str(&self) -> &str {
         std::str::from_utf8(&self.0).unwrap_or_default()
     }
@@ -519,6 +573,7 @@ impl StrView {
 impl std::ops::Deref for StrView {
     type Target = str;
 
+    #[inline]
     fn deref(&self) -> &str {
         self.as_str()
     }
@@ -526,24 +581,31 @@ impl std::ops::Deref for StrView {
 
 impl From<&str> for StrView {
     /// Copies `s` into storage of its own.
+    #[inline]
     fn from(s: &str) -> Self {
         StrView(Bytes::copy_from_slice(s.as_bytes()))
     }
 }
 
 impl From<String> for StrView {
+    #[inline]
     fn from(s: String) -> Self {
         StrView(Bytes::from(s))
     }
 }
 
 impl PartialEq<&str> for StrView {
+    #[inline]
     fn eq(&self, other: &&str) -> bool {
         self.as_str() == *other
     }
 }
 
 impl std::fmt::Debug for StrView {
+    #[expect(
+        clippy::missing_inline_in_public_items,
+        reason = "cold: formatting is off the call path"
+    )]
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.as_str().fmt(f)
     }
@@ -567,10 +629,12 @@ pub trait Cdr: Sized {
 macro_rules! impl_cdr_primitive {
     ($ty:ty, $put:ident, $get:ident) => {
         impl Cdr for $ty {
+            #[inline]
             fn encode(&self, enc: &mut CdrEncoder) {
                 enc.$put(*self);
             }
 
+            #[inline]
             fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
                 dec.$get()
             }
@@ -590,10 +654,12 @@ impl_cdr_primitive!(f32, put_f32, get_f32);
 impl_cdr_primitive!(f64, put_f64, get_f64);
 
 impl Cdr for String {
+    #[inline]
     fn encode(&self, enc: &mut CdrEncoder) {
         enc.put_string(self);
     }
 
+    #[inline]
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
         dec.get_string()
     }

@@ -89,6 +89,10 @@ fn write_frame(
 /// # Errors
 ///
 /// Whatever `body` returns.
+#[expect(
+    clippy::missing_inline_in_public_items,
+    reason = "generic: instantiated in its caller's crate"
+)]
 pub fn new_frame(
     version: GiopVersion,
     order: ByteOrder,
@@ -116,6 +120,7 @@ impl Message {
     ///
     /// [`GiopError::QosOnStandardGiop`] if a Request carries QoS
     /// parameters but `version` is GIOP 1.0.
+    #[inline]
     pub fn encode_into(
         &self,
         version: GiopVersion,
@@ -175,6 +180,7 @@ impl Message {
     /// Any [`GiopError`] describing the malformation; notably
     /// [`GiopError::SizeMismatch`] if the buffer length disagrees with the
     /// header's `message_size`.
+    #[inline]
     pub fn decode_frame(frame: &Bytes) -> Result<(Message, GiopVersion, ByteOrder), GiopError> {
         let header = parse_header(frame)?;
         let body = &frame[HEADER_LEN..];
@@ -196,6 +202,7 @@ impl Message {
 ///
 /// [`GiopError::QosOnStandardGiop`] if a Request carries QoS parameters but
 /// `version` is GIOP 1.0.
+#[inline]
 pub fn encode_message(
     msg: &Message,
     version: GiopVersion,
@@ -231,6 +238,7 @@ pub struct FrameHeader {
 /// [`GiopError::UnsupportedVersion`], [`GiopError::InvalidBool`],
 /// [`GiopError::InvalidEnum`] or [`GiopError::LengthOverflow`] depending on
 /// which field is malformed.
+#[inline]
 pub fn parse_header(buf: &[u8]) -> Result<FrameHeader, GiopError> {
     if buf.len() < HEADER_LEN {
         return Err(GiopError::Underflow {
@@ -302,6 +310,7 @@ fn decode_body(header: FrameHeader, frame: &Bytes) -> Result<Message, GiopError>
 /// GIOP frames self-delimit (`message_size` in the fixed header), so the
 /// receiver needs no extra framing to take the batch apart — see
 /// [`split_frames`].
+#[inline]
 pub fn join_frames(frames: &[Bytes]) -> Bytes {
     match frames {
         [] => Bytes::new(),
@@ -325,43 +334,49 @@ pub fn join_frames(frames: &[Bytes]) -> Bytes {
 /// Each item is `Err` when the remaining bytes are not a valid frame
 /// prefix (bad header, or a truncated final frame); iteration ends after
 /// the first error.
+#[inline]
 pub fn split_frames(batch: &Bytes) -> FrameIter {
     FrameIter {
-        rest: batch.clone(),
-        poisoned: false,
+        rest: Some(batch.clone()),
     }
 }
 
 /// Iterator over the whole frames of a batched transport frame.
 #[derive(Debug)]
 pub struct FrameIter {
-    rest: Bytes,
-    poisoned: bool,
+    /// What is left to split: `None` once the last frame was handed out
+    /// or an error ended the iteration.
+    rest: Option<Bytes>,
 }
 
 impl Iterator for FrameIter {
     type Item = Result<Bytes, GiopError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        if self.poisoned || self.rest.is_empty() {
-            return None;
-        }
-        let header = match parse_header(&self.rest) {
+        let rest = self.rest.as_mut().filter(|rest| !rest.is_empty())?;
+        let header = match parse_header(rest) {
             Ok(h) => h,
             Err(e) => {
-                self.poisoned = true;
+                self.rest = None;
                 return Some(Err(e));
             }
         };
         let total = HEADER_LEN + header.message_size as usize;
-        if self.rest.len() < total {
-            self.poisoned = true;
+        if rest.len() < total {
+            let actual = rest.len() - HEADER_LEN;
+            self.rest = None;
             return Some(Err(GiopError::SizeMismatch {
                 announced: header.message_size as usize,
-                actual: self.rest.len() - HEADER_LEN,
+                actual,
             }));
         }
-        Some(Ok(self.rest.split_to(total)))
+        if rest.len() == total {
+            // The frame fills what is left, as a frame of one message
+            // does: hand the batch itself over rather than a slice of it.
+            return std::mem::take(&mut self.rest).map(Ok);
+        }
+        Some(Ok(rest.split_to(total)))
     }
 }
 
@@ -608,6 +623,47 @@ mod tests {
         // Single-frame joins share storage with the input — no copy.
         assert_eq!(joined.as_ref().as_ptr(), solo.as_ref().as_ptr());
         assert_eq!(joined, solo);
+    }
+
+    #[test]
+    fn split_frames_hands_a_lone_frame_over_and_still_splits_a_batch() {
+        let f1 = encode_message(
+            &Message::CancelRequest { request_id: 1 },
+            GiopVersion::STANDARD,
+            ByteOrder::Big,
+        )
+        .unwrap();
+        let f2 = encode_message(&sample_request(false), GiopVersion::STANDARD, ByteOrder::Big)
+            .unwrap();
+
+        let mut lone = split_frames(&f2);
+        let frame = lone.next().unwrap().unwrap();
+        assert_eq!((frame.as_ptr(), frame.len()), (f2.as_ptr(), f2.len()));
+        assert!(lone.next().is_none());
+
+        let batch = join_frames(&[f1.clone(), f2.clone()]);
+        let split: Vec<Bytes> = split_frames(&batch).map(Result::unwrap).collect();
+        assert_eq!(split, [f1.clone(), f2]);
+        assert_eq!(split[0].as_ptr(), batch.as_ptr());
+        assert_eq!(split[1].as_ptr(), batch[f1.len()..].as_ptr());
+    }
+
+    #[test]
+    fn a_body_that_ends_inside_padding_is_an_error_not_a_panic() {
+        // A request body of contexts (4), id (4), response flag and padding
+        // (4), key length (4) and a 1-byte key stops at offset 17, where
+        // the operation's length wants padding up to 20.
+        let msg = Message::Request {
+            header: RequestHeader::builder(1, b"k".to_vec(), "op").build(),
+            body: Bytes::new(),
+        };
+        let frame = encode_message(&msg, GiopVersion::STANDARD, ByteOrder::Big).unwrap();
+        let mut cut = frame[..HEADER_LEN + 17].to_vec();
+        cut[8..12].copy_from_slice(&17u32.to_be_bytes());
+        assert!(matches!(
+            Message::decode_frame(&Bytes::from(cut)),
+            Err(GiopError::Underflow { .. })
+        ));
     }
 
     #[test]

@@ -56,6 +56,10 @@ pub enum GiopError {
 }
 
 impl fmt::Display for GiopError {
+    #[expect(
+        clippy::missing_inline_in_public_items,
+        reason = "cold: formatting is off the call path"
+    )]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GiopError::Underflow { needed, remaining } => {

@@ -42,6 +42,13 @@
 #![forbid(unsafe_code)]
 
 #![warn(missing_docs)]
+// Every call into this crate crosses a crate boundary, and a build without
+// LTO (the ledger's, any user's default release profile) inlines across
+// one only what carries `#[inline]`: a public item without it is a real
+// call on every invocation's encode and decode. Generic items (built in
+// their caller's crate anyway) and cold `fmt` impls are exempted where
+// they stand.
+#![warn(clippy::missing_inline_in_public_items)]
 
 pub mod cdr;
 pub mod codec;

@@ -34,6 +34,7 @@ pub enum MsgType {
 
 impl MsgType {
     /// Wire discriminant.
+    #[inline]
     pub fn code(self) -> u8 {
         match self {
             MsgType::Request => 0,
@@ -51,6 +52,7 @@ impl MsgType {
     /// # Errors
     ///
     /// [`GiopError::InvalidEnum`] for unknown codes.
+    #[inline]
     pub fn from_code(code: u8) -> Result<Self, GiopError> {
         Ok(match code {
             0 => MsgType::Request,
@@ -95,6 +97,10 @@ pub struct RequestHeader {
 
 impl RequestHeader {
     /// Starts building a header with the mandatory fields.
+    #[expect(
+        clippy::missing_inline_in_public_items,
+        reason = "generic: instantiated in its caller's crate"
+    )]
     pub fn builder(
         request_id: u32,
         object_key: impl Into<Bytes>,
@@ -120,6 +126,7 @@ impl RequestHeader {
     ///
     /// [`GiopError::QosOnStandardGiop`] if `qos_params` is non-empty but
     /// `version` is standard GIOP.
+    #[inline]
     pub fn encode(&self, enc: &mut CdrEncoder, version: GiopVersion) -> Result<(), GiopError> {
         encode_request_header(
             enc,
@@ -145,6 +152,7 @@ impl RequestHeader {
     /// # Panics
     ///
     /// If `dec` reads anything but a slice of `frame`.
+    #[inline]
     pub fn decode(
         dec: &mut CdrDecoder<'_>,
         frame: &Bytes,
@@ -185,6 +193,7 @@ impl RequestHeader {
     clippy::too_many_arguments,
     reason = "one argument per field of the Request header (Figure 2-ii)"
 )]
+#[inline]
 pub fn encode_request_header(
     enc: &mut CdrEncoder,
     version: GiopVersion,
@@ -215,6 +224,7 @@ pub fn encode_request_header(
 /// parts under either version, so a frame sized by it never grows. Every
 /// field after the service contexts is 4-aligned at most: its bytes plus
 /// up to 3 of padding.
+#[inline]
 pub fn request_header_len_bound(
     contexts: &ServiceContextList,
     key: &[u8],
@@ -239,30 +249,35 @@ pub struct RequestHeaderBuilder {
 
 impl RequestHeaderBuilder {
     /// Sets whether a Reply is expected (`false` = one-way).
+    #[inline]
     pub fn response_expected(mut self, expected: bool) -> Self {
         self.header.response_expected = expected;
         self
     }
 
     /// Attaches QoS parameters (forces GIOP 9.9 at encode time).
+    #[inline]
     pub fn qos_params(mut self, params: Vec<QoSParameter>) -> Self {
         self.header.qos_params = params;
         self
     }
 
     /// Attaches service contexts.
+    #[inline]
     pub fn service_context(mut self, list: ServiceContextList) -> Self {
         self.header.service_context = list;
         self
     }
 
     /// Sets the requesting principal.
+    #[inline]
     pub fn requesting_principal(mut self, principal: Vec<u8>) -> Self {
         self.header.requesting_principal = principal;
         self
     }
 
     /// Finishes the header.
+    #[inline]
     pub fn build(self) -> RequestHeader {
         self.header
     }
@@ -284,6 +299,7 @@ pub enum ReplyStatus {
 
 impl ReplyStatus {
     /// Wire discriminant.
+    #[inline]
     pub fn code(self) -> u32 {
         match self {
             ReplyStatus::NoException => 0,
@@ -298,6 +314,7 @@ impl ReplyStatus {
     /// # Errors
     ///
     /// [`GiopError::InvalidEnum`] for unknown codes.
+    #[inline]
     pub fn from_code(code: u32) -> Result<Self, GiopError> {
         Ok(match code {
             0 => ReplyStatus::NoException,
@@ -327,6 +344,7 @@ pub struct ReplyHeader {
 
 impl ReplyHeader {
     /// Creates a reply header.
+    #[inline]
     pub fn new(request_id: u32, reply_status: ReplyStatus) -> Self {
         ReplyHeader {
             service_context: ServiceContextList::empty(),
@@ -336,18 +354,21 @@ impl ReplyHeader {
     }
 
     /// An upper bound on the bytes [`Cdr::encode`] writes for this header.
+    #[inline]
     pub fn encoded_len_bound(&self) -> usize {
         self.service_context.encoded_len_bound() + 4 + 4
     }
 }
 
 impl Cdr for ReplyHeader {
+    #[inline]
     fn encode(&self, enc: &mut CdrEncoder) {
         self.service_context.encode(enc);
         enc.put_u32(self.request_id);
         enc.put_u32(self.reply_status.code());
     }
 
+    #[inline]
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
         Ok(ReplyHeader {
             service_context: ServiceContextList::decode(dec)?,
@@ -369,6 +390,7 @@ pub struct LocateRequestHeader {
 
 impl LocateRequestHeader {
     /// Encodes the header.
+    #[inline]
     pub fn encode(&self, enc: &mut CdrEncoder) {
         enc.put_u32(self.request_id);
         enc.put_octet_seq(&self.object_key);
@@ -384,6 +406,7 @@ impl LocateRequestHeader {
     /// # Panics
     ///
     /// If `dec` reads anything but a slice of `frame`.
+    #[inline]
     pub fn decode(dec: &mut CdrDecoder<'_>, frame: &Bytes) -> Result<Self, GiopError> {
         Ok(LocateRequestHeader {
             request_id: dec.get_u32()?,
@@ -405,6 +428,7 @@ pub enum LocateStatus {
 
 impl LocateStatus {
     /// Wire discriminant.
+    #[inline]
     pub fn code(self) -> u32 {
         match self {
             LocateStatus::UnknownObject => 0,
@@ -418,6 +442,7 @@ impl LocateStatus {
     /// # Errors
     ///
     /// [`GiopError::InvalidEnum`] for unknown codes.
+    #[inline]
     pub fn from_code(code: u32) -> Result<Self, GiopError> {
         Ok(match code {
             0 => LocateStatus::UnknownObject,
@@ -443,11 +468,13 @@ pub struct LocateReplyHeader {
 }
 
 impl Cdr for LocateReplyHeader {
+    #[inline]
     fn encode(&self, enc: &mut CdrEncoder) {
         enc.put_u32(self.request_id);
         enc.put_u32(self.locate_status.code());
     }
 
+    #[inline]
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
         Ok(LocateReplyHeader {
             request_id: dec.get_u32()?,
@@ -491,6 +518,7 @@ pub enum Message {
 
 impl Message {
     /// The message's wire type.
+    #[inline]
     pub fn msg_type(&self) -> MsgType {
         match self {
             Message::Request { .. } => MsgType::Request,
@@ -504,6 +532,7 @@ impl Message {
     }
 
     /// The request id carried by this message, if any.
+    #[inline]
     pub fn request_id(&self) -> Option<u32> {
         match self {
             Message::Request { header, .. } => Some(header.request_id),

@@ -44,6 +44,7 @@ pub enum ParamKind {
 
 impl ParamKind {
     /// Wire representation of this dimension.
+    #[inline]
     pub fn code(self) -> u32 {
         match self {
             ParamKind::Throughput => 1,
@@ -58,6 +59,7 @@ impl ParamKind {
 
     /// Decodes a wire code. Never fails: unknown codes map to
     /// [`ParamKind::Other`].
+    #[inline]
     pub fn from_code(code: u32) -> Self {
         match code {
             1 => ParamKind::Throughput,
@@ -72,6 +74,10 @@ impl ParamKind {
 }
 
 impl std::fmt::Display for ParamKind {
+    #[expect(
+        clippy::missing_inline_in_public_items,
+        reason = "cold: formatting is off the call path"
+    )]
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ParamKind::Throughput => write!(f, "throughput"),
@@ -100,6 +106,7 @@ pub struct QoSParameter {
 
 impl QoSParameter {
     /// Creates a parameter for a known dimension.
+    #[inline]
     pub fn new(kind: ParamKind, request_value: u32, max_value: i32, min_value: i32) -> Self {
         QoSParameter {
             param_type: kind.code(),
@@ -110,17 +117,20 @@ impl QoSParameter {
     }
 
     /// The dimension this parameter constrains.
+    #[inline]
     pub fn kind(&self) -> ParamKind {
         ParamKind::from_code(self.param_type)
     }
 
     /// Whether `value` lies inside the acceptable `[min, max]` range.
+    #[inline]
     pub fn accepts(&self, value: i64) -> bool {
         value >= self.min_value as i64 && value <= self.max_value as i64
     }
 }
 
 impl Cdr for QoSParameter {
+    #[inline]
     fn encode(&self, enc: &mut CdrEncoder) {
         enc.put_u32(self.param_type);
         enc.put_u32(self.request_value);
@@ -128,6 +138,7 @@ impl Cdr for QoSParameter {
         enc.put_i32(self.min_value);
     }
 
+    #[inline]
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
         Ok(QoSParameter {
             param_type: dec.get_u32()?,

@@ -33,6 +33,7 @@ enum Repr {
 
 impl ContextData {
     /// Wraps a byte slice, inline when it fits.
+    #[inline]
     pub fn from_slice(data: &[u8]) -> Self {
         if data.len() <= INLINE_CONTEXT_DATA {
             let mut buf = [0u8; INLINE_CONTEXT_DATA];
@@ -47,6 +48,7 @@ impl ContextData {
     }
 
     /// The payload bytes.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         match &self.0 {
             Repr::Inline { len, buf } => &buf[..usize::from(*len)],
@@ -55,17 +57,20 @@ impl ContextData {
     }
 
     /// Payload length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.as_slice().len()
     }
 
     /// Whether the payload is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
 
 impl Default for ContextData {
+    #[inline]
     fn default() -> Self {
         ContextData(Repr::Inline {
             len: 0,
@@ -77,18 +82,21 @@ impl Default for ContextData {
 impl std::ops::Deref for ContextData {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for ContextData {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl PartialEq for ContextData {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
@@ -97,12 +105,17 @@ impl PartialEq for ContextData {
 impl Eq for ContextData {}
 
 impl std::fmt::Debug for ContextData {
+    #[expect(
+        clippy::missing_inline_in_public_items,
+        reason = "cold: formatting is off the call path"
+    )]
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.as_slice().fmt(f)
     }
 }
 
 impl From<Vec<u8>> for ContextData {
+    #[inline]
     fn from(data: Vec<u8>) -> Self {
         if data.len() <= INLINE_CONTEXT_DATA {
             ContextData::from_slice(&data)
@@ -113,6 +126,7 @@ impl From<Vec<u8>> for ContextData {
 }
 
 impl From<&[u8]> for ContextData {
+    #[inline]
     fn from(data: &[u8]) -> Self {
         ContextData::from_slice(data)
     }
@@ -129,6 +143,10 @@ pub struct ServiceContext {
 
 impl ServiceContext {
     /// Creates a context entry.
+    #[expect(
+        clippy::missing_inline_in_public_items,
+        reason = "generic: instantiated in its caller's crate"
+    )]
     pub fn new(context_id: u32, context_data: impl Into<ContextData>) -> Self {
         ServiceContext {
             context_id,
@@ -138,11 +156,13 @@ impl ServiceContext {
 }
 
 impl Cdr for ServiceContext {
+    #[inline]
     fn encode(&self, enc: &mut CdrEncoder) {
         enc.put_u32(self.context_id);
         enc.put_octet_seq(&self.context_data);
     }
 
+    #[inline]
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
         Ok(ServiceContext {
             context_id: dec.get_u32()?,
@@ -177,6 +197,7 @@ enum ListRepr {
 
 impl ServiceContextList {
     /// An empty list.
+    #[inline]
     pub fn empty() -> Self {
         ServiceContextList(ListRepr::Inline {
             len: 0,
@@ -185,6 +206,7 @@ impl ServiceContextList {
     }
 
     /// The entries as a slice.
+    #[inline]
     pub fn as_slice(&self) -> &[ServiceContext] {
         match &self.0 {
             ListRepr::Inline { len, buf } => &buf[..usize::from(*len)],
@@ -193,11 +215,13 @@ impl ServiceContextList {
     }
 
     /// Whether the list has no entries.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Number of entries.
+    #[inline]
     pub fn len(&self) -> usize {
         self.as_slice().len()
     }
@@ -205,6 +229,7 @@ impl ServiceContextList {
     /// An upper bound on the bytes [`Cdr::encode`] writes for this list
     /// when it starts 4-aligned: the count, then per entry its id, length,
     /// payload and up to 3 bytes of padding before what follows.
+    #[inline]
     pub fn encoded_len_bound(&self) -> usize {
         4 + self
             .as_slice()
@@ -214,11 +239,13 @@ impl ServiceContextList {
     }
 
     /// Finds the first entry with the given id.
+    #[inline]
     pub fn find(&self, context_id: u32) -> Option<&ServiceContext> {
         self.as_slice().iter().find(|c| c.context_id == context_id)
     }
 
     /// Appends an entry, spilling to the heap past [`INLINE_CONTEXTS`].
+    #[inline]
     pub fn push(&mut self, ctx: ServiceContext) {
         match &mut self.0 {
             ListRepr::Inline { len, buf } if usize::from(*len) < INLINE_CONTEXTS => {
@@ -237,12 +264,14 @@ impl ServiceContextList {
 }
 
 impl Default for ServiceContextList {
+    #[inline]
     fn default() -> Self {
         ServiceContextList::empty()
     }
 }
 
 impl PartialEq for ServiceContextList {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
@@ -251,12 +280,20 @@ impl PartialEq for ServiceContextList {
 impl Eq for ServiceContextList {}
 
 impl std::fmt::Debug for ServiceContextList {
+    #[expect(
+        clippy::missing_inline_in_public_items,
+        reason = "cold: formatting is off the call path"
+    )]
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.as_slice()).finish()
     }
 }
 
 impl FromIterator<ServiceContext> for ServiceContextList {
+    #[expect(
+        clippy::missing_inline_in_public_items,
+        reason = "generic: instantiated in its caller's crate"
+    )]
     fn from_iter<I: IntoIterator<Item = ServiceContext>>(iter: I) -> Self {
         let mut list = ServiceContextList::empty();
         for ctx in iter {
@@ -267,10 +304,12 @@ impl FromIterator<ServiceContext> for ServiceContextList {
 }
 
 impl Cdr for ServiceContextList {
+    #[inline]
     fn encode(&self, enc: &mut CdrEncoder) {
         enc.put_seq(self.as_slice());
     }
 
+    #[inline]
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
         let len = dec.get_u32()?;
         if len > MAX_LENGTH {
@@ -279,7 +318,21 @@ impl Cdr for ServiceContextList {
                 limit: MAX_LENGTH as u64,
             });
         }
-        let mut list = ServiceContextList::empty();
+        // An entry takes at least 8 bytes, its id and its length: a count
+        // the input cannot hold fails before anything is reserved, and one
+        // it can is reserved once, never grown by doubling.
+        let len = len as usize;
+        if len > dec.remaining() / 8 {
+            return Err(GiopError::Underflow {
+                needed: len * 8,
+                remaining: dec.remaining(),
+            });
+        }
+        let mut list = if len <= INLINE_CONTEXTS {
+            ServiceContextList::empty()
+        } else {
+            ServiceContextList(ListRepr::Heap(Vec::with_capacity(len)))
+        };
         for _ in 0..len {
             list.push(ServiceContext::decode(dec)?);
         }

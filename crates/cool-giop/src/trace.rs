@@ -74,6 +74,7 @@ impl RequestTraceContext {
     /// Serialises into the opaque context-data bytes on the stack — at
     /// [`WIRE_LEN`](Self::WIRE_LEN) bytes this fits [`ContextData`](crate::service_context::ContextData)'s
     /// inline storage, so attaching a trace context never allocates.
+    #[inline]
     pub fn encode(&self) -> [u8; Self::WIRE_LEN] {
         let mut out = [0u8; Self::WIRE_LEN];
         out[0] = TRACE_FORMAT_V1;
@@ -84,6 +85,7 @@ impl RequestTraceContext {
     }
 
     /// Parses context-data bytes; `None` on unknown format or short data.
+    #[inline]
     pub fn decode(data: &[u8]) -> Option<Self> {
         if data.first() != Some(&TRACE_FORMAT_V1) {
             return None;
@@ -97,12 +99,14 @@ impl RequestTraceContext {
 
     /// Wraps the encoded form in a tagged [`ServiceContext`] entry
     /// (inline-stored, no allocation).
+    #[inline]
     pub fn to_service_context(&self) -> ServiceContext {
         ServiceContext::new(TRACE_REQUEST_CONTEXT_ID, &self.encode()[..])
     }
 
     /// Looks the entry up in a service-context list, ignoring every other
     /// tag. `None` when absent or undecodable.
+    #[inline]
     pub fn from_list(list: &ServiceContextList) -> Option<Self> {
         list.find(TRACE_REQUEST_CONTEXT_ID)
             .and_then(|c| Self::decode(&c.context_data))
@@ -118,6 +122,7 @@ impl ReplyTraceContext {
     /// Serialises into the opaque context-data bytes on the stack — at
     /// [`WIRE_LEN`](Self::WIRE_LEN) bytes this fits [`ContextData`](crate::service_context::ContextData)'s
     /// inline storage, so attaching a trace context never allocates.
+    #[inline]
     pub fn encode(&self) -> [u8; Self::WIRE_LEN] {
         let mut out = [0u8; Self::WIRE_LEN];
         out[0] = TRACE_FORMAT_V1;
@@ -131,6 +136,7 @@ impl ReplyTraceContext {
     }
 
     /// Parses context-data bytes; `None` on unknown format or short data.
+    #[inline]
     pub fn decode(data: &[u8]) -> Option<Self> {
         if data.first() != Some(&TRACE_FORMAT_V1) {
             return None;
@@ -147,12 +153,14 @@ impl ReplyTraceContext {
 
     /// Wraps the encoded form in a tagged [`ServiceContext`] entry
     /// (inline-stored, no allocation).
+    #[inline]
     pub fn to_service_context(&self) -> ServiceContext {
         ServiceContext::new(TRACE_REPLY_CONTEXT_ID, &self.encode()[..])
     }
 
     /// Looks the entry up in a service-context list, ignoring every other
     /// tag. `None` when absent or undecodable.
+    #[inline]
     pub fn from_list(list: &ServiceContextList) -> Option<Self> {
         list.find(TRACE_REPLY_CONTEXT_ID)
             .and_then(|c| Self::decode(&c.context_data))

@@ -25,6 +25,7 @@ impl GiopVersion {
     pub const QOS_EXTENDED: GiopVersion = GiopVersion { major: 9, minor: 9 };
 
     /// Whether this version carries QoS parameters in Request headers.
+    #[inline]
     pub fn is_qos(self) -> bool {
         self == GiopVersion::QOS_EXTENDED
     }
@@ -35,6 +36,7 @@ impl GiopVersion {
     ///
     /// [`GiopError::UnsupportedVersion`] for anything other than 1.0
     /// or 9.9 — this ORB speaks exactly the two variants from the paper.
+    #[inline]
     pub fn from_wire(major: u8, minor: u8) -> Result<Self, GiopError> {
         let v = GiopVersion { major, minor };
         if v == GiopVersion::STANDARD || v == GiopVersion::QOS_EXTENDED {
@@ -46,12 +48,17 @@ impl GiopVersion {
 }
 
 impl std::fmt::Display for GiopVersion {
+    #[expect(
+        clippy::missing_inline_in_public_items,
+        reason = "cold: formatting is off the call path"
+    )]
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "GIOP {}.{}", self.major, self.minor)
     }
 }
 
 impl Default for GiopVersion {
+    #[inline]
     fn default() -> Self {
         GiopVersion::STANDARD
     }

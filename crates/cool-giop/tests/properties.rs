@@ -3,7 +3,48 @@
 use bytes::Bytes;
 use cool_giop::prelude::*;
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fmt::Debug;
+
+/// Counts the bytes each thread asks the allocator for, then defers to the
+/// system allocator, so a property can bound what one decode reserves. The
+/// count is per thread: tests running beside it do not land in it.
+struct Counting;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes));
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns what it returned with the bytes it allocated.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED.with(Cell::get) - before)
+}
 
 fn arb_order() -> impl Strategy<Value = ByteOrder> {
     prop_oneof![Just(ByteOrder::Big), Just(ByteOrder::Little)]
@@ -420,6 +461,72 @@ proptest! {
         prop_assert_eq!(&decoded, &msg);
         let reencoded = encode_message(&decoded, GiopVersion::STANDARD, order).unwrap();
         prop_assert_eq!(reencoded, frame);
+    }
+
+    /// Service contexts decoded on their own, from bytes that start as a
+    /// well-formed list and are then cut short, given another entry count
+    /// or followed by garbage: the decoders never panic, reserve no more
+    /// than the input can hold (an entry takes at least 8 bytes, and only a
+    /// payload too long to sit inline takes heap, at most its own bytes),
+    /// and fail only with an underflow or a length overflow.
+    #[test]
+    fn service_contexts_decode_arbitrary_bytes(
+        entries in proptest::collection::vec(
+            (any::<u32>(), proptest::collection::vec(any::<u8>(), 0..64)),
+            0..16,
+        ),
+        tiny in any::<bool>(),
+        count_override in proptest::option::of(any::<u32>()),
+        cut in any::<usize>(),
+        garbage in proptest::collection::vec(any::<u8>(), 0..64),
+        order in arb_order(),
+    ) {
+        // Tiny payloads pack the most entries into the fewest bytes, where
+        // a list grown by doubling would reserve past what the bytes hold.
+        let list: ServiceContextList = entries
+            .into_iter()
+            .map(|(id, mut data)| {
+                if tiny {
+                    data.truncate(3);
+                }
+                ServiceContext::new(id, data)
+            })
+            .collect();
+        let mut enc = CdrEncoder::new(order);
+        list.encode(&mut enc);
+        let mut input = enc.into_bytes().to_vec();
+        if let Some(count) = count_override {
+            let count = match order {
+                ByteOrder::Big => count.to_be_bytes(),
+                ByteOrder::Little => count.to_le_bytes(),
+            };
+            input[..4].copy_from_slice(&count);
+        }
+        input.truncate(cut % (input.len() + 1));
+        input.extend_from_slice(&garbage);
+
+        let holds = input.len() / 8;
+        let bound = holds * std::mem::size_of::<ServiceContext>() + input.len();
+        let (decoded, reserved) =
+            allocated_by(|| ServiceContextList::decode(&mut CdrDecoder::new(&input, order)));
+        prop_assert!(reserved <= bound, "{reserved} B reserved for {} input bytes", input.len());
+        match decoded {
+            Ok(decoded) => prop_assert!(decoded.len() <= holds),
+            Err(e) => prop_assert!(
+                matches!(e, GiopError::Underflow { .. } | GiopError::LengthOverflow { .. }),
+                "{e:?}"
+            ),
+        }
+
+        let (one, reserved) =
+            allocated_by(|| ServiceContext::decode(&mut CdrDecoder::new(&input, order)));
+        prop_assert!(reserved <= input.len(), "{reserved} B reserved for {} input bytes", input.len());
+        if let Err(e) = one {
+            prop_assert!(
+                matches!(e, GiopError::Underflow { .. } | GiopError::LengthOverflow { .. }),
+                "{e:?}"
+            );
+        }
     }
 
     /// Trace-context extraction finds the trace entry wherever it sits in

@@ -137,6 +137,7 @@ impl Pending {
     }
 
     /// The reply, if it is in; collecting it removes the entry.
+    #[inline]
     fn collect(&self, held: &mut Locked<Unlocked>, request_id: u32) -> Option<ReplyResult> {
         take_ready(&mut self.slots.lock(held).0, request_id)
     }
@@ -170,6 +171,7 @@ impl Pending {
     /// it parked. Behind a callback nobody waits, so the span closes here
     /// (and the invocation counters tick) before the user code runs —
     /// outside the lock, still on the transport's delivery thread.
+    #[inline]
     fn complete(
         &self,
         held: &mut Locked<Unlocked>,
@@ -544,6 +546,7 @@ impl Binding {
     /// unwinding registration and span if the request never reaches the
     /// wire. Hands back the request's id and when the invocation began (the
     /// origin of its span and its timeout).
+    #[inline]
     fn issue(
         &self,
         held: &mut Locked<Unlocked>,

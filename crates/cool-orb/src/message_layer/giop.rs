@@ -28,6 +28,7 @@ pub const QOS_CONTEXT_ID: u32 = 0x514F_5300;
     clippy::too_many_arguments,
     reason = "the parts of a Request, each borrowed, plus trace and byte order"
 )]
+#[inline]
 pub fn make_request(
     request_id: u32,
     object_key: &[u8],
@@ -77,6 +78,7 @@ pub fn make_request(
 /// # Errors
 ///
 /// [`OrbError::Marshal`] if encoding fails.
+#[inline]
 pub fn make_reply(
     request_id: u32,
     result: Result<(&[u8], &GrantedQoS), &OrbError>,
@@ -140,6 +142,7 @@ pub fn make_reply(
 /// # Errors
 ///
 /// Maps exception replies onto the corresponding [`OrbError`].
+#[inline]
 pub fn interpret_reply(
     header: &ReplyHeader,
     body: &Bytes,

@@ -82,6 +82,7 @@ fn error_of(kind: &str, detail: String) -> OrbError {
     clippy::too_many_arguments,
     reason = "the parts of a request, each borrowed, plus trace and byte order"
 )]
+#[inline]
 pub(crate) fn encode_request(
     protocol: WireProtocol,
     request_id: u32,
@@ -130,6 +131,7 @@ pub(crate) enum InboundReply {
 impl InboundReply {
     /// Reads the status: the result body and granted QoS, or the
     /// [`OrbError`] the exception stands for.
+    #[inline]
     pub(crate) fn interpret(self) -> ReplyResult {
         match self {
             InboundReply::Giop(header, body, order) => giop::interpret_reply(&header, &body, order),
@@ -196,6 +198,7 @@ pub(crate) enum Event {
 /// Returns whether every message was accepted. GIOP frames self-delimit,
 /// so a peer may pack several messages into one transport frame: it is
 /// split here — zero-copy views, a one-message frame yields exactly itself.
+#[inline]
 pub(crate) fn decode_frame(frame: &Bytes, mut handle: impl FnMut(Event) -> bool) -> bool {
     match frame.get(..4) {
         Some(b"GIOP") => split_frames(frame).all(|sub| handle(giop::event(sub))),
@@ -210,6 +213,7 @@ pub(crate) fn decode_frame(frame: &Bytes, mut handle: impl FnMut(Event) -> bool)
 /// NACK and a servant raising `QosNotSupported` are the same reply. Over
 /// GIOP the servant's result is written straight into the reply frame.
 /// [`OrbError::Marshal`] if encoding fails.
+#[inline]
 pub(crate) fn encode_reply(
     request_id: u32,
     outcome: DispatchOutcome,

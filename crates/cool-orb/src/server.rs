@@ -678,6 +678,7 @@ fn start_dispatchers(
 /// were all cheap, provided this thread brought the frame itself (`own`);
 /// every other request goes to the dispatcher pool ([`Intake::enqueue`]:
 /// blocking when the queue is full — backpressure — if this thread may).
+#[inline]
 fn process_frame(
     held: &mut Locked<Unlocked>,
     conn: &Arc<ConnState>,
@@ -751,6 +752,7 @@ fn process_frame(
 /// Executes one request — upcall, marshal, reply — on the calling thread: a
 /// dispatcher, or the delivery thread itself for a job that skipped the
 /// queue (`waited` is then zero, read off no clock).
+#[inline]
 fn run_job(
     held: &mut Locked<Unlocked>,
     adapter: &Arc<ObjectAdapter>,

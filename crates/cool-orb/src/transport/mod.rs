@@ -377,6 +377,7 @@ impl FrameInbox {
     /// Delivers one inbound frame: straight to the sink when one is
     /// registered, otherwise queued for [`FrameInbox::recv_timeout`]. Frames pushed
     /// after the close has been observed are dropped.
+    #[inline]
     pub fn push(&self, frame: Bytes) {
         let mut st = self.state.lock();
         if st.close_notified {
@@ -448,6 +449,7 @@ impl FrameInbox {
     /// `own` says the first frame out is one the calling thread pushed;
     /// every later one waited behind it and arrives as
     /// [`FrameSink::on_queued_frame`].
+    #[inline]
     fn deliver<'a>(&'a self, mut st: MutexGuard<'a, InboxState>, mut own: bool) {
         let Some(sink) = st.sink.clone() else { return };
         st.delivering = true;

@@ -24,32 +24,38 @@ pub struct Bytes {
 
 impl Bytes {
     /// Creates a new empty `Bytes`.
+    #[inline]
     pub fn new() -> Self {
         Bytes::from(Vec::new())
     }
 
     /// Creates `Bytes` from a static slice (copied; the shim does not
     /// special-case static storage).
+    #[inline]
     pub fn from_static(bytes: &'static [u8]) -> Self {
         Bytes::copy_from_slice(bytes)
     }
 
     /// Creates `Bytes` by copying the given slice.
+    #[inline]
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes::from(data.to_vec())
     }
 
     /// Number of bytes in the buffer.
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// True when the buffer is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
 
     /// Number of bytes remaining (alias for `len`, mirrors `Buf`).
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.len()
     }
@@ -81,6 +87,7 @@ impl Bytes {
     /// # Panics
     ///
     /// If a non-empty `subset` does not lie inside this buffer.
+    #[inline]
     pub fn slice_ref(&self, subset: &[u8]) -> Bytes {
         if subset.is_empty() {
             return self.slice(0..0);
@@ -95,6 +102,7 @@ impl Bytes {
     }
 
     /// Splits the buffer at `at`; returns the front half, leaves the rest.
+    #[inline]
     pub fn split_to(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len(), "split_to out of bounds");
         let front = self.slice(..at);
@@ -103,6 +111,7 @@ impl Bytes {
     }
 
     /// Splits the buffer at `at`; returns the back half, keeps the front.
+    #[inline]
     pub fn split_off(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len(), "split_off out of bounds");
         let back = self.slice(at..);
@@ -111,6 +120,7 @@ impl Bytes {
     }
 
     /// Advances the start of the buffer by `n` bytes (mirrors `Buf`).
+    #[inline]
     pub fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance out of bounds");
         self.start += n;
@@ -119,24 +129,28 @@ impl Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self
     }
 }
 
 impl Borrow<[u8]> for Bytes {
+    #[inline]
     fn borrow(&self) -> &[u8] {
         self
     }
 }
 
 impl Clone for Bytes {
+    #[inline]
     fn clone(&self) -> Self {
         Bytes {
             data: Arc::clone(&self.data),
@@ -147,6 +161,7 @@ impl Clone for Bytes {
 }
 
 impl Default for Bytes {
+    #[inline]
     fn default() -> Self {
         Bytes::new()
     }
@@ -165,6 +180,7 @@ impl fmt::Debug for Bytes {
 }
 
 impl PartialEq for Bytes {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self[..] == other[..]
     }
@@ -172,11 +188,13 @@ impl PartialEq for Bytes {
 impl Eq for Bytes {}
 
 impl PartialOrd for Bytes {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 impl Ord for Bytes {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self[..].cmp(&other[..])
     }
@@ -189,22 +207,26 @@ impl Hash for Bytes {
 }
 
 impl PartialEq<[u8]> for Bytes {
+    #[inline]
     fn eq(&self, other: &[u8]) -> bool {
         self[..] == *other
     }
 }
 impl PartialEq<&[u8]> for Bytes {
+    #[inline]
     fn eq(&self, other: &&[u8]) -> bool {
         self[..] == **other
     }
 }
 impl PartialEq<Vec<u8>> for Bytes {
+    #[inline]
     fn eq(&self, other: &Vec<u8>) -> bool {
         self[..] == other[..]
     }
 }
 
 impl From<Vec<u8>> for Bytes {
+    #[inline]
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
@@ -216,30 +238,35 @@ impl From<Vec<u8>> for Bytes {
 }
 
 impl From<&'static [u8]> for Bytes {
+    #[inline]
     fn from(s: &'static [u8]) -> Self {
         Bytes::copy_from_slice(s)
     }
 }
 
 impl From<&'static str> for Bytes {
+    #[inline]
     fn from(s: &'static str) -> Self {
         Bytes::copy_from_slice(s.as_bytes())
     }
 }
 
 impl From<String> for Bytes {
+    #[inline]
     fn from(s: String) -> Self {
         Bytes::from(s.into_bytes())
     }
 }
 
 impl From<Box<[u8]>> for Bytes {
+    #[inline]
     fn from(b: Box<[u8]>) -> Self {
         Bytes::from(b.into_vec())
     }
 }
 
 impl From<BytesMut> for Bytes {
+    #[inline]
     fn from(b: BytesMut) -> Self {
         b.freeze()
     }
@@ -254,6 +281,7 @@ impl FromIterator<u8> for Bytes {
 impl<'a> IntoIterator for &'a Bytes {
     type Item = &'a u8;
     type IntoIter = std::slice::Iter<'a, u8>;
+    #[inline]
     fn into_iter(self) -> Self::IntoIter {
         self[..].iter()
     }
@@ -267,11 +295,13 @@ pub struct BytesMut {
 
 impl BytesMut {
     /// Creates a new empty buffer.
+    #[inline]
     pub fn new() -> Self {
         BytesMut { inner: Vec::new() }
     }
 
     /// Creates a buffer with at least the given capacity.
+    #[inline]
     pub fn with_capacity(capacity: usize) -> Self {
         BytesMut {
             inner: Vec::with_capacity(capacity),
@@ -279,46 +309,55 @@ impl BytesMut {
     }
 
     /// Number of bytes currently in the buffer.
+    #[inline]
     pub fn len(&self) -> usize {
         self.inner.len()
     }
 
     /// True when the buffer is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
 
     /// Current capacity.
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.inner.capacity()
     }
 
     /// Reserves capacity for at least `additional` more bytes.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.inner.reserve(additional)
     }
 
     /// Clears the buffer.
+    #[inline]
     pub fn clear(&mut self) {
         self.inner.clear()
     }
 
     /// Shortens the buffer to `len` bytes; no-op when already shorter.
+    #[inline]
     pub fn truncate(&mut self, len: usize) {
         self.inner.truncate(len)
     }
 
     /// Appends a slice to the buffer.
+    #[inline]
     pub fn extend_from_slice(&mut self, extend: &[u8]) {
         self.inner.extend_from_slice(extend)
     }
 
     /// Converts into an immutable [`Bytes`].
+    #[inline]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.inner)
     }
 
     /// Splits off and returns the first `at` bytes.
+    #[inline]
     pub fn split_to(&mut self, at: usize) -> BytesMut {
         assert!(at <= self.len(), "split_to out of bounds");
         let rest = self.inner.split_off(at);
@@ -327,6 +366,7 @@ impl BytesMut {
     }
 
     /// Splits off and returns everything after `at`.
+    #[inline]
     pub fn split_off(&mut self, at: usize) -> BytesMut {
         assert!(at <= self.len(), "split_off out of bounds");
         BytesMut {
@@ -337,18 +377,21 @@ impl BytesMut {
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.inner
     }
 }
 
 impl DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         &mut self.inner
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.inner
     }
@@ -361,12 +404,14 @@ impl fmt::Debug for BytesMut {
 }
 
 impl From<&[u8]> for BytesMut {
+    #[inline]
     fn from(s: &[u8]) -> Self {
         BytesMut { inner: s.to_vec() }
     }
 }
 
 impl From<Vec<u8>> for BytesMut {
+    #[inline]
     fn from(v: Vec<u8>) -> Self {
         BytesMut { inner: v }
     }
@@ -434,12 +479,14 @@ pub trait BufMut {
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.inner.extend_from_slice(src)
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src)
     }

@@ -546,6 +546,7 @@ pub struct Select<'a> {
 
 impl<'a> Select<'a> {
     /// Creates an empty selector.
+    #[inline]
     pub fn new() -> Self {
         Select {
             handles: Vec::new(),
@@ -559,6 +560,7 @@ impl<'a> Select<'a> {
     }
 
     /// Blocks until one registered operation is ready.
+    #[inline]
     pub fn select(&mut self) -> SelectedOperation<'a> {
         loop {
             if let Ok(op) = self.select_timeout(Duration::from_secs(3600)) {
@@ -568,6 +570,7 @@ impl<'a> Select<'a> {
     }
 
     /// Blocks until one registered operation is ready or the timeout elapses.
+    #[inline]
     pub fn select_timeout(
         &mut self,
         timeout: Duration,
@@ -605,6 +608,7 @@ impl<'a> Select<'a> {
 }
 
 impl Default for Select<'_> {
+    #[inline]
     fn default() -> Self {
         Select::new()
     }
@@ -619,6 +623,7 @@ pub struct SelectedOperation<'a> {
 
 impl SelectedOperation<'_> {
     /// Index of the ready operation (as returned by [`Select::recv`]).
+    #[inline]
     pub fn index(&self) -> usize {
         self.index
     }

@@ -178,6 +178,7 @@ pub struct WaitTimeoutResult(bool);
 
 impl WaitTimeoutResult {
     /// True when the wait returned because the timeout elapsed.
+    #[inline]
     pub fn timed_out(&self) -> bool {
         self.0
     }
@@ -199,6 +200,7 @@ pub struct Condvar {
 
 impl Condvar {
     /// Creates a new condition variable.
+    #[inline]
     pub const fn new() -> Self {
         Condvar {
             inner: sync::Condvar::new(),
@@ -207,6 +209,7 @@ impl Condvar {
     }
 
     /// Wakes one waiting thread.
+    #[inline]
     pub fn notify_one(&self) {
         if self.waiters.load(Ordering::SeqCst) != 0 {
             self.inner.notify_one();
@@ -214,6 +217,7 @@ impl Condvar {
     }
 
     /// Wakes all waiting threads.
+    #[inline]
     pub fn notify_all(&self) {
         if self.waiters.load(Ordering::SeqCst) != 0 {
             self.inner.notify_all();
@@ -261,6 +265,7 @@ impl Condvar {
 }
 
 impl Default for Condvar {
+    #[inline]
     fn default() -> Self {
         Condvar::new()
     }
