@@ -51,7 +51,7 @@ fn generate_module(out: &mut String, module: &Module, options: &CodegenOptions) 
     let _ = writeln!(out, "pub mod {} {{", module.name);
     let _ = writeln!(
         out,
-        "    #![allow(clippy::all, unused_mut, unused_variables, unused_imports)]"
+        "    #![allow(\n        clippy::all,\n        unused_mut,\n        unused_variables,\n        unused_imports,\n        reason = \"generated: not every IDL module uses every import and binding\"\n    )]"
     );
     let _ = writeln!(out, "    use bytes::Bytes;");
     let _ = writeln!(

@@ -74,7 +74,7 @@ pub use adapter::ObjectAdapter;
 pub use binding::{Binding, DeferredReply};
 pub use cool_faults::{FaultAction, FaultEngine, FaultPlan, FaultPlanBuilder, PlanSet};
 pub use config::{FailoverPolicy, IntrospectPolicy, OrbConfig};
-pub use error::OrbError;
+pub use error::{OrbError, TimedOut};
 pub use exchange::LocalExchange;
 pub use object::{ObjectKey, ObjectRef, OrbAddr};
 pub use orb::{Orb, Stub};

@@ -257,23 +257,27 @@ impl Orb {
         resolved.replica_set.lock(held).0.active = first;
         if period > std::time::Duration::ZERO {
             let weak: Weak<ResolvedStub> = Arc::downgrade(&resolved);
+            let probe_loop = move || {
+                let held = Locked::root();
+                while let Err(crossbeam::channel::RecvTimeoutError::Timeout) =
+                    blocking::recv_timeout(held, &stop_rx, period)
+                {
+                    // The binding owns us via a JoinHandle; once every
+                    // strong reference is gone we stop.
+                    let Some(me) = weak.upgrade() else { break };
+                    me.probe_all(held);
+                }
+            };
             // A failed spawn (resource exhaustion) leaves the binding
             // without a prober rather than failing the bind.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "joined by `ResolvedStub::close`, which drop calls; one that drops the last reference itself ends at its next tick"
+            )]
             let prober = std::thread::Builder::new()
                 .name("resolved-prober".into())
-                .spawn(move || {
-                    let held = Locked::root();
-                    while let Err(crossbeam::channel::RecvTimeoutError::Timeout) =
-                        blocking::recv_timeout(held, &stop_rx, period)
-                    {
-                        // The binding owns us via a JoinHandle; once every
-                        // strong reference is gone we stop.
-                        let Some(me) = weak.upgrade() else { break };
-                        me.probe_all(held);
-                    }
-                })
-                .ok();
-            resolved.replica_set.lock(held).0.prober = prober;
+                .spawn(probe_loop);
+            resolved.replica_set.lock(held).0.prober = prober.ok();
         }
         Ok(resolved)
     }
@@ -1041,8 +1045,8 @@ mod tests {
         let client = Orb::with_exchange("client", LocalExchange::new());
         match client.bind_resolved(&[], QoSSpec::best_effort(), Vec::new()) {
             Err(OrbError::BadAddress(msg)) => {
-                // A010: the rejection must be attributed — it says what the
-                // binding asked for, not just that the set was empty.
+                // The rejection is attributed: it says what the binding
+                // asked for, not just that the set was empty.
                 assert!(msg.contains("required QoS"), "unattributed: {msg}");
             }
             other => panic!("unexpected {other:?}"),

@@ -160,20 +160,32 @@ impl OrbServer {
         let addr = OrbAddr::Tcp(local.to_string());
         let (mut server, intake) = OrbServer::start(adapter, addr, config)?;
         let telemetry = config.telemetry.clone();
+        // Built outside the spawn, so that the spawn's expect covers the
+        // spawn alone and the accept's reason is its own.
+        let accept_loop = move || {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "woken at shutdown by `close`'s self-connect (`server.wake`), after it sets the flag checked below"
+            )]
+            while let Ok((stream, _peer)) = listener.accept() {
+                if intake.shutdown.load(Ordering::Acquire) {
+                    return; // `close`'s self-connect (or a late client)
+                }
+                let channel = TcpComChannel::from_stream_with(stream, telemetry.as_deref());
+                if let Ok(channel) = channel {
+                    let _ = intake.attach(Locked::root(), Arc::new(channel));
+                }
+            }
+        };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "joined by `OrbServer::close`, which drop calls"
+        )]
         let acceptor = std::thread::Builder::new()
             .name("cool-tcp-acceptor".into())
-            .spawn(move || {
-                while let Ok((stream, _peer)) = listener.accept() {
-                    if intake.shutdown.load(Ordering::Acquire) {
-                        return; // `close`'s self-connect (or a late client)
-                    }
-                    let channel = TcpComChannel::from_stream_with(stream, telemetry.as_deref());
-                    if let Ok(channel) = channel {
-                        let _ = intake.attach(Locked::root(), Arc::new(channel));
-                    }
-                }
-            })
-            .map_err(|e| OrbError::Transport(format!("spawn cool-tcp-acceptor: {e}")))?;
+            .spawn(accept_loop);
+        let acceptor =
+            acceptor.map_err(|e| OrbError::Transport(format!("spawn cool-tcp-acceptor: {e}")))?;
         if let Some(threads) = server.threads.lock(Locked::root()).0.as_mut() {
             threads.acceptor = Some(acceptor);
         }
@@ -573,7 +585,12 @@ impl Intake {
     fn enqueue(&self, held: &mut Locked<Unlocked>, job: Job, channel: &dyn ComChannel) -> bool {
         if channel.delivery_may_wait() {
             // Blocks while the queue is full: backpressure.
-            return blocking::send(held, &self.jobs, job).is_ok();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "every dispatcher takes the next job as it finishes one, and the dispatchers end only once every sender, this intake's included, is gone"
+            )]
+            let queued = blocking::send(held, &self.jobs, job);
+            return queued.is_ok();
         }
         match self.jobs.try_send(job) {
             Ok(()) => true,
@@ -634,36 +651,43 @@ fn start_dispatchers(
         let (rx, overflow_rx) = (rx.clone(), overflow_rx.clone());
         let adapter = adapter.clone();
         let metrics = metrics.cloned();
+        // Built outside the spawn, as the acceptor's loop is.
+        let dispatch_loop = move || {
+            let run = |held: &mut Locked<Unlocked>, job: Job| {
+                let waited = job.enqueued.map_or(Duration::ZERO, |at| at.elapsed());
+                if let Some(m) = &metrics {
+                    // Sampled at dequeue: what is still waiting
+                    // behind the job this thread just took.
+                    m.note_queue_depth(rx.len() + overflow_rx.len());
+                    m.busy.inc();
+                }
+                run_job(held, &adapter, job, waited, metrics.as_ref());
+                if let Some(m) = &metrics {
+                    m.busy.dec();
+                }
+            };
+            let held = Locked::root();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "ends when every sender is gone: `close` joins the acceptor or unregisters the listener, closes every connection and drops the server's own sender"
+            )]
+            while let Ok(job) = blocking::recv(held, &rx) {
+                run(held, job);
+                // The overflow fills only while the queue is full, so
+                // there is always a job that ends here to find it.
+                while let Ok(job) = overflow_rx.try_recv() {
+                    run(held, job);
+                }
+            }
+        };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "joined by `OrbServer::close`, which drop calls"
+        )]
         let handle = std::thread::Builder::new()
             .name(format!("cool-dispatch-{i}"))
-            // Blocking recv; ends when every sender (server handle,
-            // acceptor, connection sinks) is gone.
-            .spawn(move || {
-                let run = |held: &mut Locked<Unlocked>, job: Job| {
-                    let waited = job.enqueued.map_or(Duration::ZERO, |at| at.elapsed());
-                    if let Some(m) = &metrics {
-                        // Sampled at dequeue: what is still waiting
-                        // behind the job this thread just took.
-                        m.note_queue_depth(rx.len() + overflow_rx.len());
-                        m.busy.inc();
-                    }
-                    run_job(held, &adapter, job, waited, metrics.as_ref());
-                    if let Some(m) = &metrics {
-                        m.busy.dec();
-                    }
-                };
-                let held = Locked::root();
-                while let Ok(job) = blocking::recv(held, &rx) {
-                    run(held, job);
-                    // The overflow fills only while the queue is full, so
-                    // there is always a job that ends here to find it.
-                    while let Ok(job) = overflow_rx.try_recv() {
-                        run(held, job);
-                    }
-                }
-            })
-            .map_err(|e| OrbError::Transport(format!("spawn dispatcher: {e}")))?;
-        threads.push(handle);
+            .spawn(dispatch_loop);
+        threads.push(handle.map_err(|e| OrbError::Transport(format!("spawn dispatcher: {e}")))?);
     }
     Ok(Pool {
         jobs: tx,

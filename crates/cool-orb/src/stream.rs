@@ -197,20 +197,24 @@ pub fn handle_stream_open(
     let args = args.to_vec();
     let exchange_for_cleanup = exchange.clone();
     let endpoint_for_cleanup = endpoint_name.clone();
-    std::thread::Builder::new()
+    let rendezvous = move || {
+        let accepted = blocking::recv_timeout(Locked::root(), &acceptor, RENDEZVOUS_TIMEOUT);
+        // One flow per endpoint: stop accepting either way. A connection
+        // that lands after the timeout is dropped with the queue, which
+        // closes it.
+        exchange_for_cleanup.unlisten("dacapo", &endpoint_for_cleanup);
+        if let Ok(channel) = accepted {
+            source.stream(FlowHandle { channel }, &granted, &args);
+        }
+    };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "detached: a one-shot rendezvous that waits at most RENDEZVOUS_TIMEOUT, then runs its flow's source until it returns; the Reply must not wait for it"
+    )]
+    let spawned = std::thread::Builder::new()
         .name(format!("stream-{endpoint_name}"))
-        // lint: allow(A007, one-shot rendezvous acceptor, self-terminating within RENDEZVOUS_TIMEOUT; the Reply must not block on it)
-        .spawn(move || {
-            let accepted = blocking::recv_timeout(Locked::root(), &acceptor, RENDEZVOUS_TIMEOUT);
-            // One flow per endpoint: stop accepting either way. A connection
-            // that lands after the timeout is dropped with the queue, which
-            // closes it.
-            exchange_for_cleanup.unlisten("dacapo", &endpoint_for_cleanup);
-            if let Ok(channel) = accepted {
-                source.stream(FlowHandle { channel }, &granted, &args);
-            }
-        })
-        .map_err(|e| OrbError::Transport(format!("spawn stream thread: {e}")))?;
+        .spawn(rendezvous);
+    spawned.map_err(|e| OrbError::Transport(format!("spawn stream thread: {e}")))?;
 
     // Reply body: the rendezvous endpoint name.
     let mut enc = CdrEncoder::new(ByteOrder::Big);

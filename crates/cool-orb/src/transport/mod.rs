@@ -414,8 +414,12 @@ impl FrameInbox {
         if self.is_closed() {
             return Err(OrbError::Closed);
         }
-        // lint: allow(A010, the inbox sits below the request layer — no request exists here; invoke_once rewraps this as request_timeout with the id)
-        Err(OrbError::timeout(timeout))
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the inbox sits below the request layer, and a stream's receive reads it with no request at all; `invoke_once` rewraps a call's wait as `request_timeout` with its id"
+        )]
+        let timed_out = OrbError::timeout(timeout);
+        Err(timed_out)
     }
 
     /// Registers the push consumer, replaying any queued frames (and a

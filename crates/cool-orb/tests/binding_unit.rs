@@ -451,11 +451,9 @@ fn a_timeout_names_its_request_in_call_and_in_deferred_wait_alike() {
             let from_wait = deferred.wait(brief);
             for (result, request_id) in [(from_call, 1), (from_wait, deferred_id)] {
                 match result {
-                    Err(OrbError::Timeout {
-                        request_id: Some(id),
-                        elapsed,
-                    }) => {
-                        assert_eq!(id, request_id, "{transport} {protocol:?}");
+                    Err(OrbError::Timeout(t)) => {
+                        assert_eq!(t.request_id(), Some(request_id), "{transport} {protocol:?}");
+                        let elapsed = t.elapsed();
                         assert!(elapsed >= brief, "{transport} {protocol:?}: {elapsed:?}");
                     }
                     other => panic!(

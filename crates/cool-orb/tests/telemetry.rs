@@ -278,12 +278,9 @@ fn timeouts_are_attributed_and_counted() {
 
     let err = stub.invoke("s", Bytes::new()).unwrap_err();
     match err {
-        cool_orb::OrbError::Timeout {
-            request_id,
-            elapsed,
-        } => {
-            assert!(request_id.is_some(), "timeout must name the request");
-            assert!(elapsed >= std::time::Duration::from_millis(20));
+        cool_orb::OrbError::Timeout(t) => {
+            assert!(t.request_id().is_some(), "timeout must name the request");
+            assert!(t.elapsed() >= std::time::Duration::from_millis(20));
         }
         other => panic!("expected timeout, got {other:?}"),
     }

@@ -7,9 +7,11 @@
 //! [`OrderedMutex`](crate::lockorder::OrderedMutex) guard lives, that
 //! token is mutably borrowed by it, so one of these calls under a ranked
 //! lock does not compile. `clippy.toml` lists the raw methods, and library
-//! code is linted with them denied: this module is their one caller. Other
-//! blocking is not here: a socket read or accept (DESIGN.md §7.3 lists
-//! those sites).
+//! code is linted with them denied: this module is their one caller. It
+//! denies the waits here that have no bound as well — [`recv`], [`send`]
+//! and [`wait_while`] — so each library site carries an `#[expect]` whose
+//! reason names what ends the wait. Other blocking is not here: a socket
+//! read, and a TCP accept, which `clippy.toml` denies in the same way.
 //!
 //! A queue's policy when full is in its code too: a bounded queue whose
 //! sender waits uses [`send`]; one that drops uses `try_send`; one that

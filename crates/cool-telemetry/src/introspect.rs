@@ -1,8 +1,7 @@
 //! Live introspection: a tiny, dependency-free loopback HTTP endpoint.
 //!
-//! Hand-rolled on `std::net` in the same spirit as cool-analyze's lexer —
-//! just enough HTTP/1.1 to serve four read-only routes from a shared
-//! [`Registry`]:
+//! Hand-rolled on `std::net`: just enough HTTP/1.1 to serve four
+//! read-only routes from a shared [`Registry`]:
 //!
 //! * `GET /metrics` — the existing Prometheus text render.
 //! * `GET /spans` — the recent calls' spans, and the merged distributed
@@ -36,6 +35,10 @@ const POKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// one at a time, so this bounds what one slow client costs every other.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// The most a request head may take: nothing past it is read, and a head
+/// that does not end inside it is refused.
+const MAX_HEAD: usize = 8 * 1024;
+
 /// A running introspection endpoint. Stops (and joins both threads) on
 /// [`IntrospectServer::stop`] or drop.
 pub struct IntrospectServer {
@@ -55,18 +58,30 @@ impl IntrospectServer {
         let series = sampler.series();
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
+        // Built outside the spawn, so that the spawn's expect covers the
+        // spawn alone and the accept's reason is its own.
+        let accept_loop = move || {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "woken at shutdown by `stop`'s connection, after it sets the flag checked below"
+            )]
+            for conn in listener.incoming() {
+                if thread_stop.load(Ordering::Acquire) {
+                    return;
+                }
+                if let Ok(stream) = conn {
+                    serve_connection(stream, &registry, &series);
+                }
+            }
+        };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "joined by `IntrospectServer::stop`, which drop calls"
+        )]
         let accept = std::thread::Builder::new()
             .name("cool-introspect".to_string())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if thread_stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if let Ok(stream) = conn {
-                        serve_connection(stream, &registry, &series);
-                    }
-                }
-            })?;
+            .spawn(accept_loop);
+        let accept = accept?;
         Ok(IntrospectServer {
             addr,
             stop,
@@ -116,7 +131,10 @@ impl std::fmt::Debug for IntrospectServer {
 /// drops the connection — the endpoint is best-effort by design.
 fn serve_connection(mut stream: TcpStream, registry: &Registry, series: &Arc<GaugeSeries>) {
     let _ = stream.set_write_timeout(Some(CLIENT_TIMEOUT));
-    let Some(target) = read_request_target(&mut stream, Instant::now() + CLIENT_TIMEOUT) else {
+    let Some(head) = read_head(&mut stream, Instant::now() + CLIENT_TIMEOUT) else {
+        return;
+    };
+    let Some(target) = parse_request_target(&head) else {
         return;
     };
     let (path, query) = match target.split_once('?') {
@@ -150,34 +168,42 @@ fn serve_connection(mut stream: TcpStream, registry: &Registry, series: &Arc<Gau
     let _ = stream.flush();
 }
 
-/// Reads up to the end of the request head and returns the request
-/// target (`GET <target> HTTP/1.1`). `None` on malformed input, and when
-/// the head is not in by `deadline`, however the bytes trickle in.
-fn read_request_target(stream: &mut TcpStream, deadline: Instant) -> Option<String> {
-    let mut buf = Vec::with_capacity(512);
+/// Reads up to the end of the request head, or to the peer's end, and at
+/// most [`MAX_HEAD`] bytes. `None` when the head does not end inside that,
+/// and when it is not in by `deadline`, however the bytes trickle in.
+fn read_head(stream: &mut TcpStream, deadline: Instant) -> Option<Vec<u8>> {
+    let mut head = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") {
-        if buf.len() > 8 * 1024 {
+    while !head.windows(4).any(|w| w == b"\r\n\r\n") {
+        let room = MAX_HEAD - head.len();
+        if room == 0 {
             return None;
         }
         let left = deadline.checked_duration_since(Instant::now())?;
         if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
             return None;
         }
-        match stream.read(&mut chunk) {
+        let want = room.min(chunk.len());
+        match stream.read(&mut chunk[..want]) {
             Ok(0) | Err(_) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => head.extend_from_slice(&chunk[..n]),
         }
     }
-    let head = String::from_utf8_lossy(&buf);
-    let request_line = head.lines().next()?;
+    Some(head)
+}
+
+/// The request target of a head whose request line is `GET <target> ..`;
+/// `None` for any other method and for a malformed line. Looks at no more
+/// than the first [`MAX_HEAD`] bytes.
+fn parse_request_target(head: &[u8]) -> Option<String> {
+    let head = &head[..head.len().min(MAX_HEAD)];
+    let line_end = head.iter().position(|&b| b == b'\n').unwrap_or(head.len());
+    let request_line = String::from_utf8_lossy(&head[..line_end]);
     let mut parts = request_line.split_whitespace();
-    let method = parts.next()?;
-    let target = parts.next()?;
-    if method != "GET" {
+    if parts.next()? != "GET" {
         return None;
     }
-    Some(target.to_string())
+    parts.next().map(str::to_owned)
 }
 
 /// Parses `window=<ms>` from a query string.
@@ -195,6 +221,63 @@ fn parse_window(query: Option<&str>) -> Option<Duration> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A head that starts as a request line might, then arbitrary bytes:
+    /// past [`MAX_HEAD`] at times.
+    fn arb_head() -> impl Strategy<Value = Vec<u8>> {
+        const STARTS: &[&[u8]] = &[
+            b"",
+            b"GET ",
+            b"GET /metrics HTTP/1.1\r\n",
+            b"POST /metrics HTTP/1.1\r\n",
+            b" GET\t/gauges?window=5",
+        ];
+        (
+            0..STARTS.len(),
+            proptest::collection::vec(any::<u8>(), 0..64),
+            0usize..MAX_HEAD + 64,
+        )
+            .prop_map(|(start, noise, filler)| {
+                let mut head = STARTS[start].to_vec();
+                head.extend_from_slice(&noise);
+                head.resize(head.len() + filler, b'a');
+                head
+            })
+    }
+
+    proptest! {
+        /// Whatever a client sends, the parse does not panic, reads
+        /// nothing past `MAX_HEAD`, and answers only a `GET` line.
+        #[test]
+        fn a_request_head_of_any_bytes_parses_safely(head in arb_head()) {
+            let target = parse_request_target(&head);
+            prop_assert_eq!(&target, &parse_request_target(&head[..head.len().min(MAX_HEAD)]));
+            if target.is_some() {
+                let line = String::from_utf8_lossy(&head);
+                let line = line.trim_start();
+                prop_assert!(line.starts_with("GET"), "{line:?}");
+                prop_assert!(line[3..].starts_with(char::is_whitespace), "{line:?}");
+            }
+        }
+
+        /// A query of any bytes parses without a panic, and a window comes
+        /// only from a `window=<ms>` pair.
+        #[test]
+        fn a_query_of_any_bytes_parses_safely(
+            query in proptest::collection::vec(any::<u8>(), 0..64),
+            window in proptest::option::of(0u64..100_000),
+        ) {
+            let mut query = String::from_utf8_lossy(&query).into_owned();
+            if let Some(ms) = window {
+                query.push_str(&format!("&window={ms}"));
+            }
+            if let Some(parsed) = parse_window(Some(&query)) {
+                let pair = format!("window={}", parsed.as_millis());
+                prop_assert!(query.split('&').any(|kv| kv == pair), "{query:?}");
+            }
+        }
+    }
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");

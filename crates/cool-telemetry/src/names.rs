@@ -6,73 +6,112 @@
 //! suite all agree on the exact strings. Every counter appears in
 //! [`crate::Registry::render_prometheus`], [`crate::TelemetrySnapshot`]
 //! and the snapshot's JSON as soon as it is first resolved.
+//!
+//! One macro declares the constants and [`ALL`], so no name is left off
+//! the list. Tests hold the list to two promises: every name is
+//! documented in DESIGN.md §6, and every name shows up in a registry's
+//! Prometheus render after the scenario that emits it (`tests/chaos.rs`,
+//! `tests/failover_chaos.rs`).
 
-/// Invocation attempts replayed by a `RetryPolicy` after a retryable error.
-pub const RETRIES_TOTAL: &str = "retries_total";
+/// Declares each name as a constant, and [`ALL`] as the list of them.
+macro_rules! names {
+    ($($(#[$doc:meta])* $name:ident = $value:literal;)*) => {
+        $($(#[$doc])* pub const $name: &str = $value;)*
 
-/// Successful transparent re-establishments of a dead binding channel.
-pub const RECONNECTS_TOTAL: &str = "reconnects_total";
+        /// Every name above, in declaration order.
+        pub const ALL: &[&str] = &[$($name),*];
+    };
+}
 
-/// QoS ladder steps taken after a `QosNotSupported` NACK.
-pub const QOS_DEGRADATIONS_TOTAL: &str = "qos_degradations_total";
+names! {
+    /// Invocation attempts replayed by a `RetryPolicy` after a retryable error.
+    RETRIES_TOTAL = "retries_total";
 
-/// Faults injected by a `FaultPlan` (also exported per kind via the
-/// `kind` label, e.g. `faults_injected_total{kind="drop"}`).
-pub const FAULTS_INJECTED_TOTAL: &str = "faults_injected_total";
+    /// Successful transparent re-establishments of a dead binding channel.
+    RECONNECTS_TOTAL = "reconnects_total";
 
-/// Inbound requests whose service context carried a trace id the server
-/// joined its stage timings to (distributed tracing, DESIGN.md §6).
-pub const TRACE_JOINS_TOTAL: &str = "trace_joins_total";
+    /// QoS ladder steps taken after a `QosNotSupported` NACK.
+    QOS_DEGRADATIONS_TOTAL = "qos_degradations_total";
 
-/// Total bytes of trace service-context entries put on the wire, both
-/// request (client) and reply (server) side.
-pub const SERVICE_CONTEXT_BYTES: &str = "service_context_bytes";
+    /// Faults injected by a `FaultPlan` (also exported per kind via the
+    /// `kind` label, e.g. `faults_injected_total{kind="drop"}`).
+    FAULTS_INJECTED_TOTAL = "faults_injected_total";
 
-/// Requests a server ran to completion on the thread that delivered them
-/// instead of handing them to its dispatcher pool — objects whose recent
-/// upcalls were all cheap (DESIGN.md §5, "Threading model").
-pub const DISPATCH_INLINE_TOTAL: &str = "orb_dispatch_inline_total";
+    /// Inbound requests whose service context carried a trace id the server
+    /// joined its stage timings to (distributed tracing, DESIGN.md §6).
+    TRACE_JOINS_TOTAL = "trace_joins_total";
 
-/// Writes a channel made to its transport, with a `kind` label; beside
-/// `transport_frames_sent_total` it tells how many frames a write carried
-/// (over TCP, the replies of one read leave in one write: DESIGN.md §5).
-pub const TRANSPORT_WRITES_TOTAL: &str = "transport_writes_total";
+    /// Total bytes of trace service-context entries put on the wire, both
+    /// request (client) and reply (server) side.
+    SERVICE_CONTEXT_BYTES = "service_context_bytes";
 
-/// Finished calls evicted from the span store's bounded ring to make room
-/// for newer ones — every evicted call, traced or not, counted once.
-pub const SPANS_DROPPED_TOTAL: &str = "spans_dropped_total";
+    /// Requests a server ran to completion on the thread that delivered them
+    /// instead of handing them to its dispatcher pool — objects whose recent
+    /// upcalls were all cheap (DESIGN.md §5, "Threading model").
+    DISPATCH_INLINE_TOTAL = "orb_dispatch_inline_total";
 
-/// Flight-recorder events evicted from the bounded ring to make room for
-/// newer ones.
-pub const FLIGHT_EVENTS_DROPPED_TOTAL: &str = "flight_events_dropped_total";
+    /// Writes a channel made to its transport, with a `kind` label; beside
+    /// `transport_frames_sent_total` it tells how many frames a write carried
+    /// (over TCP, the replies of one read leave in one write: DESIGN.md §5).
+    TRANSPORT_WRITES_TOTAL = "transport_writes_total";
 
-/// Mid-traffic switches of a replicated binding to another replica after
-/// the active one failed (DESIGN.md §8.3).
-pub const FAILOVERS_TOTAL: &str = "failovers_total";
+    /// Finished calls evicted from the span store's bounded ring to make room
+    /// for newer ones — every evicted call, traced or not, counted once.
+    SPANS_DROPPED_TOTAL = "spans_dropped_total";
 
-/// Replicas evicted from a replicated binding's candidate set after
-/// consecutive failures crossed the suspect threshold.
-pub const REPLICA_EVICTIONS_TOTAL: &str = "replica_evictions_total";
+    /// Flight-recorder events evicted from the bounded ring to make room for
+    /// newer ones.
+    FLIGHT_EVENTS_DROPPED_TOTAL = "flight_events_dropped_total";
 
-/// Evicted replicas re-admitted after a successful liveness probe.
-pub const REPLICA_READMISSIONS_TOTAL: &str = "replica_readmissions_total";
+    /// Mid-traffic switches of a replicated binding to another replica after
+    /// the active one failed (DESIGN.md §8.3).
+    FAILOVERS_TOTAL = "failovers_total";
 
-/// Per-replica circuit-breaker state gauge, exported with a `replica`
-/// label (0 = closed, 1 = half-open, 2 = open), e.g.
-/// `breaker_state{replica="chorus://rep-a"}`.
-pub const BREAKER_STATE: &str = "breaker_state";
+    /// Replicas evicted from a replicated binding's candidate set after
+    /// consecutive failures crossed the suspect threshold.
+    REPLICA_EVICTIONS_TOTAL = "replica_evictions_total";
 
-/// Gauge: replicas currently considered healthy in a replicated binding.
-pub const REPLICAS_HEALTHY: &str = "replicas_healthy";
+    /// Evicted replicas re-admitted after a successful liveness probe.
+    REPLICA_READMISSIONS_TOTAL = "replica_readmissions_total";
 
-/// Histogram (µs): latency of directory `resolve` calls as observed by
-/// the client, including the ORB round trip.
-pub const RESOLVE_LATENCY_US: &str = "resolve_latency_us";
+    /// Per-replica circuit-breaker state gauge, exported with a `replica`
+    /// label (0 = closed, 1 = half-open, 2 = open), e.g.
+    /// `breaker_state{replica="chorus://rep-a"}`.
+    BREAKER_STATE = "breaker_state";
+
+    /// Gauge: replicas currently considered healthy in a replicated binding.
+    REPLICAS_HEALTHY = "replicas_healthy";
+
+    /// Histogram (µs): latency of directory `resolve` calls as observed by
+    /// the client, including the ORB round trip.
+    RESOLVE_LATENCY_US = "resolve_latency_us";
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Registry;
+
+    /// DESIGN.md §6, the catalogue an operator reads: from its heading to
+    /// the next section's.
+    fn design_section_6() -> &'static str {
+        let design = include_str!("../../../DESIGN.md");
+        let start = design.find("\n## 6.").expect("DESIGN.md has a §6");
+        let rest = &design[start + 1..];
+        let end = rest.find("\n## ").map_or(rest.len(), |e| e + 1);
+        &rest[..end]
+    }
+
+    #[test]
+    fn every_name_is_documented_in_design_section_6() {
+        let catalogue = design_section_6();
+        let missing: Vec<&str> = ALL
+            .iter()
+            .copied()
+            .filter(|name| !catalogue.contains(&format!("`{name}")))
+            .collect();
+        assert!(missing.is_empty(), "not in DESIGN.md §6: {missing:?}");
+    }
 
     /// The resilience counters round-trip through every exporter.
     #[test]

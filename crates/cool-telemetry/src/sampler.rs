@@ -152,27 +152,33 @@ impl GaugeSampler {
         });
         let thread_series = Arc::clone(&series);
         let thread_signal = Arc::clone(&signal);
+        let sample_loop = move || {
+            let held = Locked::root();
+            loop {
+                let deadline = Instant::now() + DEFAULT_SAMPLE_PERIOD;
+                let mut stopped = thread_signal.stopped.lock();
+                blocking::wait_while_until(
+                    held,
+                    &thread_signal.cv,
+                    &mut stopped,
+                    deadline,
+                    |stopped| !*stopped,
+                );
+                if *stopped {
+                    return;
+                }
+                drop(stopped);
+                thread_series.push_all(&registry.gauge_values());
+            }
+        };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "joined by `GaugeSampler::stop`, which drop calls"
+        )]
         let handle = std::thread::Builder::new()
             .name("cool-gauge-sampler".to_string())
-            .spawn(move || {
-                let held = Locked::root();
-                loop {
-                    let deadline = Instant::now() + DEFAULT_SAMPLE_PERIOD;
-                    let mut stopped = thread_signal.stopped.lock();
-                    blocking::wait_while_until(
-                        held,
-                        &thread_signal.cv,
-                        &mut stopped,
-                        deadline,
-                        |stopped| !*stopped,
-                    );
-                    if *stopped {
-                        return;
-                    }
-                    drop(stopped);
-                    thread_series.push_all(&registry.gauge_values());
-                }
-            })?;
+            .spawn(sample_loop);
+        let handle = handle?;
         Ok(GaugeSampler {
             series,
             signal,

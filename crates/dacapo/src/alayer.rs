@@ -112,7 +112,12 @@ impl AppEndpoint {
         if self.transport_closed() && from_stack.is_empty() {
             return Err(DacapoError::Closed);
         }
-        match blocking::recv(Locked::root(), from_stack) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the transport's end sends a close sentinel up the stack behind its frames, and a swap or teardown drops the queue's sender"
+        )]
+        let received = blocking::recv(Locked::root(), from_stack);
+        match received {
             Ok(pkt) => self.deliver(pkt),
             Err(_) => Err(DacapoError::Closed),
         }

@@ -118,6 +118,10 @@ impl QosMonitor {
         )]
         let (tx, rx) = unbounded();
         let flag = stop.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "joined by `QosMonitor::stop`; a drop sets the stop signal, which ends the loop within one sampling interval"
+        )]
         let handle = std::thread::Builder::new()
             .name("dacapo-qos-monitor".into())
             .spawn(move || monitor_loop(meter, config, tx, flag))

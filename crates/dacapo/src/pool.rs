@@ -86,11 +86,14 @@ impl Pool {
             return Ok(());
         }
         drop(parked);
-        std::thread::Builder::new()
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "detached by design: a thread ends after LINGER without a job, and a job ends with its connection's transport, closed from any thread, the job's own included, so nothing may join one"
+        )]
+        let spawned = std::thread::Builder::new()
             .name(THREAD_NAME.into())
-            // lint: allow(A007, the pool's threads are detached by design: each ends after LINGER without a job, and a job ends with its connection's transport — closed from any thread, possibly from the job itself, so nothing may join one)
-            .spawn(move || self.serve(job))
-            .map(drop)
+            .spawn(move || self.serve(job));
+        spawned.map(drop)
     }
 
     /// A pool thread: `job`, then each job handed to it while it is
@@ -265,6 +268,10 @@ impl ReadDemand {
         };
         let mut st = self.state.lock();
         match recheck {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "woken by the demand's 0 -> 1, a nudge, and `close`, which the connection's end always reaches"
+            )]
             None => blocking::wait_while(held, &self.changed, &mut st, unwanted),
             Some(after) => {
                 blocking::wait_while_until(

@@ -193,6 +193,10 @@ impl QuiesceSignal {
     /// transport's end — and so do [`Stack::stop`] and a failed write.
     fn wait_for_room(&self, held: &mut Locked<Unlocked>, seen: u64) {
         let mut generation = self.generation.lock();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "woken by every quiescence pulse: the turn holder's after each event, the transport's end included, `StackHandle`'s drop and a failed write, after which the send fails `Closed`"
+        )]
         blocking::wait_while(held, &self.cv, &mut generation, |g| *g == seen);
     }
 }
@@ -894,6 +898,10 @@ impl WireWriter {
         loop {
             let stack = {
                 let mut state = self.state.lock();
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "woken when a turn holder leaves frames for the wire, and by `stop` when the transport's end is read"
+                )]
                 blocking::wait_while(held, &self.work, &mut state, |s| {
                     !s.ended && s.stack.is_none()
                 });
@@ -921,6 +929,10 @@ impl WireWriter {
         self.work.notify_one();
         if state.running {
             self.transport.close();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the writer job returns once woken above: the transport is closed first, so a write it is blocked in returns"
+            )]
             blocking::wait_while(held, &self.finished, &mut state, |s| s.running);
         }
     }

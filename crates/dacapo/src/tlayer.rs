@@ -112,6 +112,10 @@ impl Transport for Box<dyn Transport> {
         (**self).send(frame)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "forwards the boxed transport's own receive, which its `close` ends"
+    )]
     fn recv(&self) -> Result<Bytes, DacapoError> {
         (**self).recv()
     }
@@ -237,6 +241,10 @@ impl LoopbackTransport {
                 st.queue.is_empty() && !st.closed && !(deadline.is_some() && st.woken)
             };
             match deadline {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "`close` on either side marks both directions closed and notifies"
+                )]
                 None => blocking::wait_while(held, &self.rx.arrival, &mut st, idle),
                 Some((at, timeout)) => {
                     if std::mem::take(&mut st.woken) || Instant::now() >= at {
@@ -746,6 +754,10 @@ impl Transport for NetsimTransport {
         self.endpoint.send(frame).map_err(from_netsim)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`close`, here or at the peer, ends the endpoint's receive"
+    )]
     fn recv(&self) -> Result<Bytes, DacapoError> {
         self.endpoint.recv().map_err(from_netsim)
     }

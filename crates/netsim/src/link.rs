@@ -282,6 +282,10 @@ impl Direction {
                         let until = Instant::now() + (t - now);
                         blocking::wait_while_until(held, &self.arrival, &mut st, until, unchanged);
                     }
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "woken by a frame sent, the receiver's close and the sender's end, which `Endpoint::close` and the sender's drop both notify"
+                    )]
                     None => blocking::wait_while(held, &self.arrival, &mut st, unchanged),
                 }
             }

@@ -9,7 +9,12 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
+
+/// The storage every [`Bytes::new`] shares (and so `Default` and
+/// `std::mem::take`): an empty buffer costs a reference count, not an
+/// allocation.
+static EMPTY: LazyLock<Arc<Vec<u8>>> = LazyLock::new(|| Arc::new(Vec::new()));
 
 /// A cheaply cloneable, immutable, contiguous slice of memory.
 ///
@@ -23,10 +28,14 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// Creates a new empty `Bytes`.
+    /// Creates a new empty `Bytes`, sharing one process-wide storage.
     #[inline]
     pub fn new() -> Self {
-        Bytes::from(Vec::new())
+        Bytes {
+            data: Arc::clone(&EMPTY),
+            start: 0,
+            end: 0,
+        }
     }
 
     /// Creates `Bytes` from a static slice (copied; the shim does not

@@ -8,7 +8,9 @@
 //! succeed, degrade, or fail *attributed* — and never hang — and with
 //! the retry policy on, the mid-run sever must heal through at least one
 //! automatic reconnect. Rerunning the same seed must inject bit-identical
-//! fault counts (the whole point of the deterministic engine).
+//! fault counts (the whole point of the deterministic engine). After the
+//! run, every telemetry name but the replication ones is in the client's
+//! or the server's Prometheus render.
 
 use bytes::Bytes;
 use multe::orb::prelude::*;
@@ -26,6 +28,17 @@ const SEVER_AFTER: u64 = 400;
 /// Per-call deadline. Every failure mode is bounded by it, so the whole
 /// run is provably hang-free.
 const CALL_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// The names only a replicated binding and a directory emit:
+/// `tests/failover_chaos.rs` runs that scenario and checks them there.
+const REPLICATION: &[&str] = &[
+    names::FAILOVERS_TOTAL,
+    names::REPLICA_EVICTIONS_TOTAL,
+    names::REPLICA_READMISSIONS_TOTAL,
+    names::BREAKER_STATE,
+    names::REPLICAS_HEALTHY,
+    names::RESOLVE_LATENCY_US,
+];
 
 /// What one chaos run produced, for cross-run determinism checks.
 #[derive(Debug, PartialEq)]
@@ -49,6 +62,8 @@ struct ChaosRun {
     /// attributable to an injected fault in the flight recorder.
     timed_out_ids: Vec<u32>,
     registry: Arc<Registry>,
+    /// The client's and the server's Prometheus renders, after the run.
+    rendered: String,
 }
 
 /// Dumps the flight recorder to `chaos-flight.json` while the thread is
@@ -83,8 +98,14 @@ fn run_chaos(seed: u64) -> ChaosRun {
     let exchange = LocalExchange::new();
 
     // Server: an echo object whose policy caps throughput at 64 kbit/s,
-    // so the client's preferred spec below draws a NACK.
-    let server_orb = Orb::with_exchange("chaos-server", exchange.clone());
+    // so the client's preferred spec below draws a NACK. Its own registry
+    // keeps its flight events out of the client's ring.
+    let server_registry = Arc::new(Registry::new());
+    let server_config = OrbConfig {
+        telemetry: Some(Arc::clone(&server_registry)),
+        ..OrbConfig::default()
+    };
+    let server_orb = Orb::with_exchange_and_config("chaos-server", exchange.clone(), server_config);
     server_orb
         .adapter()
         .register_fn("echo", |_op, args, _ctx| Ok(args.to_vec()))
@@ -152,9 +173,9 @@ fn run_chaos(seed: u64) -> ChaosRun {
             // timeout carrying its request id (at-most-once forbids a
             // blind replay), a sever as Transport/Closed until the
             // reconnect lands, an exhausted ladder as the QoS NACK.
-            Err(OrbError::Timeout { request_id, .. }) => {
+            Err(OrbError::Timeout(t)) => {
                 attributed_failures += 1;
-                if let Some(id) = request_id {
+                if let Some(id) = t.request_id() {
                     timed_out_ids.push(id);
                 }
             }
@@ -190,6 +211,7 @@ fn run_chaos(seed: u64) -> ChaosRun {
             sever: kind("sever"),
         },
         timed_out_ids,
+        rendered: snap.render_prometheus() + &server_registry.render_prometheus(),
         registry,
     }
 }
@@ -263,6 +285,17 @@ fn chaos_run_degrades_heals_and_attributes_every_failure() {
         "ladder steps must be on the flight record: {events:?}"
     );
     assert_eq!(run.registry.flight().dropped(), 0, "ring must not wrap");
+
+    let missing: Vec<&str> = names::ALL
+        .iter()
+        .copied()
+        .filter(|name| !REPLICATION.contains(name))
+        .filter(|name| !run.rendered.contains(&format!("# TYPE {name} ")))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "emitted by no run of this scenario: {missing:?}"
+    );
 }
 
 #[test]

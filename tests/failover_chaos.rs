@@ -274,6 +274,25 @@ fn replicated_service_survives_kill_and_restart_under_faults() {
         "calls after re-admission must succeed again"
     );
 
+    // The names only this scenario emits (`tests/chaos.rs` checks the
+    // rest of `names::ALL`) are in the client's render.
+    let rendered = registry.render_prometheus();
+    let missing: Vec<&str> = [
+        names::FAILOVERS_TOTAL,
+        names::REPLICA_EVICTIONS_TOTAL,
+        names::REPLICA_READMISSIONS_TOTAL,
+        names::BREAKER_STATE,
+        names::REPLICAS_HEALTHY,
+        names::RESOLVE_LATENCY_US,
+    ]
+    .into_iter()
+    .filter(|name| !rendered.contains(&format!("# TYPE {name} ")))
+    .collect();
+    assert!(
+        missing.is_empty(),
+        "emitted by no run of this scenario: {missing:?}"
+    );
+
     resolved.close();
     for (_, (_, server)) in servers {
         server.close();

@@ -437,13 +437,14 @@ fn many_concurrent_deferred_requests_demultiplex_correctly() {
 
 #[test]
 fn concurrent_server_close_never_deadlocks() {
-    // Regression for the teardown findings cool-analyze (A002) surfaced:
-    // `OrbServer::close` used to join the acceptor and dispatcher threads
-    // while still holding the locks over their handles, and wrote
-    // CloseConnection frames with `server.conns` held. The static rule keeps the joins out from under the locks; this
-    // test exercises the dynamic side — closes racing each other and a
-    // graceful shutdown, with calls in flight, must finish within the
-    // watchdog instead of parking forever on a handle lock.
+    // Regression for a teardown deadlock: `OrbServer::close` used to join
+    // the acceptor and dispatcher threads while still holding the locks
+    // over their handles, and wrote CloseConnection frames with
+    // `server.conns` held. The lock-order tokens make a join under a lock
+    // a compile error (DESIGN.md §7); this test exercises the dynamic
+    // side — closes racing each other and a graceful shutdown, with calls
+    // in flight, must finish within the watchdog instead of parking
+    // forever on a handle lock.
     let (finished_tx, finished_rx) = std::sync::mpsc::channel();
     let worker = std::thread::spawn(move || {
         let exchange = LocalExchange::new();
@@ -487,4 +488,150 @@ fn concurrent_server_close_never_deadlocks() {
         .recv_timeout(Duration::from_secs(30))
         .expect("server teardown deadlocked: close() is holding a handle lock across a join");
     worker.join().unwrap();
+}
+
+/// Every `OrbError` variant, one row each, produced through the public
+/// API. `variant` matches on `OrbError` with no `_` arm: a new variant
+/// does not compile until it has an arm there, and `VARIANTS`, kept
+/// beside the arms, then asks for the row that produces it.
+#[test]
+fn every_orb_error_variant_has_a_row() {
+    use multe::naming::{DirectoryClient, DirectoryServer};
+
+    /// The arms of `variant`.
+    const VARIANTS: usize = 12;
+    fn variant(err: &OrbError) -> &'static str {
+        match err {
+            OrbError::QosNotSupported(_) => "QosNotSupported",
+            OrbError::ObjectNotFound(_) => "ObjectNotFound",
+            OrbError::OperationUnknown { .. } => "OperationUnknown",
+            OrbError::UserException { .. } => "UserException",
+            OrbError::Marshal(_) => "Marshal",
+            OrbError::Transport(_) => "Transport",
+            OrbError::Closed => "Closed",
+            OrbError::Timeout { .. } => "Timeout",
+            OrbError::Cancelled => "Cancelled",
+            OrbError::RetriesExhausted { .. } => "RetriesExhausted",
+            OrbError::Protocol(_) => "Protocol",
+            OrbError::BadAddress(_) => "BadAddress",
+        }
+    }
+
+    let exchange = LocalExchange::new();
+    let server_orb = Orb::with_exchange("errors-server", exchange.clone());
+    let adapter = server_orb.adapter();
+    adapter
+        .register_fn("echo", |_op, a, _c| Ok(a.to_vec()))
+        .unwrap();
+    adapter
+        .register_fn("slow", |_op, a, _c| {
+            std::thread::sleep(Duration::from_millis(300));
+            Ok(a.to_vec())
+        })
+        .unwrap();
+    // Replies a directory client cannot read: no byte-order flag at all,
+    // and a flag with no body behind it.
+    adapter
+        .register_fn("mute", |_op, _a, _c| Ok(Vec::new()))
+        .unwrap();
+    adapter
+        .register_fn("flag", |_op, _a, _c| Ok(vec![0]))
+        .unwrap();
+    adapter
+        .register_fn("capped", |_op, a, _c| Ok(a.to_vec()))
+        .unwrap();
+    adapter.set_policy(
+        &"capped".into(),
+        ServerPolicy::builder().max_throughput_bps(64_000).build(),
+    );
+    let server = server_orb.listen_chorus("errors").unwrap();
+    let directory = DirectoryServer::serve(&server_orb, &server).unwrap();
+    let doomed = server_orb.listen_chorus("errors-doomed").unwrap();
+
+    let client = Orb::with_exchange("errors-client", exchange.clone());
+    let retrying = Orb::with_exchange_and_config(
+        "errors-retrying",
+        exchange,
+        OrbConfig {
+            retry: Some(RetryPolicy {
+                max_attempts: 2,
+                initial_backoff: Duration::from_millis(1),
+                max_backoff: Duration::from_millis(2),
+                budget: Duration::from_secs(5),
+                ..RetryPolicy::default()
+            }),
+            ..OrbConfig::default()
+        },
+    );
+    let bind = |key: &str| client.bind(&server.object_ref(key)).unwrap();
+    let directory_at =
+        |key: &str| DirectoryClient::connect(&client, &server.object_ref(key)).unwrap();
+
+    let nacked = bind("capped");
+    nacked
+        .set_qos_parameter(
+            QoSSpec::builder()
+                .throughput_bps(1_000_000, 800_000, 2_000_000)
+                .build(),
+        )
+        .unwrap();
+    let slow = bind("slow");
+    slow.set_timeout(Duration::from_millis(20));
+    let cancelled = {
+        let stub = bind("slow");
+        let deferred = stub.invoke_deferred("op", Bytes::new()).unwrap();
+        assert!(stub.cancel(deferred.request_id()));
+        deferred.wait(Duration::from_secs(5))
+    };
+    let on_doomed = client.bind(&doomed.object_ref("echo")).unwrap();
+    let retried = retrying.bind(&doomed.object_ref("echo")).unwrap();
+    doomed.close();
+    let refused = {
+        // A port that was bound a moment ago and is not any more.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        drop(listener);
+        ObjectRef::from_uri(&format!("cool:tcp://{addr}#echo")).and_then(|r| client.bind(&r))
+    };
+
+    let rows: Vec<OrbError> = vec![
+        nacked.invoke("op", Bytes::new()).unwrap_err(),
+        bind("nobody").invoke("op", Bytes::new()).unwrap_err(),
+        client
+            .bind(&directory)
+            .unwrap()
+            // A big-endian flag, as every directory request begins.
+            .invoke("no_such_operation", Bytes::from_static(&[0]))
+            .unwrap_err(),
+        // The directory's NotFound user exception.
+        DirectoryClient::connect(&client, &directory)
+            .unwrap()
+            .resolve("nothing-here", &QoSSpec::best_effort())
+            .unwrap_err(),
+        directory_at("flag")
+            .resolve("x", &QoSSpec::best_effort())
+            .unwrap_err(),
+        refused.unwrap_err(),
+        on_doomed.invoke("echo", Bytes::new()).unwrap_err(),
+        slow.invoke("op", Bytes::new()).unwrap_err(),
+        cancelled.unwrap_err(),
+        retried.invoke("echo", Bytes::new()).unwrap_err(),
+        directory_at("mute")
+            .resolve("x", &QoSSpec::best_effort())
+            .unwrap_err(),
+        ObjectRef::from_uri("not a reference").unwrap_err(),
+    ];
+    let produced: Vec<&str> = rows.iter().map(variant).collect();
+    let mut distinct = produced.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(
+        distinct.len(),
+        VARIANTS,
+        "one row per OrbError variant, each a different one: {produced:?} from {rows:?}"
+    );
+
+    retrying.shutdown();
+    client.shutdown();
+    server.close();
 }

@@ -6,15 +6,19 @@
 //! header field or a frame that grows after it was sized shows up here
 //! even where no metered site sees it. Per call: at most 5 over Chorus,
 //! Da CaPo and a resolved Chorus stub, at most 9 over TCP, for a 64 B and
-//! a 16 KiB body alike.
+//! a 16 KiB body alike. An empty body allocates nothing: `Bytes::new()`
+//! (a replica's `_ping`), `Default`, `std::mem::take` and a Da CaPo close
+//! sentinel share one storage.
 //!
 //! Alone in its test binary, holding one test, on purpose: the counting
 //! allocator is process-global, so any other test running in the same
 //! process would land in this one's delta.
 
 use bytes::Bytes;
+use multe::dacapo::{Packet, PacketKind};
 use multe::orb::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts every allocation and reallocation, then defers to the system
@@ -112,6 +116,14 @@ fn two_way_calls_stay_within_their_heap_budget_on_every_transport_and_size() {
         assert_eq!(resolved.invoke("echo", body.clone()).unwrap(), body);
     });
     cells.push(("resolved chorus 64 B".to_owned(), allocs, 5));
+    let mut body = Bytes::from(vec![7u8; 64]);
+    let allocs = count(|| {
+        black_box(Bytes::new());
+        black_box(Bytes::default());
+        black_box(std::mem::take(black_box(&mut body)));
+        black_box(Packet::from_shared(Bytes::new(), PacketKind::Control));
+    });
+    cells.push(("empty bodies".to_owned(), allocs, 0));
     resolved.close();
     client_orb.shutdown();
     tcp.close();
