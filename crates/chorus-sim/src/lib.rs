@@ -41,7 +41,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-
 #![warn(missing_docs)]
 #![expect(
     clippy::disallowed_methods,

@@ -170,11 +170,7 @@ mod tests {
 
     #[test]
     fn rates_roughly_match_over_many_frames() {
-        let plan = FaultPlan::builder()
-            .seed(9)
-            .drop_rate(0.2)
-            .build()
-            .unwrap();
+        let plan = FaultPlan::builder().seed(9).drop_rate(0.2).build().unwrap();
         let engine = FaultEngine::new(plan);
         let drops = (0..10_000)
             .filter(|_| matches!(engine.on_frame(32), Some(FaultAction::Drop)))
@@ -227,9 +223,6 @@ mod tests {
             .build()
             .unwrap();
         let engine = FaultEngine::new(plan);
-        assert!((0..100).all(|_| !matches!(
-            engine.on_frame(0),
-            Some(FaultAction::Corrupt { .. })
-        )));
+        assert!((0..100).all(|_| !matches!(engine.on_frame(0), Some(FaultAction::Corrupt { .. }))));
     }
 }

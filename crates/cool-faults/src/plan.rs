@@ -304,7 +304,11 @@ mod tests {
 
     #[test]
     fn plan_set_matches_exact_target_then_default() {
-        let lossy = FaultPlan::builder().seed(1).drop_rate(0.05).build().unwrap();
+        let lossy = FaultPlan::builder()
+            .seed(1)
+            .drop_rate(0.05)
+            .build()
+            .unwrap();
         let slow = FaultPlan::builder()
             .seed(2)
             .delay(0.5, Duration::from_millis(3))

@@ -62,8 +62,8 @@ fn write_frame(
     buf.put_slice(&MAGIC);
     buf.put_slice(&[version.major, version.minor, order.flag(), msg_type.code()]);
     buf.put_slice(&[0u8; 4]); // message_size, patched below
-    // Hand the buffer to the CDR encoder; its base offset makes body
-    // alignment identical to a standalone encapsulation.
+                              // Hand the buffer to the CDR encoder; its base offset makes body
+                              // alignment identical to a standalone encapsulation.
     let mut enc = CdrEncoder::append_to(std::mem::take(buf), order);
     let encoded = body(&mut enc);
     let body_len = enc.len();
@@ -538,7 +538,8 @@ mod tests {
             for order in [ByteOrder::Big, ByteOrder::Little] {
                 let legacy = encode_message(msg, GiopVersion::STANDARD, order).unwrap();
                 let mut buf = BytesMut::new();
-                msg.encode_into(GiopVersion::STANDARD, order, &mut buf).unwrap();
+                msg.encode_into(GiopVersion::STANDARD, order, &mut buf)
+                    .unwrap();
                 assert_eq!(&buf[..], &legacy[..]);
             }
         }
@@ -550,7 +551,8 @@ mod tests {
         let solo = encode_message(&msg, GiopVersion::STANDARD, ByteOrder::Big).unwrap();
         let mut buf = BytesMut::new();
         buf.put_slice(b"prefix!");
-        msg.encode_into(GiopVersion::STANDARD, ByteOrder::Big, &mut buf).unwrap();
+        msg.encode_into(GiopVersion::STANDARD, ByteOrder::Big, &mut buf)
+            .unwrap();
         assert_eq!(&buf[..7], &b"prefix!"[..]);
         assert_eq!(&buf[7..], &solo[..]);
     }
@@ -583,7 +585,10 @@ mod tests {
         // The body view points into the original frame storage: its bytes
         // occupy the frame's tail at the same address.
         assert_eq!(&body[..], &frame[frame.len() - body.len()..]);
-        assert_eq!(body.as_ref().as_ptr(), frame[frame.len() - body.len()..].as_ptr());
+        assert_eq!(
+            body.as_ref().as_ptr(),
+            frame[frame.len() - body.len()..].as_ptr()
+        );
     }
 
     #[test]
@@ -633,8 +638,12 @@ mod tests {
             ByteOrder::Big,
         )
         .unwrap();
-        let f2 = encode_message(&sample_request(false), GiopVersion::STANDARD, ByteOrder::Big)
-            .unwrap();
+        let f2 = encode_message(
+            &sample_request(false),
+            GiopVersion::STANDARD,
+            ByteOrder::Big,
+        )
+        .unwrap();
 
         let mut lone = split_frames(&f2);
         let frame = lone.next().unwrap().unwrap();
@@ -674,8 +683,12 @@ mod tests {
             ByteOrder::Big,
         )
         .unwrap();
-        let f2 = encode_message(&sample_request(false), GiopVersion::STANDARD, ByteOrder::Big)
-            .unwrap();
+        let f2 = encode_message(
+            &sample_request(false),
+            GiopVersion::STANDARD,
+            ByteOrder::Big,
+        )
+        .unwrap();
         let mut joined = join_frames(&[f1.clone(), f2]).to_vec();
         joined.truncate(joined.len() - 3); // clip the final frame
         let batch = Bytes::from(joined);

@@ -40,7 +40,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-
 #![warn(missing_docs)]
 // Every call into this crate crosses a crate boundary, and a build without
 // LTO (the ledger's, any user's default release profile) inlines across

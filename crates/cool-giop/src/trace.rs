@@ -222,8 +222,9 @@ mod tests {
         let mut data = req().encode();
         data[0] = 9; // a future format this decoder does not know
         assert_eq!(RequestTraceContext::decode(&data), None);
-        let list: ServiceContextList =
-            [ServiceContext::new(TRACE_REQUEST_CONTEXT_ID, &data[..])].into_iter().collect();
+        let list: ServiceContextList = [ServiceContext::new(TRACE_REQUEST_CONTEXT_ID, &data[..])]
+            .into_iter()
+            .collect();
         assert_eq!(RequestTraceContext::from_list(&list), None);
     }
 

@@ -185,7 +185,11 @@ fn cdr_round_trip<T: Cdr + PartialEq + Debug>(value: T) {
         let bytes = enc.into_bytes();
         let mut dec = CdrDecoder::new(&bytes, order);
         assert_eq!(T::decode(&mut dec).unwrap(), value, "{order:?}");
-        assert!(dec.is_exhausted(), "{order:?}: {} bytes left", dec.remaining());
+        assert!(
+            dec.is_exhausted(),
+            "{order:?}: {} bytes left",
+            dec.remaining()
+        );
     }
 }
 

@@ -244,7 +244,11 @@ mod tests {
                 DirectoryClient::connect_with_order(&client_orb, &dir_ref, order).expect("connect");
             let echo_ref = server.object_ref("echo");
             let ladder = vec![rung(2_000_000), rung(64_000)];
-            assert_eq!(dir.register("echo-service", &echo_ref, &ladder).expect("register"), 1);
+            assert_eq!(
+                dir.register("echo-service", &echo_ref, &ladder)
+                    .expect("register"),
+                1
+            );
 
             let required = QoSSpec::builder()
                 .throughput_bps(64_000, 1_000, 2_000_000)
@@ -255,7 +259,9 @@ mod tests {
             assert_eq!(infos[0].best_rung, 0);
             assert_eq!(infos[0].ladder, ladder);
             assert_eq!(dir.list().expect("list"), vec!["echo-service".to_string()]);
-            assert!(dir.deregister("echo-service", &echo_ref).expect("deregister"));
+            assert!(dir
+                .deregister("echo-service", &echo_ref)
+                .expect("deregister"));
             client_orb.shutdown();
         }
         server.close();
@@ -287,7 +293,8 @@ mod tests {
         let dir = DirectoryClient::connect(&client_orb, &dir_ref).expect("connect");
         dir.register("svc", &server.object_ref("echo"), &[rung(64_000)])
             .expect("register");
-        dir.resolve("svc", &QoSSpec::best_effort()).expect("resolve");
+        dir.resolve("svc", &QoSSpec::best_effort())
+            .expect("resolve");
         let snap = registry.snapshot();
         let hist = snap
             .histogram(names::RESOLVE_LATENCY_US)

@@ -139,9 +139,7 @@ impl DirectoryServer {
                 // the best matching rung, then by uri for determinism.
                 let mut matches: Vec<(u32, &Replica)> = replicas
                     .iter()
-                    .filter_map(|r| {
-                        best_rung(&r.ladder, &required).map(|rung| (rung as u32, r))
-                    })
+                    .filter_map(|r| best_rung(&r.ladder, &required).map(|rung| (rung as u32, r)))
                     .collect();
                 matches.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.uri.cmp(&b.1.uri)));
                 enc.put_u32(matches.len() as u32);
@@ -196,7 +194,10 @@ mod tests {
             let dir = DirectoryServer::default();
             let ladder = vec![throughput_rung(1_000_000)];
             let reply = dir
-                .dispatch("register", &encode_register(order, "svc", "cool:chorus://a#svc", &ladder))
+                .dispatch(
+                    "register",
+                    &encode_register(order, "svc", "cool:chorus://a#svc", &ladder),
+                )
                 .expect("register");
             let (reply_order, body) = split_order(&reply).expect("flag");
             assert_eq!(reply_order, order, "reply echoes the request order");
@@ -219,7 +220,9 @@ mod tests {
             let mut enc = CdrEncoder::new(order);
             enc.put_string("svc");
             enc.put_string("cool:chorus://a#svc");
-            let reply = dir.dispatch("deregister", &frame(order, enc)).expect("deregister");
+            let reply = dir
+                .dispatch("deregister", &frame(order, enc))
+                .expect("deregister");
             let (reply_order, body) = split_order(&reply).expect("flag");
             let mut dec = CdrDecoder::new(body, reply_order);
             assert!(dec.get_bool().expect("existed"));
@@ -238,16 +241,22 @@ mod tests {
         let dir = DirectoryServer::default();
         dir.dispatch(
             "register",
-            &encode_register(ByteOrder::Big, "svc", "cool:chorus://fast#svc", &[
-                throughput_rung(2_000_000),
-            ]),
+            &encode_register(
+                ByteOrder::Big,
+                "svc",
+                "cool:chorus://fast#svc",
+                &[throughput_rung(2_000_000)],
+            ),
         )
         .expect("register fast");
         dir.dispatch(
             "register",
-            &encode_register(ByteOrder::Big, "svc", "cool:chorus://slow#svc", &[
-                throughput_rung(64_000),
-            ]),
+            &encode_register(
+                ByteOrder::Big,
+                "svc",
+                "cool:chorus://slow#svc",
+                &[throughput_rung(64_000)],
+            ),
         )
         .expect("register slow");
 

@@ -50,7 +50,9 @@ pub fn rung_dominates(offered: &QoSSpec, required: &QoSSpec) -> bool {
 /// Index of the best (lowest) rung of `ladder` dominating `required`,
 /// or `None` when no rung does.
 pub fn best_rung(ladder: &[QoSSpec], required: &QoSSpec) -> Option<usize> {
-    ladder.iter().position(|rung| rung_dominates(rung, required))
+    ladder
+        .iter()
+        .position(|rung| rung_dominates(rung, required))
 }
 
 /// Encodes a ladder: a rung count, then each rung as its wire-format
@@ -86,14 +88,19 @@ mod tests {
     use multe_qos::Reliability;
 
     fn throughput(requested: u32, min: i32, max: i32) -> QoSSpec {
-        QoSSpec::builder().throughput_bps(requested, min, max).build()
+        QoSSpec::builder()
+            .throughput_bps(requested, min, max)
+            .build()
     }
 
     #[test]
     fn throughput_dominance_follows_negotiation() {
         let offered = throughput(1_000_000, 0, i32::MAX);
         // Clipped offer 64k meets the 1k minimum.
-        assert!(rung_dominates(&offered, &throughput(64_000, 1_000, 2_000_000)));
+        assert!(rung_dominates(
+            &offered,
+            &throughput(64_000, 1_000, 2_000_000)
+        ));
         // Clipped offer 1M falls short of a 2M minimum.
         assert!(!rung_dominates(
             &offered,
@@ -118,7 +125,9 @@ mod tests {
         assert!(!rung_dominates(&plain, &ordered));
         assert!(rung_dominates(&ordered, &ordered));
 
-        let reliable = QoSSpec::builder().reliability(Reliability::Reliable).build();
+        let reliable = QoSSpec::builder()
+            .reliability(Reliability::Reliable)
+            .build();
         let checked = QoSSpec::builder().reliability(Reliability::Checked).build();
         assert!(rung_dominates(&reliable, &checked));
         assert!(!rung_dominates(&checked, &reliable));
@@ -131,9 +140,15 @@ mod tests {
             throughput(64_000, 0, i32::MAX),
         ];
         // A modest requirement is met by rung 0 already.
-        assert_eq!(best_rung(&ladder, &throughput(64_000, 1_000, 2_000_000)), Some(0));
+        assert_eq!(
+            best_rung(&ladder, &throughput(64_000, 1_000, 2_000_000)),
+            Some(0)
+        );
         // A requirement above both rungs matches nothing.
-        assert_eq!(best_rung(&ladder, &throughput(8_000_000, 4_000_000, i32::MAX)), None);
+        assert_eq!(
+            best_rung(&ladder, &throughput(8_000_000, 4_000_000, i32::MAX)),
+            None
+        );
         assert_eq!(best_rung(&[], &throughput(1, 0, 1)), None);
     }
 

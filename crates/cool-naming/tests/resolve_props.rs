@@ -141,12 +141,15 @@ fn resolve_on_the_wire(
         enc.put_string("svc");
         enc.put_string(&format!("cool:chorus://replica-{i}#svc"));
         encode_ladder(&mut enc, ladder);
-        dir.dispatch("register", &frame(order, enc)).expect("register");
+        dir.dispatch("register", &frame(order, enc))
+            .expect("register");
     }
     let mut enc = CdrEncoder::new(order);
     enc.put_string("svc");
     enc.put_seq(&required.to_params());
-    let reply = dir.dispatch("resolve", &frame(order, enc)).expect("resolve");
+    let reply = dir
+        .dispatch("resolve", &frame(order, enc))
+        .expect("resolve");
     assert_eq!(reply[0], order.flag(), "reply echoes the request order");
     let mut dec = CdrDecoder::new(&reply[1..], order);
     let count = dec.get_u32().expect("count");

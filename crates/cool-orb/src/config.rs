@@ -218,18 +218,37 @@ mod tests {
                 .register_fn("echo", |_op, args, _ctx| Ok(args.to_vec()))
                 .unwrap();
             let server = server_orb.listen_tcp("127.0.0.1:0").unwrap();
-            let client_orb = crate::Orb::with_exchange_and_config("client", exchange, client_config);
+            let client_orb =
+                crate::Orb::with_exchange_and_config("client", exchange, client_config);
             let stub = client_orb.bind(&server.object_ref("echo")).unwrap();
             for _ in 0..CALLS {
-                stub.invoke("echo", bytes::Bytes::from_static(b"x")).unwrap();
+                stub.invoke("echo", bytes::Bytes::from_static(b"x"))
+                    .unwrap();
             }
 
             let case = format!("client tracing {client_tracing}, server tracing {server_tracing}");
             let server_snap = server_reg.snapshot();
-            assert_eq!(server_snap.counter(names::TRACE_JOINS_TOTAL).unwrap_or(0), 0, "{case}");
-            assert_eq!(server_snap.counter(names::SERVICE_CONTEXT_BYTES).unwrap_or(0), 0, "{case}");
-            assert!(client_reg.recent_traces().iter().all(|t| !t.is_merged()), "{case}");
-            assert_eq!(client_reg.recent_spans().len(), CALLS, "{case}: local spans stay");
+            assert_eq!(
+                server_snap.counter(names::TRACE_JOINS_TOTAL).unwrap_or(0),
+                0,
+                "{case}"
+            );
+            assert_eq!(
+                server_snap
+                    .counter(names::SERVICE_CONTEXT_BYTES)
+                    .unwrap_or(0),
+                0,
+                "{case}"
+            );
+            assert!(
+                client_reg.recent_traces().iter().all(|t| !t.is_merged()),
+                "{case}"
+            );
+            assert_eq!(
+                client_reg.recent_spans().len(),
+                CALLS,
+                "{case}: local spans stay"
+            );
             client_orb.shutdown();
             server.close();
         }
@@ -274,7 +293,10 @@ mod tests {
         let set = Arc::new(
             PlanSet::default().set(
                 "chorus://rep-b",
-                cool_faults::FaultPlan::builder().drop_rate(0.1).build().unwrap(),
+                cool_faults::FaultPlan::builder()
+                    .drop_rate(0.1)
+                    .build()
+                    .unwrap(),
             ),
         );
         let f = OrbConfig {

@@ -51,7 +51,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-
 #![warn(missing_docs)]
 
 pub mod adapter;
@@ -72,8 +71,8 @@ pub mod transport;
 
 pub use adapter::ObjectAdapter;
 pub use binding::{Binding, DeferredReply};
-pub use cool_faults::{FaultAction, FaultEngine, FaultPlan, FaultPlanBuilder, PlanSet};
 pub use config::{FailoverPolicy, IntrospectPolicy, OrbConfig};
+pub use cool_faults::{FaultAction, FaultEngine, FaultPlan, FaultPlanBuilder, PlanSet};
 pub use error::{OrbError, TimedOut};
 pub use exchange::LocalExchange;
 pub use object::{ObjectKey, ObjectRef, OrbAddr};
@@ -92,7 +91,6 @@ pub mod prelude {
     pub use crate::adapter::ObjectAdapter;
     pub use crate::binding::{Binding, DeferredReply};
     pub use crate::config::{FailoverPolicy, IntrospectPolicy, OrbConfig};
-    pub use cool_faults::{FaultPlan, FaultPlanBuilder, PlanSet};
     pub use crate::error::OrbError;
     pub use crate::exchange::LocalExchange;
     pub use crate::object::{ObjectKey, ObjectRef, OrbAddr};
@@ -105,5 +103,6 @@ pub mod prelude {
         handle_stream_open, open_stream, open_stream_named, serve_source, serve_sources,
         FlowHandle, StreamReceiver, StreamSource,
     };
+    pub use cool_faults::{FaultPlan, FaultPlanBuilder, PlanSet};
     pub use multe_qos::prelude::*;
 }

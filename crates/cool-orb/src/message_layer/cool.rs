@@ -288,7 +288,10 @@ mod tests {
             request_id: 1,
             body: Bytes::from_static(b"ok"),
         };
-        assert_eq!(CoolMessage::decode(&reply.encode().unwrap()).unwrap(), reply);
+        assert_eq!(
+            CoolMessage::decode(&reply.encode().unwrap()).unwrap(),
+            reply
+        );
         let exc = CoolMessage::Exception {
             request_id: 2,
             kind: "ObjectNotFound".into(),

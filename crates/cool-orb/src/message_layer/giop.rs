@@ -367,8 +367,17 @@ mod tests {
     #[test]
     fn qos_request_uses_version_9_9() {
         let qos = vec![QoSParameter::new(ParamKind::Throughput, 1, 2, 0)];
-        let frame =
-            make_request(1, b"k", "m", Bytes::new(), qos, true, None, ByteOrder::Little).unwrap();
+        let frame = make_request(
+            1,
+            b"k",
+            "m",
+            Bytes::new(),
+            qos,
+            true,
+            None,
+            ByteOrder::Little,
+        )
+        .unwrap();
         let (_, version, _) = Message::decode_frame(&frame).unwrap();
         assert_eq!(version, GiopVersion::QOS_EXTENDED);
     }

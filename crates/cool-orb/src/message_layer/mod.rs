@@ -366,8 +366,7 @@ mod tests {
             body: b"detail".to_vec(),
         };
         let other = OrbError::Transport("disk on fire".into());
-        let internal =
-            |e: &OrbError| OrbError::Protocol(format!("system exception Internal: {e}"));
+        let internal = |e: &OrbError| OrbError::Protocol(format!("system exception Internal: {e}"));
         let rows: Vec<(OrbError, OrbError, Option<OrbError>)> = vec![
             (
                 OrbError::ObjectNotFound("ghost".into()),

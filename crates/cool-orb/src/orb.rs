@@ -172,7 +172,12 @@ impl Orb {
     fn listen_exchange(&self, addr: OrbAddr) -> Result<OrbServer, OrbError> {
         let adapter = self.adapter.clone();
         let exchange = self.exchange.clone();
-        self.served_by(OrbServer::start_exchange(adapter, addr, exchange, &self.config))
+        self.served_by(OrbServer::start_exchange(
+            adapter,
+            addr,
+            exchange,
+            &self.config,
+        ))
     }
 
     /// Records the address of a server that started as served (so binds to
@@ -271,9 +276,9 @@ impl Orb {
                 hostport.as_str(),
                 telemetry.map(Arc::as_ref),
             )?),
-            OrbAddr::Chorus(name) => {
-                self.exchange.connect_chorus_with(name, telemetry.map(Arc::as_ref))?
-            }
+            OrbAddr::Chorus(name) => self
+                .exchange
+                .connect_chorus_with(name, telemetry.map(Arc::as_ref))?,
             OrbAddr::Dacapo(name) => self.exchange.connect_dacapo_with(
                 name,
                 &TransportRequirements::best_effort(),
@@ -341,7 +346,12 @@ impl Orb {
         if replaced {
             let detail = format!("{addr} rebound after its connection was lost");
             let counter = Some(names::RECONNECTS_TOTAL);
-            emit(&self.config.telemetry, counter, flight_event::RECONNECT, detail);
+            emit(
+                &self.config.telemetry,
+                counter,
+                flight_event::RECONNECT,
+                detail,
+            );
         }
         Ok(binding)
     }
@@ -559,9 +569,13 @@ impl Stub {
             }
             Target::Remote(binding) => {
                 let params = attempt.offered.to_params();
-                binding.notify(self.key().as_bytes(), operation, args, &params, move |result| {
-                    callback(result.map(|(body, _)| body))
-                })
+                binding.notify(
+                    self.key().as_bytes(),
+                    operation,
+                    args,
+                    &params,
+                    move |result| callback(result.map(|(body, _)| body)),
+                )
             }
         }
     }

@@ -26,9 +26,9 @@ use crate::orb::Orb;
 use crate::servant::FnServant;
 use crate::transport::ComChannel;
 use bytes::Bytes;
+use cool_giop::cdr::{ByteOrder, CdrDecoder, CdrEncoder};
 use cool_telemetry::blocking;
 use cool_telemetry::lockorder::{Locked, Unlocked};
-use cool_giop::cdr::{ByteOrder, CdrDecoder, CdrEncoder};
 use crossbeam::channel::bounded;
 use multe_qos::{GrantedQoS, QoSSpec, ServerPolicy, TransportRequirements};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -469,10 +469,17 @@ mod tests {
             streamed_tx.send(()).unwrap();
             flow.close();
         };
-        let reply =
-            handle_stream_open(&exchange, "one", Arc::new(source), &GrantedQoS::default(), &[])
-                .unwrap();
-        let name = CdrDecoder::new(&reply, ByteOrder::Big).get_string().unwrap();
+        let reply = handle_stream_open(
+            &exchange,
+            "one",
+            Arc::new(source),
+            &GrantedQoS::default(),
+            &[],
+        )
+        .unwrap();
+        let name = CdrDecoder::new(&reply, ByteOrder::Big)
+            .get_string()
+            .unwrap();
         let best_effort = TransportRequirements::best_effort();
         let _flow = exchange.connect_dacapo(&name, &best_effort).unwrap();
         // Refused by the listener, or by the exchange once the flow thread

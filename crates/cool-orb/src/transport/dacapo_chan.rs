@@ -291,7 +291,12 @@ impl ComChannel for DacapoComChannel {
         if self.is_closed() {
             return Err(OrbError::Closed);
         }
-        let peer = self.inner.peer.get().and_then(Weak::upgrade).ok_or(OrbError::Closed)?;
+        let peer = self
+            .inner
+            .peer
+            .get()
+            .and_then(Weak::upgrade)
+            .ok_or(OrbError::Closed)?;
         if peer.inbox.is_closed() {
             return Err(OrbError::Closed);
         }
@@ -462,7 +467,11 @@ mod tests {
         assert_eq!(mgr.used_bandwidth(), 2_000_000);
 
         a.set_qos(Locked::root(), &mbit(2)).unwrap();
-        assert_eq!(mgr.used_bandwidth(), 4_000_000, "2 Mbit/s in place of 1, per side");
+        assert_eq!(
+            mgr.used_bandwidth(),
+            4_000_000,
+            "2 Mbit/s in place of 1, per side"
+        );
         let graph = a.graph();
         assert!(!graph.is_empty());
 
@@ -535,10 +544,13 @@ mod tests {
             bandwidth_bps: 10_000,
         });
         let (a, b) = channel_pair_with(Some(mgr.clone()));
-        a.set_qos(Locked::root(), &TransportRequirements {
-            bandwidth_bps: Some(4_000),
-            ..Default::default()
-        })
+        a.set_qos(
+            Locked::root(),
+            &TransportRequirements {
+                bandwidth_bps: Some(4_000),
+                ..Default::default()
+            },
+        )
         .unwrap();
         assert_eq!(mgr.used_bandwidth(), 8_000, "both sides hold a grant");
         let (closed_tx, closed_rx) = std::sync::mpsc::channel();
@@ -560,11 +572,17 @@ mod tests {
     fn frames_arrive_across_a_reconfiguration() {
         let (a, b) = channel_pair();
         a.send_frame(Bytes::from_static(b"before")).unwrap();
-        assert_eq!(&b.recv_frame(Duration::from_secs(5)).unwrap()[..], b"before");
-        a.set_qos(Locked::root(), &TransportRequirements {
-            error_detection: true,
-            ..Default::default()
-        })
+        assert_eq!(
+            &b.recv_frame(Duration::from_secs(5)).unwrap()[..],
+            b"before"
+        );
+        a.set_qos(
+            Locked::root(),
+            &TransportRequirements {
+                error_detection: true,
+                ..Default::default()
+            },
+        )
         .unwrap();
         a.send_frame(Bytes::from_static(b"after")).unwrap();
         assert_eq!(&b.recv_frame(Duration::from_secs(5)).unwrap()[..], b"after");

@@ -301,10 +301,7 @@ mod tests {
     ) -> (FaultChannel, Arc<RecordingChannel>) {
         let inner = RecordingChannel::new();
         let engine = Arc::new(FaultEngine::new(plan));
-        (
-            FaultChannel::new(inner.clone(), engine, registry),
-            inner,
-        )
+        (FaultChannel::new(inner.clone(), engine, registry), inner)
     }
 
     #[test]

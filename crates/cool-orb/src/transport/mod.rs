@@ -77,8 +77,8 @@ pub use dacapo_chan::DacapoComChannel;
 pub use fault::{FaultChannel, FaultMetrics};
 pub use tcp::TcpComChannel;
 
-pub use dacapo::pool::ReadDemand;
 pub(crate) use dacapo::pool::Owed;
+pub use dacapo::pool::ReadDemand;
 
 use crate::error::OrbError;
 use bytes::Bytes;
@@ -612,7 +612,10 @@ mod tests {
         let inbox = FrameInbox::new();
         inbox.push(Bytes::from_static(b"tail"));
         inbox.close();
-        assert_eq!(&inbox.recv_timeout(Duration::from_millis(10)).unwrap()[..], b"tail");
+        assert_eq!(
+            &inbox.recv_timeout(Duration::from_millis(10)).unwrap()[..],
+            b"tail"
+        );
         assert!(matches!(
             inbox.recv_timeout(Duration::from_millis(10)),
             Err(OrbError::Closed)

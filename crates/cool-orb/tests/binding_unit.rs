@@ -186,9 +186,15 @@ fn close_connection_closes_the_channel(
     while !(binding.is_closed() && server.is_closed()) && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert!(binding.is_closed(), "binding did not observe CloseConnection");
+    assert!(
+        binding.is_closed(),
+        "binding did not observe CloseConnection"
+    );
     assert!(client.is_closed(), "the binding's channel is still open");
-    assert!(server.is_closed(), "the server's end did not hear the close");
+    assert!(
+        server.is_closed(),
+        "the server's end did not hear the close"
+    );
     assert!(matches!(
         server.send_frame(Bytes::from_static(b"late")),
         Err(OrbError::Closed)
@@ -326,7 +332,9 @@ impl ComChannel for RecordingChannel {
 /// How many requests the binding still has registered (its `Debug` says).
 fn pending(binding: &Binding) -> String {
     let debug = format!("{binding:?}");
-    let at = debug.find("pending: ").expect("Debug names the pending map");
+    let at = debug
+        .find("pending: ")
+        .expect("Debug names the pending map");
     debug[at..].trim_end_matches([' ', '}']).to_owned()
 }
 
@@ -353,7 +361,12 @@ fn issue_in_every_mode(binding: &Binding, qos: &[QoSParameter]) -> Vec<Result<()
 #[test]
 fn every_mode_puts_the_message_layers_frame_on_the_wire() {
     let throughput = [QoSParameter::new(ParamKind::Throughput, 1_000, 10, 2_000)];
-    let modes = [("call", true), ("send", false), ("defer", true), ("notify", true)];
+    let modes = [
+        ("call", true),
+        ("send", false),
+        ("defer", true),
+        ("notify", true),
+    ];
     for (protocol, qos) in [
         (WireProtocol::Giop, &[][..]),
         (WireProtocol::Giop, &throughput[..]), // GIOP 9.9
@@ -424,7 +437,10 @@ fn a_request_that_never_reaches_the_wire_leaves_nothing_pending() {
     assert!(
         matches!(
             issued,
-            Err(OrbError::Marshal(GiopError::LengthOverflow { declared: 70_000, .. }))
+            Err(OrbError::Marshal(GiopError::LengthOverflow {
+                declared: 70_000,
+                ..
+            }))
         ),
         "{issued:?}"
     );
@@ -528,7 +544,10 @@ fn every_mode_and_cancel_behave_the_same_under_giop_and_cool() {
         binding.send(b"obj", "count", Bytes::new(), &[]).unwrap();
         let deadline = std::time::Instant::now() + LONG;
         while counted.load(Ordering::SeqCst) == before {
-            assert!(std::time::Instant::now() < deadline, "{protocol:?}: one-way never ran");
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{protocol:?}: one-way never ran"
+            );
             std::thread::sleep(Duration::from_millis(1));
         }
 
@@ -568,7 +587,10 @@ fn every_mode_and_cancel_behave_the_same_under_giop_and_cool() {
         seen.push(format!("cancel {}", binding.cancel(id)));
         seen.push(rx.recv_timeout(LONG).unwrap());
         seen.push(format!("cancel again {}", binding.cancel(id)));
-        binding.defer(b"obj", "slow", payload(), &[]).unwrap().cancel();
+        binding
+            .defer(b"obj", "slow", payload(), &[])
+            .unwrap()
+            .cancel();
         seen.push(pending(&binding));
         // The connection is still good after the cancelled requests.
         seen.push(shape(binding.call(b"obj", "echo", payload(), &[], LONG)));

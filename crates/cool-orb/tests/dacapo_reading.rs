@@ -242,7 +242,10 @@ fn replies_nobody_waits_for_are_still_delivered() {
         if let Some(reply) = deferred.poll() {
             break reply;
         }
-        assert!(Instant::now() < deadline, "the deferred reply was never read");
+        assert!(
+            Instant::now() < deadline,
+            "the deferred reply was never read"
+        );
         std::thread::sleep(Duration::from_millis(1));
     };
     assert_eq!(&polled.expect("deferred reply").0[..], b"deferred");

@@ -32,7 +32,8 @@ fn orb_pair(tag: &str) -> (std::sync::Arc<Orb>, std::sync::Arc<Orb>) {
         ..OrbConfig::default()
     };
     let server = Orb::with_exchange_and_config(&format!("{tag}-server"), exchange.clone(), config);
-    let client = Orb::with_exchange_and_config(&format!("{tag}-client"), exchange, OrbConfig::default());
+    let client =
+        Orb::with_exchange_and_config(&format!("{tag}-client"), exchange, OrbConfig::default());
     (server, client)
 }
 
@@ -62,7 +63,8 @@ fn two_pipelined_requests_are_serviced_concurrently() {
     let stub = client_orb.bind(&server.object_ref("sleepy")).expect("bind");
 
     // Warm the connection so setup cost is outside the measured window.
-    stub.invoke("warm", Bytes::from_static(b"")).expect("warmup");
+    stub.invoke("warm", Bytes::from_static(b""))
+        .expect("warmup");
 
     let start = Instant::now();
     let a = stub
@@ -134,7 +136,10 @@ fn cancel_of_one_in_flight_request_leaves_neighbours_untouched() {
     let doomed_id = doomed.request_id();
     assert!(stub.cancel(doomed_id), "request should still be pending");
     assert!(
-        matches!(doomed.wait(Duration::from_secs(5)), Err(OrbError::Cancelled)),
+        matches!(
+            doomed.wait(Duration::from_secs(5)),
+            Err(OrbError::Cancelled)
+        ),
         "cancelled request must report cancellation"
     );
 

@@ -45,7 +45,10 @@ fn tcp_pair_serving(
 fn assert_stage_invariants(span: &SpanRecord) {
     assert!(span.is_complete(), "incomplete span: {span:?}");
     let offset = |stage: Stage| span.stage(stage).unwrap().offset_us;
-    assert!(offset(Stage::Marshal) <= offset(Stage::FrameSend), "{span:?}");
+    assert!(
+        offset(Stage::Marshal) <= offset(Stage::FrameSend),
+        "{span:?}"
+    );
     assert!(
         offset(Stage::QueueWait) <= offset(Stage::QosNegotiate),
         "{span:?}"
@@ -118,7 +121,10 @@ fn loopback_call_produces_a_complete_six_stage_span() {
         };
         echo();
         assert_eq!(inline(), 0, "{what}: a cold object runs on the pool");
-        let pooled = registry.recent_spans().pop().expect("the first call's span");
+        let pooled = registry
+            .recent_spans()
+            .pop()
+            .expect("the first call's span");
         let mut calls = 1;
         while inline() == 0 {
             assert!(
@@ -185,7 +191,10 @@ fn thousand_calls_fill_counters_histograms_and_span_ring() {
     assert!(latency.p50 <= latency.p99);
 
     // Server-side histograms saw every request too.
-    assert_eq!(snap.histogram("orb_servant_execute_us").unwrap().count, CALLS);
+    assert_eq!(
+        snap.histogram("orb_servant_execute_us").unwrap().count,
+        CALLS
+    );
     assert_eq!(
         snap.histogram("orb_dispatch_queue_wait_us").unwrap().count,
         CALLS

@@ -191,11 +191,8 @@ fn untraced_server_leaves_client_traces_unmerged() {
     // Server without telemetry: no trace join, no reply context. The
     // client still records its own half and completes the trace record,
     // just without server stages or wire gaps.
-    let server_orb = Orb::with_exchange_and_config(
-        "server",
-        LocalExchange::new(),
-        OrbConfig::default(),
-    );
+    let server_orb =
+        Orb::with_exchange_and_config("server", LocalExchange::new(), OrbConfig::default());
     server_orb
         .adapter()
         .register_fn("echo", |_op, args, _ctx| Ok(args.to_vec()))
@@ -254,13 +251,20 @@ fn a_traced_call_is_one_record_seen_as_a_span_and_as_a_trace() {
     let spans = registry.recent_spans();
     let traces = registry.recent_traces();
     assert_eq!(spans.len(), RECENT_CALLS);
-    assert_eq!(traces.len(), RECENT_CALLS, "every GIOP call carried a trace");
+    assert_eq!(
+        traces.len(),
+        RECENT_CALLS,
+        "every GIOP call carried a trace"
+    );
     for (span, trace) in spans.iter().zip(&traces) {
         // The same call, not two copies that could disagree.
         assert_eq!(span.request_id, trace.span.request_id);
         assert_eq!(span.stages, trace.span.stages);
         assert_eq!(span.total_us, trace.span.total_us);
-        assert!(span.is_complete(), "shared registry: all six stages {span:?}");
+        assert!(
+            span.is_complete(),
+            "shared registry: all six stages {span:?}"
+        );
     }
     assert_eq!(
         registry.snapshot().counter(names::SPANS_DROPPED_TOTAL),
@@ -306,11 +310,8 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 
 #[test]
 fn introspection_endpoint_serves_all_four_resources() {
-    let server_orb = Orb::with_exchange_and_config(
-        "server",
-        LocalExchange::new(),
-        OrbConfig::default(),
-    );
+    let server_orb =
+        Orb::with_exchange_and_config("server", LocalExchange::new(), OrbConfig::default());
     server_orb
         .adapter()
         .register_fn("echo", |_op, args, _ctx| Ok(args.to_vec()))

@@ -227,7 +227,10 @@ mod tests {
 
     fn json_u64_after(json: &str, key: &str) -> u64 {
         let at = json.find(key).expect("key present") + key.len();
-        let digits: String = json[at..].chars().take_while(char::is_ascii_digit).collect();
+        let digits: String = json[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
         digits.parse().expect("a number")
     }
 

@@ -37,10 +37,13 @@ pub mod trace;
 
 pub use flight::{FlightEvent, FlightRecorder};
 pub use introspect::IntrospectServer;
-pub use metrics::{bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, BUCKET_COUNT, OVERFLOW_BUCKET};
+pub use metrics::{
+    bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, BUCKET_COUNT, OVERFLOW_BUCKET,
+};
 pub use registry::{Registry, TelemetrySnapshot};
 pub use sampler::{GaugeSample, GaugeSampler, GaugeSeries, DEFAULT_SAMPLE_PERIOD};
 pub use span::{SpanOutcome, SpanRecord, Stage, StageTiming, STAGES};
 pub use trace::{
-    duration_as_u32_us, duration_as_u64_ns, next_trace_id, now_wall_ns, ClientTrace, ServerTraceTiming, TraceRecord,
+    duration_as_u32_us, duration_as_u64_ns, next_trace_id, now_wall_ns, ClientTrace,
+    ServerTraceTiming, TraceRecord,
 };

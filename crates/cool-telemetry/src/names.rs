@@ -133,8 +133,11 @@ mod tests {
         r.counter(FAILOVERS_TOTAL).inc();
         r.counter(REPLICA_EVICTIONS_TOTAL).add(2);
         r.counter(REPLICA_READMISSIONS_TOTAL).inc();
-        r.gauge(&Registry::labeled(BREAKER_STATE, &[("replica", "chorus://rep-a")]))
-            .set(2.0);
+        r.gauge(&Registry::labeled(
+            BREAKER_STATE,
+            &[("replica", "chorus://rep-a")],
+        ))
+        .set(2.0);
         r.gauge(REPLICAS_HEALTHY).set(3.0);
         r.histogram(RESOLVE_LATENCY_US).record(180);
 

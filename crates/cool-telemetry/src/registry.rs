@@ -121,7 +121,8 @@ impl Registry {
         duration: Duration,
         server_reply: Option<(ServerTraceTiming, std::time::Instant)>,
     ) {
-        self.spans.mark(request_id, stage, duration, None, server_reply);
+        self.spans
+            .mark(request_id, stage, duration, None, server_reply);
     }
 
     /// Marks a stage and attaches the client half of a distributed trace
@@ -153,7 +154,12 @@ impl Registry {
     }
 
     /// Records a flight-recorder event. See [`FlightRecorder::record`].
-    pub fn flight_event(&self, kind: &'static str, request_id: Option<u32>, detail: impl Into<String>) {
+    pub fn flight_event(
+        &self,
+        kind: &'static str,
+        request_id: Option<u32>,
+        detail: impl Into<String>,
+    ) {
         self.flight.record(kind, request_id, detail.into());
     }
 
@@ -348,10 +354,20 @@ impl TelemetrySnapshot {
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(1024);
         for (name, v) in &self.counters {
-            out.push_str(&format!("# TYPE {} counter\n{} {}\n", base_name(name), name, v));
+            out.push_str(&format!(
+                "# TYPE {} counter\n{} {}\n",
+                base_name(name),
+                name,
+                v
+            ));
         }
         for (name, v) in &self.gauges {
-            out.push_str(&format!("# TYPE {} gauge\n{} {}\n", base_name(name), name, v));
+            out.push_str(&format!(
+                "# TYPE {} gauge\n{} {}\n",
+                base_name(name),
+                name,
+                v
+            ));
         }
         for (name, h) in &self.histograms {
             let base = base_name(name);
@@ -510,7 +526,8 @@ mod tests {
     fn snapshot_prefix_aggregation() {
         let r = Registry::new();
         r.counter("orb_invocations_total{transport=\"tcp\"}").add(3);
-        r.counter("orb_invocations_total{transport=\"chorus\"}").add(4);
+        r.counter("orb_invocations_total{transport=\"chorus\"}")
+            .add(4);
         let snap = r.snapshot();
         assert_eq!(snap.counter_prefixed("orb_invocations_total"), 7);
     }

@@ -89,8 +89,8 @@ impl GaugeSeries {
     /// restricted to the trailing `window` when given.
     pub fn to_json(&self, window: Option<Duration>) -> String {
         let now_ms = self.started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
-        let cutoff = window
-            .map(|w| now_ms.saturating_sub(w.as_millis().min(u128::from(u64::MAX)) as u64));
+        let cutoff =
+            window.map(|w| now_ms.saturating_sub(w.as_millis().min(u128::from(u64::MAX)) as u64));
         let (series, _) = self.series.lock(Locked::anywhere());
         let mut out = String::with_capacity(1024);
         out.push_str(&format!(

@@ -561,7 +561,13 @@ mod tests {
             sent_at_ns: 1_000_000,
             sent_mono,
         };
-        store.mark(1, Stage::Marshal, Duration::from_micros(4), Some(trace), None);
+        store.mark(
+            1,
+            Stage::Marshal,
+            Duration::from_micros(4),
+            Some(trace),
+            None,
+        );
         let server = ServerTraceTiming {
             recv_at_ns: 1_030_000,
             sent_at_ns: 1_050_000,
@@ -570,7 +576,13 @@ mod tests {
             execute_us: 10,
         };
         let received = sent_mono + Duration::from_micros(90);
-        store.mark(1, Stage::ReplyDecode, Duration::from_micros(2), None, Some((server, received)));
+        store.mark(
+            1,
+            Stage::ReplyDecode,
+            Duration::from_micros(2),
+            None,
+            Some((server, received)),
+        );
         store.finish(1, SpanOutcome::Ok);
         store.begin(2, "plain", "tcp");
         store.finish(2, SpanOutcome::Ok);

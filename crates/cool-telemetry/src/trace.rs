@@ -151,8 +151,10 @@ impl TraceRecord {
         }
         out.push_str(&format!(
             ",\"wire_out_us\":{},\"wire_back_us\":{}}}",
-            self.wire_out_us.map_or("null".to_string(), |v| v.to_string()),
-            self.wire_back_us.map_or("null".to_string(), |v| v.to_string())
+            self.wire_out_us
+                .map_or("null".to_string(), |v| v.to_string()),
+            self.wire_back_us
+                .map_or("null".to_string(), |v| v.to_string())
         ));
         out
     }
@@ -199,7 +201,10 @@ mod tests {
         assert_eq!(rec.wire_out_us, Some(80));
         assert_eq!(rec.wire_back_us, Some(75));
         let json = rec.to_json();
-        assert!(json.starts_with("{\"trace_id\":42,\"request_id\":1,"), "{json}");
+        assert!(
+            json.starts_with("{\"trace_id\":42,\"request_id\":1,"),
+            "{json}"
+        );
         assert!(json.contains("\"total_us\":250,\"client\":{}"), "{json}");
         assert!(json.contains("\"queue_wait_us\":5"));
         assert!(json.contains("\"wire_out_us\":80"));

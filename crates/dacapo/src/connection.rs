@@ -11,9 +11,9 @@ use crate::pool::ReadDemand;
 use crate::resource::{ResourceGrant, ResourceManager};
 use crate::runtime::{build_stack, RuntimeOptions, RxPump, Sink, StackHandle};
 use crate::tlayer::Transport;
-use multe_qos::TransportRequirements;
 use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::lockorder::{rank, Locked, OrderedMutex, Unlocked};
+use multe_qos::TransportRequirements;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -486,7 +486,12 @@ mod tests {
 
     /// One end of a loopback pair, established for a reliable 4 kbit/s
     /// flow against a 10 kbit/s budget.
-    fn reliable_4k() -> (Connection, ConfigurationManager, ResourceManager, TransportRequirements) {
+    fn reliable_4k() -> (
+        Connection,
+        ConfigurationManager,
+        ResourceManager,
+        TransportRequirements,
+    ) {
         let config_mgr = ConfigurationManager::standard();
         let resource_mgr = ResourceManager::new(crate::resource::ResourceBudget {
             cpu_units: 1000,
@@ -524,7 +529,10 @@ mod tests {
         assert_eq!(conn.running.lock(Locked::root()).0.params.window, 4);
         assert_eq!(conn.graph(), graph);
         let after = conn.running.lock(Locked::root()).0.stack.stack.clone();
-        assert!(!Arc::ptr_eq(&before, &after), "the modules were rebuilt with it");
+        assert!(
+            !Arc::ptr_eq(&before, &after),
+            "the modules were rebuilt with it"
+        );
         conn.close();
     }
 
@@ -621,7 +629,10 @@ mod tests {
         }
         let expect = |range: std::ops::Range<u8>| {
             for i in range {
-                assert_eq!(seen_rx.recv_timeout(Duration::from_secs(5)).unwrap(), Some(i));
+                assert_eq!(
+                    seen_rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+                    Some(i)
+                );
             }
         };
         expect(0..20);
@@ -649,7 +660,9 @@ mod tests {
         let (ta, _tb) = loopback_pair();
         let graph = ModuleGraph::from_ids(["go-back-n"]);
         let conn = Arc::new(Connection::establish(graph, ta, &catalog).unwrap());
-        conn.endpoint().send(Bytes::from_static(b"never acknowledged")).unwrap();
+        conn.endpoint()
+            .send(Bytes::from_static(b"never acknowledged"))
+            .unwrap();
         let drainer = {
             let conn = conn.clone();
             std::thread::spawn(move || {
@@ -664,7 +677,10 @@ mod tests {
         assert!(closing < Duration::from_secs(1), "close waited {closing:?}");
         let (drained, draining) = drainer.join().unwrap();
         assert!(!drained, "the window was still outstanding");
-        assert!(draining < Duration::from_secs(2), "the drain outlived the close: {draining:?}");
+        assert!(
+            draining < Duration::from_secs(2),
+            "the drain outlived the close: {draining:?}"
+        );
     }
 
     /// A loopback transport whose timed receives wait 5 s whatever they

@@ -49,7 +49,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-
 #![warn(missing_docs)]
 
 pub mod alayer;

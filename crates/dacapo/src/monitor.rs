@@ -101,10 +101,7 @@ impl QosMonitor {
     /// # Errors
     ///
     /// [`DacapoError::Runtime`] if the sampling thread cannot be spawned.
-    pub fn watch(
-        meter: Arc<ThroughputMeter>,
-        config: MonitorConfig,
-    ) -> Result<Self, DacapoError> {
+    pub fn watch(meter: Arc<ThroughputMeter>, config: MonitorConfig) -> Result<Self, DacapoError> {
         assert!(
             config.tolerance > 0.0 && config.tolerance < 1.0,
             "tolerance must lie in (0, 1)"

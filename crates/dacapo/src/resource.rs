@@ -310,23 +310,31 @@ mod tests {
             ..Default::default()
         };
         let mut grant = None;
-        mgr.exchange(&mut grant, &graph, &catalog, &bandwidth(800)).unwrap();
+        mgr.exchange(&mut grant, &graph, &catalog, &bandwidth(800))
+            .unwrap();
         assert_eq!(mgr.used_bandwidth(), 800);
         // 800 + 800 is over the 1 000 budget; 800 in place of 800 is not.
-        mgr.exchange(&mut grant, &graph, &catalog, &bandwidth(800)).unwrap();
-        mgr.exchange(&mut grant, &graph, &catalog, &bandwidth(1_000)).unwrap();
+        mgr.exchange(&mut grant, &graph, &catalog, &bandwidth(800))
+            .unwrap();
+        mgr.exchange(&mut grant, &graph, &catalog, &bandwidth(1_000))
+            .unwrap();
         assert_eq!(mgr.used_bandwidth(), 1_000);
         let err = mgr
             .exchange(&mut grant, &graph, &catalog, &bandwidth(u64::MAX))
             .unwrap_err();
         assert!(err.to_string().contains("bandwidth"), "{err}");
         assert_eq!(mgr.used_bandwidth(), 1_000);
-        assert_eq!(grant.as_ref().map(ResourceGrant::bandwidth_bps), Some(1_000));
+        assert_eq!(
+            grant.as_ref().map(ResourceGrant::bandwidth_bps),
+            Some(1_000)
+        );
 
         // A grant of another manager is not offset here; it goes back to
         // its own books.
         let other = small_budget();
-        other.exchange(&mut grant, &graph, &catalog, &bandwidth(600)).unwrap();
+        other
+            .exchange(&mut grant, &graph, &catalog, &bandwidth(600))
+            .unwrap();
         assert_eq!((mgr.used_bandwidth(), other.used_bandwidth()), (0, 600));
         drop(grant);
         assert_eq!(other.used_bandwidth(), 0);

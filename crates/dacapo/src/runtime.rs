@@ -117,7 +117,10 @@ struct ModuleTelemetry {
 impl ModuleTelemetry {
     fn new(registry: &Registry, module: &str) -> Self {
         let labeled = |name: &str, dir: &str| {
-            registry.counter(&Registry::labeled(name, &[("module", module), ("dir", dir)]))
+            registry.counter(&Registry::labeled(
+                name,
+                &[("module", module), ("dir", dir)],
+            ))
         };
         ModuleTelemetry {
             down_frames: labeled("dacapo_module_frames_total", "down"),
@@ -454,7 +457,8 @@ impl Chain {
         let stage = &self.stages[i];
         stack.idle[i].store(stage.module.is_idle(), Ordering::Release);
         if let Some(t) = &stage.telemetry {
-            t.queue_depth.set((stage.down.len() + stage.up.len()) as f64);
+            t.queue_depth
+                .set((stage.down.len() + stage.up.len()) as f64);
         }
         // Emptied and handed back, so the lists keep their capacity.
         let mut down = std::mem::take(&mut self.out.down);
@@ -609,7 +613,11 @@ impl Stack {
     fn wire_failed(&self, why: &str) {
         self.transport_dead.store(true, Ordering::Release);
         if let Some(r) = &self.registry {
-            r.flight_event(flight_event::TRANSPORT_DEAD, None, format!("dacapo stack: {why}"));
+            r.flight_event(
+                flight_event::TRANSPORT_DEAD,
+                None,
+                format!("dacapo stack: {why}"),
+            );
         }
         self.transport.close();
         self.quiesce.pulse();
@@ -1201,13 +1209,17 @@ impl RxSide {
     /// Whether a module of the installed stack holds deferred state.
     fn busy(&self, held: &mut Locked<Unlocked>) -> bool {
         let (installed, _) = self.slot.lock(held);
-        installed.as_ref().is_some_and(|stack| !stack.modules_idle())
+        installed
+            .as_ref()
+            .is_some_and(|stack| !stack.modules_idle())
     }
 
     /// Whether the installed stack has a module at all.
     fn has_modules(&self, held: &mut Locked<Unlocked>) -> bool {
         let (installed, _) = self.slot.lock(held);
-        installed.as_ref().is_some_and(|stack| !stack.idle.is_empty())
+        installed
+            .as_ref()
+            .is_some_and(|stack| !stack.idle.is_empty())
     }
 
     /// Reads and runs up the stack, under the turn, until `done(held)`
@@ -1233,7 +1245,10 @@ impl RxSide {
                     Some(deadline) => deadline.min(turn.next_tick),
                     None => turn.next_tick,
                 };
-                match self.transport.recv_timeout(until.saturating_duration_since(now)) {
+                match self
+                    .transport
+                    .recv_timeout(until.saturating_duration_since(now))
+                {
                     Ok(frame) => {
                         if let Some((frames, bytes)) = &self.wire {
                             frames.inc();
@@ -1293,8 +1308,14 @@ impl RxSide {
 
 fn wire_counters(registry: &Registry, dir: &str) -> (Arc<Counter>, Arc<Counter>) {
     (
-        registry.counter(&Registry::labeled("dacapo_wire_frames_total", &[("dir", dir)])),
-        registry.counter(&Registry::labeled("dacapo_wire_bytes_total", &[("dir", dir)])),
+        registry.counter(&Registry::labeled(
+            "dacapo_wire_frames_total",
+            &[("dir", dir)],
+        )),
+        registry.counter(&Registry::labeled(
+            "dacapo_wire_bytes_total",
+            &[("dir", dir)],
+        )),
     )
 }
 
@@ -1394,11 +1415,14 @@ mod tests {
         }
     }
 
-    fn piped(modules: Vec<Box<dyn Module>>, transport: impl Transport, opts: &RuntimeOptions) -> Piped {
+    fn piped(
+        modules: Vec<Box<dyn Module>>,
+        transport: impl Transport,
+        opts: &RuntimeOptions,
+    ) -> Piped {
         let transport: Arc<dyn Transport> = Arc::new(transport);
         let stack = build_stack(modules, transport.clone(), opts);
-        let pump =
-            RxPump::spawn(transport, &stack, opts.telemetry.as_deref(), || {}).unwrap();
+        let pump = RxPump::spawn(transport, &stack, opts.telemetry.as_deref(), || {}).unwrap();
         Piped { stack, pump }
     }
 
@@ -1598,7 +1622,10 @@ mod tests {
         let mut sent = 0u32;
         let mut refused_since = Instant::now();
         while refused_since.elapsed() < Duration::from_millis(50) {
-            match a.endpoint().try_send(Bytes::from(sent.to_be_bytes().to_vec())) {
+            match a
+                .endpoint()
+                .try_send(Bytes::from(sent.to_be_bytes().to_vec()))
+            {
                 Ok(()) => {
                     sent += 1;
                     refused_since = Instant::now();
@@ -1614,7 +1641,9 @@ mod tests {
         // the bottom `dummy` to `irq` while `a`'s down queues stand, and
         // each one lets the next packet through.
         let b_pump = RxPump::spawn(tb, &b, None, || {}).unwrap();
-        a.endpoint().send(Bytes::from(sent.to_be_bytes().to_vec())).unwrap();
+        a.endpoint()
+            .send(Bytes::from(sent.to_be_bytes().to_vec()))
+            .unwrap();
         for i in 0..=sent {
             let got = b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(&got[..], &i.to_be_bytes());
@@ -1644,8 +1673,14 @@ mod tests {
         let second: Vec<u8> = (0..640u32).map(|i| (i * 7) as u8).collect();
         a.endpoint().send(Bytes::from(first.clone())).unwrap();
         a.endpoint().send(Bytes::from(second.clone())).unwrap();
-        assert_eq!(&b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..], &first[..]);
-        assert_eq!(&b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..], &second[..]);
+        assert_eq!(
+            &b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..],
+            &first[..]
+        );
+        assert_eq!(
+            &b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..],
+            &second[..]
+        );
         assert!(a.drain(Duration::from_secs(5)));
         a.shutdown();
         b.shutdown();
@@ -1785,12 +1820,18 @@ mod tests {
                 >= 640
         );
         assert!(
-            snap.counter("dacapo_wire_frames_total{dir=\"tx\"}").unwrap_or(0) >= 10
+            snap.counter("dacapo_wire_frames_total{dir=\"tx\"}")
+                .unwrap_or(0)
+                >= 10
         );
         assert!(
-            snap.counter("dacapo_wire_frames_total{dir=\"rx\"}").unwrap_or(0) >= 10
+            snap.counter("dacapo_wire_frames_total{dir=\"rx\"}")
+                .unwrap_or(0)
+                >= 10
         );
-        assert!(snap.gauge("dacapo_module_queue_depth{module=\"crc32\"}").is_some());
+        assert!(snap
+            .gauge("dacapo_module_queue_depth{module=\"crc32\"}")
+            .is_some());
     }
 
     #[test]
@@ -1840,12 +1881,19 @@ mod tests {
             std::thread::spawn(move || endpoint.send(Bytes::from_static(b"3")))
         };
         std::thread::sleep(Duration::from_millis(50));
-        assert!(!parked.is_finished(), "the third send went through a stalled module");
+        assert!(
+            !parked.is_finished(),
+            "the third send went through a stalled module"
+        );
         let start = Instant::now();
         tb.close();
         let r = parked.join().unwrap();
         assert!(matches!(r, Err(DacapoError::Closed)), "got {r:?}");
-        assert!(start.elapsed() < Duration::from_secs(1), "{:?}", start.elapsed());
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
         a.shutdown();
     }
 }

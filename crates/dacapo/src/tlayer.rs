@@ -667,7 +667,10 @@ impl TcpTransport {
                 return Err(DacapoError::Closed);
             }
             // A corrupt length prefix ends the connection like its close.
-            let next = reader.frames.next_frame().map_err(|_| DacapoError::Closed)?;
+            let next = reader
+                .frames
+                .next_frame()
+                .map_err(|_| DacapoError::Closed)?;
             if let Some(frame) = next {
                 return Ok(frame);
             }
@@ -1119,17 +1122,25 @@ mod tests {
     #[test]
     fn an_arrival_waker_fires_once_on_a_frame_or_the_end_and_not_once_disarmed() {
         let links = || {
-            let spec = netsim::LinkSpec::builder().propagation(Duration::ZERO).build();
+            let spec = netsim::LinkSpec::builder()
+                .propagation(Duration::ZERO)
+                .build();
             let (ea, eb) = netsim::Link::real_time(spec.unwrap()).endpoints();
-            let netsim: (Box<dyn Transport>, Box<dyn Transport>) =
-                (Box::new(NetsimTransport::new(ea)), Box::new(NetsimTransport::new(eb)));
+            let netsim: (Box<dyn Transport>, Box<dyn Transport>) = (
+                Box::new(NetsimTransport::new(ea)),
+                Box::new(NetsimTransport::new(eb)),
+            );
             let (la, lb) = loopback_pair();
             let loopback: (Box<dyn Transport>, Box<dyn Transport>) = (Box::new(la), Box::new(lb));
             [loopback, netsim]
         };
         for (a, b) in links() {
             let fired = arm(&*b);
-            assert!(fired.try_recv().is_err(), "{}: nothing has arrived", b.name());
+            assert!(
+                fired.try_recv().is_err(),
+                "{}: nothing has arrived",
+                b.name()
+            );
             a.send(Bytes::from_static(b"one")).unwrap();
             fired.try_recv().unwrap();
             // Something is there already: at once.
@@ -1139,7 +1150,11 @@ mod tests {
             let disarmed = arm(&*b);
             b.notify_arrival(None);
             a.send(Bytes::from_static(b"two")).unwrap();
-            assert!(disarmed.try_recv().is_err(), "{}: a disarmed waker fired", b.name());
+            assert!(
+                disarmed.try_recv().is_err(),
+                "{}: a disarmed waker fired",
+                b.name()
+            );
             b.recv_timeout(Duration::from_secs(1)).unwrap();
             // The end is an arrival too.
             let fired = arm(&*b);

@@ -328,7 +328,10 @@ fn reconfigure_with_an_idle_peer_takes_no_timer() {
     let catalog = MechanismCatalog::standard();
     let (ta, _tb) = loopback_pair();
     let conn = Connection::establish(ModuleGraph::empty(), ta, &catalog).unwrap();
-    let graphs = [ModuleGraph::from_ids(["crc32"]), ModuleGraph::from_ids(["seq", "crc32"])];
+    let graphs = [
+        ModuleGraph::from_ids(["crc32"]),
+        ModuleGraph::from_ids(["seq", "crc32"]),
+    ];
     let mut next = 0;
     let median = median_of(20, || {
         conn.reconfigure(graphs[next % 2].clone()).unwrap();
@@ -442,7 +445,9 @@ fn frames_on_the_wire_during_a_swap_reach_the_new_stack() {
         std::thread::spawn(move || {
             for n in 0..FRAMES {
                 credit_rx.recv().unwrap();
-                endpoint.send(Bytes::copy_from_slice(&n.to_be_bytes())).unwrap();
+                endpoint
+                    .send(Bytes::copy_from_slice(&n.to_be_bytes()))
+                    .unwrap();
             }
         })
     };
@@ -450,7 +455,10 @@ fn frames_on_the_wire_during_a_swap_reach_the_new_stack() {
     // Swap once traffic is flowing, with most of it still to come.
     let mut expected = 0;
     while expected < FRAMES / 10 {
-        assert_eq!(seen_rx.recv_timeout(Duration::from_secs(10)).unwrap(), expected);
+        assert_eq!(
+            seen_rx.recv_timeout(Duration::from_secs(10)).unwrap(),
+            expected
+        );
         expected += 1;
     }
     b.reconfigure(ModuleGraph::from_ids(["dummy"])).unwrap();
@@ -512,7 +520,11 @@ impl Transport for NarrowWire {
             return Err(DacapoError::Closed);
         }
         let rx = self.rx.lock().unwrap();
-        match rx.as_ref().ok_or(DacapoError::Closed)?.recv_timeout(timeout) {
+        match rx
+            .as_ref()
+            .ok_or(DacapoError::Closed)?
+            .recv_timeout(timeout)
+        {
             Ok(frame) => Ok(frame),
             Err(RecvTimeoutError::Timeout) => Err(DacapoError::Timeout(timeout)),
             Err(RecvTimeoutError::Disconnected) => Err(DacapoError::Closed),
@@ -520,7 +532,8 @@ impl Transport for NarrowWire {
     }
 
     fn close(&self) {
-        self.closed.store(true, std::sync::atomic::Ordering::Release);
+        self.closed
+            .store(true, std::sync::atomic::Ordering::Release);
         self.tx.lock().unwrap().take();
         // Behind a receive in progress: one tick at most.
         self.rx.lock().unwrap().take();
@@ -571,13 +584,20 @@ fn a_sender_blocked_on_a_full_wire_does_not_stop_its_side_receiving() {
     // answer — acknowledgements, the packets a window lets go — onto a
     // wire this narrow (`go-back-n`).
     let catalog = MechanismCatalog::standard();
-    for graph in [ModuleGraph::from_ids(["crc32"]), ModuleGraph::from_ids(["go-back-n"])] {
+    for graph in [
+        ModuleGraph::from_ids(["crc32"]),
+        ModuleGraph::from_ids(["go-back-n"]),
+    ] {
         let (ta, tb) = narrow_pair();
         let a = Connection::establish(graph.clone(), ta, &catalog).unwrap();
         let b = Connection::establish(graph.clone(), tb, &catalog).unwrap();
         let start = std::time::Instant::now();
         flood(&[(&a, &b), (&b, &a)], 2_000, 64);
-        assert!(start.elapsed() < Duration::from_secs(5), "{graph}: {:?}", start.elapsed());
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "{graph}: {:?}",
+            start.elapsed()
+        );
         a.close();
         b.close();
     }
@@ -610,7 +630,8 @@ impl Transport for Gated {
             open = gate.opened.wait(open).unwrap();
         }
         drop(open);
-        gate.passed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        gate.passed
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         self.inner.send(frame)
     }
     fn recv(&self) -> Result<Bytes, DacapoError> {
@@ -629,7 +650,12 @@ impl Transport for Gated {
 
 /// A `go-back-n` connection pair whose first end writes through a closed
 /// gate, the gate, and where each send arriving at it is announced.
-fn gated_pair() -> (Connection, Connection, std::sync::Arc<Gate>, std::sync::mpsc::Receiver<()>) {
+fn gated_pair() -> (
+    Connection,
+    Connection,
+    std::sync::Arc<Gate>,
+    std::sync::mpsc::Receiver<()>,
+) {
     let catalog = MechanismCatalog::standard();
     let graph = ModuleGraph::from_ids(["go-back-n"]);
     let (ta, tb) = loopback_pair();
@@ -658,11 +684,22 @@ fn the_receive_thread_does_not_write_what_the_modules_answer() {
     // each other over full wires wait for each other for good.
     let (a, b, gate, waiting_rx) = gated_pair();
     b.endpoint().send(Bytes::from_static(b"one")).unwrap();
-    assert_eq!(&a.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..], b"one");
-    waiting_rx.recv_timeout(Duration::from_secs(5)).expect("the acknowledgement, at the gate");
+    assert_eq!(
+        &a.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..],
+        b"one"
+    );
+    waiting_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the acknowledgement, at the gate");
     b.endpoint().send(Bytes::from_static(b"two")).unwrap();
-    assert_eq!(&a.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..], b"two");
-    assert!(!b.drain(Duration::from_millis(20)), "nothing passes a closed gate");
+    assert_eq!(
+        &a.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..],
+        b"two"
+    );
+    assert!(
+        !b.drain(Duration::from_millis(20)),
+        "nothing passes a closed gate"
+    );
 
     *gate.open.lock().unwrap() = true;
     gate.opened.notify_all();
@@ -682,7 +719,11 @@ fn the_receive_thread_leaves_what_it_has_for_the_wire_to_the_sender_holding_it()
 
     let sender = {
         let endpoint = a.endpoint();
-        std::thread::spawn(move || endpoint.send(Bytes::from_static(b"held at the gate")).unwrap())
+        std::thread::spawn(move || {
+            endpoint
+                .send(Bytes::from_static(b"held at the gate"))
+                .unwrap()
+        })
     };
     waiting_rx.recv_timeout(Duration::from_secs(5)).unwrap();
 
@@ -693,7 +734,10 @@ fn the_receive_thread_leaves_what_it_has_for_the_wire_to_the_sender_holding_it()
         &a.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..],
         b"from b"
     );
-    assert!(!b.drain(Duration::from_millis(20)), "nothing passes a closed gate");
+    assert!(
+        !b.drain(Duration::from_millis(20)),
+        "nothing passes a closed gate"
+    );
     assert_eq!(gate.passed.load(Ordering::SeqCst), 0);
 
     *gate.open.lock().unwrap() = true;
@@ -766,7 +810,8 @@ fn a_reply_from_a_delivery_is_the_receive_threads_own_across_a_reconfiguration()
         fn deliver(&self, payload: Bytes) {
             let conn = self.0.upgrade().unwrap();
             // `dummy` adds nothing to the wire: the peer stays as it is.
-            conn.reconfigure(ModuleGraph::from_ids(["irq", "dummy"])).unwrap();
+            conn.reconfigure(ModuleGraph::from_ids(["irq", "dummy"]))
+                .unwrap();
             conn.endpoint().send(payload.clone()).unwrap();
             conn.endpoint().send(payload).unwrap();
         }
@@ -777,11 +822,16 @@ fn a_reply_from_a_delivery_is_the_receive_threads_own_across_a_reconfiguration()
     let (ta, tb) = loopback_pair();
     let near = Connection::establish(graph.clone(), ta, &catalog).unwrap();
     let far = std::sync::Arc::new(Connection::establish(graph, tb, &catalog).unwrap());
-    far.set_sink(std::sync::Arc::new(SwapThenEchoTwice(std::sync::Arc::downgrade(&far))));
+    far.set_sink(std::sync::Arc::new(SwapThenEchoTwice(
+        std::sync::Arc::downgrade(&far),
+    )));
 
     near.endpoint().send(Bytes::from_static(b"ping")).unwrap();
     for _ in 0..2 {
-        let got = near.endpoint().recv_timeout(Duration::from_secs(5)).unwrap();
+        let got = near
+            .endpoint()
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap();
         assert_eq!(&got[..], b"ping");
     }
     near.close();

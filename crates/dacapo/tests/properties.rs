@@ -4,7 +4,6 @@ use bytes::Bytes;
 use dacapo::catalog::{MechanismCatalog, ModuleParams};
 use dacapo::config::{ConfigContext, ConfigGoal, ConfigurationManager};
 use dacapo::connection::Connection;
-use dacapo::tlayer::NetsimTransport;
 use dacapo::functions::MechanismId;
 use dacapo::graph::{ModuleGraph, ProtocolGraph};
 use dacapo::module::Outputs;
@@ -12,6 +11,7 @@ use dacapo::modules::crc::{crc16, crc32};
 use dacapo::modules::rle::{rle_decode, rle_encode};
 use dacapo::packet::Packet;
 use dacapo::resource::{ResourceBudget, ResourceGrant, ResourceManager};
+use dacapo::tlayer::NetsimTransport;
 use multe_qos::TransportRequirements;
 use proptest::prelude::*;
 use std::time::Duration;

@@ -10,7 +10,9 @@ use std::time::Duration;
 
 #[cfg(target_os = "linux")]
 fn thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task").expect("procfs").count()
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .count()
 }
 
 #[cfg(target_os = "linux")]
@@ -21,7 +23,11 @@ fn reconfiguring_spawns_no_thread_not_even_a_short_lived_one() {
     let before = thread_count();
     let conn = Connection::establish(ModuleGraph::empty(), ta, &catalog).unwrap();
     let established = thread_count();
-    assert_eq!(established, before + 1, "the receive thread, and nothing else");
+    assert_eq!(
+        established,
+        before + 1,
+        "the receive thread, and nothing else"
+    );
 
     // Counted *during* the flips, not only after them: an executor spawned
     // and joined per swap would be back to this count by the end.
@@ -44,10 +50,16 @@ fn reconfiguring_spawns_no_thread_not_even_a_short_lived_one() {
     for round in 0..50 {
         for n in 0..4u8 {
             conn.endpoint().send(Bytes::from(vec![n; 32])).unwrap();
-            peer.endpoint().recv_timeout(Duration::from_secs(5)).unwrap();
+            peer.endpoint()
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap();
         }
         assert!(conn.drain(Duration::from_secs(5)), "acknowledged");
-        assert_eq!(thread_count(), both + 1, "the peer's writer, in round {round}");
+        assert_eq!(
+            thread_count(),
+            both + 1,
+            "the peer's writer, in round {round}"
+        );
         let graph = if round % 2 == 0 { &other } else { &graphs[1] };
         conn.reconfigure(graph.clone()).unwrap();
         peer.reconfigure(graph.clone()).unwrap();

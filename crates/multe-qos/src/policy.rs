@@ -312,9 +312,7 @@ mod tests {
         let fallback = QoSSpec::builder()
             .throughput_bps(400_000, 100_000, 1_000_000)
             .build();
-        let (rung, granted) = policy
-            .negotiate_ladder(&[preferred, fallback])
-            .unwrap();
+        let (rung, granted) = policy.negotiate_ladder(&[preferred, fallback]).unwrap();
         assert_eq!(rung, 1);
         assert_eq!(granted.throughput_bps(), Some(400_000));
     }
@@ -353,8 +351,16 @@ mod tests {
 
     #[test]
     fn empty_ladder_is_infeasible() {
-        let err = ServerPolicy::permissive().negotiate_ladder(&[]).unwrap_err();
-        assert!(matches!(err, QosError::Infeasible { dimension: "ladder", .. }));
+        let err = ServerPolicy::permissive()
+            .negotiate_ladder(&[])
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            QosError::Infeasible {
+                dimension: "ladder",
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -173,7 +173,9 @@ mod tests {
     #[test]
     fn downgrade_detected_when_grant_below_request() {
         let registry = Registry::new();
-        let spec = QoSSpec::builder().throughput_bps(10_000, 1_000, 20_000).build();
+        let spec = QoSSpec::builder()
+            .throughput_bps(10_000, 1_000, 20_000)
+            .build();
         // Server caps at 4000: grant lands below the requested 10000 but
         // inside [1000, 20000].
         let policy = ServerPolicy::builder().max_throughput_bps(4_000).build();

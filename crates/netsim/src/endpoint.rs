@@ -148,7 +148,10 @@ mod tests {
             std::thread::spawn(move || a.recv())
         };
         a.close();
-        assert_eq!(blocked.join().unwrap().unwrap_err(), NetSimError::Disconnected);
+        assert_eq!(
+            blocked.join().unwrap().unwrap_err(),
+            NetSimError::Disconnected
+        );
         assert_eq!(&b.recv().unwrap()[..], b"tail");
         assert_eq!(b.recv().unwrap_err(), NetSimError::Disconnected);
         assert_eq!(a.send(Bytes::new()).unwrap_err(), NetSimError::Disconnected);

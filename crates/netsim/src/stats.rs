@@ -204,8 +204,14 @@ mod tests {
 
         // Backfill of pre-attachment history.
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("netsim_frames_sent_total{link=\"ab\"}"), Some(1));
-        assert_eq!(snap.counter("netsim_bytes_sent_total{link=\"ab\"}"), Some(100));
+        assert_eq!(
+            snap.counter("netsim_frames_sent_total{link=\"ab\"}"),
+            Some(1)
+        );
+        assert_eq!(
+            snap.counter("netsim_bytes_sent_total{link=\"ab\"}"),
+            Some(100)
+        );
         assert_eq!(
             snap.counter("netsim_frames_dropped_total{link=\"ab\"}"),
             Some(1)
@@ -216,7 +222,10 @@ mod tests {
         s.record_send(50);
         s.record_delivery(50);
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("netsim_frames_sent_total{link=\"ab\"}"), Some(2));
+        assert_eq!(
+            snap.counter("netsim_frames_sent_total{link=\"ab\"}"),
+            Some(2)
+        );
         assert_eq!(
             snap.counter("netsim_frames_delivered_total{link=\"ab\"}"),
             Some(1)

@@ -147,7 +147,9 @@ fn run_chaos(seed: u64) -> ChaosRun {
         QoSSpec::builder()
             .throughput_bps(256_000, 128_000, 512_000)
             .build(),
-        QoSSpec::builder().throughput_bps(64_000, 1_000, 64_000).build(),
+        QoSSpec::builder()
+            .throughput_bps(64_000, 1_000, 64_000)
+            .build(),
     ]);
 
     let mut ok = 0u32;

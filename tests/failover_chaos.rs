@@ -79,7 +79,10 @@ impl Drop for FlightDump {
             let path =
                 std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("failover-flight.json");
             if std::fs::write(&path, self.0.flight().to_json()).is_ok() {
-                eprintln!("failover_chaos: flight recorder dumped to {}", path.display());
+                eprintln!(
+                    "failover_chaos: flight recorder dumped to {}",
+                    path.display()
+                );
             }
         }
     }
@@ -162,13 +165,21 @@ fn replicated_service_survives_kill_and_restart_under_faults() {
     let mut servers: HashMap<String, (Arc<Orb>, OrbServer)> = HashMap::new();
     let mut to_register: Vec<(ObjectRef, Vec<QoSSpec>)> = Vec::new();
     for (name, policy, offered) in [
-        ("rep-a", ServerPolicy::permissive(), vec![preferred(), mid(), low()]),
+        (
+            "rep-a",
+            ServerPolicy::permissive(),
+            vec![preferred(), mid(), low()],
+        ),
         (
             "rep-b",
             ServerPolicy::builder().max_throughput_bps(64_000).build(),
             vec![low()],
         ),
-        ("rep-c", ServerPolicy::permissive(), vec![preferred(), mid(), low()]),
+        (
+            "rep-c",
+            ServerPolicy::permissive(),
+            vec![preferred(), mid(), low()],
+        ),
     ] {
         let (orb, server) = spawn_replica(&exchange, name, policy);
         to_register.push((server.object_ref("svc"), offered));
@@ -178,7 +189,9 @@ fn replicated_service_survives_kill_and_restart_under_faults() {
     // The directory itself is an ORB object: registrations and resolves
     // are GIOP traffic like any other call.
     let dir_orb = Orb::with_exchange("directory-host", exchange.clone());
-    let dir_server = dir_orb.listen_chorus("directory").expect("directory listen");
+    let dir_server = dir_orb
+        .listen_chorus("directory")
+        .expect("directory listen");
     let directory_ref = DirectoryServer::serve(&dir_orb, &dir_server).expect("serve directory");
 
     let registry = Arc::new(Registry::new());
@@ -203,8 +216,7 @@ fn replicated_service_survives_kill_and_restart_under_faults() {
         client_config(Arc::clone(&registry), Some(Arc::new(plans))),
     );
 
-    let dir_client =
-        DirectoryClient::connect(&client, &directory_ref).expect("connect directory");
+    let dir_client = DirectoryClient::connect(&client, &directory_ref).expect("connect directory");
     for (reference, offered) in &to_register {
         dir_client
             .register("echo-service", reference, offered)
@@ -220,7 +232,10 @@ fn replicated_service_survives_kill_and_restart_under_faults() {
         .bind_resolved(&candidates(&replicas), preferred(), vec![mid(), low()])
         .expect("bind resolved");
 
-    let mut acc = Accounting { ok: 0, attributed: 0 };
+    let mut acc = Accounting {
+        ok: 0,
+        attributed: 0,
+    };
 
     // Phase 1: steady state.
     run_calls(&resolved, 150, "steady", &mut acc);
@@ -247,7 +262,10 @@ fn replicated_service_survives_kill_and_restart_under_faults() {
     wait_for(Duration::from_secs(3), "breaker-open + eviction", || {
         let snap = registry.snapshot();
         snap.counter(names::REPLICA_EVICTIONS_TOTAL).unwrap_or(0) >= 1
-            && registry.flight().to_json().contains(flight_event::BREAKER_OPEN)
+            && registry
+                .flight()
+                .to_json()
+                .contains(flight_event::BREAKER_OPEN)
     });
 
     // Phase 3: restart under the same name; the prober re-admits it.
@@ -331,7 +349,10 @@ fn deterministic_run(seed: u64) -> (u64, u64, u32, u32) {
             Vec::new(),
         )
         .expect("bind");
-    let mut acc = Accounting { ok: 0, attributed: 0 };
+    let mut acc = Accounting {
+        ok: 0,
+        attributed: 0,
+    };
     run_calls(&resolved, 200, "deterministic", &mut acc);
     resolved.close();
     server.close();

@@ -42,8 +42,10 @@ fn server_close_fails_pending_calls() {
     // cleanly — it must never hang.
     let outcome = deferred.wait(Duration::from_secs(5));
     match outcome {
-        Ok(_) | Err(OrbError::Closed) | Err(OrbError::Timeout { .. }) | Err(OrbError::Transport(_)) => {
-        }
+        Ok(_)
+        | Err(OrbError::Closed)
+        | Err(OrbError::Timeout { .. })
+        | Err(OrbError::Transport(_)) => {}
         other => panic!("unexpected outcome {other:?}"),
     }
 }
