@@ -42,6 +42,9 @@ pub enum GiopError {
     },
     /// Peer sent a `MessageError` GIOP message.
     PeerMessageError,
+    /// The peer failed to marshal or unmarshal and said so in a `Marshal`
+    /// system exception (CORBA's MARSHAL); what it said.
+    PeerMarshal(String),
     /// A Request carrying QoS parameters was encoded as standard GIOP 1.0,
     /// which has no field for them.
     QosOnStandardGiop,
@@ -81,6 +84,7 @@ impl fmt::Display for GiopError {
                 write!(f, "declared length {declared} exceeds limit {limit}")
             }
             GiopError::PeerMessageError => write!(f, "peer reported a giop message error"),
+            GiopError::PeerMarshal(detail) => write!(f, "the peer failed to marshal: {detail}"),
             GiopError::QosOnStandardGiop => {
                 write!(
                     f,

@@ -9,13 +9,12 @@
 //! requests is the rendezvous: the demux puts a reply into its request's
 //! entry, and the caller takes it out. Over Chorus the reply is in before
 //! the caller looks. Otherwise — over TCP and over Da CaPo — a waiting
-//! caller first offers to read the channel itself
-//! ([`ComChannel::read_turn`]): when no other thread is reading, it
-//! delivers whatever arrives — its own reply included — on its own thread
-//! (leader/followers). Failing that, it parks in its entry with a true
-//! deadline and is woken the moment its reply lands; the binding then owes
-//! the reply to the channel's reader loop ([`ReadDemand`]), as it does
-//! every deferred or `notify` reply nobody waits for yet. Telemetry and
+//! caller first asks for the channel's receive turn
+//! ([`ComChannel::read_turn`]; who gets it is [`dacapo::pool::step`]'s to
+//! say) and delivers whatever arrives, its own reply included. Refused, it
+//! parks in its entry with a true deadline, owing the reply to the
+//! channel's loop ([`ReadDemand`]) as every deferred or `notify` reply
+//! nobody waits for yet is owed. Telemetry and
 //! tracing policy come from [`crate::config::OrbConfig`], threaded in via
 //! [`Binding::with_config`].
 //!

@@ -56,6 +56,15 @@ pub enum OrbError {
     },
     /// The peer violated the protocol.
     Protocol(String),
+    /// The peer raised a system exception this ORB has no variant of its
+    /// own for: `Internal`, a server's own failure. The servant may have
+    /// run, so it is not retried.
+    SystemException {
+        /// The exception's kind, as the peer named it.
+        kind: String,
+        /// What the peer said of it.
+        detail: String,
+    },
     /// The address could not be parsed or is unsupported.
     BadAddress(String),
 }
@@ -146,6 +155,9 @@ impl fmt::Display for OrbError {
                 write!(f, "retries exhausted after {attempts} attempts: {last}")
             }
             OrbError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
+            OrbError::SystemException { kind, detail } => {
+                write!(f, "the peer raised system exception {kind}: {detail}")
+            }
             OrbError::BadAddress(a) => write!(f, "bad or unsupported address: {a}"),
         }
     }
@@ -251,6 +263,11 @@ mod tests {
         assert!(!OrbError::ObjectNotFound("k".into()).is_retryable());
         assert!(!OrbError::Cancelled.is_retryable());
         assert!(!OrbError::Protocol("p".into()).is_retryable());
+        let internal = OrbError::SystemException {
+            kind: "Internal".into(),
+            detail: "d".into(),
+        };
+        assert!(!internal.is_retryable());
         assert!(!OrbError::BadAddress("a".into()).is_retryable());
         assert!(!OrbError::RetriesExhausted {
             attempts: 3,

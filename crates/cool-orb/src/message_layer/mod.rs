@@ -46,19 +46,25 @@ impl WireProtocol {
 
 /// The one error table, server side: the `(kind, detail)` an error travels
 /// as — the body of a GIOP system exception, the fields of a COOL
-/// `Exception`. Errors without a kind of their own travel as `Internal`.
-fn exception_of(err: &OrbError) -> (&'static str, String) {
+/// `Exception`. A marshalling failure travels as `Marshal` (CORBA's
+/// MARSHAL), a system exception raised further on keeps its kind, and any
+/// other error without a kind of its own travels as `Internal`.
+fn exception_of(err: &OrbError) -> (&str, String) {
     match err {
         OrbError::ObjectNotFound(key) => ("ObjectNotFound", key.clone()),
         OrbError::OperationUnknown { object, operation } => {
             ("OperationUnknown", format!("{object}/{operation}"))
         }
         OrbError::QosNotSupported(reason) => ("QosNotSupported", reason.to_string()),
+        OrbError::Marshal(e) => ("Marshal", e.to_string()),
+        OrbError::SystemException { kind, detail } => (kind, detail.clone()),
         other => ("Internal", other.to_string()),
     }
 }
 
-/// The one error table, client side: the inverse of [`exception_of`].
+/// The one error table, client side: the inverse of [`exception_of`]. A
+/// kind without a variant of its own is the peer's system exception, not a
+/// protocol violation.
 fn error_of(kind: &str, detail: String) -> OrbError {
     match kind {
         "ObjectNotFound" => OrbError::ObjectNotFound(detail),
@@ -71,7 +77,11 @@ fn error_of(kind: &str, detail: String) -> OrbError {
             }
         }
         "QosNotSupported" => OrbError::QosNotSupported(QosError::Rejected(detail)),
-        _ => OrbError::Protocol(format!("system exception {kind}: {detail}")),
+        "Marshal" => OrbError::Marshal(GiopError::PeerMarshal(detail)),
+        _ => OrbError::SystemException {
+            kind: kind.to_owned(),
+            detail,
+        },
     }
 }
 
@@ -366,7 +376,18 @@ mod tests {
             body: b"detail".to_vec(),
         };
         let other = OrbError::Transport("disk on fire".into());
-        let internal = |e: &OrbError| OrbError::Protocol(format!("system exception Internal: {e}"));
+        let internal = |e: &OrbError| OrbError::SystemException {
+            kind: "Internal".into(),
+            detail: e.to_string(),
+        };
+        let marshal = GiopError::Underflow {
+            needed: 4,
+            remaining: 0,
+        };
+        let relayed = OrbError::SystemException {
+            kind: "NoResources".into(),
+            detail: "out of threads".into(),
+        };
         let rows: Vec<(OrbError, OrbError, Option<OrbError>)> = vec![
             (
                 OrbError::ObjectNotFound("ghost".into()),
@@ -381,6 +402,12 @@ mod tests {
                 None,
             ),
             (user.clone(), user.clone(), Some(internal(&user))),
+            (
+                OrbError::Marshal(marshal.clone()),
+                OrbError::Marshal(GiopError::PeerMarshal(marshal.to_string())),
+                None,
+            ),
+            (relayed.clone(), relayed, None),
             (other.clone(), internal(&other), None),
         ];
         let giop = |version, order| ReplyFormat::Giop { version, order };

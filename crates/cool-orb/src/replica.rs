@@ -502,6 +502,8 @@ impl ResolvedStub {
                     | OrbError::ObjectNotFound(_)
                     | OrbError::UserException { .. }
                     | OrbError::QosNotSupported(_)
+                    | OrbError::SystemException { .. }
+                    | OrbError::Marshal(_)
                     | OrbError::Protocol(_)
             ),
         }

@@ -14,14 +14,10 @@
 //! underneath and the channel notices nothing. There is no poll slice and
 //! no timer.
 //!
-//! Who holds the turn is leader/followers, as over TCP: a caller waiting
-//! for its reply reads the connection itself when nobody else is
-//! ([`ComChannel::read_turn`]), running due protocol ticks and delivering
-//! whatever arrives, its reply included. The connection's loop (a
-//! `conn-rx` job of [`dacapo::pool`]) reads always until a binding takes
-//! its demand over ([`ComChannel::hand_over_demand`]) — a server's end, a
-//! pull-mode end — and after that only while a reply is owed to a thread
-//! that is not reading, a drain waits, or a module is not idle.
+//! Who holds the turn is the one receive turn TCP has too
+//! ([`dacapo::pool::step`]): a caller waiting for its reply
+//! ([`ComChannel::read_turn`]) or the connection's `conn-rx` loop, and
+//! whoever holds it runs the due protocol ticks.
 //!
 //! The turn holder also brings the acknowledgements a sender stuck behind
 //! a full ARQ window waits for, so a sink must not keep it waiting for such

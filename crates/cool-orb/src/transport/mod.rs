@@ -217,15 +217,12 @@ pub trait ComChannel: Send + Sync {
     }
 
     /// Lets a thread waiting for a reply read the channel itself
-    /// (leader/followers): if no other thread is reading, reads and
-    /// delivers every frame — through the inbox and the sink, in wire
-    /// order — until `done(held)` holds, `deadline` passes or the channel
-    /// ends, and returns `true`. Returns `false` at once when another
-    /// thread is reading, or the channel ended. With a `deadline` already
-    /// past it takes in only what has arrived, without blocking.
-    ///
-    /// The default never reads: Chorus delivers on the sender's thread, so
-    /// a waiter just waits. TCP and Da CaPo read.
+    /// (leader/followers), delivering through the inbox and the sink in wire
+    /// order until `done(held)`, `deadline` or the channel's end: `true` if
+    /// it read, `false` at once if the receive turn
+    /// ([`dacapo::pool::step`]) is not its to take. A `deadline` already
+    /// past takes in only what has arrived. The default never reads: Chorus
+    /// delivers on the sender's thread.
     fn read_turn(
         &self,
         held: &mut Locked<Unlocked>,
@@ -237,11 +234,8 @@ pub trait ComChannel: Send + Sync {
     }
 
     /// Hands the demand of the channel's reader loop to whoever waits for
-    /// replies (the binding): from then on the loop reads only while some
-    /// reply is owed to a thread that is not reading ([`ReadDemand`]) — and
-    /// over Da CaPo while the connection's protocol has work of its own
-    /// (an ARQ window outstanding). `None` — the default — for a channel
-    /// whose delivery does not depend on demand.
+    /// replies, the binding ([`dacapo::pool::step`]); `None` — the default —
+    /// for a channel whose delivery does not depend on demand.
     fn hand_over_demand(&self) -> Option<Arc<ReadDemand>> {
         None
     }

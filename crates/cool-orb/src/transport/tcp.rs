@@ -4,35 +4,17 @@
 //! the payload, read back by [`FrameReader`].
 //!
 //! COOL's `_TcpBuffer` — the socket's read half plus the frame assembler —
-//! is a token here, held by whichever thread reads (the Leader/Followers
-//! reply wait of RT-CORBA ORBs). Whoever holds it pushes every frame it
-//! reads into the channel's [`FrameInbox`], which wakes `recv_frame`
-//! waiters or runs the registered [`crate::transport::FrameSink`] on the
-//! holder's thread, in wire order. Two kinds of thread hold it:
-//!
-//! * a caller waiting for its reply ([`ComChannel::read_turn`]) takes it if
-//!   it is free and reads until its own reply is in or its deadline
-//!   passes — so a lone synchronous call reads its own reply, and no
-//!   other thread of this side wakes;
-//! * the reader loop reads on demand ([`ReadDemand`]): always, until a
-//!   binding takes the demand over (a server connection, a pull-mode
-//!   channel), and after that only while some reply is owed to a thread
-//!   that is not reading. Otherwise it parks. No polling. It is a loop on
-//!   a thread of the receive-thread pool ([`dacapo::pool`], named
-//!   `conn-rx`), not a thread of its own: when the connection ends it
-//!   returns, and the thread goes on to the next connection's loop.
+//! is the reader of the connection's receive turn ([`dacapo::pool::Turn`],
+//! the Leader/Followers reply wait of RT-CORBA ORBs): whoever
+//! [`dacapo::pool::step`] lets read pushes every frame it reads into the
+//! channel's [`FrameInbox`], in wire order.
 //!
 //! Whoever sends writes: [`ComChannel::send_frame`] writes on the caller's
-//! thread, under the connection's writer lock. The complete frames one
-//! `read` brought in are handed out as one *delivery run*; while frames of
-//! the run are still to come, what the holder's own thread sends on this
-//! connection (the replies of requests run to completion in the sink) is
-//! *corked*: kept in the writer. The next write carries it ahead of its own
-//! frame — a send made while the run's last frame is delivered, another
-//! thread's send, a close — and the run's end writes whatever is still
-//! corked, before the holder reads or parks again. So the replies to one
-//! read leave in one vectored write, a lone request's reply leaves at once,
-//! and frames leave in the order they were sent.
+//! thread, under the connection's writer lock — except that what the turn
+//! holder sends while more frames of one read are still to be delivered is
+//! *corked* and leaves with the next write or at the end of that delivery
+//! run, so the replies to one read leave in one vectored write (DESIGN §5,
+//! "Replies leave in the batch their requests came in").
 
 use crate::error::OrbError;
 use crate::transport::{ComChannel, FrameInbox, InboxMetrics, ReadDemand, SendMetrics};
@@ -40,6 +22,7 @@ use bytes::Bytes;
 use cool_telemetry::blocking;
 use cool_telemetry::lockorder::{Locked, Unlocked};
 use cool_telemetry::Registry;
+use dacapo::pool::{self, Stop, Turn};
 use dacapo::tlayer::{read_timeout, write_frames, FrameReader, MAX_TCP_FRAME};
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -61,17 +44,13 @@ pub struct TcpComChannel {
     /// Separate handle used to shut the socket down and unblock a reading
     /// thread even while a writer holds the lock.
     shutdown_handle: TcpStream,
-    side: Arc<ReadSide>,
+    turn: Arc<Turn<ReadSide>>,
 }
 
-/// The read side, shared by the channel and its reader thread.
+/// What the turn holder reads into, and the record of the connection's
+/// end: a closed inbox ends every read and fails every send.
 struct ReadSide {
-    /// Where the frames go, and the record of the connection's end: a
-    /// closed inbox ends every read and fails every send.
     inbox: FrameInbox,
-    /// The token: whoever holds it reads the socket.
-    token: Mutex<Reader>,
-    demand: Arc<ReadDemand>,
     /// The write side, here because each delivery run flushes what it
     /// corked.
     writer: Mutex<Writer>,
@@ -115,7 +94,7 @@ thread_local! {
     static RUN: Cell<Run> = const { Cell::new(Run::NONE) };
 }
 
-/// What the token holder reads with.
+/// What the holder of the turn reads with.
 struct Reader {
     stream: TcpStream,
     frames: FrameReader,
@@ -213,36 +192,28 @@ impl TcpComChannel {
                 .try_clone()
                 .map_err(|e| OrbError::Transport(format!("tcp clone: {e}")))
         };
-        let side = Arc::new(ReadSide {
+        let side = ReadSide {
             inbox: FrameInbox::new(),
-            token: Mutex::new(Reader {
-                stream: clone()?,
-                frames: FrameReader::new(),
-                timeout: None,
-            }),
-            demand: Arc::default(),
             writer: Mutex::new(Writer {
                 stream: clone()?,
                 corked: Vec::new(),
                 metrics: telemetry.map(|r| SendMetrics::resolve(r, "tcp")),
             }),
-        });
+        };
         if let Some(registry) = telemetry {
             side.inbox
                 .set_metrics(InboxMetrics::resolve(registry, "tcp"));
         }
-        let rx_side = Arc::clone(&side);
-        dacapo::pool::spawn(move |held| {
-            reader_loop(held, &rx_side);
-            debug_assert!(
-                RUN.with(Cell::get) == Run::NONE,
-                "the reader returned inside a delivery run"
-            );
-        })
-        .map_err(|e| OrbError::Transport(format!("spawn tcp reader: {e}")))?;
+        let reader = Reader {
+            stream: clone()?,
+            frames: FrameReader::new(),
+            timeout: None,
+        };
+        let turn = Turn::start(side, reader)
+            .map_err(|e| OrbError::Transport(format!("spawn tcp reader: {e}")))?;
         Ok(TcpComChannel {
             shutdown_handle: stream,
-            side,
+            turn,
         })
     }
 
@@ -254,60 +225,35 @@ impl TcpComChannel {
     pub fn listen(addr: impl ToSocketAddrs) -> Result<TcpListener, OrbError> {
         TcpListener::bind(addr).map_err(|e| OrbError::Transport(format!("tcp bind: {e}")))
     }
-
-    /// Takes in what the socket already holds, without blocking: what a
-    /// connection nobody reads has to say (a peer's CloseConnection, its
-    /// end of stream) is heard when someone asks. The socket's blocking
-    /// mode is shared with the writer, so nothing is read while a writer
-    /// is at work.
-    fn take_in(&self, reader: &mut Reader) {
-        while self.side.deliver(reader) {
-            let read = match self.side.writer.try_lock() {
-                Some(_writer) => reader.stream.set_nonblocking(true).and_then(|()| {
-                    let read = reader.frames.fill(&mut reader.stream);
-                    reader.stream.set_nonblocking(false).and(read)
-                }),
-                None => return,
-            };
-            match read {
-                Ok(()) => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(_) => return self.side.end(),
-            }
-        }
-    }
 }
 
-/// The reader thread: reads while it is wanted, parks while it is not, and
-/// returns when the connection ends — to the receive-thread pool
-/// ([`dacapo::pool`]), which has its thread serve the next connection.
-fn reader_loop(held: &mut Locked<Unlocked>, side: &ReadSide) {
-    while side.demand.park_until_wanted(held, None) {
-        let mut reader = side.token.lock();
-        if side.inbox.is_closed() {
-            return;
-        }
-        side.read(held, &mut reader, None, &|_| !side.demand.wanted());
-    }
-}
+impl pool::ReadSide for ReadSide {
+    type Reader = Reader;
 
-impl ReadSide {
-    /// Reads and delivers until `done(held)` holds, `deadline` passes or the
-    /// connection ends. The caller holds the token throughout, so frames
-    /// enter the inbox in the order they were read; a frame a timed-out
-    /// read left unfinished stays in `reader` for the next holder.
+    /// The turn holder keeps the reader throughout, so frames enter the
+    /// inbox in the order they were read; a frame a timed-out read left
+    /// unfinished stays in `reader` for the next holder.
     fn read(
         &self,
         held: &mut Locked<Unlocked>,
         reader: &mut Reader,
         deadline: Option<Instant>,
-        done: &dyn Fn(&mut Locked<Unlocked>) -> bool,
-    ) {
-        while self.deliver(reader) && !done(held) {
+        done: &mut dyn FnMut(&mut Locked<Unlocked>) -> bool,
+    ) -> Stop {
+        if deadline.is_some_and(|deadline| deadline <= Instant::now()) {
+            return self.take_in(reader);
+        }
+        loop {
+            if self.inbox.is_closed() || !self.deliver(reader) {
+                return Stop::Ended;
+            }
+            if done(held) {
+                return Stop::Done;
+            }
             let timeout = match deadline {
                 None => None,
                 Some(deadline) => match read_timeout(deadline) {
-                    None => return,
+                    None => return Stop::Deadline,
                     left => left,
                 },
             };
@@ -324,6 +270,31 @@ impl ReadSide {
                 Err(_) => return self.end(),
             }
         }
+    }
+}
+
+impl ReadSide {
+    /// Takes in what the socket already holds, without blocking: what a
+    /// connection nobody reads has to say (a peer's CloseConnection, its
+    /// end of stream) is heard when someone asks. The socket's blocking
+    /// mode is shared with the writer, so nothing is read while a writer
+    /// is at work.
+    fn take_in(&self, reader: &mut Reader) -> Stop {
+        while !self.inbox.is_closed() && self.deliver(reader) {
+            let read = match self.writer.try_lock() {
+                Some(_writer) => reader.stream.set_nonblocking(true).and_then(|()| {
+                    let read = reader.frames.fill(&mut reader.stream);
+                    reader.stream.set_nonblocking(false).and(read)
+                }),
+                None => return Stop::Deadline,
+            };
+            match read {
+                Ok(()) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Stop::Deadline,
+                Err(_) => return self.end(),
+            }
+        }
+        Stop::Ended
     }
 
     /// Pushes every complete frame `reader` holds into the inbox — one
@@ -362,7 +333,7 @@ impl ReadSide {
                 }
                 Ok(None) => break true,
                 Err(_) => {
-                    self.end();
+                    self.inbox.close();
                     break false;
                 }
             }
@@ -410,10 +381,10 @@ impl ReadSide {
     }
 
     /// The connection is over: the inbox closes (no more turns, and the
-    /// sink's `on_close` fails what is pending), and the reader thread ends.
-    fn end(&self) {
+    /// sink's `on_close` fails what is pending).
+    fn end(&self) -> Stop {
         self.inbox.close();
-        self.demand.close();
+        Stop::Ended
     }
 }
 
@@ -445,8 +416,9 @@ impl ComChannel for TcpComChannel {
                 frame.len()
             )));
         }
-        let corks = self.side.corks();
-        let mut writer = self.side.writer.lock();
+        let side = self.turn.side();
+        let corks = side.corks();
+        let mut writer = side.writer.lock();
         writer.corked.push(frame);
         if corks {
             return Ok(());
@@ -462,7 +434,7 @@ impl ComChannel for TcpComChannel {
     }
 
     fn inbox(&self) -> &FrameInbox {
-        &self.side.inbox
+        &self.turn.side().inbox
     }
 
     fn read_turn(
@@ -471,39 +443,29 @@ impl ComChannel for TcpComChannel {
         deadline: Instant,
         done: &dyn Fn(&mut Locked<Unlocked>) -> bool,
     ) -> bool {
-        let Some(mut reader) = self.side.token.try_lock() else {
-            return false;
-        };
-        if self.is_closed() {
-            return false;
-        }
-        if deadline > Instant::now() {
-            self.side.read(held, &mut reader, Some(deadline), done);
-        } else {
-            self.take_in(&mut reader);
-        }
-        true
+        self.turn.read_turn(held, deadline, done)
     }
 
     fn hand_over_demand(&self) -> Option<Arc<ReadDemand>> {
-        self.side.demand.hand_over();
-        Some(Arc::clone(&self.side.demand))
+        Some(self.turn.hand_over())
     }
 
     fn close(&self) {
         // The inbox first: a send that races the shutdown below then fails
         // `Closed`, not with the broken pipe it finds.
-        self.side.end();
+        let side = self.turn.side();
+        side.end();
+        self.turn.close();
         // What a delivery run corked leaves ahead of the end of stream. A
         // run that corked waits for the writer, as its sends would have;
         // anyone else only tries, since the shutdown below is what frees a
         // writer stuck on a full socket — and a writer holding the lock
         // writes what is corked itself. A second close finds nothing
         // corked, and a socket already shut.
-        let writer = if self.side.corked_here() {
-            Some(self.side.writer.lock())
+        let writer = if side.corked_here() {
+            Some(side.writer.lock())
         } else {
-            self.side.writer.try_lock()
+            side.writer.try_lock()
         };
         if let Some(mut writer) = writer {
             let _ = writer.flush();

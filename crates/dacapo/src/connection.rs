@@ -225,20 +225,21 @@ impl Connection {
     }
 
     /// Lets a thread waiting for a reply read the connection itself
-    /// (leader/followers): see [`RxPump::read_turn`].
+    /// (leader/followers), running due protocol ticks: see
+    /// [`Turn::read_turn`](crate::pool::Turn::read_turn).
     pub fn read_turn(
         &self,
         held: &mut Locked<Unlocked>,
         deadline: Instant,
         done: &dyn Fn(&mut Locked<Unlocked>) -> bool,
     ) -> bool {
-        self.pump.read_turn(held, deadline, done)
+        self.pump.turn.read_turn(held, deadline, done)
     }
 
     /// Hands the receive loop's demand to whoever waits for replies: see
-    /// [`RxPump::hand_over_demand`].
+    /// [`Turn::hand_over`](crate::pool::Turn::hand_over).
     pub fn hand_over_demand(&self) -> Arc<ReadDemand> {
-        self.pump.hand_over_demand()
+        self.pump.turn.hand_over()
     }
 
     /// The module graph currently running.

@@ -16,15 +16,16 @@
 //! root token ([`cool_telemetry::lockorder::Locked::root`]), minted when
 //! the previous job returned — which debug builds refuse while the thread
 //! holds a lock guard — and in debug builds the pool checks that the job
-//! left no connection's sink callbacks marked as this thread's; a job with
-//! thread-local state of its own checks that before it returns. A job that panics ends its thread,
-//! which the pool never counted as parked.
+//! left no connection's sink callbacks marked as this thread's. A job that
+//! panics ends its thread, which the pool never counted as parked.
 //!
 //! A connection's receive loop need not read all the time: whoever waits
-//! for a reply can read it itself (leader/followers). [`ReadDemand`] is how
-//! much the loop is wanted — the one such type for Da CaPo's connections
-//! and the ORB's TCP channels.
+//! for a reply can read it itself (leader/followers). Who reads, and when,
+//! is one pure machine, [`step`] over a [`TurnState`], for Da CaPo's
+//! connections and the ORB's TCP channels alike; [`Turn`] applies it
+//! (DESIGN §5, "Who reads").
 
+use crate::tlayer::Waker;
 use cool_telemetry::blocking;
 use cool_telemetry::lockorder::{Locked, Unlocked};
 use parking_lot::{Condvar, Mutex};
@@ -142,154 +143,407 @@ impl Pool {
     }
 }
 
-/// How much a connection's pooled receive loop is wanted.
-///
-/// Until [`ReadDemand::hand_over`] the loop always reads: a server's end, a
-/// pull-mode end. After it, whoever waits for a reply reads the connection
-/// itself when nobody else is, and the loop reads only while some reply is
-/// owed to a thread that is not reading — a deferred reply nobody waits for
-/// yet, a `notify` callback, a caller that found another thread reading, a
-/// drain or a sender waiting for the peer's acknowledgements. Each holds an
-/// [`Owed`] for as long as it waits; the loop parks while none does, unless
-/// [`ReadDemand::nudge`]d to look at something else it may be wanted for.
+/// Who holds a connection's receive turn.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Holder {
+    /// The turn is free.
+    #[default]
+    Nobody,
+    /// A thread waiting for a reply reads it itself.
+    Caller,
+    /// The connection's pooled loop.
+    Loop,
+}
+
+/// What a reader saw of the modules above the transport when it looked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Modules {
+    /// No module at all (TCP, an empty graph).
+    #[default]
+    None,
+    /// Every module idle.
+    Idle,
+    /// A module holds deferred state (an ARQ window): the protocol timer
+    /// must run, so someone must read.
+    Busy,
+}
+
+/// The demand on a connection's receive loop and who holds its receive
+/// turn: what [`step`] moves. A value: no lock, clock or transport.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct TurnState {
+    /// Who reads.
+    pub holder: Holder,
+    /// A binding has taken the demand over.
+    pub handed_over: bool,
+    /// The transport has had something to receive, or cannot tell.
+    pub arrived: bool,
+    /// Replies owed to threads that are not reading, drains and senders
+    /// behind a stalled module.
+    pub owed: u32,
+    /// What the last reader to look saw.
+    pub seen: Modules,
+    /// The loop has been woken to look again and has not looked yet.
+    pub nudged: bool,
+    /// The connection has been closed here: the next reader reads its end.
+    pub closed: bool,
+    /// The transport's end has been read: nobody reads any more.
+    pub ended: bool,
+    /// The loop has returned.
+    pub gone: bool,
+}
+
+impl TurnState {
+    /// A connection whose loop has yet to look.
+    pub fn start() -> Self {
+        TurnState {
+            nudged: true,
+            ..TurnState::default()
+        }
+    }
+
+    /// Whether someone must read: the loop, unless a caller does. Until
+    /// the hand-over that is from the first arrival on.
+    fn wanted(&self) -> bool {
+        (!self.handed_over && self.arrived)
+            || self.owed > 0
+            || self.seen == Modules::Busy
+            || self.closed
+    }
+}
+
+/// What happens to a connection's receive side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TurnEvent {
+    /// A caller waiting for a reply wants the turn.
+    Want,
+    /// The caller's reply is in: its turn is over.
+    Delivered(Modules),
+    /// The caller's deadline passed: its turn is over.
+    Deadline(Modules),
+    /// The loop, reading, is through a frame or a tick.
+    Frame(Modules),
+    /// The loop, nudged or at its recheck, looks before it parks.
+    Look(Modules),
+    /// A reply is owed to a thread that is not reading.
+    Owe,
+    /// An owed reply is settled.
+    Paid,
+    /// A drain, or a sender behind a stalled module, waits for a reader.
+    Stall,
+    /// It waits no more.
+    Unstall,
+    /// A binding takes the demand over.
+    HandOver,
+    /// The transport has something to receive for the first time.
+    Arrival,
+    /// The connection is closed here, its transport first.
+    Close,
+    /// The reader read the transport's end.
+    End,
+}
+
+/// What [`step`] has the thread that brought the event do. Waking the
+/// parked loop is the step setting [`TurnState::nudged`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TurnAction {
+    /// Nothing: a caller that wanted the turn does not read.
+    Nothing,
+    /// Take the turn, or keep it, and read.
+    Read,
+    /// Park until nudged (the loop).
+    Park,
+    /// Return to the pool (the loop).
+    Return,
+    /// Wake the loop out of its receive: it is wanted no more.
+    WakeReceiver,
+    /// Run `on_closed`, still holding the turn.
+    OnClosed,
+}
+
+/// The receive turn, written once: `event` applied to `s`, and what the
+/// thread that brought it does.
+pub fn step(mut s: TurnState, event: TurnEvent) -> (TurnState, TurnAction) {
+    use TurnAction::*;
+    use TurnEvent::*;
+    // What the event tells.
+    match event {
+        Delivered(seen) | Deadline(seen) | Frame(seen) | Look(seen) => s.seen = seen,
+        Owe | Stall => s.owed += 1,
+        Paid | Unstall => s.owed = s.owed.saturating_sub(1),
+        HandOver => s.handed_over = true,
+        Arrival => s.arrived = true,
+        Close => s.closed = true,
+        Want | End => {}
+    }
+    // What its thread does, and who reads from now on.
+    let (free, looping) = (s.holder == Holder::Nobody, s.holder == Holder::Loop);
+    let action = match event {
+        Want if free && !s.ended => {
+            s.holder = Holder::Caller;
+            Read
+        }
+        Delivered(_) | Deadline(_) => {
+            s.holder = Holder::Nobody;
+            Nothing
+        }
+        Frame(_) if s.wanted() => Read,
+        Frame(_) => {
+            s.holder = Holder::Nobody;
+            Park
+        }
+        Look(_) if s.ended => {
+            (s.nudged, s.gone) = (false, true);
+            Return
+        }
+        Look(_) if free && s.wanted() => {
+            (s.nudged, s.holder) = (false, Holder::Loop);
+            Read
+        }
+        Look(_) => {
+            s.nudged = false;
+            Park
+        }
+        HandOver | Unstall if looping && s.owed == 0 && s.handed_over => WakeReceiver,
+        End if !s.ended => {
+            (s.ended, s.gone, s.holder) = (true, looping, Holder::Nobody);
+            OnClosed
+        }
+        _ => Nothing,
+    };
+    // The loop parks whenever it neither reads nor has returned: left
+    // parked, wanted and with the turn free, it is nudged.
+    if !s.gone && !s.nudged && s.holder == Holder::Nobody && (s.wanted() || s.ended) {
+        s.nudged = true;
+    }
+    (s, action)
+}
+
+/// A connection's [`TurnState`] under a lock, stepped by [`step`]: where
+/// the loop parks, and what a binding owes it ([`ReadDemand::raise`]).
 pub struct ReadDemand {
-    state: Mutex<DemandState>,
-    changed: Condvar,
+    state: Mutex<TurnState>,
+    nudged: Condvar,
 }
 
-struct DemandState {
-    owed: usize,
-    handed_over: bool,
-    /// The loop has been asked to look again.
-    nudged: bool,
-    closed: bool,
-}
-
-/// One reply (or drain) owed to a connection's receive loop; dropping it
-/// releases the demand.
+/// One reply owed to a connection's receive loop; dropping it settles it.
 #[must_use = "the demand ends when this is dropped"]
 pub struct Owed(Arc<ReadDemand>);
 
 impl Drop for Owed {
     fn drop(&mut self) {
-        self.0.state.lock().owed -= 1;
-    }
-}
-
-impl Default for ReadDemand {
-    fn default() -> Self {
-        ReadDemand::new()
+        self.0.apply(TurnEvent::Paid);
     }
 }
 
 impl ReadDemand {
-    /// A loop that reads until handed over.
-    pub fn new() -> Self {
-        ReadDemand {
-            state: Mutex::new(DemandState {
-                owed: 0,
-                handed_over: false,
-                nudged: false,
-                closed: false,
-            }),
-            changed: Condvar::new(),
-        }
-    }
-
-    /// From now on the loop reads only while something is owed to it.
-    pub fn hand_over(&self) {
-        self.state.lock().handed_over = true;
-    }
-
-    /// One more reply owed to the loop; the first wakes it. Raised under
-    /// the lock the loop checks before it parks, so no wake-up is lost.
+    /// One more reply owed to the loop.
     pub fn raise(self: &Arc<Self>) -> Owed {
-        let mut st = self.state.lock();
-        st.owed += 1;
-        if st.owed == 1 {
-            self.changed.notify_one();
-        }
+        self.apply(TurnEvent::Owe);
         Owed(Arc::clone(self))
     }
 
-    /// Whether the loop should be reading now for a reply owed to it.
-    pub fn wanted(&self) -> bool {
-        let st = self.state.lock();
-        !st.handed_over || st.owed > 0
+    /// [`step`] under the lock, waking the loop if the step nudged it.
+    #[inline]
+    pub(crate) fn apply(&self, event: TurnEvent) -> TurnAction {
+        let mut state = self.state.lock();
+        let (next, action) = step(*state, event);
+        let nudged = next.nudged && !state.nudged;
+        *state = next;
+        drop(state);
+        if nudged {
+            self.nudged.notify_one();
+        }
+        action
     }
 
-    /// Wakes the parked loop to look again at whether it is wanted for
-    /// something this type does not count. Remembered until it does.
-    pub fn nudge(&self) {
-        self.state.lock().nudged = true;
-        self.changed.notify_one();
-    }
-
-    /// Whether the demand has been handed over.
-    pub fn is_handed_over(&self) -> bool {
-        self.state.lock().handed_over
-    }
-
-    /// Parks the loop until it is wanted, nudged, or — if given — `recheck`
-    /// has passed; `false` once the connection has closed.
-    pub fn park_until_wanted(
-        &self,
-        held: &mut Locked<Unlocked>,
-        recheck: Option<Duration>,
-    ) -> bool {
-        self.park(held, recheck, true)
-    }
-
-    /// Parks a loop that has nothing to read yet until it is nudged — by
-    /// its transport when something arrives — a reply is owed to it, or
-    /// `recheck` has passed, whether or not the demand has been handed
-    /// over; `false` once the connection has closed.
-    pub fn park_until_nudged(
-        &self,
-        held: &mut Locked<Unlocked>,
-        recheck: Option<Duration>,
-    ) -> bool {
-        self.park(held, recheck, false)
-    }
-
-    /// `wanted_until_handed_over`: a demand not yet handed over ends the
-    /// wait at once.
-    fn park(
-        &self,
-        held: &mut Locked<Unlocked>,
-        recheck: Option<Duration>,
-        wanted_until_handed_over: bool,
-    ) -> bool {
-        let unwanted = |st: &mut DemandState| {
-            !st.closed
-                && (st.handed_over || !wanted_until_handed_over)
-                && st.owed == 0
-                && !std::mem::take(&mut st.nudged)
-        };
-        let mut st = self.state.lock();
+    /// Parks the loop until it is nudged or `recheck` has passed.
+    fn park(&self, held: &mut Locked<Unlocked>, recheck: Option<Duration>) {
+        let mut state = self.state.lock();
+        let unwoken = |s: &mut TurnState| !s.nudged;
         match recheck {
             #[expect(
                 clippy::disallowed_methods,
-                reason = "woken by the demand's 0 -> 1, a nudge, and `close`, which the connection's end always reaches"
+                reason = "woken by every step that nudges the loop, the transport's end and a close included"
             )]
-            None => blocking::wait_while(held, &self.changed, &mut st, unwanted),
+            None => blocking::wait_while(held, &self.nudged, &mut state, unwoken),
             Some(after) => {
-                blocking::wait_while_until(
-                    held,
-                    &self.changed,
-                    &mut st,
-                    Instant::now() + after,
-                    unwanted,
-                );
+                let deadline = Instant::now() + after;
+                blocking::wait_while_until(held, &self.nudged, &mut state, deadline, unwoken);
             }
         }
-        !st.closed
+    }
+}
+
+/// Why a [`ReadSide::read`] returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// `done` held.
+    Done,
+    /// The deadline passed.
+    Deadline,
+    /// The transport's end was read.
+    Ended,
+}
+
+/// What a transport gives the [`Turn`]: reading until a deadline, and
+/// what it knows of the modules above it.
+pub trait ReadSide: Send + Sync + 'static {
+    /// What the holder of the turn reads with.
+    type Reader: Send + 'static;
+    /// How often a parked loop that saw modules looks again.
+    const RECHECK: Duration = Duration::from_millis(20);
+
+    /// Reads and delivers in wire order until `done` holds, `deadline`
+    /// passes (one already past takes in only what has arrived) or the
+    /// transport's end is read.
+    fn read(
+        &self,
+        held: &mut Locked<Unlocked>,
+        reader: &mut Self::Reader,
+        deadline: Option<Instant>,
+        done: &mut dyn FnMut(&mut Locked<Unlocked>) -> bool,
+    ) -> Stop;
+
+    /// What the reader sees of the modules above the transport.
+    fn modules(&self, _held: &mut Locked<Unlocked>) -> Modules {
+        Modules::None
     }
 
-    /// The connection is gone: the loop stops parking and ends.
+    /// Run, under the turn, by whoever read the transport's end.
+    fn on_end(&self, _held: &mut Locked<Unlocked>, _reader: &mut Self::Reader) {}
+
+    /// [`Transport::wake_receiver`](crate::tlayer::Transport::wake_receiver).
+    fn wake_receiver(&self) {}
+
+    /// [`Transport::notify_arrival`](crate::tlayer::Transport::notify_arrival).
+    fn notify_arrival(&self, waker: Option<Waker>) -> bool {
+        drop(waker);
+        false
+    }
+}
+
+/// A connection's receive turn, leader/followers: [`step`] decides who
+/// reads, this applies it, for Da CaPo's connections and the ORB's TCP
+/// channels alike.
+pub struct Turn<S: ReadSide> {
+    side: S,
+    /// Locked only by whoever [`step`] gave the turn: never waited for.
+    reader: Mutex<S::Reader>,
+    demand: Arc<ReadDemand>,
+}
+
+impl<S: ReadSide> Turn<S> {
+    /// Starts the connection's loop on the pool. The transport's first
+    /// arrival is watched from here on, so a binding that hands the demand
+    /// over right after the connect finds no receive to end.
+    ///
+    /// # Errors
+    ///
+    /// The OS error if no thread is parked and none can be spawned.
+    pub fn start(side: S, reader: S::Reader) -> std::io::Result<Arc<Self>> {
+        let demand = Arc::new(ReadDemand {
+            state: Mutex::new(TurnState::start()),
+            nudged: Condvar::new(),
+        });
+        let arrival = Arc::clone(&demand);
+        let waker: Waker = Box::new(move || {
+            arrival.apply(TurnEvent::Arrival);
+        });
+        if !side.notify_arrival(Some(waker)) {
+            demand.apply(TurnEvent::Arrival);
+        }
+        let turn = Arc::new(Turn {
+            side,
+            reader: Mutex::new(reader),
+            demand,
+        });
+        let looping = Arc::clone(&turn);
+        spawn(move |held| looping.serve(held))?;
+        Ok(turn)
+    }
+
+    /// The read side.
+    pub fn side(&self) -> &S {
+        &self.side
+    }
+
+    /// The demand, for whoever waits for what only a reader brings.
+    pub(crate) fn demand(&self) -> &Arc<ReadDemand> {
+        &self.demand
+    }
+
+    /// The loop, until the transport's end has been read.
+    fn serve(&self, held: &mut Locked<Unlocked>) {
+        let mut seen = self.side.modules(held);
+        let mut action = self.demand.apply(TurnEvent::Look(seen));
+        while action != TurnAction::Return {
+            if action == TurnAction::Read {
+                let mut reader = self.reader.lock();
+                let mut stop = |held: &mut Locked<Unlocked>| {
+                    seen = self.side.modules(held);
+                    self.demand.apply(TurnEvent::Frame(seen)) != TurnAction::Read
+                };
+                if self.side.read(held, &mut reader, None, &mut stop) == Stop::Ended {
+                    return self.end(held, &mut reader);
+                }
+            }
+            let recheck = (seen != Modules::None).then_some(S::RECHECK);
+            self.demand.park(held, recheck);
+            seen = self.side.modules(held);
+            action = self.demand.apply(TurnEvent::Look(seen));
+        }
+    }
+
+    /// A thread waiting for a reply reads the connection itself, if
+    /// [`step`] lets it: until `done(held)`, `deadline` or the transport's
+    /// end, returning `true`; `false` at once otherwise.
+    #[inline]
+    pub fn read_turn(
+        &self,
+        held: &mut Locked<Unlocked>,
+        deadline: Instant,
+        done: &dyn Fn(&mut Locked<Unlocked>) -> bool,
+    ) -> bool {
+        if self.demand.apply(TurnEvent::Want) != TurnAction::Read {
+            return false;
+        }
+        let mut reader = self.reader.lock();
+        let stop = self
+            .side
+            .read(held, &mut reader, Some(deadline), &mut |h| done(h));
+        if stop == Stop::Ended {
+            self.end(held, &mut reader);
+            return true;
+        }
+        drop(reader);
+        let seen = self.side.modules(held);
+        self.demand.apply(match stop {
+            Stop::Done => TurnEvent::Delivered(seen),
+            _ => TurnEvent::Deadline(seen),
+        });
+        true
+    }
+
+    /// Hands the loop's demand to whoever waits for replies.
+    pub fn hand_over(&self) -> Arc<ReadDemand> {
+        if self.demand.apply(TurnEvent::HandOver) == TurnAction::WakeReceiver {
+            self.side.wake_receiver();
+        }
+        self.side.notify_arrival(None);
+        Arc::clone(&self.demand)
+    }
+
+    /// The connection is closed here, its transport already: whoever reads
+    /// next reads the end.
     pub fn close(&self) {
-        self.state.lock().closed = true;
-        self.changed.notify_all();
+        self.demand.apply(TurnEvent::Close);
+    }
+
+    fn end(&self, held: &mut Locked<Unlocked>, reader: &mut S::Reader) {
+        if self.demand.apply(TurnEvent::End) == TurnAction::OnClosed {
+            self.side.on_end(held, reader);
+        }
     }
 }
 

@@ -55,19 +55,14 @@
 //!    of a request the turn holder ran to completion): the acknowledgement
 //!    that frees the window arrives on that very thread, so its packet
 //!    queues behind what stands and the send returns.
-//! 3. Only the holder of the receive turn delivers, and one thread holds it
-//!    at a time, so what the application sees is in wire order; and nothing
-//!    joins a reader: `close` can run on the turn holder (a sink reacting
-//!    to the peer's close) or on a thread it is waiting for. The
-//!    connection's loop is a job of the receive-thread pool ([`crate::pool`],
-//!    named `conn-rx`): when the transport ends, the loop returns and the
-//!    thread parks for the next connection's loop, so setting a connection
-//!    up and tearing it down again spawns no thread once one is parked.
+//! 3. Only the holder of the receive turn delivers, so the application
+//!    sees wire order. Who holds it is [`crate::pool::step`]'s to say
+//!    ([`RxPump`]), and nothing joins a reader.
 
 use crate::alayer::AppEndpoint;
 use crate::module::{Module, Outputs};
 use crate::packet::{Packet, PacketKind};
-use crate::pool::ReadDemand;
+use crate::pool::{Modules, ReadDemand, ReadSide, Stop, Turn, TurnAction, TurnEvent};
 use crate::stats::ThroughputMeter;
 use crate::tlayer::{Transport, Waker};
 use crate::DacapoError;
@@ -768,19 +763,16 @@ impl Stack {
     }
 
     /// Runs `waiting`, for something a module's deferred state makes only
-    /// a reader bring (an acknowledgement), with the connection's receive
-    /// loop wanted meanwhile; then, if it is wanted no more, wakes it out
-    /// of its receive, to give the turn back to whoever waits for a reply
-    /// next. With every module idle, reading brings nothing the wait is
-    /// for: the loop stays parked.
+    /// a reader bring (an acknowledgement), as a stall of the connection's
+    /// receive turn ([`crate::pool::step`]). With every module idle,
+    /// reading brings nothing the wait is for.
     fn with_a_reader<R>(&self, waiting: impl FnOnce() -> R) -> R {
         let Some(demand) = self.demand.get().filter(|_| !self.modules_idle()) else {
             return waiting();
         };
-        let owed = demand.raise();
+        demand.apply(TurnEvent::Stall);
         let out = waiting();
-        drop(owed);
-        if !demand.wanted() {
+        if demand.apply(TurnEvent::Unstall) == TurnAction::WakeReceiver {
             self.transport.wake_receiver();
         }
         out
@@ -948,62 +940,33 @@ impl WireWriter {
 
 /// A connection's receive side: one per transport, for as long as the
 /// transport lives (a [`crate::Connection`] owns it), whatever stacks come
-/// and go above it.
-///
-/// Reading is a *turn*, held by one thread at a time, so what comes off
-/// the wire goes up the stack and into the application in wire order. The
-/// holder waits in [`Transport::recv_timeout`] — woken by a frame, by
-/// [`Transport::close`] on either side, or by the next protocol tick, which
-/// it runs — and runs each frame up whichever stack is installed in the
-/// slot, under the slot's lock: a swap waits for the frame in hand, and a
-/// frame read during a swap goes to the new stack instead of dying with the
-/// old. Then, the lock released, it delivers. It never writes what the
-/// modules answer (the module header, rule 1).
-///
-/// Two kinds of thread hold the turn (leader/followers):
-///
-/// * a thread waiting for a reply ([`RxPump::read_turn`]) takes it if it is
-///   free, and reads until its reply is in or its deadline passes — so a
-///   lone synchronous caller reads its own reply and no other thread of
-///   its side wakes;
-/// * the connection's loop, run on a thread of [`crate::pool`], holds it
-///   for as long as it is wanted: always until the demand is handed over
-///   ([`RxPump::hand_over_demand`]); after that while a reply is owed to a
-///   thread that is not reading ([`ReadDemand`]), while a drain or a sender
-///   behind a stalled module waits, or while a module is not idle (an ARQ
-///   window, a reorder buffer: the protocol timer must run). Otherwise it
-///   parks on the demand, never in a receive. Until its transport reports
-///   a first arrival ([`Transport::notify_arrival`]: loopback, netsim) a
-///   new loop waits there too, so a binding that hands the demand over
-///   right after connecting finds no receive to end; a hand-over wakes one
-///   blocked in a loopback or netsim receive at once
-///   ([`Transport::wake_receiver`]), one on TCP at its next tick. An end
-///   whose stack has modules looks again at every tick while parked.
-///
-/// Whoever reads the transport's end runs `on_closed`, takes the close
-/// sentinel up the stack, stops the connection's wire writer and releases
-/// the loop, which returns. Nothing joins the loop: `shutdown` can run on
-/// its thread itself (a [`Sink`] closing its connection when the peer has)
-/// and on a thread it is waiting for (a sink blocked on a full dispatch
-/// queue whose one worker is closing the connection).
+/// and go above it. Who reads it, and when, is the receive turn of
+/// [`crate::pool`] ([`Turn`], deciding by [`crate::pool::step`]): a thread
+/// waiting for a reply ([`Turn::read_turn`]) or the connection's loop on a
+/// `conn-rx` thread. The holder waits in [`Transport::recv_timeout`] until
+/// a frame, a close or the next protocol tick, which it runs, and runs each
+/// frame up whichever stack is installed in the slot, under the slot's
+/// lock: a swap waits for the frame in hand, and a frame read during a swap
+/// goes to the new stack. Then, the lock released, it delivers. Whoever
+/// reads the transport's end runs `on_closed`, takes the close sentinel up
+/// the stack and stops the wire writer. Nothing joins the loop: `shutdown`
+/// can run on its thread (a [`Sink`] closing its connection) and on a
+/// thread it waits for.
 pub struct RxPump {
-    side: Arc<RxSide>,
+    pub(crate) turn: Arc<Turn<RxSide>>,
 }
 
-/// What the turn holders and the loop share.
-struct RxSide {
+/// What the turn holders read with, beside the turn itself.
+pub(crate) struct RxSide {
     transport: Arc<dyn Transport>,
     slot: OrderedMutex<Option<Arc<Stack>>, rank::ConnectionUplink>,
     sink: SinkSlot,
-    /// The receive turn: whoever holds it reads the transport.
-    turn: Mutex<Turn>,
-    demand: Arc<ReadDemand>,
     writer: Arc<WireWriter>,
     wire: Option<(Arc<Counter>, Arc<Counter>)>,
 }
 
 /// What the holder of the receive turn reads with.
-struct Turn {
+pub(crate) struct Reading {
     /// The protocol timer's origin.
     start: Instant,
     next_tick: Instant,
@@ -1012,8 +975,6 @@ struct Turn {
     tops: Vec<Packet>,
     /// Run by whoever reads the transport's end.
     on_closed: Option<Box<dyn FnOnce() + Send>>,
-    /// The transport's end has gone up the stack: nothing more to read.
-    ended: bool,
 }
 
 impl RxPump {
@@ -1033,28 +994,24 @@ impl RxPump {
         telemetry: Option<&Registry>,
         on_closed: impl FnOnce() + Send + 'static,
     ) -> Result<Self, DacapoError> {
-        let demand = Arc::new(ReadDemand::new());
-        let _ = stack.stack.demand.set(demand.clone());
         let start = Instant::now();
-        let side = Arc::new(RxSide {
+        let side = RxSide {
             slot: OrderedMutex::new(Some(stack.stack.clone())),
             sink: SinkSlot::default(),
-            turn: Mutex::new(Turn {
-                start,
-                next_tick: start + TICK_INTERVAL,
-                tops: Vec::new(),
-                on_closed: Some(Box::new(on_closed)),
-                ended: false,
-            }),
-            demand,
             writer: WireWriter::new(transport.clone()),
             wire: telemetry.map(|r| wire_counters(r, "rx")),
             transport,
-        });
-        let looping = side.clone();
-        crate::pool::spawn(move |held| looping.serve(held))
+        };
+        let reading = Reading {
+            start,
+            next_tick: start + TICK_INTERVAL,
+            tops: Vec::new(),
+            on_closed: Some(Box::new(on_closed)),
+        };
+        let turn = Turn::start(side, reading)
             .map_err(|e| DacapoError::Runtime(format!("spawn a receive thread: {e}")))?;
-        Ok(RxPump { side })
+        let _ = stack.stack.demand.set(turn.demand().clone());
+        Ok(RxPump { turn })
     }
 
     /// Installs `stack` for a stack swap and hands back the slot, locked.
@@ -1069,8 +1026,8 @@ impl RxPump {
         OrderedMutexGuard<'a, Option<Arc<Stack>>>,
         &'a mut Locked<rank::ConnectionUplink>,
     ) {
-        let _ = stack.stack.demand.set(self.side.demand.clone());
-        let (mut slot, uplink) = self.side.slot.lock(held);
+        let _ = stack.stack.demand.set(self.turn.demand().clone());
+        let (mut slot, uplink) = self.turn.side().slot.lock(held);
         *slot = Some(stack.stack.clone());
         (slot, uplink)
     }
@@ -1081,7 +1038,7 @@ impl RxPump {
     /// must not install a sink themselves); everything after that on the
     /// holder of the receive turn.
     pub fn set_sink(&self, sink: Arc<dyn Sink>) {
-        let side = &*self.side;
+        let side = self.turn.side();
         let mut slot = side.sink.lock();
         // The turn holder queues under the sink lock: nothing can be added
         // behind what is replayed here.
@@ -1097,212 +1054,118 @@ impl RxPump {
         *slot = Some(sink);
     }
 
-    /// Lets a thread waiting for a reply read the connection itself: if no
-    /// other thread holds the receive turn, takes it and reads, runs due
-    /// ticks and delivers every frame until `done(held)` holds, `deadline`
-    /// passes or the transport ends, and returns `true`. Returns `false` at
-    /// once when another thread holds the turn, or the transport's end has
-    /// been read. With a `deadline` already past it takes in only what has
-    /// arrived, without blocking. What the turn leaves undone — a module
-    /// not idle — the loop takes up.
-    pub fn read_turn(
-        &self,
-        held: &mut Locked<Unlocked>,
-        deadline: Instant,
-        done: &dyn Fn(&mut Locked<Unlocked>) -> bool,
-    ) -> bool {
-        let side = &*self.side;
-        let Some(mut turn) = side.turn.try_lock() else {
-            return false;
-        };
-        if turn.ended {
-            return false;
-        }
-        side.read(held, &mut turn, Some(deadline), &mut |held| done(held));
-        let ended = turn.ended;
-        drop(turn);
-        if !ended && side.busy(held) {
-            side.demand.nudge();
-        }
-        true
-    }
-
-    /// Hands the loop's demand to whoever waits for replies: from now on
-    /// the loop reads only while something is owed to it or a module is
-    /// not idle, and a waiting thread reads for itself
-    /// ([`RxPump::read_turn`]). A loop blocked in a receive is woken to
-    /// give up its turn.
-    pub fn hand_over_demand(&self) -> Arc<ReadDemand> {
-        self.side.demand.hand_over();
-        // A loop still waiting for its first arrival needs no more waking.
-        self.side.transport.notify_arrival(None);
-        // A turn that is free has no receive to end: whoever takes it
-        // next looks at the demand first.
-        if self.side.turn.try_lock().is_none() {
-            self.side.transport.wake_receiver();
-        }
-        self.side.demand.clone()
-    }
-
-    /// Closes the transport — which ends every wait in a receive and
-    /// releases the loop — and takes the stack out of the turn holder's
-    /// reach.
+    /// Closes the transport — which ends every wait in a receive — takes
+    /// the stack out of the turn holder's reach and has the next reader
+    /// read the end.
     pub fn shutdown(&self) {
-        self.side.transport.close();
-        self.side.slot.lock(Locked::root()).0.take();
-        self.side.demand.close();
+        let side = self.turn.side();
+        side.transport.close();
+        side.slot.lock(Locked::root()).0.take();
+        self.turn.close();
     }
 }
 
-impl RxSide {
-    /// The pooled loop: reads while it is wanted, parks while it is not,
-    /// and returns once the transport's end has been read — to the pool,
-    /// which has its thread serve the next connection.
-    fn serve(&self, held: &mut Locked<Unlocked>) {
-        let wanted = |held: &mut Locked<Unlocked>| self.demand.wanted() || self.busy(held);
-        self.await_first_arrival(held);
-        loop {
-            // Looked at before parking: what ended the wait for a first
-            // arrival — a turn's nudge above all — is not seen twice.
-            let open = wanted(held) || {
-                let recheck = self.has_modules(held).then_some(TICK_INTERVAL);
-                let open = self.demand.park_until_wanted(held, recheck);
-                if open && !wanted(held) {
-                    continue;
-                }
-                open
-            };
-            let mut turn = self.turn.lock();
-            if open {
-                self.read(held, &mut turn, None, &mut |held| !wanted(held));
-            } else {
-                // Closed: the transport is, so the read ends at once.
-                self.read(held, &mut turn, None, &mut |_| false);
-            }
-            if turn.ended {
-                return;
-            }
-        }
-    }
+impl ReadSide for RxSide {
+    type Reader = Reading;
+    const RECHECK: Duration = TICK_INTERVAL;
 
-    /// Until something arrives, a loop whose transport reports arrivals
-    /// waits on its demand, not in a receive: a binding that hands the
-    /// demand over meanwhile — which it does right after the connection is
-    /// made — then finds nothing to wake, and the loop stays parked. One
-    /// that has not been handed over reads from the first arrival on, as
-    /// it would have from the start.
-    fn await_first_arrival(&self, held: &mut Locked<Unlocked>) {
-        let demand = self.demand.clone();
-        let waker: Waker = Box::new(move || demand.nudge());
-        if self.demand.is_handed_over() || !self.transport.notify_arrival(Some(waker)) {
-            return;
-        }
-        // Handed over since the look above: the hand-over may have
-        // disarmed nothing yet.
-        if !self.demand.is_handed_over() {
-            let recheck = self.has_modules(held).then_some(TICK_INTERVAL);
-            self.demand.park_until_nudged(held, recheck);
-        }
-        self.transport.notify_arrival(None);
-    }
-
-    /// Whether a module of the installed stack holds deferred state.
-    fn busy(&self, held: &mut Locked<Unlocked>) -> bool {
-        let (installed, _) = self.slot.lock(held);
-        installed
-            .as_ref()
-            .is_some_and(|stack| !stack.modules_idle())
-    }
-
-    /// Whether the installed stack has a module at all.
-    fn has_modules(&self, held: &mut Locked<Unlocked>) -> bool {
-        let (installed, _) = self.slot.lock(held);
-        installed
-            .as_ref()
-            .is_some_and(|stack| !stack.idle.is_empty())
-    }
-
-    /// Reads and runs up the stack, under the turn, until `done(held)`
-    /// holds, `deadline` passes or the transport's end has been read; the
-    /// protocol timer runs by deadline, checked after every event, so
+    /// The protocol timer runs by deadline, checked after every event, so
     /// traffic cannot starve it.
     fn read(
         &self,
         held: &mut Locked<Unlocked>,
-        turn: &mut Turn,
+        reading: &mut Reading,
         deadline: Option<Instant>,
         done: &mut dyn FnMut(&mut Locked<Unlocked>) -> bool,
-    ) {
-        receiving_for(&self.transport, || {
-            while !turn.ended && !done(held) {
-                let now = Instant::now();
-                if now >= turn.next_tick {
-                    turn.next_tick = now + TICK_INTERVAL;
-                    let since = now - turn.start;
-                    self.upcall(held, turn, RxEvent::Tick(since));
-                }
-                let until = match deadline {
-                    Some(deadline) => deadline.min(turn.next_tick),
-                    None => turn.next_tick,
-                };
-                match self
-                    .transport
-                    .recv_timeout(until.saturating_duration_since(now))
-                {
-                    Ok(frame) => {
-                        if let Some((frames, bytes)) = &self.wire {
-                            frames.inc();
-                            bytes.add(frame.len() as u64);
-                        }
-                        self.upcall(held, turn, RxEvent::Frame(frame));
-                    }
-                    Err(DacapoError::Timeout(_)) => {
-                        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-                            return;
-                        }
-                    }
-                    Err(_) => self.end(held, turn),
-                }
+    ) -> Stop {
+        receiving_for(&self.transport, || loop {
+            if done(held) {
+                return Stop::Done;
             }
-        });
+            let now = Instant::now();
+            if now >= reading.next_tick {
+                reading.next_tick = now + TICK_INTERVAL;
+                let since = now - reading.start;
+                self.upcall(held, reading, RxEvent::Tick(since));
+            }
+            let until = match deadline {
+                Some(deadline) => deadline.min(reading.next_tick),
+                None => reading.next_tick,
+            };
+            match self
+                .transport
+                .recv_timeout(until.saturating_duration_since(now))
+            {
+                Ok(frame) => {
+                    if let Some((frames, bytes)) = &self.wire {
+                        frames.inc();
+                        bytes.add(frame.len() as u64);
+                    }
+                    self.upcall(held, reading, RxEvent::Frame(frame));
+                }
+                Err(DacapoError::Timeout(_)) => {
+                    if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                        return Stop::Deadline;
+                    }
+                }
+                Err(_) => return Stop::Ended,
+            }
+        })
     }
 
+    fn modules(&self, held: &mut Locked<Unlocked>) -> Modules {
+        match &*self.slot.lock(held).0 {
+            Some(stack) if !stack.idle.is_empty() && !stack.modules_idle() => Modules::Busy,
+            Some(stack) if !stack.idle.is_empty() => Modules::Idle,
+            _ => Modules::None,
+        }
+    }
+
+    /// `on_closed`, the close sentinel up the stack behind everything that
+    /// arrived, and the wire writer stopped.
+    fn on_end(&self, held: &mut Locked<Unlocked>, reading: &mut Reading) {
+        receiving_for(&self.transport, || {
+            if let Some(on_closed) = reading.on_closed.take() {
+                on_closed();
+            }
+            self.upcall(held, reading, RxEvent::WireEnded);
+        });
+        self.writer.stop(held);
+    }
+
+    fn wake_receiver(&self) {
+        self.transport.wake_receiver();
+    }
+
+    fn notify_arrival(&self, waker: Option<Waker>) -> bool {
+        self.transport.notify_arrival(waker)
+    }
+}
+
+impl RxSide {
     /// One event in three steps: up the installed stack under the slot
     /// lock; then — the lock released — what that brought to the top into
     /// the application; then what it brought to the bottom to a writer. In
     /// that order, so that a callback that answers what it is given takes
     /// the acknowledgement along with its answer and no other thread wakes.
-    fn upcall(&self, held: &mut Locked<Unlocked>, turn: &mut Turn, event: RxEvent) {
+    fn upcall(&self, held: &mut Locked<Unlocked>, reading: &mut Reading, event: RxEvent) {
         let (stack, to_app, owes_a_writer) = {
             let (installed, uplink) = self.slot.lock(held);
             let Some(stack) = installed.as_ref() else {
                 return;
             };
-            let (to_app, owes_a_writer) = stack.run_up(uplink, event, &mut turn.tops);
+            let (to_app, owes_a_writer) = stack.run_up(uplink, event, &mut reading.tops);
             if to_app.is_none() && !owes_a_writer {
                 return;
             }
             (stack.clone(), to_app, owes_a_writer)
         };
         if let Some(to_app) = to_app {
-            stack.deliver(&mut turn.tops, &to_app, &self.sink);
+            stack.deliver(&mut reading.tops, &to_app, &self.sink);
         }
         if owes_a_writer {
             stack.leave_wire_to(held, &self.writer);
         }
-    }
-
-    /// The transport has ended: `on_closed`, the close sentinel up the
-    /// stack behind everything that arrived, the wire writer stopped, and
-    /// the loop released.
-    fn end(&self, held: &mut Locked<Unlocked>, turn: &mut Turn) {
-        turn.ended = true;
-        if let Some(on_closed) = turn.on_closed.take() {
-            on_closed();
-        }
-        self.upcall(held, turn, RxEvent::WireEnded);
-        self.writer.stop(held);
-        self.demand.close();
     }
 }
 

@@ -10,6 +10,10 @@ cd "$(dirname "$0")/.."
 # depending package never mentions. A grep; nothing to install.
 ./scripts/unused-deps.sh
 
+# One layout, rustfmt's: `cargo fmt --all` writes what this stage checks.
+# (ledger/ is a workspace of its own, which `--all` does not reach.)
+cargo fmt --all --check
+
 cargo build --release
 cargo test -q --workspace
 # The shims under shims/ are patched-in dependencies, not workspace

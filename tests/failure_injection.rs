@@ -501,7 +501,7 @@ fn every_orb_error_variant_has_a_row() {
     use multe::naming::{DirectoryClient, DirectoryServer};
 
     /// The arms of `variant`.
-    const VARIANTS: usize = 12;
+    const VARIANTS: usize = 13;
     fn variant(err: &OrbError) -> &'static str {
         match err {
             OrbError::QosNotSupported(_) => "QosNotSupported",
@@ -515,6 +515,7 @@ fn every_orb_error_variant_has_a_row() {
             OrbError::Cancelled => "Cancelled",
             OrbError::RetriesExhausted { .. } => "RetriesExhausted",
             OrbError::Protocol(_) => "Protocol",
+            OrbError::SystemException { .. } => "SystemException",
             OrbError::BadAddress(_) => "BadAddress",
         }
     }
@@ -621,6 +622,13 @@ fn every_orb_error_variant_has_a_row() {
         directory_at("mute")
             .resolve("x", &QoSSpec::best_effort())
             .unwrap_err(),
+        // A directory request with no byte-order flag: the server's own
+        // failure.
+        client
+            .bind(&directory)
+            .unwrap()
+            .invoke("resolve", Bytes::new())
+            .unwrap_err(),
         ObjectRef::from_uri("not a reference").unwrap_err(),
     ];
     let produced: Vec<&str> = rows.iter().map(variant).collect();
@@ -634,6 +642,41 @@ fn every_orb_error_variant_has_a_row() {
     );
 
     retrying.shutdown();
+    client.shutdown();
+    server.close();
+}
+
+/// A server's own failures reach the client as the server's system
+/// exceptions, over either message protocol: a directory request with no
+/// byte-order flag as `Internal`, one whose arguments do not unmarshal as
+/// `Marshal` — neither as a protocol violation, and neither retried.
+#[test]
+fn a_servers_own_errors_arrive_as_its_system_exceptions() {
+    use multe::giop::GiopError;
+    use multe::naming::DirectoryServer;
+    use multe::orb::message_layer::WireProtocol;
+
+    let exchange = LocalExchange::new();
+    let server_orb = Orb::with_exchange("sysex-server", exchange.clone());
+    let server = server_orb.listen_chorus("sysex").unwrap();
+    let directory = DirectoryServer::serve(&server_orb, &server).unwrap();
+    let client = Orb::with_exchange("sysex-client", exchange);
+    for protocol in [WireProtocol::Giop, WireProtocol::Cool] {
+        let stub = client.bind_with_protocol(&directory, protocol).unwrap();
+        let flagless = stub.invoke("resolve", Bytes::new()).unwrap_err();
+        assert!(
+            matches!(&flagless, OrbError::SystemException { kind, .. } if kind == "Internal"),
+            "{protocol:?}: {flagless:?}"
+        );
+        let garbled = stub
+            .invoke("resolve", Bytes::from_static(&[7, 0, 0]))
+            .unwrap_err();
+        assert!(
+            matches!(&garbled, OrbError::Marshal(GiopError::PeerMarshal(_))),
+            "{protocol:?}: {garbled:?}"
+        );
+        assert!(!flagless.is_retryable() && !garbled.is_retryable());
+    }
     client.shutdown();
     server.close();
 }
