@@ -268,7 +268,8 @@ pub fn step(mut s: TurnState, event: TurnEvent) -> (TurnState, TurnAction) {
     use TurnEvent::*;
     // What the event tells.
     match event {
-        Delivered(seen) | Deadline(seen) | Frame(seen) | Look(seen) => s.seen = seen,
+        Delivered(seen) | Deadline(seen) | Frame(seen) => s.seen = seen,
+        Look(seen) => (s.seen, s.nudged) = (seen, false),
         Owe | Stall => s.owed += 1,
         Paid | Unstall => s.owed = s.owed.saturating_sub(1),
         HandOver => s.handed_over = true,
@@ -293,20 +294,19 @@ pub fn step(mut s: TurnState, event: TurnEvent) -> (TurnState, TurnAction) {
             Park
         }
         Look(_) if s.ended => {
-            (s.nudged, s.gone) = (false, true);
+            s.gone = true;
             Return
         }
         Look(_) if free && s.wanted() => {
-            (s.nudged, s.holder) = (false, Holder::Loop);
+            s.holder = Holder::Loop;
             Read
         }
-        Look(_) => {
-            s.nudged = false;
-            Park
-        }
+        Look(_) => Park,
         HandOver | Unstall if looping && s.owed == 0 && s.handed_over => WakeReceiver,
         End if !s.ended => {
-            (s.ended, s.gone, s.holder) = (true, looping, Holder::Nobody);
+            s.ended = true;
+            s.gone = looping;
+            s.holder = Holder::Nobody;
             OnClosed
         }
         _ => Nothing,
