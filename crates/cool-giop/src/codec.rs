@@ -62,8 +62,9 @@ fn write_frame(
     buf.put_slice(&MAGIC);
     buf.put_slice(&[version.major, version.minor, order.flag(), msg_type.code()]);
     buf.put_slice(&[0u8; 4]); // message_size, patched below
-                              // Hand the buffer to the CDR encoder; its base offset makes body
-                              // alignment identical to a standalone encapsulation.
+
+    // Hand the buffer to the CDR encoder; its base offset makes body
+    // alignment identical to a standalone encapsulation.
     let mut enc = CdrEncoder::append_to(std::mem::take(buf), order);
     let encoded = body(&mut enc);
     let body_len = enc.len();

@@ -8,7 +8,7 @@
 
 use crate::ladder::{best_rung, decode_ladder, encode_ladder};
 use cool_giop::cdr::{ByteOrder, CdrDecoder, CdrEncoder};
-use cool_giop::QoSParameter;
+use cool_giop::{GiopError, QoSParameter};
 use cool_orb::object::ObjectRef;
 use cool_orb::orb::Orb;
 use cool_orb::server::OrbServer;
@@ -44,9 +44,11 @@ fn split_order(args: &[u8]) -> Result<(ByteOrder, &[u8]), OrbError> {
             let order = ByteOrder::from_flag(flag).map_err(OrbError::from)?;
             Ok((order, &args[1..]))
         }
-        None => Err(OrbError::Protocol(
-            "directory request missing byte-order flag".into(),
-        )),
+        // The caller's own malformed argument: too short to hold the flag.
+        None => Err(OrbError::Marshal(GiopError::Underflow {
+            needed: 1,
+            remaining: 0,
+        })),
     }
 }
 
@@ -304,7 +306,7 @@ mod tests {
         let dir = DirectoryServer::default();
         assert!(matches!(
             dir.dispatch("resolve", &[]),
-            Err(OrbError::Protocol(_))
+            Err(OrbError::Marshal(GiopError::Underflow { .. }))
         ));
         assert!(matches!(
             dir.dispatch("resolve", &[7, 0, 0]),

@@ -22,7 +22,7 @@ use bytes::Bytes;
 use cool_telemetry::blocking;
 use cool_telemetry::lockorder::{Locked, Unlocked};
 use cool_telemetry::Registry;
-use dacapo::pool::{self, Stop, Turn};
+use dacapo::pool::{self, Turn};
 use dacapo::tlayer::{read_timeout, write_frames, FrameReader, MAX_TCP_FRAME};
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -239,21 +239,21 @@ impl pool::ReadSide for ReadSide {
         reader: &mut Reader,
         deadline: Option<Instant>,
         done: &mut dyn FnMut(&mut Locked<Unlocked>) -> bool,
-    ) -> Stop {
+    ) -> bool {
         if deadline.is_some_and(|deadline| deadline <= Instant::now()) {
             return self.take_in(reader);
         }
         loop {
             if self.inbox.is_closed() || !self.deliver(reader) {
-                return Stop::Ended;
+                return true;
             }
             if done(held) {
-                return Stop::Done;
+                return false;
             }
             let timeout = match deadline {
                 None => None,
                 Some(deadline) => match read_timeout(deadline) {
-                    None => return Stop::Deadline,
+                    None => return false,
                     left => left,
                 },
             };
@@ -278,23 +278,23 @@ impl ReadSide {
     /// connection nobody reads has to say (a peer's CloseConnection, its
     /// end of stream) is heard when someone asks. The socket's blocking
     /// mode is shared with the writer, so nothing is read while a writer
-    /// is at work.
-    fn take_in(&self, reader: &mut Reader) -> Stop {
+    /// is at work. Returns whether the connection has ended.
+    fn take_in(&self, reader: &mut Reader) -> bool {
         while !self.inbox.is_closed() && self.deliver(reader) {
             let read = match self.writer.try_lock() {
                 Some(_writer) => reader.stream.set_nonblocking(true).and_then(|()| {
                     let read = reader.frames.fill(&mut reader.stream);
                     reader.stream.set_nonblocking(false).and(read)
                 }),
-                None => return Stop::Deadline,
+                None => return false,
             };
             match read {
                 Ok(()) => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Stop::Deadline,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
                 Err(_) => return self.end(),
             }
         }
-        Stop::Ended
+        true
     }
 
     /// Pushes every complete frame `reader` holds into the inbox — one
@@ -382,9 +382,9 @@ impl ReadSide {
 
     /// The connection is over: the inbox closes (no more turns, and the
     /// sink's `on_close` fails what is pending).
-    fn end(&self) -> Stop {
+    fn end(&self) -> bool {
         self.inbox.close();
-        Stop::Ended
+        true
     }
 }
 

@@ -23,8 +23,10 @@
 //! for a reply can read it itself (leader/followers). Who reads, and when,
 //! is one pure machine, [`step`] over a [`TurnState`], for Da CaPo's
 //! connections and the ORB's TCP channels alike; [`Turn`] applies it
-//! (DESIGN §5, "Who reads").
+//! (DESIGN §5, "Who reads"). The machine is public, and hidden from the
+//! docs, only for its exploration (`tests/turn_machine.rs`).
 
+use crate::runtime::TICK_INTERVAL;
 use crate::tlayer::Waker;
 use cool_telemetry::blocking;
 use cool_telemetry::lockorder::{Locked, Unlocked};
@@ -144,6 +146,7 @@ impl Pool {
 }
 
 /// Who holds a connection's receive turn.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Holder {
     /// The turn is free.
@@ -170,6 +173,7 @@ pub enum Modules {
 
 /// The demand on a connection's receive loop and who holds its receive
 /// turn: what [`step`] moves. A value: no lock, clock or transport.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TurnState {
     /// Who reads.
@@ -213,25 +217,24 @@ impl TurnState {
 }
 
 /// What happens to a connection's receive side.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TurnEvent {
     /// A caller waiting for a reply wants the turn.
     Want,
-    /// The caller's reply is in: its turn is over.
-    Delivered(Modules),
-    /// The caller's deadline passed: its turn is over.
-    Deadline(Modules),
+    /// The caller's turn is over: its reply is in, or its deadline passed.
+    Released(Modules),
     /// The loop, reading, is through a frame or a tick.
     Frame(Modules),
     /// The loop, nudged or at its recheck, looks before it parks.
     Look(Modules),
-    /// A reply is owed to a thread that is not reading.
+    /// A reply is owed to a thread that is not reading, or a drain or a
+    /// sender behind a stalled module waits for a reader.
     Owe,
     /// An owed reply is settled.
     Paid,
-    /// A drain, or a sender behind a stalled module, waits for a reader.
-    Stall,
-    /// It waits no more.
+    /// A drain or a stalled sender waits no more: a loop reading only for
+    /// it may be woken out of its receive.
     Unstall,
     /// A binding takes the demand over.
     HandOver,
@@ -245,14 +248,13 @@ pub enum TurnEvent {
 
 /// What [`step`] has the thread that brought the event do. Waking the
 /// parked loop is the step setting [`TurnState::nudged`].
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TurnAction {
-    /// Nothing: a caller that wanted the turn does not read.
+    /// Do not read: a caller parks in its entry, the loop until nudged.
     Nothing,
     /// Take the turn, or keep it, and read.
     Read,
-    /// Park until nudged (the loop).
-    Park,
     /// Return to the pool (the loop).
     Return,
     /// Wake the loop out of its receive: it is wanted no more.
@@ -263,14 +265,15 @@ pub enum TurnAction {
 
 /// The receive turn, written once: `event` applied to `s`, and what the
 /// thread that brought it does.
+#[doc(hidden)]
 pub fn step(mut s: TurnState, event: TurnEvent) -> (TurnState, TurnAction) {
     use TurnAction::*;
     use TurnEvent::*;
     // What the event tells.
     match event {
-        Delivered(seen) | Deadline(seen) | Frame(seen) => s.seen = seen,
+        Released(seen) | Frame(seen) => s.seen = seen,
         Look(seen) => (s.seen, s.nudged) = (seen, false),
-        Owe | Stall => s.owed += 1,
+        Owe => s.owed += 1,
         Paid | Unstall => s.owed = s.owed.saturating_sub(1),
         HandOver => s.handed_over = true,
         Arrival => s.arrived = true,
@@ -284,14 +287,10 @@ pub fn step(mut s: TurnState, event: TurnEvent) -> (TurnState, TurnAction) {
             s.holder = Holder::Caller;
             Read
         }
-        Delivered(_) | Deadline(_) => {
+        Frame(_) if s.wanted() => Read,
+        Released(_) | Frame(_) => {
             s.holder = Holder::Nobody;
             Nothing
-        }
-        Frame(_) if s.wanted() => Read,
-        Frame(_) => {
-            s.holder = Holder::Nobody;
-            Park
         }
         Look(_) if s.ended => {
             s.gone = true;
@@ -301,7 +300,6 @@ pub fn step(mut s: TurnState, event: TurnEvent) -> (TurnState, TurnAction) {
             s.holder = Holder::Loop;
             Read
         }
-        Look(_) => Park,
         HandOver | Unstall if looping && s.owed == 0 && s.handed_over => WakeReceiver,
         End if !s.ended => {
             s.ended = true;
@@ -375,35 +373,22 @@ impl ReadDemand {
     }
 }
 
-/// Why a [`ReadSide::read`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stop {
-    /// `done` held.
-    Done,
-    /// The deadline passed.
-    Deadline,
-    /// The transport's end was read.
-    Ended,
-}
-
 /// What a transport gives the [`Turn`]: reading until a deadline, and
 /// what it knows of the modules above it.
 pub trait ReadSide: Send + Sync + 'static {
     /// What the holder of the turn reads with.
     type Reader: Send + 'static;
-    /// How often a parked loop that saw modules looks again.
-    const RECHECK: Duration = Duration::from_millis(20);
 
     /// Reads and delivers in wire order until `done` holds, `deadline`
     /// passes (one already past takes in only what has arrived) or the
-    /// transport's end is read.
+    /// transport's end is read; returns whether it was the end.
     fn read(
         &self,
         held: &mut Locked<Unlocked>,
         reader: &mut Self::Reader,
         deadline: Option<Instant>,
         done: &mut dyn FnMut(&mut Locked<Unlocked>) -> bool,
-    ) -> Stop;
+    ) -> bool;
 
     /// What the reader sees of the modules above the transport.
     fn modules(&self, _held: &mut Locked<Unlocked>) -> Modules {
@@ -430,7 +415,8 @@ pub struct Turn<S: ReadSide> {
     side: S,
     /// Locked only by whoever [`step`] gave the turn: never waited for.
     reader: Mutex<S::Reader>,
-    demand: Arc<ReadDemand>,
+    /// For whoever waits for what only a reader brings.
+    pub(crate) demand: Arc<ReadDemand>,
 }
 
 impl<S: ReadSide> Turn<S> {
@@ -468,11 +454,6 @@ impl<S: ReadSide> Turn<S> {
         &self.side
     }
 
-    /// The demand, for whoever waits for what only a reader brings.
-    pub(crate) fn demand(&self) -> &Arc<ReadDemand> {
-        &self.demand
-    }
-
     /// The loop, until the transport's end has been read.
     fn serve(&self, held: &mut Locked<Unlocked>) {
         let mut seen = self.side.modules(held);
@@ -484,11 +465,12 @@ impl<S: ReadSide> Turn<S> {
                     seen = self.side.modules(held);
                     self.demand.apply(TurnEvent::Frame(seen)) != TurnAction::Read
                 };
-                if self.side.read(held, &mut reader, None, &mut stop) == Stop::Ended {
+                if self.side.read(held, &mut reader, None, &mut stop) {
                     return self.end(held, &mut reader);
                 }
             }
-            let recheck = (seen != Modules::None).then_some(S::RECHECK);
+            // The protocol timer must run while modules are there.
+            let recheck = (seen != Modules::None).then_some(TICK_INTERVAL);
             self.demand.park(held, recheck);
             seen = self.side.modules(held);
             action = self.demand.apply(TurnEvent::Look(seen));
@@ -509,19 +491,16 @@ impl<S: ReadSide> Turn<S> {
             return false;
         }
         let mut reader = self.reader.lock();
-        let stop = self
+        if self
             .side
-            .read(held, &mut reader, Some(deadline), &mut |h| done(h));
-        if stop == Stop::Ended {
+            .read(held, &mut reader, Some(deadline), &mut |h| done(h))
+        {
             self.end(held, &mut reader);
             return true;
         }
         drop(reader);
         let seen = self.side.modules(held);
-        self.demand.apply(match stop {
-            Stop::Done => TurnEvent::Delivered(seen),
-            _ => TurnEvent::Deadline(seen),
-        });
+        self.demand.apply(TurnEvent::Released(seen));
         true
     }
 

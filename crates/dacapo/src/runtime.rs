@@ -62,7 +62,7 @@
 use crate::alayer::AppEndpoint;
 use crate::module::{Module, Outputs};
 use crate::packet::{Packet, PacketKind};
-use crate::pool::{Modules, ReadDemand, ReadSide, Stop, Turn, TurnAction, TurnEvent};
+use crate::pool::{Modules, ReadDemand, ReadSide, Turn, TurnAction, TurnEvent};
 use crate::stats::ThroughputMeter;
 use crate::tlayer::{Transport, Waker};
 use crate::DacapoError;
@@ -84,8 +84,9 @@ use std::time::{Duration, Instant};
 /// Interval between [`Module::on_tick`] callbacks. This is a protocol
 /// timer (it drives ARQ retransmission), *not* a data-path poll: a frame
 /// wakes the turn holder at once. It runs by deadline, checked after
-/// every frame, so traffic cannot starve it.
-const TICK_INTERVAL: Duration = Duration::from_millis(20);
+/// every frame, so traffic cannot starve it; a parked loop over modules
+/// looks again after as long.
+pub(crate) const TICK_INTERVAL: Duration = Duration::from_millis(20);
 
 /// What a running stack reports to.
 #[derive(Debug, Clone, Default)]
@@ -770,7 +771,7 @@ impl Stack {
         let Some(demand) = self.demand.get().filter(|_| !self.modules_idle()) else {
             return waiting();
         };
-        demand.apply(TurnEvent::Stall);
+        demand.apply(TurnEvent::Owe);
         let out = waiting();
         if demand.apply(TurnEvent::Unstall) == TurnAction::WakeReceiver {
             self.transport.wake_receiver();
@@ -940,18 +941,11 @@ impl WireWriter {
 
 /// A connection's receive side: one per transport, for as long as the
 /// transport lives (a [`crate::Connection`] owns it), whatever stacks come
-/// and go above it. Who reads it, and when, is the receive turn of
-/// [`crate::pool`] ([`Turn`], deciding by [`crate::pool::step`]): a thread
-/// waiting for a reply ([`Turn::read_turn`]) or the connection's loop on a
-/// `conn-rx` thread. The holder waits in [`Transport::recv_timeout`] until
-/// a frame, a close or the next protocol tick, which it runs, and runs each
-/// frame up whichever stack is installed in the slot, under the slot's
-/// lock: a swap waits for the frame in hand, and a frame read during a swap
-/// goes to the new stack. Then, the lock released, it delivers. Whoever
-/// reads the transport's end runs `on_closed`, takes the close sentinel up
-/// the stack and stops the wire writer. Nothing joins the loop: `shutdown`
-/// can run on its thread (a [`Sink`] closing its connection) and on a
-/// thread it waits for.
+/// and go above it. The holder of its receive turn ([`Turn`]) runs each
+/// frame and tick up the stack installed in the slot, under the slot's
+/// lock — a swap waits for the frame in hand — then, the lock released,
+/// delivers. Nothing joins the loop: `shutdown` can run on its thread (a
+/// [`Sink`] closing its connection) and on a thread it waits for.
 pub struct RxPump {
     pub(crate) turn: Arc<Turn<RxSide>>,
 }
@@ -1010,7 +1004,7 @@ impl RxPump {
         };
         let turn = Turn::start(side, reading)
             .map_err(|e| DacapoError::Runtime(format!("spawn a receive thread: {e}")))?;
-        let _ = stack.stack.demand.set(turn.demand().clone());
+        let _ = stack.stack.demand.set(turn.demand.clone());
         Ok(RxPump { turn })
     }
 
@@ -1026,7 +1020,7 @@ impl RxPump {
         OrderedMutexGuard<'a, Option<Arc<Stack>>>,
         &'a mut Locked<rank::ConnectionUplink>,
     ) {
-        let _ = stack.stack.demand.set(self.turn.demand().clone());
+        let _ = stack.stack.demand.set(self.turn.demand.clone());
         let (mut slot, uplink) = self.turn.side().slot.lock(held);
         *slot = Some(stack.stack.clone());
         (slot, uplink)
@@ -1067,7 +1061,6 @@ impl RxPump {
 
 impl ReadSide for RxSide {
     type Reader = Reading;
-    const RECHECK: Duration = TICK_INTERVAL;
 
     /// The protocol timer runs by deadline, checked after every event, so
     /// traffic cannot starve it.
@@ -1077,10 +1070,10 @@ impl ReadSide for RxSide {
         reading: &mut Reading,
         deadline: Option<Instant>,
         done: &mut dyn FnMut(&mut Locked<Unlocked>) -> bool,
-    ) -> Stop {
+    ) -> bool {
         receiving_for(&self.transport, || loop {
             if done(held) {
-                return Stop::Done;
+                return false;
             }
             let now = Instant::now();
             if now >= reading.next_tick {
@@ -1105,10 +1098,10 @@ impl ReadSide for RxSide {
                 }
                 Err(DacapoError::Timeout(_)) => {
                     if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-                        return Stop::Deadline;
+                        return false;
                     }
                 }
-                Err(_) => return Stop::Ended,
+                Err(_) => return true,
             }
         })
     }

@@ -35,6 +35,9 @@ enum Caller {
 enum Actor {
     Caller(usize),
     Loop,
+    /// A drain, or a sender behind a stalled module.
+    Drain,
+    /// A binding, a deferred reply's entry, the transport.
     World,
 }
 
@@ -99,9 +102,7 @@ fn enabled(setup: Setup, w: &World) -> Vec<(Actor, TurnEvent)> {
             Caller::Refused => next.push((who, Owe)),
             Caller::Owing => next.push((who, Paid)),
             Caller::Reading => {
-                for &seen in setup.seen() {
-                    next.extend([(who, Delivered(seen)), (who, Deadline(seen))]);
-                }
+                next.extend(setup.seen().iter().map(|&seen| (who, Released(seen))));
                 next.push((who, End));
             }
         }
@@ -121,8 +122,8 @@ fn enabled(setup: Setup, w: &World) -> Vec<(Actor, TurnEvent)> {
             world(!w.turn.closed, Close),
             world(!w.deferred, Owe),
             world(w.deferred, Paid),
-            world(!w.stalled, Stall),
-            world(w.stalled, Unstall),
+            (!w.stalled, (Actor::Drain, Owe)),
+            (w.stalled, (Actor::Drain, Unstall)),
         ]
         .into_iter()
         .filter_map(|(on, e)| on.then_some(e)),
@@ -144,11 +145,12 @@ fn advance(machine: Step, w: World, who: Actor, event: TurnEvent) -> World {
             }
         }
         Actor::Loop => next.loop_reads = action == TurnAction::Read,
-        Actor::World => match event {
-            TurnEvent::Owe | TurnEvent::Paid => next.deferred = !w.deferred,
-            TurnEvent::Stall | TurnEvent::Unstall => next.stalled = !w.stalled,
-            _ => {}
-        },
+        Actor::Drain => next.stalled = !w.stalled,
+        Actor::World => {
+            if matches!(event, TurnEvent::Owe | TurnEvent::Paid) {
+                next.deferred = !w.deferred;
+            }
+        }
     }
     next
 }
@@ -240,7 +242,7 @@ fn explore(machine: Step, depth: usize) -> Result<(usize, usize), Trace> {
 fn forgets_a_consumed_nudge(s: TurnState, e: TurnEvent) -> (TurnState, TurnAction) {
     let (next, action) = step(s, e);
     if s.nudged && !next.nudged {
-        return (TurnState { nudged: false, ..s }, TurnAction::Park);
+        return (TurnState { nudged: false, ..s }, TurnAction::Nothing);
     }
     (next, action)
 }

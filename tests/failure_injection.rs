@@ -543,6 +543,11 @@ fn every_orb_error_variant_has_a_row() {
     adapter
         .register_fn("capped", |_op, a, _c| Ok(a.to_vec()))
         .unwrap();
+    adapter
+        .register_fn("relay", |_op, _a, _c| {
+            Err(OrbError::Transport("downstream call failed".into()))
+        })
+        .unwrap();
     adapter.set_policy(
         &"capped".into(),
         ServerPolicy::builder().max_throughput_bps(64_000).build(),
@@ -622,13 +627,8 @@ fn every_orb_error_variant_has_a_row() {
         directory_at("mute")
             .resolve("x", &QoSSpec::best_effort())
             .unwrap_err(),
-        // A directory request with no byte-order flag: the server's own
-        // failure.
-        client
-            .bind(&directory)
-            .unwrap()
-            .invoke("resolve", Bytes::new())
-            .unwrap_err(),
+        // A relay whose downstream call failed: the server's own failure.
+        bind("relay").invoke("op", Bytes::new()).unwrap_err(),
         ObjectRef::from_uri("not a reference").unwrap_err(),
     ];
     let produced: Vec<&str> = rows.iter().map(variant).collect();
@@ -646,10 +646,11 @@ fn every_orb_error_variant_has_a_row() {
     server.close();
 }
 
-/// A server's own failures reach the client as the server's system
-/// exceptions, over either message protocol: a directory request with no
-/// byte-order flag as `Internal`, one whose arguments do not unmarshal as
-/// `Marshal` — neither as a protocol violation, and neither retried.
+/// A server's errors reach the client as the server's system exceptions,
+/// over either message protocol: a directory request with no byte-order
+/// flag, or whose arguments do not unmarshal, as `Marshal` — the client's
+/// own malformed argument — and a servant's own failure as `Internal`.
+/// None arrives as a protocol violation, and none is retried.
 #[test]
 fn a_servers_own_errors_arrive_as_its_system_exceptions() {
     use multe::giop::GiopError;
@@ -658,24 +659,38 @@ fn a_servers_own_errors_arrive_as_its_system_exceptions() {
 
     let exchange = LocalExchange::new();
     let server_orb = Orb::with_exchange("sysex-server", exchange.clone());
+    server_orb
+        .adapter()
+        .register_fn("relay", |_op, _a, _c| {
+            Err(OrbError::Transport("downstream call failed".into()))
+        })
+        .unwrap();
     let server = server_orb.listen_chorus("sysex").unwrap();
     let directory = DirectoryServer::serve(&server_orb, &server).unwrap();
     let client = Orb::with_exchange("sysex-client", exchange);
     for protocol in [WireProtocol::Giop, WireProtocol::Cool] {
         let stub = client.bind_with_protocol(&directory, protocol).unwrap();
         let flagless = stub.invoke("resolve", Bytes::new()).unwrap_err();
-        assert!(
-            matches!(&flagless, OrbError::SystemException { kind, .. } if kind == "Internal"),
-            "{protocol:?}: {flagless:?}"
-        );
         let garbled = stub
             .invoke("resolve", Bytes::from_static(&[7, 0, 0]))
             .unwrap_err();
+        for marshal in [&flagless, &garbled] {
+            assert!(
+                matches!(marshal, OrbError::Marshal(GiopError::PeerMarshal(_))),
+                "{protocol:?}: {marshal:?}"
+            );
+        }
+        let relay = client
+            .bind_with_protocol(&server.object_ref("relay"), protocol)
+            .unwrap();
+        let failed = relay.invoke("op", Bytes::new()).unwrap_err();
         assert!(
-            matches!(&garbled, OrbError::Marshal(GiopError::PeerMarshal(_))),
-            "{protocol:?}: {garbled:?}"
+            matches!(&failed, OrbError::SystemException { kind, .. } if kind == "Internal"),
+            "{protocol:?}: {failed:?}"
         );
-        assert!(!flagless.is_retryable() && !garbled.is_retryable());
+        assert!(![flagless, garbled, failed]
+            .iter()
+            .any(OrbError::is_retryable));
     }
     client.shutdown();
     server.close();
