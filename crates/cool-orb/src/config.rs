@@ -89,13 +89,16 @@ pub struct FailoverPolicy {
     /// Per-probe call timeout (kept far below `call_timeout` so a probe
     /// sweep over a dead replica set stays cheap).
     pub probe_timeout: Duration,
-    /// Consecutive failures (calls or probes) before a replica is marked
-    /// suspect… this many more times and it is evicted from rotation.
+    /// Consecutive failures (calls or probes) that evict a replica from
+    /// rotation. The first failure already makes it suspect; any success
+    /// resets the count.
     pub suspect_threshold: u32,
     /// How long an evicted replica sits out before a probe may re-admit it.
     pub readmit_backoff: Duration,
     /// Consecutive failures before the per-replica circuit breaker opens
-    /// (calls stop flowing to the replica even if not yet evicted).
+    /// (calls stop flowing to the replica even if not yet evicted). It only
+    /// acts while it is below `suspect_threshold`: at or above it, the
+    /// failure that would open the breaker evicts the replica first.
     pub breaker_threshold: u32,
     /// How long an open breaker waits before half-opening to let one
     /// trial call or probe through.

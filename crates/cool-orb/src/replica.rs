@@ -13,11 +13,10 @@
 //! * **One bound replica** — switching to a replica binds it afresh and
 //!   applies the pipeline's current QoS operating point to its transport,
 //!   so a failover target never re-promotes.
-//! * **Health and breakers** — consecutive failures evict a replica
-//!   (healthy → suspect → evicted); a background prober re-admits it after
-//!   backoff once it answers again; a per-replica circuit breaker opens
-//!   under repeated failure and half-opens after a cooldown
-//!   ([`crate::config::FailoverPolicy`]).
+//! * **One failure machine per replica** — consecutive failures evict a
+//!   replica, and a prober re-admits it once it answers after a backoff;
+//!   a breaker may hold a failing one back for a cooldown (the pure `step`,
+//!   applied by `apply`; [`crate::config::FailoverPolicy`]).
 
 use crate::config::FailoverPolicy;
 use crate::error::OrbError;
@@ -33,7 +32,7 @@ use cool_telemetry::{names, Gauge, Registry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One replica produced by a directory resolve: where it lives and how
 /// well its offered ladder matched the requirement (0 = matched at the
@@ -47,84 +46,119 @@ pub struct ReplicaCandidate {
     pub match_rung: u32,
 }
 
-/// Health of one replica within a resolved binding (DESIGN.md §8.3:
-/// healthy → suspect → evicted → probing → re-admitted). Each variant
-/// names the transitions into it, the function making each, and what it
-/// emits beyond the `replicas_healthy` gauge (replicas in rotation), which
-/// every transition refreshes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Health {
-    /// In rotation, no recent failures. Entered when the replica is
-    /// registered (`bind_resolved`), when a call succeeds and resets a
-    /// `Suspect` streak (`note_success`), and when a probe reply proves a
-    /// `Probing` replica alive (`note_probe_success`: also
-    /// `replica_readmissions_total` and flight `replica_readmitted`).
-    Healthy,
-    /// In rotation with this many consecutive failures: a failure below
-    /// `suspect_threshold` (`note_failure`).
-    Suspect(u32),
-    /// Out of rotation; only the prober may touch it. Entered at
-    /// `suspect_threshold` consecutive failures (`note_failure`: also
-    /// `replica_evictions_total` and flight `replica_evicted`), and back
-    /// from `Probing` when the probe fails (`note_failure`).
-    Evicted,
-    /// An evicted replica currently being probed for re-admission: its
-    /// `readmit_backoff` elapsed and the prober took it (`probe_all`).
+/// One replica's standing in its failure machine (DESIGN.md §8.3): a count
+/// of consecutive failures (any success resets it) or an instant. Only
+/// `breaker_threshold < suspect_threshold` reaches `Blocked` and `Trial`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Standing {
+    /// In rotation after this many failures (0: healthy); breaker closed.
+    Serving(u32),
+    /// In rotation, breaker open since the instant: calls skip it for
+    /// `breaker_cooldown`.
+    Blocked(Instant, u32),
+    /// In rotation, breaker half-open: one trial call may pass.
+    Trial(u32),
+    /// Out of rotation since the instant; breaker open.
+    Out(Instant),
+    /// Out since the instant; breaker half-open, backoff not yet over.
+    Cooled(Instant),
+    /// Out, taken by the prober for a re-admission probe; breaker half-open.
     Probing,
 }
 
-/// Per-replica circuit breaker. Every transition sets the
-/// `breaker_state{replica}` gauge (0 closed, 1 half-open, 2 open).
+/// What befalls one replica: a call succeeds, a probe answers, either
+/// fails; a call's look for a target half-opens cooled breakers, and the
+/// prober's sweep also takes out replicas whose backoff is over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Breaker {
-    /// Calls flow; counts consecutive failures. Entered when the replica
-    /// is registered (`bind_resolved`), from any state when a call
-    /// succeeds (`note_success`) or a probe reply proves the server alive
-    /// (`note_probe_success`); a failure below `breaker_threshold` bumps
-    /// the count (`note_failure`).
-    Closed(u32),
-    /// Calls blocked since the given instant. Entered at
-    /// `breaker_threshold` consecutive failures, or when the one trial
-    /// call of `HalfOpen` fails (`note_failure`: also flight
-    /// `breaker_open`).
-    Open(Instant),
-    /// Cooldown elapsed; one trial call may pass. Entered once
-    /// `breaker_cooldown` has passed since opening, as a call picks a
-    /// target or the prober sweeps (`half_open_cooled`).
-    HalfOpen,
+enum Event {
+    CallOk,
+    ProbeOk,
+    Failed(Instant),
+    Look(Instant),
+    Sweep(Instant),
+}
+
+/// What one step emits besides the new standing: the `breaker_state`
+/// gauge's value when it moved (to open: flight `breaker_open`); ±1 as the
+/// replica joins or leaves rotation (`replicas_healthy`; leaving is an
+/// eviction: `replica_evictions_total`, flight `replica_evicted`); and
+/// whether a probe re-admitted it (`replica_readmissions_total`, flight
+/// `replica_readmitted`).
+struct Effects {
+    breaker: Option<u8>,
+    rotation: i8,
+    readmitted: bool,
+}
+
+/// Breaker names by `breaker_state` gauge value (DESIGN.md §6).
+const BREAKER: [&str; 3] = ["closed", "half-open", "open"];
+
+impl Standing {
+    /// Whether a call may go to this replica.
+    fn eligible(self) -> bool {
+        matches!(self, Standing::Serving(_) | Standing::Trial(_))
+    }
+
+    /// Eligible, or held back by its breaker.
+    fn in_rotation(self) -> bool {
+        self.eligible() || matches!(self, Standing::Blocked(..))
+    }
+
+    /// The snapshot's health name and the `breaker_state` gauge value.
+    fn names(self) -> (&'static str, u8) {
+        match self {
+            Standing::Serving(0) => ("healthy", 0),
+            Standing::Serving(_) => ("suspect", 0),
+            Standing::Blocked(..) => ("suspect", 2),
+            Standing::Trial(_) => ("suspect", 1),
+            Standing::Out(_) => ("evicted", 2),
+            Standing::Cooled(_) => ("evicted", 1),
+            Standing::Probing => ("probing", 1),
+        }
+    }
+}
+
+/// The failure machine, written once: `event` befalls a replica standing
+/// at `standing`. Takes no lock, reads no clock, touches no registry.
+fn step(standing: Standing, event: Event, policy: &FailoverPolicy) -> (Standing, Effects) {
+    use Event::*;
+    use Standing::*;
+    // At a look: how long since the standing's instant.
+    let stood = match (standing, event) {
+        (Blocked(since, _) | Out(since) | Cooled(since), Look(now) | Sweep(now)) => now - since,
+        _ => Duration::ZERO,
+    };
+    let next = match (standing, event) {
+        (_, CallOk | ProbeOk) => Serving(0),
+        (Serving(n) | Blocked(_, n) | Trial(n), Failed(now)) => {
+            let n = n.saturating_add(1);
+            match standing {
+                _ if n >= policy.suspect_threshold => Out(now),
+                Blocked(since, _) => Blocked(since, n),
+                Serving(_) if n < policy.breaker_threshold => Serving(n),
+                _ => Blocked(now, n),
+            }
+        }
+        (Probing, Failed(at)) | (Cooled(at), Failed(_)) => Out(at),
+        (Out(_) | Cooled(_), Sweep(_)) if stood >= policy.readmit_backoff => Probing,
+        (Blocked(_, n), Look(_) | Sweep(_)) if stood >= policy.breaker_cooldown => Trial(n),
+        (Out(since), Look(_) | Sweep(_)) if stood >= policy.breaker_cooldown => Cooled(since),
+        _ => standing,
+    };
+    let effects = Effects {
+        breaker: Some(next.names().1).filter(|&b| b != standing.names().1),
+        rotation: i8::from(next.in_rotation()) - i8::from(standing.in_rotation()),
+        readmitted: event == ProbeOk && !standing.in_rotation(),
+    };
+    (next, effects)
 }
 
 struct ReplicaState {
     reference: ObjectRef,
     match_rung: u32,
-    health: Health,
-    breaker: Breaker,
-    evicted_at: Option<Instant>,
+    standing: Standing,
     /// `breaker_state{replica="<addr>"}`, resolved at construction.
     breaker_gauge: Option<Arc<Gauge>>,
-}
-
-impl ReplicaState {
-    fn in_rotation(&self) -> bool {
-        matches!(self.health, Health::Healthy | Health::Suspect(_))
-    }
-
-    /// Whether calls may go to this replica.
-    fn eligible(&self) -> bool {
-        self.in_rotation() && !matches!(self.breaker, Breaker::Open(_))
-    }
-
-    /// Moves the breaker, and its gauge with it (encoding: DESIGN.md §6).
-    fn set_breaker(&mut self, breaker: Breaker) {
-        self.breaker = breaker;
-        if let Some(gauge) = &self.breaker_gauge {
-            gauge.set(match breaker {
-                Breaker::Closed(_) => 0.0,
-                Breaker::HalfOpen => 1.0,
-                Breaker::Open(_) => 2.0,
-            });
-        }
-    }
 }
 
 /// The mutable core of a [`ResolvedStub`]: replica table, the active
@@ -139,6 +173,8 @@ struct SetState {
     /// The liveness prober's thread; taken by [`ResolvedStub::close`],
     /// which joins it with the table released.
     prober: Option<JoinHandle<()>>,
+    /// `replicas_healthy`, holding this binding's share until `close`.
+    healthy_gauge: Option<Arc<Gauge>>,
 }
 
 /// Point-in-time view of one replica, for tests and diagnostics.
@@ -168,7 +204,6 @@ pub struct ResolvedStub {
     policy: FailoverPolicy,
     replica_set: OrderedMutex<SetState, rank::ResolvedState>,
     stop_tx: crossbeam::channel::Sender<()>,
-    healthy_gauge: Option<Arc<Gauge>>,
     registry: Option<Arc<Registry>>,
 }
 
@@ -215,9 +250,7 @@ impl Orb {
             .map(|c| ReplicaState {
                 reference: c.reference.clone(),
                 match_rung: c.match_rung,
-                health: Health::Healthy,
-                breaker: Breaker::Closed(0),
-                evicted_at: None,
+                standing: Standing::Serving(0),
                 breaker_gauge: registry.as_ref().map(|r| {
                     let gauge = r.gauge(&Registry::labeled(
                         names::BREAKER_STATE,
@@ -228,11 +261,10 @@ impl Orb {
                 }),
             })
             .collect();
-        let healthy_gauge = registry.as_ref().map(|r| {
-            let gauge = r.gauge(names::REPLICAS_HEALTHY);
-            gauge.set(replicas.len() as f64);
-            gauge
-        });
+        let healthy_gauge = registry.as_ref().map(|r| r.gauge(names::REPLICAS_HEALTHY));
+        if let Some(gauge) = &healthy_gauge {
+            gauge.add(replicas.len() as f64);
+        }
         let period = self.config().failover.probe_period;
         let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
         let resolved = Arc::new(ResolvedStub {
@@ -244,9 +276,9 @@ impl Orb {
                 active: None,
                 rr: ROTATION.fetch_add(1, Ordering::Relaxed),
                 prober: None,
+                healthy_gauge,
             }),
             stop_tx,
-            healthy_gauge,
             registry,
         });
         // The first pick rotates across the best-ranked candidates from a
@@ -255,7 +287,7 @@ impl Orb {
         let held = Locked::root();
         let first = resolved.pick(held, &[], "bind").ok();
         resolved.replica_set.lock(held).0.active = first;
-        if period > std::time::Duration::ZERO {
+        if period > Duration::ZERO {
             let weak: Weak<ResolvedStub> = Arc::downgrade(&resolved);
             let probe_loop = move || {
                 let held = Locked::root();
@@ -310,17 +342,8 @@ impl ResolvedStub {
             .map(|r| ReplicaSnapshot {
                 reference: r.reference.clone(),
                 match_rung: r.match_rung,
-                health: match r.health {
-                    Health::Healthy => "healthy",
-                    Health::Suspect(_) => "suspect",
-                    Health::Evicted => "evicted",
-                    Health::Probing => "probing",
-                },
-                breaker: match r.breaker {
-                    Breaker::Closed(_) => "closed",
-                    Breaker::HalfOpen => "half-open",
-                    Breaker::Open(_) => "open",
-                },
+                health: r.standing.names().0,
+                breaker: BREAKER[usize::from(r.standing.names().1)],
             })
             .collect()
     }
@@ -340,11 +363,19 @@ impl ResolvedStub {
         self.invoker.invoke(Locked::root(), self, operation, args)
     }
 
-    /// Stops the background prober and joins it. Called automatically on
-    /// drop; safe to call multiple times.
+    /// Stops the background prober and joins it, and takes the binding's
+    /// replicas out of `replicas_healthy`. Called automatically on drop;
+    /// safe to call multiple times.
     pub fn close(&self) {
         let held = Locked::root();
-        let handle = self.replica_set.lock(held).0.prober.take();
+        let handle = {
+            let (mut state, _) = self.replica_set.lock(held);
+            if let Some(gauge) = state.healthy_gauge.take() {
+                let serving = state.replicas.iter().filter(|r| r.standing.in_rotation());
+                gauge.add(-(serving.count() as f64));
+            }
+            state.prober.take()
+        };
         let _ = self.stop_tx.try_send(());
         if let Some(h) = handle {
             // The last strong reference can be dropped *by* the prober
@@ -356,96 +387,42 @@ impl ResolvedStub {
         }
     }
 
-    /// Half-opens every breaker whose cooldown has elapsed, letting one
-    /// trial call or probe through. Reads the clock only while a breaker
-    /// is open.
-    fn half_open_cooled(&self, state: &mut SetState) {
-        let open = |replica: &ReplicaState| matches!(replica.breaker, Breaker::Open(_));
-        if !state.replicas.iter().any(open) {
-            return;
-        }
-        let now = Instant::now();
-        for replica in &mut state.replicas {
-            if matches!(replica.breaker, Breaker::Open(since)
-                if now.duration_since(since) >= self.policy.breaker_cooldown)
-            {
-                replica.set_breaker(Breaker::HalfOpen);
-            }
-        }
-    }
-
-    /// Success bookkeeping: the replica becomes the active one, and its
-    /// health and breaker reset.
-    fn note_success(&self, held: &mut Locked<Unlocked>, idx: usize) {
-        let (mut guard, _) = self.replica_set.lock(held);
-        let state = &mut *guard;
-        state.active = Some(idx);
+    /// The one place the failure machine moves: steps replica `idx` by
+    /// `what`, under the table lock the caller holds, and emits the effects.
+    fn apply(&self, state: &mut SetState, idx: usize, what: Event) {
         let replica = &mut state.replicas[idx];
-        replica.health = Health::Healthy;
-        replica.evicted_at = None;
-        replica.set_breaker(Breaker::Closed(0));
-        self.update_healthy_gauge(state);
-    }
-
-    /// Advances one replica's breaker and health state machines after a
-    /// failed call or probe, and returns the replica's address. A failed
-    /// call also clears the active slot.
-    fn note_failure(&self, held: &mut Locked<Unlocked>, idx: usize, from_call: bool) -> String {
-        let (mut guard, _) = self.replica_set.lock(held);
-        let state = &mut *guard;
-        let replica = &mut state.replicas[idx];
-        let addr = replica.reference.addr.to_string();
-        match replica.breaker {
-            Breaker::Closed(failures) if failures + 1 < self.policy.breaker_threshold => {
-                replica.set_breaker(Breaker::Closed(failures + 1));
-            }
-            // The threshold is reached, or a trial call failed: (re-)open.
-            Breaker::Closed(_) | Breaker::HalfOpen => {
-                replica.set_breaker(Breaker::Open(Instant::now()));
-                let detail = format!("breaker open for replica {addr}");
-                emit(&self.registry, None, event::BREAKER_OPEN, detail);
-            }
-            Breaker::Open(_) => {}
+        let (next, effects) = step(replica.standing, what, &self.policy);
+        replica.standing = next;
+        if let (Some(value), Some(gauge)) = (effects.breaker, &replica.breaker_gauge) {
+            gauge.set(value.into());
         }
-        let evict = match replica.health {
-            Health::Healthy | Health::Suspect(_) => {
-                let streak = match replica.health {
-                    Health::Suspect(n) => n + 1,
-                    _ => 1,
-                };
-                let evict = streak >= self.policy.suspect_threshold;
-                replica.health = if evict {
-                    Health::Evicted
-                } else {
-                    Health::Suspect(streak)
-                };
-                evict
-            }
-            // A failed re-admission probe sends it back to evicted (the
-            // backoff clock restarts).
-            Health::Probing => {
-                replica.health = Health::Evicted;
-                replica.evicted_at = Some(Instant::now());
-                false
-            }
-            Health::Evicted => false,
-        };
-        if evict {
-            replica.evicted_at = Some(Instant::now());
+        let addr = &replica.reference.addr;
+        if effects.breaker == Some(2) {
+            let detail = format!("breaker open for replica {addr}");
+            emit(&self.registry, None, event::BREAKER_OPEN, detail);
+        }
+        if effects.rotation < 0 {
             let detail = format!("replica {addr} evicted after consecutive failures");
             let counter = Some(names::REPLICA_EVICTIONS_TOTAL);
             emit(&self.registry, counter, event::REPLICA_EVICTED, detail);
         }
-        if from_call && state.active == Some(idx) {
-            state.active = None;
+        if effects.readmitted {
+            let detail = format!("replica {addr} re-admitted after probe");
+            let counter = Some(names::REPLICA_READMISSIONS_TOTAL);
+            emit(&self.registry, counter, event::REPLICA_READMITTED, detail);
         }
-        self.update_healthy_gauge(state);
-        addr
+        match &state.healthy_gauge {
+            Some(gauge) if effects.rotation != 0 => gauge.add(effects.rotation.into()),
+            _ => {}
+        }
     }
 
-    fn update_healthy_gauge(&self, state: &SetState) {
-        if let Some(gauge) = &self.healthy_gauge {
-            gauge.set(state.replicas.iter().filter(|r| r.in_rotation()).count() as f64);
+    /// Steps every replica by a call's `Look` or the prober's `Sweep`; reads
+    /// the clock only while some replica is blocked or out (none else moves).
+    fn step_all(&self, state: &mut SetState, at: fn(Instant) -> Event) {
+        if state.replicas.iter().any(|r| !r.standing.eligible()) {
+            let event = at(Instant::now());
+            (0..state.replicas.len()).for_each(|idx| self.apply(state, idx, event));
         }
     }
 
@@ -453,31 +430,22 @@ impl ResolvedStub {
     /// cooled-down breakers, starts re-admission probes for evicted replicas
     /// whose backoff elapsed, and probes every replica not sitting out.
     pub(crate) fn probe_all(&self, held: &mut Locked<Unlocked>) {
-        let now = Instant::now();
         let due: Vec<(usize, ObjectRef)> = {
-            let (mut guard, _) = self.replica_set.lock(held);
-            let state = &mut *guard;
-            self.half_open_cooled(state);
-            let mut due = Vec::new();
-            for (i, replica) in state.replicas.iter_mut().enumerate() {
-                let sat_out = replica
-                    .evicted_at
-                    .is_none_or(|at| now.duration_since(at) >= self.policy.readmit_backoff);
-                if replica.health == Health::Evicted && sat_out {
-                    replica.health = Health::Probing;
-                }
-                if replica.health != Health::Evicted {
-                    due.push((i, replica.reference.clone()));
-                }
-            }
-            due
+            let (mut state, _) = self.replica_set.lock(held);
+            self.step_all(&mut state, Event::Sweep);
+            let replicas = state.replicas.iter().enumerate();
+            replicas
+                .filter(|(_, r)| !matches!(r.standing, Standing::Out(_) | Standing::Cooled(_)))
+                .map(|(idx, r)| (idx, r.reference.clone()))
+                .collect()
         };
         for (idx, reference) in due {
-            if self.probe_one(held, &reference) {
-                self.note_probe_success(held, idx);
+            let what = if self.probe_one(held, &reference) {
+                Event::ProbeOk
             } else {
-                self.note_failure(held, idx, false);
-            }
+                Event::Failed(Instant::now())
+            };
+            self.apply(&mut self.replica_set.lock(held).0, idx, what);
         }
     }
 
@@ -508,24 +476,6 @@ impl ResolvedStub {
             ),
         }
     }
-
-    /// A probe answered: re-admit the replica (when it was out) and reset
-    /// its breaker.
-    fn note_probe_success(&self, held: &mut Locked<Unlocked>, idx: usize) {
-        let (mut guard, _) = self.replica_set.lock(held);
-        let state = &mut *guard;
-        let replica = &mut state.replicas[idx];
-        let was_out = matches!(replica.health, Health::Probing | Health::Evicted);
-        replica.health = Health::Healthy;
-        replica.evicted_at = None;
-        replica.set_breaker(Breaker::Closed(0));
-        if was_out {
-            let detail = format!("replica {} re-admitted after probe", replica.reference.addr);
-            let counter = Some(names::REPLICA_READMISSIONS_TOTAL);
-            emit(&self.registry, counter, event::REPLICA_READMITTED, detail);
-        }
-        self.update_healthy_gauge(state);
-    }
 }
 
 /// The replica table as the invocation pipeline's targets.
@@ -540,8 +490,8 @@ impl Targets for ResolvedStub {
     ) -> Result<usize, OrbError> {
         let (mut guard, _) = self.replica_set.lock(held);
         let state = &mut *guard;
-        self.half_open_cooled(state);
-        let eligible = |i: &usize| !failed.contains(i) && state.replicas[*i].eligible();
+        self.step_all(state, Event::Look);
+        let eligible = |i: &usize| !failed.contains(i) && state.replicas[*i].standing.eligible();
         if let Some(active) = state.active.filter(eligible) {
             return Ok(active);
         }
@@ -585,19 +535,27 @@ impl Targets for ResolvedStub {
 
     fn others_left(&self, held: &mut Locked<Unlocked>, idx: usize, failed: &[usize]) -> bool {
         let (mut state, _) = self.replica_set.lock(held);
-        self.half_open_cooled(&mut state);
+        self.step_all(&mut state, Event::Look);
         (0..state.replicas.len())
-            .any(|i| i != idx && !failed.contains(&i) && state.replicas[i].eligible())
+            .any(|i| i != idx && !failed.contains(&i) && state.replicas[i].standing.eligible())
     }
 
+    /// The replica becomes the active one.
     fn succeeded(&self, held: &mut Locked<Unlocked>, idx: usize) {
-        self.note_success(held, idx);
+        let (mut state, _) = self.replica_set.lock(held);
+        state.active = Some(idx);
+        self.apply(&mut state, idx, Event::CallOk);
     }
 
-    /// Also drops the replica's endpoint, so that the next use binds it
-    /// afresh.
+    /// Also clears the active slot when it held `idx`, and drops the
+    /// replica's endpoint, so that the next use binds it afresh.
     fn failed(&self, held: &mut Locked<Unlocked>, idx: usize) -> String {
-        let addr = self.note_failure(held, idx, true);
+        let addr = {
+            let (mut state, _) = self.replica_set.lock(held);
+            self.apply(&mut state, idx, Event::Failed(Instant::now()));
+            state.active = state.active.filter(|&active| active != idx);
+            state.replicas[idx].reference.addr.to_string()
+        };
         self.invoker.unbind(held, idx);
         addr
     }
@@ -1110,5 +1068,488 @@ mod tests {
         );
         server_a.close();
         server_b.close();
+    }
+
+    /// Two resolved bindings on one registry: `replicas_healthy` is the sum
+    /// of their replicas in rotation, and a closed binding takes its share
+    /// back once, however often it is closed.
+    #[test]
+    fn replicas_healthy_sums_the_bindings_of_a_registry() {
+        let exchange = LocalExchange::new();
+        let (_orb_a, server_a) = echo_server(&exchange, "sum-a");
+        let (_orb_b, server_b) = echo_server(&exchange, "sum-b");
+        let registry = Arc::new(Registry::new());
+        let config = client_config(Some(Arc::clone(&registry)));
+        let client = Orb::with_exchange_and_config("client", exchange, config);
+        let healthy = || registry.snapshot().gauge(names::REPLICAS_HEALTHY);
+        let bind = |candidates: &[ReplicaCandidate]| {
+            client
+                .bind_resolved(candidates, QoSSpec::best_effort(), Vec::new())
+                .expect("bind")
+        };
+        let both = bind(&[candidate(&server_a, 0), candidate(&server_b, 1)]);
+        let only_b = bind(&[candidate(&server_b, 0)]);
+        assert_eq!(healthy(), Some(3.0), "two bindings, three replicas");
+
+        server_a.close();
+        both.invoke("echo", Bytes::from_static(b"x"))
+            .expect("fails over to B");
+        assert_eq!(healthy(), Some(2.0), "A evicted from the first binding");
+        only_b.close();
+        only_b.close();
+        drop(only_b);
+        assert_eq!(healthy(), Some(1.0), "the second binding's share is back");
+        both.close();
+        assert_eq!(healthy(), Some(0.0));
+        server_b.close();
+    }
+
+    /// The parent's two machines per replica, `Health` and `Breaker`, kept
+    /// as the reference `step` is explored against. Their transition code
+    /// is as it stood in `note_success`, `note_failure`,
+    /// `note_probe_success`, `half_open_cooled` and `probe_all`, but for
+    /// the clock (`now`, the exploration's) and the registry (`log`, the
+    /// flight events in the order they were emitted; each counter goes with
+    /// its event). The breaker gauge was always the breaker's encoding, and
+    /// `replicas_healthy` the count in rotation.
+    mod pair {
+        use crate::config::FailoverPolicy;
+        use cool_telemetry::flight::event;
+        use std::time::Instant;
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub(super) enum Health {
+            Healthy,
+            Suspect(u32),
+            Evicted,
+            Probing,
+        }
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub(super) enum Breaker {
+            Closed(u32),
+            Open(Instant),
+            HalfOpen,
+        }
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub(super) struct ReplicaState {
+            pub(super) health: Health,
+            pub(super) breaker: Breaker,
+            pub(super) evicted_at: Option<Instant>,
+        }
+
+        impl ReplicaState {
+            pub(super) const REGISTERED: Self = ReplicaState {
+                health: Health::Healthy,
+                breaker: Breaker::Closed(0),
+                evicted_at: None,
+            };
+
+            pub(super) fn in_rotation(&self) -> bool {
+                matches!(self.health, Health::Healthy | Health::Suspect(_))
+            }
+
+            pub(super) fn eligible(&self) -> bool {
+                self.in_rotation() && !matches!(self.breaker, Breaker::Open(_))
+            }
+
+            fn set_breaker(&mut self, breaker: Breaker) {
+                self.breaker = breaker;
+            }
+
+            /// The snapshot's names and the breaker gauge's value.
+            pub(super) fn names(&self) -> (&'static str, u8) {
+                let health = match self.health {
+                    Health::Healthy => "healthy",
+                    Health::Suspect(_) => "suspect",
+                    Health::Evicted => "evicted",
+                    Health::Probing => "probing",
+                };
+                let breaker = match self.breaker {
+                    Breaker::Closed(_) => 0,
+                    Breaker::HalfOpen => 1,
+                    Breaker::Open(_) => 2,
+                };
+                (health, breaker)
+            }
+
+            /// `half_open_cooled`, for one replica.
+            pub(super) fn half_open_cooled(&mut self, now: Instant, policy: &FailoverPolicy) {
+                if matches!(self.breaker, Breaker::Open(since)
+                    if now.duration_since(since) >= policy.breaker_cooldown)
+                {
+                    self.set_breaker(Breaker::HalfOpen);
+                }
+            }
+
+            /// `note_success`, for one replica.
+            pub(super) fn note_success(&mut self) {
+                let replica = self;
+                replica.health = Health::Healthy;
+                replica.evicted_at = None;
+                replica.set_breaker(Breaker::Closed(0));
+            }
+
+            /// `note_failure`, for one replica.
+            pub(super) fn note_failure(
+                &mut self,
+                now: Instant,
+                policy: &FailoverPolicy,
+                log: &mut Vec<&'static str>,
+            ) {
+                let replica = self;
+                match replica.breaker {
+                    Breaker::Closed(failures) if failures + 1 < policy.breaker_threshold => {
+                        replica.set_breaker(Breaker::Closed(failures + 1));
+                    }
+                    // The threshold is reached, or a trial call failed: (re-)open.
+                    Breaker::Closed(_) | Breaker::HalfOpen => {
+                        replica.set_breaker(Breaker::Open(now));
+                        log.push(event::BREAKER_OPEN);
+                    }
+                    Breaker::Open(_) => {}
+                }
+                let evict = match replica.health {
+                    Health::Healthy | Health::Suspect(_) => {
+                        let streak = match replica.health {
+                            Health::Suspect(n) => n + 1,
+                            _ => 1,
+                        };
+                        let evict = streak >= policy.suspect_threshold;
+                        replica.health = if evict {
+                            Health::Evicted
+                        } else {
+                            Health::Suspect(streak)
+                        };
+                        evict
+                    }
+                    // A failed re-admission probe sends it back to evicted (the
+                    // backoff clock restarts).
+                    Health::Probing => {
+                        replica.health = Health::Evicted;
+                        replica.evicted_at = Some(now);
+                        false
+                    }
+                    Health::Evicted => false,
+                };
+                if evict {
+                    replica.evicted_at = Some(now);
+                    log.push(event::REPLICA_EVICTED);
+                }
+            }
+
+            /// `probe_all`'s sweep, for one replica: whether it is probed.
+            pub(super) fn sweep(&mut self, now: Instant, policy: &FailoverPolicy) -> bool {
+                self.half_open_cooled(now, policy);
+                let replica = self;
+                let sat_out = replica
+                    .evicted_at
+                    .is_none_or(|at| now.duration_since(at) >= policy.readmit_backoff);
+                if replica.health == Health::Evicted && sat_out {
+                    replica.health = Health::Probing;
+                }
+                replica.health != Health::Evicted
+            }
+
+            /// `note_probe_success`, for one replica.
+            pub(super) fn note_probe_success(&mut self, log: &mut Vec<&'static str>) {
+                let replica = self;
+                let was_out = matches!(replica.health, Health::Probing | Health::Evicted);
+                replica.health = Health::Healthy;
+                replica.evicted_at = None;
+                replica.set_breaker(Breaker::Closed(0));
+                if was_out {
+                    log.push(event::REPLICA_READMITTED);
+                }
+            }
+        }
+    }
+
+    /// Replicas in an explored table.
+    const R: usize = 2;
+
+    /// One event of the exploration: the clock advancing one unit, a call's
+    /// look, the prober's sweep, or a call or probe of replica `.0`
+    /// answering (`.1`) or failing. A call looks first, as `pick` does.
+    #[derive(Debug, Clone, Copy)]
+    enum Ev {
+        Tick,
+        Look,
+        Sweep,
+        Call(usize, bool),
+        Probe(usize, bool),
+    }
+
+    const EVENTS: [Ev; 3 + 4 * R] = [
+        Ev::Tick,
+        Ev::Look,
+        Ev::Sweep,
+        Ev::Call(0, true),
+        Ev::Call(0, false),
+        Ev::Call(1, true),
+        Ev::Call(1, false),
+        Ev::Probe(0, true),
+        Ev::Probe(0, false),
+        Ev::Probe(1, true),
+        Ev::Probe(1, false),
+    ];
+
+    /// Both models of one table after the same events.
+    #[derive(Clone, PartialEq, Eq, Hash)]
+    struct World {
+        now: u64,
+        pair: [pair::ReplicaState; R],
+        standing: [Standing; R],
+        /// The breaker gauges and `replicas_healthy` as `step`'s effects
+        /// left them.
+        gauges: [u8; R],
+        healthy: i64,
+        /// Whether each event so far is one the code can bring about in
+        /// order: a call's result for a replica a call may pick, a probe's
+        /// for one the sweep probes. A result that lands after its
+        /// replica moved on (another thread's event in between) is not.
+        sequential: bool,
+    }
+
+    /// Flight events of one step, by replica.
+    type Log = Vec<(usize, &'static str)>;
+
+    /// What the apply site emits for `effects`, in its order.
+    fn emitted(effects: &Effects) -> Vec<&'static str> {
+        let mut kinds = Vec::new();
+        if effects.breaker == Some(2) {
+            kinds.push(event::BREAKER_OPEN);
+        }
+        if effects.rotation < 0 {
+            kinds.push(event::REPLICA_EVICTED);
+        }
+        if effects.readmitted {
+            kinds.push(event::REPLICA_READMITTED);
+        }
+        kinds
+    }
+
+    impl World {
+        fn new() -> Self {
+            World {
+                now: 0,
+                pair: [pair::ReplicaState::REGISTERED; R],
+                standing: [Standing::Serving(0); R],
+                gauges: [0; R],
+                healthy: R as i64,
+                sequential: true,
+            }
+        }
+
+        /// `ResolvedStub::apply` on the model: steps replica `r` and
+        /// applies the effects to the gauges; returns the flight events.
+        fn apply(&mut self, r: usize, event: Event, policy: &FailoverPolicy) -> Vec<&'static str> {
+            let (next, effects) = step(self.standing[r], event, policy);
+            self.standing[r] = next;
+            if let Some(value) = effects.breaker {
+                self.gauges[r] = value;
+            }
+            self.healthy += i64::from(effects.rotation);
+            emitted(&effects)
+        }
+
+        /// Which replicas a call may pick now, by each model.
+        fn callable(&self, at: Instant, policy: &FailoverPolicy) -> ([bool; R], [bool; R]) {
+            let mut pair = self.pair;
+            pair.iter_mut().for_each(|p| p.half_open_cooled(at, policy));
+            let new = self
+                .standing
+                .map(|s| step(s, Event::Look(at), policy).0.eligible());
+            (pair.map(|p| p.eligible()), new)
+        }
+
+        /// Which replicas a sweep now would probe, by each model.
+        fn swept(&self, at: Instant, policy: &FailoverPolicy) -> ([bool; R], [bool; R]) {
+            let mut pair = self.pair;
+            let old = std::array::from_fn(|r| pair[r].sweep(at, policy));
+            let new = self.standing.map(|s| {
+                let next = step(s, Event::Sweep(at), policy).0;
+                !matches!(next, Standing::Out(_) | Standing::Cooled(_))
+            });
+            (old, new)
+        }
+
+        /// Both models after `ev`, with each one's flight events.
+        fn after(&self, ev: Ev, base: Instant, policy: &FailoverPolicy) -> (World, Log, Log) {
+            let mut w = self.clone();
+            let at = base + Duration::from_millis(w.now);
+            let (mut old_log, mut new_log) = (Vec::new(), Vec::new());
+            let look = |w: &mut World, log: &mut Log| {
+                for r in 0..R {
+                    w.pair[r].half_open_cooled(at, policy);
+                    let kinds = w.apply(r, Event::Look(at), policy);
+                    log.extend(kinds.into_iter().map(|k| (r, k)));
+                }
+            };
+            match ev {
+                Ev::Tick => w.now += 1,
+                Ev::Look => look(&mut w, &mut new_log),
+                Ev::Sweep => {
+                    for r in 0..R {
+                        w.pair[r].sweep(at, policy);
+                        let kinds = w.apply(r, Event::Sweep(at), policy);
+                        new_log.extend(kinds.into_iter().map(|k| (r, k)));
+                    }
+                }
+                Ev::Call(r, ok) | Ev::Probe(r, ok) => {
+                    let call = matches!(ev, Ev::Call(..));
+                    if call {
+                        look(&mut w, &mut new_log);
+                        w.sequential &= w.pair[r].eligible();
+                    } else {
+                        w.sequential &= w.pair[r].health != pair::Health::Evicted;
+                    }
+                    let mut log = Vec::new();
+                    let event = match (ok, call) {
+                        (true, true) => {
+                            w.pair[r].note_success();
+                            Event::CallOk
+                        }
+                        (true, false) => {
+                            w.pair[r].note_probe_success(&mut log);
+                            Event::ProbeOk
+                        }
+                        (false, _) => {
+                            w.pair[r].note_failure(at, policy, &mut log);
+                            Event::Failed(at)
+                        }
+                    };
+                    old_log.extend(log.into_iter().map(|k| (r, k)));
+                    let kinds = w.apply(r, event, policy);
+                    new_log.extend(kinds.into_iter().map(|k| (r, k)));
+                }
+            }
+            (w, old_log, new_log)
+        }
+    }
+
+    /// Where the two models may part, for one config: `None` when they
+    /// agree on everything observable. Calls and sweeps agree always; so
+    /// do the health names, `replicas_healthy` and the eviction and
+    /// re-admission events. The breaker's names, gauge and `breaker_open`
+    /// events agree where `breaker_threshold == suspect_threshold`,
+    /// `readmit_backoff >= breaker_cooldown` and the events came in order.
+    fn disagreement(
+        before: &World,
+        after: &World,
+        logs: (&Log, &Log),
+        base: Instant,
+        policy: &FailoverPolicy,
+    ) -> Option<String> {
+        let at = base + Duration::from_millis(after.now);
+        let (old_call, new_call) = after.callable(at, policy);
+        if old_call != new_call {
+            return Some(format!("callable: pair {old_call:?}, step {new_call:?}"));
+        }
+        let (old_swept, new_swept) = after.swept(at, policy);
+        if old_swept != new_swept {
+            return Some(format!("swept: pair {old_swept:?}, step {new_swept:?}"));
+        }
+        for r in 0..R {
+            let (old, new) = (after.pair[r].names(), after.standing[r].names());
+            if old.0 != new.0 {
+                return Some(format!("replica {r} health: pair {old:?}, step {new:?}"));
+            }
+            if after.gauges[r] != new.1 {
+                return Some(format!(
+                    "replica {r}: gauge {} for {new:?}",
+                    after.gauges[r]
+                ));
+            }
+            // A look or sweep moves no replica a call may pick: `step_all`
+            // skips the clock while every replica is callable.
+            let s = before.standing[r];
+            for moved in [Event::Look(at), Event::Sweep(at)].map(|e| step(s, e, policy).0) {
+                if s.eligible() && moved != s {
+                    return Some(format!("replica {r}: a look moved {s:?} to {moved:?}"));
+                }
+            }
+        }
+        let in_rotation = after.pair.iter().filter(|p| p.in_rotation()).count() as i64;
+        let standing = after.standing.iter().filter(|s| s.in_rotation()).count() as i64;
+        if (in_rotation, standing) != (after.healthy, after.healthy) {
+            return Some(format!(
+                "replicas_healthy: pair {in_rotation}, step {} ({standing} in rotation)",
+                after.healthy
+            ));
+        }
+        let strict = policy.breaker_threshold == policy.suspect_threshold
+            && policy.readmit_backoff >= policy.breaker_cooldown
+            && after.sequential;
+        let shown = |log: &Log| -> Log {
+            let kept = log
+                .iter()
+                .filter(|(_, k)| strict || *k != event::BREAKER_OPEN);
+            kept.copied().collect()
+        };
+        if shown(logs.0) != shown(logs.1) {
+            return Some(format!("events: pair {:?}, step {:?}", logs.0, logs.1));
+        }
+        let breakers = |w: &World| w.pair.map(|p| p.names().1);
+        if strict && breakers(after) != after.gauges {
+            return Some(format!(
+                "breakers: pair {:?}, step {:?}",
+                breakers(after),
+                after.gauges
+            ));
+        }
+        None
+    }
+
+    /// Drives the failure machine and the pair it replaced, breadth first,
+    /// over every sequence of `EVENTS` to depth 8 on a two-replica table,
+    /// for every threshold pair in {1,2,3}² and a cooldown shorter than,
+    /// longer than and equal to (both zero) the re-admission backoff; after
+    /// every step the two must agree (`disagreement`). A failure prints the
+    /// config and the event sequence that parts them.
+    #[test]
+    fn failure_machine_agrees_with_the_pair_it_replaced() {
+        const DEPTH: usize = 8;
+        let base = Instant::now();
+        let mut worlds = 0;
+        for suspect_threshold in 1..=3 {
+            for breaker_threshold in 1..=3 {
+                for (cooldown, backoff) in [(1, 2), (2, 1), (0, 0)] {
+                    let policy = FailoverPolicy {
+                        probe_period: Duration::ZERO,
+                        probe_timeout: Duration::ZERO,
+                        suspect_threshold,
+                        readmit_backoff: Duration::from_millis(backoff),
+                        breaker_threshold,
+                        breaker_cooldown: Duration::from_millis(cooldown),
+                    };
+                    let mut seen = std::collections::HashSet::new();
+                    let mut frontier = vec![(World::new(), Vec::new())];
+                    seen.insert(World::new());
+                    for _ in 0..DEPTH {
+                        let mut next = Vec::new();
+                        for (world, trace) in &frontier {
+                            for ev in EVENTS {
+                                let (after, old, new) = world.after(ev, base, &policy);
+                                let mut trace: Vec<Ev> = trace.clone();
+                                trace.push(ev);
+                                if let Some(why) =
+                                    disagreement(world, &after, (&old, &new), base, &policy)
+                                {
+                                    panic!("{policy:?}\nafter {trace:?}:\n{why}");
+                                }
+                                if seen.insert(after.clone()) {
+                                    next.push((after, trace));
+                                }
+                            }
+                        }
+                        frontier = next;
+                    }
+                    worlds += seen.len();
+                }
+            }
+        }
+        println!("{worlds} worlds explored");
     }
 }

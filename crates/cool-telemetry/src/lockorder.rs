@@ -270,11 +270,11 @@ pub mod rank {
     use super::{Admits, LockAfter, LockBefore, Unlocked};
 
     /// `resolved.state` — `ResolvedStub::replica_set`, a replicated
-    /// binding's replica table: health, breaker, active index, rotation
-    /// cursor and the liveness prober's thread handle (taken at close, then
-    /// joined outside the lock). Failure bookkeeping runs under it and
-    /// records flight events; picking a replica precedes (never overlaps)
-    /// any ORB or binding lock.
+    /// binding's replica table: each replica's failure machine, the active
+    /// index, the rotation cursor and the liveness prober's thread handle
+    /// (taken at close, then joined outside the lock). Failure bookkeeping
+    /// runs under it and records flight events; picking a replica precedes
+    /// (never overlaps) any ORB or binding lock.
     pub struct ResolvedState;
     /// `orb.bindings` — `Orb::bindings`, the client binding cache. Nothing
     /// is dialed or closed under it: shutdown drains it and closes the

@@ -79,7 +79,8 @@ names! {
     /// `breaker_state{replica="chorus://rep-a"}`.
     BREAKER_STATE = "breaker_state";
 
-    /// Gauge: replicas currently considered healthy in a replicated binding.
+    /// Gauge: replicas in rotation (healthy or suspect), summed over the
+    /// registry's replicated bindings; a closed binding takes its share back.
     REPLICAS_HEALTHY = "replicas_healthy";
 
     /// Histogram (µs): latency of directory `resolve` calls as observed by

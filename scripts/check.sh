@@ -82,5 +82,11 @@ cargo test -q --release --test heap_budget
 # Servers that vanish, restart or close under a call: a stub replacing its
 # lost binding (one replacement however many callers race, the stub's QoS
 # on the new transport) depends on when a close lands, so optimized too.
+# So do the replica unit tests (the failure machine explored against the
+# pair it replaced among them) and the replicated chaos run: the chaos test
+# waits on the prober under wall-clock bounds, and the ledger's
+# `replica_failover` workload measures this code optimized.
 cargo test -q --release --test failure_injection
+cargo test -q --release -p cool-orb --lib -- replica
+cargo test -q --release -p multe --test failover_chaos
 
