@@ -15,6 +15,8 @@
 
 pub mod cool;
 pub mod giop;
+#[cfg(test)]
+mod golden;
 
 use self::cool::CoolMessage;
 use crate::adapter::DispatchOutcome;
@@ -309,6 +311,84 @@ pub(crate) fn close_connection_frame() -> Option<Bytes> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An event as plain data, so that two decodes can be compared and a
+    /// decode checked against fields written out by hand.
+    #[derive(Debug, PartialEq)]
+    pub(super) enum Seen {
+        Request {
+            id: u32,
+            key: Vec<u8>,
+            op: String,
+            args: Vec<u8>,
+            qos: Vec<QoSParameter>,
+            one_way: bool,
+            trace: Option<RequestTraceContext>,
+            format: String,
+        },
+        Cancel(u32),
+        Locate {
+            id: u32,
+            key: Vec<u8>,
+            format: String,
+        },
+        /// The reply as `interpret` reads it; an error by its `Debug` form.
+        Reply {
+            id: u32,
+            trace: Option<ReplyTraceContext>,
+            result: Result<(Vec<u8>, Option<GrantedQoS>), String>,
+        },
+        Closing,
+        Unexpected,
+        Malformed,
+    }
+
+    /// What `decode_frame` hands on for `frame`, every message in wire
+    /// order.
+    pub(super) fn events(frame: &Bytes) -> Vec<Seen> {
+        let mut seen = Vec::new();
+        decode_frame(frame, |event| {
+            seen.push(match event {
+                Event::Request(r) => Seen::Request {
+                    id: r.request_id,
+                    key: r.object_key.to_vec(),
+                    op: r.operation.to_string(),
+                    args: r.args.to_vec(),
+                    qos: r.qos_params,
+                    one_way: r.one_way,
+                    trace: r.trace,
+                    format: format!("{:?}", r.reply_format),
+                },
+                Event::Cancel(id) => Seen::Cancel(id),
+                Event::Locate {
+                    request_id,
+                    object_key,
+                    reply_format,
+                } => Seen::Locate {
+                    id: request_id,
+                    key: object_key.to_vec(),
+                    format: format!("{reply_format:?}"),
+                },
+                Event::Reply {
+                    request_id,
+                    trace,
+                    reply,
+                } => Seen::Reply {
+                    id: request_id,
+                    trace,
+                    result: reply
+                        .interpret()
+                        .map(|(body, granted)| (body.to_vec(), granted))
+                        .map_err(|e| format!("{e:?}")),
+                },
+                Event::Closing => Seen::Closing,
+                Event::Unexpected => Seen::Unexpected,
+                Event::Malformed => Seen::Malformed,
+            });
+            true
+        });
+        seen
+    }
 
     proptest::proptest! {
         /// Arbitrary bytes, behind either magic or none, never panic the
