@@ -45,6 +45,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --keep-going
 # The benchmark (ledger/, BENCHMARK.json) is a workspace of its own that
 # nothing above builds: a slip in cool-orb's public API would pass every
 # gate here and break it. Its unit tests plus `ledger run --smoke`.
+# Building it in place rewrites its stale Cargo.lock; the gate leaves
+# ledger/ as it found it, pass or fail.
+lock_copy=$(mktemp)
+cp ledger/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" ledger/Cargo.lock; rm -f "$lock_copy"' EXIT
 cargo test --release --offline --manifest-path ledger/Cargo.toml
 
 # The Da CaPo lifecycle suites once more, optimized, next to the benchmark
