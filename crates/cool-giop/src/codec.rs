@@ -23,7 +23,8 @@
 //!   frame: GIOP frames are self-delimiting, so a receiver can always split
 //!   them,
 //! * [`parse_header`] — the fixed 12-byte header alone, which
-//!   `decode_frame` and `split_frames` read first.
+//!   `decode_frame` and `split_frames` read first; a reader that has read
+//!   it hands it to [`Message::decode_headed`] rather than read it twice.
 
 use crate::cdr::{ByteOrder, Cdr, CdrDecoder, CdrEncoder};
 use crate::error::GiopError;
@@ -183,12 +184,25 @@ impl Message {
     /// header's `message_size`.
     #[inline]
     pub fn decode_frame(frame: &Bytes) -> Result<(Message, GiopVersion, ByteOrder), GiopError> {
-        let header = parse_header(frame)?;
-        let body = &frame[HEADER_LEN..];
-        if body.len() != header.message_size as usize {
+        Message::decode_headed(parse_header(frame)?, frame)
+    }
+
+    /// [`Message::decode_frame`] for a frame whose header the caller has
+    /// already read with [`parse_header`]: the header is not read again.
+    ///
+    /// # Errors
+    ///
+    /// As [`Message::decode_frame`], [`GiopError::SizeMismatch`] included.
+    #[inline]
+    pub fn decode_headed(
+        header: FrameHeader,
+        frame: &Bytes,
+    ) -> Result<(Message, GiopVersion, ByteOrder), GiopError> {
+        let body_len = frame.len().saturating_sub(HEADER_LEN);
+        if body_len != header.message_size as usize {
             return Err(GiopError::SizeMismatch {
                 announced: header.message_size as usize,
-                actual: body.len(),
+                actual: body_len,
             });
         }
         let msg = decode_body(header, frame)?;

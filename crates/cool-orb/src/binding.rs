@@ -52,6 +52,7 @@ use cool_telemetry::{
 };
 use multe_qos::TransportRequirements;
 use std::collections::{hash_map, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::Thread;
@@ -105,18 +106,41 @@ impl Entry {
     }
 }
 
+/// Hashes a request id with one multiply (Fibonacci hashing). The ids are
+/// the binding's own, handed out in sequence, so no peer can pick keys
+/// that collide, and SipHash's keyed mixing buys nothing.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(b.into()));
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0 ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// The pending table: request id → entry.
+type Slots = HashMap<u32, Entry, BuildHasherDefault<IdHasher>>;
+
 /// The outstanding requests of a binding, shared with its reply
 /// demultiplexer and every [`DeferredReply`] — never holding the channel,
 /// so the `channel → inbox → sink` chain contains no reference cycle.
 struct Pending {
-    slots: OrderedMutex<HashMap<u32, Entry>, rank::BindingPending>,
+    slots: OrderedMutex<Slots, rank::BindingPending>,
     telemetry: Option<ClientMetrics>,
 }
 
 /// Takes the reply out of `request_id`'s entry, and the entry out of the
 /// table, if the reply is in. An entry already gone reads as
 /// [`OrbError::Closed`]: nothing is left to wait for.
-fn take_ready(slots: &mut HashMap<u32, Entry>, request_id: u32) -> Option<ReplyResult> {
+fn take_ready(slots: &mut Slots, request_id: u32) -> Option<ReplyResult> {
     match slots.entry(request_id) {
         hash_map::Entry::Vacant(_) => Some(Err(OrbError::Closed)),
         hash_map::Entry::Occupied(entry) => match entry.get().slot {
@@ -490,7 +514,7 @@ impl Binding {
             .map(|r| ClientMetrics::resolve(Arc::clone(r), channel.kind()));
         let tracing = telemetry.is_some() && config.tracing && protocol.carries_trace();
         let pending = Arc::new(Pending {
-            slots: OrderedMutex::new(HashMap::new()),
+            slots: OrderedMutex::new(Slots::default()),
             telemetry,
         });
         Arc::new(Binding {
@@ -543,24 +567,30 @@ impl Binding {
     /// The one issue path behind every invocation mode: closed check →
     /// request id → span begin → encode → register the slot → send,
     /// unwinding registration and span if the request never reaches the
-    /// wire. Hands back the request's id and when the invocation began (the
-    /// origin of its span and its timeout).
+    /// wire. Hands back the request's id. The invocation began at `started`
+    /// (the origin of its `Marshal` mark and of the time its timeout
+    /// reports), read by the caller: a stub's pipeline reads one instant
+    /// for its retry budget and its first request.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the request's parts, who collects its reply, and when it began"
+    )]
     #[inline]
     fn issue(
         &self,
         held: &mut Locked<Unlocked>,
+        started: Instant,
         object_key: &[u8],
         operation: &str,
         args: Bytes,
         qos_params: &[QoSParameter],
         collect: Collect,
-    ) -> Result<(u32, Instant), OrbError> {
+    ) -> Result<u32, OrbError> {
         let response_expected = !matches!(collect, Collect::Nothing);
         let conn = &self.conn;
         if self.retired.load(Ordering::Acquire) || conn.channel.is_closed() {
             return Err(OrbError::Closed);
         }
-        let started = Instant::now();
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let telemetry = self.pending.telemetry.as_ref();
         if let Some(t) = telemetry {
@@ -631,7 +661,7 @@ impl Binding {
                 Err(_) => t.abort_invocation(request_id, SpanOutcome::Error),
             }
         }
-        sent.map(|()| (request_id, started))
+        sent.map(|()| request_id)
     }
 
     /// Two-way synchronous invocation.
@@ -648,9 +678,24 @@ impl Binding {
         qos_params: &[QoSParameter],
         timeout: Duration,
     ) -> ReplyResult {
+        let started = Instant::now();
+        self.call_since(started, object_key, operation, args, qos_params, timeout)
+    }
+
+    /// [`Binding::call`] for an invocation that began at `started`.
+    pub(crate) fn call_since(
+        &self,
+        started: Instant,
+        object_key: &[u8],
+        operation: &str,
+        args: Bytes,
+        qos_params: &[QoSParameter],
+        timeout: Duration,
+    ) -> ReplyResult {
         let held = Locked::root();
-        let (request_id, started) = self.issue(
+        let request_id = self.issue(
             held,
+            started,
             object_key,
             operation,
             args,
@@ -676,6 +721,7 @@ impl Binding {
     ) -> Result<(), OrbError> {
         self.issue(
             Locked::root(),
+            Instant::now(),
             object_key,
             operation,
             args,
@@ -698,8 +744,9 @@ impl Binding {
         args: Bytes,
         qos_params: &[QoSParameter],
     ) -> Result<DeferredReply, OrbError> {
-        let (request_id, _) = self.issue(
+        let request_id = self.issue(
             Locked::root(),
+            Instant::now(),
             object_key,
             operation,
             args,
@@ -734,13 +781,13 @@ impl Binding {
         let collect = Collect::Later(Slot::Callback(Box::new(callback)));
         self.issue(
             Locked::root(),
+            Instant::now(),
             object_key,
             operation,
             args,
             qos_params,
             collect,
         )
-        .map(|(request_id, ..)| request_id)
     }
 
     /// Cancels a pending request: notifies the server (GIOP
@@ -892,7 +939,7 @@ mod tests {
     #[test]
     fn a_reply_the_demux_holds_at_the_deadline_is_returned() {
         let pending = Arc::new(Pending {
-            slots: OrderedMutex::new(HashMap::new()),
+            slots: OrderedMutex::new(Slots::default()),
             telemetry: None,
         });
         let entry = Entry {

@@ -359,8 +359,12 @@ impl Invoker {
         let mut idx = targets.pick(held, &failed, operation)?;
         let mut degrade = false;
         let (mut attempts, mut start) = (1u32, Instant::now());
+        // The first request begins where the retry budget does, on the one
+        // clock read; a later lap's reads its own.
+        let mut began = Some(start);
         loop {
-            let err = match self.attempt(held, targets, idx, degrade, operation, &args) {
+            let attempt = self.attempt(held, targets, idx, degrade, operation, &args, began.take());
+            let err = match attempt {
                 Ok(body) => {
                     targets.succeeded(held, idx);
                     return Ok(body);
@@ -409,6 +413,10 @@ impl Invoker {
 
     /// One lap of [`Invoker::invoke`]: step the QoS down first when the
     /// last lap was NACKed, bind target `idx` if none is held for it.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the lap's target, QoS step and start, and the call's parts"
+    )]
     fn attempt<T: Targets>(
         &self,
         held: &mut Locked<Unlocked>,
@@ -417,6 +425,7 @@ impl Invoker {
         degrade: bool,
         operation: &str,
         args: &Bytes,
+        began: Option<Instant>,
     ) -> Result<Bytes, OrbError> {
         if degrade {
             self.step_down(held, operation);
@@ -426,16 +435,18 @@ impl Invoker {
             }
         }
         let attempt = self.bound(held, targets, idx)?;
-        self.invoke_once(held, attempt, operation, args.clone())
+        self.invoke_once(held, attempt, operation, args.clone(), began)
     }
 
-    /// One attempt, with no resilience applied.
+    /// One attempt, with no resilience applied. A remote request begins at
+    /// `began` when the caller has read the clock already, else now.
     pub(crate) fn invoke_once(
         &self,
         held: &mut Locked<Unlocked>,
         attempt: Attempt,
         operation: &str,
         args: Bytes,
+        began: Option<Instant>,
     ) -> Result<Bytes, OrbError> {
         let Attempt {
             endpoint,
@@ -456,7 +467,9 @@ impl Invoker {
             Target::Remote(binding) => {
                 let params = offered.to_params();
                 let key = endpoint.key.as_bytes();
-                let (body, granted) = binding.call(key, operation, args, &params, timeout)?;
+                let began = began.unwrap_or_else(Instant::now);
+                let (body, granted) =
+                    binding.call_since(began, key, operation, args, &params, timeout)?;
                 if granted.is_some() {
                     self.per_stub.lock(held).0.granted = granted;
                 }

@@ -188,9 +188,9 @@ pub(super) fn bodyless(msg: &Message) -> Option<Bytes> {
     encode_message(msg, GiopVersion::STANDARD, ByteOrder::Big).ok()
 }
 
-/// What one GIOP frame of an inbound batch means.
-pub(super) fn event(frame: Result<Bytes, GiopError>) -> Event {
-    let Ok((msg, version, order)) = frame.and_then(|f| Message::decode_frame(&f)) else {
+/// What one decoded GIOP message means.
+pub(super) fn event(decoded: Result<(Message, GiopVersion, ByteOrder), GiopError>) -> Event {
+    let Ok((msg, version, order)) = decoded else {
         return Event::Malformed;
     };
     let reply_format = ReplyFormat::Giop { version, order };

@@ -22,6 +22,7 @@ use self::cool::CoolMessage;
 use crate::adapter::DispatchOutcome;
 use crate::error::OrbError;
 use bytes::Bytes;
+use cool_giop::codec::{parse_header, HEADER_LEN};
 use cool_giop::prelude::*;
 use multe_qos::{GrantedQoS, QosError};
 
@@ -209,11 +210,18 @@ pub(crate) enum Event {
 /// `false` (the connection is over; the rest of the frame is not looked at).
 /// Returns whether every message was accepted. GIOP frames self-delimit,
 /// so a peer may pack several messages into one transport frame: it is
-/// split here — zero-copy views, a one-message frame yields exactly itself.
+/// split here into zero-copy views. A frame its first header fills, the
+/// usual one-message frame, is decoded as it is, its header read once.
 #[inline]
 pub(crate) fn decode_frame(frame: &Bytes, mut handle: impl FnMut(Event) -> bool) -> bool {
     match frame.get(..4) {
-        Some(b"GIOP") => split_frames(frame).all(|sub| handle(giop::event(sub))),
+        Some(b"GIOP") => match parse_header(frame) {
+            Ok(header) if frame.len() - HEADER_LEN == header.message_size as usize => {
+                handle(giop::event(Message::decode_headed(header, frame)))
+            }
+            _ => split_frames(frame)
+                .all(|sub| handle(giop::event(sub.and_then(|f| Message::decode_frame(&f))))),
+        },
         Some(b"COOL") => handle(cool::event(frame)),
         _ => handle(Event::Malformed),
     }

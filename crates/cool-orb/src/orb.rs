@@ -564,7 +564,10 @@ impl Stub {
         let attempt = self.invoker.bound(held, self, 0)?;
         match &attempt.endpoint.target {
             Target::Local(_) => {
-                callback(self.invoker.invoke_once(held, attempt, operation, args));
+                callback(
+                    self.invoker
+                        .invoke_once(held, attempt, operation, args, None),
+                );
                 Ok(0)
             }
             Target::Remote(binding) => {

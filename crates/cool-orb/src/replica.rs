@@ -153,11 +153,30 @@ fn step(standing: Standing, event: Event, policy: &FailoverPolicy) -> (Standing,
     (next, effects)
 }
 
+/// The replica a call may take, and succeed against, without the table
+/// lock: the active one while it stands `Serving(0)` and every replica is
+/// eligible. Then a `Look` moves nothing, so `pick` would return it, and a
+/// `CallOk` on it is the identity with no effects.
+fn steady(active: Option<usize>, standings: impl Iterator<Item = Standing>) -> Option<usize> {
+    let mut calm = active.is_some();
+    for (idx, standing) in standings.enumerate() {
+        calm &= match active == Some(idx) {
+            true => standing == Standing::Serving(0),
+            false => standing.eligible(),
+        };
+    }
+    active.filter(|_| calm)
+}
+
+/// What [`ResolvedStub::steady`] holds while no replica is steady.
+const UNSTEADY: usize = usize::MAX;
+
 struct ReplicaState {
     reference: ObjectRef,
     match_rung: u32,
     standing: Standing,
-    /// `breaker_state{replica="<addr>"}`, resolved at construction.
+    /// `breaker_state{replica="<addr>"}`, resolved at construction, holding
+    /// this binding's share until `close`.
     breaker_gauge: Option<Arc<Gauge>>,
 }
 
@@ -203,6 +222,9 @@ pub struct ResolvedStub {
     invoker: Invoker,
     policy: FailoverPolicy,
     replica_set: OrderedMutex<SetState, rank::ResolvedState>,
+    /// [`steady`] of the table as its lock holder last left it, or
+    /// [`UNSTEADY`]: written under the table lock, read without it.
+    steady: AtomicUsize,
     stop_tx: crossbeam::channel::Sender<()>,
     registry: Option<Arc<Registry>>,
 }
@@ -250,14 +272,13 @@ impl Orb {
             .map(|c| ReplicaState {
                 reference: c.reference.clone(),
                 match_rung: c.match_rung,
+                // Closed: the breaker adds nothing to the gauge yet.
                 standing: Standing::Serving(0),
                 breaker_gauge: registry.as_ref().map(|r| {
-                    let gauge = r.gauge(&Registry::labeled(
+                    r.gauge(&Registry::labeled(
                         names::BREAKER_STATE,
                         &[("replica", &c.reference.addr.to_string())],
-                    ));
-                    gauge.set(0.0);
-                    gauge
+                    ))
                 }),
             })
             .collect();
@@ -278,6 +299,7 @@ impl Orb {
                 prober: None,
                 healthy_gauge,
             }),
+            steady: AtomicUsize::new(UNSTEADY),
             stop_tx,
             registry,
         });
@@ -364,8 +386,9 @@ impl ResolvedStub {
     }
 
     /// Stops the background prober and joins it, and takes the binding's
-    /// replicas out of `replicas_healthy`. Called automatically on drop;
-    /// safe to call multiple times.
+    /// replicas out of `replicas_healthy` and its breakers out of
+    /// `breaker_state`. Called automatically on drop; safe to call multiple
+    /// times.
     pub fn close(&self) {
         let held = Locked::root();
         let handle = {
@@ -373,6 +396,11 @@ impl ResolvedStub {
             if let Some(gauge) = state.healthy_gauge.take() {
                 let serving = state.replicas.iter().filter(|r| r.standing.in_rotation());
                 gauge.add(-(serving.count() as f64));
+            }
+            for replica in &mut state.replicas {
+                if let Some(gauge) = replica.breaker_gauge.take() {
+                    gauge.add(-f64::from(replica.standing.names().1));
+                }
             }
             state.prober.take()
         };
@@ -388,13 +416,16 @@ impl ResolvedStub {
     }
 
     /// The one place the failure machine moves: steps replica `idx` by
-    /// `what`, under the table lock the caller holds, and emits the effects.
+    /// `what`, under the table lock the caller holds, emits the effects and
+    /// publishes what is [`steady`] now. A caller that moves the active
+    /// replica does so first.
     fn apply(&self, state: &mut SetState, idx: usize, what: Event) {
         let replica = &mut state.replicas[idx];
         let (next, effects) = step(replica.standing, what, &self.policy);
+        let before = replica.standing.names().1;
         replica.standing = next;
         if let (Some(value), Some(gauge)) = (effects.breaker, &replica.breaker_gauge) {
-            gauge.set(value.into());
+            gauge.add(f64::from(value) - f64::from(before));
         }
         let addr = &replica.reference.addr;
         if effects.breaker == Some(2) {
@@ -415,6 +446,14 @@ impl ResolvedStub {
             Some(gauge) if effects.rotation != 0 => gauge.add(effects.rotation.into()),
             _ => {}
         }
+        let steady = steady(state.active, state.replicas.iter().map(|r| r.standing));
+        self.steady
+            .store(steady.unwrap_or(UNSTEADY), Ordering::Release);
+    }
+
+    /// The replica [`steady`] named when the table lock was last let go.
+    fn steady_replica(&self) -> Option<usize> {
+        Some(self.steady.load(Ordering::Acquire)).filter(|&idx| idx != UNSTEADY)
     }
 
     /// Steps every replica by a call's `Look` or the prober's `Sweep`; reads
@@ -459,7 +498,7 @@ impl ResolvedStub {
         stub.set_timeout(self.policy.probe_timeout);
         let pong = stub.invoker.bound(held, &stub, 0).and_then(|attempt| {
             stub.invoker
-                .invoke_once(held, attempt, "_ping", Bytes::new())
+                .invoke_once(held, attempt, "_ping", Bytes::new(), None)
         });
         match pong {
             Ok(_) => true,
@@ -478,18 +517,14 @@ impl ResolvedStub {
     }
 }
 
-/// The replica table as the invocation pipeline's targets.
-impl Targets for ResolvedStub {
-    /// The active replica when still eligible, otherwise the best-ranked
-    /// eligible one, rotating among equals.
-    fn pick(
+impl ResolvedStub {
+    /// [`Targets::pick`] under the table lock.
+    fn pick_locked(
         &self,
-        held: &mut Locked<Unlocked>,
+        state: &mut SetState,
         failed: &[usize],
         operation: &str,
     ) -> Result<usize, OrbError> {
-        let (mut guard, _) = self.replica_set.lock(held);
-        let state = &mut *guard;
         self.step_all(state, Event::Look);
         let eligible = |i: &usize| !failed.contains(i) && state.replicas[*i].standing.eligible();
         if let Some(active) = state.active.filter(eligible) {
@@ -519,6 +554,24 @@ impl Targets for ResolvedStub {
         state.rr = state.rr.wrapping_add(1);
         Ok(best[state.rr % best.len()])
     }
+}
+
+/// The replica table as the invocation pipeline's targets.
+impl Targets for ResolvedStub {
+    /// The active replica when still eligible, otherwise the best-ranked
+    /// eligible one, rotating among equals. A first pick takes the
+    /// [`steady`] replica without the lock, when there is one.
+    fn pick(
+        &self,
+        held: &mut Locked<Unlocked>,
+        failed: &[usize],
+        operation: &str,
+    ) -> Result<usize, OrbError> {
+        match self.steady_replica() {
+            Some(idx) if failed.is_empty() => Ok(idx),
+            _ => self.pick_locked(&mut self.replica_set.lock(held).0, failed, operation),
+        }
+    }
 
     /// Replica `idx`, spoken to over GIOP. Switching to a replica binds it
     /// afresh, with the set's *current* operating point.
@@ -540,8 +593,12 @@ impl Targets for ResolvedStub {
             .any(|i| i != idx && !failed.contains(&i) && state.replicas[i].standing.eligible())
     }
 
-    /// The replica becomes the active one.
+    /// The replica becomes the active one; for the [`steady`] one, which is
+    /// already, that changes nothing, and takes no lock.
     fn succeeded(&self, held: &mut Locked<Unlocked>, idx: usize) {
+        if self.steady_replica() == Some(idx) {
+            return;
+        }
         let (mut state, _) = self.replica_set.lock(held);
         state.active = Some(idx);
         self.apply(&mut state, idx, Event::CallOk);
@@ -552,8 +609,8 @@ impl Targets for ResolvedStub {
     fn failed(&self, held: &mut Locked<Unlocked>, idx: usize) -> String {
         let addr = {
             let (mut state, _) = self.replica_set.lock(held);
-            self.apply(&mut state, idx, Event::Failed(Instant::now()));
             state.active = state.active.filter(|&active| active != idx);
+            self.apply(&mut state, idx, Event::Failed(Instant::now()));
             state.replicas[idx].reference.addr.to_string()
         };
         self.invoker.unbind(held, idx);
@@ -572,6 +629,7 @@ mod tests {
     use super::*;
     use crate::config::OrbConfig;
     use crate::exchange::LocalExchange;
+    use crate::object::OrbAddr;
     use crate::retry::RetryPolicy;
     use crate::server::OrbServer;
     use multe_qos::{QoSSpec, ServerPolicy};
@@ -902,8 +960,6 @@ mod tests {
             names::BREAKER_STATE,
             &[("replica", &server_a.object_ref("svc").addr.to_string())],
         );
-        // A value left by an earlier binding of the same replica.
-        registry.gauge(&breaker_gauge).set(2.0);
         let resolved = client
             .bind_resolved(
                 &[candidate(&server_a, 0)],
@@ -1102,6 +1158,54 @@ mod tests {
         both.close();
         assert_eq!(healthy(), Some(0.0));
         server_b.close();
+    }
+
+    /// Two resolved bindings of one replica on one registry:
+    /// `breaker_state{replica}` is the sum of their breakers, and a closed
+    /// binding takes its breaker back once, however often it is closed.
+    #[test]
+    fn breaker_state_sums_the_bindings_of_a_replica() {
+        let exchange = LocalExchange::new();
+        let (_orb_a, server_a) = echo_server(&exchange, "brk-a");
+        let registry = Arc::new(Registry::new());
+        let config = client_config(Some(Arc::clone(&registry)));
+        let client = Orb::with_exchange_and_config("client", exchange, config);
+        let breaker = Registry::labeled(
+            names::BREAKER_STATE,
+            &[("replica", &server_a.object_ref("svc").addr.to_string())],
+        );
+        let open = || registry.snapshot().gauge(&breaker);
+        let bind = || {
+            client
+                .bind_resolved(
+                    &[candidate(&server_a, 0)],
+                    QoSSpec::best_effort(),
+                    Vec::new(),
+                )
+                .expect("bind")
+        };
+        let first = bind();
+        server_a.close();
+        first
+            .invoke("echo", Bytes::from_static(b"x"))
+            .expect_err("its one replica is gone");
+        assert_eq!(open(), Some(2.0), "the first binding's breaker opened");
+        let second = bind();
+        assert_eq!(
+            open(),
+            Some(2.0),
+            "a second binding's closed breaker adds 0"
+        );
+        second
+            .invoke("echo", Bytes::from_static(b"x"))
+            .expect_err("its one replica is gone");
+        assert_eq!(open(), Some(4.0), "both breakers open");
+        first.close();
+        first.close();
+        drop(first);
+        assert_eq!(open(), Some(2.0), "the first binding's share is back");
+        second.close();
+        assert_eq!(open(), Some(0.0));
     }
 
     /// The parent's two machines per replica, `Health` and `Breaker`, kept
@@ -1305,6 +1409,9 @@ mod tests {
         /// left them.
         gauges: [u8; R],
         healthy: i64,
+        /// The active replica: a call's success makes it so, its failure
+        /// clears it.
+        active: Option<usize>,
         /// Whether each event so far is one the code can bring about in
         /// order: a call's result for a replica a call may pick, a probe's
         /// for one the sweep probes. A result that lands after its
@@ -1338,6 +1445,7 @@ mod tests {
                 standing: [Standing::Serving(0); R],
                 gauges: [0; R],
                 healthy: R as i64,
+                active: Some(0),
                 sequential: true,
             }
         }
@@ -1406,6 +1514,9 @@ mod tests {
                         w.sequential &= w.pair[r].health != pair::Health::Evicted;
                     }
                     let mut log = Vec::new();
+                    if call {
+                        w.active = Some(r).filter(|_| ok).or(w.active.filter(|&a| a != r));
+                    }
                     let event = match (ok, call) {
                         (true, true) => {
                             w.pair[r].note_success();
@@ -1502,12 +1613,40 @@ mod tests {
         None
     }
 
+    /// Where [`steady`] is wrong for the world `w`, on the table of `stub`:
+    /// if it names replica `idx`, a locked pick with no target failed must
+    /// return `idx` and move no replica, and a call's success on `idx` must
+    /// be the identity with no effects.
+    fn unsteady(w: &World, stub: &ResolvedStub, policy: &FailoverPolicy) -> Option<String> {
+        let idx = steady(w.active, w.standing.iter().copied())?;
+        let (mut state, _) = stub.replica_set.lock(Locked::root());
+        state.active = w.active;
+        for (replica, standing) in state.replicas.iter_mut().zip(w.standing) {
+            replica.standing = standing;
+        }
+        let picked = stub.pick_locked(&mut state, &[], "explore");
+        if !matches!(picked, Ok(i) if i == idx) {
+            return Some(format!("steady {idx}: a locked pick gave {picked:?}"));
+        }
+        if !state.replicas.iter().map(|r| r.standing).eq(w.standing) {
+            return Some(format!("steady {idx}: a locked pick moved a replica"));
+        }
+        let (next, effects) = step(w.standing[idx], Event::CallOk, policy);
+        if next != w.standing[idx] || !emitted(&effects).is_empty() || effects.breaker.is_some() {
+            let was = w.standing[idx];
+            return Some(format!("steady {idx}: a success moved {was:?} to {next:?}"));
+        }
+        None
+    }
+
     /// Drives the failure machine and the pair it replaced, breadth first,
     /// over every sequence of `EVENTS` to depth 8 on a two-replica table,
     /// for every threshold pair in {1,2,3}² and a cooldown shorter than,
     /// longer than and equal to (both zero) the re-admission backoff; after
-    /// every step the two must agree (`disagreement`). A failure prints the
-    /// config and the event sequence that parts them.
+    /// every step the two must agree (`disagreement`), and the replica
+    /// [`steady`] names must be one a locked pick returns and a success
+    /// leaves alone (`unsteady`, on a stub of the same policy). A failure
+    /// prints the config and the event sequence that parts them.
     #[test]
     fn failure_machine_agrees_with_the_pair_it_replaced() {
         const DEPTH: usize = 8;
@@ -1524,6 +1663,21 @@ mod tests {
                         breaker_threshold,
                         breaker_cooldown: Duration::from_millis(cooldown),
                     };
+                    let config = OrbConfig {
+                        failover: policy.clone(),
+                        ..OrbConfig::default()
+                    };
+                    let orb =
+                        Orb::with_exchange_and_config("explore", LocalExchange::new(), config);
+                    let candidates: Vec<ReplicaCandidate> = (0..R)
+                        .map(|r| ReplicaCandidate {
+                            reference: ObjectRef::new(OrbAddr::Chorus(format!("r{r}")), "svc"),
+                            match_rung: 0,
+                        })
+                        .collect();
+                    let stub = orb
+                        .bind_resolved(&candidates, QoSSpec::best_effort(), Vec::new())
+                        .expect("bind");
                     let mut seen = std::collections::HashSet::new();
                     let mut frontier = vec![(World::new(), Vec::new())];
                     seen.insert(World::new());
@@ -1536,6 +1690,7 @@ mod tests {
                                 trace.push(ev);
                                 if let Some(why) =
                                     disagreement(world, &after, (&old, &new), base, &policy)
+                                        .or_else(|| unsteady(&after, &stub, &policy))
                                 {
                                     panic!("{policy:?}\nafter {trace:?}:\n{why}");
                                 }

@@ -661,7 +661,7 @@ fn start_dispatchers(
                     m.note_queue_depth(rx.len() + overflow_rx.len());
                     m.busy.inc();
                 }
-                run_job(held, &adapter, job, waited, metrics.as_ref());
+                run_job(held, &adapter, job, Some(waited), metrics.as_ref());
                 if let Some(m) = &metrics {
                     m.busy.dec();
                 }
@@ -734,13 +734,7 @@ fn process_frame(
                     if let Some(m) = &intake.metrics {
                         m.inline.inc();
                     }
-                    run_job(
-                        held,
-                        &intake.adapter,
-                        job,
-                        Duration::ZERO,
-                        intake.metrics.as_ref(),
-                    );
+                    run_job(held, &intake.adapter, job, None, intake.metrics.as_ref());
                     true
                 } else {
                     intake.enqueue(held, job, &*conn.channel)
@@ -774,25 +768,29 @@ fn process_frame(
 }
 
 /// Executes one request — upcall, marshal, reply — on the calling thread: a
-/// dispatcher, or the delivery thread itself for a job that skipped the
-/// queue (`waited` is then zero, read off no clock).
+/// dispatcher, after the job `waited` in the queue, or the delivery thread
+/// itself for a job that skipped the queue (`None`: no wait, read off no
+/// clock).
 #[inline]
 fn run_job(
     held: &mut Locked<Unlocked>,
     adapter: &Arc<ObjectAdapter>,
     job: Job,
-    waited: Duration,
+    waited: Option<Duration>,
     metrics: Option<&ServerMetrics>,
 ) {
     let request = job.request;
+    let queued = waited.is_some();
+    let waited = waited.unwrap_or_default();
     if let Some(m) = metrics {
         m.queue_wait.record_duration_us(waited);
         m.registry
             .span_mark(request.request_id, Stage::QueueWait, waited);
     }
     // Re-check cancellation: the cancel may have arrived while this request
-    // sat in the dispatch queue.
-    if job.conn.cancelled.lock(held).0.remove(request.request_id) {
+    // sat in the dispatch queue. A job run inline has not sat: its thread
+    // checked the set just now, and delivered no frame since.
+    if queued && job.conn.cancelled.lock(held).0.remove(request.request_id) {
         return;
     }
     // Join the client's distributed trace: a request-side trace context
