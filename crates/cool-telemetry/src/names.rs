@@ -76,7 +76,9 @@ names! {
 
     /// Per-replica circuit-breaker state gauge, exported with a `replica`
     /// label (0 = closed, 1 = half-open, 2 = open), e.g.
-    /// `breaker_state{replica="chorus://rep-a"}`.
+    /// `breaker_state{replica="chorus://rep-a"}`: summed over the
+    /// registry's replicated bindings of that replica; a closed binding
+    /// takes its share back.
     BREAKER_STATE = "breaker_state";
 
     /// Gauge: replicas in rotation (healthy or suspect), summed over the
