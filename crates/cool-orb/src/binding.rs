@@ -582,7 +582,7 @@ impl Binding {
         started: Instant,
         object_key: &[u8],
         operation: &str,
-        args: Bytes,
+        args: &[u8],
         qos_params: &[QoSParameter],
         collect: Collect,
     ) -> Result<u32, OrbError> {
@@ -674,11 +674,11 @@ impl Binding {
         &self,
         object_key: &[u8],
         operation: &str,
-        args: Bytes,
+        args: impl AsRef<[u8]>,
         qos_params: &[QoSParameter],
         timeout: Duration,
     ) -> ReplyResult {
-        let started = Instant::now();
+        let (started, args) = (Instant::now(), args.as_ref());
         self.call_since(started, object_key, operation, args, qos_params, timeout)
     }
 
@@ -688,7 +688,7 @@ impl Binding {
         started: Instant,
         object_key: &[u8],
         operation: &str,
-        args: Bytes,
+        args: &[u8],
         qos_params: &[QoSParameter],
         timeout: Duration,
     ) -> ReplyResult {
@@ -724,7 +724,7 @@ impl Binding {
             Instant::now(),
             object_key,
             operation,
-            args,
+            &args,
             qos_params,
             Collect::Nothing,
         )
@@ -749,7 +749,7 @@ impl Binding {
             Instant::now(),
             object_key,
             operation,
-            args,
+            &args,
             qos_params,
             Collect::Later(Slot::Expecting),
         )?;
@@ -784,7 +784,7 @@ impl Binding {
             Instant::now(),
             object_key,
             operation,
-            args,
+            &args,
             qos_params,
             collect,
         )

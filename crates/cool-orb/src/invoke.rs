@@ -424,7 +424,7 @@ impl Invoker {
         idx: usize,
         degrade: bool,
         operation: &str,
-        args: &Bytes,
+        args: &[u8],
         began: Option<Instant>,
     ) -> Result<Bytes, OrbError> {
         if degrade {
@@ -435,7 +435,7 @@ impl Invoker {
             }
         }
         let attempt = self.bound(held, targets, idx)?;
-        self.invoke_once(held, attempt, operation, args.clone(), began)
+        self.invoke_once(held, attempt, operation, args, began)
     }
 
     /// One attempt, with no resilience applied. A remote request begins at
@@ -445,7 +445,7 @@ impl Invoker {
         held: &mut Locked<Unlocked>,
         attempt: Attempt,
         operation: &str,
-        args: Bytes,
+        args: &[u8],
         began: Option<Instant>,
     ) -> Result<Bytes, OrbError> {
         let Attempt {
@@ -455,7 +455,7 @@ impl Invoker {
         } = attempt;
         match &endpoint.target {
             Target::Local(adapter) => {
-                match adapter.dispatch(&endpoint.key, operation, &args, &offered, false) {
+                match adapter.dispatch(&endpoint.key, operation, args, &offered, false) {
                     DispatchOutcome::Success { body, granted } => {
                         self.per_stub.lock(held).0.granted = Some(granted);
                         Ok(Bytes::from(body))

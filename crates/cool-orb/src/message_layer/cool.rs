@@ -77,8 +77,6 @@ impl CoolMessage {
     /// is longer than its length prefix can say: 65 535 bytes for the key,
     /// operation, kind and detail, 4 GiB for args and body.
     pub fn encode(&self) -> Result<Bytes, OrbError> {
-        let mut buf = BytesMut::with_capacity(32);
-        buf.put_slice(MAGIC);
         match self {
             CoolMessage::Request {
                 request_id,
@@ -86,31 +84,19 @@ impl CoolMessage {
                 operation,
                 one_way,
                 args,
-            } => {
-                buf.put_u8(0);
-                buf.put_u32(*request_id);
-                put_short(&mut buf, object_key)?;
-                put_short(&mut buf, operation.as_bytes())?;
-                buf.put_u8(*one_way as u8);
-                put_long(&mut buf, args)?;
-            }
+            } => request_frame(*request_id, object_key, operation, *one_way, args),
             CoolMessage::Reply { request_id, body } => {
-                buf.put_u8(1);
-                buf.put_u32(*request_id);
-                put_long(&mut buf, body)?;
+                frame(1, *request_id, |buf| put_long(buf, body))
             }
             CoolMessage::Exception {
                 request_id,
                 kind,
                 detail,
-            } => {
-                buf.put_u8(2);
-                buf.put_u32(*request_id);
-                put_short(&mut buf, kind.as_bytes())?;
-                put_short(&mut buf, detail.as_bytes())?;
-            }
+            } => frame(2, *request_id, |buf| {
+                put_short(buf, kind.as_bytes())?;
+                put_short(buf, detail.as_bytes())
+            }),
         }
-        Ok(buf.freeze())
     }
 
     /// Decodes a frame.
@@ -172,6 +158,36 @@ impl CoolMessage {
         }
         Ok(msg)
     }
+}
+
+/// A frame of `msg_type` for `request_id`, its payload written by `payload`.
+fn frame(
+    msg_type: u8,
+    request_id: u32,
+    payload: impl FnOnce(&mut BytesMut) -> Result<(), OrbError>,
+) -> Result<Bytes, OrbError> {
+    let mut buf = BytesMut::with_capacity(32);
+    buf.put_slice(MAGIC);
+    buf.put_u8(msg_type);
+    buf.put_u32(request_id);
+    payload(&mut buf)?;
+    Ok(buf.freeze())
+}
+
+/// The Request frame [`CoolMessage::encode`] writes, from borrowed parts.
+pub(super) fn request_frame(
+    request_id: u32,
+    object_key: &[u8],
+    operation: &str,
+    one_way: bool,
+    args: &[u8],
+) -> Result<Bytes, OrbError> {
+    frame(0, request_id, |buf| {
+        put_short(buf, object_key)?;
+        put_short(buf, operation.as_bytes())?;
+        buf.put_u8(one_way as u8);
+        put_long(buf, args)
+    })
 }
 
 /// Writes `field` behind its length as a `u16`.

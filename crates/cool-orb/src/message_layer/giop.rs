@@ -33,13 +33,13 @@ pub fn make_request(
     request_id: u32,
     object_key: &[u8],
     operation: &str,
-    args: Bytes,
+    args: impl AsRef<[u8]>,
     qos_params: impl AsRef<[QoSParameter]>,
     response_expected: bool,
     trace: Option<&RequestTraceContext>,
     order: ByteOrder,
 ) -> Result<Bytes, OrbError> {
-    let qos = qos_params.as_ref();
+    let (args, qos) = (args.as_ref(), qos_params.as_ref());
     let version = if qos.is_empty() {
         GiopVersion::STANDARD
     } else {
@@ -62,7 +62,7 @@ pub fn make_request(
             qos,
             &[],
         )?;
-        enc.put_raw(&args);
+        enc.put_raw(args);
         Ok(())
     })
     .map_err(OrbError::from)

@@ -101,7 +101,7 @@ pub(crate) fn encode_request(
     request_id: u32,
     object_key: &[u8],
     operation: &str,
-    args: Bytes,
+    args: &[u8],
     qos_params: &[QoSParameter],
     response_expected: bool,
     trace: Option<&RequestTraceContext>,
@@ -121,14 +121,9 @@ pub(crate) fn encode_request(
         WireProtocol::Cool if !qos_params.is_empty() => Err(OrbError::Protocol(
             "the cool message protocol carries no qos parameters; use giop".into(),
         )),
-        WireProtocol::Cool => CoolMessage::Request {
-            request_id,
-            object_key: object_key.to_vec(),
-            operation: operation.to_owned(),
-            one_way: !response_expected,
-            args,
+        WireProtocol::Cool => {
+            cool::request_frame(request_id, object_key, operation, !response_expected, args)
         }
-        .encode(),
     }
 }
 

@@ -566,7 +566,7 @@ impl Stub {
             Target::Local(_) => {
                 callback(
                     self.invoker
-                        .invoke_once(held, attempt, operation, args, None),
+                        .invoke_once(held, attempt, operation, &args, None),
                 );
                 Ok(0)
             }

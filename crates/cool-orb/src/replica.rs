@@ -496,10 +496,10 @@ impl ResolvedStub {
             return false;
         };
         stub.set_timeout(self.policy.probe_timeout);
-        let pong = stub.invoker.bound(held, &stub, 0).and_then(|attempt| {
-            stub.invoker
-                .invoke_once(held, attempt, "_ping", Bytes::new(), None)
-        });
+        let pong = stub
+            .invoker
+            .bound(held, &stub, 0)
+            .and_then(|attempt| stub.invoker.invoke_once(held, attempt, "_ping", &[], None));
         match pong {
             Ok(_) => true,
             // A servant-level answer proves liveness.
