@@ -106,9 +106,10 @@ impl Entry {
     }
 }
 
-/// Hashes a request id with one multiply (Fibonacci hashing). The ids are
-/// the binding's own, handed out in sequence, so no peer can pick keys
-/// that collide, and SipHash's keyed mixing buys nothing.
+/// Hashes a request id with one multiply (Fibonacci hashing). Only the
+/// binding inserts, its own ids handed out in sequence, so no peer can
+/// place keys that collide (a reply's id is only looked up), and SipHash's
+/// keyed mixing buys nothing.
 #[derive(Default)]
 struct IdHasher(u64);
 

@@ -223,7 +223,8 @@ pub struct ResolvedStub {
     policy: FailoverPolicy,
     replica_set: OrderedMutex<SetState, rank::ResolvedState>,
     /// [`steady`] of the table as its lock holder last left it, or
-    /// [`UNSTEADY`]: written under the table lock, read without it.
+    /// [`UNSTEADY`]: stored (`Release`) under the table lock, loaded
+    /// (`Acquire`) without it. It publishes no other data.
     steady: AtomicUsize,
     stop_tx: crossbeam::channel::Sender<()>,
     registry: Option<Arc<Registry>>,
